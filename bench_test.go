@@ -492,13 +492,19 @@ func BenchmarkEncodeXRP(b *testing.B) {
 func BenchmarkIngestEOSRaw(b *testing.B) {
 	raw := benchEOSRaw()
 	agg := core.NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
-	ing := core.NewIngestor(core.EOSDecoder{Agg: agg})
+	dec := agg.Decoder()
 	b.ReportAllocs()
 	b.SetBytes(int64(len(raw)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := ing.IngestRaw(int64(i)+1, raw); err != nil {
+		blk, err := dec.Decode(int64(i)+1, raw)
+		if err != nil {
 			b.Fatal(err)
 		}
+		batch := []any{blk}
+		if err := dec.IngestBatch(batch); err != nil {
+			b.Fatal(err)
+		}
+		dec.(core.BatchReleaser).ReleaseBatch(batch)
 	}
 }

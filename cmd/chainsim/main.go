@@ -132,14 +132,14 @@ func main() {
 			fmt.Printf("chainsim: %s self-check: streamed %d blocks, %d txs/ops\n", name, res.Blocks, txs())
 		}
 		eosAgg := core.NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
-		check("eos", collect.NewEOSClient("http://"+eosAddr), core.EOSDecoder{Agg: eosAgg},
+		check("eos", collect.NewEOSClient("http://"+eosAddr), eosAgg.Decoder(),
 			int64(eosScenario.Chain.HeadNum()), 4, func() int64 { return eosAgg.Transactions })
 		tezosAgg := core.NewTezosAggregator(chain.ObservationStart, 6*time.Hour)
-		check("tezos", collect.NewTezosClient("http://"+tezosAddr), core.TezosDecoder{Agg: tezosAgg},
+		check("tezos", collect.NewTezosClient("http://"+tezosAddr), tezosAgg.Decoder(),
 			tezosScenario.Chain.HeadLevel(), 4, func() int64 { return tezosAgg.Operations })
 		xrpAgg := core.NewXRPAggregator(chain.ObservationStart, 6*time.Hour)
 		xrpClient := collect.NewXRPClient("ws://" + xrpAddr)
-		check("xrp", xrpClient, core.XRPDecoder{Agg: xrpAgg},
+		check("xrp", xrpClient, xrpAgg.Decoder(),
 			xrpScenario.State.HeadIndex(), 1, func() int64 { return xrpAgg.Transactions })
 		xrpClient.Close()
 	}

@@ -322,7 +322,11 @@ func run(ctx context.Context, o crawlOpts, out io.Writer) error {
 		cp := handle.Checkpoint()
 		st := kit.State()
 		st.SetCovered(core.BlockRange{From: cp.From, To: cp.To})
-		key, serr := core.EmitShardFenced(ctx, o.emitShard, st, o.fence)
+		store, serr := blobstore.Resolve(o.emitShard)
+		if serr != nil {
+			return serr
+		}
+		key, serr := core.EmitShard(ctx, store, st, o.fence)
 		if serr != nil {
 			return serr
 		}

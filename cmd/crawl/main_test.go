@@ -41,6 +41,16 @@ type countingEOSServer struct {
 	interrupt context.CancelFunc
 }
 
+// openStore resolves a store URL the test itself chose.
+func openStore(t *testing.T, location string) blobstore.Store {
+	t.Helper()
+	store, err := blobstore.Resolve(location)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return store
+}
+
 func newCountingEOSServer(t *testing.T, nBlocks int) *countingEOSServer {
 	t.Helper()
 	c := eos.New(eos.DefaultConfig(1000))
@@ -254,7 +264,7 @@ func TestCrawlArchiveReplayDeterminism(t *testing.T) {
 	liveFigures := out.String()[idx:]
 
 	// Replay from disk only: the server is never touched again.
-	rd, err := archive.Open(arch)
+	rd, err := archive.OpenWith(arch, archive.OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +331,7 @@ func TestCrawlArchiveCrossBackendDeterminism(t *testing.T) {
 	// printed — and without touching the chain endpoint.
 	s.reset()
 	for backend, loc := range locations {
-		rd, err := archive.Open(loc)
+		rd, err := archive.OpenWith(loc, archive.OpenOptions{})
 		if err != nil {
 			t.Fatalf("%s: opening archive: %v", backend, err)
 		}
@@ -373,7 +383,7 @@ func TestCrawlArchiveInterruptResume(t *testing.T) {
 
 	// The interrupted archive must open cleanly — whatever was finalized
 	// is intact, nothing is torn.
-	rd1, err := archive.Open(arch)
+	rd1, err := archive.OpenWith(arch, archive.OpenOptions{})
 	if err != nil {
 		t.Fatalf("interrupted archive is unreadable: %v", err)
 	}
@@ -386,7 +396,7 @@ func TestCrawlArchiveInterruptResume(t *testing.T) {
 	if err := run(context.Background(), opts, &out2); err != nil {
 		t.Fatalf("resumed run: %v\n%s", err, out2.String())
 	}
-	rd2, err := archive.Open(arch)
+	rd2, err := archive.OpenWith(arch, archive.OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,14 +461,14 @@ func TestCrawlShardEmitMerge(t *testing.T) {
 		}
 	}
 
-	shards, err := core.LoadShards(context.Background(), store)
+	shards, err := core.LoadShards(context.Background(), openStore(t, store))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(shards) != 3 {
 		t.Fatalf("loaded %d shards, want 3", len(shards))
 	}
-	merged, err := core.MergeShards(shards)
+	merged, _, err := core.MergeShards(shards, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -548,14 +558,14 @@ func TestCrawlCheckpointEveryKillResumeEmit(t *testing.T) {
 		t.Fatalf("resumed run did not report the checkpoint it picked up:\n%s", out2.String())
 	}
 
-	shards, err := core.LoadShards(context.Background(), store)
+	shards, err := core.LoadShards(context.Background(), openStore(t, store))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(shards) != 1 {
 		t.Fatalf("loaded %d shards, want 1", len(shards))
 	}
-	if got := shards[0].Summary().Render(); got != want {
+	if got := shards[0].State.Summary().Render(); got != want {
 		t.Fatalf("kill-resumed crawl diverged from single process\n--- single ---\n%s\n--- resumed ---\n%s", want, got)
 	}
 	// The emitted shard supersedes the checkpoint.
@@ -624,7 +634,7 @@ func TestCrawlEmitShardRefusesResume(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "refusing to emit") {
 		t.Fatalf("resumed run emitted a shard (err %v):\n%s", err, out.String())
 	}
-	if _, lerr := core.LoadShards(context.Background(), opts.emitShard); lerr == nil {
+	if _, lerr := core.LoadShards(context.Background(), openStore(t, opts.emitShard)); lerr == nil {
 		t.Fatal("a shard blob landed in the store despite the refusal")
 	}
 }

@@ -71,7 +71,7 @@ func run(ctx context.Context, locations []string, out, diag io.Writer) error {
 		if err != nil {
 			return err
 		}
-		blobs, err := core.LoadShardBlobsFrom(ctx, store)
+		blobs, err := core.LoadShards(ctx, store)
 		if err != nil {
 			return err
 		}
@@ -99,7 +99,7 @@ func run(ctx context.Context, locations []string, out, diag io.Writer) error {
 	}
 	sort.Strings(chains)
 	for _, c := range chains {
-		merged, _, err := core.MergeShardBlobsFenced(byChain[c], false, minFence)
+		merged, _, err := core.MergeShards(byChain[c], false, minFence)
 		if err != nil {
 			return err
 		}

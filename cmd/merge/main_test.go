@@ -11,8 +11,18 @@ import (
 	"repro/internal/blobstore"
 	"repro/internal/chain"
 	"repro/internal/core"
-	"repro/internal/rpcserve"
+	"repro/internal/wire"
 )
+
+// openStore resolves a store URL the test itself chose.
+func openStore(t *testing.T, location string) blobstore.Store {
+	t.Helper()
+	store, err := blobstore.Resolve(location)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return store
+}
 
 // emitTezosShard builds a Tezos shard over blocks [from, to] with one
 // deterministic endorsement per block and emits it to location.
@@ -24,11 +34,11 @@ func emitTezosShard(t *testing.T, location string, from, to int64) {
 	}
 	batch := make([]any, 0, to-from+1)
 	for num := from; num <= to; num++ {
-		batch = append(batch, &rpcserve.TezosBlockJSON{
+		batch = append(batch, &wire.TezosBlockJSON{
 			Level:     num,
 			Timestamp: chain.ObservationStart.Add(time.Duration(num) * time.Hour).Format(time.RFC3339),
 			Baker:     "tz1baker",
-			Operations: []rpcserve.TezosOperationJSON{
+			Operations: []wire.TezosOperationJSON{
 				{Kind: "endorsement", Source: "tz1alice", Level: num - 1, SlotCount: 2},
 			},
 		})
@@ -37,7 +47,7 @@ func emitTezosShard(t *testing.T, location string, from, to int64) {
 		t.Fatal(err)
 	}
 	st.SetCovered(core.BlockRange{From: from, To: to})
-	if _, err := core.EmitShard(context.Background(), location, st); err != nil {
+	if _, err := core.EmitShard(context.Background(), openStore(t, location), st, 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -55,11 +65,11 @@ func TestMergeRendersWholeRange(t *testing.T) {
 	}
 	batch := make([]any, 0, 24)
 	for num := int64(1); num <= 24; num++ {
-		batch = append(batch, &rpcserve.TezosBlockJSON{
+		batch = append(batch, &wire.TezosBlockJSON{
 			Level:     num,
 			Timestamp: chain.ObservationStart.Add(time.Duration(num) * time.Hour).Format(time.RFC3339),
 			Baker:     "tz1baker",
-			Operations: []rpcserve.TezosOperationJSON{
+			Operations: []wire.TezosOperationJSON{
 				{Kind: "endorsement", Source: "tz1alice", Level: num - 1, SlotCount: 2},
 			},
 		})
@@ -156,20 +166,20 @@ func TestMergeMultiChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := xst.IngestBatch([]any{&rpcserve.XRPLedgerJSON{
+	if err := xst.IngestBatch([]any{&wire.XRPLedgerJSON{
 		LedgerIndex: 1,
 		CloseTime:   chain.ObservationStart.Format(time.RFC3339),
 		TxCount:     1,
-		Transactions: []rpcserve.XRPTxJSON{{
+		Transactions: []wire.XRPTxJSON{{
 			Hash: "TX1", TransactionType: "Payment", Account: "rAlice",
 			Destination: "rBob", Result: "tesSUCCESS", Sequence: 1,
-			Amount: &rpcserve.XRPAmountJSON{Currency: "XRP", Value: 1000},
+			Amount: &wire.XRPAmountJSON{Currency: "XRP", Value: 1000},
 		}},
 	}}); err != nil {
 		t.Fatal(err)
 	}
 	xst.SetCovered(core.BlockRange{From: 1, To: 1})
-	if _, err := core.EmitShard(context.Background(), store, xst); err != nil {
+	if _, err := core.EmitShard(context.Background(), openStore(t, store), xst, 0); err != nil {
 		t.Fatal(err)
 	}
 

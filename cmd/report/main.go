@@ -58,6 +58,7 @@ import (
 	"time"
 
 	"repro/internal/archive"
+	"repro/internal/blobstore"
 	"repro/internal/chain"
 	"repro/internal/cli"
 	"repro/internal/collect"
@@ -226,9 +227,9 @@ func validateShard(shard cli.ShardSpec, emit string, parallel int, replaying boo
 // place and folded into per-worker shards — the figures are byte-identical
 // to the live crawl's because every aggregate is order-independent.
 //
-// With from > 0 only blocks in [from, to] replay: OpenRange consults the
-// manifest's per-segment block-range index, so segments outside the slice
-// are never fetched or verified. An archive whose blocks fall entirely
+// With from > 0 only blocks in [from, to] replay: the ranged open consults
+// the manifest's per-segment block-range index, so segments outside the
+// slice are never fetched or verified. An archive whose blocks fall entirely
 // outside the range is skipped like an empty one.
 //
 // With sweeps > 0 each archive additionally replays `sweeps` times
@@ -249,13 +250,7 @@ func replayArchives(ctx context.Context, dir string, workers, sweeps int, from, 
 	}
 	var bands []core.SummaryBand
 	for _, adir := range dirs {
-		var rd *archive.Reader
-		var err error
-		if from > 0 {
-			rd, err = archive.OpenRange(adir, from, to)
-		} else {
-			rd, err = archive.Open(adir)
-		}
+		rd, err := archive.OpenWith(adir, archive.OpenOptions{From: from, To: to})
 		if err != nil {
 			return err
 		}
@@ -325,7 +320,7 @@ func replayShard(ctx context.Context, rd *archive.Reader, adir string, workers i
 		if err != nil {
 			return fmt.Errorf("archive %s: %w", adir, err)
 		}
-		if rd, err = archive.OpenRange(adir, lo, hi); err != nil {
+		if rd, err = archive.OpenWith(adir, archive.OpenOptions{From: lo, To: hi}); err != nil {
 			return err
 		}
 	}
@@ -342,7 +337,11 @@ func replayShard(ctx context.Context, rd *archive.Reader, adir string, workers i
 	if emit != "" {
 		st := kit.State()
 		st.SetCovered(core.BlockRange{From: rd.From(), To: rd.To()})
-		key, err := core.EmitShard(ctx, emit, st)
+		store, err := blobstore.Resolve(emit)
+		if err != nil {
+			return err
+		}
+		key, err := core.EmitShard(ctx, store, st, 0)
 		if err != nil {
 			return err
 		}

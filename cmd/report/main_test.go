@@ -10,10 +10,11 @@ import (
 	"time"
 
 	"repro/internal/archive"
+	"repro/internal/blobstore"
 	"repro/internal/chain"
 	"repro/internal/cli"
 	"repro/internal/core"
-	"repro/internal/rpcserve"
+	"repro/internal/wire"
 )
 
 func TestValidateParallel(t *testing.T) {
@@ -171,14 +172,14 @@ func TestReplayShardEmitMerge(t *testing.T) {
 	}
 	const total = 31
 	for num := int64(total); num >= 1; num-- {
-		blk := rpcserve.EOSBlockJSON{
+		blk := wire.EOSBlockJSON{
 			BlockNum:  uint32(num),
 			Timestamp: chain.ObservationStart.Add(time.Duration(num) * time.Minute).Format("2006-01-02T15:04:05.000"),
 			Producer:  "eosio",
 		}
-		var trx rpcserve.EOSTrxJSON
+		var trx wire.EOSTrxJSON
 		trx.Status = "executed"
-		trx.Trx.Transaction.Actions = []rpcserve.EOSActionJSON{{
+		trx.Trx.Transaction.Actions = []wire.EOSActionJSON{{
 			Account: "eosio.token", Name: "transfer",
 			Authorization: []map[string]string{{"actor": "alice"}},
 			Data:          map[string]string{"from": "alice", "to": "bob", "quantity": "1.0000 EOS"},
@@ -211,18 +212,28 @@ func TestReplayShardEmitMerge(t *testing.T) {
 			t.Fatalf("shard %d/3: %v", i, err)
 		}
 	}
-	shards, err := core.LoadShards(context.Background(), store)
+	shards, err := core.LoadShards(context.Background(), openStore(t, store))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(shards) != 3 {
 		t.Fatalf("loaded %d shards, want 3", len(shards))
 	}
-	merged, err := core.MergeShards(shards)
+	merged, _, err := core.MergeShards(shards, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := merged.Summary().Render(); got != whole.String() {
 		t.Fatalf("3-way sharded replay diverged from whole replay\n--- whole ---\n%s\n--- merged ---\n%s", whole.String(), got)
 	}
+}
+
+// openStore resolves a store URL the test itself chose.
+func openStore(t *testing.T, location string) blobstore.Store {
+	t.Helper()
+	store, err := blobstore.Resolve(location)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return store
 }

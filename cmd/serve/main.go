@@ -58,7 +58,6 @@ type serveOpts struct {
 	cli.ArchiveFlags
 	runPipeline bool
 	epoch       time.Duration
-	mergeEvery  int
 	workers     int
 	ingest      int
 	batch       int
@@ -78,7 +77,6 @@ func main() {
 	o.ArchiveFlags.Register(flag.CommandLine, cli.ModeServe)
 	flag.BoolVar(&o.runPipeline, "pipeline", false, "serve the full reproduction pipeline's stages as they crawl")
 	flag.DurationVar(&o.epoch, "epoch", 200*time.Millisecond, "snapshot publish interval")
-	flag.IntVar(&o.mergeEvery, "merge-every", 0, "ingest batches between shard merges (0 = default)")
 	flag.IntVar(&o.workers, "workers", 4, "concurrent fetchers per live feed (xrp uses 1)")
 	flag.IntVar(&o.ingest, "ingest", 2, "decode/ingest workers per feed")
 	flag.IntVar(&o.batch, "batch", 16, "blocks per ingest batch")
@@ -228,7 +226,7 @@ func replayFeeds(ctx context.Context, pub *serve.Publisher, o serveOpts, out io.
 	var wg sync.WaitGroup
 	errs := make([]error, len(dirs))
 	for i, dir := range dirs {
-		rd, err := archive.Open(dir)
+		rd, err := archive.OpenWith(dir, archive.OpenOptions{})
 		if err != nil {
 			return err
 		}
@@ -240,8 +238,7 @@ func replayFeeds(ctx context.Context, pub *serve.Publisher, o serveOpts, out io.
 		go func(i int, dir string, rd *archive.Reader) {
 			defer wg.Done()
 			n, ferr := pub.FeedArchive(ctx, rd, serve.FeedConfig{
-				MergeEvery: o.mergeEvery,
-				Ingest:     core.IngestConfig{Workers: o.ingest, Batch: o.batch},
+				Ingest: core.IngestConfig{Workers: o.ingest, Batch: o.batch},
 			})
 			if ferr != nil {
 				errs[i] = fmt.Errorf("replaying %s: %w", dir, ferr)
@@ -289,9 +286,8 @@ func liveFeed(ctx context.Context, pub *serve.Publisher, o serveOpts, chainName,
 	}
 
 	res, err := pub.Feed(ctx, fetcher, ccfg, serve.FeedConfig{
-		Chain:      chainName,
-		MergeEvery: o.mergeEvery,
-		Ingest:     core.IngestConfig{Workers: o.ingest, Batch: o.batch},
+		Chain:  chainName,
+		Ingest: core.IngestConfig{Workers: o.ingest, Batch: o.batch},
 	})
 	if sink != nil {
 		if cerr := sink.Close(); cerr != nil {

@@ -168,7 +168,7 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 
 	// --- the oracle: a direct offline replay, as cmd/report -replay runs it ---
-	rd, err := archive.Open(filepath.Join(archiveDir, "eos"))
+	rd, err := archive.OpenWith(filepath.Join(archiveDir, "eos"), archive.OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

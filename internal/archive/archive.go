@@ -25,8 +25,8 @@
 // The manifest records, per segment, the block count, the [min, max]
 // block-number range, the raw payload byte total, the compressed object
 // size and the SHA-256 of the compressed bytes. The range doubles as the
-// archive's index: a ranged open (OpenRange) selects the covering
-// segments straight from the manifest and never fetches the rest. Open
+// archive's index: a ranged open (OpenOptions.From/To) selects the covering
+// segments straight from the manifest and never fetches the rest. OpenWith
 // verifies everything it will read before replay begins: a truncated
 // object, a flipped bit or a manifest/segment mismatch fails the whole
 // replay with an error wrapping ErrCorrupt instead of silently
@@ -38,10 +38,8 @@
 // after every rotation. A crash therefore loses at most the open segment;
 // everything the manifest references is intact.
 //
-// Manifest versions: v1 (written through PR 6) lacks per-segment
-// comp_bytes; v2 adds it. Readers accept both — a v1 archive opens,
-// range-opens and replays identically, it just skips the compressed-size
-// precheck.
+// The manifest carries a format version (manifestVersion); any other
+// version refuses to open with ErrCorrupt.
 package archive
 
 import (
@@ -61,7 +59,7 @@ const segmentMagic = "RBARCH1\n"
 // manifestName is the archive's index object.
 const manifestName = "manifest.json"
 
-// manifestVersion is what new manifests are written as.
+// manifestVersion is the one manifest format written and read.
 const manifestVersion = 2
 
 // maxRecordBytes caps a single record's payload so a corrupted length
@@ -95,9 +93,9 @@ type SegmentInfo struct {
 	Max int64 `json:"max"`
 	// RawBytes totals the uncompressed payload bytes.
 	RawBytes int64 `json:"raw_bytes"`
-	// CompBytes is the compressed object's size (v2 manifests; 0 in v1).
-	// Checked against the fetched length before hashing, so a truncated
-	// remote object fails fast with a size, not just a digest.
+	// CompBytes is the compressed object's size, checked against the
+	// fetched length before hashing, so a truncated remote object fails
+	// fast with a size, not just a digest.
 	CompBytes int64 `json:"comp_bytes,omitempty"`
 	// SHA256 is the hex digest of the compressed object bytes.
 	SHA256 string `json:"sha256"`
@@ -119,7 +117,7 @@ func loadManifest(ctx context.Context, st blobstore.Store) (Manifest, error) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		return Manifest{}, fmt.Errorf("archive: decoding %s: %v: %w", where, err, ErrCorrupt)
 	}
-	if m.Version != 1 && m.Version != manifestVersion {
+	if m.Version != manifestVersion {
 		return Manifest{}, fmt.Errorf("archive: %s has unsupported version %d: %w", where, m.Version, ErrCorrupt)
 	}
 	if m.Chain == "" {
@@ -129,7 +127,7 @@ func loadManifest(ctx context.Context, st blobstore.Store) (Manifest, error) {
 		if err := validSegmentName(s.File); err != nil {
 			return Manifest{}, fmt.Errorf("archive: %s references invalid segment name %q: %w", where, s.File, ErrCorrupt)
 		}
-		if s.Blocks <= 0 || s.Min <= 0 || s.Max < s.Min || s.CompBytes < 0 {
+		if s.Blocks <= 0 || s.Min <= 0 || s.Max < s.Min || s.CompBytes <= 0 {
 			return Manifest{}, fmt.Errorf("archive: %s has inconsistent metadata for %s: %w", where, s.File, ErrCorrupt)
 		}
 	}

@@ -47,7 +47,7 @@ func writeArchive(t *testing.T, dir string, chain string, n int64, segBlocks int
 func TestWriterReaderRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	writeArchive(t, dir, "eos", 50, 7) // several rotations
-	r, err := Open(dir)
+	r, err := OpenWith(dir, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 func TestFetchBlockConcurrent(t *testing.T) {
 	dir := t.TempDir()
 	writeArchive(t, dir, "eos", 64, 5)
-	r, err := Open(dir)
+	r, err := OpenWith(dir, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestWriterAppendsAcrossSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := Open(dir)
+	r, err := OpenWith(dir, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestDuplicateRecordsDedupe(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := Open(dir)
+	r, err := OpenWith(dir, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestDuplicateRecordsDedupe(t *testing.T) {
 // TestOpenMissingManifest: a directory that was never archived reports
 // fs.ErrNotExist, not corruption.
 func TestOpenMissingManifest(t *testing.T) {
-	if _, err := Open(t.TempDir()); !errors.Is(err, fs.ErrNotExist) {
+	if _, err := OpenWith(t.TempDir(), OpenOptions{}); !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("missing manifest: %v", err)
 	}
 }
@@ -211,7 +211,7 @@ func TestEmptyArchiveManifests(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := Open(dir)
+	r, err := OpenWith(dir, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestCrashMidSegmentLeavesNoTorn(t *testing.T) {
 	}
 	// No Close: the writer is simply abandoned.
 
-	r, err := Open(dir)
+	r, err := OpenWith(dir, OpenOptions{})
 	if err != nil {
 		t.Fatalf("archive after crash failed to open: %v", err)
 	}
@@ -266,7 +266,7 @@ func TestCrashMidSegmentLeavesNoTorn(t *testing.T) {
 	if err := w2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Open(dir)
+	r2, err := OpenWith(dir, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,6 +372,12 @@ func TestCorruptionFailsLoudly(t *testing.T) {
 		{"manifest raw byte mismatch", func(t *testing.T, dir string) {
 			editManifest(t, dir, func(m *Manifest) { m.Segments[0].RawBytes-- })
 		}},
+		{"manifest without compressed size", func(t *testing.T, dir string) {
+			editManifest(t, dir, func(m *Manifest) { m.Segments[0].CompBytes = 0 })
+		}},
+		{"manifest of another version", func(t *testing.T, dir string) {
+			editManifest(t, dir, func(m *Manifest) { m.Version = manifestVersion - 1 })
+		}},
 		{"truncated gzip stream with recomputed checksum", func(t *testing.T, dir string) {
 			// Defeats the checksum so the record walk itself must catch it.
 			seg := firstSegment(t, dir)
@@ -395,7 +401,7 @@ func TestCorruptionFailsLoudly(t *testing.T) {
 			dir := t.TempDir()
 			writeArchive(t, dir, "eos", 20, 6)
 			tc.corrupt(t, dir)
-			_, err := Open(dir)
+			_, err := OpenWith(dir, OpenOptions{})
 			if err == nil {
 				t.Fatal("corrupted archive opened cleanly")
 			}
@@ -448,7 +454,7 @@ func TestSegmentRotationBySize(t *testing.T) {
 	if w.Segments() < 2 {
 		t.Fatalf("size bound never rotated: %d segments", w.Segments())
 	}
-	r, err := Open(dir)
+	r, err := OpenWith(dir, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,7 +488,7 @@ func TestReplayDeliversEachBlockOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := Open(dir)
+	r, err := OpenWith(dir, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -520,7 +526,7 @@ func TestReplayDeliversEachBlockOnce(t *testing.T) {
 func TestReplayStopsOnVisitError(t *testing.T) {
 	dir := t.TempDir()
 	writeArchive(t, dir, "eos", 30, 4)
-	r, err := Open(dir)
+	r, err := OpenWith(dir, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -540,7 +546,7 @@ func TestReplayStopsOnVisitError(t *testing.T) {
 func TestReplayCancelled(t *testing.T) {
 	dir := t.TempDir()
 	writeArchive(t, dir, "eos", 30, 4)
-	r, err := Open(dir)
+	r, err := OpenWith(dir, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -558,7 +564,7 @@ func TestReplayCancelled(t *testing.T) {
 func TestReplayDetectsPostOpenTamper(t *testing.T) {
 	dir := t.TempDir()
 	writeArchive(t, dir, "eos", 60, 4) // 15 segments, far beyond the cache
-	r, err := Open(dir)
+	r, err := OpenWith(dir, OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -583,10 +589,10 @@ func TestReplayDetectsPostOpenTamper(t *testing.T) {
 	}
 }
 
-// TestOpenParallelMatchesSerial: any verification fan-out produces the
+// TestOpenWorkersMatchSerial: any verification fan-out produces the
 // same reader state — index size, bounds, duplicate resolution — as the
 // serial walk.
-func TestOpenParallelMatchesSerial(t *testing.T) {
+func TestOpenWorkersMatchSerial(t *testing.T) {
 	dir := t.TempDir()
 	w, err := NewWriter(WriterConfig{Dir: dir, Chain: "eos", SegmentBlocks: 3})
 	if err != nil {
@@ -607,12 +613,12 @@ func TestOpenParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	serial, err := OpenParallel(dir, 1)
+	serial, err := OpenWith(dir, OpenOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 9} {
-		par, err := OpenParallel(dir, workers)
+		par, err := OpenWith(dir, OpenOptions{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

@@ -55,7 +55,7 @@ func BenchmarkArchiveReplay(b *testing.B) {
 	b.SetBytes(bytes)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := Open(dir)
+		r, err := OpenWith(dir, OpenOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -161,10 +161,10 @@ func benchReplay(b *testing.B, backend string) {
 	}
 }
 
-// BenchmarkOpenRange times a sub-range open of a large archive — the
+// BenchmarkRangedOpen times a sub-range open of a large archive — the
 // per-segment range index at work: only the covering segment is fetched
 // and verified.
-func BenchmarkOpenRange(b *testing.B) {
+func BenchmarkRangedOpen(b *testing.B) {
 	st := blobstore.NewMemory()
 	w, err := NewWriter(WriterConfig{Store: st, Chain: "eos", SegmentBlocks: 256})
 	if err != nil {

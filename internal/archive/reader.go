@@ -45,7 +45,7 @@ type OpenOptions struct {
 // Reader replays an archived crawl. It implements the collect.BlockFetcher
 // contract (Head + FetchBlock), so collect.Stream and core.IngestCrawl
 // drive it exactly like a live endpoint — except every fetch is a blob
-// read. Open verifies everything it will read up front; FetchBlock is
+// read. OpenWith verifies everything it will read up front; FetchBlock is
 // safe for concurrent use (stream workers fetch in parallel).
 type Reader struct {
 	url      string
@@ -65,32 +65,16 @@ type Reader struct {
 	maxCache int
 }
 
-// Open loads the manifest at location (a store URL or bare path) and
-// verifies every referenced segment: compressed size, checksum, magic,
+// OpenWith loads the manifest at location (a store URL or bare path) and
+// verifies every segment the open covers: compressed size, checksum, magic,
 // record walk, and agreement with the manifest's block count, bounds and
 // byte totals. Any mismatch fails with an error wrapping ErrCorrupt. A
 // location without a manifest fails with fs.ErrNotExist. Segments verify
-// concurrently (one worker per CPU).
-func Open(location string) (*Reader, error) { return OpenWith(location, OpenOptions{}) }
-
-// OpenParallel is Open with an explicit verification fan-out.
-func OpenParallel(location string, workers int) (*Reader, error) {
-	return OpenWith(location, OpenOptions{Workers: workers})
-}
-
-// OpenRange opens only the slice of the archive covering [from, to]:
-// segments whose manifest range misses the interval are neither fetched
-// nor verified, and blocks outside it are not indexed or replayed.
-func OpenRange(location string, from, to int64) (*Reader, error) {
-	return OpenWith(location, OpenOptions{From: from, To: to})
-}
-
-// OpenWith is Open with every knob exposed. The result is identical to a
-// serial open — per-segment verdicts merge in manifest order, so duplicate
-// resolution ("first occurrence wins") and error selection do not depend
-// on worker scheduling — and each verified payload is kept in the
-// reader's segment cache, so replay does not decompress recently verified
-// segments a second time.
+// concurrently, and the result is identical to a serial open — per-segment
+// verdicts merge in manifest order, so duplicate resolution ("first
+// occurrence wins") and error selection do not depend on worker
+// scheduling. Each verified payload is kept in the reader's segment cache,
+// so replay does not decompress recently verified segments a second time.
 func OpenWith(location string, opts OpenOptions) (*Reader, error) {
 	st := opts.Store
 	if st == nil {
@@ -224,7 +208,7 @@ func (r *Reader) verifySegment(seg SegmentInfo) ([]segRecord, []byte, error) {
 		}
 		return nil, nil, err
 	}
-	if seg.CompBytes > 0 && int64(len(compressed)) != seg.CompBytes {
+	if int64(len(compressed)) != seg.CompBytes {
 		return nil, nil, fmt.Errorf("archive: segment %s is %d bytes, manifest says %d (truncated or modified): %w",
 			seg.File, len(compressed), seg.CompBytes, ErrCorrupt)
 	}
@@ -381,7 +365,7 @@ func (r *Reader) loadSegment(i int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if seg.CompBytes > 0 && int64(len(compressed)) != seg.CompBytes {
+	if int64(len(compressed)) != seg.CompBytes {
 		return nil, fmt.Errorf("archive: segment %s is %d bytes after open, manifest says %d: %w",
 			seg.File, len(compressed), seg.CompBytes, ErrCorrupt)
 	}

@@ -30,18 +30,18 @@ func ascendingArchive(t *testing.T, location string, st blobstore.Store, n int64
 	}
 }
 
-// TestOpenRangeFetchesOnlyCoveringSegments is the range index's proof: a
+// TestRangedOpenFetchesOnlyCoveringSegments is the range index's proof: a
 // sub-range open against the counted memory backend must fetch the
 // manifest plus exactly the segments whose [min, max] covers the range —
 // never the rest of the archive.
-func TestOpenRangeFetchesOnlyCoveringSegments(t *testing.T) {
+func TestRangedOpenFetchesOnlyCoveringSegments(t *testing.T) {
 	const url = "mem://range-counter"
 	ascendingArchive(t, url, nil, 64, 8) // 8 segments: [1,8], [9,16], …, [57,64]
 	mem := blobstore.OpenMemory("range-counter")
 
 	// [17, 24] sits inside exactly one segment.
 	mem.ResetOps()
-	r, err := OpenRange(url, 17, 24)
+	r, err := OpenWith(url, OpenOptions{From: 17, To: 24})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestOpenRangeFetchesOnlyCoveringSegments(t *testing.T) {
 
 	// [7, 10] straddles a segment boundary: exactly two covering segments.
 	mem.ResetOps()
-	r2, err := OpenRange(url, 7, 10)
+	r2, err := OpenWith(url, OpenOptions{From: 7, To: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,67 +101,9 @@ func TestOpenRangeFetchesOnlyCoveringSegments(t *testing.T) {
 
 	// Degenerate ranges are rejected up front.
 	for _, bad := range [][2]int64{{0, 5}, {5, 4}, {-1, 3}} {
-		if _, err := OpenRange(url, bad[0], bad[1]); err == nil {
-			t.Errorf("OpenRange(%d, %d) succeeded", bad[0], bad[1])
+		if _, err := OpenWith(url, OpenOptions{From: bad[0], To: bad[1]}); err == nil {
+			t.Errorf("ranged open [%d, %d] succeeded", bad[0], bad[1])
 		}
-	}
-}
-
-// TestV1ManifestBackCompat: archives written before the manifest gained
-// comp_bytes (PR 3–6) must keep opening, range-opening and replaying —
-// min/max were always present, so the range index works retroactively.
-func TestV1ManifestBackCompat(t *testing.T) {
-	dir := t.TempDir()
-	ascendingArchive(t, dir, nil, 20, 5)
-	// Rewrite the manifest exactly as the old writer laid it down: version
-	// 1, no comp_bytes.
-	editManifest(t, dir, func(m *Manifest) {
-		m.Version = 1
-		for i := range m.Segments {
-			m.Segments[i].CompBytes = 0
-		}
-	})
-
-	r, err := Open(dir)
-	if err != nil {
-		t.Fatalf("v1 manifest failed to open: %v", err)
-	}
-	if r.Blocks() != 20 || !r.Covers(1, 20) {
-		t.Fatalf("v1 archive coverage: blocks=%d [%d,%d]", r.Blocks(), r.From(), r.To())
-	}
-	rr, err := OpenRange(dir, 6, 10)
-	if err != nil {
-		t.Fatalf("v1 manifest failed to range-open: %v", err)
-	}
-	if rr.Segments() != 1 || rr.Blocks() != 5 {
-		t.Fatalf("v1 ranged open: segments=%d blocks=%d", rr.Segments(), rr.Blocks())
-	}
-
-	// A writer extending a v1 archive upgrades the manifest to v2.
-	w, err := NewWriter(WriterConfig{Dir: dir, Chain: "eos", SegmentBlocks: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for num := int64(21); num <= 25; num++ {
-		if err := w.Append(num, payload(num)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	m, err := loadManifest(context.Background(), blobstore.NewFile(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Version != manifestVersion {
-		t.Fatalf("extended manifest version = %d, want %d", m.Version, manifestVersion)
-	}
-	if last := m.Segments[len(m.Segments)-1]; last.CompBytes <= 0 {
-		t.Fatalf("new segment lacks comp_bytes: %+v", last)
-	}
-	if r3, err := Open(dir); err != nil || !r3.Covers(1, 25) {
-		t.Fatalf("upgraded archive: %v", err)
 	}
 }
 
@@ -191,7 +133,7 @@ func TestCrossBackendIdenticalSegments(t *testing.T) {
 		}
 		manifests[name] = m
 
-		r, err := Open(loc)
+		r, err := OpenWith(loc, OpenOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -334,7 +276,7 @@ func TestDiscoverOverStoreURLs(t *testing.T) {
 		t.Fatalf("Discover = %v, want %v", got, want)
 	}
 	for _, loc := range got {
-		if _, err := Open(loc); err != nil {
+		if _, err := OpenWith(loc, OpenOptions{}); err != nil {
 			t.Fatalf("discovered archive %s failed to open: %v", loc, err)
 		}
 	}

@@ -130,7 +130,6 @@ func NewWriter(cfg WriterConfig) (*Writer, error) {
 		if man.Chain != cfg.Chain {
 			return nil, fmt.Errorf("archive: %s already archives chain %q, not %q", st.URL(), man.Chain, cfg.Chain)
 		}
-		man.Version = manifestVersion // rewritten as v2 on the next save
 		w.man = man
 		for _, s := range man.Segments {
 			var n int

@@ -16,7 +16,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/rpcserve"
 	"repro/internal/wire"
 	"repro/internal/wsrpc"
 )
@@ -122,21 +121,6 @@ func (c *EOSClient) FetchBlock(ctx context.Context, num int64) ([]byte, error) {
 	return c.post(ctx, "/v1/chain/get_block", map[string]any{"block_num_or_id": num})
 }
 
-// DecodeEOSBlock parses the raw JSON the server produced into a fresh,
-// caller-owned struct through the pooled wire codec. Hot-path consumers
-// that can honor the arena contract should decode into wire.GetEOSBlock
-// instead (see core.EOSDecoder).
-func DecodeEOSBlock(raw []byte) (*rpcserve.EOSBlockJSON, error) {
-	var b rpcserve.EOSBlockJSON
-	c := wire.GetCodec()
-	err := c.DecodeEOSBlock(raw, &b)
-	wire.PutCodec(c)
-	if err != nil {
-		return nil, fmt.Errorf("collect: decoding EOS block: %w", err)
-	}
-	return &b, nil
-}
-
 // TezosClient talks to an octez-style endpoint.
 type TezosClient struct {
 	BaseURL string
@@ -197,19 +181,6 @@ func (c *TezosClient) Head(ctx context.Context) (int64, error) {
 // FetchBlock retrieves one block as raw JSON.
 func (c *TezosClient) FetchBlock(ctx context.Context, level int64) ([]byte, error) {
 	return c.get(ctx, fmt.Sprintf("/chains/main/blocks/%d", level))
-}
-
-// DecodeTezosBlock parses the raw JSON the server produced into a fresh,
-// caller-owned struct through the pooled wire codec.
-func DecodeTezosBlock(raw []byte) (*rpcserve.TezosBlockJSON, error) {
-	var b rpcserve.TezosBlockJSON
-	c := wire.GetCodec()
-	err := c.DecodeTezosBlock(raw, &b)
-	wire.PutCodec(c)
-	if err != nil {
-		return nil, fmt.Errorf("collect: decoding Tezos block: %w", err)
-	}
-	return &b, nil
 }
 
 // XRPClient speaks the rippled WebSocket protocol over a pooled connection.
@@ -314,17 +285,4 @@ func (c *XRPClient) FetchBlock(ctx context.Context, index int64) ([]byte, error)
 		return nil, err
 	}
 	return raw, nil
-}
-
-// DecodeXRPLedger parses the ledger result envelope into a fresh,
-// caller-owned struct through the pooled wire codec.
-func DecodeXRPLedger(raw []byte) (*rpcserve.XRPLedgerJSON, error) {
-	var l rpcserve.XRPLedgerJSON
-	c := wire.GetCodec()
-	err := c.DecodeXRPLedgerResult(raw, &l)
-	wire.PutCodec(c)
-	if err != nil {
-		return nil, fmt.Errorf("collect: decoding XRP ledger: %w", err)
-	}
-	return &l, nil
 }

@@ -17,9 +17,37 @@ import (
 	"repro/internal/eos"
 	"repro/internal/rpcserve"
 	"repro/internal/tezos"
+	"repro/internal/wire"
 	"repro/internal/wsrpc"
 	"repro/internal/xrp"
 )
+
+// crawl drains Stream through visit on one goroutine: the callback shape
+// the Crawl* tests are written in. A visit error wins over the crawl's own.
+func crawl(ctx context.Context, f BlockFetcher, cfg CrawlConfig, visit func(num int64, raw []byte) error) (CrawlResult, error) {
+	blocks, handle := Stream(ctx, f, cfg)
+	var visitErr error
+	for blk := range blocks {
+		if err := visit(blk.Num, blk.Raw); err != nil && visitErr == nil {
+			visitErr = err
+		}
+		blk.Release()
+	}
+	res, err := handle.Wait()
+	if visitErr != nil {
+		return res, visitErr
+	}
+	return res, err
+}
+
+// decodeRaw parses one payload into a fresh struct through the pooled wire
+// codec.
+func decodeRaw[B any](raw []byte, decode func(*wire.Codec, []byte, *B) error) (*B, error) {
+	var b B
+	c := wire.GetCodec()
+	defer wire.PutCodec(c)
+	return &b, decode(c, raw, &b)
+}
 
 // eosTestServer produces an EOS chain with nBlocks blocks (one transfer per
 // block) and serves it.
@@ -52,11 +80,11 @@ func TestCrawlEOSReverseChronological(t *testing.T) {
 	client := NewEOSClient(srv.URL)
 	var mu sync.Mutex
 	var order []int64
-	res, err := Crawl(context.Background(), client, CrawlConfig{Workers: 1}, func(num int64, raw []byte) error {
+	res, err := crawl(context.Background(), client, CrawlConfig{Workers: 1}, func(num int64, raw []byte) error {
 		mu.Lock()
 		order = append(order, num)
 		mu.Unlock()
-		if _, err := DecodeEOSBlock(raw); err != nil {
+		if _, err := decodeRaw(raw, (*wire.Codec).DecodeEOSBlock); err != nil {
 			return err
 		}
 		return nil
@@ -81,7 +109,7 @@ func TestCrawlConcurrentWorkersComplete(t *testing.T) {
 	defer srv.Close()
 	client := NewEOSClient(srv.URL)
 	var seen sync.Map
-	res, err := Crawl(context.Background(), client, CrawlConfig{Workers: 8}, func(num int64, raw []byte) error {
+	res, err := crawl(context.Background(), client, CrawlConfig{Workers: 8}, func(num int64, raw []byte) error {
 		seen.Store(num, true)
 		return nil
 	})
@@ -108,7 +136,7 @@ func TestCrawlSurvivesRateLimiting(t *testing.T) {
 	srv := eosTestServer(t, nBlocks, rpcserve.EndpointProfile{RatePerSec: 200, Burst: 3})
 	defer srv.Close()
 	client := NewEOSClient(srv.URL)
-	res, err := Crawl(context.Background(), client, CrawlConfig{
+	res, err := crawl(context.Background(), client, CrawlConfig{
 		Workers: 4, MaxRetries: 10, Backoff: 5 * time.Millisecond,
 	}, func(int64, []byte) error { return nil })
 	if err != nil {
@@ -126,7 +154,7 @@ func TestCrawlRangeValidation(t *testing.T) {
 	srv := eosTestServer(t, 3, rpcserve.EndpointProfile{})
 	defer srv.Close()
 	client := NewEOSClient(srv.URL)
-	if _, err := Crawl(context.Background(), client, CrawlConfig{From: 10, To: 5}, func(int64, []byte) error { return nil }); err == nil {
+	if _, err := crawl(context.Background(), client, CrawlConfig{From: 10, To: 5}, func(int64, []byte) error { return nil }); err == nil {
 		t.Fatal("inverted range accepted")
 	}
 }
@@ -137,7 +165,7 @@ func TestCrawlContextCancellation(t *testing.T) {
 	client := NewEOSClient(srv.URL)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	_, err := Crawl(ctx, client, CrawlConfig{Workers: 1}, func(int64, []byte) error { return nil })
+	_, err := crawl(ctx, client, CrawlConfig{Workers: 1}, func(int64, []byte) error { return nil })
 	if err == nil {
 		t.Fatal("cancelled crawl reported success")
 	}
@@ -161,8 +189,8 @@ func TestCrawlTezos(t *testing.T) {
 
 	client := NewTezosClient(srv.URL)
 	var endorsements int64
-	res, err := Crawl(context.Background(), client, CrawlConfig{Workers: 3}, func(num int64, raw []byte) error {
-		blk, err := DecodeTezosBlock(raw)
+	res, err := crawl(context.Background(), client, CrawlConfig{Workers: 3}, func(num int64, raw []byte) error {
+		blk, err := decodeRaw(raw, (*wire.Codec).DecodeTezosBlock)
 		if err != nil {
 			return err
 		}
@@ -206,8 +234,8 @@ func TestCrawlXRPOverWebSocket(t *testing.T) {
 		t.Fatalf("head = %d", head)
 	}
 	var txs int64
-	res, err := Crawl(context.Background(), client, CrawlConfig{Workers: 1}, func(num int64, raw []byte) error {
-		led, err := DecodeXRPLedger(raw)
+	res, err := crawl(context.Background(), client, CrawlConfig{Workers: 1}, func(num int64, raw []byte) error {
+		led, err := decodeRaw(raw, (*wire.Codec).DecodeXRPLedgerResult)
 		if err != nil {
 			return err
 		}
@@ -259,7 +287,7 @@ func TestMultiFetcherRotates(t *testing.T) {
 	b := eosTestServer(t, 10, rpcserve.EndpointProfile{})
 	defer b.Close()
 	m := &MultiFetcher{Fetchers: []BlockFetcher{NewEOSClient(a.URL), NewEOSClient(b.URL)}}
-	res, err := Crawl(context.Background(), m, CrawlConfig{Workers: 4}, func(int64, []byte) error { return nil })
+	res, err := crawl(context.Background(), m, CrawlConfig{Workers: 4}, func(int64, []byte) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +298,7 @@ func TestMultiFetcherRotates(t *testing.T) {
 
 func TestFetchWithRetryGivesUp(t *testing.T) {
 	client := NewEOSClient("http://127.0.0.1:1") // nothing listens
-	_, err := Crawl(context.Background(), client, CrawlConfig{
+	_, err := crawl(context.Background(), client, CrawlConfig{
 		From: 1, To: 2, Workers: 1, MaxRetries: 1, Backoff: time.Millisecond,
 	}, func(int64, []byte) error { return nil })
 	if err == nil {
@@ -304,7 +332,7 @@ func TestCrawlSurvivesFlakyServer(t *testing.T) {
 	defer flaky.Close()
 
 	client := NewEOSClient(flaky.URL)
-	res, err := Crawl(context.Background(), client, CrawlConfig{
+	res, err := crawl(context.Background(), client, CrawlConfig{
 		Workers: 2, MaxRetries: 6, Backoff: time.Millisecond,
 	}, func(int64, []byte) error { return nil })
 	if err != nil {
@@ -324,7 +352,7 @@ func TestCrawlSinkErrorPropagates(t *testing.T) {
 	srv := eosTestServer(t, 5, rpcserve.EndpointProfile{})
 	defer srv.Close()
 	sinkErr := errors.New("sink exploded")
-	_, err := Crawl(context.Background(), NewEOSClient(srv.URL), CrawlConfig{Workers: 2},
+	_, err := crawl(context.Background(), NewEOSClient(srv.URL), CrawlConfig{Workers: 2},
 		func(int64, []byte) error { return sinkErr })
 	if !errors.Is(err, sinkErr) {
 		t.Fatalf("err = %v, want sink error", err)
@@ -338,7 +366,7 @@ func BenchmarkCrawlThroughput(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := Crawl(context.Background(), client, CrawlConfig{Workers: 8},
+		res, err := crawl(context.Background(), client, CrawlConfig{Workers: 8},
 			func(int64, []byte) error { return nil })
 		if err != nil || res.Blocks != 50 {
 			b.Fatalf("crawl: %+v %v", res, err)
@@ -401,10 +429,10 @@ func TestXRPClientReconnects(t *testing.T) {
 
 	client := NewXRPClient("ws" + strings.TrimPrefix(srv.URL, "http"))
 	defer client.Close()
-	res, err := Crawl(context.Background(), client, CrawlConfig{
+	res, err := crawl(context.Background(), client, CrawlConfig{
 		Workers: 1, MaxRetries: 6, Backoff: time.Millisecond,
 	}, func(num int64, raw []byte) error {
-		_, err := DecodeXRPLedger(raw)
+		_, err := decodeRaw(raw, (*wire.Codec).DecodeXRPLedgerResult)
 		return err
 	})
 	if err != nil {

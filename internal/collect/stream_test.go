@@ -465,12 +465,12 @@ func TestStreamTeeErrorAfterFetchError(t *testing.T) {
 	}
 }
 
-// TestCrawlAdapterMatchesStream: the callback adapter must report the same
-// accounting as the stream it wraps.
+// TestCrawlAdapterMatchesStream: the tests' callback drain must report the
+// same accounting as the stream it wraps.
 func TestCrawlAdapterMatchesStream(t *testing.T) {
 	f := newMemFetcher(40, 0)
 	var delivered int64
-	res, err := Crawl(context.Background(), f, CrawlConfig{Workers: 3}, func(num int64, raw []byte) error {
+	res, err := crawl(context.Background(), f, CrawlConfig{Workers: 3}, func(num int64, raw []byte) error {
 		atomic.AddInt64(&delivered, 1)
 		return nil
 	})

@@ -9,7 +9,6 @@ import (
 	"repro/internal/blobstore"
 	"repro/internal/chain"
 	"repro/internal/core"
-	"repro/internal/rpcserve"
 	"repro/internal/wire"
 )
 
@@ -95,11 +94,11 @@ func BenchmarkShardCheckpoint(b *testing.B) {
 	}
 	batch := make([]any, 0, 256)
 	for num := int64(1); num <= 256; num++ {
-		batch = append(batch, &rpcserve.TezosBlockJSON{
+		batch = append(batch, &wire.TezosBlockJSON{
 			Level:     num,
 			Timestamp: chain.ObservationStart.Add(time.Duration(num) * time.Minute).Format(time.RFC3339),
 			Baker:     "tz1baker",
-			Operations: []rpcserve.TezosOperationJSON{
+			Operations: []wire.TezosOperationJSON{
 				{Kind: "endorsement", Source: "tz1alice", Level: num - 1, SlotCount: 2},
 			},
 		})

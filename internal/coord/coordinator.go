@@ -347,11 +347,11 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if len(res.Completed) > 0 {
 		floors := tr.fenceFloors()
 		lerr := cfg.Retry.Do(rctx, "merge shards", func(ctx context.Context) error {
-			blobs, err := core.LoadShardBlobsFrom(ctx, cfg.Store)
+			blobs, err := core.LoadShards(ctx, cfg.Store)
 			if err != nil {
 				return err
 			}
-			merged, interior, err := core.MergeShardBlobsFenced(blobs, true, floors)
+			merged, interior, err := core.MergeShards(blobs, true, floors)
 			if err != nil {
 				return retry.Permanent(err)
 			}

@@ -341,11 +341,11 @@ func TestCoordinatorZombieFenceRefused(t *testing.T) {
 	if floors[victim.Name()] == 0 {
 		t.Fatalf("fence index lost the floor for %s: %v", victim.Name(), floors)
 	}
-	blobs, err := core.LoadShardBlobsFrom(ctx, store)
+	blobs, err := core.LoadShards(ctx, store)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := core.MergeShardBlobsFenced(blobs, true, floors); err == nil ||
+	if _, _, err := core.MergeShards(blobs, true, floors); err == nil ||
 		!strings.Contains(err.Error(), key) || !strings.Contains(err.Error(), "stale emission") {
 		t.Fatalf("merge of zombie blob: %v, want a refusal naming %s", err, key)
 	}

@@ -85,10 +85,9 @@ func (e *ErrLost) Error() string {
 // can both think they won for that window; the race wastes work but
 // never corrupts figures — and since the Attempt lineage doubles as a
 // fence token stamped into every coordinated shard and verified at
-// validate and merge time (see coordinator.go and
-// core.MergeShardBlobsFenced), that is an enforced invariant, not an
-// assumption: the loser's emission carries an older fence and is
-// refused.
+// validate and merge time (see coordinator.go and core.MergeShards),
+// that is an enforced invariant, not an assumption: the loser's emission
+// carries an older fence and is refused.
 type Leases struct {
 	store blobstore.Store
 	owner string

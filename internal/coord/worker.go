@@ -164,16 +164,9 @@ func RunShardCrawl(ctx context.Context, cfg CrawlerConfig) (CrawlOutcome, error)
 	}
 
 	st.SetCovered(core.BlockRange{From: cfg.From, To: cfg.To})
-	key, err := core.ShardKey(st)
+	key, err := core.EmitShard(ctx, cfg.Store, st, cfg.Fence)
 	if err != nil {
 		return out, err
-	}
-	blob, err := core.EncodeShard(st, cfg.Fence)
-	if err != nil {
-		return out, err
-	}
-	if err := cfg.Store.Put(ctx, key, blob); err != nil {
-		return out, fmt.Errorf("coord: storing shard %s: %w", key, err)
 	}
 	out.ShardKey = key
 	// The shard blob supersedes the checkpoint; losing this Delete only

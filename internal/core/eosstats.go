@@ -1,21 +1,13 @@
-// Package core implements the paper's measurement pipeline: classification
-// of every transaction on EOS, Tezos and XRP, per-category and per-account
-// aggregation, throughput time series, and the case-study detectors
-// (WhaleEx wash-trading, EIDOS boomerangs, XRP zero-value payments,
-// Tezos governance). It consumes the same wire JSON the collectors fetch,
-// so the whole analysis runs off crawled data rather than simulator
-// internals.
 package core
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
-	"repro/internal/rpcserve"
 	"repro/internal/stats"
+	"repro/internal/wire"
 )
 
 // EOS action names the paper's Figure 1 groups under "Account actions" and
@@ -109,8 +101,8 @@ type EOSShard struct {
 // EOSAggregator ingests crawled EOS blocks and accumulates every statistic
 // the paper reports for EOS (Figures 1, 2, 3a, 4, 5 and the §4.1 case
 // studies). It is a thin locked wrapper around one EOSShard; concurrent
-// writers either share it (IngestBlocks batches under the lock) or fold
-// into private shards from NewShard and MergeShard once at drain.
+// writers either share it (IngestBatch folds a batch under the lock) or
+// fold into private states from NewState, merged back with MergeState.
 type EOSAggregator struct {
 	mu sync.Mutex
 	EOSShard
@@ -168,10 +160,11 @@ func (s *EOSShard) init(origin time.Time, bucket time.Duration) {
 	s.VolumeBySymbol = make(map[string]float64)
 }
 
-// NewShard spawns an empty shard sharing the aggregator's read-only
-// classification tables and series geometry. The caller owns it exclusively
-// until MergeShard.
-func (a *EOSAggregator) NewShard() *EOSShard {
+// NewState spawns an empty private shard behind the chain-agnostic
+// ShardState contract, sharing the aggregator's read-only classification
+// tables and series geometry. The caller owns it exclusively until
+// MergeState.
+func (a *EOSAggregator) NewState() ShardState {
 	s := &EOSShard{
 		TokenContracts: a.TokenContracts,
 		ContractLabels: a.ContractLabels,
@@ -181,22 +174,11 @@ func (a *EOSAggregator) NewShard() *EOSShard {
 	return s
 }
 
-// MergeShard folds a privately-owned shard into the aggregator under one
-// lock acquisition and resets it. Merging shards in any order yields the
-// same aggregate: every shard statistic is a sum, a count map, a time
-// bucket or an unordered record set.
-func (a *EOSAggregator) MergeShard(s *EOSShard) {
-	a.mu.Lock()
-	a.EOSShard.merge(s)
-	a.mu.Unlock()
-}
-
-// NewState spawns a private shard behind the chain-agnostic ShardState
-// contract — what the ingest pool's generic shard sink consumes.
-func (a *EOSAggregator) NewState() ShardState { return a.NewShard() }
-
 // MergeState folds a ShardState produced by NewState (or decoded from a
-// shard blob with the same window) into the aggregator under its lock.
+// shard blob with the same window) into the aggregator under one lock
+// acquisition and resets it. Merging states in any order yields the same
+// aggregate: every shard statistic is a sum, a count map, a time bucket or
+// an unordered record set.
 func (a *EOSAggregator) MergeState(st ShardState) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -290,62 +272,14 @@ func (s *EOSShard) merge(src *EOSShard) {
 }
 
 // eosBlockTime parses the nodeos timestamp format.
-func eosBlockTime(s string) (time.Time, error) {
-	return time.Parse("2006-01-02T15:04:05.000", s)
-}
-
-// IngestBlock folds one crawled block into the aggregate. Safe for
-// concurrent use by crawl workers.
-func (a *EOSAggregator) IngestBlock(b *rpcserve.EOSBlockJSON) error {
-	return a.IngestBlocks([]*rpcserve.EOSBlockJSON{b})
-}
-
-// IngestBlocks folds a batch of blocks under a single lock acquisition,
-// amortizing mutex contention when many decode workers feed one aggregator.
-// Timestamps are parsed before the lock is taken; a malformed block fails
-// the whole batch without ingesting any of it.
-func (a *EOSAggregator) IngestBlocks(bs []*rpcserve.EOSBlockJSON) error {
-	times := make([]time.Time, len(bs))
-	for i, b := range bs {
-		ts, err := eosBlockTime(b.Timestamp)
-		if err != nil {
-			return err
-		}
-		times[i] = ts
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for i, b := range bs {
-		a.EOSShard.ingest(b, times[i])
-	}
-	return nil
-}
-
-// eosBatch asserts and pre-parses an ingest-pool batch: every element must
-// be the EOS Decode output type, and timestamps parse before any state is
-// touched, so a malformed block fails the whole batch without ingesting
-// any of it.
-func eosBatch(batch []any) ([]*rpcserve.EOSBlockJSON, []time.Time, error) {
-	blocks := make([]*rpcserve.EOSBlockJSON, len(batch))
-	times := make([]time.Time, len(batch))
-	for i, v := range batch {
-		b, ok := v.(*rpcserve.EOSBlockJSON)
-		if !ok {
-			return nil, nil, fmt.Errorf("core: eos batch element %d is %T, not *rpcserve.EOSBlockJSON", i, v)
-		}
-		ts, err := eosBlockTime(b.Timestamp)
-		if err != nil {
-			return nil, nil, err
-		}
-		blocks[i], times[i] = b, ts
-	}
-	return blocks, times, nil
+func eosBlockTime(b *wire.EOSBlockJSON) (time.Time, error) {
+	return time.Parse(wire.EOSTimestampLayout, b.Timestamp)
 }
 
 // IngestBatch folds a batch of decoded blocks into a privately-owned shard
 // — no locking; the shard's owner is the only writer.
 func (s *EOSShard) IngestBatch(batch []any) error {
-	blocks, times, err := eosBatch(batch)
+	blocks, times, err := parseBatch(batch, "eos", eosBlockTime)
 	if err != nil {
 		return err
 	}
@@ -359,7 +293,7 @@ func (s *EOSShard) IngestBatch(batch []any) error {
 // lock acquisition for the whole batch. Assertion and timestamp parsing
 // happen before the lock is taken.
 func (a *EOSAggregator) IngestBatch(batch []any) error {
-	blocks, times, err := eosBatch(batch)
+	blocks, times, err := parseBatch(batch, "eos", eosBlockTime)
 	if err != nil {
 		return err
 	}
@@ -373,7 +307,7 @@ func (a *EOSAggregator) IngestBatch(batch []any) error {
 
 // ingest folds one block into the shard; the caller owns the shard (for an
 // aggregator's embedded shard, that means holding a.mu).
-func (a *EOSShard) ingest(b *rpcserve.EOSBlockJSON, ts time.Time) {
+func (a *EOSShard) ingest(b *wire.EOSBlockJSON, ts time.Time) {
 	a.Blocks++
 	if a.FirstBlockTime.IsZero() || ts.Before(a.FirstBlockTime) {
 		a.FirstBlockTime = ts
@@ -460,14 +394,14 @@ func isBoomerang(legs []transferLeg) bool {
 
 // figure1Name maps an action to its Figure 1 row: system-contract and
 // token-contract actions keep their name, everything else is "others".
-func (a *EOSShard) figure1Name(act rpcserve.EOSActionJSON) string {
+func (a *EOSShard) figure1Name(act wire.EOSActionJSON) string {
 	if act.Account == "eosio" || a.TokenContracts[act.Account] {
 		return act.Name
 	}
 	return "others"
 }
 
-func (a *EOSShard) classify(act rpcserve.EOSActionJSON) EOSCategory {
+func (a *EOSShard) classify(act wire.EOSActionJSON) EOSCategory {
 	if a.TokenContracts[act.Account] && act.Name == "transfer" {
 		return EOSCatTransfer
 	}
@@ -494,7 +428,7 @@ func (a *EOSShard) label(contract string) string {
 	return "Others"
 }
 
-func actionActor(act rpcserve.EOSActionJSON) string {
+func actionActor(act wire.EOSActionJSON) string {
 	if len(act.Authorization) == 0 {
 		return ""
 	}

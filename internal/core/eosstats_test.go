@@ -6,28 +6,28 @@ import (
 	"time"
 
 	"repro/internal/chain"
-	"repro/internal/rpcserve"
+	"repro/internal/wire"
 )
 
-func eosAction(contract, name, actor string, data map[string]string) rpcserve.EOSActionJSON {
+func eosAction(contract, name, actor string, data map[string]string) wire.EOSActionJSON {
 	if data == nil {
 		data = map[string]string{}
 	}
-	return rpcserve.EOSActionJSON{
+	return wire.EOSActionJSON{
 		Account: contract, Name: name,
 		Authorization: []map[string]string{{"actor": actor, "permission": "active"}},
 		Data:          data,
 	}
 }
 
-func eosBlock(num int, ts time.Time, txs ...[]rpcserve.EOSActionJSON) *rpcserve.EOSBlockJSON {
-	b := &rpcserve.EOSBlockJSON{
+func eosBlock(num int, ts time.Time, txs ...[]wire.EOSActionJSON) *wire.EOSBlockJSON {
+	b := &wire.EOSBlockJSON{
 		BlockNum:  uint32(num),
 		Timestamp: ts.Format("2006-01-02T15:04:05.000"),
 		Producer:  "prodablock",
 	}
 	for i, actions := range txs {
-		var t rpcserve.EOSTrxJSON
+		var t wire.EOSTrxJSON
 		t.Status = "executed"
 		t.Trx.ID = fmt.Sprintf("tx-%d-%d", num, i)
 		t.Trx.Transaction.Actions = actions
@@ -36,7 +36,7 @@ func eosBlock(num int, ts time.Time, txs ...[]rpcserve.EOSActionJSON) *rpcserve.
 	return b
 }
 
-func transfer(contract, from, to, qty string) rpcserve.EOSActionJSON {
+func transfer(contract, from, to, qty string) wire.EOSActionJSON {
 	return eosAction(contract, "transfer", from, map[string]string{
 		"from": from, "to": to, "quantity": qty,
 	})
@@ -45,12 +45,12 @@ func transfer(contract, from, to, qty string) rpcserve.EOSActionJSON {
 func TestEOSAggregatorFigure1Classification(t *testing.T) {
 	a := NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
 	ts := chain.ObservationStart.Add(time.Hour)
-	err := a.IngestBlock(eosBlock(1, ts,
-		[]rpcserve.EOSActionJSON{transfer("eosio.token", "alice", "bob", "1.0000 EOS")},
-		[]rpcserve.EOSActionJSON{eosAction("eosio", "newaccount", "alice", map[string]string{"name": "carol"})},
-		[]rpcserve.EOSActionJSON{eosAction("eosio", "delegatebw", "alice", nil)},
-		[]rpcserve.EOSActionJSON{eosAction("betdicetasks", "removetask", "betdicegroup", nil)},
-	))
+	err := a.IngestBatch([]any{eosBlock(1, ts,
+		[]wire.EOSActionJSON{transfer("eosio.token", "alice", "bob", "1.0000 EOS")},
+		[]wire.EOSActionJSON{eosAction("eosio", "newaccount", "alice", map[string]string{"name": "carol"})},
+		[]wire.EOSActionJSON{eosAction("eosio", "delegatebw", "alice", nil)},
+		[]wire.EOSActionJSON{eosAction("betdicetasks", "removetask", "betdicegroup", nil)},
+	)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,14 +77,14 @@ func TestEOSAggregatorTopReceiversAndPairs(t *testing.T) {
 	a := NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
 	ts := chain.ObservationStart
 	for i := 0; i < 10; i++ {
-		a.IngestBlock(eosBlock(i+1, ts.Add(time.Duration(i)*time.Minute),
-			[]rpcserve.EOSActionJSON{transfer("eosio.token", "mykeypostman", "bob", "1.0000 EOS")},
-			[]rpcserve.EOSActionJSON{eosAction("betdicetasks", "removetask", "betdicegroup", nil)},
-		))
+		a.IngestBatch([]any{eosBlock(i+1, ts.Add(time.Duration(i)*time.Minute),
+			[]wire.EOSActionJSON{transfer("eosio.token", "mykeypostman", "bob", "1.0000 EOS")},
+			[]wire.EOSActionJSON{eosAction("betdicetasks", "removetask", "betdicegroup", nil)},
+		)})
 	}
-	a.IngestBlock(eosBlock(11, ts.Add(time.Hour),
-		[]rpcserve.EOSActionJSON{eosAction("betdicetasks", "log", "betdicegroup", nil)},
-	))
+	a.IngestBatch([]any{eosBlock(11, ts.Add(time.Hour),
+		[]wire.EOSActionJSON{eosAction("betdicetasks", "log", "betdicegroup", nil)},
+	)})
 
 	top := a.TopReceivers(2)
 	if len(top) != 2 {
@@ -109,15 +109,15 @@ func TestEOSAggregatorTopReceiversAndPairs(t *testing.T) {
 func TestEOSBoomerangDetection(t *testing.T) {
 	a := NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
 	// EIDOS mining tx: miner→contract, contract→miner (same qty), EIDOS leg.
-	a.IngestBlock(eosBlock(1, chain.ObservationStart,
-		[]rpcserve.EOSActionJSON{
+	a.IngestBatch([]any{eosBlock(1, chain.ObservationStart,
+		[]wire.EOSActionJSON{
 			transfer("eosio.token", "miner1", "eidosonecoin", "0.0001 EOS"),
 			transfer("eosio.token", "eidosonecoin", "miner1", "0.0001 EOS"),
 			transfer("eidosonecoin", "eidosonecoin", "miner1", "12.0000 EIDOS"),
 		},
 		// Ordinary transfer: not a boomerang.
-		[]rpcserve.EOSActionJSON{transfer("eosio.token", "alice", "bob", "5.0000 EOS")},
-	))
+		[]wire.EOSActionJSON{transfer("eosio.token", "alice", "bob", "5.0000 EOS")},
+	)})
 	if got := a.BoomerangTransactions(); got != 1 {
 		t.Fatalf("boomerangs = %d", got)
 	}
@@ -131,23 +131,23 @@ func TestEOSBoomerangDetection(t *testing.T) {
 
 func TestEOSWashTradeAnalysis(t *testing.T) {
 	a := NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
-	var actions [][]rpcserve.EOSActionJSON
+	var actions [][]wire.EOSActionJSON
 	// 90 self-trades by washbot1, 10 honest trades between others.
 	for i := 0; i < 90; i++ {
-		actions = append(actions, []rpcserve.EOSActionJSON{
+		actions = append(actions, []wire.EOSActionJSON{
 			eosAction("whaleextrust", "verifytrade2", "washbot1", map[string]string{
 				"buyer": "washbot1", "seller": "washbot1", "quantity": "100.0000 USDT",
 			}),
 		})
 	}
 	for i := 0; i < 10; i++ {
-		actions = append(actions, []rpcserve.EOSActionJSON{
+		actions = append(actions, []wire.EOSActionJSON{
 			eosAction("whaleextrust", "verifytrade2", "honestbuyer", map[string]string{
 				"buyer": "honestbuyer", "seller": "honestsell1", "quantity": "3.0000 EOS",
 			}),
 		})
 	}
-	a.IngestBlock(eosBlock(1, chain.ObservationStart, actions...))
+	a.IngestBatch([]any{eosBlock(1, chain.ObservationStart, actions...)})
 
 	rep := AnalyzeWashTrades(a.Trades, 5)
 	if rep.TotalTrades != 100 {
@@ -190,14 +190,14 @@ func TestTPSEstimate(t *testing.T) {
 
 func TestEOSVolumeTracking(t *testing.T) {
 	a := NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
-	a.IngestBlock(eosBlock(1, chain.ObservationStart,
-		[]rpcserve.EOSActionJSON{
+	a.IngestBatch([]any{eosBlock(1, chain.ObservationStart,
+		[]wire.EOSActionJSON{
 			transfer("eosio.token", "miner1", "eidosonecoin", "2.0000 EOS"),
 			transfer("eosio.token", "eidosonecoin", "miner1", "2.0000 EOS"),
 			transfer("eidosonecoin", "eidosonecoin", "miner1", "10.0000 EIDOS"),
 		},
-		[]rpcserve.EOSActionJSON{transfer("eosio.token", "alice", "bob", "5.5000 EOS")},
-	))
+		[]wire.EOSActionJSON{transfer("eosio.token", "alice", "bob", "5.5000 EOS")},
+	)})
 	if got := a.VolumeBySymbol["EOS"]; got != 9.5 {
 		t.Fatalf("EOS volume = %f", got)
 	}

@@ -8,22 +8,14 @@ import (
 	"sync/atomic"
 
 	"repro/internal/collect"
-	"repro/internal/rpcserve"
 	"repro/internal/wire"
 )
-
-// Ingestor consumes raw crawled payloads chain-agnostically: one method,
-// whatever the chain. Its signature matches collect.Sink, so an Ingestor's
-// IngestRaw plugs directly into the callback-style collect.Crawl as well.
-type Ingestor interface {
-	IngestRaw(num int64, raw []byte) error
-}
 
 // Decoder splits ingestion into its two costs so they can be scheduled
 // separately: Decode is the CPU-bound, lock-free parse of one wire payload,
 // and IngestBatch folds a batch of decoded blocks into the aggregator under
-// a single lock acquisition. Implementations exist per chain (EOSDecoder,
-// TezosDecoder, XRPDecoder); Decode must be safe for concurrent use.
+// a single lock acquisition. Every aggregator hands one out through its
+// Decoder method; Decode must be safe for concurrent use.
 type Decoder interface {
 	Decode(num int64, raw []byte) (any, error)
 	IngestBatch(batch []any) error
@@ -60,78 +52,84 @@ type BatchReleaser interface {
 	ReleaseBatch(batch []any)
 }
 
-// NewIngestor adapts a Decoder into an Ingestor that decodes and applies
-// each payload immediately (batch of one). Use IngestStream instead when a
-// block stream is available — it batches.
-func NewIngestor(d Decoder) Ingestor { return decoderIngestor{d} }
-
-type decoderIngestor struct{ d Decoder }
-
-func (i decoderIngestor) IngestRaw(num int64, raw []byte) error {
-	blk, err := i.d.Decode(num, raw)
-	if err != nil {
-		return err
-	}
-	batch := [1]any{blk}
-	if err := i.d.IngestBatch(batch[:]); err != nil {
-		return err
-	}
-	if r, ok := i.d.(BatchReleaser); ok {
-		r.ReleaseBatch(batch[:])
-	}
-	return nil
+// aggregator is what the three chains' aggregators share: a locked batch
+// ingest, and private shard states spawned from and folded back into them.
+type aggregator interface {
+	IngestBatch(batch []any) error
+	NewState() ShardState
+	MergeState(ShardState) error
 }
 
-// EOSDecoder drives an EOSAggregator from raw nodeos-style block JSON.
-type EOSDecoder struct{ Agg *EOSAggregator }
+// chainDecoder is the one Decoder (and ShardedDecoder, and BatchReleaser)
+// implementation, instantiated per chain over the wire arena type B: get
+// and put borrow and return an arena struct, decode is the pooled codec's
+// method for the chain's payload.
+type chainDecoder[B any] struct {
+	agg    aggregator
+	what   string // "EOS block", for decode errors
+	get    func() *B
+	put    func(*B)
+	decode func(*wire.Codec, []byte, *B) error
+}
 
-// Decode parses one raw EOS block into an arena struct through the pooled
+// Decoder drives the aggregator from raw nodeos-style block JSON.
+func (a *EOSAggregator) Decoder() Decoder {
+	return &chainDecoder[wire.EOSBlockJSON]{a, "EOS block",
+		wire.GetEOSBlock, wire.PutEOSBlock, (*wire.Codec).DecodeEOSBlock}
+}
+
+// Decoder drives the aggregator from raw octez-style block JSON.
+func (a *TezosAggregator) Decoder() Decoder {
+	return &chainDecoder[wire.TezosBlockJSON]{a, "Tezos block",
+		wire.GetTezosBlock, wire.PutTezosBlock, (*wire.Codec).DecodeTezosBlock}
+}
+
+// Decoder drives the aggregator from raw rippled ledger result envelopes.
+func (a *XRPAggregator) Decoder() Decoder {
+	return &chainDecoder[wire.XRPLedgerJSON]{a, "XRP ledger",
+		wire.GetXRPLedger, wire.PutXRPLedger, (*wire.Codec).DecodeXRPLedgerResult}
+}
+
+// Decode parses one raw payload into an arena struct through the pooled
 // wire codec; ReleaseBatch recycles it after ingestion.
-func (d EOSDecoder) Decode(num int64, raw []byte) (any, error) {
-	b := wire.GetEOSBlock()
+func (d *chainDecoder[B]) Decode(num int64, raw []byte) (any, error) {
+	b := d.get()
 	c := wire.GetCodec()
-	err := c.DecodeEOSBlock(raw, b)
+	err := d.decode(c, raw, b)
 	wire.PutCodec(c)
 	if err != nil {
-		wire.PutEOSBlock(b)
-		return nil, fmt.Errorf("core: decoding EOS block: %w", err)
+		d.put(b)
+		return nil, fmt.Errorf("core: decoding %s: %w", d.what, err)
 	}
 	return b, nil
 }
 
 // IngestBatch folds decoded blocks into the aggregator, one lock for the
 // whole batch.
-func (d EOSDecoder) IngestBatch(batch []any) error { return d.Agg.IngestBatch(batch) }
+func (d *chainDecoder[B]) IngestBatch(batch []any) error { return d.agg.IngestBatch(batch) }
 
 // ReleaseBatch returns decoded blocks to the wire arena.
-func (d EOSDecoder) ReleaseBatch(batch []any) {
+func (d *chainDecoder[B]) ReleaseBatch(batch []any) {
 	for _, b := range batch {
-		wire.PutEOSBlock(b.(*rpcserve.EOSBlockJSON))
+		d.put(b.(*B))
 	}
 }
 
-// NewShard hands one ingest worker a private EOS shard.
-func (d EOSDecoder) NewShard() Shard {
-	return &stateSink{agg: d.Agg, state: d.Agg.NewState()}
+// NewShard hands one ingest worker a private shard state.
+func (d *chainDecoder[B]) NewShard() Shard {
+	return &stateShard{agg: d.agg, state: d.agg.NewState()}
 }
 
-// stateMerger is the aggregator half of the generic shard sink: every
-// chain's aggregator folds a drained ShardState in under its own lock.
-type stateMerger interface {
-	MergeState(ShardState) error
-}
-
-// stateSink adapts the chain-agnostic ShardState contract to the ingest
-// pool's Shard interface — the one sink implementation all three chains
-// share, replacing the per-chain copies the decoders used to carry.
-type stateSink struct {
-	agg   stateMerger
+// stateShard adapts a ShardState spawned from an aggregator to the ingest
+// pool's Shard interface.
+type stateShard struct {
+	agg   aggregator
 	state ShardState
 }
 
-func (s *stateSink) IngestBatch(batch []any) error { return s.state.IngestBatch(batch) }
+func (s *stateShard) IngestBatch(batch []any) error { return s.state.IngestBatch(batch) }
 
-func (s *stateSink) Merge() {
+func (s *stateShard) Merge() {
 	// A shard spawned from its own aggregator can never mismatch chain or
 	// window, so an error here is a programming bug — same contract as
 	// stats.TimeSeries.Merge.
@@ -140,77 +138,13 @@ func (s *stateSink) Merge() {
 	}
 }
 
-// TezosDecoder drives a TezosAggregator from raw octez-style block JSON.
-type TezosDecoder struct{ Agg *TezosAggregator }
-
-// Decode parses one raw Tezos block into an arena struct through the
-// pooled wire codec; ReleaseBatch recycles it after ingestion.
-func (d TezosDecoder) Decode(num int64, raw []byte) (any, error) {
-	b := wire.GetTezosBlock()
-	c := wire.GetCodec()
-	err := c.DecodeTezosBlock(raw, b)
-	wire.PutCodec(c)
-	if err != nil {
-		wire.PutTezosBlock(b)
-		return nil, fmt.Errorf("core: decoding Tezos block: %w", err)
-	}
-	return b, nil
-}
-
-// IngestBatch folds decoded blocks into the aggregator, one lock for the
-// whole batch.
-func (d TezosDecoder) IngestBatch(batch []any) error { return d.Agg.IngestBatch(batch) }
-
-// ReleaseBatch returns decoded blocks to the wire arena.
-func (d TezosDecoder) ReleaseBatch(batch []any) {
-	for _, b := range batch {
-		wire.PutTezosBlock(b.(*rpcserve.TezosBlockJSON))
-	}
-}
-
-// NewShard hands one ingest worker a private Tezos shard.
-func (d TezosDecoder) NewShard() Shard {
-	return &stateSink{agg: d.Agg, state: d.Agg.NewState()}
-}
-
-// XRPDecoder drives an XRPAggregator from raw rippled ledger envelopes.
-type XRPDecoder struct{ Agg *XRPAggregator }
-
-// Decode parses one raw ledger result envelope into an arena struct
-// through the pooled wire codec; ReleaseBatch recycles it after ingestion.
-func (d XRPDecoder) Decode(num int64, raw []byte) (any, error) {
-	l := wire.GetXRPLedger()
-	c := wire.GetCodec()
-	err := c.DecodeXRPLedgerResult(raw, l)
-	wire.PutCodec(c)
-	if err != nil {
-		wire.PutXRPLedger(l)
-		return nil, fmt.Errorf("core: decoding XRP ledger: %w", err)
-	}
-	return l, nil
-}
-
-// IngestBatch folds decoded ledgers into the aggregator, one lock for the
-// whole batch.
-func (d XRPDecoder) IngestBatch(batch []any) error { return d.Agg.IngestBatch(batch) }
-
-// ReleaseBatch returns decoded ledgers to the wire arena.
-func (d XRPDecoder) ReleaseBatch(batch []any) {
-	for _, l := range batch {
-		wire.PutXRPLedger(l.(*rpcserve.XRPLedgerJSON))
-	}
-}
-
-// NewShard hands one ingest worker a private XRP shard.
-func (d XRPDecoder) NewShard() Shard {
-	return &stateSink{agg: d.Agg, state: d.Agg.NewState()}
-}
-
-// IngestConfig sizes the decode/ingest pool behind IngestStream.
+// IngestConfig sizes the decode/ingest pool behind IngestStream and
+// IngestArchive.
 type IngestConfig struct {
-	// Workers is the number of decode goroutines (default 2). Decoding is
-	// the CPU-bound half of ingestion; it runs off the crawl workers so
-	// fetch concurrency and decode concurrency scale independently.
+	// Workers is the number of decode goroutines (default: 2 for a stream,
+	// one per CPU for an archive replay). Decoding is the CPU-bound half of
+	// ingestion; it runs off the crawl workers so fetch concurrency and
+	// decode concurrency scale independently.
 	Workers int
 	// Batch is how many decoded blocks each worker accumulates before one
 	// IngestBatch call — blocks per aggregator lock acquisition
@@ -218,23 +152,113 @@ type IngestConfig struct {
 	Batch int
 }
 
-func (c IngestConfig) withDefaults() IngestConfig {
-	if c.Workers <= 0 {
-		c.Workers = 2
+// ingestPool is the per-worker batch, flush and merge state IngestStream
+// and IngestArchive share. Worker w's slot is touched only by the goroutine
+// running worker w until drain, which the caller runs once every worker
+// has returned.
+type ingestPool struct {
+	d        Decoder
+	releaser BatchReleaser // nil when decoded values are not arena-backed
+	batchCap int
+	workers  []ingestWorker
+}
+
+type ingestWorker struct {
+	// shard is the worker's private accumulator; nil for a non-sharded
+	// decoder, whose batches fold into d under the aggregator lock.
+	shard    Shard
+	batch    []any
+	ingested int64
+}
+
+func newIngestPool(d Decoder, workers, batchCap int) *ingestPool {
+	if batchCap <= 0 {
+		batchCap = 16
 	}
-	if c.Batch <= 0 {
-		c.Batch = 16
+	p := &ingestPool{d: d, batchCap: batchCap, workers: make([]ingestWorker, workers)}
+	p.releaser, _ = d.(BatchReleaser)
+	sharded, _ := d.(ShardedDecoder)
+	for w := range p.workers {
+		if sharded != nil {
+			p.workers[w].shard = sharded.NewShard()
+		}
+		p.workers[w].batch = make([]any, 0, batchCap)
 	}
-	return c
+	return p
+}
+
+// add decodes one payload on worker w and folds the worker's batch once it
+// is full. raw is not retained.
+func (p *ingestPool) add(w int, num int64, raw []byte) error {
+	dec, err := p.d.Decode(num, raw)
+	if err != nil {
+		return fmt.Errorf("core: decoding block %d: %w", num, err)
+	}
+	wk := &p.workers[w]
+	wk.batch = append(wk.batch, dec)
+	if len(wk.batch) >= p.batchCap {
+		return p.flush(w)
+	}
+	return nil
+}
+
+// flush folds worker w's pending batch into its shard (or the locked
+// aggregator) and hands the decoded structs back to the arena — the
+// aggregator kept only strings.
+func (p *ingestPool) flush(w int) error {
+	wk := &p.workers[w]
+	if len(wk.batch) == 0 {
+		return nil
+	}
+	var err error
+	if wk.shard != nil {
+		err = wk.shard.IngestBatch(wk.batch)
+	} else {
+		err = p.d.IngestBatch(wk.batch)
+	}
+	if err != nil {
+		return err
+	}
+	wk.ingested += int64(len(wk.batch))
+	if p.releaser != nil {
+		p.releaser.ReleaseBatch(wk.batch)
+	}
+	wk.batch = wk.batch[:0]
+	return nil
+}
+
+// drain flushes every worker's remainder and merges the shards in worker
+// order — the merge order is fixed even though workers finish in any
+// order, so the only scheduling freedom left is which worker ingested
+// which block, and shard merges are insensitive to exactly that. It runs
+// even after an error: batches already folded into shards mirror batches
+// the locked path would already have applied, so the partial aggregate
+// looks the same either way. It returns the blocks ingested and err, or
+// the first flush error when err is nil.
+func (p *ingestPool) drain(err error) (int64, error) {
+	var ingested int64
+	for w := range p.workers {
+		if ferr := p.flush(w); ferr != nil && err == nil {
+			err = ferr
+		}
+		ingested += p.workers[w].ingested
+	}
+	for w := range p.workers {
+		if s := p.workers[w].shard; s != nil {
+			s.Merge()
+		}
+	}
+	return ingested, err
 }
 
 // IngestStream drains a crawl stream through a pool of cfg.Workers decode
-// goroutines. When the Decoder is a ShardedDecoder (all three chains), each
-// worker folds its blocks into a private shard — zero lock acquisitions on
-// the hot path — and the shards merge into the aggregator in worker order
-// once the stream drains; otherwise each worker batch-ingests under the
-// aggregator lock, cfg.Batch blocks per acquisition. It returns the number
-// of blocks ingested and the first decode/ingest error.
+// goroutines (default 2). When the Decoder is a ShardedDecoder (all three
+// chains), each worker folds its blocks into a private shard — zero lock
+// acquisitions on the hot path — and the shards merge into the aggregator
+// in worker order once the stream drains; otherwise each worker
+// batch-ingests under the aggregator lock, cfg.Batch blocks per
+// acquisition. It returns the number of blocks ingested and the first
+// decode/ingest error.
 //
 // Cancellation is driven by the stream itself: when ctx is cancelled the
 // crawl workers stop and close the channel, and IngestStream deliberately
@@ -246,95 +270,55 @@ func (c IngestConfig) withDefaults() IngestConfig {
 // workers behind a full buffer, and must not persist a checkpoint taken
 // after the error (the pipeline's stage helper and cmd/crawl do both).
 func IngestStream(ctx context.Context, blocks <-chan collect.Block, d Decoder, cfg IngestConfig) (int64, error) {
-	cfg = cfg.withDefaults()
+	workers := cfg.Workers
+	if workers <= 0 {
+		workers = 2
+	}
+	pool := newIngestPool(d, workers, cfg.Batch)
 	var (
-		ingested int64
 		wg       sync.WaitGroup
 		firstErr atomic.Value
 		failed   atomic.Bool
 	)
-	sharded, _ := d.(ShardedDecoder)
-	// Per-worker shards, merged below in worker order — the merge order is
-	// fixed even though workers finish in any order, so the only scheduling
-	// freedom left is which worker ingested which block, and shard merges
-	// are insensitive to exactly that.
-	shards := make([]Shard, cfg.Workers)
-	for w := 0; w < cfg.Workers; w++ {
+	fail := func(err error) {
+		firstErr.CompareAndSwap(nil, err)
+		failed.Store(true)
+	}
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			sink := Decoder(d)
-			if sharded != nil {
-				shard := sharded.NewShard()
-				shards[w] = shard
-				sink = shardDecoder{d, shard}
-			}
-			releaser, _ := d.(BatchReleaser)
-			batch := make([]any, 0, cfg.Batch)
-			flush := func() error {
-				if len(batch) == 0 {
-					return nil
-				}
-				if err := sink.IngestBatch(batch); err != nil {
-					return err
-				}
-				atomic.AddInt64(&ingested, int64(len(batch)))
-				// The aggregator kept only strings; the decoded structs go
-				// back to the arena for the next batch.
-				if releaser != nil {
-					releaser.ReleaseBatch(batch)
-				}
-				batch = batch[:0]
-				return nil
-			}
 			for blk := range blocks {
 				if failed.Load() {
 					blk.Release()
 					return
 				}
-				dec, err := d.Decode(blk.Num, blk.Raw)
+				err := pool.add(w, blk.Num, blk.Raw)
 				// Decoded structs own copies of everything they keep, so
 				// the raw payload buffer recycles immediately.
 				blk.Release()
 				if err != nil {
-					firstErr.CompareAndSwap(nil, fmt.Errorf("core: decoding block %d: %w", blk.Num, err))
-					failed.Store(true)
+					fail(err)
 					return
 				}
-				batch = append(batch, dec)
-				if len(batch) >= cfg.Batch {
-					if err := flush(); err != nil {
-						firstErr.CompareAndSwap(nil, err)
-						failed.Store(true)
-						return
-					}
-				}
 			}
-			if err := flush(); err != nil {
-				firstErr.CompareAndSwap(nil, err)
-				failed.Store(true)
+			// Each worker folds its own remainder, so short streams (a
+			// coordinator chunk is smaller than one batch per worker)
+			// still aggregate in parallel.
+			if err := pool.flush(w); err != nil {
+				fail(err)
 			}
 		}(w)
 	}
 	wg.Wait()
-	// Merge even after an error: batches already folded into shards mirror
-	// batches the locked path would already have applied, so the partial
-	// aggregate looks the same either way.
-	for _, s := range shards {
-		if s != nil {
-			s.Merge()
-		}
-	}
-	if err, ok := firstErr.Load().(error); ok && err != nil {
-		return atomic.LoadInt64(&ingested), err
-	}
-	return atomic.LoadInt64(&ingested), nil
+	err, _ := firstErr.Load().(error)
+	return pool.drain(err)
 }
 
 // PeriodicMerge wraps a sharded decoder so each ingest worker's private
 // shard folds into the parent aggregator every `batches` IngestBatch calls
-// instead of only at drain. MergeShard resets the source shard, so the
-// worker keeps reusing it; between merges the hot path stays lock-free.
+// instead of only at drain. Merge resets the source shard, so the worker
+// keeps reusing it; between merges the hot path stays lock-free.
 // This is the serving layer's ingest mode: the aggregator continuously
 // absorbs epoch-sized deltas that SummarizeEOS and friends can snapshot
 // mid-crawl, at a cost of one lock acquisition per worker per `batches`
@@ -390,15 +374,6 @@ func (s *periodicShard) IngestBatch(batch []any) error {
 }
 
 func (s *periodicShard) Merge() { s.inner.Merge() }
-
-// shardDecoder routes a worker's IngestBatch calls to its private shard
-// while delegating Decode to the shared decoder.
-type shardDecoder struct {
-	Decoder
-	shard Shard
-}
-
-func (s shardDecoder) IngestBatch(batch []any) error { return s.shard.IngestBatch(batch) }
 
 // ErrIngest marks errors that came from the decode/ingest side of
 // IngestCrawl rather than the crawl itself. Callers that persist

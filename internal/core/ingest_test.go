@@ -10,7 +10,7 @@ import (
 
 	"repro/internal/chain"
 	"repro/internal/collect"
-	"repro/internal/rpcserve"
+	"repro/internal/wire"
 )
 
 // makeEOSRawBlocks synthesizes raw nodeos-style block JSON: one transfer
@@ -19,15 +19,15 @@ func makeEOSRawBlocks(t testing.TB, n, txsPerBlock int) [][]byte {
 	t.Helper()
 	raws := make([][]byte, n)
 	for i := 0; i < n; i++ {
-		blk := rpcserve.EOSBlockJSON{
+		blk := wire.EOSBlockJSON{
 			BlockNum:  uint32(i + 1),
 			Timestamp: chain.ObservationStart.Add(time.Duration(i) * time.Minute).Format("2006-01-02T15:04:05.000"),
 			Producer:  "eosio",
 		}
 		for j := 0; j < txsPerBlock; j++ {
-			var trx rpcserve.EOSTrxJSON
+			var trx wire.EOSTrxJSON
 			trx.Status = "executed"
-			trx.Trx.Transaction.Actions = []rpcserve.EOSActionJSON{{
+			trx.Trx.Transaction.Actions = []wire.EOSActionJSON{{
 				Account: "eosio.token", Name: "transfer",
 				Authorization: []map[string]string{{"actor": "alice"}},
 				Data: map[string]string{
@@ -59,23 +59,41 @@ func (f *memFetcher) FetchBlock(ctx context.Context, num int64) ([]byte, error) 
 	return f.raws[num-1], nil
 }
 
+// ingestRaw decodes one payload and applies it immediately — a batch of
+// one through the Decoder contract, the per-block reference the pool is
+// compared against.
+func ingestRaw(d Decoder, num int64, raw []byte) error {
+	blk, err := d.Decode(num, raw)
+	if err != nil {
+		return err
+	}
+	batch := []any{blk}
+	if err := d.IngestBatch(batch); err != nil {
+		return err
+	}
+	if r, ok := d.(BatchReleaser); ok {
+		r.ReleaseBatch(batch)
+	}
+	return nil
+}
+
 // TestIngestStreamMatchesPerBlockIngest: the batched decode pool must
-// produce exactly the same aggregate as driving the Ingestor one block at a
+// produce exactly the same aggregate as driving the Decoder one block at a
 // time.
 func TestIngestStreamMatchesPerBlockIngest(t *testing.T) {
 	raws := makeEOSRawBlocks(t, 64, 3)
 
 	one := NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
-	ing := NewIngestor(EOSDecoder{Agg: one})
+	dec := one.Decoder()
 	for i, raw := range raws {
-		if err := ing.IngestRaw(int64(i+1), raw); err != nil {
+		if err := ingestRaw(dec, int64(i+1), raw); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	batched := NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
 	blocks, handle := collect.Stream(context.Background(), &memFetcher{raws}, collect.CrawlConfig{Workers: 4, Buffer: 8})
-	n, err := IngestStream(context.Background(), blocks, EOSDecoder{Agg: batched}, IngestConfig{Workers: 3, Batch: 5})
+	n, err := IngestStream(context.Background(), blocks, batched.Decoder(), IngestConfig{Workers: 3, Batch: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +134,7 @@ func (d *countingDecoder) IngestBatch(batch []any) error {
 func TestIngestStreamBatches(t *testing.T) {
 	raws := makeEOSRawBlocks(t, 96, 1)
 	agg := NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
-	dec := &countingDecoder{inner: EOSDecoder{Agg: agg}}
+	dec := &countingDecoder{inner: agg.Decoder()}
 	blocks, handle := collect.Stream(context.Background(), &memFetcher{raws}, collect.CrawlConfig{Workers: 2, Buffer: 32})
 	if _, err := IngestStream(context.Background(), blocks, dec, IngestConfig{Workers: 1, Batch: 16}); err != nil {
 		t.Fatal(err)
@@ -148,7 +166,7 @@ func TestIngestStreamDecodeErrorStops(t *testing.T) {
 	defer cancel()
 	blocks, handle := collect.Stream(ctx, &memFetcher{raws}, collect.CrawlConfig{Workers: 1, Buffer: 2})
 	agg := NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
-	_, err := IngestStream(ctx, blocks, EOSDecoder{Agg: agg}, IngestConfig{Workers: 1, Batch: 4})
+	_, err := IngestStream(ctx, blocks, agg.Decoder(), IngestConfig{Workers: 1, Batch: 4})
 	if err == nil {
 		t.Fatal("corrupt block ingested without error")
 	}
@@ -161,15 +179,15 @@ func TestIngestStreamDecodeErrorStops(t *testing.T) {
 // TestDecodersRoundTripAllChains: each chain's Decoder must accept its own
 // wire format and reject the others'.
 func TestDecodersRoundTripAllChains(t *testing.T) {
-	tezosRaw, err := json.Marshal(rpcserve.TezosBlockJSON{
+	tezosRaw, err := json.Marshal(wire.TezosBlockJSON{
 		Level: 7, Timestamp: chain.ObservationStart.Format(time.RFC3339),
-		Operations: []rpcserve.TezosOperationJSON{{Kind: "endorsement", Source: "tz1abc"}},
+		Operations: []wire.TezosOperationJSON{{Kind: "endorsement", Source: "tz1abc"}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tezosAgg := NewTezosAggregator(chain.ObservationStart, 6*time.Hour)
-	if err := NewIngestor(TezosDecoder{Agg: tezosAgg}).IngestRaw(7, tezosRaw); err != nil {
+	if err := ingestRaw(tezosAgg.Decoder(), 7, tezosRaw); err != nil {
 		t.Fatal(err)
 	}
 	if tezosAgg.Blocks != 1 || tezosAgg.Operations != 1 {
@@ -179,7 +197,7 @@ func TestDecodersRoundTripAllChains(t *testing.T) {
 	xrpRaw := []byte(fmt.Sprintf(`{"ledger":{"ledger_index":3,"close_time_human":%q,"transactions":[{"TransactionType":"Payment","Account":"rAlice","Destination":"rBob","meta_TransactionResult":"tesSUCCESS","Amount":{"currency":"XRP","value":5}}]}}`,
 		chain.ObservationStart.Format(time.RFC3339)))
 	xrpAgg := NewXRPAggregator(chain.ObservationStart, 6*time.Hour)
-	if err := NewIngestor(XRPDecoder{Agg: xrpAgg}).IngestRaw(3, xrpRaw); err != nil {
+	if err := ingestRaw(xrpAgg.Decoder(), 3, xrpRaw); err != nil {
 		t.Fatal(err)
 	}
 	if xrpAgg.Ledgers != 1 || xrpAgg.Transactions != 1 {
@@ -187,13 +205,14 @@ func TestDecodersRoundTripAllChains(t *testing.T) {
 	}
 
 	eosAgg := NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
-	if err := NewIngestor(EOSDecoder{Agg: eosAgg}).IngestRaw(1, []byte(`not json`)); err == nil {
+	if err := ingestRaw(eosAgg.Decoder(), 1, []byte(`not json`)); err == nil {
 		t.Fatal("EOS decoder accepted garbage")
 	}
 }
 
-// lockedDecoder hides EOSDecoder's NewShard so IngestStream takes the
-// legacy shared-aggregator path: every batch under the one mutex. It keeps
+// lockedDecoder hides the decoder's NewShard so IngestStream takes the
+// non-sharded path: every batch under the aggregator's one mutex — the
+// reference the sharded path is compared against. It keeps
 // forwarding ReleaseBatch so both paths recycle arena structs identically.
 type lockedDecoder struct{ Decoder }
 
@@ -223,15 +242,15 @@ func TestIngestStreamShardedMatchesLocked(t *testing.T) {
 		}
 		return agg
 	}
-	locked := run(func(a *EOSAggregator) Decoder { return lockedDecoder{EOSDecoder{Agg: a}} })
-	sharded := run(func(a *EOSAggregator) Decoder { return EOSDecoder{Agg: a} })
+	locked := run(func(a *EOSAggregator) Decoder { return lockedDecoder{a.Decoder()} })
+	sharded := run(func(a *EOSAggregator) Decoder { return a.Decoder() })
 	if lr, sr := SummarizeEOS(locked).Render(), SummarizeEOS(sharded).Render(); lr != sr {
 		t.Fatalf("sharded stream ingest diverged from locked\n--- locked ---\n%s\n--- sharded ---\n%s", lr, sr)
 	}
 }
 
-// BenchmarkShardedIngest isolates the tentpole's contention win: the same
-// stream drained by the legacy locked path (every batch serializing on the
+// BenchmarkShardedIngest isolates the sharded path's contention win: the
+// same stream drained by the locked path (every batch serializing on the
 // aggregator mutex) versus per-worker shards merged once at drain. On a
 // single CPU the two are near parity — the lock is never contended — and
 // on a multi-core runner the sharded side scales with the worker count.
@@ -243,8 +262,8 @@ func BenchmarkShardedIngest(b *testing.B) {
 		name string
 		dec  func(*EOSAggregator) Decoder
 	}{
-		{"locked", func(a *EOSAggregator) Decoder { return lockedDecoder{EOSDecoder{Agg: a}} }},
-		{"sharded", func(a *EOSAggregator) Decoder { return EOSDecoder{Agg: a} }},
+		{"locked", func(a *EOSAggregator) Decoder { return lockedDecoder{a.Decoder()} }},
+		{"sharded", func(a *EOSAggregator) Decoder { return a.Decoder() }},
 	} {
 		for _, workers := range []int{2, 4} {
 			b.Run(fmt.Sprintf("%s-%dw", bench.name, workers), func(b *testing.B) {
@@ -268,33 +287,19 @@ func BenchmarkShardedIngest(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamIngest tracks the decoupling win in the perf trajectory:
-// the same 256-block EOS history ingested through the legacy callback Sink
-// (decode + per-block lock inside the crawl callback) versus the streaming
-// path (bounded stream into a decode pool with batched lock acquisitions).
+// BenchmarkStreamIngest tracks the streaming path in the perf trajectory:
+// a 256-block EOS history through a bounded stream into the decode pool.
 func BenchmarkStreamIngest(b *testing.B) {
 	raws := makeEOSRawBlocks(b, 256, 8)
 	f := &memFetcher{raws}
 	ctx := context.Background()
-
-	b.Run("callback-sink", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			agg := NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
-			ing := NewIngestor(EOSDecoder{Agg: agg})
-			res, err := collect.Crawl(ctx, f, collect.CrawlConfig{Workers: 4}, ing.IngestRaw)
-			if err != nil || res.Blocks != int64(len(raws)) {
-				b.Fatalf("crawl: %+v %v", res, err)
-			}
-		}
-	})
 
 	b.Run("stream-batched", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			agg := NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
 			blocks, handle := collect.Stream(ctx, f, collect.CrawlConfig{Workers: 4, Buffer: 64})
-			n, err := IngestStream(ctx, blocks, EOSDecoder{Agg: agg}, IngestConfig{Workers: 2, Batch: 32})
+			n, err := IngestStream(ctx, blocks, agg.Decoder(), IngestConfig{Workers: 2, Batch: 32})
 			if err != nil {
 				b.Fatal(err)
 			}

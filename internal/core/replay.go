@@ -2,9 +2,7 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"runtime"
-	"sync/atomic"
 
 	"repro/internal/archive"
 )
@@ -33,71 +31,6 @@ func IngestArchive(ctx context.Context, rd *archive.Reader, d Decoder, cfg Inges
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	batchCap := cfg.Batch
-	if batchCap <= 0 {
-		batchCap = 16
-	}
-	sharded, _ := d.(ShardedDecoder)
-	releaser, _ := d.(BatchReleaser)
-	shards := make([]Shard, workers)
-	if sharded != nil {
-		for w := range shards {
-			shards[w] = sharded.NewShard()
-		}
-	}
-	batches := make([][]any, workers)
-	for w := range batches {
-		batches[w] = make([]any, 0, batchCap)
-	}
-	var ingested int64
-	// flush folds worker w's pending batch into its shard (or the locked
-	// aggregator) and recycles the decoded structs. Called from the
-	// worker's own goroutine during the replay, and from the caller's
-	// goroutine for the remainders once Replay has returned.
-	flush := func(w int) error {
-		batch := batches[w]
-		if len(batch) == 0 {
-			return nil
-		}
-		var err error
-		if sharded != nil {
-			err = shards[w].IngestBatch(batch)
-		} else {
-			err = d.IngestBatch(batch)
-		}
-		if err != nil {
-			return err
-		}
-		atomic.AddInt64(&ingested, int64(len(batch)))
-		if releaser != nil {
-			releaser.ReleaseBatch(batch)
-		}
-		batches[w] = batch[:0]
-		return nil
-	}
-	err := rd.Replay(ctx, workers, func(w int, num int64, raw []byte) error {
-		dec, derr := d.Decode(num, raw)
-		if derr != nil {
-			return fmt.Errorf("core: decoding block %d: %w", num, derr)
-		}
-		batches[w] = append(batches[w], dec)
-		if len(batches[w]) >= batchCap {
-			return flush(w)
-		}
-		return nil
-	})
-	// Drain the remainders and merge the shards — in worker order, and
-	// even after an error, for parity with IngestStream's partial
-	// aggregate semantics.
-	for w := range batches {
-		if ferr := flush(w); ferr != nil && err == nil {
-			err = ferr
-		}
-	}
-	for _, s := range shards {
-		if s != nil {
-			s.Merge()
-		}
-	}
-	return atomic.LoadInt64(&ingested), err
+	pool := newIngestPool(d, workers, cfg.Batch)
+	return pool.drain(rd.Replay(ctx, workers, pool.add))
 }

@@ -16,6 +16,7 @@
 //   - XRP explorer exchange records beyond those ingested into the shard:
 //     AddExchanges lands on the owning aggregator, which in a distributed
 //     crawl is the coordinator's.
+
 package core
 
 import (

@@ -48,7 +48,7 @@ func testShardCodecRoundTrip[B any](t *testing.T, chainName string, blocks []B) 
 	}
 
 	for _, parts := range []int{1, 2, 3, 5} {
-		var decoded []ShardState
+		var decoded []ShardBlob
 		per := (len(blocks) + parts - 1) / parts
 		for i := 0; i < parts; i++ {
 			lo, hi := i*per, (i+1)*per
@@ -80,9 +80,9 @@ func testShardCodecRoundTrip[B any](t *testing.T, chainName string, blocks []B) 
 				t.Fatalf("%d-way partition %d: decode→re-encode is not byte-identical (%d vs %d bytes)",
 					parts, i, len(reblob), len(blob))
 			}
-			decoded = append(decoded, dec)
+			decoded = append(decoded, ShardBlob{State: dec})
 		}
-		merged, err := MergeShards(decoded)
+		merged, _, err := MergeShards(decoded, false, nil)
 		if err != nil {
 			t.Fatalf("%d-way merge: %v", parts, err)
 		}
@@ -112,7 +112,7 @@ func TestShardCodecRoundTripXRP(t *testing.T) {
 // encode/decode (they feed the rate oracle behind Figure 7).
 func TestShardCodecXRPExchanges(t *testing.T) {
 	agg := NewXRPAggregator(chain.ObservationStart, 6*time.Hour)
-	if err := agg.IngestLedgers(genXRPLedgers(16)); err != nil {
+	if err := agg.IngestBatch(asBatch(genXRPLedgers(16))); err != nil {
 		t.Fatal(err)
 	}
 	agg.AddExchanges(genExchanges(8))
@@ -224,7 +224,11 @@ func TestMergeShardsValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := MergeShards(tc.shards)
+			blobs := make([]ShardBlob, len(tc.shards))
+			for i, st := range tc.shards {
+				blobs[i] = ShardBlob{State: st}
+			}
+			_, _, err := MergeShards(blobs, false, nil)
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
@@ -258,13 +262,13 @@ func TestEmitShardCrossBackend(t *testing.T) {
 	}
 	var blobs [][]byte
 	for _, loc := range locations {
-		key, err := EmitShard(ctx, loc, st)
-		if err != nil {
-			t.Fatalf("emit to %s: %v", loc, err)
-		}
 		store, err := blobstore.Resolve(loc)
 		if err != nil {
 			t.Fatal(err)
+		}
+		key, err := EmitShard(ctx, store, st, 0)
+		if err != nil {
+			t.Fatalf("emit to %s: %v", loc, err)
 		}
 		blob, err := store.Get(ctx, key)
 		if err != nil {
@@ -272,14 +276,14 @@ func TestEmitShardCrossBackend(t *testing.T) {
 		}
 		blobs = append(blobs, blob)
 
-		loaded, err := LoadShards(ctx, loc)
+		loaded, err := LoadShards(ctx, store)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(loaded) != 1 {
 			t.Fatalf("loaded %d shards from %s, want 1", len(loaded), loc)
 		}
-		if got, want := loaded[0].Summary().Render(), st.Summary().Render(); got != want {
+		if got, want := loaded[0].State.Summary().Render(), st.Summary().Render(); got != want {
 			t.Fatalf("render diverged after %s round-trip", loc)
 		}
 	}
@@ -295,7 +299,7 @@ func TestEmitShardRequiresRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := EmitShard(context.Background(), "mem://shard-no-range", st); err == nil {
+	if _, err := EmitShard(context.Background(), blobstore.NewMemory(), st, 0); err == nil {
 		t.Fatal("emitting a shard without a covered range succeeded")
 	}
 }
@@ -438,15 +442,15 @@ func BenchmarkShardMerge(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				shards := make([]ShardState, len(blobs))
+				shards := make([]ShardBlob, len(blobs))
 				for j, blob := range blobs {
 					st, err := DecodeShard(blob)
 					if err != nil {
 						b.Fatal(err)
 					}
-					shards[j] = st
+					shards[j] = ShardBlob{State: st}
 				}
-				if _, err := MergeShards(shards); err != nil {
+				if _, _, err := MergeShards(shards, false, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -2,6 +2,7 @@
 // coordinator-side load/validate/merge path behind cmd/merge. Shards land
 // on the same backends archive segments do (file://, mem://, s3://, plain
 // paths — see internal/blobstore), keyed by chain and covered block range.
+
 package core
 
 import (
@@ -19,11 +20,11 @@ import (
 // that also holds other objects (e.g. archive segments).
 const shardSuffix = ".shard"
 
-// ShardKey names an emitted shard blob from its chain and covered range —
+// shardKey names an emitted shard blob from its chain and covered range —
 // "eos-0000000001-0000000050.shard". The zero-padded range makes the
 // store's sorted listing a from-ordered listing, and makes two shards of
 // the same partition overwrite rather than accumulate.
-func ShardKey(st ShardState) (string, error) {
+func shardKey(st ShardState) (string, error) {
 	cov := st.Covered()
 	if !cov.Known() {
 		return "", fmt.Errorf("core: %s shard covers no known block range: SetCovered before emitting", st.Chain())
@@ -31,26 +32,16 @@ func ShardKey(st ShardState) (string, error) {
 	return fmt.Sprintf("%s-%010d-%010d%s", st.Chain(), cov.From, cov.To, shardSuffix), nil
 }
 
-// EmitShard serializes a drained shard state into the blob store at
-// location and returns the key it was stored under. The state must know
-// its covered range — an emitted shard without one could not be validated
-// against gaps and overlaps at merge time. The blob is unfenced;
-// coordinated workers emit through EmitShardFenced.
-func EmitShard(ctx context.Context, location string, st ShardState) (string, error) {
-	return EmitShardFenced(ctx, location, st, 0)
-}
-
-// EmitShardFenced is EmitShard with a lease fence token stamped into the
-// blob's envelope (fence 0 emits the unfenced envelope unchanged). A
-// coordinated worker stamps the Attempt of the lease it crawled under, so
-// merge-time fence verification can reject the emission of a zombie whose
-// lease was reclaimed mid-crawl.
-func EmitShardFenced(ctx context.Context, location string, st ShardState, fence uint64) (string, error) {
-	key, err := ShardKey(st)
-	if err != nil {
-		return "", err
-	}
-	store, err := blobstore.Resolve(location)
+// EmitShard serializes a drained shard state into the store and returns
+// the key it was stored under. The state must know its covered range — an
+// emitted shard without one could not be validated against gaps and
+// overlaps at merge time. fence is the lease fence token stamped into the
+// blob's envelope: a coordinated worker passes the Attempt of the lease it
+// crawled under, so merge-time fence verification can reject the emission
+// of a zombie whose lease was reclaimed mid-crawl; 0 emits the unfenced
+// envelope.
+func EmitShard(ctx context.Context, store blobstore.Store, st ShardState, fence uint64) (string, error) {
+	key, err := shardKey(st)
 	if err != nil {
 		return "", err
 	}
@@ -59,7 +50,7 @@ func EmitShardFenced(ctx context.Context, location string, st ShardState, fence 
 		return "", err
 	}
 	if err := store.Put(ctx, key, blob); err != nil {
-		return "", fmt.Errorf("core: storing shard %s: %w", key, err)
+		return "", fmt.Errorf("core: storing shard %s at %s: %w", key, store.URL(), err)
 	}
 	return key, nil
 }
@@ -113,7 +104,7 @@ func (b ShardBlob) Ref() string {
 // TaskName names the coordinator task that produced the blob — the shard
 // key minus its suffix, or the same "<chain>-<from>-<to>" string rebuilt
 // from the decoded state when the blob never touched a store. It is the
-// key fence floors are looked up under during MergeShardBlobsFenced.
+// key fence floors are looked up under during MergeShards.
 func (b ShardBlob) TaskName() string {
 	if b.Key != "" {
 		return strings.TrimSuffix(b.Key, shardSuffix)
@@ -125,36 +116,11 @@ func (b ShardBlob) TaskName() string {
 	return fmt.Sprintf("%s-%010d-%010d", b.State.Chain(), cov.From, cov.To)
 }
 
-// LoadShards lists location and decodes every *.shard blob in it. Any
-// undecodable blob is a loud error — a merge over silently dropped shards
-// would render confidently wrong figures.
-func LoadShards(ctx context.Context, location string) ([]ShardState, error) {
-	blobs, err := LoadShardBlobs(ctx, location)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]ShardState, len(blobs))
-	for i, b := range blobs {
-		out[i] = b.State
-	}
-	return out, nil
-}
-
-// LoadShardBlobs is LoadShards with provenance: each decoded state carries
-// the store URL and key it came from, which MergeShardBlobs threads into
-// its validation errors.
-func LoadShardBlobs(ctx context.Context, location string) ([]ShardBlob, error) {
-	store, err := blobstore.Resolve(location)
-	if err != nil {
-		return nil, err
-	}
-	return LoadShardBlobsFrom(ctx, store)
-}
-
-// LoadShardBlobsFrom is LoadShardBlobs over an already-open store — the
-// coordinator's path, whose store handle may be wrapped (fault injection)
-// or anonymous (in-memory tests) in ways a URL round-trip would lose.
-func LoadShardBlobsFrom(ctx context.Context, store blobstore.Store) ([]ShardBlob, error) {
+// LoadShards lists the store and decodes every *.shard blob in it, each
+// with its provenance (store URL, key, fence). Any undecodable blob is a
+// loud error — a merge over silently dropped shards would render
+// confidently wrong figures.
+func LoadShards(ctx context.Context, store blobstore.Store) ([]ShardBlob, error) {
 	keys, err := store.List(ctx, "")
 	if err != nil {
 		return nil, fmt.Errorf("core: listing shards at %s: %w", store.URL(), err)
@@ -187,32 +153,15 @@ func LoadShardBlobsFrom(ctx context.Context, store blobstore.Store) ([]ShardBlob
 // MergeShards validates a set of emitted shards and folds them into one
 // fresh state. All shards must share one chain and one window; every shard
 // must know its covered range; sorted by range the shards must tile a
-// contiguous block span — any overlap (blocks counted twice) or gap
-// (blocks never crawled) is a loud error naming the offending ranges.
-// Merge consumes the sources: they are reset as they fold in.
-func MergeShards(shards []ShardState) (ShardState, error) {
-	blobs := make([]ShardBlob, len(shards))
-	for i, st := range shards {
-		blobs[i] = ShardBlob{State: st}
-	}
-	merged, _, err := MergeShardBlobs(blobs, false)
-	return merged, err
-}
-
-// MergeShardBlobs is the provenance-aware, optionally gap-tolerant merge
-// behind MergeShards and the coordinator's degraded mode. Chain, window,
-// covered-range and overlap validation are identical to MergeShards —
-// always loud, with errors naming the offending blobs (store URL + key
-// when known). Gaps between sorted shards are an error when allowGaps is
-// false; when true they are returned as the missing block ranges and the
-// shards that did arrive merge anyway — the partial figures a coordinator
-// renders when a slice exhausted its retries, alongside a gap report
-// built from the returned ranges. Merge consumes the source states.
-func MergeShardBlobs(blobs []ShardBlob, allowGaps bool) (ShardState, []BlockRange, error) {
-	return MergeShardBlobsFenced(blobs, allowGaps, nil)
-}
-
-// MergeShardBlobsFenced is MergeShardBlobs with lease-fence verification:
+// contiguous block span. Chain, window, covered-range and overlap (blocks
+// counted twice) violations are always loud errors naming the offending
+// blobs (store URL + key when known). Gaps (blocks never crawled) between
+// sorted shards are an error when allowGaps is false; when true they are
+// returned as the missing block ranges and the shards that did arrive
+// merge anyway — the partial figures a coordinator renders when a slice
+// exhausted its retries, alongside a gap report built from the returned
+// ranges.
+//
 // minFence maps a task name (ShardBlob.TaskName) to the newest fence token
 // the store's lease lineage records for that task. A blob stamped with an
 // older fence — or no fence at all, when a floor exists — was emitted by a
@@ -221,7 +170,9 @@ func MergeShardBlobs(blobs []ShardBlob, allowGaps bool) (ShardState, []BlockRang
 // always a loud error, never a gap. Tasks absent from minFence (and every
 // task when minFence is nil) are accepted unchecked: lineage the store no
 // longer remembers cannot be enforced.
-func MergeShardBlobsFenced(blobs []ShardBlob, allowGaps bool, minFence map[string]uint64) (ShardState, []BlockRange, error) {
+//
+// Merge consumes the sources: they are reset as they fold in.
+func MergeShards(blobs []ShardBlob, allowGaps bool, minFence map[string]uint64) (ShardState, []BlockRange, error) {
 	if len(blobs) == 0 {
 		return nil, nil, fmt.Errorf("core: no shards to merge")
 	}

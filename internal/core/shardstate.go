@@ -158,3 +158,24 @@ func mergeAsShard[S ShardState](dst ShardState, src ShardState) (S, BlockRange, 
 	}
 	return typed, dst.Covered().Union(src.Covered()), nil
 }
+
+// parseBatch is the shared front half of every chain's IngestBatch: every
+// element must be the chain's Decode output type *B, and block times parse
+// before any state is touched, so a malformed block fails the whole batch
+// without ingesting any of it.
+func parseBatch[B any](batch []any, chainName string, blockTime func(*B) (time.Time, error)) ([]*B, []time.Time, error) {
+	blocks := make([]*B, len(batch))
+	times := make([]time.Time, len(batch))
+	for i, v := range batch {
+		b, ok := v.(*B)
+		if !ok {
+			return nil, nil, fmt.Errorf("core: %s batch element %d is %T, not %T", chainName, i, v, b)
+		}
+		ts, err := blockTime(b)
+		if err != nil {
+			return nil, nil, err
+		}
+		blocks[i], times[i] = b, ts
+	}
+	return blocks, times, nil
+}

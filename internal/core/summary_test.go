@@ -6,20 +6,20 @@ import (
 	"time"
 
 	"repro/internal/chain"
-	"repro/internal/rpcserve"
+	"repro/internal/wire"
 )
 
 // TestChainSummaryOrderIndependent is the property the archive replay path
 // rests on: however blocks arrive (live crawl worker interleavings vs.
 // replay interleavings), the rendered figures are byte-identical.
 func TestChainSummaryOrderIndependent(t *testing.T) {
-	mkBlocks := func() []*rpcserve.EOSBlockJSON {
+	mkBlocks := func() []*wire.EOSBlockJSON {
 		ts := chain.ObservationStart
-		var blocks []*rpcserve.EOSBlockJSON
+		var blocks []*wire.EOSBlockJSON
 		for i := 0; i < 12; i++ {
 			blocks = append(blocks, eosBlock(i+1, ts.Add(time.Duration(i)*time.Hour),
-				[]rpcserve.EOSActionJSON{transfer("eosio.token", "alice", "bob", "1.0000 EOS")},
-				[]rpcserve.EOSActionJSON{eosAction("whaleextrust", "verifytrade2", "whaleextrust", map[string]string{
+				[]wire.EOSActionJSON{transfer("eosio.token", "alice", "bob", "1.0000 EOS")},
+				[]wire.EOSActionJSON{eosAction("whaleextrust", "verifytrade2", "whaleextrust", map[string]string{
 					"buyer": "trader1", "seller": "trader1", "quantity": "5.0000 EOS",
 				})},
 			))
@@ -29,14 +29,14 @@ func TestChainSummaryOrderIndependent(t *testing.T) {
 
 	forward := NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
 	for _, b := range mkBlocks() {
-		if err := forward.IngestBlock(b); err != nil {
+		if err := forward.IngestBatch([]any{b}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	backward := NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
 	blocks := mkBlocks()
 	for i := len(blocks) - 1; i >= 0; i-- {
-		if err := backward.IngestBlock(blocks[i]); err != nil {
+		if err := backward.IngestBatch([]any{blocks[i]}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -51,9 +51,9 @@ func TestChainSummaryEOSContent(t *testing.T) {
 	a := NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
 	ts := chain.ObservationStart
 	for i := 0; i < 4; i++ {
-		if err := a.IngestBlock(eosBlock(i+1, ts.Add(time.Duration(i)*time.Second),
-			[]rpcserve.EOSActionJSON{transfer("eosio.token", "alice", "bob", "1.0000 EOS")},
-		)); err != nil {
+		if err := a.IngestBatch([]any{eosBlock(i+1, ts.Add(time.Duration(i)*time.Second),
+			[]wire.EOSActionJSON{transfer("eosio.token", "alice", "bob", "1.0000 EOS")},
+		)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -76,10 +76,10 @@ func TestChainSummaryEOSContent(t *testing.T) {
 
 func TestChainSummaryTezosAndXRP(t *testing.T) {
 	tz := NewTezosAggregator(chain.ObservationStart, 6*time.Hour)
-	if err := tz.IngestBlock(tezosBlock(1, chain.ObservationStart,
-		rpcserve.TezosOperationJSON{Kind: "endorsement", Level: 1, SlotCount: 1},
-		rpcserve.TezosOperationJSON{Kind: "transaction", Source: "tz1a", Destination: "tz1b", Amount: 5},
-	)); err != nil {
+	if err := tz.IngestBatch([]any{tezosBlock(1, chain.ObservationStart,
+		wire.TezosOperationJSON{Kind: "endorsement", Level: 1, SlotCount: 1},
+		wire.TezosOperationJSON{Kind: "transaction", Source: "tz1a", Destination: "tz1b", Amount: 5},
+	)}); err != nil {
 		t.Fatal(err)
 	}
 	out := SummarizeTezos(tz).Render()
@@ -91,10 +91,10 @@ func TestChainSummaryTezosAndXRP(t *testing.T) {
 	}
 
 	x := NewXRPAggregator(chain.ObservationStart, 6*time.Hour)
-	if err := x.IngestLedger(xrpLedger(1, chain.ObservationStart,
+	if err := x.IngestBatch([]any{xrpLedger(1, chain.ObservationStart,
 		payment("rA", "rB", xrpAmt("XRP", "", 10), "tesSUCCESS"),
 		payment("rA", "rB", xrpAmt("XRP", "", 10), "tecUNFUNDED_PAYMENT"),
-	)); err != nil {
+	)}); err != nil {
 		t.Fatal(err)
 	}
 	xout := SummarizeXRP(x).Render()

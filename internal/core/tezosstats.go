@@ -1,13 +1,12 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"time"
 
-	"repro/internal/rpcserve"
 	"repro/internal/stats"
+	"repro/internal/wire"
 )
 
 // TezosShard is the mutable aggregate state for a partition of Tezos
@@ -70,27 +69,16 @@ func (s *TezosShard) init(origin time.Time, bucket time.Duration) {
 	s.sentTo = make(map[string]map[string]int64)
 }
 
-// NewShard spawns an empty shard with the aggregator's series geometry,
-// exclusively owned by the caller until MergeShard.
-func (a *TezosAggregator) NewShard() *TezosShard {
+// NewState spawns an empty private shard with the aggregator's series
+// geometry, exclusively owned by the caller until MergeState.
+func (a *TezosAggregator) NewState() ShardState {
 	s := &TezosShard{}
 	s.init(a.Series.Origin(), a.Series.Width())
 	return s
 }
 
-// MergeShard folds a privately-owned shard into the aggregator under one
+// MergeState folds a compatible ShardState into the aggregator under one
 // lock acquisition and resets it.
-func (a *TezosAggregator) MergeShard(s *TezosShard) {
-	a.mu.Lock()
-	a.TezosShard.merge(s)
-	a.mu.Unlock()
-}
-
-// NewState spawns a private shard behind the ShardState contract.
-func (a *TezosAggregator) NewState() ShardState { return a.NewShard() }
-
-// MergeState folds a compatible ShardState into the aggregator under its
-// lock.
 func (a *TezosAggregator) MergeState(st ShardState) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -137,54 +125,14 @@ func (s *TezosShard) merge(src *TezosShard) {
 	src.init(origin, width)
 }
 
-// IngestBlock folds one crawled block into the aggregate. Safe for
-// concurrent use.
-func (a *TezosAggregator) IngestBlock(b *rpcserve.TezosBlockJSON) error {
-	return a.IngestBlocks([]*rpcserve.TezosBlockJSON{b})
-}
-
-// IngestBlocks folds a batch of blocks under a single lock acquisition.
-// Timestamps are parsed before the lock is taken; a malformed block fails
-// the whole batch without ingesting any of it.
-func (a *TezosAggregator) IngestBlocks(bs []*rpcserve.TezosBlockJSON) error {
-	times := make([]time.Time, len(bs))
-	for i, b := range bs {
-		ts, err := time.Parse(time.RFC3339, b.Timestamp)
-		if err != nil {
-			return err
-		}
-		times[i] = ts
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for i, b := range bs {
-		a.TezosShard.ingest(b, times[i])
-	}
-	return nil
-}
-
-// tezosBatch asserts and pre-parses an ingest-pool batch (see eosBatch).
-func tezosBatch(batch []any) ([]*rpcserve.TezosBlockJSON, []time.Time, error) {
-	blocks := make([]*rpcserve.TezosBlockJSON, len(batch))
-	times := make([]time.Time, len(batch))
-	for i, v := range batch {
-		b, ok := v.(*rpcserve.TezosBlockJSON)
-		if !ok {
-			return nil, nil, fmt.Errorf("core: tezos batch element %d is %T, not *rpcserve.TezosBlockJSON", i, v)
-		}
-		ts, err := time.Parse(time.RFC3339, b.Timestamp)
-		if err != nil {
-			return nil, nil, err
-		}
-		blocks[i], times[i] = b, ts
-	}
-	return blocks, times, nil
+func tezosBlockTime(b *wire.TezosBlockJSON) (time.Time, error) {
+	return time.Parse(time.RFC3339, b.Timestamp)
 }
 
 // IngestBatch folds a batch of decoded blocks into a privately-owned shard
 // — no locking; the shard's owner is the only writer.
 func (s *TezosShard) IngestBatch(batch []any) error {
-	blocks, times, err := tezosBatch(batch)
+	blocks, times, err := parseBatch(batch, "tezos", tezosBlockTime)
 	if err != nil {
 		return err
 	}
@@ -197,7 +145,7 @@ func (s *TezosShard) IngestBatch(batch []any) error {
 // IngestBatch folds a batch of decoded blocks into the aggregator, one
 // lock acquisition for the whole batch.
 func (a *TezosAggregator) IngestBatch(batch []any) error {
-	blocks, times, err := tezosBatch(batch)
+	blocks, times, err := parseBatch(batch, "tezos", tezosBlockTime)
 	if err != nil {
 		return err
 	}
@@ -210,7 +158,7 @@ func (a *TezosAggregator) IngestBatch(batch []any) error {
 }
 
 // ingest folds one block into the shard; the caller owns the shard.
-func (a *TezosShard) ingest(b *rpcserve.TezosBlockJSON, ts time.Time) {
+func (a *TezosShard) ingest(b *wire.TezosBlockJSON, ts time.Time) {
 	a.Blocks++
 	if a.FirstBlockTime.IsZero() || ts.Before(a.FirstBlockTime) {
 		a.FirstBlockTime = ts

@@ -6,11 +6,11 @@ import (
 	"time"
 
 	"repro/internal/chain"
-	"repro/internal/rpcserve"
+	"repro/internal/wire"
 )
 
-func tezosBlock(level int64, ts time.Time, ops ...rpcserve.TezosOperationJSON) *rpcserve.TezosBlockJSON {
-	return &rpcserve.TezosBlockJSON{
+func tezosBlock(level int64, ts time.Time, ops ...wire.TezosOperationJSON) *wire.TezosBlockJSON {
+	return &wire.TezosBlockJSON{
 		Level:      level,
 		Timestamp:  ts.Format(time.RFC3339),
 		Baker:      "tz1baker",
@@ -21,18 +21,18 @@ func tezosBlock(level int64, ts time.Time, ops ...rpcserve.TezosOperationJSON) *
 func TestTezosAggregatorShares(t *testing.T) {
 	a := NewTezosAggregator(chain.ObservationStart, 6*time.Hour)
 	ts := chain.ObservationStart
-	var ops []rpcserve.TezosOperationJSON
+	var ops []wire.TezosOperationJSON
 	for i := 0; i < 23; i++ {
-		ops = append(ops, rpcserve.TezosOperationJSON{Kind: "endorsement", Level: 1, SlotCount: 1})
+		ops = append(ops, wire.TezosOperationJSON{Kind: "endorsement", Level: 1, SlotCount: 1})
 	}
 	ops = append(ops,
-		rpcserve.TezosOperationJSON{Kind: "transaction", Source: "tz1a", Destination: "tz1b", Amount: 100},
-		rpcserve.TezosOperationJSON{Kind: "transaction", Source: "tz1a", Destination: "tz1c", Amount: 100},
-		rpcserve.TezosOperationJSON{Kind: "reveal", Source: "tz1a"},
-		rpcserve.TezosOperationJSON{Kind: "seed_nonce_revelation"},
-		rpcserve.TezosOperationJSON{Kind: "delegation", Source: "tz1a", Delegate: "tz1baker"},
+		wire.TezosOperationJSON{Kind: "transaction", Source: "tz1a", Destination: "tz1b", Amount: 100},
+		wire.TezosOperationJSON{Kind: "transaction", Source: "tz1a", Destination: "tz1c", Amount: 100},
+		wire.TezosOperationJSON{Kind: "reveal", Source: "tz1a"},
+		wire.TezosOperationJSON{Kind: "seed_nonce_revelation"},
+		wire.TezosOperationJSON{Kind: "delegation", Source: "tz1a", Delegate: "tz1baker"},
 	)
-	if err := a.IngestBlock(tezosBlock(2, ts, ops...)); err != nil {
+	if err := a.IngestBatch([]any{tezosBlock(2, ts, ops...)}); err != nil {
 		t.Fatal(err)
 	}
 	if a.Operations != 28 {
@@ -55,10 +55,10 @@ func TestTezosAggregatorShares(t *testing.T) {
 func TestTezosTopSendersFanOut(t *testing.T) {
 	a := NewTezosAggregator(chain.ObservationStart, 6*time.Hour)
 	ts := chain.ObservationStart
-	var ops []rpcserve.TezosOperationJSON
+	var ops []wire.TezosOperationJSON
 	// Airdropper: one tx each to 100 receivers (avg 1, stdev 0).
 	for i := 0; i < 100; i++ {
-		ops = append(ops, rpcserve.TezosOperationJSON{
+		ops = append(ops, wire.TezosOperationJSON{
 			Kind: "transaction", Source: "tz1airdrop",
 			Destination: fmt.Sprintf("tz1recv%03d", i), Amount: 1,
 		})
@@ -66,13 +66,13 @@ func TestTezosTopSendersFanOut(t *testing.T) {
 	// Service: 30 txs each to 3 receivers (avg 30).
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 30; j++ {
-			ops = append(ops, rpcserve.TezosOperationJSON{
+			ops = append(ops, wire.TezosOperationJSON{
 				Kind: "transaction", Source: "tz1service",
 				Destination: fmt.Sprintf("tz1client%d", i), Amount: 5,
 			})
 		}
 	}
-	a.IngestBlock(tezosBlock(1, ts, ops...))
+	a.IngestBatch([]any{tezosBlock(1, ts, ops...)})
 
 	top := a.TopSenders(2)
 	if top[0].Sender != "tz1airdrop" || top[0].Sent != 100 || top[0].UniqueReceivers != 100 {
@@ -90,16 +90,16 @@ func TestTezosVoteSeries(t *testing.T) {
 	a := NewTezosAggregator(chain.ObservationStart, 6*time.Hour)
 	day := 24 * time.Hour
 	base := time.Date(2019, 8, 9, 0, 0, 0, 0, time.UTC)
-	a.IngestBlock(tezosBlock(1, base,
-		rpcserve.TezosOperationJSON{Kind: "ballot", Source: "tz1b1", Proposal: "PsBabyM2", Ballot: "yay", Rolls: 500},
-		rpcserve.TezosOperationJSON{Kind: "ballot", Source: "tz1b2", Proposal: "PsBabyM2", Ballot: "pass", Rolls: 100},
-	))
-	a.IngestBlock(tezosBlock(2, base.Add(3*day),
-		rpcserve.TezosOperationJSON{Kind: "ballot", Source: "tz1b3", Proposal: "PsBabyM2", Ballot: "yay", Rolls: 800},
-	))
-	a.IngestBlock(tezosBlock(3, base.Add(5*day),
-		rpcserve.TezosOperationJSON{Kind: "proposals", Source: "tz1b1", Proposal: "PsCarthage", Rolls: 700},
-	))
+	a.IngestBatch([]any{tezosBlock(1, base,
+		wire.TezosOperationJSON{Kind: "ballot", Source: "tz1b1", Proposal: "PsBabyM2", Ballot: "yay", Rolls: 500},
+		wire.TezosOperationJSON{Kind: "ballot", Source: "tz1b2", Proposal: "PsBabyM2", Ballot: "pass", Rolls: 100},
+	)})
+	a.IngestBatch([]any{tezosBlock(2, base.Add(3*day),
+		wire.TezosOperationJSON{Kind: "ballot", Source: "tz1b3", Proposal: "PsBabyM2", Ballot: "yay", Rolls: 800},
+	)})
+	a.IngestBatch([]any{tezosBlock(3, base.Add(5*day),
+		wire.TezosOperationJSON{Kind: "proposals", Source: "tz1b1", Proposal: "PsCarthage", Rolls: 700},
+	)})
 
 	ballots := a.VoteSeries("ballot", day)
 	if got := ballots.Total("yay"); got != 1300 {

@@ -1,14 +1,13 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
-	"repro/internal/rpcserve"
 	"repro/internal/stats"
+	"repro/internal/wire"
 	"repro/internal/xrp"
 )
 
@@ -103,27 +102,16 @@ func (s *XRPShard) init(origin time.Time, bucket time.Duration) {
 	s.restingOffers = make(map[offerRef]bool)
 }
 
-// NewShard spawns an empty shard with the aggregator's series geometry,
-// exclusively owned by the caller until MergeShard.
-func (a *XRPAggregator) NewShard() *XRPShard {
+// NewState spawns an empty private shard with the aggregator's series
+// geometry, exclusively owned by the caller until MergeState.
+func (a *XRPAggregator) NewState() ShardState {
 	s := &XRPShard{}
 	s.init(a.Series.Origin(), a.Series.Width())
 	return s
 }
 
-// MergeShard folds a privately-owned shard into the aggregator under one
+// MergeState folds a compatible ShardState into the aggregator under one
 // lock acquisition and resets it.
-func (a *XRPAggregator) MergeShard(s *XRPShard) {
-	a.mu.Lock()
-	a.XRPShard.merge(s)
-	a.mu.Unlock()
-}
-
-// NewState spawns a private shard behind the ShardState contract.
-func (a *XRPAggregator) NewState() ShardState { return a.NewShard() }
-
-// MergeState folds a compatible ShardState into the aggregator under its
-// lock.
 func (a *XRPAggregator) MergeState(st ShardState) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -189,54 +177,14 @@ func (s *XRPShard) merge(src *XRPShard) {
 	src.init(origin, width)
 }
 
-// IngestLedger folds one crawled ledger into the aggregate. Safe for
-// concurrent use.
-func (a *XRPAggregator) IngestLedger(l *rpcserve.XRPLedgerJSON) error {
-	return a.IngestLedgers([]*rpcserve.XRPLedgerJSON{l})
-}
-
-// IngestLedgers folds a batch of ledgers under a single lock acquisition.
-// Close times are parsed before the lock is taken; a malformed ledger fails
-// the whole batch without ingesting any of it.
-func (a *XRPAggregator) IngestLedgers(ls []*rpcserve.XRPLedgerJSON) error {
-	times := make([]time.Time, len(ls))
-	for i, l := range ls {
-		ts, err := time.Parse(time.RFC3339, l.CloseTime)
-		if err != nil {
-			return err
-		}
-		times[i] = ts
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for i, l := range ls {
-		a.XRPShard.ingest(l, times[i])
-	}
-	return nil
-}
-
-// xrpBatch asserts and pre-parses an ingest-pool batch (see eosBatch).
-func xrpBatch(batch []any) ([]*rpcserve.XRPLedgerJSON, []time.Time, error) {
-	ledgers := make([]*rpcserve.XRPLedgerJSON, len(batch))
-	times := make([]time.Time, len(batch))
-	for i, v := range batch {
-		l, ok := v.(*rpcserve.XRPLedgerJSON)
-		if !ok {
-			return nil, nil, fmt.Errorf("core: xrp batch element %d is %T, not *rpcserve.XRPLedgerJSON", i, v)
-		}
-		ts, err := time.Parse(time.RFC3339, l.CloseTime)
-		if err != nil {
-			return nil, nil, err
-		}
-		ledgers[i], times[i] = l, ts
-	}
-	return ledgers, times, nil
+func xrpCloseTime(l *wire.XRPLedgerJSON) (time.Time, error) {
+	return time.Parse(time.RFC3339, l.CloseTime)
 }
 
 // IngestBatch folds a batch of decoded ledgers into a privately-owned
 // shard — no locking; the shard's owner is the only writer.
 func (s *XRPShard) IngestBatch(batch []any) error {
-	ledgers, times, err := xrpBatch(batch)
+	ledgers, times, err := parseBatch(batch, "xrp", xrpCloseTime)
 	if err != nil {
 		return err
 	}
@@ -249,7 +197,7 @@ func (s *XRPShard) IngestBatch(batch []any) error {
 // IngestBatch folds a batch of decoded ledgers into the aggregator, one
 // lock acquisition for the whole batch.
 func (a *XRPAggregator) IngestBatch(batch []any) error {
-	ledgers, times, err := xrpBatch(batch)
+	ledgers, times, err := parseBatch(batch, "xrp", xrpCloseTime)
 	if err != nil {
 		return err
 	}
@@ -262,7 +210,7 @@ func (a *XRPAggregator) IngestBatch(batch []any) error {
 }
 
 // ingest folds one ledger into the shard; the caller owns the shard.
-func (a *XRPShard) ingest(l *rpcserve.XRPLedgerJSON, ts time.Time) {
+func (a *XRPShard) ingest(l *wire.XRPLedgerJSON, ts time.Time) {
 	a.Ledgers++
 	if a.FirstLedgerTime.IsZero() || ts.Before(a.FirstLedgerTime) {
 		a.FirstLedgerTime = ts

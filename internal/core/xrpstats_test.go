@@ -5,12 +5,12 @@ import (
 	"time"
 
 	"repro/internal/chain"
-	"repro/internal/rpcserve"
+	"repro/internal/wire"
 	"repro/internal/xrp"
 )
 
-func xrpLedger(index int64, ts time.Time, txs ...rpcserve.XRPTxJSON) *rpcserve.XRPLedgerJSON {
-	return &rpcserve.XRPLedgerJSON{
+func xrpLedger(index int64, ts time.Time, txs ...wire.XRPTxJSON) *wire.XRPLedgerJSON {
+	return &wire.XRPLedgerJSON{
 		LedgerIndex:  index,
 		CloseTime:    ts.Format(time.RFC3339),
 		TxCount:      len(txs),
@@ -18,12 +18,12 @@ func xrpLedger(index int64, ts time.Time, txs ...rpcserve.XRPTxJSON) *rpcserve.X
 	}
 }
 
-func xrpAmt(currency, issuer string, units int64) *rpcserve.XRPAmountJSON {
-	return &rpcserve.XRPAmountJSON{Currency: currency, Issuer: issuer, Value: units * xrp.DropsPerXRP}
+func xrpAmt(currency, issuer string, units int64) *wire.XRPAmountJSON {
+	return &wire.XRPAmountJSON{Currency: currency, Issuer: issuer, Value: units * xrp.DropsPerXRP}
 }
 
-func payment(from, to string, amt *rpcserve.XRPAmountJSON, result string) rpcserve.XRPTxJSON {
-	tx := rpcserve.XRPTxJSON{
+func payment(from, to string, amt *wire.XRPAmountJSON, result string) wire.XRPTxJSON {
+	tx := wire.XRPTxJSON{
 		TransactionType: "Payment", Account: from, Destination: to,
 		Amount: amt, Result: result,
 	}
@@ -40,21 +40,21 @@ func TestXRPAggregatorDecompose(t *testing.T) {
 
 	// 10 transactions: 1 failed payment, 2 XRP payments (value), 3 IOU
 	// payments of a worthless token, 3 offers (1 executed), 1 TrustSet.
-	a.IngestLedger(xrpLedger(1, ts,
+	a.IngestBatch([]any{xrpLedger(1, ts,
 		payment("rA", "rB", xrpAmt("XRP", "", 100), "tecUNFUNDED_PAYMENT"),
 		payment("rA", "rB", xrpAmt("XRP", "", 10), "tesSUCCESS"),
 		payment("rB", "rA", xrpAmt("XRP", "", 20), "tesSUCCESS"),
 		payment("rC", "rD", xrpAmt("JNK", gw, 500), "tesSUCCESS"),
 		payment("rC", "rD", xrpAmt("JNK", gw, 500), "tesSUCCESS"),
 		payment("rD", "rC", xrpAmt("JNK", gw, 500), "tesSUCCESS"),
-		rpcserve.XRPTxJSON{TransactionType: "OfferCreate", Account: "rE", Sequence: 1,
+		wire.XRPTxJSON{TransactionType: "OfferCreate", Account: "rE", Sequence: 1,
 			Result: "tesSUCCESS", Executed: true},
-		rpcserve.XRPTxJSON{TransactionType: "OfferCreate", Account: "rE", Sequence: 2,
+		wire.XRPTxJSON{TransactionType: "OfferCreate", Account: "rE", Sequence: 2,
 			Result: "tesSUCCESS", RestingSequence: 2},
-		rpcserve.XRPTxJSON{TransactionType: "OfferCreate", Account: "rF", Sequence: 1,
+		wire.XRPTxJSON{TransactionType: "OfferCreate", Account: "rF", Sequence: 1,
 			Result: "tesSUCCESS", RestingSequence: 1},
-		rpcserve.XRPTxJSON{TransactionType: "TrustSet", Account: "rC", Result: "tesSUCCESS"},
-	))
+		wire.XRPTxJSON{TransactionType: "TrustSet", Account: "rC", Result: "tesSUCCESS"},
+	)})
 
 	d := a.Decompose()
 	if d.Total != 10 {
@@ -85,10 +85,10 @@ func TestXRPAggregatorDecompose(t *testing.T) {
 
 func TestXRPMakerFillCountsAsExchanged(t *testing.T) {
 	a := NewXRPAggregator(chain.ObservationStart, 6*time.Hour)
-	a.IngestLedger(xrpLedger(1, chain.ObservationStart,
-		rpcserve.XRPTxJSON{TransactionType: "OfferCreate", Account: "rMaker", Sequence: 7,
+	a.IngestBatch([]any{xrpLedger(1, chain.ObservationStart,
+		wire.XRPTxJSON{TransactionType: "OfferCreate", Account: "rMaker", Sequence: 7,
 			Result: "tesSUCCESS", RestingSequence: 7},
-	))
+	)})
 	d := a.Decompose()
 	if d.OffersExchanged != 0 {
 		t.Fatal("resting offer counted as exchanged prematurely")
@@ -142,20 +142,20 @@ func TestXRPRatesFromExchanges(t *testing.T) {
 
 func TestXRPTopAccountsAndDestTag(t *testing.T) {
 	a := NewXRPAggregator(chain.ObservationStart, 6*time.Hour)
-	var txs []rpcserve.XRPTxJSON
+	var txs []wire.XRPTxJSON
 	for i := 0; i < 98; i++ {
-		txs = append(txs, rpcserve.XRPTxJSON{
+		txs = append(txs, wire.XRPTxJSON{
 			TransactionType: "OfferCreate", Account: "rHuobiBot", Sequence: uint32(i + 1),
 			Result: "tesSUCCESS", RestingSequence: uint32(i + 1),
 		})
 	}
-	txs = append(txs, rpcserve.XRPTxJSON{
+	txs = append(txs, wire.XRPTxJSON{
 		TransactionType: "Payment", Account: "rHuobiBot", Destination: "rHuobi",
 		DestinationTag: 104398, Amount: xrpAmt("XRP", "", 1), Result: "tesSUCCESS",
 		DeliveredAmount: xrpAmt("XRP", "", 1),
 	})
 	txs = append(txs, payment("rSmall", "rOther", xrpAmt("XRP", "", 1), "tesSUCCESS"))
-	a.IngestLedger(xrpLedger(1, chain.ObservationStart, txs...))
+	a.IngestBatch([]any{xrpLedger(1, chain.ObservationStart, txs...)})
 
 	top := a.TopAccounts(1)
 	if top[0].Account != "rHuobiBot" || top[0].Total != 99 {
@@ -183,11 +183,11 @@ func TestXRPValueFlowClusters(t *testing.T) {
 		Counter:   xrp.AssetKey{Currency: "XRP"},
 		BaseValue: 1 * xrp.DropsPerXRP, CounterValue: 5 * xrp.DropsPerXRP, // 5 XRP/USD
 	}})
-	a.IngestLedger(xrpLedger(1, chain.ObservationStart,
+	a.IngestBatch([]any{xrpLedger(1, chain.ObservationStart,
 		payment("rBinance1", "rUser1", xrpAmt("XRP", "", 1000), "tesSUCCESS"),
 		payment("rBinance2", "rUser2", xrpAmt("USD", gw, 100), "tesSUCCESS"),     // 500 XRP eq
 		payment("rNobody", "rUser3", xrpAmt("JNK", gw, 1_000_000), "tesSUCCESS"), // worthless
-	))
+	)})
 	cluster := func(addr string) string {
 		if addr == "rBinance1" || addr == "rBinance2" {
 			return "Binance"

@@ -39,7 +39,7 @@ func (o Options) replayReader(stage, chain string, from, to int64) (rd *archive.
 	if dir == "" {
 		return nil, false, nil
 	}
-	rd, err = archive.Open(dir)
+	rd, err = archive.OpenWith(dir, archive.OpenOptions{})
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, false, nil
 	}

@@ -38,7 +38,7 @@ func TestPipelineArchiveReplayReproducesFigures(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, stage := range []string{"eos", "tezos", "xrp", "governance"} {
-		rd, err := archive.Open(filepath.Join(dir, stage))
+		rd, err := archive.OpenWith(filepath.Join(dir, stage), archive.OpenOptions{})
 		if err != nil {
 			t.Fatalf("stage %s archived nothing: %v", stage, err)
 		}

@@ -376,7 +376,7 @@ func (r *Result) runEOS(ctx context.Context, opts Options, pool *collect.Pool) (
 
 	agg := core.NewEOSAggregator(chain.ObservationStart, opts.Bucket)
 	dec, releaseFeed, err := opts.serveFeed("eos", core.Window{Origin: chain.ObservationStart, Bucket: opts.Bucket},
-		func() core.ChainSummary { return core.SummarizeEOS(agg) }, core.EOSDecoder{Agg: agg})
+		func() core.ChainSummary { return core.SummarizeEOS(agg) }, agg.Decoder())
 	if err != nil {
 		return StageStats{}, err
 	}
@@ -418,7 +418,7 @@ func (r *Result) runTezos(ctx context.Context, opts Options, pool *collect.Pool)
 
 	agg := core.NewTezosAggregator(chain.ObservationStart, opts.Bucket)
 	dec, releaseFeed, err := opts.serveFeed("tezos", core.Window{Origin: chain.ObservationStart, Bucket: opts.Bucket},
-		func() core.ChainSummary { return core.SummarizeTezos(agg) }, core.TezosDecoder{Agg: agg})
+		func() core.ChainSummary { return core.SummarizeTezos(agg) }, agg.Decoder())
 	if err != nil {
 		return StageStats{}, err
 	}
@@ -464,7 +464,7 @@ func (r *Result) runGovernance(ctx context.Context, opts Options, pool *collect.
 	govWindow := core.Window{Origin: time.Date(2019, time.July, 17, 0, 0, 0, 0, time.UTC), Bucket: 24 * time.Hour}
 	agg := core.NewTezosAggregator(govWindow.Origin, govWindow.Bucket)
 	dec, releaseFeed, err := opts.serveFeed("governance", govWindow,
-		func() core.ChainSummary { return core.SummarizeTezos(agg) }, core.TezosDecoder{Agg: agg})
+		func() core.ChainSummary { return core.SummarizeTezos(agg) }, agg.Decoder())
 	if err != nil {
 		return StageStats{}, err
 	}
@@ -528,7 +528,7 @@ func (r *Result) runXRP(ctx context.Context, opts Options, pool *collect.Pool) (
 
 	agg := core.NewXRPAggregator(chain.ObservationStart, opts.Bucket)
 	dec, releaseFeed, err := opts.serveFeed("xrp", core.Window{Origin: chain.ObservationStart, Bucket: opts.Bucket},
-		func() core.ChainSummary { return core.SummarizeXRP(agg) }, core.XRPDecoder{Agg: agg})
+		func() core.ChainSummary { return core.SummarizeXRP(agg) }, agg.Decoder())
 	if err != nil {
 		return StageStats{}, err
 	}

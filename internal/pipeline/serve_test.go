@@ -49,7 +49,7 @@ func (s *recordingSink) Register(chain string, w core.Window, summarize func() c
 
 func TestServeFeedWiring(t *testing.T) {
 	agg := core.NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
-	base := core.Decoder(core.EOSDecoder{Agg: agg})
+	base := agg.Decoder()
 	summarize := func() core.ChainSummary { return core.SummarizeEOS(agg) }
 	window := core.Window{Origin: chain.ObservationStart, Bucket: 6 * time.Hour}
 

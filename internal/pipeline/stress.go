@@ -17,14 +17,14 @@ import (
 // airdrop week at a hotter arrival rate (the scale divisor is cut to a
 // quarter of the EOS stage's default, i.e. roughly 4x the per-block
 // traffic), serves it over the nodeos RPC, and drives the whole history
-// through the streaming ingestion API — collect.Stream into
-// core.EOSDecoder under core.IngestStream. Its wall-clock and pipeline TPS
+// through the streaming ingestion API — collect.Stream into the EOS
+// aggregator's decoder under core.IngestStream. Its wall-clock and pipeline TPS
 // land in Result.StageMetrics next to the built-in stages, so the stress
 // replay's throughput is tracked by the same StageTimings table.
 //
 // The stage composes the two extension points this package exposes: the
 // scheduler knows nothing about it (ExtraStages), and the measurement side
-// reuses the chain-agnostic Ingestor/Decoder contract. It takes the full
+// reuses the chain-agnostic Decoder contract. It takes the full
 // pipeline Options so its crawl honours the same knobs as the built-in
 // stages — Workers, Buffer, IngestWorkers, Batch, and (when Options.Pool
 // is set, as cmd/report -stress does) the shared fetch pool, keeping the
@@ -63,7 +63,7 @@ func EIDOSStressStage(o StageOptions, opts Options) Stage {
 			agg := core.NewEOSAggregator(chain.EIDOSLaunch, 6*time.Hour)
 			crawl, err := crawlInto(ctx, collect.NewEOSClient(url), collect.CrawlConfig{
 				Workers: opts.Workers, Pool: opts.Pool, Buffer: opts.Buffer,
-			}, core.EOSDecoder{Agg: agg}, opts.ingestConfig())
+			}, agg.Decoder(), opts.ingestConfig())
 			if err != nil {
 				return StageStats{}, err
 			}

@@ -115,25 +115,6 @@ type eosGetBlockRequest struct {
 	BlockNumOrID json.Number `json:"block_num_or_id"`
 }
 
-// EOSBlockJSON is the wire shape of one block, structurally close to nodeos
-// (transactions wrap a trx object carrying actions). The shapes and their
-// pooled codecs live in internal/wire; the aliases keep this package the
-// public face of the RPC surface.
-type EOSBlockJSON = wire.EOSBlockJSON
-
-// EOSTrxJSON is one transaction receipt.
-type EOSTrxJSON = wire.EOSTrxJSON
-
-// EOSActionJSON is one action.
-type EOSActionJSON = wire.EOSActionJSON
-
-// BlockToJSON converts a simulator block to its wire shape.
-func BlockToJSON(b *eos.Block) EOSBlockJSON {
-	var out EOSBlockJSON
-	wire.EOSWireBlock(b, &out)
-	return out
-}
-
 func (s *EOSServer) getBlock(w http.ResponseWriter, r *http.Request) {
 	var req eosGetBlockRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {

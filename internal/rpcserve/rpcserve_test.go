@@ -13,6 +13,7 @@ import (
 	"repro/internal/chain"
 	"repro/internal/eos"
 	"repro/internal/tezos"
+	"repro/internal/wire"
 	"repro/internal/wsrpc"
 	"repro/internal/xrp"
 )
@@ -171,7 +172,7 @@ func TestXRPServerCommands(t *testing.T) {
 	})
 	var full struct {
 		Result struct {
-			Ledger XRPLedgerJSON `json:"ledger"`
+			Ledger wire.XRPLedgerJSON `json:"ledger"`
 		} `json:"result"`
 	}
 	if err := conn.ReadJSON(&full); err != nil {
@@ -190,10 +191,11 @@ func TestXRPServerCommands(t *testing.T) {
 	}
 }
 
-func TestBlockToJSONShapes(t *testing.T) {
+func TestEOSWireBlockShapes(t *testing.T) {
 	c := eos.New(eos.DefaultConfig(1000))
 	blk := c.ProduceBlock()
-	j := BlockToJSON(blk)
+	var j wire.EOSBlockJSON
+	wire.EOSWireBlock(blk, &j)
 	if j.BlockNum != 1 || j.Producer == "" || j.ID == "" {
 		t.Fatalf("json: %+v", j)
 	}

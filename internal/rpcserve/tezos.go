@@ -68,20 +68,6 @@ func (s *TezosServer) periods(w http.ResponseWriter, r *http.Request) {
 // ServeHTTP implements http.Handler.
 func (s *TezosServer) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// TezosBlockJSON is the wire shape of one block: a header plus operations.
-// The shape and its pooled codec live in internal/wire.
-type TezosBlockJSON = wire.TezosBlockJSON
-
-// TezosOperationJSON is one operation.
-type TezosOperationJSON = wire.TezosOperationJSON
-
-// TezosBlockToJSON converts a simulator block to its wire shape.
-func TezosBlockToJSON(b *tezos.Block) TezosBlockJSON {
-	var out TezosBlockJSON
-	wire.TezosWireBlock(b, &out)
-	return out
-}
-
 func (s *TezosServer) head(w http.ResponseWriter, r *http.Request) {
 	s.writeBlock(w, s.Chain.HeadLevel(), "chain is empty")
 }

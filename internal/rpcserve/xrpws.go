@@ -46,26 +46,16 @@ type xrpResponse struct {
 	Error  string `json:"error,omitempty"`
 }
 
-// XRPLedgerJSON is the wire shape of one closed ledger. The shapes and
-// their pooled codecs live in internal/wire.
-type XRPLedgerJSON = wire.XRPLedgerJSON
-
-// XRPTxJSON is one transaction with its metadata result.
-type XRPTxJSON = wire.XRPTxJSON
-
-// XRPAmountJSON carries either drops (native) or an IOU triple.
-type XRPAmountJSON = wire.XRPAmountJSON
-
-func amountJSON(a xrp.Amount) *XRPAmountJSON {
+func amountJSON(a xrp.Amount) *wire.XRPAmountJSON {
 	if a.Value == 0 && a.Currency == "" {
 		return nil
 	}
-	return &XRPAmountJSON{Currency: a.Currency, Issuer: string(a.Issuer), Value: a.Value}
+	return &wire.XRPAmountJSON{Currency: a.Currency, Issuer: string(a.Issuer), Value: a.Value}
 }
 
 // XRPLedgerToJSON converts a ledger (with transactions when expand is set).
-func XRPLedgerToJSON(l *xrp.Ledger, expand bool) XRPLedgerJSON {
-	var out XRPLedgerJSON
+func XRPLedgerToJSON(l *xrp.Ledger, expand bool) wire.XRPLedgerJSON {
+	var out wire.XRPLedgerJSON
 	c := wire.GetCodec()
 	c.XRPWireLedger(l, expand, &out)
 	wire.PutCodec(c)

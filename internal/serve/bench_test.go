@@ -13,7 +13,7 @@ import (
 // blocks that summaries and figures have realistic shape.
 func benchSetup(b *testing.B) (http.Handler, *Publisher, *core.EOSAggregator, func()) {
 	p, agg, release := newEOSPublisher(b)
-	if err := agg.IngestBlocks(eosBlocks(2048, 1)); err != nil {
+	if err := agg.IngestBatch(eosBlocks(2048, 1)); err != nil {
 		b.Fatal(err)
 	}
 	p.Publish()
@@ -63,7 +63,7 @@ func BenchmarkServeIngestWhileQuery(b *testing.B) {
 				return
 			default:
 			}
-			if err := agg.IngestBlocks(eosBlocks(16, 10_000+i*16)); err != nil {
+			if err := agg.IngestBatch(eosBlocks(16, 10_000+i*16)); err != nil {
 				b.Errorf("ingest: %v", err)
 				return
 			}

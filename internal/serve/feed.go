@@ -13,8 +13,8 @@ import (
 // FeedConfig parameterizes one chain's ingest feed into a publisher. Both
 // feed shapes (live crawl and archive replay) ingest through
 // core.PeriodicMerge, so each worker's private shard folds into the shared
-// aggregator every MergeEvery batches — mid-crawl snapshots see the stream
-// in epoch-sized increments instead of only at drain.
+// aggregator every few batches — mid-crawl snapshots see the stream in
+// epoch-sized increments instead of only at drain.
 type FeedConfig struct {
 	// Chain names the feed ("eos", "tezos", "xrp") and keys its snapshot
 	// entry. For archive feeds, zero means the archive manifest's chain.
@@ -25,9 +25,6 @@ type FeedConfig struct {
 	// drained feed's figures byte-comparable with theirs.
 	Origin time.Time
 	Bucket time.Duration
-	// MergeEvery is how many batches each ingest worker folds between
-	// shard merges (0: core.PeriodicMerge's default).
-	MergeEvery int
 	// Ingest sizes the decode/ingest pool.
 	Ingest core.IngestConfig
 }
@@ -57,7 +54,7 @@ func (p *Publisher) Feed(ctx context.Context, f collect.BlockFetcher, ccfg colle
 		return collect.CrawlResult{}, err
 	}
 	defer release()
-	dec := core.PeriodicMerge(kit.Decoder, cfg.MergeEvery)
+	dec := core.PeriodicMerge(kit.Decoder, 0)
 	res, _, err := core.IngestCrawl(ctx, f, ccfg, dec, cfg.Ingest)
 	return res, err
 }
@@ -80,6 +77,6 @@ func (p *Publisher) FeedArchive(ctx context.Context, rd *archive.Reader, cfg Fee
 		return 0, err
 	}
 	defer release()
-	dec := core.PeriodicMerge(kit.Decoder, cfg.MergeEvery)
+	dec := core.PeriodicMerge(kit.Decoder, 0)
 	return core.IngestArchive(ctx, rd, dec, cfg.Ingest)
 }

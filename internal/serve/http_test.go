@@ -41,7 +41,7 @@ func TestHandlerReadyzBeforeFirstEpoch(t *testing.T) {
 
 func TestHandlerEndpoints(t *testing.T) {
 	p, agg, release := newEOSPublisher(t)
-	if err := agg.IngestBlocks(eosBlocks(20, 1)); err != nil {
+	if err := agg.IngestBatch(eosBlocks(20, 1)); err != nil {
 		t.Fatal(err)
 	}
 	snap := p.Publish()

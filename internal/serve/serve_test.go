@@ -10,22 +10,21 @@ import (
 
 	"repro/internal/chain"
 	"repro/internal/core"
-	"repro/internal/rpcserve"
 	"repro/internal/wire"
 )
 
-// eosBlocks builds n synthetic EOS blocks numbered start..start+n-1, each
-// carrying one token transfer, timestamped inside the paper's observation
-// window so the series buckets normally.
-func eosBlocks(n int, start int64) []*rpcserve.EOSBlockJSON {
+// eosBlocks builds an ingest batch of n synthetic EOS blocks numbered
+// start..start+n-1, each carrying one token transfer, timestamped inside
+// the paper's observation window so the series buckets normally.
+func eosBlocks(n int, start int64) []any {
 	base := time.Date(2019, time.October, 2, 0, 0, 0, 0, time.UTC)
-	blocks := make([]*rpcserve.EOSBlockJSON, n)
+	blocks := make([]any, n)
 	for i := range blocks {
 		num := start + int64(i)
-		var trx rpcserve.EOSTrxJSON
+		var trx wire.EOSTrxJSON
 		trx.Status = "executed"
 		trx.Trx.ID = fmt.Sprintf("tx%08d", num)
-		trx.Trx.Transaction.Actions = []rpcserve.EOSActionJSON{{
+		trx.Trx.Transaction.Actions = []wire.EOSActionJSON{{
 			Account:       "eosio.token",
 			Name:          "transfer",
 			Authorization: []map[string]string{{"actor": fmt.Sprintf("user%d", num%7)}},
@@ -35,11 +34,11 @@ func eosBlocks(n int, start int64) []*rpcserve.EOSBlockJSON {
 				"quantity": "1.0000 EOS",
 			},
 		}}
-		blocks[i] = &rpcserve.EOSBlockJSON{
+		blocks[i] = &wire.EOSBlockJSON{
 			BlockNum:     uint32(num),
 			Timestamp:    base.Add(time.Duration(num) * time.Second).Format(wire.EOSTimestampLayout),
 			Producer:     "prodnode",
-			Transactions: []rpcserve.EOSTrxJSON{trx},
+			Transactions: []wire.EOSTrxJSON{trx},
 		}
 	}
 	return blocks
@@ -111,7 +110,7 @@ func TestRegisterWindowMismatch(t *testing.T) {
 
 func TestReleaseMarksDrainedAndPublishes(t *testing.T) {
 	p, agg, release := newEOSPublisher(t)
-	if err := agg.IngestBlocks(eosBlocks(10, 1)); err != nil {
+	if err := agg.IngestBatch(eosBlocks(10, 1)); err != nil {
 		t.Fatal(err)
 	}
 	before := p.Publish()
@@ -141,7 +140,7 @@ func TestRunPublishesFinalEpochOnCancel(t *testing.T) {
 		p.Run(ctx, time.Hour) // interval never fires; only the final publish
 		close(done)
 	}()
-	if err := agg.IngestBlocks(eosBlocks(3, 1)); err != nil {
+	if err := agg.IngestBatch(eosBlocks(3, 1)); err != nil {
 		t.Fatal(err)
 	}
 	cancel()
@@ -180,7 +179,7 @@ func TestSnapshotImmutableUnderConcurrentIngest(t *testing.T) {
 			for i := 0; i < iterations; i++ {
 				// Disjoint block ranges per writer per iteration.
 				start := int64(w)*1_000_000 + int64(i)*batch + 1
-				if err := agg.IngestBlocks(eosBlocks(batch, start)); err != nil {
+				if err := agg.IngestBatch(eosBlocks(batch, start)); err != nil {
 					t.Errorf("writer %d: %v", w, err)
 					return
 				}

@@ -9,8 +9,8 @@ import (
 )
 
 // EOSWireBlock fills out with b's wire shape, reusing out's transaction,
-// action and map capacity. It renders exactly what rpcserve.BlockToJSON
-// always produced, but into a caller-owned (typically pooled) struct.
+// action and map capacity: the nodeos-style rendering rpcserve's get_block
+// serves, written into a caller-owned (typically pooled) struct.
 func EOSWireBlock(b *eos.Block, out *EOSBlockJSON) {
 	out.BlockNum = b.Num
 	out.ID = b.ID.String()
@@ -84,7 +84,7 @@ func EOSWireBlock(b *eos.Block, out *EOSBlockJSON) {
 }
 
 // TezosWireBlock fills out with b's wire shape, reusing out's operation
-// capacity; the octez-style rendering rpcserve.TezosBlockToJSON produces.
+// capacity: the octez-style rendering rpcserve's block endpoints serve.
 func TezosWireBlock(b *tezos.Block, out *TezosBlockJSON) {
 	out.Level = b.Level
 	out.Hash = b.Hash.String()
