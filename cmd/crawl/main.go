@@ -274,7 +274,14 @@ func run(ctx context.Context, o crawlOpts, out io.Writer) error {
 	fmt.Fprintf(out, "txs/ops:     %d\n", kit.Txs())
 	fmt.Fprintf(out, "raw bytes:   %d\n", res.RawBytes)
 	if res.RawBytes > 0 {
-		fmt.Fprintf(out, "gzip bytes:  %d (%.1f%% of raw)\n", res.GzipBytes, 100*float64(res.GzipBytes)/float64(res.RawBytes))
+		// An archived crawl deflates each payload once, in the archive, so
+		// its footprint is what the store now holds; a plain crawl sizes
+		// the stream instead.
+		gz := res.GzipBytes
+		if sink != nil {
+			gz = sink.CompressedBytes()
+		}
+		fmt.Fprintf(out, "gzip bytes:  %d (%.1f%% of raw)\n", gz, 100*float64(gz)/float64(res.RawBytes))
 	}
 	if secs := res.Elapsed.Seconds(); secs > 0 {
 		fmt.Fprintf(out, "elapsed:     %v (%.0f blocks/s)\n", res.Elapsed, float64(res.Blocks)/secs)

@@ -321,6 +321,25 @@ func TestCrawlArchiveCrossBackendDeterminism(t *testing.T) {
 			t.Fatalf("%s: live crawl printed no figures section:\n%s", backend, out.String())
 		}
 		figures[backend] = out.String()[idx:]
+
+		// One deflate per payload: an archived crawl's footprint line is the
+		// bytes its store now holds, not a second compression of the stream.
+		store := openStore(t, loc)
+		segs, err := store.List(context.Background(), "segment-")
+		if err != nil {
+			t.Fatalf("%s: listing segments: %v", backend, err)
+		}
+		var stored int64
+		for _, key := range segs {
+			size, err := store.Stat(context.Background(), key)
+			if err != nil {
+				t.Fatalf("%s: %v", backend, err)
+			}
+			stored += size
+		}
+		if gz, _ := gzipLine(t, out.String()); gz != stored || stored == 0 {
+			t.Fatalf("%s: printed gzip bytes %d, store holds %d in %d segments", backend, gz, stored, len(segs))
+		}
 	}
 	if figures["mem"] != figures["file"] || figures["s3"] != figures["file"] {
 		t.Fatalf("live figures differ across backends:\n--- file ---\n%s\n--- mem ---\n%s\n--- s3 ---\n%s",
@@ -354,6 +373,37 @@ func TestCrawlArchiveCrossBackendDeterminism(t *testing.T) {
 	if nums := s.fetchedNums(); len(nums) != 0 {
 		t.Fatalf("replay hit the network for blocks %v", nums)
 	}
+
+	// Without -archive nothing else deflates the payloads, so the stream's
+	// own sizer still fills the line.
+	var out bytes.Buffer
+	if err := run(context.Background(), crawlOpts{
+		ArchiveFlags: cli.ArchiveFlags{From: 1},
+		chain:        "eos", endpoint: s.srv.URL,
+		workers: 2, ingest: 2, batch: 4, buffer: 8,
+	}, &out); err != nil {
+		t.Fatalf("plain crawl failed: %v\n%s", err, out.String())
+	}
+	if gz, raw := gzipLine(t, out.String()); gz <= 0 || gz >= raw {
+		t.Fatalf("plain crawl printed gzip bytes %d of raw %d", gz, raw)
+	}
+}
+
+// gzipLine parses a crawl summary's "gzip bytes:" and "raw bytes:" values.
+func gzipLine(t *testing.T, out string) (gz, raw int64) {
+	t.Helper()
+	for _, line := range strings.Split(out, "\n") {
+		if v, ok := strings.CutPrefix(line, "gzip bytes:"); ok {
+			fmt.Sscan(v, &gz)
+		}
+		if v, ok := strings.CutPrefix(line, "raw bytes:"); ok {
+			fmt.Sscan(v, &raw)
+		}
+	}
+	if raw == 0 {
+		t.Fatalf("no byte accounting in crawl output:\n%s", out)
+	}
+	return gz, raw
 }
 
 // TestCrawlArchiveInterruptResume: an interrupted archived crawl keeps a

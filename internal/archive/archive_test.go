@@ -159,6 +159,87 @@ func TestWriterAppendsAcrossSessions(t *testing.T) {
 	}
 }
 
+// TestWriterCompressedBytes: the footprint a teed crawl reports in place of
+// a gzip sizer is the bytes the store really holds for this session — the
+// committed segments' manifest comp_bytes, which are their object sizes —
+// not counting an earlier session's segments (like Blocks) or a segment a
+// failed publish threw away.
+func TestWriterCompressedBytes(t *testing.T) {
+	ctx := context.Background()
+	base := blobstore.NewMemory()
+	// stored sums manifest comp_bytes and object sizes over segments[from:].
+	stored := func(from int) (manifest, objects int64) {
+		t.Helper()
+		m, err := loadManifest(ctx, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, seg := range m.Segments[from:] {
+			size, err := base.Stat(ctx, seg.File)
+			if err != nil {
+				t.Fatal(err)
+			}
+			manifest += seg.CompBytes
+			objects += size
+		}
+		return manifest, objects
+	}
+
+	w1, err := NewWriter(WriterConfig{Store: base, Chain: "eos", SegmentBlocks: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for num := int64(20); num > 10; num-- {
+		if err := w1.Append(num, payload(num)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Two segments committed, two records still open: only Close counts them.
+	open1 := w1.CompressedBytes()
+	if man, _ := stored(0); open1 != man || open1 == 0 {
+		t.Fatalf("mid-session footprint %d, manifest holds %d", open1, man)
+	}
+	if err := w1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	man1, obj1 := stored(0)
+	if got := w1.CompressedBytes(); got != man1 || got != obj1 || got <= open1 {
+		t.Fatalf("session 1 footprint %d, manifest %d, objects %d, before close %d", got, man1, obj1, open1)
+	}
+
+	// Session 2 inherits three segments and must not count them; its third
+	// segment's publish fails and must not be counted either.
+	faulty := blobstore.NewFaulty(base)
+	w2, err := NewWriter(WriterConfig{Store: faulty, Chain: "eos", SegmentBlocks: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := w2.CompressedBytes(); got != 0 {
+		t.Fatalf("fresh session already reports %d bytes", got)
+	}
+	boom := errors.New("endpoint on fire")
+	faulty.BreakAfter(blobstore.OpPut, 4, -1, boom) // two segments + two manifests land
+	for num := int64(10); num > 2; num-- {
+		if err := w2.Append(num, payload(num)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clean := w2.CompressedBytes()
+	for num := int64(104); num > 100; num-- { // the fourth completes segment 3
+		err = w2.Append(num, payload(num))
+	}
+	if !errors.Is(err, boom) {
+		t.Fatalf("rotating append did not surface the put failure: %v", err)
+	}
+	if err := w2.Close(); !errors.Is(err, boom) {
+		t.Fatalf("closing a poisoned writer: %v", err)
+	}
+	man2, obj2 := stored(3)
+	if got := w2.CompressedBytes(); got != clean || got != man2 || got != obj2 {
+		t.Fatalf("session 2 footprint %d, before the failed publish %d, manifest %d, objects %d", got, clean, man2, obj2)
+	}
+}
+
 // TestDuplicateRecordsDedupe: a crawl cancelled between the tee and the
 // stream delivery re-archives the block on resume; replay keeps the first
 // copy and still counts it once.

@@ -47,10 +47,12 @@ func (c WriterConfig) withDefaults() WriterConfig {
 
 // Writer tees a crawl's raw block stream into segment objects. Append is
 // the collect.CrawlConfig.Tee shape and is safe for concurrent use —
-// crawl workers deliver from many goroutines. A segment buffers in memory
-// (bounded by SegmentBytes) until complete, then publishes through the
-// store's atomic Put and commits to the manifest; an interrupt racing a
-// rotation can tear nothing because nothing partial is ever visible.
+// crawl workers deliver from many goroutines. It is the only deflate a
+// teed crawl pays: the stream's gzip sizer runs only when no tee is set.
+// A segment buffers in memory (bounded by SegmentBytes) until complete,
+// then publishes through the store's atomic Put and commits to the
+// manifest; an interrupt racing a rotation can tear nothing because
+// nothing partial is ever visible.
 //
 // A failed publish poisons the writer: the failing segment is discarded
 // (its blocks were reported as Append errors, so the crawl never marked
@@ -65,6 +67,7 @@ type Writer struct {
 	next   int // next segment file number
 	cur    *openSegment
 	blocks int64 // records across finalized + open segments this session
+	comp   int64 // object bytes of the segments this session committed
 	fail   error // sticky: first store failure, poisons the writer
 	closed bool
 }
@@ -241,6 +244,7 @@ func (w *Writer) rotateLocked() error {
 		w.fail = err
 		return err
 	}
+	w.comp += seg.info.CompBytes
 	return nil
 }
 
@@ -278,6 +282,19 @@ func (w *Writer) Blocks() int64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.blocks
+}
+
+// CompressedBytes reports the on-disk footprint of what this writer
+// archived: the summed object sizes (manifest comp_bytes) of the segments
+// it committed, not counting segments inherited from an earlier session or
+// a segment a failed publish discarded. The open segment joins the total
+// when it is finalized, so read it after Close. This is the gzip size the
+// paper's Figure 2 reports for a dataset, and what a teed crawl prints in
+// place of collect.CrawlResult.GzipBytes.
+func (w *Writer) CompressedBytes() int64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.comp
 }
 
 // Segments reports how many finalized segments the manifest holds.

@@ -45,21 +45,30 @@ type CrawlConfig struct {
 	// Tee, when set, receives every fetched block immediately before it is
 	// handed to the stream — the hook archive sinks attach to. It is called
 	// concurrently from crawl workers, so implementations must be safe for
-	// concurrent use. A Tee error aborts the whole crawl (surfaced wrapped
-	// in ErrTee), and the failing block is neither delivered nor marked
-	// done, so a resume refetches it.
+	// concurrent use, and it must not keep raw after it returns (the buffer
+	// is recycled once the consumer releases the block). A Tee error aborts
+	// the whole crawl (surfaced wrapped in ErrTee), and the failing block is
+	// neither delivered nor marked done, so a resume refetches it.
 	// Because the tee lands before delivery, a crawl cancelled between the
 	// two may tee a block it never delivers; a resume then fetches and tees
 	// that block again, so Tee consumers must tolerate duplicates (the
 	// archive replayer dedupes by block number).
+	//
+	// When Tee is nil the stream runs its default tee, a stats.GzipSizer
+	// whose total lands in CrawlResult.GzipBytes. Setting Tee replaces it —
+	// each payload is deflated once, by whoever keeps the bytes — so a teed
+	// crawl takes its footprint from the tee (archive.Writer.CompressedBytes).
 	Tee func(num int64, raw []byte) error
 }
 
 // CrawlResult summarizes a finished crawl.
 type CrawlResult struct {
-	Blocks    int64
-	Failed    int64
-	RawBytes  int64
+	Blocks   int64
+	Failed   int64
+	RawBytes int64
+	// GzipBytes is the gzip-compressed size of every payload the crawl
+	// fetched, as sized by the default tee. It is zero when the caller set
+	// CrawlConfig.Tee: the tee's own record of what it stored replaces it.
 	GzipBytes int64
 	Elapsed   time.Duration
 	Retries   int64

@@ -319,13 +319,31 @@ func (h *CrawlHandle) run(ctx context.Context, f BlockFetcher, cfg CrawlConfig, 
 	resumed.Extra = append(resumed.Extra, h.ivs...)
 	h.mu.Unlock()
 
-	sizer := stats.NewGzipSizer()
-	defer sizer.Close() // recycle the pooled compressor
+	// Every payload is deflated exactly once. The caller's tee — an archive
+	// writer — already compresses the bytes and records what they cost on
+	// disk, so the sizer is only the default tee: it runs when the caller
+	// set none, and CrawlResult.GzipBytes stays zero otherwise.
+	tee := cfg.Tee
+	var sizer *stats.GzipSizer
+	if tee == nil {
+		sizer = stats.NewGzipSizer()
+		defer sizer.Close() // recycle the pooled compressor
+		tee = func(_ int64, raw []byte) error {
+			sizer.Write(raw) // never fails
+			return nil
+		}
+	}
 	// Payload buffers recycle only when the fetcher guarantees exclusive
 	// ownership of what FetchBlock returns.
 	var recycle bool
 	if rr, ok := f.(RawRecycler); ok {
 		recycle = rr.OwnsRaw()
+	}
+	// drop returns a payload that will never reach the consumer.
+	drop := func(raw []byte) {
+		if recycle {
+			wire.PutRaw(raw)
+		}
 	}
 	var wg sync.WaitGroup
 	// firstErr must not be an atomic.Value: the error concrete types vary
@@ -358,26 +376,22 @@ func (h *CrawlHandle) run(ctx context.Context, f BlockFetcher, cfg CrawlConfig, 
 					firstErr.set(err)
 					continue
 				}
-				if cfg.Tee != nil {
-					if err := cfg.Tee(num, raw); err != nil {
-						firstErr.set(fmt.Errorf("%w: block %d: %w", ErrTee, num, err))
-						teeFailed.Store(true)
-						return
-					}
-				}
-				// The sizer must see the payload before delivery: once the
+				// The tee must see the payload before delivery: once the
 				// consumer has the Block it may Release the buffer back to
-				// the pool at any moment. A cancellation between here and
-				// the send can therefore leave GzipBytes counting a block
-				// Blocks/RawBytes do not — progress-line accounting only;
-				// the deterministic figures never read GzipBytes.
-				sizer.Write(raw)
+				// the pool at any moment.
+				if err := tee(num, raw); err != nil {
+					drop(raw)
+					firstErr.set(fmt.Errorf("%w: block %d: %w", ErrTee, num, err))
+					teeFailed.Store(true)
+					return
+				}
 				select {
 				case out <- Block{Num: num, Raw: raw, pooled: recycle}:
 					atomic.AddInt64(&h.res.Blocks, 1)
 					atomic.AddInt64(&h.res.RawBytes, int64(len(raw)))
 					h.markDone(num)
 				case <-ctx.Done():
+					drop(raw)
 					return
 				}
 			}
@@ -385,7 +399,9 @@ func (h *CrawlHandle) run(ctx context.Context, f BlockFetcher, cfg CrawlConfig, 
 	}
 	wg.Wait()
 
-	h.res.GzipBytes = sizer.CompressedBytes()
+	if sizer != nil {
+		h.res.GzipBytes = sizer.CompressedBytes()
+	}
 	err := firstErr.get()
 	if err == nil {
 		err = ctx.Err()

@@ -340,7 +340,9 @@ func TestStreamResumePinsRange(t *testing.T) {
 
 // TestStreamTeeSeesEveryDeliveredBlock: the tee must observe exactly the
 // delivered set — no gaps (the archive would silently short-count) and
-// nothing the resume skip-list suppressed.
+// nothing the resume skip-list suppressed — each block once and before the
+// consumer can have it. The tee replaces the stream's gzip sizer, so a teed
+// crawl reports no GzipBytes: its payloads were deflated by the tee alone.
 func TestStreamTeeSeesEveryDeliveredBlock(t *testing.T) {
 	const total = 60
 	f := newMemFetcher(total, 0)
@@ -359,10 +361,17 @@ func TestStreamTeeSeesEveryDeliveredBlock(t *testing.T) {
 		},
 	})
 	delivered := 0
-	for range blocks {
+	for b := range blocks {
 		delivered++
+		mu.Lock()
+		n := teed[b.Num]
+		mu.Unlock()
+		if n != 1 {
+			t.Fatalf("block %d delivered after %d tee calls, want exactly 1 before delivery", b.Num, n)
+		}
 	}
-	if _, err := h.Wait(); err != nil {
+	res, err := h.Wait()
+	if err != nil {
 		t.Fatal(err)
 	}
 	if delivered != total || len(teed) != total {
@@ -372,6 +381,19 @@ func TestStreamTeeSeesEveryDeliveredBlock(t *testing.T) {
 		if n != 1 {
 			t.Fatalf("block %d teed %d times in an uninterrupted crawl", num, n)
 		}
+	}
+	if res.GzipBytes != 0 || res.RawBytes == 0 {
+		t.Fatalf("teed crawl: gzip=%d raw=%d, want the sizer off (0) and raw counted", res.GzipBytes, res.RawBytes)
+	}
+
+	// Without a tee the sizer is the tee: same crawl, sized stream.
+	plain, err := crawl(context.Background(), newMemFetcher(total, 0), CrawlConfig{Workers: 4},
+		func(int64, []byte) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.RawBytes != res.RawBytes || plain.GzipBytes <= 0 || plain.GzipBytes >= plain.RawBytes {
+		t.Fatalf("tee-less crawl: gzip=%d raw=%d, want 0 < gzip < raw=%d", plain.GzipBytes, plain.RawBytes, res.RawBytes)
 	}
 
 	// A resumed crawl must not re-tee checkpointed blocks.
@@ -410,19 +432,22 @@ func TestStreamTeeSeesEveryDeliveredBlock(t *testing.T) {
 func TestStreamTeeErrorAbortsCrawl(t *testing.T) {
 	const total = 200
 	f := newMemFetcher(total, 0)
-	var calls int64
+	var calls, failed int64
 	blocks, h := Stream(context.Background(), f, CrawlConfig{
 		Workers: 4, Buffer: 8,
 		Tee: func(num int64, raw []byte) error {
 			if atomic.AddInt64(&calls, 1) == 10 {
+				atomic.StoreInt64(&failed, num)
 				return fmt.Errorf("disk full")
 			}
 			return nil
 		},
 	})
-	for range blocks {
+	delivered := make(map[int64]bool)
+	for b := range blocks {
+		delivered[b.Num] = true
 	}
-	_, err := h.Wait()
+	res, err := h.Wait()
 	if err == nil {
 		t.Fatal("crawl with a failing tee reported success")
 	}
@@ -438,6 +463,12 @@ func TestStreamTeeErrorAbortsCrawl(t *testing.T) {
 	cp := h.Checkpoint()
 	if cp.Remaining() == 0 {
 		t.Fatal("checkpoint claims completion although the tee aborted the crawl")
+	}
+	if num := atomic.LoadInt64(&failed); delivered[num] || cp.Done(num) {
+		t.Fatalf("block %d failed its tee but was delivered=%v done=%v", num, delivered[num], cp.Done(num))
+	}
+	if res.Blocks != int64(len(delivered)) {
+		t.Fatalf("result counts %d blocks, consumer saw %d", res.Blocks, len(delivered))
 	}
 }
 

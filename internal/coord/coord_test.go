@@ -348,6 +348,60 @@ func TestCoordinatorChaos(t *testing.T) {
 	}
 }
 
+// leaseDeleteFault fails the first Delete of every lease key once — the
+// single store fault that used to leak a fire-and-forget release.
+type leaseDeleteFault struct {
+	blobstore.Store
+	mu     sync.Mutex
+	failed map[string]bool
+}
+
+func (s *leaseDeleteFault) Delete(ctx context.Context, key string) error {
+	s.mu.Lock()
+	first := strings.HasPrefix(key, leasePrefix) && !s.failed[key]
+	if first {
+		s.failed[key] = true
+	}
+	s.mu.Unlock()
+	if first {
+		return fmt.Errorf("injected fault deleting %s", key)
+	}
+	return s.Store.Delete(ctx, key)
+}
+
+// TestCoordinatorReleaseRetriesStoreFault: releasing a lease is a store
+// write like any other and runs under the retry policy — one failed
+// Delete per lease (run lease and every task lease) must cost a retry,
+// not leave records behind for the next coordinator to wait out.
+func TestCoordinatorReleaseRetriesStoreFault(t *testing.T) {
+	fx := newEOSFixture(t, 20)
+	head := fx.head(t)
+	store := &leaseDeleteFault{Store: blobstore.NewMemory(), failed: make(map[string]bool)}
+	res, err := Run(context.Background(), Config{
+		Chain: "eos", From: 1, To: head, Shards: 2,
+		Store:    store,
+		LeaseTTL: time.Minute,
+		Retry:    retry.Policy{Attempts: 3, Base: time.Millisecond},
+		Run:      inProcessWorker(fx, store, 8),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Report.Complete {
+		t.Fatalf("gap report: %+v", res.Report)
+	}
+	if len(store.failed) != 3 {
+		t.Fatalf("faulted %d lease deletes, want the run lease and 2 task leases: %v", len(store.failed), store.failed)
+	}
+	keys, err := store.List(context.Background(), leasePrefix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(keys) != 0 {
+		t.Fatalf("leases left behind: %v", keys)
+	}
+}
+
 // TestCoordinatorGapReport: a slice whose worker fails every attempt
 // exhausts its retries; the run errors but still merges the completed
 // slices and reports exactly the missing range.

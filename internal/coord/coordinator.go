@@ -231,7 +231,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	defer func() {
 		cancel(nil)
 		<-runRenewDone
-		_ = leases.Release(context.WithoutCancel(ctx), runRec)
+		releaseLease(ctx, cfg, leases, runRec, logf)
 	}()
 
 	// Resume or pin: an interrupted run's checkpoint wins over fresh
@@ -407,6 +407,21 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	return res, nil
 }
 
+// releaseLease gives a lease back under the run's retry policy: one store
+// fault on the read or the delete must not leak the record, or the next
+// coordinator for the chain waits out the TTL. It outlives ctx — releases
+// run on the way out of a cancelled run too. Exhausted retries are logged,
+// not returned: the run's outcome is already decided and the TTL reclaims
+// the lease.
+func releaseLease(ctx context.Context, cfg Config, leases *Leases, rec LeaseRecord, logf func(string, ...any)) {
+	err := cfg.Retry.Do(context.WithoutCancel(ctx), "release "+rec.Task, func(ctx context.Context) error {
+		return leases.Release(ctx, rec)
+	})
+	if err != nil {
+		logf("lease %s: release failed, it expires within %v: %v", rec.Task, cfg.LeaseTTL, err)
+	}
+}
+
 // keepRenewed renews rec at TTL/3 until ctx ends, from a goroutine whose
 // done channel it returns. Losing the lease cancels the context with the
 // loss as cause — the holder must abandon the work; transient renew
@@ -562,7 +577,7 @@ func runTask(ctx context.Context, cfg Config, leases *Leases, t Task, tr *runTra
 	defer func() {
 		cancel(nil)
 		<-renewDone
-		_ = leases.Release(context.WithoutCancel(ctx), rec)
+		releaseLease(ctx, cfg, leases, rec, logf)
 	}()
 
 	policy := cfg.Retry

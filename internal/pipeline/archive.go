@@ -102,7 +102,7 @@ func finishArchive(w *archive.Writer, crawlErr error) error {
 // only the missing blocks are fetched live. live() runs only when live
 // fetches are possible (a full replay skips serving and probing entirely)
 // and returns its own teardown; the caller must defer the returned
-// cleanup and pass the returned sink to finishArchive after the crawl.
+// cleanup and pass the returned sink to crawlInto, which finalizes it.
 func (o Options) stageCollect(stage, chain string, from, to int64, ccfg *collect.CrawlConfig, live func() (collect.BlockFetcher, func(), error)) (collect.BlockFetcher, *archive.Writer, func(), error) {
 	noop := func() {}
 	rd, partial, err := o.replayReader(stage, chain, from, to)

@@ -20,6 +20,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/archive"
 	"repro/internal/chain"
 	"repro/internal/collect"
 	"repro/internal/core"
@@ -205,6 +206,9 @@ type Result struct {
 
 	Dir *explorer.Directory
 
+	// Per-stage crawl summaries. GzipBytes is Figure 2's footprint column:
+	// the bytes of the stage's archive when it wrote one through, the
+	// stream's gzip sizing otherwise (see crawlInto).
 	EOSCrawl, TezosCrawl, XRPCrawl collect.CrawlResult
 
 	// EndpointScores are the probe results behind the EOS shortlist.
@@ -268,9 +272,18 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 // crawlInto runs one stage's collection→measurement path on the streaming
 // API: collect.Stream fetches raw blocks into a bounded channel and
 // core.IngestStream decodes and batch-ingests them off the crawl workers
-// (see core.IngestCrawl for the wiring).
-func crawlInto(ctx context.Context, f collect.BlockFetcher, ccfg collect.CrawlConfig, dec core.Decoder, icfg core.IngestConfig) (collect.CrawlResult, error) {
+// (see core.IngestCrawl for the wiring). It then finalizes the stage's
+// write-through archive (sink, nil when the stage has none). A stage that
+// teed into the archive (ccfg.Tee, only ever sink.Append) had each payload
+// deflated there and nowhere else, so the result's GzipBytes — Figure 2's
+// footprint column — is the bytes the archive now holds; every other stage
+// (no archive, replay, resume) keeps the stream's own sizing.
+func crawlInto(ctx context.Context, f collect.BlockFetcher, ccfg collect.CrawlConfig, sink *archive.Writer, dec core.Decoder, icfg core.IngestConfig) (collect.CrawlResult, error) {
 	res, _, err := core.IngestCrawl(ctx, f, ccfg, dec, icfg)
+	err = finishArchive(sink, err)
+	if ccfg.Tee != nil {
+		res.GzipBytes = sink.CompressedBytes()
+	}
 	return res, err
 }
 
@@ -381,8 +394,8 @@ func (r *Result) runEOS(ctx context.Context, opts Options, pool *collect.Pool) (
 		return StageStats{}, err
 	}
 	defer releaseFeed()
-	crawl, err := crawlInto(ctx, fetcher, ccfg, dec, opts.ingestConfig())
-	if err = finishArchive(sink, err); err != nil {
+	crawl, err := crawlInto(ctx, fetcher, ccfg, sink, dec, opts.ingestConfig())
+	if err != nil {
 		return StageStats{}, err
 	}
 	r.EOS = agg
@@ -423,8 +436,8 @@ func (r *Result) runTezos(ctx context.Context, opts Options, pool *collect.Pool)
 		return StageStats{}, err
 	}
 	defer releaseFeed()
-	crawl, err := crawlInto(ctx, fetcher, ccfg, dec, opts.ingestConfig())
-	if err = finishArchive(sink, err); err != nil {
+	crawl, err := crawlInto(ctx, fetcher, ccfg, sink, dec, opts.ingestConfig())
+	if err != nil {
 		return StageStats{}, err
 	}
 	r.Tezos = agg
@@ -469,8 +482,8 @@ func (r *Result) runGovernance(ctx context.Context, opts Options, pool *collect.
 		return StageStats{}, err
 	}
 	defer releaseFeed()
-	crawl, err := crawlInto(ctx, fetcher, ccfg, dec, opts.ingestConfig())
-	if err = finishArchive(sink, err); err != nil {
+	crawl, err := crawlInto(ctx, fetcher, ccfg, sink, dec, opts.ingestConfig())
+	if err != nil {
 		return StageStats{}, err
 	}
 	r.Gov = agg
@@ -533,8 +546,8 @@ func (r *Result) runXRP(ctx context.Context, opts Options, pool *collect.Pool) (
 		return StageStats{}, err
 	}
 	defer releaseFeed()
-	crawl, err := crawlInto(ctx, fetcher, ccfg, dec, opts.ingestConfig())
-	if err = finishArchive(sink, err); err != nil {
+	crawl, err := crawlInto(ctx, fetcher, ccfg, sink, dec, opts.ingestConfig())
+	if err != nil {
 		return StageStats{}, err
 	}
 	// Pull trade records from the Data API, as the paper did for rates.

@@ -2,11 +2,16 @@ package pipeline
 
 import (
 	"context"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/archive"
 	"repro/internal/chain"
+	"repro/internal/collect"
 	"repro/internal/core"
 	"repro/internal/stats"
 	"repro/internal/xrp"
@@ -185,6 +190,37 @@ func TestPipelineCrawlAccounting(t *testing.T) {
 	if r.EOSCrawl.RawBytes < r.TezosCrawl.RawBytes {
 		t.Error("EOS dataset smaller than Tezos dataset")
 	}
+
+	// A stage that writes through to an archive is deflated there and
+	// nowhere else, so its Figure 2 footprint is what the archive holds.
+	t.Run("archived", func(t *testing.T) {
+		dir := t.TempDir()
+		opts := archiveTestOptions(dir)
+		opts.SkipGovernance = true
+		r, err := Run(context.Background(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for stage, crawl := range map[string]collect.CrawlResult{
+			"eos": r.EOSCrawl, "tezos": r.TezosCrawl, "xrp": r.XRPCrawl,
+		} {
+			data, err := os.ReadFile(filepath.Join(dir, stage, "manifest.json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var man archive.Manifest
+			if err := json.Unmarshal(data, &man); err != nil {
+				t.Fatalf("%s: %v", stage, err)
+			}
+			var total int64
+			for _, seg := range man.Segments {
+				total += seg.CompBytes
+			}
+			if crawl.GzipBytes == 0 || crawl.GzipBytes != total {
+				t.Errorf("%s: footprint %d, archive manifest totals %d", stage, crawl.GzipBytes, total)
+			}
+		}
+	})
 }
 
 func TestPipelineRates(t *testing.T) {

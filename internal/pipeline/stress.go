@@ -63,7 +63,7 @@ func EIDOSStressStage(o StageOptions, opts Options) Stage {
 			agg := core.NewEOSAggregator(chain.EIDOSLaunch, 6*time.Hour)
 			crawl, err := crawlInto(ctx, collect.NewEOSClient(url), collect.CrawlConfig{
 				Workers: opts.Workers, Pool: opts.Pool, Buffer: opts.Buffer,
-			}, agg.Decoder(), opts.ingestConfig())
+			}, nil, agg.Decoder(), opts.ingestConfig())
 			if err != nil {
 				return StageStats{}, err
 			}

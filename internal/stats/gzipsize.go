@@ -9,8 +9,10 @@ import (
 // GzipSizer measures the gzip-compressed size of a byte stream without
 // retaining it. The paper characterizes each dataset by its compressed
 // on-disk footprint (Figure 2: 121 GB EOS, 0.56 GB Tezos, 76.4 GB XRP);
-// the collector feeds every fetched block through a sizer to report the
-// same statistic.
+// a crawl that keeps no bytes reports the same statistic by feeding every
+// fetched block through a sizer (collect.Stream's default tee). A crawl
+// that archives does not: its archive already deflates each payload and
+// records the compressed size it stored.
 type GzipSizer struct {
 	mu      sync.Mutex
 	counter countingWriter
@@ -25,9 +27,9 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// sizerGzipPool recycles the deflate state behind sizers: every crawl
-// stream builds one, and the compressor's window plus hash chains dominate
-// its footprint.
+// sizerGzipPool recycles the deflate state behind sizers: every tee-less
+// crawl stream builds one, and the compressor's window plus hash chains
+// dominate its footprint.
 var sizerGzipPool = sync.Pool{New: func() any { return gzip.NewWriter(io.Discard) }}
 
 // NewGzipSizer returns a sizer using the default compression level. Call
