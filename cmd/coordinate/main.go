@@ -265,7 +265,7 @@ func run(ctx context.Context, o coordOpts, out, diag io.Writer) error {
 		if lerr != nil {
 			return fmt.Errorf("progress listener: %w", lerr)
 		}
-		srv := &http.Server{Handler: coord.NewProgressHandler(tracker)}
+		srv := boundedServer(coord.NewProgressHandler(tracker))
 		go func() { _ = srv.Serve(ln) }()
 		defer srv.Close()
 		fmt.Fprintf(diag, "coordinate: progress at http://%s/v1/progress\n", ln.Addr())
@@ -428,6 +428,19 @@ func (s *syncWriter) Write(p []byte) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.w.Write(p)
+}
+
+// boundedServer serves h with read-side limits, so a peer that connects and
+// dawdles cannot hold a goroutine and a descriptor for ever: 5 s to finish
+// the request headers, 30 s for the whole request, and an idle keep-alive
+// connection is closed after 2 min.
+func boundedServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 }
 
 // workerLauncher execs one worker subprocess per attempt, tracking

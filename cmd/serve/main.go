@@ -108,6 +108,19 @@ func (l *lockedWriter) Write(p []byte) (int, error) {
 	return l.w.Write(p)
 }
 
+// boundedServer serves h with read-side limits, so a peer that connects and
+// dawdles cannot hold a goroutine and a descriptor for ever: 5 s to finish
+// the request headers, 30 s for the whole request, and an idle keep-alive
+// connection is closed after 2 min.
+func boundedServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
+}
+
 // run is the whole command behind flag parsing and signal wiring, testable
 // with a cancellable context and an output buffer. Lifecycle: listen →
 // start the publish loop → run every feed to drain → final epoch → keep
@@ -120,7 +133,7 @@ func run(ctx context.Context, o serveOpts, rawOut io.Writer) error {
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: serve.NewHandler(pub)}
+	srv := boundedServer(serve.NewHandler(pub))
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- srv.Serve(ln) }()
 	baseURL := "http://" + ln.Addr().String()

@@ -46,9 +46,11 @@ func (c WriterConfig) withDefaults() WriterConfig {
 }
 
 // Writer tees a crawl's raw block stream into segment objects. Append is
-// the collect.CrawlConfig.Tee shape and is safe for concurrent use —
-// crawl workers deliver from many goroutines. It is the only deflate a
-// teed crawl pays: the stream's gzip sizer runs only when no tee is set.
+// the collect.CrawlConfig.Tee shape. A stream calls its tee from one stage
+// goroutine, so within a crawl the mutex is uncontended; it stays because
+// Append is safe for concurrent use by any other caller. It is the only
+// deflate a teed crawl pays: the stream's gzip sizer runs only when no tee
+// is set.
 // A segment buffers in memory (bounded by SegmentBytes) until complete,
 // then publishes through the store's atomic Put and commits to the
 // manifest; an interrupt racing a rotation can tear nothing because

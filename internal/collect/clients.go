@@ -224,14 +224,33 @@ func (c *XRPClient) Close() error {
 }
 
 // call performs one command round trip. The WebSocket protocol is
-// sequential per connection, so calls are serialized.
-func (c *XRPClient) call(req map[string]any) (json.RawMessage, error) {
+// sequential per connection, so calls are serialized. A peer that stops
+// answering would park the read forever, so cancelling ctx closes the
+// connection under it; the next call redials.
+func (c *XRPClient) call(ctx context.Context, req map[string]any) (json.RawMessage, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	conn, err := c.ensure()
 	if err != nil {
 		return nil, err
 	}
+	stop := context.AfterFunc(ctx, func() { conn.Close() })
+	result, err := c.roundTrip(conn, req)
+	if !stop() {
+		// ctx ended mid-call: the connection is closing, whatever the
+		// round trip managed to read.
+		c.conn = nil
+		return nil, ctx.Err()
+	}
+	return result, err
+}
+
+// roundTrip writes one command and reads its response; a transport error
+// drops the connection so ensure redials. Called with c.mu held.
+func (c *XRPClient) roundTrip(conn *wsrpc.Conn, req map[string]any) (json.RawMessage, error) {
 	c.next++
 	req["id"] = c.next
 	if err := conn.WriteJSON(req); err != nil {
@@ -256,7 +275,7 @@ func (c *XRPClient) call(req map[string]any) (json.RawMessage, error) {
 
 // Head returns the latest validated ledger index.
 func (c *XRPClient) Head(ctx context.Context) (int64, error) {
-	raw, err := c.call(map[string]any{"command": "server_info"})
+	raw, err := c.call(ctx, map[string]any{"command": "server_info"})
 	if err != nil {
 		return 0, err
 	}
@@ -275,7 +294,7 @@ func (c *XRPClient) Head(ctx context.Context) (int64, error) {
 
 // FetchBlock retrieves one ledger (with expanded transactions) as raw JSON.
 func (c *XRPClient) FetchBlock(ctx context.Context, index int64) ([]byte, error) {
-	raw, err := c.call(map[string]any{
+	raw, err := c.call(ctx, map[string]any{
 		"command":      "ledger",
 		"ledger_index": index,
 		"transactions": true,

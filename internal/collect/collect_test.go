@@ -445,3 +445,66 @@ func TestXRPClientReconnects(t *testing.T) {
 		t.Fatal("disconnections never triggered retries")
 	}
 }
+
+// TestXRPClientCancelWakesSilentPeer: a peer that accepts a command and never
+// replies must not outlive the caller's context — the stream joins its fetch
+// workers before it closes, so a read parked on the socket would keep Wait
+// from ever returning. The cancelled call drops the connection; the next one
+// redials.
+func TestXRPClientCancelWakesSilentPeer(t *testing.T) {
+	var conns atomic.Int64
+	got := make(chan struct{}, 1)
+	release := make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		conn, err := wsrpc.Upgrade(w, r)
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		first := conns.Add(1) == 1
+		var req map[string]any
+		if err := conn.ReadJSON(&req); err != nil {
+			return
+		}
+		if first {
+			got <- struct{}{}
+			<-release // the command arrived; say nothing
+			return
+		}
+		conn.WriteJSON(map[string]any{"id": req["id"], "status": "success", "type": "response",
+			"result": map[string]any{"info": map[string]any{"validated_ledger": map[string]any{"seq": 7}}}})
+	}))
+	defer srv.Close()
+	defer close(release)
+
+	client := NewXRPClient("ws" + strings.TrimPrefix(srv.URL, "http"))
+	defer client.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	blocks, h := Stream(ctx, client, CrawlConfig{From: 1, To: 5, Workers: 1})
+	<-got
+	cancel()
+	waited := make(chan error, 1)
+	go func() {
+		for range blocks {
+		}
+		_, err := h.Wait()
+		waited <- err
+	}()
+	select {
+	case err := <-waited:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled crawl returned %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Wait never returned: the fetch worker is parked on a peer that stopped answering")
+	}
+
+	head, err := client.Head(context.Background())
+	if err != nil || head != 7 {
+		t.Fatalf("call after a cancelled one: head=%d err=%v, want a redial to answer 7", head, err)
+	}
+	if n := conns.Load(); n != 2 {
+		t.Fatalf("server saw %d connections, want 2 (the cancelled one dropped, one redial)", n)
+	}
+}

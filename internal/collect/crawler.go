@@ -34,21 +34,25 @@ type CrawlConfig struct {
 	// every other crawl sharing the pool. Workers still sets the shard
 	// count; the pool gates the actual fetch attempts.
 	Pool *Pool
-	// Buffer is the stream channel capacity (default 64): how many fetched
-	// blocks may sit between the crawl workers and the consumer before the
-	// workers block. This is the backpressure bound — a stalled consumer
-	// stops the fetch side after at most Buffer buffered blocks.
+	// Buffer is the stream channel capacity (default 64): how many teed
+	// blocks may wait for the consumer. It sets the backpressure bound — a
+	// stalled consumer stops the fetch side with at most
+	// Buffer + 2·Workers + 1 payloads in flight: Buffer delivered but
+	// unread, one in each worker's hand, one per worker parked in the
+	// hand-off to the tee stage, and the one the stage holds.
 	Buffer int
 	// Resume, when set, pins the crawl to the checkpoint's range and skips
 	// every block the checkpoint records as delivered.
 	Resume *Checkpoint
 	// Tee, when set, receives every fetched block immediately before it is
-	// handed to the stream — the hook archive sinks attach to. It is called
-	// concurrently from crawl workers, so implementations must be safe for
-	// concurrent use, and it must not keep raw after it returns (the buffer
-	// is recycled once the consumer releases the block). A Tee error aborts
-	// the whole crawl (surfaced wrapped in ErrTee), and the failing block is
-	// neither delivered nor marked done, so a resume refetches it.
+	// handed to the stream — the hook archive sinks attach to. One stage
+	// goroutine per stream calls it, off the fetch workers, so calls never
+	// overlap within a crawl and its cost (an archive's deflate) runs beside
+	// the next fetches instead of between them. It must not keep raw after
+	// it returns (the buffer is recycled once the consumer releases the
+	// block). A Tee error aborts the whole crawl (surfaced wrapped in
+	// ErrTee), and the failing block is neither delivered nor marked done,
+	// so a resume refetches it.
 	// Because the tee lands before delivery, a crawl cancelled between the
 	// two may tee a block it never delivers; a resume then fetches and tees
 	// that block again, so Tee consumers must tolerate duplicates (the

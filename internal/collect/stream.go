@@ -36,11 +36,15 @@ type Block struct {
 	pooled bool
 }
 
+// putRaw recycles a payload buffer; a variable so tests can witness which
+// buffers come back.
+var putRaw = wire.PutRaw
+
 // Release returns the payload buffer to the recycling pool. Safe to call
 // multiple times; only the first has effect.
 func (b *Block) Release() {
 	if b.pooled && b.Raw != nil {
-		wire.PutRaw(b.Raw)
+		putRaw(b.Raw)
 	}
 	b.Raw = nil
 	b.pooled = false
@@ -230,10 +234,13 @@ func (h *CrawlHandle) Wait() (CrawlResult, error) {
 }
 
 // Stream starts a crawl whose fetched blocks flow through the returned
-// bounded channel (capacity CrawlConfig.Buffer). Crawl workers block once
-// the buffer fills, so a slow consumer exerts real backpressure on the
-// fetch side instead of stalling inside a callback. The channel is closed
-// when the crawl finishes, fails, or ctx is cancelled; after it closes,
+// bounded channel (capacity CrawlConfig.Buffer). Fetch workers hand each
+// payload to one tee-and-deliver stage, which runs CrawlConfig.Tee (or the
+// default gzip sizer) and sends the Block on; the stage blocks once the
+// buffer fills and the workers behind it, so a slow consumer exerts real
+// backpressure on the fetch side instead of stalling inside a callback.
+// The channel is closed when the crawl finishes, fails, or ctx is
+// cancelled — after the workers and the stage have exited; then
 // CrawlHandle.Wait returns the CrawlResult. CrawlConfig.Resume skips
 // blocks a previous crawl already delivered (counted in CrawlResult.Skipped).
 func Stream(ctx context.Context, f BlockFetcher, cfg CrawlConfig) (<-chan Block, *CrawlHandle) {
@@ -339,13 +346,6 @@ func (h *CrawlHandle) run(ctx context.Context, f BlockFetcher, cfg CrawlConfig, 
 	if rr, ok := f.(RawRecycler); ok {
 		recycle = rr.OwnsRaw()
 	}
-	// drop returns a payload that will never reach the consumer.
-	drop := func(raw []byte) {
-		if recycle {
-			wire.PutRaw(raw)
-		}
-	}
-	var wg sync.WaitGroup
 	// firstErr must not be an atomic.Value: the error concrete types vary
 	// (wrapped fetch errors vs. ErrTee-joined tee errors), and
 	// atomic.Value.CompareAndSwap panics on inconsistently typed values.
@@ -355,8 +355,46 @@ func (h *CrawlHandle) run(ctx context.Context, f BlockFetcher, cfg CrawlConfig, 
 	// way, so the whole crawl stops.
 	var teeFailed atomic.Bool
 
+	// Fetching and teeing are pipelined: workers hand fetched blocks to one
+	// tee-and-deliver stage, so the tee's deflate of block n overlaps the
+	// fetches of n+1… instead of running on the fetch worker. The hand-off
+	// holds one block per worker — each worker can park a block and go
+	// straight back to the socket (an unbuffered hand-off makes a lone
+	// worker, XRP's WebSocket, alternate a round trip with a deflate). The
+	// stage receives until the channel closes, so a worker's send can never
+	// strand; once the crawl is aborted it only releases what it is handed.
+	staged := make(chan Block, cfg.Workers)
+	stageDone := make(chan struct{})
+	go func() {
+		defer close(stageDone)
+		for b := range staged {
+			if ctx.Err() != nil || teeFailed.Load() {
+				b.Release()
+				continue
+			}
+			// The tee must see the payload before delivery: once the
+			// consumer has the Block it may Release the buffer back to
+			// the pool at any moment.
+			if err := tee(b.Num, b.Raw); err != nil {
+				b.Release()
+				firstErr.set(fmt.Errorf("%w: block %d: %w", ErrTee, b.Num, err))
+				teeFailed.Store(true)
+				continue
+			}
+			select {
+			case out <- b:
+				atomic.AddInt64(&h.res.Blocks, 1)
+				atomic.AddInt64(&h.res.RawBytes, int64(len(b.Raw)))
+				h.markDone(b.Num)
+			case <-ctx.Done():
+				b.Release()
+			}
+		}
+	}()
+
 	// Reverse chronological order, sharded by stride: worker k owns
 	// To-k, To-k-Workers, … down to From.
+	var wg sync.WaitGroup
 	stride := int64(cfg.Workers)
 	for w := 0; w < cfg.Workers; w++ {
 		wg.Add(1)
@@ -376,28 +414,13 @@ func (h *CrawlHandle) run(ctx context.Context, f BlockFetcher, cfg CrawlConfig, 
 					firstErr.set(err)
 					continue
 				}
-				// The tee must see the payload before delivery: once the
-				// consumer has the Block it may Release the buffer back to
-				// the pool at any moment.
-				if err := tee(num, raw); err != nil {
-					drop(raw)
-					firstErr.set(fmt.Errorf("%w: block %d: %w", ErrTee, num, err))
-					teeFailed.Store(true)
-					return
-				}
-				select {
-				case out <- Block{Num: num, Raw: raw, pooled: recycle}:
-					atomic.AddInt64(&h.res.Blocks, 1)
-					atomic.AddInt64(&h.res.RawBytes, int64(len(raw)))
-					h.markDone(num)
-				case <-ctx.Done():
-					drop(raw)
-					return
-				}
+				staged <- Block{Num: num, Raw: raw, pooled: recycle}
 			}
 		}(int64(w))
 	}
 	wg.Wait()
+	close(staged)
+	<-stageDone
 
 	if sizer != nil {
 		h.res.GzipBytes = sizer.CompressedBytes()

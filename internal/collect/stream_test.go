@@ -60,29 +60,10 @@ func (f *memFetcher) totalFetches() int64 {
 	return f.total
 }
 
-func (f *memFetcher) fetchedNums() []int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	nums := make([]int64, 0, len(f.fetched))
-	for n := range f.fetched {
-		nums = append(nums, n)
-	}
-	return nums
-}
-
-// TestStreamBackpressure: a stalled consumer must stop the fetch side after
-// at most Buffer buffered blocks plus one in-hand block per worker.
-func TestStreamBackpressure(t *testing.T) {
-	const workers, buffer, total = 4, 8, 100
-	f := newMemFetcher(total, 0)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	blocks, h := Stream(ctx, f, CrawlConfig{Workers: workers, Buffer: buffer})
-	if cap(blocks) != buffer {
-		t.Fatalf("stream buffer = %d, want %d", cap(blocks), buffer)
-	}
-
-	// Consume nothing; wait for the fetch count to go quiescent.
+// waitQuiescent polls until the fetch count stops moving — the fetch side
+// has stalled against a consumer that reads nothing — and returns it.
+func (f *memFetcher) waitQuiescent(t *testing.T) int64 {
+	t.Helper()
 	last, stableFor := int64(-1), 0
 	for i := 0; i < 200 && stableFor < 5; i++ {
 		time.Sleep(10 * time.Millisecond)
@@ -97,9 +78,58 @@ func TestStreamBackpressure(t *testing.T) {
 	if stableFor < 5 {
 		t.Fatal("fetch count never went quiescent against a stalled consumer")
 	}
-	if last > buffer+workers {
-		t.Fatalf("stalled consumer let %d fetches through, want <= %d (buffer %d + workers %d)",
-			last, buffer+workers, buffer, workers)
+	return last
+}
+
+// owningFetcher is a memFetcher whose payloads are exclusively the caller's
+// (RawRecycler), remembering every buffer it handed out by the address of
+// its first byte.
+type owningFetcher struct {
+	*memFetcher
+	mu     sync.Mutex
+	handed map[*byte]int64
+}
+
+func (f *owningFetcher) OwnsRaw() bool { return true }
+
+func (f *owningFetcher) FetchBlock(ctx context.Context, num int64) ([]byte, error) {
+	raw, err := f.memFetcher.FetchBlock(ctx, num)
+	if err == nil {
+		f.mu.Lock()
+		f.handed[&raw[0]] = num
+		f.mu.Unlock()
+	}
+	return raw, err
+}
+
+func (f *memFetcher) fetchedNums() []int64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	nums := make([]int64, 0, len(f.fetched))
+	for n := range f.fetched {
+		nums = append(nums, n)
+	}
+	return nums
+}
+
+// TestStreamBackpressure: a stalled consumer must stop the fetch side after
+// at most Buffer buffered blocks, one in-hand block per worker, one parked
+// block per worker in the hand-off, and the one the tee stage holds.
+func TestStreamBackpressure(t *testing.T) {
+	const workers, buffer, total = 4, 8, 100
+	f := newMemFetcher(total, 0)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	blocks, h := Stream(ctx, f, CrawlConfig{Workers: workers, Buffer: buffer})
+	if cap(blocks) != buffer {
+		t.Fatalf("stream buffer = %d, want %d", cap(blocks), buffer)
+	}
+
+	// Consume nothing; wait for the fetch count to go quiescent.
+	last := f.waitQuiescent(t)
+	if bound := int64(buffer + 2*workers + 1); last > bound {
+		t.Fatalf("stalled consumer let %d fetches through, want <= %d (buffer %d + 2 x workers %d + 1)",
+			last, bound, buffer, workers)
 	}
 	if last < buffer {
 		t.Fatalf("only %d fetches before stall, want at least the buffer (%d)", last, buffer)
@@ -469,6 +499,118 @@ func TestStreamTeeErrorAbortsCrawl(t *testing.T) {
 	}
 	if res.Blocks != int64(len(delivered)) {
 		t.Fatalf("result counts %d blocks, consumer saw %d", res.Blocks, len(delivered))
+	}
+}
+
+// TestStreamTeeIsSerial: one stage per stream calls the tee, so however many
+// workers fetch, no two tee calls overlap — and the tee still sees every
+// delivered block exactly once, before the consumer does.
+func TestStreamTeeIsSerial(t *testing.T) {
+	const total = 300
+	var inTee, overlaps atomic.Int64
+	var mu sync.Mutex
+	teed := make(map[int64]int)
+	blocks, h := Stream(context.Background(), newMemFetcher(total, 0), CrawlConfig{
+		Workers: 8, Buffer: 4,
+		Tee: func(num int64, raw []byte) error {
+			if inTee.Add(1) > 1 {
+				overlaps.Add(1)
+			}
+			mu.Lock()
+			teed[num]++
+			mu.Unlock()
+			runtime.Gosched() // give a second caller every chance to show up
+			inTee.Add(-1)
+			return nil
+		},
+	})
+	delivered := 0
+	for b := range blocks {
+		delivered++
+		mu.Lock()
+		n := teed[b.Num]
+		mu.Unlock()
+		if n != 1 {
+			t.Fatalf("block %d delivered after %d tee calls, want exactly 1", b.Num, n)
+		}
+	}
+	if _, err := h.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if n := overlaps.Load(); n != 0 {
+		t.Fatalf("%d tee calls began while another was running", n)
+	}
+	if delivered != total || len(teed) != total {
+		t.Fatalf("delivered %d, teed %d distinct, want %d", delivered, len(teed), total)
+	}
+}
+
+// TestStreamCancelWithStalledConsumer: with the consumer reading nothing and
+// every slot between socket and consumer full, cancelling must still let
+// Wait return, and every payload that was fetched but never delivered must
+// go back to the buffer pool exactly once — from the worker's hand, the
+// hand-off and the stage alike — while delivered payloads stay the
+// consumer's.
+func TestStreamCancelWithStalledConsumer(t *testing.T) {
+	const workers, buffer = 4, 2
+	var mu sync.Mutex
+	recycled := make(map[*byte]int)
+	orig := putRaw
+	putRaw = func(raw []byte) {
+		mu.Lock()
+		recycled[&raw[0]]++
+		mu.Unlock()
+	}
+	defer func() { putRaw = orig }()
+
+	f := &owningFetcher{memFetcher: newMemFetcher(100, 0), handed: make(map[*byte]int64)}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	blocks, h := Stream(ctx, f, CrawlConfig{Workers: workers, Buffer: buffer})
+	fetched := f.waitQuiescent(t)
+	cancel()
+
+	type waited struct {
+		res CrawlResult
+		err error
+	}
+	done := make(chan waited, 1)
+	go func() {
+		res, err := h.Wait()
+		done <- waited{res, err}
+	}()
+	var w waited
+	select {
+	case w = <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Wait never returned after cancel with a stalled consumer")
+	}
+	if !errors.Is(w.err, context.Canceled) {
+		t.Fatalf("Wait returned %v, want context.Canceled", w.err)
+	}
+
+	// What the stream buffered before the cancel still belongs to the
+	// consumer; everything else the fetcher handed out must have come back.
+	delivered := make(map[*byte]bool)
+	for b := range blocks {
+		delivered[&b.Raw[0]] = true
+	}
+	if int64(len(delivered)) != w.res.Blocks {
+		t.Fatalf("result counts %d blocks, channel held %d", w.res.Blocks, len(delivered))
+	}
+	if int64(len(f.handed)) != fetched || len(delivered) == len(f.handed) {
+		t.Fatalf("fetched %d, handed %d, delivered %d: nothing was in flight to drop", fetched, len(f.handed), len(delivered))
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for buf, num := range f.handed {
+		want := 1
+		if delivered[buf] {
+			want = 0
+		}
+		if recycled[buf] != want {
+			t.Errorf("block %d (delivered=%v) recycled %d times, want %d", num, delivered[buf], recycled[buf], want)
+		}
 	}
 }
 

@@ -309,6 +309,20 @@ func (o Options) serveFeed(name string, w core.Window, summarize func() core.Cha
 	return core.PeriodicMerge(dec, 0), release, nil
 }
 
+// boundedServer serves h with read-side limits, so a peer that connects and
+// dawdles cannot hold a goroutine and a descriptor for ever: 5 s to finish
+// the request headers, 30 s for the whole request, and an idle keep-alive
+// connection is closed after 2 min. A hijacked connection (the XRP
+// WebSocket) sheds the deadlines when it upgrades.
+func boundedServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
+}
+
 // serve starts an HTTP server on a loopback port and returns its base URL
 // and a shutdown function.
 func serve(h http.Handler) (string, func(), error) {
@@ -316,7 +330,7 @@ func serve(h http.Handler) (string, func(), error) {
 	if err != nil {
 		return "", nil, err
 	}
-	srv := &http.Server{Handler: h}
+	srv := boundedServer(h)
 	go srv.Serve(ln)
 	return "http://" + ln.Addr().String(), func() { srv.Close() }, nil
 }

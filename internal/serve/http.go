@@ -226,11 +226,18 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	json.NewEncoder(w).Encode(errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
+// maxPercentiles bounds one ?p= list: each value costs a selection over the
+// snapshot's samples, so the list length is the request's work factor.
+const maxPercentiles = 32
+
 // parsePercentiles parses the ?p= list ("50,90,99" by default). Values must
-// be finite numbers in [0, 100].
+// be finite numbers in [0, 100], at most maxPercentiles of them.
 func parsePercentiles(q string) ([]float64, error) {
 	if q == "" {
 		q = "50,90,99"
+	}
+	if strings.Count(q, ",") >= maxPercentiles {
+		return nil, fmt.Errorf("more than %d percentiles in one request", maxPercentiles)
 	}
 	parts := strings.Split(q, ",")
 	ps := make([]float64, 0, len(parts))

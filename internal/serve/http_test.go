@@ -179,6 +179,16 @@ func TestHandlerEndpoints(t *testing.T) {
 		}
 	})
 
+	t.Run("percentiles list is bounded", func(t *testing.T) {
+		grid := strings.TrimSuffix(strings.Repeat("50,", maxPercentiles), ",")
+		if w := get(t, h, "/v1/percentiles/eos?p="+grid); w.Code != http.StatusOK {
+			t.Fatalf("%d values: code = %d, want 200", maxPercentiles, w.Code)
+		}
+		if w := get(t, h, "/v1/percentiles/eos?p="+grid+",50"); w.Code != http.StatusBadRequest {
+			t.Fatalf("%d values: code = %d, want 400", maxPercentiles+1, w.Code)
+		}
+	})
+
 	t.Run("drained visible after release", func(t *testing.T) {
 		release()
 		w := get(t, h, "/v1/status")

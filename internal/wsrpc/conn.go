@@ -16,12 +16,16 @@ var ErrClosed = errors.New("wsrpc: connection closed")
 
 // Conn is an established WebSocket connection. Reads must come from a single
 // goroutine; writes are internally serialized so control responses (pong,
-// close echo) can interleave with application messages.
+// close echo) can interleave with application messages. Close may be called
+// from any goroutine, including while a read or write is blocked on the peer.
 type Conn struct {
 	netConn net.Conn
 	br      *bufio.Reader
 	client  bool // client connections mask outgoing frames
 
+	// readMu is held across ReadMessage so Close can tell that a reader is
+	// parked on the socket and leave the buffered reader to it.
+	readMu  sync.Mutex
 	writeMu sync.Mutex
 	maskRNG uint64
 
@@ -130,6 +134,8 @@ func (c *Conn) Ping(data []byte) error {
 // reassembling fragments, answering pings and completing the close
 // handshake (after which ErrClosed is returned).
 func (c *Conn) ReadMessage() (Opcode, []byte, error) {
+	c.readMu.Lock()
+	defer c.readMu.Unlock()
 	var msgOp Opcode
 	var buf []byte
 	assembling := false
@@ -204,24 +210,33 @@ func (c *Conn) ReadJSON(v any) error {
 }
 
 // Close performs the closing handshake from this side and releases the
-// underlying connection.
+// underlying connection. It is safe to call while another goroutine is
+// blocked in a read or write on the connection — that call then fails —
+// which is how a caller abandons a peer that has stopped answering.
 func (c *Conn) Close() error {
 	var err error
 	c.closeOnce.Do(func() {
+		// Bounds the handshake below, and any write that holds writeMu
+		// against a peer that stopped reading.
+		_ = c.netConn.SetDeadline(deadlineSoon())
 		c.writeMu.Lock()
 		alreadyClosed := c.closed
 		c.closed = true
-		c.writeMu.Unlock()
 		if !alreadyClosed {
 			err = WriteFrame(c.netConn, c.maybeMask(Frame{FIN: true, Opcode: OpClose}))
 		}
-		// Best effort: read the close echo so the peer sees a clean shutdown.
-		_ = c.netConn.SetReadDeadline(deadlineSoon())
-		for i := 0; i < 8; i++ {
-			f, rerr := ReadFrame(c.br)
-			if rerr != nil || f.Opcode == OpClose {
-				break
+		c.writeMu.Unlock()
+		// Best effort: read the close echo so the peer sees a clean
+		// shutdown. A reader parked in ReadMessage owns the buffered reader;
+		// closing the socket under it is what wakes it.
+		if c.readMu.TryLock() {
+			for i := 0; i < 8; i++ {
+				f, rerr := ReadFrame(c.br)
+				if rerr != nil || f.Opcode == OpClose {
+					break
+				}
 			}
+			c.readMu.Unlock()
 		}
 		cerr := c.netConn.Close()
 		if err == nil && cerr != nil && !errors.Is(cerr, net.ErrClosed) {

@@ -260,6 +260,42 @@ func TestCloseHandshake(t *testing.T) {
 	}
 }
 
+// TestCloseWakesParkedReader: Close from another goroutine must fail a read
+// parked on a peer that never answers, without touching the buffered reader
+// that read owns (the race detector is the witness).
+func TestCloseWakesParkedReader(t *testing.T) {
+	release := make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		conn, err := Upgrade(w, r)
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		<-release // accept, then say nothing
+	}))
+	defer srv.Close()
+	defer close(release)
+	conn, err := Dial(wsURL(srv))
+	if err != nil {
+		t.Fatal(err)
+	}
+	readErr := make(chan error, 1)
+	go func() {
+		_, _, err := conn.ReadMessage()
+		readErr <- err
+	}()
+	time.Sleep(20 * time.Millisecond) // let the reader park; Close is correct either way
+	conn.Close()
+	select {
+	case err := <-readErr:
+		if err == nil {
+			t.Fatal("read on a closed connection succeeded")
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close left the reader parked on a silent peer")
+	}
+}
+
 func TestDialRejectsNonWebSocketServer(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "plain http", http.StatusOK)
