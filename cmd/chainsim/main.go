@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"repro/internal/chain"
+	"repro/internal/cli"
 	"repro/internal/collect"
 	"repro/internal/core"
 	"repro/internal/explorer"
@@ -103,7 +104,7 @@ func main() {
 			fail(err)
 		}
 		go func() {
-			if err := boundedServer(h).Serve(ln); err != http.ErrServerClosed {
+			if err := cli.BoundedServer(h).Serve(ln); err != http.ErrServerClosed {
 				fmt.Fprintf(os.Stderr, "chainsim: %s server: %v\n", name, err)
 			}
 		}()
@@ -154,18 +155,4 @@ func main() {
 	defer stop()
 	<-ctx.Done()
 	fmt.Println("chainsim: bye")
-}
-
-// boundedServer serves h with read-side limits, so a peer that connects and
-// dawdles cannot hold a goroutine and a descriptor for ever: 5 s to finish
-// the request headers, 30 s for the whole request, and an idle keep-alive
-// connection is closed after 2 min. A hijacked connection (the XRP
-// WebSocket) sheds the deadlines when it upgrades.
-func boundedServer(h http.Handler) *http.Server {
-	return &http.Server{
-		Handler:           h,
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
 }

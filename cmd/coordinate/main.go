@@ -53,7 +53,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"os"
 	"os/exec"
 	"os/signal"
@@ -63,6 +62,7 @@ import (
 
 	"repro/internal/blobstore"
 	"repro/internal/chain"
+	"repro/internal/cli"
 	"repro/internal/collect"
 	"repro/internal/coord"
 	"repro/internal/core"
@@ -145,7 +145,7 @@ func main() {
 	flag.IntVar(&o.parallel, "parallel", 0, "slices running concurrently (0 = all)")
 	flag.IntVar(&o.workers, "workers", 4, "concurrent fetchers per worker (xrp uses 1)")
 	flag.IntVar(&o.ingest, "ingest", 2, "decode/ingest workers per worker")
-	flag.IntVar(&o.batch, "batch", 16, "blocks per aggregator lock acquisition")
+	flag.IntVar(&o.batch, "batch", 16, "decoded blocks an ingest worker folds into its shard per call")
 	flag.IntVar(&o.buffer, "buffer", 64, "per-worker stream buffer")
 	flag.IntVar(&o.retries, "fetch-retries", 3, "per-block fetch retries inside a worker")
 	flag.DurationVar(&o.fetchBO, "fetch-backoff", 200*time.Millisecond, "per-block fetch retry base backoff")
@@ -186,17 +186,14 @@ func workerMain(payload string, log io.Writer) int {
 		fmt.Fprintf(log, "worker: unknown chain %q\n", p.Chain)
 		return 2
 	}
-	var fetcher collect.BlockFetcher
-	switch p.Chain {
-	case "eos":
-		fetcher = collect.NewEOSClient(p.Endpoint)
-	case "tezos":
-		fetcher = collect.NewTezosClient(p.Endpoint)
-	case "xrp":
-		client := collect.NewXRPClient(p.Endpoint)
-		defer client.Close()
-		fetcher = client
-		p.Workers = 1
+	fetcher, closeFetcher, maxWorkers, err := collect.Dial(p.Chain, p.Endpoint)
+	if err != nil {
+		fmt.Fprintf(log, "worker: %v\n", err)
+		return 2
+	}
+	defer closeFetcher()
+	if maxWorkers > 0 {
+		p.Workers = maxWorkers
 	}
 	store, err := blobstore.Resolve(p.Store)
 	if err != nil {
@@ -233,11 +230,11 @@ func run(ctx context.Context, o coordOpts, out, diag io.Writer) error {
 	// write diagnostics concurrently; serialize whole writes so lines
 	// interleave instead of interleaving bytes.
 	diag = &syncWriter{w: diag}
-	kit, err := core.NewStatsKit(o.chain, chain.ObservationStart, 6*time.Hour)
+	head, closeHead, _, err := collect.Dial(o.chain, o.endpoint)
 	if err != nil {
-		return fmt.Errorf("unknown chain %q", o.chain)
+		return err
 	}
-	_ = kit // only validates the chain name; workers build their own kits
+	defer closeHead()
 
 	owner := o.owner
 	if owner == "" {
@@ -265,7 +262,7 @@ func run(ctx context.Context, o coordOpts, out, diag io.Writer) error {
 		if lerr != nil {
 			return fmt.Errorf("progress listener: %w", lerr)
 		}
-		srv := boundedServer(coord.NewProgressHandler(tracker))
+		srv := cli.BoundedServer(coord.NewProgressHandler(tracker))
 		go func() { _ = srv.Serve(ln) }()
 		defer srv.Close()
 		fmt.Fprintf(diag, "coordinate: progress at http://%s/v1/progress\n", ln.Addr())
@@ -288,17 +285,6 @@ func run(ctx context.Context, o coordOpts, out, diag io.Writer) error {
 		// span, never from each worker's own racing notion of "head" — and
 		// a takeover adopts the interrupted run's pin instead of this.
 		PinHead: func(ctx context.Context) (int64, error) {
-			var head collect.BlockFetcher
-			switch o.chain {
-			case "eos":
-				head = collect.NewEOSClient(o.endpoint)
-			case "tezos":
-				head = collect.NewTezosClient(o.endpoint)
-			case "xrp":
-				client := collect.NewXRPClient(o.endpoint)
-				defer client.Close()
-				head = client
-			}
 			to, err := head.Head(ctx)
 			if err != nil {
 				return 0, err
@@ -428,19 +414,6 @@ func (s *syncWriter) Write(p []byte) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.w.Write(p)
-}
-
-// boundedServer serves h with read-side limits, so a peer that connects and
-// dawdles cannot hold a goroutine and a descriptor for ever: 5 s to finish
-// the request headers, 30 s for the whole request, and an idle keep-alive
-// connection is closed after 2 min.
-func boundedServer(h http.Handler) *http.Server {
-	return &http.Server{
-		Handler:           h,
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
 }
 
 // workerLauncher execs one worker subprocess per attempt, tracking

@@ -5,16 +5,17 @@
 //
 // Blocks flow through the bounded stream API (collect.Stream) into a
 // decode/ingest pool (core.IngestStream), so fetching and measurement are
-// decoupled the way the paper's long-running crawl machines were. With
-// -checkpoint the crawl is resumable: SIGINT/SIGTERM cancels it cleanly,
-// the partial summary and contiguous-frontier checkpoint are written, and
-// the next invocation with the same flag skips every block already
-// delivered.
+// decoupled the way the paper's long-running crawl machines were.
 //
-// With -archive the crawl is durable as well: every raw block is teed
-// into a segmented archive (see internal/archive) while it is ingested,
-// and cmd/report -replay can later regenerate the figures from that
-// location with zero network calls. The location is a blob store: a plain
+// With -archive the crawl is durable and resumable: every raw block is
+// teed into a segmented archive (see internal/archive) while it is
+// ingested, and cmd/report -replay can later regenerate the figures from
+// that location with zero network calls. The archive is also the crawl's
+// checkpoint: rerun the same command after a SIGINT, a SIGKILL or a crash
+// and every block the location already holds is served from it — never
+// refetched — while only the rest is fetched and appended, so the rerun
+// prints the complete figures (see archive.Crawl). A SIGKILL costs at most
+// the segment that was open. The location is a blob store: a plain
 // directory path, file://PATH, mem://NAME, s3://BUCKET/PREFIX?endpoint=URL,
 // or null:// (see internal/blobstore). A completed crawl prints a
 // deterministic "figures" section that a replay over the same archive
@@ -32,8 +33,7 @@
 // slice is crawled in chunks of N blocks and after each chunk the FULL
 // aggregate is persisted to the -emit-shard store (internal/coord), so a
 // worker killed at any instant resumes from the last chunk boundary and
-// still emits a complete shard — the resumed blocks live in the decoded
-// checkpoint, not a skipped-frontier file, so nothing is silently short.
+// still emits a complete shard.
 // cmd/coordinate drives fleets of such workers, handing each a -fence
 // token (its slice lease's attempt count) that is stamped into the
 // emitted shard; a worker whose lease was reclaimed mid-crawl emits a
@@ -42,9 +42,9 @@
 //
 // Usage:
 //
-//	crawl -chain eos   -endpoint http://127.0.0.1:PORT [-checkpoint FILE] [-archive STORE]
-//	crawl -chain tezos -endpoint http://127.0.0.1:PORT [-checkpoint FILE] [-archive STORE]
-//	crawl -chain xrp   -endpoint ws://127.0.0.1:PORT   [-checkpoint FILE] [-archive STORE]
+//	crawl -chain eos   -endpoint http://127.0.0.1:PORT [-archive STORE]
+//	crawl -chain tezos -endpoint http://127.0.0.1:PORT [-archive STORE]
+//	crawl -chain xrp   -endpoint ws://127.0.0.1:PORT   [-archive STORE]
 //	crawl -chain eos   -endpoint URL -shard 2/3 -emit-shard STORE
 package main
 
@@ -73,7 +73,6 @@ type crawlOpts struct {
 	cli.ArchiveFlags
 	chain           string
 	endpoint        string
-	checkpoint      string
 	checkpointEvery int64
 	workers         int
 	ingest          int
@@ -88,12 +87,11 @@ func main() {
 	var o crawlOpts
 	flag.StringVar(&o.chain, "chain", "", "eos, tezos or xrp")
 	flag.StringVar(&o.endpoint, "endpoint", "", "endpoint URL")
-	flag.StringVar(&o.checkpoint, "checkpoint", "", "checkpoint file: resume from it if present, write it on exit")
-	flag.Int64Var(&o.checkpointEvery, "checkpoint-every", 0, "blocks per crash-recoverable chunk: with -emit-shard, persist the full aggregate to the shard store after each chunk and resume from it after a kill (incompatible with -checkpoint and -archive)")
+	flag.Int64Var(&o.checkpointEvery, "checkpoint-every", 0, "blocks per crash-recoverable chunk: with -emit-shard, persist the full aggregate to the shard store after each chunk and resume from it after a kill (incompatible with -archive)")
 	o.ArchiveFlags.Register(flag.CommandLine, cli.ModeCrawl)
 	flag.IntVar(&o.workers, "workers", 4, "concurrent fetchers (xrp uses 1)")
 	flag.IntVar(&o.ingest, "ingest", 2, "decode/ingest workers")
-	flag.IntVar(&o.batch, "batch", 16, "blocks per aggregator lock acquisition")
+	flag.IntVar(&o.batch, "batch", 16, "decoded blocks an ingest worker folds into its shard per call")
 	flag.IntVar(&o.buffer, "buffer", 64, "stream buffer: max fetched-but-unprocessed blocks")
 	flag.Var(&o.shard, "shard", "crawl shard i of n ('i/n'): fetch only the i-th contiguous slice of the block range (distributed crawl; combine with -emit-shard and cmd/merge)")
 	flag.StringVar(&o.emitShard, "emit-shard", "", "after a clean crawl, serialize the drained shard state into this blob-store location for cmd/merge")
@@ -121,7 +119,7 @@ func main() {
 	}
 
 	// SIGINT/SIGTERM cancels the crawl context; the stream drains, the
-	// partial summary prints, and the checkpoint (if requested) is saved.
+	// archive (if requested) is finalized and the partial summary prints.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -147,17 +145,13 @@ func run(ctx context.Context, o crawlOpts, out io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("unknown chain %q", o.chain)
 	}
-	var fetcher collect.BlockFetcher
-	switch o.chain {
-	case "eos":
-		fetcher = collect.NewEOSClient(o.endpoint)
-	case "tezos":
-		fetcher = collect.NewTezosClient(o.endpoint)
-	case "xrp":
-		client := collect.NewXRPClient(o.endpoint)
-		defer client.Close()
-		fetcher = client
-		o.workers = 1 // the WebSocket protocol is sequential per connection
+	fetcher, closeFetcher, maxWorkers, err := collect.Dial(o.chain, o.endpoint)
+	if err != nil {
+		return err
+	}
+	defer closeFetcher()
+	if maxWorkers > 0 {
+		o.workers = maxWorkers
 	}
 
 	from, to := o.From, o.To
@@ -182,17 +176,12 @@ func run(ctx context.Context, o crawlOpts, out io.Writer) error {
 	if o.checkpointEvery > 0 {
 		// Crash-recoverable mode: the crawl runs in chunks and persists the
 		// FULL aggregate to the shard store after each one, so a killed
-		// worker resumes into a shard-emittable state (unlike -checkpoint,
-		// whose frontier file records which blocks are done but not their
-		// contribution to this process's aggregate).
+		// worker with no archive resumes into a shard-emittable state.
 		if o.emitShard == "" {
 			return fmt.Errorf("-checkpoint-every requires -emit-shard: the crash-recoverable checkpoint lives in the shard store")
 		}
-		if o.checkpoint != "" {
-			return fmt.Errorf("-checkpoint-every is incompatible with -checkpoint: the blob-store checkpoint already carries the full aggregate, pick one")
-		}
 		if o.Archive != "" {
-			return fmt.Errorf("-checkpoint-every is incompatible with -archive: a resumed chunk would re-tee blocks the archive already holds")
+			return fmt.Errorf("-checkpoint-every is incompatible with -archive: an archived crawl already resumes from its archive, pick one durable record")
 		}
 		if to == 0 {
 			if to, err = fetcher.Head(ctx); err != nil {
@@ -229,48 +218,26 @@ func run(ctx context.Context, o crawlOpts, out io.Writer) error {
 		From: from, To: to,
 		Workers: o.workers, Buffer: o.buffer,
 	}
-	var sink *archive.Writer
+	var sink *archive.Crawl
 	if o.Archive != "" {
-		sink, err = archive.NewWriter(archive.WriterConfig{Dir: o.Archive, Chain: o.chain})
+		sink, err = archive.OpenCrawl(archive.WriterConfig{Dir: o.Archive, Chain: o.chain}, fetcher)
 		if err != nil {
 			return err
 		}
-		cfg.Tee = sink.Append
-	}
-	if o.checkpoint != "" {
-		cp, err := collect.LoadCheckpoint(o.checkpoint)
-		switch {
-		case err == nil:
-			cfg.Resume = &cp
-			fmt.Fprintf(out, "resuming:    range [%d, %d], %d blocks remaining (checkpoint %s)\n",
-				cp.From, cp.To, cp.Remaining(), o.checkpoint)
-		case os.IsNotExist(err):
-			// Fresh crawl; the checkpoint is written on exit.
-		default:
-			return err
-		}
+		fetcher, cfg.Tee = sink, sink.Tee
 	}
 
 	res, handle, err := core.IngestCrawl(ctx, fetcher, cfg, kit.Decoder, core.IngestConfig{Workers: o.ingest, Batch: o.batch})
 	// The stream is fully drained, so no Append can still be in flight;
 	// finalize the archive before reporting anything. Interrupted and
 	// failed crawls finalize too — everything teed so far is intact and a
-	// rerun with the same -archive extends it. A finalization failure
-	// joins any crawl error (both must surface) and, like a tee error,
-	// vetoes the checkpoint below: blocks in the segment that failed to
-	// finalize were delivered and marked done, and checkpointing them
-	// would leave the archive short of them forever.
-	var archiveErr error
+	// rerun with the same -archive resumes from it.
+	var closeErr error
 	if sink != nil {
-		if cerr := sink.Close(); cerr != nil {
-			archiveErr = fmt.Errorf("finalizing archive: %w", cerr)
-			err = errors.Join(err, archiveErr)
-		}
+		closeErr = sink.Close()
 	}
-	interrupted := errors.Is(err, context.Canceled) && !errors.Is(err, core.ErrIngest) && archiveErr == nil
 	fmt.Fprintf(out, "chain:       %s\n", o.chain)
 	fmt.Fprintf(out, "blocks:      %d (failed %d, retries %d)\n", res.Blocks, res.Failed, res.Retries)
-	fmt.Fprintf(out, "skipped:     %d (already in checkpoint)\n", res.Skipped)
 	fmt.Fprintf(out, "txs/ops:     %d\n", kit.Txs())
 	fmt.Fprintf(out, "raw bytes:   %d\n", res.RawBytes)
 	if res.RawBytes > 0 {
@@ -287,63 +254,43 @@ func run(ctx context.Context, o crawlOpts, out io.Writer) error {
 		fmt.Fprintf(out, "elapsed:     %v (%.0f blocks/s)\n", res.Elapsed, float64(res.Blocks)/secs)
 	}
 	if sink != nil {
-		fmt.Fprintf(out, "archive:     %s (%d blocks teed, %d segments)\n", o.Archive, sink.Blocks(), sink.Segments())
+		fmt.Fprintf(out, "archive:     %s (%d blocks already held, %d teed, %d segments)\n", o.Archive, sink.Held(), sink.Teed(), sink.Segments())
 	}
-
-	// Persist progress — but never over an ingest error (blocks the stream
-	// delivered but the pool failed to fold in would be recorded as done
-	// and skipped forever on resume), never over a tee error (delivered
-	// blocks may share a discarded archive segment with the failed write,
-	// so a resume would skip blocks the archive never kept), and never
-	// before the crawl resolved its range (cp.To == 0: an all-zero
-	// checkpoint would fail validation on every later run and brick the
-	// file).
-	saved := false
-	if o.checkpoint != "" && !errors.Is(err, core.ErrIngest) && !errors.Is(err, collect.ErrTee) && archiveErr == nil {
-		if cp := handle.Checkpoint(); cp.To > 0 {
-			if serr := cp.Save(o.checkpoint); serr != nil {
-				return fmt.Errorf("saving checkpoint: %w", serr)
-			}
-			saved = true
-			fmt.Fprintf(out, "checkpoint:  %s (frontier %d, %d blocks remaining)\n",
-				o.checkpoint, cp.Frontier, cp.Remaining())
-		}
+	if closeErr != nil {
+		return errors.Join(err, fmt.Errorf("finalizing archive: %w", closeErr))
 	}
-
-	if interrupted {
-		if !saved {
-			return fmt.Errorf("interrupted before any progress could be checkpointed: %w", err)
+	if errors.Is(err, context.Canceled) {
+		// The archive is the only durable record of a plain crawl: without
+		// one an interrupted run leaves nothing to pick up.
+		if sink == nil {
+			return fmt.Errorf("interrupted with no -archive, so nothing durable was written and a rerun starts over: %w", err)
 		}
-		fmt.Fprintln(out, "interrupted — rerun with the same -checkpoint to resume")
+		fmt.Fprintln(out, "interrupted — rerun with the same -archive to resume")
 		return nil
 	}
-	if err == nil && o.emitShard != "" {
-		// Serialize the drained shard state for cmd/merge. A resumed run
-		// must refuse: blocks the checkpoint skipped were never folded
-		// into THIS process's aggregate, so the emitted shard would claim
-		// a range it does not fully cover and the merged figures would be
-		// silently short.
-		if res.Skipped > 0 {
-			return fmt.Errorf("refusing to emit a shard: %d blocks arrived via the checkpoint file, not this run's aggregate — use -checkpoint-every instead, whose blob-store checkpoints carry the full aggregate and resume straight into an emittable shard", res.Skipped)
-		}
-		cp := handle.Checkpoint()
+	if err != nil {
+		return err
+	}
+	if o.emitShard != "" {
+		// Serialize the drained shard state for cmd/merge. Every block of
+		// the range went through this run's aggregate — archived ones
+		// included — so the shard covers what it claims.
 		st := kit.State()
-		st.SetCovered(core.BlockRange{From: cp.From, To: cp.To})
-		store, serr := blobstore.Resolve(o.emitShard)
-		if serr != nil {
-			return serr
+		from, to := handle.Range()
+		st.SetCovered(core.BlockRange{From: from, To: to})
+		store, err := blobstore.Resolve(o.emitShard)
+		if err != nil {
+			return err
 		}
-		key, serr := core.EmitShard(ctx, store, st, o.fence)
-		if serr != nil {
-			return serr
+		key, err := core.EmitShard(ctx, store, st, o.fence)
+		if err != nil {
+			return err
 		}
 		fmt.Fprintf(out, "emitted:     %s @ %s\n", key, o.emitShard)
 	}
-	if err == nil {
-		// The deterministic figures section: derived only from the set of
-		// blocks this run ingested, so an offline replay of the same
-		// archive (cmd/report -replay) reproduces it byte-for-byte.
-		fmt.Fprint(out, kit.Summarize().Render())
-	}
-	return err
+	// The deterministic figures section: derived only from the set of
+	// blocks this run ingested, so an offline replay of the same archive
+	// (cmd/report -replay) reproduces it byte-for-byte.
+	fmt.Fprint(out, kit.Summarize().Render())
+	return nil
 }

@@ -10,7 +10,6 @@ import (
 	"io/fs"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -115,83 +114,178 @@ func (s *countingEOSServer) fetchedNums() []int64 {
 	return nums
 }
 
-// TestCrawlInterruptResume is the command-level acceptance path: a crawl
-// killed mid-flight writes its checkpoint, prints a partial summary, and
-// the rerun skips every checkpointed block — the server never sees a
-// request for a block the first run already delivered.
-func TestCrawlInterruptResume(t *testing.T) {
-	const total = 40
-	s := newCountingEOSServer(t, total)
-	ckpt := filepath.Join(t.TempDir(), "eos.ckpt")
-	opts := crawlOpts{
-		ArchiveFlags: cli.ArchiveFlags{From: 1},
-		chain:        "eos", endpoint: s.srv.URL, checkpoint: ckpt,
-		workers: 2, ingest: 2, batch: 4, buffer: 8,
+// figuresOf cuts the deterministic figures section out of a crawl's output.
+func figuresOf(t *testing.T, out string) string {
+	t.Helper()
+	idx := strings.Index(out, "--- eos figures ---")
+	if idx < 0 {
+		t.Fatalf("crawl printed no figures section:\n%s", out)
 	}
+	return out[idx:]
+}
 
-	// First run: the 15th served block triggers cancellation, as SIGINT
-	// does through signal.NotifyContext in main.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	s.mu.Lock()
-	s.limit, s.interrupt = 15, cancel
-	s.mu.Unlock()
-	var out1 bytes.Buffer
-	if err := run(ctx, opts, &out1); err != nil {
-		t.Fatalf("interrupted run returned error: %v\n%s", err, out1.String())
-	}
-	if !strings.Contains(out1.String(), "interrupted") {
-		t.Fatalf("interrupted run printed no partial summary:\n%s", out1.String())
-	}
-	if !strings.Contains(out1.String(), "checkpoint:") {
-		t.Fatalf("interrupted run saved no checkpoint:\n%s", out1.String())
-	}
-
-	cp, err := collect.LoadCheckpoint(ckpt)
+// storedSegmentBytes sums the object sizes of an archive's segments.
+func storedSegmentBytes(t *testing.T, location string) int64 {
+	t.Helper()
+	store := openStore(t, location)
+	segs, err := store.List(context.Background(), "segment-")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var done []int64
-	for n := int64(1); n <= total; n++ {
-		if cp.Done(n) {
-			done = append(done, n)
+	var stored int64
+	for _, key := range segs {
+		size, err := store.Stat(context.Background(), key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stored += size
+	}
+	return stored
+}
+
+// TestCrawlInterruptResume is the command-level acceptance path of the one
+// resume mechanism: the archive is the checkpoint. Wherever the first run
+// is cut — cancelled after k served blocks, killed hard with a segment
+// still open, or dead before it resolved its range — rerunning the same
+// command never asks the server for a block the archive held, prints
+// figures byte-identical to an uninterrupted crawl's, leaves the archive
+// covering the whole range, and reports as its gzip footprint the bytes the
+// store holds; a third run fetches nothing and prints the same bytes.
+func TestCrawlInterruptResume(t *testing.T) {
+	const total = 40
+	s := newCountingEOSServer(t, total)
+	base := crawlOpts{
+		ArchiveFlags: cli.ArchiveFlags{From: 1},
+		chain:        "eos", endpoint: s.srv.URL,
+		workers: 2, ingest: 2, batch: 4, buffer: 8,
+	}
+	var oracle bytes.Buffer
+	if err := run(context.Background(), base, &oracle); err != nil {
+		t.Fatalf("uninterrupted crawl: %v\n%s", err, oracle.String())
+	}
+	want := figuresOf(t, oracle.String())
+
+	// cancelAfter is a SIGINT landing as the k-th block is served.
+	cancelAfter := func(k int) func(*testing.T, crawlOpts) {
+		return func(t *testing.T, opts crawlOpts) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			s.mu.Lock()
+			s.limit, s.interrupt = k, cancel
+			s.mu.Unlock()
+			var out bytes.Buffer
+			if err := run(ctx, opts, &out); err != nil {
+				t.Fatalf("interrupted run returned error: %v\n%s", err, out.String())
+			}
+			if !strings.Contains(out.String(), "rerun with the same -archive") {
+				t.Fatalf("interrupted run printed no resume hint:\n%s", out.String())
+			}
+			if strings.Contains(out.String(), "figures ---") {
+				t.Fatalf("interrupted run rendered figures over a partial crawl:\n%s", out.String())
+			}
 		}
 	}
-	if len(done) == 0 {
-		t.Fatal("checkpoint records nothing done after 15 served blocks")
+	cuts := []struct {
+		name      string
+		interrupt func(*testing.T, crawlOpts)
+	}{
+		{"cancel after 1 block", cancelAfter(1)},
+		{"cancel after 15 blocks", cancelAfter(15)},
+		{"cancel after 35 blocks", cancelAfter(35)},
+		{"hard kill with a segment open", func(t *testing.T, opts crawlOpts) {
+			// What SIGKILL leaves: the segments that rotated are in the
+			// manifest, the open one — here blocks 32 and 31 — is gone, and
+			// nothing was finalized. The writer is dropped without Close.
+			w, err := archive.NewWriter(archive.WriterConfig{Dir: opts.Archive, Chain: "eos", SegmentBlocks: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			client := collect.NewEOSClient(s.srv.URL)
+			for num := int64(total); num > total-10; num-- {
+				raw, err := client.FetchBlock(context.Background(), num)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := w.Append(num, raw); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}},
+		{"endpoint dead before the range resolved", func(t *testing.T, opts crawlOpts) {
+			opts.endpoint = "http://127.0.0.1:1"
+			if err := run(context.Background(), opts, io.Discard); err == nil {
+				t.Fatal("crawl against a dead endpoint succeeded")
+			}
+		}},
 	}
-	if len(done) == total {
-		t.Fatal("interrupted crawl completed everything — interruption never landed")
-	}
+	for _, tc := range cuts {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := base
+			opts.Archive = filepath.Join(t.TempDir(), "eos-archive")
+			s.reset()
+			tc.interrupt(t, opts)
 
-	// Second run resumes to completion.
-	s.reset()
-	var out2 bytes.Buffer
-	if err := run(context.Background(), opts, &out2); err != nil {
-		t.Fatalf("resumed run failed: %v\n%s", err, out2.String())
-	}
-	for _, num := range s.fetchedNums() {
-		if cp.Done(num) {
-			t.Fatalf("resumed run refetched block %d, which the checkpoint records as done", num)
-		}
-	}
-	if want := len(done); !strings.Contains(out2.String(), fmt.Sprintf("skipped:     %d", want)) {
-		t.Fatalf("resumed run should report %d skipped blocks:\n%s", want, out2.String())
-	}
+			// Whatever the cut left must open cleanly; it defines what the
+			// rerun may not refetch.
+			held, err := archive.OpenWith(opts.Archive, archive.OpenOptions{})
+			if err != nil {
+				t.Fatalf("interrupted archive is unreadable: %v", err)
+			}
+			if held.Covers(1, total) {
+				t.Fatal("first run archived everything — the cut never landed")
+			}
 
-	// The final checkpoint leaves nothing to do: a third run fetches zero.
-	s.reset()
-	var out3 bytes.Buffer
-	if err := run(context.Background(), opts, &out3); err != nil {
-		t.Fatal(err)
-	}
-	if nums := s.fetchedNums(); len(nums) != 0 {
-		t.Fatalf("third run refetched %v after a complete checkpoint", nums)
+			s.reset()
+			var out2 bytes.Buffer
+			if err := run(context.Background(), opts, &out2); err != nil {
+				t.Fatalf("resumed run failed: %v\n%s", err, out2.String())
+			}
+			fetched := s.fetchedNums()
+			for _, num := range fetched {
+				if held.Covers(num, num) {
+					t.Errorf("resumed run refetched block %d, which the archive held", num)
+				}
+			}
+			if got := int64(len(fetched)); got != total-held.Blocks() {
+				t.Errorf("resumed run fetched %d blocks, want the %d the archive lacked", got, total-held.Blocks())
+			}
+			if got := figuresOf(t, out2.String()); got != want {
+				t.Errorf("resumed figures differ from an uninterrupted crawl\n--- resumed ---\n%s--- uninterrupted ---\n%s", got, want)
+			}
+			rd, err := archive.OpenWith(opts.Archive, archive.OpenOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rd.Covers(1, total) {
+				t.Fatalf("resumed archive covers [%d, %d] with %d blocks, want all of [1, %d]", rd.From(), rd.To(), rd.Blocks(), total)
+			}
+			stored := storedSegmentBytes(t, opts.Archive)
+			if gz, _ := gzipLine(t, out2.String()); gz != stored || stored == 0 {
+				t.Errorf("resumed run printed gzip bytes %d, store holds %d", gz, stored)
+			}
+
+			// Nothing is left to do: a third run fetches zero blocks and
+			// prints the same figures and footprint.
+			s.reset()
+			var out3 bytes.Buffer
+			if err := run(context.Background(), opts, &out3); err != nil {
+				t.Fatalf("third run failed: %v\n%s", err, out3.String())
+			}
+			if nums := s.fetchedNums(); len(nums) != 0 {
+				t.Errorf("third run refetched %v from a complete archive", nums)
+			}
+			if got := figuresOf(t, out3.String()); got != want {
+				t.Errorf("third run's figures differ\n--- third ---\n%s--- uninterrupted ---\n%s", got, want)
+			}
+			if gz, _ := gzipLine(t, out3.String()); gz != stored {
+				t.Errorf("third run printed gzip bytes %d, store holds %d", gz, stored)
+			}
+		})
 	}
 }
 
-// TestCrawlInterruptWithoutCheckpointFails: with no -checkpoint there is
-// nothing to resume from, so an interrupted run must report the lost
+// TestCrawlInterruptWithoutCheckpointFails: without -archive a plain crawl
+// writes nothing durable, so an interrupted run must report the lost
 // progress as an error instead of exiting 0 with a resume hint.
 func TestCrawlInterruptWithoutCheckpointFails(t *testing.T) {
 	s := newCountingEOSServer(t, 40)
@@ -203,40 +297,10 @@ func TestCrawlInterruptWithoutCheckpointFails(t *testing.T) {
 	var out bytes.Buffer
 	err := run(ctx, crawlOpts{ArchiveFlags: cli.ArchiveFlags{From: 1}, chain: "eos", endpoint: s.srv.URL, workers: 2, ingest: 1, batch: 4, buffer: 8}, &out)
 	if err == nil {
-		t.Fatalf("interrupted checkpoint-less run exited clean:\n%s", out.String())
+		t.Fatalf("interrupted archive-less run exited clean:\n%s", out.String())
 	}
-	if strings.Contains(out.String(), "rerun with the same -checkpoint") {
-		t.Fatalf("checkpoint-less run suggests resuming from a checkpoint that was never written:\n%s", out.String())
-	}
-}
-
-// TestCrawlFailedBeforeRangeWritesNoCheckpoint: a run that dies before the
-// crawl range resolves (dead endpoint, or SIGINT beating head resolution)
-// must not write the all-zero checkpoint that would fail validation and
-// brick every later run against the same file.
-func TestCrawlFailedBeforeRangeWritesNoCheckpoint(t *testing.T) {
-	ckpt := filepath.Join(t.TempDir(), "eos.ckpt")
-	opts := crawlOpts{
-		ArchiveFlags: cli.ArchiveFlags{From: 1},
-		chain:        "eos", endpoint: "http://127.0.0.1:1", checkpoint: ckpt,
-		workers: 1, ingest: 1, batch: 4, buffer: 8,
-	}
-	if err := run(context.Background(), opts, io.Discard); err == nil {
-		t.Fatal("crawl against a dead endpoint succeeded")
-	}
-	if _, err := collect.LoadCheckpoint(ckpt); !os.IsNotExist(err) {
-		t.Fatalf("dead-endpoint run left a checkpoint behind (load err: %v)", err)
-	}
-
-	// The same checkpoint path must still work for a later healthy run.
-	s := newCountingEOSServer(t, 10)
-	opts.endpoint = s.srv.URL
-	var out bytes.Buffer
-	if err := run(context.Background(), opts, &out); err != nil {
-		t.Fatalf("healthy run after failed run: %v\n%s", err, out.String())
-	}
-	if cp, err := collect.LoadCheckpoint(ckpt); err != nil || cp.Remaining() != 0 {
-		t.Fatalf("healthy run checkpoint: %+v, %v", cp, err)
+	if strings.Contains(out.String(), "to resume") {
+		t.Fatalf("archive-less run suggests resuming from a record that was never written:\n%s", out.String())
 	}
 }
 
@@ -408,7 +472,7 @@ func gzipLine(t *testing.T, out string) (gz, raw int64) {
 
 // TestCrawlArchiveInterruptResume: an interrupted archived crawl keeps a
 // consistent (un-torn) archive, and the resumed run extends it to full
-// coverage — re-teed boundary blocks dedupe on replay.
+// coverage.
 func TestCrawlArchiveInterruptResume(t *testing.T) {
 	const total = 40
 	s := newCountingEOSServer(t, total)
@@ -417,8 +481,7 @@ func TestCrawlArchiveInterruptResume(t *testing.T) {
 	opts := crawlOpts{
 		ArchiveFlags: cli.ArchiveFlags{Archive: arch, From: 1},
 		chain:        "eos", endpoint: s.srv.URL,
-		checkpoint: filepath.Join(dir, "eos.ckpt"),
-		workers:    2, ingest: 2, batch: 4, buffer: 8,
+		workers: 2, ingest: 2, batch: 4, buffer: 8,
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -632,9 +695,6 @@ func TestCrawlCheckpointEveryValidation(t *testing.T) {
 		mutate        func(*crawlOpts)
 	}{
 		{"without emit-shard", "requires -emit-shard", func(o *crawlOpts) {}},
-		{"with checkpoint file", "incompatible with -checkpoint", func(o *crawlOpts) {
-			o.emitShard, o.checkpoint = "mem://ckpt-every-val", "frontier.ckpt"
-		}},
 		{"with archive", "incompatible with -archive", func(o *crawlOpts) {
 			o.emitShard, o.Archive = "mem://ckpt-every-val", "mem://ckpt-every-arch"
 		}},
@@ -656,35 +716,77 @@ func TestCrawlCheckpointEveryValidation(t *testing.T) {
 	}
 }
 
-// TestCrawlEmitShardRefusesResume: a run that skipped blocks via a
-// checkpoint did not fold them into its own aggregate, so emitting a shard
-// claiming the whole range must refuse.
-func TestCrawlEmitShardRefusesResume(t *testing.T) {
-	const total = 30
+// TestCrawlEmitShardAfterResume: a resumed archived crawl folds every block
+// of its range — the archived ones too — into its own aggregate, so it may
+// emit a shard. Three -shard i/3 -archive runs, each interrupted and then
+// resumed, merge to figures byte-identical to a single-process crawl.
+func TestCrawlEmitShardAfterResume(t *testing.T) {
+	const total = 42
 	s := newCountingEOSServer(t, total)
-	ckpt := filepath.Join(t.TempDir(), "eos.ckpt")
-	opts := crawlOpts{
+	base := crawlOpts{
 		ArchiveFlags: cli.ArchiveFlags{From: 1},
-		chain:        "eos", endpoint: s.srv.URL, checkpoint: ckpt,
+		chain:        "eos", endpoint: s.srv.URL,
 		workers: 2, ingest: 2, batch: 4, buffer: 8,
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	s.mu.Lock()
-	s.limit, s.interrupt = 10, cancel
-	s.mu.Unlock()
-	if err := run(ctx, opts, io.Discard); err != nil {
-		t.Fatalf("interrupted run: %v", err)
+	var single bytes.Buffer
+	if err := run(context.Background(), base, &single); err != nil {
+		t.Fatalf("single crawl: %v\n%s", err, single.String())
+	}
+	want := figuresOf(t, single.String())
+
+	const store = "mem://crawl-emit-after-resume"
+	dir := t.TempDir()
+	for i := 1; i <= 3; i++ {
+		opts := base
+		if err := opts.shard.Set(fmt.Sprintf("%d/3", i)); err != nil {
+			t.Fatal(err)
+		}
+		opts.Archive = filepath.Join(dir, fmt.Sprintf("shard-%d", i))
+		opts.emitShard = store
+
+		s.reset()
+		ctx, cancel := context.WithCancel(context.Background())
+		s.mu.Lock()
+		s.limit, s.interrupt = 6, cancel
+		s.mu.Unlock()
+		var out1 bytes.Buffer
+		err := run(ctx, opts, &out1)
+		cancel()
+		if err != nil {
+			t.Fatalf("shard %d/3 interrupted run: %v\n%s", i, err, out1.String())
+		}
+		if strings.Contains(out1.String(), "emitted:") {
+			t.Fatalf("shard %d/3 emitted from an interrupted run:\n%s", i, out1.String())
+		}
+
+		s.reset()
+		var out2 bytes.Buffer
+		if err := run(context.Background(), opts, &out2); err != nil {
+			t.Fatalf("shard %d/3 resumed run: %v\n%s", i, err, out2.String())
+		}
+		if !strings.Contains(out2.String(), "emitted:") {
+			t.Fatalf("shard %d/3 resumed run emitted nothing:\n%s", i, out2.String())
+		}
+		if got := len(s.fetchedNums()); got >= total/3 {
+			t.Fatalf("shard %d/3 resumed run refetched its whole slice (%d blocks)", i, got)
+		}
 	}
 
-	s.reset()
-	opts.emitShard = "mem://crawl-emit-resume"
-	var out bytes.Buffer
-	err := run(context.Background(), opts, &out)
-	if err == nil || !strings.Contains(err.Error(), "refusing to emit") {
-		t.Fatalf("resumed run emitted a shard (err %v):\n%s", err, out.String())
+	shards, err := core.LoadShards(context.Background(), openStore(t, store))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, lerr := core.LoadShards(context.Background(), openStore(t, opts.emitShard)); lerr == nil {
-		t.Fatal("a shard blob landed in the store despite the refusal")
+	if len(shards) != 3 {
+		t.Fatalf("loaded %d shards, want 3", len(shards))
+	}
+	merged, _, err := core.MergeShards(shards, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := merged.Summary().Render(); got != want {
+		t.Fatalf("resumed shards diverged from single process\n--- single ---\n%s\n--- merged ---\n%s", want, got)
+	}
+	if got, wantCov := merged.Covered(), (core.BlockRange{From: 1, To: total}); got != wantCov {
+		t.Fatalf("merged covered %s, want %s", got, wantCov)
 	}
 }

@@ -272,7 +272,7 @@ func replayArchives(ctx context.Context, dir string, workers, sweeps int, from, 
 		// left holes, and silently replaying around them would skew every
 		// figure.
 		if !rd.Covers(rd.From(), rd.To()) {
-			return fmt.Errorf("archive %s is incomplete: %d blocks in [%d, %d] — resume the crawl that wrote it (same -archive and -checkpoint flags)",
+			return fmt.Errorf("archive %s is incomplete: %d blocks in [%d, %d] — rerun the crawl with the same -archive to fetch the rest",
 				adir, rd.Blocks(), rd.From(), rd.To())
 		}
 		if shard.Enabled() || emit != "" {

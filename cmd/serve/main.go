@@ -108,19 +108,6 @@ func (l *lockedWriter) Write(p []byte) (int, error) {
 	return l.w.Write(p)
 }
 
-// boundedServer serves h with read-side limits, so a peer that connects and
-// dawdles cannot hold a goroutine and a descriptor for ever: 5 s to finish
-// the request headers, 30 s for the whole request, and an idle keep-alive
-// connection is closed after 2 min.
-func boundedServer(h http.Handler) *http.Server {
-	return &http.Server{
-		Handler:           h,
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-}
-
 // run is the whole command behind flag parsing and signal wiring, testable
 // with a cancellable context and an output buffer. Lifecycle: listen →
 // start the publish loop → run every feed to drain → final epoch → keep
@@ -133,7 +120,7 @@ func run(ctx context.Context, o serveOpts, rawOut io.Writer) error {
 	if err != nil {
 		return err
 	}
-	srv := boundedServer(serve.NewHandler(pub))
+	srv := cli.BoundedServer(serve.NewHandler(pub))
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- srv.Serve(ln) }()
 	baseURL := "http://" + ln.Addr().String()
@@ -264,38 +251,32 @@ func replayFeeds(ctx context.Context, pub *serve.Publisher, o serveOpts, out io.
 	return errors.Join(errs...)
 }
 
-// liveFeed crawls one chain endpoint into the publisher, optionally teeing
-// every raw block into an archive for later offline replay.
+// liveFeed crawls one chain endpoint into the publisher, optionally through
+// an archive: raw blocks are teed into it for later offline replay, and
+// blocks an interrupted feed already left there are served from it.
 func liveFeed(ctx context.Context, pub *serve.Publisher, o serveOpts, chainName, endpoint string, out io.Writer) error {
-	var fetcher collect.BlockFetcher
-	workers := o.workers
-	switch chainName {
-	case "eos":
-		fetcher = collect.NewEOSClient(endpoint)
-	case "tezos":
-		fetcher = collect.NewTezosClient(endpoint)
-	case "xrp":
-		client := collect.NewXRPClient(endpoint)
-		defer client.Close()
-		fetcher = client
-		workers = 1 // the WebSocket protocol is sequential per connection
+	fetcher, closeFetcher, maxWorkers, err := collect.Dial(chainName, endpoint)
+	if err != nil {
+		return err
 	}
-
+	defer closeFetcher()
 	ccfg := collect.CrawlConfig{
 		From: o.From, To: o.To,
-		Workers: workers, Buffer: o.buffer,
+		Workers: o.workers, Buffer: o.buffer,
 		MaxRetries: 8, Backoff: 5 * time.Millisecond,
 	}
-	var sink *archive.Writer
+	if maxWorkers > 0 {
+		ccfg.Workers = maxWorkers
+	}
+	var sink *archive.Crawl
 	if o.Archive != "" {
-		var err error
-		sink, err = archive.NewWriter(archive.WriterConfig{
+		sink, err = archive.OpenCrawl(archive.WriterConfig{
 			Dir: blobstore.Join(o.Archive, chainName), Chain: chainName,
-		})
+		}, fetcher)
 		if err != nil {
 			return err
 		}
-		ccfg.Tee = sink.Append
+		fetcher, ccfg.Tee = sink, sink.Tee
 	}
 
 	res, err := pub.Feed(ctx, fetcher, ccfg, serve.FeedConfig{

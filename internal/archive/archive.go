@@ -82,9 +82,9 @@ type Manifest struct {
 // SegmentInfo is one finalized segment's integrity metadata.
 type SegmentInfo struct {
 	File string `json:"file"`
-	// Blocks is the record count (duplicates included — a crawl cancelled
-	// between the tee and the stream delivery re-archives the block on
-	// resume).
+	// Blocks is the record count, duplicates included: a Writer appends
+	// whatever it is handed. A Crawl never hands it a block the location
+	// already holds; the Reader keeps the first copy of any that were.
 	Blocks int64 `json:"blocks"`
 	// Min and Max bound the block numbers inside the segment. Together
 	// they are the archive's block-range index: a ranged open fetches only

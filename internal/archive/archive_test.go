@@ -240,9 +240,9 @@ func TestWriterCompressedBytes(t *testing.T) {
 	}
 }
 
-// TestDuplicateRecordsDedupe: a crawl cancelled between the tee and the
-// stream delivery re-archives the block on resume; replay keeps the first
-// copy and still counts it once.
+// TestDuplicateRecordsDedupe: an archive may hold a block twice (a plain
+// Writer appends what it is handed, and archives on disk predate Crawl);
+// replay keeps the first copy and still counts it once.
 func TestDuplicateRecordsDedupe(t *testing.T) {
 	dir := t.TempDir()
 	w, err := NewWriter(WriterConfig{Dir: dir, Chain: "eos", SegmentBlocks: 3})
@@ -360,8 +360,7 @@ func TestCrashMidSegmentLeavesNoTorn(t *testing.T) {
 // endpoint outage), the writer must report the failure on that Append,
 // refuse everything after it, and never manifest the lost segment — while
 // the segments finalized before the failure stay replayable. (The lost
-// blocks' crawl-side fate is handled by collect.ErrTee — the checkpoint is
-// not saved, so a resume refetches them.)
+// blocks are in no manifest, so a rerun of the crawl fetches them again.)
 func TestFailedPutPoisonsWriter(t *testing.T) {
 	for _, backend := range []string{"file", "mem"} {
 		t.Run(backend, func(t *testing.T) {

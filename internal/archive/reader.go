@@ -427,9 +427,9 @@ func (r *Reader) segmentPayload(i int) ([]byte, error) {
 // raw aliases the segment's decompressed payload and is only valid for the
 // duration of the call — visitors must copy (or decode, the wire codecs
 // copy every string they keep) before returning. Duplicate records (a
-// block re-archived by a resumed crawl) are delivered exactly once, from
-// the same earliest-written record FetchBlock would serve, so a Replay and
-// a FetchBlock walk see byte-identical payload sets. The first visit error
+// block appended twice) are delivered exactly once, from the same
+// earliest-written record FetchBlock would serve, so a Replay and a
+// FetchBlock walk see byte-identical payload sets. The first visit error
 // stops the replay; a cancelled ctx surfaces as its error.
 func (r *Reader) Replay(ctx context.Context, workers int, visit func(worker int, num int64, raw []byte) error) error {
 	if workers <= 0 {
@@ -488,7 +488,7 @@ func (r *Reader) replaySegment(ctx context.Context, worker, i int, visit func(wo
 		n := int64(binary.BigEndian.Uint32(payload[off+8 : off+12]))
 		off += 12
 		// Deliver only the record the duplicate-resolved index owns: a
-		// block re-archived by a resumed crawl replays exactly once, and an
+		// block archived twice replays exactly once, and an
 		// out-of-range block in a covering segment not at all.
 		if ref, ok := r.index[num]; ok && ref.seg == i && ref.off == off {
 			if err := visit(worker, num, payload[off:off+n]); err != nil {

@@ -19,7 +19,8 @@ type WriterConfig struct {
 	// Dir is the archive location: a blob-store URL (file://, mem://,
 	// s3://, null://) or a bare directory path. A location holding an
 	// existing manifest is appended to (the chain must match), so a
-	// resumed crawl extends its archive instead of clobbering it.
+	// resumed crawl extends its archive instead of clobbering it (see
+	// Crawl, which also keeps it from appending a block twice).
 	Dir string
 	// Store overrides URL resolution with an explicit backend (tests
 	// inject Faulty-wrapped stores here). Dir is then only a label.
@@ -57,8 +58,8 @@ func (c WriterConfig) withDefaults() WriterConfig {
 // nothing partial is ever visible.
 //
 // A failed publish poisons the writer: the failing segment is discarded
-// (its blocks were reported as Append errors, so the crawl never marked
-// them done and a resume refetches them) and every later Append and Close
+// (the manifest never lists its blocks, so a rerun of the crawl fetches
+// them again) and every later Append and Close
 // returns the original failure — the archive never silently drops a
 // segment from its middle.
 type Writer struct {

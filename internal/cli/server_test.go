@@ -1,4 +1,4 @@
-package main
+package cli
 
 import (
 	"io"
@@ -13,7 +13,7 @@ import (
 // disconnected instead of holding the connection open. The header limit is
 // shortened so the test need not wait out the real five seconds.
 func TestBoundedServerDropsSlowHeaderClient(t *testing.T) {
-	srv := boundedServer(http.NotFoundHandler())
+	srv := BoundedServer(http.NotFoundHandler())
 	if srv.ReadHeaderTimeout <= 0 || srv.ReadTimeout <= 0 || srv.IdleTimeout <= 0 {
 		t.Fatalf("unbounded listener: header=%v read=%v idle=%v", srv.ReadHeaderTimeout, srv.ReadTimeout, srv.IdleTimeout)
 	}

@@ -42,6 +42,24 @@ func readAllRecycled(r io.Reader) ([]byte, error) {
 	}
 }
 
+// Dial builds the chain's client for one endpoint. It returns the fetcher,
+// a close func to defer, and the most fetch workers the client supports
+// (0 = no limit): an XRP client holds one WebSocket, whose protocol is
+// sequential per connection, so it gets one worker. Nothing connects until
+// the first request.
+func Dial(chain, endpoint string) (f BlockFetcher, closeFn func(), maxWorkers int, err error) {
+	switch chain {
+	case "eos":
+		return NewEOSClient(endpoint), func() {}, 0, nil
+	case "tezos":
+		return NewTezosClient(endpoint), func() {}, 0, nil
+	case "xrp":
+		c := NewXRPClient(endpoint)
+		return c, func() { c.Close() }, 1, nil
+	}
+	return nil, nil, 0, fmt.Errorf("collect: unknown chain %q", chain)
+}
+
 // ErrRateLimited signals an HTTP 429; the crawler backs off and retries.
 type rateLimitError struct{ retryAfter time.Duration }
 

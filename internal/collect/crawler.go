@@ -41,9 +41,6 @@ type CrawlConfig struct {
 	// unread, one in each worker's hand, one per worker parked in the
 	// hand-off to the tee stage, and the one the stage holds.
 	Buffer int
-	// Resume, when set, pins the crawl to the checkpoint's range and skips
-	// every block the checkpoint records as delivered.
-	Resume *Checkpoint
 	// Tee, when set, receives every fetched block immediately before it is
 	// handed to the stream — the hook archive sinks attach to. One stage
 	// goroutine per stream calls it, off the fetch workers, so calls never
@@ -51,12 +48,11 @@ type CrawlConfig struct {
 	// the next fetches instead of between them. It must not keep raw after
 	// it returns (the buffer is recycled once the consumer releases the
 	// block). A Tee error aborts the whole crawl (surfaced wrapped in
-	// ErrTee), and the failing block is neither delivered nor marked done,
-	// so a resume refetches it.
+	// ErrTee), and the failing block is not delivered.
 	// Because the tee lands before delivery, a crawl cancelled between the
-	// two may tee a block it never delivers; a resume then fetches and tees
-	// that block again, so Tee consumers must tolerate duplicates (the
-	// archive replayer dedupes by block number).
+	// two may tee a block it never delivers. That is harmless to an archive
+	// sink: a rerun serves the block from the archive and ingests it then
+	// (see archive.Crawl).
 	//
 	// When Tee is nil the stream runs its default tee, a stats.GzipSizer
 	// whose total lands in CrawlResult.GzipBytes. Setting Tee replaces it —
@@ -76,9 +72,6 @@ type CrawlResult struct {
 	GzipBytes int64
 	Elapsed   time.Duration
 	Retries   int64
-	// Skipped counts blocks a resume checkpoint let the crawl avoid
-	// refetching.
-	Skipped int64
 }
 
 // retryPolicy maps a CrawlConfig onto the shared retry policy: MaxRetries

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -187,191 +185,9 @@ func TestStreamCancellationDrains(t *testing.T) {
 	t.Fatalf("goroutines leaked: %d before stream, %d after drain", before, runtime.NumGoroutine())
 }
 
-// TestStreamCheckpointResume: an interrupted crawl's checkpoint must let a
-// resumed crawl skip every delivered block and fetch each remaining block
-// exactly once.
-func TestStreamCheckpointResume(t *testing.T) {
-	const total = 30
-	f1 := newMemFetcher(total, 0)
-	ctx1, cancel1 := context.WithCancel(context.Background())
-	defer cancel1()
-	blocks1, h1 := Stream(ctx1, f1, CrawlConfig{Workers: 2, Buffer: 4})
-	received := 0
-	for range blocks1 {
-		received++
-		if received == 10 {
-			cancel1()
-		}
-		// Keep draining after cancel: delivered blocks count as done, so
-		// the checkpoint is only resume-safe once the stream is drained.
-	}
-	if _, err := h1.Wait(); err == nil {
-		t.Fatal("interrupted crawl reported success")
-	}
-	cp := h1.Checkpoint()
-	if cp.From != 1 || cp.To != total {
-		t.Fatalf("checkpoint range [%d, %d], want [1, %d]", cp.From, cp.To, total)
-	}
-	done := int64(0)
-	for n := int64(1); n <= total; n++ {
-		if cp.Done(n) {
-			done++
-		}
-	}
-	if done != int64(received) {
-		t.Fatalf("checkpoint records %d done, but %d blocks were delivered", done, received)
-	}
-	if cp.Remaining() != total-done {
-		t.Fatalf("Remaining() = %d, want %d", cp.Remaining(), total-done)
-	}
-
-	// Resume against a fresh fetch log.
-	f2 := newMemFetcher(total, 0)
-	blocks2, h2 := Stream(context.Background(), f2, CrawlConfig{Workers: 2, Resume: &cp})
-	delivered2 := make(map[int64]bool)
-	for blk := range blocks2 {
-		delivered2[blk.Num] = true
-	}
-	res2, err := h2.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, num := range f2.fetchedNums() {
-		if cp.Done(num) {
-			t.Fatalf("resume refetched block %d, which the checkpoint records as done", num)
-		}
-	}
-	if res2.Skipped != done {
-		t.Fatalf("resume skipped %d, want %d", res2.Skipped, done)
-	}
-	if res2.Blocks+res2.Skipped != total {
-		t.Fatalf("resume blocks %d + skipped %d != %d", res2.Blocks, res2.Skipped, total)
-	}
-	for n := int64(1); n <= total; n++ {
-		if !cp.Done(n) && !delivered2[n] {
-			t.Fatalf("block %d neither checkpointed nor delivered by the resume", n)
-		}
-	}
-
-	// A checkpoint taken after a completed crawl leaves nothing to do.
-	cpDone := h2.Checkpoint()
-	if cpDone.Frontier != 1 || cpDone.Remaining() != 0 {
-		t.Fatalf("completed checkpoint: frontier %d remaining %d", cpDone.Frontier, cpDone.Remaining())
-	}
-}
-
-func TestCheckpointSaveLoadRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "crawl.ckpt")
-	cp := Checkpoint{From: 5, To: 90, Frontier: 42, Extra: [][2]int64{{7, 9}, {19, 19}}}
-	if err := cp.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.From != cp.From || got.To != cp.To || got.Frontier != cp.Frontier || len(got.Extra) != 2 {
-		t.Fatalf("round trip mangled checkpoint: %+v", got)
-	}
-	if !got.Done(42) || !got.Done(90) || !got.Done(7) || !got.Done(8) || !got.Done(9) || !got.Done(19) {
-		t.Fatal("Done() misses delivered blocks after round trip")
-	}
-	if got.Done(6) || got.Done(10) || got.Done(41) {
-		t.Fatal("Done() claims undelivered blocks after round trip")
-	}
-	if got.Remaining() != (42-5)-3-1 {
-		t.Fatalf("Remaining() = %d", got.Remaining())
-	}
-
-	if _, err := LoadCheckpoint(filepath.Join(dir, "missing.ckpt")); !os.IsNotExist(err) {
-		t.Fatalf("missing checkpoint: err = %v, want IsNotExist", err)
-	}
-	for name, content := range map[string]string{
-		"inverted-range.ckpt": `{"from":9,"to":3}`,
-		"inverted-extra.ckpt": `{"from":1,"to":9,"frontier":8,"extra":[[5,2]]}`,
-		"unsorted-extra.ckpt": `{"from":1,"to":99,"frontier":90,"extra":[[5,8],[2,3]]}`,
-	} {
-		bad := filepath.Join(dir, name)
-		os.WriteFile(bad, []byte(content), 0o644)
-		if _, err := LoadCheckpoint(bad); err == nil {
-			t.Fatalf("%s accepted", name)
-		}
-	}
-}
-
-// TestCheckpointStaysCompactPastFailedBlock: a block that exhausts its
-// retries pins the frontier, but the delivered blocks beyond it must
-// coalesce into O(gaps) ranges — not one entry per block — or checkpoints
-// of paper-scale crawls (hundreds of millions of blocks) blow up.
-func TestCheckpointStaysCompactPastFailedBlock(t *testing.T) {
-	const total = 200
-	f := newMemFetcher(total, 0)
-	f.fail = map[int64]bool{150: true}
-	blocks, h := Stream(context.Background(), f, CrawlConfig{
-		Workers: 4, Buffer: 8, MaxRetries: 1, Backoff: time.Microsecond,
-	})
-	for range blocks {
-	}
-	if _, err := h.Wait(); err == nil {
-		t.Fatal("crawl with a broken block reported success")
-	}
-	cp := h.Checkpoint()
-	if cp.Frontier != 151 {
-		t.Fatalf("frontier = %d, want 151 (block 150 never delivered)", cp.Frontier)
-	}
-	if len(cp.Extra) != 1 || cp.Extra[0] != [2]int64{1, 149} {
-		t.Fatalf("extra ranges not coalesced: %v", cp.Extra)
-	}
-	if cp.Remaining() != 1 {
-		t.Fatalf("Remaining() = %d, want 1 (just the broken block)", cp.Remaining())
-	}
-
-	// Resume with the block fixed: exactly one fetch, nothing else.
-	f2 := newMemFetcher(total, 0)
-	blocks2, h2 := Stream(context.Background(), f2, CrawlConfig{Workers: 4, Resume: &cp})
-	for range blocks2 {
-	}
-	res2, err := h2.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nums := f2.fetchedNums(); len(nums) != 1 || nums[0] != 150 {
-		t.Fatalf("resume fetched %v, want just block 150", nums)
-	}
-	if res2.Blocks != 1 || res2.Skipped != total-1 {
-		t.Fatalf("resume blocks=%d skipped=%d", res2.Blocks, res2.Skipped)
-	}
-}
-
-// TestStreamResumePinsRange: a resumed crawl must crawl the checkpoint's
-// range even when the endpoint's head has advanced past it.
-func TestStreamResumePinsRange(t *testing.T) {
-	cp := Checkpoint{From: 1, To: 10, Frontier: 6}
-	f := newMemFetcher(50, 0) // head is now 50
-	blocks, h := Stream(context.Background(), f, CrawlConfig{Workers: 2, Resume: &cp})
-	var max int64
-	for blk := range blocks {
-		if blk.Num > max {
-			max = blk.Num
-		}
-	}
-	res, err := h.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if max > 5 {
-		t.Fatalf("resume fetched block %d beyond the checkpoint frontier", max)
-	}
-	if res.Blocks != 5 || res.Skipped != 5 {
-		t.Fatalf("resume fetched %d skipped %d, want 5/5", res.Blocks, res.Skipped)
-	}
-}
-
 // TestStreamTeeSeesEveryDeliveredBlock: the tee must observe exactly the
-// delivered set — no gaps (the archive would silently short-count) and
-// nothing the resume skip-list suppressed — each block once and before the
-// consumer can have it. The tee replaces the stream's gzip sizer, so a teed
+// delivered set — no gaps (the archive would silently short-count) — each
+// block once and before the consumer can have it. The tee replaces the stream's gzip sizer, so a teed
 // crawl reports no GzipBytes: its payloads were deflated by the tee alone.
 func TestStreamTeeSeesEveryDeliveredBlock(t *testing.T) {
 	const total = 60
@@ -415,6 +231,10 @@ func TestStreamTeeSeesEveryDeliveredBlock(t *testing.T) {
 	if res.GzipBytes != 0 || res.RawBytes == 0 {
 		t.Fatalf("teed crawl: gzip=%d raw=%d, want the sizer off (0) and raw counted", res.GzipBytes, res.RawBytes)
 	}
+	// To was left zero: the handle reports the head the crawl resolved.
+	if from, to := h.Range(); from != 1 || to != total {
+		t.Fatalf("handle range [%d, %d], want [1, %d]", from, to, total)
+	}
 
 	// Without a tee the sizer is the tee: same crawl, sized stream.
 	plain, err := crawl(context.Background(), newMemFetcher(total, 0), CrawlConfig{Workers: 4},
@@ -425,40 +245,11 @@ func TestStreamTeeSeesEveryDeliveredBlock(t *testing.T) {
 	if plain.RawBytes != res.RawBytes || plain.GzipBytes <= 0 || plain.GzipBytes >= plain.RawBytes {
 		t.Fatalf("tee-less crawl: gzip=%d raw=%d, want 0 < gzip < raw=%d", plain.GzipBytes, plain.RawBytes, res.RawBytes)
 	}
-
-	// A resumed crawl must not re-tee checkpointed blocks.
-	cp := h.Checkpoint()
-	cp.Frontier = 31 // pretend only [31, 60] was delivered
-	cp.Extra = nil
-	f2 := newMemFetcher(total, 0)
-	var teed2 []int64
-	blocks2, h2 := Stream(context.Background(), f2, CrawlConfig{
-		Workers: 2, Resume: &cp,
-		Tee: func(num int64, raw []byte) error {
-			mu.Lock()
-			teed2 = append(teed2, num)
-			mu.Unlock()
-			return nil
-		},
-	})
-	for range blocks2 {
-	}
-	if _, err := h2.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	for _, num := range teed2 {
-		if num > 30 {
-			t.Fatalf("resume teed checkpointed block %d", num)
-		}
-	}
-	if len(teed2) != 30 {
-		t.Fatalf("resume teed %d blocks, want the 30 below the frontier", len(teed2))
-	}
 }
 
 // TestStreamTeeErrorAbortsCrawl: a failing tee (disk full, torn archive)
 // must stop the whole crawl with its error, and the failing block must not
-// be marked done — a resume has to refetch it so the archive can catch up.
+// be delivered — the archive never kept it, so a rerun has to refetch it.
 func TestStreamTeeErrorAbortsCrawl(t *testing.T) {
 	const total = 200
 	f := newMemFetcher(total, 0)
@@ -490,12 +281,11 @@ func TestStreamTeeErrorAbortsCrawl(t *testing.T) {
 	if got := atomic.LoadInt64(&calls); got > total/2 {
 		t.Fatalf("crawl kept fetching long after the tee failed (%d tee calls)", got)
 	}
-	cp := h.Checkpoint()
-	if cp.Remaining() == 0 {
-		t.Fatal("checkpoint claims completion although the tee aborted the crawl")
+	if len(delivered) == total {
+		t.Fatal("every block was delivered although the tee aborted the crawl")
 	}
-	if num := atomic.LoadInt64(&failed); delivered[num] || cp.Done(num) {
-		t.Fatalf("block %d failed its tee but was delivered=%v done=%v", num, delivered[num], cp.Done(num))
+	if num := atomic.LoadInt64(&failed); delivered[num] {
+		t.Fatalf("block %d failed its tee but was delivered", num)
 	}
 	if res.Blocks != int64(len(delivered)) {
 		t.Fatalf("result counts %d blocks, consumer saw %d", res.Blocks, len(delivered))

@@ -116,7 +116,7 @@ func BenchmarkShardCheckpoint(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf.Reset()
-		if err := st.EncodeTo(&buf); err != nil {
+		if err := st.EncodeTo(&buf, 0); err != nil {
 			b.Fatal(err)
 		}
 		if err := store.Put(ctx, key, buf.Bytes()); err != nil {

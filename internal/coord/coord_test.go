@@ -254,7 +254,7 @@ func TestRunShardCrawlForeignCheckpoint(t *testing.T) {
 	st := kit.State()
 	st.SetCovered(core.BlockRange{From: head + 5, To: head + 20})
 	var buf bytes.Buffer
-	if err := st.EncodeTo(&buf); err != nil {
+	if err := st.EncodeTo(&buf, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := store.Put(context.Background(), CheckpointKey("eos", 1, head), buf.Bytes()); err != nil {

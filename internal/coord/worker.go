@@ -149,7 +149,7 @@ func RunShardCrawl(ctx context.Context, cfg CrawlerConfig) (CrawlOutcome, error)
 		st.SetCovered(core.BlockRange{From: lo, To: cfg.To})
 		if cfg.CheckpointEvery > 0 && lo > cfg.From {
 			var buf bytes.Buffer
-			if err := st.EncodeTo(&buf); err != nil {
+			if err := st.EncodeTo(&buf, 0); err != nil {
 				return out, fmt.Errorf("coord: encoding checkpoint after chunk [%d, %d]: %w", lo, hi, err)
 			}
 			if err := cfg.Store.Put(ctx, ckptKey, buf.Bytes()); err != nil {

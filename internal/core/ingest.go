@@ -261,14 +261,12 @@ func (p *ingestPool) drain(err error) (int64, error) {
 // decode/ingest error.
 //
 // Cancellation is driven by the stream itself: when ctx is cancelled the
-// crawl workers stop and close the channel, and IngestStream deliberately
-// keeps draining until then — a block already handed to the stream counts
-// as delivered for checkpointing, so it must be folded in before returning
-// or a resumed crawl would skip it without it ever being aggregated. On a
-// decode/ingest error, by contrast, the pool stops receiving immediately;
-// the caller must then cancel the stream's context to unblock crawl
-// workers behind a full buffer, and must not persist a checkpoint taken
-// after the error (the pipeline's stage helper and cmd/crawl do both).
+// crawl workers stop and close the channel, and IngestStream keeps
+// draining until then, so every block the stream delivered is in the
+// partial aggregate it returns. On a decode/ingest error, by contrast, the
+// pool stops receiving immediately; the caller must then cancel the
+// stream's context to unblock crawl workers behind a full buffer
+// (IngestCrawl does).
 func IngestStream(ctx context.Context, blocks <-chan collect.Block, d Decoder, cfg IngestConfig) (int64, error) {
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -376,18 +374,17 @@ func (s *periodicShard) IngestBatch(batch []any) error {
 func (s *periodicShard) Merge() { s.inner.Merge() }
 
 // ErrIngest marks errors that came from the decode/ingest side of
-// IngestCrawl rather than the crawl itself. Callers that persist
-// checkpoints must not do so when errors.Is(err, ErrIngest): the stream
-// marked those blocks delivered, but they were never folded into the
-// aggregate, so a resume would skip them forever.
+// IngestCrawl rather than the crawl itself: the stream delivered blocks
+// that were never folded into the aggregate, so the aggregate is short of
+// what the crawl fetched.
 var ErrIngest = errors.New("core: ingest failed")
 
 // IngestCrawl is the one canonical wiring of the streaming path: it starts
 // collect.Stream, drains it through IngestStream, and handles the
 // cancel-on-ingest-error dance that unblocks crawl workers stalled on a
 // full buffer. The pipeline stages, cmd/crawl and cmd/chainsim's
-// self-check all run on it. The returned handle is valid after return for
-// checkpointing (drained — IngestCrawl consumed the whole stream).
+// self-check all run on it. The returned handle has finished: its Range is
+// the block range the crawl resolved.
 func IngestCrawl(ctx context.Context, f collect.BlockFetcher, ccfg collect.CrawlConfig, d Decoder, icfg IngestConfig) (collect.CrawlResult, *collect.CrawlHandle, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()

@@ -146,9 +146,10 @@ func decPrefix(d *wire.ShardDec) (w Window, cov BlockRange, first, last time.Tim
 	return
 }
 
-// sealTo seals a chain's encoded body and writes the blob.
-func sealTo(w io.Writer, chain string, body []byte) error {
-	_, err := w.Write(wire.SealShard(chain, body))
+// sealTo seals a chain's encoded body under the fence token and writes the
+// blob.
+func sealTo(w io.Writer, chain string, fence uint64, body []byte) error {
+	_, err := w.Write(wire.SealShard(chain, fence, body))
 	return err
 }
 
@@ -159,7 +160,7 @@ func openFrom(r io.Reader, wantChain string) (*wire.ShardDec, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: reading shard blob: %w", err)
 	}
-	chain, body, err := wire.OpenShard(blob)
+	chain, _, body, err := wire.OpenShard(blob)
 	if err != nil {
 		return nil, err
 	}
@@ -183,7 +184,7 @@ func finishDecode(chain string, d *wire.ShardDec) error {
 }
 
 // EncodeTo writes the shard as a sealed blob (ShardState contract).
-func (s *EOSShard) EncodeTo(w io.Writer) error {
+func (s *EOSShard) EncodeTo(w io.Writer, fence uint64) error {
 	var e wire.ShardEnc
 	encPrefix(&e, s.Window(), s.covered, s.FirstBlockTime, s.LastBlockTime)
 	e.Varint(s.Blocks)
@@ -214,7 +215,7 @@ func (s *EOSShard) EncodeTo(w io.Writer) error {
 		e.Float(s.VolumeBySymbol[sym])
 	}
 	e.Float(s.BoomerangVolume)
-	return sealTo(w, "eos", e.Bytes())
+	return sealTo(w, "eos", fence, e.Bytes())
 }
 
 // DecodeFrom replaces the shard with a blob's contents (ShardState
@@ -273,7 +274,7 @@ func (s *EOSShard) DecodeFrom(r io.Reader) error {
 }
 
 // EncodeTo writes the shard as a sealed blob (ShardState contract).
-func (s *TezosShard) EncodeTo(w io.Writer) error {
+func (s *TezosShard) EncodeTo(w io.Writer, fence uint64) error {
 	var e wire.ShardEnc
 	encPrefix(&e, s.Window(), s.covered, s.FirstBlockTime, s.LastBlockTime)
 	e.Varint(s.Blocks)
@@ -291,7 +292,7 @@ func (s *TezosShard) EncodeTo(w io.Writer) error {
 		e.Varint(v.Rolls)
 		e.String(v.Source)
 	}
-	return sealTo(w, "tezos", e.Bytes())
+	return sealTo(w, "tezos", fence, e.Bytes())
 }
 
 // DecodeFrom replaces the shard with a blob's contents (ShardState
@@ -333,7 +334,7 @@ func (s *TezosShard) DecodeFrom(r io.Reader) error {
 }
 
 // EncodeTo writes the shard as a sealed blob (ShardState contract).
-func (s *XRPShard) EncodeTo(w io.Writer) error {
+func (s *XRPShard) EncodeTo(w io.Writer, fence uint64) error {
 	var e wire.ShardEnc
 	encPrefix(&e, s.Window(), s.covered, s.FirstLedgerTime, s.LastLedgerTime)
 	e.Varint(s.Ledgers)
@@ -393,7 +394,7 @@ func (s *XRPShard) EncodeTo(w io.Writer) error {
 		e.String(string(ex.Taker))
 		e.Uvarint(uint64(ex.MakerSequence))
 	}
-	return sealTo(w, "xrp", e.Bytes())
+	return sealTo(w, "xrp", fence, e.Bytes())
 }
 
 // DecodeFrom replaces the shard with a blob's contents (ShardState
@@ -511,7 +512,7 @@ func decOfferSet(d *wire.ShardDec, set map[offerRef]bool) {
 // name, builds that chain's empty state and decodes into it — the merge
 // coordinator's entry point for blobs of unknown chain.
 func DecodeShard(blob []byte) (ShardState, error) {
-	chainName, _, err := wire.OpenShard(blob)
+	chainName, _, _, err := wire.OpenShard(blob)
 	if err != nil {
 		return nil, err
 	}

@@ -20,7 +20,7 @@ import (
 func encodeState(t testing.TB, st ShardState) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := st.EncodeTo(&buf); err != nil {
+	if err := st.EncodeTo(&buf, 0); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -165,19 +165,40 @@ func TestShardDecodeRejectsDamage(t *testing.T) {
 			t.Fatal("trailing junk decoded without error")
 		}
 	})
+	// sealAs hand-seals an envelope under a version this build does not
+	// read, without the fence field; checksum and structure are otherwise
+	// valid.
+	sealAs := func(version uint64, body []byte) []byte {
+		b := []byte(wire.ShardMagic)
+		b = binary.AppendUvarint(b, version)
+		b = binary.AppendUvarint(b, uint64(len("eos")))
+		b = append(b, "eos"...)
+		b = binary.AppendUvarint(b, uint64(len(body)))
+		b = append(b, body...)
+		return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+	}
 	t.Run("future version", func(t *testing.T) {
-		// Hand-seal an envelope with a version this build does not read;
-		// checksum and structure are otherwise valid.
-		future := []byte(wire.ShardMagic)
-		future = binary.AppendUvarint(future, wire.ShardVersion+1)
-		future = binary.AppendUvarint(future, uint64(len("eos")))
-		future = append(future, "eos"...)
-		future = binary.AppendUvarint(future, 3)
-		future = append(future, 1, 2, 3)
-		future = binary.LittleEndian.AppendUint32(future, crc32.ChecksumIEEE(future))
-		_, err := DecodeShard(future)
+		_, err := DecodeShard(sealAs(wire.ShardVersion+1, []byte{1, 2, 3}))
 		if err == nil || !strings.Contains(err.Error(), "version") {
 			t.Fatalf("future version error = %v, want version error", err)
+		}
+	})
+	t.Run("retired version 1", func(t *testing.T) {
+		// What an older build's unfenced emit (or ckpt/*.state) left in a
+		// store: this very body, sealed without the fence field. It is
+		// refused by version, and the load names the object to delete.
+		_, _, body, err := wire.OpenShard(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const key = "eos-0000000001-0000000008.shard"
+		store := blobstore.NewMemory()
+		if err := store.Put(context.Background(), key, sealAs(1, body)); err != nil {
+			t.Fatal(err)
+		}
+		_, err = LoadShards(context.Background(), store)
+		if err == nil || !strings.Contains(err.Error(), "version 1 not supported") || !strings.Contains(err.Error(), key) {
+			t.Fatalf("version-1 blob error = %v, want a version error naming %s", err, key)
 		}
 	})
 	t.Run("chain mismatch", func(t *testing.T) {
@@ -188,7 +209,7 @@ func TestShardDecodeRejectsDamage(t *testing.T) {
 		}
 	})
 	t.Run("unknown chain", func(t *testing.T) {
-		alien := wire.SealShard("doge", []byte{1, 2, 3})
+		alien := wire.SealShard("doge", 0, []byte{1, 2, 3})
 		if _, err := DecodeShard(alien); err == nil {
 			t.Fatal("unknown-chain blob decoded without error")
 		}
@@ -324,7 +345,7 @@ func FuzzShardDecode(f *testing.F) {
 	xr.SetCovered(BlockRange{From: 1, To: 4})
 	for _, st := range []ShardState{eos, tez, xr} {
 		var buf bytes.Buffer
-		if err := st.EncodeTo(&buf); err != nil {
+		if err := st.EncodeTo(&buf, 0); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
@@ -335,7 +356,7 @@ func FuzzShardDecode(f *testing.F) {
 			return
 		}
 		var buf bytes.Buffer
-		if err := st.EncodeTo(&buf); err != nil {
+		if err := st.EncodeTo(&buf, 0); err != nil {
 			t.Fatalf("decoded state failed to re-encode: %v", err)
 		}
 		_ = st.Summary().Render()
@@ -377,7 +398,7 @@ func BenchmarkShardEncode(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				var buf bytes.Buffer
-				if err := st.EncodeTo(&buf); err != nil {
+				if err := st.EncodeTo(&buf, 0); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -392,7 +413,7 @@ func BenchmarkShardDecode(b *testing.B) {
 		b.Run(chainName, func(b *testing.B) {
 			st := benchState(b, chainName)
 			var buf bytes.Buffer
-			if err := st.EncodeTo(&buf); err != nil {
+			if err := st.EncodeTo(&buf, 0); err != nil {
 				b.Fatal(err)
 			}
 			blob := buf.Bytes()
@@ -434,7 +455,7 @@ func BenchmarkShardMerge(b *testing.B) {
 				}
 				st.SetCovered(BlockRange{From: int64(64*i + 1), To: int64(64 * (i + 1))})
 				var buf bytes.Buffer
-				if err := st.EncodeTo(&buf); err != nil {
+				if err := st.EncodeTo(&buf, 0); err != nil {
 					b.Fatal(err)
 				}
 				blobs[i] = buf.Bytes()

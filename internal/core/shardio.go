@@ -38,8 +38,7 @@ func shardKey(st ShardState) (string, error) {
 // overlaps at merge time. fence is the lease fence token stamped into the
 // blob's envelope: a coordinated worker passes the Attempt of the lease it
 // crawled under, so merge-time fence verification can reject the emission
-// of a zombie whose lease was reclaimed mid-crawl; 0 emits the unfenced
-// envelope.
+// of a zombie whose lease was reclaimed mid-crawl; 0 means unfenced.
 func EmitShard(ctx context.Context, store blobstore.Store, st ShardState, fence uint64) (string, error) {
 	key, err := shardKey(st)
 	if err != nil {
@@ -56,20 +55,13 @@ func EmitShard(ctx context.Context, store blobstore.Store, st ShardState, fence 
 }
 
 // EncodeShard serializes a shard state to its sealed blob, stamping the
-// given fence token (0 = unfenced, byte-identical to EncodeTo's output).
+// given fence token (0 = unfenced).
 func EncodeShard(st ShardState, fence uint64) ([]byte, error) {
 	var buf bytes.Buffer
-	if err := st.EncodeTo(&buf); err != nil {
+	if err := st.EncodeTo(&buf, fence); err != nil {
 		return nil, fmt.Errorf("core: encoding %s shard: %w", st.Chain(), err)
 	}
-	if fence == 0 {
-		return buf.Bytes(), nil
-	}
-	blob, err := wire.SetShardFence(buf.Bytes(), fence)
-	if err != nil {
-		return nil, fmt.Errorf("core: fencing %s shard: %w", st.Chain(), err)
-	}
-	return blob, nil
+	return buf.Bytes(), nil
 }
 
 // ShardBlob is one decoded shard blob with its provenance: which store it

@@ -106,10 +106,11 @@ type ShardState interface {
 	// returned summary aliases live state.
 	Summary() ChainSummary
 	// EncodeTo writes the state as a sealed, versioned, checksummed shard
-	// blob (see internal/wire shard codec).
-	EncodeTo(w io.Writer) error
+	// blob stamped with the lease fence token, 0 for unfenced (see
+	// internal/wire shard codec).
+	EncodeTo(w io.Writer, fence uint64) error
 	// DecodeFrom replaces the state with a blob's contents. Any structural
-	// damage — truncation, bit flips, a future version, another chain's
+	// damage — truncation, bit flips, another version, another chain's
 	// blob — is an error, never a panic or a silent partial decode.
 	DecodeFrom(r io.Reader) error
 }

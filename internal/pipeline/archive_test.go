@@ -107,12 +107,13 @@ func TestPipelineArchiveRangeMismatchFails(t *testing.T) {
 		t.Skip("pipeline run")
 	}
 	dir := t.TempDir()
-	// Fabricate a "stale" EOS archive that cannot cover the stage's range.
+	// Fabricate a "stale" EOS archive from a bigger scenario: it holds a
+	// block far past this stage's head, so it is no interrupted run of it.
 	w, err := archive.NewWriter(archive.WriterConfig{Dir: filepath.Join(dir, "eos"), Chain: "eos"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(1, []byte(`{"block_num":1}`)); err != nil {
+	if err := w.Append(1<<40, []byte(`{"block_num":1099511627776}`)); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {

@@ -13,6 +13,7 @@ package pipeline
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -22,6 +23,7 @@ import (
 
 	"repro/internal/archive"
 	"repro/internal/chain"
+	"repro/internal/cli"
 	"repro/internal/collect"
 	"repro/internal/core"
 	"repro/internal/explorer"
@@ -64,7 +66,7 @@ type Options struct {
 	// off the crawl workers.
 	IngestWorkers int
 	// Batch is how many decoded blocks each ingest worker folds into its
-	// aggregator per lock acquisition.
+	// private shard per call.
 	Batch int
 	// StageWorkers bounds how many stages run concurrently. Zero means
 	// every ready stage runs in parallel; 1 reproduces the old sequential
@@ -88,22 +90,16 @@ type Options struct {
 	// sub-location (ArchiveDir/eos, …): a live crawl tees its stream into
 	// a fresh archive as it fetches, and a rerun whose archive already
 	// covers the stage's block range replays it from storage instead —
-	// no endpoints served, no probing, zero fetcher network calls. An
-	// archive that exists but does not cover the requested range (an
-	// interrupted run, or a scale/seed change since it was written) fails
+	// no endpoints served, no probing, zero fetcher network calls. A
+	// partial archive whose blocks all lie inside the stage's range — what
+	// a run killed mid-crawl leaves behind — resumes: archived blocks come
+	// from storage, only the missing ones are fetched live and appended,
+	// and the rerun renders the full figures. An archive holding blocks
+	// outside the range (a scale/seed change since it was written) fails
 	// the stage with instructions to delete it, because silently mixing
 	// archived blocks from different scenario parameters would corrupt
 	// the measurement.
 	ArchiveDir string
-
-	// ResumeArchives makes a partial stage archive — what a run killed
-	// mid-crawl leaves behind — a resume point instead of an error:
-	// archived blocks replay from storage, only the missing ones are
-	// fetched live (and appended), and the rerun still renders the full
-	// figures while leaving complete archive coverage behind. An archive
-	// holding blocks outside the stage's range (a scale or seed change)
-	// stays a loud error either way.
-	ResumeArchives bool
 
 	// ExtraStages are appended to the built-in stage graph. They may
 	// depend on built-in stage names ("eos", "tezos", "xrp",
@@ -273,15 +269,17 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 // API: collect.Stream fetches raw blocks into a bounded channel and
 // core.IngestStream decodes and batch-ingests them off the crawl workers
 // (see core.IngestCrawl for the wiring). It then finalizes the stage's
-// write-through archive (sink, nil when the stage has none). A stage that
-// teed into the archive (ccfg.Tee, only ever sink.Append) had each payload
-// deflated there and nowhere else, so the result's GzipBytes — Figure 2's
-// footprint column — is the bytes the archive now holds; every other stage
-// (no archive, replay, resume) keeps the stream's own sizing.
-func crawlInto(ctx context.Context, f collect.BlockFetcher, ccfg collect.CrawlConfig, sink *archive.Writer, dec core.Decoder, icfg core.IngestConfig) (collect.CrawlResult, error) {
+// archive (sink, nil when the stage has none or replays it), joining a
+// finalization failure with the crawl's own error so neither is lost. A
+// stage with a sink had each payload deflated there and nowhere else, so
+// the result's GzipBytes — Figure 2's footprint column — is the bytes the
+// archive now holds; every other stage keeps the stream's own sizing.
+func crawlInto(ctx context.Context, f collect.BlockFetcher, ccfg collect.CrawlConfig, sink *archive.Crawl, dec core.Decoder, icfg core.IngestConfig) (collect.CrawlResult, error) {
 	res, _, err := core.IngestCrawl(ctx, f, ccfg, dec, icfg)
-	err = finishArchive(sink, err)
-	if ccfg.Tee != nil {
+	if sink != nil {
+		if cerr := sink.Close(); cerr != nil {
+			err = errors.Join(err, fmt.Errorf("pipeline: finalizing archive: %w", cerr))
+		}
 		res.GzipBytes = sink.CompressedBytes()
 	}
 	return res, err
@@ -309,20 +307,6 @@ func (o Options) serveFeed(name string, w core.Window, summarize func() core.Cha
 	return core.PeriodicMerge(dec, 0), release, nil
 }
 
-// boundedServer serves h with read-side limits, so a peer that connects and
-// dawdles cannot hold a goroutine and a descriptor for ever: 5 s to finish
-// the request headers, 30 s for the whole request, and an idle keep-alive
-// connection is closed after 2 min. A hijacked connection (the XRP
-// WebSocket) sheds the deadlines when it upgrades.
-func boundedServer(h http.Handler) *http.Server {
-	return &http.Server{
-		Handler:           h,
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-}
-
 // serve starts an HTTP server on a loopback port and returns its base URL
 // and a shutdown function.
 func serve(h http.Handler) (string, func(), error) {
@@ -330,7 +314,7 @@ func serve(h http.Handler) (string, func(), error) {
 	if err != nil {
 		return "", nil, err
 	}
-	srv := boundedServer(h)
+	srv := cli.BoundedServer(h)
 	go srv.Serve(ln)
 	return "http://" + ln.Addr().String(), func() { srv.Close() }, nil
 }

@@ -97,11 +97,10 @@ func crawlFigures(t *testing.T, fetcher collect.BlockFetcher, ccfg collect.Crawl
 
 // TestStageCollectResumesPartialArchive: a stage archive holding only a
 // suffix of the range — what a crash mid-crawl leaves, since segments
-// commit to the manifest incrementally — is refused by default but, with
-// ResumeArchives, resumed: archived blocks replay from storage (never
-// refetched), missing blocks crawl live and extend the archive, figures
-// match an all-live crawl, and the NEXT run replays entirely from the
-// now-complete archive.
+// commit to the manifest incrementally — is resumed: archived blocks
+// replay from storage (never refetched), missing blocks crawl live and
+// extend the archive, figures match an all-live crawl, and the NEXT run
+// replays entirely from the now-complete archive.
 func TestStageCollectResumesPartialArchive(t *testing.T) {
 	const total = 20
 	fx := newResumeFixture(t, total)
@@ -131,21 +130,10 @@ func TestStageCollectResumesPartialArchive(t *testing.T) {
 	}
 	fx.resetCounts()
 
-	// Default: partial coverage is a loud error, never a silent recrawl.
-	strict := DefaultOptions()
-	strict.ArchiveDir = dir
-	ccfg := collect.CrawlConfig{From: 1, To: total, Workers: 2}
-	if _, _, cleanup, err := strict.stageCollect("eos", "eos", 1, total, &ccfg, func() (collect.BlockFetcher, func(), error) {
-		return client, nil, nil
-	}); err == nil || !strings.Contains(err.Error(), "delete the archive") {
-		cleanup()
-		t.Fatalf("partial archive without ResumeArchives: %v", err)
-	}
-
 	// Resume: archived blocks come from storage, the rest live.
-	opts := strict
-	opts.ResumeArchives = true
-	ccfg = collect.CrawlConfig{From: 1, To: total, Workers: 2}
+	opts := DefaultOptions()
+	opts.ArchiveDir = dir
+	ccfg := collect.CrawlConfig{From: 1, To: total, Workers: 2}
 	fetcher, sink, cleanup, err := opts.stageCollect("eos", "eos", 1, total, &ccfg, func() (collect.BlockFetcher, func(), error) {
 		return client, nil, nil
 	})
@@ -154,7 +142,7 @@ func TestStageCollectResumesPartialArchive(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := crawlFigures(t, fetcher, ccfg)
-	if err := finishArchive(sink, nil); err != nil {
+	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if got != want {
@@ -198,7 +186,7 @@ func TestStageCollectResumesPartialArchive(t *testing.T) {
 
 // TestReplayReaderRefusesForeignBlocks: an archive whose blocks lie
 // outside the stage's range (scale or seed changed since it was written)
-// refuses loudly even in resume mode — resuming it would measure a
+// refuses loudly instead of resuming — resuming it would measure a
 // different scenario.
 func TestReplayReaderRefusesForeignBlocks(t *testing.T) {
 	const total = 12
@@ -225,10 +213,9 @@ func TestReplayReaderRefusesForeignBlocks(t *testing.T) {
 
 	opts := DefaultOptions()
 	opts.ArchiveDir = dir
-	opts.ResumeArchives = true
 	// The stage now wants [1, 10]: archived blocks 11 and 12 are from a
 	// bigger scenario.
-	if _, _, err := opts.replayReader("eos", "eos", 1, 10); err == nil || !strings.Contains(err.Error(), "delete the archive") {
+	if _, err := opts.replayReader("eos", "eos", 1, 10); err == nil || !strings.Contains(err.Error(), "delete the archive") {
 		t.Fatalf("archive with out-of-range blocks resumed: %v", err)
 	}
 }

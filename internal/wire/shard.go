@@ -6,8 +6,8 @@
 // Layout of a sealed shard blob:
 //
 //	magic   "SHRD"                      4 bytes
-//	version uvarint                     1 (unfenced) or 2 (fenced)
-//	fence   uvarint                     version 2 only: lease fence token
+//	version uvarint                     2
+//	fence   uvarint                     lease fence token, 0 = unfenced
 //	chain   uvarint length + bytes      archive-manifest chain name
 //	body    uvarint length + bytes      chain-specific field schema
 //	crc32   IEEE, 4 bytes little-endian over everything before it
@@ -17,12 +17,12 @@
 // bit-flipped transfer is rejected by length/checksum, and the chain name
 // routes the body to the right decoder. The body schema itself is
 // versioned implicitly through the envelope version: any field change
-// bumps it. Version 2 carries the SAME body schema as version 1 plus one
-// header field — the fence token a coordinated worker stamps from its
-// lease lineage, so a zombie worker's stale shard is detectable before
-// merge (see internal/coord). Version-1 blobs decode unchanged with fence
-// 0 ("unfenced"), and unfenced emits keep producing version 1 so the
-// canonical re-encode property is undisturbed.
+// bumps it. The fence token is the one a coordinated worker stamps from
+// its lease lineage, so a zombie worker's stale shard is detectable before
+// merge (see internal/coord); everything else — plain -emit-shard runs,
+// worker checkpoints — writes fence 0. Version 1, the same body without
+// the fence field, is no longer read: a blob an older build left behind is
+// refused by version.
 package wire
 
 import (
@@ -37,15 +37,10 @@ import (
 // ShardMagic prefixes every sealed shard blob.
 const ShardMagic = "SHRD"
 
-// ShardVersion is the newest shard envelope version this build reads and
-// writes. Decoders refuse anything newer: a shard produced by a newer
-// build may carry fields this build would silently drop from the merge.
+// ShardVersion is the one shard envelope version this build reads and
+// writes. Decoders refuse any other: a shard produced by a newer build may
+// carry fields this build would silently drop from the merge.
 const ShardVersion = 2
-
-// shardVersionUnfenced is the version-1 envelope: no fence header. It is
-// still what SealShard emits, so unfenced blobs stay byte-identical to
-// what earlier builds produced.
-const shardVersionUnfenced = 1
 
 // ErrShardCorrupt marks blobs that fail structural validation (bad magic,
 // truncation, checksum mismatch, trailing junk). Use errors.Is to detect.
@@ -231,26 +226,13 @@ func (d *ShardDec) Count() int {
 	return int(n)
 }
 
-// SealShard wraps an encoded body in the versioned, checksummed envelope.
-// The blob is unfenced (version 1) — SealShardFenced adds a fence token.
-func SealShard(chain string, body []byte) []byte {
-	return SealShardFenced(chain, 0, body)
-}
-
-// SealShardFenced wraps an encoded body in the envelope, stamping the
-// lease fence token when non-zero. Fence 0 means "unfenced" and produces
-// the version-1 envelope byte-for-byte, so unfenced blobs stay canonical
-// across builds; any other fence produces the version-2 envelope with the
-// fence header.
-func SealShardFenced(chain string, fence uint64, body []byte) []byte {
+// SealShard wraps an encoded body in the versioned, checksummed envelope,
+// stamping the lease fence token (0 = unfenced).
+func SealShard(chain string, fence uint64, body []byte) []byte {
 	blob := make([]byte, 0, len(ShardMagic)+len(chain)+len(body)+32)
 	blob = append(blob, ShardMagic...)
-	if fence == 0 {
-		blob = binary.AppendUvarint(blob, shardVersionUnfenced)
-	} else {
-		blob = binary.AppendUvarint(blob, ShardVersion)
-		blob = binary.AppendUvarint(blob, fence)
-	}
+	blob = binary.AppendUvarint(blob, ShardVersion)
+	blob = binary.AppendUvarint(blob, fence)
 	blob = binary.AppendUvarint(blob, uint64(len(chain)))
 	blob = append(blob, chain...)
 	blob = binary.AppendUvarint(blob, uint64(len(body)))
@@ -259,19 +241,10 @@ func SealShardFenced(chain string, fence uint64, body []byte) []byte {
 }
 
 // OpenShard validates a sealed blob's magic, version, lengths and checksum
-// and returns the chain name and body, ignoring any fence header. The body
-// aliases blob.
-func OpenShard(blob []byte) (chain string, body []byte, err error) {
-	chain, _, body, err = OpenShardFenced(blob)
-	return chain, body, err
-}
-
-// OpenShardFenced validates a sealed blob's magic, version, lengths and
-// checksum and returns the chain name, fence token (0 for version-1
-// unfenced blobs) and body. The body aliases blob. Every failure mode —
-// truncation anywhere, a flipped bit, trailing junk, a version from the
-// future — is an error, never a panic.
-func OpenShardFenced(blob []byte) (chain string, fence uint64, body []byte, err error) {
+// and returns the chain name, fence token (0 = unfenced) and body. The body
+// aliases blob. Every failure mode — truncation anywhere, a flipped bit,
+// trailing junk, any version but ShardVersion — is an error, never a panic.
+func OpenShard(blob []byte) (chain string, fence uint64, body []byte, err error) {
 	if len(blob) < len(ShardMagic)+4 {
 		return "", 0, nil, fmt.Errorf("%w: %d bytes is shorter than any sealed shard", ErrShardCorrupt, len(blob))
 	}
@@ -284,12 +257,10 @@ func OpenShardFenced(blob []byte) (chain string, fence uint64, body []byte, err 
 	}
 	d := NewShardDec(blob[len(ShardMagic) : len(blob)-4])
 	version := d.Uvarint()
-	if d.Err() == nil && (version == 0 || version > ShardVersion) {
-		return "", 0, nil, fmt.Errorf("wire: shard version %d not supported (this build reads up to %d)", version, ShardVersion)
+	if d.Err() == nil && version != ShardVersion {
+		return "", 0, nil, fmt.Errorf("wire: shard version %d not supported (this build reads only %d)", version, ShardVersion)
 	}
-	if version >= ShardVersion {
-		fence = d.Uvarint()
-	}
+	fence = d.Uvarint()
 	chain = d.String()
 	n := d.Count()
 	if err := d.Err(); err != nil {
@@ -307,18 +278,6 @@ func OpenShardFenced(blob []byte) (chain string, fence uint64, body []byte, err 
 // The whole envelope is validated first: a fence read off a corrupt blob
 // would be evidence of nothing.
 func ShardFence(blob []byte) (uint64, error) {
-	_, fence, _, err := OpenShardFenced(blob)
+	_, fence, _, err := OpenShard(blob)
 	return fence, err
-}
-
-// SetShardFence re-seals a sealed blob with the given fence token,
-// preserving chain and body bytes exactly. It is how a worker stamps its
-// lease fence onto a shard its chain-specific encoder produced unfenced —
-// the encoder owns the body schema, the fence is transport metadata.
-func SetShardFence(blob []byte, fence uint64) ([]byte, error) {
-	chain, _, body, err := OpenShardFenced(blob)
-	if err != nil {
-		return nil, err
-	}
-	return SealShardFenced(chain, fence, body), nil
 }
