@@ -29,11 +29,11 @@
 // other shards — the merged figures are byte-identical to a single-process
 // crawl, which the CI distributed job diffs.
 //
-// With -checkpoint-every N the shard crawl becomes crash-recoverable: the
-// slice is crawled in chunks of N blocks and after each chunk the FULL
-// aggregate is persisted to the -emit-shard store (internal/coord), so a
-// worker killed at any instant resumes from the last chunk boundary and
-// still emits a complete shard.
+// With -checkpoint-every N the shard crawl becomes crash-recoverable:
+// every N blocks the FULL aggregate as of that boundary is persisted to the
+// -emit-shard store, beside the running crawl (internal/coord), so a
+// worker killed at any instant resumes from the last checkpoint written
+// and still emits a complete shard.
 // cmd/coordinate drives fleets of such workers, handing each a -fence
 // token (its slice lease's attempt count) that is stamped into the
 // emitted shard; a worker whose lease was reclaimed mid-crawl emits a

@@ -39,7 +39,11 @@ type CrawlConfig struct {
 	// stalled consumer stops the fetch side with at most
 	// Buffer + 2·Workers + 1 payloads in flight: Buffer delivered but
 	// unread, one in each worker's hand, one per worker parked in the
-	// hand-off to the tee stage, and the one the stage holds.
+	// hand-off to the tee stage, and the one the stage holds. The same
+	// number is how far, in block positions, any fetch worker may run
+	// ahead of the newest block not yet delivered: a worker in retry
+	// backoff holds the others to one such window, so a wider Buffer also
+	// buys more slack around a slow block.
 	Buffer int
 	// Tee, when set, receives every fetched block immediately before it is
 	// handed to the stream — the hook archive sinks attach to. One stage

@@ -77,7 +77,8 @@ func foreignGoroutines() []string {
 }
 
 // TestStreamExitsLeaveNoGoroutines: each way a stream can end — drained,
-// aborted by its tee, cancelled against a stalled consumer — must have
+// aborted by its tee or by a hole, cancelled against a stalled consumer —
+// must have
 // stopped every fetch worker and the tee stage by the time Wait returns.
 func TestStreamExitsLeaveNoGoroutines(t *testing.T) {
 	exits := map[string]func(t *testing.T){
@@ -103,6 +104,18 @@ func TestStreamExitsLeaveNoGoroutines(t *testing.T) {
 			}
 			if _, err := h.Wait(); !errors.Is(err, ErrTee) {
 				t.Fatalf("err = %v, want ErrTee", err)
+			}
+		},
+		"hole": func(t *testing.T) {
+			f := newMemFetcher(50, 0)
+			f.fail = map[int64]bool{40: true}
+			blocks, h := StreamGapless(context.Background(), f, CrawlConfig{
+				Workers: 4, Buffer: 2, MaxRetries: 1, Backoff: time.Microsecond,
+			})
+			for range blocks {
+			}
+			if _, err := h.Wait(); err == nil {
+				t.Fatal("gapless stream over a broken block reported success")
 			}
 		},
 		"cancel": func(t *testing.T) {

@@ -92,7 +92,31 @@ func (h *CrawlHandle) Wait() (CrawlResult, error) {
 // The channel is closed when the crawl finishes, fails, or ctx is
 // cancelled — after the workers and the stage have exited; then
 // CrawlHandle.Wait returns the CrawlResult.
+//
+// Blocks arrive in roughly, not exactly, descending order: workers own
+// strides of the range and one may sit in retry backoff while the others
+// go on. How far they go on is bounded — no block is fetched more than
+// Buffer + 2·Workers + 1 positions below the newest block still
+// undelivered — so a consumer that keys state by block number holds state
+// for one such window, not for the whole range.
+//
+// A block that exhausts its retries is counted in CrawlResult.Failed and
+// skipped: the rest of the range still flows (an archive tee keeps
+// everything that can be had) and Wait reports the first such error.
 func Stream(ctx context.Context, f BlockFetcher, cfg CrawlConfig) (<-chan Block, *CrawlHandle) {
+	return stream(ctx, f, cfg, false)
+}
+
+// StreamGapless is Stream for a consumer whose result is worthless with a
+// block missing: the first block to exhaust its retries aborts the crawl,
+// as a tee failure does, instead of being counted and skipped. No block
+// more than one in-flight window below the hole is fetched, the channel
+// closes, and Wait returns the failed block's error.
+func StreamGapless(ctx context.Context, f BlockFetcher, cfg CrawlConfig) (<-chan Block, *CrawlHandle) {
+	return stream(ctx, f, cfg, true)
+}
+
+func stream(ctx context.Context, f BlockFetcher, cfg CrawlConfig, gapless bool) (<-chan Block, *CrawlHandle) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
 	}
@@ -107,11 +131,16 @@ func Stream(ctx context.Context, f BlockFetcher, cfg CrawlConfig) (<-chan Block,
 	}
 	out := make(chan Block, cfg.Buffer)
 	h := &CrawlHandle{finished: make(chan struct{})}
-	go h.run(ctx, f, cfg, out)
+	go h.run(ctx, f, cfg, gapless, out)
 	return out, h
 }
 
-func (h *CrawlHandle) run(ctx context.Context, f BlockFetcher, cfg CrawlConfig, out chan<- Block) {
+func (h *CrawlHandle) run(parent context.Context, f BlockFetcher, cfg CrawlConfig, gapless bool, out chan<- Block) {
+	// abort stops the whole crawl from inside: fetches in flight are
+	// cancelled and workers parked on the window wake. The parent's own
+	// cancellation arrives the same way.
+	ctx, abort := context.WithCancel(parent)
+	defer abort()
 	start := time.Now()
 	finish := func(err error) {
 		h.res.Elapsed = time.Since(start)
@@ -162,10 +191,7 @@ func (h *CrawlHandle) run(ctx context.Context, f BlockFetcher, cfg CrawlConfig, 
 	// (wrapped fetch errors vs. ErrTee-joined tee errors), and
 	// atomic.Value.CompareAndSwap panics on inconsistently typed values.
 	var firstErr onceError
-	// A failed tee (disk full, torn archive directory) is not a per-block
-	// condition like a fetch error: every later block would fail the same
-	// way, so the whole crawl stops.
-	var teeFailed atomic.Bool
+	win := newWindow(cfg.Buffer + 2*cfg.Workers + 1)
 
 	// Fetching and teeing are pipelined: workers hand fetched blocks to one
 	// tee-and-deliver stage, so the tee's deflate of block n overlaps the
@@ -180,7 +206,7 @@ func (h *CrawlHandle) run(ctx context.Context, f BlockFetcher, cfg CrawlConfig, 
 	go func() {
 		defer close(stageDone)
 		for b := range staged {
-			if ctx.Err() != nil || teeFailed.Load() {
+			if ctx.Err() != nil {
 				b.Release()
 				continue
 			}
@@ -188,15 +214,19 @@ func (h *CrawlHandle) run(ctx context.Context, f BlockFetcher, cfg CrawlConfig, 
 			// consumer has the Block it may Release the buffer back to
 			// the pool at any moment.
 			if err := tee(b.Num, b.Raw); err != nil {
+				// A failed tee (disk full, torn archive directory) is not
+				// a per-block condition like a fetch error: every later
+				// block would fail the same way, so the whole crawl stops.
 				b.Release()
 				firstErr.set(fmt.Errorf("%w: block %d: %w", ErrTee, b.Num, err))
-				teeFailed.Store(true)
+				abort()
 				continue
 			}
 			select {
 			case out <- b:
 				atomic.AddInt64(&h.res.Blocks, 1)
 				atomic.AddInt64(&h.res.RawBytes, int64(len(b.Raw)))
+				win.resolve(cfg.To - b.Num)
 			case <-ctx.Done():
 				b.Release()
 			}
@@ -212,13 +242,18 @@ func (h *CrawlHandle) run(ctx context.Context, f BlockFetcher, cfg CrawlConfig, 
 		go func(offset int64) {
 			defer wg.Done()
 			for num := cfg.To - offset; num >= cfg.From; num -= stride {
-				if ctx.Err() != nil || teeFailed.Load() {
+				if !win.admit(ctx, cfg.To-num) {
 					return
 				}
 				raw, err := fetchWithRetry(ctx, f, num, cfg, &h.res.Retries)
 				if err != nil {
 					atomic.AddInt64(&h.res.Failed, 1)
 					firstErr.set(err)
+					if gapless {
+						abort()
+						return
+					}
+					win.resolve(cfg.To - num)
 					continue
 				}
 				staged <- Block{Num: num, Raw: raw, pooled: recycle}
@@ -234,9 +269,68 @@ func (h *CrawlHandle) run(ctx context.Context, f BlockFetcher, cfg CrawlConfig, 
 	}
 	err := firstErr.get()
 	if err == nil {
-		err = ctx.Err()
+		err = parent.Err()
 	}
 	finish(err)
+}
+
+// window holds a stream's fetch workers to within size positions of the
+// oldest position (To − num) still unresolved — neither delivered nor
+// given up on. Without it stride sharding lets every worker but one run
+// through the whole range while that one sits in retry backoff.
+type window struct {
+	mu   sync.Mutex
+	done []bool // ring over positions [low, low+len(done))
+	low  int64  // oldest unresolved position
+	// moved is closed, and replaced, when low advances past a parked
+	// worker's reach; nil while nobody is parked.
+	moved chan struct{}
+}
+
+func newWindow(size int) *window { return &window{done: make([]bool, size)} }
+
+// admit parks the caller until pos is inside the window, and reports false
+// when ctx ended first.
+func (w *window) admit(ctx context.Context, pos int64) bool {
+	if ctx.Err() != nil {
+		return false
+	}
+	w.mu.Lock()
+	for pos >= w.low+int64(len(w.done)) {
+		if w.moved == nil {
+			w.moved = make(chan struct{})
+		}
+		moved := w.moved
+		w.mu.Unlock()
+		select {
+		case <-moved:
+		case <-ctx.Done():
+			return false
+		}
+		w.mu.Lock()
+	}
+	w.mu.Unlock()
+	return true
+}
+
+// resolve marks pos delivered or given up on, sliding the window past
+// every resolved position at its old end.
+func (w *window) resolve(pos int64) {
+	size := int64(len(w.done))
+	w.mu.Lock()
+	w.done[pos%size] = true
+	if pos == w.low {
+		// Each visited slot is cleared, so the walk ends within one lap.
+		for w.done[w.low%size] {
+			w.done[w.low%size] = false
+			w.low++
+		}
+		if w.moved != nil {
+			close(w.moved)
+			w.moved = nil
+		}
+	}
+	w.mu.Unlock()
 }
 
 // onceError keeps the first error set, under a mutex so error values of

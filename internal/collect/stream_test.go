@@ -444,3 +444,131 @@ func TestCrawlAdapterMatchesStream(t *testing.T) {
 		t.Fatalf("blocks=%d delivered=%d, want 40/40", res.Blocks, delivered)
 	}
 }
+
+// stallFetcher is a memFetcher that holds one block back until every other
+// block the stream may fetch meanwhile has been requested, and remembers
+// whether anything beyond that was requested too.
+type stallFetcher struct {
+	*memFetcher
+	stalled int64 // the block held back
+	reach   int64 // lowest block the window admits while stalled is unresolved
+	others  int64 // how many other blocks the window admits meanwhile
+
+	release  chan struct{}
+	seen     atomic.Int64
+	overshot atomic.Int64 // lowest block requested below reach before the release, 0 if none
+}
+
+func newStallFetcher(total, stalled int64, workers, window int) *stallFetcher {
+	f := &stallFetcher{memFetcher: newMemFetcher(total, 0), stalled: stalled, release: make(chan struct{})}
+	f.reach = stalled - int64(window) + 1
+	if f.reach < 1 {
+		f.reach = 1
+	}
+	// Everything above the stalled block gets fetched, and of the window
+	// below it what is not in the stuck worker's own stride.
+	for num := total; num >= f.reach; num-- {
+		if num > stalled || (stalled-num)%int64(workers) != 0 {
+			f.others++
+		}
+	}
+	return f
+}
+
+func (f *stallFetcher) FetchBlock(ctx context.Context, num int64) ([]byte, error) {
+	if num == f.stalled {
+		select {
+		case <-f.release:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		return f.memFetcher.FetchBlock(ctx, num)
+	}
+	select {
+	case <-f.release:
+	default:
+		if num < f.reach {
+			f.overshot.Store(num)
+		}
+	}
+	raw, err := f.memFetcher.FetchBlock(ctx, num)
+	if f.seen.Add(1) == f.others {
+		close(f.release)
+	}
+	return raw, err
+}
+
+// TestStreamWindowHoldsRunaways: with one fetch stuck (a worker deep in
+// retry backoff) the other workers may run at most one in-flight window
+// ahead of it — not through the whole range, as bare stride sharding would
+// let them — and the crawl still completes once the straggler lands.
+func TestStreamWindowHoldsRunaways(t *testing.T) {
+	const workers, buffer, total = 4, 8, 400
+	window := buffer + 2*workers + 1
+	for _, stalled := range []int64{total, total - 3, 200, 5} {
+		t.Run(fmt.Sprint("block", stalled), func(t *testing.T) {
+			f := newStallFetcher(total, stalled, workers, window)
+			blocks, h := Stream(context.Background(), f, CrawlConfig{Workers: workers, Buffer: buffer})
+			var delivered int64
+			for blk := range blocks {
+				delivered++
+				blk.Release()
+			}
+			res, err := h.Wait()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Blocks != total || delivered != total {
+				t.Fatalf("blocks = %d, delivered %d, want %d", res.Blocks, delivered, total)
+			}
+			if num := f.overshot.Load(); num != 0 {
+				t.Fatalf("block %d fetched while block %d was still undelivered: more than the window (%d) below it", num, stalled, window)
+			}
+		})
+	}
+}
+
+// TestStreamGaplessStopsAtHole: a block that exhausts its retries ends a
+// gapless stream within one in-flight window — nothing further down is
+// fetched, the channel closes, Wait names the block — where a plain stream
+// counts it and delivers the rest.
+func TestStreamGaplessStopsAtHole(t *testing.T) {
+	const workers, buffer, total, hole = 4, 8, 400, 300
+	window := int64(buffer + 2*workers + 1)
+	cfg := CrawlConfig{Workers: workers, Buffer: buffer, MaxRetries: 1, Backoff: time.Microsecond}
+
+	f := newMemFetcher(total, 0)
+	f.fail = map[int64]bool{hole: true}
+	blocks, h := StreamGapless(context.Background(), f, cfg)
+	for blk := range blocks {
+		if blk.Num == hole {
+			t.Errorf("the failed block %d was delivered", hole)
+		}
+		blk.Release()
+	}
+	res, err := h.Wait()
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("block %d failed", hole)) {
+		t.Fatalf("Wait = %v, want the failed block's error", err)
+	}
+	if res.Failed < 1 {
+		t.Fatalf("Failed = %d, want the hole counted", res.Failed)
+	}
+	f.mu.Lock()
+	for num := range f.fetched {
+		if num <= hole-window {
+			t.Errorf("block %d fetched, more than one window (%d) below the hole at %d", num, window, hole)
+		}
+	}
+	f.mu.Unlock()
+
+	f = newMemFetcher(total, 0)
+	f.fail = map[int64]bool{hole: true}
+	blocks, h = Stream(context.Background(), f, cfg)
+	for blk := range blocks {
+		blk.Release()
+	}
+	res, err = h.Wait()
+	if err == nil || res.Failed != 1 || res.Blocks != total-1 {
+		t.Fatalf("plain stream: %d blocks, %d failed, err %v; want %d, 1 and the hole's error", res.Blocks, res.Failed, err, total-1)
+	}
+}

@@ -123,6 +123,20 @@ func (f *eosFixture) oracle(t *testing.T, to int64) string {
 	return kit.Summarize().Render()
 }
 
+// cancelAfterCheckpoint returns an AfterCheckpoint hook that cancels once
+// the k-th checkpoint has been written, recording what it covered.
+func cancelAfterCheckpoint(k int, cancel context.CancelFunc, covered *core.BlockRange) func(core.BlockRange) {
+	n := 0
+	return func(cov core.BlockRange) {
+		if n++; n == k {
+			if covered != nil {
+				*covered = cov
+			}
+			cancel()
+		}
+	}
+}
+
 // TestRunShardCrawlKillResume: a worker killed mid-crawl (fresh process =
 // fresh kit) resumes from its blob-store checkpoint, refetches only the
 // interrupted chunk, and the finished shard is byte-identical to an
@@ -141,11 +155,14 @@ func TestRunShardCrawlKillResume(t *testing.T) {
 		}
 	}
 
-	// First run: killed after ~25 fetches. The kit dies with the run.
+	// First run: killed right after its second checkpoint landed — the
+	// recoverable instant AfterCheckpoint exposes. The kit dies with the run.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	fx.armInterrupt(25, cancel)
-	if _, err := RunShardCrawl(ctx, mkCfg(fx.kit(t))); err == nil {
+	killed := mkCfg(fx.kit(t))
+	var second core.BlockRange
+	killed.AfterCheckpoint = cancelAfterCheckpoint(2, cancel, &second)
+	if _, err := RunShardCrawl(ctx, killed); err == nil {
 		t.Fatal("interrupted run reported success")
 	}
 	if _, err := store.Get(context.Background(), CheckpointKey("eos", 1, head)); err != nil {
@@ -163,6 +180,11 @@ func TestRunShardCrawlKillResume(t *testing.T) {
 	}
 	if !out.Resumed.Known() {
 		t.Fatal("second run did not resume from the checkpoint")
+	}
+	// An interrupted worker leaves the longest complete prefix it held:
+	// never less than the checkpoint it was killed after.
+	if out.Resumed.To != head || out.Resumed.From > second.From {
+		t.Fatalf("resumed from %s, want at least the checkpoint the kill followed, %s", out.Resumed, second)
 	}
 
 	// Zero double-ingest: the resumed run must not have refetched any
@@ -206,11 +228,11 @@ func TestRunShardCrawlTornCheckpoint(t *testing.T) {
 	// Produce a real checkpoint by interrupting a chunked run.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	fx.armInterrupt(15, cancel)
 	cfg := CrawlerConfig{
 		Kit: fx.kit(t), Fetcher: fx.fetcher(),
 		From: 1, To: head, Store: store,
 		CheckpointEvery: 8, Workers: 2,
+		AfterCheckpoint: cancelAfterCheckpoint(1, cancel, nil),
 	}
 	if _, err := RunShardCrawl(ctx, cfg); err == nil {
 		t.Fatal("interrupted run reported success")
@@ -477,5 +499,73 @@ func TestCoordinatorAllSlicesFail(t *testing.T) {
 	}
 	if len(res.Report.Missing) != 1 || res.Report.Missing[0].From != 1 || res.Report.Missing[0].To != 90 {
 		t.Fatalf("gap report should cover the whole range: %+v", res.Report)
+	}
+}
+
+// TestCoordinatorFoldBelievesTheStore: the final fold reuses what
+// validation decoded only for blobs the store still holds byte for byte.
+// A shard rewritten after its validation (a zombie's late, unfenced put)
+// and a stray shard nobody validated are both decoded afresh from the
+// store — and refused, exactly as a cold core.LoadShards + MergeShards
+// would refuse them.
+func TestCoordinatorFoldBelievesTheStore(t *testing.T) {
+	fx := newEOSFixture(t, 45)
+	head := fx.head(t)
+	tamper := map[string]struct {
+		after   func(t *testing.T, store blobstore.Store, done Task)
+		refusal string
+	}{
+		"rewritten shard": {
+			after: func(t *testing.T, store blobstore.Store, done Task) {
+				key := done.Name() + ".shard"
+				raw, err := store.Get(context.Background(), key)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st, err := core.DecodeShard(raw)
+				if err != nil {
+					t.Fatal(err)
+				}
+				unfenced, err := core.EncodeShard(st, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := store.Put(context.Background(), key, unfenced); err != nil {
+					t.Fatal(err)
+				}
+			},
+			refusal: "stale emission",
+		},
+		"stray shard": {
+			after: func(t *testing.T, store blobstore.Store, done Task) {
+				st := fx.kit(t).State()
+				st.SetCovered(core.BlockRange{From: done.From, To: done.From + 1})
+				if _, err := core.EmitShard(context.Background(), store, st, 0); err != nil {
+					t.Fatal(err)
+				}
+			},
+			refusal: "overlap",
+		},
+	}
+	for name, tc := range tamper {
+		t.Run(name, func(t *testing.T) {
+			store := blobstore.NewMemory()
+			var once sync.Once
+			res, err := Run(context.Background(), Config{
+				Chain: "eos", From: 1, To: head, Shards: 3,
+				Store: store,
+				Retry: retry.Policy{Attempts: 2, Base: time.Millisecond},
+				Run:   inProcessWorker(fx, store, 0),
+				AfterTaskDone: func(done Task) {
+					once.Do(func() { tc.after(t, store, done) })
+				},
+			})
+			if err == nil || !strings.Contains(err.Error(), tc.refusal) {
+				t.Fatalf("fold over a tampered store: %v, want a refusal mentioning %q", err, tc.refusal)
+			}
+			if res == nil || res.Merged != nil {
+				t.Fatalf("refused fold still produced figures: %+v", res)
+			}
+		})
 	}
 }

@@ -1,12 +1,14 @@
 package coord
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -294,6 +296,9 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	var (
 		mu sync.Mutex
 		wg sync.WaitGroup
+		// validated keeps each slice's shard as validation decoded it, by
+		// key, so the final fold need not decode it again.
+		validated = make(map[string]validatedShard, len(tasks))
 	)
 	for _, t := range tasks {
 		wg.Add(1)
@@ -301,7 +306,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			err := runTask(rctx, cfg, leases, t, tr, logf)
+			shard, err := runTask(rctx, cfg, leases, t, tr, logf)
 			if err != nil {
 				tr.transition(rctx, t.Name(), func(r *TaskRecord) {
 					r.State = TaskFailed
@@ -321,6 +326,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			} else {
 				logf("slice %d/%d [%d, %d]: shard validated", t.Index, t.N, t.From, t.To)
 				res.Completed = append(res.Completed, t)
+				validated[shard.blob.Key] = shard
 			}
 			mu.Unlock()
 			if err == nil && cfg.AfterTaskDone != nil {
@@ -347,7 +353,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if len(res.Completed) > 0 {
 		floors := tr.fenceFloors()
 		lerr := cfg.Retry.Do(rctx, "merge shards", func(ctx context.Context) error {
-			blobs, err := core.LoadShards(ctx, cfg.Store)
+			blobs, err := loadShards(ctx, cfg.Store, validated)
 			if err != nil {
 				return err
 			}
@@ -520,15 +526,15 @@ func (tr *runTracker) fenceFloors() map[string]uint64 {
 // coordinator already validated is skipped — after re-validating against
 // the store, because trusting a checkpoint over the store would merge a
 // blob nobody checked.
-func runTask(ctx context.Context, cfg Config, leases *Leases, t Task, tr *runTracker, logf func(string, ...any)) error {
+func runTask(ctx context.Context, cfg Config, leases *Leases, t Task, tr *runTracker, logf func(string, ...any)) (validatedShard, error) {
 	if prev, ok := tr.record(t.Name()); ok && prev.State == TaskDone {
 		done := t
 		done.Fence = prev.Fence
-		if err := validateShard(ctx, cfg.Store, done); err == nil {
+		if shard, err := validateShard(ctx, cfg.Store, done); err == nil {
 			logf("slice %d/%d [%d, %d]: validated by a previous coordinator (fence %d), skipping", t.Index, t.N, t.From, t.To, prev.Fence)
-			return nil
+			return shard, nil
 		} else if retry.IsPermanent(err) {
-			return err
+			return validatedShard{}, err
 		} else {
 			logf("slice %d/%d [%d, %d]: checkpoint says done but shard no longer validates (%v); relaunching", t.Index, t.N, t.From, t.To, err)
 		}
@@ -555,7 +561,7 @@ func runTask(ctx context.Context, cfg Config, leases *Leases, t Task, tr *runTra
 		return cerr
 	})
 	if err != nil {
-		return err
+		return validatedShard{}, err
 	}
 	// The claim's attempt count is the task's fence token: it grows on
 	// every reclaim, so the shard a worker emits under this lease outranks
@@ -592,7 +598,8 @@ func runTask(ctx context.Context, cfg Config, leases *Leases, t Task, tr *runTra
 		// rewrites it.
 		policy.Retryable = func(err error) bool { return !retry.IsPermanent(err) }
 	}
-	return policy.Do(rctx, "shard "+t.Name(), func(ctx context.Context) error {
+	var shard validatedShard
+	err = policy.Do(rctx, "shard "+t.Name(), func(ctx context.Context) error {
 		tr.transition(ctx, t.Name(), func(r *TaskRecord) { r.Attempts++ })
 		if err := cfg.Run(ctx, t); err != nil {
 			return err
@@ -600,46 +607,88 @@ func runTask(ctx context.Context, cfg Config, leases *Leases, t Task, tr *runTra
 		// Believe the store, not the worker's exit status: the attempt
 		// counts only if the shard blob landed, decodes, and carries our
 		// fence.
-		return validateShard(ctx, cfg.Store, t)
+		var verr error
+		shard, verr = validateShard(ctx, cfg.Store, t)
+		return verr
 	})
+	return shard, err
+}
+
+// validatedShard is a slice's shard as validateShard found it: the stored
+// bytes and what they decoded to.
+type validatedShard struct {
+	raw  []byte
+	blob core.ShardBlob
 }
 
 // validateShard fetches and decodes the shard blob a completed task must
 // have emitted, checking it covers exactly the task's slice and — when
 // t.Fence is set — carries exactly the task's fence token. Every refusal
 // names store URL and blob key, so a coordinator log points straight at
-// the object to inspect.
-func validateShard(ctx context.Context, store blobstore.Store, t Task) error {
+// the object to inspect. The decoded shard is returned for the final fold.
+func validateShard(ctx context.Context, store blobstore.Store, t Task) (validatedShard, error) {
 	key := t.Name() + ".shard"
 	raw, err := store.Get(ctx, key)
 	if err != nil {
-		return fmt.Errorf("coord: worker exited clean but shard %s is unreadable: %w", key, err)
+		return validatedShard{}, fmt.Errorf("coord: worker exited clean but shard %s is unreadable: %w", key, err)
 	}
 	fence, err := wire.ShardFence(raw)
 	if err != nil {
-		return fmt.Errorf("coord: shard %s at %s: %w", key, store.URL(), err)
+		return validatedShard{}, fmt.Errorf("coord: shard %s at %s: %w", key, store.URL(), err)
 	}
 	if t.Fence != 0 {
 		if fence < t.Fence {
 			// A superseded worker's stale emission overwrote (or preempted)
 			// our worker's blob. Retryable: relaunching under the current
 			// lease rewrites the blob with the current fence.
-			return fmt.Errorf("coord: shard %s at %s carries fence %d, want %d: stale emission from a superseded worker", key, store.URL(), fence, t.Fence)
+			return validatedShard{}, fmt.Errorf("coord: shard %s at %s carries fence %d, want %d: stale emission from a superseded worker", key, store.URL(), fence, t.Fence)
 		}
 		if fence > t.Fence {
 			// The blob outranks OUR lease lineage: someone reclaimed past us
 			// and already finished the slice. We are the zombie here —
 			// retrying under a stale fence could only waste work, so this
 			// coordinator stands down on the slice permanently.
-			return retry.Permanent(fmt.Errorf("coord: shard %s at %s carries fence %d, newer than our lease attempt %d: this coordinator was superseded on the slice", key, store.URL(), fence, t.Fence))
+			return validatedShard{}, retry.Permanent(fmt.Errorf("coord: shard %s at %s carries fence %d, newer than our lease attempt %d: this coordinator was superseded on the slice", key, store.URL(), fence, t.Fence))
 		}
 	}
 	st, err := core.DecodeShard(raw)
 	if err != nil {
-		return fmt.Errorf("coord: shard %s at %s: %w", key, store.URL(), err)
+		return validatedShard{}, fmt.Errorf("coord: shard %s at %s: %w", key, store.URL(), err)
 	}
 	if cov := st.Covered(); cov.From != t.From || cov.To != t.To {
-		return fmt.Errorf("coord: shard %s at %s covers %s, want [%d, %d]", key, store.URL(), cov, t.From, t.To)
+		return validatedShard{}, fmt.Errorf("coord: shard %s at %s covers %s, want [%d, %d]", key, store.URL(), cov, t.From, t.To)
 	}
-	return nil
+	return validatedShard{raw: raw, blob: core.ShardBlob{Store: store.URL(), Key: key, Fence: fence, State: st}}, nil
+}
+
+// loadShards is core.LoadShards for a coordinator that has already decoded
+// what it expects to find. It lists and fetches the store all the same —
+// the store, not this process's memory, says what gets merged — but when
+// every *.shard blob there is byte for byte one a task validated, the
+// validated decodes are the answer. Anything else — a stray shard, a blob
+// rewritten since its validation — and everything is decoded afresh.
+func loadShards(ctx context.Context, store blobstore.Store, validated map[string]validatedShard) ([]core.ShardBlob, error) {
+	keys, err := store.List(ctx, "")
+	if err != nil {
+		return nil, fmt.Errorf("coord: listing shards at %s: %w", store.URL(), err)
+	}
+	var blobs []core.ShardBlob
+	for _, key := range keys {
+		if !strings.HasSuffix(key, ".shard") {
+			continue
+		}
+		raw, err := store.Get(ctx, key)
+		if err != nil {
+			return nil, fmt.Errorf("coord: fetching shard %s from %s: %w", key, store.URL(), err)
+		}
+		shard, ok := validated[key]
+		if !ok || !bytes.Equal(shard.raw, raw) {
+			return core.LoadShards(ctx, store)
+		}
+		blobs = append(blobs, shard.blob)
+	}
+	if len(blobs) == 0 {
+		return core.LoadShards(ctx, store) // for its error
+	}
+	return blobs, nil
 }

@@ -258,7 +258,7 @@ func TestValidateShardFence(t *testing.T) {
 	}
 
 	emit(1) // stale: a superseded worker's emission
-	err := validateShard(ctx, store, task)
+	_, err := validateShard(ctx, store, task)
 	if err == nil || !strings.Contains(err.Error(), "stale emission") {
 		t.Fatalf("stale fence: %v, want a stale-emission refusal", err)
 	}
@@ -267,12 +267,12 @@ func TestValidateShardFence(t *testing.T) {
 	}
 
 	emit(2) // exact: ours
-	if err := validateShard(ctx, store, task); err != nil {
+	if _, err := validateShard(ctx, store, task); err != nil {
 		t.Fatalf("matching fence refused: %v", err)
 	}
 
 	emit(3) // newer: we are the zombie
-	err = validateShard(ctx, store, task)
+	_, err = validateShard(ctx, store, task)
 	if err == nil || !strings.Contains(err.Error(), "superseded") {
 		t.Fatalf("newer fence: %v, want a superseded refusal", err)
 	}

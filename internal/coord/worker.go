@@ -34,10 +34,12 @@ type CrawlerConfig struct {
 	From, To int64
 	// Store receives the checkpoint blobs and the final shard blob.
 	Store blobstore.Store
-	// CheckpointEvery is the chunk size in blocks: after each chunk of the
-	// reverse-chronological crawl completes, the whole aggregate state is
-	// encoded and atomically Put at CheckpointKey. 0 disables
-	// checkpointing (the slice is one chunk).
+	// CheckpointEvery is the chunk size in blocks: each time the crawl —
+	// newest block first — has folded another CheckpointEvery blocks below
+	// the last checkpoint, the whole aggregate state as of that boundary
+	// is encoded and atomically Put at CheckpointKey, while the crawl
+	// carries on below it. 0 disables checkpointing (the slice is one
+	// chunk).
 	CheckpointEvery int64
 	// Workers, Ingest, Batch, Buffer tune the crawl/ingest pipeline as in
 	// cmd/crawl.
@@ -48,9 +50,12 @@ type CrawlerConfig struct {
 	// Log, when set, receives progress lines.
 	Log io.Writer
 	// AfterCheckpoint, when set, runs after each successful checkpoint Put
-	// with the range the checkpoint covers. Chaos harnesses use it to kill
-	// the worker at a known-recoverable instant; it is never called for
-	// the final shard emit.
+	// with the range the checkpoint covers — on the checkpointing
+	// goroutine, in checkpoint order, never concurrently with itself.
+	// Chaos harnesses use it to kill the worker at a known-recoverable
+	// instant; it is never called for the final shard emit. A worker
+	// cancelled from inside it may still write (and announce here) the
+	// checkpoints of chunks it already held complete.
 	AfterCheckpoint func(covered core.BlockRange)
 	// Fence, when non-zero, is the lease fence token (the claim Attempt
 	// the coordinator crawls this slice under) stamped into the emitted
@@ -75,16 +80,27 @@ type CrawlOutcome struct {
 }
 
 // RunShardCrawl crawls one slice with per-chunk crash-recoverable
-// checkpoints, then emits the finished shard blob. The slice is crawled
-// in reverse-chronological chunks of CheckpointEvery blocks; after each
-// chunk the full aggregate (not just a frontier) is encoded with its
-// covered sub-range and atomically Put to the store, so a worker killed
-// at ANY point resumes by decoding the last checkpoint and continuing
-// below it — blocks of the interrupted chunk are refetched in full,
-// blocks of completed chunks are never refetched and never double-
-// ingested (the covered ranges tile exactly). This is what lets
-// -emit-shard accept resumed runs: the decoded checkpoint IS this run's
-// aggregate, nothing was skipped past it.
+// checkpoints, then emits the finished shard blob. The slice is one
+// reverse-chronological stream through one ingest pool
+// (core.IngestChunks); every CheckpointEvery blocks the full aggregate
+// (not just a frontier) as of that boundary — every block of [lo, To],
+// none below lo — is encoded with its covered sub-range and atomically
+// Put to the store, by a checkpointing goroutine that runs beside the
+// crawl instead of stopping it. A worker killed at ANY point resumes by
+// decoding the last checkpoint and continuing below it — blocks fetched
+// past the last checkpoint are refetched, blocks a checkpoint covers are
+// never refetched and never double-ingested (the covered ranges tile
+// exactly). This is what lets -emit-shard accept resumed runs: the
+// decoded checkpoint IS this run's aggregate, nothing was skipped past
+// it.
+//
+// Checkpoints land in order, one per chunk but the last (the shard
+// supersedes it), and none after the shard. A block that exhausts its
+// retries or a payload that will not decode stops the worker within one
+// in-flight window, with no checkpoint reaching down to it. A cancelled
+// worker returns only after the checkpoint of the last chunk it held
+// complete is written — that Put does not run under ctx — so an
+// interrupted run loses only the chunk it was in the middle of.
 //
 // On success the checkpoint blob is deleted best-effort; a leftover one
 // is harmless (its covered range matches the emitted shard and the next
@@ -125,42 +141,44 @@ func RunShardCrawl(ctx context.Context, cfg CrawlerConfig) (CrawlOutcome, error)
 		return CrawlOutcome{}, fmt.Errorf("coord: reading checkpoint %s: %w", ckptKey, err)
 	}
 
-	every := cfg.CheckpointEvery
-	if every <= 0 {
-		every = cfg.To - cfg.From + 1 // one chunk: no intermediate checkpoints
-	}
-	for hi >= cfg.From {
-		lo := hi - every + 1
-		if lo < cfg.From {
-			lo = cfg.From
-		}
-		ccfg := collect.CrawlConfig{
-			From: lo, To: hi,
-			Workers: cfg.Workers, Buffer: cfg.Buffer,
-			MaxRetries: cfg.MaxRetries, Backoff: cfg.Backoff,
-		}
-		res, _, err := core.IngestCrawl(ctx, cfg.Fetcher, ccfg, cfg.Kit.Decoder, core.IngestConfig{Workers: cfg.Ingest, Batch: cfg.Batch})
-		out.Blocks += res.Blocks
-		out.Retries += res.Retries
-		if err != nil {
-			return out, fmt.Errorf("coord: chunk [%d, %d]: %w", lo, hi, err)
-		}
-		// The chunk is fully ingested: the aggregate now covers [lo, To].
-		st.SetCovered(core.BlockRange{From: lo, To: cfg.To})
-		if cfg.CheckpointEvery > 0 && lo > cfg.From {
-			var buf bytes.Buffer
-			if err := st.EncodeTo(&buf, 0); err != nil {
-				return out, fmt.Errorf("coord: encoding checkpoint after chunk [%d, %d]: %w", lo, hi, err)
+	if hi >= cfg.From {
+		// One stream and one ingest pool for what is left of the slice; the
+		// checkpoints are cut from the running ingest. buf belongs to the
+		// cutting goroutine, which reuses it from one checkpoint to the next.
+		var buf bytes.Buffer
+		cut := func(lo int64) error {
+			// Every block of [lo, To] is in the aggregate and none below lo.
+			st.SetCovered(core.BlockRange{From: lo, To: cfg.To})
+			if lo == cfg.From {
+				return nil // the last chunk: the shard emit supersedes its checkpoint
 			}
-			if err := cfg.Store.Put(ctx, ckptKey, buf.Bytes()); err != nil {
-				return out, fmt.Errorf("coord: writing checkpoint %s: %w", ckptKey, err)
+			buf.Reset()
+			if err := st.EncodeTo(&buf, 0); err != nil {
+				return fmt.Errorf("coord: encoding checkpoint covering [%d, %d]: %w", lo, cfg.To, err)
+			}
+			// Not under ctx: an interrupted worker still writes the chunks
+			// it holds complete, so the rerun starts from the latest one.
+			if err := cfg.Store.Put(context.WithoutCancel(ctx), ckptKey, buf.Bytes()); err != nil {
+				return fmt.Errorf("coord: writing checkpoint %s: %w", ckptKey, err)
 			}
 			logf("checkpoint:  %s (covers [%d, %d])", ckptKey, lo, cfg.To)
 			if cfg.AfterCheckpoint != nil {
 				cfg.AfterCheckpoint(core.BlockRange{From: lo, To: cfg.To})
 			}
+			return nil
 		}
-		hi = lo - 1
+		res, err := core.IngestChunks(ctx, cfg.Fetcher,
+			collect.CrawlConfig{
+				From: cfg.From, To: hi,
+				Workers: cfg.Workers, Buffer: cfg.Buffer,
+				MaxRetries: cfg.MaxRetries, Backoff: cfg.Backoff,
+			},
+			cfg.Kit.Decoder, core.IngestConfig{Workers: cfg.Ingest, Batch: cfg.Batch},
+			cfg.CheckpointEvery, cut)
+		out.Blocks, out.Retries = res.Blocks, res.Retries
+		if err != nil {
+			return out, fmt.Errorf("coord: crawling [%d, %d]: %w", cfg.From, hi, err)
+		}
 	}
 
 	st.SetCovered(core.BlockRange{From: cfg.From, To: cfg.To})

@@ -300,9 +300,8 @@ func IngestStream(ctx context.Context, blocks <-chan collect.Block, d Decoder, c
 					return
 				}
 			}
-			// Each worker folds its own remainder, so short streams (a
-			// coordinator chunk is smaller than one batch per worker)
-			// still aggregate in parallel.
+			// Each worker folds its own remainder, so a stream shorter
+			// than one batch per worker still aggregates in parallel.
 			if err := pool.flush(w); err != nil {
 				fail(err)
 			}
@@ -398,4 +397,307 @@ func IngestCrawl(ctx context.Context, f collect.BlockFetcher, ccfg collect.Crawl
 		return res, handle, fmt.Errorf("%w: %w", ErrIngest, ierr)
 	}
 	return res, handle, cerr
+}
+
+// maxOpenChunks is how many chunk states IngestChunks lets pile up behind a
+// cut that is slower than the crawl (a remote store) before ingest workers
+// wait for it.
+const maxOpenChunks = 8
+
+// IngestChunks is IngestCrawl for a consumer that checkpoints: one gapless
+// stream and one ingest pool over [ccfg.From, ccfg.To] (both concrete),
+// with the aggregate behind d brought forward one chunk of `every` blocks
+// at a time, newest chunk first (every <= 0: the range is one chunk). Each
+// ingest worker folds a block into a private shard of the block's chunk
+// (and never sleeps on an empty stream with blocks still unfolded); a
+// chunk is complete once its last block is folded, and one goroutine — the
+// aggregate's only writer for the duration of the call — merges complete
+// chunks strictly in order, calling cut(lo) after each. Inside cut the
+// aggregate holds exactly the blocks of [lo, ccfg.To] (plus whatever it
+// held before the call) while the stream and the ingest workers are
+// already chunks ahead; cut is never called past a block the stream failed
+// to deliver, and a cut error stops the crawl and is returned.
+//
+// When ctx is cancelled, a block exhausts its retries or ingestion fails,
+// IngestChunks still cuts every chunk it already holds complete — cut must
+// not depend on ctx being live — and drops the partial chunks beyond, so
+// the aggregate stays what the last cut saw. Ingestion errors come back
+// wrapped in ErrIngest.
+//
+// d's shards must fold into the aggregate only when merged (a PeriodicMerge
+// decoder does not qualify). Chunk states are bounded by the stream's
+// in-flight window W = Buffer + 2·Workers + 1, not by the range: however
+// far a stuck fetch would let the other fetch workers run, at most
+// ⌈W/every⌉ + 1 chunks are open while the oldest waits on a block the
+// stream has not delivered, and once more than maxOpenChunks are open
+// behind a slow cut the ingest workers wait for it. What an ingest worker
+// already holds is deliberately outside that bound: a worker descheduled
+// with a block in hand keeps that block's chunk open for as long as it
+// stays away, and the others are never parked behind it — workers parked
+// with the missing block still in the channel would be a deadlock.
+func IngestChunks(ctx context.Context, f collect.BlockFetcher, ccfg collect.CrawlConfig, d Decoder, icfg IngestConfig, every int64, cut func(lo int64) error) (collect.CrawlResult, error) {
+	sharded, ok := d.(ShardedDecoder)
+	if !ok {
+		return collect.CrawlResult{}, fmt.Errorf("core: chunked ingest needs a sharded decoder, got %T", d)
+	}
+	if ccfg.From < 1 || ccfg.To < ccfg.From {
+		return collect.CrawlResult{}, fmt.Errorf("core: chunked ingest needs a concrete range, got [%d, %d]", ccfg.From, ccfg.To)
+	}
+	blocks := ccfg.To - ccfg.From + 1
+	if every <= 0 || every > blocks {
+		every = blocks
+	}
+	workers := icfg.Workers
+	if workers <= 0 {
+		workers = 2
+	}
+	pool := newIngestPool(d, workers, icfg.Batch)
+	c := &chunkCutter{
+		from: ccfg.From, to: ccfg.To, every: every,
+		chunks:  (blocks + every - 1) / every,
+		workers: workers, sharded: sharded,
+		open: make(map[int64]*openChunk),
+	}
+	c.wake = sync.NewCond(&c.mu)
+	// Workers take their shard per chunk, so the pool's own seed the free
+	// list.
+	for w := range pool.workers {
+		c.free = append(c.free, pool.workers[w].shard)
+		pool.workers[w].shard = nil
+	}
+
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	stream, handle := collect.StreamGapless(ctx, f, ccfg)
+
+	var cutErr error
+	cutDone := make(chan struct{})
+	go func() {
+		defer close(cutDone)
+		if cutErr = c.run(cut); cutErr != nil {
+			cancel() // the workers drain what is left of the stream and exit
+		}
+	}()
+
+	var (
+		wg       sync.WaitGroup
+		firstErr atomic.Value
+		failed   atomic.Bool
+	)
+	fail := func(err error) {
+		firstErr.CompareAndSwap(nil, err)
+		failed.Store(true)
+		cancel() // unblock crawl workers stalled on a full buffer
+	}
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			wk := &pool.workers[w]
+			chunk, reported := int64(-1), int64(0)
+			// report tells the cutter what the pool has folded into the
+			// current chunk's shard since the last report.
+			report := func() {
+				if n := wk.ingested - reported; n > 0 {
+					reported = wk.ingested
+					c.folded(chunk, n)
+				}
+			}
+			for {
+				var (
+					blk collect.Block
+					ok  bool
+				)
+				select {
+				case blk, ok = <-stream:
+				default:
+					// Nothing is waiting: fold the pending batch before
+					// sleeping on the channel, so a chunk whose last block
+					// sits in it completes now, not when this worker next
+					// happens to receive.
+					if err := pool.flush(w); err != nil {
+						fail(err)
+						return
+					}
+					report()
+					blk, ok = <-stream
+				}
+				if !ok {
+					break
+				}
+				if failed.Load() {
+					blk.Release()
+					return
+				}
+				var err error
+				if k := (c.to - blk.Num) / c.every; k != chunk {
+					// A batch never spans chunks: fold what is pending
+					// into the chunk it belongs to first.
+					if err = pool.flush(w); err == nil {
+						report()
+						wk.shard, chunk = c.shard(w, k), k
+					}
+				}
+				if err == nil {
+					err = pool.add(w, blk.Num, blk.Raw)
+				}
+				blk.Release()
+				if err != nil {
+					fail(err)
+					return
+				}
+				report()
+			}
+			// The stream has closed: fold the remainder, so every chunk
+			// whose blocks all arrived gets cut on the way out.
+			if err := pool.flush(w); err != nil {
+				fail(err)
+				return
+			}
+			report()
+		}(w)
+	}
+	wg.Wait()
+	c.seal()
+	<-cutDone
+	res, cerr := handle.Wait()
+	if ierr, _ := firstErr.Load().(error); ierr != nil {
+		return res, fmt.Errorf("%w: %w", ErrIngest, ierr)
+	}
+	if cutErr != nil {
+		return res, cutErr
+	}
+	return res, cerr
+}
+
+// chunkCutter is the state IngestChunks' ingest workers and its cutting
+// goroutine share: the open chunks, keyed by position in the crawl (chunk 0
+// ends at `to`), and the shards waiting for reuse.
+type chunkCutter struct {
+	from, to, every int64
+	chunks          int64 // how many the range cuts into
+	workers         int
+	sharded         ShardedDecoder
+
+	mu sync.Mutex
+	// wake: a chunk completed, a cut finished, the workers are gone, or
+	// the cutter is.
+	wake    *sync.Cond
+	open    map[int64]*openChunk
+	free    []Shard // merged, therefore reset
+	next    int64   // oldest chunk not yet cut
+	sealed  bool    // the ingest workers have exited: nothing more will fold
+	stopped bool    // the cutting goroutine has exited
+}
+
+type openChunk struct {
+	shards  []Shard // one per ingest worker, nil until its first block of the chunk
+	missing int64   // blocks not folded yet
+}
+
+// lo returns chunk k's lowest block.
+func (c *chunkCutter) lo(k int64) int64 {
+	if lo := c.to - (k+1)*c.every + 1; lo > c.from {
+		return lo
+	}
+	return c.from
+}
+
+// shard returns worker w's private shard for chunk k, opening the chunk or
+// the shard as needed. Only worker w touches it until the chunk completes.
+func (c *chunkCutter) shard(w int, k int64) Shard {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ch := c.open[k]
+	if ch == nil {
+		ch = &openChunk{shards: make([]Shard, c.workers), missing: c.to - k*c.every - c.lo(k) + 1}
+		c.open[k] = ch
+	}
+	if ch.shards[w] == nil {
+		if n := len(c.free); n > 0 {
+			ch.shards[w], c.free = c.free[n-1], c.free[:n-1]
+		} else {
+			ch.shards[w] = c.sharded.NewShard()
+		}
+	}
+	return ch.shards[w]
+}
+
+// ripe reports whether the oldest open chunk is complete. Caller holds mu.
+func (c *chunkCutter) ripe() bool {
+	ch := c.open[c.next]
+	return ch != nil && ch.missing == 0
+}
+
+// folded records that n more blocks of chunk k are in their shards. The
+// caller then waits while the cutter is behind by more than maxOpenChunks —
+// only while the oldest chunk is ripe, that is while the cutter can move
+// without this worker: parking behind a chunk that still misses a block
+// could park every worker with that block undelivered in the channel.
+func (c *chunkCutter) folded(k, n int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ch := c.open[k]
+	if ch.missing -= n; ch.missing == 0 {
+		c.wake.Broadcast()
+	}
+	for len(c.open) > maxOpenChunks && c.ripe() && !c.stopped {
+		c.wake.Wait()
+	}
+}
+
+// seal tells the cutter no more blocks will fold.
+func (c *chunkCutter) seal() {
+	c.mu.Lock()
+	c.sealed = true
+	c.wake.Broadcast()
+	c.mu.Unlock()
+}
+
+// run merges chunks into the aggregate in order as they complete, calling
+// cut after each, until the range is done, cut fails, or the workers are
+// gone and the oldest chunk is still short.
+func (c *chunkCutter) run(cut func(lo int64) error) (err error) {
+	defer func() {
+		c.mu.Lock()
+		c.stopped = true
+		c.wake.Broadcast()
+		c.mu.Unlock()
+	}()
+	// next is written here only, so reading it needs no lock.
+	for c.next < c.chunks {
+		c.mu.Lock()
+		for !c.ripe() && !c.sealed {
+			c.wake.Wait()
+		}
+		ripe := c.ripe()
+		ch := c.open[c.next]
+		c.mu.Unlock()
+		if !ripe {
+			return nil
+		}
+		// No worker touches a complete chunk's shards again, and the chunk
+		// stays in open, ripe, while it is cut: that is what lets workers
+		// wait on a slow cut.
+		for _, s := range ch.shards {
+			if s != nil {
+				s.Merge()
+			}
+		}
+		err = cut(c.lo(c.next))
+		c.mu.Lock()
+		for _, s := range ch.shards {
+			if s != nil {
+				c.free = append(c.free, s)
+			}
+		}
+		delete(c.open, c.next)
+		c.next++
+		c.wake.Broadcast()
+		c.mu.Unlock()
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -61,6 +61,21 @@ func decCountMap[K stringish](d *wire.ShardDec, m map[K]int64) {
 	}
 }
 
+// decNewCountMap reads a count map written by encCountMap into a map sized
+// for it.
+func decNewCountMap[K stringish](d *wire.ShardDec) map[K]int64 {
+	n := d.Count()
+	m := make(map[K]int64, capHint(d, n, 2))
+	for i := 0; i < n && d.Err() == nil; i++ {
+		k := d.String()
+		v := d.Varint()
+		if d.Err() == nil {
+			m[K(k)] += v
+		}
+	}
+	return m
+}
+
 // encNested writes a nested count map, both levels key-sorted.
 func encNested(e *wire.ShardEnc, m map[string]map[string]int64) {
 	outer := make([]string, 0, len(m))
@@ -418,13 +433,17 @@ func (s *XRPShard) DecodeFrom(r io.Reader) error {
 	decCountMap(d, s.TxByType)
 	decCountMap(d, s.TxByResult)
 	decSeries(d, s.Series)
+	// Every collection below is sized once from the count just read —
+	// capHint bounds it by what the rest of the blob could hold — instead
+	// of growing from empty as elements arrive.
 	n := d.Count()
+	s.byAccount = make(map[string]*xrpAccountAgg, capHint(d, n, 4))
 	for i := 0; i < n && d.Err() == nil; i++ {
 		addr := d.String()
-		agg := &xrpAccountAgg{ByType: make(map[string]int64), DestTags: make(map[uint32]int64)}
-		agg.Total = d.Varint()
-		decCountMap(d, agg.ByType)
+		agg := &xrpAccountAgg{Total: d.Varint()}
+		agg.ByType = decNewCountMap[string](d)
 		tn := d.Count()
+		agg.DestTags = make(map[uint32]int64, capHint(d, tn, 2))
 		for j := 0; j < tn && d.Err() == nil; j++ {
 			tag := d.Uvarint()
 			count := d.Varint()
@@ -437,6 +456,7 @@ func (s *XRPShard) DecodeFrom(r io.Reader) error {
 		}
 	}
 	n = d.Count()
+	s.payments = make([]xrpPayment, 0, capHint(d, n, 9))
 	for i := 0; i < n && d.Err() == nil; i++ {
 		p := xrpPayment{
 			Time:     d.Time(),
@@ -454,9 +474,10 @@ func (s *XRPShard) DecodeFrom(r io.Reader) error {
 		}
 	}
 	s.offersCreated = d.Varint()
-	decOfferSet(d, s.offersExecuted)
-	decOfferSet(d, s.restingOffers)
+	s.offersExecuted = decOfferSet(d)
+	s.restingOffers = decOfferSet(d)
 	n = d.Count()
+	s.exchanges = make([]xrp.Exchange, 0, capHint(d, n, 11))
 	for i := 0; i < n && d.Err() == nil; i++ {
 		ex := xrp.Exchange{
 			Time:        d.Time(),
@@ -496,9 +517,21 @@ func encOfferSet(e *wire.ShardEnc, set map[offerRef]bool) {
 	}
 }
 
-// decOfferSet reads a set written by encOfferSet into set.
-func decOfferSet(d *wire.ShardDec, set map[offerRef]bool) {
+// capHint is the capacity to give a collection of n elements the blob
+// claims to hold: n itself, unless the bytes left could not encode that
+// many at minBytes apiece — then a damaged or hostile count is talking, and
+// the decode loop behind the hint will run dry and say so.
+func capHint(d *wire.ShardDec, n, minBytes int) int {
+	if most := d.Remaining() / minBytes; n > most {
+		return most
+	}
+	return n
+}
+
+// decOfferSet reads a set written by encOfferSet.
+func decOfferSet(d *wire.ShardDec) map[offerRef]bool {
 	n := d.Count()
+	set := make(map[offerRef]bool, capHint(d, n, 2))
 	for i := 0; i < n && d.Err() == nil; i++ {
 		account := d.String()
 		seq := d.Uvarint()
@@ -506,6 +539,7 @@ func decOfferSet(d *wire.ShardDec, set map[offerRef]bool) {
 			set[offerRef{Account: account, Sequence: uint32(seq)}] = true
 		}
 	}
+	return set
 }
 
 // DecodeShard opens one sealed shard blob: it peeks the envelope's chain
