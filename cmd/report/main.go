@@ -22,8 +22,8 @@
 // With -replay STORE the pipeline does not run at all: the command opens
 // the archive (or each per-chain archive directly under STORE, as
 // cmd/crawl -archive and pipeline ArchiveDir write them), walks the raw
-// blocks segment-parallel through core.IngestArchive — the same decoders
-// and mergeable shards a live crawl ingests through, minus the network —
+// blocks in parallel through core.IngestArchive — the same decoders and
+// mergeable shards a live crawl ingests through, minus the network —
 // and prints each chain's deterministic figures section. The sections are
 // byte-identical to what the live crawl printed, which the CI archive job
 // verifies by diffing the two. With -from/-to only blocks in that range
@@ -223,9 +223,11 @@ func validateShard(shard cli.ShardSpec, emit string, parallel int, replaying boo
 // is either one chain's archive (it holds manifest.json directly) or a
 // parent whose immediate subdirectories are archives, the layout cmd/crawl
 // -archive and the pipeline's ArchiveDir produce. Every archive replays
-// through core.IngestArchive: segment-granular fan-out, records decoded in
-// place and folded into per-worker shards — the figures are byte-identical
-// to the live crawl's because every aggregate is order-independent.
+// through core.IngestArchive: workers claim record ranges, not segments,
+// so every worker is busy whatever the segment count; records are decoded
+// in place and folded into per-worker shards — the figures are
+// byte-identical to the live crawl's because every aggregate is
+// order-independent.
 //
 // With from > 0 only blocks in [from, to] replay: the ranged open consults
 // the manifest's per-segment block-range index, so segments outside the
@@ -352,8 +354,10 @@ func replayShard(ctx context.Context, rd *archive.Reader, adir string, workers i
 
 // sweepArchive replays one opened archive `runs` times concurrently. Every
 // run builds its own aggregator stack but shares the verified Reader (and
-// its decompressed-segment cache), so N runs cost zero refetches and at
-// most one decompression per segment per run. Worker counts vary per run —
+// its decompressed-segment cache): a cached segment costs a run nothing,
+// and one the cache does not hold is fetched and inflated once per run,
+// shared by that run's workers and dropped when its last record is
+// delivered. Worker counts vary per run —
 // 1, 2, … up to the CPU count — so a converged band also witnesses
 // worker-count invariance, not just repeatability.
 func sweepArchive(ctx context.Context, rd *archive.Reader, adir string, runs, workers int) ([]core.ChainSummary, error) {

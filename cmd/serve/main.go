@@ -217,7 +217,7 @@ func runFeeds(ctx context.Context, pub *serve.Publisher, o serveOpts, out io.Wri
 }
 
 // replayFeeds serves archived crawls: every archive under o.Replay replays
-// segment-parallel into its own registered feed, all concurrently.
+// into its own registered feed, all concurrently.
 func replayFeeds(ctx context.Context, pub *serve.Publisher, o serveOpts, out io.Writer) error {
 	dirs, err := archive.Discover(o.Replay)
 	if err != nil {

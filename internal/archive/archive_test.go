@@ -2,12 +2,17 @@ package archive
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -411,13 +416,16 @@ func TestFailedPutPoisonsWriter(t *testing.T) {
 	}
 }
 
-// corruptCase mutates a valid archive and says what Open must report.
+// TestCorruptionFailsLoudly: each case mutates a valid archive; Open must
+// refuse it with ErrCorrupt, in a message containing want, without
+// allocating more than the objects it read could account for.
 func TestCorruptionFailsLoudly(t *testing.T) {
 	cases := []struct {
 		name    string
+		want    string
 		corrupt func(t *testing.T, dir string)
 	}{
-		{"truncated segment", func(t *testing.T, dir string) {
+		{"truncated segment", "truncated or modified", func(t *testing.T, dir string) {
 			seg := firstSegment(t, dir)
 			data, err := os.ReadFile(seg)
 			if err != nil {
@@ -427,7 +435,7 @@ func TestCorruptionFailsLoudly(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"flipped byte", func(t *testing.T, dir string) {
+		{"flipped byte", "checksum mismatch", func(t *testing.T, dir string) {
 			seg := firstSegment(t, dir)
 			data, err := os.ReadFile(seg)
 			if err != nil {
@@ -438,27 +446,60 @@ func TestCorruptionFailsLoudly(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"missing segment", func(t *testing.T, dir string) {
+		{"missing segment", "missing segment", func(t *testing.T, dir string) {
 			if err := os.Remove(firstSegment(t, dir)); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"manifest block count mismatch", func(t *testing.T, dir string) {
+		{"manifest block count mismatch", "disagrees with manifest", func(t *testing.T, dir string) {
 			editManifest(t, dir, func(m *Manifest) { m.Segments[0].Blocks++ })
 		}},
-		{"manifest height range mismatch", func(t *testing.T, dir string) {
+		{"manifest height range mismatch", "disagrees with manifest", func(t *testing.T, dir string) {
 			editManifest(t, dir, func(m *Manifest) { m.Segments[0].Max++ })
 		}},
-		{"manifest raw byte mismatch", func(t *testing.T, dir string) {
+		{"manifest raw byte mismatch", "segment-000001.gz: stream inflates past", func(t *testing.T, dir string) {
 			editManifest(t, dir, func(m *Manifest) { m.Segments[0].RawBytes-- })
 		}},
-		{"manifest without compressed size", func(t *testing.T, dir string) {
+		{"manifest overstates raw bytes by 2^40", "disagrees with manifest", func(t *testing.T, dir string) {
+			editManifest(t, dir, func(m *Manifest) { m.Segments[0].RawBytes += 1 << 40 })
+		}},
+		{"manifest overstates blocks by 2^60", "disagrees with manifest", func(t *testing.T, dir string) {
+			editManifest(t, dir, func(m *Manifest) { m.Segments[0].Blocks += 1 << 60 })
+		}},
+		{"manifest with negative raw bytes", "disagrees with manifest", func(t *testing.T, dir string) {
+			editManifest(t, dir, func(m *Manifest) { m.Segments[0].RawBytes = -1 << 40 })
+		}},
+		{"stream longer than the manifest accounts for", "segment-000001.gz: stream inflates past", func(t *testing.T, dir string) {
+			// A whole extra record, checksum and size recomputed: only the
+			// sized inflate (or the record walk behind it) can object.
+			rewriteFirstSegment(t, dir, func(stream []byte) []byte {
+				rec := make([]byte, 12, 12+64)
+				binary.BigEndian.PutUint64(rec, 21)
+				binary.BigEndian.PutUint32(rec[8:], 64)
+				return append(stream, append(rec, make([]byte, 64)...)...)
+			})
+		}},
+		{"bad magic with recomputed checksum", "bad segment magic", func(t *testing.T, dir string) {
+			rewriteFirstSegment(t, dir, func(stream []byte) []byte {
+				stream[0] ^= 0x20
+				return stream
+			})
+		}},
+		{"stream ending mid-record with recomputed checksum", "ends mid-record header", func(t *testing.T, dir string) {
+			// Short by the tail of the last payload plus most of a header
+			// the manifest still expects: the record walk runs out.
+			rewriteFirstSegment(t, dir, func(stream []byte) []byte {
+				last := len(payload(20))
+				return append(stream[:len(stream)-last-12], make([]byte, 5)...)
+			})
+		}},
+		{"manifest without compressed size", "inconsistent metadata", func(t *testing.T, dir string) {
 			editManifest(t, dir, func(m *Manifest) { m.Segments[0].CompBytes = 0 })
 		}},
-		{"manifest of another version", func(t *testing.T, dir string) {
+		{"manifest of another version", "unsupported version", func(t *testing.T, dir string) {
 			editManifest(t, dir, func(m *Manifest) { m.Version = manifestVersion - 1 })
 		}},
-		{"truncated gzip stream with recomputed checksum", func(t *testing.T, dir string) {
+		{"truncated gzip stream with recomputed checksum", "unexpected EOF", func(t *testing.T, dir string) {
 			// Defeats the checksum so the record walk itself must catch it.
 			seg := firstSegment(t, dir)
 			data, err := os.ReadFile(seg)
@@ -481,15 +522,74 @@ func TestCorruptionFailsLoudly(t *testing.T) {
 			dir := t.TempDir()
 			writeArchive(t, dir, "eos", 20, 6)
 			tc.corrupt(t, dir)
-			_, err := OpenWith(dir, OpenOptions{})
+			// What Open may read: the manifest and every segment object.
+			var stored int64
+			entries, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range entries {
+				if info, err := e.Info(); err == nil {
+					stored += info.Size()
+				}
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err = OpenWith(dir, OpenOptions{})
+			runtime.ReadMemStats(&after)
 			if err == nil {
 				t.Fatal("corrupted archive opened cleanly")
 			}
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("corruption not reported as ErrCorrupt: %v", err)
 			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not say %q", err, tc.want)
+			}
+			// Proportional to the bytes stored, never to what a manifest
+			// claims: the inflate buffer is capped at maxInflateRatio × the
+			// compressed object, plus fixed gzip and hashing state.
+			if got, bound := int64(after.TotalAlloc-before.TotalAlloc), 2*maxInflateRatio*stored+1<<20; got > bound {
+				t.Fatalf("refusing a %d-byte archive allocated %d bytes (bound %d)", stored, got, bound)
+			}
 		})
 	}
+}
+
+// rewriteFirstSegment replaces the first segment's uncompressed stream
+// (magic included) with edit's result and makes the manifest's compressed
+// size and checksum agree with the new object, so only checks behind the
+// checksum can catch the edit.
+func rewriteFirstSegment(t *testing.T, dir string, edit func(stream []byte) []byte) {
+	t.Helper()
+	seg := firstSegment(t, dir)
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gz, err := gzip.NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, err := io.ReadAll(gz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	zw := gzip.NewWriter(&out)
+	if _, err := zw.Write(edit(stream)); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(seg, out.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	editManifest(t, dir, func(m *Manifest) {
+		m.Segments[0].SHA256 = sha256Hex(out.Bytes())
+		m.Segments[0].CompBytes = int64(out.Len())
+	})
 }
 
 func firstSegment(t *testing.T, dir string) string {

@@ -56,7 +56,7 @@ func BenchmarkRunStateCheckpoint(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := SaveRunState(ctx, store, state); err != nil {
+		if err := SaveRunState(ctx, store, state, time.Now()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -281,7 +281,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			state.Tasks[t.Name()] = &TaskRecord{Index: t.Index, From: t.From, To: t.To, State: TaskPending}
 		}
 	}
-	tr := &runTracker{store: cfg.Store, state: state, progress: cfg.Progress, logf: logf}
+	tr := &runTracker{store: cfg.Store, state: state, progress: cfg.Progress, logf: logf, now: leases.clock}
 	// The first checkpoint pins the range durably before any lease is
 	// claimed — it must land, or a takeover could re-pin a moved head.
 	if err := cfg.Retry.Do(rctx, "checkpoint run state", tr.checkpoint); err != nil {
@@ -469,6 +469,7 @@ type runTracker struct {
 	state    *RunState
 	progress *ProgressTracker
 	logf     func(string, ...any)
+	now      func() time.Time // the Leases' clock: stamps every checkpoint
 }
 
 // record returns a copy of a task's current record.
@@ -489,7 +490,7 @@ func (tr *runTracker) transition(ctx context.Context, name string, mut func(*Tas
 	if r := tr.state.Tasks[name]; r != nil {
 		mut(r)
 	}
-	if err := SaveRunState(ctx, tr.store, tr.state); err != nil {
+	if err := SaveRunState(ctx, tr.store, tr.state, tr.now()); err != nil {
 		tr.logf("run state checkpoint failed (transient): %v", err)
 	}
 	tr.publishLocked()
@@ -500,7 +501,7 @@ func (tr *runTracker) transition(ctx context.Context, name string, mut func(*Tas
 func (tr *runTracker) checkpoint(ctx context.Context) error {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	if err := SaveRunState(ctx, tr.store, tr.state); err != nil {
+	if err := SaveRunState(ctx, tr.store, tr.state, tr.now()); err != nil {
 		return err
 	}
 	tr.publishLocked()

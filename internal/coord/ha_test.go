@@ -454,7 +454,7 @@ func TestCoordinatorRunStateConflictIsLoud(t *testing.T) {
 	if err := SaveRunState(ctx, store, &RunState{
 		Chain: "eos", From: 1, To: 100, Shards: 4,
 		Tasks: map[string]*TaskRecord{},
-	}); err != nil {
+	}, time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	_, err := Run(ctx, Config{
@@ -465,6 +465,35 @@ func TestCoordinatorRunStateConflictIsLoud(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "delete "+RunStateKey("eos")) {
 		t.Fatalf("conflicting pinned range: %v, want a loud conflict naming the run state key", err)
+	}
+}
+
+// TestRunStateStampedByLeaseClock: the tracker checkpoints with its
+// Leases' clock, so a run driven by a fixed clock writes that instant —
+// not the wall clock's — into the run state it leaves in the store.
+func TestRunStateStampedByLeaseClock(t *testing.T) {
+	ctx := context.Background()
+	store := blobstore.NewMemory()
+	clk := &fakeClock{t: time.Unix(5000, 0)}
+	tr := &runTracker{
+		store: store,
+		state: &RunState{Chain: "eos", From: 1, To: 100, Shards: 1, Tasks: map[string]*TaskRecord{
+			"eos-0000000001-0000000100": {Index: 1, From: 1, To: 100, State: TaskPending},
+		}},
+		logf: t.Logf,
+		now:  newTestLeases(store, "alpha", clk).clock,
+	}
+	if err := tr.checkpoint(ctx); err != nil {
+		t.Fatal(err)
+	}
+	clk.t = clk.t.Add(90 * time.Second)
+	tr.transition(ctx, "eos-0000000001-0000000100", func(r *TaskRecord) { r.State = TaskRunning })
+	got, ok, err := LoadRunState(ctx, store, "eos")
+	if err != nil || !ok {
+		t.Fatalf("loading the checkpoint: ok=%v err=%v", ok, err)
+	}
+	if !got.UpdatedAt.Equal(clk.t) {
+		t.Fatalf("checkpoint stamped %v, the lease clock reads %v", got.UpdatedAt, clk.t)
 	}
 }
 
@@ -487,7 +516,7 @@ func TestFenceIndex(t *testing.T) {
 			"eos-0000000001-0000000050": {Index: 1, From: 1, To: 50, State: TaskDone, Fence: 1},
 			"eos-0000000051-0000000100": {Index: 2, From: 51, To: 100, State: TaskRunning, Fence: 5},
 		},
-	}); err != nil {
+	}, clk.now()); err != nil {
 		t.Fatal(err)
 	}
 	index, err := FenceIndex(ctx, store)

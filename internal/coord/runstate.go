@@ -102,13 +102,14 @@ func (s *RunState) FenceFloors() map[string]uint64 {
 	return floors
 }
 
-// SaveRunState writes the record, stamping UpdatedAt. The write is a
-// plain Put — last writer wins, which is safe because the run lease
-// ensures one active coordinator per chain and a standby only writes
-// after winning the election.
-func SaveRunState(ctx context.Context, store blobstore.Store, s *RunState) error {
+// SaveRunState writes the record, stamping UpdatedAt with now — the
+// coordinator passes its Leases' clock, so lease deadlines and checkpoint
+// stamps read one clock. The write is a plain Put — last writer wins,
+// which is safe because the run lease ensures one active coordinator per
+// chain and a standby only writes after winning the election.
+func SaveRunState(ctx context.Context, store blobstore.Store, s *RunState, now time.Time) error {
 	s.Version = runStateVersion
-	s.UpdatedAt = time.Now().UTC()
+	s.UpdatedAt = now.UTC()
 	raw, err := json.MarshalIndent(s, "", "  ")
 	if err != nil {
 		return fmt.Errorf("coord: encoding run state for %s: %v", s.Chain, err)

@@ -7,15 +7,19 @@ import (
 	"repro/internal/archive"
 )
 
-// IngestArchive replays an archived crawl straight into the decoder: the
-// archive's segments fan out across cfg.Workers goroutines (0 means one
-// per CPU — replay is CPU-bound, unlike a live crawl), each decoding its
-// segment's records in place and folding them into a private shard when d
-// is a ShardedDecoder. Each worker batches cfg.Batch decoded blocks
-// between shard folds so arena structs recycle in bulk; the shards merge
-// in worker order after the walk, so the whole replay takes exactly
-// cfg.Workers aggregator lock acquisitions. A non-sharded decoder falls
-// back to batched IngestBatch under the aggregator lock.
+// IngestArchive replays an archived crawl straight into the decoder:
+// cfg.Workers goroutines (0 means one per CPU — replay is CPU-bound,
+// unlike a live crawl) claim record ranges from archive.Reader.Replay —
+// ranges, not segments, so a one-segment archive keeps every worker busy —
+// each decoding its records in place and folding them into a private
+// shard when d is a ShardedDecoder. Which worker's shard a block lands in
+// depends on scheduling; the merged aggregate does not. Memory beyond the
+// reader's segment cache is at most cfg.Workers inflated segments. Each
+// worker batches cfg.Batch decoded blocks between shard folds so arena
+// structs recycle in bulk; the shards merge in worker order after the
+// walk, so the whole replay takes exactly cfg.Workers aggregator lock
+// acquisitions. A non-sharded decoder falls back to batched IngestBatch
+// under the aggregator lock.
 //
 // Compared with driving collect.Stream over the Reader's FetchBlock, this
 // path skips the per-block copy, the channel hop and the segment-cache

@@ -7,8 +7,10 @@ import (
 	"time"
 
 	"repro/internal/archive"
+	"repro/internal/blobstore"
 	"repro/internal/chain"
 	"repro/internal/collect"
+	"repro/internal/wire"
 )
 
 // writeRawArchive archives pre-marshaled blocks [1, len(raws)] in reverse
@@ -34,9 +36,9 @@ func writeRawArchive(t testing.TB, dir string, chainName string, raws [][]byte) 
 	return rd
 }
 
-// TestIngestArchiveMatchesStreamIngest: the segment-walk replay must
-// produce byte-identical figures to the stream-fetch replay (and hence to
-// the live crawl), at every worker count.
+// TestIngestArchiveMatchesStreamIngest: the in-place replay must produce
+// byte-identical figures to the stream-fetch replay (and hence to the live
+// crawl), at every worker count.
 func TestIngestArchiveMatchesStreamIngest(t *testing.T) {
 	raws := makeEOSRawBlocks(t, 96, 4)
 	rd := writeRawArchive(t, t.TempDir(), "eos", raws)
@@ -64,6 +66,65 @@ func TestIngestArchiveMatchesStreamIngest(t *testing.T) {
 		}
 		if got := SummarizeEOS(agg).Render(); got != want {
 			t.Fatalf("workers=%d: segment-walk render diverged\n--- stream ---\n%s\n--- walk ---\n%s", workers, want, got)
+		}
+	}
+}
+
+// TestIngestArchiveOneSegmentAnyWorkers: replay claims work below the
+// segment, so a one-segment archive is shared between however many workers
+// there are — and whichever worker's shard a block lands in, the merged
+// render is byte-identical to the one-worker replay's, for all three
+// chains.
+func TestIngestArchiveOneSegmentAnyWorkers(t *testing.T) {
+	c := wire.NewCodec()
+	chains := map[string][][]byte{}
+	for _, b := range genEOSBlocks(100) {
+		chains["eos"] = append(chains["eos"], c.AppendEOSBlock(nil, b))
+	}
+	for _, b := range genTezosBlocks(100) {
+		chains["tezos"] = append(chains["tezos"], c.AppendTezosBlock(nil, b))
+	}
+	for _, l := range genXRPLedgers(100) {
+		chains["xrp"] = append(chains["xrp"], append(c.AppendXRPLedger([]byte(`{"ledger":`), l), '}'))
+	}
+	for name, raws := range chains {
+		st := blobstore.NewMemory()
+		w, err := archive.NewWriter(archive.WriterConfig{Store: st, Chain: name, SegmentBlocks: len(raws)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, raw := range raws {
+			if err := w.Append(int64(i+1), raw); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		rd, err := archive.OpenWith("", archive.OpenOptions{Store: st})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rd.Segments() != 1 {
+			t.Fatalf("%s: archive has %d segments, want 1", name, rd.Segments())
+		}
+		var want string
+		for _, workers := range []int{1, 2, 4, 8} {
+			kit, err := NewStatsKit(name, chain.ObservationStart, 6*time.Hour)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, err := IngestArchive(context.Background(), rd, kit.Decoder, IngestConfig{Workers: workers, Batch: 4})
+			if err != nil || n != int64(len(raws)) {
+				t.Fatalf("%s workers=%d: ingested %d of %d blocks, err %v", name, workers, n, len(raws), err)
+			}
+			got := kit.Summarize().Render()
+			if workers == 1 {
+				want = got
+			} else if got != want {
+				t.Fatalf("%s workers=%d: render diverged from the one-worker replay\n--- 1 worker ---\n%s\n--- %d workers ---\n%s",
+					name, workers, want, workers, got)
+			}
 		}
 	}
 }

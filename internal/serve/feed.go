@@ -60,9 +60,9 @@ func (p *Publisher) Feed(ctx context.Context, f collect.BlockFetcher, ccfg colle
 }
 
 // FeedArchive replays an opened archive into the publisher: same
-// registration and periodic-merge path as Feed, fed by the segment-parallel
-// archive walker instead of the network. It returns the number of blocks
-// ingested.
+// registration and periodic-merge path as Feed, fed by the archive's
+// parallel record walk (archive.Reader.Replay) instead of the network. It
+// returns the number of blocks ingested.
 func (p *Publisher) FeedArchive(ctx context.Context, rd *archive.Reader, cfg FeedConfig) (int64, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Chain == "" {
