@@ -234,38 +234,16 @@ func BenchmarkRateOracle(b *testing.B) {
 	}
 }
 
-// benchPipelineOpts returns the coarse scales shared by the end-to-end
-// benchmarks so a single iteration stays around a second.
-func benchPipelineOpts(stageWorkers int) pipeline.Options {
+// BenchmarkPipelineEndToEnd measures the entire reproduction — build the
+// three calibrated workloads, simulate the 92-day window, serve the chain
+// APIs, probe and shortlist endpoints, crawl everything and aggregate —
+// at coarse scales, so a single iteration stays around a second.
+func BenchmarkPipelineEndToEnd(b *testing.B) {
 	opts := pipeline.DefaultOptions()
 	opts.EOS.Scale = 200_000
 	opts.Tezos.Scale = 3_200
 	opts.XRP.Scale = 80_000
 	opts.Gov.Scale = 1_600
-	opts.StageWorkers = stageWorkers
-	return opts
-}
-
-// BenchmarkPipelineEndToEnd measures the entire reproduction — build the
-// three calibrated workloads, simulate the 92-day window, serve the chain
-// APIs, probe and shortlist endpoints, crawl everything and aggregate —
-// with the stages forced sequential (StageWorkers=1), i.e. the pre-
-// orchestrator baseline.
-func BenchmarkPipelineEndToEnd(b *testing.B) {
-	opts := benchPipelineOpts(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := pipeline.Run(context.Background(), opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPipelineParallel runs the same reproduction with the stage
-// graph unbounded, quantifying the orchestrator's speedup over
-// BenchmarkPipelineEndToEnd.
-func BenchmarkPipelineParallel(b *testing.B) {
-	opts := benchPipelineOpts(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := pipeline.Run(context.Background(), opts); err != nil {

@@ -37,7 +37,6 @@ func main() {
 	xrpScale := flag.Int64("xrp-scale", 20_000, "XRP scale divisor")
 	seed := flag.Int64("seed", 1, "scenario seed")
 	addr := flag.String("addr", "127.0.0.1", "listen address")
-	stageWorkers := flag.Int("stage-workers", 0, "max concurrent history builds (0 = all three at once)")
 	selfCheck := flag.Int64("selfcheck", 25, "stream the newest N blocks of each chain through the ingestion API after startup (0 disables)")
 	flag.Parse()
 
@@ -46,8 +45,8 @@ func main() {
 		os.Exit(1)
 	}
 
-	// The three histories are independent, so build them through the same
-	// stage scheduler the measurement pipeline uses.
+	// The three histories are independent, so build them side by side with
+	// the stage runner the measurement pipeline uses.
 	var (
 		eosScenario   *workload.EOSScenario
 		tezosScenario *workload.TezosScenario
@@ -84,7 +83,7 @@ func main() {
 			xrpScenario = s
 			return pipeline.StageStats{Blocks: s.State.HeadIndex()}, nil
 		}},
-	}, *stageWorkers)
+	})
 	if err != nil {
 		fail(err)
 	}
@@ -120,29 +119,33 @@ func main() {
 	// path cmd/crawl and the pipeline use: stream the newest blocks into
 	// the chain's aggregator and report what decoded.
 	if *selfCheck > 0 {
-		ctx := context.Background()
-		check := func(name string, f collect.BlockFetcher, dec core.Decoder, head int64, workers int, txs func() int64) {
-			from := head - *selfCheck + 1
-			if from < 1 {
-				from = 1
-			}
-			res, _, err := core.IngestCrawl(ctx, f, collect.CrawlConfig{From: from, To: head, Workers: workers}, dec, core.IngestConfig{})
+		for _, c := range []struct {
+			chain, endpoint string
+			head            int64
+		}{
+			{"eos", "http://" + eosAddr, int64(eosScenario.Chain.HeadNum())},
+			{"tezos", "http://" + tezosAddr, tezosScenario.Chain.HeadLevel()},
+			{"xrp", "ws://" + xrpAddr, xrpScenario.State.HeadIndex()},
+		} {
+			kit, err := core.NewStatsKit(c.chain, chain.ObservationStart, 6*time.Hour)
 			if err != nil {
-				fail(fmt.Errorf("%s self-check: %w", name, err))
+				fail(err)
 			}
-			fmt.Printf("chainsim: %s self-check: streamed %d blocks, %d txs/ops\n", name, res.Blocks, txs())
+			fetcher, closeFetcher, maxWorkers, err := collect.Dial(c.chain, c.endpoint)
+			if err != nil {
+				fail(err)
+			}
+			ccfg := collect.CrawlConfig{From: max(1, c.head-*selfCheck+1), To: c.head, Workers: 4}
+			if maxWorkers > 0 {
+				ccfg.Workers = maxWorkers
+			}
+			res, _, err := core.IngestCrawl(context.Background(), fetcher, ccfg, kit.Decoder, core.IngestConfig{})
+			closeFetcher()
+			if err != nil {
+				fail(fmt.Errorf("%s self-check: %w", c.chain, err))
+			}
+			fmt.Printf("chainsim: %s self-check: streamed %d blocks, %d txs/ops\n", c.chain, res.Blocks, kit.Txs())
 		}
-		eosAgg := core.NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
-		check("eos", collect.NewEOSClient("http://"+eosAddr), eosAgg.Decoder(),
-			int64(eosScenario.Chain.HeadNum()), 4, func() int64 { return eosAgg.Transactions })
-		tezosAgg := core.NewTezosAggregator(chain.ObservationStart, 6*time.Hour)
-		check("tezos", collect.NewTezosClient("http://"+tezosAddr), tezosAgg.Decoder(),
-			tezosScenario.Chain.HeadLevel(), 4, func() int64 { return tezosAgg.Operations })
-		xrpAgg := core.NewXRPAggregator(chain.ObservationStart, 6*time.Hour)
-		xrpClient := collect.NewXRPClient("ws://" + xrpAddr)
-		check("xrp", xrpClient, xrpAgg.Decoder(),
-			xrpScenario.State.HeadIndex(), 1, func() int64 { return xrpAgg.Transactions })
-		xrpClient.Close()
 	}
 
 	fmt.Printf("EOS RPC:       http://%s (head block %d)\n", eosAddr, eosScenario.Chain.HeadNum())

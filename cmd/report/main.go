@@ -61,7 +61,6 @@ import (
 	"repro/internal/blobstore"
 	"repro/internal/chain"
 	"repro/internal/cli"
-	"repro/internal/collect"
 	"repro/internal/core"
 	"repro/internal/pipeline"
 	"repro/internal/prof"
@@ -75,8 +74,7 @@ func main() {
 	flag.Int64Var(&opts.Gov.Scale, "gov-scale", opts.Gov.Scale, "governance replay scale divisor")
 	seed := flag.Int64("seed", 1, "deterministic scenario seed (applied to every stage)")
 	flag.IntVar(&opts.Workers, "workers", opts.Workers, "shared crawl worker pool size")
-	flag.IntVar(&opts.StageWorkers, "stage-workers", opts.StageWorkers, "max concurrently running stages (0 = unbounded, 1 = sequential)")
-	figure := flag.String("figure", "all", "figure to print: all, 1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, tps, cases, endpoints, stages")
+	figure := flag.String("figure", "all", "figure to print: "+strings.Join(figureNames(), ", "))
 	stress := flag.Bool("stress", false, "add the eidos-stress stage: the EOS workload at a hotter arrival rate, reported in the stage timings")
 	stressScale := flag.Int64("stress-scale", 0, "eidos-stress scale divisor (0 = quarter of the EOS default)")
 	var af cli.ArchiveFlags
@@ -127,6 +125,10 @@ func main() {
 	if err := validateShard(shard, *emitShard, *parallel, af.Replaying()); err != nil {
 		finish(2, err)
 	}
+	render, err := figureRenderer(*figure)
+	if err != nil {
+		finish(2, err)
+	}
 	opts.ArchiveDir = af.Archive
 	if af.Replaying() {
 		if err := replayArchives(context.Background(), af.Replay, opts.Workers, *parallel, af.From, af.To, shard, *emitShard, os.Stdout); err != nil {
@@ -137,11 +139,7 @@ func main() {
 	}
 	opts.EOS.Seed, opts.Tezos.Seed, opts.XRP.Seed, opts.Gov.Seed = *seed, *seed, *seed, *seed
 	if *stress {
-		// One shared fetch pool keeps the stress stage inside the same
-		// total fetch-concurrency budget as the built-in stages.
-		opts.Pool = collect.NewPool(opts.Workers)
-		opts.ExtraStages = append(opts.ExtraStages,
-			pipeline.EIDOSStressStage(pipeline.StageOptions{Scale: *stressScale, Seed: *seed}, opts))
+		opts.Stress = &pipeline.StageOptions{Scale: *stressScale, Seed: *seed}
 	}
 
 	res, err := pipeline.Run(context.Background(), opts)
@@ -149,43 +147,41 @@ func main() {
 		finish(1, err)
 	}
 
-	switch strings.ToLower(*figure) {
-	case "all":
-		fmt.Println(pipeline.FullReport(res))
-	case "1":
-		fmt.Println(pipeline.Figure1(res))
-	case "2":
-		fmt.Println(pipeline.Figure2(res))
-	case "3":
-		fmt.Println(pipeline.Figure3(res))
-	case "4":
-		fmt.Println(pipeline.Figure4(res))
-	case "5":
-		fmt.Println(pipeline.Figure5(res))
-	case "6":
-		fmt.Println(pipeline.Figure6(res))
-	case "7":
-		fmt.Println(pipeline.Figure7(res))
-	case "8":
-		fmt.Println(pipeline.Figure8(res))
-	case "9":
-		fmt.Println(pipeline.Figure9(res))
-	case "11":
-		fmt.Println(pipeline.Figure11(res))
-	case "12":
-		fmt.Println(pipeline.Figure12(res))
-	case "tps":
-		fmt.Println(pipeline.HeadlineTPS(res))
-	case "cases":
-		fmt.Println(pipeline.CaseStudies(res))
-	case "endpoints":
-		fmt.Println(pipeline.EndpointReport(res))
-	case "stages":
-		fmt.Println(pipeline.StageTimings(res))
-	default:
-		finish(2, fmt.Sprintf("unknown figure %q", *figure))
-	}
+	fmt.Println(render(res))
 	finish(0, nil)
+}
+
+// figures maps each -figure name to its renderer, in help-text order.
+var figures = []struct {
+	name   string
+	render func(*pipeline.Result) string
+}{
+	{"all", pipeline.FullReport},
+	{"1", pipeline.Figure1}, {"2", pipeline.Figure2}, {"3", pipeline.Figure3},
+	{"4", pipeline.Figure4}, {"5", pipeline.Figure5}, {"6", pipeline.Figure6},
+	{"7", pipeline.Figure7}, {"8", pipeline.Figure8}, {"9", pipeline.Figure9},
+	{"11", pipeline.Figure11}, {"12", pipeline.Figure12},
+	{"tps", pipeline.HeadlineTPS}, {"cases", pipeline.CaseStudies},
+	{"endpoints", pipeline.EndpointReport}, {"stages", pipeline.StageTimings},
+}
+
+func figureNames() []string {
+	names := make([]string, len(figures))
+	for i, f := range figures {
+		names[i] = f.name
+	}
+	return names
+}
+
+// figureRenderer resolves a -figure name (case-insensitively), so a typo is
+// refused before the reproduction runs rather than after it.
+func figureRenderer(name string) (func(*pipeline.Result) string, error) {
+	for _, f := range figures {
+		if strings.EqualFold(f.name, name) {
+			return f.render, nil
+		}
+	}
+	return nil, fmt.Errorf("unknown figure %q (want one of: %s)", name, strings.Join(figureNames(), ", "))
 }
 
 // validateParallel rejects -parallel values that would silently degenerate:
@@ -283,18 +279,14 @@ func replayArchives(ctx context.Context, dir string, workers, sweeps int, from, 
 			}
 			continue
 		}
-		runs := sweeps
-		if runs <= 0 {
-			runs = 1
-		}
-		summaries, err := sweepArchive(ctx, rd, adir, runs, workers)
+		summaries, err := sweepArchive(ctx, rd, adir, sweeps, workers)
 		if err != nil {
 			return err
 		}
 		// Progress goes to stderr: stdout carries only the deterministic
 		// figures sections, so it can be diffed against a live crawl's.
 		fmt.Fprintf(os.Stderr, "replay %s: %d blocks from %s (%d segments, %d sweep run(s))\n",
-			summaries[0].Chain, rd.Blocks(), adir, rd.Segments(), runs)
+			summaries[0].Chain, rd.Blocks(), adir, rd.Segments(), len(summaries))
 		// The first run's section is what a plain replay prints; the
 		// band (when sweeping) asserts the other runs matched it.
 		fmt.Fprint(out, summaries[0].Render())
@@ -352,19 +344,15 @@ func replayShard(ctx context.Context, rd *archive.Reader, adir string, workers i
 	return nil
 }
 
-// sweepArchive replays one opened archive `runs` times concurrently. Every
-// run builds its own aggregator stack but shares the verified Reader (and
-// its decompressed-segment cache): a cached segment costs a run nothing,
-// and one the cache does not hold is fetched and inflated once per run,
-// shared by that run's workers and dropped when its last record is
-// delivered. Worker counts vary per run —
-// 1, 2, … up to the CPU count — so a converged band also witnesses
-// worker-count invariance, not just repeatability.
-func sweepArchive(ctx context.Context, rd *archive.Reader, adir string, runs, workers int) ([]core.ChainSummary, error) {
-	maxWorkers := runtime.GOMAXPROCS(0)
-	if workers > 0 {
-		maxWorkers = workers
-	}
+// sweepArchive replays one opened archive `sweeps` times concurrently (once
+// for a plain replay, sweeps == 0), sizing each run's ingest pool with
+// replayWorkers. Every run builds its own aggregator stack but shares the
+// verified Reader (and its decompressed-segment cache): a cached segment
+// costs a run nothing, and one the cache does not hold is fetched and
+// inflated once per run, shared by that run's workers and dropped when its
+// last record is delivered.
+func sweepArchive(ctx context.Context, rd *archive.Reader, adir string, sweeps, workers int) ([]core.ChainSummary, error) {
+	runs := max(sweeps, 1)
 	summaries := make([]core.ChainSummary, runs)
 	errs := make([]error, runs)
 	var wg sync.WaitGroup
@@ -377,7 +365,7 @@ func sweepArchive(ctx context.Context, rd *archive.Reader, adir string, runs, wo
 				errs[i] = fmt.Errorf("archive %s: %w", adir, err)
 				return
 			}
-			icfg := core.IngestConfig{Workers: 1 + i%maxWorkers}
+			icfg := core.IngestConfig{Workers: replayWorkers(i, sweeps, workers)}
 			if _, err := core.IngestArchive(ctx, rd, kit.Decoder, icfg); err != nil {
 				errs[i] = fmt.Errorf("replaying %s (seed run %d): %w", adir, i, err)
 				return
@@ -392,4 +380,19 @@ func sweepArchive(ctx context.Context, rd *archive.Reader, adir string, runs, wo
 		}
 	}
 	return summaries, nil
+}
+
+// replayWorkers is the ingest worker count of run i of a replay. A plain
+// replay (sweeps == 0) is one run at the configured -workers count, 0
+// meaning one per CPU. The runs of a -parallel sweep cycle through 1, 2, …
+// up to that count, so a converged band also witnesses worker-count
+// invariance, not just repeatability.
+func replayWorkers(i, sweeps, workers int) int {
+	if sweeps <= 0 {
+		return workers
+	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return 1 + i%workers
 }

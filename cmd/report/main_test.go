@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -236,4 +237,45 @@ func openStore(t *testing.T, location string) blobstore.Store {
 		t.Fatal(err)
 	}
 	return store
+}
+
+// TestFigureRenderer drives the -figure name check main runs before any
+// stage starts: every advertised name resolves, a typo is refused.
+func TestFigureRenderer(t *testing.T) {
+	for _, name := range append(figureNames(), "ALL", "Stages") {
+		if render, err := figureRenderer(name); err != nil || render == nil {
+			t.Errorf("figureRenderer(%q) = %v", name, err)
+		}
+	}
+	for _, name := range []string{"nope", "", "10", "1 "} {
+		_, err := figureRenderer(name)
+		if err == nil || !strings.Contains(err.Error(), "unknown figure") {
+			t.Errorf("figureRenderer(%q) = %v, want an unknown-figure error", name, err)
+		}
+	}
+}
+
+// TestReplayWorkers: a plain replay ingests with the configured worker
+// count (it used to get 1); only -parallel sweep runs vary it.
+func TestReplayWorkers(t *testing.T) {
+	cpus := runtime.GOMAXPROCS(0)
+	cases := []struct {
+		name               string
+		i, sweeps, workers int
+		want               int
+	}{
+		{"plain replay", 0, 0, 4, 4},
+		{"plain replay, one per CPU", 0, 0, 0, 0},
+		{"sweep first run", 0, 3, 4, 1},
+		{"sweep third run", 2, 3, 4, 3},
+		{"sweep reaches max", 3, 6, 4, 4},
+		{"sweep wraps", 4, 6, 4, 1},
+		{"sweep of one", 0, 1, 4, 1},
+		{"sweep over CPUs wraps", cpus, cpus + 1, 0, 1},
+	}
+	for _, tc := range cases {
+		if got := replayWorkers(tc.i, tc.sweeps, tc.workers); got != tc.want {
+			t.Errorf("%s: replayWorkers(%d, %d, %d) = %d, want %d", tc.name, tc.i, tc.sweeps, tc.workers, got, tc.want)
+		}
+	}
 }

@@ -13,7 +13,7 @@ import (
 // TestMain fails the package when a goroutine started by a test is still
 // running after every test has returned: a stage owns its chain server,
 // its crawl stream (live or replayed from an archive) and its ingest pool,
-// the scheduler its stage goroutines, and each must be gone once Run has
+// RunStages its stage goroutines, and each must be gone once Run has
 // returned. The race detector does not see leaks; this does.
 func TestMain(m *testing.M) {
 	code := m.Run()

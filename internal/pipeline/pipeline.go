@@ -6,9 +6,10 @@
 // reverse-chronological crawler, and feeds the crawled wire data into the
 // measurement aggregators.
 //
-// The stages are independent chain reproductions, so Run executes them as a
-// stage graph under a bounded scheduler (see Stage and RunStages) rather
-// than sequentially; per-stage wall-clocks surface in Result.StageMetrics.
+// The stages are independent chain reproductions, so Run launches them all
+// at once (see RunStages): each is one row of a table, and one runStage
+// drives every row through collection, serving, crawl and measurement.
+// Per-stage wall-clocks surface in Result.StageMetrics.
 package pipeline
 
 import (
@@ -26,15 +27,17 @@ import (
 	"repro/internal/cli"
 	"repro/internal/collect"
 	"repro/internal/core"
+	"repro/internal/eos"
 	"repro/internal/explorer"
 	"repro/internal/rpcserve"
+	"repro/internal/tezos"
 	"repro/internal/workload"
 	"repro/internal/xrp"
 )
 
 // StageOptions are the per-stage scenario knobs. Every chain reproduction
 // carries its own scale divisor and seed so scenarios can be re-run or
-// extended independently without touching the scheduler.
+// extended independently.
 type StageOptions struct {
 	// Scale is the scale divisor (the paper's shares and rankings are
 	// scale-invariant; see DESIGN.md). Zero selects a fast default
@@ -45,19 +48,20 @@ type StageOptions struct {
 	Seed int64
 }
 
-// Options selects the per-stage scales, crawl parallelism and scheduling.
+// Options selects the per-stage scales and crawl parallelism.
 type Options struct {
 	// EOS, Tezos, XRP and Gov configure the built-in stages.
 	EOS, Tezos, XRP, Gov StageOptions
+	// Stress, when set, adds the eidos-stress stage: the EOS workload over
+	// the EIDOS airdrop week at a hotter arrival rate (a zero Scale selects
+	// a quarter of the EOS default, roughly 4x the per-block traffic). Its
+	// wall-clock and pipeline TPS land in Result.StageMetrics next to the
+	// other stages.
+	Stress *StageOptions
 
 	// Workers sizes the crawl worker pool shared by every stage: it bounds
 	// in-flight block fetches across all concurrent crawls.
 	Workers int
-	// Pool, when set, is the shared fetch pool the stages crawl through;
-	// nil lets Run create one sized by Workers. Expose it when extra
-	// stages built outside Run (e.g. EIDOSStressStage) should share the
-	// same fetch budget instead of bringing their own.
-	Pool *collect.Pool
 	// Buffer is each stage's stream channel capacity: how many fetched
 	// blocks may sit between crawl workers and the decode pool before the
 	// fetch side blocks (backpressure).
@@ -68,10 +72,6 @@ type Options struct {
 	// Batch is how many decoded blocks each ingest worker folds into its
 	// private shard per call.
 	Batch int
-	// StageWorkers bounds how many stages run concurrently. Zero means
-	// every ready stage runs in parallel; 1 reproduces the old sequential
-	// pipeline.
-	StageWorkers int
 	// Bucket is the throughput time-series bucket (paper: 6 hours).
 	Bucket time.Duration
 	// EOSEndpoints is how many EOS endpoints to expose for probing; the
@@ -100,13 +100,6 @@ type Options struct {
 	// archived blocks from different scenario parameters would corrupt
 	// the measurement.
 	ArchiveDir string
-
-	// ExtraStages are appended to the built-in stage graph. They may
-	// depend on built-in stage names ("eos", "tezos", "xrp",
-	// "governance") via Stage.After. Note that SkipGovernance removes
-	// the "governance" stage from the graph, so depending on it then is
-	// a graph-validation error.
-	ExtraStages []Stage
 
 	// Serve, when set, turns every measurement stage into a serving feed:
 	// the stage registers its aggregator's summarize hook before crawling
@@ -167,6 +160,10 @@ func (o Options) withDefaults() Options {
 	o.Tezos = norm(o.Tezos, def.Tezos)
 	o.XRP = norm(o.XRP, def.XRP)
 	o.Gov = norm(o.Gov, def.Gov)
+	if o.Stress != nil {
+		stress := norm(*o.Stress, StageOptions{Scale: def.EOS.Scale / 4, Seed: def.EOS.Seed})
+		o.Stress = &stress
+	}
 	if o.Workers <= 0 {
 		o.Workers = def.Workers
 	}
@@ -217,7 +214,7 @@ type Result struct {
 	EOSScenario *workload.EOSScenario
 
 	// StageMetrics records each stage's wall-clock, crawl volume and
-	// pipeline-side TPS, ordered like the stage graph.
+	// pipeline-side TPS, ordered like the stage table.
 	StageMetrics []StageMetric
 }
 
@@ -227,42 +224,102 @@ func (r *Result) ClusterFunc() core.ClusterFunc {
 	return func(addr string) string { return r.Dir.ClusterName(xrp.Address(addr)) }
 }
 
-// Run executes the whole reproduction as a stage graph: the EOS, Tezos,
-// XRP and governance stages run concurrently (bounded by
-// Options.StageWorkers) over a shared crawl worker pool. The first stage
-// failure cancels the others and is returned.
+// stagePlan is one built row of the stage table: a row's build method runs
+// its simulator, points the Result at the aggregator the stage fills, and
+// returns what differs between the chain reproductions. runStage owns
+// everything they share.
+type stagePlan struct {
+	// chain names the wire format, as archive manifests record it.
+	chain string
+	// ccfg carries the crawl range and any per-block retry settings;
+	// runStage adds the pipeline-wide worker, pool and buffer sizing.
+	ccfg collect.CrawlConfig
+	// live serves the simulated chain and returns its fetcher and their
+	// teardown; it may cap ccfg.Workers at what the client supports. It
+	// runs only when live fetches are possible: a full archive replay
+	// serves and probes nothing.
+	live func(ctx context.Context, ccfg *collect.CrawlConfig) (collect.BlockFetcher, func(), error)
+	// window anchors the aggregator's time series; dec, summarize and txs
+	// are the typed aggregator's chain-agnostic surfaces.
+	window    core.Window
+	dec       core.Decoder
+	summarize func() core.ChainSummary
+	txs       func() int64
+	// crawl, when set, receives the crawl summary; post, when set, runs
+	// after a successful crawl.
+	crawl *collect.CrawlResult
+	post  func() error
+}
+
+// stages is the stage table, in StageMetrics order. Its rows fill r and
+// crawl through one shared fetch pool, which bounds in-flight fetches
+// across all of them.
+func (r *Result) stages() []Stage {
+	pool := collect.NewPool(r.Opts.Workers)
+	row := func(name string, build func() (stagePlan, error)) Stage {
+		return Stage{Name: name, Run: func(ctx context.Context) (StageStats, error) {
+			return r.runStage(ctx, name, build, pool)
+		}}
+	}
+	stages := []Stage{row("eos", r.buildEOS), row("tezos", r.buildTezos), row("xrp", r.buildXRP)}
+	if !r.Opts.SkipGovernance {
+		stages = append(stages, row("governance", r.buildGovernance))
+	}
+	if r.Opts.Stress != nil {
+		stages = append(stages, row("eidos-stress", r.buildStress))
+	}
+	return stages
+}
+
+// Run executes the whole reproduction: every row of the stage table runs
+// concurrently over a shared crawl worker pool. The first stage failure
+// cancels the others and is returned.
 func Run(ctx context.Context, opts Options) (*Result, error) {
-	opts = opts.withDefaults()
-	res := &Result{Opts: opts}
-	pool := opts.Pool
-	if pool == nil {
-		pool = collect.NewPool(opts.Workers)
-	}
-
-	stages := []Stage{
-		{Name: "eos", Run: func(ctx context.Context) (StageStats, error) {
-			return res.runEOS(ctx, opts, pool)
-		}},
-		{Name: "tezos", Run: func(ctx context.Context) (StageStats, error) {
-			return res.runTezos(ctx, opts, pool)
-		}},
-		{Name: "xrp", Run: func(ctx context.Context) (StageStats, error) {
-			return res.runXRP(ctx, opts, pool)
-		}},
-	}
-	if !opts.SkipGovernance {
-		stages = append(stages, Stage{Name: "governance", Run: func(ctx context.Context) (StageStats, error) {
-			return res.runGovernance(ctx, opts, pool)
-		}})
-	}
-	stages = append(stages, opts.ExtraStages...)
-
-	metrics, err := RunStages(ctx, stages, opts.StageWorkers)
+	res := &Result{Opts: opts.withDefaults()}
+	metrics, err := RunStages(ctx, res.stages())
 	res.StageMetrics = metrics
 	if err != nil {
 		return nil, err
 	}
 	return res, nil
+}
+
+// runStage drives one row end to end: build the simulated history, resolve
+// the collection source (archive replay, or the live fetcher teed into the
+// stage's archive), hook the aggregator into the serving sink, and crawl.
+func (r *Result) runStage(ctx context.Context, name string, build func() (stagePlan, error), pool *collect.Pool) (StageStats, error) {
+	opts := r.Opts
+	plan, err := build()
+	if err != nil {
+		return StageStats{}, err
+	}
+	ccfg := plan.ccfg
+	ccfg.Workers, ccfg.Pool, ccfg.Buffer = opts.Workers, pool, opts.Buffer
+	fetcher, sink, cleanup, err := opts.stageCollect(name, plan.chain, ccfg.From, ccfg.To, &ccfg, func() (collect.BlockFetcher, func(), error) {
+		return plan.live(ctx, &ccfg)
+	})
+	defer cleanup()
+	if err != nil {
+		return StageStats{}, err
+	}
+	dec, releaseFeed, err := opts.serveFeed(name, plan.window, plan.summarize, plan.dec)
+	if err != nil {
+		return StageStats{}, err
+	}
+	defer releaseFeed()
+	crawl, err := crawlInto(ctx, fetcher, ccfg, sink, dec, core.IngestConfig{Workers: opts.IngestWorkers, Batch: opts.Batch})
+	if err != nil {
+		return StageStats{}, err
+	}
+	if plan.crawl != nil {
+		*plan.crawl = crawl
+	}
+	if plan.post != nil {
+		if err := plan.post(); err != nil {
+			return StageStats{}, err
+		}
+	}
+	return StageStats{Blocks: crawl.Blocks, Transactions: plan.txs()}, nil
 }
 
 // crawlInto runs one stage's collection→measurement path on the streaming
@@ -283,12 +340,6 @@ func crawlInto(ctx context.Context, f collect.BlockFetcher, ccfg collect.CrawlCo
 		res.GzipBytes = sink.CompressedBytes()
 	}
 	return res, err
-}
-
-// ingestConfig derives each stage's decode/ingest pool sizing from the
-// pipeline options.
-func (o Options) ingestConfig() core.IngestConfig {
-	return core.IngestConfig{Workers: o.IngestWorkers, Batch: o.Batch}
 }
 
 // serveFeed wires one stage into the serving sink (when configured):
@@ -319,242 +370,202 @@ func serve(h http.Handler) (string, func(), error) {
 	return "http://" + ln.Addr().String(), func() { srv.Close() }, nil
 }
 
-func (r *Result) runEOS(ctx context.Context, opts Options, pool *collect.Pool) (StageStats, error) {
-	scenario, err := workload.BuildEOS(workload.EOSOptions{Scale: opts.EOS.Scale, Seed: opts.EOS.Seed})
+// oneEndpoint is the live source of every stage that crawls a single
+// endpoint: serve the chain's API on a loopback port and dial it with the
+// chain's client (the XRP ledger API speaks WebSocket).
+func oneEndpoint(chain string, h http.Handler) func(context.Context, *collect.CrawlConfig) (collect.BlockFetcher, func(), error) {
+	return func(_ context.Context, ccfg *collect.CrawlConfig) (collect.BlockFetcher, func(), error) {
+		url, stop, err := serve(h)
+		if err != nil {
+			return nil, nil, err
+		}
+		if chain == "xrp" {
+			url = "ws" + strings.TrimPrefix(url, "http")
+		}
+		f, closeClient, maxWorkers, err := collect.Dial(chain, url)
+		if err != nil {
+			return nil, stop, err
+		}
+		if maxWorkers > 0 {
+			ccfg.Workers = maxWorkers
+		}
+		return f, func() { closeClient(); stop() }, nil
+	}
+}
+
+// eosPlan is the part of a plan the two EOS rows share: crawl the whole
+// history into a fresh aggregator anchored at w.
+func eosPlan(c *eos.Chain, w core.Window) (stagePlan, *core.EOSAggregator) {
+	agg := core.NewEOSAggregator(w.Origin, w.Bucket)
+	return stagePlan{
+		chain: "eos", ccfg: collect.CrawlConfig{From: 1, To: int64(c.HeadNum())}, window: w,
+		dec:       agg.Decoder(),
+		summarize: func() core.ChainSummary { return core.SummarizeEOS(agg) },
+		txs:       func() int64 { return agg.Transactions },
+	}, agg
+}
+
+func (r *Result) buildEOS() (stagePlan, error) {
+	scenario, err := workload.BuildEOS(workload.EOSOptions{Scale: r.Opts.EOS.Scale, Seed: r.Opts.EOS.Seed})
 	if err != nil {
-		return StageStats{}, err
+		return stagePlan{}, err
 	}
 	scenario.Run()
 	r.EOSScenario = scenario
-	to := int64(scenario.Chain.HeadNum())
-
-	ccfg := collect.CrawlConfig{
-		From: 1, To: to,
-		Workers: opts.Workers, Pool: pool, Buffer: opts.Buffer,
-		MaxRetries: 8, Backoff: 5 * time.Millisecond,
+	plan, agg := eosPlan(scenario.Chain, core.Window{Origin: chain.ObservationStart, Bucket: r.Opts.Bucket})
+	r.EOS, plan.crawl = agg, &r.EOSCrawl
+	plan.ccfg.MaxRetries, plan.ccfg.Backoff = 8, 5*time.Millisecond
+	plan.live = func(ctx context.Context, _ *collect.CrawlConfig) (collect.BlockFetcher, func(), error) {
+		return r.shortlistEOS(ctx, scenario.Chain)
 	}
-	fetcher, sink, cleanup, err := opts.stageCollect("eos", "eos", 1, to, &ccfg, func() (collect.BlockFetcher, func(), error) {
-		// Live crawl: expose several endpoints with varying generosity,
-		// probe them, and crawl through the shortlist — the paper's §3.1
-		// methodology. A replay skips all of it: the archive is the
-		// endpoint.
-		handler := rpcserve.NewEOSServer(scenario.Chain)
-		profiles := make([]rpcserve.EndpointProfile, opts.EOSEndpoints)
-		for i := range profiles {
-			switch i % 4 {
-			case 0: // generous
-				profiles[i] = rpcserve.EndpointProfile{}
-			case 1:
-				profiles[i] = rpcserve.EndpointProfile{RatePerSec: 5000, Burst: 500}
-			case 2: // stingy rate limit
-				profiles[i] = rpcserve.EndpointProfile{RatePerSec: 20, Burst: 5}
-			default: // slow
-				profiles[i] = rpcserve.EndpointProfile{Latency: 5 * time.Millisecond}
-			}
-		}
-		var stops []func()
-		stopAll := func() {
-			for _, stop := range stops {
-				stop()
-			}
-		}
-		urls := make([]string, 0, len(profiles))
-		for _, p := range profiles {
-			url, stop, err := serve(p.Middleware(handler))
-			if err != nil {
-				return nil, stopAll, err
-			}
-			stops = append(stops, stop)
-			urls = append(urls, url)
-		}
-		for _, u := range urls {
-			r.EndpointScores = append(r.EndpointScores, collect.ProbeEndpoint(ctx, u, collect.NewEOSClient(u), 6))
-		}
-		r.Shortlisted = collect.Shortlist(r.EndpointScores, opts.EOSShortlist)
-		fetchers := make([]collect.BlockFetcher, 0, len(r.Shortlisted))
-		for _, s := range r.Shortlisted {
-			fetchers = append(fetchers, collect.NewEOSClient(s.URL))
-		}
-		if len(fetchers) == 0 {
-			return nil, stopAll, fmt.Errorf("no EOS endpoints survived probing")
-		}
-		return &collect.MultiFetcher{Fetchers: fetchers}, stopAll, nil
-	})
-	defer cleanup()
-	if err != nil {
-		return StageStats{}, err
-	}
-
-	agg := core.NewEOSAggregator(chain.ObservationStart, opts.Bucket)
-	dec, releaseFeed, err := opts.serveFeed("eos", core.Window{Origin: chain.ObservationStart, Bucket: opts.Bucket},
-		func() core.ChainSummary { return core.SummarizeEOS(agg) }, agg.Decoder())
-	if err != nil {
-		return StageStats{}, err
-	}
-	defer releaseFeed()
-	crawl, err := crawlInto(ctx, fetcher, ccfg, sink, dec, opts.ingestConfig())
-	if err != nil {
-		return StageStats{}, err
-	}
-	r.EOS = agg
-	r.EOSCrawl = crawl
-	return StageStats{Blocks: crawl.Blocks, Transactions: agg.Transactions}, nil
+	return plan, nil
 }
 
-func (r *Result) runTezos(ctx context.Context, opts Options, pool *collect.Pool) (StageStats, error) {
-	scenario, err := workload.BuildTezos(workload.TezosOptions{Scale: opts.Tezos.Scale, Seed: opts.Tezos.Seed})
+// eosEndpointProfiles cycle over the endpoints the EOS stage exposes.
+var eosEndpointProfiles = [...]rpcserve.EndpointProfile{
+	{}, // generous
+	{RatePerSec: 5000, Burst: 500},
+	{RatePerSec: 20, Burst: 5},      // stingy rate limit
+	{Latency: 5 * time.Millisecond}, // slow
+}
+
+// shortlistEOS is the EOS stage's live source — the paper's §3.1
+// methodology: expose several endpoints with varying generosity, probe
+// them, and crawl through the shortlist. A replay skips all of it: the
+// archive is the endpoint.
+func (r *Result) shortlistEOS(ctx context.Context, c *eos.Chain) (collect.BlockFetcher, func(), error) {
+	handler := rpcserve.NewEOSServer(c)
+	var stops []func()
+	stopAll := func() {
+		for _, stop := range stops {
+			stop()
+		}
+	}
+	for i := 0; i < r.Opts.EOSEndpoints; i++ {
+		url, stop, err := serve(eosEndpointProfiles[i%len(eosEndpointProfiles)].Middleware(handler))
+		if err != nil {
+			return nil, stopAll, err
+		}
+		stops = append(stops, stop)
+		r.EndpointScores = append(r.EndpointScores, collect.ProbeEndpoint(ctx, url, collect.NewEOSClient(url), 6))
+	}
+	r.Shortlisted = collect.Shortlist(r.EndpointScores, r.Opts.EOSShortlist)
+	fetchers := make([]collect.BlockFetcher, 0, len(r.Shortlisted))
+	for _, s := range r.Shortlisted {
+		fetchers = append(fetchers, collect.NewEOSClient(s.URL))
+	}
+	if len(fetchers) == 0 {
+		return nil, stopAll, fmt.Errorf("no EOS endpoints survived probing")
+	}
+	return &collect.MultiFetcher{Fetchers: fetchers}, stopAll, nil
+}
+
+// buildStress replays the EOS workload over the EIDOS airdrop week — the
+// hottest regime the paper observed, when mining traffic quintupled EOS
+// throughput — served from one endpoint, no probing.
+func (r *Result) buildStress() (stagePlan, error) {
+	scenario, err := workload.BuildEOS(workload.EOSOptions{
+		Scale: r.Opts.Stress.Scale, Seed: r.Opts.Stress.Seed,
+		Start: chain.EIDOSLaunch, End: chain.EIDOSLaunch.AddDate(0, 0, 7),
+	})
 	if err != nil {
-		return StageStats{}, err
+		return stagePlan{}, err
+	}
+	scenario.Run()
+	plan, agg := eosPlan(scenario.Chain, core.Window{Origin: chain.EIDOSLaunch, Bucket: 6 * time.Hour})
+	plan.live = oneEndpoint("eos", rpcserve.NewEOSServer(scenario.Chain))
+	plan.post = func() error {
+		if agg.Transactions == 0 {
+			return fmt.Errorf("stress replay aggregated no transactions")
+		}
+		return nil
+	}
+	return plan, nil
+}
+
+// tezosPlan is the plan the two Tezos rows share: serve the chain from one
+// endpoint and crawl its whole history into a fresh aggregator anchored at
+// w.
+func tezosPlan(c *tezos.Chain, w core.Window) (stagePlan, *core.TezosAggregator) {
+	agg := core.NewTezosAggregator(w.Origin, w.Bucket)
+	return stagePlan{
+		chain: "tezos", ccfg: collect.CrawlConfig{From: 1, To: c.HeadLevel()}, window: w,
+		live:      oneEndpoint("tezos", rpcserve.NewTezosServer(c)),
+		dec:       agg.Decoder(),
+		summarize: func() core.ChainSummary { return core.SummarizeTezos(agg) },
+		txs:       func() int64 { return agg.Operations },
+	}, agg
+}
+
+func (r *Result) buildTezos() (stagePlan, error) {
+	scenario, err := workload.BuildTezos(workload.TezosOptions{Scale: r.Opts.Tezos.Scale, Seed: r.Opts.Tezos.Seed})
+	if err != nil {
+		return stagePlan{}, err
 	}
 	if _, err := scenario.Run(); err != nil {
-		return StageStats{}, err
+		return stagePlan{}, err
 	}
-	to := scenario.Chain.HeadLevel()
-
-	ccfg := collect.CrawlConfig{
-		From: 1, To: to,
-		Workers: opts.Workers, Pool: pool, Buffer: opts.Buffer,
-	}
-	fetcher, sink, cleanup, err := opts.stageCollect("tezos", "tezos", 1, to, &ccfg, func() (collect.BlockFetcher, func(), error) {
-		url, stop, err := serve(rpcserve.NewTezosServer(scenario.Chain))
-		if err != nil {
-			return nil, nil, err
-		}
-		return collect.NewTezosClient(url), stop, nil
-	})
-	defer cleanup()
-	if err != nil {
-		return StageStats{}, err
-	}
-
-	agg := core.NewTezosAggregator(chain.ObservationStart, opts.Bucket)
-	dec, releaseFeed, err := opts.serveFeed("tezos", core.Window{Origin: chain.ObservationStart, Bucket: opts.Bucket},
-		func() core.ChainSummary { return core.SummarizeTezos(agg) }, agg.Decoder())
-	if err != nil {
-		return StageStats{}, err
-	}
-	defer releaseFeed()
-	crawl, err := crawlInto(ctx, fetcher, ccfg, sink, dec, opts.ingestConfig())
-	if err != nil {
-		return StageStats{}, err
-	}
-	r.Tezos = agg
-	r.TezosCrawl = crawl
-	return StageStats{Blocks: crawl.Blocks, Transactions: agg.Operations}, nil
+	plan, agg := tezosPlan(scenario.Chain, core.Window{Origin: chain.ObservationStart, Bucket: r.Opts.Bucket})
+	r.Tezos, plan.crawl = agg, &r.TezosCrawl
+	return plan, nil
 }
 
-func (r *Result) runGovernance(ctx context.Context, opts Options, pool *collect.Pool) (StageStats, error) {
-	g, err := workload.BuildTezosGovernance(workload.GovernanceOptions{Scale: opts.Gov.Scale, Seed: opts.Gov.Seed})
+func (r *Result) buildGovernance() (stagePlan, error) {
+	g, err := workload.BuildTezosGovernance(workload.GovernanceOptions{Scale: r.Opts.Gov.Scale, Seed: r.Opts.Gov.Seed})
 	if err != nil {
-		return StageStats{}, err
+		return stagePlan{}, err
 	}
 	if _, err := g.Run(); err != nil {
-		return StageStats{}, err
+		return stagePlan{}, err
 	}
-	to := g.Chain.HeadLevel()
-
-	ccfg := collect.CrawlConfig{
-		From: 1, To: to,
-		Workers: opts.Workers, Pool: pool, Buffer: opts.Buffer,
-	}
-	fetcher, sink, cleanup, err := opts.stageCollect("governance", "tezos", 1, to, &ccfg, func() (collect.BlockFetcher, func(), error) {
-		url, stop, err := serve(rpcserve.NewTezosServer(g.Chain))
-		if err != nil {
-			return nil, nil, err
-		}
-		return collect.NewTezosClient(url), stop, nil
-	})
-	defer cleanup()
-	if err != nil {
-		return StageStats{}, err
-	}
-
 	// The governance replay starts in July; anchor its series there. Its
 	// window legitimately differs from the 6h chains — the sink's window
 	// validation is per chain name, so this registers cleanly.
-	govWindow := core.Window{Origin: time.Date(2019, time.July, 17, 0, 0, 0, 0, time.UTC), Bucket: 24 * time.Hour}
-	agg := core.NewTezosAggregator(govWindow.Origin, govWindow.Bucket)
-	dec, releaseFeed, err := opts.serveFeed("governance", govWindow,
-		func() core.ChainSummary { return core.SummarizeTezos(agg) }, agg.Decoder())
-	if err != nil {
-		return StageStats{}, err
-	}
-	defer releaseFeed()
-	crawl, err := crawlInto(ctx, fetcher, ccfg, sink, dec, opts.ingestConfig())
-	if err != nil {
-		return StageStats{}, err
-	}
+	plan, agg := tezosPlan(g.Chain, core.Window{Origin: time.Date(2019, time.July, 17, 0, 0, 0, 0, time.UTC), Bucket: 24 * time.Hour})
 	r.Gov = agg
-	return StageStats{Blocks: crawl.Blocks, Transactions: agg.Operations}, nil
+	return plan, nil
 }
 
-func (r *Result) runXRP(ctx context.Context, opts Options, pool *collect.Pool) (StageStats, error) {
-	scenario, err := workload.BuildXRP(workload.XRPOptions{Scale: opts.XRP.Scale, Seed: opts.XRP.Seed})
+func (r *Result) buildXRP() (stagePlan, error) {
+	scenario, err := workload.BuildXRP(workload.XRPOptions{Scale: r.Opts.XRP.Scale, Seed: r.Opts.XRP.Seed})
 	if err != nil {
-		return StageStats{}, err
+		return stagePlan{}, err
 	}
 	scenario.Run()
 	r.XRPScenario = scenario
-	// The build phase's ledgers stand in for pre-window history (gateway
-	// issuance, trust lines); the paper's window starts at October 1, so
-	// the crawl does too.
-	from, to := scenario.SetupLedgers+1, scenario.State.HeadIndex()
-
-	// The explorer (XRP Scan + Data API): usernames and trade records. It
-	// serves even on replay — exchange records come from the Data API, not
-	// the crawled ledger stream.
-	dir := explorer.NewDirectory(scenario.State)
+	// The explorer (XRP Scan + Data API): usernames and trade records.
+	r.Dir = explorer.NewDirectory(scenario.State)
 	for addr, username := range scenario.Usernames {
-		dir.Register(addr, username)
+		r.Dir.Register(addr, username)
 	}
-	oracle := explorer.NewRateOracle(scenario.State)
-	exURL, stopEx, err := serve(explorer.NewServer(dir, oracle))
-	if err != nil {
-		return StageStats{}, err
-	}
-	defer stopEx()
-	r.Dir = dir
-
-	ccfg := collect.CrawlConfig{
-		From: from, To: to,
-		Workers: opts.Workers,
-		Pool:    pool,
-		Buffer:  opts.Buffer,
-	}
-	fetcher, sink, cleanup, err := opts.stageCollect("xrp", "xrp", from, to, &ccfg, func() (collect.BlockFetcher, func(), error) {
-		// The ledger API over WebSocket.
-		wsURL, stopWS, err := serve(rpcserve.NewXRPServer(scenario.State))
-		if err != nil {
-			return nil, nil, err
-		}
-		wsURL = "ws" + strings.TrimPrefix(wsURL, "http")
-		client := collect.NewXRPClient(wsURL)
-		ccfg.Workers = 1 // the WebSocket protocol is sequential per connection
-		return client, func() { client.Close(); stopWS() }, nil
-	})
-	defer cleanup()
-	if err != nil {
-		return StageStats{}, err
-	}
-
-	agg := core.NewXRPAggregator(chain.ObservationStart, opts.Bucket)
-	dec, releaseFeed, err := opts.serveFeed("xrp", core.Window{Origin: chain.ObservationStart, Bucket: opts.Bucket},
-		func() core.ChainSummary { return core.SummarizeXRP(agg) }, agg.Decoder())
-	if err != nil {
-		return StageStats{}, err
-	}
-	defer releaseFeed()
-	crawl, err := crawlInto(ctx, fetcher, ccfg, sink, dec, opts.ingestConfig())
-	if err != nil {
-		return StageStats{}, err
-	}
-	// Pull trade records from the Data API, as the paper did for rates.
-	exchanges, err := explorer.FetchExchanges(exURL)
-	if err != nil {
-		return StageStats{}, err
-	}
-	agg.AddExchanges(exchanges)
+	w := core.Window{Origin: chain.ObservationStart, Bucket: r.Opts.Bucket}
+	agg := core.NewXRPAggregator(w.Origin, w.Bucket)
 	r.XRP = agg
-	r.XRPCrawl = crawl
-	return StageStats{Blocks: crawl.Blocks, Transactions: agg.Transactions}, nil
+	return stagePlan{
+		chain: "xrp", window: w,
+		// The build phase's ledgers stand in for pre-window history (gateway
+		// issuance, trust lines); the paper's window starts at October 1, so
+		// the crawl does too.
+		ccfg:      collect.CrawlConfig{From: scenario.SetupLedgers + 1, To: scenario.State.HeadIndex()},
+		live:      oneEndpoint("xrp", rpcserve.NewXRPServer(scenario.State)),
+		dec:       agg.Decoder(),
+		summarize: func() core.ChainSummary { return core.SummarizeXRP(agg) },
+		txs:       func() int64 { return agg.Transactions },
+		crawl:     &r.XRPCrawl,
+		// Pull trade records from the Data API, as the paper did for rates.
+		// The explorer serves even on replay: exchange records come from
+		// it, not from the crawled ledger stream.
+		post: func() error {
+			exURL, stopEx, err := serve(explorer.NewServer(r.Dir, explorer.NewRateOracle(scenario.State)))
+			if err != nil {
+				return err
+			}
+			defer stopEx()
+			exchanges, err := explorer.FetchExchanges(exURL)
+			if err == nil {
+				agg.AddExchanges(exchanges)
+			}
+			return err
+		},
+	}, nil
 }

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -286,6 +287,65 @@ func TestFullReportRenders(t *testing.T) {
 	}
 	if len(report) < 2000 {
 		t.Fatalf("report suspiciously short: %d bytes", len(report))
+	}
+}
+
+// maskScheduling blanks the three pieces of a FullReport that legitimately
+// move from run to run — the stage timings, the endpoint probe lines
+// (ports, latencies, which endpoints win the shortlist) and Figure 2's gzip
+// bytes, one gzip stream over multi-worker delivery order — and leaves
+// every other byte alone.
+func maskScheduling(report string) string {
+	var out []string
+	section := ""
+	for _, line := range strings.Split(report, "\n") {
+		switch {
+		case line == "":
+			section = ""
+		case section == "":
+			section = line
+		}
+		switch {
+		case strings.HasPrefix(section, "Stage timings"), strings.HasPrefix(section, "§3.1"):
+			continue
+		case strings.HasPrefix(section, "Figure 2") && line != section:
+			// Rows are tab-aligned to the widest cell, so drop the padding
+			// along with the gzip bytes cell (the header's is two words).
+			fields := strings.Fields(line)
+			if fields[0] == "chain" {
+				fields = append(fields[:4], fields[6:]...)
+			} else {
+				fields = append(fields[:4], fields[5:]...)
+			}
+			line = strings.Join(fields, " ")
+		}
+		out = append(out, line)
+	}
+	return strings.Join(out, "\n")
+}
+
+// TestFullReportDeterministic is the report-text oracle: two runs of the
+// same options render byte-identical reports once the scheduling-dependent
+// pieces are masked.
+func TestFullReportDeterministic(t *testing.T) {
+	first := testResult(t)
+	second, err := Run(context.Background(), first.Opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := maskScheduling(FullReport(first)), maskScheduling(FullReport(second))
+	if a != b {
+		t.Fatalf("masked reports differ between two runs:\n--- first ---\n%s\n--- second ---\n%s", a, b)
+	}
+	for _, want := range []string{"Figure 1", fmt.Sprintf("EOS %d ", first.Opts.EOS.Scale), "Figure 12"} {
+		if !strings.Contains(a, want) {
+			t.Errorf("mask removed too much: %q missing from\n%s", want, a)
+		}
+	}
+	for _, gone := range []string{"Stage timings", "reachable=", "gzip"} {
+		if strings.Contains(a, gone) {
+			t.Errorf("mask left %q in the report", gone)
+		}
 	}
 }
 

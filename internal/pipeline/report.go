@@ -411,10 +411,6 @@ func StageTimings(r *Result) string {
 	sb.WriteString(table(func(w *tabwriter.Writer) {
 		fmt.Fprintln(w, "stage\twall-clock\tblocks\ttransactions\tpipeline TPS")
 		for _, m := range r.StageMetrics {
-			if m.Skipped {
-				fmt.Fprintf(w, "%s\t(skipped)\t-\t-\t-\n", m.Name)
-				continue
-			}
 			fmt.Fprintf(w, "%s\t%s\t%d\t%d\t%.0f\n",
 				m.Name, m.Elapsed.Round(time.Millisecond), m.Blocks, m.Transactions, m.TPS)
 		}

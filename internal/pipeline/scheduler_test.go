@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -37,65 +36,15 @@ func TestSchedulerRunsIndependentStagesConcurrently(t *testing.T) {
 			return StageStats{}, nil
 		}}
 	}
-	_, err := RunStages(context.Background(), []Stage{stage("a"), stage("b"), stage("c")}, 0)
+	metrics, err := RunStages(context.Background(), []Stage{stage("c"), stage("b"), stage("a")})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if atomic.LoadInt32(&peak) < 2 {
 		t.Fatalf("peak concurrency = %d, want >= 2", peak)
 	}
-}
-
-func TestSchedulerHonoursMaxParallel(t *testing.T) {
-	var running, peak int32
-	stage := func(name string) Stage {
-		return Stage{Name: name, Run: func(ctx context.Context) (StageStats, error) {
-			n := atomic.AddInt32(&running, 1)
-			for {
-				p := atomic.LoadInt32(&peak)
-				if n <= p || atomic.CompareAndSwapInt32(&peak, p, n) {
-					break
-				}
-			}
-			time.Sleep(10 * time.Millisecond)
-			atomic.AddInt32(&running, -1)
-			return StageStats{}, nil
-		}}
-	}
-	_, err := RunStages(context.Background(), []Stage{stage("a"), stage("b"), stage("c"), stage("d")}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if peak != 1 {
-		t.Fatalf("peak concurrency = %d, want 1 (sequential)", peak)
-	}
-}
-
-func TestSchedulerDependencyOrdering(t *testing.T) {
-	var mu sync.Mutex
-	var order []string
-	record := func(name string) Stage {
-		return Stage{Name: name, Run: func(ctx context.Context) (StageStats, error) {
-			mu.Lock()
-			order = append(order, name)
-			mu.Unlock()
-			return StageStats{}, nil
-		}}
-	}
-	a := record("a")
-	b := record("b")
-	b.After = []string{"a"}
-	c := record("c")
-	c.After = []string{"b"}
-	metrics, err := RunStages(context.Background(), []Stage{c, b, a}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != 3 || order[0] != "a" || order[1] != "b" || order[2] != "c" {
-		t.Fatalf("execution order %v, want [a b c]", order)
-	}
-	// Metrics keep registration order regardless of execution order.
-	if metrics[0].Name != "c" || metrics[2].Name != "a" {
+	// Metrics keep registration order whatever order the stages finish in.
+	if len(metrics) != 3 || metrics[0].Name != "c" || metrics[1].Name != "b" || metrics[2].Name != "a" {
 		t.Fatalf("metric order: %+v", metrics)
 	}
 }
@@ -104,14 +53,11 @@ func TestSchedulerGraphValidation(t *testing.T) {
 	noop := func(ctx context.Context) (StageStats, error) { return StageStats{}, nil }
 	for name, stages := range map[string][]Stage{
 		"duplicate": {{Name: "x", Run: noop}, {Name: "x", Run: noop}},
-		"unknown":   {{Name: "x", After: []string{"ghost"}, Run: noop}},
-		"self":      {{Name: "x", After: []string{"x"}, Run: noop}},
 		"unnamed":   {{Run: noop}},
 		"norun":     {{Name: "x"}},
-		"cycle":     {{Name: "a", After: []string{"b"}, Run: noop}, {Name: "b", After: []string{"a"}, Run: noop}},
 	} {
-		if _, err := RunStages(context.Background(), stages, 0); err == nil {
-			t.Errorf("%s graph accepted", name)
+		if _, err := RunStages(context.Background(), stages); err == nil {
+			t.Errorf("%s stage list accepted", name)
 		}
 	}
 }
@@ -121,7 +67,7 @@ func TestSchedulerGraphValidation(t *testing.T) {
 // in-flight stage must see prompt context cancellation.
 func TestSchedulerFirstErrorCancelsInFlight(t *testing.T) {
 	boom := errors.New("stage exploded")
-	var slowCancelled, skippedRan atomic.Bool
+	var slowCancelled atomic.Bool
 	stages := []Stage{
 		{Name: "slow", Run: func(ctx context.Context) (StageStats, error) {
 			slowCancelled.Store(sleepUntilCancelled(ctx))
@@ -131,13 +77,9 @@ func TestSchedulerFirstErrorCancelsInFlight(t *testing.T) {
 			time.Sleep(10 * time.Millisecond)
 			return StageStats{}, boom
 		}},
-		{Name: "dependent", After: []string{"failing"}, Run: func(ctx context.Context) (StageStats, error) {
-			skippedRan.Store(true)
-			return StageStats{}, nil
-		}},
 	}
 	start := time.Now()
-	metrics, err := RunStages(context.Background(), stages, 0)
+	metrics, err := RunStages(context.Background(), stages)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want the injected stage error", err)
 	}
@@ -147,23 +89,11 @@ func TestSchedulerFirstErrorCancelsInFlight(t *testing.T) {
 	if !slowCancelled.Load() {
 		t.Error("in-flight stage never saw cancellation")
 	}
-	if skippedRan.Load() {
-		t.Error("dependent of the failing stage was started")
-	}
 	if elapsed := time.Since(start); elapsed > 3*time.Second {
 		t.Errorf("error propagation took %s, want prompt cancellation", elapsed)
 	}
-	var found bool
-	for _, m := range metrics {
-		if m.Name == "dependent" {
-			found = true
-			if !m.Skipped {
-				t.Error("dependent stage not marked skipped")
-			}
-		}
-	}
-	if !found {
-		t.Fatalf("metrics missing dependent stage: %+v", metrics)
+	if len(metrics) != 2 || metrics[0].Name != "slow" || metrics[1].Name != "failing" {
+		t.Fatalf("metrics of a failed run: %+v", metrics)
 	}
 }
 
@@ -185,7 +115,7 @@ func TestSchedulerParentCancellationStopsStages(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err := RunStages(ctx, []Stage{stage("a"), stage("b"), stage("c")}, 0)
+	_, err := RunStages(ctx, []Stage{stage("a"), stage("b"), stage("c")})
 	if err == nil {
 		t.Fatal("cancelled run reported success")
 	}
@@ -200,25 +130,25 @@ func TestSchedulerParentCancellationStopsStages(t *testing.T) {
 	}
 }
 
-// TestRunInjectedFailingStage exercises first-error capture through the
-// public Run entry point: an extra stage that fails immediately must abort
-// the whole pipeline, cancelling the built-in chain stages mid-flight.
+// TestRunInjectedFailingStage exercises first-error capture over Run's own
+// stage table: a stage that fails immediately next to it must abort the
+// whole pipeline, cancelling the chain stages mid-flight.
 func TestRunInjectedFailingStage(t *testing.T) {
 	boom := errors.New("injected failure")
-	opts := DefaultOptions()
-	opts.ExtraStages = []Stage{{
+	res := &Result{Opts: DefaultOptions()}
+	stages := append(res.stages(), Stage{
 		Name: "injected",
 		Run: func(ctx context.Context) (StageStats, error) {
 			return StageStats{}, boom
 		},
-	}}
+	})
 	start := time.Now()
-	res, err := Run(context.Background(), opts)
+	_, err := RunStages(context.Background(), stages)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want injected error", err)
 	}
-	if res != nil {
-		t.Fatal("failed run returned a result")
+	if !strings.Contains(err.Error(), "injected stage") {
+		t.Errorf("error %q does not name the failing stage", err)
 	}
 	// The injected stage fails instantly, so the heavyweight chain stages
 	// must be cancelled long before they would complete naturally.
@@ -243,8 +173,9 @@ func TestRunCancelledParentContext(t *testing.T) {
 	}
 }
 
-// TestRunSurfacesStageMetrics checks the orchestrator's accounting on a
-// successful run: every built-in stage reports a metric with crawl volume.
+// TestRunSurfacesStageMetrics checks the stage accounting on a successful
+// run: every row of the stage table — and nothing else — reports a metric
+// with crawl volume.
 func TestRunSurfacesStageMetrics(t *testing.T) {
 	r := testResult(t)
 	want := map[string]bool{"eos": false, "tezos": false, "xrp": false, "governance": false}
@@ -254,9 +185,6 @@ func TestRunSurfacesStageMetrics(t *testing.T) {
 			continue
 		}
 		want[m.Name] = true
-		if m.Skipped {
-			t.Errorf("stage %s skipped on a successful run", m.Name)
-		}
 		if m.Elapsed <= 0 {
 			t.Errorf("stage %s has no wall-clock", m.Name)
 		}

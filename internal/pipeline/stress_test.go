@@ -4,14 +4,25 @@ import (
 	"context"
 	"strings"
 	"testing"
-
-	"repro/internal/collect"
 )
 
-// TestPipelineEIDOSStressStage: the fifth scenario registers through
-// Options.ExtraStages, runs on the streaming ingestion API, and surfaces in
-// StageMetrics alongside the built-in stages.
-func TestPipelineEIDOSStressStage(t *testing.T) {
+// stressMetric returns the eidos-stress row of a run's stage metrics.
+func stressMetric(t *testing.T, res *Result) StageMetric {
+	t.Helper()
+	for _, m := range res.StageMetrics {
+		if m.Name == "eidos-stress" {
+			return m
+		}
+	}
+	t.Fatalf("eidos-stress missing from StageMetrics: %+v", res.StageMetrics)
+	return StageMetric{}
+}
+
+// TestPipelineEIDOSStressRow: Options.Stress switches on the fifth row of
+// the stage table, which runs through the same runStage as the others — so
+// it surfaces in StageMetrics, tees into its own archive and replays from
+// it on a rerun.
+func TestPipelineEIDOSStressRow(t *testing.T) {
 	opts := DefaultOptions()
 	// Only the stress stage matters here; keep the built-ins coarse and
 	// skip the governance replay.
@@ -23,31 +34,16 @@ func TestPipelineEIDOSStressStage(t *testing.T) {
 	if testing.Short() {
 		stressScale = 200_000
 	}
-	// Share one fetch pool between the built-ins and the stress stage, as
-	// cmd/report -stress does.
-	opts.Pool = collect.NewPool(opts.Workers)
-	opts.ExtraStages = append(opts.ExtraStages,
-		EIDOSStressStage(StageOptions{Scale: stressScale, Seed: 1}, opts))
+	opts.Stress = &StageOptions{Scale: stressScale, Seed: 1}
+	opts.ArchiveDir = t.TempDir()
 
 	res, err := Run(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	var stress *StageMetric
-	for i := range res.StageMetrics {
-		if res.StageMetrics[i].Name == "eidos-stress" {
-			stress = &res.StageMetrics[i]
-		}
-	}
-	if stress == nil {
-		t.Fatalf("eidos-stress missing from StageMetrics: %+v", res.StageMetrics)
-	}
-	if stress.Skipped {
-		t.Fatal("eidos-stress was skipped")
-	}
+	stress := stressMetric(t, res)
 	if stress.Blocks == 0 || stress.Transactions == 0 {
-		t.Fatalf("eidos-stress processed nothing: %+v", *stress)
+		t.Fatalf("eidos-stress processed nothing: %+v", stress)
 	}
 	if stress.TPS <= 0 {
 		t.Fatalf("eidos-stress TPS = %f", stress.TPS)
@@ -55,5 +51,25 @@ func TestPipelineEIDOSStressStage(t *testing.T) {
 	// The stage renders in the same report table as the built-ins.
 	if table := StageTimings(res); !strings.Contains(table, "eidos-stress") {
 		t.Fatalf("StageTimings omits the stress stage:\n%s", table)
+	}
+
+	// The live run teed the stress row's blocks into ArchiveDir/eidos-stress;
+	// a rerun finds the archive covering its range and replays it.
+	rd, err := res.Opts.replayReader("eidos-stress", "eos", 1, stress.Blocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rd == nil || rd.Blocks() != stress.Blocks {
+		t.Fatalf("stress archive does not cover the %d blocks the stage crawled", stress.Blocks)
+	}
+	rerun, err := Run(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rerun.EndpointScores) != 0 {
+		t.Fatal("rerun probed endpoints; every stage should have replayed its archive")
+	}
+	if again := stressMetric(t, rerun); again.Blocks != stress.Blocks || again.Transactions != stress.Transactions {
+		t.Fatalf("replayed stress row %+v differs from the live one %+v", again, stress)
 	}
 }
