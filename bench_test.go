@@ -12,19 +12,21 @@ package repro
 //
 // The scales used here are bench-friendly; cmd/report -eos-scale/-xrp-scale
 // flags rerun the pipeline at finer scales for tighter convergence.
+//
+// Nothing here is gated: whether a change made the system slower is answered
+// by the parent-vs-change ledger run in bench/ (DESIGN.md "How performance
+// is judged"), which is also where the wire decode/encode and raw→aggregate
+// unit costs are measured.
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/chain"
 	"repro/internal/core"
 	"repro/internal/pipeline"
-	"repro/internal/wire"
 	"repro/internal/xrp"
 )
 
@@ -249,240 +251,5 @@ func BenchmarkPipelineEndToEnd(b *testing.B) {
 		if _, err := pipeline.Run(context.Background(), opts); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// --- wire codec micro-benchmarks -----------------------------------------
-//
-// The hot-path benchmarks behind the PR 4 allocation work: each chain's
-// block decode and encode measured through the pooled internal/wire codec
-// and through encoding/json side by side, plus the raw→aggregate ingest
-// step. The wire/json ratios are the before/after evidence the bench gate
-// (cmd/benchgate vs BENCH_baseline.json) defends.
-
-func benchEOSRaw() []byte {
-	b := wire.EOSBlockJSON{
-		BlockNum: 12345, ID: "00003039abcdef", Previous: "00003038abcdef",
-		Timestamp: "2019-10-01T00:00:00.500", Producer: "eosproducer1",
-	}
-	for i := 0; i < 8; i++ {
-		var tx wire.EOSTrxJSON
-		tx.Status = "executed"
-		tx.Trx.ID = fmt.Sprintf("trx%08d", i)
-		tx.Trx.Transaction.Actions = []wire.EOSActionJSON{{
-			Account: "eosio.token", Name: "transfer",
-			Authorization: []map[string]string{{"actor": "alicealice12", "permission": "active"}},
-			Data: map[string]string{
-				"from": "alicealice12", "to": "bobbobbob123",
-				"quantity": "1.0000 EOS", "memo": "bench",
-			},
-		}}
-		b.Transactions = append(b.Transactions, tx)
-	}
-	raw, err := json.Marshal(&b)
-	if err != nil {
-		panic(err)
-	}
-	return raw
-}
-
-func benchTezosRaw() []byte {
-	b := wire.TezosBlockJSON{
-		Level: 654321, Hash: "BLockHash11", Predecessor: "BLockHash10",
-		Timestamp: "2019-10-01T00:00:00Z", Baker: "tz1baker",
-	}
-	for i := 0; i < 16; i++ {
-		b.Operations = append(b.Operations,
-			wire.TezosOperationJSON{Kind: "endorsement", Source: "tz1endorser", Level: 654320, SlotCount: 2},
-			wire.TezosOperationJSON{Kind: "transaction", Source: "tz1alice", Destination: "tz1bob", Amount: 100000, Fee: 1420})
-	}
-	raw, err := json.Marshal(&b)
-	if err != nil {
-		panic(err)
-	}
-	return raw
-}
-
-func benchXRPRaw() []byte {
-	l := wire.XRPLedgerJSON{
-		LedgerIndex: 50000000, LedgerHash: "LEDGERHASH1", ParentHash: "LEDGERHASH0",
-		CloseTime: "2019-10-01T00:00:00Z", TxCount: 8,
-	}
-	for i := 0; i < 8; i++ {
-		l.Transactions = append(l.Transactions, wire.XRPTxJSON{
-			Hash: "TXHASH", TransactionType: "Payment", Account: "rAlice",
-			Destination: "rBob", DestinationTag: 7, Fee: 10, Sequence: uint32(42),
-			Amount: &wire.XRPAmountJSON{Currency: "XRP", Value: 1000000},
-			Result: "tesSUCCESS",
-		})
-	}
-	env := struct {
-		Ledger wire.XRPLedgerJSON `json:"ledger"`
-	}{l}
-	raw, err := json.Marshal(env)
-	if err != nil {
-		panic(err)
-	}
-	return raw
-}
-
-// BenchmarkDecodeEOS measures one EOS block decode: pooled wire codec vs
-// encoding/json reflection.
-func BenchmarkDecodeEOS(b *testing.B) {
-	raw := benchEOSRaw()
-	b.Run("wire", func(b *testing.B) {
-		c := wire.NewCodec()
-		blk := wire.GetEOSBlock()
-		defer wire.PutEOSBlock(blk)
-		b.ReportAllocs()
-		b.SetBytes(int64(len(raw)))
-		for i := 0; i < b.N; i++ {
-			if err := c.DecodeEOSBlock(raw, blk); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("json", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(int64(len(raw)))
-		for i := 0; i < b.N; i++ {
-			var blk wire.EOSBlockJSON
-			if err := json.Unmarshal(raw, &blk); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkDecodeTezos measures one Tezos block decode, both paths.
-func BenchmarkDecodeTezos(b *testing.B) {
-	raw := benchTezosRaw()
-	b.Run("wire", func(b *testing.B) {
-		c := wire.NewCodec()
-		blk := wire.GetTezosBlock()
-		defer wire.PutTezosBlock(blk)
-		b.ReportAllocs()
-		b.SetBytes(int64(len(raw)))
-		for i := 0; i < b.N; i++ {
-			if err := c.DecodeTezosBlock(raw, blk); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("json", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(int64(len(raw)))
-		for i := 0; i < b.N; i++ {
-			var blk wire.TezosBlockJSON
-			if err := json.Unmarshal(raw, &blk); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkDecodeXRP measures one XRP ledger envelope decode, both paths.
-func BenchmarkDecodeXRP(b *testing.B) {
-	raw := benchXRPRaw()
-	b.Run("wire", func(b *testing.B) {
-		c := wire.NewCodec()
-		led := wire.GetXRPLedger()
-		defer wire.PutXRPLedger(led)
-		b.ReportAllocs()
-		b.SetBytes(int64(len(raw)))
-		for i := 0; i < b.N; i++ {
-			if err := c.DecodeXRPLedgerResult(raw, led); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("json", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(int64(len(raw)))
-		for i := 0; i < b.N; i++ {
-			var res struct {
-				Ledger wire.XRPLedgerJSON `json:"ledger"`
-			}
-			if err := json.Unmarshal(raw, &res); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkEncodeEOS measures one EOS block encode: pooled wire codec vs
-// encoding/json reflection (the rpcserve get_block hot path).
-func BenchmarkEncodeEOS(b *testing.B) {
-	var blk wire.EOSBlockJSON
-	if err := json.Unmarshal(benchEOSRaw(), &blk); err != nil {
-		b.Fatal(err)
-	}
-	b.Run("wire", func(b *testing.B) {
-		c := wire.NewCodec()
-		buf := wire.GetBuffer()
-		defer wire.PutBuffer(buf)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			buf.B = c.AppendEOSBlock(buf.B[:0], &blk)
-		}
-		b.SetBytes(int64(len(buf.B)))
-	})
-	b.Run("json", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := json.Marshal(&blk); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkEncodeXRP measures one expanded XRP ledger encode, both paths.
-func BenchmarkEncodeXRP(b *testing.B) {
-	var res struct {
-		Ledger wire.XRPLedgerJSON `json:"ledger"`
-	}
-	if err := json.Unmarshal(benchXRPRaw(), &res); err != nil {
-		b.Fatal(err)
-	}
-	b.Run("wire", func(b *testing.B) {
-		c := wire.NewCodec()
-		buf := wire.GetBuffer()
-		defer wire.PutBuffer(buf)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			buf.B = c.AppendXRPLedger(buf.B[:0], &res.Ledger)
-		}
-	})
-	b.Run("json", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := json.Marshal(&res.Ledger); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkIngestEOSRaw measures the full raw→aggregate step for one EOS
-// block — decode through the pooled codec, fold into the aggregator,
-// release the arena struct — i.e. one unit of the ingest pool's work.
-func BenchmarkIngestEOSRaw(b *testing.B) {
-	raw := benchEOSRaw()
-	agg := core.NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
-	dec := agg.Decoder()
-	b.ReportAllocs()
-	b.SetBytes(int64(len(raw)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		blk, err := dec.Decode(int64(i)+1, raw)
-		if err != nil {
-			b.Fatal(err)
-		}
-		batch := []any{blk}
-		if err := dec.IngestBatch(batch); err != nil {
-			b.Fatal(err)
-		}
-		dec.(core.BatchReleaser).ReleaseBatch(batch)
 	}
 }

@@ -167,9 +167,16 @@ func main() {
 	err := run(ctx, o, os.Stdout, os.Stderr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "coordinate:", err)
+		if errors.Is(err, errUsage) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 }
+
+// errUsage marks a flag value run refuses before it dials anything; main
+// exits 2 for it, like a missing flag.
+var errUsage = errors.New("usage")
 
 // workerMain is one shard worker: decode the payload, crawl the slice
 // with crash-recoverable checkpoints, emit the shard. It is this binary
@@ -226,10 +233,16 @@ func workerMain(payload string, log io.Writer) int {
 // parsing and signal wiring so tests can drive it hermetically (with the
 // test binary itself as the worker executable).
 func run(ctx context.Context, o coordOpts, out, diag io.Writer) error {
+	// coord.Run reads a non-positive TTL as its two-minute default, but the
+	// standby loop uses the flag as given: claims born expired, and a poll
+	// interval of zero that hammers the store without pause.
+	if o.leaseTTL <= 0 {
+		return fmt.Errorf("%w: -lease-ttl %v: must be positive", errUsage, o.leaseTTL)
+	}
 	// Worker subprocesses, the renewal goroutines and the coordinator all
 	// write diagnostics concurrently; serialize whole writes so lines
 	// interleave instead of interleaving bytes.
-	diag = &syncWriter{w: diag}
+	diag = cli.SyncWriter(diag)
 	head, closeHead, _, err := collect.Dial(o.chain, o.endpoint)
 	if err != nil {
 		return err
@@ -401,19 +414,6 @@ func standbyAwait(ctx context.Context, o coordOpts, store blobstore.Store, owner
 		case <-time.After(poll):
 		}
 	}
-}
-
-// syncWriter serializes Write calls from the coordinator's goroutines
-// and its worker subprocesses onto one underlying writer.
-type syncWriter struct {
-	mu sync.Mutex
-	w  io.Writer
-}
-
-func (s *syncWriter) Write(p []byte) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.w.Write(p)
 }
 
 // workerLauncher execs one worker subprocess per attempt, tracking

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -17,9 +18,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/blobstore"
 	"repro/internal/chain"
 	"repro/internal/cli"
 	"repro/internal/collect"
+	"repro/internal/coord"
 	"repro/internal/core"
 	"repro/internal/eos"
 	"repro/internal/rpcserve"
@@ -495,6 +498,37 @@ func TestCoordinateStandbyTakeover(t *testing.T) {
 	}
 	if !report.Complete || len(report.Missing) != 0 {
 		t.Errorf("takeover run's gap report claims gaps:\n%s", raw)
+	}
+}
+
+// TestNonPositiveLeaseTTLRefusedBeforeAnyDial: a standby with -lease-ttl 0
+// used to claim leases born expired and poll the store with no pause between
+// rounds. run refuses the value as a usage error before it dials the
+// endpoint (there is none listening here) or touches the store.
+func TestNonPositiveLeaseTTLRefusedBeforeAnyDial(t *testing.T) {
+	store := blobstore.OpenMemory("lease-ttl-zero")
+	// The memory store counts hits only: leave a run state for a standby's
+	// first probe to find, so that probe would show below.
+	if err := store.Put(context.Background(), coord.RunStateKey("eos"), []byte("{}")); err != nil {
+		t.Fatal(err)
+	}
+	store.ResetOps()
+	for _, ttl := range []time.Duration{0, -time.Second} {
+		for _, standby := range []bool{true, false} {
+			o := testOpts("http://127.0.0.1:1", store.URL())
+			o.leaseTTL, o.standby = ttl, standby
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			err := run(ctx, o, io.Discard, io.Discard)
+			cancel()
+			if !errors.Is(err, errUsage) || !strings.Contains(err.Error(), "-lease-ttl") {
+				t.Errorf("ttl %v standby %v: run = %v, want a usage error naming -lease-ttl", ttl, standby, err)
+			}
+		}
+	}
+	for _, op := range []string{blobstore.OpPut, blobstore.OpGet, blobstore.OpGetRange, blobstore.OpList, blobstore.OpStat, blobstore.OpDelete} {
+		if n := store.Ops(op); n != 0 {
+			t.Errorf("refused run still made %d %s call(s) on the store", n, op)
+		}
 	}
 }
 

@@ -34,11 +34,14 @@
 // -emit-shard store, beside the running crawl (internal/coord), so a
 // worker killed at any instant resumes from the last checkpoint written
 // and still emits a complete shard.
-// cmd/coordinate drives fleets of such workers, handing each a -fence
-// token (its slice lease's attempt count) that is stamped into the
-// emitted shard; a worker whose lease was reclaimed mid-crawl emits a
-// stale fence that validation and merge refuse, so it cannot clobber the
-// reclaimer's newer shard.
+// cmd/coordinate runs the same worker (coord.RunShardCrawl) but never
+// launches this command: it re-execs itself with the slice, the store and
+// the fence token (its slice lease's attempt count) in
+// COORDINATE_WORKER_PAYLOAD. -fence is for fleets driven by hand or by
+// another supervisor (crawl -shard i/n -emit-shard STORE -fence N): the
+// token is stamped into the emitted shard, and validation and merge refuse
+// a shard fenced below the newest lease lineage the store remembers, so a
+// superseded worker cannot clobber its successor's shard.
 //
 // Usage:
 //
@@ -95,7 +98,7 @@ func main() {
 	flag.IntVar(&o.buffer, "buffer", 64, "stream buffer: max fetched-but-unprocessed blocks")
 	flag.Var(&o.shard, "shard", "crawl shard i of n ('i/n'): fetch only the i-th contiguous slice of the block range (distributed crawl; combine with -emit-shard and cmd/merge)")
 	flag.StringVar(&o.emitShard, "emit-shard", "", "after a clean crawl, serialize the drained shard state into this blob-store location for cmd/merge")
-	flag.Uint64Var(&o.fence, "fence", 0, "lease fence token to stamp into the emitted shard (set by cmd/coordinate; a stale fence is refused at validation and merge)")
+	flag.Uint64Var(&o.fence, "fence", 0, "lease fence token to stamp into the emitted shard, for hand-driven fleets (cmd/coordinate passes its workers theirs itself); a stale fence is refused at validation and merge")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file (pprof evidence for perf work)")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()

@@ -96,24 +96,12 @@ func main() {
 	}
 }
 
-// lockedWriter serializes progress lines from concurrent feeds.
-type lockedWriter struct {
-	mu sync.Mutex
-	w  io.Writer
-}
-
-func (l *lockedWriter) Write(p []byte) (int, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.w.Write(p)
-}
-
 // run is the whole command behind flag parsing and signal wiring, testable
 // with a cancellable context and an output buffer. Lifecycle: listen →
 // start the publish loop → run every feed to drain → final epoch → keep
 // serving the drained figures until ctx is cancelled → graceful shutdown.
 func run(ctx context.Context, o serveOpts, rawOut io.Writer) error {
-	out := &lockedWriter{w: rawOut}
+	out := cli.SyncWriter(rawOut) // concurrent feeds report progress on it
 	pub := serve.NewPublisher()
 
 	ln, err := net.Listen("tcp", o.addr)

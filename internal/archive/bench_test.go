@@ -7,79 +7,20 @@ import (
 
 	"repro/internal/blobstore"
 	"repro/internal/blobstore/s3stub"
-	"repro/internal/wire"
 )
 
-// BenchmarkArchiveWrite measures the tee-side cost per archived block:
-// what a live crawl pays to make its stream durable.
-func BenchmarkArchiveWrite(b *testing.B) {
-	raw := payloadN(1, 4096)
-	dir := b.TempDir()
-	w, err := NewWriter(WriterConfig{Dir: dir, Chain: "eos"})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(raw)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := w.Append(int64(i+1), raw); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if err := w.Close(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkArchiveReplay measures the fetch side: open + full replay of a
-// thousand-block archive, the path cmd/report -replay runs per chain.
-func BenchmarkArchiveReplay(b *testing.B) {
-	const blocks = 1000
-	dir := b.TempDir()
-	w, err := NewWriter(WriterConfig{Dir: dir, Chain: "eos", SegmentBlocks: 256})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var bytes int64
-	for num := int64(blocks); num >= 1; num-- {
-		raw := payloadN(num, 2048)
-		bytes += int64(len(raw))
-		if err := w.Append(num, raw); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(bytes)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r, err := OpenWith(dir, OpenOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for num := int64(blocks); num >= 1; num-- {
-			raw, err := r.FetchBlock(context.Background(), num)
-			if err != nil {
-				b.Fatal(err)
-			}
-			// The consumer owns the buffer (Reader.OwnsRaw) and recycles it
-			// exactly as collect.Block.Release does in the live replay path.
-			wire.PutRaw(raw)
-		}
-	}
-}
+// Developer benchmarks, not gated anywhere. The benchmark's workloads archive
+// into mem:// only, where bench/ reads archive.append_us_per_block, open_ms
+// and walk_us_per_block; what is left here are the paths no workload reaches:
+// the file:// and s3:// backends, the null:// floor and ranged opens.
 
 // benchStore builds one store per backend for the per-backend benches;
-// the returned cleanup tears down anything external (the s3 stub).
+// the s3 stub is torn down with the benchmark.
 func benchStore(b *testing.B, backend string) blobstore.Store {
 	b.Helper()
 	switch backend {
 	case "file":
 		return blobstore.NewFile(b.TempDir())
-	case "mem":
-		return blobstore.NewMemory()
 	case "s3":
 		stub := s3stub.New()
 		b.Cleanup(stub.Close)
@@ -96,11 +37,9 @@ func benchStore(b *testing.B, backend string) blobstore.Store {
 }
 
 // BenchmarkArchiveWriteFile and friends split the tee-side cost per
-// backend: file shows the fsync+rename tax, mem the pure format cost, s3
-// the HTTP round-trip (against a loopback stub), null the compression
-// floor with storage subtracted.
+// backend: file shows the fsync+rename tax, s3 the HTTP round-trip (against
+// a loopback stub), null the compression floor with storage subtracted.
 func BenchmarkArchiveWriteFile(b *testing.B) { benchArchiveWrite(b, "file") }
-func BenchmarkArchiveWriteMem(b *testing.B)  { benchArchiveWrite(b, "mem") }
 func BenchmarkArchiveWriteS3(b *testing.B)   { benchArchiveWrite(b, "s3") }
 func BenchmarkArchiveWriteNull(b *testing.B) { benchArchiveWrite(b, "null") }
 
@@ -126,7 +65,6 @@ func benchArchiveWrite(b *testing.B, backend string) {
 // BenchmarkReplayFile and friends time open + parallel replay per
 // backend, the path cmd/report -replay runs per chain.
 func BenchmarkReplayFile(b *testing.B) { benchReplay(b, "file") }
-func BenchmarkReplayMem(b *testing.B)  { benchReplay(b, "mem") }
 func BenchmarkReplayS3(b *testing.B)   { benchReplay(b, "s3") }
 
 func benchReplay(b *testing.B, backend string) {

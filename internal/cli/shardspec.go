@@ -62,17 +62,10 @@ func (s *ShardSpec) Cut(from, to int64) (int64, int64, error) {
 	}
 	base, rem := span/int64(s.N), span%int64(s.N)
 	i := int64(s.I - 1)
-	lo := from + i*base + min64(i, rem)
+	lo := from + i*base + min(i, rem)
 	hi := lo + base - 1
 	if i < rem {
 		hi++
 	}
 	return lo, hi, nil
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

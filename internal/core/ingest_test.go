@@ -248,67 +248,3 @@ func TestIngestStreamShardedMatchesLocked(t *testing.T) {
 		t.Fatalf("sharded stream ingest diverged from locked\n--- locked ---\n%s\n--- sharded ---\n%s", lr, sr)
 	}
 }
-
-// BenchmarkShardedIngest isolates the sharded path's contention win: the
-// same stream drained by the locked path (every batch serializing on the
-// aggregator mutex) versus per-worker shards merged once at drain. On a
-// single CPU the two are near parity — the lock is never contended — and
-// on a multi-core runner the sharded side scales with the worker count.
-func BenchmarkShardedIngest(b *testing.B) {
-	raws := makeEOSRawBlocks(b, 256, 8)
-	f := &memFetcher{raws}
-	ctx := context.Background()
-	for _, bench := range []struct {
-		name string
-		dec  func(*EOSAggregator) Decoder
-	}{
-		{"locked", func(a *EOSAggregator) Decoder { return lockedDecoder{a.Decoder()} }},
-		{"sharded", func(a *EOSAggregator) Decoder { return a.Decoder() }},
-	} {
-		for _, workers := range []int{2, 4} {
-			b.Run(fmt.Sprintf("%s-%dw", bench.name, workers), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					agg := NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
-					blocks, handle := collect.Stream(ctx, f, collect.CrawlConfig{Workers: 4, Buffer: 64})
-					n, err := IngestStream(ctx, blocks, bench.dec(agg), IngestConfig{Workers: workers, Batch: 32})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if _, err := handle.Wait(); err != nil {
-						b.Fatal(err)
-					}
-					if n != int64(len(raws)) {
-						b.Fatalf("ingested %d", n)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkStreamIngest tracks the streaming path in the perf trajectory:
-// a 256-block EOS history through a bounded stream into the decode pool.
-func BenchmarkStreamIngest(b *testing.B) {
-	raws := makeEOSRawBlocks(b, 256, 8)
-	f := &memFetcher{raws}
-	ctx := context.Background()
-
-	b.Run("stream-batched", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			agg := NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
-			blocks, handle := collect.Stream(ctx, f, collect.CrawlConfig{Workers: 4, Buffer: 64})
-			n, err := IngestStream(ctx, blocks, agg.Decoder(), IngestConfig{Workers: 2, Batch: 32})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := handle.Wait(); err != nil {
-				b.Fatal(err)
-			}
-			if n != int64(len(raws)) {
-				b.Fatalf("ingested %d", n)
-			}
-		}
-	})
-}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"testing"
 	"time"
 
@@ -142,49 +141,5 @@ func TestIngestArchiveDecodeError(t *testing.T) {
 	}
 	if n >= int64(len(raws)) {
 		t.Fatalf("ingested %d blocks despite a corrupt one", n)
-	}
-}
-
-// BenchmarkParallelReplay pits the two archive→aggregate paths against
-// each other over the same archived EOS history: "stream-fetch" drives
-// collect.Stream over Reader.FetchBlock (per-block copy + channel hop into
-// the decode pool), "segment-walk" decodes records where they lie via
-// IngestArchive. Sub-benchmarks vary the walk's worker count; on a
-// multi-core runner the fan-out is the speedup the tentpole claims, on a
-// single-CPU container the walk still wins by skipping the copies.
-func BenchmarkParallelReplay(b *testing.B) {
-	raws := makeEOSRawBlocks(b, 256, 8)
-	var bytes int64
-	for _, r := range raws {
-		bytes += int64(len(r))
-	}
-	rd := writeRawArchive(b, b.TempDir(), "eos", raws)
-	ctx := context.Background()
-
-	b.Run("stream-fetch", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(bytes)
-		for i := 0; i < b.N; i++ {
-			agg := NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
-			res, _, err := IngestCrawl(ctx, rd, collect.CrawlConfig{
-				From: rd.From(), To: rd.To(), Workers: 4, MaxRetries: 1,
-			}, agg.Decoder(), IngestConfig{Workers: 2, Batch: 32})
-			if err != nil || res.Blocks != int64(len(raws)) {
-				b.Fatalf("stream replay: %+v %v", res, err)
-			}
-		}
-	})
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("segment-walk-%dw", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(bytes)
-			for i := 0; i < b.N; i++ {
-				agg := NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
-				n, err := IngestArchive(ctx, rd, agg.Decoder(), IngestConfig{Workers: workers, Batch: 32})
-				if err != nil || n != int64(len(raws)) {
-					b.Fatalf("segment walk: %d %v", n, err)
-				}
-			}
-		})
 	}
 }

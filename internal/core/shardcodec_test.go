@@ -363,122 +363,6 @@ func FuzzShardDecode(f *testing.F) {
 	})
 }
 
-// benchState builds one populated shard state per chain for the codec
-// benchmarks — the same generators the round-trip property tests use, so
-// the benchmarked payload mirrors a real drained shard.
-func benchState(b *testing.B, chainName string) ShardState {
-	b.Helper()
-	st, err := NewShardState(chainName, chain.ObservationStart, 6*time.Hour)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var batch []any
-	switch chainName {
-	case "eos":
-		batch = asBatch(genEOSBlocks(64))
-	case "tezos":
-		batch = asBatch(genTezosBlocks(64))
-	case "xrp":
-		batch = asBatch(genXRPLedgers(64))
-	}
-	if err := st.IngestBatch(batch); err != nil {
-		b.Fatal(err)
-	}
-	st.SetCovered(BlockRange{From: 1, To: 64})
-	return st
-}
-
-// BenchmarkShardEncode measures serializing a drained shard state into a
-// sealed blob — the per-shard cost a distributed crawl pays at exit.
-func BenchmarkShardEncode(b *testing.B) {
-	for _, chainName := range []string{"eos", "tezos", "xrp"} {
-		b.Run(chainName, func(b *testing.B) {
-			st := benchState(b, chainName)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var buf bytes.Buffer
-				if err := st.EncodeTo(&buf, 0); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkShardDecode measures the coordinator's per-shard cost: open the
-// envelope, validate, and rebuild the state.
-func BenchmarkShardDecode(b *testing.B) {
-	for _, chainName := range []string{"eos", "tezos", "xrp"} {
-		b.Run(chainName, func(b *testing.B) {
-			st := benchState(b, chainName)
-			var buf bytes.Buffer
-			if err := st.EncodeTo(&buf, 0); err != nil {
-				b.Fatal(err)
-			}
-			blob := buf.Bytes()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := DecodeShard(blob); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkShardMerge measures the coordinator folding three decoded
-// shards into one state. Merge consumes its sources, so each iteration
-// decodes fresh copies; subtract BenchmarkShardDecode×3 for the pure
-// merge cost.
-func BenchmarkShardMerge(b *testing.B) {
-	for _, chainName := range []string{"eos", "tezos", "xrp"} {
-		b.Run(chainName, func(b *testing.B) {
-			blobs := make([][]byte, 3)
-			for i := range blobs {
-				st, err := NewShardState(chainName, chain.ObservationStart, 6*time.Hour)
-				if err != nil {
-					b.Fatal(err)
-				}
-				var batch []any
-				switch chainName {
-				case "eos":
-					batch = asBatch(genEOSBlocks(64))
-				case "tezos":
-					batch = asBatch(genTezosBlocks(64))
-				case "xrp":
-					batch = asBatch(genXRPLedgers(64))
-				}
-				if err := st.IngestBatch(batch); err != nil {
-					b.Fatal(err)
-				}
-				st.SetCovered(BlockRange{From: int64(64*i + 1), To: int64(64 * (i + 1))})
-				var buf bytes.Buffer
-				if err := st.EncodeTo(&buf, 0); err != nil {
-					b.Fatal(err)
-				}
-				blobs[i] = buf.Bytes()
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				shards := make([]ShardBlob, len(blobs))
-				for j, blob := range blobs {
-					st, err := DecodeShard(blob)
-					if err != nil {
-						b.Fatal(err)
-					}
-					shards[j] = ShardBlob{State: st}
-				}
-				if _, _, err := MergeShards(shards, false, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // genExchanges fabricates explorer exchange records for the XRP tests.
 func genExchanges(n int) []xrp.Exchange {
 	out := make([]xrp.Exchange, n)

@@ -200,7 +200,7 @@ func MergeShards(blobs []ShardBlob, allowGaps bool, minFence map[string]uint64) 
 		prev, cur := pb.State.Covered(), cb.State.Covered()
 		if cur.From <= prev.To {
 			return nil, nil, fmt.Errorf("core: %s shards %s %s and %s %s overlap: blocks %d..%d would count twice",
-				first.State.Chain(), pb.Ref(), prev, cb.Ref(), cur, cur.From, min64(prev.To, cur.To))
+				first.State.Chain(), pb.Ref(), prev, cb.Ref(), cur, cur.From, min(prev.To, cur.To))
 		}
 		if cur.From != prev.To+1 {
 			if !allowGaps {
@@ -220,11 +220,4 @@ func MergeShards(blobs []ShardBlob, allowGaps bool, minFence map[string]uint64) 
 		}
 	}
 	return dst, gaps, nil
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -3,37 +3,12 @@ package stats
 import (
 	"bytes"
 	"testing"
-	"time"
 )
 
-func BenchmarkTimeSeriesAdd(b *testing.B) {
-	s := NewTimeSeries(origin, 6*time.Hour)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s.Add(origin.Add(time.Duration(i%368)*6*time.Hour), "tx", 1)
-	}
-}
-
-func BenchmarkWelfordAdd(b *testing.B) {
-	var w Welford
-	for i := 0; i < b.N; i++ {
-		w.Add(float64(i % 1000))
-	}
-	_ = w.Stdev()
-}
-
-func BenchmarkGini(b *testing.B) {
-	xs := make([]float64, 10_000)
-	for i := range xs {
-		xs[i] = float64(i * i % 7919)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = Gini(xs)
-	}
-}
-
+// BenchmarkGzipSizer is a developer benchmark, not gated anywhere. Only
+// tee-less crawls run the sizer; in bench/ that is the coordinate workload's
+// shard workers, where its cost is inside ops_per_s and no per-layer metric
+// isolates it — this does.
 func BenchmarkGzipSizer(b *testing.B) {
 	block := bytes.Repeat([]byte(`{"kind":"endorsement","slots":3}`), 32)
 	s := NewGzipSizer()

@@ -184,7 +184,7 @@ func (s *State) applyOfferCreate(tx *Transaction, acct *Account, now time.Time) 
 		counter := counterBook.offers[0]
 		// Purge stale makers: expired or no longer funded.
 		if (!counter.Expiration.IsZero() && !counter.Expiration.After(now)) ||
-			!s.canFund(counter.Owner, counter.TakerGets.WithValue(min64(counter.TakerGets.Value, 1))) {
+			!s.canFund(counter.Owner, counter.TakerGets.WithValue(min(counter.TakerGets.Value, 1))) {
 			counterBook.remove(counter)
 			s.decOwner(counter.Owner)
 			continue
@@ -196,7 +196,7 @@ func (s *State) applyOfferCreate(tx *Transaction, acct *Account, now time.Time) 
 		if counter.price() > ourPrice {
 			break
 		}
-		fillPays := min64(counter.TakerGets.Value, remainPays.Value)
+		fillPays := min(counter.TakerGets.Value, remainPays.Value)
 		fillGets := int64(float64(fillPays) * counter.price())
 		if fillGets <= 0 {
 			break
@@ -285,11 +285,4 @@ func (s *State) decOwner(addr Address) {
 	if a := s.accounts[addr]; a != nil && a.OwnerCount > 0 {
 		a.OwnerCount--
 	}
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

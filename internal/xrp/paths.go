@@ -48,7 +48,7 @@ func (s *State) applyCrossCurrencyPayment(tx *Transaction, now time.Time) Result
 		if !offer.Expiration.IsZero() && !offer.Expiration.After(now) {
 			continue
 		}
-		take := min64(offer.TakerGets.Value, needed)
+		take := min(offer.TakerGets.Value, needed)
 		cost := int64(float64(take) * offer.price())
 		if cost <= 0 {
 			cost = 1
