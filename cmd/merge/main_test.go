@@ -34,13 +34,10 @@ func emitTezosShard(t *testing.T, location string, from, to int64) {
 	}
 	batch := make([]any, 0, to-from+1)
 	for num := from; num <= to; num++ {
-		batch = append(batch, &wire.TezosBlockJSON{
-			Level:     num,
-			Timestamp: chain.ObservationStart.Add(time.Duration(num) * time.Hour).Format(time.RFC3339),
-			Baker:     "tz1baker",
-			Operations: []wire.TezosOperationJSON{
-				{Kind: "endorsement", Source: "tz1alice", Level: num - 1, SlotCount: 2},
-			},
+		batch = append(batch, &wire.TezosBlock{
+			Level:      num,
+			Timestamp:  chain.ObservationStart.Add(time.Duration(num) * time.Hour).Format(time.RFC3339),
+			Operations: []wire.TezosOperation{{Kind: "endorsement", Source: "tz1alice"}},
 		})
 	}
 	if err := st.IngestBatch(batch); err != nil {
@@ -65,13 +62,10 @@ func TestMergeRendersWholeRange(t *testing.T) {
 	}
 	batch := make([]any, 0, 24)
 	for num := int64(1); num <= 24; num++ {
-		batch = append(batch, &wire.TezosBlockJSON{
-			Level:     num,
-			Timestamp: chain.ObservationStart.Add(time.Duration(num) * time.Hour).Format(time.RFC3339),
-			Baker:     "tz1baker",
-			Operations: []wire.TezosOperationJSON{
-				{Kind: "endorsement", Source: "tz1alice", Level: num - 1, SlotCount: 2},
-			},
+		batch = append(batch, &wire.TezosBlock{
+			Level:      num,
+			Timestamp:  chain.ObservationStart.Add(time.Duration(num) * time.Hour).Format(time.RFC3339),
+			Operations: []wire.TezosOperation{{Kind: "endorsement", Source: "tz1alice"}},
 		})
 	}
 	if err := whole.IngestBatch(batch); err != nil {
@@ -166,14 +160,12 @@ func TestMergeMultiChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := xst.IngestBatch([]any{&wire.XRPLedgerJSON{
-		LedgerIndex: 1,
-		CloseTime:   chain.ObservationStart.Format(time.RFC3339),
-		TxCount:     1,
-		Transactions: []wire.XRPTxJSON{{
-			Hash: "TX1", TransactionType: "Payment", Account: "rAlice",
+	if err := xst.IngestBatch([]any{&wire.XRPLedger{
+		CloseTime: chain.ObservationStart.Format(time.RFC3339),
+		Transactions: []wire.XRPTx{{
+			TransactionType: "Payment", Account: "rAlice",
 			Destination: "rBob", Result: "tesSUCCESS", Sequence: 1,
-			Amount: &wire.XRPAmountJSON{Currency: "XRP", Value: 1000},
+			Amount: wire.XRPAmount{Set: true, Currency: "XRP", Value: 1000},
 		}},
 	}}); err != nil {
 		t.Fatal(err)

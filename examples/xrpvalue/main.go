@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/explorer"
 	"repro/internal/rpcserve"
+	"repro/internal/wire"
 	"repro/internal/workload"
 	"repro/internal/xrp"
 )
@@ -29,7 +30,9 @@ func main() {
 	// package does the same through WebSocket + the Data API).
 	agg := core.NewXRPAggregator(chain.ObservationStart, 6*time.Hour)
 	for i := scenario.SetupLedgers + 1; i <= scenario.State.HeadIndex(); i++ {
-		led := rpcserve.XRPLedgerToJSON(scenario.State.GetLedger(i), true)
+		full := rpcserve.XRPLedgerToJSON(scenario.State.GetLedger(i), true)
+		var led wire.XRPLedger
+		wire.ProjectXRPLedger(&full, &led)
 		if err := agg.IngestBatch([]any{&led}); err != nil {
 			panic(err)
 		}

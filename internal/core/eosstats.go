@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unicode"
 
 	"repro/internal/stats"
 	"repro/internal/wire"
@@ -272,7 +273,7 @@ func (s *EOSShard) merge(src *EOSShard) {
 }
 
 // eosBlockTime parses the nodeos timestamp format.
-func eosBlockTime(b *wire.EOSBlockJSON) (time.Time, error) {
+func eosBlockTime(b *wire.EOSBlock) (time.Time, error) {
 	return time.Parse(wire.EOSTimestampLayout, b.Timestamp)
 }
 
@@ -307,7 +308,7 @@ func (a *EOSAggregator) IngestBatch(batch []any) error {
 
 // ingest folds one block into the shard; the caller owns the shard (for an
 // aggregator's embedded shard, that means holding a.mu).
-func (a *EOSShard) ingest(b *wire.EOSBlockJSON, ts time.Time) {
+func (a *EOSShard) ingest(b *wire.EOSBlock, ts time.Time) {
 	a.Blocks++
 	if a.FirstBlockTime.IsZero() || ts.Before(a.FirstBlockTime) {
 		a.FirstBlockTime = ts
@@ -320,10 +321,12 @@ func (a *EOSShard) ingest(b *wire.EOSBlockJSON, ts time.Time) {
 		trx := &b.Transactions[ti]
 		a.Transactions++
 		transfersSeen := a.legScratch[:0]
-		for _, act := range trx.Trx.Transaction.Actions {
+		for ai := range trx.Actions {
+			act := &trx.Actions[ai]
+			token := a.TokenContracts[act.Account]
 			a.Actions++
-			a.ActionsByName[a.figure1Name(act)]++
-			a.ActionsByCategory[a.classify(act)]++
+			a.ActionsByName[figure1Name(act, token)]++
+			a.ActionsByCategory[classify(act, token)]++
 			a.Series.Add(ts, a.label(act.Account), 1)
 
 			recv := a.ReceivedByContract[act.Account]
@@ -333,38 +336,34 @@ func (a *EOSShard) ingest(b *wire.EOSBlockJSON, ts time.Time) {
 			}
 			recv[act.Name]++
 
-			if actor := actionActor(act); actor != "" {
-				pairs := a.SentPairs[actor]
+			if act.Actor != "" {
+				pairs := a.SentPairs[act.Actor]
 				if pairs == nil {
 					pairs = make(map[string]int64)
-					a.SentPairs[actor] = pairs
+					a.SentPairs[act.Actor] = pairs
 				}
 				pairs[act.Account]++
 			}
 
-			if act.Name == "verifytrade2" {
+			switch act.Name {
+			case "verifytrade2":
+				digits, sym, _ := splitQuantity(act.Quantity)
 				a.Trades = append(a.Trades, DEXTrade{
-					Buyer:    act.Data["buyer"],
-					Seller:   act.Data["seller"],
-					Currency: currencyOf(act.Data["quantity"]),
-					Amount:   amountOf(act.Data["quantity"]),
+					Buyer: act.Buyer, Seller: act.Seller,
+					Currency: sym, Amount: amountOf(digits),
 				})
-			}
-			if act.Name == "transfer" {
+			case "transfer":
 				transfersSeen = append(transfersSeen, transferLeg{
-					From: act.Data["from"], To: act.Data["to"],
-					Quantity: act.Data["quantity"],
+					From: act.From, To: act.To, Quantity: act.Quantity,
 				})
-				if act.Account == a.EIDOSContract ||
-					act.Data["from"] == a.EIDOSContract || act.Data["to"] == a.EIDOSContract {
+				eidosLeg := act.From == a.EIDOSContract || act.To == a.EIDOSContract
+				if eidosLeg || act.Account == a.EIDOSContract {
 					a.eidosActions++
 				}
-				qty := act.Data["quantity"]
-				if sym := currencyOf(qty); sym != "" {
-					amount := amountOf(qty)
+				if digits, sym, ok := splitQuantity(act.Quantity); ok {
+					amount := amountOf(digits)
 					a.VolumeBySymbol[sym] += amount
-					if sym == "EOS" &&
-						(act.Data["from"] == a.EIDOSContract || act.Data["to"] == a.EIDOSContract) {
+					if sym == "EOS" && eidosLeg {
 						a.BoomerangVolume += amount
 					}
 				}
@@ -394,18 +393,19 @@ func isBoomerang(legs []transferLeg) bool {
 
 // figure1Name maps an action to its Figure 1 row: system-contract and
 // token-contract actions keep their name, everything else is "others".
-func (a *EOSShard) figure1Name(act wire.EOSActionJSON) string {
-	if act.Account == "eosio" || a.TokenContracts[act.Account] {
+// token says the action's account is one of the shard's TokenContracts.
+func figure1Name(act *wire.EOSAction, token bool) string {
+	if act.Account == "eosio" || token {
 		return act.Name
 	}
 	return "others"
 }
 
-func (a *EOSShard) classify(act wire.EOSActionJSON) EOSCategory {
-	if a.TokenContracts[act.Account] && act.Name == "transfer" {
+func classify(act *wire.EOSAction, token bool) EOSCategory {
+	if token && act.Name == "transfer" {
 		return EOSCatTransfer
 	}
-	if act.Account == "eosio" || a.TokenContracts[act.Account] {
+	if act.Account == "eosio" || token {
 		if eosAccountActions[act.Name] {
 			return EOSCatAccount
 		}
@@ -428,31 +428,38 @@ func (a *EOSShard) label(contract string) string {
 	return "Others"
 }
 
-func actionActor(act wire.EOSActionJSON) string {
-	if len(act.Authorization) == 0 {
-		return ""
+// splitQuantity cuts an EOS asset string ("1.0000 EOS") into its amount and
+// its symbol without allocating. ok only when the string is exactly two
+// fields as strings.Fields counts them — runs of Unicode white space
+// separate, leading and trailing space is dropped — and both are "" when it
+// is not.
+func splitQuantity(quantity string) (amount, symbol string, ok bool) {
+	amount, rest := nextField(quantity)
+	symbol, rest = nextField(rest)
+	if extra, _ := nextField(rest); symbol == "" || extra != "" {
+		return "", "", false
 	}
-	return act.Authorization[0]["actor"]
+	return amount, symbol, true
 }
 
-func currencyOf(quantity string) string {
-	fields := strings.Fields(quantity)
-	if len(fields) != 2 {
-		return ""
+// nextField returns s's first white-space-delimited field ("" when s has
+// none) and what follows it.
+func nextField(s string) (field, rest string) {
+	s = strings.TrimLeftFunc(s, unicode.IsSpace)
+	if i := strings.IndexFunc(s, unicode.IsSpace); i >= 0 {
+		return s[:i], s[i:]
 	}
-	return fields[1]
+	return s, ""
 }
 
-func amountOf(quantity string) float64 {
-	fields := strings.Fields(quantity)
-	if len(fields) != 2 {
-		return 0
-	}
+// amountOf reads the decimal in a quantity's amount field, ignoring every
+// rune that is neither a digit nor the point.
+func amountOf(digits string) float64 {
 	var v float64
 	var intPart, fracPart int64
 	var fracDigits int
 	seenDot := false
-	for _, c := range fields[0] {
+	for _, c := range digits {
 		switch {
 		case c == '.':
 			seenDot = true

@@ -20,7 +20,9 @@ func eosAction(contract, name, actor string, data map[string]string) wire.EOSAct
 	}
 }
 
-func eosBlock(num int, ts time.Time, txs ...[]wire.EOSActionJSON) *wire.EOSBlockJSON {
+// eosBlock builds the block in its full wire shape and returns what a
+// decode would leave of it.
+func eosBlock(num int, ts time.Time, txs ...[]wire.EOSActionJSON) *wire.EOSBlock {
 	b := &wire.EOSBlockJSON{
 		BlockNum:  uint32(num),
 		Timestamp: ts.Format("2006-01-02T15:04:05.000"),
@@ -33,7 +35,9 @@ func eosBlock(num int, ts time.Time, txs ...[]wire.EOSActionJSON) *wire.EOSBlock
 		t.Trx.Transaction.Actions = actions
 		b.Transactions = append(b.Transactions, t)
 	}
-	return b
+	out := new(wire.EOSBlock)
+	wire.ProjectEOSBlock(b, out)
+	return out
 }
 
 func transfer(contract, from, to, qty string) wire.EOSActionJSON {

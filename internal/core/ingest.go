@@ -74,19 +74,19 @@ type chainDecoder[B any] struct {
 
 // Decoder drives the aggregator from raw nodeos-style block JSON.
 func (a *EOSAggregator) Decoder() Decoder {
-	return &chainDecoder[wire.EOSBlockJSON]{a, "EOS block",
+	return &chainDecoder[wire.EOSBlock]{a, "EOS block",
 		wire.GetEOSBlock, wire.PutEOSBlock, (*wire.Codec).DecodeEOSBlock}
 }
 
 // Decoder drives the aggregator from raw octez-style block JSON.
 func (a *TezosAggregator) Decoder() Decoder {
-	return &chainDecoder[wire.TezosBlockJSON]{a, "Tezos block",
+	return &chainDecoder[wire.TezosBlock]{a, "Tezos block",
 		wire.GetTezosBlock, wire.PutTezosBlock, (*wire.Codec).DecodeTezosBlock}
 }
 
 // Decoder drives the aggregator from raw rippled ledger result envelopes.
 func (a *XRPAggregator) Decoder() Decoder {
-	return &chainDecoder[wire.XRPLedgerJSON]{a, "XRP ledger",
+	return &chainDecoder[wire.XRPLedger]{a, "XRP ledger",
 		wire.GetXRPLedger, wire.PutXRPLedger, (*wire.Codec).DecodeXRPLedgerResult}
 }
 

@@ -77,13 +77,13 @@ func TestIngestArchiveMatchesStreamIngest(t *testing.T) {
 func TestIngestArchiveOneSegmentAnyWorkers(t *testing.T) {
 	c := wire.NewCodec()
 	chains := map[string][][]byte{}
-	for _, b := range genEOSBlocks(100) {
+	for _, b := range genEOSBlockJSONs(100) {
 		chains["eos"] = append(chains["eos"], c.AppendEOSBlock(nil, b))
 	}
-	for _, b := range genTezosBlocks(100) {
+	for _, b := range genTezosBlockJSONs(100) {
 		chains["tezos"] = append(chains["tezos"], c.AppendTezosBlock(nil, b))
 	}
-	for _, l := range genXRPLedgers(100) {
+	for _, l := range genXRPLedgerJSONs(100) {
 		chains["xrp"] = append(chains["xrp"], append(c.AppendXRPLedger([]byte(`{"ledger":`), l), '}'))
 	}
 	for name, raws := range chains {

@@ -111,7 +111,7 @@ func asBatch[B any](bs []B) []any {
 // genEOSBlocks fabricates EOS blocks exercising every aggregate: token and
 // non-token transfers, EIDOS boomerangs, DEX trades, account and system
 // actions, several contracts, senders and time buckets.
-func genEOSBlocks(n int) []*wire.EOSBlockJSON {
+func genEOSBlockJSONs(n int) []*wire.EOSBlockJSON {
 	rng := rand.New(rand.NewSource(7))
 	contracts := []string{"eosio.token", "eidosonecoin", "betdicetasks", "whaleextrust", "randomapp111"}
 	actors := []string{"alice", "bob", "carol", "dave", "whale1", "whale2"}
@@ -173,6 +173,20 @@ func genEOSBlocks(n int) []*wire.EOSBlockJSON {
 	return blocks
 }
 
+// projectAll returns what a decode would leave of each full wire shape.
+func projectAll[F, P any](full []*F, project func(*F, *P)) []*P {
+	out := make([]*P, len(full))
+	for i, f := range full {
+		out[i] = new(P)
+		project(f, out[i])
+	}
+	return out
+}
+
+func genEOSBlocks(n int) []*wire.EOSBlock {
+	return projectAll(genEOSBlockJSONs(n), wire.ProjectEOSBlock)
+}
+
 func TestShardedEOSRenderByteIdentical(t *testing.T) {
 	testShardedRenders(t, genEOSBlocks(64),
 		func() *EOSAggregator { return NewEOSAggregator(chain.ObservationStart, 6*time.Hour) },
@@ -182,7 +196,7 @@ func TestShardedEOSRenderByteIdentical(t *testing.T) {
 
 // genTezosBlocks fabricates Tezos blocks with endorsements, transactions,
 // governance votes and rarer kinds.
-func genTezosBlocks(n int) []*wire.TezosBlockJSON {
+func genTezosBlockJSONs(n int) []*wire.TezosBlockJSON {
 	rng := rand.New(rand.NewSource(11))
 	srcs := []string{"tz1alice", "tz1bob", "tz1carol", "tz1whale"}
 	blocks := make([]*wire.TezosBlockJSON, n)
@@ -216,6 +230,10 @@ func genTezosBlocks(n int) []*wire.TezosBlockJSON {
 	return blocks
 }
 
+func genTezosBlocks(n int) []*wire.TezosBlock {
+	return projectAll(genTezosBlockJSONs(n), wire.ProjectTezosBlock)
+}
+
 func TestShardedTezosRenderByteIdentical(t *testing.T) {
 	testShardedRenders(t, genTezosBlocks(64),
 		func() *TezosAggregator { return NewTezosAggregator(chain.ObservationStart, 6*time.Hour) },
@@ -225,7 +243,7 @@ func TestShardedTezosRenderByteIdentical(t *testing.T) {
 
 // genXRPLedgers fabricates ledgers with native and IOU payments, failures,
 // offers (executed and resting) and destination tags.
-func genXRPLedgers(n int) []*wire.XRPLedgerJSON {
+func genXRPLedgerJSONs(n int) []*wire.XRPLedgerJSON {
 	rng := rand.New(rand.NewSource(13))
 	accts := []string{"rAlice", "rBob", "rHuobi", "rMill"}
 	ledgers := make([]*wire.XRPLedgerJSON, n)
@@ -269,6 +287,10 @@ func genXRPLedgers(n int) []*wire.XRPLedgerJSON {
 		ledgers[i] = l
 	}
 	return ledgers
+}
+
+func genXRPLedgers(n int) []*wire.XRPLedger {
+	return projectAll(genXRPLedgerJSONs(n), wire.ProjectXRPLedger)
 }
 
 func TestShardedXRPRenderByteIdentical(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/chain"
 	"repro/internal/rpcserve"
+	"repro/internal/wire"
 	"repro/internal/xrp"
 )
 
@@ -149,7 +150,9 @@ func TestSpamClusterEndToEnd(t *testing.T) {
 
 	agg := NewXRPAggregator(chain.ObservationStart, 6*time.Hour)
 	for i := int64(1); i <= st.HeadIndex(); i++ {
-		led := rpcserve.XRPLedgerToJSON(st.GetLedger(i), true)
+		full := rpcserve.XRPLedgerToJSON(st.GetLedger(i), true)
+		var led wire.XRPLedger
+		wire.ProjectXRPLedger(&full, &led)
 		if err := agg.IngestBatch([]any{&led}); err != nil {
 			t.Fatal(err)
 		}

@@ -13,9 +13,9 @@ import (
 // rests on: however blocks arrive (live crawl worker interleavings vs.
 // replay interleavings), the rendered figures are byte-identical.
 func TestChainSummaryOrderIndependent(t *testing.T) {
-	mkBlocks := func() []*wire.EOSBlockJSON {
+	mkBlocks := func() []*wire.EOSBlock {
 		ts := chain.ObservationStart
-		var blocks []*wire.EOSBlockJSON
+		var blocks []*wire.EOSBlock
 		for i := 0; i < 12; i++ {
 			blocks = append(blocks, eosBlock(i+1, ts.Add(time.Duration(i)*time.Hour),
 				[]wire.EOSActionJSON{transfer("eosio.token", "alice", "bob", "1.0000 EOS")},

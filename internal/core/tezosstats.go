@@ -125,7 +125,7 @@ func (s *TezosShard) merge(src *TezosShard) {
 	src.init(origin, width)
 }
 
-func tezosBlockTime(b *wire.TezosBlockJSON) (time.Time, error) {
+func tezosBlockTime(b *wire.TezosBlock) (time.Time, error) {
 	return time.Parse(time.RFC3339, b.Timestamp)
 }
 
@@ -158,7 +158,7 @@ func (a *TezosAggregator) IngestBatch(batch []any) error {
 }
 
 // ingest folds one block into the shard; the caller owns the shard.
-func (a *TezosShard) ingest(b *wire.TezosBlockJSON, ts time.Time) {
+func (a *TezosShard) ingest(b *wire.TezosBlock, ts time.Time) {
 	a.Blocks++
 	if a.FirstBlockTime.IsZero() || ts.Before(a.FirstBlockTime) {
 		a.FirstBlockTime = ts
@@ -166,7 +166,8 @@ func (a *TezosShard) ingest(b *wire.TezosBlockJSON, ts time.Time) {
 	if ts.After(a.LastBlockTime) {
 		a.LastBlockTime = ts
 	}
-	for _, op := range b.Operations {
+	for i := range b.Operations {
+		op := &b.Operations[i]
 		a.Operations++
 		a.OpsByKind[op.Kind]++
 		a.Series.Add(ts, tezosSeriesLabel(op.Kind), 1)

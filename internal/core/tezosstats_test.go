@@ -9,13 +9,17 @@ import (
 	"repro/internal/wire"
 )
 
-func tezosBlock(level int64, ts time.Time, ops ...wire.TezosOperationJSON) *wire.TezosBlockJSON {
-	return &wire.TezosBlockJSON{
+// tezosBlock builds the block in its full wire shape and returns what a
+// decode would leave of it.
+func tezosBlock(level int64, ts time.Time, ops ...wire.TezosOperationJSON) *wire.TezosBlock {
+	out := new(wire.TezosBlock)
+	wire.ProjectTezosBlock(&wire.TezosBlockJSON{
 		Level:      level,
 		Timestamp:  ts.Format(time.RFC3339),
 		Baker:      "tz1baker",
 		Operations: ops,
-	}
+	}, out)
+	return out
 }
 
 func TestTezosAggregatorShares(t *testing.T) {

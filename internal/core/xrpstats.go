@@ -177,7 +177,7 @@ func (s *XRPShard) merge(src *XRPShard) {
 	src.init(origin, width)
 }
 
-func xrpCloseTime(l *wire.XRPLedgerJSON) (time.Time, error) {
+func xrpCloseTime(l *wire.XRPLedger) (time.Time, error) {
 	return time.Parse(time.RFC3339, l.CloseTime)
 }
 
@@ -210,7 +210,7 @@ func (a *XRPAggregator) IngestBatch(batch []any) error {
 }
 
 // ingest folds one ledger into the shard; the caller owns the shard.
-func (a *XRPShard) ingest(l *wire.XRPLedgerJSON, ts time.Time) {
+func (a *XRPShard) ingest(l *wire.XRPLedger, ts time.Time) {
 	a.Ledgers++
 	if a.FirstLedgerTime.IsZero() || ts.Before(a.FirstLedgerTime) {
 		a.FirstLedgerTime = ts
@@ -242,7 +242,7 @@ func (a *XRPShard) ingest(l *wire.XRPLedgerJSON, ts time.Time) {
 		switch tx.TransactionType {
 		case "Payment":
 			amt := tx.Amount.ToAmount()
-			if tx.DeliveredAmount != nil {
+			if tx.DeliveredAmount.Set {
 				amt = tx.DeliveredAmount.ToAmount()
 			}
 			a.payments = append(a.payments, xrpPayment{

@@ -9,13 +9,17 @@ import (
 	"repro/internal/xrp"
 )
 
-func xrpLedger(index int64, ts time.Time, txs ...wire.XRPTxJSON) *wire.XRPLedgerJSON {
-	return &wire.XRPLedgerJSON{
+// xrpLedger builds the ledger in its full wire shape and returns what a
+// decode would leave of it.
+func xrpLedger(index int64, ts time.Time, txs ...wire.XRPTxJSON) *wire.XRPLedger {
+	out := new(wire.XRPLedger)
+	wire.ProjectXRPLedger(&wire.XRPLedgerJSON{
 		LedgerIndex:  index,
 		CloseTime:    ts.Format(time.RFC3339),
 		TxCount:      len(txs),
 		Transactions: txs,
-	}
+	}, out)
+	return out
 }
 
 func xrpAmt(currency, issuer string, units int64) *wire.XRPAmountJSON {

@@ -133,7 +133,7 @@ func (s *EOSServer) getBlock(w http.ResponseWriter, r *http.Request) {
 	}
 	// The get_block hot path: convert into an arena block and hand-encode
 	// from pooled buffers — no reflection, no per-request garbage.
-	jb := wire.GetEOSBlock()
+	jb := wire.GetEOSBlockJSON()
 	wire.EOSWireBlock(blk, jb)
 	c := wire.GetCodec()
 	buf := wire.GetBuffer()
@@ -141,7 +141,7 @@ func (s *EOSServer) getBlock(w http.ResponseWriter, r *http.Request) {
 	writeRaw(w, buf)
 	wire.PutBuffer(buf)
 	wire.PutCodec(c)
-	wire.PutEOSBlock(jb)
+	wire.PutEOSBlockJSON(jb)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

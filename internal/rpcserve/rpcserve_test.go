@@ -186,7 +186,7 @@ func TestXRPServerCommands(t *testing.T) {
 	if tx.TransactionType != "Payment" || tx.Result != "tesSUCCESS" {
 		t.Fatalf("tx: %+v", tx)
 	}
-	if tx.Amount.ToAmount() != xrp.XRP(1) {
+	if tx.Amount == nil || *tx.Amount != (wire.XRPAmountJSON{Currency: xrp.XRPCurrency, Value: xrp.DropsPerXRP}) {
 		t.Fatalf("amount: %+v", tx.Amount)
 	}
 }

@@ -89,7 +89,7 @@ func (s *TezosServer) writeBlock(w http.ResponseWriter, level int64, missing str
 		httpError(w, http.StatusNotFound, missing)
 		return
 	}
-	jb := wire.GetTezosBlock()
+	jb := wire.GetTezosBlockJSON()
 	wire.TezosWireBlock(blk, jb)
 	c := wire.GetCodec()
 	buf := wire.GetBuffer()
@@ -97,5 +97,5 @@ func (s *TezosServer) writeBlock(w http.ResponseWriter, level int64, missing str
 	writeRaw(w, buf)
 	wire.PutBuffer(buf)
 	wire.PutCodec(c)
-	wire.PutTezosBlock(jb)
+	wire.PutTezosBlockJSON(jb)
 }

@@ -106,7 +106,7 @@ func (s *XRPServer) writeLedger(conn *wsrpc.Conn, req xrpRequest) (handled bool,
 	if led == nil {
 		return false, nil
 	}
-	lj := wire.GetXRPLedger()
+	lj := wire.GetXRPLedgerJSON()
 	c := wire.GetCodec()
 	buf := wire.GetBuffer()
 	c.XRPWireLedger(led, req.Transactions && req.Expand, lj)
@@ -118,7 +118,7 @@ func (s *XRPServer) writeLedger(conn *wsrpc.Conn, req xrpRequest) (handled bool,
 	}
 	wire.PutBuffer(buf)
 	wire.PutCodec(c)
-	wire.PutXRPLedger(lj)
+	wire.PutXRPLedgerJSON(lj)
 	return handled, err
 }
 

@@ -21,24 +21,13 @@ func eosBlocks(n int, start int64) []any {
 	blocks := make([]any, n)
 	for i := range blocks {
 		num := start + int64(i)
-		var trx wire.EOSTrxJSON
-		trx.Status = "executed"
-		trx.Trx.ID = fmt.Sprintf("tx%08d", num)
-		trx.Trx.Transaction.Actions = []wire.EOSActionJSON{{
-			Account:       "eosio.token",
-			Name:          "transfer",
-			Authorization: []map[string]string{{"actor": fmt.Sprintf("user%d", num%7)}},
-			Data: map[string]string{
-				"from":     fmt.Sprintf("user%d", num%7),
-				"to":       fmt.Sprintf("user%d", (num+1)%7),
-				"quantity": "1.0000 EOS",
-			},
-		}}
-		blocks[i] = &wire.EOSBlockJSON{
-			BlockNum:     uint32(num),
-			Timestamp:    base.Add(time.Duration(num) * time.Second).Format(wire.EOSTimestampLayout),
-			Producer:     "prodnode",
-			Transactions: []wire.EOSTrxJSON{trx},
+		from, to := fmt.Sprintf("user%d", num%7), fmt.Sprintf("user%d", (num+1)%7)
+		blocks[i] = &wire.EOSBlock{
+			Timestamp: base.Add(time.Duration(num) * time.Second).Format(wire.EOSTimestampLayout),
+			Transactions: []wire.EOSTrx{{Actions: []wire.EOSAction{{
+				Account: "eosio.token", Name: "transfer",
+				Actor: from, From: from, To: to, Quantity: "1.0000 EOS",
+			}}}},
 		}
 	}
 	return blocks

@@ -4,11 +4,13 @@ import (
 	"sync"
 )
 
-// maxInternEntries caps a codec's intern table. Hot strings (account and
-// action names, producers, statuses, operation kinds) recur from the first
-// blocks onward and stay interned; once unique strings (block hashes,
-// transaction IDs) have filled the table, further unique strings simply
-// allocate instead of growing it.
+// maxInternEntries caps a codec's intern table. Only strings an aggregator
+// reads reach it — account, action and contract names, operation kinds,
+// result codes, quantities, block timestamps — and all but the last two
+// recur from the first blocks onward; ids, hashes and memos are stepped
+// over and never enter. What the cap still bounds is a long crawl's
+// account set and its per-block timestamps: once the table is full, a
+// string it has not seen allocates instead of growing it.
 const maxInternEntries = 1 << 16
 
 // Codec holds the reusable state for one encode/decode stream: the JSON
@@ -21,7 +23,7 @@ type Codec struct {
 	intern map[string]string
 	keys   []string
 	// amounts is a free list of XRP amount structs recycled between the
-	// transactions of successive ledger decodes.
+	// transactions of successive XRPWireLedger conversions.
 	amounts []*XRPAmountJSON
 }
 
@@ -59,49 +61,75 @@ func (c *Codec) str(b []byte) string {
 	return s
 }
 
-// Struct arenas: one pool per chain block shape. Get hands out a struct
-// whose slices and maps keep the capacity earlier uses grew; the decoders
-// and converters reset lengths and clear maps as they fill, so a recycled
-// struct is indistinguishable from a fresh one field-wise while the
-// steady-state decode path allocates nothing.
+// Struct arenas: one pool per block shape — the three projections the
+// decoders fill and the three full shapes the converters fill for the
+// encoders. Get hands out a struct whose slices and maps keep the capacity
+// earlier uses grew; the decoders and converters reset lengths and clear
+// maps as they fill, so a recycled struct is indistinguishable from a fresh
+// one field-wise while the steady-state path allocates nothing. After Put
+// the caller must hold no reference to the struct, its slices or its maps;
+// strings extracted from it remain valid.
+
+// arena is a typed sync.Pool of *T.
+type arena[T any] struct{ pool sync.Pool }
+
+func (a *arena[T]) get() *T {
+	if v, ok := a.pool.Get().(*T); ok {
+		return v
+	}
+	return new(T)
+}
+
+func (a *arena[T]) put(v *T) {
+	if v != nil {
+		a.pool.Put(v)
+	}
+}
 
 var (
-	eosBlockPool   = sync.Pool{New: func() any { return new(EOSBlockJSON) }}
-	tezosBlockPool = sync.Pool{New: func() any { return new(TezosBlockJSON) }}
-	xrpLedgerPool  = sync.Pool{New: func() any { return new(XRPLedgerJSON) }}
+	eosBlocks       arena[EOSBlock]
+	tezosBlocks     arena[TezosBlock]
+	xrpLedgers      arena[XRPLedger]
+	eosBlockJSONs   arena[EOSBlockJSON]
+	tezosBlockJSONs arena[TezosBlockJSON]
+	xrpLedgerJSONs  arena[XRPLedgerJSON]
 )
 
-// GetEOSBlock takes a reusable block struct from the arena.
-func GetEOSBlock() *EOSBlockJSON { return eosBlockPool.Get().(*EOSBlockJSON) }
+// GetEOSBlock takes a reusable decode-side block from the arena.
+func GetEOSBlock() *EOSBlock { return eosBlocks.get() }
 
-// PutEOSBlock returns a block to the arena. The caller must hold no
-// references to the struct, its slices or its maps afterwards; strings
-// extracted from it remain valid.
-func PutEOSBlock(b *EOSBlockJSON) {
-	if b != nil {
-		eosBlockPool.Put(b)
-	}
-}
+// PutEOSBlock returns a block to the arena.
+func PutEOSBlock(b *EOSBlock) { eosBlocks.put(b) }
 
-// GetTezosBlock takes a reusable block struct from the arena.
-func GetTezosBlock() *TezosBlockJSON { return tezosBlockPool.Get().(*TezosBlockJSON) }
+// GetTezosBlock takes a reusable decode-side block from the arena.
+func GetTezosBlock() *TezosBlock { return tezosBlocks.get() }
 
 // PutTezosBlock returns a block to the arena.
-func PutTezosBlock(b *TezosBlockJSON) {
-	if b != nil {
-		tezosBlockPool.Put(b)
-	}
-}
+func PutTezosBlock(b *TezosBlock) { tezosBlocks.put(b) }
 
-// GetXRPLedger takes a reusable ledger struct from the arena.
-func GetXRPLedger() *XRPLedgerJSON { return xrpLedgerPool.Get().(*XRPLedgerJSON) }
+// GetXRPLedger takes a reusable decode-side ledger from the arena.
+func GetXRPLedger() *XRPLedger { return xrpLedgers.get() }
 
 // PutXRPLedger returns a ledger to the arena.
-func PutXRPLedger(l *XRPLedgerJSON) {
-	if l != nil {
-		xrpLedgerPool.Put(l)
-	}
-}
+func PutXRPLedger(l *XRPLedger) { xrpLedgers.put(l) }
+
+// GetEOSBlockJSON takes a reusable encode-side block from the arena.
+func GetEOSBlockJSON() *EOSBlockJSON { return eosBlockJSONs.get() }
+
+// PutEOSBlockJSON returns a block to the arena.
+func PutEOSBlockJSON(b *EOSBlockJSON) { eosBlockJSONs.put(b) }
+
+// GetTezosBlockJSON takes a reusable encode-side block from the arena.
+func GetTezosBlockJSON() *TezosBlockJSON { return tezosBlockJSONs.get() }
+
+// PutTezosBlockJSON returns a block to the arena.
+func PutTezosBlockJSON(b *TezosBlockJSON) { tezosBlockJSONs.put(b) }
+
+// GetXRPLedgerJSON takes a reusable encode-side ledger from the arena.
+func GetXRPLedgerJSON() *XRPLedgerJSON { return xrpLedgerJSONs.get() }
+
+// PutXRPLedgerJSON returns a ledger to the arena.
+func PutXRPLedgerJSON(l *XRPLedgerJSON) { xrpLedgerJSONs.put(l) }
 
 // Buffer is a pooled byte buffer for encoders and response writers.
 type Buffer struct{ B []byte }

@@ -27,16 +27,18 @@ func EOSWireBlock(b *eos.Block, out *EOSBlockJSON) {
 	for i := range b.Transactions {
 		tx := &b.Transactions[i]
 		var tj *EOSTrxJSON
-		out.Transactions, tj = growEOSTrx(out.Transactions)
+		out.Transactions, tj = grow(out.Transactions)
 		tj.Status = "executed"
 		tj.Trx.ID = tx.ID.String()
+		tj.Trx.Transaction.Actions = tj.Trx.Transaction.Actions[:0]
 		for j := range tx.Actions {
 			act := &tx.Actions[j]
 			var aj *EOSActionJSON
-			tj.Trx.Transaction.Actions, aj = growEOSAction(tj.Trx.Transaction.Actions)
+			tj.Trx.Transaction.Actions, aj = grow(tj.Trx.Transaction.Actions)
 			aj.Account = act.Account.String()
 			aj.Name = act.ActionName.String()
 			aj.Inline = act.Inline
+			aj.Authorization = aj.Authorization[:0]
 			// Own the data map: the pooled struct outlives this request and
 			// must never alias simulator state. A nil source map stays nil
 			// so the rendering matches the original reflect path.
@@ -99,7 +101,7 @@ func TezosWireBlock(b *tezos.Block, out *TezosBlockJSON) {
 	for i := range b.Operations {
 		op := &b.Operations[i]
 		var oj *TezosOperationJSON
-		out.Operations, oj = growTezosOp(out.Operations)
+		out.Operations, oj = grow(out.Operations)
 		oj.Kind = string(op.Kind)
 		oj.Source = string(op.Source)
 		oj.Destination = string(op.Destination)
@@ -118,7 +120,7 @@ func TezosWireBlock(b *tezos.Block, out *TezosBlockJSON) {
 // expand is set), reusing out's transaction and amount capacity; the
 // rippled-style rendering rpcserve.XRPLedgerToJSON produces.
 func (c *Codec) XRPWireLedger(l *xrp.Ledger, expand bool, out *XRPLedgerJSON) {
-	c.resetXRPLedger(out)
+	out.Transactions = out.Transactions[:0]
 	out.LedgerIndex = l.Index
 	out.LedgerHash = l.Hash.String()
 	out.ParentHash = l.ParentHash.String()
@@ -148,6 +150,36 @@ func (c *Codec) XRPWireLedger(l *xrp.Ledger, expand bool, out *XRPLedgerJSON) {
 		tj.Executed = tx.Executed
 		tj.RestingSequence = tx.RestingSequence
 	}
+}
+
+// growXRPTx extends s by one element, recycling the revived element's
+// amount structs into the codec's free list.
+func (c *Codec) growXRPTx(s []XRPTxJSON) ([]XRPTxJSON, *XRPTxJSON) {
+	s, tx := grow(s)
+	c.freeAmount(tx.Amount)
+	c.freeAmount(tx.TakerGets)
+	c.freeAmount(tx.TakerPays)
+	c.freeAmount(tx.LimitAmount)
+	c.freeAmount(tx.DeliveredAmount)
+	*tx = XRPTxJSON{}
+	return s, tx
+}
+
+const maxFreeAmounts = 4096
+
+func (c *Codec) freeAmount(a *XRPAmountJSON) {
+	if a != nil && len(c.amounts) < maxFreeAmounts {
+		c.amounts = append(c.amounts, a)
+	}
+}
+
+func (c *Codec) getAmount() *XRPAmountJSON {
+	if n := len(c.amounts); n > 0 {
+		a := c.amounts[n-1]
+		c.amounts = c.amounts[:n-1]
+		return a
+	}
+	return new(XRPAmountJSON)
 }
 
 // setAmount mirrors the nil-for-zero convention of the original

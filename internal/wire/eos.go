@@ -78,21 +78,62 @@ func (c *Codec) appendEOSAction(dst []byte, a *EOSActionJSON) []byte {
 	return append(dst, '}')
 }
 
-// DecodeEOSBlock parses raw into the (typically pooled) block struct,
-// reusing its transaction and action capacity. Unknown fields are skipped
-// and field order is free, matching encoding/json semantics; payloads the
-// fast scanner cannot handle fall back to encoding/json transparently.
-func (c *Codec) DecodeEOSBlock(raw []byte, into *EOSBlockJSON) error {
-	if err := c.decodeEOSBlock(raw, into); err != nil {
-		// Fallback: start from a zero struct (dropping pooled capacity —
-		// rare) and let the reflection decoder be the judge, so anything
-		// encoding/json accepts (exotic numbers, deep nesting) still
-		// decodes with fresh-struct semantics. Its verdict, success or
-		// error, is final.
-		*into = EOSBlockJSON{}
-		return json.Unmarshal(raw, into)
+// DecodeEOSBlock parses raw into the (typically pooled) projection, reusing
+// its transaction and action capacity. Unknown fields are skipped and field
+// order is free, matching encoding/json semantics; a payload the fast
+// scanner refuses is unmarshalled into the full shape by encoding/json —
+// whose verdict, success or error, is final — and projected. On error the
+// projection's contents are unspecified.
+func (c *Codec) DecodeEOSBlock(raw []byte, into *EOSBlock) error {
+	if c.decodeEOSBlock(raw, into) == nil {
+		return nil
 	}
+	var full EOSBlockJSON
+	if err := json.Unmarshal(raw, &full); err != nil {
+		return err
+	}
+	ProjectEOSBlock(&full, into)
 	return nil
+}
+
+// ProjectEOSBlock fills into with what the aggregators read of full,
+// reusing into's capacity. It defines the projection: the fast decoder
+// must leave exactly this for every payload it accepts.
+func ProjectEOSBlock(full *EOSBlockJSON, into *EOSBlock) {
+	into.Timestamp = full.Timestamp
+	into.Transactions = into.Transactions[:0]
+	for i := range full.Transactions {
+		var t *EOSTrx
+		into.Transactions, t = grow(into.Transactions)
+		t.Actions = t.Actions[:0]
+		actions := full.Transactions[i].Trx.Transaction.Actions
+		for j := range actions {
+			src := &actions[j]
+			var a *EOSAction
+			t.Actions, a = grow(t.Actions)
+			*a = EOSAction{
+				Account: src.Account, Name: src.Name,
+				From: src.Data["from"], To: src.Data["to"], Quantity: src.Data["quantity"],
+				Buyer: src.Data["buyer"], Seller: src.Data["seller"],
+			}
+			if len(src.Authorization) > 0 {
+				a.Actor = src.Authorization[0]["actor"]
+			}
+		}
+	}
+}
+
+// grow extends s by one element, within its capacity when it can, and
+// returns the element as an earlier use left it: the caller resets it,
+// keeping what backing arrays it wants.
+func grow[T any](s []T) ([]T, *T) {
+	if len(s) < cap(s) {
+		s = s[:len(s)+1]
+	} else {
+		var zero T
+		s = append(s, zero)
+	}
+	return s, &s[len(s)-1]
 }
 
 // Canonical field-name sets, used to detect non-canonically cased keys
@@ -106,422 +147,180 @@ var (
 	eosActionFields = []string{"account", "name", "inline", "authorization", "data"}
 )
 
-func resetEOSBlock(b *EOSBlockJSON) {
-	b.BlockNum = 0
-	b.ID, b.Previous, b.Timestamp, b.Producer = "", "", "", ""
-	b.Transactions = b.Transactions[:0]
-}
-
-func (c *Codec) decodeEOSBlock(raw []byte, into *EOSBlockJSON) error {
+func (c *Codec) decodeEOSBlock(raw []byte, into *EOSBlock) error {
 	l := &c.lex
 	l.reset(raw)
-	resetEOSBlock(into)
-	if err := l.expect('{'); err != nil {
-		return err
-	}
-	if l.tryConsume('}') {
-		return l.trailing()
-	}
-	for {
-		key, err := l.readString()
-		if err != nil {
-			return err
-		}
-		if err := l.expect(':'); err != nil {
-			return err
-		}
+	into.Timestamp = ""
+	into.Transactions = into.Transactions[:0]
+	var seen uint8
+	err := l.object(func(key []byte) error {
 		switch string(key) {
 		case "block_num":
-			if !l.tryNull() {
-				n, err := l.readUint32()
-				if err != nil {
-					return err
-				}
-				into.BlockNum = n
-			}
-		case "id":
-			if err := c.decodeStr(&into.ID); err != nil {
-				return err
-			}
-		case "previous":
-			if err := c.decodeStr(&into.Previous); err != nil {
-				return err
-			}
+			return l.decodeUint32(nil)
+		case "id", "previous", "producer":
+			return c.decodeStr(nil)
 		case "timestamp":
-			if err := c.decodeStr(&into.Timestamp); err != nil {
-				return err
-			}
-		case "producer":
-			if err := c.decodeStr(&into.Producer); err != nil {
-				return err
-			}
+			return c.decodeStr(&into.Timestamp)
 		case "transactions":
-			if l.tryNull() {
-				break
-			}
-			if err := l.expect('['); err != nil {
+			if read, err := l.first(&seen, 1); !read {
 				return err
 			}
-			if into.Transactions == nil {
-				into.Transactions = make([]EOSTrxJSON, 0, 8)
-			}
-			if !l.tryConsume(']') {
-				for {
-					var t *EOSTrxJSON
-					into.Transactions, t = growEOSTrx(into.Transactions)
-					if err := c.decodeEOSTrx(t); err != nil {
-						return err
-					}
-					if l.tryConsume(',') {
-						continue
-					}
-					if err := l.expect(']'); err != nil {
-						return err
-					}
-					break
-				}
-			}
-		default:
-			if err := l.foldedField(key, eosBlockFields); err != nil {
-				return err
-			}
-			if err := l.skipValue(0); err != nil {
-				return err
-			}
+			return l.array(func() error {
+				var t *EOSTrx
+				into.Transactions, t = grow(into.Transactions)
+				t.Actions = t.Actions[:0]
+				return c.decodeEOSTrx(t)
+			})
 		}
-		if l.tryConsume(',') {
-			continue
-		}
-		if err := l.expect('}'); err != nil {
-			return err
-		}
-		return l.trailing()
-	}
-}
-
-// growEOSTrx extends s by one element, reviving capacity left by earlier
-// uses (the revived element's action slice keeps its backing array).
-func growEOSTrx(s []EOSTrxJSON) ([]EOSTrxJSON, *EOSTrxJSON) {
-	if len(s) < cap(s) {
-		s = s[:len(s)+1]
-	} else {
-		s = append(s, EOSTrxJSON{})
-	}
-	t := &s[len(s)-1]
-	t.Status = ""
-	t.Trx.ID = ""
-	t.Trx.Transaction.Actions = t.Trx.Transaction.Actions[:0]
-	return s, t
-}
-
-func (c *Codec) decodeEOSTrx(t *EOSTrxJSON) error {
-	l := &c.lex
-	if err := l.expect('{'); err != nil {
+		return l.skipUnknown(key, eosBlockFields)
+	})
+	if err != nil {
 		return err
 	}
-	if l.tryConsume('}') {
-		return nil
-	}
-	for {
-		key, err := l.readString()
-		if err != nil {
-			return err
-		}
-		if err := l.expect(':'); err != nil {
-			return err
-		}
+	return l.trailing()
+}
+
+// decodeEOSTrx reads one receipt, {"status":…,"trx":{"id":…,
+// "transaction":{"actions":[…]}}}, appending its actions to t. trx and
+// transaction are structs in the full shape, not pointers: a null leaves
+// them as they were, which on a first occurrence is empty.
+func (c *Codec) decodeEOSTrx(t *EOSTrx) error {
+	l := &c.lex
+	var seen uint8
+	return l.object(func(key []byte) error {
 		switch string(key) {
 		case "status":
-			if err := c.decodeStr(&t.Status); err != nil {
-				return err
-			}
+			return c.decodeStr(nil)
 		case "trx":
-			if err := c.decodeEOSTrxInner(t); err != nil {
+			if read, err := l.first(&seen, 1); !read {
 				return err
 			}
-		default:
-			if err := l.foldedField(key, eosTrxFields); err != nil {
-				return err
-			}
-			if err := l.skipValue(0); err != nil {
-				return err
-			}
+			return c.decodeEOSTrxInner(t)
 		}
-		if l.tryConsume(',') {
-			continue
-		}
-		return l.expect('}')
-	}
+		return l.skipUnknown(key, eosTrxFields)
+	})
 }
 
-func (c *Codec) decodeEOSTrxInner(t *EOSTrxJSON) error {
+func (c *Codec) decodeEOSTrxInner(t *EOSTrx) error {
 	l := &c.lex
-	if l.tryNull() {
-		return nil
-	}
-	if err := l.expect('{'); err != nil {
-		return err
-	}
-	if l.tryConsume('}') {
-		return nil
-	}
-	for {
-		key, err := l.readString()
-		if err != nil {
-			return err
-		}
-		if err := l.expect(':'); err != nil {
-			return err
-		}
+	var seen uint8
+	return l.object(func(key []byte) error {
 		switch string(key) {
 		case "id":
-			if err := c.decodeStr(&t.Trx.ID); err != nil {
-				return err
-			}
+			return c.decodeStr(nil)
 		case "transaction":
-			if err := c.decodeEOSActions(t); err != nil {
+			if read, err := l.first(&seen, 1); !read {
 				return err
 			}
-		default:
-			if err := l.foldedField(key, eosInnerFields); err != nil {
-				return err
-			}
-			if err := l.skipValue(0); err != nil {
-				return err
-			}
+			return c.decodeEOSActions(t)
 		}
-		if l.tryConsume(',') {
-			continue
-		}
-		return l.expect('}')
-	}
+		return l.skipUnknown(key, eosInnerFields)
+	})
 }
 
-func (c *Codec) decodeEOSActions(t *EOSTrxJSON) error {
+func (c *Codec) decodeEOSActions(t *EOSTrx) error {
+	l := &c.lex
+	var seen uint8
+	return l.object(func(key []byte) error {
+		if string(key) != "actions" {
+			return l.skipUnknown(key, eosTxnFields)
+		}
+		if read, err := l.first(&seen, 1); !read {
+			return err
+		}
+		return l.array(func() error {
+			var a *EOSAction
+			t.Actions, a = grow(t.Actions)
+			*a = EOSAction{}
+			return c.decodeEOSAction(a)
+		})
+	})
+}
+
+// decodeEOSAction reads one action. authorization and data hold
+// map[string]string in the full shape, so their keys match exactly (no
+// case folding), the last of a repeated key wins, and every value is a
+// string or a null: decodeMapValue.
+func (c *Codec) decodeEOSAction(a *EOSAction) error {
+	l := &c.lex
+	const (
+		sawAuthorization = 1 << iota
+		sawData
+	)
+	var seen uint8
+	return l.object(func(key []byte) error {
+		switch string(key) {
+		case "account":
+			return c.decodeStr(&a.Account)
+		case "name":
+			return c.decodeStr(&a.Name)
+		case "inline":
+			return l.decodeBool(nil)
+		case "authorization":
+			if read, err := l.first(&seen, sawAuthorization); !read {
+				return err
+			}
+			// Only the first authorization's actor is read.
+			actor := &a.Actor
+			return l.array(func() error {
+				err := l.object(func(key []byte) error {
+					if string(key) == "actor" {
+						return c.decodeMapValue(actor)
+					}
+					return c.decodeMapValue(nil)
+				})
+				actor = nil
+				return err
+			})
+		case "data":
+			if read, err := l.first(&seen, sawData); !read {
+				return err
+			}
+			return l.object(func(key []byte) error {
+				switch string(key) {
+				case "from":
+					return c.decodeMapValue(&a.From)
+				case "to":
+					return c.decodeMapValue(&a.To)
+				case "quantity":
+					return c.decodeMapValue(&a.Quantity)
+				case "buyer":
+					return c.decodeMapValue(&a.Buyer)
+				case "seller":
+					return c.decodeMapValue(&a.Seller)
+				}
+				return c.decodeMapValue(nil)
+			})
+		}
+		return l.skipUnknown(key, eosActionFields)
+	})
+}
+
+// decodeMapValue reads one value of a map[string]string into dst, interned
+// — a null stores "", as it does in the map — or steps over it when dst is
+// nil.
+func (c *Codec) decodeMapValue(dst *string) error {
+	if dst != nil && c.lex.peek() == 'n' {
+		*dst = ""
+	}
+	return c.decodeStr(dst)
+}
+
+// decodeStr reads a string (or null, a no-op) into dst, interned. A nil
+// dst holds the value to the same grammar and steps over it: nothing is
+// copied, unescaped or interned.
+func (c *Codec) decodeStr(dst *string) error {
 	l := &c.lex
 	if l.tryNull() {
 		return nil
 	}
-	if err := l.expect('{'); err != nil {
-		return err
+	if dst == nil {
+		return l.skipString()
 	}
-	if l.tryConsume('}') {
-		return nil
-	}
-	for {
-		key, err := l.readString()
-		if err != nil {
-			return err
-		}
-		if err := l.expect(':'); err != nil {
-			return err
-		}
-		if string(key) != "actions" {
-			if err := l.foldedField(key, eosTxnFields); err != nil {
-				return err
-			}
-			if err := l.skipValue(0); err != nil {
-				return err
-			}
-		} else if !l.tryNull() {
-			if err := l.expect('['); err != nil {
-				return err
-			}
-			if t.Trx.Transaction.Actions == nil {
-				t.Trx.Transaction.Actions = make([]EOSActionJSON, 0, 4)
-			}
-			if !l.tryConsume(']') {
-				for {
-					var a *EOSActionJSON
-					t.Trx.Transaction.Actions, a = growEOSAction(t.Trx.Transaction.Actions)
-					if err := c.decodeEOSAction(a); err != nil {
-						return err
-					}
-					if l.tryConsume(',') {
-						continue
-					}
-					if err := l.expect(']'); err != nil {
-						return err
-					}
-					break
-				}
-			}
-		}
-		if l.tryConsume(',') {
-			continue
-		}
-		return l.expect('}')
-	}
-}
-
-func growEOSAction(s []EOSActionJSON) ([]EOSActionJSON, *EOSActionJSON) {
-	if len(s) < cap(s) {
-		s = s[:len(s)+1]
-	} else {
-		s = append(s, EOSActionJSON{})
-	}
-	a := &s[len(s)-1]
-	a.Account, a.Name = "", ""
-	a.Inline = false
-	a.Authorization = a.Authorization[:0]
-	if a.Data != nil {
-		clear(a.Data)
-	}
-	return s, a
-}
-
-func (c *Codec) decodeEOSAction(a *EOSActionJSON) error {
-	l := &c.lex
-	if err := l.expect('{'); err != nil {
-		return err
-	}
-	if l.tryConsume('}') {
-		return nil
-	}
-	for {
-		key, err := l.readString()
-		if err != nil {
-			return err
-		}
-		if err := l.expect(':'); err != nil {
-			return err
-		}
-		switch string(key) {
-		case "account":
-			if err := c.decodeStr(&a.Account); err != nil {
-				return err
-			}
-		case "name":
-			if err := c.decodeStr(&a.Name); err != nil {
-				return err
-			}
-		case "inline":
-			if !l.tryNull() {
-				v, err := l.readBool()
-				if err != nil {
-					return err
-				}
-				a.Inline = v
-			}
-		case "authorization":
-			if l.tryNull() {
-				break
-			}
-			if err := l.expect('['); err != nil {
-				return err
-			}
-			if a.Authorization == nil {
-				a.Authorization = make([]map[string]string, 0, 1)
-			}
-			if !l.tryConsume(']') {
-				for i := 0; ; i++ {
-					// Revive a map left by an earlier use when capacity
-					// allows; decodeStringMap clears it before filling.
-					var m map[string]string
-					if cap(a.Authorization) > i {
-						a.Authorization = a.Authorization[:i+1]
-						m = a.Authorization[i]
-					}
-					m, err := c.decodeStringMap(m)
-					if err != nil {
-						return err
-					}
-					if len(a.Authorization) > i {
-						a.Authorization[i] = m
-					} else {
-						a.Authorization = append(a.Authorization, m)
-					}
-					if l.tryConsume(',') {
-						continue
-					}
-					if err := l.expect(']'); err != nil {
-						return err
-					}
-					break
-				}
-			}
-		case "data":
-			m, err := c.decodeStringMapOrNull(a.Data)
-			if err != nil {
-				return err
-			}
-			a.Data = m
-		default:
-			if err := l.foldedField(key, eosActionFields); err != nil {
-				return err
-			}
-			if err := l.skipValue(0); err != nil {
-				return err
-			}
-		}
-		if l.tryConsume(',') {
-			continue
-		}
-		return l.expect('}')
-	}
-}
-
-// decodeStr reads a string (or null) into dst, interned.
-func (c *Codec) decodeStr(dst *string) error {
-	if c.lex.tryNull() {
-		return nil
-	}
-	b, err := c.lex.readString()
+	b, err := l.readString()
 	if err != nil {
 		return err
 	}
 	*dst = c.str(b)
 	return nil
-}
-
-// decodeStringMap parses an object of string values into m, reusing it when
-// non-nil (cleared first).
-func (c *Codec) decodeStringMap(m map[string]string) (map[string]string, error) {
-	l := &c.lex
-	if err := l.expect('{'); err != nil {
-		return m, err
-	}
-	if m == nil {
-		m = make(map[string]string, 4)
-	} else {
-		clear(m)
-	}
-	if l.tryConsume('}') {
-		return m, nil
-	}
-	for {
-		kb, err := l.readString()
-		if err != nil {
-			return m, err
-		}
-		k := c.str(kb)
-		if err := l.expect(':'); err != nil {
-			return m, err
-		}
-		if l.tryNull() {
-			m[k] = ""
-		} else {
-			vb, err := l.readString()
-			if err != nil {
-				return m, err
-			}
-			m[k] = c.str(vb)
-		}
-		if l.tryConsume(',') {
-			continue
-		}
-		return m, l.expect('}')
-	}
-}
-
-// decodeStringMapOrNull is decodeStringMap but tolerating a null value: the
-// reused map is cleared (a fresh struct keeps nil, matching encoding/json).
-func (c *Codec) decodeStringMapOrNull(m map[string]string) (map[string]string, error) {
-	if c.lex.tryNull() {
-		if m != nil {
-			clear(m)
-		}
-		return m, nil
-	}
-	return c.decodeStringMap(m)
 }

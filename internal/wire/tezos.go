@@ -77,16 +77,35 @@ func appendTezosOperation(dst []byte, op *TezosOperationJSON) []byte {
 	return append(dst, '}')
 }
 
-// DecodeTezosBlock parses raw into the (typically pooled) block struct,
-// reusing its operation slice capacity; see DecodeEOSBlock for the
-// fallback contract.
-func (c *Codec) DecodeTezosBlock(raw []byte, into *TezosBlockJSON) error {
-	if err := c.decodeTezosBlock(raw, into); err != nil {
-		// Zero struct for fresh-struct stdlib semantics; see DecodeEOSBlock.
-		*into = TezosBlockJSON{}
-		return json.Unmarshal(raw, into)
+// DecodeTezosBlock parses raw into the (typically pooled) projection,
+// reusing its operation capacity; see DecodeEOSBlock for the fallback
+// contract.
+func (c *Codec) DecodeTezosBlock(raw []byte, into *TezosBlock) error {
+	if c.decodeTezosBlock(raw, into) == nil {
+		return nil
 	}
+	var full TezosBlockJSON
+	if err := json.Unmarshal(raw, &full); err != nil {
+		return err
+	}
+	ProjectTezosBlock(&full, into)
 	return nil
+}
+
+// ProjectTezosBlock fills into with what the aggregators read of full; see
+// ProjectEOSBlock.
+func ProjectTezosBlock(full *TezosBlockJSON, into *TezosBlock) {
+	into.Level, into.Timestamp = full.Level, full.Timestamp
+	into.Operations = into.Operations[:0]
+	for i := range full.Operations {
+		src := &full.Operations[i]
+		var op *TezosOperation
+		into.Operations, op = grow(into.Operations)
+		*op = TezosOperation{
+			Kind: src.Kind, Source: src.Source, Destination: src.Destination,
+			Proposal: src.Proposal, Ballot: src.Ballot, Rolls: src.Rolls,
+		}
+	}
 }
 
 // Canonical field-name sets; see the EOS decoder for the fold contract.
@@ -95,186 +114,62 @@ var (
 	tezosOpFields    = []string{"kind", "source", "destination", "amount", "fee", "level", "slot_count", "proposal", "ballot", "rolls", "delegate"}
 )
 
-func resetTezosBlock(b *TezosBlockJSON) {
-	b.Level = 0
-	b.Hash, b.Predecessor, b.Timestamp, b.Baker = "", "", "", ""
-	b.Operations = b.Operations[:0]
-}
-
-func (c *Codec) decodeTezosBlock(raw []byte, into *TezosBlockJSON) error {
+func (c *Codec) decodeTezosBlock(raw []byte, into *TezosBlock) error {
 	l := &c.lex
 	l.reset(raw)
-	resetTezosBlock(into)
-	if err := l.expect('{'); err != nil {
-		return err
-	}
-	if l.tryConsume('}') {
-		return l.trailing()
-	}
-	for {
-		key, err := l.readString()
-		if err != nil {
-			return err
-		}
-		if err := l.expect(':'); err != nil {
-			return err
-		}
+	into.Level, into.Timestamp = 0, ""
+	into.Operations = into.Operations[:0]
+	var seen uint8
+	err := l.object(func(key []byte) error {
 		switch string(key) {
 		case "level":
-			if err := l.decodeInt64(&into.Level); err != nil {
-				return err
-			}
-		case "hash":
-			if err := c.decodeStr(&into.Hash); err != nil {
-				return err
-			}
-		case "predecessor":
-			if err := c.decodeStr(&into.Predecessor); err != nil {
-				return err
-			}
+			return l.decodeInt64(&into.Level)
+		case "hash", "predecessor", "baker":
+			return c.decodeStr(nil)
 		case "timestamp":
-			if err := c.decodeStr(&into.Timestamp); err != nil {
-				return err
-			}
-		case "baker":
-			if err := c.decodeStr(&into.Baker); err != nil {
-				return err
-			}
+			return c.decodeStr(&into.Timestamp)
 		case "operations":
-			if l.tryNull() {
-				break
-			}
-			if err := l.expect('['); err != nil {
+			if read, err := l.first(&seen, 1); !read {
 				return err
 			}
-			if into.Operations == nil {
-				into.Operations = make([]TezosOperationJSON, 0, 8)
-			}
-			if !l.tryConsume(']') {
-				for {
-					var op *TezosOperationJSON
-					into.Operations, op = growTezosOp(into.Operations)
-					if err := c.decodeTezosOperation(op); err != nil {
-						return err
-					}
-					if l.tryConsume(',') {
-						continue
-					}
-					if err := l.expect(']'); err != nil {
-						return err
-					}
-					break
-				}
-			}
-		default:
-			if err := l.foldedField(key, tezosBlockFields); err != nil {
-				return err
-			}
-			if err := l.skipValue(0); err != nil {
-				return err
-			}
+			return l.array(func() error {
+				var op *TezosOperation
+				into.Operations, op = grow(into.Operations)
+				*op = TezosOperation{}
+				return c.decodeTezosOperation(op)
+			})
 		}
-		if l.tryConsume(',') {
-			continue
-		}
-		if err := l.expect('}'); err != nil {
-			return err
-		}
-		return l.trailing()
-	}
-}
-
-func growTezosOp(s []TezosOperationJSON) ([]TezosOperationJSON, *TezosOperationJSON) {
-	if len(s) < cap(s) {
-		s = s[:len(s)+1]
-	} else {
-		s = append(s, TezosOperationJSON{})
-	}
-	op := &s[len(s)-1]
-	*op = TezosOperationJSON{}
-	return s, op
-}
-
-func (c *Codec) decodeTezosOperation(op *TezosOperationJSON) error {
-	l := &c.lex
-	if err := l.expect('{'); err != nil {
+		return l.skipUnknown(key, tezosBlockFields)
+	})
+	if err != nil {
 		return err
 	}
-	if l.tryConsume('}') {
-		return nil
-	}
-	for {
-		key, err := l.readString()
-		if err != nil {
-			return err
-		}
-		if err := l.expect(':'); err != nil {
-			return err
-		}
+	return l.trailing()
+}
+
+func (c *Codec) decodeTezosOperation(op *TezosOperation) error {
+	l := &c.lex
+	return l.object(func(key []byte) error {
 		switch string(key) {
 		case "kind":
-			err = c.decodeStr(&op.Kind)
+			return c.decodeStr(&op.Kind)
 		case "source":
-			err = c.decodeStr(&op.Source)
+			return c.decodeStr(&op.Source)
 		case "destination":
-			err = c.decodeStr(&op.Destination)
-		case "amount":
-			err = l.decodeInt64(&op.Amount)
-		case "fee":
-			err = l.decodeInt64(&op.Fee)
-		case "level":
-			err = l.decodeInt64(&op.Level)
+			return c.decodeStr(&op.Destination)
+		case "amount", "fee", "level":
+			return l.decodeInt64(nil)
 		case "slot_count":
-			err = l.decodeIntField(&op.SlotCount)
+			return l.skipInt()
 		case "proposal":
-			err = c.decodeStr(&op.Proposal)
+			return c.decodeStr(&op.Proposal)
 		case "ballot":
-			err = c.decodeStr(&op.Ballot)
+			return c.decodeStr(&op.Ballot)
 		case "rolls":
-			err = l.decodeInt64(&op.Rolls)
+			return l.decodeInt64(&op.Rolls)
 		case "delegate":
-			err = c.decodeStr(&op.Delegate)
-		default:
-			if err = l.foldedField(key, tezosOpFields); err == nil {
-				err = l.skipValue(0)
-			}
+			return c.decodeStr(nil)
 		}
-		if err != nil {
-			return err
-		}
-		if l.tryConsume(',') {
-			continue
-		}
-		return l.expect('}')
-	}
-}
-
-// decodeInt64 reads an integer (or null, a no-op) into dst.
-func (l *lexer) decodeInt64(dst *int64) error {
-	if l.tryNull() {
-		return nil
-	}
-	n, err := l.readInt64()
-	if err != nil {
-		return err
-	}
-	*dst = n
-	return nil
-}
-
-// decodeIntField reads an int-sized integer (or null) into dst.
-func (l *lexer) decodeIntField(dst *int) error {
-	if l.tryNull() {
-		return nil
-	}
-	n, err := l.readInt64()
-	if err != nil {
-		return err
-	}
-	v := int(n)
-	if int64(v) != n {
-		return l.errf("number out of int range")
-	}
-	*dst = v
-	return nil
+		return l.skipUnknown(key, tezosOpFields)
+	})
 }

@@ -4,20 +4,37 @@
 // but CPU spent reflect-marshalling blocks in rpcserve and
 // reflect-unmarshalling them again in collect; this package replaces both
 // directions with allocation-free encoders/decoders over reused []byte
-// buffers and struct arenas (sync.Pool of block structs plus their
-// transaction slices), with encoding/json kept as a cross-checked
+// buffers and struct arenas, with encoding/json kept as a cross-checked
 // equivalence oracle in tests.
+//
+// The two directions do not share their structs. The encoders render the
+// full …JSON shapes (EOSBlockJSON and friends), which are also what
+// encoding/json unmarshals into. The decoders fill a projection of them
+// (EOSBlock, TezosBlock, XRPLedger): exactly the fields some aggregator in
+// internal/core reads. Every other value of a payload is held to the same
+// grammar and type as before — a string-or-null where the full shape has a
+// string, an in-range integer where it has one, an amount object where it
+// has an amount — and stepped over: not copied, not interned, not kept. A
+// payload the fast scanner refuses is unmarshalled into the full shape by
+// encoding/json, whose verdict is final, and projected by the chain's
+// Project function, which is also the reference the differential tests
+// and fuzz targets hold the fast scanner to. A figure that needs a field
+// the projection lacks adds it to the projected type, its decoder case
+// and its Project function; nothing else moves.
 //
 // Ownership rules (the "allocation budget" contract, see DESIGN.md):
 //
-//   - A struct obtained from GetEOSBlock/GetTezosBlock/GetXRPLedger is
-//     exclusively owned by the caller until it is returned with the
-//     matching Put. After Put, the caller must not touch the struct, its
-//     slices or its maps — only the strings extracted from it, which are
-//     immutable and safe to retain forever.
+//   - A struct obtained from a Get function (GetEOSBlock, GetEOSBlockJSON
+//     and friends) is exclusively owned by the caller until it is returned
+//     with the matching Put. After Put, the caller must not touch the
+//     struct, its slices or its maps — only the strings extracted from it,
+//     which are immutable and safe to retain forever.
 //   - A Codec is exclusively owned between GetCodec and PutCodec. Byte
 //     views produced while decoding never escape the codec; every string
-//     stored into a decoded struct is an owned copy (usually interned).
+//     stored into a decoded struct is an owned copy, interned, and valid
+//     UTF-8 (invalid bytes become U+FFFD, as encoding/json decodes them).
+//     Only strings that are read are interned, so the table holds account
+//     names, action names and kinds, never ids, hashes or memos.
 //   - Raw payload buffers recycle through GetRaw/PutRaw; a buffer handed
 //     to PutRaw must have no other holders.
 package wire
@@ -122,12 +139,64 @@ type XRPAmountJSON struct {
 	Value    int64  `json:"value"`
 }
 
-// ToAmount converts back to the simulator type.
-func (j *XRPAmountJSON) ToAmount() xrp.Amount {
-	if j == nil {
-		return xrp.Amount{}
-	}
-	return xrp.Amount{Currency: j.Currency, Issuer: xrp.Address(j.Issuer), Value: j.Value}
+// EOSBlock is the decode-side projection of an EOS block: what
+// internal/core's EOS aggregator reads of an EOSBlockJSON.
+type EOSBlock struct {
+	Timestamp    string
+	Transactions []EOSTrx
+}
+
+// EOSTrx is one transaction of an EOSBlock.
+type EOSTrx struct {
+	Actions []EOSAction
+}
+
+// EOSAction is one action of an EOSTrx. Actor is authorization[0].actor;
+// From, To, Quantity, Buyer and Seller are the data members of those
+// names. Each is "" when the payload has no such member.
+type EOSAction struct {
+	Account, Name, Actor              string
+	From, To, Quantity, Buyer, Seller string
+}
+
+// TezosBlock is the decode-side projection of a TezosBlockJSON.
+type TezosBlock struct {
+	Level      int64
+	Timestamp  string
+	Operations []TezosOperation
+}
+
+// TezosOperation is one operation of a TezosBlock.
+type TezosOperation struct {
+	Kind, Source, Destination, Proposal, Ballot string
+	Rolls                                       int64
+}
+
+// XRPLedger is the decode-side projection of an XRPLedgerJSON.
+type XRPLedger struct {
+	CloseTime    string
+	Transactions []XRPTx
+}
+
+// XRPTx is one transaction of an XRPLedger.
+type XRPTx struct {
+	TransactionType, Account, Destination, Result string
+	DestinationTag, Sequence, RestingSequence     uint32
+	Executed                                      bool
+	Amount, DeliveredAmount                       XRPAmount
+}
+
+// XRPAmount is an amount field of an XRPTx, by value: Set is false where
+// the full shape holds a nil pointer (the member is absent or null).
+type XRPAmount struct {
+	Set              bool
+	Currency, Issuer string
+	Value            int64
+}
+
+// ToAmount converts to the ledger's value type; an unset amount is zero.
+func (a XRPAmount) ToAmount() xrp.Amount {
+	return xrp.Amount{Currency: a.Currency, Issuer: xrp.Address(a.Issuer), Value: a.Value}
 }
 
 // EOSTimestampLayout is the nodeos block timestamp format.

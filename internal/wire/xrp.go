@@ -88,30 +88,48 @@ func appendXRPAmountField(dst []byte, key string, a *XRPAmountJSON) []byte {
 	return append(dst, '}')
 }
 
-// DecodeXRPLedger parses a bare ledger object into the (typically pooled)
-// struct; see DecodeEOSBlock for the fallback contract.
-func (c *Codec) DecodeXRPLedger(raw []byte, into *XRPLedgerJSON) error {
-	c.lex.reset(raw)
-	if err := c.decodeXRPLedgerValue(into, true); err != nil {
-		// Zero struct for fresh-struct stdlib semantics; see DecodeEOSBlock.
-		*into = XRPLedgerJSON{}
-		return json.Unmarshal(raw, into)
+// DecodeXRPLedgerResult parses the rippled command envelope
+// {"ledger": {...}, ...} the collector receives into the (typically
+// pooled) projection of its ledger; see DecodeEOSBlock for the fallback
+// contract.
+func (c *Codec) DecodeXRPLedgerResult(raw []byte, into *XRPLedger) error {
+	if c.decodeXRPLedgerResult(raw, into) == nil {
+		return nil
 	}
+	var res struct {
+		Ledger XRPLedgerJSON `json:"ledger"`
+	}
+	if err := json.Unmarshal(raw, &res); err != nil {
+		return err
+	}
+	ProjectXRPLedger(&res.Ledger, into)
 	return nil
 }
 
-// DecodeXRPLedgerResult parses the rippled command envelope
-// {"ledger": {...}, ...} the collector receives, extracting the ledger.
-func (c *Codec) DecodeXRPLedgerResult(raw []byte, into *XRPLedgerJSON) error {
-	if err := c.decodeXRPLedgerResult(raw, into); err != nil {
-		*into = XRPLedgerJSON{}
-		var res struct {
-			Ledger *XRPLedgerJSON `json:"ledger"`
+// ProjectXRPLedger fills into with what the aggregators read of full; see
+// ProjectEOSBlock.
+func ProjectXRPLedger(full *XRPLedgerJSON, into *XRPLedger) {
+	into.CloseTime = full.CloseTime
+	into.Transactions = into.Transactions[:0]
+	for i := range full.Transactions {
+		src := &full.Transactions[i]
+		var tx *XRPTx
+		into.Transactions, tx = grow(into.Transactions)
+		*tx = XRPTx{
+			TransactionType: src.TransactionType, Account: src.Account,
+			Destination: src.Destination, Result: src.Result,
+			DestinationTag: src.DestinationTag, Sequence: src.Sequence,
+			RestingSequence: src.RestingSequence, Executed: src.Executed,
+			Amount: projectXRPAmount(src.Amount), DeliveredAmount: projectXRPAmount(src.DeliveredAmount),
 		}
-		res.Ledger = into
-		return json.Unmarshal(raw, &res)
 	}
-	return nil
+}
+
+func projectXRPAmount(a *XRPAmountJSON) XRPAmount {
+	if a == nil {
+		return XRPAmount{}
+	}
+	return XRPAmount{Set: true, Currency: a.Currency, Issuer: a.Issuer, Value: a.Value}
 }
 
 // Canonical field-name sets; see the EOS decoder for the fold contract.
@@ -122,303 +140,130 @@ var (
 	xrpAmountFields   = []string{"currency", "issuer", "value"}
 )
 
-func (c *Codec) decodeXRPLedgerResult(raw []byte, into *XRPLedgerJSON) error {
+func (c *Codec) decodeXRPLedgerResult(raw []byte, into *XRPLedger) error {
 	l := &c.lex
 	l.reset(raw)
-	c.resetXRPLedger(into)
-	if err := l.expect('{'); err != nil {
-		return err
-	}
-	if l.tryConsume('}') {
-		return l.trailing()
-	}
-	for {
-		key, err := l.readString()
-		if err != nil {
+	into.CloseTime = ""
+	into.Transactions = into.Transactions[:0]
+	var seen uint8
+	err := l.object(func(key []byte) error {
+		if string(key) != "ledger" {
+			return l.skipUnknown(key, xrpEnvelopeFields)
+		}
+		if read, err := l.first(&seen, 1); !read {
 			return err
 		}
-		if err := l.expect(':'); err != nil {
-			return err
-		}
-		if string(key) == "ledger" {
-			if err := c.decodeXRPLedgerValue(into, false); err != nil {
-				return err
-			}
-		} else if err := l.foldedField(key, xrpEnvelopeFields); err != nil {
-			return err
-		} else if err := l.skipValue(0); err != nil {
-			return err
-		}
-		if l.tryConsume(',') {
-			continue
-		}
-		if err := l.expect('}'); err != nil {
-			return err
-		}
-		return l.trailing()
-	}
-}
-
-// resetXRPLedger zeroes the ledger for refilling, recycling its transaction
-// amount structs into the codec-independent free list.
-func (c *Codec) resetXRPLedger(ld *XRPLedgerJSON) {
-	ld.LedgerIndex = 0
-	ld.LedgerHash, ld.ParentHash, ld.CloseTime = "", "", ""
-	ld.TxCount = 0
-	ld.Transactions = ld.Transactions[:0]
-}
-
-// decodeXRPLedgerValue parses one ledger object. top marks a whole-payload
-// decode that must consume trailing input.
-func (c *Codec) decodeXRPLedgerValue(into *XRPLedgerJSON, top bool) error {
-	l := &c.lex
-	if top {
-		c.resetXRPLedger(into)
-	}
-	if !top && l.tryNull() {
-		return nil
-	}
-	if err := l.expect('{'); err != nil {
-		return err
-	}
-	done := func() error {
-		if top {
-			return l.trailing()
-		}
-		return nil
-	}
-	if l.tryConsume('}') {
-		return done()
-	}
-	for {
-		key, err := l.readString()
-		if err != nil {
-			return err
-		}
-		if err := l.expect(':'); err != nil {
-			return err
-		}
-		switch string(key) {
-		case "ledger_index":
-			err = l.decodeInt64(&into.LedgerIndex)
-		case "ledger_hash":
-			err = c.decodeStr(&into.LedgerHash)
-		case "parent_hash":
-			err = c.decodeStr(&into.ParentHash)
-		case "close_time_human":
-			err = c.decodeStr(&into.CloseTime)
-		case "transaction_count":
-			err = l.decodeIntField(&into.TxCount)
-		case "transactions":
-			if l.tryNull() {
-				break
-			}
-			if err = l.expect('['); err != nil {
-				break
-			}
-			if into.Transactions == nil {
-				into.Transactions = make([]XRPTxJSON, 0, 8)
-			}
-			if !l.tryConsume(']') {
-				for {
-					var tx *XRPTxJSON
-					into.Transactions, tx = c.growXRPTx(into.Transactions)
-					if err = c.decodeXRPTx(tx); err != nil {
-						return err
-					}
-					if l.tryConsume(',') {
-						continue
-					}
-					if err = l.expect(']'); err != nil {
-						return err
-					}
-					break
-				}
-			}
-		default:
-			if err = l.foldedField(key, xrpLedgerFields); err == nil {
-				err = l.skipValue(0)
-			}
-		}
-		if err != nil {
-			return err
-		}
-		if l.tryConsume(',') {
-			continue
-		}
-		if err := l.expect('}'); err != nil {
-			return err
-		}
-		return done()
-	}
-}
-
-// growXRPTx extends s by one element, recycling the revived element's
-// amount structs into the codec's free list (fields present in the JSON
-// take them back; absent fields stay nil, as encoding/json leaves them).
-func (c *Codec) growXRPTx(s []XRPTxJSON) ([]XRPTxJSON, *XRPTxJSON) {
-	if len(s) < cap(s) {
-		s = s[:len(s)+1]
-	} else {
-		s = append(s, XRPTxJSON{})
-	}
-	tx := &s[len(s)-1]
-	c.freeAmount(tx.Amount)
-	c.freeAmount(tx.TakerGets)
-	c.freeAmount(tx.TakerPays)
-	c.freeAmount(tx.LimitAmount)
-	c.freeAmount(tx.DeliveredAmount)
-	*tx = XRPTxJSON{}
-	return s, tx
-}
-
-const maxFreeAmounts = 4096
-
-func (c *Codec) freeAmount(a *XRPAmountJSON) {
-	if a != nil && len(c.amounts) < maxFreeAmounts {
-		c.amounts = append(c.amounts, a)
-	}
-}
-
-func (c *Codec) getAmount() *XRPAmountJSON {
-	if n := len(c.amounts); n > 0 {
-		a := c.amounts[n-1]
-		c.amounts = c.amounts[:n-1]
-		*a = XRPAmountJSON{}
-		return a
-	}
-	return new(XRPAmountJSON)
-}
-
-func (c *Codec) decodeXRPTx(tx *XRPTxJSON) error {
-	l := &c.lex
-	if err := l.expect('{'); err != nil {
-		return err
-	}
-	if l.tryConsume('}') {
-		return nil
-	}
-	for {
-		key, err := l.readString()
-		if err != nil {
-			return err
-		}
-		if err := l.expect(':'); err != nil {
-			return err
-		}
-		switch string(key) {
-		case "hash":
-			err = c.decodeStr(&tx.Hash)
-		case "TransactionType":
-			err = c.decodeStr(&tx.TransactionType)
-		case "Account":
-			err = c.decodeStr(&tx.Account)
-		case "Destination":
-			err = c.decodeStr(&tx.Destination)
-		case "DestinationTag":
-			err = l.decodeUint32(&tx.DestinationTag)
-		case "Fee":
-			err = l.decodeInt64(&tx.Fee)
-		case "Sequence":
-			err = l.decodeUint32(&tx.Sequence)
-		case "Amount":
-			err = c.decodeAmountField(&tx.Amount)
-		case "TakerGets":
-			err = c.decodeAmountField(&tx.TakerGets)
-		case "TakerPays":
-			err = c.decodeAmountField(&tx.TakerPays)
-		case "LimitAmount":
-			err = c.decodeAmountField(&tx.LimitAmount)
-		case "delivered_amount":
-			err = c.decodeAmountField(&tx.DeliveredAmount)
-		case "OfferSequence":
-			err = l.decodeUint32(&tx.OfferSequence)
-		case "meta_TransactionResult":
-			err = c.decodeStr(&tx.Result)
-		case "executed":
-			if !l.tryNull() {
-				var v bool
-				if v, err = l.readBool(); err == nil {
-					tx.Executed = v
-				}
-			}
-		case "resting_sequence":
-			err = l.decodeUint32(&tx.RestingSequence)
-		default:
-			if err = l.foldedField(key, xrpTxFields); err == nil {
-				err = l.skipValue(0)
-			}
-		}
-		if err != nil {
-			return err
-		}
-		if l.tryConsume(',') {
-			continue
-		}
-		return l.expect('}')
-	}
-}
-
-func (l *lexer) decodeUint32(dst *uint32) error {
-	if l.tryNull() {
-		return nil
-	}
-	n, err := l.readUint32()
+		return c.decodeXRPLedger(into)
+	})
 	if err != nil {
 		return err
 	}
-	*dst = n
-	return nil
+	return l.trailing()
 }
 
-func (c *Codec) decodeAmountField(dst **XRPAmountJSON) error {
+func (c *Codec) decodeXRPLedger(into *XRPLedger) error {
 	l := &c.lex
-	if l.tryNull() {
-		// encoding/json sets pointer fields to nil on null.
-		*dst = nil
-		return nil
-	}
-	if err := l.expect('{'); err != nil {
+	var seen uint8
+	return l.object(func(key []byte) error {
+		switch string(key) {
+		case "ledger_index":
+			return l.decodeInt64(nil)
+		case "ledger_hash", "parent_hash":
+			return c.decodeStr(nil)
+		case "close_time_human":
+			return c.decodeStr(&into.CloseTime)
+		case "transaction_count":
+			return l.skipInt()
+		case "transactions":
+			if read, err := l.first(&seen, 1); !read {
+				return err
+			}
+			return l.array(func() error {
+				var tx *XRPTx
+				into.Transactions, tx = grow(into.Transactions)
+				*tx = XRPTx{}
+				return c.decodeXRPTx(tx)
+			})
+		}
+		return l.skipUnknown(key, xrpLedgerFields)
+	})
+}
+
+func (c *Codec) decodeXRPTx(tx *XRPTx) error {
+	l := &c.lex
+	// The five amount members are pointers in the full shape.
+	const (
+		sawAmount = 1 << iota
+		sawTakerGets
+		sawTakerPays
+		sawLimitAmount
+		sawDelivered
+	)
+	var seen uint8
+	return l.object(func(key []byte) error {
+		switch string(key) {
+		case "hash":
+			return c.decodeStr(nil)
+		case "TransactionType":
+			return c.decodeStr(&tx.TransactionType)
+		case "Account":
+			return c.decodeStr(&tx.Account)
+		case "Destination":
+			return c.decodeStr(&tx.Destination)
+		case "DestinationTag":
+			return l.decodeUint32(&tx.DestinationTag)
+		case "Fee":
+			return l.decodeInt64(nil)
+		case "Sequence":
+			return l.decodeUint32(&tx.Sequence)
+		case "Amount":
+			return c.decodeXRPAmount(&seen, sawAmount, &tx.Amount)
+		case "TakerGets":
+			return c.decodeXRPAmount(&seen, sawTakerGets, nil)
+		case "TakerPays":
+			return c.decodeXRPAmount(&seen, sawTakerPays, nil)
+		case "LimitAmount":
+			return c.decodeXRPAmount(&seen, sawLimitAmount, nil)
+		case "delivered_amount":
+			return c.decodeXRPAmount(&seen, sawDelivered, &tx.DeliveredAmount)
+		case "OfferSequence":
+			return l.decodeUint32(nil)
+		case "meta_TransactionResult":
+			return c.decodeStr(&tx.Result)
+		case "executed":
+			return l.decodeBool(&tx.Executed)
+		case "resting_sequence":
+			return l.decodeUint32(&tx.RestingSequence)
+		}
+		return l.skipUnknown(key, xrpTxFields)
+	})
+}
+
+// decodeXRPAmount reads an amount member's first occurrence (bit marks it
+// in seen) into a, or checks it and steps over it when a is nil. A null
+// leaves the amount unset, the full shape's nil pointer.
+func (c *Codec) decodeXRPAmount(seen *uint8, bit uint8, a *XRPAmount) error {
+	l := &c.lex
+	if read, err := l.first(seen, bit); !read {
 		return err
 	}
-	a := *dst
-	if a == nil {
-		a = c.getAmount()
-		*dst = a
-	} else {
-		*a = XRPAmountJSON{}
+	var currency, issuer *string
+	var value *int64
+	if a != nil {
+		a.Set = true
+		currency, issuer, value = &a.Currency, &a.Issuer, &a.Value
 	}
-	if l.tryConsume('}') {
-		return nil
-	}
-	for {
-		key, err := l.readString()
-		if err != nil {
-			return err
-		}
-		if err := l.expect(':'); err != nil {
-			return err
-		}
+	return l.object(func(key []byte) error {
 		switch string(key) {
 		case "currency":
-			err = c.decodeStr(&a.Currency)
+			return c.decodeStr(currency)
 		case "issuer":
-			err = c.decodeStr(&a.Issuer)
+			return c.decodeStr(issuer)
 		case "value":
-			err = l.decodeInt64(&a.Value)
-		default:
-			if err = l.foldedField(key, xrpAmountFields); err == nil {
-				err = l.skipValue(0)
-			}
+			return l.decodeInt64(value)
 		}
-		if err != nil {
-			return err
-		}
-		if l.tryConsume(',') {
-			continue
-		}
-		return l.expect('}')
-	}
+		return l.skipUnknown(key, xrpAmountFields)
+	})
 }
 
 // AppendXRPLedgerResponse renders the whole rippled WebSocket envelope for
