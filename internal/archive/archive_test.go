@@ -575,20 +575,13 @@ func rewriteFirstSegment(t *testing.T, dir string, edit func(stream []byte) []by
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out bytes.Buffer
-	zw := gzip.NewWriter(&out)
-	if _, err := zw.Write(edit(stream)); err != nil {
-		t.Fatal(err)
-	}
-	if err := zw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(seg, out.Bytes(), 0o644); err != nil {
+	object := gzipAt(t, segmentLevel, edit(stream))
+	if err := os.WriteFile(seg, object, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	editManifest(t, dir, func(m *Manifest) {
-		m.Segments[0].SHA256 = sha256Hex(out.Bytes())
-		m.Segments[0].CompBytes = int64(out.Len())
+		m.Segments[0].SHA256 = sha256Hex(object)
+		m.Segments[0].CompBytes = int64(len(object))
 	})
 }
 

@@ -2,7 +2,6 @@ package archive
 
 import (
 	"bytes"
-	"compress/gzip"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -81,11 +80,7 @@ func FuzzOpenArchive(f *testing.F) {
 		man := Manifest{Version: manifestVersion, Chain: "tezos"}
 		var stored int64
 		for i, stream := range [][]byte{stream1, stream2} {
-			var obj bytes.Buffer
-			zw := gzip.NewWriter(&obj)
-			zw.Write(stream)
-			zw.Close()
-			object := obj.Bytes()
+			object := gzipAt(t, segmentLevel, stream)
 			seg := SegmentInfo{File: segmentName(i + 1)}
 			seg.Blocks, seg.RawBytes, seg.Min, seg.Max = honestEntry(stream)
 			if i == 0 {

@@ -86,10 +86,49 @@ type openSegment struct {
 	hdr [12]byte
 }
 
+// segmentLevel is the flate level segments are deflated at. The level is
+// nowhere in the format: any gzip reader inflates any level, and segments
+// written at gzip.DefaultCompression (all of them, before this constant)
+// read as they did. So it is chosen on the write side alone, where the
+// deflate on the stream's one tee goroutine was the live crawl's largest
+// cost (archive.append 129 of a 183 ms traced `crawl` round). Measured on
+// the repository's benchmark dataset (seed 1: 6.2 MB EOS, 1.0 MB Tezos,
+// 3.1 MB XRP in archive write order, a stream per 2 MiB segment as the
+// writer cuts them, best of 15 passes; MB/s of payload and payload/object
+// ratio per chain, then one pass over all three):
+//
+//	level   eos          tezos       xrp         all
+//	 -2     258  1.74    206 1.44    219 1.46    44.0 ms  1.61
+//	  1     365 15.15    189 5.52    165 5.04    42.1 ms  8.48
+//	  2     305 16.97    149 6.02    181 5.38    45.2 ms  9.22
+//	  3     322 17.16    172 6.03    145 5.47    47.7 ms  9.34
+//	  4     204 18.27    121 6.36     98 5.65    72.0 ms  9.77
+//	  5     204 19.35     89 6.64    107 5.92    72.4 ms 10.27
+//	  6     176 21.03     76 6.68     90 6.01    85.1 ms 10.63
+//
+// 6 is the default. Seed 2 has the same shape (38.5 39.5 41.3 | 62.6 65.0
+// 82.3 ms). Levels 1 to 3 are flate's greedy matchers and cost the same
+// within the spread between passes; lazy matching starts at 4 and that is
+// the step. 2 is denser than 1 on every chain for nothing; 3 buys another
+// 0.1 of ratio from inside the same band, a difference this sweep cannot
+// price. Huffman-only (-2) is no faster than matching and a fifth as dense.
+// One gzip member per record, the other way to take the deflate off the
+// serial stage, costs more CPU and compresses worse (default level 91.6 ms
+// at 7.37, Tezos 2.49; level 2 63.9 ms at 6.84): a 3 KB block has no
+// history to match against.
+const segmentLevel = 2
+
 // gzWriterPool recycles gzip compressors across segment rotations; a
 // gzip.Writer carries hundreds of kilobytes of deflate state that was
-// re-allocated on every segment before this pool existed.
-var gzWriterPool = sync.Pool{New: func() any { return gzip.NewWriter(io.Discard) }}
+// re-allocated on every segment before this pool existed. Reset keeps the
+// level.
+var gzWriterPool = sync.Pool{New: func() any {
+	gz, err := gzip.NewWriterLevel(io.Discard, segmentLevel)
+	if err != nil {
+		panic(err) // segmentLevel is not a flate level
+	}
+	return gz
+}}
 
 // getGzipWriter takes a pooled compressor reset onto w.
 func getGzipWriter(w io.Writer) *gzip.Writer {

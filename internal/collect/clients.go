@@ -205,16 +205,20 @@ func (c *TezosClient) FetchBlock(ctx context.Context, level int64) ([]byte, erro
 type XRPClient struct {
 	URL string
 
-	mu   sync.Mutex
-	conn *wsrpc.Conn
-	next int
+	mu    sync.Mutex
+	conn  *wsrpc.Conn
+	next  int64
+	codec *wire.Codec // splits response envelopes; guarded by mu
 }
 
 // NewXRPClient wraps a ws:// endpoint.
-func NewXRPClient(url string) *XRPClient { return &XRPClient{URL: url} }
+func NewXRPClient(url string) *XRPClient {
+	return &XRPClient{URL: url, codec: wire.NewCodec()}
+}
 
 // OwnsRaw marks FetchBlock results as exclusively caller-owned: each call
-// returns a freshly decoded result envelope no one else references.
+// returns the result member copied into a wire.GetRaw buffer no one else
+// references.
 func (c *XRPClient) OwnsRaw() bool { return true }
 
 func (c *XRPClient) ensure() (*wsrpc.Conn, error) {
@@ -241,11 +245,12 @@ func (c *XRPClient) Close() error {
 	return err
 }
 
-// call performs one command round trip. The WebSocket protocol is
+// call performs one command round trip and returns the response's result
+// member in a wire.GetRaw buffer the caller owns. The WebSocket protocol is
 // sequential per connection, so calls are serialized. A peer that stops
 // answering would park the read forever, so cancelling ctx closes the
 // connection under it; the next call redials.
-func (c *XRPClient) call(ctx context.Context, req map[string]any) (json.RawMessage, error) {
+func (c *XRPClient) call(ctx context.Context, req map[string]any) ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := ctx.Err(); err != nil {
@@ -261,34 +266,52 @@ func (c *XRPClient) call(ctx context.Context, req map[string]any) (json.RawMessa
 		// ctx ended mid-call: the connection is closing, whatever the
 		// round trip managed to read.
 		c.conn = nil
+		wire.PutRaw(result)
 		return nil, ctx.Err()
 	}
 	return result, err
 }
 
-// roundTrip writes one command and reads its response; a transport error
-// drops the connection so ensure redials. Called with c.mu held.
-func (c *XRPClient) roundTrip(conn *wsrpc.Conn, req map[string]any) (json.RawMessage, error) {
+// drop abandons conn so ensure redials. The connection may still be alive (a
+// well-formed frame that was not the reply awaited), so it is closed, not
+// just forgotten. Called with c.mu held.
+func (c *XRPClient) drop(conn *wsrpc.Conn) {
+	c.conn = nil
+	conn.Close()
+}
+
+// roundTrip writes one command and reads its response. The frame's envelope
+// is split in place (wire.Codec.SplitXRPEnvelope) and only the result member
+// is copied out, once, into a recycled buffer; the frame buffer stays
+// wsrpc's. A transport error, a frame that is not an envelope or a reply to
+// some other request drops the connection. Called with c.mu held.
+func (c *XRPClient) roundTrip(conn *wsrpc.Conn, req map[string]any) ([]byte, error) {
 	c.next++
 	req["id"] = c.next
 	if err := conn.WriteJSON(req); err != nil {
-		c.conn = nil
+		c.drop(conn)
 		return nil, err
 	}
-	var resp struct {
-		ID     any             `json:"id"`
-		Status string          `json:"status"`
-		Error  string          `json:"error"`
-		Result json.RawMessage `json:"result"`
-	}
-	if err := conn.ReadJSON(&resp); err != nil {
-		c.conn = nil
+	_, frame, err := conn.ReadMessage()
+	if err != nil {
+		c.drop(conn)
 		return nil, err
+	}
+	var resp wire.XRPEnvelope
+	if err := c.codec.SplitXRPEnvelope(frame, &resp); err != nil {
+		c.drop(conn)
+		return nil, fmt.Errorf("collect: decoding xrp response: %w", err)
+	}
+	if resp.ID != c.next {
+		// One reply per request, in order: another id means the connection
+		// is a reply out of step, and every later read on it would be too.
+		c.drop(conn)
+		return nil, fmt.Errorf("collect: xrp reply carries id %d while request %d is outstanding: connection desynchronised", resp.ID, c.next)
 	}
 	if resp.Status != "success" {
 		return nil, fmt.Errorf("collect: xrp command failed: %s", resp.Error)
 	}
-	return resp.Result, nil
+	return append(wire.GetRaw(), resp.Result...), nil
 }
 
 // Head returns the latest validated ledger index.
@@ -297,6 +320,7 @@ func (c *XRPClient) Head(ctx context.Context) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
+	defer wire.PutRaw(raw)
 	var res struct {
 		Info struct {
 			ValidatedLedger struct {
@@ -312,14 +336,10 @@ func (c *XRPClient) Head(ctx context.Context) (int64, error) {
 
 // FetchBlock retrieves one ledger (with expanded transactions) as raw JSON.
 func (c *XRPClient) FetchBlock(ctx context.Context, index int64) ([]byte, error) {
-	raw, err := c.call(ctx, map[string]any{
+	return c.call(ctx, map[string]any{
 		"command":      "ledger",
 		"ledger_index": index,
 		"transactions": true,
 		"expand":       true,
 	})
-	if err != nil {
-		return nil, err
-	}
-	return raw, nil
 }

@@ -508,3 +508,80 @@ func TestXRPClientCancelWakesSilentPeer(t *testing.T) {
 		t.Fatalf("server saw %d connections, want 2 (the cancelled one dropped, one redial)", n)
 	}
 }
+
+// TestXRPClientRefusesStaleReply: a connection that is one reply behind
+// answers every command with the reply to some other one. The client must
+// not serve that as the ledger it asked for: the call fails (retryably, like
+// every fetch error), the connection is closed, and the next call gets its
+// own reply on a fresh one — the result member byte for byte, whatever white
+// space the peer put around it, in a buffer the caller owns.
+func TestXRPClientRefusesStaleReply(t *testing.T) {
+	var conns atomic.Int64
+	firstClosed := make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		conn, err := wsrpc.Upgrade(w, r)
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		first := conns.Add(1) == 1
+		if first {
+			defer close(firstClosed)
+		}
+		for {
+			var req struct {
+				ID    int64 `json:"id"`
+				Index int64 `json:"ledger_index"`
+			}
+			if err := conn.ReadJSON(&req); err != nil {
+				return
+			}
+			id, index := req.ID, req.Index
+			if first {
+				id, index = id-1, index+1000 // the reply to the request before
+			}
+			frame := fmt.Sprintf(`{"id":%d,"status":"success","type":"response","result": {"ledger":{"ledger_index":%d}} }`, id, index)
+			if err := conn.WriteMessage(wsrpc.OpText, []byte(frame)); err != nil {
+				return
+			}
+		}
+	}))
+	defer srv.Close()
+
+	client := NewXRPClient("ws" + strings.TrimPrefix(srv.URL, "http"))
+	defer client.Close()
+	ctx := context.Background()
+	raw, err := client.FetchBlock(ctx, 5)
+	if err == nil {
+		t.Fatalf("the reply to another request was served as ledger 5: %s", raw)
+	}
+	if !strings.Contains(err.Error(), "desynchronised") {
+		t.Fatalf("stale reply refused with %v, want the desynchronisation named", err)
+	}
+	select {
+	case <-firstClosed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the desynchronised connection was forgotten, not closed")
+	}
+
+	raw, err = client.FetchBlock(ctx, 5)
+	if err != nil {
+		t.Fatalf("fetch after the dropped connection: %v", err)
+	}
+	if want := `{"ledger":{"ledger_index":5}}`; string(raw) != want {
+		t.Fatalf("ledger 5 served as %q, want %q", raw, want)
+	}
+	if n := conns.Load(); n != 2 {
+		t.Fatalf("server saw %d connections, want 2", n)
+	}
+	// The buffer is the caller's: scribbling over it and handing it back
+	// must not reach the next fetch.
+	for i := range raw {
+		raw[i] = 'x'
+	}
+	wire.PutRaw(raw)
+	again, err := client.FetchBlock(ctx, 6)
+	if err != nil || string(again) != `{"ledger":{"ledger_index":6}}` {
+		t.Fatalf("ledger 6 served as %q, %v", again, err)
+	}
+}

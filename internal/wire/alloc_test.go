@@ -131,6 +131,17 @@ func TestDecodeSteadyStateZeroAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+
+	// The split hands out a span of the frame and interned strings: the
+	// payload buffer its caller copies the span into is the only memory a
+	// fetched ledger costs.
+	frame := xrpResponse(envRaw)
+	var env XRPEnvelope
+	pinZeroAllocs(t, "SplitXRPEnvelope", func() {
+		if err := c.SplitXRPEnvelope(frame, &env); err != nil || env.Status != "success" || len(env.Result) != len(envRaw) {
+			t.Fatalf("split: %+v, %v", env, err)
+		}
+	})
 }
 
 // TestDecodeUniqueIDStreamStaysFlat is the zero pin on a stream that looks

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/json"
 	"slices"
 	"testing"
@@ -54,6 +55,23 @@ var xrpCase = chainCase[XRPLedgerJSON, XRPLedger]{
 	equal: func(a, b *XRPLedger) bool {
 		return a.CloseTime == b.CloseTime && slices.Equal(a.Transactions, b.Transactions)
 	},
+}
+
+// envelopeCase holds the response-envelope split to encoding/json into the
+// same struct; nothing is projected away.
+var envelopeCase = chainCase[XRPEnvelope, XRPEnvelope]{
+	fast:      (*Codec).splitXRPEnvelope,
+	decode:    (*Codec).SplitXRPEnvelope,
+	unmarshal: func(frame []byte, full *XRPEnvelope) error { return json.Unmarshal(frame, full) },
+	project:   func(full, into *XRPEnvelope) { *into = *full },
+	equal: func(a, b *XRPEnvelope) bool {
+		return a.ID == b.ID && a.Status == b.Status && a.Error == b.Error && bytes.Equal(a.Result, b.Result)
+	},
+}
+
+// xrpResponse wraps a result in the envelope rpcserve renders around it.
+func xrpResponse(result []byte) []byte {
+	return append(append([]byte(`{"id":7,"status":"success","type":"response","result":`), result...), '}')
 }
 
 // agree holds the decoder to its reference on one payload. The scanner may

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -125,17 +126,62 @@ var strictCases = []string{
 	`{"x":` + strings.Repeat("[", 300) + strings.Repeat("]", 300) + `}`,
 }
 
+// TestSplitXRPEnvelope: a canonical frame splits on the fast path into a
+// span of the frame itself; a frame the fast path refuses still splits, by
+// encoding/json, to the same value.
+func TestSplitXRPEnvelope(t *testing.T) {
+	c := NewCodec()
+	result := `{"ledger":{"ledger_index":3},"validated":true}`
+	frame := []byte(`{"id":41,"status":"success","type":"response","result": ` + result + ` }`)
+	var env XRPEnvelope
+	if err := c.splitXRPEnvelope(frame, &env); err != nil {
+		t.Fatalf("the fast split refuses a canonical frame: %v", err)
+	}
+	if env.ID != 41 || env.Status != "success" || env.Error != "" || string(env.Result) != result {
+		t.Fatalf("split: %+v", env)
+	}
+	if at := bytes.Index(frame, []byte(result)); &env.Result[0] != &frame[at] {
+		t.Fatal("the fast split copied the result instead of handing out its span")
+	}
+
+	folded := []byte(`{"ID":41,"Status":"error","ERROR":"lgrNotFound","Result":` + result + `}`)
+	if envelopeCase.accepts(c, folded) {
+		t.Fatal("folded keys must leave the fast path")
+	}
+	if err := c.SplitXRPEnvelope(folded, &env); err != nil {
+		t.Fatal(err)
+	}
+	if env.ID != 41 || env.Status != "error" || env.Error != "lgrNotFound" || string(env.Result) != result {
+		t.Fatalf("fallback split: %+v", env)
+	}
+	envelopeCase.agree(t, c, folded, &env)
+
+	// A reply to nobody: the id stays zero, which no request carries.
+	if err := c.SplitXRPEnvelope([]byte(`{"status":"success","result":{}}`), &env); err != nil || env.ID != 0 {
+		t.Fatalf("id-less reply: %+v, %v", env, err)
+	}
+	// An id that is not an integer is nobody's either, and refused.
+	for _, bad := range []string{`{"id":"41","status":"success"}`, `{"id":41.5,"status":"success"}`} {
+		if err := c.SplitXRPEnvelope([]byte(bad), &env); err == nil {
+			t.Errorf("%s accepted as %+v", bad, env)
+		}
+	}
+}
+
 // TestStrictCasesMatchStdlib holds every strict case to the reference, on
-// each chain, through one codec and one reused struct per chain.
+// each chain and on the XRP response envelope, through one codec and one
+// reused struct apiece.
 func TestStrictCasesMatchStdlib(t *testing.T) {
 	c := NewCodec()
 	var eb EOSBlock
 	var tz TezosBlock
 	var led XRPLedger
+	var env XRPEnvelope
 	for _, raw := range strictCases {
 		eosCase.agree(t, c, []byte(raw), &eb)
 		tezosCase.agree(t, c, []byte(raw), &tz)
 		xrpCase.agree(t, c, []byte(raw), &led)
+		envelopeCase.agree(t, c, []byte(raw), &env)
 	}
 }
 

@@ -34,7 +34,9 @@
 //     stored into a decoded struct is an owned copy, interned, and valid
 //     UTF-8 (invalid bytes become U+FFFD, as encoding/json decodes them).
 //     Only strings that are read are interned, so the table holds account
-//     names, action names and kinds, never ids, hashes or memos.
+//     names, action names and kinds, never ids, hashes or memos. The one
+//     view handed out is XRPEnvelope.Result, and it is a span of the
+//     caller's own frame, not of anything the codec holds.
 //   - Raw payload buffers recycle through GetRaw/PutRaw; a buffer handed
 //     to PutRaw must have no other holders.
 package wire

@@ -88,10 +88,10 @@ func appendXRPAmountField(dst []byte, key string, a *XRPAmountJSON) []byte {
 	return append(dst, '}')
 }
 
-// DecodeXRPLedgerResult parses the rippled command envelope
-// {"ledger": {...}, ...} the collector receives into the (typically
-// pooled) projection of its ledger; see DecodeEOSBlock for the fallback
-// contract.
+// DecodeXRPLedgerResult parses the result member of a ledger command's
+// response, {"ledger": {...}, ...}, as the collector hands it on (see
+// SplitXRPEnvelope) into the (typically pooled) projection of its ledger;
+// see DecodeEOSBlock for the fallback contract.
 func (c *Codec) DecodeXRPLedgerResult(raw []byte, into *XRPLedger) error {
 	if c.decodeXRPLedgerResult(raw, into) == nil {
 		return nil
@@ -134,7 +134,8 @@ func projectXRPAmount(a *XRPAmountJSON) XRPAmount {
 
 // Canonical field-name sets; see the EOS decoder for the fold contract.
 var (
-	xrpEnvelopeFields = []string{"ledger"}
+	xrpResponseFields = []string{"id", "status", "error", "result"}
+	xrpResultFields   = []string{"ledger"}
 	xrpLedgerFields   = []string{"ledger_index", "ledger_hash", "parent_hash", "close_time_human", "transaction_count", "transactions"}
 	xrpTxFields       = []string{"hash", "TransactionType", "Account", "Destination", "DestinationTag", "Fee", "Sequence", "Amount", "TakerGets", "TakerPays", "LimitAmount", "delivered_amount", "OfferSequence", "meta_TransactionResult", "executed", "resting_sequence"}
 	xrpAmountFields   = []string{"currency", "issuer", "value"}
@@ -148,7 +149,7 @@ func (c *Codec) decodeXRPLedgerResult(raw []byte, into *XRPLedger) error {
 	var seen uint8
 	err := l.object(func(key []byte) error {
 		if string(key) != "ledger" {
-			return l.skipUnknown(key, xrpEnvelopeFields)
+			return l.skipUnknown(key, xrpResultFields)
 		}
 		if read, err := l.first(&seen, 1); !read {
 			return err
@@ -264,6 +265,62 @@ func (c *Codec) decodeXRPAmount(seen *uint8, bit uint8, a *XRPAmount) error {
 		}
 		return l.skipUnknown(key, xrpAmountFields)
 	})
+}
+
+// XRPEnvelope is what the collector reads of a rippled WebSocket response.
+// The id is an integer because the collector's request ids are: a reply
+// whose id is anything else is refused, which is what a reply to some other
+// request deserves.
+type XRPEnvelope struct {
+	ID     int64  `json:"id"`
+	Status string `json:"status"`
+	Error  string `json:"error"`
+	// Result is the result member's bytes, verbatim. After the fast split it
+	// aliases the frame: copy it before letting go of that.
+	Result json.RawMessage `json:"result"`
+}
+
+// SplitXRPEnvelope splits one response frame into env in a single strict
+// pass of the lexer: the frame is held to the grammar encoding/json holds
+// it to, and the result member is checked and stepped over, not decoded.
+// See DecodeEOSBlock for the fallback contract.
+func (c *Codec) SplitXRPEnvelope(frame []byte, env *XRPEnvelope) error {
+	if c.splitXRPEnvelope(frame, env) == nil {
+		return nil
+	}
+	*env = XRPEnvelope{}
+	return json.Unmarshal(frame, env)
+}
+
+func (c *Codec) splitXRPEnvelope(frame []byte, env *XRPEnvelope) error {
+	l := &c.lex
+	l.reset(frame)
+	*env = XRPEnvelope{}
+	err := l.object(func(key []byte) error {
+		switch string(key) {
+		case "id":
+			return l.decodeInt64(&env.ID)
+		case "status":
+			return c.decodeStr(&env.Status)
+		case "error":
+			return c.decodeStr(&env.Error)
+		case "result":
+			// A repeated scalar or raw member is overwritten, as
+			// encoding/json overwrites it; a null result is the bytes "null".
+			l.skipWS()
+			start := l.pos
+			if err := l.skipValue(0); err != nil {
+				return err
+			}
+			env.Result = frame[start:l.pos]
+			return nil
+		}
+		return l.skipUnknown(key, xrpResponseFields)
+	})
+	if err != nil {
+		return err
+	}
+	return l.trailing()
 }
 
 // AppendXRPLedgerResponse renders the whole rippled WebSocket envelope for
