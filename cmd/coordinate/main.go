@@ -33,6 +33,14 @@
 // GET /v1/progress (-progress-addr): the gap-report shape plus per-task
 // lease/attempt/fence status, with the election epoch in X-Coord-Epoch.
 //
+// SIGINT or SIGTERM interrupts the run gracefully: each worker is sent a
+// SIGTERM, writes the checkpoint of the last chunk it holds complete, and
+// a rerun of the same command resumes the run state and those checkpoints.
+//
+// This command is the only launcher of a distributed crawl and its worker
+// the only shard producer. A fleet is several runs of it, each over its
+// own -from/-to sub-range and its own -store; cmd/merge joins the stores.
+//
 // Usage:
 //
 //	coordinate -chain eos -endpoint URL -to N -shards 4 -store STORE [-checkpoint-every N] [-gap-report FILE] [-standby] [-progress-addr HOST:PORT]
@@ -85,7 +93,6 @@ type workerPayload struct {
 	Every    int64         `json:"every"`
 	Workers  int           `json:"workers"`
 	Ingest   int           `json:"ingest"`
-	Batch    int           `json:"batch"`
 	Buffer   int           `json:"buffer"`
 	Retries  int           `json:"retries"`
 	Backoff  time.Duration `json:"backoff"`
@@ -112,7 +119,6 @@ type coordOpts struct {
 	parallel       int
 	workers        int
 	ingest         int
-	batch          int
 	buffer         int
 	retries        int
 	fetchBO        time.Duration
@@ -145,7 +151,6 @@ func main() {
 	flag.IntVar(&o.parallel, "parallel", 0, "slices running concurrently (0 = all)")
 	flag.IntVar(&o.workers, "workers", 4, "concurrent fetchers per worker (xrp uses 1)")
 	flag.IntVar(&o.ingest, "ingest", 2, "decode/ingest workers per worker")
-	flag.IntVar(&o.batch, "batch", 16, "decoded blocks an ingest worker folds into its shard per call")
 	flag.IntVar(&o.buffer, "buffer", 64, "per-worker stream buffer")
 	flag.IntVar(&o.retries, "fetch-retries", 3, "per-block fetch retries inside a worker")
 	flag.DurationVar(&o.fetchBO, "fetch-backoff", 200*time.Millisecond, "per-block fetch retry base backoff")
@@ -181,7 +186,8 @@ var errUsage = errors.New("usage")
 // workerMain is one shard worker: decode the payload, crawl the slice
 // with crash-recoverable checkpoints, emit the shard. It is this binary
 // re-exec'd, so a SIGKILL here is a real process death the coordinator
-// observes and retries.
+// observes and retries. SIGINT and SIGTERM cancel the crawl instead: the
+// worker exits 1 having lost only the chunk that was open.
 func workerMain(payload string, log io.Writer) int {
 	var p workerPayload
 	if err := json.Unmarshal([]byte(payload), &p); err != nil {
@@ -210,7 +216,7 @@ func workerMain(payload string, log io.Writer) int {
 	cfg := coord.CrawlerConfig{
 		Kit: kit, Fetcher: fetcher, From: p.From, To: p.To,
 		Store: store, CheckpointEvery: p.Every,
-		Workers: p.Workers, Ingest: p.Ingest, Batch: p.Batch, Buffer: p.Buffer,
+		Workers: p.Workers, Ingest: p.Ingest, Buffer: p.Buffer,
 		MaxRetries: p.Retries, Backoff: p.Backoff,
 		Fence: p.Fence,
 		Log:   log,
@@ -222,7 +228,9 @@ func workerMain(payload string, log io.Writer) int {
 			_ = syscall.Kill(os.Getpid(), syscall.SIGKILL)
 		}
 	}
-	if _, err := coord.RunShardCrawl(context.Background(), cfg); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if _, err := coord.RunShardCrawl(ctx, cfg); err != nil {
 		fmt.Fprintf(log, "worker: %v\n", err)
 		return 1
 	}
@@ -238,6 +246,10 @@ func run(ctx context.Context, o coordOpts, out, diag io.Writer) error {
 	// interval of zero that hammers the store without pause.
 	if o.leaseTTL <= 0 {
 		return fmt.Errorf("%w: -lease-ttl %v: must be positive", errUsage, o.leaseTTL)
+	}
+	// Config.Cut refuses this too, but only after the lease, state and head.
+	if o.shards < 1 {
+		return fmt.Errorf("%w: -shards %d: must be at least 1", errUsage, o.shards)
 	}
 	// Worker subprocesses, the renewal goroutines and the coordinator all
 	// write diagnostics concurrently; serialize whole writes so lines
@@ -416,6 +428,11 @@ func standbyAwait(ctx context.Context, o coordOpts, store blobstore.Store, owner
 	}
 }
 
+// workerGrace is how long a worker whose attempt was cancelled (an
+// interrupted coordinator, a lost lease) has, after the launcher's SIGTERM,
+// to put its last complete checkpoint before the launcher SIGKILLs it.
+const workerGrace = 10 * time.Second
+
 // workerLauncher execs one worker subprocess per attempt, tracking
 // attempt counts per slice so -chaos-kill poisons only the FIRST attempt
 // of its target (the relaunch must be allowed to recover).
@@ -445,7 +462,7 @@ func (l *workerLauncher) launch(ctx context.Context, t coord.Task) error {
 		Chain: o.chain, Endpoint: o.endpoint,
 		From: t.From, To: t.To,
 		Store: o.store, Every: o.every,
-		Workers: o.workers, Ingest: o.ingest, Batch: o.batch, Buffer: o.buffer,
+		Workers: o.workers, Ingest: o.ingest, Buffer: o.buffer,
 		Retries: o.retries, Backoff: o.fetchBO,
 		Fence:               t.Fence,
 		KillAfterCheckpoint: o.chaosKill == t.Index && attempt == 1,
@@ -455,6 +472,8 @@ func (l *workerLauncher) launch(ctx context.Context, t coord.Task) error {
 		return retry.Permanent(err)
 	}
 	cmd := exec.CommandContext(ctx, l.exe)
+	cmd.Cancel = func() error { return cmd.Process.Signal(syscall.SIGTERM) }
+	cmd.WaitDelay = workerGrace
 	cmd.Env = append(os.Environ(), workerEnv+"="+string(raw))
 	cmd.Stdout = l.diag
 	cmd.Stderr = l.diag

@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/blobstore"
 	"repro/internal/chain"
-	"repro/internal/cli"
 	"repro/internal/collect"
 	"repro/internal/coord"
 	"repro/internal/core"
@@ -66,7 +65,6 @@ type coordPayload struct {
 	Parallel       int           `json:"parallel"`
 	Workers        int           `json:"workers"`
 	Ingest         int           `json:"ingest"`
-	Batch          int           `json:"batch"`
 	Buffer         int           `json:"buffer"`
 	Retries        int           `json:"retries"`
 	FetchBO        time.Duration `json:"fetch_backoff"`
@@ -84,7 +82,7 @@ func payloadFrom(o coordOpts) coordPayload {
 		Shards: o.shards, Store: o.store, Every: o.every,
 		LeaseTTL: o.leaseTTL, Attempts: o.attempts, Backoff: o.backoff,
 		Parallel: o.parallel, Workers: o.workers, Ingest: o.ingest,
-		Batch: o.batch, Buffer: o.buffer, Retries: o.retries, FetchBO: o.fetchBO,
+		Buffer: o.buffer, Retries: o.retries, FetchBO: o.fetchBO,
 		GapReport: o.gapReport, ChaosKill: o.chaosKill, Owner: o.owner,
 		Standby: o.standby, ProgressAddr: o.progressAddr, ChaosKillCoord: o.chaosKillCoord,
 	}
@@ -96,7 +94,7 @@ func (p coordPayload) opts() coordOpts {
 		shards: p.Shards, store: p.Store, every: p.Every,
 		leaseTTL: p.LeaseTTL, attempts: p.Attempts, backoff: p.Backoff,
 		parallel: p.Parallel, workers: p.Workers, ingest: p.Ingest,
-		batch: p.Batch, buffer: p.Buffer, retries: p.Retries, fetchBO: p.FetchBO,
+		buffer: p.Buffer, retries: p.Retries, fetchBO: p.FetchBO,
 		gapReport: p.GapReport, chaosKill: p.ChaosKill, owner: p.Owner,
 		standby: p.Standby, progressAddr: p.ProgressAddr, chaosKillCoord: p.ChaosKillCoord,
 	}
@@ -195,7 +193,7 @@ func testOpts(endpoint, store string) coordOpts {
 		chain: "eos", endpoint: endpoint, from: 1, to: 0,
 		shards: 3, store: store, every: 5,
 		leaseTTL: time.Minute, attempts: 8, backoff: 5 * time.Millisecond,
-		workers: 2, ingest: 2, batch: 4, buffer: 8,
+		workers: 2, ingest: 2, buffer: 8,
 		retries: 2, fetchBO: 5 * time.Millisecond,
 	}
 }
@@ -253,11 +251,11 @@ func TestCoordinateChaosKillResume(t *testing.T) {
 func TestCoordinateGapReportPartial(t *testing.T) {
 	inner := newEOSServer(t, 30)
 	head := eosHead(t, inner.URL)
-	spec := cli.ShardSpec{I: 2, N: 3}
-	lo, hi, err := spec.Cut(1, head)
+	tasks, err := coord.Config{Chain: "eos", From: 1, To: head, Shards: 3}.Cut()
 	if err != nil {
 		t.Fatal(err)
 	}
+	lo, hi := tasks[1].From, tasks[1].To
 	srv := blackout(t, inner, lo, hi)
 
 	dir := t.TempDir()
@@ -501,10 +499,155 @@ func TestCoordinateStandbyTakeover(t *testing.T) {
 	}
 }
 
+// TestCoordinateHalvesMerge is the multi-machine recipe at unit scale: two
+// coordinate runs, each over one half of the range into its own file://
+// store, joined the way cmd/merge joins stores — shards pooled through
+// core.LoadShards, fence floors unioned from coord.FenceIndex, one strict
+// core.MergeShards — render figures byte-identical to a single-process
+// crawl of the whole range.
+func TestCoordinateHalvesMerge(t *testing.T) {
+	srv := newEOSServer(t, 45)
+	head := eosHead(t, srv.URL)
+	want := oracle(t, srv.URL, head)
+
+	dir := t.TempDir()
+	ctx := context.Background()
+	var pooled []core.ShardBlob
+	floors := make(map[string]uint64)
+	for i, half := range [][2]int64{{1, head / 2}, {head/2 + 1, head}} {
+		o := testOpts(srv.URL, "file://"+filepath.Join(dir, fmt.Sprintf("half-%d", i)))
+		o.from, o.to, o.shards = half[0], half[1], 2
+		var out, diag bytes.Buffer
+		if err := run(ctx, o, &out, &diag); err != nil {
+			t.Fatalf("coordinate over [%d, %d]: %v\n%s", half[0], half[1], err, diag.String())
+		}
+		if out.String() == want {
+			t.Fatalf("half [%d, %d] already renders the whole range's figures", half[0], half[1])
+		}
+		store, err := blobstore.Resolve(o.store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blobs, err := core.LoadShards(ctx, store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(blobs) != o.shards {
+			t.Fatalf("store %s holds %d shards, want %d", o.store, len(blobs), o.shards)
+		}
+		pooled = append(pooled, blobs...)
+		index, err := coord.FenceIndex(ctx, store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for task, fence := range index {
+			floors[task] = max(floors[task], fence)
+		}
+	}
+	merged, _, err := core.MergeShards(pooled, false, floors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := merged.Summary().Render(); got != want {
+		t.Errorf("two half-range runs merged differ from single-process oracle\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+	if got, wantCov := merged.Covered(), (core.BlockRange{From: 1, To: head}); got != wantCov {
+		t.Errorf("merged covered %s, want %s", got, wantCov)
+	}
+}
+
+// triggerWriter collects diagnostics and calls fire once, the first time
+// needle has been written.
+type triggerWriter struct {
+	mu     sync.Mutex
+	buf    bytes.Buffer
+	needle string
+	fire   func()
+}
+
+func (w *triggerWriter) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.buf.Write(p)
+	if w.fire != nil && bytes.Contains(w.buf.Bytes(), []byte(w.needle)) {
+		w.fire()
+		w.fire = nil
+	}
+	return len(p), nil
+}
+
+func (w *triggerWriter) String() string {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.buf.String()
+}
+
+// TestCoordinateInterruptResume: an interrupted coordinator asks its worker
+// to stop (SIGTERM) instead of SIGKILLing it, so the worker — a real
+// subprocess — still writes the checkpoint of the chunks it holds complete
+// and says why it exits; the rerun resumes from that checkpoint and
+// finishes byte-identical to the single-process oracle.
+func TestCoordinateInterruptResume(t *testing.T) {
+	inner := newEOSServer(t, 45)
+	head := eosHead(t, inner.URL)
+	want := oracle(t, inner.URL, head)
+	srv := delayProxy(t, inner, 20*time.Millisecond)
+
+	o := testOpts(srv.URL, "file://"+filepath.Join(t.TempDir(), "store"))
+	o.shards = 1
+
+	// Interrupt mid-slice: as soon as the worker reports its first
+	// checkpoint, with most of the slice still to crawl.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	diag1 := &triggerWriter{needle: "checkpoint:", fire: cancel}
+	var out1 bytes.Buffer
+	if err := run(ctx, o, &out1, diag1); err == nil {
+		t.Fatalf("interrupted run exited clean:\n%s", diag1.String())
+	}
+	if ctx.Err() == nil {
+		t.Fatalf("run failed before any checkpoint was written:\n%s", diag1.String())
+	}
+	if !strings.Contains(diag1.String(), "worker: ") || !strings.Contains(diag1.String(), "context canceled") {
+		t.Errorf("worker did not report a cancelled crawl:\n%s", diag1.String())
+	}
+	if strings.Contains(diag1.String(), "signal: killed") {
+		t.Errorf("worker was SIGKILLed instead of stopping on SIGTERM:\n%s", diag1.String())
+	}
+	store, err := blobstore.Resolve(o.store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := store.Get(context.Background(), coord.CheckpointKey("eos", 1, head))
+	if err != nil {
+		t.Fatalf("interrupted worker left no checkpoint: %v\n%s", err, diag1.String())
+	}
+	ck, err := core.DecodeShard(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cov := ck.Covered(); !cov.Known() || cov.To != head || cov.From <= 1 {
+		t.Fatalf("checkpoint covers %s, want a proper suffix of [1, %d]", cov, head)
+	}
+
+	var out2, diag2 bytes.Buffer
+	if err := run(context.Background(), o, &out2, &diag2); err != nil {
+		t.Fatalf("rerun: %v\n%s", err, diag2.String())
+	}
+	if !strings.Contains(diag2.String(), "resuming:") {
+		t.Errorf("rerun's worker did not resume from the checkpoint:\n%s", diag2.String())
+	}
+	if out2.String() != want {
+		t.Errorf("resumed figures differ from single-process oracle\n--- got ---\n%s--- want ---\n%s", out2.String(), want)
+	}
+}
+
 // TestNonPositiveLeaseTTLRefusedBeforeAnyDial: a standby with -lease-ttl 0
 // used to claim leases born expired and poll the store with no pause between
-// rounds. run refuses the value as a usage error before it dials the
-// endpoint (there is none listening here) or touches the store.
+// rounds, and -shards 0 used to win the run lease, load run state and pin
+// head before the cut refused it. run refuses both values as usage errors
+// before it dials the endpoint (there is none listening here) or touches
+// the store.
 func TestNonPositiveLeaseTTLRefusedBeforeAnyDial(t *testing.T) {
 	store := blobstore.OpenMemory("lease-ttl-zero")
 	// The memory store counts hits only: leave a run state for a standby's
@@ -513,15 +656,24 @@ func TestNonPositiveLeaseTTLRefusedBeforeAnyDial(t *testing.T) {
 		t.Fatal(err)
 	}
 	store.ResetOps()
-	for _, ttl := range []time.Duration{0, -time.Second} {
+	rows := []struct {
+		flag   string
+		ttl    time.Duration
+		shards int
+	}{
+		{"-lease-ttl", 0, 3},
+		{"-lease-ttl", -time.Second, 3},
+		{"-shards", time.Minute, 0},
+	}
+	for _, row := range rows {
 		for _, standby := range []bool{true, false} {
 			o := testOpts("http://127.0.0.1:1", store.URL())
-			o.leaseTTL, o.standby = ttl, standby
+			o.leaseTTL, o.shards, o.standby = row.ttl, row.shards, standby
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 			err := run(ctx, o, io.Discard, io.Discard)
 			cancel()
-			if !errors.Is(err, errUsage) || !strings.Contains(err.Error(), "-lease-ttl") {
-				t.Errorf("ttl %v standby %v: run = %v, want a usage error naming -lease-ttl", ttl, standby, err)
+			if !errors.Is(err, errUsage) || !strings.Contains(err.Error(), row.flag) {
+				t.Errorf("ttl %v shards %d standby %v: run = %v, want a usage error naming %s", o.leaseTTL, o.shards, standby, err, row.flag)
 			}
 		}
 	}

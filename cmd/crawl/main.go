@@ -22,33 +22,15 @@
 // reproduces byte-for-byte — on any backend — which the CI archive job
 // diffs.
 //
-// With -shard i/n the crawl becomes one worker of a distributed crawl: it
-// pins the block range (resolving head once if -to is 0), fetches only its
-// i-th contiguous slice, and with -emit-shard serializes its drained
-// aggregate into a blob store for cmd/merge to validate and fold with the
-// other shards — the merged figures are byte-identical to a single-process
-// crawl, which the CI distributed job diffs.
-//
-// With -checkpoint-every N the shard crawl becomes crash-recoverable:
-// every N blocks the FULL aggregate as of that boundary is persisted to the
-// -emit-shard store, beside the running crawl (internal/coord), so a
-// worker killed at any instant resumes from the last checkpoint written
-// and still emits a complete shard.
-// cmd/coordinate runs the same worker (coord.RunShardCrawl) but never
-// launches this command: it re-execs itself with the slice, the store and
-// the fence token (its slice lease's attempt count) in
-// COORDINATE_WORKER_PAYLOAD. -fence is for fleets driven by hand or by
-// another supervisor (crawl -shard i/n -emit-shard STORE -fence N): the
-// token is stamped into the emitted shard, and validation and merge refuse
-// a shard fenced below the newest lease lineage the store remembers, so a
-// superseded worker cannot clobber its successor's shard.
+// A crawl is one process over one range: the oracle that the figures of
+// a distributed crawl (cmd/coordinate, whose stores cmd/merge joins) are
+// diffed against.
 //
 // Usage:
 //
 //	crawl -chain eos   -endpoint http://127.0.0.1:PORT [-archive STORE]
 //	crawl -chain tezos -endpoint http://127.0.0.1:PORT [-archive STORE]
 //	crawl -chain xrp   -endpoint ws://127.0.0.1:PORT   [-archive STORE]
-//	crawl -chain eos   -endpoint URL -shard 2/3 -emit-shard STORE
 package main
 
 import (
@@ -63,42 +45,30 @@ import (
 	"time"
 
 	"repro/internal/archive"
-	"repro/internal/blobstore"
 	"repro/internal/chain"
 	"repro/internal/cli"
 	"repro/internal/collect"
-	"repro/internal/coord"
 	"repro/internal/core"
 	"repro/internal/prof"
 )
 
 type crawlOpts struct {
 	cli.ArchiveFlags
-	chain           string
-	endpoint        string
-	checkpointEvery int64
-	workers         int
-	ingest          int
-	batch           int
-	buffer          int
-	shard           cli.ShardSpec
-	emitShard       string
-	fence           uint64
+	chain    string
+	endpoint string
+	workers  int
+	ingest   int
+	buffer   int
 }
 
 func main() {
 	var o crawlOpts
 	flag.StringVar(&o.chain, "chain", "", "eos, tezos or xrp")
 	flag.StringVar(&o.endpoint, "endpoint", "", "endpoint URL")
-	flag.Int64Var(&o.checkpointEvery, "checkpoint-every", 0, "blocks per crash-recoverable chunk: with -emit-shard, persist the full aggregate to the shard store after each chunk and resume from it after a kill (incompatible with -archive)")
 	o.ArchiveFlags.Register(flag.CommandLine, cli.ModeCrawl)
 	flag.IntVar(&o.workers, "workers", 4, "concurrent fetchers (xrp uses 1)")
 	flag.IntVar(&o.ingest, "ingest", 2, "decode/ingest workers")
-	flag.IntVar(&o.batch, "batch", 16, "decoded blocks an ingest worker folds into its shard per call")
 	flag.IntVar(&o.buffer, "buffer", 64, "stream buffer: max fetched-but-unprocessed blocks")
-	flag.Var(&o.shard, "shard", "crawl shard i of n ('i/n'): fetch only the i-th contiguous slice of the block range (distributed crawl; combine with -emit-shard and cmd/merge)")
-	flag.StringVar(&o.emitShard, "emit-shard", "", "after a clean crawl, serialize the drained shard state into this blob-store location for cmd/merge")
-	flag.Uint64Var(&o.fence, "fence", 0, "lease fence token to stamp into the emitted shard, for hand-driven fleets (cmd/coordinate passes its workers theirs itself); a stale fence is refused at validation and merge")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file (pprof evidence for perf work)")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
@@ -107,10 +77,6 @@ func main() {
 		os.Exit(2)
 	}
 	if err := o.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "crawl:", err)
-		os.Exit(2)
-	}
-	if err := cli.ValidateStore(o.emitShard); err != nil {
 		fmt.Fprintln(os.Stderr, "crawl:", err)
 		os.Exit(2)
 	}
@@ -157,68 +123,8 @@ func run(ctx context.Context, o crawlOpts, out io.Writer) error {
 		o.workers = maxWorkers
 	}
 
-	from, to := o.From, o.To
-	if o.shard.Enabled() {
-		// A shard crawls a fixed slice, so the range must be concrete
-		// before the cut: resolve head once here rather than letting each
-		// shard race the growing chain to its own notion of "head" —
-		// n processes started with the same -from/-to always tile the
-		// same span only if that span is pinned.
-		if to == 0 {
-			if to, err = fetcher.Head(ctx); err != nil {
-				return fmt.Errorf("resolving head for -shard %s: %w", o.shard.String(), err)
-			}
-		}
-		fullFrom, fullTo := from, to
-		if from, to, err = o.shard.Cut(from, to); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "shard:       %s of [%d, %d] -> [%d, %d]\n", o.shard.String(), fullFrom, fullTo, from, to)
-	}
-
-	if o.checkpointEvery > 0 {
-		// Crash-recoverable mode: the crawl runs in chunks and persists the
-		// FULL aggregate to the shard store after each one, so a killed
-		// worker with no archive resumes into a shard-emittable state.
-		if o.emitShard == "" {
-			return fmt.Errorf("-checkpoint-every requires -emit-shard: the crash-recoverable checkpoint lives in the shard store")
-		}
-		if o.Archive != "" {
-			return fmt.Errorf("-checkpoint-every is incompatible with -archive: an archived crawl already resumes from its archive, pick one durable record")
-		}
-		if to == 0 {
-			if to, err = fetcher.Head(ctx); err != nil {
-				return fmt.Errorf("resolving head for -checkpoint-every: %w", err)
-			}
-		}
-		store, err := blobstore.Resolve(o.emitShard)
-		if err != nil {
-			return err
-		}
-		outc, err := coord.RunShardCrawl(ctx, coord.CrawlerConfig{
-			Kit: kit, Fetcher: fetcher, From: from, To: to,
-			Store: store, CheckpointEvery: o.checkpointEvery,
-			Workers: o.workers, Ingest: o.ingest, Batch: o.batch, Buffer: o.buffer,
-			Fence: o.fence,
-			Log:   out,
-		})
-		fmt.Fprintf(out, "chain:       %s\n", o.chain)
-		fmt.Fprintf(out, "blocks:      %d (retries %d)\n", outc.Blocks, outc.Retries)
-		if outc.Resumed.Known() {
-			fmt.Fprintf(out, "resumed:     %s arrived via the blob-store checkpoint, not refetched\n", outc.Resumed)
-		}
-		if err != nil {
-			if errors.Is(err, context.Canceled) {
-				fmt.Fprintln(out, "interrupted — rerun with the same flags to resume from the last checkpoint")
-			}
-			return err
-		}
-		fmt.Fprint(out, kit.Summarize().Render())
-		return nil
-	}
-
 	cfg := collect.CrawlConfig{
-		From: from, To: to,
+		From: o.From, To: o.To,
 		Workers: o.workers, Buffer: o.buffer,
 	}
 	var sink *archive.Crawl
@@ -230,7 +136,7 @@ func run(ctx context.Context, o crawlOpts, out io.Writer) error {
 		fetcher, cfg.Tee = sink, sink.Tee
 	}
 
-	res, handle, err := core.IngestCrawl(ctx, fetcher, cfg, kit.Decoder, core.IngestConfig{Workers: o.ingest, Batch: o.batch})
+	res, _, err := core.IngestCrawl(ctx, fetcher, cfg, kit.Decoder, core.IngestConfig{Workers: o.ingest})
 	// The stream is fully drained, so no Append can still be in flight;
 	// finalize the archive before reporting anything. Interrupted and
 	// failed crawls finalize too — everything teed so far is intact and a
@@ -273,23 +179,6 @@ func run(ctx context.Context, o crawlOpts, out io.Writer) error {
 	}
 	if err != nil {
 		return err
-	}
-	if o.emitShard != "" {
-		// Serialize the drained shard state for cmd/merge. Every block of
-		// the range went through this run's aggregate — archived ones
-		// included — so the shard covers what it claims.
-		st := kit.State()
-		from, to := handle.Range()
-		st.SetCovered(core.BlockRange{From: from, To: to})
-		store, err := blobstore.Resolve(o.emitShard)
-		if err != nil {
-			return err
-		}
-		key, err := core.EmitShard(ctx, store, st, o.fence)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "emitted:     %s @ %s\n", key, o.emitShard)
 	}
 	// The deterministic figures section: derived only from the set of
 	// blocks this run ingested, so an offline replay of the same archive

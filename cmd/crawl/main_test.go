@@ -4,10 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
-	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -22,7 +20,6 @@ import (
 	"repro/internal/chain"
 	"repro/internal/cli"
 	"repro/internal/collect"
-	"repro/internal/coord"
 	"repro/internal/core"
 	"repro/internal/eos"
 	"repro/internal/rpcserve"
@@ -157,7 +154,7 @@ func TestCrawlInterruptResume(t *testing.T) {
 	base := crawlOpts{
 		ArchiveFlags: cli.ArchiveFlags{From: 1},
 		chain:        "eos", endpoint: s.srv.URL,
-		workers: 2, ingest: 2, batch: 4, buffer: 8,
+		workers: 2, ingest: 2, buffer: 8,
 	}
 	var oracle bytes.Buffer
 	if err := run(context.Background(), base, &oracle); err != nil {
@@ -295,7 +292,7 @@ func TestCrawlInterruptWithoutCheckpointFails(t *testing.T) {
 	s.limit, s.interrupt = 10, cancel
 	s.mu.Unlock()
 	var out bytes.Buffer
-	err := run(ctx, crawlOpts{ArchiveFlags: cli.ArchiveFlags{From: 1}, chain: "eos", endpoint: s.srv.URL, workers: 2, ingest: 1, batch: 4, buffer: 8}, &out)
+	err := run(ctx, crawlOpts{ArchiveFlags: cli.ArchiveFlags{From: 1}, chain: "eos", endpoint: s.srv.URL, workers: 2, ingest: 1, buffer: 8}, &out)
 	if err == nil {
 		t.Fatalf("interrupted archive-less run exited clean:\n%s", out.String())
 	}
@@ -316,7 +313,7 @@ func TestCrawlArchiveReplayDeterminism(t *testing.T) {
 	err := run(context.Background(), crawlOpts{
 		ArchiveFlags: cli.ArchiveFlags{Archive: arch, From: 1},
 		chain:        "eos", endpoint: s.srv.URL,
-		workers: 2, ingest: 2, batch: 4, buffer: 8,
+		workers: 2, ingest: 2, buffer: 8,
 	}, &out)
 	if err != nil {
 		t.Fatalf("archived crawl failed: %v\n%s", err, out.String())
@@ -375,7 +372,7 @@ func TestCrawlArchiveCrossBackendDeterminism(t *testing.T) {
 		err := run(context.Background(), crawlOpts{
 			ArchiveFlags: cli.ArchiveFlags{Archive: loc, From: 1},
 			chain:        "eos", endpoint: s.srv.URL,
-			workers: 2, ingest: 2, batch: 4, buffer: 8,
+			workers: 2, ingest: 2, buffer: 8,
 		}, &out)
 		if err != nil {
 			t.Fatalf("%s: archived crawl failed: %v\n%s", backend, err, out.String())
@@ -444,7 +441,7 @@ func TestCrawlArchiveCrossBackendDeterminism(t *testing.T) {
 	if err := run(context.Background(), crawlOpts{
 		ArchiveFlags: cli.ArchiveFlags{From: 1},
 		chain:        "eos", endpoint: s.srv.URL,
-		workers: 2, ingest: 2, batch: 4, buffer: 8,
+		workers: 2, ingest: 2, buffer: 8,
 	}, &out); err != nil {
 		t.Fatalf("plain crawl failed: %v\n%s", err, out.String())
 	}
@@ -481,7 +478,7 @@ func TestCrawlArchiveInterruptResume(t *testing.T) {
 	opts := crawlOpts{
 		ArchiveFlags: cli.ArchiveFlags{Archive: arch, From: 1},
 		chain:        "eos", endpoint: s.srv.URL,
-		workers: 2, ingest: 2, batch: 4, buffer: 8,
+		workers: 2, ingest: 2, buffer: 8,
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -523,270 +520,5 @@ func TestCrawlArchiveInterruptResume(t *testing.T) {
 func TestCrawlUnknownChain(t *testing.T) {
 	if err := run(context.Background(), crawlOpts{chain: "doge", endpoint: "http://x"}, io.Discard); err == nil {
 		t.Fatal("unknown chain accepted")
-	}
-}
-
-// TestCrawlShardEmitMerge is the distributed-crawl acceptance path at unit
-// scale: three -shard i/3 runs against the same server each emit their
-// drained state to a shared mem:// store, cmd/merge's core path
-// (LoadShards + MergeShards) folds them, and the merged figures are
-// byte-identical to a single-process crawl over the whole range.
-func TestCrawlShardEmitMerge(t *testing.T) {
-	const total = 42
-	s := newCountingEOSServer(t, total)
-
-	// Baseline: one process crawls everything.
-	var single bytes.Buffer
-	err := run(context.Background(), crawlOpts{
-		ArchiveFlags: cli.ArchiveFlags{From: 1},
-		chain:        "eos", endpoint: s.srv.URL,
-		workers: 2, ingest: 2, batch: 4, buffer: 8,
-	}, &single)
-	if err != nil {
-		t.Fatalf("single crawl: %v\n%s", err, single.String())
-	}
-	idx := strings.Index(single.String(), "--- eos figures ---")
-	if idx < 0 {
-		t.Fatalf("single crawl printed no figures:\n%s", single.String())
-	}
-	want := single.String()[idx:]
-
-	// Three shards, each a separate run; -to stays 0 so every shard
-	// resolves head itself (the chain is no longer growing).
-	const store = "mem://crawl-shard-emit"
-	for i := 1; i <= 3; i++ {
-		var shard cli.ShardSpec
-		if err := shard.Set(fmt.Sprintf("%d/3", i)); err != nil {
-			t.Fatal(err)
-		}
-		var out bytes.Buffer
-		err := run(context.Background(), crawlOpts{
-			ArchiveFlags: cli.ArchiveFlags{From: 1},
-			chain:        "eos", endpoint: s.srv.URL,
-			workers: 2, ingest: 2, batch: 4, buffer: 8,
-			shard: shard, emitShard: store,
-		}, &out)
-		if err != nil {
-			t.Fatalf("shard %d/3: %v\n%s", i, err, out.String())
-		}
-		if !strings.Contains(out.String(), "emitted:") {
-			t.Fatalf("shard %d/3 emitted nothing:\n%s", i, out.String())
-		}
-	}
-
-	shards, err := core.LoadShards(context.Background(), openStore(t, store))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(shards) != 3 {
-		t.Fatalf("loaded %d shards, want 3", len(shards))
-	}
-	merged, _, err := core.MergeShards(shards, false, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := merged.Summary().Render(); got != want {
-		t.Fatalf("3-way sharded crawl diverged from single process\n--- single ---\n%s\n--- merged ---\n%s", want, got)
-	}
-	if got, wantCov := merged.Covered(), (core.BlockRange{From: 1, To: total}); got != wantCov {
-		t.Fatalf("merged covered %s, want %s", got, wantCov)
-	}
-}
-
-// TestCrawlCheckpointEveryKillResumeEmit: the crash-recoverable shard path
-// end to end — a crawl killed mid-slice resumes from the blob-store
-// checkpoint, refetches nothing the checkpoint covers, and still emits a
-// shard whose figures match an uninterrupted single-process crawl.
-func TestCrawlCheckpointEveryKillResumeEmit(t *testing.T) {
-	const total = 40
-	s := newCountingEOSServer(t, total)
-
-	// Oracle: one uninterrupted process over the whole range.
-	var single bytes.Buffer
-	if err := run(context.Background(), crawlOpts{
-		ArchiveFlags: cli.ArchiveFlags{From: 1},
-		chain:        "eos", endpoint: s.srv.URL,
-		workers: 2, ingest: 2, batch: 4, buffer: 8,
-	}, &single); err != nil {
-		t.Fatalf("single crawl: %v\n%s", err, single.String())
-	}
-	idx := strings.Index(single.String(), "--- eos figures ---")
-	if idx < 0 {
-		t.Fatalf("single crawl printed no figures:\n%s", single.String())
-	}
-	want := single.String()[idx:]
-
-	const store = "mem://crawl-ckpt-every"
-	opts := crawlOpts{
-		ArchiveFlags: cli.ArchiveFlags{From: 1, To: total},
-		chain:        "eos", endpoint: s.srv.URL,
-		workers: 2, ingest: 2, batch: 4, buffer: 8,
-		emitShard: store, checkpointEvery: 8,
-	}
-
-	s.reset()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	s.mu.Lock()
-	s.limit, s.interrupt = 18, cancel
-	s.mu.Unlock()
-	var out1 bytes.Buffer
-	if err := run(ctx, opts, &out1); err == nil {
-		t.Fatalf("interrupted run exited clean:\n%s", out1.String())
-	}
-	if !strings.Contains(out1.String(), "rerun with the same flags") {
-		t.Fatalf("interrupted run printed no resume hint:\n%s", out1.String())
-	}
-
-	// The surviving checkpoint defines which blocks must never be refetched.
-	st, err := blobstore.Resolve(store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ckptKey := coord.CheckpointKey("eos", 1, total)
-	raw, err := st.Get(context.Background(), ckptKey)
-	if err != nil {
-		t.Fatalf("interrupted run left no checkpoint: %v", err)
-	}
-	ck, err := core.DecodeShard(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cov := ck.Covered()
-	if !cov.Known() || cov.To != total {
-		t.Fatalf("checkpoint covers %s, want a suffix ending at %d", cov, total)
-	}
-
-	s.reset()
-	var out2 bytes.Buffer
-	if err := run(context.Background(), opts, &out2); err != nil {
-		t.Fatalf("resumed run: %v\n%s", err, out2.String())
-	}
-	for _, num := range s.fetchedNums() {
-		if num >= cov.From && num <= cov.To {
-			t.Errorf("resumed run refetched block %d inside checkpointed range %s", num, cov)
-		}
-	}
-	if !strings.Contains(out2.String(), "resumed:") {
-		t.Fatalf("resumed run did not report the checkpoint it picked up:\n%s", out2.String())
-	}
-
-	shards, err := core.LoadShards(context.Background(), openStore(t, store))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(shards) != 1 {
-		t.Fatalf("loaded %d shards, want 1", len(shards))
-	}
-	if got := shards[0].State.Summary().Render(); got != want {
-		t.Fatalf("kill-resumed crawl diverged from single process\n--- single ---\n%s\n--- resumed ---\n%s", want, got)
-	}
-	// The emitted shard supersedes the checkpoint.
-	if _, err := st.Get(context.Background(), ckptKey); !errors.Is(err, fs.ErrNotExist) {
-		t.Fatalf("checkpoint survived the shard emit (err %v)", err)
-	}
-}
-
-// TestCrawlCheckpointEveryValidation: the flag combinations that would
-// silently corrupt recovery are refused up front.
-func TestCrawlCheckpointEveryValidation(t *testing.T) {
-	cases := []struct {
-		name, wantSub string
-		mutate        func(*crawlOpts)
-	}{
-		{"without emit-shard", "requires -emit-shard", func(o *crawlOpts) {}},
-		{"with archive", "incompatible with -archive", func(o *crawlOpts) {
-			o.emitShard, o.Archive = "mem://ckpt-every-val", "mem://ckpt-every-arch"
-		}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			o := crawlOpts{
-				ArchiveFlags: cli.ArchiveFlags{From: 1, To: 5},
-				chain:        "eos", endpoint: "http://127.0.0.1:1",
-				workers: 1, ingest: 1, batch: 1, buffer: 1,
-				checkpointEvery: 2,
-			}
-			tc.mutate(&o)
-			err := run(context.Background(), o, io.Discard)
-			if err == nil || !strings.Contains(err.Error(), tc.wantSub) {
-				t.Fatalf("got %v, want error containing %q", err, tc.wantSub)
-			}
-		})
-	}
-}
-
-// TestCrawlEmitShardAfterResume: a resumed archived crawl folds every block
-// of its range — the archived ones too — into its own aggregate, so it may
-// emit a shard. Three -shard i/3 -archive runs, each interrupted and then
-// resumed, merge to figures byte-identical to a single-process crawl.
-func TestCrawlEmitShardAfterResume(t *testing.T) {
-	const total = 42
-	s := newCountingEOSServer(t, total)
-	base := crawlOpts{
-		ArchiveFlags: cli.ArchiveFlags{From: 1},
-		chain:        "eos", endpoint: s.srv.URL,
-		workers: 2, ingest: 2, batch: 4, buffer: 8,
-	}
-	var single bytes.Buffer
-	if err := run(context.Background(), base, &single); err != nil {
-		t.Fatalf("single crawl: %v\n%s", err, single.String())
-	}
-	want := figuresOf(t, single.String())
-
-	const store = "mem://crawl-emit-after-resume"
-	dir := t.TempDir()
-	for i := 1; i <= 3; i++ {
-		opts := base
-		if err := opts.shard.Set(fmt.Sprintf("%d/3", i)); err != nil {
-			t.Fatal(err)
-		}
-		opts.Archive = filepath.Join(dir, fmt.Sprintf("shard-%d", i))
-		opts.emitShard = store
-
-		s.reset()
-		ctx, cancel := context.WithCancel(context.Background())
-		s.mu.Lock()
-		s.limit, s.interrupt = 6, cancel
-		s.mu.Unlock()
-		var out1 bytes.Buffer
-		err := run(ctx, opts, &out1)
-		cancel()
-		if err != nil {
-			t.Fatalf("shard %d/3 interrupted run: %v\n%s", i, err, out1.String())
-		}
-		if strings.Contains(out1.String(), "emitted:") {
-			t.Fatalf("shard %d/3 emitted from an interrupted run:\n%s", i, out1.String())
-		}
-
-		s.reset()
-		var out2 bytes.Buffer
-		if err := run(context.Background(), opts, &out2); err != nil {
-			t.Fatalf("shard %d/3 resumed run: %v\n%s", i, err, out2.String())
-		}
-		if !strings.Contains(out2.String(), "emitted:") {
-			t.Fatalf("shard %d/3 resumed run emitted nothing:\n%s", i, out2.String())
-		}
-		if got := len(s.fetchedNums()); got >= total/3 {
-			t.Fatalf("shard %d/3 resumed run refetched its whole slice (%d blocks)", i, got)
-		}
-	}
-
-	shards, err := core.LoadShards(context.Background(), openStore(t, store))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(shards) != 3 {
-		t.Fatalf("loaded %d shards, want 3", len(shards))
-	}
-	merged, _, err := core.MergeShards(shards, false, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := merged.Summary().Render(); got != want {
-		t.Fatalf("resumed shards diverged from single process\n--- single ---\n%s\n--- merged ---\n%s", want, got)
-	}
-	if got, wantCov := merged.Covered(), (core.BlockRange{From: 1, To: total}); got != wantCov {
-		t.Fatalf("merged covered %s, want %s", got, wantCov)
 	}
 }

@@ -1,11 +1,15 @@
-// Command merge is the distributed-crawl coordinator: it loads the shard
-// blobs that cmd/crawl -emit-shard (or cmd/report -replay -emit-shard)
-// workers serialized into blob stores, validates that each chain's shards
-// are compatible and tile a contiguous block range, folds them through the
-// same core.ShardState merge a single process uses, and prints each
-// chain's deterministic figures section to stdout — byte-identical to
-// what one process crawling the whole range would have printed, which the
-// CI distributed job diffs.
+// Command merge joins the stores of one or more cmd/coordinate runs: it
+// loads the shard blobs their workers emitted (coord.RunShardCrawl is the
+// only producer), validates that each chain's shards are compatible and
+// tile a contiguous block range, folds them through the same
+// core.LoadShards / core.MergeShards refusal ladder coord.Run ends on, and
+// prints each chain's deterministic figures section to stdout —
+// byte-identical to what one process crawling the whole range would have
+// printed, which the CI distributed job diffs.
+//
+// It does the two things coordinate cannot: pool the stores of a fleet —
+// several coordinate runs, each over its own sub-range and store — and
+// re-render a finished store with no endpoint to dial or lease to win.
 //
 // Validation is loud by design: mixed chains in one merge group, mismatched
 // aggregation windows, overlapping shard ranges (blocks counted twice) and
@@ -19,10 +23,10 @@
 //
 //	merge STORE [STORE...]
 //
-// Each STORE is a blob-store location (path, file://, mem://, s3://)
-// holding *.shard blobs. Shards from all stores are pooled and grouped by
-// chain; figures print in chain-name order. Progress and per-shard
-// diagnostics go to stderr so stdout stays diffable.
+// Each STORE is a blob-store location (path, file://, mem://, s3://) a
+// coordinate run was given as -store. Shards from all stores are pooled
+// and grouped by chain; figures print in chain-name order. Progress and
+// per-shard diagnostics go to stderr so stdout stays diffable.
 package main
 
 import (
@@ -40,7 +44,7 @@ import (
 
 func main() {
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: merge STORE [STORE...]\n\nmerge distributed crawl shards (cmd/crawl -emit-shard) and print figures\n\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: merge STORE [STORE...]\n\njoin the stores of one or more coordinate runs and print figures\n\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -59,8 +63,8 @@ func main() {
 // tests can drive it hermetically.
 func run(ctx context.Context, locations []string, out, diag io.Writer) error {
 	// Load with provenance: every validation error below names the store
-	// URL and key of the offending blob, so a coordinator log reading
-	// "shards X and Y overlap" points at objects, not just arithmetic.
+	// URL and key of the offending blob, so "shards X and Y overlap"
+	// points at objects, not just arithmetic.
 	// Alongside the shards, each store's lease lineage is folded into one
 	// fence-floor index: floors union across stores by max, since a task's
 	// lease record and its shard may live in different stores of the pool.

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"strings"
 	"testing"
@@ -10,7 +11,10 @@ import (
 
 	"repro/internal/blobstore"
 	"repro/internal/chain"
+	"repro/internal/collect"
+	"repro/internal/coord"
 	"repro/internal/core"
+	"repro/internal/retry"
 	"repro/internal/wire"
 )
 
@@ -24,8 +28,59 @@ func openStore(t *testing.T, location string) blobstore.Store {
 	return store
 }
 
-// emitTezosShard builds a Tezos shard over blocks [from, to] with one
-// deterministic endorsement per block and emits it to location.
+// tezosTime is when block num of the tests' Tezos chain was baked.
+func tezosTime(num int64) string {
+	return chain.ObservationStart.Add(time.Duration(num) * time.Hour).Format(time.RFC3339)
+}
+
+// tezosEndpoint serves the first n blocks of that chain, one endorsement
+// each, to a crawl.
+type tezosEndpoint int64
+
+func (e tezosEndpoint) Head(context.Context) (int64, error) { return int64(e), nil }
+
+func (e tezosEndpoint) FetchBlock(_ context.Context, num int64) ([]byte, error) {
+	return json.Marshal(wire.TezosBlockJSON{
+		Level:      num,
+		Timestamp:  tezosTime(num),
+		Operations: []wire.TezosOperationJSON{{Kind: "endorsement", Source: "tz1alice"}},
+	})
+}
+
+// coordinateRun is one coordinate run of [from, to] in `shards` slices into
+// location: coord.Run leasing each slice and launching the one shard
+// producer, coord.RunShardCrawl, for it — in process here, a subprocess
+// under cmd/coordinate.
+func coordinateRun(t *testing.T, location string, from, to int64, shards int) {
+	t.Helper()
+	store := openStore(t, location)
+	_, err := coord.Run(context.Background(), coord.Config{
+		Chain: "tezos", From: from, To: to, Shards: shards,
+		Store: store,
+		Retry: retry.Policy{Attempts: 2, Base: time.Millisecond},
+		Run: func(ctx context.Context, task coord.Task) error {
+			kit, err := core.NewStatsKit("tezos", chain.ObservationStart, 6*time.Hour)
+			if err != nil {
+				return err
+			}
+			_, err = coord.RunShardCrawl(ctx, coord.CrawlerConfig{
+				Kit: kit, Fetcher: tezosEndpoint(to),
+				From: task.From, To: task.To,
+				Store: store, CheckpointEvery: 4,
+				Workers: 2, Ingest: 2,
+				Fence: task.Fence,
+			})
+			return err
+		},
+	})
+	if err != nil {
+		t.Fatalf("coordinate run of [%d, %d] into %s: %v", from, to, location, err)
+	}
+}
+
+// emitTezosShard puts the shard of blocks [from, to] at location by hand —
+// for the stores no coordinate run leaves behind (overlapping runs, a run
+// that never finished a slice), which merge must refuse.
 func emitTezosShard(t *testing.T, location string, from, to int64) {
 	t.Helper()
 	st, err := core.NewShardState("tezos", chain.ObservationStart, 6*time.Hour)
@@ -36,7 +91,7 @@ func emitTezosShard(t *testing.T, location string, from, to int64) {
 	for num := from; num <= to; num++ {
 		batch = append(batch, &wire.TezosBlock{
 			Level:      num,
-			Timestamp:  chain.ObservationStart.Add(time.Duration(num) * time.Hour).Format(time.RFC3339),
+			Timestamp:  tezosTime(num),
 			Operations: []wire.TezosOperation{{Kind: "endorsement", Source: "tz1alice"}},
 		})
 	}
@@ -49,29 +104,22 @@ func emitTezosShard(t *testing.T, location string, from, to int64) {
 	}
 }
 
-// TestMergeRendersWholeRange: shards pooled from several stores merge into
-// the same figures a single state over the whole range renders.
+// TestMergeRendersWholeRange: the stores of two coordinate runs over
+// adjacent sub-ranges join into the figures one crawl of the whole range
+// renders.
 func TestMergeRendersWholeRange(t *testing.T) {
-	emitTezosShard(t, "mem://merge-a", 1, 7)
-	emitTezosShard(t, "mem://merge-b", 8, 20)
-	emitTezosShard(t, "mem://merge-b", 21, 24)
+	coordinateRun(t, "mem://merge-a", 1, 7, 1)
+	coordinateRun(t, "mem://merge-b", 8, 24, 2)
 
-	whole, err := core.NewShardState("tezos", chain.ObservationStart, 6*time.Hour)
+	kit, err := core.NewStatsKit("tezos", chain.ObservationStart, 6*time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := make([]any, 0, 24)
-	for num := int64(1); num <= 24; num++ {
-		batch = append(batch, &wire.TezosBlock{
-			Level:      num,
-			Timestamp:  chain.ObservationStart.Add(time.Duration(num) * time.Hour).Format(time.RFC3339),
-			Operations: []wire.TezosOperation{{Kind: "endorsement", Source: "tz1alice"}},
-		})
-	}
-	if err := whole.IngestBatch(batch); err != nil {
+	if _, _, err := core.IngestCrawl(context.Background(), tezosEndpoint(24),
+		collect.CrawlConfig{From: 1, To: 24, Workers: 2}, kit.Decoder, core.IngestConfig{}); err != nil {
 		t.Fatal(err)
 	}
-	want := whole.Summary().Render()
+	want := kit.Summarize().Render()
 
 	var out, diag bytes.Buffer
 	if err := run(context.Background(), []string{"mem://merge-a", "mem://merge-b"}, &out, &diag); err != nil {
@@ -85,9 +133,9 @@ func TestMergeRendersWholeRange(t *testing.T) {
 	}
 }
 
-// TestMergeRefusesOverlap: two stores whose shards overlap must fail
+// TestMergeRefusesOverlap: two stores whose runs overlap must fail
 // loudly, naming the ranges AND the offending blobs (store URL + key), so
-// a coordinator log says which objects to inspect.
+// the operator knows which objects to inspect.
 func TestMergeRefusesOverlap(t *testing.T) {
 	emitTezosShard(t, "mem://merge-ov-a", 1, 10)
 	emitTezosShard(t, "mem://merge-ov-b", 8, 20)
@@ -105,7 +153,7 @@ func TestMergeRefusesOverlap(t *testing.T) {
 	}
 }
 
-// TestMergeRefusesGap: a missing slice (a shard worker that never finished)
+// TestMergeRefusesGap: a missing slice (a run that never finished it)
 // must fail loudly, not render short figures — and name the flanking blobs.
 func TestMergeRefusesGap(t *testing.T) {
 	emitTezosShard(t, "mem://merge-gap", 1, 10)
@@ -142,7 +190,7 @@ func TestMergeNamesCorruptBlob(t *testing.T) {
 }
 
 // TestMergeEmptyStore: a location with no shard blobs is a loud error —
-// a coordinator pointed at the wrong store must not print empty figures.
+// a merge pointed at the wrong store must not print empty figures.
 func TestMergeEmptyStore(t *testing.T) {
 	err := run(context.Background(), []string{"mem://merge-empty"}, io.Discard, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "no *.shard blobs") {

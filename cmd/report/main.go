@@ -7,7 +7,6 @@
 //	report [-eos-scale N] [-tezos-scale N] [-xrp-scale N] [-gov-scale N]
 //	       [-seed N] [-workers N] [-figure name] [-archive STORE]
 //	report -replay STORE [-parallel N] [-from N -to N]
-//	report -replay STORE -shard i/n [-emit-shard STORE2]
 //
 // Smaller scales simulate more traffic and converge closer to the paper's
 // percentages; the defaults finish in a few seconds.
@@ -39,11 +38,6 @@
 // band must collapse to a point ("band: point" on the last line of each
 // band section), which the CI archive job asserts; a spread band flags an
 // aggregate that depends on ingestion order, scheduling or worker count.
-//
-// With -replay -shard i/n only the i-th of n contiguous slices of each
-// archive replays, and -emit-shard STORE2 serializes the drained shard
-// state for cmd/merge — the offline counterpart of cmd/crawl's
-// distributed-crawl flags.
 package main
 
 import (
@@ -58,7 +52,6 @@ import (
 	"time"
 
 	"repro/internal/archive"
-	"repro/internal/blobstore"
 	"repro/internal/chain"
 	"repro/internal/cli"
 	"repro/internal/core"
@@ -80,9 +73,6 @@ func main() {
 	var af cli.ArchiveFlags
 	af.Register(flag.CommandLine, cli.ModeReport)
 	parallel := flag.Int("parallel", 0, "with -replay: N concurrent sweep runs over the same archives (zero refetch, varying worker counts) with per-chain convergence bands appended")
-	var shard cli.ShardSpec
-	flag.Var(&shard, "shard", "with -replay: replay only the i-th of n contiguous slices of each archive ('i/n'); combine with -emit-shard and cmd/merge")
-	emitShard := flag.String("emit-shard", "", "with -replay: serialize each replayed chain's drained shard state into this blob-store location for cmd/merge")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file (pprof evidence for perf work)")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
@@ -122,16 +112,13 @@ func main() {
 	if err := af.Validate(); err != nil {
 		finish(2, err)
 	}
-	if err := validateShard(shard, *emitShard, *parallel, af.Replaying()); err != nil {
-		finish(2, err)
-	}
 	render, err := figureRenderer(*figure)
 	if err != nil {
 		finish(2, err)
 	}
 	opts.ArchiveDir = af.Archive
 	if af.Replaying() {
-		if err := replayArchives(context.Background(), af.Replay, opts.Workers, *parallel, af.From, af.To, shard, *emitShard, os.Stdout); err != nil {
+		if err := replayArchives(context.Background(), af.Replay, opts.Workers, *parallel, af.From, af.To, os.Stdout); err != nil {
 			finish(1, err)
 		}
 		finish(0, nil)
@@ -199,22 +186,6 @@ func validateParallel(n int, set, replaying bool) error {
 	return nil
 }
 
-// validateShard rejects -shard/-emit-shard combinations before any store
-// round-trip: both only make sense over -replay, and a shard inside a
-// -parallel sweep would emit ambiguous state (which sweep run's?).
-func validateShard(shard cli.ShardSpec, emit string, parallel int, replaying bool) error {
-	if !shard.Enabled() && emit == "" {
-		return nil
-	}
-	if !replaying {
-		return fmt.Errorf("-shard/-emit-shard need -replay: they slice and serialize an archived crawl")
-	}
-	if shard.Enabled() && parallel > 0 {
-		return fmt.Errorf("-shard with -parallel: a sweep replays everything and a shard replays a slice — pass one or the other")
-	}
-	return cli.ValidateStore(emit)
-}
-
 // replayArchives regenerates figures offline from archived raw blocks. dir
 // is either one chain's archive (it holds manifest.json directly) or a
 // parent whose immediate subdirectories are archives, the layout cmd/crawl
@@ -236,12 +207,7 @@ func validateShard(shard cli.ShardSpec, emit string, parallel int, replaying boo
 // runs) is appended after all figure sections. A deterministic decoder
 // must collapse every band to a point: the sweep is the self-test that no
 // figure depends on scheduling, sharding or worker count.
-// With shard set (i/n) each archive replays only the i-th contiguous slice
-// of its covered range, and with emit non-empty the drained shard state of
-// every replayed chain is serialized into that blob store for cmd/merge —
-// the offline counterpart of cmd/crawl -shard/-emit-shard, useful to
-// re-partition one big archived crawl across merge workers.
-func replayArchives(ctx context.Context, dir string, workers, sweeps int, from, to int64, shard cli.ShardSpec, emit string, out io.Writer) error {
+func replayArchives(ctx context.Context, dir string, workers, sweeps int, from, to int64, out io.Writer) error {
 	dirs, err := archive.Discover(dir)
 	if err != nil {
 		return err
@@ -273,12 +239,6 @@ func replayArchives(ctx context.Context, dir string, workers, sweeps int, from, 
 			return fmt.Errorf("archive %s is incomplete: %d blocks in [%d, %d] — rerun the crawl with the same -archive to fetch the rest",
 				adir, rd.Blocks(), rd.From(), rd.To())
 		}
-		if shard.Enabled() || emit != "" {
-			if err := replayShard(ctx, rd, adir, workers, shard, emit, out); err != nil {
-				return err
-			}
-			continue
-		}
 		summaries, err := sweepArchive(ctx, rd, adir, sweeps, workers)
 		if err != nil {
 			return err
@@ -298,48 +258,6 @@ func replayArchives(ctx context.Context, dir string, workers, sweeps int, from, 
 	// cut the stream at the first "=== " line.
 	for _, b := range bands {
 		fmt.Fprint(out, b.Render())
-	}
-	return nil
-}
-
-// replayShard is the distributed leg of a replay: cut this shard's slice
-// out of the archive's covered range, replay only it (the segment-range
-// index prunes everything else), print its figures, and optionally emit
-// the drained state for cmd/merge. The covered range recorded on the
-// emitted shard is the reader's actual range, so a complete set of i/n
-// replays tiles the archive exactly and passes merge validation.
-func replayShard(ctx context.Context, rd *archive.Reader, adir string, workers int, shard cli.ShardSpec, emit string, out io.Writer) error {
-	if shard.Enabled() {
-		lo, hi, err := shard.Cut(rd.From(), rd.To())
-		if err != nil {
-			return fmt.Errorf("archive %s: %w", adir, err)
-		}
-		if rd, err = archive.OpenWith(adir, archive.OpenOptions{From: lo, To: hi}); err != nil {
-			return err
-		}
-	}
-	kit, err := core.NewStatsKit(rd.Chain(), chain.ObservationStart, 6*time.Hour)
-	if err != nil {
-		return fmt.Errorf("archive %s: %w", adir, err)
-	}
-	if _, err := core.IngestArchive(ctx, rd, kit.Decoder, core.IngestConfig{Workers: workers}); err != nil {
-		return fmt.Errorf("replaying %s: %w", adir, err)
-	}
-	fmt.Fprintf(os.Stderr, "replay %s: %d blocks from %s ([%d, %d])\n",
-		rd.Chain(), rd.Blocks(), adir, rd.From(), rd.To())
-	fmt.Fprint(out, kit.Summarize().Render())
-	if emit != "" {
-		st := kit.State()
-		st.SetCovered(core.BlockRange{From: rd.From(), To: rd.To()})
-		store, err := blobstore.Resolve(emit)
-		if err != nil {
-			return err
-		}
-		key, err := core.EmitShard(ctx, store, st, 0)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "replay %s: emitted shard %s @ %s\n", rd.Chain(), key, emit)
 	}
 	return nil
 }

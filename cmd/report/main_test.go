@@ -3,19 +3,13 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/archive"
-	"repro/internal/blobstore"
-	"repro/internal/chain"
 	"repro/internal/cli"
-	"repro/internal/core"
-	"repro/internal/wire"
 )
 
 func TestValidateParallel(t *testing.T) {
@@ -74,7 +68,7 @@ func TestReplayArchivesRangeMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	if err := replayArchives(context.Background(), loc, 1, 0, 100, 200, cli.ShardSpec{}, "", &out); err != nil {
+	if err := replayArchives(context.Background(), loc, 1, 0, 100, 200, &out); err != nil {
 		t.Fatalf("ranged replay past the archive failed: %v", err)
 	}
 	if out.Len() != 0 {
@@ -125,118 +119,6 @@ func TestValidateRange(t *testing.T) {
 			}
 		})
 	}
-}
-
-func TestValidateShard(t *testing.T) {
-	sharded := cli.ShardSpec{I: 1, N: 3}
-	cases := []struct {
-		name      string
-		shard     cli.ShardSpec
-		emit      string
-		parallel  int
-		replaying bool
-		wantErr   string
-	}{
-		{name: "unset"},
-		{name: "shard with replay", shard: sharded, replaying: true},
-		{name: "emit with replay", emit: "mem://x", replaying: true},
-		{name: "shard without replay", shard: sharded, wantErr: "need -replay"},
-		{name: "emit without replay", emit: "mem://x", wantErr: "need -replay"},
-		{name: "shard with parallel", shard: sharded, parallel: 2, replaying: true, wantErr: "-shard with -parallel"},
-		{name: "bad emit store", emit: "gopher://x", replaying: true, wantErr: "unsupported scheme"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			err := validateShard(tc.shard, tc.emit, tc.parallel, tc.replaying)
-			if tc.wantErr == "" {
-				if err != nil {
-					t.Fatalf("unexpected error: %v", err)
-				}
-				return
-			}
-			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("error %v, want substring %q", err, tc.wantErr)
-			}
-		})
-	}
-}
-
-// TestReplayShardEmitMerge: the offline distributed path — three -shard
-// i/3 replays of one archived crawl each emit their drained state, and
-// merging the three shards renders byte-identical figures to a whole-
-// archive replay.
-func TestReplayShardEmitMerge(t *testing.T) {
-	loc := "mem://report-shard-emit/eos"
-	w, err := archive.NewWriter(archive.WriterConfig{Dir: loc, Chain: "eos", SegmentBlocks: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const total = 31
-	for num := int64(total); num >= 1; num-- {
-		blk := wire.EOSBlockJSON{
-			BlockNum:  uint32(num),
-			Timestamp: chain.ObservationStart.Add(time.Duration(num) * time.Minute).Format("2006-01-02T15:04:05.000"),
-			Producer:  "eosio",
-		}
-		var trx wire.EOSTrxJSON
-		trx.Status = "executed"
-		trx.Trx.Transaction.Actions = []wire.EOSActionJSON{{
-			Account: "eosio.token", Name: "transfer",
-			Authorization: []map[string]string{{"actor": "alice"}},
-			Data:          map[string]string{"from": "alice", "to": "bob", "quantity": "1.0000 EOS"},
-		}}
-		blk.Transactions = append(blk.Transactions, trx)
-		raw, err := json.Marshal(blk)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Append(num, raw); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	var whole bytes.Buffer
-	if err := replayArchives(context.Background(), loc, 2, 0, 0, 0, cli.ShardSpec{}, "", &whole); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(whole.String(), "--- eos figures ---") {
-		t.Fatalf("whole replay printed no figures:\n%s", whole.String())
-	}
-
-	const store = "mem://report-shard-emit-shards"
-	for i := 1; i <= 3; i++ {
-		var out bytes.Buffer
-		if err := replayArchives(context.Background(), loc, 2, 0, 0, 0, cli.ShardSpec{I: i, N: 3}, store, &out); err != nil {
-			t.Fatalf("shard %d/3: %v", i, err)
-		}
-	}
-	shards, err := core.LoadShards(context.Background(), openStore(t, store))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(shards) != 3 {
-		t.Fatalf("loaded %d shards, want 3", len(shards))
-	}
-	merged, _, err := core.MergeShards(shards, false, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := merged.Summary().Render(); got != whole.String() {
-		t.Fatalf("3-way sharded replay diverged from whole replay\n--- whole ---\n%s\n--- merged ---\n%s", whole.String(), got)
-	}
-}
-
-// openStore resolves a store URL the test itself chose.
-func openStore(t *testing.T, location string) blobstore.Store {
-	t.Helper()
-	store, err := blobstore.Resolve(location)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return store
 }
 
 // TestFigureRenderer drives the -figure name check main runs before any

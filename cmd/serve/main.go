@@ -60,7 +60,6 @@ type serveOpts struct {
 	epoch       time.Duration
 	workers     int
 	ingest      int
-	batch       int
 	buffer      int
 
 	// ready, when set, is called with the base URL once the listener is
@@ -79,7 +78,6 @@ func main() {
 	flag.DurationVar(&o.epoch, "epoch", 200*time.Millisecond, "snapshot publish interval")
 	flag.IntVar(&o.workers, "workers", 4, "concurrent fetchers per live feed (xrp uses 1)")
 	flag.IntVar(&o.ingest, "ingest", 2, "decode/ingest workers per feed")
-	flag.IntVar(&o.batch, "batch", 16, "blocks per ingest batch")
 	flag.IntVar(&o.buffer, "buffer", 64, "stream buffer per live feed")
 	flag.Parse()
 	if err := o.Validate(); err != nil {
@@ -173,7 +171,6 @@ func runFeeds(ctx context.Context, pub *serve.Publisher, o serveOpts, out io.Wri
 		popts := pipeline.DefaultOptions()
 		popts.Workers = o.workers
 		popts.Buffer = o.buffer
-		popts.Batch = o.batch
 		popts.Serve = pub
 		if o.Archive != "" {
 			popts.ArchiveDir = o.Archive
@@ -226,7 +223,7 @@ func replayFeeds(ctx context.Context, pub *serve.Publisher, o serveOpts, out io.
 		go func(i int, dir string, rd *archive.Reader) {
 			defer wg.Done()
 			n, ferr := pub.FeedArchive(ctx, rd, serve.FeedConfig{
-				Ingest: core.IngestConfig{Workers: o.ingest, Batch: o.batch},
+				Ingest: core.IngestConfig{Workers: o.ingest},
 			})
 			if ferr != nil {
 				errs[i] = fmt.Errorf("replaying %s: %w", dir, ferr)
@@ -269,7 +266,7 @@ func liveFeed(ctx context.Context, pub *serve.Publisher, o serveOpts, chainName,
 
 	res, err := pub.Feed(ctx, fetcher, ccfg, serve.FeedConfig{
 		Chain:  chainName,
-		Ingest: core.IngestConfig{Workers: o.ingest, Batch: o.batch},
+		Ingest: core.IngestConfig{Workers: o.ingest},
 	})
 	if sink != nil {
 		if cerr := sink.Close(); cerr != nil {

@@ -117,7 +117,7 @@ func TestServeEndToEnd(t *testing.T) {
 		ArchiveFlags: cli.ArchiveFlags{Archive: archiveDir, From: 1},
 		eos:          sim.URL,
 		epoch:        20 * time.Millisecond,
-		workers:      4, ingest: 2, batch: 8, buffer: 32,
+		workers:      4, ingest: 2, buffer: 32,
 	}
 	baseURL, cancel, errc := startServe(t, o, &liveOut)
 
@@ -193,7 +193,7 @@ func TestServeEndToEnd(t *testing.T) {
 	o2 := serveOpts{
 		ArchiveFlags: cli.ArchiveFlags{Replay: archiveDir},
 		epoch:        20 * time.Millisecond,
-		ingest:       2, batch: 8,
+		ingest:       2,
 	}
 	baseURL2, cancel2, errc2 := startServe(t, o2, &replayOut)
 	waitDrained(t, baseURL2)
@@ -216,7 +216,7 @@ func TestServeInterruptMidIngest(t *testing.T) {
 		ArchiveFlags: cli.ArchiveFlags{From: 1},
 		eos:          sim.URL,
 		epoch:        10 * time.Millisecond,
-		workers:      1, ingest: 1, batch: 1, buffer: 1,
+		workers:      1, ingest: 1, buffer: 1,
 	}
 	_, cancel, errc := startServe(t, o, &out)
 	cancel() // interrupt immediately — likely mid-crawl

@@ -1,7 +1,5 @@
-// Package cli holds the flag surface the crawl/report/serve/merge
-// commands share: the archive/replay/range plumbing that used to be
-// copy-pasted per command, validated once here, and the -shard i/n
-// partition spec a distributed crawl is launched with.
+// Package cli holds the flag surface the crawl/report/serve commands
+// share: the archive/replay/range plumbing, validated once here.
 package cli
 
 import (
@@ -67,16 +65,6 @@ func (a *ArchiveFlags) Register(fs *flag.FlagSet, mode Mode) {
 		fs.Int64Var(&a.From, "from", 1, "first block (live feeds)")
 		fs.Int64Var(&a.To, "to", 0, "last block (live feeds; 0 = head)")
 	}
-}
-
-// ValidateStore scheme-checks one blob-store location outside the shared
-// flag set (e.g. -emit-shard), so a typoed URL fails before any crawl.
-func ValidateStore(location string) error {
-	if location == "" {
-		return nil
-	}
-	_, err := blobstore.Resolve(location)
-	return err
 }
 
 // Replaying reports whether a replay location was passed.

@@ -54,68 +54,3 @@ func TestArchiveFlagsValidate(t *testing.T) {
 		})
 	}
 }
-
-func TestShardSpecSet(t *testing.T) {
-	bad := []string{"", "3", "0/3", "4/3", "-1/2", "a/b", "1/0", "2/"}
-	for _, v := range bad {
-		var s ShardSpec
-		if err := s.Set(v); err == nil {
-			t.Errorf("Set(%q) accepted", v)
-		}
-	}
-	var s ShardSpec
-	if err := s.Set("2/3"); err != nil {
-		t.Fatal(err)
-	}
-	if !s.Enabled() || s.I != 2 || s.N != 3 || s.String() != "2/3" {
-		t.Fatalf("parsed %+v, String %q", s, s.String())
-	}
-	if (&ShardSpec{}).Enabled() {
-		t.Fatal("zero spec reports enabled")
-	}
-}
-
-// TestShardSpecCutTiles is the property cmd/merge's gap/overlap validation
-// leans on: for any range and shard count, the N cuts tile [from, to]
-// exactly — contiguous, disjoint, and complete.
-func TestShardSpecCutTiles(t *testing.T) {
-	ranges := []struct{ from, to int64 }{
-		{1, 1}, {1, 2}, {1, 100}, {5, 17}, {1000, 1006}, {42, 42 + 999},
-	}
-	for _, r := range ranges {
-		span := r.to - r.from + 1
-		for n := 1; int64(n) <= span && n <= 8; n++ {
-			next := r.from
-			for i := 1; i <= n; i++ {
-				s := ShardSpec{I: i, N: n}
-				lo, hi, err := s.Cut(r.from, r.to)
-				if err != nil {
-					t.Fatalf("Cut(%d/%d, [%d,%d]): %v", i, n, r.from, r.to, err)
-				}
-				if lo != next {
-					t.Fatalf("Cut(%d/%d, [%d,%d]) starts at %d, want %d (gap or overlap)", i, n, r.from, r.to, lo, next)
-				}
-				if hi < lo {
-					t.Fatalf("Cut(%d/%d, [%d,%d]) is empty: [%d,%d]", i, n, r.from, r.to, lo, hi)
-				}
-				next = hi + 1
-			}
-			if next != r.to+1 {
-				t.Fatalf("%d-way cut of [%d,%d] ends at %d, want %d", n, r.from, r.to, next-1, r.to)
-			}
-		}
-	}
-}
-
-func TestShardSpecCutErrors(t *testing.T) {
-	s := ShardSpec{I: 1, N: 4}
-	if _, _, err := s.Cut(1, 3); err == nil {
-		t.Fatal("cutting 3 blocks into 4 shards succeeded")
-	}
-	if _, _, err := s.Cut(10, 5); err == nil {
-		t.Fatal("cutting an inverted range succeeded")
-	}
-	if _, _, err := s.Cut(0, 5); err == nil {
-		t.Fatal("cutting from block 0 succeeded")
-	}
-}

@@ -61,19 +61,13 @@ type RawRecycler interface {
 // torn archive directory), not because an endpoint misbehaved.
 var ErrTee = errors.New("collect: tee failed")
 
-// CrawlHandle tracks a streaming crawl: the final CrawlResult, and the
-// block range the crawl resolved, once the stream closes.
+// CrawlHandle tracks a streaming crawl: the final CrawlResult, once the
+// stream closes.
 type CrawlHandle struct {
-	from, to int64
 	res      CrawlResult
 	err      error
 	finished chan struct{}
 }
-
-// Range returns the inclusive block range the crawl resolved — To is the
-// endpoint's head when CrawlConfig.To was zero. It is valid once Wait has
-// returned, and zero when the crawl failed before resolving it.
-func (h *CrawlHandle) Range() (from, to int64) { return h.from, h.to }
 
 // Wait blocks until the crawl finishes (the stream channel is closed first)
 // and returns its result. A cancelled crawl reports ctx's error alongside
@@ -164,8 +158,6 @@ func (h *CrawlHandle) run(parent context.Context, f BlockFetcher, cfg CrawlConfi
 		finish(fmt.Errorf("collect: empty range [%d, %d]", cfg.From, cfg.To))
 		return
 	}
-
-	h.from, h.to = cfg.From, cfg.To
 
 	// Every payload is deflated exactly once. The caller's tee — an archive
 	// writer — already compresses the bytes and records what they cost on

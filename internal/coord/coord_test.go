@@ -569,3 +569,59 @@ func TestCoordinatorFoldBelievesTheStore(t *testing.T) {
 		})
 	}
 }
+
+// TestCutTiles is the property the merge's gap/overlap validation leans
+// on: for any range and shard count, the n slices tile [from, to] exactly
+// — contiguous, disjoint, and complete — and Config.Cut hands out those
+// same slices in index order.
+func TestCutTiles(t *testing.T) {
+	ranges := []struct{ from, to int64 }{
+		{1, 1}, {1, 2}, {1, 100}, {5, 17}, {1000, 1006}, {42, 42 + 999},
+	}
+	for _, r := range ranges {
+		span := r.to - r.from + 1
+		for n := 1; int64(n) <= span && n <= 8; n++ {
+			tasks, err := Config{Chain: "eos", From: r.from, To: r.to, Shards: n}.Cut()
+			if err != nil || len(tasks) != n {
+				t.Fatalf("%d-way Cut of [%d,%d]: %d tasks, %v", n, r.from, r.to, len(tasks), err)
+			}
+			next := r.from
+			for i := 1; i <= n; i++ {
+				lo, hi, err := cutSlice(i, n, r.from, r.to)
+				if err != nil {
+					t.Fatalf("cutSlice(%d/%d, [%d,%d]): %v", i, n, r.from, r.to, err)
+				}
+				if lo != next {
+					t.Fatalf("cutSlice(%d/%d, [%d,%d]) starts at %d, want %d (gap or overlap)", i, n, r.from, r.to, lo, next)
+				}
+				if hi < lo {
+					t.Fatalf("cutSlice(%d/%d, [%d,%d]) is empty: [%d,%d]", i, n, r.from, r.to, lo, hi)
+				}
+				if task := tasks[i-1]; task.Index != i || task.N != n || task.From != lo || task.To != hi {
+					t.Fatalf("Cut()[%d] = %+v, want slice %d/%d [%d,%d]", i-1, task, i, n, lo, hi)
+				}
+				next = hi + 1
+			}
+			if next != r.to+1 {
+				t.Fatalf("%d-way cut of [%d,%d] ends at %d, want %d", n, r.from, r.to, next-1, r.to)
+			}
+		}
+	}
+}
+
+func TestCutErrors(t *testing.T) {
+	if _, _, err := cutSlice(1, 4, 1, 3); err == nil {
+		t.Fatal("cutting 3 blocks into 4 shards succeeded")
+	}
+	if _, _, err := cutSlice(1, 4, 10, 5); err == nil {
+		t.Fatal("cutting an inverted range succeeded")
+	}
+	if _, _, err := cutSlice(1, 4, 0, 5); err == nil {
+		t.Fatal("cutting from block 0 succeeded")
+	}
+	for _, shards := range []int{0, -1} {
+		if _, err := (Config{From: 1, To: 10, Shards: shards}).Cut(); err == nil {
+			t.Fatalf("Cut with %d shards succeeded", shards)
+		}
+	}
+}

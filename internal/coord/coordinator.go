@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/blobstore"
-	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/retry"
 	"repro/internal/wire"
@@ -148,23 +147,44 @@ func (r GapReport) WriteJSON(w io.Writer) error {
 	return enc.Encode(r)
 }
 
-// Cut slices [cfg.From, cfg.To] into cfg.Shards tasks using the same
-// tiling as cmd/crawl's -shard flag, so a coordinator-driven crawl and a
-// hand-driven one partition identically.
+// Cut slices [cfg.From, cfg.To] into cfg.Shards contiguous tasks that tile
+// the range exactly — no overlap, no gap — so the merge's range validation
+// accepts any complete set of their shards.
 func (cfg Config) Cut() ([]Task, error) {
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("coord: %d shards is not a partition", cfg.Shards)
 	}
 	tasks := make([]Task, 0, cfg.Shards)
 	for i := 1; i <= cfg.Shards; i++ {
-		spec := cli.ShardSpec{I: i, N: cfg.Shards}
-		lo, hi, err := spec.Cut(cfg.From, cfg.To)
+		lo, hi, err := cutSlice(i, cfg.Shards, cfg.From, cfg.To)
 		if err != nil {
 			return nil, fmt.Errorf("coord: %v", err)
 		}
 		tasks = append(tasks, Task{Index: i, N: cfg.Shards, Chain: cfg.Chain, From: lo, To: hi})
 	}
 	return tasks, nil
+}
+
+// cutSlice returns slice i of n (1 <= i <= n) of [from, to]. The first
+// span%n slices take one extra block. A range with fewer blocks than
+// slices is an error: the empty slices would emit nothing and the merge
+// would read as a gap.
+func cutSlice(i, n int, from, to int64) (int64, int64, error) {
+	if from < 1 || to < from {
+		return 0, 0, fmt.Errorf("cannot shard [%d, %d]: not a block range", from, to)
+	}
+	span := to - from + 1
+	if span < int64(n) {
+		return 0, 0, fmt.Errorf("cannot split %d blocks across %d shards: fewer blocks than shards", span, n)
+	}
+	base, rem := span/int64(n), span%int64(n)
+	k := int64(i - 1)
+	lo := from + k*base + min(k, rem)
+	hi := lo + base - 1
+	if k < rem {
+		hi++
+	}
+	return lo, hi, nil
 }
 
 // Run drives the whole coordinated crawl: elect, resume-or-cut, claim,

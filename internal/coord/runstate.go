@@ -162,10 +162,10 @@ func DeleteRunState(ctx context.Context, store blobstore.Store, chain string) er
 // recorded fence — whichever is newest wins. Released leases leave no
 // record, which is why run state (kept until a run fully succeeds, and
 // deleted only after its shards validated under their final fences)
-// carries the floors that matter; a store holding neither is an
-// uncoordinated crawl and yields an empty index, leaving unfenced shards
-// unconstrained. Corrupt records are loud, never skipped: a mangled
-// lease could be hiding the very floor that would expose a zombie shard.
+// carries the floors that matter; a store holding neither is a run that
+// finished and retired both, and yields an empty index. Corrupt records
+// are loud, never skipped: a mangled lease could be hiding the very floor
+// that would expose a zombie shard.
 func FenceIndex(ctx context.Context, store blobstore.Store) (map[string]uint64, error) {
 	index := make(map[string]uint64)
 	raise := func(task string, fence uint64) {

@@ -41,9 +41,9 @@ type CrawlerConfig struct {
 	// carries on below it. 0 disables checkpointing (the slice is one
 	// chunk).
 	CheckpointEvery int64
-	// Workers, Ingest, Batch, Buffer tune the crawl/ingest pipeline as in
+	// Workers, Ingest, Buffer tune the crawl/ingest pipeline as in
 	// cmd/crawl.
-	Workers, Ingest, Batch, Buffer int
+	Workers, Ingest, Buffer int
 	// MaxRetries and Backoff configure per-block fetch retries.
 	MaxRetries int
 	Backoff    time.Duration
@@ -90,9 +90,8 @@ type CrawlOutcome struct {
 // decoding the last checkpoint and continuing below it — blocks fetched
 // past the last checkpoint are refetched, blocks a checkpoint covers are
 // never refetched and never double-ingested (the covered ranges tile
-// exactly). This is what lets -emit-shard accept resumed runs: the
-// decoded checkpoint IS this run's aggregate, nothing was skipped past
-// it.
+// exactly). This is what lets a resumed run emit a shard: the decoded
+// checkpoint IS this run's aggregate, nothing was skipped past it.
 //
 // Checkpoints land in order, one per chunk but the last (the shard
 // supersedes it), and none after the shard. A block that exhausts its
@@ -173,7 +172,7 @@ func RunShardCrawl(ctx context.Context, cfg CrawlerConfig) (CrawlOutcome, error)
 				Workers: cfg.Workers, Buffer: cfg.Buffer,
 				MaxRetries: cfg.MaxRetries, Backoff: cfg.Backoff,
 			},
-			cfg.Kit.Decoder, core.IngestConfig{Workers: cfg.Ingest, Batch: cfg.Batch},
+			cfg.Kit.Decoder, core.IngestConfig{Workers: cfg.Ingest},
 			cfg.CheckpointEvery, cut)
 		out.Blocks, out.Retries = res.Blocks, res.Retries
 		if err != nil {

@@ -224,7 +224,7 @@ func TestRunShardCrawlCheckpointContract(t *testing.T) {
 							Kit: fx.kit(t), Fetcher: fx.fetcher(nil),
 							From: from, To: to, Store: store,
 							CheckpointEvery: every,
-							Workers:         workers, Ingest: ingest, Batch: 3, Buffer: 4,
+							Workers:         workers, Ingest: ingest, Buffer: 4,
 							AfterCheckpoint: func(cov core.BlockRange) { hooked = append(hooked, cov) },
 						})
 						if err != nil {

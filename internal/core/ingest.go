@@ -382,8 +382,7 @@ var ErrIngest = errors.New("core: ingest failed")
 // collect.Stream, drains it through IngestStream, and handles the
 // cancel-on-ingest-error dance that unblocks crawl workers stalled on a
 // full buffer. The pipeline stages, cmd/crawl and cmd/chainsim's
-// self-check all run on it. The returned handle has finished: its Range is
-// the block range the crawl resolved.
+// self-check all run on it. The returned handle has finished.
 func IngestCrawl(ctx context.Context, f collect.BlockFetcher, ccfg collect.CrawlConfig, d Decoder, icfg IngestConfig) (collect.CrawlResult, *collect.CrawlHandle, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()

@@ -1,7 +1,8 @@
-// Shard blob I/O: emitting drained shard state to a blob store and the
-// coordinator-side load/validate/merge path behind cmd/merge. Shards land
-// on the same backends archive segments do (file://, mem://, s3://, plain
-// paths — see internal/blobstore), keyed by chain and covered block range.
+// Shard blob I/O: emitting drained shard state to a blob store — one
+// producer, coord.RunShardCrawl — and the load/validate/merge path that
+// coord.Run's final fold and cmd/merge both end on. Shards land on the
+// same backends archive segments do (file://, mem://, s3://, plain paths —
+// see internal/blobstore), keyed by chain and covered block range.
 
 package core
 

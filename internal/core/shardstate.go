@@ -72,8 +72,8 @@ func (r BlockRange) String() string {
 
 // ShardState is the one contract every chain's mergeable aggregate state
 // implements — *EOSShard, *TezosShard and *XRPShard all satisfy it — and
-// the only surface the distributed layer (shard codec, cmd/crawl
-// -emit-shard, cmd/merge) and the ingest pool consume. A fourth chain
+// the only surface the distributed layer (shard codec, the coord worker,
+// cmd/merge) and the ingest pool consume. A fourth chain
 // plugs into crawling, replay, serving and distributed merge by
 // implementing it once.
 //

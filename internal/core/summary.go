@@ -42,9 +42,9 @@ type StatsKit struct {
 	Txs       func() int64
 	Summarize func() ChainSummary
 	// State exposes the aggregator's accumulated shard state behind the
-	// ShardState contract — what a distributed crawl serializes with
-	// -emit-shard after the stream drains. The caller must be done
-	// ingesting: the returned state is the live aggregate, not a copy.
+	// ShardState contract — what a coord worker checkpoints and emits as
+	// its shard. It is the live aggregate, not a copy: encode it only
+	// while nothing is ingesting into it.
 	State func() ShardState
 }
 

@@ -69,9 +69,6 @@ type Options struct {
 	// IngestWorkers sizes each stage's decode/ingest pool — decoding runs
 	// off the crawl workers.
 	IngestWorkers int
-	// Batch is how many decoded blocks each ingest worker folds into its
-	// private shard per call.
-	Batch int
 	// Bucket is the throughput time-series bucket (paper: 6 hours).
 	Bucket time.Duration
 	// EOSEndpoints is how many EOS endpoints to expose for probing; the
@@ -138,7 +135,6 @@ func DefaultOptions() Options {
 		Workers:       4,
 		Buffer:        64,
 		IngestWorkers: ingest,
-		Batch:         16,
 		Bucket:        6 * time.Hour,
 		EOSEndpoints:  8,
 		EOSShortlist:  3,
@@ -172,9 +168,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.IngestWorkers <= 0 {
 		o.IngestWorkers = def.IngestWorkers
-	}
-	if o.Batch <= 0 {
-		o.Batch = def.Batch
 	}
 	if o.Bucket <= 0 {
 		o.Bucket = def.Bucket
@@ -307,7 +300,7 @@ func (r *Result) runStage(ctx context.Context, name string, build func() (stageP
 		return StageStats{}, err
 	}
 	defer releaseFeed()
-	crawl, err := crawlInto(ctx, fetcher, ccfg, sink, dec, core.IngestConfig{Workers: opts.IngestWorkers, Batch: opts.Batch})
+	crawl, err := crawlInto(ctx, fetcher, ccfg, sink, dec, core.IngestConfig{Workers: opts.IngestWorkers})
 	if err != nil {
 		return StageStats{}, err
 	}

@@ -19,8 +19,7 @@
 // versioned implicitly through the envelope version: any field change
 // bumps it. The fence token is the one a coordinated worker stamps from
 // its lease lineage, so a zombie worker's stale shard is detectable before
-// merge (see internal/coord); everything else — plain -emit-shard runs,
-// worker checkpoints — writes fence 0. Version 1, the same body without
+// merge (see internal/coord); worker checkpoints write fence 0. Version 1, the same body without
 // the fence field, is no longer read: a blob an older build left behind is
 // refused by version.
 package wire
