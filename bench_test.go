@@ -27,7 +27,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/pipeline"
-	"repro/internal/xrp"
 )
 
 var (
@@ -229,7 +228,7 @@ func BenchmarkConcentration(b *testing.B) {
 // record set.
 func BenchmarkRateOracle(b *testing.B) {
 	r := benchResult(b)
-	key := xrp.AssetKey{Currency: "BTC", Issuer: r.XRPScenario.MyroneIssuer}
+	key := core.XRPAssetKey{Currency: "BTC", Issuer: string(r.XRPScenario.MyroneIssuer)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = r.XRP.RateToXRP(key)

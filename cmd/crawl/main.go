@@ -16,8 +16,8 @@
 // refetched — while only the rest is fetched and appended, so the rerun
 // prints the complete figures (see archive.Crawl). A SIGKILL costs at most
 // the segment that was open. The location is a blob store: a plain
-// directory path, file://PATH, mem://NAME, s3://BUCKET/PREFIX?endpoint=URL,
-// or null:// (see internal/blobstore). A completed crawl prints a
+// directory path, file://PATH, mem://NAME or s3://BUCKET/PREFIX?endpoint=URL
+// (see internal/blobstore). A completed crawl prints a
 // deterministic "figures" section that a replay over the same archive
 // reproduces byte-for-byte — on any backend — which the CI archive job
 // diffs.

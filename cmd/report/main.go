@@ -6,13 +6,13 @@
 //
 //	report [-eos-scale N] [-tezos-scale N] [-xrp-scale N] [-gov-scale N]
 //	       [-seed N] [-workers N] [-figure name] [-archive STORE]
-//	report -replay STORE [-parallel N] [-from N -to N]
+//	report -replay STORE [-workers N] [-from N -to N]
 //
 // Smaller scales simulate more traffic and converge closer to the paper's
 // percentages; the defaults finish in a few seconds.
 //
 // STORE is a blob-store location: a plain directory path, file://PATH,
-// mem://NAME, s3://BUCKET/PREFIX?endpoint=URL, or null:// (write-only).
+// mem://NAME, or s3://BUCKET/PREFIX?endpoint=URL.
 //
 // With -archive STORE every stage tees its raw block stream into
 // per-stage archives under STORE, and a rerun with the same flag replays
@@ -28,16 +28,9 @@
 // verifies by diffing the two. With -from/-to only blocks in that range
 // replay, and only the segments covering it are fetched and verified —
 // the manifest's per-segment block-range index prunes the rest, which is
-// what makes slicing a huge remote archive cheap.
-//
-// With -replay -parallel N the same archives replay N times concurrently —
-// a sweep with zero refetching, each run using a different ingest worker
-// count — and per-chain convergence bands (min/median/max of every figure
-// across runs) print after the figure sections. The decode path is
-// deliberately seed-free, so for the repo's deterministic decoders the
-// band must collapse to a point ("band: point" on the last line of each
-// band section), which the CI archive job asserts; a spread band flags an
-// aggregate that depends on ingestion order, scheduling or worker count.
+// what makes slicing a huge remote archive cheap. -workers sizes the
+// ingest pool (0 = one per CPU) and never changes a byte of the output:
+// the CI archive job diffs a -workers 1 replay against a -workers 3 one.
 package main
 
 import (
@@ -46,9 +39,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/archive"
@@ -66,13 +57,12 @@ func main() {
 	flag.Int64Var(&opts.XRP.Scale, "xrp-scale", opts.XRP.Scale, "XRP scale divisor")
 	flag.Int64Var(&opts.Gov.Scale, "gov-scale", opts.Gov.Scale, "governance replay scale divisor")
 	seed := flag.Int64("seed", 1, "deterministic scenario seed (applied to every stage)")
-	flag.IntVar(&opts.Workers, "workers", opts.Workers, "shared crawl worker pool size")
+	flag.IntVar(&opts.Workers, "workers", opts.Workers, "shared crawl worker pool size; with -replay: ingest workers per archive (0 = one per CPU)")
 	figure := flag.String("figure", "all", "figure to print: "+strings.Join(figureNames(), ", "))
 	stress := flag.Bool("stress", false, "add the eidos-stress stage: the EOS workload at a hotter arrival rate, reported in the stage timings")
 	stressScale := flag.Int64("stress-scale", 0, "eidos-stress scale divisor (0 = quarter of the EOS default)")
 	var af cli.ArchiveFlags
 	af.Register(flag.CommandLine, cli.ModeReport)
-	parallel := flag.Int("parallel", 0, "with -replay: N concurrent sweep runs over the same archives (zero refetch, varying worker counts) with per-chain convergence bands appended")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file (pprof evidence for perf work)")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
@@ -100,15 +90,6 @@ func main() {
 			os.Exit(code)
 		}
 	}
-	parallelSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "parallel" {
-			parallelSet = true
-		}
-	})
-	if err := validateParallel(*parallel, parallelSet, af.Replaying()); err != nil {
-		finish(2, err)
-	}
 	if err := af.Validate(); err != nil {
 		finish(2, err)
 	}
@@ -118,7 +99,7 @@ func main() {
 	}
 	opts.ArchiveDir = af.Archive
 	if af.Replaying() {
-		if err := replayArchives(context.Background(), af.Replay, opts.Workers, *parallel, af.From, af.To, os.Stdout); err != nil {
+		if err := replayArchives(context.Background(), af.Replay, opts.Workers, af.From, af.To, os.Stdout); err != nil {
 			finish(1, err)
 		}
 		finish(0, nil)
@@ -171,21 +152,6 @@ func figureRenderer(name string) (func(*pipeline.Result) string, error) {
 	return nil, fmt.Errorf("unknown figure %q (want one of: %s)", name, strings.Join(figureNames(), ", "))
 }
 
-// validateParallel rejects -parallel values that would silently degenerate:
-// an explicit N ≤ 0 used to be accepted and quietly collapse the sweep to a
-// single run, which reads as "my sweep converged" when no sweep ran at all.
-// A sweep also only makes sense over -replay — it replays one archived
-// crawl, it does not refetch.
-func validateParallel(n int, set, replaying bool) error {
-	if set && n <= 0 {
-		return fmt.Errorf("-parallel %d is not a sweep: pass N >= 1 concurrent replay runs (or omit the flag for a plain replay)", n)
-	}
-	if n > 0 && !replaying {
-		return fmt.Errorf("-parallel needs -replay: the sweep replays one archived crawl, it does not refetch")
-	}
-	return nil
-}
-
 // replayArchives regenerates figures offline from archived raw blocks. dir
 // is either one chain's archive (it holds manifest.json directly) or a
 // parent whose immediate subdirectories are archives, the layout cmd/crawl
@@ -200,19 +166,11 @@ func validateParallel(n int, set, replaying bool) error {
 // the manifest's per-segment block-range index, so segments outside the
 // slice are never fetched or verified. An archive whose blocks fall entirely
 // outside the range is skipped like an empty one.
-//
-// With sweeps > 0 each archive additionally replays `sweeps` times
-// concurrently, each run with a different ingest worker count, and a
-// per-chain convergence band (min/median/max of every figure across the
-// runs) is appended after all figure sections. A deterministic decoder
-// must collapse every band to a point: the sweep is the self-test that no
-// figure depends on scheduling, sharding or worker count.
-func replayArchives(ctx context.Context, dir string, workers, sweeps int, from, to int64, out io.Writer) error {
+func replayArchives(ctx context.Context, dir string, workers int, from, to int64, out io.Writer) error {
 	dirs, err := archive.Discover(dir)
 	if err != nil {
 		return err
 	}
-	var bands []core.SummaryBand
 	for _, adir := range dirs {
 		rd, err := archive.OpenWith(adir, archive.OpenOptions{From: from, To: to})
 		if err != nil {
@@ -239,78 +197,18 @@ func replayArchives(ctx context.Context, dir string, workers, sweeps int, from, 
 			return fmt.Errorf("archive %s is incomplete: %d blocks in [%d, %d] — rerun the crawl with the same -archive to fetch the rest",
 				adir, rd.Blocks(), rd.From(), rd.To())
 		}
-		summaries, err := sweepArchive(ctx, rd, adir, sweeps, workers)
+		kit, err := core.NewStatsKit(rd.Chain(), chain.ObservationStart, 6*time.Hour)
 		if err != nil {
-			return err
+			return fmt.Errorf("archive %s: %w", adir, err)
+		}
+		if _, err := core.IngestArchive(ctx, rd, kit.Decoder, core.IngestConfig{Workers: workers}); err != nil {
+			return fmt.Errorf("replaying %s: %w", adir, err)
 		}
 		// Progress goes to stderr: stdout carries only the deterministic
 		// figures sections, so it can be diffed against a live crawl's.
-		fmt.Fprintf(os.Stderr, "replay %s: %d blocks from %s (%d segments, %d sweep run(s))\n",
-			summaries[0].Chain, rd.Blocks(), adir, rd.Segments(), len(summaries))
-		// The first run's section is what a plain replay prints; the
-		// band (when sweeping) asserts the other runs matched it.
-		fmt.Fprint(out, summaries[0].Render())
-		if sweeps > 0 {
-			bands = append(bands, core.BandOf(summaries))
-		}
-	}
-	// Bands land after every figures section so the determinism diff can
-	// cut the stream at the first "=== " line.
-	for _, b := range bands {
-		fmt.Fprint(out, b.Render())
+		fmt.Fprintf(os.Stderr, "replay %s: %d blocks from %s (%d segments)\n",
+			rd.Chain(), rd.Blocks(), adir, rd.Segments())
+		fmt.Fprint(out, kit.Summarize().Render())
 	}
 	return nil
-}
-
-// sweepArchive replays one opened archive `sweeps` times concurrently (once
-// for a plain replay, sweeps == 0), sizing each run's ingest pool with
-// replayWorkers. Every run builds its own aggregator stack but shares the
-// verified Reader (and its decompressed-segment cache): a cached segment
-// costs a run nothing, and one the cache does not hold is fetched and
-// inflated once per run, shared by that run's workers and dropped when its
-// last record is delivered.
-func sweepArchive(ctx context.Context, rd *archive.Reader, adir string, sweeps, workers int) ([]core.ChainSummary, error) {
-	runs := max(sweeps, 1)
-	summaries := make([]core.ChainSummary, runs)
-	errs := make([]error, runs)
-	var wg sync.WaitGroup
-	for i := 0; i < runs; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			kit, err := core.NewStatsKit(rd.Chain(), chain.ObservationStart, 6*time.Hour)
-			if err != nil {
-				errs[i] = fmt.Errorf("archive %s: %w", adir, err)
-				return
-			}
-			icfg := core.IngestConfig{Workers: replayWorkers(i, sweeps, workers)}
-			if _, err := core.IngestArchive(ctx, rd, kit.Decoder, icfg); err != nil {
-				errs[i] = fmt.Errorf("replaying %s (seed run %d): %w", adir, i, err)
-				return
-			}
-			summaries[i] = kit.Summarize()
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return summaries, nil
-}
-
-// replayWorkers is the ingest worker count of run i of a replay. A plain
-// replay (sweeps == 0) is one run at the configured -workers count, 0
-// meaning one per CPU. The runs of a -parallel sweep cycle through 1, 2, …
-// up to that count, so a converged band also witnesses worker-count
-// invariance, not just repeatability.
-func replayWorkers(i, sweeps, workers int) int {
-	if sweeps <= 0 {
-		return workers
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return 1 + i%workers
 }

@@ -1,8 +1,9 @@
 // Command serve is the online stats serving layer: it ingests block
 // history continuously — from live chain endpoints (with an optional
-// archive tee), from an archived crawl replayed offline, or from the whole
-// reproduction pipeline — and answers per-chain summary, figure and
-// percentile queries over HTTP/JSON while ingestion is still running.
+// archive tee) or from an archived crawl replayed offline — and answers
+// per-chain summary, figure and percentile queries over HTTP/JSON while
+// ingestion is still running. It links no simulator: to serve the
+// reproduction's own chains, point it at a running cmd/chainsim.
 //
 // Reads never wait on ingestion: every query answers from an immutable
 // snapshot swapped in atomically per merge epoch (see internal/serve), and
@@ -16,7 +17,6 @@
 //
 //	serve -addr :8080 -replay STORE
 //	serve -addr :8080 -eos URL [-tezos URL] [-xrp URL] [-archive STORE]
-//	serve -addr :8080 -pipeline
 //
 // STORE is a blob-store location: a plain directory path, file://PATH,
 // mem://NAME, or s3://BUCKET/PREFIX?endpoint=URL.
@@ -46,7 +46,6 @@ import (
 	"repro/internal/cli"
 	"repro/internal/collect"
 	"repro/internal/core"
-	"repro/internal/pipeline"
 	"repro/internal/serve"
 )
 
@@ -56,11 +55,10 @@ type serveOpts struct {
 	tezos string
 	xrp   string
 	cli.ArchiveFlags
-	runPipeline bool
-	epoch       time.Duration
-	workers     int
-	ingest      int
-	buffer      int
+	epoch   time.Duration
+	workers int
+	ingest  int
+	buffer  int
 
 	// ready, when set, is called with the base URL once the listener is
 	// accepting — the hook tests use to query mid-ingest.
@@ -74,13 +72,12 @@ func main() {
 	flag.StringVar(&o.tezos, "tezos", "", "Tezos endpoint URL to crawl live")
 	flag.StringVar(&o.xrp, "xrp", "", "XRP WebSocket endpoint URL to crawl live")
 	o.ArchiveFlags.Register(flag.CommandLine, cli.ModeServe)
-	flag.BoolVar(&o.runPipeline, "pipeline", false, "serve the full reproduction pipeline's stages as they crawl")
 	flag.DurationVar(&o.epoch, "epoch", 200*time.Millisecond, "snapshot publish interval")
 	flag.IntVar(&o.workers, "workers", 4, "concurrent fetchers per live feed (xrp uses 1)")
 	flag.IntVar(&o.ingest, "ingest", 2, "decode/ingest workers per feed")
 	flag.IntVar(&o.buffer, "buffer", 64, "stream buffer per live feed")
 	flag.Parse()
-	if err := o.Validate(); err != nil {
+	if err := o.validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "serve:", err)
 		os.Exit(2)
 	}
@@ -92,6 +89,22 @@ func main() {
 		fmt.Fprintln(os.Stderr, "serve:", err)
 		os.Exit(1)
 	}
+}
+
+// live reports whether any live endpoint was passed.
+func (o *serveOpts) live() bool { return o.eos != "" || o.tezos != "" || o.xrp != "" }
+
+// validate refuses a flag set before anything listens: bad store locations
+// and ranges, and a replay mixed with live endpoints — the two are feed
+// modes, and one of them would be silently ignored.
+func (o *serveOpts) validate() error {
+	if err := o.ArchiveFlags.Validate(); err != nil {
+		return err
+	}
+	if o.Replaying() && o.live() {
+		return errors.New("-replay serves archived crawls offline and -eos/-tezos/-xrp crawl live endpoints: pass one or the other")
+	}
+	return nil
 }
 
 // run is the whole command behind flag parsing and signal wiring, testable
@@ -167,17 +180,7 @@ func runFeeds(ctx context.Context, pub *serve.Publisher, o serveOpts, out io.Wri
 	switch {
 	case o.Replaying():
 		return replayFeeds(ctx, pub, o, out)
-	case o.runPipeline:
-		popts := pipeline.DefaultOptions()
-		popts.Workers = o.workers
-		popts.Buffer = o.buffer
-		popts.Serve = pub
-		if o.Archive != "" {
-			popts.ArchiveDir = o.Archive
-		}
-		_, err := pipeline.Run(ctx, popts)
-		return err
-	case o.eos != "" || o.tezos != "" || o.xrp != "":
+	case o.live():
 		type feed struct{ chain, endpoint string }
 		var feeds []feed
 		for _, f := range []feed{{"eos", o.eos}, {"tezos", o.tezos}, {"xrp", o.xrp}} {
@@ -197,20 +200,25 @@ func runFeeds(ctx context.Context, pub *serve.Publisher, o serveOpts, out io.Wri
 		wg.Wait()
 		return errors.Join(errs...)
 	default:
-		return errors.New("nothing to serve: pass -replay DIR, -pipeline, or at least one of -eos/-tezos/-xrp")
+		return errors.New("nothing to serve: pass -replay DIR or at least one of -eos/-tezos/-xrp")
 	}
 }
 
 // replayFeeds serves archived crawls: every archive under o.Replay replays
-// into its own registered feed, all concurrently.
+// into its own registered feed, all concurrently. Every archive is opened
+// (and so verified) before the first feed starts, so a corrupt one fails
+// the command while nothing is folding into the publisher yet.
 func replayFeeds(ctx context.Context, pub *serve.Publisher, o serveOpts, out io.Writer) error {
 	dirs, err := archive.Discover(o.Replay)
 	if err != nil {
 		return err
 	}
-	var wg sync.WaitGroup
-	errs := make([]error, len(dirs))
-	for i, dir := range dirs {
+	type feed struct {
+		dir string
+		rd  *archive.Reader
+	}
+	var feeds []feed
+	for _, dir := range dirs {
 		rd, err := archive.OpenWith(dir, archive.OpenOptions{})
 		if err != nil {
 			return err
@@ -219,18 +227,21 @@ func replayFeeds(ctx context.Context, pub *serve.Publisher, o serveOpts, out io.
 			fmt.Fprintf(out, "skipping:    %s (empty archive)\n", dir)
 			continue
 		}
+		feeds = append(feeds, feed{dir, rd})
+	}
+	errs := make([]error, len(feeds))
+	var wg sync.WaitGroup
+	for i, f := range feeds {
 		wg.Add(1)
-		go func(i int, dir string, rd *archive.Reader) {
+		go func() {
 			defer wg.Done()
-			n, ferr := pub.FeedArchive(ctx, rd, serve.FeedConfig{
-				Ingest: core.IngestConfig{Workers: o.ingest},
-			})
-			if ferr != nil {
-				errs[i] = fmt.Errorf("replaying %s: %w", dir, ferr)
+			n, err := pub.FeedArchive(ctx, f.rd, serve.FeedConfig{Ingest: core.IngestConfig{Workers: o.ingest}})
+			if err != nil {
+				errs[i] = fmt.Errorf("replaying %s: %w", f.dir, err)
 				return
 			}
-			fmt.Fprintf(out, "replayed:    %s — %d blocks from %s\n", rd.Chain(), n, dir)
-		}(i, dir, rd)
+			fmt.Fprintf(out, "replayed:    %s — %d blocks from %s\n", f.rd.Chain(), n, f.dir)
+		}()
 	}
 	wg.Wait()
 	return errors.Join(errs...)

@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"flag"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -229,5 +233,67 @@ func TestServeNothingConfigured(t *testing.T) {
 	err := run(context.Background(), serveOpts{addr: "127.0.0.1:0"}, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "nothing to serve") {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestServeReplayCorruptArchive: one good and one corrupt archive under
+// -replay. Every archive is opened before any feed starts, so run returns
+// the corruption having fed nothing — opening them one feed at a time let
+// run tear the server down under the good archive's still-ingesting feed.
+func TestServeReplayCorruptArchive(t *testing.T) {
+	root := t.TempDir()
+	for _, name := range []string{"a-good", "b-corrupt"} {
+		w, err := archive.NewWriter(archive.WriterConfig{Dir: filepath.Join(root, name), Chain: "eos"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for num := int64(1); num <= 64; num++ {
+			block := fmt.Sprintf(`{"block_num":%d,"id":"i","previous":"p","timestamp":"2019-10-01T00:00:00.500","producer":"bp","transactions":null}`, num)
+			if err := w.Append(num, []byte(block)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seg := filepath.Join(root, "b-corrupt", "segment-000001.gz")
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(seg, data[:len(data)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var out bytes.Buffer
+	err = run(context.Background(), serveOpts{
+		addr:         "127.0.0.1:0",
+		ArchiveFlags: cli.ArchiveFlags{Replay: root},
+		epoch:        time.Millisecond,
+		ingest:       1,
+	}, &out)
+	if !errors.Is(err, archive.ErrCorrupt) {
+		t.Fatalf("err = %v, want the second archive's corruption", err)
+	}
+	for _, line := range []string{"replayed:", "drained:"} {
+		if strings.Contains(out.String(), line) {
+			t.Fatalf("a feed ran although an archive was corrupt:\n%s", out.String())
+		}
+	}
+}
+
+// TestServeRefusesReplayWithEndpoints: -replay and live endpoints are two
+// feed modes; passing both is a usage error, not a silently ignored flag.
+func TestServeRefusesReplayWithEndpoints(t *testing.T) {
+	var o serveOpts
+	o.Register(flag.NewFlagSet("serve", flag.ContinueOnError), cli.ModeServe)
+	o.Replay, o.From = "mem://serve-mix", 1
+	if err := o.validate(); err != nil {
+		t.Fatalf("plain replay refused: %v", err)
+	}
+	o.eos = "http://127.0.0.1:1"
+	if err := o.validate(); err == nil || !strings.Contains(err.Error(), "one or the other") {
+		t.Fatalf("err = %v, want the replay/live mix refused", err)
 	}
 }

@@ -37,7 +37,17 @@ func main() {
 			panic(err)
 		}
 	}
-	agg.AddExchanges(scenario.State.Exchanges())
+	// Trade records take the Data API's wire shape on the way in.
+	fills := scenario.State.Exchanges()
+	exchanges := make([]core.XRPExchange, 0, len(fills))
+	for _, fill := range fills {
+		ex, err := explorer.ExchangeToJSON(fill).ToExchange()
+		if err != nil {
+			panic(err)
+		}
+		exchanges = append(exchanges, ex)
+	}
+	agg.AddExchanges(exchanges)
 
 	d := agg.Decompose()
 	fmt.Println("Figure 7 decomposition:")
@@ -58,7 +68,7 @@ func main() {
 	}
 
 	fmt.Println("\nFigure 11b — the Myrone BTC IOU over time:")
-	for _, row := range agg.RateSeries(xrp.AssetKey{Currency: "BTC", Issuer: scenario.MyroneIssuer}) {
+	for _, row := range agg.RateSeries(core.XRPAssetKey{Currency: "BTC", Issuer: string(scenario.MyroneIssuer)}) {
 		fmt.Printf("  %s  %10.1f XRP per BTC\n", row.Start.Format("2006-01-02"), float64(row.Counts["rate_millis"])/1000)
 	}
 

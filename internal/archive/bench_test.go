@@ -12,7 +12,7 @@ import (
 // Developer benchmarks, not gated anywhere. The benchmark's workloads archive
 // into mem:// only, where bench/ reads archive.append_us_per_block, open_ms
 // and walk_us_per_block; what is left here are the paths no workload reaches:
-// the file:// and s3:// backends, the null:// floor and ranged opens.
+// the file:// and s3:// backends and ranged opens.
 
 // benchStore builds one store per backend for the per-backend benches;
 // the s3 stub is torn down with the benchmark.
@@ -29,8 +29,6 @@ func benchStore(b *testing.B, backend string) blobstore.Store {
 			b.Fatal(err)
 		}
 		return st
-	case "null":
-		return blobstore.NewNull()
 	}
 	b.Fatalf("unknown backend %q", backend)
 	return nil
@@ -38,10 +36,10 @@ func benchStore(b *testing.B, backend string) blobstore.Store {
 
 // BenchmarkArchiveWriteFile and friends split the tee-side cost per
 // backend: file shows the fsync+rename tax, s3 the HTTP round-trip (against
-// a loopback stub), null the compression floor with storage subtracted.
+// a loopback stub); the compression floor under both is the ledger's
+// archive.append_us_per_block.
 func BenchmarkArchiveWriteFile(b *testing.B) { benchArchiveWrite(b, "file") }
 func BenchmarkArchiveWriteS3(b *testing.B)   { benchArchiveWrite(b, "s3") }
-func BenchmarkArchiveWriteNull(b *testing.B) { benchArchiveWrite(b, "null") }
 
 func benchArchiveWrite(b *testing.B, backend string) {
 	raw := payloadN(1, 4096)

@@ -65,7 +65,7 @@ func honestEntry(stream []byte) (blocks, raw, min, max int64) {
 //
 // The corpus under testdata/fuzz/FuzzOpenArchive is a two-segment archive
 // of simulator-built blocks — workload.BuildTezos at scale 6400, seed 22,
-// levels 1–8 through wire.TezosWireBlock and Codec.AppendTezosBlock, four
+// levels 1–8 through rpcserve's block converter and Codec.AppendTezosBlock, four
 // per segment — as written, with level 7 re-archived in the second
 // segment and opened over [3, 7], with overstated and understated manifest
 // numbers, and with a truncated object.

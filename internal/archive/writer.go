@@ -350,8 +350,5 @@ func (w *Writer) Segments() int {
 	return n
 }
 
-// Dir returns the archive location as configured.
-func (w *Writer) Dir() string { return w.cfg.Dir }
-
 // Chain returns the archived chain name.
 func (w *Writer) Chain() string { return w.cfg.Chain }

@@ -21,7 +21,7 @@
 //   - Delete is idempotent: deleting an absent key is not an error.
 //
 // Backends resolve from URLs (see Resolve): file://PATH (or a bare path),
-// mem://NAME[/PREFIX], s3://BUCKET[/PREFIX]?endpoint=..., and null://.
+// mem://NAME[/PREFIX] and s3://BUCKET[/PREFIX]?endpoint=....
 // The memory backend counts every operation and byte, which is how tests
 // prove fetch-locality properties (e.g. that a range replay touches only
 // covering segments); Faulty wraps any backend with injectable per-op

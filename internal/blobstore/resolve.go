@@ -10,7 +10,7 @@ import (
 
 // Schemes lists the store locations Resolve understands, for error
 // messages and flag docs.
-const Schemes = "file://PATH (or a bare path), mem://NAME[/PREFIX], s3://BUCKET[/PREFIX]?endpoint=URL&region=R, null://, faulty+URL?fault=P&fault-seed=N[&fault-ops=put,get,...]"
+const Schemes = "file://PATH (or a bare path), mem://NAME[/PREFIX], s3://BUCKET[/PREFIX]?endpoint=URL&region=R, faulty+URL?fault=P&fault-seed=N[&fault-ops=put,get,...]"
 
 // Resolve opens the store a location names:
 //
@@ -18,7 +18,6 @@ const Schemes = "file://PATH (or a bare path), mem://NAME[/PREFIX], s3://BUCKET[
 //	file:///var/archives     local filesystem, explicit
 //	mem://crawl1/eos         in-process memory store "crawl1", keys under eos/
 //	s3://bucket/prefix       S3-compatible service (endpoint=, region= in query)
-//	null://                  discard sink
 //
 // Resolving the same mem:// name twice in one process yields the same
 // namespace, so a writer and a later reader see each other's objects.
@@ -51,8 +50,6 @@ func Resolve(rawurl string) (Store, error) {
 		return st, nil
 	case "s3":
 		return newS3(rawurl)
-	case "null":
-		return NewNull(), nil
 	default:
 		return nil, fmt.Errorf("blobstore: unsupported scheme %s:// in %s (supported: %s)", scheme, rawurl, Schemes)
 	}

@@ -20,13 +20,13 @@ func TestResolveSchemes(t *testing.T) {
 		{in: "file:///var/archives", wantURL: "file:///var/archives"},
 		{in: "mem://crawl1", wantURL: "mem://crawl1"},
 		{in: "mem://crawl1/eos", wantURL: "mem://crawl1/eos"},
-		{in: "null://", wantURL: "null://"},
 		{in: "s3://bucket/prefix?endpoint=http://localhost:9000", wantURL: "s3://bucket/prefix?endpoint=http://localhost:9000"},
 		{in: "", wantErr: "empty store location"},
 		{in: "file://", wantErr: "needs a path"},
 		{in: "mem://", wantErr: "needs a name"},
 		{in: "s3://", wantErr: "names no bucket"},
 		{in: "gopher://hole", wantErr: "unsupported scheme"},
+		{in: "null://", wantErr: "unsupported scheme"},
 	}
 	for _, c := range cases {
 		st, err := blobstore.Resolve(c.in)
@@ -136,7 +136,6 @@ func TestJoin(t *testing.T) {
 		{"file:///var/archives/", "eos", "file:///var/archives/eos"},
 		{"mem://crawl1", "eos", "mem://crawl1/eos"},
 		{"s3://bkt/pre?endpoint=http://h:9", "eos", "s3://bkt/pre/eos?endpoint=http://h:9"},
-		{"null://", "eos", "null://eos"},
 	}
 	for _, c := range cases {
 		if got := blobstore.Join(c.base, c.elem); got != c.want {

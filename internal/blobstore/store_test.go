@@ -117,23 +117,6 @@ func TestStoreContract(t *testing.T) {
 	}
 }
 
-func TestNullStore(t *testing.T) {
-	ctx := context.Background()
-	n := blobstore.NewNull()
-	if err := n.Put(ctx, "seg.gz", []byte("x")); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	if _, err := n.Get(ctx, "seg.gz"); !errors.Is(err, fs.ErrNotExist) {
-		t.Errorf("Get: got %v, want fs.ErrNotExist", err)
-	}
-	if keys, err := n.List(ctx, ""); err != nil || len(keys) != 0 {
-		t.Errorf("List: %v, %v", keys, err)
-	}
-	if n.Puts() != 1 {
-		t.Errorf("Puts: %d, want 1", n.Puts())
-	}
-}
-
 // TestFilePutAtomic hammers one key with concurrent writers while a
 // reader polls: every observed value must be one of the complete payloads,
 // never a splice or a truncation.

@@ -32,7 +32,7 @@ const (
 // instead of after a network crawl.
 type ArchiveFlags struct {
 	// Archive is the blob-store location raw blocks are teed into
-	// (path, file://, mem://, s3://, null://).
+	// (path, file://, mem://, s3://).
 	Archive string
 	// Replay is the blob-store location to replay archives from
 	// (ModeReport and ModeServe only).
@@ -51,11 +51,11 @@ func (a *ArchiveFlags) Register(fs *flag.FlagSet, mode Mode) {
 	a.mode = mode
 	switch mode {
 	case ModeCrawl:
-		fs.StringVar(&a.Archive, "archive", "", "archive location (path or blob-store URL: file://, mem://, s3://, null://): tee every raw block into it for offline replay (cmd/report -replay)")
+		fs.StringVar(&a.Archive, "archive", "", "archive location (path or blob-store URL: file://, mem://, s3://): tee every raw block into it for offline replay (cmd/report -replay)")
 		fs.Int64Var(&a.From, "from", 1, "first block")
 		fs.Int64Var(&a.To, "to", 0, "last block (0 = head)")
 	case ModeReport:
-		fs.StringVar(&a.Archive, "archive", "", "archive location (path or blob-store URL: file://, mem://, s3://, null://): stages tee raw blocks into it, and replay from it when it already covers their ranges")
+		fs.StringVar(&a.Archive, "archive", "", "archive location (path or blob-store URL: file://, mem://, s3://): stages tee raw blocks into it, and replay from it when it already covers their ranges")
 		fs.StringVar(&a.Replay, "replay", "", "replay archives at this location (path or blob-store URL) offline (no pipeline, no network) and print their figures")
 		fs.Int64Var(&a.From, "from", 0, "with -replay: lowest block to replay; with -to, only segments covering [from, to] are fetched")
 		fs.Int64Var(&a.To, "to", 0, "with -replay: highest block to replay")

@@ -21,9 +21,6 @@ func NewPool(n int) *Pool {
 	return &Pool{sem: make(chan struct{}, n)}
 }
 
-// Size reports the pool's admission bound.
-func (p *Pool) Size() int { return cap(p.sem) }
-
 // acquire blocks until a slot frees or ctx is done.
 func (p *Pool) acquire(ctx context.Context) error {
 	select {

@@ -215,28 +215,3 @@ func FenceIndex(ctx context.Context, store blobstore.Store) (map[string]uint64, 
 	}
 	return index, nil
 }
-
-// Await polls Claim until the lease is won or ctx ends. *ErrHeld sleeps
-// one poll interval and tries again — the standby election loop; transient
-// store errors are retried the same way, since a standby has nothing
-// better to do than keep watching. The poll interval defaults to a third
-// of the TTL, the same cadence holders renew at.
-func (l *Leases) Await(ctx context.Context, task string, poll time.Duration) (LeaseRecord, error) {
-	if poll <= 0 {
-		poll = l.ttl / 3
-	}
-	for {
-		rec, err := l.Claim(ctx, task)
-		if err == nil {
-			return rec, nil
-		}
-		if ctx.Err() != nil {
-			return LeaseRecord{}, ctx.Err()
-		}
-		select {
-		case <-ctx.Done():
-			return LeaseRecord{}, ctx.Err()
-		case <-time.After(poll):
-		}
-	}
-}

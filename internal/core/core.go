@@ -24,9 +24,8 @@
 //     ShardState.EncodeTo/DecodeFrom (EncodeShard, DecodeShard) and shard
 //     blob I/O over internal/blobstore — one spelling each: EmitShard,
 //     LoadShards, MergeShards.
-//   - summary.go, band.go: ChainSummary (the deterministic figures
-//     footprint and its Render), StatsKit/NewStatsKit (a chain's stack by
-//     name) and SummaryBand for multi-seed sweeps.
+//   - summary.go: ChainSummary (the deterministic figures footprint and
+//     its Render) and StatsKit/NewStatsKit (a chain's stack by name).
 //   - tps.go, washtrade.go, spamcluster.go: the throughput estimators and
 //     the case-study detectors.
 package core

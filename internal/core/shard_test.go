@@ -53,6 +53,9 @@ func testShardedRenders[B any, A interface {
 			for iter := 0; iter < 12; iter++ {
 				agg := newAgg()
 				dec := mode.wrap(agg.Decoder()).(ShardedDecoder)
+				if _, ok := dec.(BatchReleaser); !ok {
+					t.Fatal("decoder lost BatchReleaser: the ingest pool would never recycle its arena structs")
+				}
 				shardCount := 1 + rng.Intn(7)
 				shards := make([]Shard, shardCount)
 				for i := range shards {

@@ -28,7 +28,6 @@ import (
 
 	"repro/internal/stats"
 	"repro/internal/wire"
-	"repro/internal/xrp"
 )
 
 // stringish admits the string-keyed count maps the shards keep, including
@@ -400,13 +399,13 @@ func (s *XRPShard) EncodeTo(w io.Writer, fence uint64) error {
 		e.Time(ex.Time)
 		e.Varint(ex.LedgerIndex)
 		e.String(ex.Base.Currency)
-		e.String(string(ex.Base.Issuer))
+		e.String(ex.Base.Issuer)
 		e.String(ex.Counter.Currency)
-		e.String(string(ex.Counter.Issuer))
+		e.String(ex.Counter.Issuer)
 		e.Varint(ex.BaseValue)
 		e.Varint(ex.CounterValue)
-		e.String(string(ex.Maker))
-		e.String(string(ex.Taker))
+		e.String(ex.Maker)
+		e.String(ex.Taker)
 		e.Uvarint(uint64(ex.MakerSequence))
 	}
 	return sealTo(w, "xrp", fence, e.Bytes())
@@ -477,19 +476,19 @@ func (s *XRPShard) DecodeFrom(r io.Reader) error {
 	s.offersExecuted = decOfferSet(d)
 	s.restingOffers = decOfferSet(d)
 	n = d.Count()
-	s.exchanges = make([]xrp.Exchange, 0, capHint(d, n, 11))
+	s.exchanges = make([]XRPExchange, 0, capHint(d, n, 11))
 	for i := 0; i < n && d.Err() == nil; i++ {
-		ex := xrp.Exchange{
-			Time:        d.Time(),
-			LedgerIndex: d.Varint(),
+		ex := XRPExchange{
+			Time:          d.Time(),
+			LedgerIndex:   d.Varint(),
+			Base:          XRPAssetKey{Currency: d.String(), Issuer: d.String()},
+			Counter:       XRPAssetKey{Currency: d.String(), Issuer: d.String()},
+			BaseValue:     d.Varint(),
+			CounterValue:  d.Varint(),
+			Maker:         d.String(),
+			Taker:         d.String(),
+			MakerSequence: uint32(d.Uvarint()),
 		}
-		ex.Base = xrpAssetKey(d.String(), d.String())
-		ex.Counter = xrpAssetKey(d.String(), d.String())
-		ex.BaseValue = d.Varint()
-		ex.CounterValue = d.Varint()
-		ex.Maker = xrp.Address(d.String())
-		ex.Taker = xrp.Address(d.String())
-		ex.MakerSequence = uint32(d.Uvarint())
 		if d.Err() == nil {
 			s.exchanges = append(s.exchanges, ex)
 		}

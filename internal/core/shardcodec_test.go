@@ -6,6 +6,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -13,7 +15,6 @@ import (
 	"repro/internal/blobstore"
 	"repro/internal/chain"
 	"repro/internal/wire"
-	"repro/internal/xrp"
 )
 
 // encodeState is a test helper: one shard state to a sealed blob.
@@ -325,6 +326,52 @@ func TestEmitShardRequiresRange(t *testing.T) {
 	}
 }
 
+// goldenShards reads the committed blobs under testdata/shards: one shard
+// per chain as the codec wrote it before core owned the XRP value types
+// (PR 23's tree) — the EOS and Tezos fuzz seeds, and an XRP shard carrying
+// payments and explorer exchanges, sealed at fence 3.
+func goldenShards(t testing.TB) map[string][]byte {
+	t.Helper()
+	blobs := make(map[string][]byte)
+	for _, name := range []string{"eos", "tezos", "xrp"} {
+		blob, err := os.ReadFile(filepath.Join("testdata", "shards", name+".shard"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		blobs[name] = blob
+	}
+	return blobs
+}
+
+// TestShardGoldenBlobs: a blob an earlier build emitted decodes here and
+// re-encodes to the same bytes — the shard format did not move with the
+// types behind it, so stores written before this build still merge.
+func TestShardGoldenBlobs(t *testing.T) {
+	for name, blob := range goldenShards(t) {
+		st, err := DecodeShard(blob)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if st.Chain() != name {
+			t.Fatalf("%s: decoded chain %q", name, st.Chain())
+		}
+		if xs, ok := st.(*XRPShard); ok && len(xs.exchanges) != 8 {
+			t.Fatalf("golden xrp shard decoded %d exchanges, want 8", len(xs.exchanges))
+		}
+		fence, err := wire.ShardFence(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := EncodeShard(st, fence)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, blob) {
+			t.Fatalf("%s: decode→re-encode moved the bytes (%d vs %d)", name, len(again), len(blob))
+		}
+	}
+}
+
 // FuzzShardDecode drives arbitrary bytes through the whole decode path:
 // any input may error but must never panic, and anything that decodes must
 // re-encode cleanly (no partially-initialized state escapes).
@@ -350,6 +397,9 @@ func FuzzShardDecode(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 	}
+	for _, blob := range goldenShards(f) {
+		f.Add(blob)
+	}
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		st, err := DecodeShard(blob)
 		if err != nil {
@@ -364,18 +414,18 @@ func FuzzShardDecode(f *testing.F) {
 }
 
 // genExchanges fabricates explorer exchange records for the XRP tests.
-func genExchanges(n int) []xrp.Exchange {
-	out := make([]xrp.Exchange, n)
+func genExchanges(n int) []XRPExchange {
+	out := make([]XRPExchange, n)
 	for i := range out {
-		out[i] = xrp.Exchange{
+		out[i] = XRPExchange{
 			Time:          chain.ObservationStart.Add(time.Duration(i) * time.Hour),
 			LedgerIndex:   int64(i + 1),
-			Base:          xrp.AssetKey{Currency: "BTC", Issuer: "rGateway"},
-			Counter:       xrp.AssetKey{Currency: "XRP"},
+			Base:          XRPAssetKey{Currency: "BTC", Issuer: "rGateway"},
+			Counter:       XRPAssetKey{Currency: "XRP"},
 			BaseValue:     int64(1_000_000 + i),
 			CounterValue:  int64(9_000_000 * (i + 1)),
-			Maker:         xrp.Address(fmt.Sprintf("rMaker%d", i%3)),
-			Taker:         xrp.Address(fmt.Sprintf("rTaker%d", i%2)),
+			Maker:         fmt.Sprintf("rMaker%d", i%3),
+			Taker:         fmt.Sprintf("rTaker%d", i%2),
 			MakerSequence: uint32(100 + i),
 		}
 	}

@@ -33,14 +33,6 @@ type BlockRange struct {
 // Known reports whether the range was set to a valid partition.
 func (r BlockRange) Known() bool { return r.From > 0 && r.To >= r.From }
 
-// Blocks returns the number of blocks in the range (0 when unknown).
-func (r BlockRange) Blocks() int64 {
-	if !r.Known() {
-		return 0
-	}
-	return r.To - r.From + 1
-}
-
 // Overlaps reports whether two known ranges share any block.
 func (r BlockRange) Overlaps(o BlockRange) bool {
 	return r.Known() && o.Known() && r.From <= o.To && o.From <= r.To

@@ -193,7 +193,7 @@ func (a *XRPAggregator) PaymentViews() []XRPPaymentView {
 		}
 		hasValue := p.Native
 		if !hasValue {
-			hasValue = a.rateToXRPLocked(xrpAssetKey(p.Currency, p.Issuer)) > 0
+			hasValue = a.rateToXRPLocked(XRPAssetKey{Currency: p.Currency, Issuer: p.Issuer}) > 0
 		}
 		out = append(out, XRPPaymentView{From: p.From, To: p.To, HasValue: hasValue})
 	}

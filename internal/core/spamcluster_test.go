@@ -92,10 +92,10 @@ func TestSpamClusterThresholds(t *testing.T) {
 func TestPaymentViewsValuation(t *testing.T) {
 	a := NewXRPAggregator(chain.ObservationStart, 6*time.Hour)
 	gw := "rGW"
-	a.AddExchanges([]xrp.Exchange{{
+	a.AddExchanges([]XRPExchange{{
 		Time:      chain.ObservationStart,
-		Base:      xrp.AssetKey{Currency: "USD", Issuer: xrp.Address(gw)},
-		Counter:   xrp.AssetKey{Currency: "XRP"},
+		Base:      XRPAssetKey{Currency: "USD", Issuer: gw},
+		Counter:   XRPAssetKey{Currency: "XRP"},
 		BaseValue: 1 * xrp.DropsPerXRP, CounterValue: 5 * xrp.DropsPerXRP,
 	}})
 	a.IngestBatch([]any{xrpLedger(1, chain.ObservationStart,

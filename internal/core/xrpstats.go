@@ -8,8 +8,32 @@ import (
 
 	"repro/internal/stats"
 	"repro/internal/wire"
-	"repro/internal/xrp"
 )
+
+// xrpDropsPerXRP scales display units to drops; IOU values share the same
+// 6-decimal fixed point.
+const xrpDropsPerXRP = 1_000_000
+
+// XRPAssetKey identifies an asset on the XRP ledger: a currency code and,
+// for an IOU, the issuer's address ("" for native XRP). The issuer is part
+// of the identity — a "BTC" from a gateway and a "BTC" from a random
+// account are different assets with wildly different XRP rates.
+type XRPAssetKey struct {
+	Currency, Issuer string
+}
+
+// XRPExchange is one DEX fill as the explorer's Data API reports it. Base
+// is the asset the resting (maker) offer sold, Counter what it received,
+// both in 6-decimal fixed point; MakerSequence identifies the maker's
+// offer so later fills attribute to the OfferCreate that placed it.
+type XRPExchange struct {
+	Time                    time.Time
+	LedgerIndex             int64
+	Base, Counter           XRPAssetKey
+	BaseValue, CounterValue int64
+	Maker, Taker            string
+	MakerSequence           uint32
+}
 
 // XRPShard is the mutable aggregate state for a partition of XRP ledgers:
 // one goroutine owns it, disjoint shards merge with Merge, and all of its
@@ -36,7 +60,7 @@ type XRPShard struct {
 	offersExecuted map[offerRef]bool // executed at placement
 	restingOffers  map[offerRef]bool
 
-	exchanges []xrp.Exchange
+	exchanges []XRPExchange
 
 	FirstLedgerTime, LastLedgerTime time.Time
 
@@ -59,11 +83,6 @@ type XRPAggregator struct {
 type offerRef struct {
 	Account  string
 	Sequence uint32
-}
-
-// xrpAssetKey builds an asset key from string fields.
-func xrpAssetKey(currency, issuer string) xrp.AssetKey {
-	return xrp.AssetKey{Currency: currency, Issuer: xrp.Address(issuer)}
 }
 
 type xrpAccountAgg struct {
@@ -241,15 +260,16 @@ func (a *XRPShard) ingest(l *wire.XRPLedger, ts time.Time) {
 
 		switch tx.TransactionType {
 		case "Payment":
-			amt := tx.Amount.ToAmount()
+			amt := tx.Amount
 			if tx.DeliveredAmount.Set {
-				amt = tx.DeliveredAmount.ToAmount()
+				amt = tx.DeliveredAmount
 			}
 			a.payments = append(a.payments, xrpPayment{
 				Time: ts, From: tx.Account, To: tx.Destination,
 				DestTag:  tx.DestinationTag,
-				Currency: amt.Currency, Issuer: string(amt.Issuer),
-				Value: amt.Value, Success: success, Native: amt.IsNative(),
+				Currency: amt.Currency, Issuer: amt.Issuer,
+				Value: amt.Value, Success: success,
+				Native: amt.Currency == "XRP" && amt.Issuer == "",
 			})
 			if tx.DestinationTag != 0 {
 				acct.DestTags[tx.DestinationTag]++
@@ -280,28 +300,28 @@ func xrpSeriesLabel(txType string) string {
 
 // AddExchanges feeds the explorer's trade records into the aggregate, both
 // for the rate oracle and to attribute maker-side fills to resting offers.
-func (a *XRPAggregator) AddExchanges(ex []xrp.Exchange) {
+func (a *XRPAggregator) AddExchanges(ex []XRPExchange) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.exchanges = append(a.exchanges, ex...)
 	for _, e := range ex {
-		a.offersExecuted[offerRef{string(e.Maker), e.MakerSequence}] = true
+		a.offersExecuted[offerRef{e.Maker, e.MakerSequence}] = true
 	}
 }
 
 // RateToXRP returns the average traded XRP per unit of the asset over all
 // observed exchanges (0 when it never traded against XRP).
-func (a *XRPAggregator) RateToXRP(key xrp.AssetKey) float64 {
+func (a *XRPAggregator) RateToXRP(key XRPAssetKey) float64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.rateToXRPLocked(key)
 }
 
-func (a *XRPAggregator) rateToXRPLocked(key xrp.AssetKey) float64 {
+func (a *XRPAggregator) rateToXRPLocked(key XRPAssetKey) float64 {
 	if key.Issuer == "" && key.Currency == "XRP" {
 		return 1
 	}
-	xrpKey := xrp.AssetKey{Currency: "XRP"}
+	xrpKey := XRPAssetKey{Currency: "XRP"}
 	var sum float64
 	var n int
 	for _, e := range a.exchanges {
@@ -370,7 +390,7 @@ func (a *XRPAggregator) Decompose() ValueDecomposition {
 			continue
 		}
 		payOK++
-		if p.Native || a.rateToXRPLocked(xrp.AssetKey{Currency: p.Currency, Issuer: xrp.Address(p.Issuer)}) > 0 {
+		if p.Native || a.rateToXRPLocked(XRPAssetKey{Currency: p.Currency, Issuer: p.Issuer}) > 0 {
 			payValue++
 		}
 	}
@@ -486,16 +506,16 @@ func (a *XRPAggregator) IssuerRates(currency string) []IssuerRate {
 		n   int
 	}
 	byIssuer := make(map[string]*accum)
-	xrpKey := xrp.AssetKey{Currency: "XRP"}
+	xrpKey := XRPAssetKey{Currency: "XRP"}
 	for _, e := range a.exchanges {
 		var issuer string
 		var rate float64
 		switch {
 		case e.Base.Currency == currency && e.Counter == xrpKey && e.BaseValue > 0:
-			issuer = string(e.Base.Issuer)
+			issuer = e.Base.Issuer
 			rate = float64(e.CounterValue) / float64(e.BaseValue)
 		case e.Counter.Currency == currency && e.Base == xrpKey && e.CounterValue > 0:
-			issuer = string(e.Counter.Issuer)
+			issuer = e.Counter.Issuer
 			rate = float64(e.BaseValue) / float64(e.CounterValue)
 		default:
 			continue
@@ -523,10 +543,10 @@ func (a *XRPAggregator) IssuerRates(currency string) []IssuerRate {
 
 // RateSeries returns the chronological rates of one asset against XRP
 // (Figure 11b: the Myrone BTC IOU collapsing from 30,500 to 0.1).
-func (a *XRPAggregator) RateSeries(key xrp.AssetKey) []stats.Row {
+func (a *XRPAggregator) RateSeries(key XRPAssetKey) []stats.Row {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	xrpKey := xrp.AssetKey{Currency: "XRP"}
+	xrpKey := XRPAssetKey{Currency: "XRP"}
 	var rows []stats.Row
 	for _, e := range a.exchanges {
 		var rate float64
@@ -581,13 +601,13 @@ func (a *XRPAggregator) ValueFlow(cluster ClusterFunc, topK int) ValueFlow {
 		}
 		var xrpEq float64
 		if p.Native {
-			xrpEq = float64(p.Value) / xrp.DropsPerXRP
+			xrpEq = float64(p.Value) / xrpDropsPerXRP
 		} else {
-			rate := a.rateToXRPLocked(xrp.AssetKey{Currency: p.Currency, Issuer: xrp.Address(p.Issuer)})
+			rate := a.rateToXRPLocked(XRPAssetKey{Currency: p.Currency, Issuer: p.Issuer})
 			if rate <= 0 {
 				continue // valueless token: excluded from the flow diagram
 			}
-			xrpEq = float64(p.Value) / xrp.DropsPerXRP * rate
+			xrpEq = float64(p.Value) / xrpDropsPerXRP * rate
 		}
 		total += xrpEq
 		senders[cluster(p.From)] += xrpEq

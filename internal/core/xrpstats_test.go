@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/chain"
 	"repro/internal/wire"
-	"repro/internal/xrp"
 )
 
 // xrpLedger builds the ledger in its full wire shape and returns what a
@@ -23,7 +22,7 @@ func xrpLedger(index int64, ts time.Time, txs ...wire.XRPTxJSON) *wire.XRPLedger
 }
 
 func xrpAmt(currency, issuer string, units int64) *wire.XRPAmountJSON {
-	return &wire.XRPAmountJSON{Currency: currency, Issuer: issuer, Value: units * xrp.DropsPerXRP}
+	return &wire.XRPAmountJSON{Currency: currency, Issuer: issuer, Value: units * xrpDropsPerXRP}
 }
 
 func payment(from, to string, amt *wire.XRPAmountJSON, result string) wire.XRPTxJSON {
@@ -98,11 +97,11 @@ func TestXRPMakerFillCountsAsExchanged(t *testing.T) {
 		t.Fatal("resting offer counted as exchanged prematurely")
 	}
 	// Later, the explorer reports a fill of that offer.
-	a.AddExchanges([]xrp.Exchange{{
+	a.AddExchanges([]XRPExchange{{
 		Time:      chain.ObservationStart.Add(time.Hour),
-		Base:      xrp.AssetKey{Currency: "BTC", Issuer: "rGW"},
-		Counter:   xrp.AssetKey{Currency: "XRP"},
-		BaseValue: 1 * xrp.DropsPerXRP, CounterValue: 30_000 * xrp.DropsPerXRP,
+		Base:      XRPAssetKey{Currency: "BTC", Issuer: "rGW"},
+		Counter:   XRPAssetKey{Currency: "XRP"},
+		BaseValue: 1 * xrpDropsPerXRP, CounterValue: 30_000 * xrpDropsPerXRP,
 		Maker: "rMaker", MakerSequence: 7,
 	}})
 	d = a.Decompose()
@@ -113,17 +112,17 @@ func TestXRPMakerFillCountsAsExchanged(t *testing.T) {
 
 func TestXRPRatesFromExchanges(t *testing.T) {
 	a := NewXRPAggregator(chain.ObservationStart, 6*time.Hour)
-	btcBitstamp := xrp.AssetKey{Currency: "BTC", Issuer: "rBitstamp"}
-	btcSpammer := xrp.AssetKey{Currency: "BTC", Issuer: "rSpammer"}
-	xrpKey := xrp.AssetKey{Currency: "XRP"}
-	a.AddExchanges([]xrp.Exchange{
+	btcBitstamp := XRPAssetKey{Currency: "BTC", Issuer: "rBitstamp"}
+	btcSpammer := XRPAssetKey{Currency: "BTC", Issuer: "rSpammer"}
+	xrpKey := XRPAssetKey{Currency: "XRP"}
+	a.AddExchanges([]XRPExchange{
 		{Time: chain.ObservationStart, Base: btcBitstamp, Counter: xrpKey,
-			BaseValue: 1 * xrp.DropsPerXRP, CounterValue: 36_050 * xrp.DropsPerXRP},
+			BaseValue: 1 * xrpDropsPerXRP, CounterValue: 36_050 * xrpDropsPerXRP},
 		{Time: chain.ObservationStart, Base: btcBitstamp, Counter: xrpKey,
-			BaseValue: 2 * xrp.DropsPerXRP, CounterValue: 2 * 35_950 * xrp.DropsPerXRP},
+			BaseValue: 2 * xrpDropsPerXRP, CounterValue: 2 * 35_950 * xrpDropsPerXRP},
 		// Reverse direction quote: buying BTC with XRP.
 		{Time: chain.ObservationStart, Base: xrpKey, Counter: btcSpammer,
-			BaseValue: 1 * xrp.DropsPerXRP, CounterValue: 1000 * xrp.DropsPerXRP},
+			BaseValue: 1 * xrpDropsPerXRP, CounterValue: 1000 * xrpDropsPerXRP},
 	})
 	if r := a.RateToXRP(btcBitstamp); r < 35_999 || r > 36_001 {
 		t.Fatalf("bitstamp BTC rate = %f", r)
@@ -131,7 +130,7 @@ func TestXRPRatesFromExchanges(t *testing.T) {
 	if r := a.RateToXRP(btcSpammer); r < 0.0009 || r > 0.0011 {
 		t.Fatalf("spammer BTC rate = %f", r)
 	}
-	if r := a.RateToXRP(xrp.AssetKey{Currency: "BTC", Issuer: "rUnknown"}); r != 0 {
+	if r := a.RateToXRP(XRPAssetKey{Currency: "BTC", Issuer: "rUnknown"}); r != 0 {
 		t.Fatalf("untraded issuer rate = %f", r)
 	}
 	if a.RateToXRP(xrpKey) != 1 {
@@ -181,11 +180,11 @@ func TestXRPTopAccountsAndDestTag(t *testing.T) {
 func TestXRPValueFlowClusters(t *testing.T) {
 	a := NewXRPAggregator(chain.ObservationStart, 6*time.Hour)
 	gw := "rGW"
-	a.AddExchanges([]xrp.Exchange{{
+	a.AddExchanges([]XRPExchange{{
 		Time:      chain.ObservationStart,
-		Base:      xrp.AssetKey{Currency: "USD", Issuer: xrp.Address(gw)},
-		Counter:   xrp.AssetKey{Currency: "XRP"},
-		BaseValue: 1 * xrp.DropsPerXRP, CounterValue: 5 * xrp.DropsPerXRP, // 5 XRP/USD
+		Base:      XRPAssetKey{Currency: "USD", Issuer: gw},
+		Counter:   XRPAssetKey{Currency: "XRP"},
+		BaseValue: 1 * xrpDropsPerXRP, CounterValue: 5 * xrpDropsPerXRP, // 5 XRP/USD
 	}})
 	a.IngestBatch([]any{xrpLedger(1, chain.ObservationStart,
 		payment("rBinance1", "rUser1", xrpAmt("XRP", "", 1000), "tesSUCCESS"),
@@ -212,14 +211,14 @@ func TestXRPValueFlowClusters(t *testing.T) {
 
 func TestXRPRateSeriesChronological(t *testing.T) {
 	a := NewXRPAggregator(chain.ObservationStart, 6*time.Hour)
-	key := xrp.AssetKey{Currency: "BTC", Issuer: "rLiquidIssuer"}
-	xrpKey := xrp.AssetKey{Currency: "XRP"}
+	key := XRPAssetKey{Currency: "BTC", Issuer: "rLiquidIssuer"}
+	xrpKey := XRPAssetKey{Currency: "XRP"}
 	// December trade at 30,500; January trades at 1 and 0.1 (Figure 11b).
 	dec := time.Date(2019, 12, 14, 0, 0, 0, 0, time.UTC)
 	jan := time.Date(2020, 1, 9, 0, 0, 0, 0, time.UTC)
-	a.AddExchanges([]xrp.Exchange{
-		{Time: jan, Base: key, Counter: xrpKey, BaseValue: 10 * xrp.DropsPerXRP, CounterValue: 1 * xrp.DropsPerXRP},
-		{Time: dec, Base: key, Counter: xrpKey, BaseValue: 1 * xrp.DropsPerXRP, CounterValue: 30_500 * xrp.DropsPerXRP},
+	a.AddExchanges([]XRPExchange{
+		{Time: jan, Base: key, Counter: xrpKey, BaseValue: 10 * xrpDropsPerXRP, CounterValue: 1 * xrpDropsPerXRP},
+		{Time: dec, Base: key, Counter: xrpKey, BaseValue: 1 * xrpDropsPerXRP, CounterValue: 30_500 * xrpDropsPerXRP},
 	})
 	rows := a.RateSeries(key)
 	if len(rows) != 2 {

@@ -13,6 +13,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/xrp"
 )
 
@@ -186,25 +187,26 @@ func ExchangeToJSON(e xrp.Exchange) ExchangeJSON {
 	}
 }
 
-// ToExchange converts back to the ledger type.
-func (j ExchangeJSON) ToExchange() (xrp.Exchange, error) {
+// ToExchange converts to the measurement side's record of a fill.
+func (j ExchangeJSON) ToExchange() (core.XRPExchange, error) {
 	ts, err := time.Parse(time.RFC3339, j.Time)
 	if err != nil {
-		return xrp.Exchange{}, fmt.Errorf("explorer: bad exchange time %q: %w", j.Time, err)
+		return core.XRPExchange{}, fmt.Errorf("explorer: bad exchange time %q: %w", j.Time, err)
 	}
 	base, err := parseAssetKey(j.Base)
 	if err != nil {
-		return xrp.Exchange{}, err
+		return core.XRPExchange{}, err
 	}
 	counter, err := parseAssetKey(j.Counter)
 	if err != nil {
-		return xrp.Exchange{}, err
+		return core.XRPExchange{}, err
 	}
-	return xrp.Exchange{
+	return core.XRPExchange{
 		Time: ts, LedgerIndex: j.LedgerIndex,
-		Base: base, Counter: counter,
+		Base:      core.XRPAssetKey{Currency: base.Currency, Issuer: string(base.Issuer)},
+		Counter:   core.XRPAssetKey{Currency: counter.Currency, Issuer: string(counter.Issuer)},
 		BaseValue: j.BaseValue, CounterValue: j.CounterValue,
-		Maker: xrp.Address(j.Maker), Taker: xrp.Address(j.Taker),
+		Maker: j.Maker, Taker: j.Taker,
 		MakerSequence: j.MakerSequence,
 	}, nil
 }
@@ -227,7 +229,7 @@ func (s *Server) exchanges(w http.ResponseWriter, r *http.Request) {
 
 // FetchExchanges retrieves every exchange record from an explorer endpoint,
 // the way the paper pulled trade data from data.ripple.com.
-func FetchExchanges(baseURL string) ([]xrp.Exchange, error) {
+func FetchExchanges(baseURL string) ([]core.XRPExchange, error) {
 	resp, err := http.Get(baseURL + "/v2/exchanges")
 	if err != nil {
 		return nil, err
@@ -240,7 +242,7 @@ func FetchExchanges(baseURL string) ([]xrp.Exchange, error) {
 	if err := json.NewDecoder(resp.Body).Decode(&rows); err != nil {
 		return nil, fmt.Errorf("explorer: decoding exchanges: %w", err)
 	}
-	out := make([]xrp.Exchange, 0, len(rows))
+	out := make([]core.XRPExchange, 0, len(rows))
 	for _, row := range rows {
 		e, err := row.ToExchange()
 		if err != nil {

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/xrp"
 )
 
@@ -154,8 +155,8 @@ func TestServerEndpoints(t *testing.T) {
 	if e.Base.Currency != "BTC" || e.Counter.Currency != "XRP" {
 		t.Fatalf("exchange assets: %+v", e)
 	}
-	if e.Rate() < 29_999 || e.Rate() > 30_001 {
-		t.Fatalf("exchange rate: %f", e.Rate())
+	if rate := float64(e.CounterValue) / float64(e.BaseValue); rate < 29_999 || rate > 30_001 {
+		t.Fatalf("exchange rate: %f", rate)
 	}
 	if e.MakerSequence == 0 {
 		t.Fatal("maker sequence lost in transit")
@@ -178,7 +179,15 @@ func TestExchangeJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back != orig {
-		t.Fatalf("round trip mismatch:\n%+v\n%+v", back, orig)
+	want := core.XRPExchange{
+		Time: orig.Time, LedgerIndex: orig.LedgerIndex,
+		Base:      core.XRPAssetKey{Currency: "BTC", Issuer: string(orig.Base.Issuer)},
+		Counter:   core.XRPAssetKey{Currency: "XRP"},
+		BaseValue: orig.BaseValue, CounterValue: orig.CounterValue,
+		Maker: string(orig.Maker), Taker: string(orig.Taker),
+		MakerSequence: orig.MakerSequence,
+	}
+	if back != want {
+		t.Fatalf("round trip mismatch:\n%+v\n%+v", back, want)
 	}
 }

@@ -8,8 +8,8 @@
 //
 // The stages are independent chain reproductions, so Run launches them all
 // at once (see RunStages): each is one row of a table, and one runStage
-// drives every row through collection, serving, crawl and measurement.
-// Per-stage wall-clocks surface in Result.StageMetrics.
+// drives every row through collection, crawl and measurement. Per-stage
+// wall-clocks surface in Result.StageMetrics.
 package pipeline
 
 import (
@@ -62,27 +62,13 @@ type Options struct {
 	// Workers sizes the crawl worker pool shared by every stage: it bounds
 	// in-flight block fetches across all concurrent crawls.
 	Workers int
-	// Buffer is each stage's stream channel capacity: how many fetched
-	// blocks may sit between crawl workers and the decode pool before the
-	// fetch side blocks (backpressure).
-	Buffer int
-	// IngestWorkers sizes each stage's decode/ingest pool — decoding runs
-	// off the crawl workers.
-	IngestWorkers int
-	// Bucket is the throughput time-series bucket (paper: 6 hours).
-	Bucket time.Duration
-	// EOSEndpoints is how many EOS endpoints to expose for probing; the
-	// crawler shortlists the best EOSShortlist of them, as the paper
-	// shortlisted 6 of 32.
-	EOSEndpoints int
-	EOSShortlist int
 	// SkipGovernance disables the Babylon replay when only the main
 	// window is needed.
 	SkipGovernance bool
 
 	// ArchiveDir makes the producer side of every stage durable. It may be
 	// a plain directory path or a blob-store URL (file://, mem://,
-	// s3://bucket/prefix?endpoint=..., null:// — see blobstore.Resolve).
+	// s3://bucket/prefix?endpoint=... — see blobstore.Resolve).
 	// When set, each stage keeps its raw block archive under a per-stage
 	// sub-location (ArchiveDir/eos, …): a live crawl tees its stream into
 	// a fresh archive as it fetches, and a rerun whose archive already
@@ -97,47 +83,37 @@ type Options struct {
 	// archived blocks from different scenario parameters would corrupt
 	// the measurement.
 	ArchiveDir string
-
-	// Serve, when set, turns every measurement stage into a serving feed:
-	// the stage registers its aggregator's summarize hook before crawling
-	// and releases it (marking the chain drained) when the crawl returns,
-	// and its ingest path merges worker shards periodically instead of
-	// only at drain, so the sink can snapshot mid-crawl figures. The
-	// serving layer's Publisher (internal/serve) implements this.
-	Serve SummarySink
 }
 
-// SummarySink is the serving layer's registration surface, kept as a local
-// interface so the pipeline does not depend on internal/serve. Register
-// adds a named chain feed anchored at the given aggregation window and
-// returns an idempotent release function that marks the feed drained (its
-// figures final). The sink may reject a duplicate chain name, and must
-// reject one whose window differs from the first registration.
-type SummarySink interface {
-	Register(chain string, w core.Window, summarize func() core.ChainSummary) (release func(), err error)
+const (
+	// streamBuffer is each stage's stream channel capacity: how many
+	// fetched blocks may sit between crawl workers and the decode pool
+	// before the fetch side blocks (backpressure).
+	streamBuffer = 64
+	// seriesBucket is the throughput time-series bucket (paper: 6 hours).
+	seriesBucket = 6 * time.Hour
+	// The EOS stage exposes eosEndpoints endpoints for probing and crawls
+	// through the best eosShortlist of them, as the paper shortlisted 6
+	// of 32.
+	eosEndpoints = 8
+	eosShortlist = 3
+)
+
+// ingestWorkers sizes each stage's decode/ingest pool: one worker per CPU,
+// floor 2. The decode workers fold into private shards and never contend
+// on a lock, so on multicore the stages get real CPU parallelism.
+func ingestWorkers() int {
+	return max(runtime.GOMAXPROCS(0), 2)
 }
 
-// DefaultOptions returns bench-friendly scales. The decode/ingest pool
-// scales with the CPU count (floor 2): since the aggregators went
-// mergeable-sharded the decode workers never contend on a lock, so on
-// multicore the stages get real CPU parallelism out of the box while the
-// single-CPU reference container keeps its old sizing.
+// DefaultOptions returns bench-friendly scales.
 func DefaultOptions() Options {
-	ingest := runtime.GOMAXPROCS(0)
-	if ingest < 2 {
-		ingest = 2
-	}
 	return Options{
-		EOS:           StageOptions{Scale: 50_000, Seed: 1},
-		Tezos:         StageOptions{Scale: 800, Seed: 1},
-		XRP:           StageOptions{Scale: 20_000, Seed: 1},
-		Gov:           StageOptions{Scale: 400, Seed: 1},
-		Workers:       4,
-		Buffer:        64,
-		IngestWorkers: ingest,
-		Bucket:        6 * time.Hour,
-		EOSEndpoints:  8,
-		EOSShortlist:  3,
+		EOS:     StageOptions{Scale: 50_000, Seed: 1},
+		Tezos:   StageOptions{Scale: 800, Seed: 1},
+		XRP:     StageOptions{Scale: 20_000, Seed: 1},
+		Gov:     StageOptions{Scale: 400, Seed: 1},
+		Workers: 4,
 	}
 }
 
@@ -162,21 +138,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Workers <= 0 {
 		o.Workers = def.Workers
-	}
-	if o.Buffer <= 0 {
-		o.Buffer = def.Buffer
-	}
-	if o.IngestWorkers <= 0 {
-		o.IngestWorkers = def.IngestWorkers
-	}
-	if o.Bucket <= 0 {
-		o.Bucket = def.Bucket
-	}
-	if o.EOSEndpoints <= 0 {
-		o.EOSEndpoints = def.EOSEndpoints
-	}
-	if o.EOSShortlist <= 0 {
-		o.EOSShortlist = def.EOSShortlist
 	}
 	return o
 }
@@ -232,12 +193,9 @@ type stagePlan struct {
 	// runs only when live fetches are possible: a full archive replay
 	// serves and probes nothing.
 	live func(ctx context.Context, ccfg *collect.CrawlConfig) (collect.BlockFetcher, func(), error)
-	// window anchors the aggregator's time series; dec, summarize and txs
-	// are the typed aggregator's chain-agnostic surfaces.
-	window    core.Window
-	dec       core.Decoder
-	summarize func() core.ChainSummary
-	txs       func() int64
+	// dec and txs are the typed aggregator's chain-agnostic surfaces.
+	dec core.Decoder
+	txs func() int64
 	// crawl, when set, receives the crawl summary; post, when set, runs
 	// after a successful crawl.
 	crawl *collect.CrawlResult
@@ -279,7 +237,7 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 
 // runStage drives one row end to end: build the simulated history, resolve
 // the collection source (archive replay, or the live fetcher teed into the
-// stage's archive), hook the aggregator into the serving sink, and crawl.
+// stage's archive), and crawl into the row's aggregator.
 func (r *Result) runStage(ctx context.Context, name string, build func() (stagePlan, error), pool *collect.Pool) (StageStats, error) {
 	opts := r.Opts
 	plan, err := build()
@@ -287,7 +245,7 @@ func (r *Result) runStage(ctx context.Context, name string, build func() (stageP
 		return StageStats{}, err
 	}
 	ccfg := plan.ccfg
-	ccfg.Workers, ccfg.Pool, ccfg.Buffer = opts.Workers, pool, opts.Buffer
+	ccfg.Workers, ccfg.Pool, ccfg.Buffer = opts.Workers, pool, streamBuffer
 	fetcher, sink, cleanup, err := opts.stageCollect(name, plan.chain, ccfg.From, ccfg.To, &ccfg, func() (collect.BlockFetcher, func(), error) {
 		return plan.live(ctx, &ccfg)
 	})
@@ -295,12 +253,7 @@ func (r *Result) runStage(ctx context.Context, name string, build func() (stageP
 	if err != nil {
 		return StageStats{}, err
 	}
-	dec, releaseFeed, err := opts.serveFeed(name, plan.window, plan.summarize, plan.dec)
-	if err != nil {
-		return StageStats{}, err
-	}
-	defer releaseFeed()
-	crawl, err := crawlInto(ctx, fetcher, ccfg, sink, dec, core.IngestConfig{Workers: opts.IngestWorkers})
+	crawl, err := crawlInto(ctx, fetcher, ccfg, sink, plan.dec, core.IngestConfig{Workers: ingestWorkers()})
 	if err != nil {
 		return StageStats{}, err
 	}
@@ -333,22 +286,6 @@ func crawlInto(ctx context.Context, f collect.BlockFetcher, ccfg collect.CrawlCo
 		res.GzipBytes = sink.CompressedBytes()
 	}
 	return res, err
-}
-
-// serveFeed wires one stage into the serving sink (when configured):
-// registers the summarize hook under the stage's chain name and switches
-// the stage's decoder to periodic shard merges so the sink's snapshots see
-// the crawl in epoch-sized increments. Without a sink the decoder passes
-// through untouched and the release is a no-op.
-func (o Options) serveFeed(name string, w core.Window, summarize func() core.ChainSummary, dec core.Decoder) (core.Decoder, func(), error) {
-	if o.Serve == nil {
-		return dec, func() {}, nil
-	}
-	release, err := o.Serve.Register(name, w, summarize)
-	if err != nil {
-		return nil, nil, err
-	}
-	return core.PeriodicMerge(dec, 0), release, nil
 }
 
 // serve starts an HTTP server on a loopback port and returns its base URL
@@ -391,10 +328,9 @@ func oneEndpoint(chain string, h http.Handler) func(context.Context, *collect.Cr
 func eosPlan(c *eos.Chain, w core.Window) (stagePlan, *core.EOSAggregator) {
 	agg := core.NewEOSAggregator(w.Origin, w.Bucket)
 	return stagePlan{
-		chain: "eos", ccfg: collect.CrawlConfig{From: 1, To: int64(c.HeadNum())}, window: w,
-		dec:       agg.Decoder(),
-		summarize: func() core.ChainSummary { return core.SummarizeEOS(agg) },
-		txs:       func() int64 { return agg.Transactions },
+		chain: "eos", ccfg: collect.CrawlConfig{From: 1, To: int64(c.HeadNum())},
+		dec: agg.Decoder(),
+		txs: func() int64 { return agg.Transactions },
 	}, agg
 }
 
@@ -405,7 +341,7 @@ func (r *Result) buildEOS() (stagePlan, error) {
 	}
 	scenario.Run()
 	r.EOSScenario = scenario
-	plan, agg := eosPlan(scenario.Chain, core.Window{Origin: chain.ObservationStart, Bucket: r.Opts.Bucket})
+	plan, agg := eosPlan(scenario.Chain, core.Window{Origin: chain.ObservationStart, Bucket: seriesBucket})
 	r.EOS, plan.crawl = agg, &r.EOSCrawl
 	plan.ccfg.MaxRetries, plan.ccfg.Backoff = 8, 5*time.Millisecond
 	plan.live = func(ctx context.Context, _ *collect.CrawlConfig) (collect.BlockFetcher, func(), error) {
@@ -434,7 +370,7 @@ func (r *Result) shortlistEOS(ctx context.Context, c *eos.Chain) (collect.BlockF
 			stop()
 		}
 	}
-	for i := 0; i < r.Opts.EOSEndpoints; i++ {
+	for i := 0; i < eosEndpoints; i++ {
 		url, stop, err := serve(eosEndpointProfiles[i%len(eosEndpointProfiles)].Middleware(handler))
 		if err != nil {
 			return nil, stopAll, err
@@ -442,7 +378,7 @@ func (r *Result) shortlistEOS(ctx context.Context, c *eos.Chain) (collect.BlockF
 		stops = append(stops, stop)
 		r.EndpointScores = append(r.EndpointScores, collect.ProbeEndpoint(ctx, url, collect.NewEOSClient(url), 6))
 	}
-	r.Shortlisted = collect.Shortlist(r.EndpointScores, r.Opts.EOSShortlist)
+	r.Shortlisted = collect.Shortlist(r.EndpointScores, eosShortlist)
 	fetchers := make([]collect.BlockFetcher, 0, len(r.Shortlisted))
 	for _, s := range r.Shortlisted {
 		fetchers = append(fetchers, collect.NewEOSClient(s.URL))
@@ -482,11 +418,10 @@ func (r *Result) buildStress() (stagePlan, error) {
 func tezosPlan(c *tezos.Chain, w core.Window) (stagePlan, *core.TezosAggregator) {
 	agg := core.NewTezosAggregator(w.Origin, w.Bucket)
 	return stagePlan{
-		chain: "tezos", ccfg: collect.CrawlConfig{From: 1, To: c.HeadLevel()}, window: w,
-		live:      oneEndpoint("tezos", rpcserve.NewTezosServer(c)),
-		dec:       agg.Decoder(),
-		summarize: func() core.ChainSummary { return core.SummarizeTezos(agg) },
-		txs:       func() int64 { return agg.Operations },
+		chain: "tezos", ccfg: collect.CrawlConfig{From: 1, To: c.HeadLevel()},
+		live: oneEndpoint("tezos", rpcserve.NewTezosServer(c)),
+		dec:  agg.Decoder(),
+		txs:  func() int64 { return agg.Operations },
 	}, agg
 }
 
@@ -498,7 +433,7 @@ func (r *Result) buildTezos() (stagePlan, error) {
 	if _, err := scenario.Run(); err != nil {
 		return stagePlan{}, err
 	}
-	plan, agg := tezosPlan(scenario.Chain, core.Window{Origin: chain.ObservationStart, Bucket: r.Opts.Bucket})
+	plan, agg := tezosPlan(scenario.Chain, core.Window{Origin: chain.ObservationStart, Bucket: seriesBucket})
 	r.Tezos, plan.crawl = agg, &r.TezosCrawl
 	return plan, nil
 }
@@ -511,9 +446,7 @@ func (r *Result) buildGovernance() (stagePlan, error) {
 	if _, err := g.Run(); err != nil {
 		return stagePlan{}, err
 	}
-	// The governance replay starts in July; anchor its series there. Its
-	// window legitimately differs from the 6h chains — the sink's window
-	// validation is per chain name, so this registers cleanly.
+	// The governance replay starts in July; anchor its series there.
 	plan, agg := tezosPlan(g.Chain, core.Window{Origin: time.Date(2019, time.July, 17, 0, 0, 0, 0, time.UTC), Bucket: 24 * time.Hour})
 	r.Gov = agg
 	return plan, nil
@@ -531,20 +464,18 @@ func (r *Result) buildXRP() (stagePlan, error) {
 	for addr, username := range scenario.Usernames {
 		r.Dir.Register(addr, username)
 	}
-	w := core.Window{Origin: chain.ObservationStart, Bucket: r.Opts.Bucket}
-	agg := core.NewXRPAggregator(w.Origin, w.Bucket)
+	agg := core.NewXRPAggregator(chain.ObservationStart, seriesBucket)
 	r.XRP = agg
 	return stagePlan{
-		chain: "xrp", window: w,
+		chain: "xrp",
 		// The build phase's ledgers stand in for pre-window history (gateway
 		// issuance, trust lines); the paper's window starts at October 1, so
 		// the crawl does too.
-		ccfg:      collect.CrawlConfig{From: scenario.SetupLedgers + 1, To: scenario.State.HeadIndex()},
-		live:      oneEndpoint("xrp", rpcserve.NewXRPServer(scenario.State)),
-		dec:       agg.Decoder(),
-		summarize: func() core.ChainSummary { return core.SummarizeXRP(agg) },
-		txs:       func() int64 { return agg.Transactions },
-		crawl:     &r.XRPCrawl,
+		ccfg:  collect.CrawlConfig{From: scenario.SetupLedgers + 1, To: scenario.State.HeadIndex()},
+		live:  oneEndpoint("xrp", rpcserve.NewXRPServer(scenario.State)),
+		dec:   agg.Decoder(),
+		txs:   func() int64 { return agg.Transactions },
+		crawl: &r.XRPCrawl,
 		// Pull trade records from the Data API, as the paper did for rates.
 		// The explorer serves even on replay: exchange records come from
 		// it, not from the crawled ledger stream.

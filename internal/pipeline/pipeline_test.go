@@ -149,10 +149,10 @@ func TestPipelineGovernanceReplay(t *testing.T) {
 
 func TestPipelineEndpointShortlist(t *testing.T) {
 	r := testResult(t)
-	if len(r.EndpointScores) != r.Opts.EOSEndpoints {
-		t.Fatalf("probed %d endpoints, want %d", len(r.EndpointScores), r.Opts.EOSEndpoints)
+	if len(r.EndpointScores) != eosEndpoints {
+		t.Fatalf("probed %d endpoints, want %d", len(r.EndpointScores), eosEndpoints)
 	}
-	if len(r.Shortlisted) == 0 || len(r.Shortlisted) > r.Opts.EOSShortlist {
+	if len(r.Shortlisted) == 0 || len(r.Shortlisted) > eosShortlist {
 		t.Fatalf("shortlist size %d", len(r.Shortlisted))
 	}
 	// The shortlist must outperform the rejected endpoints.

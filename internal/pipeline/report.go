@@ -273,7 +273,7 @@ func Figure11(r *Result) string {
 	}
 	sb.WriteString("Figure 11b — Same-issuer BTC IOU rate over time (Myrone):\n")
 	if r.XRPScenario != nil {
-		key := xrp.AssetKey{Currency: "BTC", Issuer: r.XRPScenario.MyroneIssuer}
+		key := core.XRPAssetKey{Currency: "BTC", Issuer: string(r.XRPScenario.MyroneIssuer)}
 		for _, row := range r.XRP.RateSeries(key) {
 			sb.WriteString(fmt.Sprintf("  %s  %10.1f XRP\n",
 				row.Start.Format("2006-01-02"), float64(row.Counts["rate_millis"])/1000))

@@ -1,21 +1,40 @@
-package wire
+package rpcserve
 
 import (
+	"sync"
 	"time"
 
 	"repro/internal/eos"
 	"repro/internal/tezos"
+	"repro/internal/wire"
 	"repro/internal/xrp"
 )
 
-// EOSWireBlock fills out with b's wire shape, reusing out's transaction,
-// action and map capacity: the nodeos-style rendering rpcserve's get_block
-// serves, written into a caller-owned (typically pooled) struct.
-func EOSWireBlock(b *eos.Block, out *EOSBlockJSON) {
+// The converters fill the wire package's full …JSON shapes from simulator
+// blocks, reusing whatever capacity the (typically arena-pooled) struct
+// kept from earlier uses, so the block handlers' steady state allocates
+// only the strings a block renders.
+
+// grow extends s by one element, within its capacity when it can, and
+// returns the element as an earlier use left it: the caller resets it,
+// keeping what backing arrays it wants.
+func grow[T any](s []T) ([]T, *T) {
+	if len(s) < cap(s) {
+		s = s[:len(s)+1]
+	} else {
+		var zero T
+		s = append(s, zero)
+	}
+	return s, &s[len(s)-1]
+}
+
+// eosWireBlock fills out with b's wire shape, reusing out's transaction,
+// action and map capacity: the nodeos-style rendering get_block serves.
+func eosWireBlock(b *eos.Block, out *wire.EOSBlockJSON) {
 	out.BlockNum = b.Num
 	out.ID = b.ID.String()
 	out.Previous = b.Previous.String()
-	out.Timestamp = b.Timestamp.UTC().Format(EOSTimestampLayout)
+	out.Timestamp = b.Timestamp.UTC().Format(wire.EOSTimestampLayout)
 	out.Producer = b.Producer.String()
 	if len(b.Transactions) == 0 {
 		// Keep the nil → "transactions":null rendering of the original
@@ -26,14 +45,14 @@ func EOSWireBlock(b *eos.Block, out *EOSBlockJSON) {
 	out.Transactions = out.Transactions[:0]
 	for i := range b.Transactions {
 		tx := &b.Transactions[i]
-		var tj *EOSTrxJSON
+		var tj *wire.EOSTrxJSON
 		out.Transactions, tj = grow(out.Transactions)
 		tj.Status = "executed"
 		tj.Trx.ID = tx.ID.String()
 		tj.Trx.Transaction.Actions = tj.Trx.Transaction.Actions[:0]
 		for j := range tx.Actions {
 			act := &tx.Actions[j]
-			var aj *EOSActionJSON
+			var aj *wire.EOSActionJSON
 			tj.Trx.Transaction.Actions, aj = grow(tj.Trx.Transaction.Actions)
 			aj.Account = act.Account.String()
 			aj.Name = act.ActionName.String()
@@ -85,9 +104,9 @@ func EOSWireBlock(b *eos.Block, out *EOSBlockJSON) {
 	}
 }
 
-// TezosWireBlock fills out with b's wire shape, reusing out's operation
-// capacity: the octez-style rendering rpcserve's block endpoints serve.
-func TezosWireBlock(b *tezos.Block, out *TezosBlockJSON) {
+// tezosWireBlock fills out with b's wire shape, reusing out's operation
+// capacity: the octez-style rendering the block endpoints serve.
+func tezosWireBlock(b *tezos.Block, out *wire.TezosBlockJSON) {
 	out.Level = b.Level
 	out.Hash = b.Hash.String()
 	out.Predecessor = b.Predecessor.String()
@@ -100,7 +119,7 @@ func TezosWireBlock(b *tezos.Block, out *TezosBlockJSON) {
 	out.Operations = out.Operations[:0]
 	for i := range b.Operations {
 		op := &b.Operations[i]
-		var oj *TezosOperationJSON
+		var oj *wire.TezosOperationJSON
 		out.Operations, oj = grow(out.Operations)
 		oj.Kind = string(op.Kind)
 		oj.Source = string(op.Source)
@@ -116,10 +135,26 @@ func TezosWireBlock(b *tezos.Block, out *TezosBlockJSON) {
 	}
 }
 
-// XRPWireLedger fills out with l's wire shape (transactions included when
-// expand is set), reusing out's transaction and amount capacity; the
-// rippled-style rendering rpcserve.XRPLedgerToJSON produces.
-func (c *Codec) XRPWireLedger(l *xrp.Ledger, expand bool, out *XRPLedgerJSON) {
+// xrpConverter fills ledger shapes, holding a free list of amount structs
+// recycled between the transactions of successive conversions. Not safe
+// for concurrent use; recycle through xrpConverters.
+type xrpConverter struct {
+	amounts []*wire.XRPAmountJSON
+}
+
+var xrpConverters = sync.Pool{New: func() any { return new(xrpConverter) }}
+
+// xrpWireLedger fills out with l's wire shape through a pooled converter.
+func xrpWireLedger(l *xrp.Ledger, expand bool, out *wire.XRPLedgerJSON) {
+	c := xrpConverters.Get().(*xrpConverter)
+	c.wireLedger(l, expand, out)
+	xrpConverters.Put(c)
+}
+
+// wireLedger fills out with l's wire shape (transactions included when
+// expand is set), reusing out's transaction and amount capacity: the
+// rippled-style rendering the ledger command serves.
+func (c *xrpConverter) wireLedger(l *xrp.Ledger, expand bool, out *wire.XRPLedgerJSON) {
 	out.Transactions = out.Transactions[:0]
 	out.LedgerIndex = l.Index
 	out.LedgerHash = l.Hash.String()
@@ -131,8 +166,8 @@ func (c *Codec) XRPWireLedger(l *xrp.Ledger, expand bool, out *XRPLedgerJSON) {
 	}
 	for i := range l.Transactions {
 		tx := &l.Transactions[i]
-		var tj *XRPTxJSON
-		out.Transactions, tj = c.growXRPTx(out.Transactions)
+		var tj *wire.XRPTxJSON
+		out.Transactions, tj = c.growTx(out.Transactions)
 		tj.Hash = tx.ID.String()
 		tj.TransactionType = string(tx.Type)
 		tj.Account = string(tx.Account)
@@ -152,39 +187,39 @@ func (c *Codec) XRPWireLedger(l *xrp.Ledger, expand bool, out *XRPLedgerJSON) {
 	}
 }
 
-// growXRPTx extends s by one element, recycling the revived element's
-// amount structs into the codec's free list.
-func (c *Codec) growXRPTx(s []XRPTxJSON) ([]XRPTxJSON, *XRPTxJSON) {
+// growTx extends s by one element, recycling the revived element's amount
+// structs into the free list.
+func (c *xrpConverter) growTx(s []wire.XRPTxJSON) ([]wire.XRPTxJSON, *wire.XRPTxJSON) {
 	s, tx := grow(s)
 	c.freeAmount(tx.Amount)
 	c.freeAmount(tx.TakerGets)
 	c.freeAmount(tx.TakerPays)
 	c.freeAmount(tx.LimitAmount)
 	c.freeAmount(tx.DeliveredAmount)
-	*tx = XRPTxJSON{}
+	*tx = wire.XRPTxJSON{}
 	return s, tx
 }
 
 const maxFreeAmounts = 4096
 
-func (c *Codec) freeAmount(a *XRPAmountJSON) {
+func (c *xrpConverter) freeAmount(a *wire.XRPAmountJSON) {
 	if a != nil && len(c.amounts) < maxFreeAmounts {
 		c.amounts = append(c.amounts, a)
 	}
 }
 
-func (c *Codec) getAmount() *XRPAmountJSON {
+func (c *xrpConverter) getAmount() *wire.XRPAmountJSON {
 	if n := len(c.amounts); n > 0 {
 		a := c.amounts[n-1]
 		c.amounts = c.amounts[:n-1]
 		return a
 	}
-	return new(XRPAmountJSON)
+	return new(wire.XRPAmountJSON)
 }
 
-// setAmount mirrors the nil-for-zero convention of the original
-// rpcserve.amountJSON helper, recycling amount structs through the codec.
-func (c *Codec) setAmount(dst **XRPAmountJSON, a xrp.Amount) {
+// setAmount mirrors amountJSON's nil-for-zero convention, recycling amount
+// structs through the free list.
+func (c *xrpConverter) setAmount(dst **wire.XRPAmountJSON, a xrp.Amount) {
 	if a.Value == 0 && a.Currency == "" {
 		c.freeAmount(*dst)
 		*dst = nil

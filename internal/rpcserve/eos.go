@@ -134,7 +134,7 @@ func (s *EOSServer) getBlock(w http.ResponseWriter, r *http.Request) {
 	// The get_block hot path: convert into an arena block and hand-encode
 	// from pooled buffers — no reflection, no per-request garbage.
 	jb := wire.GetEOSBlockJSON()
-	wire.EOSWireBlock(blk, jb)
+	eosWireBlock(blk, jb)
 	c := wire.GetCodec()
 	buf := wire.GetBuffer()
 	buf.B = c.AppendEOSBlock(buf.B, jb)

@@ -195,7 +195,7 @@ func TestEOSWireBlockShapes(t *testing.T) {
 	c := eos.New(eos.DefaultConfig(1000))
 	blk := c.ProduceBlock()
 	var j wire.EOSBlockJSON
-	wire.EOSWireBlock(blk, &j)
+	eosWireBlock(blk, &j)
 	if j.BlockNum != 1 || j.Producer == "" || j.ID == "" {
 		t.Fatalf("json: %+v", j)
 	}
@@ -411,5 +411,41 @@ func TestXRPAccountAndBookCommands(t *testing.T) {
 	conn.ReadJSON(&errResp)
 	if errResp["error"] != "actNotFound" {
 		t.Fatalf("ghost: %v", errResp)
+	}
+}
+
+// TestXRPWireLedgerSteadyStateAllocs pins what the ledger conversion
+// allocates once its ledger struct and free list are warm: the strings a
+// ledger renders (hashes, close time) and nothing per amount, although the
+// two ledgers put amounts in different fields — 22 for this pair, the
+// count measured when the free list still lived in wire.Codec.
+func TestXRPWireLedgerSteadyStateAllocs(t *testing.T) {
+	s := xrp.New(xrp.DefaultConfig(1000))
+	a, b, gw := xrp.NewAddress("a"), xrp.NewAddress("b"), xrp.NewAddress("gw")
+	for _, addr := range []xrp.Address{a, b, gw} {
+		s.Fund(addr, 1000*xrp.DropsPerXRP)
+	}
+	s.Submit(xrp.Transaction{Type: xrp.TxPayment, Account: a, Destination: b, Amount: xrp.XRP(1)})
+	s.Submit(xrp.Transaction{Type: xrp.TxTrustSet, Account: a, LimitAmount: xrp.IOU("USD", gw, 100)})
+	s.Submit(xrp.Transaction{Type: xrp.TxOfferCreate, Account: b, TakerGets: xrp.XRP(2), TakerPays: xrp.IOU("USD", gw, 1)})
+	first := s.CloseLedger()
+	s.Submit(xrp.Transaction{Type: xrp.TxOfferCreate, Account: a, TakerGets: xrp.IOU("USD", gw, 1), TakerPays: xrp.XRP(2)})
+	s.Submit(xrp.Transaction{Type: xrp.TxPayment, Account: gw, Destination: a, Amount: xrp.IOU("USD", gw, 5)})
+	s.Submit(xrp.Transaction{Type: xrp.TxAccountSet, Account: b})
+	second := s.CloseLedger()
+	if len(first.Transactions) != 3 || len(second.Transactions) != 3 {
+		t.Fatalf("fixture ledgers hold %d and %d transactions, want 3 and 3", len(first.Transactions), len(second.Transactions))
+	}
+
+	var cv xrpConverter
+	var lj wire.XRPLedgerJSON
+	pair := func() {
+		cv.wireLedger(first, true, &lj)
+		cv.wireLedger(second, true, &lj)
+	}
+	pair()
+	pair()
+	if allocs := testing.AllocsPerRun(200, pair); allocs != 22 {
+		t.Fatalf("converting the ledger pair allocates %v times, want 22", allocs)
 	}
 }

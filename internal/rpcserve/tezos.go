@@ -90,7 +90,7 @@ func (s *TezosServer) writeBlock(w http.ResponseWriter, level int64, missing str
 		return
 	}
 	jb := wire.GetTezosBlockJSON()
-	wire.TezosWireBlock(blk, jb)
+	tezosWireBlock(blk, jb)
 	c := wire.GetCodec()
 	buf := wire.GetBuffer()
 	buf.B = c.AppendTezosBlock(buf.B, jb)

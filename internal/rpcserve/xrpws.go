@@ -56,9 +56,7 @@ func amountJSON(a xrp.Amount) *wire.XRPAmountJSON {
 // XRPLedgerToJSON converts a ledger (with transactions when expand is set).
 func XRPLedgerToJSON(l *xrp.Ledger, expand bool) wire.XRPLedgerJSON {
 	var out wire.XRPLedgerJSON
-	c := wire.GetCodec()
-	c.XRPWireLedger(l, expand, &out)
-	wire.PutCodec(c)
+	xrpWireLedger(l, expand, &out)
 	return out
 }
 
@@ -94,9 +92,9 @@ func (s *XRPServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // writeLedger answers one ledger command allocation-free: arena ledger
-// struct, pooled codec, pooled buffer, single frame write. It reports
-// handled=false (and no error) when the request needs the reflect path —
-// error envelopes or an id shape the fast encoder does not render.
+// struct, pooled converter and codec, pooled buffer, single frame write. It
+// reports handled=false (and no error) when the request needs the reflect
+// path — error envelopes or an id shape the fast encoder does not render.
 func (s *XRPServer) writeLedger(conn *wsrpc.Conn, req xrpRequest) (handled bool, err error) {
 	index, ok := s.resolveLedgerIndex(req.LedgerIndex)
 	if !ok {
@@ -109,7 +107,7 @@ func (s *XRPServer) writeLedger(conn *wsrpc.Conn, req xrpRequest) (handled bool,
 	lj := wire.GetXRPLedgerJSON()
 	c := wire.GetCodec()
 	buf := wire.GetBuffer()
-	c.XRPWireLedger(led, req.Transactions && req.Expand, lj)
+	xrpWireLedger(led, req.Transactions && req.Expand, lj)
 	out, ok := c.AppendXRPLedgerResponse(buf.B, req.ID, lj, led.Index)
 	buf.B = out
 	if ok {

@@ -19,37 +19,26 @@ type FeedConfig struct {
 	// Chain names the feed ("eos", "tezos", "xrp") and keys its snapshot
 	// entry. For archive feeds, zero means the archive manifest's chain.
 	Chain string
-	// Origin and Bucket anchor the throughput series; zero selects the
-	// paper's observation window (chain.ObservationStart, 6h buckets) —
-	// the same anchoring cmd/crawl and cmd/report use, which keeps a
-	// drained feed's figures byte-comparable with theirs.
-	Origin time.Time
-	Bucket time.Duration
 	// Ingest sizes the decode/ingest pool.
 	Ingest core.IngestConfig
 }
 
-func (c FeedConfig) withDefaults() FeedConfig {
-	if c.Origin.IsZero() {
-		c.Origin = chain.ObservationStart
-	}
-	if c.Bucket <= 0 {
-		c.Bucket = 6 * time.Hour
-	}
-	return c
-}
+// feedWindow anchors every feed's throughput series at the paper's
+// observation window in 6h buckets — the same anchoring cmd/crawl and
+// cmd/report use, which keeps a drained feed's figures byte-comparable
+// with theirs.
+var feedWindow = core.Window{Origin: chain.ObservationStart, Bucket: 6 * time.Hour}
 
 // Feed crawls a live endpoint into the publisher: it registers cfg.Chain,
 // streams blocks through the periodic-merge ingest path, and marks the
 // chain drained when the crawl returns (the stream is fully folded in by
 // then — IngestCrawl drains before returning, even on cancellation).
 func (p *Publisher) Feed(ctx context.Context, f collect.BlockFetcher, ccfg collect.CrawlConfig, cfg FeedConfig) (collect.CrawlResult, error) {
-	cfg = cfg.withDefaults()
-	kit, err := core.NewStatsKit(cfg.Chain, cfg.Origin, cfg.Bucket)
+	kit, err := core.NewStatsKit(cfg.Chain, feedWindow.Origin, feedWindow.Bucket)
 	if err != nil {
 		return collect.CrawlResult{}, err
 	}
-	release, err := p.Register(cfg.Chain, core.Window{Origin: cfg.Origin, Bucket: cfg.Bucket}, kit.Summarize)
+	release, err := p.Register(cfg.Chain, feedWindow, kit.Summarize)
 	if err != nil {
 		return collect.CrawlResult{}, err
 	}
@@ -64,15 +53,14 @@ func (p *Publisher) Feed(ctx context.Context, f collect.BlockFetcher, ccfg colle
 // parallel record walk (archive.Reader.Replay) instead of the network. It
 // returns the number of blocks ingested.
 func (p *Publisher) FeedArchive(ctx context.Context, rd *archive.Reader, cfg FeedConfig) (int64, error) {
-	cfg = cfg.withDefaults()
 	if cfg.Chain == "" {
 		cfg.Chain = rd.Chain()
 	}
-	kit, err := core.NewStatsKit(cfg.Chain, cfg.Origin, cfg.Bucket)
+	kit, err := core.NewStatsKit(cfg.Chain, feedWindow.Origin, feedWindow.Bucket)
 	if err != nil {
 		return 0, err
 	}
-	release, err := p.Register(cfg.Chain, core.Window{Origin: cfg.Origin, Bucket: cfg.Bucket}, kit.Summarize)
+	release, err := p.Register(cfg.Chain, feedWindow, kit.Summarize)
 	if err != nil {
 		return 0, err
 	}

@@ -126,8 +126,6 @@ func NewPublisher() *Publisher {
 // and a duplicate with a different aggregation window is called out
 // specifically: buckets anchored at different origins or sizes can never
 // be merged or compared, so the snapshot would mix incomparable series.
-// Different chain names may use different windows freely (the governance
-// feed replays a different observation period than the 6h chains).
 func (p *Publisher) Register(chain string, w core.Window, summarize func() core.ChainSummary) (release func(), err error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -17,7 +17,6 @@ type GzipSizer struct {
 	mu      sync.Mutex
 	counter countingWriter
 	zw      *gzip.Writer
-	raw     int64
 }
 
 type countingWriter struct{ n int64 }
@@ -42,22 +41,14 @@ func NewGzipSizer() *GzipSizer {
 }
 
 // Write feeds data through the compressor. It never fails; writes after
-// Close are counted raw but not compressed.
+// Close are dropped.
 func (s *GzipSizer) Write(p []byte) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.raw += int64(len(p))
 	if s.zw == nil {
 		return len(p), nil
 	}
 	return s.zw.Write(p)
-}
-
-// RawBytes returns the number of uncompressed bytes written so far.
-func (s *GzipSizer) RawBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.raw
 }
 
 // CompressedBytes flushes the compressor and returns the compressed size so

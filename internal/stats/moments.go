@@ -19,9 +19,6 @@ func (w *Welford) Add(x float64) {
 	w.m2 += delta * (x - w.mean)
 }
 
-// N returns the number of observations.
-func (w *Welford) N() int64 { return w.n }
-
 // Mean returns the running mean (zero when empty).
 func (w *Welford) Mean() float64 { return w.mean }
 
@@ -40,9 +37,6 @@ func (w *Welford) SampleVariance() float64 {
 	}
 	return w.m2 / float64(w.n-1)
 }
-
-// Stdev returns the population standard deviation.
-func (w *Welford) Stdev() float64 { return math.Sqrt(w.Variance()) }
 
 // SampleStdev returns the sample standard deviation.
 func (w *Welford) SampleStdev() float64 { return math.Sqrt(w.SampleVariance()) }

@@ -54,16 +54,6 @@ func DetectRegimeShift(values []int64, minSegment int) (RegimeShift, bool) {
 	return best, true
 }
 
-// SeriesValues extracts one label's per-bucket counts in order.
-func SeriesValues(ts *TimeSeries, label string) []int64 {
-	rows := ts.Rows()
-	out := make([]int64, len(rows))
-	for i, row := range rows {
-		out[i] = row.Counts[label]
-	}
-	return out
-}
-
 // TotalValues extracts per-bucket totals across all labels.
 func TotalValues(ts *TimeSeries) []int64 {
 	rows := ts.Rows()

@@ -19,14 +19,8 @@ type Selector struct {
 	total  float64
 }
 
-// NewSelector builds a selector over xs (copied, then sorted ascending).
-func NewSelector(xs []float64) *Selector {
-	var s Selector
-	s.Load(xs)
-	return &s
-}
-
-// Load replaces the data set, reusing the scratch buffer.
+// Load replaces the data set with a sorted copy of xs, reusing the scratch
+// buffer.
 func (s *Selector) Load(xs []float64) {
 	s.sorted = append(s.sorted[:0], xs...)
 	slices.Sort(s.sorted)
@@ -35,9 +29,6 @@ func (s *Selector) Load(xs []float64) {
 		s.total += x
 	}
 }
-
-// N reports the data set size.
-func (s *Selector) N() int { return len(s.sorted) }
 
 // Percentile returns the p-th percentile (0..100) using linear
 // interpolation between closest ranks. It returns 0 for empty input.

@@ -52,7 +52,7 @@ func TestTimeSeriesRowsContinuous(t *testing.T) {
 
 func TestTimeSeriesPeakAndClamping(t *testing.T) {
 	s := NewTimeSeries(origin, time.Hour)
-	if s.MaxBucket() != -1 || s.PeakBucket() != -1 {
+	if s.MaxBucket() != -1 {
 		t.Fatal("empty series should report -1")
 	}
 	s.Add(origin.Add(-time.Hour), "early", 1) // clamped to bucket 0
@@ -60,8 +60,8 @@ func TestTimeSeriesPeakAndClamping(t *testing.T) {
 	if s.BucketIndex(origin.Add(-time.Hour)) != 0 {
 		t.Fatal("pre-origin timestamps must clamp to bucket 0")
 	}
-	if s.PeakBucket() != 2 {
-		t.Fatalf("peak bucket = %d, want 2", s.PeakBucket())
+	if s.MaxBucket() != 2 {
+		t.Fatalf("max bucket = %d, want 2", s.MaxBucket())
 	}
 }
 
@@ -101,8 +101,8 @@ func TestWelfordMerge(t *testing.T) {
 		}
 	}
 	a.Merge(b)
-	if a.N() != all.N() {
-		t.Fatalf("merged N = %d", a.N())
+	if a.n != all.n {
+		t.Fatalf("merged N = %d", a.n)
 	}
 	if math.Abs(a.Mean()-all.Mean()) > 1e-9 || math.Abs(a.Variance()-all.Variance()) > 1e-9 {
 		t.Fatalf("merge mismatch: mean %f/%f var %f/%f", a.Mean(), all.Mean(), a.Variance(), all.Variance())
@@ -134,7 +134,7 @@ func TestWelfordMergeProperty(t *testing.T) {
 			right.Add(x)
 		}
 		left.Merge(right)
-		return left.N() == whole.N() &&
+		return left.n == whole.n &&
 			math.Abs(left.Mean()-whole.Mean()) < 1e-6 &&
 			math.Abs(left.Variance()-whole.Variance()) < 1e-3
 	}
@@ -144,29 +144,29 @@ func TestWelfordMergeProperty(t *testing.T) {
 }
 
 func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
+	s := loaded(1, 2, 3, 4, 5)
 	cases := []struct{ p, want float64 }{
 		{0, 1}, {50, 3}, {100, 5}, {25, 2},
 	}
 	for _, c := range cases {
-		if got := Percentile(xs, c.p); math.Abs(got-c.want) > 1e-9 {
+		if got := s.Percentile(c.p); math.Abs(got-c.want) > 1e-9 {
 			t.Errorf("P%.0f = %f, want %f", c.p, got, c.want)
 		}
 	}
-	if Percentile(nil, 50) != 0 {
+	if loaded().Percentile(50) != 0 {
 		t.Fatal("empty percentile should be 0")
 	}
 }
 
 func TestGini(t *testing.T) {
-	if g := Gini([]float64{5, 5, 5, 5}); math.Abs(g) > 1e-9 {
+	if g := loaded(5, 5, 5, 5).Gini(); math.Abs(g) > 1e-9 {
 		t.Fatalf("equal distribution Gini = %f, want 0", g)
 	}
-	g := Gini([]float64{0, 0, 0, 100})
+	g := loaded(0, 0, 0, 100).Gini()
 	if g < 0.7 {
 		t.Fatalf("concentrated distribution Gini = %f, want high", g)
 	}
-	if Gini(nil) != 0 {
+	if loaded().Gini() != 0 {
 		t.Fatal("empty Gini should be 0")
 	}
 }
@@ -174,14 +174,14 @@ func TestGini(t *testing.T) {
 func TestTopShare(t *testing.T) {
 	// 18 accounts responsible for half the traffic: top-1 of this toy set
 	// holds 50 of 100.
-	xs := []float64{50, 10, 10, 10, 10, 10}
-	if got := TopShare(xs, 1); math.Abs(got-0.5) > 1e-9 {
+	s := loaded(50, 10, 10, 10, 10, 10)
+	if got := s.TopShare(1); math.Abs(got-0.5) > 1e-9 {
 		t.Fatalf("TopShare = %f", got)
 	}
-	if got := TopShare(xs, 100); math.Abs(got-1) > 1e-9 {
+	if got := s.TopShare(100); math.Abs(got-1) > 1e-9 {
 		t.Fatalf("TopShare with k>len = %f", got)
 	}
-	if TopShare(nil, 3) != 0 {
+	if loaded().TopShare(3) != 0 {
 		t.Fatal("empty TopShare should be 0")
 	}
 }
@@ -191,9 +191,6 @@ func TestGzipSizerCompresses(t *testing.T) {
 	block := bytes.Repeat([]byte(`{"type":"transfer","from":"alice","to":"bob"}`), 1000)
 	if _, err := s.Write(block); err != nil {
 		t.Fatal(err)
-	}
-	if s.RawBytes() != int64(len(block)) {
-		t.Fatalf("raw bytes = %d", s.RawBytes())
 	}
 	compressed, err := s.Close()
 	if err != nil {
@@ -257,10 +254,7 @@ func TestSeriesValueExtraction(t *testing.T) {
 	s := NewTimeSeries(origin, time.Hour)
 	s.Add(origin, "a", 3)
 	s.Add(origin.Add(time.Hour), "b", 4)
-	if got := SeriesValues(s, "a"); len(got) != 2 || got[0] != 3 || got[1] != 0 {
-		t.Fatalf("series values: %v", got)
-	}
-	if got := TotalValues(s); got[0] != 3 || got[1] != 4 {
+	if got := TotalValues(s); len(got) != 2 || got[0] != 3 || got[1] != 4 {
 		t.Fatalf("total values: %v", got)
 	}
 }

@@ -211,18 +211,3 @@ func (s *TimeSeries) Rows() []Row {
 	}
 	return rows
 }
-
-// PeakBucket returns the index of the bucket with the highest total count.
-func (s *TimeSeries) PeakBucket() int {
-	best, bestTotal := -1, int64(-1)
-	for i, b := range s.buckets {
-		var t int64
-		for _, v := range b {
-			t += v
-		}
-		if t > bestTotal || (t == bestTotal && i < best) {
-			best, bestTotal = i, t
-		}
-	}
-	return best
-}

@@ -22,9 +22,6 @@ type Codec struct {
 	lex    lexer
 	intern map[string]string
 	keys   []string
-	// amounts is a free list of XRP amount structs recycled between the
-	// transactions of successive XRPWireLedger conversions.
-	amounts []*XRPAmountJSON
 }
 
 // NewCodec returns a fresh codec with an empty intern table.
@@ -62,11 +59,11 @@ func (c *Codec) str(b []byte) string {
 }
 
 // Struct arenas: one pool per block shape — the three projections the
-// decoders fill and the three full shapes the converters fill for the
+// decoders fill and the three full shapes a block server fills for the
 // encoders. Get hands out a struct whose slices and maps keep the capacity
-// earlier uses grew; the decoders and converters reset lengths and clear
-// maps as they fill, so a recycled struct is indistinguishable from a fresh
-// one field-wise while the steady-state path allocates nothing. After Put
+// earlier uses grew; whoever fills one resets lengths and clears maps as it
+// goes, so a recycled struct is indistinguishable from a fresh one
+// field-wise while the steady-state path allocates nothing. After Put
 // the caller must hold no reference to the struct, its slices or its maps;
 // strings extracted from it remain valid.
 

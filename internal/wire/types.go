@@ -9,7 +9,8 @@
 //
 // The two directions do not share their structs. The encoders render the
 // full …JSON shapes (EOSBlockJSON and friends), which are also what
-// encoding/json unmarshals into. The decoders fill a projection of them
+// encoding/json unmarshals into; the package names no simulator type —
+// whoever serves blocks (internal/rpcserve) fills the shapes itself. The decoders fill a projection of them
 // (EOSBlock, TezosBlock, XRPLedger): exactly the fields some aggregator in
 // internal/core reads. Every other value of a payload is held to the same
 // grammar and type as before — a string-or-null where the full shape has a
@@ -40,10 +41,6 @@
 //   - Raw payload buffers recycle through GetRaw/PutRaw; a buffer handed
 //     to PutRaw must have no other holders.
 package wire
-
-import (
-	"repro/internal/xrp"
-)
 
 // EOSBlockJSON is the wire shape of one EOS block, structurally close to
 // nodeos (transactions wrap a trx object carrying actions).
@@ -194,11 +191,6 @@ type XRPAmount struct {
 	Set              bool
 	Currency, Issuer string
 	Value            int64
-}
-
-// ToAmount converts to the ledger's value type; an unset amount is zero.
-func (a XRPAmount) ToAmount() xrp.Amount {
-	return xrp.Amount{Currency: a.Currency, Issuer: xrp.Address(a.Issuer), Value: a.Value}
 }
 
 // EOSTimestampLayout is the nodeos block timestamp format.

@@ -246,12 +246,6 @@ func (c *Conn) Close() error {
 	return err
 }
 
-// LocalAddr returns the local network address.
-func (c *Conn) LocalAddr() net.Addr { return c.netConn.LocalAddr() }
-
-// RemoteAddr returns the peer's network address.
-func (c *Conn) RemoteAddr() net.Addr { return c.netConn.RemoteAddr() }
-
 // deadlineSoon bounds the close-echo wait so Close never hangs on a silent
 // peer.
 func deadlineSoon() time.Time { return time.Now().Add(250 * time.Millisecond) }

@@ -5,7 +5,6 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -13,30 +12,29 @@ import (
 
 // TestLayering pins the one-way dependency rule: the measurement side —
 // wire codecs, crawler, archive, stores, aggregation, coordinator, serving
-// layer — never links the simulator side. It reads only the import clauses
-// of each package's non-test files, so it needs nothing beyond the source
-// tree.
+// layer and the four binaries a crawler fleet ships — imports, of this
+// module, only itself: never the simulator side (eos, tezos, xrp, workload,
+// rpcserve, explorer, pipeline). The list being closed under in-module
+// imports is what makes this check of direct imports a check of transitive
+// ones. It reads only the import clauses of each package's non-test files,
+// so it needs nothing beyond the source tree.
 func TestLayering(t *testing.T) {
-	measurement := []string{"wire", "collect", "archive", "blobstore", "retry", "stats", "core", "coord", "serve", "cli"}
-	simulator := []string{"rpcserve", "explorer", "workload", "pipeline", "eos", "tezos", "xrp"}
-	// The residual edges, which may only shrink: an entry that stops
-	// matching an import fails the test until it is deleted here.
-	allowed := map[string][]string{
-		"wire": {"eos", "tezos", "xrp"}, // convert.go fills arena structs from simulator blocks
-		"core": {"xrp"},                 // xrp.AssetKey, xrp.Exchange value types
+	measurement := []string{
+		"internal/wire", "internal/collect", "internal/archive", "internal/blobstore",
+		"internal/retry", "internal/stats", "internal/core", "internal/coord",
+		"internal/serve", "internal/cli", "internal/chain", "internal/wsrpc", "internal/prof",
+		"cmd/crawl", "cmd/coordinate", "cmd/merge", "cmd/serve",
 	}
 
-	forbidden := make(map[string]bool, len(simulator))
-	for _, pkg := range simulator {
-		forbidden["repro/internal/"+pkg] = true
+	listed := make(map[string]bool, len(measurement))
+	for _, dir := range measurement {
+		listed["repro/"+dir] = true
 	}
-	for _, pkg := range measurement {
-		dir := filepath.Join("internal", pkg)
+	for _, dir := range measurement {
 		files, err := os.ReadDir(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		found := make(map[string]string) // forbidden import -> first file importing it
 		for _, f := range files {
 			if f.IsDir() || !strings.HasSuffix(f.Name(), ".go") || strings.HasSuffix(f.Name(), "_test.go") {
 				continue
@@ -51,25 +49,10 @@ func TestLayering(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if forbidden[target] && found[target] == "" {
-					found[target] = path
+				if strings.HasPrefix(target, "repro/") && !listed[target] {
+					t.Errorf("%s imports %s, which is not on the measurement list: the measurement side must not link the simulator", path, target)
 				}
 			}
-		}
-		for _, sim := range allowed[pkg] {
-			target := "repro/internal/" + sim
-			if found[target] == "" {
-				t.Errorf("internal/%s no longer imports internal/%s: delete the allowlist entry", pkg, sim)
-			}
-			delete(found, target)
-		}
-		targets := make([]string, 0, len(found))
-		for target := range found {
-			targets = append(targets, target)
-		}
-		sort.Strings(targets)
-		for _, target := range targets {
-			t.Errorf("internal/%s imports %s (%s): the measurement side must not link the simulator", pkg, target, found[target])
 		}
 	}
 }
