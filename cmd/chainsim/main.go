@@ -7,7 +7,9 @@
 //     explorer with account metadata and exchange rates
 //
 // It prints the listening endpoints and blocks until interrupted, so
-// cmd/crawl (or any HTTP/WebSocket client) can collect from it.
+// cmd/crawl (or any HTTP/WebSocket client) can collect from it. It serves
+// and does not crawl itself: the crawlers pointed at it are the end-to-end
+// check, as CI's crawl, coordinate and serve jobs do.
 package main
 
 import (
@@ -21,10 +23,7 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/chain"
 	"repro/internal/cli"
-	"repro/internal/collect"
-	"repro/internal/core"
 	"repro/internal/explorer"
 	"repro/internal/pipeline"
 	"repro/internal/rpcserve"
@@ -37,7 +36,6 @@ func main() {
 	xrpScale := flag.Int64("xrp-scale", 20_000, "XRP scale divisor")
 	seed := flag.Int64("seed", 1, "scenario seed")
 	addr := flag.String("addr", "127.0.0.1", "listen address")
-	selfCheck := flag.Int64("selfcheck", 25, "stream the newest N blocks of each chain through the ingestion API after startup (0 disables)")
 	flag.Parse()
 
 	fail := func(err error) {
@@ -114,39 +112,6 @@ func main() {
 	tezosAddr := serve("tezos", rpcserve.NewTezosServer(tezosScenario.Chain))
 	xrpAddr := serve("xrp", rpcserve.NewXRPServer(xrpScenario.State))
 	explorerAddr := serve("explorer", explorer.NewServer(dir, oracle))
-
-	// Verify each served API end to end through the streaming ingestion
-	// path cmd/crawl and the pipeline use: stream the newest blocks into
-	// the chain's aggregator and report what decoded.
-	if *selfCheck > 0 {
-		for _, c := range []struct {
-			chain, endpoint string
-			head            int64
-		}{
-			{"eos", "http://" + eosAddr, int64(eosScenario.Chain.HeadNum())},
-			{"tezos", "http://" + tezosAddr, tezosScenario.Chain.HeadLevel()},
-			{"xrp", "ws://" + xrpAddr, xrpScenario.State.HeadIndex()},
-		} {
-			kit, err := core.NewStatsKit(c.chain, chain.ObservationStart, 6*time.Hour)
-			if err != nil {
-				fail(err)
-			}
-			fetcher, closeFetcher, maxWorkers, err := collect.Dial(c.chain, c.endpoint)
-			if err != nil {
-				fail(err)
-			}
-			ccfg := collect.CrawlConfig{From: max(1, c.head-*selfCheck+1), To: c.head, Workers: 4}
-			if maxWorkers > 0 {
-				ccfg.Workers = maxWorkers
-			}
-			res, _, err := core.IngestCrawl(context.Background(), fetcher, ccfg, kit.Decoder, core.IngestConfig{})
-			closeFetcher()
-			if err != nil {
-				fail(fmt.Errorf("%s self-check: %w", c.chain, err))
-			}
-			fmt.Printf("chainsim: %s self-check: streamed %d blocks, %d txs/ops\n", c.chain, res.Blocks, kit.Txs())
-		}
-	}
 
 	fmt.Printf("EOS RPC:       http://%s (head block %d)\n", eosAddr, eosScenario.Chain.HeadNum())
 	fmt.Printf("Tezos RPC:     http://%s (head level %d)\n", tezosAddr, tezosScenario.Chain.HeadLevel())

@@ -11,19 +11,20 @@
 // As each worker exits, the coordinator validates the shard blob it must
 // have emitted (present, decodable, covering exactly the slice) — a
 // clean-looking exit is not believed. When every slice validates, the
-// shards are merged through the same validation cmd/merge applies and
-// the figures print to stdout, byte-identical to a single-process crawl.
+// shards are merged through the shard reader and refusal ladder cmd/merge
+// joins stores with (internal/coord owns both) and the figures print to
+// stdout, byte-identical to a single-process crawl.
 //
 // Degradation is graceful and loud: when a slice exhausts its retries
 // the coordinator still merges what arrived, prints the PARTIAL figures,
 // writes a machine-readable gap report (-gap-report) naming the missing
 // block ranges and per-slice errors, and exits non-zero.
 //
-// The coordinator is itself killable. It wins a run-level lease
-// (lease/run-<chain>.lease) before doing anything — exactly one active
-// coordinator per chain — and checkpoints a run-state record
-// (run/<chain>.state) after every task transition: the pinned range,
-// per-slice status, fence tokens and validated shards. A -standby
+// The coordinator is itself killable. It wins a run-level lease before
+// doing anything — exactly one active coordinator per chain — and
+// checkpoints a run-state record after every task transition: the pinned
+// range, per-slice status, fence tokens and validated shards (the store
+// layout is internal/coord's, see its shard.go). A -standby
 // instance polls the election and takes over on lease expiry by loading
 // that state, resuming mid-run instead of re-cutting. Every worker
 // crawls under a fence token (its slice lease's attempt count) stamped
@@ -31,7 +32,7 @@
 // cannot clobber the reclaimer's newer shard — stale fences are refused
 // at validation and merge. While running, the active coordinator serves
 // GET /v1/progress (-progress-addr): the gap-report shape plus per-task
-// lease/attempt/fence status, with the election epoch in X-Coord-Epoch.
+// lease, attempt and fence status, with the election epoch in X-Coord-Epoch.
 //
 // SIGINT or SIGTERM interrupts the run gracefully: each worker is sent a
 // SIGTERM, writes the checkpoint of the last chunk it holds complete, and
@@ -44,6 +45,10 @@
 // Usage:
 //
 //	coordinate -chain eos -endpoint URL -to N -shards 4 -store STORE [-checkpoint-every N] [-gap-report FILE] [-standby] [-progress-addr HOST:PORT]
+//
+// Every slice runs at once. A worker fetches with -workers fetchers,
+// retries a block 3 times from a 200 ms backoff, and decodes on 2 ingest
+// workers behind a 64-block stream buffer.
 //
 // The store may use the faulty+ scheme (see internal/blobstore) to
 // inject seeded random faults; -chaos-kill I additionally SIGKILLs slice
@@ -85,17 +90,13 @@ const workerEnv = "COORDINATE_WORKER_PAYLOAD"
 
 // workerPayload is the JSON shape under workerEnv.
 type workerPayload struct {
-	Chain    string        `json:"chain"`
-	Endpoint string        `json:"endpoint"`
-	From     int64         `json:"from"`
-	To       int64         `json:"to"`
-	Store    string        `json:"store"`
-	Every    int64         `json:"every"`
-	Workers  int           `json:"workers"`
-	Ingest   int           `json:"ingest"`
-	Buffer   int           `json:"buffer"`
-	Retries  int           `json:"retries"`
-	Backoff  time.Duration `json:"backoff"`
+	Chain    string `json:"chain"`
+	Endpoint string `json:"endpoint"`
+	From     int64  `json:"from"`
+	To       int64  `json:"to"`
+	Store    string `json:"store"`
+	Every    int64  `json:"every"`
+	Workers  int    `json:"workers"`
 	// Fence is the lease fence token the worker stamps into its emitted
 	// shard — the slice lease's attempt count, granted by the coordinator
 	// that launched this worker.
@@ -116,12 +117,7 @@ type coordOpts struct {
 	leaseTTL       time.Duration
 	attempts       int
 	backoff        time.Duration
-	parallel       int
 	workers        int
-	ingest         int
-	buffer         int
-	retries        int
-	fetchBO        time.Duration
 	gapReport      string
 	chaosKill      int
 	owner          string
@@ -148,12 +144,7 @@ func main() {
 	flag.DurationVar(&o.leaseTTL, "lease-ttl", 2*time.Minute, "lease time-to-live; a slice whose coordinator misses renewals this long is reclaimable")
 	flag.IntVar(&o.attempts, "attempts", 4, "worker launches per slice before giving up")
 	flag.DurationVar(&o.backoff, "backoff", 500*time.Millisecond, "base relaunch backoff (exponential, full jitter)")
-	flag.IntVar(&o.parallel, "parallel", 0, "slices running concurrently (0 = all)")
 	flag.IntVar(&o.workers, "workers", 4, "concurrent fetchers per worker (xrp uses 1)")
-	flag.IntVar(&o.ingest, "ingest", 2, "decode/ingest workers per worker")
-	flag.IntVar(&o.buffer, "buffer", 64, "per-worker stream buffer")
-	flag.IntVar(&o.retries, "fetch-retries", 3, "per-block fetch retries inside a worker")
-	flag.DurationVar(&o.fetchBO, "fetch-backoff", 200*time.Millisecond, "per-block fetch retry base backoff")
 	flag.StringVar(&o.gapReport, "gap-report", "", "write the machine-readable gap report JSON to this file (default: stderr when the run is incomplete)")
 	flag.IntVar(&o.chaosKill, "chaos-kill", 0, "chaos: SIGKILL slice I's first worker attempt after its first checkpoint (0 = off)")
 	flag.StringVar(&o.owner, "owner", "", "coordinator name in lease records (default coordinator-<pid>; must be unique per process)")
@@ -216,8 +207,8 @@ func workerMain(payload string, log io.Writer) int {
 	cfg := coord.CrawlerConfig{
 		Kit: kit, Fetcher: fetcher, From: p.From, To: p.To,
 		Store: store, CheckpointEvery: p.Every,
-		Workers: p.Workers, Ingest: p.Ingest, Buffer: p.Buffer,
-		MaxRetries: p.Retries, Backoff: p.Backoff,
+		// A block gets 3 retries from a 200 ms backoff before the attempt fails.
+		Workers: p.Workers, MaxRetries: 3, Backoff: 200 * time.Millisecond,
 		Fence: p.Fence,
 		Log:   log,
 	}
@@ -301,7 +292,6 @@ func run(ctx context.Context, o coordOpts, out, diag io.Writer) error {
 		Owner:    owner,
 		LeaseTTL: o.leaseTTL,
 		Retry:    retry.Policy{Attempts: o.attempts, Base: o.backoff},
-		Parallel: o.parallel,
 		Run:      launcher.launch,
 		Log:      diag,
 		Progress: tracker,
@@ -462,8 +452,7 @@ func (l *workerLauncher) launch(ctx context.Context, t coord.Task) error {
 		Chain: o.chain, Endpoint: o.endpoint,
 		From: t.From, To: t.To,
 		Store: o.store, Every: o.every,
-		Workers: o.workers, Ingest: o.ingest, Buffer: o.buffer,
-		Retries: o.retries, Backoff: o.fetchBO,
+		Workers:             o.workers,
 		Fence:               t.Fence,
 		KillAfterCheckpoint: o.chaosKill == t.Index && attempt == 1,
 	}

@@ -62,12 +62,7 @@ type coordPayload struct {
 	LeaseTTL       time.Duration `json:"lease_ttl"`
 	Attempts       int           `json:"attempts"`
 	Backoff        time.Duration `json:"backoff"`
-	Parallel       int           `json:"parallel"`
 	Workers        int           `json:"workers"`
-	Ingest         int           `json:"ingest"`
-	Buffer         int           `json:"buffer"`
-	Retries        int           `json:"retries"`
-	FetchBO        time.Duration `json:"fetch_backoff"`
 	GapReport      string        `json:"gap_report"`
 	ChaosKill      int           `json:"chaos_kill"`
 	Owner          string        `json:"owner"`
@@ -81,8 +76,7 @@ func payloadFrom(o coordOpts) coordPayload {
 		Chain: o.chain, Endpoint: o.endpoint, From: o.from, To: o.to,
 		Shards: o.shards, Store: o.store, Every: o.every,
 		LeaseTTL: o.leaseTTL, Attempts: o.attempts, Backoff: o.backoff,
-		Parallel: o.parallel, Workers: o.workers, Ingest: o.ingest,
-		Buffer: o.buffer, Retries: o.retries, FetchBO: o.fetchBO,
+		Workers:   o.workers,
 		GapReport: o.gapReport, ChaosKill: o.chaosKill, Owner: o.owner,
 		Standby: o.standby, ProgressAddr: o.progressAddr, ChaosKillCoord: o.chaosKillCoord,
 	}
@@ -93,8 +87,7 @@ func (p coordPayload) opts() coordOpts {
 		chain: p.Chain, endpoint: p.Endpoint, from: p.From, to: p.To,
 		shards: p.Shards, store: p.Store, every: p.Every,
 		leaseTTL: p.LeaseTTL, attempts: p.Attempts, backoff: p.Backoff,
-		parallel: p.Parallel, workers: p.Workers, ingest: p.Ingest,
-		buffer: p.Buffer, retries: p.Retries, fetchBO: p.FetchBO,
+		workers:   p.Workers,
 		gapReport: p.GapReport, chaosKill: p.ChaosKill, owner: p.Owner,
 		standby: p.Standby, progressAddr: p.ProgressAddr, chaosKillCoord: p.ChaosKillCoord,
 	}
@@ -193,8 +186,7 @@ func testOpts(endpoint, store string) coordOpts {
 		chain: "eos", endpoint: endpoint, from: 1, to: 0,
 		shards: 3, store: store, every: 5,
 		leaseTTL: time.Minute, attempts: 8, backoff: 5 * time.Millisecond,
-		workers: 2, ingest: 2, buffer: 8,
-		retries: 2, fetchBO: 5 * time.Millisecond,
+		workers: 2,
 	}
 }
 
@@ -262,7 +254,6 @@ func TestCoordinateGapReportPartial(t *testing.T) {
 	o := testOpts(srv.URL, "file://"+filepath.Join(dir, "store"))
 	o.to = head
 	o.attempts = 2
-	o.retries = 0
 	o.gapReport = filepath.Join(dir, "gaps.json")
 
 	var out, diag bytes.Buffer
@@ -501,10 +492,8 @@ func TestCoordinateStandbyTakeover(t *testing.T) {
 
 // TestCoordinateHalvesMerge is the multi-machine recipe at unit scale: two
 // coordinate runs, each over one half of the range into its own file://
-// store, joined the way cmd/merge joins stores — shards pooled through
-// core.LoadShards, fence floors unioned from coord.FenceIndex, one strict
-// core.MergeShards — render figures byte-identical to a single-process
-// crawl of the whole range.
+// store, joined by coord.Join as cmd/merge joins them, render figures
+// byte-identical to a single-process crawl of the whole range.
 func TestCoordinateHalvesMerge(t *testing.T) {
 	srv := newEOSServer(t, 45)
 	head := eosHead(t, srv.URL)
@@ -512,8 +501,7 @@ func TestCoordinateHalvesMerge(t *testing.T) {
 
 	dir := t.TempDir()
 	ctx := context.Background()
-	var pooled []core.ShardBlob
-	floors := make(map[string]uint64)
+	var stores []blobstore.Store
 	for i, half := range [][2]int64{{1, head / 2}, {head/2 + 1, head}} {
 		o := testOpts(srv.URL, "file://"+filepath.Join(dir, fmt.Sprintf("half-%d", i)))
 		o.from, o.to, o.shards = half[0], half[1], 2
@@ -528,30 +516,20 @@ func TestCoordinateHalvesMerge(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		blobs, err := core.LoadShards(ctx, store)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(blobs) != o.shards {
-			t.Fatalf("store %s holds %d shards, want %d", o.store, len(blobs), o.shards)
-		}
-		pooled = append(pooled, blobs...)
-		index, err := coord.FenceIndex(ctx, store)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for task, fence := range index {
-			floors[task] = max(floors[task], fence)
-		}
+		stores = append(stores, store)
 	}
-	merged, _, err := core.MergeShards(pooled, false, floors)
+	var log bytes.Buffer
+	merged, err := coord.Join(ctx, stores, &log)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := merged.Summary().Render(); got != want {
+	if len(merged) != 1 || !strings.Contains(log.String(), "eos: 4 shard(s)") {
+		t.Fatalf("join of two 2-shard runs merged %d chain(s):\n%s", len(merged), log.String())
+	}
+	if got := merged[0].Summary().Render(); got != want {
 		t.Errorf("two half-range runs merged differ from single-process oracle\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
-	if got, wantCov := merged.Covered(), (core.BlockRange{From: 1, To: head}); got != wantCov {
+	if got, wantCov := merged[0].Covered(), (core.BlockRange{From: 1, To: head}); got != wantCov {
 		t.Errorf("merged covered %s, want %s", got, wantCov)
 	}
 }

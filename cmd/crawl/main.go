@@ -57,8 +57,6 @@ type crawlOpts struct {
 	chain    string
 	endpoint string
 	workers  int
-	ingest   int
-	buffer   int
 }
 
 func main() {
@@ -67,8 +65,6 @@ func main() {
 	flag.StringVar(&o.endpoint, "endpoint", "", "endpoint URL")
 	o.ArchiveFlags.Register(flag.CommandLine, cli.ModeCrawl)
 	flag.IntVar(&o.workers, "workers", 4, "concurrent fetchers (xrp uses 1)")
-	flag.IntVar(&o.ingest, "ingest", 2, "decode/ingest workers")
-	flag.IntVar(&o.buffer, "buffer", 64, "stream buffer: max fetched-but-unprocessed blocks")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file (pprof evidence for perf work)")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
@@ -123,10 +119,7 @@ func run(ctx context.Context, o crawlOpts, out io.Writer) error {
 		o.workers = maxWorkers
 	}
 
-	cfg := collect.CrawlConfig{
-		From: o.From, To: o.To,
-		Workers: o.workers, Buffer: o.buffer,
-	}
+	cfg := collect.CrawlConfig{From: o.From, To: o.To, Workers: o.workers}
 	var sink *archive.Crawl
 	if o.Archive != "" {
 		sink, err = archive.OpenCrawl(archive.WriterConfig{Dir: o.Archive, Chain: o.chain}, fetcher)
@@ -136,7 +129,7 @@ func run(ctx context.Context, o crawlOpts, out io.Writer) error {
 		fetcher, cfg.Tee = sink, sink.Tee
 	}
 
-	res, _, err := core.IngestCrawl(ctx, fetcher, cfg, kit.Decoder, core.IngestConfig{Workers: o.ingest})
+	res, _, err := core.IngestCrawl(ctx, fetcher, cfg, kit.Decoder, core.IngestConfig{})
 	// The stream is fully drained, so no Append can still be in flight;
 	// finalize the archive before reporting anything. Interrupted and
 	// failed crawls finalize too — everything teed so far is intact and a

@@ -154,7 +154,7 @@ func TestCrawlInterruptResume(t *testing.T) {
 	base := crawlOpts{
 		ArchiveFlags: cli.ArchiveFlags{From: 1},
 		chain:        "eos", endpoint: s.srv.URL,
-		workers: 2, ingest: 2, buffer: 8,
+		workers: 2,
 	}
 	var oracle bytes.Buffer
 	if err := run(context.Background(), base, &oracle); err != nil {
@@ -292,7 +292,7 @@ func TestCrawlInterruptWithoutCheckpointFails(t *testing.T) {
 	s.limit, s.interrupt = 10, cancel
 	s.mu.Unlock()
 	var out bytes.Buffer
-	err := run(ctx, crawlOpts{ArchiveFlags: cli.ArchiveFlags{From: 1}, chain: "eos", endpoint: s.srv.URL, workers: 2, ingest: 1, buffer: 8}, &out)
+	err := run(ctx, crawlOpts{ArchiveFlags: cli.ArchiveFlags{From: 1}, chain: "eos", endpoint: s.srv.URL, workers: 2}, &out)
 	if err == nil {
 		t.Fatalf("interrupted archive-less run exited clean:\n%s", out.String())
 	}
@@ -313,7 +313,7 @@ func TestCrawlArchiveReplayDeterminism(t *testing.T) {
 	err := run(context.Background(), crawlOpts{
 		ArchiveFlags: cli.ArchiveFlags{Archive: arch, From: 1},
 		chain:        "eos", endpoint: s.srv.URL,
-		workers: 2, ingest: 2, buffer: 8,
+		workers: 2,
 	}, &out)
 	if err != nil {
 		t.Fatalf("archived crawl failed: %v\n%s", err, out.String())
@@ -372,7 +372,7 @@ func TestCrawlArchiveCrossBackendDeterminism(t *testing.T) {
 		err := run(context.Background(), crawlOpts{
 			ArchiveFlags: cli.ArchiveFlags{Archive: loc, From: 1},
 			chain:        "eos", endpoint: s.srv.URL,
-			workers: 2, ingest: 2, buffer: 8,
+			workers: 2,
 		}, &out)
 		if err != nil {
 			t.Fatalf("%s: archived crawl failed: %v\n%s", backend, err, out.String())
@@ -441,7 +441,7 @@ func TestCrawlArchiveCrossBackendDeterminism(t *testing.T) {
 	if err := run(context.Background(), crawlOpts{
 		ArchiveFlags: cli.ArchiveFlags{From: 1},
 		chain:        "eos", endpoint: s.srv.URL,
-		workers: 2, ingest: 2, buffer: 8,
+		workers: 2,
 	}, &out); err != nil {
 		t.Fatalf("plain crawl failed: %v\n%s", err, out.String())
 	}
@@ -478,7 +478,7 @@ func TestCrawlArchiveInterruptResume(t *testing.T) {
 	opts := crawlOpts{
 		ArchiveFlags: cli.ArchiveFlags{Archive: arch, From: 1},
 		chain:        "eos", endpoint: s.srv.URL,
-		workers: 2, ingest: 2, buffer: 8,
+		workers: 2,
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())

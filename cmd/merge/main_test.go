@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -99,7 +100,20 @@ func emitTezosShard(t *testing.T, location string, from, to int64) {
 		t.Fatal(err)
 	}
 	st.SetCovered(core.BlockRange{From: from, To: to})
-	if _, err := core.EmitShard(context.Background(), openStore(t, location), st, 0); err != nil {
+	putShard(t, location, st)
+}
+
+// putShard stores st as a coordinate worker would have emitted it, sealed
+// under its slice's key — unfenced, as no lease granted it a fence.
+func putShard(t *testing.T, location string, st core.ShardState) {
+	t.Helper()
+	blob, err := core.EncodeShard(st, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cov := st.Covered()
+	key := fmt.Sprintf("%s-%010d-%010d.shard", st.Chain(), cov.From, cov.To)
+	if err := openStore(t, location).Put(context.Background(), key, blob); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -219,9 +233,7 @@ func TestMergeMultiChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	xst.SetCovered(core.BlockRange{From: 1, To: 1})
-	if _, err := core.EmitShard(context.Background(), openStore(t, store), xst, 0); err != nil {
-		t.Fatal(err)
-	}
+	putShard(t, store, xst)
 
 	var out bytes.Buffer
 	if err := run(context.Background(), []string{store}, &out, io.Discard); err != nil {

@@ -57,8 +57,6 @@ type serveOpts struct {
 	cli.ArchiveFlags
 	epoch   time.Duration
 	workers int
-	ingest  int
-	buffer  int
 
 	// ready, when set, is called with the base URL once the listener is
 	// accepting — the hook tests use to query mid-ingest.
@@ -74,8 +72,6 @@ func main() {
 	o.ArchiveFlags.Register(flag.CommandLine, cli.ModeServe)
 	flag.DurationVar(&o.epoch, "epoch", 200*time.Millisecond, "snapshot publish interval")
 	flag.IntVar(&o.workers, "workers", 4, "concurrent fetchers per live feed (xrp uses 1)")
-	flag.IntVar(&o.ingest, "ingest", 2, "decode/ingest workers per feed")
-	flag.IntVar(&o.buffer, "buffer", 64, "stream buffer per live feed")
 	flag.Parse()
 	if err := o.validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "serve:", err)
@@ -235,7 +231,8 @@ func replayFeeds(ctx context.Context, pub *serve.Publisher, o serveOpts, out io.
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			n, err := pub.FeedArchive(ctx, f.rd, serve.FeedConfig{Ingest: core.IngestConfig{Workers: o.ingest}})
+			// Two decode workers per archive, as a live feed gets by default.
+			n, err := pub.FeedArchive(ctx, f.rd, serve.FeedConfig{Ingest: core.IngestConfig{Workers: 2}})
 			if err != nil {
 				errs[i] = fmt.Errorf("replaying %s: %w", f.dir, err)
 				return
@@ -257,8 +254,7 @@ func liveFeed(ctx context.Context, pub *serve.Publisher, o serveOpts, chainName,
 	}
 	defer closeFetcher()
 	ccfg := collect.CrawlConfig{
-		From: o.From, To: o.To,
-		Workers: o.workers, Buffer: o.buffer,
+		From: o.From, To: o.To, Workers: o.workers,
 		MaxRetries: 8, Backoff: 5 * time.Millisecond,
 	}
 	if maxWorkers > 0 {
@@ -275,10 +271,7 @@ func liveFeed(ctx context.Context, pub *serve.Publisher, o serveOpts, chainName,
 		fetcher, ccfg.Tee = sink, sink.Tee
 	}
 
-	res, err := pub.Feed(ctx, fetcher, ccfg, serve.FeedConfig{
-		Chain:  chainName,
-		Ingest: core.IngestConfig{Workers: o.ingest},
-	})
+	res, err := pub.Feed(ctx, fetcher, ccfg, serve.FeedConfig{Chain: chainName})
 	if sink != nil {
 		if cerr := sink.Close(); cerr != nil {
 			err = errors.Join(err, fmt.Errorf("finalizing %s archive: %w", chainName, cerr))

@@ -121,7 +121,7 @@ func TestServeEndToEnd(t *testing.T) {
 		ArchiveFlags: cli.ArchiveFlags{Archive: archiveDir, From: 1},
 		eos:          sim.URL,
 		epoch:        20 * time.Millisecond,
-		workers:      4, ingest: 2, buffer: 32,
+		workers:      4,
 	}
 	baseURL, cancel, errc := startServe(t, o, &liveOut)
 
@@ -197,7 +197,6 @@ func TestServeEndToEnd(t *testing.T) {
 	o2 := serveOpts{
 		ArchiveFlags: cli.ArchiveFlags{Replay: archiveDir},
 		epoch:        20 * time.Millisecond,
-		ingest:       2,
 	}
 	baseURL2, cancel2, errc2 := startServe(t, o2, &replayOut)
 	waitDrained(t, baseURL2)
@@ -220,7 +219,7 @@ func TestServeInterruptMidIngest(t *testing.T) {
 		ArchiveFlags: cli.ArchiveFlags{From: 1},
 		eos:          sim.URL,
 		epoch:        10 * time.Millisecond,
-		workers:      1, ingest: 1, buffer: 1,
+		workers:      1,
 	}
 	_, cancel, errc := startServe(t, o, &out)
 	cancel() // interrupt immediately — likely mid-crawl
@@ -271,7 +270,6 @@ func TestServeReplayCorruptArchive(t *testing.T) {
 		addr:         "127.0.0.1:0",
 		ArchiveFlags: cli.ArchiveFlags{Replay: root},
 		epoch:        time.Millisecond,
-		ingest:       1,
 	}, &out)
 	if !errors.Is(err, archive.ErrCorrupt) {
 		t.Fatalf("err = %v, want the second archive's corruption", err)

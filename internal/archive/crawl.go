@@ -108,9 +108,5 @@ func (c *Crawl) Segments() int { return c.sink.Segments() }
 // of the dataset the crawl was over (the paper's Figure 2 column). This
 // run's open segment joins the total when Close publishes it.
 func (c *Crawl) CompressedBytes() int64 {
-	total := c.sink.CompressedBytes()
-	for _, seg := range c.held.man.Segments {
-		total += seg.CompBytes
-	}
-	return total
+	return c.sink.CompressedBytes() + c.held.CompressedBytes()
 }

@@ -347,6 +347,17 @@ func (r *Reader) Segments() int { return len(r.covering) }
 // Blocks counts the distinct archived block numbers in this open's range.
 func (r *Reader) Blocks() int64 { return int64(len(r.index)) }
 
+// CompressedBytes is the archive's on-disk footprint: the summed object
+// sizes of every segment its manifest lists, whatever this open's range —
+// the gzip size of the dataset (the paper's Figure 2 column).
+func (r *Reader) CompressedBytes() int64 {
+	var total int64
+	for _, seg := range r.man.Segments {
+		total += seg.CompBytes
+	}
+	return total
+}
+
 // From returns the lowest archived block number in range (0 when empty).
 func (r *Reader) From() int64 { return r.min }
 

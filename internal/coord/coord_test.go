@@ -506,8 +506,7 @@ func TestCoordinatorAllSlicesFail(t *testing.T) {
 // validation decoded only for blobs the store still holds byte for byte.
 // A shard rewritten after its validation (a zombie's late, unfenced put)
 // and a stray shard nobody validated are both decoded afresh from the
-// store — and refused, exactly as a cold core.LoadShards + MergeShards
-// would refuse them.
+// store — and refused, exactly as a join of the store would refuse them.
 func TestCoordinatorFoldBelievesTheStore(t *testing.T) {
 	fx := newEOSFixture(t, 45)
 	head := fx.head(t)
@@ -517,7 +516,7 @@ func TestCoordinatorFoldBelievesTheStore(t *testing.T) {
 	}{
 		"rewritten shard": {
 			after: func(t *testing.T, store blobstore.Store, done Task) {
-				key := done.Name() + ".shard"
+				key := shardKey(done.Name())
 				raw, err := store.Get(context.Background(), key)
 				if err != nil {
 					t.Fatal(err)
@@ -540,9 +539,7 @@ func TestCoordinatorFoldBelievesTheStore(t *testing.T) {
 			after: func(t *testing.T, store blobstore.Store, done Task) {
 				st := fx.kit(t).State()
 				st.SetCovered(core.BlockRange{From: done.From, To: done.From + 1})
-				if _, err := core.EmitShard(context.Background(), store, st, 0); err != nil {
-					t.Fatal(err)
-				}
+				putShard(t, store, st, 0)
 			},
 			refusal: "overlap",
 		},

@@ -1,21 +1,18 @@
 package coord
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/blobstore"
 	"repro/internal/core"
 	"repro/internal/retry"
-	"repro/internal/wire"
 )
 
 // Task is one shard slice of the pinned block range: slice Index of N
@@ -29,10 +26,8 @@ type Task struct {
 }
 
 // Name is the task's lease identity and log label —
-// "eos-0000000001-0000000050", matching the shard key minus suffix.
-func (t Task) Name() string {
-	return fmt.Sprintf("%s-%010d-%010d", t.Chain, t.From, t.To)
-}
+// "eos-0000000001-0000000050", its shard key minus the suffix.
+func (t Task) Name() string { return taskName(t.Chain, t.From, t.To) }
 
 // TaskFailure records a slice that exhausted its retries (or hit a
 // permanent error), with the terminal error.
@@ -207,38 +202,21 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = 2 * time.Minute
 	}
-	logf := func(format string, args ...any) {
-		if cfg.Log != nil {
-			fmt.Fprintf(cfg.Log, format+"\n", args...)
-		}
-	}
+	logf := logger(cfg.Log)
 	leases := NewLeases(cfg.Store, cfg.Owner, cfg.LeaseTTL)
 
-	// Election: exactly one active coordinator per chain. A held lease is
-	// retryable on the same schedule as everything else — the holder may
-	// die and expire. The election attempt count is the coordinator epoch:
-	// it grows monotonically across takeovers, so progress pollers can
-	// detect a change of regime from the X-Coord-Epoch header alone.
-	var runRec LeaseRecord
+	// Election: exactly one active coordinator per chain. The election
+	// attempt count is the coordinator epoch: it grows monotonically across
+	// takeovers, so progress pollers can detect a change of regime from the
+	// X-Coord-Epoch header alone.
+	var (
+		runRec LeaseRecord
+		err    error
+	)
 	if cfg.RunLease != nil {
 		runRec = *cfg.RunLease
-	} else {
-		claim := cfg.Retry
-		claim.Retryable = func(err error) bool {
-			var held *ErrHeld
-			if errors.As(err, &held) {
-				return true
-			}
-			return retry.DefaultRetryable(err)
-		}
-		err := claim.Do(ctx, "claim "+RunLeaseTask(cfg.Chain), func(ctx context.Context) error {
-			var cerr error
-			runRec, cerr = leases.Claim(ctx, RunLeaseTask(cfg.Chain))
-			return cerr
-		})
-		if err != nil {
-			return nil, err
-		}
+	} else if runRec, err = claimRetrying(ctx, cfg.Retry, leases, RunLeaseTask(cfg.Chain)); err != nil {
+		return nil, err
 	}
 	epoch := runRec.Attempt
 	logf("coordinator %s elected active for %s (epoch %d)", cfg.Owner, cfg.Chain, epoch)
@@ -316,9 +294,9 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	var (
 		mu sync.Mutex
 		wg sync.WaitGroup
-		// validated keeps each slice's shard as validation decoded it, by
-		// key, so the final fold need not decode it again.
-		validated = make(map[string]validatedShard, len(tasks))
+		// validated keeps each slice's shard as validation read it, by key,
+		// so the final fold need not decode it again.
+		validated = make(map[string]shardBlob, len(tasks))
 	)
 	for _, t := range tasks {
 		wg.Add(1)
@@ -335,7 +313,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			} else {
 				tr.transition(rctx, t.Name(), func(r *TaskRecord) {
 					r.State = TaskDone
-					r.ShardKey = t.Name() + ".shard"
+					r.ShardKey = shard.key
 					r.Error = ""
 				})
 			}
@@ -346,7 +324,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			} else {
 				logf("slice %d/%d [%d, %d]: shard validated", t.Index, t.N, t.From, t.To)
 				res.Completed = append(res.Completed, t)
-				validated[shard.blob.Key] = shard
+				validated[shard.key] = shard
 			}
 			mu.Unlock()
 			if err == nil && cfg.AfterTaskDone != nil {
@@ -361,23 +339,24 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	sort.Slice(res.Completed, func(i, j int) bool { return res.Completed[i].Index < res.Completed[j].Index })
 	sort.Slice(res.Failed, func(i, j int) bool { return res.Failed[i].Task.Index < res.Failed[j].Task.Index })
 
-	// Final fold: load every emitted shard and merge, tolerating gaps —
-	// failed slices left holes the report accounts for. Overlaps,
-	// corruption and stale fences stay loud (figures would be WRONG, not
-	// just partial), so merge refusals are marked Permanent; load failures
-	// against a flaky store retry on the same policy as everything else.
-	// The fence floors come from the run state, which outlives released
-	// task leases — a zombie's stale emission is refused even after the
-	// winning lease record is long deleted.
+	// Final fold: merge every shard the store holds — the store, not this
+	// process's memory, says what gets merged; only blobs still holding
+	// the bytes a task validated skip a second decode — tolerating gaps,
+	// which the report accounts for. Overlaps, corruption and stale fences
+	// stay loud (figures would be WRONG, not just partial), so merge
+	// refusals are Permanent; load failures retry. The fence floors come
+	// from the run state, which outlives released task leases.
 	var gaps []core.BlockRange
 	if len(res.Completed) > 0 {
-		floors := tr.fenceFloors()
+		tr.mu.Lock()
+		floors := tr.state.FenceFloors()
+		tr.mu.Unlock()
 		lerr := cfg.Retry.Do(rctx, "merge shards", func(ctx context.Context) error {
 			blobs, err := loadShards(ctx, cfg.Store, validated)
 			if err != nil {
 				return err
 			}
-			merged, interior, err := core.MergeShards(blobs, true, floors)
+			merged, interior, err := mergeShards(blobs, true, floors)
 			if err != nil {
 				return retry.Permanent(err)
 			}
@@ -446,6 +425,23 @@ func releaseLease(ctx context.Context, cfg Config, leases *Leases, rec LeaseReco
 	if err != nil {
 		logf("lease %s: release failed, it expires within %v: %v", rec.Task, cfg.LeaseTTL, err)
 	}
+}
+
+// claimRetrying claims task's lease under the run's retry policy. A lease
+// held live by someone else is retried too, on the same schedule: held
+// leases expire, so polling turns "held" into "reclaimable" once the holder
+// misses its renewals.
+func claimRetrying(ctx context.Context, policy retry.Policy, leases *Leases, task string) (LeaseRecord, error) {
+	policy.Retryable = func(err error) bool {
+		return errors.As(err, new(*ErrHeld)) || retry.DefaultRetryable(err)
+	}
+	var rec LeaseRecord
+	err := policy.Do(ctx, "claim "+task, func(ctx context.Context) error {
+		var err error
+		rec, err = leases.Claim(ctx, task)
+		return err
+	})
+	return rec, err
 }
 
 // keepRenewed renews rec at TTL/3 until ctx ends, from a goroutine whose
@@ -534,20 +530,13 @@ func (tr *runTracker) publishLocked() {
 	}
 }
 
-// fenceFloors snapshots the per-task fence floors for the final merge.
-func (tr *runTracker) fenceFloors() map[string]uint64 {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	return tr.state.FenceFloors()
-}
-
 // runTask claims a task's lease, keeps it renewed, and drives worker
 // attempts under the retry policy until the task's shard blob validates
 // or the budget runs out. On a resumed run, a slice the previous
 // coordinator already validated is skipped — after re-validating against
 // the store, because trusting a checkpoint over the store would merge a
 // blob nobody checked.
-func runTask(ctx context.Context, cfg Config, leases *Leases, t Task, tr *runTracker, logf func(string, ...any)) (validatedShard, error) {
+func runTask(ctx context.Context, cfg Config, leases *Leases, t Task, tr *runTracker, logf func(string, ...any)) (shardBlob, error) {
 	if prev, ok := tr.record(t.Name()); ok && prev.State == TaskDone {
 		done := t
 		done.Fence = prev.Fence
@@ -555,34 +544,17 @@ func runTask(ctx context.Context, cfg Config, leases *Leases, t Task, tr *runTra
 			logf("slice %d/%d [%d, %d]: validated by a previous coordinator (fence %d), skipping", t.Index, t.N, t.From, t.To, prev.Fence)
 			return shard, nil
 		} else if retry.IsPermanent(err) {
-			return validatedShard{}, err
+			return shardBlob{}, err
 		} else {
 			logf("slice %d/%d [%d, %d]: checkpoint says done but shard no longer validates (%v); relaunching", t.Index, t.N, t.From, t.To, err)
 		}
 	}
 
 	// Claiming itself retries: a flaky store or a stale lease from a dead
-	// coordinator should not fail the slice outright. A lease held live by
-	// someone else is permanent for THIS coordinator right now — but held
-	// leases expire, so the claim is retried on the same schedule as
-	// worker attempts, converting "held" into "reclaimable" once the
-	// holder misses renewals.
-	var rec LeaseRecord
-	claim := cfg.Retry
-	claim.Retryable = func(err error) bool {
-		var held *ErrHeld
-		if errors.As(err, &held) {
-			return true // the holder may expire; keep polling
-		}
-		return retry.DefaultRetryable(err)
-	}
-	err := claim.Do(ctx, "claim "+t.Name(), func(ctx context.Context) error {
-		var cerr error
-		rec, cerr = leases.Claim(ctx, t.Name())
-		return cerr
-	})
+	// coordinator should not fail the slice outright.
+	rec, err := claimRetrying(ctx, cfg.Retry, leases, t.Name())
 	if err != nil {
-		return validatedShard{}, err
+		return shardBlob{}, err
 	}
 	// The claim's attempt count is the task's fence token: it grows on
 	// every reclaim, so the shard a worker emits under this lease outranks
@@ -619,7 +591,7 @@ func runTask(ctx context.Context, cfg Config, leases *Leases, t Task, tr *runTra
 		// rewrites it.
 		policy.Retryable = func(err error) bool { return !retry.IsPermanent(err) }
 	}
-	var shard validatedShard
+	var shard shardBlob
 	err = policy.Do(rctx, "shard "+t.Name(), func(ctx context.Context) error {
 		tr.transition(ctx, t.Name(), func(r *TaskRecord) { r.Attempts++ })
 		if err := cfg.Run(ctx, t); err != nil {
@@ -635,81 +607,33 @@ func runTask(ctx context.Context, cfg Config, leases *Leases, t Task, tr *runTra
 	return shard, err
 }
 
-// validatedShard is a slice's shard as validateShard found it: the stored
-// bytes and what they decoded to.
-type validatedShard struct {
-	raw  []byte
-	blob core.ShardBlob
-}
-
-// validateShard fetches and decodes the shard blob a completed task must
-// have emitted, checking it covers exactly the task's slice and — when
-// t.Fence is set — carries exactly the task's fence token. Every refusal
-// names store URL and blob key, so a coordinator log points straight at
-// the object to inspect. The decoded shard is returned for the final fold.
-func validateShard(ctx context.Context, store blobstore.Store, t Task) (validatedShard, error) {
-	key := t.Name() + ".shard"
-	raw, err := store.Get(ctx, key)
+// validateShard reads the shard blob a completed task must have emitted
+// and checks it covers exactly the task's slice and — when t.Fence is set —
+// carries exactly the task's fence token. Every refusal names store URL and
+// blob key, so a coordinator log points straight at the object to inspect.
+// The blob is returned for the final fold.
+func validateShard(ctx context.Context, store blobstore.Store, t Task) (shardBlob, error) {
+	b, err := readShard(ctx, store, shardKey(t.Name()), shardBlob{})
 	if err != nil {
-		return validatedShard{}, fmt.Errorf("coord: worker exited clean but shard %s is unreadable: %w", key, err)
-	}
-	fence, err := wire.ShardFence(raw)
-	if err != nil {
-		return validatedShard{}, fmt.Errorf("coord: shard %s at %s: %w", key, store.URL(), err)
+		return shardBlob{}, err
 	}
 	if t.Fence != 0 {
-		if fence < t.Fence {
+		if b.fence < t.Fence {
 			// A superseded worker's stale emission overwrote (or preempted)
 			// our worker's blob. Retryable: relaunching under the current
 			// lease rewrites the blob with the current fence.
-			return validatedShard{}, fmt.Errorf("coord: shard %s at %s carries fence %d, want %d: stale emission from a superseded worker", key, store.URL(), fence, t.Fence)
+			return shardBlob{}, fmt.Errorf("coord: shard %s carries fence %d, want %d: stale emission from a superseded worker", b.ref(), b.fence, t.Fence)
 		}
-		if fence > t.Fence {
+		if b.fence > t.Fence {
 			// The blob outranks OUR lease lineage: someone reclaimed past us
 			// and already finished the slice. We are the zombie here —
 			// retrying under a stale fence could only waste work, so this
 			// coordinator stands down on the slice permanently.
-			return validatedShard{}, retry.Permanent(fmt.Errorf("coord: shard %s at %s carries fence %d, newer than our lease attempt %d: this coordinator was superseded on the slice", key, store.URL(), fence, t.Fence))
+			return shardBlob{}, retry.Permanent(fmt.Errorf("coord: shard %s carries fence %d, newer than our lease attempt %d: this coordinator was superseded on the slice", b.ref(), b.fence, t.Fence))
 		}
 	}
-	st, err := core.DecodeShard(raw)
-	if err != nil {
-		return validatedShard{}, fmt.Errorf("coord: shard %s at %s: %w", key, store.URL(), err)
+	if cov := b.state.Covered(); cov.From != t.From || cov.To != t.To {
+		return shardBlob{}, fmt.Errorf("coord: shard %s covers %s, want [%d, %d]", b.ref(), cov, t.From, t.To)
 	}
-	if cov := st.Covered(); cov.From != t.From || cov.To != t.To {
-		return validatedShard{}, fmt.Errorf("coord: shard %s at %s covers %s, want [%d, %d]", key, store.URL(), cov, t.From, t.To)
-	}
-	return validatedShard{raw: raw, blob: core.ShardBlob{Store: store.URL(), Key: key, Fence: fence, State: st}}, nil
-}
-
-// loadShards is core.LoadShards for a coordinator that has already decoded
-// what it expects to find. It lists and fetches the store all the same —
-// the store, not this process's memory, says what gets merged — but when
-// every *.shard blob there is byte for byte one a task validated, the
-// validated decodes are the answer. Anything else — a stray shard, a blob
-// rewritten since its validation — and everything is decoded afresh.
-func loadShards(ctx context.Context, store blobstore.Store, validated map[string]validatedShard) ([]core.ShardBlob, error) {
-	keys, err := store.List(ctx, "")
-	if err != nil {
-		return nil, fmt.Errorf("coord: listing shards at %s: %w", store.URL(), err)
-	}
-	var blobs []core.ShardBlob
-	for _, key := range keys {
-		if !strings.HasSuffix(key, ".shard") {
-			continue
-		}
-		raw, err := store.Get(ctx, key)
-		if err != nil {
-			return nil, fmt.Errorf("coord: fetching shard %s from %s: %w", key, store.URL(), err)
-		}
-		shard, ok := validated[key]
-		if !ok || !bytes.Equal(shard.raw, raw) {
-			return core.LoadShards(ctx, store)
-		}
-		blobs = append(blobs, shard.blob)
-	}
-	if len(blobs) == 0 {
-		return core.LoadShards(ctx, store) // for its error
-	}
-	return blobs, nil
+	return b, nil
 }

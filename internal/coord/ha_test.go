@@ -252,7 +252,7 @@ func TestValidateShardFence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := store.Put(ctx, task.Name()+".shard", blob); err != nil {
+		if err := store.Put(ctx, shardKey(task.Name()), blob); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -315,7 +315,7 @@ func TestCoordinatorZombieFenceRefused(t *testing.T) {
 	// re-emission of the same content — what a superseded worker that
 	// never heard of the reclaim would Put.
 	victim := res.Completed[0]
-	key := victim.Name() + ".shard"
+	key := shardKey(victim.Name())
 	raw, err := store.Get(ctx, key)
 	if err != nil {
 		t.Fatal(err)
@@ -333,21 +333,17 @@ func TestCoordinatorZombieFenceRefused(t *testing.T) {
 	}
 
 	// The store's surviving lineage (run state) still carries the floor:
-	// a standalone merge refuses the zombie blob by name.
-	floors, err := FenceIndex(ctx, store)
-	if err != nil {
+	// a join of the store refuses the zombie blob by name.
+	floors := make(map[string]uint64)
+	if err := fenceIndex(ctx, store, floors); err != nil {
 		t.Fatal(err)
 	}
 	if floors[victim.Name()] == 0 {
 		t.Fatalf("fence index lost the floor for %s: %v", victim.Name(), floors)
 	}
-	blobs, err := core.LoadShards(ctx, store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := core.MergeShards(blobs, true, floors); err == nil ||
+	if _, err := Join(ctx, []blobstore.Store{store}, nil); err == nil ||
 		!strings.Contains(err.Error(), key) || !strings.Contains(err.Error(), "stale emission") {
-		t.Fatalf("merge of zombie blob: %v, want a refusal naming %s", err, key)
+		t.Fatalf("join of zombie blob: %v, want a refusal naming %s", err, key)
 	}
 
 	// A replacement coordinator resumes, detects the clobbered slice
@@ -519,8 +515,8 @@ func TestFenceIndex(t *testing.T) {
 	}, clk.now()); err != nil {
 		t.Fatal(err)
 	}
-	index, err := FenceIndex(ctx, store)
-	if err != nil {
+	index := make(map[string]uint64)
+	if err := fenceIndex(ctx, store, index); err != nil {
 		t.Fatal(err)
 	}
 	if index["eos-0000000001-0000000050"] != 2 { // lease attempt 2 beats run-state fence 1
@@ -532,7 +528,7 @@ func TestFenceIndex(t *testing.T) {
 	if err := store.Put(ctx, leaseKey("torn-task"), []byte("{torn")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := FenceIndex(ctx, store); err == nil || !strings.Contains(err.Error(), "corrupt") {
+	if err := fenceIndex(ctx, store, index); err == nil || !strings.Contains(err.Error(), "corrupt") {
 		t.Fatalf("fence index over a corrupt lease: %v, want a loud refusal", err)
 	}
 }

@@ -6,6 +6,12 @@
 // partial figures plus a machine-readable gap report when a slice
 // exhausts its retries, instead of refusing outright.
 //
+// It owns everything a run leaves in its store — leases, run state, worker
+// checkpoints and shard blobs, all keyed from one task name (shard.go) —
+// and the one way to fold those shards: Run merges its own store at the
+// end of a run, Join merges the stores of a finished fleet (cmd/merge),
+// both through one shard reader and one refusal ladder.
+//
 // The paper's measurement runs are week-long crawls across machines
 // (Perez et al., IMC 2020); a coordinator that loses the whole figure set
 // to one killed worker cannot drive them. Everything here is built to be
@@ -85,7 +91,7 @@ func (e *ErrLost) Error() string {
 // can both think they won for that window; the race wastes work but
 // never corrupts figures — and since the Attempt lineage doubles as a
 // fence token stamped into every coordinated shard and verified at
-// validate and merge time (see coordinator.go and core.MergeShards),
+// validate and merge time (see validateShard and mergeShards),
 // that is an enforced invariant, not an assumption: the loser's emission
 // carries an older fence and is refused.
 type Leases struct {

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/blobstore"
-	"repro/internal/core"
 	"repro/internal/retry"
 )
 
@@ -151,7 +150,7 @@ func TestWorkerExitsLeaveNoGoroutines(t *testing.T) {
 			if err == nil || len(res.Failed) != 1 {
 				t.Fatalf("run whose only slice lost its lease: err %v, result %+v", err, res)
 			}
-			if _, err := core.LoadShards(context.Background(), store); err == nil {
+			if _, err := loadShards(context.Background(), store, nil); err == nil {
 				t.Fatal("the superseded worker emitted a shard")
 			}
 		},

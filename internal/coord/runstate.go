@@ -122,9 +122,12 @@ func SaveRunState(ctx context.Context, store blobstore.Store, s *RunState, now t
 
 // LoadRunState fetches a chain's run state; ok=false means no record. A
 // torn or garbage record is a loud error, not a fresh start: silently
-// re-cutting the range could orphan every shard of the interrupted run.
+// re-cutting the range could orphan every shard of the interrupted run. So
+// is a record that parses but has no task table, or a task without a
+// record — what a run resumes and a join reads floors from must be whole.
 func LoadRunState(ctx context.Context, store blobstore.Store, chain string) (*RunState, bool, error) {
-	raw, err := store.Get(ctx, RunStateKey(chain))
+	key := RunStateKey(chain)
+	raw, err := store.Get(ctx, key)
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, false, nil
 	}
@@ -139,7 +142,15 @@ func LoadRunState(ctx context.Context, store blobstore.Store, chain string) (*Ru
 		return nil, false, fmt.Errorf("coord: run state for %s has version %d, newer than this binary understands (%d)", chain, s.Version, runStateVersion)
 	}
 	if s.Chain != chain {
-		return nil, false, fmt.Errorf("coord: run state at %s names chain %q, want %q", RunStateKey(chain), s.Chain, chain)
+		return nil, false, fmt.Errorf("coord: run state at %s names chain %q, want %q", key, s.Chain, chain)
+	}
+	if s.Tasks == nil {
+		return nil, false, fmt.Errorf("coord: run state %s at %s is corrupt: no task table", key, store.URL())
+	}
+	for name, rec := range s.Tasks {
+		if rec == nil {
+			return nil, false, fmt.Errorf("coord: run state %s at %s is corrupt: task %q has no record", key, store.URL(), name)
+		}
 	}
 	return &s, true, nil
 }
@@ -155,27 +166,23 @@ func DeleteRunState(ctx context.Context, store blobstore.Store, chain string) er
 	return nil
 }
 
-// FenceIndex reconstructs the per-task fence floors a store's lease
-// lineage implies, for merges that run outside a live coordinator
-// (cmd/merge): every surviving lease record contributes its task's
-// attempt count, and every run-state record contributes each task's
-// recorded fence — whichever is newest wins. Released leases leave no
-// record, which is why run state (kept until a run fully succeeds, and
-// deleted only after its shards validated under their final fences)
-// carries the floors that matter; a store holding neither is a run that
-// finished and retired both, and yields an empty index. Corrupt records
-// are loud, never skipped: a mangled lease could be hiding the very floor
-// that would expose a zombie shard.
-func FenceIndex(ctx context.Context, store blobstore.Store) (map[string]uint64, error) {
-	index := make(map[string]uint64)
+// fenceIndex raises floors to the per-task fence floors a store's lease
+// lineage implies, for a Join outside any live coordinator: each surviving
+// lease record's attempt count and each run-state record's task fences,
+// newest winning across records and stores. Released leases leave no
+// record, so run state (deleted only once a run's shards validated under
+// their final fences) carries the floors that matter; a finished run raises
+// nothing. Corrupt records are loud, never skipped: a mangled lease could
+// be hiding the very floor that would expose a zombie shard.
+func fenceIndex(ctx context.Context, store blobstore.Store, floors map[string]uint64) error {
 	raise := func(task string, fence uint64) {
-		if fence > index[task] {
-			index[task] = fence
+		if fence > floors[task] {
+			floors[task] = fence
 		}
 	}
 	leaseKeys, err := store.List(ctx, leasePrefix)
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return nil, fmt.Errorf("coord: listing leases at %s: %w", store.URL(), err)
+		return fmt.Errorf("coord: listing leases at %s: %w", store.URL(), err)
 	}
 	for _, key := range leaseKeys {
 		if !strings.HasSuffix(key, ".lease") {
@@ -183,11 +190,11 @@ func FenceIndex(ctx context.Context, store blobstore.Store) (map[string]uint64, 
 		}
 		raw, err := store.Get(ctx, key)
 		if err != nil {
-			return nil, fmt.Errorf("coord: reading lease %s at %s: %w", key, store.URL(), err)
+			return fmt.Errorf("coord: reading lease %s at %s: %w", key, store.URL(), err)
 		}
 		var rec LeaseRecord
 		if err := json.Unmarshal(raw, &rec); err != nil {
-			return nil, fmt.Errorf("coord: lease %s at %s is corrupt: %v", key, store.URL(), err)
+			return fmt.Errorf("coord: lease %s at %s is corrupt: %v", key, store.URL(), err)
 		}
 		if rec.Attempt > 0 {
 			raise(rec.Task, uint64(rec.Attempt))
@@ -195,7 +202,7 @@ func FenceIndex(ctx context.Context, store blobstore.Store) (map[string]uint64, 
 	}
 	stateKeys, err := store.List(ctx, runStatePrefix)
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return nil, fmt.Errorf("coord: listing run states at %s: %w", store.URL(), err)
+		return fmt.Errorf("coord: listing run states at %s: %w", store.URL(), err)
 	}
 	for _, key := range stateKeys {
 		if !strings.HasSuffix(key, ".state") {
@@ -204,7 +211,7 @@ func FenceIndex(ctx context.Context, store blobstore.Store) (map[string]uint64, 
 		chain := strings.TrimSuffix(strings.TrimPrefix(key, runStatePrefix), ".state")
 		s, ok, err := LoadRunState(ctx, store, chain)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if !ok {
 			continue // deleted between List and Get: the run just finished
@@ -213,5 +220,5 @@ func FenceIndex(ctx context.Context, store blobstore.Store) (map[string]uint64, 
 			raise(task, fence)
 		}
 	}
-	return index, nil
+	return nil
 }

@@ -15,11 +15,11 @@ import (
 )
 
 // CheckpointKey names the crash-recovery blob a shard worker maintains
-// for its slice. The suffix is deliberately not ".shard": LoadShards
-// skips it, so a half-done slice's checkpoint can share the store with
-// finished shards without ever being merged as one.
+// for its slice. The suffix is deliberately not the shard suffix: a store
+// listing for shards skips it, so a half-done slice's checkpoint can share
+// the store with finished shards without ever being merged as one.
 func CheckpointKey(chainName string, from, to int64) string {
-	return fmt.Sprintf("ckpt/%s-%010d-%010d.state", chainName, from, to)
+	return "ckpt/" + taskName(chainName, from, to) + ".state"
 }
 
 // CrawlerConfig parameterizes one shard worker run (RunShardCrawl).
@@ -41,8 +41,8 @@ type CrawlerConfig struct {
 	// carries on below it. 0 disables checkpointing (the slice is one
 	// chunk).
 	CheckpointEvery int64
-	// Workers, Ingest, Buffer tune the crawl/ingest pipeline as in
-	// cmd/crawl.
+	// Workers, Ingest and Buffer size the fetch pool, the ingest pool and
+	// the stream buffer (0 = the stream's defaults).
 	Workers, Ingest, Buffer int
 	// MaxRetries and Backoff configure per-block fetch retries.
 	MaxRetries int
@@ -108,11 +108,7 @@ func RunShardCrawl(ctx context.Context, cfg CrawlerConfig) (CrawlOutcome, error)
 	if cfg.From < 1 || cfg.To < cfg.From {
 		return CrawlOutcome{}, fmt.Errorf("coord: [%d, %d] is not a crawlable slice", cfg.From, cfg.To)
 	}
-	logf := func(format string, args ...any) {
-		if cfg.Log != nil {
-			fmt.Fprintf(cfg.Log, format+"\n", args...)
-		}
-	}
+	logf := logger(cfg.Log)
 	st := cfg.Kit.State()
 	ckptKey := CheckpointKey(cfg.Kit.Chain, cfg.From, cfg.To)
 	var out CrawlOutcome
@@ -181,9 +177,13 @@ func RunShardCrawl(ctx context.Context, cfg CrawlerConfig) (CrawlOutcome, error)
 	}
 
 	st.SetCovered(core.BlockRange{From: cfg.From, To: cfg.To})
-	key, err := core.EmitShard(ctx, cfg.Store, st, cfg.Fence)
+	key := shardKey(taskName(cfg.Kit.Chain, cfg.From, cfg.To))
+	blob, err := core.EncodeShard(st, cfg.Fence)
 	if err != nil {
 		return out, err
+	}
+	if err := cfg.Store.Put(ctx, key, blob); err != nil {
+		return out, fmt.Errorf("coord: storing shard %s at %s: %w", key, cfg.Store.URL(), err)
 	}
 	out.ShardKey = key
 	// The shard blob supersedes the checkpoint; losing this Delete only

@@ -20,10 +20,11 @@
 //     BatchReleaser refinements; IngestStream, IngestCrawl and
 //     IngestArchive, which all run the same per-worker batch/flush/merge
 //     loop; PeriodicMerge for the serving layer's mid-crawl merges.
-//   - shardcodec.go, shardio.go: the shard wire schemas behind
-//     ShardState.EncodeTo/DecodeFrom (EncodeShard, DecodeShard) and shard
-//     blob I/O over internal/blobstore — one spelling each: EmitShard,
-//     LoadShards, MergeShards.
+//   - shardcodec.go: the shard wire schemas behind
+//     ShardState.EncodeTo/DecodeFrom, and EncodeShard / DecodeShard over a
+//     sealed blob. Where shard blobs live in a store, and how a set of
+//     them is validated and merged, belongs to internal/coord: core never
+//     imports internal/blobstore.
 //   - summary.go: ChainSummary (the deterministic figures footprint and
 //     its Render) and StatsKit/NewStatsKit (a chain's stack by name).
 //   - tps.go, washtrade.go, spamcluster.go: the throughput estimators and

@@ -381,8 +381,8 @@ var ErrIngest = errors.New("core: ingest failed")
 // IngestCrawl is the one canonical wiring of the streaming path: it starts
 // collect.Stream, drains it through IngestStream, and handles the
 // cancel-on-ingest-error dance that unblocks crawl workers stalled on a
-// full buffer. The pipeline stages, cmd/crawl and cmd/chainsim's
-// self-check all run on it. The returned handle has finished.
+// full buffer. The pipeline stages, cmd/crawl and cmd/serve's live feeds
+// all run on it. The returned handle has finished.
 func IngestCrawl(ctx context.Context, f collect.BlockFetcher, ccfg collect.CrawlConfig, d Decoder, icfg IngestConfig) (collect.CrawlResult, *collect.CrawlHandle, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()

@@ -541,6 +541,16 @@ func decOfferSet(d *wire.ShardDec) map[offerRef]bool {
 	return set
 }
 
+// EncodeShard serializes a shard state to its sealed blob, stamping the
+// given fence token (0 = unfenced).
+func EncodeShard(st ShardState, fence uint64) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := st.EncodeTo(&buf, fence); err != nil {
+		return nil, fmt.Errorf("core: encoding %s shard: %w", st.Chain(), err)
+	}
+	return buf.Bytes(), nil
+}
+
 // DecodeShard opens one sealed shard blob: it peeks the envelope's chain
 // name, builds that chain's empty state and decodes into it — the merge
 // coordinator's entry point for blobs of unknown chain.

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -12,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/blobstore"
 	"repro/internal/chain"
 	"repro/internal/wire"
 )
@@ -49,7 +47,10 @@ func testShardCodecRoundTrip[B any](t *testing.T, chainName string, blocks []B) 
 	}
 
 	for _, parts := range []int{1, 2, 3, 5} {
-		var decoded []ShardBlob
+		merged, err := NewShardState(chainName, chain.ObservationStart, 6*time.Hour)
+		if err != nil {
+			t.Fatal(err)
+		}
 		per := (len(blocks) + parts - 1) / parts
 		for i := 0; i < parts; i++ {
 			lo, hi := i*per, (i+1)*per
@@ -81,11 +82,9 @@ func testShardCodecRoundTrip[B any](t *testing.T, chainName string, blocks []B) 
 				t.Fatalf("%d-way partition %d: decode→re-encode is not byte-identical (%d vs %d bytes)",
 					parts, i, len(reblob), len(blob))
 			}
-			decoded = append(decoded, ShardBlob{State: dec})
-		}
-		merged, _, err := MergeShards(decoded, false, nil)
-		if err != nil {
-			t.Fatalf("%d-way merge: %v", parts, err)
+			if err := merged.Merge(dec); err != nil {
+				t.Fatalf("%d-way partition %d: merge: %v", parts, i, err)
+			}
 		}
 		if got := merged.Summary().Render(); got != want {
 			t.Fatalf("%d-way sharded render diverged\n--- single ---\n%s\n--- merged ---\n%s", parts, want, got)
@@ -187,19 +186,14 @@ func TestShardDecodeRejectsDamage(t *testing.T) {
 	t.Run("retired version 1", func(t *testing.T) {
 		// What an older build's unfenced emit (or ckpt/*.state) left in a
 		// store: this very body, sealed without the fence field. It is
-		// refused by version, and the load names the object to delete.
+		// refused by version (coord's shard reader adds the key to delete).
 		_, _, body, err := wire.OpenShard(blob)
 		if err != nil {
 			t.Fatal(err)
 		}
-		const key = "eos-0000000001-0000000008.shard"
-		store := blobstore.NewMemory()
-		if err := store.Put(context.Background(), key, sealAs(1, body)); err != nil {
-			t.Fatal(err)
-		}
-		_, err = LoadShards(context.Background(), store)
-		if err == nil || !strings.Contains(err.Error(), "version 1 not supported") || !strings.Contains(err.Error(), key) {
-			t.Fatalf("version-1 blob error = %v, want a version error naming %s", err, key)
+		_, err = DecodeShard(sealAs(1, body))
+		if err == nil || !strings.Contains(err.Error(), "version 1 not supported") {
+			t.Fatalf("version-1 blob error = %v, want a version error", err)
 		}
 	})
 	t.Run("chain mismatch", func(t *testing.T) {
@@ -215,115 +209,6 @@ func TestShardDecodeRejectsDamage(t *testing.T) {
 			t.Fatal("unknown-chain blob decoded without error")
 		}
 	})
-}
-
-// TestMergeShardsValidation exercises the coordinator's refusal matrix.
-func TestMergeShardsValidation(t *testing.T) {
-	mk := func(chainName string, from, to int64, origin time.Time, bucket time.Duration) ShardState {
-		st, err := NewShardState(chainName, origin, bucket)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if from > 0 {
-			st.SetCovered(BlockRange{From: from, To: to})
-		}
-		return st
-	}
-	o := chain.ObservationStart
-	cases := []struct {
-		name    string
-		shards  []ShardState
-		wantErr string
-	}{
-		{"empty", nil, "no shards"},
-		{"chain mismatch", []ShardState{mk("eos", 1, 10, o, time.Hour), mk("tezos", 11, 20, o, time.Hour)}, "different chains"},
-		{"window mismatch", []ShardState{mk("eos", 1, 10, o, time.Hour), mk("eos", 11, 20, o, 2*time.Hour)}, "mismatched windows"},
-		{"unknown range", []ShardState{mk("eos", 1, 10, o, time.Hour), mk("eos", 0, 0, o, time.Hour)}, "no covered block range"},
-		{"overlap", []ShardState{mk("eos", 1, 10, o, time.Hour), mk("eos", 10, 20, o, time.Hour)}, "overlap"},
-		{"gap", []ShardState{mk("eos", 1, 10, o, time.Hour), mk("eos", 12, 20, o, time.Hour)}, "gap"},
-		{"contiguous ok", []ShardState{mk("eos", 11, 20, o, time.Hour), mk("eos", 1, 10, o, time.Hour)}, ""},
-		{"single ok", []ShardState{mk("xrp", 5, 9, o, time.Hour)}, ""},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			blobs := make([]ShardBlob, len(tc.shards))
-			for i, st := range tc.shards {
-				blobs[i] = ShardBlob{State: st}
-			}
-			_, _, err := MergeShards(blobs, false, nil)
-			if tc.wantErr == "" {
-				if err != nil {
-					t.Fatalf("unexpected error: %v", err)
-				}
-				return
-			}
-			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("error %v, want substring %q", err, tc.wantErr)
-			}
-		})
-	}
-}
-
-// TestEmitShardCrossBackend: the same shard state emitted to mem:// and
-// file:// stores lands byte-identical — the blob depends only on the
-// state, never on the backend.
-func TestEmitShardCrossBackend(t *testing.T) {
-	ctx := context.Background()
-	st, err := NewShardState("tezos", chain.ObservationStart, 6*time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.IngestBatch(asBatch(genTezosBlocks(32))); err != nil {
-		t.Fatal(err)
-	}
-	st.SetCovered(BlockRange{From: 1, To: 32})
-
-	locations := []string{
-		"mem://shard-cross-backend",
-		"file://" + t.TempDir(),
-	}
-	var blobs [][]byte
-	for _, loc := range locations {
-		store, err := blobstore.Resolve(loc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		key, err := EmitShard(ctx, store, st, 0)
-		if err != nil {
-			t.Fatalf("emit to %s: %v", loc, err)
-		}
-		blob, err := store.Get(ctx, key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		blobs = append(blobs, blob)
-
-		loaded, err := LoadShards(ctx, store)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(loaded) != 1 {
-			t.Fatalf("loaded %d shards from %s, want 1", len(loaded), loc)
-		}
-		if got, want := loaded[0].State.Summary().Render(), st.Summary().Render(); got != want {
-			t.Fatalf("render diverged after %s round-trip", loc)
-		}
-	}
-	if !bytes.Equal(blobs[0], blobs[1]) {
-		t.Fatalf("mem:// and file:// shard blobs differ (%d vs %d bytes)", len(blobs[0]), len(blobs[1]))
-	}
-}
-
-// TestEmitShardRequiresRange: emitting a shard that never learned its
-// partition must refuse — the coordinator could not validate it.
-func TestEmitShardRequiresRange(t *testing.T) {
-	st, err := NewShardState("eos", chain.ObservationStart, 6*time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := EmitShard(context.Background(), blobstore.NewMemory(), st, 0); err == nil {
-		t.Fatal("emitting a shard without a covered range succeeded")
-	}
 }
 
 // goldenShards reads the committed blobs under testdata/shards: one shard

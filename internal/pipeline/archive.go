@@ -79,6 +79,10 @@ func (o Options) stageCollect(stage, chain string, from, to int64, ccfg *collect
 		return nil, nil, noop, err
 	}
 	if rd != nil {
+		// The archive holds these payloads deflated already, and Figure 2
+		// reads its footprint (crawlInto): a no-op tee keeps the stream from
+		// deflating them again to size them.
+		ccfg.Tee = func(int64, []byte) error { return nil }
 		return rd, nil, noop, nil
 	}
 	fetcher, cleanup, err := live()

@@ -69,9 +69,12 @@ func TestPipelineArchiveReplayReproducesFigures(t *testing.T) {
 	}
 
 	// Figure-for-figure equality over everything derived from the block
-	// stream (endpoint probing is legitimately absent from a replay).
+	// stream (endpoint probing is legitimately absent from a replay) —
+	// Figure 2's footprint column included: the replay reports the bytes
+	// of the archives it replays, which the live run wrote and reported.
 	renderers := map[string]func(*Result) string{
 		"Figure1":     Figure1,
+		"Figure2":     Figure2,
 		"Figure3":     Figure3,
 		"Figure4":     Figure4,
 		"Figure5":     Figure5,

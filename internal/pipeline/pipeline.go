@@ -154,7 +154,7 @@ type Result struct {
 	Dir *explorer.Directory
 
 	// Per-stage crawl summaries. GzipBytes is Figure 2's footprint column:
-	// the bytes of the stage's archive when it wrote one through, the
+	// the bytes of the stage's archive when it wrote or replayed one, the
 	// stream's gzip sizing otherwise (see crawlInto).
 	EOSCrawl, TezosCrawl, XRPCrawl collect.CrawlResult
 
@@ -274,16 +274,20 @@ func (r *Result) runStage(ctx context.Context, name string, build func() (stageP
 // (see core.IngestCrawl for the wiring). It then finalizes the stage's
 // archive (sink, nil when the stage has none or replays it), joining a
 // finalization failure with the crawl's own error so neither is lost. A
-// stage with a sink had each payload deflated there and nowhere else, so
-// the result's GzipBytes — Figure 2's footprint column — is the bytes the
-// archive now holds; every other stage keeps the stream's own sizing.
+// stage that reads from an archive — the archive.Crawl it tees into, or
+// the archive.Reader it replays — had each payload deflated there, so the
+// result's GzipBytes, Figure 2's footprint column, is the bytes the archive
+// holds, and a replay reports what the run that wrote it did; a stage
+// without one keeps the stream's own sizing.
 func crawlInto(ctx context.Context, f collect.BlockFetcher, ccfg collect.CrawlConfig, sink *archive.Crawl, dec core.Decoder, icfg core.IngestConfig) (collect.CrawlResult, error) {
 	res, _, err := core.IngestCrawl(ctx, f, ccfg, dec, icfg)
 	if sink != nil {
 		if cerr := sink.Close(); cerr != nil {
 			err = errors.Join(err, fmt.Errorf("pipeline: finalizing archive: %w", cerr))
 		}
-		res.GzipBytes = sink.CompressedBytes()
+	}
+	if a, ok := f.(interface{ CompressedBytes() int64 }); ok {
+		res.GzipBytes = a.CompressedBytes()
 	}
 	return res, err
 }

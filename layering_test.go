@@ -16,8 +16,10 @@ import (
 // module, only itself: never the simulator side (eos, tezos, xrp, workload,
 // rpcserve, explorer, pipeline). The list being closed under in-module
 // imports is what makes this check of direct imports a check of transitive
-// ones. It reads only the import clauses of each package's non-test files,
-// so it needs nothing beyond the source tree.
+// ones. Within the list, core keeps to aggregation and the shard codec: it
+// never imports blobstore, because where a run's shards live in a store is
+// coord's business. It reads only the import clauses of each package's
+// non-test files, so it needs nothing beyond the source tree.
 func TestLayering(t *testing.T) {
 	measurement := []string{
 		"internal/wire", "internal/collect", "internal/archive", "internal/blobstore",
@@ -51,6 +53,9 @@ func TestLayering(t *testing.T) {
 				}
 				if strings.HasPrefix(target, "repro/") && !listed[target] {
 					t.Errorf("%s imports %s, which is not on the measurement list: the measurement side must not link the simulator", path, target)
+				}
+				if dir == "internal/core" && target == "repro/internal/blobstore" {
+					t.Errorf("%s imports %s: shard blob I/O belongs to internal/coord", path, target)
 				}
 			}
 		}
