@@ -144,8 +144,8 @@ func run(ctx context.Context, o crawlOpts, out io.Writer) error {
 	fmt.Fprintf(out, "raw bytes:   %d\n", res.RawBytes)
 	if res.RawBytes > 0 {
 		// An archived crawl deflates each payload once, in the archive, so
-		// its footprint is what the store now holds; a plain crawl sizes
-		// the stream instead.
+		// its footprint is what the store now holds; a plain crawl's is
+		// what core.IngestCrawl's sizer counted.
 		gz := res.GzipBytes
 		if sink != nil {
 			gz = sink.CompressedBytes()

@@ -435,8 +435,8 @@ func TestCrawlArchiveCrossBackendDeterminism(t *testing.T) {
 		t.Fatalf("replay hit the network for blocks %v", nums)
 	}
 
-	// Without -archive nothing else deflates the payloads, so the stream's
-	// own sizer still fills the line.
+	// Without -archive nothing else deflates the payloads, so
+	// core.IngestCrawl's sizer fills the line.
 	var out bytes.Buffer
 	if err := run(context.Background(), crawlOpts{
 		ArchiveFlags: cli.ArchiveFlags{From: 1},

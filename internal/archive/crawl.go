@@ -27,7 +27,7 @@ type Source interface {
 // BlockFetcher and its Tee method as CrawlConfig.Tee, then Close it once
 // the stream has drained. Appends therefore run where the stream runs its
 // tee — one stage goroutine, never a fetch worker — and, a tee being set,
-// the stream's own gzip sizer stays off: each payload is deflated once.
+// core.IngestCrawl's gzip sizer stays off: each payload is deflated once.
 type Crawl struct {
 	live Source
 	held *Reader // what the location archived before this run; empty when nothing

@@ -62,7 +62,7 @@ func (p *putWitness) Put(ctx context.Context, key string, data []byte) error {
 // archive through collect.Stream, the way every archived crawl is wired: the
 // blocks the location held never reach the live endpoint or the writer, the
 // live ones are appended exactly once — by the stream's one tee stage, never
-// by a fetch worker — and the stream's own gzip sizer stays off.
+// by a fetch worker — and the stream reports no footprint of its own.
 func TestCrawlStreamTeesOnlyLiveBlocksOnTheStage(t *testing.T) {
 	const total, heldFrom = 40, 25
 	ctx := context.Background()

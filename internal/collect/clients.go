@@ -1,9 +1,9 @@
 // Package collect reproduces the paper's data-collection methodology:
 // probing advertised RPC endpoints and short-listing the ones with generous
 // rate limits and stable latency (6 of 32 for EOS), then crawling block
-// history in reverse chronological order over HTTP and WebSocket while
-// accounting for the gzip-compressed footprint of everything fetched
-// (Figure 2's storage column).
+// history in reverse chronological order over HTTP and WebSocket. It moves
+// and counts raw bytes and never deflates them: Figure 2's gzip footprint is
+// measured by core.IngestCrawl or by an archive tee.
 package collect
 
 import (

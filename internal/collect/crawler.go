@@ -58,10 +58,9 @@ type CrawlConfig struct {
 	// sink: a rerun serves the block from the archive and ingests it then
 	// (see archive.Crawl).
 	//
-	// When Tee is nil the stream runs its default tee, a stats.GzipSizer
-	// whose total lands in CrawlResult.GzipBytes. Setting Tee replaces it —
-	// each payload is deflated once, by whoever keeps the bytes — so a teed
-	// crawl takes its footprint from the tee (archive.Writer.CompressedBytes).
+	// A nil Tee is no tee: the stream deflates nothing. Whoever keeps the
+	// bytes deflates them, once — an archive tee, or the sizer
+	// core.IngestCrawl tees into when its caller sets none.
 	Tee func(num int64, raw []byte) error
 }
 
@@ -70,9 +69,9 @@ type CrawlResult struct {
 	Blocks   int64
 	Failed   int64
 	RawBytes int64
-	// GzipBytes is the gzip-compressed size of every payload the crawl
-	// fetched, as sized by the default tee. It is zero when the caller set
-	// CrawlConfig.Tee: the tee's own record of what it stored replaces it.
+	// GzipBytes is Figure 2's footprint of a tee-less crawl: the
+	// gzip-compressed size of every payload delivered, set by
+	// core.IngestCrawl. A stream never sets it.
 	GzipBytes int64
 	Elapsed   time.Duration
 	Retries   int64

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/stats"
 	"repro/internal/wire"
 )
 
@@ -79,10 +78,10 @@ func (h *CrawlHandle) Wait() (CrawlResult, error) {
 
 // Stream starts a crawl whose fetched blocks flow through the returned
 // bounded channel (capacity CrawlConfig.Buffer). Fetch workers hand each
-// payload to one tee-and-deliver stage, which runs CrawlConfig.Tee (or the
-// default gzip sizer) and sends the Block on; the stage blocks once the
-// buffer fills and the workers behind it, so a slow consumer exerts real
-// backpressure on the fetch side instead of stalling inside a callback.
+// payload to one tee-and-deliver stage, which runs CrawlConfig.Tee, if set,
+// and sends the Block on; the stage blocks once the buffer fills and the
+// workers behind it, so a slow consumer exerts real backpressure on the
+// fetch side instead of stalling inside a callback.
 // The channel is closed when the crawl finishes, fails, or ctx is
 // cancelled — after the workers and the stage have exited; then
 // CrawlHandle.Wait returns the CrawlResult.
@@ -159,19 +158,10 @@ func (h *CrawlHandle) run(parent context.Context, f BlockFetcher, cfg CrawlConfi
 		return
 	}
 
-	// Every payload is deflated exactly once. The caller's tee — an archive
-	// writer — already compresses the bytes and records what they cost on
-	// disk, so the sizer is only the default tee: it runs when the caller
-	// set none, and CrawlResult.GzipBytes stays zero otherwise.
+	// A nil Tee is no tee: a stream moves bytes and never deflates them.
 	tee := cfg.Tee
-	var sizer *stats.GzipSizer
 	if tee == nil {
-		sizer = stats.NewGzipSizer()
-		defer sizer.Close() // recycle the pooled compressor
-		tee = func(_ int64, raw []byte) error {
-			sizer.Write(raw) // never fails
-			return nil
-		}
+		tee = func(int64, []byte) error { return nil }
 	}
 	// Payload buffers recycle only when the fetcher guarantees exclusive
 	// ownership of what FetchBlock returns.
@@ -256,9 +246,6 @@ func (h *CrawlHandle) run(parent context.Context, f BlockFetcher, cfg CrawlConfi
 	close(staged)
 	<-stageDone
 
-	if sizer != nil {
-		h.res.GzipBytes = sizer.CompressedBytes()
-	}
 	err := firstErr.get()
 	if err == nil {
 		err = parent.Err()

@@ -187,8 +187,8 @@ func TestStreamCancellationDrains(t *testing.T) {
 
 // TestStreamTeeSeesEveryDeliveredBlock: the tee must observe exactly the
 // delivered set — no gaps (the archive would silently short-count) — each
-// block once and before the consumer can have it. The tee replaces the stream's gzip sizer, so a teed
-// crawl reports no GzipBytes: its payloads were deflated by the tee alone.
+// block once and before the consumer can have it. A stream never sizes what
+// it moves, teed or not: CrawlResult.GzipBytes is core.IngestCrawl's to set.
 func TestStreamTeeSeesEveryDeliveredBlock(t *testing.T) {
 	const total = 60
 	f := newMemFetcher(total, 0)
@@ -229,17 +229,18 @@ func TestStreamTeeSeesEveryDeliveredBlock(t *testing.T) {
 		}
 	}
 	if res.GzipBytes != 0 || res.RawBytes == 0 {
-		t.Fatalf("teed crawl: gzip=%d raw=%d, want the sizer off (0) and raw counted", res.GzipBytes, res.RawBytes)
+		t.Fatalf("teed crawl: gzip=%d raw=%d, want no footprint and raw counted", res.GzipBytes, res.RawBytes)
 	}
 
-	// Without a tee the sizer is the tee: same crawl, sized stream.
+	// Without a tee nothing runs on the stage but delivery: same crawl, same
+	// bytes moved, still no footprint.
 	plain, err := crawl(context.Background(), newMemFetcher(total, 0), CrawlConfig{Workers: 4},
 		func(int64, []byte) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.RawBytes != res.RawBytes || plain.GzipBytes <= 0 || plain.GzipBytes >= plain.RawBytes {
-		t.Fatalf("tee-less crawl: gzip=%d raw=%d, want 0 < gzip < raw=%d", plain.GzipBytes, plain.RawBytes, res.RawBytes)
+	if plain.RawBytes != res.RawBytes || plain.GzipBytes != 0 {
+		t.Fatalf("tee-less crawl: gzip=%d raw=%d, want no footprint and raw=%d", plain.GzipBytes, plain.RawBytes, res.RawBytes)
 	}
 }
 

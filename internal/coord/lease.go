@@ -131,24 +131,26 @@ func (l *Leases) newNonce() string {
 
 func leaseKey(task string) string { return leasePrefix + task + ".lease" }
 
-// get fetches and decodes a lease record; ok=false means no record.
+// get fetches and decodes a lease record; ok=false means no record. Every
+// refusal names the record's key and store, as fenceIndex's do.
 func (l *Leases) get(ctx context.Context, task string) (LeaseRecord, bool, error) {
-	raw, err := l.store.Get(ctx, leaseKey(task))
+	key := leaseKey(task)
+	raw, err := l.store.Get(ctx, key)
 	if errors.Is(err, fs.ErrNotExist) {
 		return LeaseRecord{}, false, nil
 	}
 	if err != nil {
-		return LeaseRecord{}, false, fmt.Errorf("coord: reading lease %s: %w", task, err)
+		return LeaseRecord{}, false, fmt.Errorf("coord: reading lease %s at %s: %w", key, l.store.URL(), err)
 	}
 	var rec LeaseRecord
 	if err := json.Unmarshal(raw, &rec); err != nil {
 		// A torn or garbage lease record is treated as loud, not stale:
 		// silently reclaiming over it could shadow a live owner whose
 		// record a flaky store mangled.
-		return LeaseRecord{}, false, fmt.Errorf("coord: lease %s is corrupt: %v", task, err)
+		return LeaseRecord{}, false, fmt.Errorf("coord: lease %s at %s is corrupt: %v", key, l.store.URL(), err)
 	}
 	if rec.Version > leaseVersion {
-		return LeaseRecord{}, false, fmt.Errorf("coord: lease %s has version %d, newer than this binary understands (%d)", task, rec.Version, leaseVersion)
+		return LeaseRecord{}, false, fmt.Errorf("coord: lease %s at %s has version %d, newer than this binary understands (%d)", key, l.store.URL(), rec.Version, leaseVersion)
 	}
 	return rec, true, nil
 }

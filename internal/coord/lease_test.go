@@ -1,7 +1,9 @@
 package coord
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -144,4 +146,52 @@ func TestLeaseLostRace(t *testing.T) {
 	if err := a.Renew(ctx, &rec); !errors.As(err, &lost) {
 		t.Fatalf("renew after overwrite: %v, want *ErrLost", err)
 	}
+}
+
+// FuzzLeaseRecord: whatever a store hands back under a lease key, Holder and
+// Claim never panic. A record that does not decode, or whose version is newer
+// than this binary's, is refused loudly by key and left as it was — never
+// reclaimed over; any record they accept is one this binary understands.
+func FuzzLeaseRecord(f *testing.F) {
+	const task = "eos-0000000001-0000000050"
+	record := func(version int) []byte {
+		return fmt.Appendf(nil, `{"version":%d,"task":%q,"owner":"beta","nonce":"beta-nonce-1","attempt":2,"deadline":"1970-01-01T00:16:40Z"}`, version, task)
+	}
+	f.Add(record(leaseVersion))
+	f.Add([]byte(`{"version":1,"task":"eos-00`))
+	f.Add(record(leaseVersion + 1))
+	// One store for the whole run: mem:// stores stay registered for the
+	// life of the process. Each input overwrites the one key first.
+	store := blobstore.NewMemory()
+	key := leaseKey(task)
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		ctx := context.Background()
+		if err := store.Put(ctx, key, raw); err != nil {
+			t.Fatal(err)
+		}
+		l := newTestLeases(store, "alpha", &fakeClock{t: time.Unix(1000, 0)})
+		var want LeaseRecord
+		if json.Unmarshal(raw, &want) != nil || want.Version > leaseVersion {
+			if _, _, err := l.Holder(ctx, task); err == nil || !strings.Contains(err.Error(), key) {
+				t.Fatalf("Holder over %q = %v, want a refusal naming %s", raw, err, key)
+			}
+			if _, err := l.Claim(ctx, task); err == nil || !strings.Contains(err.Error(), key) {
+				t.Fatalf("Claim over %q = %v, want a refusal naming %s", raw, err, key)
+			}
+			if got, err := store.Get(ctx, key); err != nil || !bytes.Equal(got, raw) {
+				t.Fatalf("refused record %q became %q (%v): reclaimed over", raw, got, err)
+			}
+			return
+		}
+		rec, ok, err := l.Holder(ctx, task)
+		if err != nil || !ok || rec.Version > leaseVersion {
+			t.Fatalf("Holder over %q = %+v, %v, %v, want the record accepted at version ≤ %d", raw, rec, ok, err, leaseVersion)
+		}
+		var held *ErrHeld
+		if rec, err := l.Claim(ctx, task); err != nil && !errors.As(err, &held) {
+			t.Fatalf("Claim over accepted record %q: %v, want a claim or *ErrHeld", raw, err)
+		} else if err == nil && rec.Version != leaseVersion {
+			t.Fatalf("Claim wrote version %d, want %d", rec.Version, leaseVersion)
+		}
+	})
 }

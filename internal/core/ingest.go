@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/collect"
+	"repro/internal/stats"
 	"repro/internal/wire"
 )
 
@@ -382,16 +383,28 @@ var ErrIngest = errors.New("core: ingest failed")
 // collect.Stream, drains it through IngestStream, and handles the
 // cancel-on-ingest-error dance that unblocks crawl workers stalled on a
 // full buffer. The pipeline stages, cmd/crawl and cmd/serve's live feeds
-// all run on it. The returned handle has finished.
+// all run on it. It is where Figure 2's footprint is measured: when
+// ccfg.Tee is nil it tees the stream into a stats.GzipSizer and returns its
+// total in the result's GzipBytes (the handle, which has finished, does not
+// carry it); a caller that tees keeps the bytes and sizes them itself.
 func IngestCrawl(ctx context.Context, f collect.BlockFetcher, ccfg collect.CrawlConfig, d Decoder, icfg IngestConfig) (collect.CrawlResult, *collect.CrawlHandle, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	var sizer *stats.GzipSizer
+	if ccfg.Tee == nil {
+		sizer = stats.NewGzipSizer()
+		defer sizer.Close() // recycle the pooled compressor
+		ccfg.Tee = func(_ int64, raw []byte) error { _, err := sizer.Write(raw); return err }
+	}
 	blocks, handle := collect.Stream(ctx, f, ccfg)
 	_, ierr := IngestStream(ctx, blocks, d, icfg)
 	if ierr != nil {
 		cancel() // unblock crawl workers stalled on a full buffer
 	}
 	res, cerr := handle.Wait()
+	if sizer != nil {
+		res.GzipBytes = sizer.CompressedBytes()
+	}
 	if ierr != nil {
 		return res, handle, fmt.Errorf("%w: %w", ErrIngest, ierr)
 	}
@@ -421,7 +434,8 @@ const maxOpenChunks = 8
 // IngestChunks still cuts every chunk it already holds complete — cut must
 // not depend on ctx being live — and drops the partial chunks beyond, so
 // the aggregate stays what the last cut saw. Ingestion errors come back
-// wrapped in ErrIngest.
+// wrapped in ErrIngest. Unlike IngestCrawl it sizes nothing (GzipBytes stays
+// zero): no chunked consumer reports a footprint, so the deflate is skipped.
 //
 // d's shards must fold into the aggregate only when merged (a PeriodicMerge
 // decoder does not qualify). Chunk states are bounded by the stream's

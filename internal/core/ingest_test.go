@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/chain"
 	"repro/internal/collect"
+	"repro/internal/stats"
 	"repro/internal/wire"
 )
 
@@ -246,5 +247,41 @@ func TestIngestStreamShardedMatchesLocked(t *testing.T) {
 	sharded := run(func(a *EOSAggregator) Decoder { return a.Decoder() })
 	if lr, sr := SummarizeEOS(locked).Render(), SummarizeEOS(sharded).Render(); lr != sr {
 		t.Fatalf("sharded stream ingest diverged from locked\n--- locked ---\n%s\n--- sharded ---\n%s", lr, sr)
+	}
+}
+
+// TestIngestCrawlSizesTeeLessCrawls: IngestCrawl is where Figure 2's
+// footprint is measured. With no tee it reports exactly what one gzip sizer
+// fed the delivered payloads in delivery order reports — one fetch worker
+// delivers newest first — and with a tee it sizes nothing: whoever keeps the
+// bytes prices them.
+func TestIngestCrawlSizesTeeLessCrawls(t *testing.T) {
+	raws := makeEOSRawBlocks(t, 40, 2)
+	ctx := context.Background()
+	res, _, err := IngestCrawl(ctx, &memFetcher{raws}, collect.CrawlConfig{Workers: 1},
+		NewEOSAggregator(chain.ObservationStart, 6*time.Hour).Decoder(), IngestConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := stats.NewGzipSizer()
+	defer want.Close()
+	var raw int64
+	for i := len(raws) - 1; i >= 0; i-- {
+		want.Write(raws[i])
+		raw += int64(len(raws[i]))
+	}
+	if res.GzipBytes != want.CompressedBytes() || res.RawBytes != raw {
+		t.Fatalf("tee-less crawl: gzip=%d raw=%d, want gzip=%d raw=%d", res.GzipBytes, res.RawBytes, want.CompressedBytes(), raw)
+	}
+
+	var teed int
+	res, _, err = IngestCrawl(ctx, &memFetcher{raws}, collect.CrawlConfig{
+		Workers: 1, Tee: func(int64, []byte) error { teed++; return nil },
+	}, NewEOSAggregator(chain.ObservationStart, 6*time.Hour).Decoder(), IngestConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.GzipBytes != 0 || teed != len(raws) {
+		t.Fatalf("teed crawl: gzip=%d after %d tee calls, want 0 after %d", res.GzipBytes, teed, len(raws))
 	}
 }

@@ -447,3 +447,19 @@ func TestIngestChunksRefusesBadInput(t *testing.T) {
 		t.Errorf("%d blocks fetched for refused input", n)
 	}
 }
+
+// TestIngestChunksSizesNothing: a chunked ingest — the shard worker's path —
+// deflates no payload to size it, because no chunked consumer reports a
+// footprint.
+func TestIngestChunksSizesNothing(t *testing.T) {
+	const to = 64
+	res, err := IngestChunks(context.Background(), newFuncFetcher(to, nil),
+		collect.CrawlConfig{From: 1, To: to, Workers: 2}, newSetAgg(), IngestConfig{}, 16,
+		func(int64) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Blocks != to || res.RawBytes == 0 || res.GzipBytes != 0 {
+		t.Fatalf("chunked ingest: blocks=%d raw=%d gzip=%d, want %d blocks, raw counted, no footprint", res.Blocks, res.RawBytes, res.GzipBytes, to)
+	}
+}

@@ -80,8 +80,8 @@ func (o Options) stageCollect(stage, chain string, from, to int64, ccfg *collect
 	}
 	if rd != nil {
 		// The archive holds these payloads deflated already, and Figure 2
-		// reads its footprint (crawlInto): a no-op tee keeps the stream from
-		// deflating them again to size them.
+		// reads its footprint (crawlInto): a no-op tee keeps core.IngestCrawl
+		// from attaching its sizer and deflating them again.
 		ccfg.Tee = func(int64, []byte) error { return nil }
 		return rd, nil, noop, nil
 	}

@@ -155,7 +155,7 @@ type Result struct {
 
 	// Per-stage crawl summaries. GzipBytes is Figure 2's footprint column:
 	// the bytes of the stage's archive when it wrote or replayed one, the
-	// stream's gzip sizing otherwise (see crawlInto).
+	// gzip sizing core.IngestCrawl does otherwise (see crawlInto).
 	EOSCrawl, TezosCrawl, XRPCrawl collect.CrawlResult
 
 	// EndpointScores are the probe results behind the EOS shortlist.
@@ -278,7 +278,7 @@ func (r *Result) runStage(ctx context.Context, name string, build func() (stageP
 // the archive.Reader it replays — had each payload deflated there, so the
 // result's GzipBytes, Figure 2's footprint column, is the bytes the archive
 // holds, and a replay reports what the run that wrote it did; a stage
-// without one keeps the stream's own sizing.
+// without one keeps IngestCrawl's own sizing.
 func crawlInto(ctx context.Context, f collect.BlockFetcher, ccfg collect.CrawlConfig, sink *archive.Crawl, dec core.Decoder, icfg core.IngestConfig) (collect.CrawlResult, error) {
 	res, _, err := core.IngestCrawl(ctx, f, ccfg, dec, icfg)
 	if sink != nil {

@@ -6,9 +6,9 @@ import (
 )
 
 // BenchmarkGzipSizer is a developer benchmark, not gated anywhere. Only
-// tee-less crawls run the sizer; in bench/ that is the coordinate workload's
-// shard workers, where its cost is inside ops_per_s and no per-layer metric
-// isolates it — this does.
+// tee-less core.IngestCrawl runs the sizer; in bench/ that is the coordinate
+// workload's single-process oracle pass, where its cost is inside
+// coord_overhead and no per-layer metric isolates it — this does.
 func BenchmarkGzipSizer(b *testing.B) {
 	block := bytes.Repeat([]byte(`{"kind":"endorsement","slots":3}`), 32)
 	s := NewGzipSizer()

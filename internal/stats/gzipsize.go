@@ -10,9 +10,10 @@ import (
 // retaining it. The paper characterizes each dataset by its compressed
 // on-disk footprint (Figure 2: 121 GB EOS, 0.56 GB Tezos, 76.4 GB XRP);
 // a crawl that keeps no bytes reports the same statistic by feeding every
-// fetched block through a sizer (collect.Stream's default tee). A crawl
-// that archives does not: its archive already deflates each payload and
-// records the compressed size it stored.
+// delivered block through a sizer (core.IngestCrawl's tee when its caller
+// sets none). A crawl that archives does not: its archive already deflates
+// each payload and records the compressed size it stored. Nor does a shard
+// worker's chunked ingest, whose figures carry no footprint.
 type GzipSizer struct {
 	mu      sync.Mutex
 	counter countingWriter
@@ -27,7 +28,7 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 }
 
 // sizerGzipPool recycles the deflate state behind sizers: every tee-less
-// crawl stream builds one, and the compressor's window plus hash chains
+// IngestCrawl builds one, and the compressor's window plus hash chains
 // dominate its footprint.
 var sizerGzipPool = sync.Pool{New: func() any { return gzip.NewWriter(io.Discard) }}
 

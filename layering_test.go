@@ -18,8 +18,10 @@ import (
 // imports is what makes this check of direct imports a check of transitive
 // ones. Within the list, core keeps to aggregation and the shard codec: it
 // never imports blobstore, because where a run's shards live in a store is
-// coord's business. It reads only the import clauses of each package's
-// non-test files, so it needs nothing beyond the source tree.
+// coord's business. And collect imports neither stats nor any compress
+// package: a stream moves bytes and never deflates them — whoever keeps or
+// sizes a payload does that. It reads only the import clauses of each
+// package's non-test files, so it needs nothing beyond the source tree.
 func TestLayering(t *testing.T) {
 	measurement := []string{
 		"internal/wire", "internal/collect", "internal/archive", "internal/blobstore",
@@ -56,6 +58,9 @@ func TestLayering(t *testing.T) {
 				}
 				if dir == "internal/core" && target == "repro/internal/blobstore" {
 					t.Errorf("%s imports %s: shard blob I/O belongs to internal/coord", path, target)
+				}
+				if dir == "internal/collect" && (target == "repro/internal/stats" || target == "compress" || strings.HasPrefix(target, "compress/")) {
+					t.Errorf("%s imports %s: a stream moves bytes, it never deflates them", path, target)
 				}
 			}
 		}
