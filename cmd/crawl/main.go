@@ -4,7 +4,7 @@
 // transaction count and gzip-compressed size.
 //
 // Blocks flow through the bounded stream API (collect.Stream) into a
-// decode/ingest pool (core.IngestStream), so fetching and measurement are
+// decode/ingest pool (core.IngestCrawl), so fetching and measurement are
 // decoupled the way the paper's long-running crawl machines were.
 //
 // With -archive the crawl is durable and resumable: every raw block is

@@ -26,9 +26,13 @@ func main() {
 	ledgers := scenario.Run()
 	fmt.Printf("closed %d ledgers\n\n", ledgers)
 
-	// Feed the aggregator straight from the ledger store (the pipeline
-	// package does the same through WebSocket + the Data API).
-	agg := core.NewXRPAggregator(chain.ObservationStart, 6*time.Hour)
+	// Fold every ledger straight from the ledger store into one state (the
+	// pipeline package does the same through WebSocket + the Data API).
+	st, err := core.NewShardState("xrp", chain.ObservationStart, 6*time.Hour)
+	if err != nil {
+		panic(err)
+	}
+	agg := st.(*core.XRPShard)
 	for i := scenario.SetupLedgers + 1; i <= scenario.State.HeadIndex(); i++ {
 		full := rpcserve.XRPLedgerToJSON(scenario.State.GetLedger(i), true)
 		var led wire.XRPLedger

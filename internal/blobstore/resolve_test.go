@@ -146,3 +146,33 @@ func TestJoin(t *testing.T) {
 		t.Errorf("multi-elem Join: %q", got)
 	}
 }
+
+// FuzzResolve holds Resolve to the Store.URL contract on any location
+// string: it errors or returns a store st for which Resolve(st.URL())
+// succeeds with the same URL — never a panic. Resolve only constructs
+// stores (no store is read or written here), so hostile locations cost
+// nothing beyond the in-process mem:// names they register.
+func FuzzResolve(f *testing.F) {
+	for _, seed := range []string{
+		"file:///var/archives",
+		"mem://crawl1/eos",
+		"s3://bucket/prefix",
+		"faulty+mem://x?fault=0.02",
+		"",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, loc string) {
+		st, err := blobstore.Resolve(loc)
+		if err != nil {
+			return
+		}
+		again, err := blobstore.Resolve(st.URL())
+		if err != nil {
+			t.Fatalf("Resolve(%q).URL() = %q does not resolve: %v", loc, st.URL(), err)
+		}
+		if again.URL() != st.URL() {
+			t.Fatalf("Resolve(%q).URL() = %q re-resolves to %q", loc, st.URL(), again.URL())
+		}
+	})
+}

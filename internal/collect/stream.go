@@ -13,7 +13,7 @@ import (
 
 // Block is one fetched payload flowing through a crawl stream: the raw wire
 // bytes, still undecoded, so crawl workers never pay decode or aggregation
-// cost. Decoding happens downstream (see core.IngestStream, whose workers
+// cost. Decoding happens downstream (see core.IngestCrawl, whose workers
 // fold decoded blocks into private mergeable shards — any stream consumer
 // may therefore take blocks from this channel concurrently without
 // coordinating beyond the channel itself).

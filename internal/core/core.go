@@ -8,18 +8,19 @@
 //
 // The surface, by file:
 //
-//   - eosstats.go, tezosstats.go, xrpstats.go: one locked aggregator per
-//     chain (NewEOSAggregator, …) wrapping a single-owner shard value
-//     (EOSShard, …), plus the figure queries (TopReceivers, Decompose, …).
-//     An aggregator ingests through IngestBatch, hands out private shard
-//     states with NewState and folds them back with MergeState.
+//   - eosstats.go, tezosstats.go, xrpstats.go: one single-owner shard
+//     value per chain (EOSShard, TezosShard, XRPShard) with its unlocked
+//     figure queries (TopReceivers, Decompose, …); the caller owns the
+//     shard while it reads them.
 //   - shardstate.go: ShardState, the one contract every chain's mergeable
 //     state implements, with Window, BlockRange and NewShardState.
-//   - ingest.go, replay.go: the ingest pool. Decoder (one per aggregator,
-//     from its Decoder method) with the ShardedDecoder, Shard and
-//     BatchReleaser refinements; IngestStream, IngestCrawl and
-//     IngestArchive, which all run the same per-worker batch/flush/merge
-//     loop; PeriodicMerge for the serving layer's mid-crawl merges.
+//   - ingest.go, replay.go: the ingest pool and core's one lock. A
+//     StatsKit's state sits behind that lock; its Decoder (with the
+//     ShardedDecoder, Shard and BatchReleaser refinements) spawns worker
+//     shards from the state and merges them back under it. IngestCrawl,
+//     IngestArchive and IngestChunks all run the same per-worker
+//     batch/flush/merge loop over those shards, and refuse a decoder that
+//     has none; PeriodicMerge serves the serving layer's mid-crawl merges.
 //   - shardcodec.go: the shard wire schemas behind
 //     ShardState.EncodeTo/DecodeFrom, and EncodeShard / DecodeShard over a
 //     sealed blob. Where shard blobs live in a store, and how a set of

@@ -3,7 +3,6 @@ package core
 import (
 	"sort"
 	"strings"
-	"sync"
 	"time"
 	"unicode"
 
@@ -39,13 +38,14 @@ const (
 // over disjoint block sets merge with Merge, and because every statistic a
 // shard keeps is order-independent (counters, count maps, time buckets,
 // unordered trade sets), folding the same blocks through any number of
-// shards in any interleaving produces the same aggregate. EOSAggregator
-// wraps one shard behind a mutex for callers that want the classic shared
-// aggregator surface.
+// shards in any interleaving produces the same aggregate. It accumulates
+// every statistic the paper reports for EOS (Figures 1, 2, 3a, 4, 5 and the
+// §4.1 case studies); the figure queries read it under the same single-owner
+// contract as Summary.
 type EOSShard struct {
 	// TokenContracts are accounts implementing the standard token
 	// interface; their "transfer" actions count as P2P transactions.
-	// Shards spawned from one aggregator share these read-only tables.
+	// Shards spawned from one StatsKit share these read-only tables.
 	TokenContracts map[string]bool
 	// ContractLabels maps the top contracts to app categories (Betting,
 	// Games, Tokens, Exchange, Pornography, Others) for Figure 3a. The
@@ -99,16 +99,6 @@ type EOSShard struct {
 	legScratch []transferLeg
 }
 
-// EOSAggregator ingests crawled EOS blocks and accumulates every statistic
-// the paper reports for EOS (Figures 1, 2, 3a, 4, 5 and the §4.1 case
-// studies). It is a thin locked wrapper around one EOSShard; concurrent
-// writers either share it (IngestBatch folds a batch under the lock) or
-// fold into private states from NewState, merged back with MergeState.
-type EOSAggregator struct {
-	mu sync.Mutex
-	EOSShard
-}
-
 // DEXTrade is one settled on-chain trade (WhaleEx verifytrade2).
 type DEXTrade struct {
 	Buyer, Seller string
@@ -116,19 +106,10 @@ type DEXTrade struct {
 	Amount        float64
 }
 
-// NewEOSAggregator builds an aggregator with the default labeling used
-// throughout the repo (matching the simulated workload's contracts).
-func NewEOSAggregator(origin time.Time, bucket time.Duration) *EOSAggregator {
-	a := &EOSAggregator{}
-	a.EOSShard.applyDefaultTables()
-	a.EOSShard.init(origin, bucket)
-	return a
-}
-
 // applyDefaultTables installs the repo's default classification tables —
 // the paper labeled the top 100 contracts manually; these match the
 // simulated workload's contracts. The tables are configuration, shared
-// read-only by every shard spawned from one aggregator, and never part of
+// read-only by every shard spawned from one StatsKit, and never part of
 // serialized shard state: a decoded shard gets the decoder's own tables.
 func (s *EOSShard) applyDefaultTables() {
 	s.TokenContracts = map[string]bool{
@@ -150,6 +131,14 @@ func (s *EOSShard) applyDefaultTables() {
 	s.EIDOSContract = "eidosonecoin"
 }
 
+// blank returns an empty shard with s's window, sharing s's read-only
+// classification tables.
+func (s *EOSShard) blank() EOSShard {
+	n := EOSShard{TokenContracts: s.TokenContracts, ContractLabels: s.ContractLabels, EIDOSContract: s.EIDOSContract}
+	n.init(s.Series.Origin(), s.Series.Width())
+	return n
+}
+
 // init allocates a shard's mutable containers, leaving the shared
 // classification tables to the caller.
 func (s *EOSShard) init(origin time.Time, bucket time.Duration) {
@@ -159,31 +148,6 @@ func (s *EOSShard) init(origin time.Time, bucket time.Duration) {
 	s.ReceivedByContract = make(map[string]map[string]int64)
 	s.SentPairs = make(map[string]map[string]int64)
 	s.VolumeBySymbol = make(map[string]float64)
-}
-
-// NewState spawns an empty private shard behind the chain-agnostic
-// ShardState contract, sharing the aggregator's read-only classification
-// tables and series geometry. The caller owns it exclusively until
-// MergeState.
-func (a *EOSAggregator) NewState() ShardState {
-	s := &EOSShard{
-		TokenContracts: a.TokenContracts,
-		ContractLabels: a.ContractLabels,
-		EIDOSContract:  a.EIDOSContract,
-	}
-	s.init(a.Series.Origin(), a.Series.Width())
-	return s
-}
-
-// MergeState folds a ShardState produced by NewState (or decoded from a
-// shard blob with the same window) into the aggregator under one lock
-// acquisition and resets it. Merging states in any order yields the same
-// aggregate: every shard statistic is a sum, a count map, a time bucket or
-// an unordered record set.
-func (a *EOSAggregator) MergeState(st ShardState) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.EOSShard.Merge(st)
 }
 
 // mergeCounts adds src's counters into dst.
@@ -263,13 +227,7 @@ func (s *EOSShard) merge(src *EOSShard) {
 	}
 	s.BoomerangVolume += src.BoomerangVolume
 	mergeWindow(&s.FirstBlockTime, &s.LastBlockTime, src.FirstBlockTime, src.LastBlockTime)
-	origin, width := src.Series.Origin(), src.Series.Width()
-	*src = EOSShard{
-		TokenContracts: src.TokenContracts,
-		ContractLabels: src.ContractLabels,
-		EIDOSContract:  src.EIDOSContract,
-	}
-	src.init(origin, width)
+	*src = src.blank()
 }
 
 // eosBlockTime parses the nodeos timestamp format.
@@ -290,24 +248,7 @@ func (s *EOSShard) IngestBatch(batch []any) error {
 	return nil
 }
 
-// IngestBatch folds a batch of decoded blocks into the aggregator, one
-// lock acquisition for the whole batch. Assertion and timestamp parsing
-// happen before the lock is taken.
-func (a *EOSAggregator) IngestBatch(batch []any) error {
-	blocks, times, err := parseBatch(batch, "eos", eosBlockTime)
-	if err != nil {
-		return err
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for i, b := range blocks {
-		a.EOSShard.ingest(b, times[i])
-	}
-	return nil
-}
-
-// ingest folds one block into the shard; the caller owns the shard (for an
-// aggregator's embedded shard, that means holding a.mu).
+// ingest folds one block into the shard; the caller owns the shard.
 func (a *EOSShard) ingest(b *wire.EOSBlock, ts time.Time) {
 	a.Blocks++
 	if a.FirstBlockTime.IsZero() || ts.Before(a.FirstBlockTime) {
@@ -483,9 +424,7 @@ func amountOf(digits string) float64 {
 
 // TransferShare returns the fraction of actions that are token transfers
 // (the paper: 91.6 %).
-func (a *EOSAggregator) TransferShare() float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
+func (a *EOSShard) TransferShare() float64 {
 	if a.Actions == 0 {
 		return 0
 	}
@@ -493,9 +432,7 @@ func (a *EOSAggregator) TransferShare() float64 {
 }
 
 // EIDOSShare returns the fraction of actions touching the EIDOS contract.
-func (a *EOSAggregator) EIDOSShare() float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
+func (a *EOSShard) EIDOSShare() float64 {
 	if a.Actions == 0 {
 		return 0
 	}
@@ -504,17 +441,13 @@ func (a *EOSAggregator) EIDOSShare() float64 {
 
 // BoomerangTransactions returns how many transactions exhibited the
 // refund-mirror pattern.
-func (a *EOSAggregator) BoomerangTransactions() int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
+func (a *EOSShard) BoomerangTransactions() int64 {
 	return a.boomerangs
 }
 
 // TopReceivers returns the k contracts with the most received actions
 // together with their per-action breakdown (Figure 4).
-func (a *EOSAggregator) TopReceivers(k int) []ContractProfile {
-	a.mu.Lock()
-	defer a.mu.Unlock()
+func (a *EOSShard) TopReceivers(k int) []ContractProfile {
 	out := make([]ContractProfile, 0, len(a.ReceivedByContract))
 	for contract, actions := range a.ReceivedByContract {
 		p := ContractProfile{Contract: contract, Label: a.label(contract)}
@@ -558,9 +491,7 @@ type ActionCount struct {
 
 // TopSenderPairs returns the k senders with the most outgoing actions and,
 // for each, their top receiver contracts (Figure 5).
-func (a *EOSAggregator) TopSenderPairs(k, receiversPer int) []SenderProfile {
-	a.mu.Lock()
-	defer a.mu.Unlock()
+func (a *EOSShard) TopSenderPairs(k, receiversPer int) []SenderProfile {
 	out := make([]SenderProfile, 0, len(a.SentPairs))
 	for sender, pairs := range a.SentPairs {
 		p := SenderProfile{Sender: sender, UniqueReceivers: len(pairs)}

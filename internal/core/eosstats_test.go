@@ -47,7 +47,7 @@ func transfer(contract, from, to, qty string) wire.EOSActionJSON {
 }
 
 func TestEOSAggregatorFigure1Classification(t *testing.T) {
-	a := NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
+	a := newShard[*EOSShard]()
 	ts := chain.ObservationStart.Add(time.Hour)
 	err := a.IngestBatch([]any{eosBlock(1, ts,
 		[]wire.EOSActionJSON{transfer("eosio.token", "alice", "bob", "1.0000 EOS")},
@@ -78,7 +78,7 @@ func TestEOSAggregatorFigure1Classification(t *testing.T) {
 }
 
 func TestEOSAggregatorTopReceiversAndPairs(t *testing.T) {
-	a := NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
+	a := newShard[*EOSShard]()
 	ts := chain.ObservationStart
 	for i := 0; i < 10; i++ {
 		a.IngestBatch([]any{eosBlock(i+1, ts.Add(time.Duration(i)*time.Minute),
@@ -111,7 +111,7 @@ func TestEOSAggregatorTopReceiversAndPairs(t *testing.T) {
 }
 
 func TestEOSBoomerangDetection(t *testing.T) {
-	a := NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
+	a := newShard[*EOSShard]()
 	// EIDOS mining tx: miner→contract, contract→miner (same qty), EIDOS leg.
 	a.IngestBatch([]any{eosBlock(1, chain.ObservationStart,
 		[]wire.EOSActionJSON{
@@ -134,7 +134,7 @@ func TestEOSBoomerangDetection(t *testing.T) {
 }
 
 func TestEOSWashTradeAnalysis(t *testing.T) {
-	a := NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
+	a := newShard[*EOSShard]()
 	var actions [][]wire.EOSActionJSON
 	// 90 self-trades by washbot1, 10 honest trades between others.
 	for i := 0; i < 90; i++ {
@@ -193,7 +193,7 @@ func TestTPSEstimate(t *testing.T) {
 }
 
 func TestEOSVolumeTracking(t *testing.T) {
-	a := NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
+	a := newShard[*EOSShard]()
 	a.IngestBatch([]any{eosBlock(1, chain.ObservationStart,
 		[]wire.EOSActionJSON{
 			transfer("eosio.token", "miner1", "eidosonecoin", "2.0000 EOS"),

@@ -14,9 +14,9 @@ import (
 
 // Decoder splits ingestion into its two costs so they can be scheduled
 // separately: Decode is the CPU-bound, lock-free parse of one wire payload,
-// and IngestBatch folds a batch of decoded blocks into the aggregator under
-// a single lock acquisition. Every aggregator hands one out through its
-// Decoder method; Decode must be safe for concurrent use.
+// and IngestBatch folds a batch of decoded blocks into the aggregate under
+// a single lock acquisition. NewStatsKit hands one out per chain; Decode
+// must be safe for concurrent use.
 type Decoder interface {
 	Decode(num int64, raw []byte) (any, error)
 	IngestBatch(batch []any) error
@@ -25,7 +25,7 @@ type Decoder interface {
 // Shard is one ingest worker's private, lock-free accumulator. IngestBatch
 // folds decoded blocks in without any synchronization — exactly one
 // goroutine owns a Shard between NewShard and Merge — and Merge folds the
-// shard into its parent aggregator (one lock acquisition) and resets it.
+// shard into its parent aggregate (one lock acquisition) and resets it.
 // Because every aggregate the shards keep is order-independent, any
 // partition of blocks across any number of shards merges to the same
 // result (see DESIGN.md "sharded aggregation & merge semantics").
@@ -34,10 +34,10 @@ type Shard interface {
 	Merge()
 }
 
-// ShardedDecoder is implemented by Decoders whose aggregator can hand out
-// mergeable shards. IngestStream and IngestArchive give each worker its own
-// shard, deleting the per-batch aggregator lock from the hot path: the only
-// lock acquisitions left are the per-worker merges at drain.
+// ShardedDecoder is implemented by Decoders whose aggregate can hand out
+// mergeable shards — the only kind the ingest pool drives. IngestCrawl,
+// IngestArchive and IngestChunks give each worker its own shard, so the hot
+// path takes no lock: the only lock acquisitions are the per-worker merges.
 type ShardedDecoder interface {
 	Decoder
 	NewShard() Shard
@@ -46,19 +46,53 @@ type ShardedDecoder interface {
 // BatchReleaser is implemented by Decoders whose decoded values come from
 // a reusable arena (wire.GetEOSBlock and friends). After IngestBatch has
 // folded a batch in, the ingest pool hands the values back through
-// ReleaseBatch; the aggregators retain only strings (immutable, safe
+// ReleaseBatch; the shards retain only strings (immutable, safe
 // forever), never the structs, slices or maps themselves — the contract
 // that makes the steady-state ingest path allocation-free.
 type BatchReleaser interface {
 	ReleaseBatch(batch []any)
 }
 
-// aggregator is what the three chains' aggregators share: a locked batch
-// ingest, and private shard states spawned from and folded back into them.
-type aggregator interface {
-	IngestBatch(batch []any) error
-	NewState() ShardState
-	MergeState(ShardState) error
+// kitState is the one lock in core: a StatsKit's aggregate, the state its
+// worker shards spawn from and merge back into. Everything that touches
+// state while ingestion may run — the Decoder contract's locked
+// IngestBatch, shard spawns and merges, StatsKit's Txs and Summarize —
+// holds mu.
+type kitState struct {
+	mu    sync.Mutex
+	state ShardState
+	// blank returns an empty state with state's window (and, for EOS, its
+	// classification tables); the caller holds mu.
+	blank func() ShardState
+}
+
+// merge folds a shard spawned from k into the aggregate and resets it.
+func (k *kitState) merge(st ShardState) {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	// st is a blank of state — same chain, same window, since nothing
+	// replaces state while its shards are out (a coord worker decodes its
+	// checkpoint before the pool spawns any) — and covers no range that
+	// could overlap state's, so Merge cannot refuse it. An error here is a
+	// programming bug — same contract as stats.TimeSeries.Merge.
+	if err := k.state.Merge(st); err != nil {
+		panic(err)
+	}
+}
+
+func (k *kitState) summarize() ChainSummary {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	return k.state.Summary()
+}
+
+// counter reads one of state's counters under the lock.
+func (k *kitState) counter(n *int64) func() int64 {
+	return func() int64 {
+		k.mu.Lock()
+		defer k.mu.Unlock()
+		return *n
+	}
 }
 
 // chainDecoder is the one Decoder (and ShardedDecoder, and BatchReleaser)
@@ -66,29 +100,11 @@ type aggregator interface {
 // and put borrow and return an arena struct, decode is the pooled codec's
 // method for the chain's payload.
 type chainDecoder[B any] struct {
-	agg    aggregator
+	k      *kitState
 	what   string // "EOS block", for decode errors
 	get    func() *B
 	put    func(*B)
 	decode func(*wire.Codec, []byte, *B) error
-}
-
-// Decoder drives the aggregator from raw nodeos-style block JSON.
-func (a *EOSAggregator) Decoder() Decoder {
-	return &chainDecoder[wire.EOSBlock]{a, "EOS block",
-		wire.GetEOSBlock, wire.PutEOSBlock, (*wire.Codec).DecodeEOSBlock}
-}
-
-// Decoder drives the aggregator from raw octez-style block JSON.
-func (a *TezosAggregator) Decoder() Decoder {
-	return &chainDecoder[wire.TezosBlock]{a, "Tezos block",
-		wire.GetTezosBlock, wire.PutTezosBlock, (*wire.Codec).DecodeTezosBlock}
-}
-
-// Decoder drives the aggregator from raw rippled ledger result envelopes.
-func (a *XRPAggregator) Decoder() Decoder {
-	return &chainDecoder[wire.XRPLedger]{a, "XRP ledger",
-		wire.GetXRPLedger, wire.PutXRPLedger, (*wire.Codec).DecodeXRPLedgerResult}
 }
 
 // Decode parses one raw payload into an arena struct through the pooled
@@ -105,9 +121,13 @@ func (d *chainDecoder[B]) Decode(num int64, raw []byte) (any, error) {
 	return b, nil
 }
 
-// IngestBatch folds decoded blocks into the aggregator, one lock for the
+// IngestBatch folds decoded blocks into the aggregate, one lock for the
 // whole batch.
-func (d *chainDecoder[B]) IngestBatch(batch []any) error { return d.agg.IngestBatch(batch) }
+func (d *chainDecoder[B]) IngestBatch(batch []any) error {
+	d.k.mu.Lock()
+	defer d.k.mu.Unlock()
+	return d.k.state.IngestBatch(batch)
+}
 
 // ReleaseBatch returns decoded blocks to the wire arena.
 func (d *chainDecoder[B]) ReleaseBatch(batch []any) {
@@ -118,29 +138,24 @@ func (d *chainDecoder[B]) ReleaseBatch(batch []any) {
 
 // NewShard hands one ingest worker a private shard state.
 func (d *chainDecoder[B]) NewShard() Shard {
-	return &stateShard{agg: d.agg, state: d.agg.NewState()}
+	d.k.mu.Lock()
+	defer d.k.mu.Unlock()
+	return &stateShard{k: d.k, state: d.k.blank()}
 }
 
-// stateShard adapts a ShardState spawned from an aggregator to the ingest
-// pool's Shard interface.
+// stateShard adapts a ShardState spawned from a kit to the ingest pool's
+// Shard interface.
 type stateShard struct {
-	agg   aggregator
+	k     *kitState
 	state ShardState
 }
 
 func (s *stateShard) IngestBatch(batch []any) error { return s.state.IngestBatch(batch) }
 
-func (s *stateShard) Merge() {
-	// A shard spawned from its own aggregator can never mismatch chain or
-	// window, so an error here is a programming bug — same contract as
-	// stats.TimeSeries.Merge.
-	if err := s.agg.MergeState(s.state); err != nil {
-		panic(err)
-	}
-}
+func (s *stateShard) Merge() { s.k.merge(s.state) }
 
-// IngestConfig sizes the decode/ingest pool behind IngestStream and
-// IngestArchive.
+// IngestConfig sizes the decode/ingest pool behind IngestCrawl,
+// IngestArchive and IngestChunks.
 type IngestConfig struct {
 	// Workers is the number of decode goroutines (default: 2 for a stream,
 	// one per CPU for an archive replay). Decoding is the CPU-bound half of
@@ -148,44 +163,44 @@ type IngestConfig struct {
 	// decode concurrency scale independently.
 	Workers int
 	// Batch is how many decoded blocks each worker accumulates before one
-	// IngestBatch call — blocks per aggregator lock acquisition
-	// (default 16).
+	// shard IngestBatch call, so arena structs recycle in bulk (default 16).
 	Batch int
 }
 
-// ingestPool is the per-worker batch, flush and merge state IngestStream
-// and IngestArchive share. Worker w's slot is touched only by the goroutine
-// running worker w until drain, which the caller runs once every worker
-// has returned.
+// ingestPool is the per-worker batch, flush and merge state ingestStream,
+// IngestArchive and IngestChunks share. Worker w's slot is touched only by
+// the goroutine running worker w until drain, which the caller runs once
+// every worker has returned.
 type ingestPool struct {
-	d        Decoder
+	d        ShardedDecoder
 	releaser BatchReleaser // nil when decoded values are not arena-backed
 	batchCap int
 	workers  []ingestWorker
 }
 
 type ingestWorker struct {
-	// shard is the worker's private accumulator; nil for a non-sharded
-	// decoder, whose batches fold into d under the aggregator lock.
-	shard    Shard
+	shard    Shard // the worker's private accumulator
 	batch    []any
 	ingested int64
 }
 
-func newIngestPool(d Decoder, workers, batchCap int) *ingestPool {
+// newIngestPool gives each of workers its own shard of d, refusing a
+// decoder that cannot hand one out.
+func newIngestPool(d Decoder, workers, batchCap int) (*ingestPool, error) {
+	sharded, ok := d.(ShardedDecoder)
+	if !ok {
+		return nil, fmt.Errorf("core: ingest needs a sharded decoder, got %T", d)
+	}
 	if batchCap <= 0 {
 		batchCap = 16
 	}
-	p := &ingestPool{d: d, batchCap: batchCap, workers: make([]ingestWorker, workers)}
+	p := &ingestPool{d: sharded, batchCap: batchCap, workers: make([]ingestWorker, workers)}
 	p.releaser, _ = d.(BatchReleaser)
-	sharded, _ := d.(ShardedDecoder)
 	for w := range p.workers {
-		if sharded != nil {
-			p.workers[w].shard = sharded.NewShard()
-		}
+		p.workers[w].shard = sharded.NewShard()
 		p.workers[w].batch = make([]any, 0, batchCap)
 	}
-	return p
+	return p, nil
 }
 
 // add decodes one payload on worker w and folds the worker's batch once it
@@ -203,21 +218,14 @@ func (p *ingestPool) add(w int, num int64, raw []byte) error {
 	return nil
 }
 
-// flush folds worker w's pending batch into its shard (or the locked
-// aggregator) and hands the decoded structs back to the arena — the
-// aggregator kept only strings.
+// flush folds worker w's pending batch into its shard and hands the
+// decoded structs back to the arena — the shard kept only strings.
 func (p *ingestPool) flush(w int) error {
 	wk := &p.workers[w]
 	if len(wk.batch) == 0 {
 		return nil
 	}
-	var err error
-	if wk.shard != nil {
-		err = wk.shard.IngestBatch(wk.batch)
-	} else {
-		err = p.d.IngestBatch(wk.batch)
-	}
-	if err != nil {
+	if err := wk.shard.IngestBatch(wk.batch); err != nil {
 		return err
 	}
 	wk.ingested += int64(len(wk.batch))
@@ -232,10 +240,9 @@ func (p *ingestPool) flush(w int) error {
 // order — the merge order is fixed even though workers finish in any
 // order, so the only scheduling freedom left is which worker ingested
 // which block, and shard merges are insensitive to exactly that. It runs
-// even after an error: batches already folded into shards mirror batches
-// the locked path would already have applied, so the partial aggregate
-// looks the same either way. It returns the blocks ingested and err, or
-// the first flush error when err is nil.
+// even after an error, so the partial aggregate holds every batch a worker
+// folded. It returns the blocks ingested and err, or the first flush error
+// when err is nil.
 func (p *ingestPool) drain(err error) (int64, error) {
 	var ingested int64
 	for w := range p.workers {
@@ -245,35 +252,34 @@ func (p *ingestPool) drain(err error) (int64, error) {
 		ingested += p.workers[w].ingested
 	}
 	for w := range p.workers {
-		if s := p.workers[w].shard; s != nil {
-			s.Merge()
-		}
+		p.workers[w].shard.Merge()
 	}
 	return ingested, err
 }
 
-// IngestStream drains a crawl stream through a pool of cfg.Workers decode
-// goroutines (default 2). When the Decoder is a ShardedDecoder (all three
-// chains), each worker folds its blocks into a private shard — zero lock
-// acquisitions on the hot path — and the shards merge into the aggregator
-// in worker order once the stream drains; otherwise each worker
-// batch-ingests under the aggregator lock, cfg.Batch blocks per
-// acquisition. It returns the number of blocks ingested and the first
-// decode/ingest error.
+// ingestStream drains a crawl stream through a pool of cfg.Workers decode
+// goroutines (default 2), each folding its blocks into a private shard of
+// d — zero lock acquisitions on the hot path — and merges the shards into
+// the aggregate in worker order once the stream drains. It returns the
+// number of blocks ingested and the first decode/ingest error; a decoder
+// that is not a ShardedDecoder is refused before anything is received.
 //
 // Cancellation is driven by the stream itself: when ctx is cancelled the
-// crawl workers stop and close the channel, and IngestStream keeps
+// crawl workers stop and close the channel, and ingestStream keeps
 // draining until then, so every block the stream delivered is in the
 // partial aggregate it returns. On a decode/ingest error, by contrast, the
 // pool stops receiving immediately; the caller must then cancel the
 // stream's context to unblock crawl workers behind a full buffer
 // (IngestCrawl does).
-func IngestStream(ctx context.Context, blocks <-chan collect.Block, d Decoder, cfg IngestConfig) (int64, error) {
+func ingestStream(ctx context.Context, blocks <-chan collect.Block, d Decoder, cfg IngestConfig) (int64, error) {
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = 2
 	}
-	pool := newIngestPool(d, workers, cfg.Batch)
+	pool, err := newIngestPool(d, workers, cfg.Batch)
+	if err != nil {
+		return 0, err
+	}
 	var (
 		wg       sync.WaitGroup
 		firstErr atomic.Value
@@ -309,19 +315,19 @@ func IngestStream(ctx context.Context, blocks <-chan collect.Block, d Decoder, c
 		}(w)
 	}
 	wg.Wait()
-	err, _ := firstErr.Load().(error)
+	err, _ = firstErr.Load().(error)
 	return pool.drain(err)
 }
 
 // PeriodicMerge wraps a sharded decoder so each ingest worker's private
-// shard folds into the parent aggregator every `batches` IngestBatch calls
+// shard folds into the parent aggregate every `batches` IngestBatch calls
 // instead of only at drain. Merge resets the source shard, so the worker
 // keeps reusing it; between merges the hot path stays lock-free.
-// This is the serving layer's ingest mode: the aggregator continuously
-// absorbs epoch-sized deltas that SummarizeEOS and friends can snapshot
+// This is the serving layer's ingest mode: the aggregate continuously
+// absorbs epoch-sized deltas that StatsKit.Summarize can snapshot
 // mid-crawl, at a cost of one lock acquisition per worker per `batches`
 // batches rather than one per worker per stream. A non-sharded decoder is
-// returned unchanged (its locked batch path is already continuous).
+// returned unchanged, and the ingest pool refuses it.
 func PeriodicMerge(d Decoder, batches int) Decoder {
 	sharded, ok := d.(ShardedDecoder)
 	if !ok {
@@ -353,7 +359,7 @@ func (p periodicDecoder) ReleaseBatch(batch []any) {
 }
 
 // periodicShard counts batches and merges the wrapped shard into its
-// aggregator every `every` batches. Merge resets the inner shard, so it
+// aggregate every `every` batches. Merge resets the inner shard, so it
 // remains the worker's accumulator for the next epoch.
 type periodicShard struct {
 	inner    Shard
@@ -380,7 +386,7 @@ func (s *periodicShard) Merge() { s.inner.Merge() }
 var ErrIngest = errors.New("core: ingest failed")
 
 // IngestCrawl is the one canonical wiring of the streaming path: it starts
-// collect.Stream, drains it through IngestStream, and handles the
+// collect.Stream, drains it through ingestStream, and handles the
 // cancel-on-ingest-error dance that unblocks crawl workers stalled on a
 // full buffer. The pipeline stages, cmd/crawl and cmd/serve's live feeds
 // all run on it. It is where Figure 2's footprint is measured: when
@@ -397,7 +403,7 @@ func IngestCrawl(ctx context.Context, f collect.BlockFetcher, ccfg collect.Crawl
 		ccfg.Tee = func(_ int64, raw []byte) error { _, err := sizer.Write(raw); return err }
 	}
 	blocks, handle := collect.Stream(ctx, f, ccfg)
-	_, ierr := IngestStream(ctx, blocks, d, icfg)
+	_, ierr := ingestStream(ctx, blocks, d, icfg)
 	if ierr != nil {
 		cancel() // unblock crawl workers stalled on a full buffer
 	}
@@ -449,10 +455,6 @@ const maxOpenChunks = 8
 // stays away, and the others are never parked behind it — workers parked
 // with the missing block still in the channel would be a deadlock.
 func IngestChunks(ctx context.Context, f collect.BlockFetcher, ccfg collect.CrawlConfig, d Decoder, icfg IngestConfig, every int64, cut func(lo int64) error) (collect.CrawlResult, error) {
-	sharded, ok := d.(ShardedDecoder)
-	if !ok {
-		return collect.CrawlResult{}, fmt.Errorf("core: chunked ingest needs a sharded decoder, got %T", d)
-	}
 	if ccfg.From < 1 || ccfg.To < ccfg.From {
 		return collect.CrawlResult{}, fmt.Errorf("core: chunked ingest needs a concrete range, got [%d, %d]", ccfg.From, ccfg.To)
 	}
@@ -464,11 +466,14 @@ func IngestChunks(ctx context.Context, f collect.BlockFetcher, ccfg collect.Craw
 	if workers <= 0 {
 		workers = 2
 	}
-	pool := newIngestPool(d, workers, icfg.Batch)
+	pool, err := newIngestPool(d, workers, icfg.Batch)
+	if err != nil {
+		return collect.CrawlResult{}, err
+	}
 	c := &chunkCutter{
 		from: ccfg.From, to: ccfg.To, every: every,
 		chunks:  (blocks + every - 1) / every,
-		workers: workers, sharded: sharded,
+		workers: workers, sharded: pool.d,
 		open: make(map[int64]*openChunk),
 	}
 	c.wake = sync.NewCond(&c.mu)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -61,8 +62,8 @@ func (f *memFetcher) FetchBlock(ctx context.Context, num int64) ([]byte, error) 
 }
 
 // ingestRaw decodes one payload and applies it immediately — a batch of
-// one through the Decoder contract, the per-block reference the pool is
-// compared against.
+// one through the Decoder contract's locked fold, the per-block reference
+// the pool is compared against.
 func ingestRaw(d Decoder, num int64, raw []byte) error {
 	blk, err := d.Decode(num, raw)
 	if err != nil {
@@ -84,17 +85,16 @@ func ingestRaw(d Decoder, num int64, raw []byte) error {
 func TestIngestStreamMatchesPerBlockIngest(t *testing.T) {
 	raws := makeEOSRawBlocks(t, 64, 3)
 
-	one := NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
-	dec := one.Decoder()
+	oneKit := newKit(t, "eos")
 	for i, raw := range raws {
-		if err := ingestRaw(dec, int64(i+1), raw); err != nil {
+		if err := ingestRaw(oneKit.Decoder, int64(i+1), raw); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	batched := NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
+	batchedKit := newKit(t, "eos")
 	blocks, handle := collect.Stream(context.Background(), &memFetcher{raws}, collect.CrawlConfig{Workers: 4, Buffer: 8})
-	n, err := IngestStream(context.Background(), blocks, batched.Decoder(), IngestConfig{Workers: 3, Batch: 5})
+	n, err := ingestStream(context.Background(), blocks, batchedKit.Decoder, IngestConfig{Workers: 3, Batch: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,8 +102,9 @@ func TestIngestStreamMatchesPerBlockIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n != int64(len(raws)) {
-		t.Fatalf("IngestStream ingested %d blocks, want %d", n, len(raws))
+		t.Fatalf("ingestStream ingested %d blocks, want %d", n, len(raws))
 	}
+	one, batched := oneKit.State().(*EOSShard), batchedKit.State().(*EOSShard)
 	if one.Blocks != batched.Blocks || one.Transactions != batched.Transactions || one.Actions != batched.Actions {
 		t.Fatalf("batched aggregate diverged: per-block {%d %d %d} vs batched {%d %d %d}",
 			one.Blocks, one.Transactions, one.Actions,
@@ -114,30 +115,35 @@ func TestIngestStreamMatchesPerBlockIngest(t *testing.T) {
 	}
 }
 
-// countingDecoder wraps a Decoder and records batch sizes.
+// countingDecoder wraps a sharded Decoder and records the size of every
+// batch its shards fold.
 type countingDecoder struct {
-	inner   Decoder
+	ShardedDecoder
 	mu      sync.Mutex
 	batches []int
 }
 
-func (d *countingDecoder) Decode(num int64, raw []byte) (any, error) { return d.inner.Decode(num, raw) }
+func (d *countingDecoder) NewShard() Shard { return &countingShard{d.ShardedDecoder.NewShard(), d} }
 
-func (d *countingDecoder) IngestBatch(batch []any) error {
-	d.mu.Lock()
-	d.batches = append(d.batches, len(batch))
-	d.mu.Unlock()
-	return d.inner.IngestBatch(batch)
+type countingShard struct {
+	Shard
+	d *countingDecoder
 }
 
-// TestIngestStreamBatches: lock acquisitions must be amortized — far fewer
+func (s *countingShard) IngestBatch(batch []any) error {
+	s.d.mu.Lock()
+	s.d.batches = append(s.d.batches, len(batch))
+	s.d.mu.Unlock()
+	return s.Shard.IngestBatch(batch)
+}
+
+// TestIngestStreamBatches: shard folds must be batched — far fewer
 // IngestBatch calls than blocks, and no batch above the configured cap.
 func TestIngestStreamBatches(t *testing.T) {
 	raws := makeEOSRawBlocks(t, 96, 1)
-	agg := NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
-	dec := &countingDecoder{inner: agg.Decoder()}
+	dec := &countingDecoder{ShardedDecoder: newKit(t, "eos").Decoder.(ShardedDecoder)}
 	blocks, handle := collect.Stream(context.Background(), &memFetcher{raws}, collect.CrawlConfig{Workers: 2, Buffer: 32})
-	if _, err := IngestStream(context.Background(), blocks, dec, IngestConfig{Workers: 1, Batch: 16}); err != nil {
+	if _, err := ingestStream(context.Background(), blocks, dec, IngestConfig{Workers: 1, Batch: 16}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := handle.Wait(); err != nil {
@@ -154,7 +160,7 @@ func TestIngestStreamBatches(t *testing.T) {
 		t.Fatalf("batches cover %d blocks, want 96", total)
 	}
 	if len(dec.batches) > 96/8 {
-		t.Fatalf("%d lock acquisitions for 96 blocks — batching is not amortizing", len(dec.batches))
+		t.Fatalf("%d shard folds for 96 blocks — batching is not amortizing", len(dec.batches))
 	}
 }
 
@@ -166,8 +172,7 @@ func TestIngestStreamDecodeErrorStops(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	blocks, handle := collect.Stream(ctx, &memFetcher{raws}, collect.CrawlConfig{Workers: 1, Buffer: 2})
-	agg := NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
-	_, err := IngestStream(ctx, blocks, agg.Decoder(), IngestConfig{Workers: 1, Batch: 4})
+	_, err := ingestStream(ctx, blocks, newKit(t, "eos").Decoder, IngestConfig{Workers: 1, Batch: 4})
 	if err == nil {
 		t.Fatal("corrupt block ingested without error")
 	}
@@ -187,67 +192,100 @@ func TestDecodersRoundTripAllChains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tezosAgg := NewTezosAggregator(chain.ObservationStart, 6*time.Hour)
-	if err := ingestRaw(tezosAgg.Decoder(), 7, tezosRaw); err != nil {
+	tezosKit := newKit(t, "tezos")
+	if err := ingestRaw(tezosKit.Decoder, 7, tezosRaw); err != nil {
 		t.Fatal(err)
 	}
+	tezosAgg := tezosKit.State().(*TezosShard)
 	if tezosAgg.Blocks != 1 || tezosAgg.Operations != 1 {
 		t.Fatalf("tezos ingest: %d blocks %d ops", tezosAgg.Blocks, tezosAgg.Operations)
 	}
 
 	xrpRaw := []byte(fmt.Sprintf(`{"ledger":{"ledger_index":3,"close_time_human":%q,"transactions":[{"TransactionType":"Payment","Account":"rAlice","Destination":"rBob","meta_TransactionResult":"tesSUCCESS","Amount":{"currency":"XRP","value":5}}]}}`,
 		chain.ObservationStart.Format(time.RFC3339)))
-	xrpAgg := NewXRPAggregator(chain.ObservationStart, 6*time.Hour)
-	if err := ingestRaw(xrpAgg.Decoder(), 3, xrpRaw); err != nil {
+	xrpKit := newKit(t, "xrp")
+	if err := ingestRaw(xrpKit.Decoder, 3, xrpRaw); err != nil {
 		t.Fatal(err)
 	}
+	xrpAgg := xrpKit.State().(*XRPShard)
 	if xrpAgg.Ledgers != 1 || xrpAgg.Transactions != 1 {
 		t.Fatalf("xrp ingest: %d ledgers %d txs", xrpAgg.Ledgers, xrpAgg.Transactions)
 	}
 
-	eosAgg := NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
-	if err := ingestRaw(eosAgg.Decoder(), 1, []byte(`not json`)); err == nil {
+	if err := ingestRaw(newKit(t, "eos").Decoder, 1, []byte(`not json`)); err == nil {
 		t.Fatal("EOS decoder accepted garbage")
 	}
 }
 
-// lockedDecoder hides the decoder's NewShard so IngestStream takes the
-// non-sharded path: every batch under the aggregator's one mutex — the
-// reference the sharded path is compared against. It keeps
-// forwarding ReleaseBatch so both paths recycle arena structs identically.
+// lockedDecoder hides the decoder's NewShard, leaving only the Decoder
+// contract's locked fold: the ingest pool must refuse it.
 type lockedDecoder struct{ Decoder }
 
-func (d lockedDecoder) ReleaseBatch(batch []any) {
-	if r, ok := d.Decoder.(BatchReleaser); ok {
-		r.ReleaseBatch(batch)
-	}
-}
-
-// TestIngestStreamShardedMatchesLocked: the per-worker-shard path must
-// aggregate exactly like the locked path it replaced.
-func TestIngestStreamShardedMatchesLocked(t *testing.T) {
+// TestIngestStreamShardedMatchesSerial: the pool at 3 workers, each folding
+// into its own shard, must aggregate exactly like one state folded
+// serially on one goroutine — the same fold code, without a lock.
+func TestIngestStreamShardedMatchesSerial(t *testing.T) {
 	raws := makeEOSRawBlocks(t, 96, 3)
 	ctx := context.Background()
-	run := func(d func(*EOSAggregator) Decoder) *EOSAggregator {
-		agg := NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
-		blocks, handle := collect.Stream(ctx, &memFetcher{raws}, collect.CrawlConfig{Workers: 4, Buffer: 16})
-		n, err := IngestStream(ctx, blocks, d(agg), IngestConfig{Workers: 3, Batch: 7})
+	serial := newShard[*EOSShard]()
+	dec := newKit(t, "eos").Decoder
+	for i, raw := range raws {
+		blk, err := dec.Decode(int64(i+1), raw)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := handle.Wait(); err != nil {
+		if err := serial.IngestBatch([]any{blk}); err != nil {
 			t.Fatal(err)
 		}
-		if n != int64(len(raws)) {
-			t.Fatalf("ingested %d blocks, want %d", n, len(raws))
+	}
+
+	kit := newKit(t, "eos")
+	blocks, handle := collect.Stream(ctx, &memFetcher{raws}, collect.CrawlConfig{Workers: 4, Buffer: 16})
+	n, err := ingestStream(ctx, blocks, kit.Decoder, IngestConfig{Workers: 3, Batch: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := handle.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if n != int64(len(raws)) {
+		t.Fatalf("ingested %d blocks, want %d", n, len(raws))
+	}
+	if want, got := serial.Summary().Render(), kit.Summarize().Render(); want != got {
+		t.Fatalf("sharded stream ingest diverged from the serial fold\n--- serial ---\n%s\n--- sharded ---\n%s", want, got)
+	}
+}
+
+// TestIngestRefusesUnshardedDecoder: the pool has one path, per-worker
+// shards; a decoder that cannot hand one out is refused by name before a
+// block is folded, not silently locked per batch.
+func TestIngestRefusesUnshardedDecoder(t *testing.T) {
+	raws := makeEOSRawBlocks(t, 12, 1)
+	kit := newKit(t, "eos")
+	dec := lockedDecoder{kit.Decoder}
+	check := func(path string, n int64, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "core.lockedDecoder") {
+			t.Fatalf("%s: err = %v, want a refusal naming core.lockedDecoder", path, err)
 		}
-		return agg
+		if n != 0 || kit.Txs() != 0 {
+			t.Fatalf("%s: %d blocks ingested, %d txs folded into a refused decoder's aggregate", path, n, kit.Txs())
+		}
 	}
-	locked := run(func(a *EOSAggregator) Decoder { return lockedDecoder{a.Decoder()} })
-	sharded := run(func(a *EOSAggregator) Decoder { return a.Decoder() })
-	if lr, sr := SummarizeEOS(locked).Render(), SummarizeEOS(sharded).Render(); lr != sr {
-		t.Fatalf("sharded stream ingest diverged from locked\n--- locked ---\n%s\n--- sharded ---\n%s", lr, sr)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	blocks, handle := collect.Stream(ctx, &memFetcher{raws}, collect.CrawlConfig{Workers: 1, Buffer: 2})
+	n, err := ingestStream(ctx, blocks, dec, IngestConfig{})
+	cancel()
+	for blk := range blocks {
+		blk.Release()
 	}
+	handle.Wait()
+	check("ingestStream", n, err)
+
+	rd := writeRawArchive(t, t.TempDir(), "eos", raws)
+	n, err = IngestArchive(context.Background(), rd, dec, IngestConfig{})
+	check("IngestArchive", n, err)
 }
 
 // TestIngestCrawlSizesTeeLessCrawls: IngestCrawl is where Figure 2's
@@ -259,7 +297,7 @@ func TestIngestCrawlSizesTeeLessCrawls(t *testing.T) {
 	raws := makeEOSRawBlocks(t, 40, 2)
 	ctx := context.Background()
 	res, _, err := IngestCrawl(ctx, &memFetcher{raws}, collect.CrawlConfig{Workers: 1},
-		NewEOSAggregator(chain.ObservationStart, 6*time.Hour).Decoder(), IngestConfig{})
+		newKit(t, "eos").Decoder, IngestConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +315,7 @@ func TestIngestCrawlSizesTeeLessCrawls(t *testing.T) {
 	var teed int
 	res, _, err = IngestCrawl(ctx, &memFetcher{raws}, collect.CrawlConfig{
 		Workers: 1, Tee: func(int64, []byte) error { teed++; return nil },
-	}, NewEOSAggregator(chain.ObservationStart, 6*time.Hour).Decoder(), IngestConfig{})
+	}, newKit(t, "eos").Decoder, IngestConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

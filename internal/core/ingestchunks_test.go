@@ -434,7 +434,7 @@ func TestIngestChunksCutError(t *testing.T) {
 // must be concrete before anything is fetched.
 func TestIngestChunksRefusesBadInput(t *testing.T) {
 	f := newFuncFetcher(10, nil)
-	unsharded := lockedDecoder{NewEOSAggregator(time.Unix(0, 0), time.Hour).Decoder()}
+	unsharded := lockedDecoder{newKit(t, "eos").Decoder}
 	if _, err := IngestChunks(context.Background(), f, collect.CrawlConfig{From: 1, To: 10}, unsharded, IngestConfig{}, 4, nil); err == nil {
 		t.Error("a decoder without shards was accepted")
 	}

@@ -77,7 +77,7 @@ func TestEOSIngestSteadyStateZeroAllocs(t *testing.T) {
 			})
 	}
 	block := eosBlock(1, ts, txs...)
-	shard := NewEOSAggregator(chain.ObservationStart, 6*time.Hour).NewState().(*EOSShard)
+	shard := newShard[*EOSShard]()
 	shard.ingest(block, ts)
 	if allocs := testing.AllocsPerRun(100, func() { shard.ingest(block, ts) }); allocs != 0 {
 		t.Fatalf("EOSShard.ingest over a transfer block: %.1f allocs/block in steady state, want 0", allocs)

@@ -12,14 +12,13 @@ import (
 // unlike a live crawl) claim record ranges from archive.Reader.Replay —
 // ranges, not segments, so a one-segment archive keeps every worker busy —
 // each decoding its records in place and folding them into a private
-// shard when d is a ShardedDecoder. Which worker's shard a block lands in
+// shard of d. Which worker's shard a block lands in
 // depends on scheduling; the merged aggregate does not. Memory beyond the
 // reader's segment cache is at most cfg.Workers inflated segments. Each
 // worker batches cfg.Batch decoded blocks between shard folds so arena
 // structs recycle in bulk; the shards merge in worker order after the
-// walk, so the whole replay takes exactly cfg.Workers aggregator lock
-// acquisitions. A non-sharded decoder falls back to batched IngestBatch
-// under the aggregator lock.
+// walk, so the whole replay takes exactly cfg.Workers lock acquisitions. A
+// decoder that is not a ShardedDecoder is refused before the walk starts.
 //
 // Compared with driving collect.Stream over the Reader's FetchBlock, this
 // path skips the per-block copy, the channel hop and the segment-cache
@@ -35,6 +34,9 @@ func IngestArchive(ctx context.Context, rd *archive.Reader, d Decoder, cfg Inges
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	pool := newIngestPool(d, workers, cfg.Batch)
+	pool, err := newIngestPool(d, workers, cfg.Batch)
+	if err != nil {
+		return 0, err
+	}
 	return pool.drain(rd.Replay(ctx, workers, pool.add))
 }

@@ -3,11 +3,9 @@ package core
 import (
 	"context"
 	"testing"
-	"time"
 
 	"repro/internal/archive"
 	"repro/internal/blobstore"
-	"repro/internal/chain"
 	"repro/internal/collect"
 	"repro/internal/wire"
 )
@@ -42,28 +40,28 @@ func TestIngestArchiveMatchesStreamIngest(t *testing.T) {
 	raws := makeEOSRawBlocks(t, 96, 4)
 	rd := writeRawArchive(t, t.TempDir(), "eos", raws)
 
-	streamAgg := NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
+	streamKit := newKit(t, "eos")
 	res, _, err := IngestCrawl(context.Background(), rd, collect.CrawlConfig{
 		From: rd.From(), To: rd.To(), Workers: 3,
-	}, streamAgg.Decoder(), IngestConfig{Workers: 2, Batch: 8})
+	}, streamKit.Decoder, IngestConfig{Workers: 2, Batch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Blocks != int64(len(raws)) {
 		t.Fatalf("stream replay fetched %d blocks, want %d", res.Blocks, len(raws))
 	}
-	want := SummarizeEOS(streamAgg).Render()
+	want := streamKit.Summarize().Render()
 
 	for _, workers := range []int{1, 2, 4, 7} {
-		agg := NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
-		n, err := IngestArchive(context.Background(), rd, agg.Decoder(), IngestConfig{Workers: workers, Batch: 8})
+		kit := newKit(t, "eos")
+		n, err := IngestArchive(context.Background(), rd, kit.Decoder, IngestConfig{Workers: workers, Batch: 8})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if n != int64(len(raws)) {
 			t.Fatalf("workers=%d: ingested %d blocks, want %d", workers, n, len(raws))
 		}
-		if got := SummarizeEOS(agg).Render(); got != want {
+		if got := kit.Summarize().Render(); got != want {
 			t.Fatalf("workers=%d: segment-walk render diverged\n--- stream ---\n%s\n--- walk ---\n%s", workers, want, got)
 		}
 	}
@@ -109,10 +107,7 @@ func TestIngestArchiveOneSegmentAnyWorkers(t *testing.T) {
 		}
 		var want string
 		for _, workers := range []int{1, 2, 4, 8} {
-			kit, err := NewStatsKit(name, chain.ObservationStart, 6*time.Hour)
-			if err != nil {
-				t.Fatal(err)
-			}
+			kit := newKit(t, name)
 			n, err := IngestArchive(context.Background(), rd, kit.Decoder, IngestConfig{Workers: workers, Batch: 4})
 			if err != nil || n != int64(len(raws)) {
 				t.Fatalf("%s workers=%d: ingested %d of %d blocks, err %v", name, workers, n, len(raws), err)
@@ -134,8 +129,7 @@ func TestIngestArchiveDecodeError(t *testing.T) {
 	raws := makeEOSRawBlocks(t, 12, 1)
 	raws[7] = []byte(`{broken`)
 	rd := writeRawArchive(t, t.TempDir(), "eos", raws)
-	agg := NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
-	n, err := IngestArchive(context.Background(), rd, agg.Decoder(), IngestConfig{Workers: 2})
+	n, err := IngestArchive(context.Background(), rd, newKit(t, "eos").Decoder, IngestConfig{Workers: 2})
 	if err == nil {
 		t.Fatal("corrupt payload replayed without error")
 	}

@@ -17,30 +17,25 @@ import (
 // parallel diff rests on, checked here at unit scale with adversarial
 // randomization for each of the three chains.
 
-func testShardedRenders[B any, A interface {
-	aggregator
-	Decoder() Decoder
-}](
-	t *testing.T,
-	blocks []B,
-	newAgg func() A,
-	render func(A) string,
-) {
+func testShardedRenders[B any](t *testing.T, chainName string, blocks []B) {
 	t.Helper()
-	// Baseline: every block through the locked single-shard path, in one
-	// batch.
-	base := newAgg()
+	// Baseline: every block folded serially into one standalone state, in
+	// one batch, on this goroutine — the same fold code, without a lock.
+	base, err := NewShardState(chainName, chain.ObservationStart, 6*time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := base.IngestBatch(asBatch(blocks)); err != nil {
 		t.Fatal(err)
 	}
-	want := render(base)
+	want := base.Summary().Render()
 	if want == "" {
 		t.Fatal("baseline render is empty — generator produced no data")
 	}
 
-	// The shards come from the aggregator's own decoder, as the ingest pool
+	// The shards come from a StatsKit's own decoder, as the ingest pool
 	// takes them: merged once at drain, or wrapped in PeriodicMerge so they
-	// also fold into the aggregator mid-ingest, every other batch.
+	// also fold into the kit's state mid-ingest, every other batch.
 	for _, mode := range []struct {
 		name string
 		wrap func(Decoder) Decoder
@@ -51,8 +46,8 @@ func testShardedRenders[B any, A interface {
 		t.Run(mode.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(23))
 			for iter := 0; iter < 12; iter++ {
-				agg := newAgg()
-				dec := mode.wrap(agg.Decoder()).(ShardedDecoder)
+				kit := newKit(t, chainName)
+				dec := mode.wrap(kit.Decoder).(ShardedDecoder)
 				if _, ok := dec.(BatchReleaser); !ok {
 					t.Fatal("decoder lost BatchReleaser: the ingest pool would never recycle its arena structs")
 				}
@@ -92,13 +87,34 @@ func testShardedRenders[B any, A interface {
 				for _, w := range rng.Perm(shardCount) {
 					shards[w].Merge()
 				}
-				if got := render(agg); got != want {
+				if got := kit.Summarize().Render(); got != want {
 					t.Fatalf("iter %d (%d shards): sharded render diverged\n--- single-shard ---\n%s\n--- sharded ---\n%s",
 						iter, shardCount, want, got)
 				}
 			}
 		})
 	}
+}
+
+// newKit builds chainName's StatsKit in the tests' window.
+func newKit(t testing.TB, chainName string) StatsKit {
+	t.Helper()
+	kit, err := NewStatsKit(chainName, chain.ObservationStart, 6*time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return kit
+}
+
+// newShard builds an empty standalone state in the tests' window as its
+// concrete shard type S (*EOSShard, *TezosShard or *XRPShard).
+func newShard[S ShardState]() S {
+	var zero S
+	st, err := NewShardState(zero.Chain(), chain.ObservationStart, 6*time.Hour)
+	if err != nil {
+		panic(err)
+	}
+	return st.(S)
 }
 
 // asBatch converts a typed block slice into the []any batch shape the
@@ -191,10 +207,7 @@ func genEOSBlocks(n int) []*wire.EOSBlock {
 }
 
 func TestShardedEOSRenderByteIdentical(t *testing.T) {
-	testShardedRenders(t, genEOSBlocks(64),
-		func() *EOSAggregator { return NewEOSAggregator(chain.ObservationStart, 6*time.Hour) },
-		func(a *EOSAggregator) string { return SummarizeEOS(a).Render() },
-	)
+	testShardedRenders(t, "eos", genEOSBlocks(64))
 }
 
 // genTezosBlocks fabricates Tezos blocks with endorsements, transactions,
@@ -238,10 +251,7 @@ func genTezosBlocks(n int) []*wire.TezosBlock {
 }
 
 func TestShardedTezosRenderByteIdentical(t *testing.T) {
-	testShardedRenders(t, genTezosBlocks(64),
-		func() *TezosAggregator { return NewTezosAggregator(chain.ObservationStart, 6*time.Hour) },
-		func(a *TezosAggregator) string { return SummarizeTezos(a).Render() },
-	)
+	testShardedRenders(t, "tezos", genTezosBlocks(64))
 }
 
 // genXRPLedgers fabricates ledgers with native and IOU payments, failures,
@@ -297,8 +307,5 @@ func genXRPLedgers(n int) []*wire.XRPLedger {
 }
 
 func TestShardedXRPRenderByteIdentical(t *testing.T) {
-	testShardedRenders(t, genXRPLedgers(64),
-		func() *XRPAggregator { return NewXRPAggregator(chain.ObservationStart, 6*time.Hour) },
-		func(a *XRPAggregator) string { return SummarizeXRP(a).Render() },
-	)
+	testShardedRenders(t, "xrp", genXRPLedgers(64))
 }

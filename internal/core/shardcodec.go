@@ -13,9 +13,10 @@
 //   - EOS classification tables (TokenContracts, ContractLabels,
 //     EIDOSContract): configuration, not aggregate state — the decoder's
 //     own tables apply.
-//   - XRP explorer exchange records beyond those ingested into the shard:
-//     AddExchanges lands on the owning aggregator, which in a distributed
-//     crawl is the coordinator's.
+//   - XRP explorer exchange records a shard never received: AddExchanges
+//     runs on a drained aggregate after the crawl, never on a worker
+//     shard, so a distributed crawl's shards carry none and whoever merges
+//     them adds the explorer's records itself.
 
 package core
 

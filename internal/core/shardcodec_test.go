@@ -107,17 +107,17 @@ func TestShardCodecRoundTripXRP(t *testing.T) {
 	testShardCodecRoundTrip(t, "xrp", genXRPLedgers(64))
 }
 
-// TestShardCodecXRPExchanges covers the aggregator-only exchange records:
-// an XRP shard that absorbed explorer exchanges must carry them through
+// TestShardCodecXRPExchanges covers the explorer's exchange records: an
+// XRP shard that absorbed them through AddExchanges must carry them through
 // encode/decode (they feed the rate oracle behind Figure 7).
 func TestShardCodecXRPExchanges(t *testing.T) {
-	agg := NewXRPAggregator(chain.ObservationStart, 6*time.Hour)
+	agg := newShard[*XRPShard]()
 	if err := agg.IngestBatch(asBatch(genXRPLedgers(16))); err != nil {
 		t.Fatal(err)
 	}
 	agg.AddExchanges(genExchanges(8))
-	agg.XRPShard.SetCovered(BlockRange{From: 1, To: 16})
-	blob := encodeState(t, &agg.XRPShard)
+	agg.SetCovered(BlockRange{From: 1, To: 16})
+	blob := encodeState(t, agg)
 	dec, err := DecodeShard(blob)
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +125,7 @@ func TestShardCodecXRPExchanges(t *testing.T) {
 	if got, want := len(dec.(*XRPShard).exchanges), len(agg.exchanges); got != want {
 		t.Fatalf("decoded %d exchanges, want %d", got, want)
 	}
-	if got, want := dec.Summary().Render(), agg.XRPShard.Summary().Render(); got != want {
+	if got, want := dec.Summary().Render(), agg.Summary().Render(); got != want {
 		t.Fatalf("render diverged after exchange round-trip\n--- want ---\n%s\n--- got ---\n%s", want, got)
 	}
 }
@@ -259,7 +259,11 @@ func TestShardGoldenBlobs(t *testing.T) {
 
 // FuzzShardDecode drives arbitrary bytes through the whole decode path:
 // any input may error but must never panic, and anything that decodes must
-// re-encode cleanly (no partially-initialized state escapes).
+// re-encode cleanly (no partially-initialized state escapes), answer every
+// figure query, and merge — into a state of its own window, where Merge
+// may accept or refuse it, and into a differently windowed one, where the
+// window check must refuse it before stats.TimeSeries.Merge could panic on
+// misaligned buckets.
 func FuzzShardDecode(f *testing.F) {
 	for _, seed := range [][]byte{
 		{}, []byte("SHRD"), []byte("not a shard at all"),
@@ -295,7 +299,58 @@ func FuzzShardDecode(f *testing.F) {
 			t.Fatalf("decoded state failed to re-encode: %v", err)
 		}
 		_ = st.Summary().Render()
+		queryFigures(st)
+
+		w := st.Window()
+		otherBucket := 7 * time.Hour
+		if w.Bucket == otherBucket {
+			otherBucket = 5 * time.Hour
+		}
+		other, err := NewShardState(st.Chain(), chain.ObservationStart, otherBucket)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := other.Merge(st); err == nil {
+			t.Fatalf("merged a %s shard into a %s one", w, other.Window())
+		}
+		same, err := NewShardState(st.Chain(), w.Origin, w.Bucket)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if same.Merge(st) == nil {
+			_ = same.Summary().Render()
+			queryFigures(same)
+		}
 	})
+}
+
+// queryFigures runs every figure query the report renders from a chain's
+// shard, discarding the answers: FuzzShardDecode only asks that none
+// panics on decoded state.
+func queryFigures(st ShardState) {
+	switch s := st.(type) {
+	case *EOSShard:
+		s.TransferShare()
+		s.EIDOSShare()
+		s.BoomerangTransactions()
+		s.TopReceivers(8)
+		s.TopSenderPairs(6, 3)
+		AnalyzeWashTrades(s.Trades, 5)
+	case *TezosShard:
+		s.EndorsementShare()
+		s.ConsensusShare()
+		s.TopSenders(6)
+		s.VoteSeries("proposals", 24*time.Hour)
+		s.VoteSeries("ballot", 24*time.Hour)
+	case *XRPShard:
+		s.Decompose()
+		s.TopAccounts(10)
+		Concentration(s.TrafficShares(), 18)
+		s.IssuerRates("BTC")
+		s.RateSeries(XRPAssetKey{Currency: "BTC", Issuer: "rGateway"})
+		s.ValueFlow(nil, 5)
+		NewSpamClusterDetector().Detect(s.PaymentViews())
+	}
 }
 
 // genExchanges fabricates explorer exchange records for the XRP tests.

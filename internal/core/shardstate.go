@@ -108,11 +108,10 @@ type ShardState interface {
 }
 
 // NewShardState builds an empty standalone shard for a chain name — the
-// merge coordinator's entry point, needing no aggregator. EOS states carry
-// the default classification tables (the same ones NewEOSAggregator
-// installs), which are configuration, not aggregate state: they are never
-// serialized, so an emitted shard decodes against the coordinator's own
-// tables.
+// merge coordinator's entry point, and the state behind every StatsKit.
+// EOS states carry the default classification tables, which are
+// configuration, not aggregate state: they are never serialized, so an
+// emitted shard decodes against the coordinator's own tables.
 func NewShardState(chainName string, origin time.Time, bucket time.Duration) (ShardState, error) {
 	switch chainName {
 	case "eos":

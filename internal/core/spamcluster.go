@@ -181,11 +181,9 @@ type XRPPaymentView struct {
 	HasValue bool
 }
 
-// PaymentViews projects the aggregator's successful payments for the spam
+// PaymentViews projects the shard's successful payments for the spam
 // detector, valuing tokens through the observed exchange rates.
-func (a *XRPAggregator) PaymentViews() []XRPPaymentView {
-	a.mu.Lock()
-	defer a.mu.Unlock()
+func (a *XRPShard) PaymentViews() []XRPPaymentView {
 	out := make([]XRPPaymentView, 0, len(a.payments))
 	for _, p := range a.payments {
 		if !p.Success {
@@ -193,7 +191,7 @@ func (a *XRPAggregator) PaymentViews() []XRPPaymentView {
 		}
 		hasValue := p.Native
 		if !hasValue {
-			hasValue = a.rateToXRPLocked(XRPAssetKey{Currency: p.Currency, Issuer: p.Issuer}) > 0
+			hasValue = a.RateToXRP(XRPAssetKey{Currency: p.Currency, Issuer: p.Issuer}) > 0
 		}
 		out = append(out, XRPPaymentView{From: p.From, To: p.To, HasValue: hasValue})
 	}

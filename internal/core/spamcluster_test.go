@@ -90,7 +90,7 @@ func TestSpamClusterThresholds(t *testing.T) {
 }
 
 func TestPaymentViewsValuation(t *testing.T) {
-	a := NewXRPAggregator(chain.ObservationStart, 6*time.Hour)
+	a := newShard[*XRPShard]()
 	gw := "rGW"
 	a.AddExchanges([]XRPExchange{{
 		Time:      chain.ObservationStart,
@@ -148,7 +148,7 @@ func TestSpamClusterEndToEnd(t *testing.T) {
 		st.CloseLedger()
 	}
 
-	agg := NewXRPAggregator(chain.ObservationStart, 6*time.Hour)
+	agg := newShard[*XRPShard]()
 	for i := int64(1); i <= st.HeadIndex(); i++ {
 		full := rpcserve.XRPLedgerToJSON(st.GetLedger(i), true)
 		var led wire.XRPLedger

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/stats"
+	"repro/internal/wire"
 )
 
 // ChainSummary is one chain's deterministic aggregate footprint: every
@@ -30,61 +31,60 @@ type ChainSummary struct {
 	Notes []string
 }
 
-// StatsKit bundles one chain's aggregator behind the chain-agnostic
+// StatsKit bundles one chain's aggregate behind the chain-agnostic
 // surfaces the CLIs need: a Decoder for the ingest pool, the running
 // transaction count for progress lines, and the deterministic figures
 // summary. cmd/crawl builds one for its live crawl and cmd/report builds
 // one per archive it replays — both ends of the archive determinism check
-// therefore run the same code.
+// therefore run the same code. The kit holds core's one lock: its
+// Decoder's worker shards merge under it, and Txs and Summarize read under
+// it, so both are safe to call while ingestion runs.
 type StatsKit struct {
 	Chain     string
 	Decoder   Decoder
 	Txs       func() int64
 	Summarize func() ChainSummary
-	// State exposes the aggregator's accumulated shard state behind the
+	// State exposes the kit's accumulated shard state behind the
 	// ShardState contract — what a coord worker checkpoints and emits as
-	// its shard. It is the live aggregate, not a copy: encode it only
-	// while nothing is ingesting into it.
+	// its shard, and what a caller reads the figure queries from once
+	// ingestion has drained. It is the live aggregate, not a copy: touch it
+	// only while nothing is ingesting into it.
 	State func() ShardState
 }
 
-// NewStatsKit builds the aggregator stack for a chain name as it appears
-// in an archive manifest or a -chain flag.
+// NewStatsKit builds the aggregate stack for a chain name as it appears in
+// an archive manifest or a -chain flag.
 func NewStatsKit(chain string, origin time.Time, bucket time.Duration) (StatsKit, error) {
-	switch chain {
-	case "eos":
-		agg := NewEOSAggregator(origin, bucket)
-		return StatsKit{
-			Chain:     chain,
-			Decoder:   agg.Decoder(),
-			Txs:       func() int64 { return agg.Transactions },
-			Summarize: func() ChainSummary { return SummarizeEOS(agg) },
-			State:     func() ShardState { return &agg.EOSShard },
-		}, nil
-	case "tezos":
-		agg := NewTezosAggregator(origin, bucket)
-		return StatsKit{
-			Chain:     chain,
-			Decoder:   agg.Decoder(),
-			Txs:       func() int64 { return agg.Operations },
-			Summarize: func() ChainSummary { return SummarizeTezos(agg) },
-			State:     func() ShardState { return &agg.TezosShard },
-		}, nil
-	case "xrp":
-		agg := NewXRPAggregator(origin, bucket)
-		return StatsKit{
-			Chain:     chain,
-			Decoder:   agg.Decoder(),
-			Txs:       func() int64 { return agg.Transactions },
-			Summarize: func() ChainSummary { return SummarizeXRP(agg) },
-			State:     func() ShardState { return &agg.XRPShard },
-		}, nil
+	st, err := NewShardState(chain, origin, bucket)
+	if err != nil {
+		return StatsKit{}, err
 	}
-	return StatsKit{}, fmt.Errorf("core: unknown chain %q", chain)
+	k := &kitState{state: st}
+	var txs *int64
+	kit := StatsKit{Chain: chain, Summarize: k.summarize, State: func() ShardState { return st }}
+	switch s := st.(type) {
+	case *EOSShard:
+		k.blank = func() ShardState { n := s.blank(); return &n }
+		kit.Decoder = &chainDecoder[wire.EOSBlock]{k, "EOS block",
+			wire.GetEOSBlock, wire.PutEOSBlock, (*wire.Codec).DecodeEOSBlock}
+		txs = &s.Transactions
+	case *TezosShard:
+		k.blank = func() ShardState { n := s.blank(); return &n }
+		kit.Decoder = &chainDecoder[wire.TezosBlock]{k, "Tezos block",
+			wire.GetTezosBlock, wire.PutTezosBlock, (*wire.Codec).DecodeTezosBlock}
+		txs = &s.Operations
+	case *XRPShard:
+		k.blank = func() ShardState { n := s.blank(); return &n }
+		kit.Decoder = &chainDecoder[wire.XRPLedger]{k, "XRP ledger",
+			wire.GetXRPLedger, wire.PutXRPLedger, (*wire.Codec).DecodeXRPLedgerResult}
+		txs = &s.Transactions
+	}
+	kit.Txs = k.counter(txs)
+	return kit, nil
 }
 
 // cloneCounts deep-copies a count map so a summary never aliases live
-// aggregator state.
+// shard state.
 func cloneCounts(src map[string]int64) map[string]int64 {
 	dst := make(map[string]int64, len(src))
 	for k, v := range src {
@@ -93,21 +93,10 @@ func cloneCounts(src map[string]int64) map[string]int64 {
 	return dst
 }
 
-// SummarizeEOS captures an EOS aggregator's deterministic footprint. It
-// holds the aggregator lock while it reads and deep-copies everything the
-// summary keeps, so it is safe to call while ingest batches keep landing,
-// and the returned summary is immutable afterwards — the copy-on-write
-// primitive behind the serving layer's snapshots (internal/serve).
-func SummarizeEOS(a *EOSAggregator) ChainSummary {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.EOSShard.Summary()
-}
-
 // Summary captures the shard's deterministic footprint. The caller must own
-// the shard exclusively (for an aggregator's embedded shard, that means
-// holding its mutex — use SummarizeEOS). Nothing in the returned summary
-// aliases shard state.
+// the shard exclusively (for a StatsKit's state while ingestion may run,
+// call the kit's Summarize, which holds its lock). Nothing in the returned
+// summary aliases shard state.
 func (s *EOSShard) Summary() ChainSummary {
 	wash := AnalyzeWashTrades(s.Trades, 5)
 	sum := ChainSummary{
@@ -130,15 +119,6 @@ func (s *EOSShard) Summary() ChainSummary {
 	return sum
 }
 
-// SummarizeTezos captures a Tezos aggregator's deterministic footprint.
-// Like SummarizeEOS it locks and deep-copies, so it is safe under
-// concurrent ingestion and the result is immutable.
-func SummarizeTezos(a *TezosAggregator) ChainSummary {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.TezosShard.Summary()
-}
-
 // Summary captures the shard's deterministic footprint; the caller must own
 // the shard exclusively (see EOSShard.Summary).
 func (s *TezosShard) Summary() ChainSummary {
@@ -158,15 +138,6 @@ func (s *TezosShard) Summary() ChainSummary {
 			fmt.Sprintf("endorsements:    %.2f%% of ops", 100*endorsementShare),
 		},
 	}
-}
-
-// SummarizeXRP captures an XRP aggregator's deterministic footprint. Like
-// SummarizeEOS it locks and deep-copies, so it is safe under concurrent
-// ingestion and the result is immutable.
-func SummarizeXRP(a *XRPAggregator) ChainSummary {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.XRPShard.Summary()
 }
 
 // Summary captures the shard's deterministic footprint; the caller must own

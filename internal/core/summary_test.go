@@ -27,13 +27,13 @@ func TestChainSummaryOrderIndependent(t *testing.T) {
 		return blocks
 	}
 
-	forward := NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
+	forward := newShard[*EOSShard]()
 	for _, b := range mkBlocks() {
 		if err := forward.IngestBatch([]any{b}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	backward := NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
+	backward := newShard[*EOSShard]()
 	blocks := mkBlocks()
 	for i := len(blocks) - 1; i >= 0; i-- {
 		if err := backward.IngestBatch([]any{blocks[i]}); err != nil {
@@ -41,14 +41,14 @@ func TestChainSummaryOrderIndependent(t *testing.T) {
 		}
 	}
 
-	a, b := SummarizeEOS(forward).Render(), SummarizeEOS(backward).Render()
+	a, b := forward.Summary().Render(), backward.Summary().Render()
 	if a != b {
 		t.Fatalf("summaries differ by ingestion order:\n%s\nvs\n%s", a, b)
 	}
 }
 
 func TestChainSummaryEOSContent(t *testing.T) {
-	a := NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
+	a := newShard[*EOSShard]()
 	ts := chain.ObservationStart
 	for i := 0; i < 4; i++ {
 		if err := a.IngestBatch([]any{eosBlock(i+1, ts.Add(time.Duration(i)*time.Second),
@@ -57,7 +57,7 @@ func TestChainSummaryEOSContent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	out := SummarizeEOS(a).Render()
+	out := a.Summary().Render()
 	for _, want := range []string{
 		"--- eos figures ---",
 		"blocks:          4",
@@ -75,14 +75,14 @@ func TestChainSummaryEOSContent(t *testing.T) {
 }
 
 func TestChainSummaryTezosAndXRP(t *testing.T) {
-	tz := NewTezosAggregator(chain.ObservationStart, 6*time.Hour)
+	tz := newShard[*TezosShard]()
 	if err := tz.IngestBatch([]any{tezosBlock(1, chain.ObservationStart,
 		wire.TezosOperationJSON{Kind: "endorsement", Level: 1, SlotCount: 1},
 		wire.TezosOperationJSON{Kind: "transaction", Source: "tz1a", Destination: "tz1b", Amount: 5},
 	)}); err != nil {
 		t.Fatal(err)
 	}
-	out := SummarizeTezos(tz).Render()
+	out := tz.Summary().Render()
 	if !strings.Contains(out, "--- tezos figures ---") || !strings.Contains(out, "endorsement") {
 		t.Fatalf("tezos summary:\n%s", out)
 	}
@@ -90,21 +90,21 @@ func TestChainSummaryTezosAndXRP(t *testing.T) {
 		t.Fatalf("tezos endorsement share line wrong:\n%s", out)
 	}
 
-	x := NewXRPAggregator(chain.ObservationStart, 6*time.Hour)
+	x := newShard[*XRPShard]()
 	if err := x.IngestBatch([]any{xrpLedger(1, chain.ObservationStart,
 		payment("rA", "rB", xrpAmt("XRP", "", 10), "tesSUCCESS"),
 		payment("rA", "rB", xrpAmt("XRP", "", 10), "tecUNFUNDED_PAYMENT"),
 	)}); err != nil {
 		t.Fatal(err)
 	}
-	xout := SummarizeXRP(x).Render()
+	xout := x.Summary().Render()
 	if !strings.Contains(xout, "--- xrp figures ---") || !strings.Contains(xout, "failed txs:      1 (50.00%)") {
 		t.Fatalf("xrp summary:\n%s", xout)
 	}
 }
 
 func TestChainSummaryEmpty(t *testing.T) {
-	out := SummarizeTezos(NewTezosAggregator(chain.ObservationStart, 6*time.Hour)).Render()
+	out := newShard[*TezosShard]().Summary().Render()
 	if !strings.Contains(out, "window:          (empty)") {
 		t.Fatalf("empty summary:\n%s", out)
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/stats"
@@ -11,7 +10,10 @@ import (
 
 // TezosShard is the mutable aggregate state for a partition of Tezos
 // blocks: one goroutine owns it, disjoint shards merge with Merge, and all
-// of its statistics are order-independent (see EOSShard).
+// of its statistics are order-independent (see EOSShard). It accumulates
+// Figure 1's operation-kind distribution, Figure 3b's throughput series,
+// Figure 6's top-sender fan-out statistics and Figure 9's governance vote
+// series.
 type TezosShard struct {
 	Blocks     int64
 	Operations int64
@@ -35,15 +37,6 @@ type TezosShard struct {
 	covered BlockRange
 }
 
-// TezosAggregator ingests crawled Tezos blocks and accumulates Figure 1's
-// operation-kind distribution, Figure 3b's throughput series, Figure 6's
-// top-sender fan-out statistics and Figure 9's governance vote series. It
-// is a thin locked wrapper around one TezosShard (see EOSAggregator).
-type TezosAggregator struct {
-	mu sync.Mutex
-	TezosShard
-}
-
 // GovernanceVote is one proposals/ballot operation as observed on chain.
 type GovernanceVote struct {
 	Time     time.Time
@@ -55,11 +48,11 @@ type GovernanceVote struct {
 	Source   string
 }
 
-// NewTezosAggregator builds an empty aggregator.
-func NewTezosAggregator(origin time.Time, bucket time.Duration) *TezosAggregator {
-	a := &TezosAggregator{}
-	a.TezosShard.init(origin, bucket)
-	return a
+// blank returns an empty shard with s's window.
+func (s *TezosShard) blank() TezosShard {
+	var n TezosShard
+	n.init(s.Series.Origin(), s.Series.Width())
+	return n
 }
 
 // init allocates a shard's mutable containers.
@@ -67,22 +60,6 @@ func (s *TezosShard) init(origin time.Time, bucket time.Duration) {
 	s.OpsByKind = make(map[string]int64)
 	s.Series = stats.NewTimeSeries(origin, bucket)
 	s.sentTo = make(map[string]map[string]int64)
-}
-
-// NewState spawns an empty private shard with the aggregator's series
-// geometry, exclusively owned by the caller until MergeState.
-func (a *TezosAggregator) NewState() ShardState {
-	s := &TezosShard{}
-	s.init(a.Series.Origin(), a.Series.Width())
-	return s
-}
-
-// MergeState folds a compatible ShardState into the aggregator under one
-// lock acquisition and resets it.
-func (a *TezosAggregator) MergeState(st ShardState) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.TezosShard.Merge(st)
 }
 
 // Chain names the shard's chain for the ShardState contract.
@@ -120,9 +97,7 @@ func (s *TezosShard) merge(src *TezosShard) {
 	mergeNested(s.sentTo, src.sentTo)
 	s.Votes = append(s.Votes, src.Votes...)
 	mergeWindow(&s.FirstBlockTime, &s.LastBlockTime, src.FirstBlockTime, src.LastBlockTime)
-	origin, width := src.Series.Origin(), src.Series.Width()
-	*src = TezosShard{}
-	src.init(origin, width)
+	*src = src.blank()
 }
 
 func tezosBlockTime(b *wire.TezosBlock) (time.Time, error) {
@@ -138,21 +113,6 @@ func (s *TezosShard) IngestBatch(batch []any) error {
 	}
 	for i, b := range blocks {
 		s.ingest(b, times[i])
-	}
-	return nil
-}
-
-// IngestBatch folds a batch of decoded blocks into the aggregator, one
-// lock acquisition for the whole batch.
-func (a *TezosAggregator) IngestBatch(batch []any) error {
-	blocks, times, err := parseBatch(batch, "tezos", tezosBlockTime)
-	if err != nil {
-		return err
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for i, b := range blocks {
-		a.TezosShard.ingest(b, times[i])
 	}
 	return nil
 }
@@ -202,9 +162,7 @@ func tezosSeriesLabel(kind string) string {
 
 // EndorsementShare returns the fraction of operations that are endorsements
 // (the paper: 81.7 %).
-func (a *TezosAggregator) EndorsementShare() float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
+func (a *TezosShard) EndorsementShare() float64 {
 	if a.Operations == 0 {
 		return 0
 	}
@@ -213,9 +171,7 @@ func (a *TezosAggregator) EndorsementShare() float64 {
 
 // ConsensusShare returns the fraction of consensus-related operations
 // (endorsements + seed nonces + double-baking evidence).
-func (a *TezosAggregator) ConsensusShare() float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
+func (a *TezosShard) ConsensusShare() float64 {
 	if a.Operations == 0 {
 		return 0
 	}
@@ -237,9 +193,7 @@ type TezosSenderProfile struct {
 // per-receiver average and standard deviation (Figure 6). The paper uses
 // these statistics to distinguish airdrop-style fan-out (one tx to tens of
 // thousands of receivers) from service traffic.
-func (a *TezosAggregator) TopSenders(k int) []TezosSenderProfile {
-	a.mu.Lock()
-	defer a.mu.Unlock()
+func (a *TezosShard) TopSenders(k int) []TezosSenderProfile {
 	out := make([]TezosSenderProfile, 0, len(a.sentTo))
 	for sender, receivers := range a.sentTo {
 		var w stats.Welford
@@ -272,9 +226,7 @@ func (a *TezosAggregator) TopSenders(k int) []TezosSenderProfile {
 // one period kind, keyed by the series label (proposal hash during proposal
 // periods, ballot choice during voting periods). This reproduces the three
 // panels of Figure 9.
-func (a *TezosAggregator) VoteSeries(kind string, bucket time.Duration) *stats.TimeSeries {
-	a.mu.Lock()
-	defer a.mu.Unlock()
+func (a *TezosShard) VoteSeries(kind string, bucket time.Duration) *stats.TimeSeries {
 	var first time.Time
 	for _, v := range a.Votes {
 		if v.Kind != kind {

@@ -23,7 +23,7 @@ func tezosBlock(level int64, ts time.Time, ops ...wire.TezosOperationJSON) *wire
 }
 
 func TestTezosAggregatorShares(t *testing.T) {
-	a := NewTezosAggregator(chain.ObservationStart, 6*time.Hour)
+	a := newShard[*TezosShard]()
 	ts := chain.ObservationStart
 	var ops []wire.TezosOperationJSON
 	for i := 0; i < 23; i++ {
@@ -57,7 +57,7 @@ func TestTezosAggregatorShares(t *testing.T) {
 }
 
 func TestTezosTopSendersFanOut(t *testing.T) {
-	a := NewTezosAggregator(chain.ObservationStart, 6*time.Hour)
+	a := newShard[*TezosShard]()
 	ts := chain.ObservationStart
 	var ops []wire.TezosOperationJSON
 	// Airdropper: one tx each to 100 receivers (avg 1, stdev 0).
@@ -91,7 +91,7 @@ func TestTezosTopSendersFanOut(t *testing.T) {
 }
 
 func TestTezosVoteSeries(t *testing.T) {
-	a := NewTezosAggregator(chain.ObservationStart, 6*time.Hour)
+	a := newShard[*TezosShard]()
 	day := 24 * time.Hour
 	base := time.Date(2019, 8, 9, 0, 0, 0, 0, time.UTC)
 	a.IngestBatch([]any{tezosBlock(1, base,

@@ -3,7 +3,6 @@ package core
 import (
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/stats"
@@ -37,8 +36,12 @@ type XRPExchange struct {
 
 // XRPShard is the mutable aggregate state for a partition of XRP ledgers:
 // one goroutine owns it, disjoint shards merge with Merge, and all of its
-// statistics are order-independent (see EOSShard). Exchange records from
-// the explorer land on the owning aggregator, not on decode shards.
+// statistics are order-independent (see EOSShard). It reproduces the
+// paper's XRP analysis: Figure 1's type distribution, Figure 3c's
+// throughput series, Figure 7's value decomposition, Figure 8's most-active
+// accounts, Figure 11's IOU rate tables and Figure 12's value flows.
+// Exchange records from the explorer land through AddExchanges on the
+// drained aggregate, not on decode shards.
 type XRPShard struct {
 	Ledgers      int64
 	Transactions int64
@@ -69,17 +72,6 @@ type XRPShard struct {
 	covered BlockRange
 }
 
-// XRPAggregator ingests crawled XRP ledgers plus the explorer's exchange
-// records and reproduces the paper's XRP analysis: Figure 1's type
-// distribution, Figure 3c's throughput series, Figure 7's value
-// decomposition, Figure 8's most-active accounts, Figure 11's IOU rate
-// tables and Figure 12's value flows. It is a thin locked wrapper around
-// one XRPShard (see EOSAggregator).
-type XRPAggregator struct {
-	mu sync.Mutex
-	XRPShard
-}
-
 type offerRef struct {
 	Account  string
 	Sequence uint32
@@ -104,11 +96,11 @@ type xrpPayment struct {
 	Native   bool
 }
 
-// NewXRPAggregator builds an empty aggregator.
-func NewXRPAggregator(origin time.Time, bucket time.Duration) *XRPAggregator {
-	a := &XRPAggregator{}
-	a.XRPShard.init(origin, bucket)
-	return a
+// blank returns an empty shard with s's window.
+func (s *XRPShard) blank() XRPShard {
+	var n XRPShard
+	n.init(s.Series.Origin(), s.Series.Width())
+	return n
 }
 
 // init allocates a shard's mutable containers.
@@ -119,22 +111,6 @@ func (s *XRPShard) init(origin time.Time, bucket time.Duration) {
 	s.byAccount = make(map[string]*xrpAccountAgg)
 	s.offersExecuted = make(map[offerRef]bool)
 	s.restingOffers = make(map[offerRef]bool)
-}
-
-// NewState spawns an empty private shard with the aggregator's series
-// geometry, exclusively owned by the caller until MergeState.
-func (a *XRPAggregator) NewState() ShardState {
-	s := &XRPShard{}
-	s.init(a.Series.Origin(), a.Series.Width())
-	return s
-}
-
-// MergeState folds a compatible ShardState into the aggregator under one
-// lock acquisition and resets it.
-func (a *XRPAggregator) MergeState(st ShardState) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.XRPShard.Merge(st)
 }
 
 // Chain names the shard's chain for the ShardState contract.
@@ -191,9 +167,7 @@ func (s *XRPShard) merge(src *XRPShard) {
 	}
 	s.exchanges = append(s.exchanges, src.exchanges...)
 	mergeWindow(&s.FirstLedgerTime, &s.LastLedgerTime, src.FirstLedgerTime, src.LastLedgerTime)
-	origin, width := src.Series.Origin(), src.Series.Width()
-	*src = XRPShard{}
-	src.init(origin, width)
+	*src = src.blank()
 }
 
 func xrpCloseTime(l *wire.XRPLedger) (time.Time, error) {
@@ -209,21 +183,6 @@ func (s *XRPShard) IngestBatch(batch []any) error {
 	}
 	for i, l := range ledgers {
 		s.ingest(l, times[i])
-	}
-	return nil
-}
-
-// IngestBatch folds a batch of decoded ledgers into the aggregator, one
-// lock acquisition for the whole batch.
-func (a *XRPAggregator) IngestBatch(batch []any) error {
-	ledgers, times, err := parseBatch(batch, "xrp", xrpCloseTime)
-	if err != nil {
-		return err
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for i, l := range ledgers {
-		a.XRPShard.ingest(l, times[i])
 	}
 	return nil
 }
@@ -300,9 +259,7 @@ func xrpSeriesLabel(txType string) string {
 
 // AddExchanges feeds the explorer's trade records into the aggregate, both
 // for the rate oracle and to attribute maker-side fills to resting offers.
-func (a *XRPAggregator) AddExchanges(ex []XRPExchange) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
+func (a *XRPShard) AddExchanges(ex []XRPExchange) {
 	a.exchanges = append(a.exchanges, ex...)
 	for _, e := range ex {
 		a.offersExecuted[offerRef{e.Maker, e.MakerSequence}] = true
@@ -311,13 +268,7 @@ func (a *XRPAggregator) AddExchanges(ex []XRPExchange) {
 
 // RateToXRP returns the average traded XRP per unit of the asset over all
 // observed exchanges (0 when it never traded against XRP).
-func (a *XRPAggregator) RateToXRP(key XRPAssetKey) float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.rateToXRPLocked(key)
-}
-
-func (a *XRPAggregator) rateToXRPLocked(key XRPAssetKey) float64 {
+func (a *XRPShard) RateToXRP(key XRPAssetKey) float64 {
 	if key.Issuer == "" && key.Currency == "XRP" {
 		return 1
 	}
@@ -372,9 +323,7 @@ type ValueDecomposition struct {
 }
 
 // Decompose computes Figure 7 from the ingested data.
-func (a *XRPAggregator) Decompose() ValueDecomposition {
-	a.mu.Lock()
-	defer a.mu.Unlock()
+func (a *XRPShard) Decompose() ValueDecomposition {
 	var d ValueDecomposition
 	d.Total = a.Transactions
 	if d.Total == 0 {
@@ -390,7 +339,7 @@ func (a *XRPAggregator) Decompose() ValueDecomposition {
 			continue
 		}
 		payOK++
-		if p.Native || a.rateToXRPLocked(XRPAssetKey{Currency: p.Currency, Issuer: p.Issuer}) > 0 {
+		if p.Native || a.RateToXRP(XRPAssetKey{Currency: p.Currency, Issuer: p.Issuer}) > 0 {
 			payValue++
 		}
 	}
@@ -439,9 +388,7 @@ type XRPAccountProfile struct {
 }
 
 // TopAccounts returns the k most active accounts (Figure 8).
-func (a *XRPAggregator) TopAccounts(k int) []XRPAccountProfile {
-	a.mu.Lock()
-	defer a.mu.Unlock()
+func (a *XRPShard) TopAccounts(k int) []XRPAccountProfile {
 	out := make([]XRPAccountProfile, 0, len(a.byAccount))
 	for addr, agg := range a.byAccount {
 		p := XRPAccountProfile{
@@ -477,9 +424,7 @@ func (a *XRPAggregator) TopAccounts(k int) []XRPAccountProfile {
 // TrafficShares returns per-account transaction counts, for concentration
 // statistics ("the 18 most active accounts are responsible for half of the
 // total traffic").
-func (a *XRPAggregator) TrafficShares() []float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
+func (a *XRPShard) TrafficShares() []float64 {
 	out := make([]float64, 0, len(a.byAccount))
 	for _, agg := range a.byAccount {
 		out = append(out, float64(agg.Total))
@@ -498,9 +443,7 @@ type IssuerRate struct {
 // IssuerRates returns the per-issuer average XRP rate for a currency code,
 // sorted by rate descending (Figure 11a: BTC IOUs ranging from 36,050 XRP
 // to 0 depending on the issuer).
-func (a *XRPAggregator) IssuerRates(currency string) []IssuerRate {
-	a.mu.Lock()
-	defer a.mu.Unlock()
+func (a *XRPShard) IssuerRates(currency string) []IssuerRate {
 	type accum struct {
 		sum float64
 		n   int
@@ -543,9 +486,7 @@ func (a *XRPAggregator) IssuerRates(currency string) []IssuerRate {
 
 // RateSeries returns the chronological rates of one asset against XRP
 // (Figure 11b: the Myrone BTC IOU collapsing from 30,500 to 0.1).
-func (a *XRPAggregator) RateSeries(key XRPAssetKey) []stats.Row {
-	a.mu.Lock()
-	defer a.mu.Unlock()
+func (a *XRPShard) RateSeries(key XRPAssetKey) []stats.Row {
 	xrpKey := XRPAssetKey{Currency: "XRP"}
 	var rows []stats.Row
 	for _, e := range a.exchanges {
@@ -585,9 +526,7 @@ type ValueFlow struct {
 }
 
 // ValueFlow computes Figure 12 using cluster for account attribution.
-func (a *XRPAggregator) ValueFlow(cluster ClusterFunc, topK int) ValueFlow {
-	a.mu.Lock()
-	defer a.mu.Unlock()
+func (a *XRPShard) ValueFlow(cluster ClusterFunc, topK int) ValueFlow {
 	if cluster == nil {
 		cluster = func(addr string) string { return addr }
 	}
@@ -603,7 +542,7 @@ func (a *XRPAggregator) ValueFlow(cluster ClusterFunc, topK int) ValueFlow {
 		if p.Native {
 			xrpEq = float64(p.Value) / xrpDropsPerXRP
 		} else {
-			rate := a.rateToXRPLocked(XRPAssetKey{Currency: p.Currency, Issuer: p.Issuer})
+			rate := a.RateToXRP(XRPAssetKey{Currency: p.Currency, Issuer: p.Issuer})
 			if rate <= 0 {
 				continue // valueless token: excluded from the flow diagram
 			}

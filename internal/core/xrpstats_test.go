@@ -37,7 +37,7 @@ func payment(from, to string, amt *wire.XRPAmountJSON, result string) wire.XRPTx
 }
 
 func TestXRPAggregatorDecompose(t *testing.T) {
-	a := NewXRPAggregator(chain.ObservationStart, 6*time.Hour)
+	a := newShard[*XRPShard]()
 	ts := chain.ObservationStart
 	gw := "rGateway"
 
@@ -87,7 +87,7 @@ func TestXRPAggregatorDecompose(t *testing.T) {
 }
 
 func TestXRPMakerFillCountsAsExchanged(t *testing.T) {
-	a := NewXRPAggregator(chain.ObservationStart, 6*time.Hour)
+	a := newShard[*XRPShard]()
 	a.IngestBatch([]any{xrpLedger(1, chain.ObservationStart,
 		wire.XRPTxJSON{TransactionType: "OfferCreate", Account: "rMaker", Sequence: 7,
 			Result: "tesSUCCESS", RestingSequence: 7},
@@ -111,7 +111,7 @@ func TestXRPMakerFillCountsAsExchanged(t *testing.T) {
 }
 
 func TestXRPRatesFromExchanges(t *testing.T) {
-	a := NewXRPAggregator(chain.ObservationStart, 6*time.Hour)
+	a := newShard[*XRPShard]()
 	btcBitstamp := XRPAssetKey{Currency: "BTC", Issuer: "rBitstamp"}
 	btcSpammer := XRPAssetKey{Currency: "BTC", Issuer: "rSpammer"}
 	xrpKey := XRPAssetKey{Currency: "XRP"}
@@ -144,7 +144,7 @@ func TestXRPRatesFromExchanges(t *testing.T) {
 }
 
 func TestXRPTopAccountsAndDestTag(t *testing.T) {
-	a := NewXRPAggregator(chain.ObservationStart, 6*time.Hour)
+	a := newShard[*XRPShard]()
 	var txs []wire.XRPTxJSON
 	for i := 0; i < 98; i++ {
 		txs = append(txs, wire.XRPTxJSON{
@@ -178,7 +178,7 @@ func TestXRPTopAccountsAndDestTag(t *testing.T) {
 }
 
 func TestXRPValueFlowClusters(t *testing.T) {
-	a := NewXRPAggregator(chain.ObservationStart, 6*time.Hour)
+	a := newShard[*XRPShard]()
 	gw := "rGW"
 	a.AddExchanges([]XRPExchange{{
 		Time:      chain.ObservationStart,
@@ -210,7 +210,7 @@ func TestXRPValueFlowClusters(t *testing.T) {
 }
 
 func TestXRPRateSeriesChronological(t *testing.T) {
-	a := NewXRPAggregator(chain.ObservationStart, 6*time.Hour)
+	a := newShard[*XRPShard]()
 	key := XRPAssetKey{Currency: "BTC", Issuer: "rLiquidIssuer"}
 	xrpKey := XRPAssetKey{Currency: "XRP"}
 	// December trade at 30,500; January trades at 1 and 0.1 (Figure 11b).

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/archive"
-	"repro/internal/core"
 )
 
 // archiveTestOptions keeps the live-then-replay double run quick.
@@ -92,9 +91,9 @@ func TestPipelineArchiveReplayReproducesFigures(t *testing.T) {
 
 	// The deterministic summaries the CI archive job diffs.
 	for name, pair := range map[string][2]string{
-		"eos":   {core.SummarizeEOS(live.EOS).Render(), core.SummarizeEOS(replay.EOS).Render()},
-		"tezos": {core.SummarizeTezos(live.Tezos).Render(), core.SummarizeTezos(replay.Tezos).Render()},
-		"xrp":   {core.SummarizeXRP(live.XRP).Render(), core.SummarizeXRP(replay.XRP).Render()},
+		"eos":   {live.EOS.Summary().Render(), replay.EOS.Summary().Render()},
+		"tezos": {live.Tezos.Summary().Render(), replay.Tezos.Summary().Render()},
+		"xrp":   {live.XRP.Summary().Render(), replay.XRP.Summary().Render()},
 	} {
 		if pair[0] != pair[1] {
 			t.Errorf("%s summary differs:\n%s\nvs\n%s", name, pair[0], pair[1])

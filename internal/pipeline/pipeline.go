@@ -146,10 +146,12 @@ func (o Options) withDefaults() Options {
 type Result struct {
 	Opts Options
 
-	EOS   *core.EOSAggregator
-	Tezos *core.TezosAggregator
-	Gov   *core.TezosAggregator
-	XRP   *core.XRPAggregator
+	// Each stage's aggregate: the state of the StatsKit it crawled into,
+	// drained by the time Run returns.
+	EOS   *core.EOSShard
+	Tezos *core.TezosShard
+	Gov   *core.TezosShard
+	XRP   *core.XRPShard
 
 	Dir *explorer.Directory
 
@@ -179,12 +181,13 @@ func (r *Result) ClusterFunc() core.ClusterFunc {
 }
 
 // stagePlan is one built row of the stage table: a row's build method runs
-// its simulator, points the Result at the aggregator the stage fills, and
+// its simulator, points the Result at the aggregate the stage fills, and
 // returns what differs between the chain reproductions. runStage owns
 // everything they share.
 type stagePlan struct {
-	// chain names the wire format, as archive manifests record it.
-	chain string
+	// kit is the aggregate the stage crawls into; its Chain names the wire
+	// format, as archive manifests record it.
+	kit core.StatsKit
 	// ccfg carries the crawl range and any per-block retry settings;
 	// runStage adds the pipeline-wide worker, pool and buffer sizing.
 	ccfg collect.CrawlConfig
@@ -193,9 +196,6 @@ type stagePlan struct {
 	// runs only when live fetches are possible: a full archive replay
 	// serves and probes nothing.
 	live func(ctx context.Context, ccfg *collect.CrawlConfig) (collect.BlockFetcher, func(), error)
-	// dec and txs are the typed aggregator's chain-agnostic surfaces.
-	dec core.Decoder
-	txs func() int64
 	// crawl, when set, receives the crawl summary; post, when set, runs
 	// after a successful crawl.
 	crawl *collect.CrawlResult
@@ -237,7 +237,7 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 
 // runStage drives one row end to end: build the simulated history, resolve
 // the collection source (archive replay, or the live fetcher teed into the
-// stage's archive), and crawl into the row's aggregator.
+// stage's archive), and crawl into the row's aggregate.
 func (r *Result) runStage(ctx context.Context, name string, build func() (stagePlan, error), pool *collect.Pool) (StageStats, error) {
 	opts := r.Opts
 	plan, err := build()
@@ -246,14 +246,14 @@ func (r *Result) runStage(ctx context.Context, name string, build func() (stageP
 	}
 	ccfg := plan.ccfg
 	ccfg.Workers, ccfg.Pool, ccfg.Buffer = opts.Workers, pool, streamBuffer
-	fetcher, sink, cleanup, err := opts.stageCollect(name, plan.chain, ccfg.From, ccfg.To, &ccfg, func() (collect.BlockFetcher, func(), error) {
+	fetcher, sink, cleanup, err := opts.stageCollect(name, plan.kit.Chain, ccfg.From, ccfg.To, &ccfg, func() (collect.BlockFetcher, func(), error) {
 		return plan.live(ctx, &ccfg)
 	})
 	defer cleanup()
 	if err != nil {
 		return StageStats{}, err
 	}
-	crawl, err := crawlInto(ctx, fetcher, ccfg, sink, plan.dec, core.IngestConfig{Workers: ingestWorkers()})
+	crawl, err := crawlInto(ctx, fetcher, ccfg, sink, plan.kit.Decoder, core.IngestConfig{Workers: ingestWorkers()})
 	if err != nil {
 		return StageStats{}, err
 	}
@@ -265,20 +265,20 @@ func (r *Result) runStage(ctx context.Context, name string, build func() (stageP
 			return StageStats{}, err
 		}
 	}
-	return StageStats{Blocks: crawl.Blocks, Transactions: plan.txs()}, nil
+	return StageStats{Blocks: crawl.Blocks, Transactions: plan.kit.Txs()}, nil
 }
 
 // crawlInto runs one stage's collection→measurement path on the streaming
 // API: collect.Stream fetches raw blocks into a bounded channel and
-// core.IngestStream decodes and batch-ingests them off the crawl workers
-// (see core.IngestCrawl for the wiring). It then finalizes the stage's
-// archive (sink, nil when the stage has none or replays it), joining a
-// finalization failure with the crawl's own error so neither is lost. A
-// stage that reads from an archive — the archive.Crawl it tees into, or
-// the archive.Reader it replays — had each payload deflated there, so the
-// result's GzipBytes, Figure 2's footprint column, is the bytes the archive
-// holds, and a replay reports what the run that wrote it did; a stage
-// without one keeps IngestCrawl's own sizing.
+// core.IngestCrawl's decode pool folds them into per-worker shards off the
+// crawl workers. It then finalizes the stage's archive (sink, nil when the
+// stage has none or replays it), joining a finalization failure with the
+// crawl's own error so neither is lost. A stage that reads from an archive
+// — the archive.Crawl it tees into, or the archive.Reader it replays — had
+// each payload deflated there, so the result's GzipBytes, Figure 2's
+// footprint column, is the bytes the archive holds, and a replay reports
+// what the run that wrote it did; a stage without one keeps IngestCrawl's
+// own sizing.
 func crawlInto(ctx context.Context, f collect.BlockFetcher, ccfg collect.CrawlConfig, sink *archive.Crawl, dec core.Decoder, icfg core.IngestConfig) (collect.CrawlResult, error) {
 	res, _, err := core.IngestCrawl(ctx, f, ccfg, dec, icfg)
 	if sink != nil {
@@ -327,15 +327,22 @@ func oneEndpoint(chain string, h http.Handler) func(context.Context, *collect.Cr
 	}
 }
 
+// stageKit builds a stage's aggregate anchored at w. chainName is always
+// one NewStatsKit knows, so an error here is a programming bug.
+func stageKit(chainName string, w core.Window) core.StatsKit {
+	kit, err := core.NewStatsKit(chainName, w.Origin, w.Bucket)
+	if err != nil {
+		panic(err)
+	}
+	return kit
+}
+
 // eosPlan is the part of a plan the two EOS rows share: crawl the whole
-// history into a fresh aggregator anchored at w.
-func eosPlan(c *eos.Chain, w core.Window) (stagePlan, *core.EOSAggregator) {
-	agg := core.NewEOSAggregator(w.Origin, w.Bucket)
-	return stagePlan{
-		chain: "eos", ccfg: collect.CrawlConfig{From: 1, To: int64(c.HeadNum())},
-		dec: agg.Decoder(),
-		txs: func() int64 { return agg.Transactions },
-	}, agg
+// history into a fresh aggregate anchored at w.
+func eosPlan(c *eos.Chain, w core.Window) (stagePlan, *core.EOSShard) {
+	kit := stageKit("eos", w)
+	return stagePlan{kit: kit, ccfg: collect.CrawlConfig{From: 1, To: int64(c.HeadNum())}},
+		kit.State().(*core.EOSShard)
 }
 
 func (r *Result) buildEOS() (stagePlan, error) {
@@ -417,16 +424,14 @@ func (r *Result) buildStress() (stagePlan, error) {
 }
 
 // tezosPlan is the plan the two Tezos rows share: serve the chain from one
-// endpoint and crawl its whole history into a fresh aggregator anchored at
+// endpoint and crawl its whole history into a fresh aggregate anchored at
 // w.
-func tezosPlan(c *tezos.Chain, w core.Window) (stagePlan, *core.TezosAggregator) {
-	agg := core.NewTezosAggregator(w.Origin, w.Bucket)
+func tezosPlan(c *tezos.Chain, w core.Window) (stagePlan, *core.TezosShard) {
+	kit := stageKit("tezos", w)
 	return stagePlan{
-		chain: "tezos", ccfg: collect.CrawlConfig{From: 1, To: c.HeadLevel()},
+		kit: kit, ccfg: collect.CrawlConfig{From: 1, To: c.HeadLevel()},
 		live: oneEndpoint("tezos", rpcserve.NewTezosServer(c)),
-		dec:  agg.Decoder(),
-		txs:  func() int64 { return agg.Operations },
-	}, agg
+	}, kit.State().(*core.TezosShard)
 }
 
 func (r *Result) buildTezos() (stagePlan, error) {
@@ -468,21 +473,20 @@ func (r *Result) buildXRP() (stagePlan, error) {
 	for addr, username := range scenario.Usernames {
 		r.Dir.Register(addr, username)
 	}
-	agg := core.NewXRPAggregator(chain.ObservationStart, seriesBucket)
+	kit := stageKit("xrp", core.Window{Origin: chain.ObservationStart, Bucket: seriesBucket})
+	agg := kit.State().(*core.XRPShard)
 	r.XRP = agg
 	return stagePlan{
-		chain: "xrp",
+		kit: kit,
 		// The build phase's ledgers stand in for pre-window history (gateway
 		// issuance, trust lines); the paper's window starts at October 1, so
 		// the crawl does too.
 		ccfg:  collect.CrawlConfig{From: scenario.SetupLedgers + 1, To: scenario.State.HeadIndex()},
 		live:  oneEndpoint("xrp", rpcserve.NewXRPServer(scenario.State)),
-		dec:   agg.Decoder(),
-		txs:   func() int64 { return agg.Transactions },
 		crawl: &r.XRPCrawl,
-		// Pull trade records from the Data API, as the paper did for rates.
-		// The explorer serves even on replay: exchange records come from
-		// it, not from the crawled ledger stream.
+		// Pull trade records from the Data API, as the paper did for rates,
+		// into the drained aggregate. The explorer serves even on replay:
+		// exchange records come from it, not from the crawled ledger stream.
 		post: func() error {
 			exURL, stopEx, err := serve(explorer.NewServer(r.Dir, explorer.NewRateOracle(scenario.State)))
 			if err != nil {

@@ -13,7 +13,7 @@ import (
 // FeedConfig parameterizes one chain's ingest feed into a publisher. Both
 // feed shapes (live crawl and archive replay) ingest through
 // core.PeriodicMerge, so each worker's private shard folds into the shared
-// aggregator every few batches — mid-crawl snapshots see the stream in
+// aggregate every few batches — mid-crawl snapshots see the stream in
 // epoch-sized increments instead of only at drain.
 type FeedConfig struct {
 	// Chain names the feed ("eos", "tezos", "xrp") and keys its snapshot
@@ -43,6 +43,11 @@ func (p *Publisher) Feed(ctx context.Context, f collect.BlockFetcher, ccfg colle
 		return collect.CrawlResult{}, err
 	}
 	defer release()
+	if ccfg.Tee == nil {
+		// No endpoint serves Figure 2's footprint: a no-op tee keeps
+		// core.IngestCrawl from deflating every payload to size it.
+		ccfg.Tee = func(int64, []byte) error { return nil }
+	}
 	dec := core.PeriodicMerge(kit.Decoder, 0)
 	res, _, err := core.IngestCrawl(ctx, f, ccfg, dec, cfg.Ingest)
 	return res, err

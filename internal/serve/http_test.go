@@ -40,8 +40,8 @@ func TestHandlerReadyzBeforeFirstEpoch(t *testing.T) {
 }
 
 func TestHandlerEndpoints(t *testing.T) {
-	p, agg, release := newEOSPublisher(t)
-	if err := agg.IngestBatch(eosBlocks(20, 1)); err != nil {
+	p, kit, release := newEOSPublisher(t)
+	if err := kit.Decoder.IngestBatch(eosBlocks(20, 1)); err != nil {
 		t.Fatal(err)
 	}
 	snap := p.Publish()

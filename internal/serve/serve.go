@@ -3,10 +3,10 @@
 // running. Readers never take a lock — they load an immutable Snapshot
 // through an atomic pointer — and writers publish by building a fresh
 // snapshot per merge epoch and swapping the pointer. The copy-on-write
-// boundary is core.SummarizeEOS and friends: each holds its aggregator's
-// lock just long enough to deep-copy the figures state, so ingest workers
-// and the publish loop contend only on that one short critical section and
-// queries contend on nothing at all.
+// boundary is core.StatsKit's Summarize: it holds the kit's lock just long
+// enough to deep-copy the figures state, so ingest workers and the publish
+// loop contend only on that one short critical section and queries contend
+// on nothing at all.
 //
 // Ownership rules (see DESIGN.md "Serving layer & snapshot epochs"):
 //
@@ -86,7 +86,7 @@ func (s *Snapshot) RenderFigures() string {
 func (s *Snapshot) Age(now time.Time) time.Duration { return now.Sub(s.PublishedAt) }
 
 // source is one registered chain feed: a summarize hook (which must
-// deep-copy under its own aggregator lock, as core.SummarizeEOS does) and
+// deep-copy under its own lock, as core.StatsKit's Summarize does) and
 // the drained flag its release function flips.
 type source struct {
 	summarize func() core.ChainSummary
@@ -118,10 +118,10 @@ func NewPublisher() *Publisher {
 
 // Register adds a chain feed. The summarize hook must be safe to call while
 // the feed is ingesting and must return a summary that aliases no live
-// state (core.SummarizeEOS/SummarizeTezos/SummarizeXRP via StatsKit qualify:
-// they lock and deep-copy). The returned release function marks the feed
-// drained and publishes a fresh epoch so the final figures become visible
-// promptly; it is idempotent. Registering the same chain twice is an error
+// state (a core.StatsKit's Summarize qualifies: it locks and deep-copies).
+// The returned release function marks the feed drained and publishes a
+// fresh epoch so the final figures become visible promptly; it is
+// idempotent. Registering the same chain twice is an error
 // — two feeds folding into one name would serve a meaningless mixture —
 // and a duplicate with a different aggregation window is called out
 // specifically: buckets anchored at different origins or sizes can never

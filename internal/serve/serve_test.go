@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"sync"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/chain"
+	"repro/internal/collect"
 	"repro/internal/core"
 	"repro/internal/wire"
 )
@@ -33,14 +35,19 @@ func eosBlocks(n int, start int64) []any {
 	return blocks
 }
 
-func newEOSPublisher(t testing.TB) (*Publisher, *core.EOSAggregator, func()) {
+// newEOSPublisher registers an EOS StatsKit's Summarize with a fresh
+// publisher; tests fold blocks in through the kit's Decoder.
+func newEOSPublisher(t testing.TB) (*Publisher, core.StatsKit, func()) {
 	p := NewPublisher()
-	agg := core.NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
-	release, err := p.Register("eos", core.Window{Origin: chain.ObservationStart, Bucket: 6 * time.Hour}, func() core.ChainSummary { return core.SummarizeEOS(agg) })
+	kit, err := core.NewStatsKit("eos", chain.ObservationStart, 6*time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	release, err := p.Register("eos", core.Window{Origin: chain.ObservationStart, Bucket: 6 * time.Hour}, kit.Summarize)
 	if err != nil {
 		t.Fatalf("Register: %v", err)
 	}
-	return p, agg, release
+	return p, kit, release
 }
 
 func TestPublisherEmptySnapshot(t *testing.T) {
@@ -98,8 +105,8 @@ func TestRegisterWindowMismatch(t *testing.T) {
 }
 
 func TestReleaseMarksDrainedAndPublishes(t *testing.T) {
-	p, agg, release := newEOSPublisher(t)
-	if err := agg.IngestBatch(eosBlocks(10, 1)); err != nil {
+	p, kit, release := newEOSPublisher(t)
+	if err := kit.Decoder.IngestBatch(eosBlocks(10, 1)); err != nil {
 		t.Fatal(err)
 	}
 	before := p.Publish()
@@ -121,7 +128,7 @@ func TestReleaseMarksDrainedAndPublishes(t *testing.T) {
 }
 
 func TestRunPublishesFinalEpochOnCancel(t *testing.T) {
-	p, agg, release := newEOSPublisher(t)
+	p, kit, release := newEOSPublisher(t)
 	defer release()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
@@ -129,7 +136,7 @@ func TestRunPublishesFinalEpochOnCancel(t *testing.T) {
 		p.Run(ctx, time.Hour) // interval never fires; only the final publish
 		close(done)
 	}()
-	if err := agg.IngestBatch(eosBlocks(3, 1)); err != nil {
+	if err := kit.Decoder.IngestBatch(eosBlocks(3, 1)); err != nil {
 		t.Fatal(err)
 	}
 	cancel()
@@ -145,12 +152,12 @@ func TestRunPublishesFinalEpochOnCancel(t *testing.T) {
 
 // TestSnapshotImmutableUnderConcurrentIngest is the serving layer's core
 // property: a held snapshot's renders stay byte-identical no matter how
-// many epochs writers publish past it. N writers hammer the aggregator and
+// many epochs writers publish past it. N writers hammer the aggregate and
 // publish concurrently while M readers hold old snapshots and re-render
 // them; any copy-on-write violation shows up as a byte diff here or as a
 // data race under -race.
 func TestSnapshotImmutableUnderConcurrentIngest(t *testing.T) {
-	p, agg, release := newEOSPublisher(t)
+	p, kit, release := newEOSPublisher(t)
 
 	const (
 		writers    = 4
@@ -168,7 +175,7 @@ func TestSnapshotImmutableUnderConcurrentIngest(t *testing.T) {
 			for i := 0; i < iterations; i++ {
 				// Disjoint block ranges per writer per iteration.
 				start := int64(w)*1_000_000 + int64(i)*batch + 1
-				if err := agg.IngestBatch(eosBlocks(batch, start)); err != nil {
+				if err := kit.Decoder.IngestBatch(eosBlocks(batch, start)); err != nil {
 					t.Errorf("writer %d: %v", w, err)
 					return
 				}
@@ -242,7 +249,45 @@ func TestSnapshotImmutableUnderConcurrentIngest(t *testing.T) {
 	}
 	// The drained snapshot renders exactly what a fresh summarize renders:
 	// publishing never perturbs the aggregate itself.
-	if final.RenderFigures() != core.SummarizeEOS(agg).Render() {
+	if final.RenderFigures() != kit.Summarize().Render() {
 		t.Fatal("drained snapshot render differs from a direct summarize")
+	}
+}
+
+// memFetcher serves pre-marshaled blocks [1, len(raws)].
+type memFetcher struct{ raws [][]byte }
+
+func (f *memFetcher) Head(context.Context) (int64, error) { return int64(len(f.raws)), nil }
+
+func (f *memFetcher) FetchBlock(_ context.Context, num int64) ([]byte, error) {
+	if num < 1 || num > int64(len(f.raws)) {
+		return nil, fmt.Errorf("memFetcher: no block %d", num)
+	}
+	return f.raws[num-1], nil
+}
+
+// TestFeedSizesNoFootprint: a live feed serves figures, never Figure 2's
+// gzip column, so it must not deflate what it crawls to size it.
+func TestFeedSizesNoFootprint(t *testing.T) {
+	const blocks = 24
+	var raws [][]byte
+	for _, blk := range eosBlocks(blocks, 1) {
+		raw, err := json.Marshal(blk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raws = append(raws, raw)
+	}
+	p := NewPublisher()
+	res, err := p.Feed(context.Background(), &memFetcher{raws},
+		collect.CrawlConfig{From: 1, To: blocks, Workers: 2}, FeedConfig{Chain: "eos"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Blocks != blocks || res.RawBytes == 0 || res.GzipBytes != 0 {
+		t.Fatalf("live feed: blocks=%d raw=%d gzip=%d, want %d blocks, raw counted, no footprint", res.Blocks, res.RawBytes, res.GzipBytes, blocks)
+	}
+	if got := p.Current().Chains["eos"].Summary.Blocks; got != blocks {
+		t.Fatalf("drained feed serves %d blocks, want %d", got, blocks)
 	}
 }
