@@ -21,22 +21,24 @@
 // block ranges and per-slice errors, and exits non-zero.
 //
 // The coordinator is itself killable. It wins a run-level lease before
-// doing anything — exactly one active coordinator per chain — and
-// checkpoints a run-state record after every task transition: the pinned
-// range, per-slice status, fence tokens and validated shards (the store
-// layout is internal/coord's, see its shard.go). A -standby
-// instance polls the election and takes over on lease expiry by loading
-// that state, resuming mid-run instead of re-cutting. Every worker
-// crawls under a fence token (its slice lease's attempt count) stamped
-// into the emitted shard, so a zombie worker whose lease was reclaimed
-// cannot clobber the reclaimer's newer shard — stale fences are refused
-// at validation and merge. While running, the active coordinator serves
-// GET /v1/progress (-progress-addr): the gap-report shape plus per-task
-// lease, attempt and fence status, with the election epoch in X-Coord-Epoch.
+// doing anything — exactly one active coordinator per chain — and writes
+// the run's plan once: the pinned range and shard count (the store layout
+// is internal/coord's, see its shard.go). A -standby instance polls the
+// election and takes over on lease expiry by adopting that plan; it reads
+// each slice's status off the store — a slice whose shard validates at
+// its lease record's fence is done — and resumes mid-run instead of
+// re-cutting. Every worker crawls under a fence token (its slice lease's
+// attempt count, which a released lease keeps) stamped into the emitted
+// shard, so a zombie worker whose lease was reclaimed cannot clobber the
+// reclaimer's newer shard — stale fences are refused at validation and
+// merge. While running, the coordinator serves GET /v1/progress
+// (-progress-addr) from memory: the gap-report shape plus per-task state,
+// fence and launches, with the election epoch in X-Coord-Epoch.
 //
 // SIGINT or SIGTERM interrupts the run gracefully: each worker is sent a
 // SIGTERM, writes the checkpoint of the last chunk it holds complete, and
-// a rerun of the same command resumes the run state and those checkpoints.
+// a rerun of the same command adopts the plan and resumes those
+// checkpoints.
 //
 // This command is the only launcher of a distributed crawl and its worker
 // the only shard producer. A fleet is several runs of it, each over its
@@ -53,9 +55,10 @@
 // The store may use the faulty+ scheme (see internal/blobstore) to
 // inject seeded random faults; -chaos-kill I additionally SIGKILLs slice
 // I's first worker attempt right after its first checkpoint, and
-// -chaos-kill-coordinator SIGKILLs the active coordinator itself right
-// after its first slice validates — the chaos harness the CI chaos job
-// drives, with a -standby instance finishing the run.
+// -chaos-kill-coordinator SIGKILLs the active coordinator itself, with
+// the workers it is running, right after its first slice validates — a
+// host dying mid-run, which the CI chaos job drives with a -standby
+// instance finishing the run.
 package main
 
 import (
@@ -150,7 +153,7 @@ func main() {
 	flag.StringVar(&o.owner, "owner", "", "coordinator name in lease records (default coordinator-<pid>; must be unique per process)")
 	flag.BoolVar(&o.standby, "standby", false, "stand by: poll the run-level lease and take over the run when the active coordinator's lease expires")
 	flag.StringVar(&o.progressAddr, "progress-addr", "", "serve GET /v1/progress on this host:port while running (503 until the first snapshot)")
-	flag.BoolVar(&o.chaosKillCoord, "chaos-kill-coordinator", false, "chaos: SIGKILL this coordinator right after its first slice validates (a -standby instance must finish the run)")
+	flag.BoolVar(&o.chaosKillCoord, "chaos-kill-coordinator", false, "chaos: SIGKILL this coordinator and its running workers right after its first slice validates (a -standby instance must finish the run)")
 	flag.Parse()
 	if o.chain == "" || o.endpoint == "" || o.store == "" {
 		flag.Usage()
@@ -284,7 +287,8 @@ func run(ctx context.Context, o coordOpts, out, diag io.Writer) error {
 		fmt.Fprintf(diag, "coordinate: progress at http://%s/v1/progress\n", ln.Addr())
 	}
 
-	launcher := &workerLauncher{opts: o, exe: exe, diag: diag}
+	launcher := &workerLauncher{opts: o, exe: exe, diag: diag,
+		attempts: make(map[int]int), running: make(map[*exec.Cmd]bool)}
 	cfg := coord.Config{
 		Chain: o.chain, From: o.from, To: o.to,
 		Shards:   o.shards,
@@ -296,7 +300,7 @@ func run(ctx context.Context, o coordOpts, out, diag io.Writer) error {
 		Log:      diag,
 		Progress: tracker,
 		// Head is resolved lazily, ONCE per run lineage: only when no run
-		// state exists to resume. Every slice is cut from the same pinned
+		// plan exists to adopt. Every slice is cut from the same pinned
 		// span, never from each worker's own racing notion of "head" — and
 		// a takeover adopts the interrupted run's pin instead of this.
 		PinHead: func(ctx context.Context) (int64, error) {
@@ -312,7 +316,8 @@ func run(ctx context.Context, o coordOpts, out, diag io.Writer) error {
 		var once sync.Once
 		cfg.AfterTaskDone = func(t coord.Task) {
 			once.Do(func() {
-				fmt.Fprintf(diag, "coordinate: chaos: SIGKILLing active coordinator after slice %d validated\n", t.Index)
+				fmt.Fprintf(diag, "coordinate: chaos: SIGKILLing active coordinator and its workers after slice %d validated\n", t.Index)
+				launcher.killRunning()
 				_ = syscall.Kill(os.Getpid(), syscall.SIGKILL)
 			})
 		}
@@ -361,12 +366,13 @@ func run(ctx context.Context, o coordOpts, out, diag io.Writer) error {
 }
 
 // standbyAwait is the standby election loop: poll the run-level lease and
-// run state until this process either wins a takeover (returning the won
+// run plan until this process either wins a takeover (returning the won
 // lease for coord.Run to adopt) or observes the run complete (finished =
 // true). A standby only ever CONTINUES a run — it claims the election
-// only after evidence one exists (a lease record, live or expired, or a
-// run-state checkpoint); a fresh store just keeps it waiting, so starting
-// the standby before the active is safe.
+// only after evidence one exists (a plan, or a live run lease); a fresh
+// store, or one holding only an expired run lease a released election
+// left, just keeps it waiting, so starting the standby before the active
+// is safe.
 func standbyAwait(ctx context.Context, o coordOpts, store blobstore.Store, owner string, diag io.Writer) (*coord.LeaseRecord, bool, error) {
 	leases := coord.NewLeases(store, owner, o.leaseTTL)
 	task := coord.RunLeaseTask(o.chain)
@@ -376,27 +382,28 @@ func standbyAwait(ctx context.Context, o coordOpts, store blobstore.Store, owner
 	for {
 		_, hasState, serr := coord.LoadRunState(ctx, store, o.chain)
 		if serr != nil {
-			fmt.Fprintf(diag, "coordinate: standby: reading run state (transient): %v\n", serr)
+			fmt.Fprintf(diag, "coordinate: standby: reading run plan (transient): %v\n", serr)
 		}
-		_, hasLease, lerr := leases.Holder(ctx, task)
+		rec, hasLease, lerr := leases.Holder(ctx, task)
 		if lerr != nil {
 			fmt.Fprintf(diag, "coordinate: standby: reading run lease (transient): %v\n", lerr)
 		}
-		if hasState || hasLease {
-			sawRun = true
-		}
+		live := hasLease && time.Now().Before(rec.Deadline)
+		sawRun = sawRun || hasState || live
 		switch {
-		case sawRun && !hasState && !hasLease:
-			// Completion deletes the state, then the lease record; death
-			// leaves the record behind (expired). Both gone after a run we
-			// watched means it finished.
+		case serr != nil || lerr != nil:
+			// Decide nothing on half a picture: poll again.
+		case sawRun && !hasState && !live:
+			// Completion deletes the plan, then the lease records; death
+			// leaves the plan behind. Plan gone and no live election after
+			// a run we watched means it finished.
 			fmt.Fprintf(diag, "coordinate: standby: run for %s completed; standing down\n", o.chain)
 			return nil, true, nil
-		case sawRun && (hasState || hasLease):
+		case sawRun:
 			rec, cerr := leases.Claim(ctx, task)
 			if cerr == nil {
 				if _, ok, err := coord.LoadRunState(ctx, store, o.chain); err == nil && !ok {
-					// Won the election but the state is gone: the active
+					// Won the election but the plan is gone: the active
 					// completed between our probe and the claim.
 					_ = leases.Release(ctx, rec)
 					fmt.Fprintf(diag, "coordinate: standby: run for %s completed; standing down\n", o.chain)
@@ -425,22 +432,42 @@ const workerGrace = 10 * time.Second
 
 // workerLauncher execs one worker subprocess per attempt, tracking
 // attempt counts per slice so -chaos-kill poisons only the FIRST attempt
-// of its target (the relaunch must be allowed to recover).
+// of its target (the relaunch must be allowed to recover), and the
+// workers running now so -chaos-kill-coordinator can take them down too.
 type workerLauncher struct {
 	opts coordOpts
 	exe  string
 	diag io.Writer
 
 	mu       sync.Mutex
-	attempts map[int]int
+	attempts map[int]int        // launches per slice index
+	running  map[*exec.Cmd]bool // workers started and not yet reaped
+}
+
+// killRunning SIGKILLs every worker running now — what a dying host takes
+// down with its coordinator.
+func (l *workerLauncher) killRunning() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for cmd := range l.running {
+		_ = cmd.Process.Kill() // one that just exited is already reaped
+	}
+}
+
+// track adds a started worker to the running set, or removes a reaped one.
+func (l *workerLauncher) track(cmd *exec.Cmd, running bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if running {
+		l.running[cmd] = true
+	} else {
+		delete(l.running, cmd)
+	}
 }
 
 func (l *workerLauncher) attempt(index int) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.attempts == nil {
-		l.attempts = make(map[int]int)
-	}
 	l.attempts[index]++
 	return l.attempts[index]
 }
@@ -466,7 +493,13 @@ func (l *workerLauncher) launch(ctx context.Context, t coord.Task) error {
 	cmd.Env = append(os.Environ(), workerEnv+"="+string(raw))
 	cmd.Stdout = l.diag
 	cmd.Stderr = l.diag
-	if err := cmd.Run(); err != nil {
+	err = cmd.Start()
+	if err == nil {
+		l.track(cmd, true)
+		err = cmd.Wait()
+		l.track(cmd, false)
+	}
+	if err != nil {
 		return fmt.Errorf("worker %s (attempt %d): %w", t.Name(), attempt, err)
 	}
 	return nil

@@ -314,10 +314,10 @@ func delayProxy(t *testing.T, inner *httptest.Server, d time.Duration) *httptest
 
 // TestCoordinateStandbyTakeover is the coordinator-kill chaos leg: a REAL
 // active coordinator process (this test binary, re-exec'd through the
-// coordEnv trampoline) SIGKILLs itself right after its first slice
-// validates, under 1% injected store faults. A -standby instance watching
-// the same store must take over on lease expiry, resume from the run
-// state, and finish with figures byte-identical to the single-process
+// coordEnv trampoline) SIGKILLs itself and its running workers right after
+// its first slice validates, under 1% injected store faults. A -standby
+// instance watching the same store must take over on lease expiry, adopt
+// the plan, and finish with figures byte-identical to the single-process
 // oracle. While the active lives, its /v1/progress endpoint must serve a
 // parseable mid-run gap report.
 func TestCoordinateStandbyTakeover(t *testing.T) {
@@ -628,7 +628,7 @@ func TestCoordinateInterruptResume(t *testing.T) {
 // the store.
 func TestNonPositiveLeaseTTLRefusedBeforeAnyDial(t *testing.T) {
 	store := blobstore.OpenMemory("lease-ttl-zero")
-	// The memory store counts hits only: leave a run state for a standby's
+	// The memory store counts hits only: leave a run plan for a standby's
 	// first probe to find, so that probe would show below.
 	if err := store.Put(context.Background(), coord.RunStateKey("eos"), []byte("{}")); err != nil {
 		t.Fatal(err)

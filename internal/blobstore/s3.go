@@ -298,9 +298,15 @@ type listResult struct {
 	} `xml:"Contents"`
 }
 
+// List pages through ListObjectsV2. The listing is a server's word, so it
+// is checked rather than trusted: a continuation token the server already
+// handed out (a paging loop that would never end) and a key outside the
+// listed prefix, or one no Get could address, are refused naming the
+// store.
 func (s *S3) List(ctx context.Context, prefix string) ([]string, error) {
 	var keys []string
 	token := ""
+	seen := make(map[string]bool)
 	for {
 		q := url.Values{}
 		q.Set("list-type", "2")
@@ -317,15 +323,23 @@ func (s *S3) List(ctx context.Context, prefix string) ([]string, error) {
 		}
 		var res listResult
 		if err := xml.Unmarshal(body, &res); err != nil {
-			return nil, fmt.Errorf("s3: decoding list response: %v", err)
+			return nil, fmt.Errorf("s3: decoding list response from %s: %v", s.rawURL, err)
 		}
 		for _, c := range res.Contents {
-			keys = append(keys, strings.TrimPrefix(c.Key, s.prefix))
+			key, ok := strings.CutPrefix(c.Key, s.prefix)
+			if !ok || !strings.HasPrefix(key, prefix) || validKey(key) != nil {
+				return nil, fmt.Errorf("s3: listing %q at %s returned key %q, which is not a key under that prefix", prefix, s.rawURL, c.Key)
+			}
+			keys = append(keys, key)
 		}
 		if !res.IsTruncated || res.NextContinuationToken == "" {
 			break
 		}
 		token = res.NextContinuationToken
+		if seen[token] {
+			return nil, fmt.Errorf("s3: listing %q at %s: the server repeated continuation token %q", prefix, s.rawURL, token)
+		}
+		seen[token] = true
 	}
 	sort.Strings(keys)
 	return keys, nil

@@ -124,6 +124,98 @@ func TestS3ListPagination(t *testing.T) {
 	}
 }
 
+// listServer answers every ListObjectsV2 request with the body body holds,
+// and counts the requests; other requests get 404.
+func listServer(t testing.TB, body *atomic.Value) (*httptest.Server, *atomic.Int64) {
+	var pages atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Query().Get("list-type") != "2" {
+			http.NotFound(w, r)
+			return
+		}
+		pages.Add(1)
+		w.Write(body.Load().([]byte))
+	}))
+	t.Cleanup(srv.Close)
+	return srv, &pages
+}
+
+// TestS3ListRefusesHostileListing: a server that keeps answering
+// IsTruncated with the same continuation token, or lists a key outside the
+// store's prefix, gets a refusal naming the store — not a List that never
+// returns, nor a key the store would hand on as its own.
+func TestS3ListRefusesHostileListing(t *testing.T) {
+	cases := map[string]struct {
+		body, want string
+	}{
+		"repeated token": {
+			`<ListBucketResult><IsTruncated>true</IsTruncated><NextContinuationToken>again</NextContinuationToken>` +
+				`<Contents><Key>arch/a.gz</Key></Contents></ListBucketResult>`,
+			`repeated continuation token "again"`,
+		},
+		"key outside the prefix": {
+			`<ListBucketResult><Contents><Key>arch/a.gz</Key></Contents><Contents><Key>other/b.gz</Key></Contents></ListBucketResult>`,
+			`key "other/b.gz"`,
+		},
+		"key escaping the namespace": {
+			`<ListBucketResult><Contents><Key>arch/../b.gz</Key></Contents></ListBucketResult>`,
+			`key "arch/../b.gz"`,
+		},
+	}
+	for name, tc := range cases {
+		t.Run(name, func(t *testing.T) {
+			var body atomic.Value
+			body.Store([]byte(tc.body))
+			srv, _ := listServer(t, &body)
+			st, err := newS3("s3://bkt/arch?endpoint=" + url.QueryEscape(srv.URL))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			keys, err := st.List(ctx, "")
+			if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), st.URL()) {
+				t.Fatalf("List = %q, %v; want a refusal naming %s and %s", keys, err, tc.want, st.URL())
+			}
+		})
+	}
+}
+
+// FuzzS3List: whatever ListObjectsV2 body a server sends on every page,
+// List never panics, terminates, and returns only keys the store can
+// address.
+func FuzzS3List(f *testing.F) {
+	f.Add([]byte(`<ListBucketResult><Contents><Key>arch/a.gz</Key><Size>3</Size></Contents></ListBucketResult>`))
+	f.Add([]byte(`<ListBucketResult><IsTruncated>true</IsTruncated><NextContinuationToken>t</NextContinuationToken>` +
+		`<Contents><Key>arch/a.gz</Key></Contents></ListBucketResult>`))
+	f.Add([]byte(`<ListBucketResult><Contents><Key>elsewhere</Key></Contents></ListBucketResult>`))
+	f.Add([]byte(`<ListBucketResult><Contents><Key>arch/</Key></Contents></ListBucketResult>`))
+	var body atomic.Value
+	body.Store([]byte(nil))
+	srv, pages := listServer(f, &body)
+	st, err := newS3("s3://bkt/arch?endpoint=" + url.QueryEscape(srv.URL))
+	if err != nil {
+		f.Fatal(err)
+	}
+	st.attempts = 1
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		body.Store(raw)
+		pages.Store(0)
+		keys, err := st.List(context.Background(), "")
+		if n := pages.Load(); n > 2 {
+			t.Fatalf("List over one repeated page made %d requests", n)
+		}
+		if err != nil {
+			return
+		}
+		for _, k := range keys {
+			if verr := validKey(k); verr != nil {
+				t.Fatalf("List over %q returned %q: %v", raw, k, verr)
+			}
+		}
+	})
+}
+
 // TestS3Signing: with env creds, requests carry a well-formed SigV4
 // Authorization header whose signature matches a pinned golden value for a
 // fixed request (guards against silent drift in the canonicalization).

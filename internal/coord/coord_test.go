@@ -364,14 +364,15 @@ func TestCoordinatorChaos(t *testing.T) {
 	if got, want := res.Merged.Summary().Render(), fx.oracle(t, head); got != want {
 		t.Errorf("chaos-merged figures differ from oracle:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
-	// Leases were all released (tolerate one injected fault on this List).
+	// The finished run retired every lease record (tolerate one injected
+	// fault on this List).
 	if keys, lerr := faulty.List(context.Background(), leasePrefix); lerr == nil && len(keys) != 0 {
 		t.Errorf("leases left behind: %v", keys)
 	}
 }
 
 // leaseDeleteFault fails the first Delete of every lease key once — the
-// single store fault that used to leak a fire-and-forget release.
+// single store fault that would leak a record retired without retries.
 type leaseDeleteFault struct {
 	blobstore.Store
 	mu     sync.Mutex
@@ -391,10 +392,10 @@ func (s *leaseDeleteFault) Delete(ctx context.Context, key string) error {
 	return s.Store.Delete(ctx, key)
 }
 
-// TestCoordinatorReleaseRetriesStoreFault: releasing a lease is a store
-// write like any other and runs under the retry policy — one failed
-// Delete per lease (run lease and every task lease) must cost a retry,
-// not leave records behind for the next coordinator to wait out.
+// TestCoordinatorReleaseRetriesStoreFault: retiring a finished run's lease
+// records is a store write like any other and runs under the retry policy
+// — one failed Delete per lease (run lease and every task lease) must cost
+// a retry, not leave records behind.
 func TestCoordinatorReleaseRetriesStoreFault(t *testing.T) {
 	fx := newEOSFixture(t, 20)
 	head := fx.head(t)

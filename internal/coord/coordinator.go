@@ -71,7 +71,7 @@ type Config struct {
 	Log io.Writer
 
 	// PinHead, when set, resolves the chain head lazily: it is consulted
-	// only when To is zero AND no run state exists — a takeover adopts the
+	// only when To is zero AND no run plan exists — a takeover adopts the
 	// interrupted run's pinned range instead of re-pinning, so every slice
 	// is cut from the same span across coordinator generations.
 	PinHead func(ctx context.Context) (int64, error)
@@ -81,9 +81,10 @@ type Config struct {
 	// Progress, when set, receives an immutable snapshot after every task
 	// transition — the feed behind GET /v1/progress.
 	Progress *ProgressTracker
-	// AfterTaskDone, when set, runs after a task transitions to done and
-	// the run state checkpoint for it is written. The chaos harness uses
-	// it to SIGKILL the active coordinator at a known-recoverable instant.
+	// AfterTaskDone, when set, runs once a task's shard validated and its
+	// lease was released: its lease record and shard already say it is
+	// done, so the chaos harness SIGKILLs the active coordinator here, at a
+	// known-recoverable instant.
 	AfterTaskDone func(t Task)
 }
 
@@ -98,8 +99,8 @@ type Result struct {
 	Report    GapReport
 	// Epoch is the run-level election attempt this coordinator ran under.
 	Epoch int
-	// Resumed reports whether the run picked up an interrupted
-	// coordinator's checkpointed state instead of starting fresh.
+	// Resumed reports whether the run adopted an interrupted run's plan
+	// instead of starting fresh.
 	Resumed bool
 }
 
@@ -189,12 +190,14 @@ func cutSlice(i, n int, from, to int64) (int64, int64, error) {
 // figures are acceptable) or when the final merge itself refused.
 //
 // High availability: Run first wins the chain's run-level lease (or
-// adopts cfg.RunLease, a standby's already-won election), checkpoints a
-// run-state record after every task transition, and on startup adopts an
-// interrupted run's checkpoint — pinned range, validated shards, fence
-// floors — instead of starting over. The run state is deleted only after
-// a fully successful merge; a partial run leaves it behind so the next
-// coordinator re-attempts exactly the failed slices.
+// adopts cfg.RunLease, a standby's already-won election). A fresh run then
+// writes its plan — the pinned range and shard count — once, before it
+// claims any task lease; a takeover adopts an interrupted run's plan
+// instead and reads each task's status off the store (see runTask). Task
+// status otherwise lives in memory, published to cfg.Progress. A fully
+// successful run retires the plan and every lease record it holds; a
+// partial run leaves them behind, so the next coordinator re-attempts
+// exactly the failed slices under fences above every one granted before.
 func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.Owner == "" {
 		cfg.Owner = "coordinator"
@@ -222,38 +225,40 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	logf("coordinator %s elected active for %s (epoch %d)", cfg.Owner, cfg.Chain, epoch)
 
 	// Keep the run lease renewed. Losing it means a standby decided we
-	// were dead and took over: every in-flight worker must stop, and —
-	// crucially — we must stop writing run state, which the cancellation
-	// enforces because every checkpoint Put runs under rctx.
+	// were dead and took over: every in-flight worker must stop, and we
+	// must stop writing — the plan Put and every retirement delete run
+	// under rctx, which the loss cancels. On the way out the run lease is
+	// released, or deleted once the run retired.
 	rctx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
 	runRenewDone := keepRenewed(rctx, leases, &runRec, cfg.LeaseTTL, cancel, RunLeaseTask(cfg.Chain), logf)
+	retired := false
 	defer func() {
 		cancel(nil)
 		<-runRenewDone
-		releaseLease(ctx, cfg, leases, runRec, logf)
+		closeLease(ctx, cfg, leases, runRec, retired, logf)
 	}()
 
-	// Resume or pin: an interrupted run's checkpoint wins over fresh
+	// Resume or pin: an interrupted run's plan wins over fresh
 	// configuration — re-resolving head mid-run would cut different slices
 	// and orphan every emitted shard. A caller that explicitly pinned a
-	// DIFFERENT range than the checkpoint gets a loud conflict, not a
-	// silent adoption.
-	prev, resumed, err := LoadRunState(rctx, cfg.Store, cfg.Chain)
+	// DIFFERENT range than the plan gets a loud conflict, not a silent
+	// adoption.
+	plan, resumed, err := LoadRunState(rctx, cfg.Store, cfg.Chain)
 	if err != nil {
 		return nil, err
 	}
 	if resumed {
-		if cfg.To != 0 && (prev.From != cfg.From || prev.To != cfg.To || prev.Shards != cfg.Shards) {
-			return nil, fmt.Errorf("coord: run state for %s pins [%d, %d] in %d shards, but this run was configured for [%d, %d] in %d; delete %s to abandon the interrupted run",
-				cfg.Chain, prev.From, prev.To, prev.Shards, cfg.From, cfg.To, cfg.Shards, RunStateKey(cfg.Chain))
+		if cfg.To != 0 && (plan.From != cfg.From || plan.To != cfg.To || plan.Shards != cfg.Shards) {
+			return nil, fmt.Errorf("coord: run plan for %s pins [%d, %d] in %d shards, but this run was configured for [%d, %d] in %d; delete %s to abandon the interrupted run",
+				cfg.Chain, plan.From, plan.To, plan.Shards, cfg.From, cfg.To, cfg.Shards, RunStateKey(cfg.Chain))
 		}
-		cfg.From, cfg.To, cfg.Shards = prev.From, prev.To, prev.Shards
-		logf("resuming interrupted run for %s: [%d, %d] in %d shards (previous coordinator %s, epoch %d)",
-			cfg.Chain, cfg.From, cfg.To, cfg.Shards, prev.Owner, prev.Epoch)
+		cfg.From, cfg.To, cfg.Shards = plan.From, plan.To, plan.Shards
+		logf("resuming interrupted run for %s: [%d, %d] in %d shards (pinned by %s)",
+			cfg.Chain, cfg.From, cfg.To, cfg.Shards, plan.Owner)
 	} else if cfg.To == 0 {
 		if cfg.PinHead == nil {
-			return nil, fmt.Errorf("coord: To is zero, no run state to resume and no PinHead resolver configured")
+			return nil, fmt.Errorf("coord: To is zero, no run plan to resume and no PinHead resolver configured")
 		}
 		head, err := cfg.PinHead(rctx)
 		if err != nil {
@@ -267,24 +272,17 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{Tasks: tasks, Epoch: epoch, Resumed: resumed}
-
-	state := prev
-	if state == nil {
-		state = &RunState{Chain: cfg.Chain, Tasks: make(map[string]*TaskRecord, len(tasks))}
-	}
-	state.From, state.To, state.Shards = cfg.From, cfg.To, cfg.Shards
-	state.Owner, state.Epoch = cfg.Owner, epoch
-	for _, t := range tasks {
-		if state.Tasks[t.Name()] == nil {
-			state.Tasks[t.Name()] = &TaskRecord{Index: t.Index, From: t.From, To: t.To, State: TaskPending}
+	if !resumed {
+		// The plan pins the range durably before any lease is claimed — it
+		// must land, or a takeover could re-pin a moved head.
+		plan = &RunState{Chain: cfg.Chain, From: cfg.From, To: cfg.To, Shards: cfg.Shards, Owner: cfg.Owner}
+		if err := cfg.Retry.Do(rctx, "write run plan", func(ctx context.Context) error {
+			return saveRunState(ctx, cfg.Store, plan)
+		}); err != nil {
+			return res, err
 		}
 	}
-	tr := &runTracker{store: cfg.Store, state: state, progress: cfg.Progress, logf: logf, now: leases.clock}
-	// The first checkpoint pins the range durably before any lease is
-	// claimed — it must land, or a takeover could re-pin a moved head.
-	if err := cfg.Retry.Do(rctx, "checkpoint run state", tr.checkpoint); err != nil {
-		return res, err
-	}
+	tr := newRunTracker(cfg, tasks, epoch, leases.clock)
 
 	parallel := cfg.Parallel
 	if parallel <= 0 || parallel > len(tasks) {
@@ -304,19 +302,13 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			shard, err := runTask(rctx, cfg, leases, t, tr, logf)
-			if err != nil {
-				tr.transition(rctx, t.Name(), func(r *TaskRecord) {
-					r.State = TaskFailed
-					r.Error = err.Error()
-				})
-			} else {
-				tr.transition(rctx, t.Name(), func(r *TaskRecord) {
-					r.State = TaskDone
-					r.ShardKey = shard.key
-					r.Error = ""
-				})
-			}
+			shard, err := runTask(rctx, cfg, leases, t, tr, resumed, logf)
+			tr.update(t, func(r *TaskProgress) {
+				r.State, r.Error = TaskDone, ""
+				if err != nil {
+					r.State, r.Error = TaskFailed, err.Error()
+				}
+			})
 			mu.Lock()
 			if err != nil {
 				logf("slice %d/%d [%d, %d]: FAILED: %v", t.Index, t.N, t.From, t.To, err)
@@ -328,9 +320,9 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			}
 			mu.Unlock()
 			if err == nil && cfg.AfterTaskDone != nil {
-				// After the done-transition checkpoint is written: killing
-				// the coordinator here is exactly the recoverable instant
-				// the chaos harness wants to hit.
+				// The task's lease is released and its shard validated:
+				// killing the coordinator here is exactly the recoverable
+				// instant the chaos harness wants to hit.
 				cfg.AfterTaskDone(t)
 			}
 		}(t)
@@ -344,13 +336,12 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	// the bytes a task validated skip a second decode — tolerating gaps,
 	// which the report accounts for. Overlaps, corruption and stale fences
 	// stay loud (figures would be WRONG, not just partial), so merge
-	// refusals are Permanent; load failures retry. The fence floors come
-	// from the run state, which outlives released task leases.
+	// refusals are Permanent; load failures retry. The fence floors are the
+	// fences this coordinator granted or read off lease records, from
+	// memory: the newest each task's lineage holds.
 	var gaps []core.BlockRange
 	if len(res.Completed) > 0 {
-		tr.mu.Lock()
-		floors := tr.state.FenceFloors()
-		tr.mu.Unlock()
+		floors := tr.floors()
 		lerr := cfg.Retry.Do(rctx, "merge shards", func(ctx context.Context) error {
 			blobs, err := loadShards(ctx, cfg.Store, validated)
 			if err != nil {
@@ -401,29 +392,44 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if len(gaps) > 0 {
 		return res, fmt.Errorf("coord: merged shards leave %d gap(s) in [%d, %d]; figures are partial (see gap report)", len(gaps), cfg.From, cfg.To)
 	}
-	// Fully successful: retire the run state so the next run of this chain
-	// starts fresh. A partial run deliberately leaves it behind — the next
-	// coordinator resumes and re-attempts exactly the failed slices.
-	if err := cfg.Retry.Do(rctx, "retire run state", func(ctx context.Context) error {
-		return DeleteRunState(ctx, cfg.Store, cfg.Chain)
-	}); err != nil {
-		return res, err
+	// Fully successful: retire the run so the next run of this chain starts
+	// fresh — the plan first, then every task's lease record, then (on the
+	// way out, once its renewer stopped) the run lease. The fold above
+	// accepted every shard at its record's attempt, so the floors the
+	// records carry are spent. The task deletes need no read: this run
+	// still holds the run lease, so nobody else can claim its tasks. A
+	// partial run deliberately leaves plan and records behind — the next
+	// coordinator adopts the plan and re-attempts exactly the failed
+	// slices, above every fence granted so far.
+	keys := []string{RunStateKey(cfg.Chain)}
+	for _, t := range tasks {
+		keys = append(keys, leaseKey(t.Name()))
 	}
+	for _, key := range keys {
+		if err := cfg.Retry.Do(rctx, "retire "+key, func(ctx context.Context) error {
+			return cfg.Store.Delete(ctx, key)
+		}); err != nil {
+			return res, err
+		}
+	}
+	retired = true
 	return res, nil
 }
 
-// releaseLease gives a lease back under the run's retry policy: one store
-// fault on the read or the delete must not leak the record, or the next
-// coordinator for the chain waits out the TTL. It outlives ctx — releases
-// run on the way out of a cancelled run too. Exhausted retries are logged,
-// not returned: the run's outcome is already decided and the TTL reclaims
-// the lease.
-func releaseLease(ctx context.Context, cfg Config, leases *Leases, rec LeaseRecord, logf func(string, ...any)) {
-	err := cfg.Retry.Do(context.WithoutCancel(ctx), "release "+rec.Task, func(ctx context.Context) error {
-		return leases.Release(ctx, rec)
-	})
-	if err != nil {
-		logf("lease %s: release failed, it expires within %v: %v", rec.Task, cfg.LeaseTTL, err)
+// closeLease gives a held lease up on the way out — released, or deleted
+// when its run retired — under the run's retry policy: one store fault
+// must not leave the record live, or the next coordinator for the chain
+// waits out the TTL. It outlives ctx: leases close on the way out of a
+// cancelled run too. Exhausted retries are logged, not returned: the run's
+// outcome is already decided, a live lease left behind expires within the
+// TTL, and an expired one costs the next run nothing but a higher fence.
+func closeLease(ctx context.Context, cfg Config, leases *Leases, rec LeaseRecord, retire bool, logf func(string, ...any)) {
+	op := func(ctx context.Context) error { return leases.Release(ctx, rec) }
+	if retire {
+		op = func(ctx context.Context) error { return cfg.Store.Delete(ctx, leaseKey(rec.Task)) }
+	}
+	if err := cfg.Retry.Do(context.WithoutCancel(ctx), "close lease "+rec.Task, op); err != nil {
+		logf("lease %s: closing failed, it expires within %v: %v", rec.Task, cfg.LeaseTTL, err)
 	}
 }
 
@@ -436,8 +442,7 @@ func claimRetrying(ctx context.Context, policy retry.Policy, leases *Leases, tas
 		return errors.As(err, new(*ErrHeld)) || retry.DefaultRetryable(err)
 	}
 	var rec LeaseRecord
-	err := policy.Do(ctx, "claim "+task, func(ctx context.Context) error {
-		var err error
+	err := policy.Do(ctx, "claim "+task, func(ctx context.Context) (err error) {
 		rec, err = leases.Claim(ctx, task)
 		return err
 	})
@@ -461,8 +466,7 @@ func keepRenewed(ctx context.Context, leases *Leases, rec *LeaseRecord, ttl time
 				return
 			case <-tick.C:
 				if err := leases.Renew(ctx, rec); err != nil {
-					var lost *ErrLost
-					if errors.As(err, &lost) {
+					if errors.As(err, new(*ErrLost)) {
 						cancel(err)
 						return
 					}
@@ -474,79 +478,81 @@ func keepRenewed(ctx context.Context, leases *Leases, rec *LeaseRecord, ttl time
 	return done
 }
 
-// runTracker serializes run-state mutation, checkpointing and progress
-// publication. Every transition rewrites the FULL state blob, so a
-// checkpoint lost to a flaky store costs only takeover freshness — the
-// next transition carries this one's changes too — and the tracker can
-// log-and-continue instead of failing the run.
+// runTracker holds the run's task table in memory — state, fence, worker
+// launches and terminal error per task — and publishes a Progress
+// snapshot after every transition. It writes nothing to the store.
 type runTracker struct {
 	mu       sync.Mutex
-	store    blobstore.Store
-	state    *RunState
+	head     Progress       // report header, owner and epoch
+	tasks    []TaskProgress // by Index-1
 	progress *ProgressTracker
-	logf     func(string, ...any)
-	now      func() time.Time // the Leases' clock: stamps every checkpoint
+	now      func() time.Time // the Leases' clock: stamps every snapshot
 }
 
-// record returns a copy of a task's current record.
-func (tr *runTracker) record(name string) (TaskRecord, bool) {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	r := tr.state.Tasks[name]
-	if r == nil {
-		return TaskRecord{}, false
+func newRunTracker(cfg Config, tasks []Task, epoch int, now func() time.Time) *runTracker {
+	tr := &runTracker{
+		head:     Progress{Report: GapReport{Chain: cfg.Chain, From: cfg.From, To: cfg.To}, Owner: cfg.Owner, Epoch: epoch},
+		progress: cfg.Progress,
+		now:      now,
 	}
-	return *r, true
-}
-
-// transition mutates one task's record, checkpoints and publishes.
-func (tr *runTracker) transition(ctx context.Context, name string, mut func(*TaskRecord)) {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	if r := tr.state.Tasks[name]; r != nil {
-		mut(r)
-	}
-	if err := SaveRunState(ctx, tr.store, tr.state, tr.now()); err != nil {
-		tr.logf("run state checkpoint failed (transient): %v", err)
+	for _, t := range tasks {
+		tr.tasks = append(tr.tasks, TaskProgress{Task: t.Name(), Index: t.Index, From: t.From, To: t.To, State: TaskPending})
 	}
 	tr.publishLocked()
+	return tr
 }
 
-// checkpoint saves the current state, loudly — the initial pin-the-range
-// write goes through here under the retry policy.
-func (tr *runTracker) checkpoint(ctx context.Context) error {
+// update applies mut to task t's row and publishes.
+func (tr *runTracker) update(t Task, mut func(*TaskProgress)) {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	if err := SaveRunState(ctx, tr.store, tr.state, tr.now()); err != nil {
-		return err
-	}
+	mut(&tr.tasks[t.Index-1])
 	tr.publishLocked()
-	return nil
 }
 
 func (tr *runTracker) publishLocked() {
 	if tr.progress != nil {
-		tr.progress.Publish(progressFrom(tr.state))
+		head := tr.head
+		head.UpdatedAt = tr.now().UTC()
+		tr.progress.Publish(progressFrom(head, tr.tasks))
 	}
 }
 
-// runTask claims a task's lease, keeps it renewed, and drives worker
-// attempts under the retry policy until the task's shard blob validates
-// or the budget runs out. On a resumed run, a slice the previous
-// coordinator already validated is skipped — after re-validating against
-// the store, because trusting a checkpoint over the store would merge a
-// blob nobody checked.
-func runTask(ctx context.Context, cfg Config, leases *Leases, t Task, tr *runTracker, logf func(string, ...any)) (shardBlob, error) {
-	if prev, ok := tr.record(t.Name()); ok && prev.State == TaskDone {
-		done := t
-		done.Fence = prev.Fence
-		if shard, err := validateShard(ctx, cfg.Store, done); err == nil {
-			logf("slice %d/%d [%d, %d]: validated by a previous coordinator (fence %d), skipping", t.Index, t.N, t.From, t.To, prev.Fence)
-			return shard, nil
-		} else if retry.IsPermanent(err) {
-			return shardBlob{}, err
-		} else {
-			logf("slice %d/%d [%d, %d]: checkpoint says done but shard no longer validates (%v); relaunching", t.Index, t.N, t.From, t.To, err)
+// floors returns, by task name, the fence this run granted or read off
+// each task's lease record (0, which refuses nothing, when it has none).
+func (tr *runTracker) floors() map[string]uint64 {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	floors := make(map[string]uint64, len(tr.tasks))
+	for _, r := range tr.tasks {
+		floors[r.Task] = r.Fence
+	}
+	return floors
+}
+
+// runTask drives one task to a validated shard. On a resumed run it first
+// reads the task's lease record: when the shard validates at the record's
+// attempt, a previous coordinator finished the task, and it is skipped
+// without a claim — the store, not a copy of someone's status, says so.
+// Otherwise runTask claims the task's lease, keeps it renewed, and drives
+// worker attempts under the retry policy until the shard validates or the
+// budget runs out.
+func runTask(ctx context.Context, cfg Config, leases *Leases, t Task, tr *runTracker, resumed bool, logf func(string, ...any)) (shardBlob, error) {
+	if resumed {
+		// A read that fails only means claiming, which reads the record
+		// again under the retry policy.
+		if prev, ok, _ := leases.Holder(ctx, t.Name()); ok {
+			t.Fence = uint64(prev.Attempt)
+			tr.update(t, func(r *TaskProgress) { r.Fence = t.Fence })
+			shard, err := validateShard(ctx, cfg.Store, t)
+			if err == nil {
+				logf("slice %d/%d [%d, %d]: validated by a previous coordinator (fence %d), skipping", t.Index, t.N, t.From, t.To, t.Fence)
+				return shard, nil
+			}
+			if retry.IsPermanent(err) {
+				return shardBlob{}, err
+			}
+			logf("slice %d/%d [%d, %d]: not done at fence %d (%v); claiming", t.Index, t.N, t.From, t.To, t.Fence, err)
 		}
 	}
 
@@ -557,15 +563,11 @@ func runTask(ctx context.Context, cfg Config, leases *Leases, t Task, tr *runTra
 		return shardBlob{}, err
 	}
 	// The claim's attempt count is the task's fence token: it grows on
-	// every reclaim, so the shard a worker emits under this lease outranks
-	// anything a superseded worker may still write.
+	// every reclaim, and a released lease keeps its record, so the shard a
+	// worker emits under this lease outranks anything a superseded worker
+	// — of this run or an abandoned one — may still write.
 	t.Fence = uint64(rec.Attempt)
-	tr.transition(ctx, t.Name(), func(r *TaskRecord) {
-		r.State = TaskRunning
-		if t.Fence > r.Fence {
-			r.Fence = t.Fence
-		}
-	})
+	tr.update(t, func(r *TaskProgress) { r.State, r.Fence = TaskRunning, t.Fence })
 	logf("slice %d/%d [%d, %d]: lease claimed (attempt %d, fence %d)", t.Index, t.N, t.From, t.To, rec.Attempt, t.Fence)
 
 	// Renew the lease at TTL/3 while attempts run. Losing the lease
@@ -576,7 +578,7 @@ func runTask(ctx context.Context, cfg Config, leases *Leases, t Task, tr *runTra
 	defer func() {
 		cancel(nil)
 		<-renewDone
-		releaseLease(ctx, cfg, leases, rec, logf)
+		closeLease(ctx, cfg, leases, rec, false, logf)
 	}()
 
 	policy := cfg.Retry
@@ -593,7 +595,7 @@ func runTask(ctx context.Context, cfg Config, leases *Leases, t Task, tr *runTra
 	}
 	var shard shardBlob
 	err = policy.Do(rctx, "shard "+t.Name(), func(ctx context.Context) error {
-		tr.transition(ctx, t.Name(), func(r *TaskRecord) { r.Attempts++ })
+		tr.update(t, func(r *TaskProgress) { r.Attempts++ })
 		if err := cfg.Run(ctx, t); err != nil {
 			return err
 		}

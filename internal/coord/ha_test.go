@@ -1,6 +1,6 @@
 // High-availability tests: multi-coordinator lease contention, fence
-// enforcement against zombie emissions, crash-recoverable run state, and
-// the live progress export.
+// enforcement against zombie emissions, resuming from the run plan and
+// the lease lineage, and the live progress export.
 package coord
 
 import (
@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/blobstore"
+	"repro/internal/cli"
 	"repro/internal/collect"
 	"repro/internal/core"
 	"repro/internal/retry"
@@ -112,8 +113,8 @@ func TestLeaseContentionTwoCoordinators(t *testing.T) {
 	if err := b.Release(ctx, *recs["beta"]); err != nil {
 		t.Fatal(err)
 	}
+	expect("after beta release") // zero: the record stays, expired
 	recs["beta"] = nil
-	expect("after beta release") // zero: lease retired
 }
 
 // TestLeaseContentionConcurrent hammers one lease per round with several
@@ -282,8 +283,9 @@ func TestValidateShardFence(t *testing.T) {
 }
 
 // TestCoordinatorZombieFenceRefused is the end-to-end zombie story: a
-// partial run leaves its run state (and fence floors) behind; a zombie
-// worker then overwrites a validated shard with an unfenced emission.
+// partial run leaves its plan and its lease records (the fence floors)
+// behind; a zombie worker then overwrites a validated shard with an
+// unfenced emission.
 // The merge must refuse the stale blob by name, and a resumed coordinator
 // must detect the clobber, relaunch the slice under a newer fence, and
 // finish with figures byte-identical to the oracle.
@@ -332,8 +334,9 @@ func TestCoordinatorZombieFenceRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The store's surviving lineage (run state) still carries the floor:
-	// a join of the store refuses the zombie blob by name.
+	// The store's surviving lineage (the released lease records) still
+	// carries the floor: a join of the store refuses the zombie blob by
+	// name.
 	floors := make(map[string]uint64)
 	if err := fenceIndex(ctx, store, floors); err != nil {
 		t.Fatal(err)
@@ -346,8 +349,8 @@ func TestCoordinatorZombieFenceRefused(t *testing.T) {
 		t.Fatalf("join of zombie blob: %v, want a refusal naming %s", err, key)
 	}
 
-	// A replacement coordinator resumes, detects the clobbered slice
-	// (checkpoint says done, blob fails fence validation), relaunches it
+	// A replacement coordinator resumes, detects the clobbered slice (the
+	// blob fails validation at its lease record's fence), relaunches it
 	// under a fresh lease, and completes byte-identical to the oracle.
 	cfg.Run = run // slice 3's endpoint is back
 	res2, err := Run(ctx, cfg)
@@ -366,9 +369,10 @@ func TestCoordinatorZombieFenceRefused(t *testing.T) {
 }
 
 // TestCoordinatorResumeFromRunState: a run interrupted by failed slices
-// leaves its checkpoint; a replacement coordinator adopts the pinned
-// range (never re-pinning head), skips already-validated slices without
-// refetching a single block of them, and re-attempts only the failures.
+// leaves its plan; a replacement coordinator adopts the pinned range
+// (never re-pinning head), skips the slices whose shards validate at their
+// lease records' fences without refetching a single block of them, and
+// re-attempts only the failures.
 func TestCoordinatorResumeFromRunState(t *testing.T) {
 	const blocks = 45
 	fx := newEOSFixture(t, blocks)
@@ -394,20 +398,19 @@ func TestCoordinatorResumeFromRunState(t *testing.T) {
 	}
 	prev, ok, err := LoadRunState(ctx, store, "eos")
 	if err != nil || !ok {
-		t.Fatalf("no run state after partial run: %v", err)
+		t.Fatalf("no run plan after partial run: %v", err)
 	}
 	if prev.To != head || prev.Owner != "coordinator-1" {
-		t.Fatalf("run state %+v", prev)
+		t.Fatalf("run plan %+v", prev)
 	}
 
-	// Replacement coordinator: To is zero, so without the checkpoint it
-	// would re-pin head — PinHead failing loudly proves the checkpointed
-	// range won.
+	// Replacement coordinator: To is zero, so without the plan it would
+	// re-pin head — PinHead failing loudly proves the planned range won.
 	fx.mu.Lock()
 	fx.fetched = make(map[int64]int)
 	fx.mu.Unlock()
 	res2, err := Run(ctx, Config{
-		Chain: "eos", From: 1, Shards: 0, // adopted from the checkpoint
+		Chain: "eos", From: 1, Shards: 0, // adopted from the plan
 		Store: store,
 		Owner: "coordinator-2",
 		Retry: retry.Policy{Attempts: 2, Base: time.Millisecond},
@@ -423,7 +426,7 @@ func TestCoordinatorResumeFromRunState(t *testing.T) {
 		t.Fatalf("resumed run: resumed=%v completed=%d", res2.Resumed, len(res2.Completed))
 	}
 	// Only the failed slice's blocks were refetched: done slices were
-	// skipped on re-validation alone.
+	// skipped on validation at their lease records' fences alone.
 	failed := res.Failed[0].Task
 	fx.mu.Lock()
 	for num, n := range fx.fetched {
@@ -441,16 +444,13 @@ func TestCoordinatorResumeFromRunState(t *testing.T) {
 	}
 }
 
-// TestCoordinatorRunStateConflictIsLoud: a checkpoint pinning one range
-// refuses a coordinator explicitly configured for another, instead of
-// silently adopting either.
+// TestCoordinatorRunStateConflictIsLoud: a plan pinning one range refuses
+// a coordinator explicitly configured for another, instead of silently
+// adopting either.
 func TestCoordinatorRunStateConflictIsLoud(t *testing.T) {
 	ctx := context.Background()
 	store := blobstore.NewMemory()
-	if err := SaveRunState(ctx, store, &RunState{
-		Chain: "eos", From: 1, To: 100, Shards: 4,
-		Tasks: map[string]*TaskRecord{},
-	}, time.Now()); err != nil {
+	if err := saveRunState(ctx, store, &RunState{Chain: "eos", From: 1, To: 100, Shards: 4}); err != nil {
 		t.Fatal(err)
 	}
 	_, err := Run(ctx, Config{
@@ -464,37 +464,116 @@ func TestCoordinatorRunStateConflictIsLoud(t *testing.T) {
 	}
 }
 
-// TestRunStateStampedByLeaseClock: the tracker checkpoints with its
-// Leases' clock, so a run driven by a fixed clock writes that instant —
-// not the wall clock's — into the run state it leaves in the store.
-func TestRunStateStampedByLeaseClock(t *testing.T) {
-	ctx := context.Background()
+// TestCoordinatorAbandonedPlanFencesClimb: deleting a partial run's plan
+// abandons the run but not its lease lineage. The rerun cuts afresh, yet
+// every fence it grants sits above the abandoned run's records, so a shard
+// a worker of the abandoned run emits late is refused at validation.
+func TestCoordinatorAbandonedPlanFencesClimb(t *testing.T) {
+	const blocks = 45
+	fx := newEOSFixture(t, blocks)
+	head := fx.head(t)
 	store := blobstore.NewMemory()
-	clk := &fakeClock{t: time.Unix(5000, 0)}
-	tr := &runTracker{
-		store: store,
-		state: &RunState{Chain: "eos", From: 1, To: 100, Shards: 1, Tasks: map[string]*TaskRecord{
-			"eos-0000000001-0000000100": {Index: 1, From: 1, To: 100, State: TaskPending},
-		}},
-		logf: t.Logf,
-		now:  newTestLeases(store, "alpha", clk).clock,
+	ctx := context.Background()
+
+	run := inProcessWorker(fx, store, 0)
+	cfg := Config{
+		Chain: "eos", From: 1, To: head, Shards: 3,
+		Store: store,
+		Retry: retry.Policy{Attempts: 2, Base: time.Millisecond},
+		Run: func(ctx context.Context, task Task) error {
+			if task.Index == 3 {
+				return fmt.Errorf("endpoint dark for now")
+			}
+			return run(ctx, task)
+		},
 	}
-	if err := tr.checkpoint(ctx); err != nil {
+	res, err := Run(ctx, cfg)
+	if err == nil || len(res.Completed) != 2 {
+		t.Fatalf("partial run: completed %d, err %v", len(res.Completed), err)
+	}
+	old := make(map[string]uint64)
+	if err := fenceIndex(ctx, store, old); err != nil {
 		t.Fatal(err)
 	}
-	clk.t = clk.t.Add(90 * time.Second)
-	tr.transition(ctx, "eos-0000000001-0000000100", func(r *TaskRecord) { r.State = TaskRunning })
-	got, ok, err := LoadRunState(ctx, store, "eos")
-	if err != nil || !ok {
-		t.Fatalf("loading the checkpoint: ok=%v err=%v", ok, err)
+	victim := res.Completed[0]
+	abandoned, err := store.Get(ctx, shardKey(victim.Name()))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !got.UpdatedAt.Equal(clk.t) {
-		t.Fatalf("checkpoint stamped %v, the lease clock reads %v", got.UpdatedAt, clk.t)
+	if err := store.Delete(ctx, RunStateKey("eos")); err != nil { // abandon the run
+		t.Fatal(err)
+	}
+
+	// The rerun: the victim's first attempt is the abandoned run's worker
+	// landing its shard late, in place of this run's worker.
+	var (
+		mu      sync.Mutex
+		fences  = make(map[string]uint64)
+		zombied bool
+		log     strings.Builder
+	)
+	cfg.Log = cli.SyncWriter(&log)
+	cfg.Run = func(ctx context.Context, task Task) error {
+		mu.Lock()
+		fences[task.Name()] = task.Fence
+		zombie := task.Name() == victim.Name() && !zombied
+		zombied = zombied || zombie
+		mu.Unlock()
+		if zombie {
+			return store.Put(ctx, shardKey(task.Name()), abandoned)
+		}
+		return run(ctx, task)
+	}
+	res2, err := Run(ctx, cfg)
+	if err != nil {
+		t.Fatalf("rerun after abandoning the plan: %v\n%s", err, log.String())
+	}
+	if res2.Resumed {
+		t.Fatal("rerun resumed a plan that was deleted")
+	}
+	for _, task := range res2.Tasks {
+		if got, floor := fences[task.Name()], old[task.Name()]; floor == 0 || got <= floor {
+			t.Errorf("%s: rerun fence %d, want above the abandoned run's record %d", task.Name(), got, floor)
+		}
+	}
+	if !strings.Contains(log.String(), "stale emission") {
+		t.Errorf("the abandoned run's shard was not refused at validation:\n%s", log.String())
+	}
+	if got, want := res2.Merged.Summary().Render(), fx.oracle(t, head); got != want {
+		t.Errorf("figures after the rerun differ from oracle:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 }
 
-// TestFenceIndex: floors fold from both surviving lease records and run
-// states, max wins across sources, and corrupt records are loud.
+// TestRunStateStampedByLeaseClock: the tracker stamps every snapshot of
+// its task table with its Leases' clock, so a run driven by a fixed clock
+// publishes that instant — not the wall clock's — after each transition,
+// and the run state it keeps leaves nothing in the store.
+func TestRunStateStampedByLeaseClock(t *testing.T) {
+	store := blobstore.NewMemory()
+	clk := &fakeClock{t: time.Unix(5000, 0)}
+	progress := &ProgressTracker{}
+	task := Task{Index: 1, N: 1, Chain: "eos", From: 1, To: 100}
+	tr := newRunTracker(Config{Chain: "eos", From: 1, To: 100, Progress: progress},
+		[]Task{task}, 1, newTestLeases(store, "alpha", clk).clock)
+	if got := progress.Snapshot(); got == nil || !got.UpdatedAt.Equal(clk.t) {
+		t.Fatalf("first snapshot %+v, want one stamped %v", got, clk.t)
+	}
+	clk.t = clk.t.Add(90 * time.Second)
+	tr.update(task, func(r *TaskProgress) { r.State = TaskRunning })
+	got := progress.Snapshot()
+	if !got.UpdatedAt.Equal(clk.t) {
+		t.Fatalf("transition stamped %v, the lease clock reads %v", got.UpdatedAt, clk.t)
+	}
+	if len(got.Tasks) != 1 || got.Tasks[0].State != TaskRunning {
+		t.Fatalf("snapshot tasks %+v, want the one task running", got.Tasks)
+	}
+	if n := store.Ops(blobstore.OpPut); n != 0 {
+		t.Fatalf("the tracker wrote %d objects; its run state lives in memory", n)
+	}
+}
+
+// TestFenceIndex: floors fold from lease records, a released lease keeps
+// its floor, and corrupt records are loud.
 func TestFenceIndex(t *testing.T) {
 	ctx := context.Background()
 	store := blobstore.NewMemory()
@@ -503,27 +582,22 @@ func TestFenceIndex(t *testing.T) {
 	if _, err := l.Claim(ctx, "eos-0000000001-0000000050"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Claim(ctx, "eos-0000000001-0000000050"); err != nil { // attempt 2
+	rec, err := l.Claim(ctx, "eos-0000000001-0000000050") // attempt 2
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := SaveRunState(ctx, store, &RunState{
-		Chain: "eos", From: 1, To: 100, Shards: 2,
-		Tasks: map[string]*TaskRecord{
-			"eos-0000000001-0000000050": {Index: 1, From: 1, To: 50, State: TaskDone, Fence: 1},
-			"eos-0000000051-0000000100": {Index: 2, From: 51, To: 100, State: TaskRunning, Fence: 5},
-		},
-	}, clk.now()); err != nil {
+	if err := l.Release(ctx, rec); err != nil {
 		t.Fatal(err)
 	}
-	index := make(map[string]uint64)
+	index := map[string]uint64{"eos-0000000051-0000000100": 5}
 	if err := fenceIndex(ctx, store, index); err != nil {
 		t.Fatal(err)
 	}
-	if index["eos-0000000001-0000000050"] != 2 { // lease attempt 2 beats run-state fence 1
+	if index["eos-0000000001-0000000050"] != 2 { // the released lease's lineage
 		t.Fatalf("index = %v, want lease lineage 2 for slice 1", index)
 	}
-	if index["eos-0000000051-0000000100"] != 5 { // run state survives lease release
-		t.Fatalf("index = %v, want run-state fence 5 for slice 2", index)
+	if index["eos-0000000051-0000000100"] != 5 { // a floor from another store stays
+		t.Fatalf("index = %v, want the floor 5 already held for slice 2", index)
 	}
 	if err := store.Put(ctx, leaseKey("torn-task"), []byte("{torn")); err != nil {
 		t.Fatal(err)
@@ -536,12 +610,16 @@ func TestFenceIndex(t *testing.T) {
 // TestProgressExport drives the live progress endpoint through a real
 // coordinated run: 503 with epoch 0 before election, parseable mid-run
 // snapshots in the GapReport shape, and a final snapshot accounting for
-// the degraded slice.
+// the degraded slice. The run reads a fixed lease clock, and every
+// snapshot is stamped by it — not by the wall clock, and never left zero.
 func TestProgressExport(t *testing.T) {
 	const blocks = 30
 	fx := newEOSFixture(t, blocks)
 	head := fx.head(t)
 	store := blobstore.NewMemory()
+	clock := time.Unix(5000, 0).UTC()
+	leaseNow = func() time.Time { return clock }
+	t.Cleanup(func() { leaseNow = time.Now })
 
 	tracker := &ProgressTracker{}
 	h := NewProgressHandler(tracker)
@@ -596,6 +674,9 @@ func TestProgressExport(t *testing.T) {
 				if w.Header().Get("X-Coord-Epoch") == "0" {
 					t.Error("mid-run epoch still 0")
 				}
+				if !p.UpdatedAt.Equal(clock) {
+					t.Errorf("mid-run snapshot stamped %v, the lease clock reads %v", p.UpdatedAt, clock)
+				}
 			})
 		},
 	})
@@ -612,6 +693,9 @@ func TestProgressExport(t *testing.T) {
 	}
 	if p.Epoch != res.Epoch || w.Header().Get("X-Coord-Epoch") != fmt.Sprint(res.Epoch) {
 		t.Fatalf("epoch %d header %q, want %d", p.Epoch, w.Header().Get("X-Coord-Epoch"), res.Epoch)
+	}
+	if !p.UpdatedAt.Equal(clock) {
+		t.Errorf("final snapshot stamped %v, the lease clock reads %v", p.UpdatedAt, clock)
 	}
 	failed := res.Failed[0].Task
 	if len(p.Report.Missing) != 1 || p.Report.Missing[0].From != failed.From || p.Report.Missing[0].To != failed.To {

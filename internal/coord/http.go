@@ -1,4 +1,4 @@
-// Live progress export: the active coordinator serves its run state over
+// Live progress export: the active coordinator serves its task table over
 // HTTP while the crawl runs, so a degraded week-long run is observable
 // before it exits. Same copy-on-write idiom as internal/serve: the run
 // loop publishes immutable Progress snapshots through an atomic pointer,
@@ -9,7 +9,7 @@ package coord
 import (
 	"encoding/json"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -28,11 +28,16 @@ type Progress struct {
 	Owner string `json:"owner"`
 	Epoch int    `json:"epoch"`
 	// Tasks is the per-slice status, ascending by index.
-	Tasks     []TaskProgress `json:"tasks"`
-	UpdatedAt time.Time      `json:"updated_at"`
+	Tasks []TaskProgress `json:"tasks"`
+	// UpdatedAt is when the snapshot was published, by the coordinator's
+	// lease clock.
+	UpdatedAt time.Time `json:"updated_at"`
 }
 
-// TaskProgress is one task's row in a Progress snapshot.
+// TaskProgress is one task's row in a Progress snapshot. It is what this
+// coordinator knows: after a takeover, Fence is the fence it granted or
+// read off the task's lease record, and Attempts counts its own worker
+// launches, not those of the coordinators before it.
 type TaskProgress struct {
 	Task     string `json:"task"`
 	Index    int    `json:"index"`
@@ -58,23 +63,14 @@ func (t *ProgressTracker) Publish(p *Progress) { t.cur.Store(p) }
 // Snapshot returns the current snapshot, or nil before the first Publish.
 func (t *ProgressTracker) Snapshot() *Progress { return t.cur.Load() }
 
-// progressFrom renders a RunState into a Progress snapshot: done tasks
-// leave coverage, everything else lands in Missing, failed tasks also land
-// in Failures — the same accounting the final report does, computed from
-// checkpointed state instead of merged shards.
-func progressFrom(s *RunState) *Progress {
-	p := &Progress{
-		Report: GapReport{Chain: s.Chain, From: s.From, To: s.To},
-		Owner:  s.Owner,
-		Epoch:  s.Epoch,
-	}
-	for name, rec := range s.Tasks {
-		p.Tasks = append(p.Tasks, TaskProgress{
-			Task: name, Index: rec.Index, From: rec.From, To: rec.To,
-			State: rec.State, Fence: rec.Fence, Attempts: rec.Attempts, Error: rec.Error,
-		})
-	}
-	sort.Slice(p.Tasks, func(i, j int) bool { return p.Tasks[i].Index < p.Tasks[j].Index })
+// progressFrom renders a task table, ascending by index, into a snapshot
+// under head's report header, owner, epoch and stamp: done tasks leave
+// coverage, everything else lands in Missing, failed tasks also land in
+// Failures — the same accounting the final report does, computed from
+// task status instead of merged shards.
+func progressFrom(head Progress, tasks []TaskProgress) *Progress {
+	p := &head
+	p.Tasks = slices.Clone(tasks)
 	var missing []GapRange
 	for _, tp := range p.Tasks {
 		if tp.State != TaskDone {

@@ -6,8 +6,9 @@
 // partial figures plus a machine-readable gap report when a slice
 // exhausts its retries, instead of refusing outright.
 //
-// It owns everything a run leaves in its store — leases, run state, worker
-// checkpoints and shard blobs, all keyed from one task name (shard.go) —
+// It owns everything a run leaves in its store — leases, the run plan,
+// worker checkpoints and shard blobs, all keyed from one task name
+// (shard.go) —
 // and the one way to fold those shards: Run merges its own store at the
 // end of a run, Join merges the stores of a finished fleet (cmd/merge),
 // both through one shard reader and one refusal ladder.
@@ -29,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"strings"
 	"time"
 
 	"repro/internal/blobstore"
@@ -46,7 +48,9 @@ const leaseVersion = 1
 // owns the slice, until when, and how many claims (first or reclaimed)
 // the slice has seen. The nonce is fresh per claim and is how a claimant
 // detects losing a race on stores without compare-and-swap: write, read
-// back, and whoever's nonce survived owns the lease.
+// back, and whoever's nonce survived owns the lease. A release leaves the
+// record in place, expired, so Attempt — the task's newest fence — lives
+// as long as the record: until the run that owns it completes.
 type LeaseRecord struct {
 	Version  int       `json:"version"`
 	Task     string    `json:"task"`
@@ -93,14 +97,16 @@ func (e *ErrLost) Error() string {
 // fence token stamped into every coordinated shard and verified at
 // validate and merge time (see validateShard and mergeShards),
 // that is an enforced invariant, not an assumption: the loser's emission
-// carries an older fence and is refused.
+// carries an older fence and is refused. Records are never deleted here:
+// a release expires one, so the lineage only grows, and only a completed
+// run's retirement removes it.
 type Leases struct {
 	store blobstore.Store
 	owner string
 	ttl   time.Duration
 
-	// now and nonce are injectable for tests; nil means the real clock
-	// and crypto/rand.
+	// now and nonce are injectable for tests; nil means leaseNow and
+	// crypto/rand.
 	now   func() time.Time
 	nonce func() string
 }
@@ -111,11 +117,15 @@ func NewLeases(store blobstore.Store, owner string, ttl time.Duration) *Leases {
 	return &Leases{store: store, owner: owner, ttl: ttl}
 }
 
+// leaseNow is the clock of a Leases without its own: the wall clock,
+// swapped by tests that drive a whole Run on a fixed one.
+var leaseNow = time.Now
+
 func (l *Leases) clock() time.Time {
 	if l.now != nil {
 		return l.now()
 	}
-	return time.Now()
+	return leaseNow()
 }
 
 func (l *Leases) newNonce() string {
@@ -155,15 +165,23 @@ func (l *Leases) get(ctx context.Context, task string) (LeaseRecord, bool, error
 	return rec, true, nil
 }
 
+// write stores a record under its task's key.
+func (l *Leases) write(ctx context.Context, task string, rec LeaseRecord) error {
+	raw, err := json.Marshal(rec)
+	if err != nil {
+		return fmt.Errorf("coord: encoding lease %s: %v", task, err)
+	}
+	if err := l.store.Put(ctx, leaseKey(task), raw); err != nil {
+		return fmt.Errorf("coord: writing lease %s: %w", task, err)
+	}
+	return nil
+}
+
 // put writes a record and reads it back; the returned record is whatever
 // actually survived in the store.
 func (l *Leases) put(ctx context.Context, task string, rec LeaseRecord) (LeaseRecord, error) {
-	raw, err := json.Marshal(rec)
-	if err != nil {
-		return LeaseRecord{}, fmt.Errorf("coord: encoding lease %s: %v", task, err)
-	}
-	if err := l.store.Put(ctx, leaseKey(task), raw); err != nil {
-		return LeaseRecord{}, fmt.Errorf("coord: writing lease %s: %w", task, err)
+	if err := l.write(ctx, task, rec); err != nil {
+		return LeaseRecord{}, err
 	}
 	got, ok, err := l.get(ctx, task)
 	if err != nil {
@@ -245,8 +263,10 @@ func (l *Leases) Renew(ctx context.Context, rec *LeaseRecord) error {
 	return nil
 }
 
-// Release deletes a held lease. Releasing a lease we lost is a no-op —
-// the reclaimer's record stays.
+// Release gives a held lease back by rewriting its record with the
+// deadline set to the release instant: reclaimable at once, and the next
+// Claim mints Attempt+1, so the fence lineage outlives the release.
+// Releasing a lease we lost is a no-op — the reclaimer's record stays.
 func (l *Leases) Release(ctx context.Context, rec LeaseRecord) error {
 	cur, ok, err := l.get(ctx, rec.Task)
 	if err != nil {
@@ -255,8 +275,36 @@ func (l *Leases) Release(ctx context.Context, rec LeaseRecord) error {
 	if !ok || cur.Nonce != rec.Nonce {
 		return nil
 	}
-	if err := l.store.Delete(ctx, leaseKey(rec.Task)); err != nil {
-		return fmt.Errorf("coord: releasing lease %s: %w", rec.Task, err)
+	rec.Deadline = l.clock()
+	return l.write(ctx, rec.Task, rec)
+}
+
+// fenceIndex raises floors to the fence floors a store's lease records
+// imply, for a Join outside any live coordinator: each record's attempt
+// count, keyed by the task its key names, newest winning across stores.
+// Released leases keep their records until their run completes, and a
+// completed run deletes them only after its final fold accepted every
+// shard at its record's attempt — so a finished run raises nothing.
+// Corrupt records are loud, never skipped: a mangled lease could be hiding
+// the very floor that would expose a zombie shard.
+func fenceIndex(ctx context.Context, store blobstore.Store, floors map[string]uint64) error {
+	keys, err := store.List(ctx, leasePrefix)
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return fmt.Errorf("coord: listing leases at %s: %w", store.URL(), err)
+	}
+	leases := &Leases{store: store}
+	for _, key := range keys {
+		task, ok := strings.CutSuffix(strings.TrimPrefix(key, leasePrefix), ".lease")
+		if !ok {
+			continue
+		}
+		rec, ok, err := leases.get(ctx, task)
+		if err != nil {
+			return err
+		}
+		if ok && rec.Attempt > 0 && uint64(rec.Attempt) > floors[task] {
+			floors[task] = uint64(rec.Attempt)
+		}
 	}
 	return nil
 }

@@ -89,23 +89,24 @@ func TestLeaseClaimRenewRelease(t *testing.T) {
 		t.Fatalf("ErrLost names %q, want beta", lost.Owner)
 	}
 
-	// Releasing a lost lease is a no-op; releasing a held one deletes it.
+	// Releasing a lost lease is a no-op; releasing a held one expires its
+	// record in place, keeping the attempt lineage.
 	if err := a.Release(ctx, rec2); err != nil {
 		t.Fatalf("release of lost lease: %v", err)
 	}
-	if _, ok, _ := b.get(ctx, "eos-1-50"); !ok {
-		t.Fatal("lost-lease release deleted the reclaimer's record")
+	if cur, ok, _ := b.get(ctx, "eos-1-50"); !ok || cur.Nonce != rec3.Nonce || !cur.Deadline.Equal(rec3.Deadline) {
+		t.Fatalf("lost-lease release touched the reclaimer's record: %+v", cur)
 	}
 	if err := b.Release(ctx, rec3); err != nil {
 		t.Fatalf("release: %v", err)
 	}
-	if _, ok, _ := b.get(ctx, "eos-1-50"); ok {
-		t.Fatal("release left the record behind")
+	if cur, ok, _ := b.get(ctx, "eos-1-50"); !ok || cur.Attempt != 3 || clk.t.Before(cur.Deadline) {
+		t.Fatalf("released record %+v (present %v), want attempt 3 expired at %v", cur, ok, clk.t)
 	}
 
-	// A released lease claims fresh again.
+	// A released lease is claimable at once, at Attempt+1.
 	rec4, err := a.Claim(ctx, "eos-1-50")
-	if err != nil || rec4.Attempt != 1 {
+	if err != nil || rec4.Attempt != 4 {
 		t.Fatalf("claim after release: %+v, %v", rec4, err)
 	}
 }

@@ -1,16 +1,21 @@
-// Run state: the coordinator's own crash-recovery checkpoint. Workers
-// already checkpoint their aggregates (worker.go); this file gives the
-// coordinator the same property — a `run/<chain>.state` record in the
-// blob store, rewritten after every task transition, carrying everything a
-// replacement coordinator needs to resume mid-run: the pinned block range
-// (so a takeover never re-pins head and re-cuts different slices), each
-// task's status and newest fence, and which shards already validated.
+// Run plan: the one record a coordinated run keeps about itself. A
+// `run/<chain>.state` object pins the partition the run was cut from — the
+// block range and shard count — and names the coordinator that pinned it.
+// The first coordinator of a run Puts it once, before it claims any task
+// lease; a takeover adopts it verbatim (re-resolving head mid-run would
+// cut different slices and orphan every emitted shard); a fully successful
+// run deletes it. It is never rewritten.
+//
+// Everything else a replacement coordinator needs is read off what the
+// store already holds: a task's lease record keeps the newest fence the
+// task was granted (a released lease is an expired record, not a deleted
+// one), and the task is done when its shard validates at that fence.
 //
 // The active coordinator is elected through a run-level lease
 // (lease/run-<chain>.lease) on the ordinary Leases protocol; the election
 // attempt count is the coordinator epoch, exported on /v1/progress as
 // X-Coord-Epoch. Standbys poll the lease and take over on expiry by
-// loading this state.
+// adopting the plan.
 package coord
 
 import (
@@ -19,29 +24,24 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"strings"
-	"time"
 
 	"repro/internal/blobstore"
 )
 
-// runStatePrefix keeps run-state records out of the way of shard blobs,
-// checkpoints and leases in a shared store.
-const runStatePrefix = "run/"
-
 // runStateVersion stamps the record format so a future coordinator can
 // refuse records it does not understand instead of misreading them.
-const runStateVersion = 1
+// Version 1 was a per-transition status checkpoint; version 2 is the plan.
+const runStateVersion = 2
 
-// RunStateKey names the run-state record for a chain.
-func RunStateKey(chain string) string { return runStatePrefix + chain + ".state" }
+// RunStateKey names the run plan for a chain.
+func RunStateKey(chain string) string { return "run/" + chain + ".state" }
 
 // RunLeaseTask is the lease identity of the run-level election for a
 // chain — "run-eos", stored at lease/run-eos.lease. The "run-" prefix
 // cannot collide with task leases, whose names embed a block range.
 func RunLeaseTask(chain string) string { return "run-" + chain }
 
-// Task lifecycle states recorded in run state.
+// Task states a Progress snapshot reports.
 const (
 	// TaskPending: not yet claimed by the run.
 	TaskPending = "pending"
@@ -53,78 +53,39 @@ const (
 	TaskFailed = "failed"
 )
 
-// TaskRecord is one task's entry in the run state.
-type TaskRecord struct {
-	Index int    `json:"index"`
-	From  int64  `json:"from"`
-	To    int64  `json:"to"`
-	State string `json:"state"`
-	// Fence is the newest lease attempt granted for this task — the fence
-	// token its shard must carry at merge time. It only grows: a resumed
-	// run inherits the old floor and raises it on reclaim.
-	Fence uint64 `json:"fence,omitempty"`
-	// Attempts counts worker launches across all coordinators of this run.
-	Attempts int `json:"attempts,omitempty"`
-	// ShardKey names the validated blob once State is done.
-	ShardKey string `json:"shard_key,omitempty"`
-	// Error carries the terminal error once State is failed.
-	Error string `json:"error,omitempty"`
-}
-
-// RunState is the JSON record a coordinator checkpoints after every task
-// transition. Tasks is keyed by task name (Task.Name).
+// RunState is the run plan: the partition a run was cut from and the
+// coordinator that pinned it.
 type RunState struct {
 	Version int    `json:"version"`
 	Chain   string `json:"chain"`
-	// From, To, Shards pin the partition. A takeover adopts them verbatim:
-	// re-resolving head mid-run would cut different slices and orphan every
-	// emitted shard.
+	// From, To, Shards pin the partition. A takeover adopts them verbatim.
 	From   int64 `json:"from"`
 	To     int64 `json:"to"`
 	Shards int   `json:"shards"`
-	// Owner and Epoch identify the coordinator that wrote the record and
-	// which election attempt it ran under.
-	Owner     string                 `json:"owner"`
-	Epoch     int                    `json:"epoch"`
-	UpdatedAt time.Time              `json:"updated_at"`
-	Tasks     map[string]*TaskRecord `json:"tasks"`
+	// Owner names the coordinator that pinned the partition.
+	Owner string `json:"owner"`
 }
 
-// FenceFloors extracts the per-task fence floor for the final merge: the
-// newest lease attempt each task was granted, keyed by task name.
-func (s *RunState) FenceFloors() map[string]uint64 {
-	floors := make(map[string]uint64, len(s.Tasks))
-	for name, rec := range s.Tasks {
-		if rec.Fence > 0 {
-			floors[name] = rec.Fence
-		}
-	}
-	return floors
-}
-
-// SaveRunState writes the record, stamping UpdatedAt with now — the
-// coordinator passes its Leases' clock, so lease deadlines and checkpoint
-// stamps read one clock. The write is a plain Put — last writer wins,
-// which is safe because the run lease ensures one active coordinator per
-// chain and a standby only writes after winning the election.
-func SaveRunState(ctx context.Context, store blobstore.Store, s *RunState, now time.Time) error {
+// saveRunState writes the plan. The write is a plain Put, made once per
+// run by the coordinator holding the run lease, before any task is
+// claimed.
+func saveRunState(ctx context.Context, store blobstore.Store, s *RunState) error {
 	s.Version = runStateVersion
-	s.UpdatedAt = now.UTC()
 	raw, err := json.MarshalIndent(s, "", "  ")
 	if err != nil {
-		return fmt.Errorf("coord: encoding run state for %s: %v", s.Chain, err)
+		return fmt.Errorf("coord: encoding run plan for %s: %v", s.Chain, err)
 	}
 	if err := store.Put(ctx, RunStateKey(s.Chain), raw); err != nil {
-		return fmt.Errorf("coord: writing run state for %s: %w", s.Chain, err)
+		return fmt.Errorf("coord: writing run plan for %s: %w", s.Chain, err)
 	}
 	return nil
 }
 
-// LoadRunState fetches a chain's run state; ok=false means no record. A
-// torn or garbage record is a loud error, not a fresh start: silently
-// re-cutting the range could orphan every shard of the interrupted run. So
-// is a record that parses but has no task table, or a task without a
-// record — what a run resumes and a join reads floors from must be whole.
+// LoadRunState fetches a chain's run plan; ok=false means no record. A
+// record that does not parse, is of another version, or pins something
+// that is not a partition is a loud error naming key and store, never a
+// fresh start: silently re-cutting the range could orphan every shard of
+// the interrupted run.
 func LoadRunState(ctx context.Context, store blobstore.Store, chain string) (*RunState, bool, error) {
 	key := RunStateKey(chain)
 	raw, err := store.Get(ctx, key)
@@ -132,93 +93,26 @@ func LoadRunState(ctx context.Context, store blobstore.Store, chain string) (*Ru
 		return nil, false, nil
 	}
 	if err != nil {
-		return nil, false, fmt.Errorf("coord: reading run state for %s: %w", chain, err)
+		return nil, false, fmt.Errorf("coord: reading run plan %s at %s: %w", key, store.URL(), err)
 	}
 	var s RunState
 	if err := json.Unmarshal(raw, &s); err != nil {
-		return nil, false, fmt.Errorf("coord: run state for %s is corrupt: %v", chain, err)
+		return nil, false, fmt.Errorf("coord: run plan %s at %s is corrupt: %v", key, store.URL(), err)
 	}
-	if s.Version > runStateVersion {
-		return nil, false, fmt.Errorf("coord: run state for %s has version %d, newer than this binary understands (%d)", chain, s.Version, runStateVersion)
+	refuse := func(format string, args ...any) (*RunState, bool, error) {
+		return nil, false, fmt.Errorf("coord: run plan %s at %s %s", key, store.URL(), fmt.Sprintf(format, args...))
 	}
-	if s.Chain != chain {
-		return nil, false, fmt.Errorf("coord: run state at %s names chain %q, want %q", key, s.Chain, chain)
-	}
-	if s.Tasks == nil {
-		return nil, false, fmt.Errorf("coord: run state %s at %s is corrupt: no task table", key, store.URL())
-	}
-	for name, rec := range s.Tasks {
-		if rec == nil {
-			return nil, false, fmt.Errorf("coord: run state %s at %s is corrupt: task %q has no record", key, store.URL(), name)
-		}
+	switch {
+	case s.Version == 1:
+		return refuse("is a version 1 run state, which this binary does not read: finish it with the binary that wrote it, or delete %s", key)
+	case s.Version != runStateVersion:
+		return refuse("has version %d; this binary reads only %d", s.Version, runStateVersion)
+	case s.Chain != chain:
+		return refuse("names chain %q, want %q", s.Chain, chain)
+	case s.From < 1 || s.To < s.From:
+		return refuse("pins [%d, %d], which is not a block range", s.From, s.To)
+	case s.Shards < 1 || int64(s.Shards) > s.To-s.From+1:
+		return refuse("cuts [%d, %d] into %d shards, which is not a partition", s.From, s.To, s.Shards)
 	}
 	return &s, true, nil
-}
-
-// DeleteRunState removes a chain's run-state record — the last act of a
-// fully successful run. A missing record is a no-op: the active may have
-// already deleted it before dying.
-func DeleteRunState(ctx context.Context, store blobstore.Store, chain string) error {
-	err := store.Delete(ctx, RunStateKey(chain))
-	if err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return fmt.Errorf("coord: deleting run state for %s: %w", chain, err)
-	}
-	return nil
-}
-
-// fenceIndex raises floors to the per-task fence floors a store's lease
-// lineage implies, for a Join outside any live coordinator: each surviving
-// lease record's attempt count and each run-state record's task fences,
-// newest winning across records and stores. Released leases leave no
-// record, so run state (deleted only once a run's shards validated under
-// their final fences) carries the floors that matter; a finished run raises
-// nothing. Corrupt records are loud, never skipped: a mangled lease could
-// be hiding the very floor that would expose a zombie shard.
-func fenceIndex(ctx context.Context, store blobstore.Store, floors map[string]uint64) error {
-	raise := func(task string, fence uint64) {
-		if fence > floors[task] {
-			floors[task] = fence
-		}
-	}
-	leaseKeys, err := store.List(ctx, leasePrefix)
-	if err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return fmt.Errorf("coord: listing leases at %s: %w", store.URL(), err)
-	}
-	for _, key := range leaseKeys {
-		if !strings.HasSuffix(key, ".lease") {
-			continue
-		}
-		raw, err := store.Get(ctx, key)
-		if err != nil {
-			return fmt.Errorf("coord: reading lease %s at %s: %w", key, store.URL(), err)
-		}
-		var rec LeaseRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			return fmt.Errorf("coord: lease %s at %s is corrupt: %v", key, store.URL(), err)
-		}
-		if rec.Attempt > 0 {
-			raise(rec.Task, uint64(rec.Attempt))
-		}
-	}
-	stateKeys, err := store.List(ctx, runStatePrefix)
-	if err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return fmt.Errorf("coord: listing run states at %s: %w", store.URL(), err)
-	}
-	for _, key := range stateKeys {
-		if !strings.HasSuffix(key, ".state") {
-			continue
-		}
-		chain := strings.TrimSuffix(strings.TrimPrefix(key, runStatePrefix), ".state")
-		s, ok, err := LoadRunState(ctx, store, chain)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			continue // deleted between List and Get: the run just finished
-		}
-		for task, fence := range s.FenceFloors() {
-			raise(task, fence)
-		}
-	}
-	return nil
 }

@@ -4,9 +4,9 @@
 //
 //	<task>.shard             the slice's shard, emitted by RunShardCrawl
 //	ckpt/<task>.state        its worker's crash-recovery checkpoint
-//	lease/<task>.lease       its lease
+//	lease/<task>.lease       its lease, and its fence lineage
 //	lease/run-<chain>.lease  the run-level election
-//	run/<chain>.state        the coordinator's run state
+//	run/<chain>.state        the run plan: the pinned partition
 //
 // — and one function reads a shard blob back (readShard), for slice
 // validation, the final fold and Join alike. The zero-padded range makes a

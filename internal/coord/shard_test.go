@@ -175,39 +175,49 @@ func TestStoreLayout(t *testing.T) {
 	}
 }
 
-// hostileRunStates are run-state records that parse as JSON but are not
-// whole: what a hand-edited or half-written record could hold.
+// hostileRunStates are run plans that parse as JSON but cannot be resumed:
+// what a hand-edited record, or one an older binary wrote, could hold.
 var hostileRunStates = map[string]string{
-	"no task table": `{"version":1,"chain":"eos","from":1,"to":10,"shards":2}`,
-	"null task":     `{"version":1,"chain":"eos","from":1,"to":10,"shards":2,"tasks":{"x":null}}`,
+	"version 1 with tasks": `{"version":1,"chain":"eos","from":1,"to":10,"shards":2,"owner":"c","epoch":1,` +
+		`"updated_at":"2026-01-01T00:00:00Z","tasks":{"eos-0000000001-0000000005":` +
+		`{"index":1,"from":1,"to":5,"state":"done","fence":1,"shard_key":"eos-0000000001-0000000005.shard"}}}`,
+	"zero shards":             `{"version":2,"chain":"eos","from":1,"to":10,"shards":0,"owner":"c"}`,
+	"to below from":           `{"version":2,"chain":"eos","from":10,"to":1,"shards":2,"owner":"c"}`,
+	"from below 1":            `{"version":2,"chain":"eos","from":0,"to":10,"shards":2,"owner":"c"}`,
+	"more shards than blocks": `{"version":2,"chain":"eos","from":1,"to":10,"shards":11,"owner":"c"}`,
 }
 
-// TestLoadRunStateRefusesHostileRecords: a run-state record with no task
-// table, or a task with no record, is refused by key — as a corrupt lease
-// is — instead of panicking the coordinator that resumes it or the join
-// that reads fence floors from it.
+// TestLoadRunStateRefusesHostileRecords: a plan of the retired version, or
+// one that pins no partition, is refused by key and store — as a corrupt
+// lease is — before a coordinator resumes it, instead of surfacing later
+// as an unnamed cut error. A join reads no plan, so it is unaffected.
 func TestLoadRunStateRefusesHostileRecords(t *testing.T) {
 	ctx := context.Background()
+	key := RunStateKey("eos")
 	for name, raw := range hostileRunStates {
 		t.Run(name, func(t *testing.T) {
 			store := blobstore.NewMemory()
-			if err := store.Put(ctx, RunStateKey("eos"), []byte(raw)); err != nil {
+			if err := store.Put(ctx, key, []byte(raw)); err != nil {
 				t.Fatal(err)
 			}
-			if _, _, err := LoadRunState(ctx, store, "eos"); err == nil || !strings.Contains(err.Error(), RunStateKey("eos")) {
-				t.Fatalf("LoadRunState = %v, want a refusal naming %s", err, RunStateKey("eos"))
+			_, _, err := LoadRunState(ctx, store, "eos")
+			if err == nil || !strings.Contains(err.Error(), key) || !strings.Contains(err.Error(), store.URL()) {
+				t.Fatalf("LoadRunState = %v, want a refusal naming %s at %s", err, key, store.URL())
+			}
+			if strings.HasPrefix(name, "version 1") && !strings.Contains(err.Error(), "finish it with the binary that wrote it, or delete "+key) {
+				t.Fatalf("LoadRunState = %v, want the version 1 refusal", err)
 			}
 			if _, err := Run(ctx, Config{
 				Chain: "eos", From: 1, To: 10, Shards: 2,
 				Store: store,
 				Retry: retry.Policy{Attempts: 1, Base: time.Millisecond},
 				Run:   func(context.Context, Task) error { return nil },
-			}); err == nil || !strings.Contains(err.Error(), "corrupt") {
-				t.Fatalf("Run over the record = %v, want it refused as corrupt", err)
+			}); err == nil || !strings.Contains(err.Error(), key) {
+				t.Fatalf("Run over the record = %v, want it refused by key", err)
 			}
 			putShard(t, store, shardOf(t, "eos", 1, 10), 0)
-			if _, err := Join(ctx, []blobstore.Store{store}, nil); err == nil || !strings.Contains(err.Error(), "corrupt") {
-				t.Fatalf("Join over the record = %v, want it refused as corrupt", err)
+			if _, err := Join(ctx, []blobstore.Store{store}, nil); err != nil {
+				t.Fatalf("Join over the record = %v, want the plan ignored", err)
 			}
 		})
 	}
@@ -224,19 +234,18 @@ func shardOf(t *testing.T, chainName string, from, to int64) core.ShardState {
 	return st
 }
 
-// FuzzLoadRunState: whatever a store hands back under a run-state key,
-// LoadRunState refuses it or returns a record that everything reading one —
-// resume, progress export, fence floors — can walk without panicking.
+// FuzzLoadRunState: whatever a store hands back under a run-plan key,
+// LoadRunState refuses it or returns a plan a coordinator can resume: one
+// that cuts into its partition without error.
 func FuzzLoadRunState(f *testing.F) {
+	f.Add([]byte(`{"version":2,"chain":"eos","from":1,"to":10,"shards":2,"owner":"c"}`))
 	for _, raw := range hostileRunStates {
 		f.Add([]byte(raw))
 	}
-	f.Add([]byte(`{"version":1,"chain":"eos","from":1,"to":10,"shards":2,"owner":"c","epoch":1,` +
-		`"updated_at":"2026-01-01T00:00:00Z","tasks":{"eos-0000000001-0000000005":` +
-		`{"index":1,"from":1,"to":5,"state":"done","fence":1,"shard_key":"eos-0000000001-0000000005.shard"}}}`))
+	// One store for the whole run: each input overwrites the one key first.
+	store := blobstore.NewMemory()
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		ctx := context.Background()
-		store := blobstore.NewMemory()
 		if err := store.Put(ctx, RunStateKey("eos"), raw); err != nil {
 			t.Fatal(err)
 		}
@@ -244,11 +253,11 @@ func FuzzLoadRunState(f *testing.F) {
 		if err != nil || !ok {
 			return
 		}
-		s.FenceFloors()
-		progressFrom(s)
-		s.Tasks[taskName("eos", 1, 10)] = &TaskRecord{} // what Run does for a task the record lacks
-		if err := fenceIndex(ctx, store, make(map[string]uint64)); err != nil {
-			t.Fatalf("fenceIndex refused a record LoadRunState accepted: %v", err)
+		if s.Shards > 1<<16 {
+			return // Cut allocates a task per shard: too many to walk per input
+		}
+		if _, err := (Config{Chain: s.Chain, From: s.From, To: s.To, Shards: s.Shards}).Cut(); err != nil {
+			t.Fatalf("LoadRunState accepted %q, which does not cut: %v", raw, err)
 		}
 	})
 }
