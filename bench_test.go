@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/pipeline"
@@ -57,182 +56,110 @@ func printTable(name, content string) {
 	}
 }
 
+// benchSection prints a section once and then times rendering it: the
+// analysis that produces the table, from the run's drained states.
+func benchSection(b *testing.B, name string, render func(*pipeline.Result) string) {
+	r := benchResult(b)
+	printTable(name, render(r))
+	b.ResetTimer()
+	for b.Loop() {
+		_ = render(r)
+	}
+}
+
+// paperSection adapts one of core's shard-derived sections to a run.
+func paperSection(section func(core.Paper) string) func(*pipeline.Result) string {
+	return func(r *pipeline.Result) string { return section(r.Paper()) }
+}
+
 // BenchmarkFigure1TxTypeDistribution regenerates the per-chain transaction
 // type distribution (paper Figure 1).
 func BenchmarkFigure1TxTypeDistribution(b *testing.B) {
-	r := benchResult(b)
-	printTable("fig1", pipeline.Figure1(r))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = pipeline.Figure1(r)
-	}
+	benchSection(b, "fig1", paperSection(core.Paper.Figure1))
 }
 
 // BenchmarkFigure2DatasetCharacterization regenerates the dataset table
 // (paper Figure 2): blocks, transactions and gzip footprint per chain.
 func BenchmarkFigure2DatasetCharacterization(b *testing.B) {
-	r := benchResult(b)
-	printTable("fig2", pipeline.Figure2(r))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = pipeline.Figure2(r)
-	}
+	benchSection(b, "fig2", pipeline.Figure2)
 }
 
 // BenchmarkFigure3ThroughputOverTime regenerates the three throughput
 // series (paper Figure 3), including the November 1 EIDOS regime change and
 // the XRP payment-spam waves.
 func BenchmarkFigure3ThroughputOverTime(b *testing.B) {
-	r := benchResult(b)
-	printTable("fig3", pipeline.Figure3(r))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = pipeline.Figure3(r)
-	}
+	benchSection(b, "fig3", paperSection(core.Paper.Figure3))
 }
 
 // BenchmarkFigure4EOSTopApps regenerates the EOS top-application table
 // (paper Figure 4).
 func BenchmarkFigure4EOSTopApps(b *testing.B) {
-	r := benchResult(b)
-	printTable("fig4", pipeline.Figure4(r))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = r.EOS.TopReceivers(8)
-	}
+	benchSection(b, "fig4", paperSection(core.Paper.Figure4))
 }
 
 // BenchmarkFigure5EOSTopSenderPairs regenerates the EOS sender→receiver
 // pair table (paper Figure 5).
 func BenchmarkFigure5EOSTopSenderPairs(b *testing.B) {
-	r := benchResult(b)
-	printTable("fig5", pipeline.Figure5(r))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = r.EOS.TopSenderPairs(6, 3)
-	}
+	benchSection(b, "fig5", paperSection(core.Paper.Figure5))
 }
 
 // BenchmarkFigure6TezosTopSenders regenerates the Tezos top-sender fan-out
 // table (paper Figure 6).
 func BenchmarkFigure6TezosTopSenders(b *testing.B) {
-	r := benchResult(b)
-	printTable("fig6", pipeline.Figure6(r))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = r.Tezos.TopSenders(6)
-	}
+	benchSection(b, "fig6", paperSection(core.Paper.Figure6))
 }
 
 // BenchmarkFigure7XRPValueDecomposition regenerates the XRP value Sankey
 // (paper Figure 7): failed share, zero-value payments, unfulfilled offers,
 // and the ~2.3 % economic share headline.
 func BenchmarkFigure7XRPValueDecomposition(b *testing.B) {
-	r := benchResult(b)
-	printTable("fig7", pipeline.Figure7(r))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = r.XRP.Decompose()
-	}
+	benchSection(b, "fig7", paperSection(core.Paper.Figure7))
 }
 
 // BenchmarkFigure8XRPTopAccounts regenerates the most-active-accounts table
-// (paper Figure 8) with Huobi-descendant clustering.
+// (paper Figure 8) with Huobi-descendant clustering and the concentration
+// statistics behind "18 accounts carry half the traffic".
 func BenchmarkFigure8XRPTopAccounts(b *testing.B) {
-	r := benchResult(b)
-	printTable("fig8", pipeline.Figure8(r))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = r.XRP.TopAccounts(10)
-	}
+	benchSection(b, "fig8", paperSection(core.Paper.Figure8))
 }
 
 // BenchmarkFigure9TezosGovernance regenerates the Babylon vote series
 // (paper Figure 9).
 func BenchmarkFigure9TezosGovernance(b *testing.B) {
-	r := benchResult(b)
-	printTable("fig9", pipeline.Figure9(r))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = r.Gov.VoteSeries("ballot", 24*time.Hour)
-	}
+	benchSection(b, "fig9", pipeline.Figure9)
 }
 
 // BenchmarkFigure11IOURates regenerates the per-issuer BTC IOU rate table
 // and the Myrone rate collapse (paper Figures 11a/11b).
 func BenchmarkFigure11IOURates(b *testing.B) {
-	r := benchResult(b)
-	printTable("fig11", pipeline.Figure11(r))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = r.XRP.IssuerRates("BTC")
-	}
+	benchSection(b, "fig11", func(r *pipeline.Result) string {
+		return r.Paper().Figure11a() + pipeline.Figure11b(r)
+	})
 }
 
 // BenchmarkFigure12XRPValueFlow regenerates the XRP value-flow aggregation
 // (paper Figure 12) with explorer-based clustering.
 func BenchmarkFigure12XRPValueFlow(b *testing.B) {
-	r := benchResult(b)
-	printTable("fig12", pipeline.Figure12(r))
-	cluster := r.ClusterFunc()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = r.XRP.ValueFlow(cluster, 8)
-	}
+	benchSection(b, "fig12", paperSection(core.Paper.Figure12))
 }
 
 // BenchmarkHeadlineTPS regenerates the §3 throughput summary.
 func BenchmarkHeadlineTPS(b *testing.B) {
-	r := benchResult(b)
-	printTable("tps", pipeline.HeadlineTPS(r))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = core.EstimatedFullScaleTPS(r.XRP.Transactions, r.XRP.FirstLedgerTime, r.XRP.LastLedgerTime, r.Opts.XRP.Scale)
-	}
+	benchSection(b, "tps", paperSection(core.Paper.HeadlineTPS))
 }
 
-// BenchmarkCaseWhaleExWashTrading regenerates the §4.1 wash-trading
-// analysis: self-trade shares, top-5 concentration, balance changes.
-func BenchmarkCaseWhaleExWashTrading(b *testing.B) {
-	r := benchResult(b)
-	printTable("cases", pipeline.CaseStudies(r))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = core.AnalyzeWashTrades(r.EOS.Trades, 5)
-	}
+// BenchmarkCaseStudies regenerates the §4.1 analyses: WhaleEx self-trade
+// shares, top-5 concentration and balance changes, EIDOS boomerangs.
+func BenchmarkCaseStudies(b *testing.B) {
+	benchSection(b, "cases", func(r *pipeline.Result) string {
+		return r.Paper().CaseStudies() + pipeline.CaseNotes(r)
+	})
 }
 
-// BenchmarkCaseEIDOSBoomerang measures boomerang detection over the crawled
-// EOS corpus (§4.1).
-func BenchmarkCaseEIDOSBoomerang(b *testing.B) {
-	r := benchResult(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = r.EOS.BoomerangTransactions()
-		_ = r.EOS.EIDOSShare()
-	}
-}
-
-// BenchmarkConcentration measures the Gini/top-k concentration statistics
-// used for the "18 accounts carry half the traffic" observation.
-func BenchmarkConcentration(b *testing.B) {
-	r := benchResult(b)
-	shares := r.XRP.TrafficShares()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = core.Concentration(shares, 18)
-	}
-}
-
-// BenchmarkRateOracle measures IOU valuation lookups against the exchange
-// record set.
-func BenchmarkRateOracle(b *testing.B) {
-	r := benchResult(b)
-	key := core.XRPAssetKey{Currency: "BTC", Issuer: string(r.XRPScenario.MyroneIssuer)}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = r.XRP.RateToXRP(key)
-	}
+// BenchmarkSpamClusters regenerates the spam-cluster extension (§4.3
+// generalized) from explorer parentage and payment flows.
+func BenchmarkSpamClusters(b *testing.B) {
+	benchSection(b, "spam", paperSection(core.Paper.SpamClusters))
 }
 
 // BenchmarkPipelineEndToEnd measures the entire reproduction — build the

@@ -342,7 +342,7 @@ func run(ctx context.Context, o coordOpts, out, diag io.Writer) error {
 	// Figures first — partial or complete, they are the deliverable. The
 	// gap report then says exactly how much to trust them.
 	if res.Merged != nil {
-		fmt.Fprint(out, res.Merged.Summary().Render())
+		fmt.Fprint(out, core.Figures(res.Merged))
 	}
 	if o.gapReport != "" {
 		f, ferr := os.Create(o.gapReport)

@@ -178,7 +178,7 @@ func oracle(t *testing.T, url string, to int64) string {
 		kit.Decoder, core.IngestConfig{}); err != nil {
 		t.Fatalf("oracle crawl: %v", err)
 	}
-	return kit.Summarize().Render()
+	return core.Figures(kit.State())
 }
 
 func testOpts(endpoint, store string) coordOpts {
@@ -526,7 +526,7 @@ func TestCoordinateHalvesMerge(t *testing.T) {
 	if len(merged) != 1 || !strings.Contains(log.String(), "eos: 4 shard(s)") {
 		t.Fatalf("join of two 2-shard runs merged %d chain(s):\n%s", len(merged), log.String())
 	}
-	if got := merged[0].Summary().Render(); got != want {
+	if got := core.Figures(merged[0]); got != want {
 		t.Errorf("two half-range runs merged differ from single-process oracle\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 	if got, wantCov := merged[0].Covered(), (core.BlockRange{From: 1, To: head}); got != wantCov {

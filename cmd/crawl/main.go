@@ -17,10 +17,10 @@
 // prints the complete figures (see archive.Crawl). A SIGKILL costs at most
 // the segment that was open. The location is a blob store: a plain
 // directory path, file://PATH, mem://NAME or s3://BUCKET/PREFIX?endpoint=URL
-// (see internal/blobstore). A completed crawl prints a
-// deterministic "figures" section that a replay over the same archive
-// reproduces byte-for-byte — on any backend — which the CI archive job
-// diffs.
+// (see internal/blobstore). A completed crawl prints its deterministic
+// figures — the chain's summary, then the paper's shard-derived sections —
+// which a replay over the same archive reproduces byte-for-byte, on any
+// backend, as the CI archive job diffs.
 //
 // A crawl is one process over one range: the oracle that the figures of
 // a distributed crawl (cmd/coordinate, whose stores cmd/merge joins) are
@@ -173,9 +173,9 @@ func run(ctx context.Context, o crawlOpts, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	// The deterministic figures section: derived only from the set of
-	// blocks this run ingested, so an offline replay of the same archive
-	// (cmd/report -replay) reproduces it byte-for-byte.
-	fmt.Fprint(out, kit.Summarize().Render())
+	// The deterministic figures: derived only from the set of blocks this
+	// run ingested, so an offline replay of the same archive (cmd/report
+	// -replay) reproduces them byte-for-byte.
+	fmt.Fprint(out, core.Figures(kit.State()))
 	return nil
 }

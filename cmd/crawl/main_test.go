@@ -342,7 +342,7 @@ func TestCrawlArchiveReplayDeterminism(t *testing.T) {
 	}, kit.Decoder, core.IngestConfig{}); err != nil {
 		t.Fatal(err)
 	}
-	if replayFigures := kit.Summarize().Render(); replayFigures != liveFigures {
+	if replayFigures := core.Figures(kit.State()); replayFigures != liveFigures {
 		t.Fatalf("replayed figures differ from live crawl:\n--- live ---\n%s\n--- replay ---\n%s", liveFigures, replayFigures)
 	}
 	if nums := s.fetchedNums(); len(nums) != 0 {
@@ -427,7 +427,7 @@ func TestCrawlArchiveCrossBackendDeterminism(t *testing.T) {
 		}, kit.Decoder, core.IngestConfig{}); err != nil {
 			t.Fatalf("%s: replay: %v", backend, err)
 		}
-		if got := kit.Summarize().Render(); got != figures["file"] {
+		if got := core.Figures(kit.State()); got != figures["file"] {
 			t.Fatalf("%s: replayed figures differ from live:\n--- live ---\n%s\n--- replay ---\n%s", backend, figures["file"], got)
 		}
 	}

@@ -1,5 +1,6 @@
 // Command merge joins the stores of one or more cmd/coordinate runs and
-// prints each chain's deterministic figures section to stdout —
+// prints their deterministic figures to stdout — each chain's summary, then
+// the paper's shard-derived sections once over every chain joined —
 // byte-identical to what one process crawling the whole range would have
 // printed, which the CI distributed job diffs. It does the two things
 // coordinate cannot: pool the stores of a fleet — several coordinate runs,
@@ -19,7 +20,7 @@
 //
 // Each STORE is a blob-store location (path, file://, mem://, s3://) a
 // coordinate run was given as -store. Shards from all stores are pooled
-// and grouped by chain; figures print in chain-name order. Progress and
+// and grouped by chain; summaries print in chain-name order. Progress and
 // per-shard diagnostics go to stderr so stdout stays diffable.
 package main
 
@@ -32,6 +33,7 @@ import (
 
 	"repro/internal/blobstore"
 	"repro/internal/coord"
+	"repro/internal/core"
 )
 
 func main() {
@@ -65,8 +67,6 @@ func run(ctx context.Context, locations []string, out, diag io.Writer) error {
 	if err != nil {
 		return err
 	}
-	for _, st := range merged {
-		fmt.Fprint(out, st.Summary().Render())
-	}
+	fmt.Fprint(out, core.Figures(merged...))
 	return nil
 }

@@ -133,7 +133,7 @@ func TestMergeRendersWholeRange(t *testing.T) {
 		collect.CrawlConfig{From: 1, To: 24, Workers: 2}, kit.Decoder, core.IngestConfig{}); err != nil {
 		t.Fatal(err)
 	}
-	want := kit.Summarize().Render()
+	want := core.Figures(kit.State())
 
 	var out, diag bytes.Buffer
 	if err := run(context.Background(), []string{"mem://merge-a", "mem://merge-b"}, &out, &diag); err != nil {
@@ -243,5 +243,12 @@ func TestMergeMultiChain(t *testing.T) {
 	xrpIdx := strings.Index(out.String(), "--- xrp figures ---")
 	if tezosIdx < 0 || xrpIdx < 0 || tezosIdx > xrpIdx {
 		t.Fatalf("expected tezos then xrp figure sections:\n%s", out.String())
+	}
+	// The paper's sections render once, after both summaries, over both
+	// chains.
+	fig1 := strings.Index(out.String(), "Figure 1 —")
+	if strings.Count(out.String(), "Figure 1 —") != 1 || fig1 < xrpIdx ||
+		!strings.Contains(out.String()[fig1:], "tezos  ") || !strings.Contains(out.String()[fig1:], "xrp    ") {
+		t.Fatalf("expected one Figure 1 over both chains after the summaries:\n%s", out.String())
 	}
 }

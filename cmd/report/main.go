@@ -23,9 +23,10 @@
 // cmd/crawl -archive and pipeline ArchiveDir write them), walks the raw
 // blocks in parallel through core.IngestArchive — the same decoders and
 // mergeable shards a live crawl ingests through, minus the network —
-// and prints each chain's deterministic figures section. The sections are
-// byte-identical to what the live crawl printed, which the CI archive job
-// verifies by diffing the two. With -from/-to only blocks in that range
+// and prints each chain's deterministic figures (core.Figures: its summary,
+// then the paper's shard-derived sections). They are byte-identical to what
+// the live crawl printed, which the CI archive job verifies by diffing the
+// two. With -from/-to only blocks in that range
 // replay, and only the segments covering it are fetched and verified —
 // the manifest's per-segment block-range index prunes the rest, which is
 // what makes slicing a huge remote archive cheap. -workers sizes the
@@ -119,18 +120,26 @@ func main() {
 	finish(0, nil)
 }
 
-// figures maps each -figure name to its renderer, in help-text order.
+// figures maps each -figure name to its renderer, in help-text order: the
+// shard-derived sections render in core over the run's Paper, the rest need
+// the simulator or the run's metadata and render in pipeline.
 var figures = []struct {
 	name   string
 	render func(*pipeline.Result) string
 }{
 	{"all", pipeline.FullReport},
-	{"1", pipeline.Figure1}, {"2", pipeline.Figure2}, {"3", pipeline.Figure3},
-	{"4", pipeline.Figure4}, {"5", pipeline.Figure5}, {"6", pipeline.Figure6},
-	{"7", pipeline.Figure7}, {"8", pipeline.Figure8}, {"9", pipeline.Figure9},
-	{"11", pipeline.Figure11}, {"12", pipeline.Figure12},
-	{"tps", pipeline.HeadlineTPS}, {"cases", pipeline.CaseStudies},
+	{"1", paper(core.Paper.Figure1)}, {"2", pipeline.Figure2}, {"3", paper(core.Paper.Figure3)},
+	{"4", paper(core.Paper.Figure4)}, {"5", paper(core.Paper.Figure5)}, {"6", paper(core.Paper.Figure6)},
+	{"7", paper(core.Paper.Figure7)}, {"8", paper(core.Paper.Figure8)}, {"9", pipeline.Figure9},
+	{"11", func(r *pipeline.Result) string { return r.Paper().Figure11a() + pipeline.Figure11b(r) }},
+	{"12", paper(core.Paper.Figure12)}, {"tps", paper(core.Paper.HeadlineTPS)},
+	{"cases", func(r *pipeline.Result) string { return r.Paper().CaseStudies() + pipeline.CaseNotes(r) }},
 	{"endpoints", pipeline.EndpointReport}, {"stages", pipeline.StageTimings},
+}
+
+// paper renders one of core's sections over a run.
+func paper(section func(core.Paper) string) func(*pipeline.Result) string {
+	return func(r *pipeline.Result) string { return section(r.Paper()) }
 }
 
 func figureNames() []string {
@@ -205,10 +214,10 @@ func replayArchives(ctx context.Context, dir string, workers int, from, to int64
 			return fmt.Errorf("replaying %s: %w", adir, err)
 		}
 		// Progress goes to stderr: stdout carries only the deterministic
-		// figures sections, so it can be diffed against a live crawl's.
+		// figures, so it can be diffed against a live crawl's.
 		fmt.Fprintf(os.Stderr, "replay %s: %d blocks from %s (%d segments)\n",
 			rd.Chain(), rd.Blocks(), adir, rd.Segments())
-		fmt.Fprint(out, kit.Summarize().Render())
+		fmt.Fprint(out, core.Figures(kit.State()))
 	}
 	return nil
 }

@@ -14,7 +14,6 @@ import (
 	"repro/internal/rpcserve"
 	"repro/internal/wire"
 	"repro/internal/workload"
-	"repro/internal/xrp"
 )
 
 func main() {
@@ -53,32 +52,18 @@ func main() {
 	}
 	agg.AddExchanges(exchanges)
 
-	d := agg.Decompose()
-	fmt.Println("Figure 7 decomposition:")
-	fmt.Printf("  failed               %6.2f%%  (paper 10.7%%)\n", 100*d.FailedShare)
-	fmt.Printf("  payments with value  %6.2f%%  (paper  2.1%%)\n", 100*d.PaymentsWithValue)
-	fmt.Printf("  payments no value    %6.2f%%  (paper 36.0%%)\n", 100*d.PaymentsNoValue)
-	fmt.Printf("  offers exchanged     %6.2f%%  (paper  0.1%%)\n", 100*d.OffersExchanged)
-	fmt.Printf("  offers no exchange   %6.2f%%  (paper 49.4%%)\n", 100*d.OffersNoExchange)
-	fmt.Printf("  => economic value    %6.2f%%  (paper ~2.3%%)\n\n", 100*d.EconomicShare)
-
 	dir := explorer.NewDirectory(scenario.State)
 	for addr, username := range scenario.Usernames {
 		dir.Register(addr, username)
 	}
-	fmt.Println("Figure 11a — BTC IOU rates by issuer:")
-	for _, ir := range agg.IssuerRates("BTC") {
-		fmt.Printf("  %-28s %12.1f XRP\n", dir.ClusterName(xrp.Address(ir.Issuer)), ir.Rate)
-	}
+	// The paper's sections over the state, with the explorer's clusters.
+	p := core.Paper{XRP: agg, Scale: map[string]int64{"xrp": 10_000}, Dir: dir}
+	fmt.Println(p.Figure7())
+	fmt.Println(p.Figure11a())
 
-	fmt.Println("\nFigure 11b — the Myrone BTC IOU over time:")
+	fmt.Println("Figure 11b — the Myrone BTC IOU over time:")
 	for _, row := range agg.RateSeries(core.XRPAssetKey{Currency: "BTC", Issuer: string(scenario.MyroneIssuer)}) {
 		fmt.Printf("  %s  %10.1f XRP per BTC\n", row.Start.Format("2006-01-02"), float64(row.Counts["rate_millis"])/1000)
 	}
-
-	flow := agg.ValueFlow(func(a string) string { return dir.ClusterName(xrp.Address(a)) }, 5)
-	fmt.Println("\nFigure 12 — top value senders (XRP-denominated):")
-	for _, e := range flow.Senders {
-		fmt.Printf("  %-28s %14.0f XRP (%.1f%%)\n", e.Name, e.XRPVolume, 100*e.XRPVolume/flow.TotalXRPVolume)
-	}
+	fmt.Print("\n", p.Figure12())
 }

@@ -26,8 +26,10 @@
 //     sealed blob. Where shard blobs live in a store, and how a set of
 //     them is validated and merged, belongs to internal/coord: core never
 //     imports internal/blobstore.
-//   - summary.go: ChainSummary (the deterministic figures footprint and
-//     its Render) and StatsKit/NewStatsKit (a chain's stack by name).
+//   - summary.go, paper.go: ChainSummary (the summary and its Render),
+//     StatsKit/NewStatsKit (a chain's stack by name), and the paper's
+//     shard-derived sections on Paper, which Figures prints after the
+//     summaries on every path from stored bytes.
 //   - tps.go, washtrade.go, spamcluster.go: the throughput estimators and
 //     the case-study detectors.
 package core

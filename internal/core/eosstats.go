@@ -70,7 +70,8 @@ type EOSShard struct {
 
 	// Wash-trade inputs: every verifytrade2-style DEX settlement. The
 	// slice order depends on ingestion interleaving, but every consumer
-	// (AnalyzeWashTrades) reduces it order-independently.
+	// reduces it order-independently: AnalyzeWashTrades counts, and the
+	// §4.1 balance changes fold in canonical trade order.
 	Trades []DEXTrade
 	// Boomerang inputs: transfer legs per transaction for §4.1.
 	boomerangs int64
@@ -81,8 +82,9 @@ type EOSShard struct {
 	// paper's "financial volume" dimension of throughput. Boomerang
 	// volume (EOS merely bounced off the EIDOS contract) is tracked
 	// separately to show how much of the apparent volume is circular.
-	// Float sums round with accumulation order, so these two are
-	// progress-line material, never part of the deterministic figures.
+	// Float sums round with accumulation order, so the one line that
+	// prints them — the simulator report's EOS financial volume — sits
+	// outside the byte-identical contract.
 	VolumeBySymbol  map[string]float64
 	BoomerangVolume float64
 
@@ -420,15 +422,6 @@ func amountOf(digits string) float64 {
 	}
 	v += float64(fracPart) / scale
 	return v
-}
-
-// TransferShare returns the fraction of actions that are token transfers
-// (the paper: 91.6 %).
-func (a *EOSShard) TransferShare() float64 {
-	if a.Actions == 0 {
-		return 0
-	}
-	return float64(a.ActionsByName["transfer"]) / float64(a.Actions)
 }
 
 // EIDOSShare returns the fraction of actions touching the EIDOS contract.

@@ -128,8 +128,8 @@ func TestEOSBoomerangDetection(t *testing.T) {
 	if share := a.EIDOSShare(); share < 0.7 || share > 0.8 {
 		t.Fatalf("EIDOS share = %f (3 of 4 actions)", share)
 	}
-	if share := a.TransferShare(); share != 1.0 {
-		t.Fatalf("transfer share = %f", share)
+	if n := a.ActionsByName["transfer"]; n != a.Actions {
+		t.Fatalf("transfers = %d of %d actions", n, a.Actions)
 	}
 }
 
@@ -167,13 +167,13 @@ func TestEOSWashTradeAnalysis(t *testing.T) {
 		t.Fatalf("top5 share = %f", rep.Top5Share)
 	}
 	// washbot1 bought and sold the same amounts: zero net change.
-	var wb BalanceChange
-	for _, bc := range rep.BalanceChanges {
-		if bc.Account == "washbot1" {
+	var wb balanceChange
+	for _, bc := range balanceChanges(a.Trades, rep.TopAccounts) {
+		if bc.account == "washbot1" {
 			wb = bc
 		}
 	}
-	if wb.Currencies != 1 || wb.UnchangedCurrencies != 1 {
+	if wb.currencies != 1 || wb.unchanged != 1 {
 		t.Fatalf("balance change: %+v", wb)
 	}
 }

@@ -110,8 +110,8 @@ func TestIngestStreamMatchesPerBlockIngest(t *testing.T) {
 			one.Blocks, one.Transactions, one.Actions,
 			batched.Blocks, batched.Transactions, batched.Actions)
 	}
-	if one.TransferShare() != batched.TransferShare() {
-		t.Fatalf("transfer share diverged: %f vs %f", one.TransferShare(), batched.TransferShare())
+	if a, b := one.ActionsByName["transfer"], batched.ActionsByName["transfer"]; a != b {
+		t.Fatalf("transfers diverged: %d vs %d", a, b)
 	}
 }
 

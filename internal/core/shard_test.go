@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -12,12 +13,15 @@ import (
 
 // The sharded-aggregation determinism property: any partition of a block
 // set across any number of shards, ingested in any interleaving and merged
-// in any order, must render byte-identical figures to the single-shard
-// path. This is the invariant the CI archive job's live-vs-replay-vs-
-// parallel diff rests on, checked here at unit scale with adversarial
-// randomization for each of the three chains.
+// in any order, must render byte-identical figures — the summary and every
+// paper section — to the single-shard path. This is the invariant the CI
+// archive job's live-vs-replay-vs-parallel diff rests on, checked here at
+// unit scale with adversarial randomization for each of the three chains.
+// An XRP state also takes exchange records, which arrive on the drained
+// state rather than on a worker shard: the baseline takes them in order,
+// each sharded run in random order and random batches.
 
-func testShardedRenders[B any](t *testing.T, chainName string, blocks []B) {
+func testShardedRenders[B any](t *testing.T, chainName string, blocks []B, exchanges []XRPExchange) {
 	t.Helper()
 	// Baseline: every block folded serially into one standalone state, in
 	// one batch, on this goroutine — the same fold code, without a lock.
@@ -28,7 +32,10 @@ func testShardedRenders[B any](t *testing.T, chainName string, blocks []B) {
 	if err := base.IngestBatch(asBatch(blocks)); err != nil {
 		t.Fatal(err)
 	}
-	want := base.Summary().Render()
+	if exchanges != nil {
+		base.(*XRPShard).AddExchanges(exchanges)
+	}
+	want := Figures(base)
 	if want == "" {
 		t.Fatal("baseline render is empty — generator produced no data")
 	}
@@ -87,7 +94,16 @@ func testShardedRenders[B any](t *testing.T, chainName string, blocks []B) {
 				for _, w := range rng.Perm(shardCount) {
 					shards[w].Merge()
 				}
-				if got := kit.Summarize().Render(); got != want {
+				if exchanges != nil {
+					shuffled := slices.Clone(exchanges)
+					rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+					for len(shuffled) > 0 {
+						n := 1 + rng.Intn(len(shuffled))
+						kit.State().(*XRPShard).AddExchanges(shuffled[:n])
+						shuffled = shuffled[n:]
+					}
+				}
+				if got := Figures(kit.State()); got != want {
 					t.Fatalf("iter %d (%d shards): sharded render diverged\n--- single-shard ---\n%s\n--- sharded ---\n%s",
 						iter, shardCount, want, got)
 				}
@@ -207,7 +223,7 @@ func genEOSBlocks(n int) []*wire.EOSBlock {
 }
 
 func TestShardedEOSRenderByteIdentical(t *testing.T) {
-	testShardedRenders(t, "eos", genEOSBlocks(64))
+	testShardedRenders(t, "eos", genEOSBlocks(64), nil)
 }
 
 // genTezosBlocks fabricates Tezos blocks with endorsements, transactions,
@@ -251,7 +267,7 @@ func genTezosBlocks(n int) []*wire.TezosBlock {
 }
 
 func TestShardedTezosRenderByteIdentical(t *testing.T) {
-	testShardedRenders(t, "tezos", genTezosBlocks(64))
+	testShardedRenders(t, "tezos", genTezosBlocks(64), nil)
 }
 
 // genXRPLedgers fabricates ledgers with native and IOU payments, failures,
@@ -307,5 +323,5 @@ func genXRPLedgers(n int) []*wire.XRPLedger {
 }
 
 func TestShardedXRPRenderByteIdentical(t *testing.T) {
-	testShardedRenders(t, "xrp", genXRPLedgers(64))
+	testShardedRenders(t, "xrp", genXRPLedgers(64), genExchanges(24))
 }

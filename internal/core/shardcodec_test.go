@@ -41,7 +41,7 @@ func testShardCodecRoundTrip[B any](t *testing.T, chainName string, blocks []B) 
 		t.Fatal(err)
 	}
 	single.SetCovered(BlockRange{From: 1, To: int64(len(blocks))})
-	want := single.Summary().Render()
+	want := Figures(single)
 	if want == "" {
 		t.Fatal("baseline render is empty — generator produced no data")
 	}
@@ -86,7 +86,7 @@ func testShardCodecRoundTrip[B any](t *testing.T, chainName string, blocks []B) 
 				t.Fatalf("%d-way partition %d: merge: %v", parts, i, err)
 			}
 		}
-		if got := merged.Summary().Render(); got != want {
+		if got := Figures(merged); got != want {
 			t.Fatalf("%d-way sharded render diverged\n--- single ---\n%s\n--- merged ---\n%s", parts, want, got)
 		}
 		if got, want := merged.Covered(), (BlockRange{From: 1, To: int64(len(blocks))}); got != want {
@@ -125,7 +125,7 @@ func TestShardCodecXRPExchanges(t *testing.T) {
 	if got, want := len(dec.(*XRPShard).exchanges), len(agg.exchanges); got != want {
 		t.Fatalf("decoded %d exchanges, want %d", got, want)
 	}
-	if got, want := dec.Summary().Render(), agg.Summary().Render(); got != want {
+	if got, want := Figures(dec), Figures(agg); got != want {
 		t.Fatalf("render diverged after exchange round-trip\n--- want ---\n%s\n--- got ---\n%s", want, got)
 	}
 }
@@ -298,7 +298,6 @@ func FuzzShardDecode(f *testing.F) {
 		if err := st.EncodeTo(&buf, 0); err != nil {
 			t.Fatalf("decoded state failed to re-encode: %v", err)
 		}
-		_ = st.Summary().Render()
 		queryFigures(st)
 
 		w := st.Window()
@@ -318,38 +317,24 @@ func FuzzShardDecode(f *testing.F) {
 			t.Fatal(err)
 		}
 		if same.Merge(st) == nil {
-			_ = same.Summary().Render()
 			queryFigures(same)
 		}
 	})
 }
 
-// queryFigures runs every figure query the report renders from a chain's
-// shard, discarding the answers: FuzzShardDecode only asks that none
-// panics on decoded state.
+// queryFigures renders every section the fleet prints from a chain's
+// state, and the ones a directory and a scale add, then runs the queries
+// the simulator report's own sections read (Figures 9 and 11b), discarding
+// the answers: FuzzShardDecode only asks that none panics on decoded state.
 func queryFigures(st ShardState) {
+	_ = Figures(st)
+	_ = paperWithDirectory(st).render()
 	switch s := st.(type) {
-	case *EOSShard:
-		s.TransferShare()
-		s.EIDOSShare()
-		s.BoomerangTransactions()
-		s.TopReceivers(8)
-		s.TopSenderPairs(6, 3)
-		AnalyzeWashTrades(s.Trades, 5)
 	case *TezosShard:
-		s.EndorsementShare()
-		s.ConsensusShare()
-		s.TopSenders(6)
 		s.VoteSeries("proposals", 24*time.Hour)
 		s.VoteSeries("ballot", 24*time.Hour)
 	case *XRPShard:
-		s.Decompose()
-		s.TopAccounts(10)
-		Concentration(s.TrafficShares(), 18)
-		s.IssuerRates("BTC")
 		s.RateSeries(XRPAssetKey{Currency: "BTC", Issuer: "rGateway"})
-		s.ValueFlow(nil, 5)
-		NewSpamClusterDetector().Detect(s.PaymentViews())
 	}
 }
 

@@ -72,7 +72,7 @@ func (r BlockRange) String() string {
 // A ShardState is single-owner: exactly one goroutine may touch it between
 // creation and Merge. Every statistic it keeps is order-independent, so
 // any partition of blocks across any number of shards, merged in any
-// order, renders the same Summary — the invariant that makes a 3-way
+// order, renders the same Figures — the invariant that makes a 3-way
 // distributed crawl byte-identical to a single-process one.
 type ShardState interface {
 	// Chain names the chain ("eos", "tezos", "xrp") as archive manifests

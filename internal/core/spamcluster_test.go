@@ -12,79 +12,78 @@ import (
 )
 
 func TestSpamClusterDetection(t *testing.T) {
-	d := NewSpamClusterDetector()
+	acts := make(map[string]activation)
 	base := chain.ObservationStart
 
 	// A hub activating 20 drones within a week.
 	for i := 0; i < 20; i++ {
-		d.ObserveActivation("rHub", fmt.Sprintf("rDrone%02d", i),
-			base.Add(time.Duration(i)*8*time.Hour))
+		acts[fmt.Sprintf("rDrone%02d", i)] = activation{"rHub", base.Add(time.Duration(i) * 8 * time.Hour)}
 	}
 	// An exchange activating users that transact externally.
 	for i := 0; i < 15; i++ {
-		d.ObserveActivation("rExchange", fmt.Sprintf("rUser%02d", i), base)
+		acts[fmt.Sprintf("rUser%02d", i)] = activation{"rExchange", base}
 	}
 
-	var payments []XRPPaymentView
+	var payments []paymentView
 	// Drones shuffle worthless tokens among themselves.
 	for i := 0; i < 200; i++ {
-		payments = append(payments, XRPPaymentView{
+		payments = append(payments, paymentView{
 			From: fmt.Sprintf("rDrone%02d", i%20),
 			To:   fmt.Sprintf("rDrone%02d", (i+7)%20),
 		})
 	}
 	// A few flows leave the cluster.
 	for i := 0; i < 10; i++ {
-		payments = append(payments, XRPPaymentView{
+		payments = append(payments, paymentView{
 			From: fmt.Sprintf("rDrone%02d", i%20), To: "rSomewhere", HasValue: true,
 		})
 	}
 	// Exchange users pay the outside world (legitimate).
 	for i := 0; i < 100; i++ {
-		payments = append(payments, XRPPaymentView{
+		payments = append(payments, paymentView{
 			From: fmt.Sprintf("rUser%02d", i%15), To: "rMerchant", HasValue: true,
 		})
 	}
 
-	clusters := d.Detect(payments)
+	clusters := detectSpamClusters(acts, payments)
 	if len(clusters) != 1 {
 		t.Fatalf("clusters: %+v", clusters)
 	}
 	c := clusters[0]
-	if c.Parent != "rHub" || c.Members != 20 {
+	if c.parent != "rHub" || c.members != 20 {
 		t.Fatalf("cluster: %+v", c)
 	}
-	if c.InternalShare < 0.9 {
-		t.Fatalf("internal share = %f", c.InternalShare)
+	if c.internalShare < 0.9 {
+		t.Fatalf("internal share = %f", c.internalShare)
 	}
-	if c.ZeroValueShare != 1.0 {
-		t.Fatalf("zero-value share = %f", c.ZeroValueShare)
+	if c.zeroValueShare != 1.0 {
+		t.Fatalf("zero-value share = %f", c.zeroValueShare)
 	}
-	if c.ActivationSpan <= 0 || c.ActivationSpan > 8*24*time.Hour {
-		t.Fatalf("activation span = %v", c.ActivationSpan)
+	if c.activationSpan <= 0 || c.activationSpan > 8*24*time.Hour {
+		t.Fatalf("activation span = %v", c.activationSpan)
 	}
 }
 
 func TestSpamClusterThresholds(t *testing.T) {
-	d := NewSpamClusterDetector()
-	// Too small a cluster: below MinMembers.
+	acts := make(map[string]activation)
+	// Too small a cluster: below spamMinMembers.
 	for i := 0; i < 5; i++ {
-		d.ObserveActivation("rTiny", fmt.Sprintf("rT%02d", i), chain.ObservationStart)
+		acts[fmt.Sprintf("rT%02d", i)] = activation{"rTiny", chain.ObservationStart}
 	}
-	payments := []XRPPaymentView{{From: "rT00", To: "rT01"}}
-	if got := d.Detect(payments); len(got) != 0 {
+	payments := []paymentView{{From: "rT00", To: "rT01"}}
+	if got := detectSpamClusters(acts, payments); len(got) != 0 {
 		t.Fatalf("tiny cluster reported: %+v", got)
 	}
 	// Big cluster but mostly external flows: not spam.
 	for i := 0; i < 30; i++ {
-		d.ObserveActivation("rLegit", fmt.Sprintf("rL%02d", i), chain.ObservationStart)
+		acts[fmt.Sprintf("rL%02d", i)] = activation{"rLegit", chain.ObservationStart}
 	}
 	payments = nil
 	for i := 0; i < 100; i++ {
-		payments = append(payments, XRPPaymentView{From: fmt.Sprintf("rL%02d", i%30), To: "rOutside"})
+		payments = append(payments, paymentView{From: fmt.Sprintf("rL%02d", i%30), To: "rOutside"})
 	}
-	payments = append(payments, XRPPaymentView{From: "rL00", To: "rL01"})
-	if got := d.Detect(payments); len(got) != 0 {
+	payments = append(payments, paymentView{From: "rL00", To: "rL01"})
+	if got := detectSpamClusters(acts, payments); len(got) != 0 {
 		t.Fatalf("externally-trading cluster reported: %+v", got)
 	}
 }
@@ -104,7 +103,7 @@ func TestPaymentViewsValuation(t *testing.T) {
 		payment("rA", "rB", xrpAmt("JNK", "rNobody", 10), "tesSUCCESS"),
 		payment("rA", "rB", xrpAmt("XRP", "", 10), "tecUNFUNDED_PAYMENT"),
 	)})
-	views := a.PaymentViews()
+	views := a.paymentViews(a.rates())
 	if len(views) != 3 {
 		t.Fatalf("views: %d (failed payment must be excluded)", len(views))
 	}
@@ -157,55 +156,18 @@ func TestSpamClusterEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	det := NewSpamClusterDetector()
+	acts := make(map[string]activation)
 	for _, d := range drones {
 		acct := st.GetAccount(d)
-		det.ObserveActivation(string(acct.Parent), string(d), acct.Activated)
+		acts[string(d)] = activation{string(acct.Parent), acct.Activated}
 	}
-	clusters := det.Detect(agg.PaymentViews())
-	if len(clusters) != 1 || clusters[0].Parent != string(hub) {
+	clusters := detectSpamClusters(acts, agg.paymentViews(agg.rates()))
+	if len(clusters) != 1 || clusters[0].parent != string(hub) {
 		t.Fatalf("clusters: %+v", clusters)
 	}
 	// The drones' BTC shuffles are valueless; only the hub's 12 activating
 	// XRP payments carry value.
-	if clusters[0].ZeroValueShare < 0.9 {
+	if clusters[0].zeroValueShare < 0.9 {
 		t.Fatalf("hub BTC should be valueless: %+v", clusters[0])
 	}
-}
-
-// TestSpamClusterDetectorMerge: merging detectors is deterministic — the
-// earliest activation wins, exact-time ties break to the smaller parent —
-// so merge order never changes what Detect reports.
-func TestSpamClusterDetectorMerge(t *testing.T) {
-	t0 := time.Date(2019, time.October, 5, 0, 0, 0, 0, time.UTC)
-	build := func(obs ...[3]string) *SpamClusterDetector {
-		d := NewSpamClusterDetector()
-		for _, o := range obs {
-			offset, _ := time.ParseDuration(o[2])
-			d.ObserveActivation(o[0], o[1], t0.Add(offset))
-		}
-		return d
-	}
-	// a saw child1 first; b re-saw child1 later under another parent and
-	// saw child2 at the exact same instant a did, under a smaller parent.
-	a := build([3]string{"hubA", "child1", "1h"}, [3]string{"hubB", "child2", "5h"})
-	b := build([3]string{"hubC", "child1", "9h"}, [3]string{"hubA", "child2", "5h"})
-
-	check := func(d *SpamClusterDetector) {
-		t.Helper()
-		if d.parentOf["child1"] != "hubA" || !d.activated["child1"].Equal(t0.Add(time.Hour)) {
-			t.Fatalf("child1: parent %q at %v, want hubA at +1h", d.parentOf["child1"], d.activated["child1"])
-		}
-		if d.parentOf["child2"] != "hubA" {
-			t.Fatalf("child2 tie broke to %q, want hubA (lexicographically smaller)", d.parentOf["child2"])
-		}
-	}
-	ab := build()
-	ab.Merge(a)
-	ab.Merge(b)
-	check(ab)
-	ba := build()
-	ba.Merge(b)
-	ba.Merge(a)
-	check(ba)
 }

@@ -109,23 +109,15 @@ func (s *EOSShard) Summary() ChainSummary {
 		BucketTotals: stats.TotalValues(s.Series),
 		Wash:         &wash,
 	}
-	var eidosShare float64
-	if s.Actions > 0 {
-		eidosShare = float64(s.eidosActions) / float64(s.Actions)
-	}
 	sum.Notes = append(sum.Notes,
 		fmt.Sprintf("boomerang txs:   %d", s.boomerangs),
-		fmt.Sprintf("eidos share:     %.2f%% of actions", 100*eidosShare))
+		fmt.Sprintf("eidos share:     %.2f%% of actions", 100*s.EIDOSShare()))
 	return sum
 }
 
 // Summary captures the shard's deterministic footprint; the caller must own
 // the shard exclusively (see EOSShard.Summary).
 func (s *TezosShard) Summary() ChainSummary {
-	var endorsementShare float64
-	if s.Operations > 0 {
-		endorsementShare = float64(s.OpsByKind["endorsement"]) / float64(s.Operations)
-	}
 	return ChainSummary{
 		Chain:        "tezos",
 		Blocks:       s.Blocks,
@@ -135,7 +127,7 @@ func (s *TezosShard) Summary() ChainSummary {
 		TypeCounts:   cloneCounts(s.OpsByKind),
 		BucketTotals: stats.TotalValues(s.Series),
 		Notes: []string{
-			fmt.Sprintf("endorsements:    %.2f%% of ops", 100*endorsementShare),
+			fmt.Sprintf("endorsements:    %.2f%% of ops", 100*s.EndorsementShare()),
 		},
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sort"
 	"time"
 
@@ -190,25 +191,25 @@ type TezosSenderProfile struct {
 }
 
 // TopSenders returns the k most active transaction senders with their
-// per-receiver average and standard deviation (Figure 6). The paper uses
-// these statistics to distinguish airdrop-style fan-out (one tx to tens of
-// thousands of receivers) from service traffic.
+// per-receiver average and sample standard deviation (Figure 6). The paper
+// uses these statistics to distinguish airdrop-style fan-out (one tx to tens
+// of thousands of receivers) from service traffic. Both come from integer
+// moments with one float division each, never from a map-ordered float sum.
 func (a *TezosShard) TopSenders(k int) []TezosSenderProfile {
 	out := make([]TezosSenderProfile, 0, len(a.sentTo))
 	for sender, receivers := range a.sentTo {
-		var w stats.Welford
-		var sent int64
+		var sum, sumSq int64
 		for _, n := range receivers {
-			w.Add(float64(n))
-			sent += n
+			sum += n
+			sumSq += n * n
 		}
-		out = append(out, TezosSenderProfile{
-			Sender:           sender,
-			Sent:             sent,
-			UniqueReceivers:  len(receivers),
-			AvgPerReceiver:   w.Mean(),
-			StdevPerReceiver: w.SampleStdev(),
-		})
+		r := int64(len(receivers))
+		p := TezosSenderProfile{Sender: sender, Sent: sum, UniqueReceivers: int(r), AvgPerReceiver: float64(sum) / float64(max(r, 1))}
+		if r > 1 {
+			// (r·Σn² − (Σn)²) / (r·(r−1)) is the Bessel-corrected variance.
+			p.StdevPerReceiver = math.Sqrt(max(0, float64(r*sumSq-sum*sum)/float64(r*(r-1))))
+		}
+		out = append(out, p)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Sent != out[j].Sent {

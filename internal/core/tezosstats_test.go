@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -87,6 +89,48 @@ func TestTezosTopSendersFanOut(t *testing.T) {
 	}
 	if top[1].Sender != "tz1service" || top[1].AvgPerReceiver != 30 {
 		t.Fatalf("service: %+v", top[1])
+	}
+}
+
+// TestTezosTopSendersMoments holds Figure 6's avg/stdev to a direct
+// two-pass computation over a sender's per-receiver counts. The counts sum
+// to 9 over 8 receivers: the mean is exactly 1.125, a rounding tie at two
+// decimals, so a mean accumulated in map order printed 1.12 or 1.13 by run.
+func TestTezosTopSendersMoments(t *testing.T) {
+	counts := []int64{1, 1, 1, 2, 1, 1, 1, 1}
+	a := newShard[*TezosShard]()
+	var ops []wire.TezosOperationJSON
+	for i, n := range counts {
+		for j := int64(0); j < n; j++ {
+			ops = append(ops, wire.TezosOperationJSON{
+				Kind: "transaction", Source: "tz1tie", Destination: fmt.Sprintf("tz1r%d", i), Amount: 1,
+			})
+		}
+	}
+	if err := a.IngestBatch([]any{tezosBlock(1, chain.ObservationStart, ops...)}); err != nil {
+		t.Fatal(err)
+	}
+	var mean, ss float64
+	for _, n := range counts {
+		mean += float64(n)
+	}
+	mean /= float64(len(counts))
+	for _, n := range counts {
+		ss += (float64(n) - mean) * (float64(n) - mean)
+	}
+	stdev := math.Sqrt(ss / float64(len(counts)-1))
+	p := a.TopSenders(1)[0]
+	if p.Sent != 9 || p.UniqueReceivers != 8 || p.AvgPerReceiver != 1.125 {
+		t.Fatalf("profile: %+v", p)
+	}
+	if math.Abs(p.StdevPerReceiver-stdev) > 1e-12 {
+		t.Fatalf("stdev = %v, direct %v", p.StdevPerReceiver, stdev)
+	}
+	for i := 0; i < 50; i++ {
+		lines := strings.Split(Paper{Tezos: a}.Figure6(), "\n")
+		if got := strings.Join(strings.Fields(lines[2]), " "); got != "tz1tie 9 8 1.12 0.35" {
+			t.Fatalf("render %d: Figure 6 row %q", i, got)
+		}
 	}
 }
 

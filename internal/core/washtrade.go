@@ -1,6 +1,9 @@
 package core
 
 import (
+	"cmp"
+	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/stats"
@@ -18,10 +21,6 @@ type WashTradeReport struct {
 	// TopAccounts ranks accounts by trade involvement with their
 	// self-trade ratios; the paper reports >85 % for each of the top 5.
 	TopAccounts []WashTrader
-	// BalanceChanges reports, per top account, the fraction of traded
-	// currencies whose net balance change stayed under 0.7 % of turnover —
-	// near-zero movement despite enormous volume is the wash fingerprint.
-	BalanceChanges []BalanceChange
 }
 
 // WashTrader is one account's wash-trading profile.
@@ -32,17 +31,8 @@ type WashTrader struct {
 	SelfTradeShare float64
 }
 
-// BalanceChange summarizes an account's per-currency net movement.
-type BalanceChange struct {
-	Account string
-	// Currencies is the number of currencies the account traded.
-	Currencies int
-	// UnchangedCurrencies is how many of them ended within 0.7 % of zero
-	// net change relative to turnover.
-	UnchangedCurrencies int
-}
-
 // AnalyzeWashTrades computes the report over the aggregator's DEX trades.
+// Every number in it is a count or a ratio of counts.
 func AnalyzeWashTrades(trades []DEXTrade, topK int) WashTradeReport {
 	var rep WashTradeReport
 	rep.TotalTrades = int64(len(trades))
@@ -107,67 +97,71 @@ func AnalyzeWashTrades(trades []DEXTrade, topK int) WashTradeReport {
 		}
 	}
 	rep.Top5Share = float64(involvingTop) / float64(len(trades))
-
-	// Net balance change per (account, currency): bought adds, sold
-	// subtracts. Turnover is total traded volume.
-	type flows struct{ net, turnover float64 }
-	byAcctCur := make(map[string]map[string]*flows)
-	track := func(acct, cur string, delta, volume float64) {
-		if !topSet[acct] {
-			return
-		}
-		m := byAcctCur[acct]
-		if m == nil {
-			m = make(map[string]*flows)
-			byAcctCur[acct] = m
-		}
-		f := m[cur]
-		if f == nil {
-			f = &flows{}
-			m[cur] = f
-		}
-		f.net += delta
-		f.turnover += volume
-	}
-	for _, t := range trades {
-		track(t.Buyer, t.Currency, t.Amount, t.Amount)
-		track(t.Seller, t.Currency, -t.Amount, t.Amount)
-	}
-	for _, w := range top {
-		bc := BalanceChange{Account: w.Account}
-		for _, f := range byAcctCur[w.Account] {
-			bc.Currencies++
-			if f.turnover == 0 {
-				continue
-			}
-			net := f.net
-			if net < 0 {
-				net = -net
-			}
-			if net/f.turnover <= 0.007 {
-				bc.UnchangedCurrencies++
-			}
-		}
-		rep.BalanceChanges = append(rep.BalanceChanges, bc)
-	}
 	return rep
 }
 
-// ConcentrationStats summarizes how concentrated traffic is across accounts.
-type ConcentrationStats struct {
+// balanceChange is a top account's per-currency net movement: of the
+// currencies it traded, how many ended within 0.7 % of zero net change
+// relative to turnover — near-zero movement despite enormous volume is the
+// wash fingerprint.
+type balanceChange struct {
+	account               string
+	currencies, unchanged int
+}
+
+// balanceChanges folds the top accounts' trades into per-(account, currency)
+// net flows — bought adds, sold subtracts — and turnover. The amounts are
+// floats, so the trades fold in canonical order (sorted by every field):
+// the counts depend only on the set of trades.
+func balanceChanges(trades []DEXTrade, top []WashTrader) []balanceChange {
+	type flows struct{ net, turnover float64 }
+	byAcct := make(map[string]map[string]*flows, len(top))
+	for _, w := range top {
+		byAcct[w.Account] = make(map[string]*flows)
+	}
+	track := func(acct, cur string, delta, volume float64) {
+		if m := byAcct[acct]; m != nil {
+			if m[cur] == nil {
+				m[cur] = &flows{}
+			}
+			m[cur].net += delta
+			m[cur].turnover += volume
+		}
+	}
+	for _, t := range slices.SortedFunc(slices.Values(trades), func(x, y DEXTrade) int {
+		return cmp.Or(cmp.Compare(x.Buyer, y.Buyer), cmp.Compare(x.Seller, y.Seller),
+			cmp.Compare(x.Currency, y.Currency), cmp.Compare(x.Amount, y.Amount))
+	}) {
+		track(t.Buyer, t.Currency, t.Amount, t.Amount)
+		track(t.Seller, t.Currency, -t.Amount, t.Amount)
+	}
+	out := make([]balanceChange, len(top))
+	for i, w := range top {
+		out[i] = balanceChange{account: w.Account, currencies: len(byAcct[w.Account])}
+		for _, f := range byAcct[w.Account] {
+			if f.turnover != 0 && math.Abs(f.net)/f.turnover <= 0.007 {
+				out[i].unchanged++
+			}
+		}
+	}
+	return out
+}
+
+// concentrationStats summarizes how concentrated traffic is across accounts.
+type concentrationStats struct {
 	Accounts  int
 	Gini      float64
 	TopKShare float64
 	K         int
 }
 
-// Concentration computes Gini and top-k share over per-account activity.
+// concentration computes Gini and top-k share over per-account activity.
 // Both statistics read one shared sorted view of the input instead of each
 // re-copying and re-sorting it.
-func Concentration(perAccount []float64, k int) ConcentrationStats {
+func concentration(perAccount []float64, k int) concentrationStats {
 	sel := stats.GetSelector()
 	sel.Load(perAccount)
-	out := ConcentrationStats{
+	out := concentrationStats{
 		Accounts:  len(perAccount),
 		Gini:      sel.Gini(),
 		TopKShare: sel.TopShare(k),

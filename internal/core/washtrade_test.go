@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -74,18 +76,44 @@ func TestAnalyzeWashTradesTopAccounts(t *testing.T) {
 }
 
 func TestAnalyzeWashTradesBalanceChanges(t *testing.T) {
-	rep := AnalyzeWashTrades(washScenario(), 5)
-	if len(rep.BalanceChanges) != 5 {
-		t.Fatalf("BalanceChanges = %d entries, want 5", len(rep.BalanceChanges))
+	trades := washScenario()
+	rep := AnalyzeWashTrades(trades, 5)
+	changes := balanceChanges(trades, rep.TopAccounts)
+	if len(changes) != 5 {
+		t.Fatalf("balance changes = %d entries, want 5", len(changes))
 	}
-	for _, bc := range rep.BalanceChanges {
+	for _, bc := range changes {
 		// Pure self-trading nets to zero in every traded currency — the
 		// wash fingerprint the paper highlights.
-		if bc.Currencies != 1 {
-			t.Errorf("%s traded %d currencies, want 1", bc.Account, bc.Currencies)
+		if bc.currencies != 1 {
+			t.Errorf("%s traded %d currencies, want 1", bc.account, bc.currencies)
 		}
-		if bc.UnchangedCurrencies != bc.Currencies {
-			t.Errorf("%s: %d/%d currencies unchanged, want all", bc.Account, bc.UnchangedCurrencies, bc.Currencies)
+		if bc.unchanged != bc.currencies {
+			t.Errorf("%s: %d/%d currencies unchanged, want all", bc.account, bc.unchanged, bc.currencies)
+		}
+	}
+}
+
+// TestBalanceChangesIndependentOfTradeOrder: the net flows are float sums,
+// and a merge appends trades in shard order, so they fold in canonical
+// order. bot's net is 1.007 − 0.993 of a 2.0 turnover — exactly the 0.7 %
+// threshold — and whether the float sum lands on it or just past depends on
+// the order the legs are added in.
+func TestBalanceChangesIndependentOfTradeOrder(t *testing.T) {
+	trades := []DEXTrade{
+		{Buyer: "bot", Seller: "x", Currency: "EOS", Amount: 0.4},
+		{Buyer: "bot", Seller: "y", Currency: "EOS", Amount: 0.6},
+		{Buyer: "bot", Seller: "z", Currency: "EOS", Amount: 0.007},
+		{Buyer: "w", Seller: "bot", Currency: "EOS", Amount: 0.993},
+	}
+	top := AnalyzeWashTrades(trades, 1).TopAccounts
+	want := balanceChanges(trades, top)
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 24; i++ {
+		perm := slices.Clone(trades)
+		rng.Shuffle(len(perm), func(a, b int) { perm[a], perm[b] = perm[b], perm[a] })
+		if got := balanceChanges(perm, top); !slices.Equal(got, want) {
+			t.Fatalf("order %v: %+v, want %+v", perm, got, want)
 		}
 	}
 }
@@ -101,11 +129,11 @@ func TestAnalyzeWashTradesDirectionalFlowsAreNotWash(t *testing.T) {
 	if rep.SelfTradeShare != 0 {
 		t.Fatalf("SelfTradeShare = %f, want 0", rep.SelfTradeShare)
 	}
-	if len(rep.BalanceChanges) != 1 {
-		t.Fatalf("BalanceChanges: %+v", rep.BalanceChanges)
+	changes := balanceChanges(trades, rep.TopAccounts)
+	if len(changes) != 1 {
+		t.Fatalf("balance changes: %+v", changes)
 	}
-	bc := rep.BalanceChanges[0]
-	if bc.UnchangedCurrencies != 0 {
+	if bc := changes[0]; bc.unchanged != 0 {
 		t.Fatalf("directional flow reported as unchanged: %+v", bc)
 	}
 }
@@ -121,7 +149,7 @@ func TestAnalyzeWashTradesTopKClamped(t *testing.T) {
 func TestConcentration(t *testing.T) {
 	// Uniform activity: Gini 0; one dominant account: high top-1 share.
 	uniform := []float64{1, 1, 1, 1}
-	c := Concentration(uniform, 2)
+	c := concentration(uniform, 2)
 	if c.Accounts != 4 || c.K != 2 {
 		t.Fatalf("stats: %+v", c)
 	}
@@ -133,7 +161,7 @@ func TestConcentration(t *testing.T) {
 	}
 
 	skewed := []float64{97, 1, 1, 1}
-	c = Concentration(skewed, 1)
+	c = concentration(skewed, 1)
 	if c.TopKShare < 0.9 {
 		t.Errorf("skewed top-1 share = %f, want ~0.97", c.TopKShare)
 	}

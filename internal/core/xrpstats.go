@@ -1,6 +1,9 @@
 package core
 
 import (
+	"cmp"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -94,6 +97,10 @@ type xrpPayment struct {
 	Value    int64
 	Success  bool
 	Native   bool
+}
+
+func (p *xrpPayment) asset() XRPAssetKey {
+	return XRPAssetKey{Currency: p.Currency, Issuer: p.Issuer}
 }
 
 // blank returns an empty shard with s's window.
@@ -266,29 +273,60 @@ func (a *XRPShard) AddExchanges(ex []XRPExchange) {
 	}
 }
 
-// RateToXRP returns the average traded XRP per unit of the asset over all
-// observed exchanges (0 when it never traded against XRP).
-func (a *XRPShard) RateToXRP(key XRPAssetKey) float64 {
-	if key.Issuer == "" && key.Currency == "XRP" {
+// rateStat is one asset's traded rate against XRP: the mean XRP paid per
+// unit over its fills, and how many fills there were.
+type rateStat struct {
+	rate   float64
+	trades int
+}
+
+// rateTable holds every asset that traded against XRP.
+type rateTable map[XRPAssetKey]rateStat
+
+// of returns the key's XRP rate: 1 for native XRP, 0 for an asset that
+// never traded against XRP.
+func (t rateTable) of(key XRPAssetKey) float64 {
+	if key == xrpNative {
 		return 1
 	}
-	xrpKey := XRPAssetKey{Currency: "XRP"}
-	var sum float64
-	var n int
+	return t[key].rate
+}
+
+var xrpNative = XRPAssetKey{Currency: "XRP"}
+
+// xrpRate returns the asset a fill priced against native XRP and the XRP
+// one unit of it fetched; ok is false when neither side is native XRP or the
+// priced side moved nothing.
+func (e XRPExchange) xrpRate() (asset XRPAssetKey, rate float64, ok bool) {
+	switch {
+	case e.Counter == xrpNative:
+		return e.Base, float64(e.CounterValue) / float64(e.BaseValue), e.BaseValue > 0
+	case e.Base == xrpNative:
+		return e.Counter, float64(e.BaseValue) / float64(e.CounterValue), e.CounterValue > 0
+	}
+	return XRPAssetKey{}, 0, false
+}
+
+// rates builds the shard's rate table in one pass over its exchanges. Each
+// asset's fill rates are summed in ascending order, so the table depends
+// only on the set of fills — not on the order merges appended them in.
+func (a *XRPShard) rates() rateTable {
+	byAsset := make(map[XRPAssetKey][]float64)
 	for _, e := range a.exchanges {
-		switch {
-		case e.Base == key && e.Counter == xrpKey && e.BaseValue > 0:
-			sum += float64(e.CounterValue) / float64(e.BaseValue)
-			n++
-		case e.Base == xrpKey && e.Counter == key && e.CounterValue > 0:
-			sum += float64(e.BaseValue) / float64(e.CounterValue)
-			n++
+		if asset, rate, ok := e.xrpRate(); ok {
+			byAsset[asset] = append(byAsset[asset], rate)
 		}
 	}
-	if n == 0 {
-		return 0
+	t := make(rateTable, len(byAsset))
+	for asset, rs := range byAsset {
+		slices.Sort(rs)
+		var sum float64
+		for _, r := range rs {
+			sum += r
+		}
+		t[asset] = rateStat{rate: sum / float64(len(rs)), trades: len(rs)}
 	}
-	return sum / float64(n)
+	return t
 }
 
 // ValueDecomposition is the paper's Figure 7 Sankey, as fractions of total
@@ -333,13 +371,14 @@ func (a *XRPShard) Decompose() ValueDecomposition {
 	d.FailedShare = float64(a.Failed) / total
 	d.SuccessfulShare = 1 - d.FailedShare
 
+	rates := a.rates()
 	var payOK, payValue int64
 	for _, p := range a.payments {
 		if !p.Success {
 			continue
 		}
 		payOK++
-		if p.Native || a.RateToXRP(XRPAssetKey{Currency: p.Currency, Issuer: p.Issuer}) > 0 {
+		if p.Native || rates.of(p.asset()) > 0 {
 			payValue++
 		}
 	}
@@ -349,14 +388,7 @@ func (a *XRPShard) Decompose() ValueDecomposition {
 		d.ValuablePaymentRate = float64(payValue) / float64(payOK)
 	}
 
-	executed := int64(0)
-	for ref := range a.offersExecuted {
-		_ = ref
-		executed++
-	}
-	if executed > a.offersCreated {
-		executed = a.offersCreated
-	}
+	executed := min(int64(len(a.offersExecuted)), a.offersCreated)
 	d.OffersExchanged = float64(executed) / total
 	d.OffersNoExchange = float64(a.offersCreated-executed) / total
 	if a.offersCreated > 0 {
@@ -374,13 +406,10 @@ func (a *XRPShard) Decompose() ValueDecomposition {
 
 // XRPAccountProfile is one Figure 8 row.
 type XRPAccountProfile struct {
-	Account     string
-	Total       int64
-	OfferCreate int64
-	Payment     int64
-	Others      int64
-	// OfferShare is OfferCreate/Total; the paper's top accounts all exceed
-	// 98 %.
+	Account string
+	Total   int64
+	// OfferShare is the share of its transactions that are OfferCreates;
+	// the paper's top accounts all exceed 98 %.
 	OfferShare float64
 	// DominantDestTag is the most used destination tag (104398 for the
 	// Huobi cluster), 0 when none.
@@ -391,15 +420,9 @@ type XRPAccountProfile struct {
 func (a *XRPShard) TopAccounts(k int) []XRPAccountProfile {
 	out := make([]XRPAccountProfile, 0, len(a.byAccount))
 	for addr, agg := range a.byAccount {
-		p := XRPAccountProfile{
-			Account:     addr,
-			Total:       agg.Total,
-			OfferCreate: agg.ByType["OfferCreate"],
-			Payment:     agg.ByType["Payment"],
-		}
-		p.Others = p.Total - p.OfferCreate - p.Payment
+		p := XRPAccountProfile{Account: addr, Total: agg.Total}
 		if p.Total > 0 {
-			p.OfferShare = float64(p.OfferCreate) / float64(p.Total)
+			p.OfferShare = float64(agg.ByType["OfferCreate"]) / float64(p.Total)
 		}
 		var bestN int64
 		for tag, n := range agg.DestTags {
@@ -421,10 +444,10 @@ func (a *XRPShard) TopAccounts(k int) []XRPAccountProfile {
 	return out
 }
 
-// TrafficShares returns per-account transaction counts, for concentration
+// trafficShares returns per-account transaction counts, for concentration
 // statistics ("the 18 most active accounts are responsible for half of the
 // total traffic").
-func (a *XRPShard) TrafficShares() []float64 {
+func (a *XRPShard) trafficShares() []float64 {
 	out := make([]float64, 0, len(a.byAccount))
 	for _, agg := range a.byAccount {
 		out = append(out, float64(agg.Total))
@@ -444,70 +467,33 @@ type IssuerRate struct {
 // sorted by rate descending (Figure 11a: BTC IOUs ranging from 36,050 XRP
 // to 0 depending on the issuer).
 func (a *XRPShard) IssuerRates(currency string) []IssuerRate {
-	type accum struct {
-		sum float64
-		n   int
-	}
-	byIssuer := make(map[string]*accum)
-	xrpKey := XRPAssetKey{Currency: "XRP"}
-	for _, e := range a.exchanges {
-		var issuer string
-		var rate float64
-		switch {
-		case e.Base.Currency == currency && e.Counter == xrpKey && e.BaseValue > 0:
-			issuer = e.Base.Issuer
-			rate = float64(e.CounterValue) / float64(e.BaseValue)
-		case e.Counter.Currency == currency && e.Base == xrpKey && e.CounterValue > 0:
-			issuer = e.Counter.Issuer
-			rate = float64(e.BaseValue) / float64(e.CounterValue)
-		default:
-			continue
+	var out []IssuerRate
+	for asset, r := range a.rates() {
+		if asset.Currency == currency {
+			out = append(out, IssuerRate{Issuer: asset.Issuer, Rate: r.rate, Trades: r.trades})
 		}
-		acc := byIssuer[issuer]
-		if acc == nil {
-			acc = &accum{}
-			byIssuer[issuer] = acc
-		}
-		acc.sum += rate
-		acc.n++
 	}
-	out := make([]IssuerRate, 0, len(byIssuer))
-	for issuer, acc := range byIssuer {
-		out = append(out, IssuerRate{Issuer: issuer, Rate: acc.sum / float64(acc.n), Trades: acc.n})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Rate != out[j].Rate {
-			return out[i].Rate > out[j].Rate
-		}
-		return out[i].Issuer < out[j].Issuer
+	slices.SortFunc(out, func(x, y IssuerRate) int {
+		return cmp.Or(cmp.Compare(y.Rate, x.Rate), cmp.Compare(x.Issuer, y.Issuer))
 	})
 	return out
 }
 
 // RateSeries returns the chronological rates of one asset against XRP
-// (Figure 11b: the Myrone BTC IOU collapsing from 30,500 to 0.1).
+// (Figure 11b: the Myrone BTC IOU collapsing from 30,500 to 0.1), fills at
+// one instant ordered by rate.
 func (a *XRPShard) RateSeries(key XRPAssetKey) []stats.Row {
-	xrpKey := XRPAssetKey{Currency: "XRP"}
 	var rows []stats.Row
 	for _, e := range a.exchanges {
-		var rate float64
-		switch {
-		case e.Base == key && e.Counter == xrpKey && e.BaseValue > 0:
-			rate = float64(e.CounterValue) / float64(e.BaseValue)
-		case e.Base == xrpKey && e.Counter == key && e.CounterValue > 0:
-			rate = float64(e.BaseValue) / float64(e.CounterValue)
-		default:
-			continue
+		if asset, rate, ok := e.xrpRate(); ok && asset == key {
+			rows = append(rows, stats.Row{Start: e.Time, Counts: map[string]int64{"rate_millis": int64(rate * 1000)}})
 		}
-		rows = append(rows, stats.Row{Start: e.Time, Counts: map[string]int64{"rate_millis": int64(rate * 1000)}})
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Start.Before(rows[j].Start) })
+	slices.SortFunc(rows, func(x, y stats.Row) int {
+		return cmp.Or(x.Start.Compare(y.Start), cmp.Compare(x.Counts["rate_millis"], y.Counts["rate_millis"]))
+	})
 	return rows
 }
-
-// ClusterFunc resolves an address to a display cluster (exchange username,
-// "<name> -- descendant", or the raw address).
-type ClusterFunc func(addr string) string
 
 // FlowEdge is one aggregated Figure 12 flow, denominated in XRP.
 type FlowEdge struct {
@@ -525,55 +511,59 @@ type ValueFlow struct {
 	Currencies     []FlowEdge
 }
 
-// ValueFlow computes Figure 12 using cluster for account attribution.
-func (a *XRPShard) ValueFlow(cluster ClusterFunc, topK int) ValueFlow {
-	if cluster == nil {
-		cluster = func(addr string) string { return addr }
-	}
-	senders := make(map[string]float64)
-	receivers := make(map[string]float64)
-	currencies := make(map[string]float64)
-	var total float64
-	for _, p := range a.payments {
-		if !p.Success {
-			continue
+// ValueFlow computes Figure 12, attributing accounts to dir's clusters (to
+// themselves when dir is nil) and leaving out tokens with no positive rate.
+// Amounts fold as integers per (name, asset) and convert to XRP once per
+// pair, summed in sorted order, so the volumes depend only on the payments.
+func (a *XRPShard) ValueFlow(dir Directory, topK int) ValueFlow {
+	rates := a.rates()
+	senders, receivers, currencies := make(map[flowKey]int64), make(map[flowKey]int64), make(map[flowKey]int64)
+	for i := range a.payments {
+		p := &a.payments[i]
+		if asset := p.asset(); p.Success && rates.of(asset) > 0 {
+			senders[flowKey{clusterName(dir, p.From), asset}] += p.Value
+			receivers[flowKey{clusterName(dir, p.To), asset}] += p.Value
+			currencies[flowKey{strings.ToUpper(p.Currency), asset}] += p.Value
 		}
-		var xrpEq float64
-		if p.Native {
-			xrpEq = float64(p.Value) / xrpDropsPerXRP
-		} else {
-			rate := a.RateToXRP(XRPAssetKey{Currency: p.Currency, Issuer: p.Issuer})
-			if rate <= 0 {
-				continue // valueless token: excluded from the flow diagram
-			}
-			xrpEq = float64(p.Value) / xrpDropsPerXRP * rate
-		}
-		total += xrpEq
-		senders[cluster(p.From)] += xrpEq
-		receivers[cluster(p.To)] += xrpEq
-		currencies[strings.ToUpper(p.Currency)] += xrpEq
 	}
-	return ValueFlow{
-		TotalXRPVolume: total,
-		Senders:        topEdges(senders, topK),
-		Receivers:      topEdges(receivers, topK),
-		Currencies:     topEdges(currencies, topK),
+	flow := ValueFlow{Currencies: toXRP(currencies, rates)}
+	for _, e := range flow.Currencies {
+		flow.TotalXRPVolume += e.XRPVolume
 	}
+	flow.Senders = topEdges(toXRP(senders, rates), topK)
+	flow.Receivers = topEdges(toXRP(receivers, rates), topK)
+	flow.Currencies = topEdges(flow.Currencies, topK)
+	return flow
 }
 
-func topEdges(m map[string]float64, k int) []FlowEdge {
-	out := make([]FlowEdge, 0, len(m))
-	for name, v := range m {
-		out = append(out, FlowEdge{Name: name, XRPVolume: v})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].XRPVolume != out[j].XRPVolume {
-			return out[i].XRPVolume > out[j].XRPVolume
-		}
-		return out[i].Name < out[j].Name
+// flowKey is one name's amount of one asset in Figure 12's integer fold.
+type flowKey struct {
+	name  string
+	asset XRPAssetKey
+}
+
+// toXRP converts each amount at its asset's rate and sums them per name, in
+// (name, asset) order.
+func toXRP(amounts map[flowKey]int64, rates rateTable) []FlowEdge {
+	keys := slices.SortedFunc(maps.Keys(amounts), func(x, y flowKey) int {
+		return cmp.Or(cmp.Compare(x.name, y.name),
+			cmp.Compare(x.asset.Currency, y.asset.Currency), cmp.Compare(x.asset.Issuer, y.asset.Issuer))
 	})
-	if k < len(out) {
-		out = out[:k]
+	var out []FlowEdge
+	for _, k := range keys {
+		v := float64(amounts[k]) / xrpDropsPerXRP * rates.of(k.asset)
+		if n := len(out); n > 0 && out[n-1].Name == k.name {
+			out[n-1].XRPVolume += v
+		} else {
+			out = append(out, FlowEdge{Name: k.name, XRPVolume: v})
+		}
 	}
 	return out
+}
+
+func topEdges(edges []FlowEdge, k int) []FlowEdge {
+	slices.SortFunc(edges, func(x, y FlowEdge) int {
+		return cmp.Or(cmp.Compare(y.XRPVolume, x.XRPVolume), cmp.Compare(x.Name, y.Name))
+	})
+	return edges[:min(k, len(edges))]
 }

@@ -124,22 +124,24 @@ func TestXRPRatesFromExchanges(t *testing.T) {
 		{Time: chain.ObservationStart, Base: xrpKey, Counter: btcSpammer,
 			BaseValue: 1 * xrpDropsPerXRP, CounterValue: 1000 * xrpDropsPerXRP},
 	})
-	if r := a.RateToXRP(btcBitstamp); r < 35_999 || r > 36_001 {
+	rates := a.rates()
+	if r := rates.of(btcBitstamp); r < 35_999 || r > 36_001 {
 		t.Fatalf("bitstamp BTC rate = %f", r)
 	}
-	if r := a.RateToXRP(btcSpammer); r < 0.0009 || r > 0.0011 {
+	if r := rates.of(btcSpammer); r < 0.0009 || r > 0.0011 {
 		t.Fatalf("spammer BTC rate = %f", r)
 	}
-	if r := a.RateToXRP(XRPAssetKey{Currency: "BTC", Issuer: "rUnknown"}); r != 0 {
+	if r := rates.of(XRPAssetKey{Currency: "BTC", Issuer: "rUnknown"}); r != 0 {
 		t.Fatalf("untraded issuer rate = %f", r)
 	}
-	if a.RateToXRP(xrpKey) != 1 {
+	if rates.of(xrpKey) != 1 {
 		t.Fatal("XRP self-rate must be 1")
 	}
 
-	rates := a.IssuerRates("BTC")
-	if len(rates) != 2 || rates[0].Issuer != "rBitstamp" || rates[1].Issuer != "rSpammer" {
-		t.Fatalf("issuer rates: %+v", rates)
+	issuers := a.IssuerRates("BTC")
+	if len(issuers) != 2 || issuers[0].Issuer != "rBitstamp" || issuers[1].Issuer != "rSpammer" ||
+		issuers[0].Trades != 2 || issuers[1].Trades != 1 {
+		t.Fatalf("issuer rates: %+v", issuers)
 	}
 }
 
@@ -171,7 +173,7 @@ func TestXRPTopAccountsAndDestTag(t *testing.T) {
 		t.Fatalf("dest tag = %d", top[0].DominantDestTag)
 	}
 
-	conc := Concentration(a.TrafficShares(), 1)
+	conc := concentration(a.trafficShares(), 1)
 	if conc.TopKShare < 0.98 {
 		t.Fatalf("concentration: %+v", conc)
 	}
@@ -191,13 +193,7 @@ func TestXRPValueFlowClusters(t *testing.T) {
 		payment("rBinance2", "rUser2", xrpAmt("USD", gw, 100), "tesSUCCESS"),     // 500 XRP eq
 		payment("rNobody", "rUser3", xrpAmt("JNK", gw, 1_000_000), "tesSUCCESS"), // worthless
 	)})
-	cluster := func(addr string) string {
-		if addr == "rBinance1" || addr == "rBinance2" {
-			return "Binance"
-		}
-		return addr
-	}
-	flow := a.ValueFlow(cluster, 5)
+	flow := a.ValueFlow(usernames{"rBinance1": "Binance", "rBinance2": "Binance"}, 5)
 	if flow.TotalXRPVolume < 1499 || flow.TotalXRPVolume > 1501 {
 		t.Fatalf("volume = %f", flow.TotalXRPVolume)
 	}
@@ -234,3 +230,15 @@ func TestXRPRateSeriesChronological(t *testing.T) {
 		t.Fatalf("collapsed rate: %d", rows[1].Counts["rate_millis"])
 	}
 }
+
+// usernames is an explorer directory that knows usernames and no parents.
+type usernames map[string]string
+
+func (u usernames) ClusterName(addr string) string {
+	if name, ok := u[addr]; ok {
+		return name
+	}
+	return addr
+}
+
+func (usernames) Activation(string) (string, time.Time) { return "", time.Time{} }

@@ -65,16 +65,26 @@ func (d *Directory) Lookup(addr xrp.Address) AccountInfo {
 
 // ClusterName resolves the paper's clustering rule: use the account's own
 // username; otherwise the parent's username plus a "-- descendant" suffix;
-// otherwise the bare address.
-func (d *Directory) ClusterName(addr xrp.Address) string {
-	info := d.Lookup(addr)
+// otherwise the bare address. With Activation it makes the directory the
+// core.Directory the figure sections read.
+func (d *Directory) ClusterName(addr string) string {
+	info := d.Lookup(xrp.Address(addr))
 	if info.Username != "" {
 		return info.Username
 	}
 	if info.ParentUsername != "" {
 		return info.ParentUsername + " -- descendant"
 	}
-	return string(addr)
+	return addr
+}
+
+// Activation returns the account that activated addr and when, as the
+// ledger recorded it; parent is "" for an account it never activated.
+func (d *Directory) Activation(addr string) (parent string, at time.Time) {
+	if acct := d.state.GetAccount(xrp.Address(addr)); acct != nil && acct.Parent != "" {
+		return string(acct.Parent), acct.Activated
+	}
+	return "", time.Time{}
 }
 
 // RatePoint is one observed trade price.

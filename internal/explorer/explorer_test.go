@@ -46,18 +46,25 @@ func fixture(t *testing.T) (*xrp.State, *Directory, *RateOracle, xrp.Address, xr
 }
 
 func TestDirectoryClustering(t *testing.T) {
-	_, dir, _, exchange, child := fixture(t)
-	if got := dir.ClusterName(exchange); got != "BigExchange" {
+	st, dir, _, exchange, child := fixture(t)
+	var _ core.Directory = dir
+	if got := dir.ClusterName(string(exchange)); got != "BigExchange" {
 		t.Fatalf("exchange cluster = %q", got)
 	}
 	// Descendant resolution via the ledger's parent pointer.
-	if got := dir.ClusterName(child); got != "BigExchange -- descendant" {
+	if got := dir.ClusterName(string(child)); got != "BigExchange -- descendant" {
 		t.Fatalf("child cluster = %q", got)
 	}
-	// Unknown accounts fall back to the raw address.
+	if parent, at := dir.Activation(string(child)); parent != string(exchange) || !at.Equal(st.GetAccount(child).Activated) || at.IsZero() {
+		t.Fatalf("child activation = %q at %v", parent, at)
+	}
+	// Unknown accounts fall back to the raw address and have no parent.
 	anon := xrp.NewAddress("anon")
-	if got := dir.ClusterName(anon); got != string(anon) {
+	if got := dir.ClusterName(string(anon)); got != string(anon) {
 		t.Fatalf("anon cluster = %q", got)
+	}
+	if parent, at := dir.Activation(string(anon)); parent != "" || !at.IsZero() {
+		t.Fatalf("anon activation = %q at %v", parent, at)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/archive"
+	"repro/internal/core"
 )
 
 // archiveTestOptions keeps the live-then-replay double run quick.
@@ -71,17 +72,15 @@ func TestPipelineArchiveReplayReproducesFigures(t *testing.T) {
 	// stream (endpoint probing is legitimately absent from a replay) —
 	// Figure 2's footprint column included: the replay reports the bytes
 	// of the archives it replays, which the live run wrote and reported.
-	renderers := map[string]func(*Result) string{
-		"Figure1":     Figure1,
-		"Figure2":     Figure2,
-		"Figure3":     Figure3,
-		"Figure4":     Figure4,
-		"Figure5":     Figure5,
-		"Figure6":     Figure6,
-		"Figure7":     Figure7,
-		"Figure9":     Figure9,
-		"HeadlineTPS": HeadlineTPS,
-		"CaseStudies": CaseStudies,
+	renderers := map[string]func(*Result) string{"Figure2": Figure2, "Figure9": Figure9}
+	for name, section := range map[string]func(core.Paper) string{
+		"Figure1": core.Paper.Figure1, "Figure3": core.Paper.Figure3, "Figure4": core.Paper.Figure4,
+		"Figure5": core.Paper.Figure5, "Figure6": core.Paper.Figure6, "Figure7": core.Paper.Figure7,
+		"Figure8": core.Paper.Figure8, "Figure11a": core.Paper.Figure11a, "Figure12": core.Paper.Figure12,
+		"HeadlineTPS": core.Paper.HeadlineTPS, "CaseStudies": core.Paper.CaseStudies,
+		"SpamClusters": core.Paper.SpamClusters,
+	} {
+		renderers[name] = func(r *Result) string { return section(r.Paper()) }
 	}
 	for name, render := range renderers {
 		if a, b := render(live), render(replay); a != b {

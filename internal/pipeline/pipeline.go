@@ -32,7 +32,6 @@ import (
 	"repro/internal/rpcserve"
 	"repro/internal/tezos"
 	"repro/internal/workload"
-	"repro/internal/xrp"
 )
 
 // StageOptions are the per-stage scenario knobs. Every chain reproduction
@@ -172,12 +171,6 @@ type Result struct {
 	// StageMetrics records each stage's wall-clock, crawl volume and
 	// pipeline-side TPS, ordered like the stage table.
 	StageMetrics []StageMetric
-}
-
-// ClusterFunc returns the Figure 12 clustering function backed by the
-// explorer directory.
-func (r *Result) ClusterFunc() core.ClusterFunc {
-	return func(addr string) string { return r.Dir.ClusterName(xrp.Address(addr)) }
 }
 
 // stagePlan is one built row of the stage table: a row's build method runs

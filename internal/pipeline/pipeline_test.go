@@ -15,7 +15,6 @@ import (
 	"repro/internal/collect"
 	"repro/internal/core"
 	"repro/internal/stats"
-	"repro/internal/xrp"
 )
 
 // sharedResult runs the full pipeline once per test binary; the integration
@@ -57,7 +56,7 @@ func TestPipelineEndToEndShares(t *testing.T) {
 	r := testResult(t)
 
 	// Figure 1 shapes. Paper: EOS transfers 91.6 % of actions.
-	if share := r.EOS.TransferShare(); share < 0.80 || share > 0.97 {
+	if share := float64(r.EOS.ActionsByName["transfer"]) / float64(r.EOS.Actions); share < 0.80 || share > 0.97 {
 		t.Errorf("EOS transfer share = %.3f, want ~0.92", share)
 	}
 	// Tezos endorsements 81.7 %.
@@ -242,7 +241,7 @@ func TestPipelineRates(t *testing.T) {
 
 func TestPipelineValueFlow(t *testing.T) {
 	r := testResult(t)
-	flow := r.XRP.ValueFlow(r.ClusterFunc(), 10)
+	flow := r.XRP.ValueFlow(r.Dir, 10)
 	if flow.TotalXRPVolume <= 0 {
 		t.Fatal("no value flow measured")
 	}
@@ -263,7 +262,7 @@ func TestPipelineTopXRPAccountsAreHuobiBots(t *testing.T) {
 	r := testResult(t)
 	top := r.XRP.TopAccounts(4)
 	for _, p := range top {
-		cluster := r.Dir.ClusterName(xrp.Address(p.Account))
+		cluster := r.Dir.ClusterName(p.Account)
 		if !strings.Contains(cluster, "Huobi") {
 			t.Errorf("top account %s cluster %q, want Huobi descendant", p.Account, cluster)
 		}
@@ -351,7 +350,7 @@ func TestFullReportDeterministic(t *testing.T) {
 
 func TestPipelineSpamClusterExtension(t *testing.T) {
 	r := testResult(t)
-	out := SpamClusters(r)
+	out := r.Paper().SpamClusters()
 	if !strings.Contains(out, "hub ") {
 		t.Fatalf("no spam cluster detected:\n%s", out)
 	}

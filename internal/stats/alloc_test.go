@@ -24,15 +24,6 @@ func pinZeroAllocs(t *testing.T, name string, run func()) {
 	}
 }
 
-func TestWelfordAddZeroAllocs(t *testing.T) {
-	var w Welford
-	x := 0.0
-	pinZeroAllocs(t, "Welford.Add", func() {
-		w.Add(x)
-		x++
-	})
-}
-
 // TestTimeSeriesAddExistingBucketZeroAllocs: the first Add into a bucket
 // makes its label map; every later one, whichever of the series' buckets it
 // lands in, only bumps a counter.

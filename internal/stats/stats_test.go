@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -62,84 +61,6 @@ func TestTimeSeriesPeakAndClamping(t *testing.T) {
 	}
 	if s.MaxBucket() != 2 {
 		t.Fatalf("max bucket = %d, want 2", s.MaxBucket())
-	}
-}
-
-func TestWelfordAgainstDirect(t *testing.T) {
-	xs := []float64{28.58, 1.00, 46.35, 33.32, 15.35} // Figure 6 avg column
-	var w Welford
-	for _, x := range xs {
-		w.Add(x)
-	}
-	var mean float64
-	for _, x := range xs {
-		mean += x
-	}
-	mean /= float64(len(xs))
-	if math.Abs(w.Mean()-mean) > 1e-9 {
-		t.Fatalf("mean %f vs %f", w.Mean(), mean)
-	}
-	var v float64
-	for _, x := range xs {
-		v += (x - mean) * (x - mean)
-	}
-	v /= float64(len(xs))
-	if math.Abs(w.Variance()-v) > 1e-9 {
-		t.Fatalf("variance %f vs %f", w.Variance(), v)
-	}
-}
-
-func TestWelfordMerge(t *testing.T) {
-	var a, b, all Welford
-	for i := 0; i < 100; i++ {
-		x := float64(i * i % 37)
-		all.Add(x)
-		if i%2 == 0 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-	}
-	a.Merge(b)
-	if a.n != all.n {
-		t.Fatalf("merged N = %d", a.n)
-	}
-	if math.Abs(a.Mean()-all.Mean()) > 1e-9 || math.Abs(a.Variance()-all.Variance()) > 1e-9 {
-		t.Fatalf("merge mismatch: mean %f/%f var %f/%f", a.Mean(), all.Mean(), a.Variance(), all.Variance())
-	}
-}
-
-func TestWelfordMergeProperty(t *testing.T) {
-	f := func(xs []float64, split uint8) bool {
-		for i, x := range xs {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				xs[i] = 0
-			}
-			// Keep magnitudes sane to avoid float blowup dominating.
-			xs[i] = math.Mod(xs[i], 1e6)
-		}
-		var whole Welford
-		for _, x := range xs {
-			whole.Add(x)
-		}
-		k := 0
-		if len(xs) > 0 {
-			k = int(split) % (len(xs) + 1)
-		}
-		var left, right Welford
-		for _, x := range xs[:k] {
-			left.Add(x)
-		}
-		for _, x := range xs[k:] {
-			right.Add(x)
-		}
-		left.Merge(right)
-		return left.n == whole.n &&
-			math.Abs(left.Mean()-whole.Mean()) < 1e-6 &&
-			math.Abs(left.Variance()-whole.Variance()) < 1e-3
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package stats provides the small statistical toolkit the measurement
 // pipeline relies on: time-bucketed counters (the paper plots throughput per
-// six hours), streaming moments, percentiles and gzip storage accounting.
+// six hours) and their sparklines, percentiles and gzip storage accounting.
 package stats
 
 import (
@@ -210,4 +210,24 @@ func (s *TimeSeries) Rows() []Row {
 		rows[i] = Row{Start: s.BucketStart(i), Counts: counts}
 	}
 	return rows
+}
+
+// Sparkline renders label's count in each of rows as one character, its
+// height proportional to the count ("(empty)" for no rows).
+func Sparkline(rows []Row, label string) string {
+	if len(rows) == 0 {
+		return "(empty)"
+	}
+	var peak int64 = 1
+	for _, row := range rows {
+		peak = max(peak, row.Counts[label])
+	}
+	marks := []rune(" .:-=+*#%@")
+	line := make([]rune, len(rows))
+	for i, row := range rows {
+		// A negative count, or one whose scaling overflows, clamps to an end
+		// of the scale instead of indexing outside it.
+		line[i] = marks[min(max(row.Counts[label]*int64(len(marks)-1)/peak, 0), int64(len(marks)-1))]
+	}
+	return string(line)
 }
