@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -11,7 +10,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -29,81 +27,12 @@ import (
 
 // TestMain doubles this test binary as the worker executable: when the
 // coordinator under test execs os.Executable() with the payload env set,
-// the subprocess lands here and runs workerMain instead of the tests —
-// so the chaos tests SIGKILL REAL processes, not simulated ones. The
-// coordEnv trampoline does the same for a whole ACTIVE COORDINATOR, so
-// the standby-takeover test can SIGKILL a real coordinator process.
-// workerEnv wins when both are set: a worker launched by a trampolined
-// coordinator inherits the coordinator's env.
+// the subprocess lands here and runs workerMain instead of the tests.
 func TestMain(m *testing.M) {
 	if payload := os.Getenv(workerEnv); payload != "" {
 		os.Exit(workerMain(payload, os.Stderr))
 	}
-	if payload := os.Getenv(coordEnv); payload != "" {
-		os.Exit(coordMain(payload))
-	}
 	os.Exit(m.Run())
-}
-
-// coordEnv carries a full coordinator configuration into a re-exec'd test
-// binary, turning it into a real, killable active coordinator process.
-const coordEnv = "COORDINATE_COORD_OPTS"
-
-// coordPayload mirrors coordOpts with exported fields for the JSON
-// round-trip through coordEnv.
-type coordPayload struct {
-	Chain          string        `json:"chain"`
-	Endpoint       string        `json:"endpoint"`
-	From           int64         `json:"from"`
-	To             int64         `json:"to"`
-	Shards         int           `json:"shards"`
-	Store          string        `json:"store"`
-	Every          int64         `json:"every"`
-	LeaseTTL       time.Duration `json:"lease_ttl"`
-	Attempts       int           `json:"attempts"`
-	Backoff        time.Duration `json:"backoff"`
-	Workers        int           `json:"workers"`
-	GapReport      string        `json:"gap_report"`
-	ChaosKill      int           `json:"chaos_kill"`
-	Owner          string        `json:"owner"`
-	Standby        bool          `json:"standby"`
-	ProgressAddr   string        `json:"progress_addr"`
-	ChaosKillCoord bool          `json:"chaos_kill_coordinator"`
-}
-
-func payloadFrom(o coordOpts) coordPayload {
-	return coordPayload{
-		Chain: o.chain, Endpoint: o.endpoint, From: o.from, To: o.to,
-		Shards: o.shards, Store: o.store, Every: o.every,
-		LeaseTTL: o.leaseTTL, Attempts: o.attempts, Backoff: o.backoff,
-		Workers:   o.workers,
-		GapReport: o.gapReport, ChaosKill: o.chaosKill, Owner: o.owner,
-		Standby: o.standby, ProgressAddr: o.progressAddr, ChaosKillCoord: o.chaosKillCoord,
-	}
-}
-
-func (p coordPayload) opts() coordOpts {
-	return coordOpts{
-		chain: p.Chain, endpoint: p.Endpoint, from: p.From, to: p.To,
-		shards: p.Shards, store: p.Store, every: p.Every,
-		leaseTTL: p.LeaseTTL, attempts: p.Attempts, backoff: p.Backoff,
-		workers:   p.Workers,
-		gapReport: p.GapReport, chaosKill: p.ChaosKill, owner: p.Owner,
-		standby: p.Standby, progressAddr: p.ProgressAddr, chaosKillCoord: p.ChaosKillCoord,
-	}
-}
-
-func coordMain(payload string) int {
-	var p coordPayload
-	if err := json.Unmarshal([]byte(payload), &p); err != nil {
-		fmt.Fprintf(os.Stderr, "coordinator trampoline: bad payload: %v\n", err)
-		return 2
-	}
-	if err := run(context.Background(), p.opts(), os.Stdout, os.Stderr); err != nil {
-		fmt.Fprintln(os.Stderr, "coordinate:", err)
-		return 1
-	}
-	return 0
 }
 
 // newEOSServer serves a deterministic EOS chainsim over real HTTP so
@@ -190,53 +119,6 @@ func testOpts(endpoint, store string) coordOpts {
 	}
 }
 
-// TestCoordinateChaosKillResume is the command-level chaos acceptance
-// path: seeded store faults on every blob operation AND a worker
-// subprocess SIGKILLed right after its first checkpoint. The coordinator
-// must relaunch it, the relaunch must resume from the checkpoint, and
-// the merged figures must be byte-identical to a single-process crawl.
-func TestCoordinateChaosKillResume(t *testing.T) {
-	srv := newEOSServer(t, 45)
-	head := eosHead(t, srv.URL)
-	want := oracle(t, srv.URL, head)
-
-	dir := t.TempDir()
-	o := testOpts(srv.URL, "faulty+file://"+filepath.Join(dir, "store")+"?fault=0.01&fault-seed=7")
-	o.gapReport = filepath.Join(dir, "gaps.json")
-	o.chaosKill = 2
-
-	var out, diag bytes.Buffer
-	if err := run(context.Background(), o, &out, &diag); err != nil {
-		t.Fatalf("coordinate under chaos: %v\n%s", err, diag.String())
-	}
-	if out.String() != want {
-		t.Errorf("merged figures differ from single-process oracle\n--- got ---\n%s--- want ---\n%s", out.String(), want)
-	}
-	// The SIGKILL really happened and was retried, not dodged.
-	if !strings.Contains(diag.String(), "signal: killed") {
-		t.Errorf("chaos kill never fired:\n%s", diag.String())
-	}
-	if !strings.Contains(diag.String(), "resuming:") {
-		t.Errorf("relaunched worker did not resume from its checkpoint:\n%s", diag.String())
-	}
-
-	raw, err := os.ReadFile(o.gapReport)
-	if err != nil {
-		t.Fatalf("gap report not written: %v", err)
-	}
-	var report struct {
-		Complete bool             `json:"complete"`
-		Missing  []map[string]any `json:"missing"`
-		Failures []map[string]any `json:"failures"`
-	}
-	if err := json.Unmarshal(raw, &report); err != nil {
-		t.Fatalf("gap report is not JSON: %v\n%s", err, raw)
-	}
-	if !report.Complete || len(report.Missing) != 0 || len(report.Failures) != 0 {
-		t.Errorf("complete run's gap report claims gaps:\n%s", raw)
-	}
-}
-
 // TestCoordinateGapReportPartial: one slice's history is permanently
 // dark. The run must exit non-nil but still print the partial figures
 // and write a gap report naming exactly the missing range.
@@ -297,14 +179,14 @@ func TestCoordinateGapReportPartial(t *testing.T) {
 	}
 }
 
-// delayProxy wraps an EOS server with a fixed per-get_block delay so a
-// coordinated crawl lives long enough to be observed (and killed)
-// mid-run.
-func delayProxy(t *testing.T, inner *httptest.Server, d time.Duration) *httptest.Server {
+// holdProxy wraps an EOS server, calling hold before it answers each
+// get_block: a delay keeps a coordinated crawl alive long enough to be
+// interrupted, a gate holds it mid-run while it is observed.
+func holdProxy(t *testing.T, inner *httptest.Server, hold func()) *httptest.Server {
 	t.Helper()
 	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if strings.HasSuffix(r.URL.Path, "/get_block") {
-			time.Sleep(d)
+			hold()
 		}
 		inner.Config.Handler.ServeHTTP(w, r)
 	}))
@@ -312,225 +194,63 @@ func delayProxy(t *testing.T, inner *httptest.Server, d time.Duration) *httptest
 	return proxy
 }
 
-// TestCoordinateStandbyTakeover is the coordinator-kill chaos leg: a REAL
-// active coordinator process (this test binary, re-exec'd through the
-// coordEnv trampoline) SIGKILLs itself and its running workers right after
-// its first slice validates, under 1% injected store faults. A -standby
-// instance watching the same store must take over on lease expiry, adopt
-// the plan, and finish with figures byte-identical to the single-process
-// oracle. While the active lives, its /v1/progress endpoint must serve a
-// parseable mid-run gap report.
-func TestCoordinateStandbyTakeover(t *testing.T) {
+// TestCoordinateProgressMidRun: while a run is in flight — its workers
+// held at their first block — GET /v1/progress serves the gap-report shape
+// over the pinned range, not complete, with the election epoch in
+// X-Coord-Epoch matching the body's.
+func TestCoordinateProgressMidRun(t *testing.T) {
 	inner := newEOSServer(t, 45)
 	head := eosHead(t, inner.URL)
-	want := oracle(t, inner.URL, head)
-	srv := delayProxy(t, inner, 20*time.Millisecond)
+	gate := make(chan struct{})
+	var open sync.Once
+	srv := holdProxy(t, inner, func() { <-gate })
+	t.Cleanup(func() { open.Do(func() { close(gate) }) }) // before the proxy closes
 
-	dir := t.TempDir()
-	storeLoc := "faulty+file://" + filepath.Join(dir, "store") + "?fault=0.01&fault-seed=11"
-
-	// The active: short lease TTL so its death is detected quickly, chaos
-	// kill armed, progress served on an ephemeral port the test discovers
-	// from the diagnostic line.
-	o := testOpts(srv.URL, storeLoc)
-	o.leaseTTL = time.Second
-	o.backoff = 50 * time.Millisecond
-	o.owner = "active-coordinator"
+	o := testOpts(srv.URL, "file://"+filepath.Join(t.TempDir(), "store"))
 	o.progressAddr = "127.0.0.1:0"
-	o.chaosKillCoord = true
-
-	payload, err := json.Marshal(payloadFrom(o))
-	if err != nil {
-		t.Fatal(err)
-	}
-	exe, err := os.Executable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmd := exec.Command(exe)
-	cmd.Env = append(os.Environ(), coordEnv+"="+string(payload))
-	stderr, err := cmd.StderrPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var activeOut bytes.Buffer
-	cmd.Stdout = &activeOut
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Scan the active's stderr live: capture everything for post-mortem
-	// assertions and surface the progress address as soon as it prints.
-	addrCh := make(chan string, 1)
-	var activeDiag strings.Builder
-	var diagMu sync.Mutex
-	scanDone := make(chan struct{})
-	go func() {
-		defer close(scanDone)
-		sc := bufio.NewScanner(stderr)
-		for sc.Scan() {
-			line := sc.Text()
-			diagMu.Lock()
-			activeDiag.WriteString(line + "\n")
-			diagMu.Unlock()
-			if rest, ok := strings.CutPrefix(line, "coordinate: progress at http://"); ok {
-				select {
-				case addrCh <- strings.TrimSuffix(rest, "/v1/progress"):
-				default:
-				}
-			}
-		}
-	}()
-	diag := func() string {
-		diagMu.Lock()
-		defer diagMu.Unlock()
-		return activeDiag.String()
-	}
-
-	// The standby watches the same store from this process, concurrently
-	// with the active — exercising the held-election wait path too.
-	so := testOpts(srv.URL, storeLoc)
-	so.leaseTTL = time.Second
-	so.backoff = 50 * time.Millisecond
-	so.attempts = 10 // claim polling must outlive the dead active's task leases
-	so.owner = "standby-coordinator"
-	so.standby = true
-	so.gapReport = filepath.Join(dir, "gaps.json")
-	var standbyOut, standbyDiag bytes.Buffer
-	standbyErr := make(chan error, 1)
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	go func() { standbyErr <- run(ctx, so, &standbyOut, &standbyDiag) }()
-
-	// Mid-run: the active's progress endpoint must serve a parseable
-	// gap-report-shaped snapshot before the kill lands.
-	var addr string
+	announced := make(chan struct{})
+	diag := &triggerWriter{needle: "/v1/progress\n", fire: func() { close(announced) }}
+	errc := make(chan error, 1)
+	go func() { errc <- run(context.Background(), o, io.Discard, diag) }()
 	select {
-	case addr = <-addrCh:
-	case <-time.After(30 * time.Second):
-		t.Fatalf("active never announced its progress address:\n%s", diag())
+	case <-announced:
+	case err := <-errc:
+		t.Fatalf("run ended before serving progress: %v\n%s", err, diag.String())
 	}
+	_, url, _ := strings.Cut(diag.String(), "coordinate: progress at ")
+	url, _, _ = strings.Cut(url, "\n")
+
 	var progress struct {
-		Report struct {
-			Chain    string `json:"chain"`
-			From     int64  `json:"from"`
-			To       int64  `json:"to"`
-			Complete bool   `json:"complete"`
-		} `json:"report"`
-		Epoch int `json:"epoch"`
+		Report coord.GapReport `json:"report"`
+		Epoch  int             `json:"epoch"`
 	}
-	polled := false
-	for start := time.Now(); time.Since(start) < 15*time.Second && !polled; {
-		resp, perr := http.Get("http://" + addr + "/v1/progress")
-		if perr != nil {
-			break // the active is already dead; the kill beat the poll
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
 		}
 		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode == http.StatusOK {
-			if jerr := json.Unmarshal(body, &progress); jerr != nil {
-				t.Fatalf("mid-run progress is not JSON: %v\n%s", jerr, body)
-			}
-			if progress.Report.Chain != "eos" || progress.Report.From != 1 || progress.Report.To != head {
-				t.Errorf("mid-run progress report: %+v, want [1, %d] on eos", progress.Report, head)
-			}
-			if progress.Report.Complete {
-				t.Error("mid-run progress claims completion")
+			if err := json.Unmarshal(body, &progress); err != nil {
+				t.Fatalf("mid-run progress is not JSON: %v\n%s", err, body)
 			}
 			if got := resp.Header.Get("X-Coord-Epoch"); got != fmt.Sprint(progress.Epoch) {
 				t.Errorf("X-Coord-Epoch %q does not match body epoch %d", got, progress.Epoch)
 			}
-			polled = true
+			break
 		}
-		time.Sleep(5 * time.Millisecond)
+		if time.Now().After(deadline) {
+			t.Fatalf("progress still answers %d:\n%s", resp.StatusCode, body)
+		}
+	}
+	if r := progress.Report; r.Chain != "eos" || r.From != 1 || r.To != head || r.Complete {
+		t.Errorf("mid-run progress report: %+v, want an incomplete [1, %d] on eos", r, head)
 	}
 
-	// The kill is real: the active dies by SIGKILL, not a clean exit.
-	werr := cmd.Wait()
-	<-scanDone
-	if werr == nil || !strings.Contains(werr.Error(), "signal: killed") {
-		t.Fatalf("active coordinator exit: %v, want SIGKILL\n%s", werr, diag())
-	}
-	if !strings.Contains(diag(), "chaos: SIGKILLing active coordinator") {
-		t.Fatalf("chaos kill never armed:\n%s", diag())
-	}
-	if !polled {
-		t.Logf("note: active died before a mid-run progress poll landed")
-	}
-
-	// The standby takes over and finishes the run completely.
-	var serr error
-	select {
-	case serr = <-standbyErr:
-	case <-time.After(2 * time.Minute):
-		t.Fatalf("standby never finished:\n%s", standbyDiag.String())
-	}
-	if serr != nil {
-		t.Fatalf("standby takeover run: %v\n%s", serr, standbyDiag.String())
-	}
-	if !strings.Contains(standbyDiag.String(), "taking over eos") {
-		t.Fatalf("standby never took over:\n%s", standbyDiag.String())
-	}
-	if standbyOut.String() != want {
-		t.Errorf("standby-merged figures differ from single-process oracle\n--- got ---\n%s--- want ---\n%s", standbyOut.String(), want)
-	}
-	raw, err := os.ReadFile(so.gapReport)
-	if err != nil {
-		t.Fatalf("gap report not written: %v", err)
-	}
-	var report struct {
-		Complete bool             `json:"complete"`
-		Missing  []map[string]any `json:"missing"`
-	}
-	if err := json.Unmarshal(raw, &report); err != nil {
-		t.Fatalf("gap report is not JSON: %v\n%s", err, raw)
-	}
-	if !report.Complete || len(report.Missing) != 0 {
-		t.Errorf("takeover run's gap report claims gaps:\n%s", raw)
-	}
-}
-
-// TestCoordinateHalvesMerge is the multi-machine recipe at unit scale: two
-// coordinate runs, each over one half of the range into its own file://
-// store, joined by coord.Join as cmd/merge joins them, render figures
-// byte-identical to a single-process crawl of the whole range.
-func TestCoordinateHalvesMerge(t *testing.T) {
-	srv := newEOSServer(t, 45)
-	head := eosHead(t, srv.URL)
-	want := oracle(t, srv.URL, head)
-
-	dir := t.TempDir()
-	ctx := context.Background()
-	var stores []blobstore.Store
-	for i, half := range [][2]int64{{1, head / 2}, {head/2 + 1, head}} {
-		o := testOpts(srv.URL, "file://"+filepath.Join(dir, fmt.Sprintf("half-%d", i)))
-		o.from, o.to, o.shards = half[0], half[1], 2
-		var out, diag bytes.Buffer
-		if err := run(ctx, o, &out, &diag); err != nil {
-			t.Fatalf("coordinate over [%d, %d]: %v\n%s", half[0], half[1], err, diag.String())
-		}
-		if out.String() == want {
-			t.Fatalf("half [%d, %d] already renders the whole range's figures", half[0], half[1])
-		}
-		store, err := blobstore.Resolve(o.store)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stores = append(stores, store)
-	}
-	var log bytes.Buffer
-	merged, err := coord.Join(ctx, stores, &log)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(merged) != 1 || !strings.Contains(log.String(), "eos: 4 shard(s)") {
-		t.Fatalf("join of two 2-shard runs merged %d chain(s):\n%s", len(merged), log.String())
-	}
-	if got := core.Figures(merged[0]); got != want {
-		t.Errorf("two half-range runs merged differ from single-process oracle\n--- got ---\n%s--- want ---\n%s", got, want)
-	}
-	if got, wantCov := merged[0].Covered(), (core.BlockRange{From: 1, To: head}); got != wantCov {
-		t.Errorf("merged covered %s, want %s", got, wantCov)
+	open.Do(func() { close(gate) })
+	if err := <-errc; err != nil {
+		t.Fatalf("run after the gate opened: %v\n%s", err, diag.String())
 	}
 }
 
@@ -569,7 +289,7 @@ func TestCoordinateInterruptResume(t *testing.T) {
 	inner := newEOSServer(t, 45)
 	head := eosHead(t, inner.URL)
 	want := oracle(t, inner.URL, head)
-	srv := delayProxy(t, inner, 20*time.Millisecond)
+	srv := holdProxy(t, inner, func() { time.Sleep(20 * time.Millisecond) })
 
 	o := testOpts(srv.URL, "file://"+filepath.Join(t.TempDir(), "store"))
 	o.shards = 1

@@ -301,116 +301,55 @@ func TestCrawlInterruptWithoutCheckpointFails(t *testing.T) {
 	}
 }
 
-// TestCrawlArchiveReplayDeterminism: a crawl with -archive leaves a
-// replayable archive whose offline replay renders the exact figures
-// section the live crawl printed — the property the CI archive job diffs
-// end to end with cmd/report -replay.
-func TestCrawlArchiveReplayDeterminism(t *testing.T) {
-	const total = 30
-	s := newCountingEOSServer(t, total)
-	arch := filepath.Join(t.TempDir(), "eos")
-	var out bytes.Buffer
-	err := run(context.Background(), crawlOpts{
-		ArchiveFlags: cli.ArchiveFlags{Archive: arch, From: 1},
-		chain:        "eos", endpoint: s.srv.URL,
-		workers: 2,
-	}, &out)
-	if err != nil {
-		t.Fatalf("archived crawl failed: %v\n%s", err, out.String())
-	}
-	idx := strings.Index(out.String(), "--- eos figures ---")
-	if idx < 0 {
-		t.Fatalf("live crawl printed no figures section:\n%s", out.String())
-	}
-	liveFigures := out.String()[idx:]
-
-	// Replay from disk only: the server is never touched again.
-	rd, err := archive.OpenWith(arch, archive.OpenOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rd.Covers(1, total) {
-		t.Fatalf("archive covers [%d, %d] of %d blocks", rd.From(), rd.To(), rd.Blocks())
-	}
-	s.reset()
-	kit, err := core.NewStatsKit("eos", chain.ObservationStart, 6*time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := core.IngestCrawl(context.Background(), rd, collect.CrawlConfig{
-		From: 1, To: total, Workers: 2,
-	}, kit.Decoder, core.IngestConfig{}); err != nil {
-		t.Fatal(err)
-	}
-	if replayFigures := core.Figures(kit.State()); replayFigures != liveFigures {
-		t.Fatalf("replayed figures differ from live crawl:\n--- live ---\n%s\n--- replay ---\n%s", liveFigures, replayFigures)
-	}
-	if nums := s.fetchedNums(); len(nums) != 0 {
-		t.Fatalf("replay hit the network for blocks %v", nums)
-	}
-}
-
-// TestCrawlArchiveCrossBackendDeterminism: the same crawl archived to a
-// bare directory path, a mem:// store and an S3-compatible stub produces
-// byte-identical live figures, and each archive replays to those same
-// bytes — the storage backend is invisible in every figure.
+// TestCrawlArchiveCrossBackendDeterminism: a crawl archived to a mem://
+// store or to an S3-compatible stub prints the figures a plain crawl
+// prints, reports the bytes its store holds as its gzip footprint, and its
+// archive replays to the same figures without touching the endpoint. These
+// are the backends a second process cannot reopen here; file:// is the
+// archive path of the repository's TestEveryPathPrintsThePaper.
 func TestCrawlArchiveCrossBackendDeterminism(t *testing.T) {
 	const total = 30
 	s := newCountingEOSServer(t, total)
 	stub := s3stub.New()
 	defer stub.Close()
-	locations := map[string]string{
-		"file": filepath.Join(t.TempDir(), "eos"),
-		"mem":  "mem://crawl-xbackend/eos",
-		"s3":   stub.URL("crawls", "eos"),
-	}
 
-	figures := make(map[string]string, len(locations))
-	for backend, loc := range locations {
-		s.reset()
+	// Without -archive nothing else deflates the payloads, so
+	// core.IngestCrawl's sizer fills the line.
+	var plain bytes.Buffer
+	if err := run(context.Background(), crawlOpts{
+		ArchiveFlags: cli.ArchiveFlags{From: 1},
+		chain:        "eos", endpoint: s.srv.URL,
+		workers: 2,
+	}, &plain); err != nil {
+		t.Fatalf("plain crawl failed: %v\n%s", err, plain.String())
+	}
+	if gz, raw := gzipLine(t, plain.String()); gz <= 0 || gz >= raw {
+		t.Fatalf("plain crawl printed gzip bytes %d of raw %d", gz, raw)
+	}
+	want := figuresOf(t, plain.String())
+
+	for backend, loc := range map[string]string{
+		"mem": "mem://crawl-xbackend/eos",
+		"s3":  stub.URL("crawls", "eos"),
+	} {
 		var out bytes.Buffer
-		err := run(context.Background(), crawlOpts{
+		if err := run(context.Background(), crawlOpts{
 			ArchiveFlags: cli.ArchiveFlags{Archive: loc, From: 1},
 			chain:        "eos", endpoint: s.srv.URL,
 			workers: 2,
-		}, &out)
-		if err != nil {
+		}, &out); err != nil {
 			t.Fatalf("%s: archived crawl failed: %v\n%s", backend, err, out.String())
 		}
-		idx := strings.Index(out.String(), "--- eos figures ---")
-		if idx < 0 {
-			t.Fatalf("%s: live crawl printed no figures section:\n%s", backend, out.String())
+		if got := figuresOf(t, out.String()); got != want {
+			t.Fatalf("%s: live figures differ from a plain crawl's:\n--- %s ---\n%s\n--- plain ---\n%s", backend, backend, got, want)
 		}
-		figures[backend] = out.String()[idx:]
-
 		// One deflate per payload: an archived crawl's footprint line is the
 		// bytes its store now holds, not a second compression of the stream.
-		store := openStore(t, loc)
-		segs, err := store.List(context.Background(), "segment-")
-		if err != nil {
-			t.Fatalf("%s: listing segments: %v", backend, err)
+		if gz, _ := gzipLine(t, out.String()); gz != storedSegmentBytes(t, loc) || gz == 0 {
+			t.Fatalf("%s: printed gzip bytes %d, store holds %d", backend, gz, storedSegmentBytes(t, loc))
 		}
-		var stored int64
-		for _, key := range segs {
-			size, err := store.Stat(context.Background(), key)
-			if err != nil {
-				t.Fatalf("%s: %v", backend, err)
-			}
-			stored += size
-		}
-		if gz, _ := gzipLine(t, out.String()); gz != stored || stored == 0 {
-			t.Fatalf("%s: printed gzip bytes %d, store holds %d in %d segments", backend, gz, stored, len(segs))
-		}
-	}
-	if figures["mem"] != figures["file"] || figures["s3"] != figures["file"] {
-		t.Fatalf("live figures differ across backends:\n--- file ---\n%s\n--- mem ---\n%s\n--- s3 ---\n%s",
-			figures["file"], figures["mem"], figures["s3"])
-	}
 
-	// Every backend's archive replays to the same bytes the live crawls
-	// printed — and without touching the chain endpoint.
-	s.reset()
-	for backend, loc := range locations {
+		s.reset()
 		rd, err := archive.OpenWith(loc, archive.OpenOptions{})
 		if err != nil {
 			t.Fatalf("%s: opening archive: %v", backend, err)
@@ -427,26 +366,12 @@ func TestCrawlArchiveCrossBackendDeterminism(t *testing.T) {
 		}, kit.Decoder, core.IngestConfig{}); err != nil {
 			t.Fatalf("%s: replay: %v", backend, err)
 		}
-		if got := core.Figures(kit.State()); got != figures["file"] {
-			t.Fatalf("%s: replayed figures differ from live:\n--- live ---\n%s\n--- replay ---\n%s", backend, figures["file"], got)
+		if got := core.Figures(kit.State()); got != want {
+			t.Fatalf("%s: replayed figures differ from live:\n--- live ---\n%s\n--- replay ---\n%s", backend, want, got)
 		}
-	}
-	if nums := s.fetchedNums(); len(nums) != 0 {
-		t.Fatalf("replay hit the network for blocks %v", nums)
-	}
-
-	// Without -archive nothing else deflates the payloads, so
-	// core.IngestCrawl's sizer fills the line.
-	var out bytes.Buffer
-	if err := run(context.Background(), crawlOpts{
-		ArchiveFlags: cli.ArchiveFlags{From: 1},
-		chain:        "eos", endpoint: s.srv.URL,
-		workers: 2,
-	}, &out); err != nil {
-		t.Fatalf("plain crawl failed: %v\n%s", err, out.String())
-	}
-	if gz, raw := gzipLine(t, out.String()); gz <= 0 || gz >= raw {
-		t.Fatalf("plain crawl printed gzip bytes %d of raw %d", gz, raw)
+		if nums := s.fetchedNums(); len(nums) != 0 {
+			t.Fatalf("%s: replay hit the network for blocks %v", backend, nums)
+		}
 	}
 }
 

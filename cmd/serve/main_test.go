@@ -3,12 +3,10 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -19,7 +17,6 @@ import (
 	"repro/internal/archive"
 	"repro/internal/chain"
 	"repro/internal/cli"
-	"repro/internal/core"
 	"repro/internal/eos"
 	"repro/internal/rpcserve"
 )
@@ -50,166 +47,6 @@ func newEOSSim(t *testing.T, nBlocks int) *httptest.Server {
 	return srv
 }
 
-// startServe runs the command's run() with a ready hook and returns the
-// base URL, a cancel func, and a channel carrying run's error.
-func startServe(t *testing.T, o serveOpts, out io.Writer) (string, context.CancelFunc, <-chan error) {
-	t.Helper()
-	ctx, cancel := context.WithCancel(context.Background())
-	ready := make(chan string, 1)
-	o.addr = "127.0.0.1:0"
-	o.ready = func(u string) { ready <- u }
-	errc := make(chan error, 1)
-	go func() { errc <- run(ctx, o, out) }()
-	select {
-	case u := <-ready:
-		return u, cancel, errc
-	case err := <-errc:
-		cancel()
-		t.Fatalf("run exited before ready: %v", err)
-		return "", nil, nil
-	}
-}
-
-func httpGet(t *testing.T, url string) (*http.Response, []byte) {
-	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp, body
-}
-
-// waitDrained polls /v1/status until the snapshot reports every feed
-// drained.
-func waitDrained(t *testing.T, baseURL string) {
-	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		_, body := httpGet(t, baseURL+"/v1/status")
-		var st struct {
-			Drained bool `json:"drained"`
-		}
-		if err := json.Unmarshal(body, &st); err != nil {
-			t.Fatalf("bad status body %s: %v", body, err)
-		}
-		if st.Drained {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatal("feeds never drained")
-}
-
-// TestServeEndToEnd drives the full lifecycle twice over the same blocks:
-// a live crawl from an in-process EOS sim (teeing an archive), then an
-// offline replay serve of that archive. Both must end at figures
-// byte-identical to a direct cmd/report-style replay of the archive — the
-// live/replay/serve determinism triangle the CI serve job also diffs.
-func TestServeEndToEnd(t *testing.T) {
-	const nBlocks = 80
-	sim := newEOSSim(t, nBlocks)
-	archiveDir := t.TempDir()
-
-	// --- live serve, teeing the archive ---
-	var liveOut bytes.Buffer
-	o := serveOpts{
-		ArchiveFlags: cli.ArchiveFlags{Archive: archiveDir, From: 1},
-		eos:          sim.URL,
-		epoch:        20 * time.Millisecond,
-		workers:      4,
-	}
-	baseURL, cancel, errc := startServe(t, o, &liveOut)
-
-	// Mid-ingest queries must answer with staleness metadata no matter the
-	// crawl's progress.
-	resp, _ := httpGet(t, baseURL+"/healthz")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz: %d", resp.StatusCode)
-	}
-	if resp.Header.Get("X-Serve-Epoch") == "" || resp.Header.Get("X-Serve-Published") == "" {
-		t.Fatal("missing staleness headers mid-ingest")
-	}
-
-	waitDrained(t, baseURL)
-
-	resp, sumBody := httpGet(t, baseURL+"/v1/summary/eos")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("summary: %d %s", resp.StatusCode, sumBody)
-	}
-	var sum struct {
-		Blocks  int64 `json:"blocks"`
-		Drained bool  `json:"drained"`
-		Epoch   int64 `json:"epoch"`
-	}
-	if err := json.Unmarshal(sumBody, &sum); err != nil {
-		t.Fatal(err)
-	}
-	if sum.Blocks != nBlocks || !sum.Drained || sum.Epoch < 1 {
-		t.Fatalf("summary = %+v, want %d drained blocks", sum, nBlocks)
-	}
-
-	_, pctBody := httpGet(t, baseURL+"/v1/percentiles/eos?p=50,99")
-	var pct struct {
-		Percentiles []struct{ P, Value float64 } `json:"percentiles"`
-	}
-	if err := json.Unmarshal(pctBody, &pct); err != nil || len(pct.Percentiles) != 2 {
-		t.Fatalf("percentiles = %s (err %v)", pctBody, err)
-	}
-
-	_, liveFigures := httpGet(t, baseURL+"/v1/figures")
-
-	cancel()
-	if err := <-errc; err != nil {
-		t.Fatalf("live run: %v", err)
-	}
-	if !strings.Contains(liveOut.String(), "shutdown:    clean") {
-		t.Fatalf("no clean shutdown in output:\n%s", liveOut.String())
-	}
-
-	// --- the oracle: a direct offline replay, as cmd/report -replay runs it ---
-	rd, err := archive.OpenWith(filepath.Join(archiveDir, "eos"), archive.OpenOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rd.Blocks() != nBlocks {
-		t.Fatalf("archive holds %d blocks, want %d", rd.Blocks(), nBlocks)
-	}
-	kit, err := core.NewStatsKit("eos", chain.ObservationStart, 6*time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := core.IngestArchive(context.Background(), rd, kit.Decoder, core.IngestConfig{}); err != nil {
-		t.Fatal(err)
-	}
-	want := kit.Summarize().Render()
-
-	if string(liveFigures) != want {
-		t.Errorf("live-served figures diverge from the offline replay:\n--- served ---\n%s--- replay ---\n%s", liveFigures, want)
-	}
-
-	// --- replay serve over the teed archive ---
-	var replayOut bytes.Buffer
-	o2 := serveOpts{
-		ArchiveFlags: cli.ArchiveFlags{Replay: archiveDir},
-		epoch:        20 * time.Millisecond,
-	}
-	baseURL2, cancel2, errc2 := startServe(t, o2, &replayOut)
-	waitDrained(t, baseURL2)
-	_, replayFigures := httpGet(t, baseURL2+"/v1/figures")
-	cancel2()
-	if err := <-errc2; err != nil {
-		t.Fatalf("replay run: %v", err)
-	}
-	if string(replayFigures) != want {
-		t.Errorf("replay-served figures diverge from the offline replay:\n--- served ---\n%s--- replay ---\n%s", replayFigures, want)
-	}
-}
-
 // TestServeInterruptMidIngest cancels while the crawl is still running; the
 // server must drain what it has, report the interruption, and exit cleanly.
 func TestServeInterruptMidIngest(t *testing.T) {
@@ -221,9 +58,11 @@ func TestServeInterruptMidIngest(t *testing.T) {
 		epoch:        10 * time.Millisecond,
 		workers:      1,
 	}
-	_, cancel, errc := startServe(t, o, &out)
-	cancel() // interrupt immediately — likely mid-crawl
-	if err := <-errc; err != nil {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	o.addr = "127.0.0.1:0"
+	o.ready = func(string) { cancel() } // interrupt the moment it listens — likely mid-crawl
+	if err := run(ctx, o, &out); err != nil {
 		t.Fatalf("interrupted run returned error: %v", err)
 	}
 }

@@ -88,7 +88,7 @@ func TestPipelineArchiveReplayReproducesFigures(t *testing.T) {
 		}
 	}
 
-	// The deterministic summaries the CI archive job diffs.
+	// The deterministic summaries every replay path prints.
 	for name, pair := range map[string][2]string{
 		"eos":   {live.EOS.Summary().Render(), replay.EOS.Summary().Render()},
 		"tezos": {live.Tezos.Summary().Render(), replay.Tezos.Summary().Render()},

@@ -247,7 +247,8 @@ func parsePercentiles(q string) ([]float64, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bad percentile %q", part)
 		}
-		if v < 0 || v > 100 {
+		// ParseFloat accepts "NaN", which every comparison lets through.
+		if !(v >= 0 && v <= 100) {
 			return nil, fmt.Errorf("percentile %v out of range [0, 100]", v)
 		}
 		ps = append(ps, v)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strconv"
 	"strings"
 	"testing"
@@ -172,7 +173,7 @@ func TestHandlerEndpoints(t *testing.T) {
 	})
 
 	t.Run("percentiles bad input", func(t *testing.T) {
-		for _, q := range []string{"?p=abc", "?p=101", "?p=-1", "?p=50,,99"} {
+		for _, q := range []string{"?p=abc", "?p=101", "?p=-1", "?p=50,,99", "?p=NaN", "?p=50,nan", "?p=Inf"} {
 			if w := get(t, h, "/v1/percentiles/eos"+q); w.Code != http.StatusBadRequest {
 				t.Fatalf("%s: code = %d, want 400", q, w.Code)
 			}
@@ -198,6 +199,28 @@ func TestHandlerEndpoints(t *testing.T) {
 		}
 		if !resp.Drained || !resp.Chains["eos"].Drained {
 			t.Fatalf("status after release = %+v", resp)
+		}
+	})
+}
+
+// FuzzPercentilesQuery holds /v1/percentiles to its input contract on any
+// ?p= value: a 200 for a list it can answer, a 400 for one it refuses —
+// never a panic, which a value that passes the range check and then indexes
+// the selector out of bounds would be.
+func FuzzPercentilesQuery(f *testing.F) {
+	for _, seed := range []string{"", "50,90,99", "0,100", "NaN", "nan", "Inf", "-0", "1e-320", "50,,99", "101"} {
+		f.Add(seed)
+	}
+	p, kit, release := newEOSPublisher(f)
+	if err := kit.Decoder.IngestBatch(eosBlocks(20, 1)); err != nil {
+		f.Fatal(err)
+	}
+	release()
+	h := NewHandler(p)
+	f.Fuzz(func(t *testing.T, q string) {
+		w := get(t, h, "/v1/percentiles/eos?p="+url.QueryEscape(q))
+		if w.Code != http.StatusOK && w.Code != http.StatusBadRequest {
+			t.Fatalf("?p=%q: code = %d, want 200 or 400", q, w.Code)
 		}
 	})
 }
