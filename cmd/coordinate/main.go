@@ -57,8 +57,11 @@
 // I's first worker attempt right after its first checkpoint, and
 // -chaos-kill-coordinator SIGKILLs the active coordinator itself, with
 // the workers it is running, right after its first slice validates — a
-// host dying mid-run, which the CI chaos job drives with a -standby
-// instance finishing the run.
+// host dying mid-run, which TestEveryPathPrintsThePaper drives with a
+// -standby instance finishing the run.
+//
+// Stdout carries only the figures. Diagnostics are log/slog text records
+// on stderr, which the worker subprocesses share.
 package main
 
 import (
@@ -68,6 +71,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"os"
 	"os/exec"
@@ -133,7 +137,7 @@ func main() {
 	// Worker mode: the coordinator re-execs this very binary with the
 	// payload env set. Check before flag parsing — a worker has no flags.
 	if payload := os.Getenv(workerEnv); payload != "" {
-		os.Exit(workerMain(payload, os.Stderr))
+		os.Exit(workerMain(payload, slog.New(slog.NewTextHandler(os.Stderr, nil))))
 	}
 
 	var o coordOpts
@@ -163,12 +167,9 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	err := run(ctx, o, os.Stdout, os.Stderr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "coordinate:", err)
-		if errors.Is(err, errUsage) {
-			os.Exit(2)
-		}
+	if err := run(ctx, o, os.Stdout, os.Stderr); errors.Is(err, errUsage) {
+		os.Exit(2)
+	} else if err != nil {
 		os.Exit(1)
 	}
 }
@@ -182,20 +183,20 @@ var errUsage = errors.New("usage")
 // re-exec'd, so a SIGKILL here is a real process death the coordinator
 // observes and retries. SIGINT and SIGTERM cancel the crawl instead: the
 // worker exits 1 having lost only the chunk that was open.
-func workerMain(payload string, log io.Writer) int {
+func workerMain(payload string, log *slog.Logger) int {
 	var p workerPayload
 	if err := json.Unmarshal([]byte(payload), &p); err != nil {
-		fmt.Fprintf(log, "worker: bad payload: %v\n", err)
+		log.Error("worker: bad payload", "err", err)
 		return 2
 	}
 	kit, err := core.NewStatsKit(p.Chain, chain.ObservationStart, 6*time.Hour)
 	if err != nil {
-		fmt.Fprintf(log, "worker: unknown chain %q\n", p.Chain)
+		log.Error("worker failed", "err", err)
 		return 2
 	}
 	fetcher, closeFetcher, maxWorkers, err := collect.Dial(p.Chain, p.Endpoint)
 	if err != nil {
-		fmt.Fprintf(log, "worker: %v\n", err)
+		log.Error("worker failed", "err", err)
 		return 2
 	}
 	defer closeFetcher()
@@ -204,7 +205,7 @@ func workerMain(payload string, log io.Writer) int {
 	}
 	store, err := blobstore.Resolve(p.Store)
 	if err != nil {
-		fmt.Fprintf(log, "worker: %v\n", err)
+		log.Error("worker failed", "err", err)
 		return 2
 	}
 	cfg := coord.CrawlerConfig{
@@ -225,30 +226,35 @@ func workerMain(payload string, log io.Writer) int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if _, err := coord.RunShardCrawl(ctx, cfg); err != nil {
-		fmt.Fprintf(log, "worker: %v\n", err)
+		log.Error("worker failed", "err", err)
 		return 1
 	}
 	return 0
 }
 
-// run executes one coordinated crawl. It is the whole command behind flag
-// parsing and signal wiring so tests can drive it hermetically (with the
-// test binary itself as the worker executable).
-func run(ctx context.Context, o coordOpts, out, diag io.Writer) error {
-	// coord.Run reads a non-positive TTL as its two-minute default, but the
-	// standby loop uses the flag as given: claims born expired, and a poll
-	// interval of zero that hammers the store without pause.
-	if o.leaseTTL <= 0 {
-		return fmt.Errorf("%w: -lease-ttl %v: must be positive", errUsage, o.leaseTTL)
+// run executes one coordinated crawl, logging onto diag and ending on a
+// record of the error it returns. The worker subprocesses write to diag
+// too: an *os.File they inherit, or else a writer safe for concurrent use.
+// run is the whole command behind flag parsing and signal wiring so tests
+// can drive it hermetically (with the test binary itself as the worker
+// executable).
+func run(ctx context.Context, o coordOpts, out, diag io.Writer) (err error) {
+	log := slog.New(slog.NewTextHandler(diag, nil))
+	defer func() {
+		if err != nil {
+			log.Error("coordinate failed", "err", err)
+		}
+	}()
+	// Leases renew, and the standby polls, at a third of the TTL: a TTL
+	// whose third is zero would claim leases born expired and panic the
+	// renewal ticker, or hammer the store without pause.
+	if o.leaseTTL/3 <= 0 {
+		return fmt.Errorf("%w: -lease-ttl %v: a third of it must be positive", errUsage, o.leaseTTL)
 	}
 	// Config.Cut refuses this too, but only after the lease, state and head.
 	if o.shards < 1 {
 		return fmt.Errorf("%w: -shards %d: must be at least 1", errUsage, o.shards)
 	}
-	// Worker subprocesses, the renewal goroutines and the coordinator all
-	// write diagnostics concurrently; serialize whole writes so lines
-	// interleave instead of interleaving bytes.
-	diag = cli.SyncWriter(diag)
 	head, closeHead, _, err := collect.Dial(o.chain, o.endpoint)
 	if err != nil {
 		return err
@@ -284,7 +290,7 @@ func run(ctx context.Context, o coordOpts, out, diag io.Writer) error {
 		srv := cli.BoundedServer(coord.NewProgressHandler(tracker))
 		go func() { _ = srv.Serve(ln) }()
 		defer srv.Close()
-		fmt.Fprintf(diag, "coordinate: progress at http://%s/v1/progress\n", ln.Addr())
+		log.Info("serving progress", "url", "http://"+ln.Addr().String()+"/v1/progress")
 	}
 
 	launcher := &workerLauncher{opts: o, exe: exe, diag: diag,
@@ -297,7 +303,7 @@ func run(ctx context.Context, o coordOpts, out, diag io.Writer) error {
 		LeaseTTL: o.leaseTTL,
 		Retry:    retry.Policy{Attempts: o.attempts, Base: o.backoff},
 		Run:      launcher.launch,
-		Log:      diag,
+		Log:      log,
 		Progress: tracker,
 		// Head is resolved lazily, ONCE per run lineage: only when no run
 		// plan exists to adopt. Every slice is cut from the same pinned
@@ -308,7 +314,7 @@ func run(ctx context.Context, o coordOpts, out, diag io.Writer) error {
 			if err != nil {
 				return 0, err
 			}
-			fmt.Fprintf(diag, "coordinate: pinned head at %d\n", to)
+			log.Info("pinned head", "chain", o.chain, "head", to)
 			return to, nil
 		},
 	}
@@ -316,7 +322,7 @@ func run(ctx context.Context, o coordOpts, out, diag io.Writer) error {
 		var once sync.Once
 		cfg.AfterTaskDone = func(t coord.Task) {
 			once.Do(func() {
-				fmt.Fprintf(diag, "coordinate: chaos: SIGKILLing active coordinator and its workers after slice %d validated\n", t.Index)
+				log.Warn("chaos: SIGKILLing active coordinator and its workers", "chain", t.Chain, "task", t.Name())
 				launcher.killRunning()
 				_ = syscall.Kill(os.Getpid(), syscall.SIGKILL)
 			})
@@ -324,7 +330,7 @@ func run(ctx context.Context, o coordOpts, out, diag io.Writer) error {
 	}
 
 	if o.standby {
-		rec, finished, serr := standbyAwait(ctx, o, store, owner, diag)
+		rec, finished, serr := standbyAwait(ctx, o, store, owner, log.With("chain", o.chain, "owner", owner))
 		if serr != nil {
 			return serr
 		}
@@ -356,7 +362,7 @@ func run(ctx context.Context, o coordOpts, out, diag io.Writer) error {
 		if werr != nil {
 			return errors.Join(runErr, fmt.Errorf("writing gap report: %w", werr))
 		}
-		fmt.Fprintf(diag, "coordinate: gap report written to %s\n", o.gapReport)
+		log.Info("gap report written", "path", o.gapReport)
 	} else if !res.Report.Complete {
 		if werr := res.Report.WriteJSON(diag); werr != nil {
 			return errors.Join(runErr, werr)
@@ -373,31 +379,26 @@ func run(ctx context.Context, o coordOpts, out, diag io.Writer) error {
 // store, or one holding only an expired run lease a released election
 // left, just keeps it waiting, so starting the standby before the active
 // is safe.
-func standbyAwait(ctx context.Context, o coordOpts, store blobstore.Store, owner string, diag io.Writer) (*coord.LeaseRecord, bool, error) {
+func standbyAwait(ctx context.Context, o coordOpts, store blobstore.Store, owner string, log *slog.Logger) (*coord.LeaseRecord, bool, error) {
 	leases := coord.NewLeases(store, owner, o.leaseTTL)
 	task := coord.RunLeaseTask(o.chain)
 	poll := o.leaseTTL / 3
-	fmt.Fprintf(diag, "coordinate: standby %s: watching %s (poll %v)\n", owner, task, poll)
+	log.Info("standing by", "lease", task, "poll", poll)
 	sawRun := false
 	for {
 		_, hasState, serr := coord.LoadRunState(ctx, store, o.chain)
-		if serr != nil {
-			fmt.Fprintf(diag, "coordinate: standby: reading run plan (transient): %v\n", serr)
-		}
 		rec, hasLease, lerr := leases.Holder(ctx, task)
-		if lerr != nil {
-			fmt.Fprintf(diag, "coordinate: standby: reading run lease (transient): %v\n", lerr)
-		}
 		live := hasLease && time.Now().Before(rec.Deadline)
 		sawRun = sawRun || hasState || live
 		switch {
 		case serr != nil || lerr != nil:
 			// Decide nothing on half a picture: poll again.
+			log.Warn("standby: reading run plan and lease (transient)", "err", errors.Join(serr, lerr))
 		case sawRun && !hasState && !live:
 			// Completion deletes the plan, then the lease records; death
 			// leaves the plan behind. Plan gone and no live election after
 			// a run we watched means it finished.
-			fmt.Fprintf(diag, "coordinate: standby: run for %s completed; standing down\n", o.chain)
+			log.Info("run completed; standing down")
 			return nil, true, nil
 		case sawRun:
 			rec, cerr := leases.Claim(ctx, task)
@@ -406,15 +407,15 @@ func standbyAwait(ctx context.Context, o coordOpts, store blobstore.Store, owner
 					// Won the election but the plan is gone: the active
 					// completed between our probe and the claim.
 					_ = leases.Release(ctx, rec)
-					fmt.Fprintf(diag, "coordinate: standby: run for %s completed; standing down\n", o.chain)
+					log.Info("run completed; standing down")
 					return nil, true, nil
 				}
-				fmt.Fprintf(diag, "coordinate: standby %s: taking over %s (epoch %d)\n", owner, o.chain, rec.Attempt)
+				log.Info("taking over", "epoch", rec.Attempt)
 				return &rec, false, nil
 			}
 			var held *coord.ErrHeld
 			if !errors.As(cerr, &held) {
-				fmt.Fprintf(diag, "coordinate: standby: election claim (transient): %v\n", cerr)
+				log.Warn("standby: election claim (transient)", "err", cerr)
 			}
 		}
 		select {

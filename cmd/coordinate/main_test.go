@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -30,7 +31,7 @@ import (
 // the subprocess lands here and runs workerMain instead of the tests.
 func TestMain(m *testing.M) {
 	if payload := os.Getenv(workerEnv); payload != "" {
-		os.Exit(workerMain(payload, os.Stderr))
+		os.Exit(workerMain(payload, slog.New(slog.NewTextHandler(os.Stderr, nil))))
 	}
 	os.Exit(m.Run())
 }
@@ -138,8 +139,9 @@ func TestCoordinateGapReportPartial(t *testing.T) {
 	o.attempts = 2
 	o.gapReport = filepath.Join(dir, "gaps.json")
 
-	var out, diag bytes.Buffer
-	err = run(context.Background(), o, &out, &diag)
+	var out bytes.Buffer
+	diag := &triggerWriter{}
+	err = run(context.Background(), o, &out, diag)
 	if err == nil {
 		t.Fatalf("run with a dark slice reported success:\n%s", diag.String())
 	}
@@ -217,7 +219,7 @@ func TestCoordinateProgressMidRun(t *testing.T) {
 	case err := <-errc:
 		t.Fatalf("run ended before serving progress: %v\n%s", err, diag.String())
 	}
-	_, url, _ := strings.Cut(diag.String(), "coordinate: progress at ")
+	_, url, _ := strings.Cut(diag.String(), `msg="serving progress" url=`)
 	url, _, _ = strings.Cut(url, "\n")
 
 	var progress struct {
@@ -254,8 +256,9 @@ func TestCoordinateProgressMidRun(t *testing.T) {
 	}
 }
 
-// triggerWriter collects diagnostics and calls fire once, the first time
-// needle has been written.
+// triggerWriter collects diagnostics — the coordinator's records and its
+// workers' stderr, written concurrently — and calls fire, when set, once:
+// the first time needle has been written.
 type triggerWriter struct {
 	mu     sync.Mutex
 	buf    bytes.Buffer
@@ -298,7 +301,7 @@ func TestCoordinateInterruptResume(t *testing.T) {
 	// checkpoint, with most of the slice still to crawl.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	diag1 := &triggerWriter{needle: "checkpoint:", fire: cancel}
+	diag1 := &triggerWriter{needle: "msg=checkpoint ", fire: cancel}
 	var out1 bytes.Buffer
 	if err := run(ctx, o, &out1, diag1); err == nil {
 		t.Fatalf("interrupted run exited clean:\n%s", diag1.String())
@@ -306,7 +309,7 @@ func TestCoordinateInterruptResume(t *testing.T) {
 	if ctx.Err() == nil {
 		t.Fatalf("run failed before any checkpoint was written:\n%s", diag1.String())
 	}
-	if !strings.Contains(diag1.String(), "worker: ") || !strings.Contains(diag1.String(), "context canceled") {
+	if !strings.Contains(diag1.String(), `msg="worker failed" err="coord: crawling`) || !strings.Contains(diag1.String(), "context canceled") {
 		t.Errorf("worker did not report a cancelled crawl:\n%s", diag1.String())
 	}
 	if strings.Contains(diag1.String(), "signal: killed") {
@@ -328,11 +331,12 @@ func TestCoordinateInterruptResume(t *testing.T) {
 		t.Fatalf("checkpoint covers %s, want a proper suffix of [1, %d]", cov, head)
 	}
 
-	var out2, diag2 bytes.Buffer
-	if err := run(context.Background(), o, &out2, &diag2); err != nil {
+	var out2 bytes.Buffer
+	diag2 := &triggerWriter{}
+	if err := run(context.Background(), o, &out2, diag2); err != nil {
 		t.Fatalf("rerun: %v\n%s", err, diag2.String())
 	}
-	if !strings.Contains(diag2.String(), "resuming:") {
+	if !strings.Contains(diag2.String(), "msg=resuming ") {
 		t.Errorf("rerun's worker did not resume from the checkpoint:\n%s", diag2.String())
 	}
 	if out2.String() != want {
@@ -342,10 +346,11 @@ func TestCoordinateInterruptResume(t *testing.T) {
 
 // TestNonPositiveLeaseTTLRefusedBeforeAnyDial: a standby with -lease-ttl 0
 // used to claim leases born expired and poll the store with no pause between
-// rounds, and -shards 0 used to win the run lease, load run state and pin
-// head before the cut refused it. run refuses both values as usage errors
-// before it dials the endpoint (there is none listening here) or touches
-// the store.
+// rounds, -lease-ttl 2ns panicked the renewal ticker (a third of it is
+// zero) once the run lease was held, and -shards 0 used to win the run
+// lease, load run state and pin head before the cut refused it. run refuses
+// these values as usage errors before it dials the endpoint (there is none
+// listening here) or touches the store.
 func TestNonPositiveLeaseTTLRefusedBeforeAnyDial(t *testing.T) {
 	store := blobstore.OpenMemory("lease-ttl-zero")
 	// The memory store counts hits only: leave a run plan for a standby's
@@ -361,6 +366,7 @@ func TestNonPositiveLeaseTTLRefusedBeforeAnyDial(t *testing.T) {
 	}{
 		{"-lease-ttl", 0, 3},
 		{"-lease-ttl", -time.Second, 3},
+		{"-lease-ttl", 2 * time.Nanosecond, 3},
 		{"-shards", time.Minute, 0},
 	}
 	for _, row := range rows {
@@ -385,7 +391,7 @@ func TestNonPositiveLeaseTTLRefusedBeforeAnyDial(t *testing.T) {
 // TestWorkerBadPayload: a worker handed garbage refuses with a usage
 // exit code instead of crawling nonsense.
 func TestWorkerBadPayload(t *testing.T) {
-	if code := workerMain("{torn", io.Discard); code != 2 {
+	if code := workerMain("{torn", slog.New(slog.DiscardHandler)); code != 2 {
 		t.Fatalf("bad payload exit code %d, want 2", code)
 	}
 }

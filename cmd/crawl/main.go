@@ -20,7 +20,8 @@
 // (see internal/blobstore). A completed crawl prints its deterministic
 // figures — the chain's summary, then the paper's shard-derived sections —
 // which a replay over the same archive reproduces byte-for-byte, on any
-// backend, as the CI archive job diffs.
+// backend, as TestEveryPathPrintsThePaper diffs. Errors are log/slog text
+// records on stderr.
 //
 // A crawl is one process over one range: the oracle that the figures of
 // a distributed crawl (cmd/coordinate, whose stores cmd/merge joins) are
@@ -39,6 +40,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
 	"os/signal"
 	"syscall"
@@ -72,14 +74,15 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	log := slog.New(slog.NewTextHandler(os.Stderr, nil))
 	if err := o.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "crawl:", err)
+		log.Error("bad flags", "err", err)
 		os.Exit(2)
 	}
 
 	stopProfiles, err := prof.Start(*cpuProfile, *memProfile)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "crawl:", err)
+		log.Error("crawl failed", "err", err)
 		os.Exit(1)
 	}
 
@@ -91,14 +94,8 @@ func main() {
 	err = run(ctx, o, os.Stdout)
 	// A profile-write failure surfaces even when the crawl itself failed:
 	// the failing run is exactly the one whose profile evidence matters.
-	if perr := stopProfiles(); perr != nil {
-		fmt.Fprintln(os.Stderr, "crawl:", perr)
-		if err == nil {
-			err = perr
-		}
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "crawl:", err)
+	if err = errors.Join(err, stopProfiles()); err != nil {
+		log.Error("crawl failed", "err", err)
 		os.Exit(1)
 	}
 }

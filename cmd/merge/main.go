@@ -2,7 +2,7 @@
 // prints their deterministic figures to stdout — each chain's summary, then
 // the paper's shard-derived sections once over every chain joined —
 // byte-identical to what one process crawling the whole range would have
-// printed, which the CI distributed job diffs. It does the two things
+// printed, which TestEveryPathPrintsThePaper diffs. It does the two things
 // coordinate cannot: pool the stores of a fleet — several coordinate runs,
 // each over its own sub-range and store — and re-render a finished store
 // with no endpoint to dial or lease to win.
@@ -21,7 +21,8 @@
 // Each STORE is a blob-store location (path, file://, mem://, s3://) a
 // coordinate run was given as -store. Shards from all stores are pooled
 // and grouped by chain; summaries print in chain-name order. Progress and
-// per-shard diagnostics go to stderr so stdout stays diffable.
+// per-shard diagnostics are log/slog text records on stderr, so stdout
+// stays diffable.
 package main
 
 import (
@@ -29,6 +30,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
 
 	"repro/internal/blobstore"
@@ -46,15 +48,16 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := run(context.Background(), flag.Args(), os.Stdout, os.Stderr); err != nil {
-		fmt.Fprintln(os.Stderr, "merge:", err)
+	log := slog.New(slog.NewTextHandler(os.Stderr, nil))
+	if err := run(context.Background(), flag.Args(), os.Stdout, log); err != nil {
+		log.Error("merge failed", "err", err)
 		os.Exit(1)
 	}
 }
 
 // run resolves the stores, joins them and renders the figures. It is the
 // whole command behind flag parsing so tests can drive it hermetically.
-func run(ctx context.Context, locations []string, out, diag io.Writer) error {
+func run(ctx context.Context, locations []string, out io.Writer, log *slog.Logger) error {
 	stores := make([]blobstore.Store, len(locations))
 	for i, loc := range locations {
 		store, err := blobstore.Resolve(loc)
@@ -63,7 +66,7 @@ func run(ctx context.Context, locations []string, out, diag io.Writer) error {
 		}
 		stores[i] = store
 	}
-	merged, err := coord.Join(ctx, stores, diag)
+	merged, err := coord.Join(ctx, stores, log)
 	if err != nil {
 		return err
 	}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"strings"
 	"testing"
 	"time"
@@ -136,13 +137,13 @@ func TestMergeRendersWholeRange(t *testing.T) {
 	want := core.Figures(kit.State())
 
 	var out, diag bytes.Buffer
-	if err := run(context.Background(), []string{"mem://merge-a", "mem://merge-b"}, &out, &diag); err != nil {
+	if err := run(context.Background(), []string{"mem://merge-a", "mem://merge-b"}, &out, slog.New(slog.NewTextHandler(&diag, nil))); err != nil {
 		t.Fatalf("merge: %v\n%s", err, diag.String())
 	}
 	if out.String() != want {
 		t.Fatalf("merged figures diverged\n--- want ---\n%s\n--- got ---\n%s", want, out.String())
 	}
-	if !strings.Contains(diag.String(), "3 shard(s)") {
+	if !strings.Contains(diag.String(), `msg=merged chain=tezos shards=3 covered="[1, 24]"`) {
 		t.Fatalf("diagnostics missing shard count:\n%s", diag.String())
 	}
 }
@@ -153,7 +154,7 @@ func TestMergeRendersWholeRange(t *testing.T) {
 func TestMergeRefusesOverlap(t *testing.T) {
 	emitTezosShard(t, "mem://merge-ov-a", 1, 10)
 	emitTezosShard(t, "mem://merge-ov-b", 8, 20)
-	err := run(context.Background(), []string{"mem://merge-ov-a", "mem://merge-ov-b"}, io.Discard, io.Discard)
+	err := run(context.Background(), []string{"mem://merge-ov-a", "mem://merge-ov-b"}, io.Discard, slog.New(slog.DiscardHandler))
 	if err == nil || !strings.Contains(err.Error(), "overlap") {
 		t.Fatalf("overlapping shards merged (err %v)", err)
 	}
@@ -172,7 +173,7 @@ func TestMergeRefusesOverlap(t *testing.T) {
 func TestMergeRefusesGap(t *testing.T) {
 	emitTezosShard(t, "mem://merge-gap", 1, 10)
 	emitTezosShard(t, "mem://merge-gap", 15, 20)
-	err := run(context.Background(), []string{"mem://merge-gap"}, io.Discard, io.Discard)
+	err := run(context.Background(), []string{"mem://merge-gap"}, io.Discard, slog.New(slog.DiscardHandler))
 	if err == nil || !strings.Contains(err.Error(), "gap") {
 		t.Fatalf("gapped shards merged (err %v)", err)
 	}
@@ -197,7 +198,7 @@ func TestMergeNamesCorruptBlob(t *testing.T) {
 	if err := st.Put(context.Background(), "tezos-0000000011-0000000020.shard", []byte("not a shard")); err != nil {
 		t.Fatal(err)
 	}
-	err = run(context.Background(), []string{store}, io.Discard, io.Discard)
+	err = run(context.Background(), []string{store}, io.Discard, slog.New(slog.DiscardHandler))
 	if err == nil || !strings.Contains(err.Error(), "corrupt shard tezos-0000000011-0000000020.shard at mem://merge-corrupt") {
 		t.Fatalf("corrupt blob error does not name the blob: %v", err)
 	}
@@ -206,7 +207,7 @@ func TestMergeNamesCorruptBlob(t *testing.T) {
 // TestMergeEmptyStore: a location with no shard blobs is a loud error —
 // a merge pointed at the wrong store must not print empty figures.
 func TestMergeEmptyStore(t *testing.T) {
-	err := run(context.Background(), []string{"mem://merge-empty"}, io.Discard, io.Discard)
+	err := run(context.Background(), []string{"mem://merge-empty"}, io.Discard, slog.New(slog.DiscardHandler))
 	if err == nil || !strings.Contains(err.Error(), "no *.shard blobs") {
 		t.Fatalf("empty store merged (err %v)", err)
 	}
@@ -236,7 +237,7 @@ func TestMergeMultiChain(t *testing.T) {
 	putShard(t, store, xst)
 
 	var out bytes.Buffer
-	if err := run(context.Background(), []string{store}, &out, io.Discard); err != nil {
+	if err := run(context.Background(), []string{store}, &out, slog.New(slog.DiscardHandler)); err != nil {
 		t.Fatal(err)
 	}
 	tezosIdx := strings.Index(out.String(), "--- tezos figures ---")

@@ -25,20 +25,23 @@
 // mergeable shards a live crawl ingests through, minus the network —
 // and prints each chain's deterministic figures (core.Figures: its summary,
 // then the paper's shard-derived sections). They are byte-identical to what
-// the live crawl printed, which the CI archive job verifies by diffing the
-// two. With -from/-to only blocks in that range
+// the live crawl printed, which TestEveryPathPrintsThePaper verifies by
+// diffing the two. With -from/-to only blocks in that range
 // replay, and only the segments covering it are fetched and verified —
 // the manifest's per-segment block-range index prunes the rest, which is
 // what makes slicing a huge remote archive cheap. -workers sizes the
 // ingest pool (0 = one per CPU) and never changes a byte of the output:
-// the CI archive job diffs a -workers 1 replay against a -workers 3 one.
+// TestEveryPathPrintsThePaper diffs a -workers 1 replay against a -workers 3
+// one. Progress and errors are log/slog text records on stderr.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
 	"strings"
 	"time"
@@ -67,9 +70,10 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file (pprof evidence for perf work)")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
+	log := slog.New(slog.NewTextHandler(os.Stderr, nil))
 	stopProfiles, err := prof.Start(*cpuProfile, *memProfile)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "report:", err)
+		log.Error("report failed", "err", err)
 		os.Exit(1)
 	}
 	// finish is the single exit point once profiling has started: every
@@ -77,15 +81,12 @@ func main() {
 	// profiles first (a failing run is exactly the one whose partial CPU
 	// profile the user wants intact), and a profile-write failure turns an
 	// otherwise-clean exit into a failure instead of passing silently.
-	finish := func(code int, msg any) {
+	finish := func(code int, err error) {
 		if perr := stopProfiles(); perr != nil {
-			fmt.Fprintln(os.Stderr, "report:", perr)
-			if code == 0 {
-				code = 1
-			}
+			err, code = errors.Join(err, perr), max(code, 1)
 		}
-		if msg != nil {
-			fmt.Fprintln(os.Stderr, "report:", msg)
+		if err != nil {
+			log.Error("report failed", "err", err)
 		}
 		if code != 0 {
 			os.Exit(code)
@@ -100,7 +101,7 @@ func main() {
 	}
 	opts.ArchiveDir = af.Archive
 	if af.Replaying() {
-		if err := replayArchives(context.Background(), af.Replay, opts.Workers, af.From, af.To, os.Stdout); err != nil {
+		if err := replayArchives(context.Background(), af.Replay, opts.Workers, af.From, af.To, os.Stdout, log); err != nil {
 			finish(1, err)
 		}
 		finish(0, nil)
@@ -175,7 +176,7 @@ func figureRenderer(name string) (func(*pipeline.Result) string, error) {
 // the manifest's per-segment block-range index, so segments outside the
 // slice are never fetched or verified. An archive whose blocks fall entirely
 // outside the range is skipped like an empty one.
-func replayArchives(ctx context.Context, dir string, workers int, from, to int64, out io.Writer) error {
+func replayArchives(ctx context.Context, dir string, workers int, from, to int64, out io.Writer, log *slog.Logger) error {
 	dirs, err := archive.Discover(dir)
 	if err != nil {
 		return err
@@ -192,11 +193,7 @@ func replayArchives(ctx context.Context, dir string, workers int, from, to int64
 		// into bucket 0, so such an archive replays correctly but its
 		// bucket percentiles describe one big pre-window bucket.
 		if rd.Blocks() == 0 {
-			if from > 0 {
-				fmt.Fprintf(os.Stderr, "replay %s: archive %s holds no blocks in [%d, %d]\n", rd.Chain(), adir, from, to)
-			} else {
-				fmt.Fprintf(os.Stderr, "replay %s: archive %s is empty\n", rd.Chain(), adir)
-			}
+			log.Info("skipping archive with no blocks to replay", "chain", rd.Chain(), "dir", adir, "from", from, "to", to)
 			continue
 		}
 		// Fail fast on gaps: an interrupted crawl that was never resumed
@@ -213,10 +210,9 @@ func replayArchives(ctx context.Context, dir string, workers int, from, to int64
 		if _, err := core.IngestArchive(ctx, rd, kit.Decoder, core.IngestConfig{Workers: workers}); err != nil {
 			return fmt.Errorf("replaying %s: %w", adir, err)
 		}
-		// Progress goes to stderr: stdout carries only the deterministic
+		// Progress goes to the log: stdout carries only the deterministic
 		// figures, so it can be diffed against a live crawl's.
-		fmt.Fprintf(os.Stderr, "replay %s: %d blocks from %s (%d segments)\n",
-			rd.Chain(), rd.Blocks(), adir, rd.Segments())
+		log.Info("replayed", "chain", rd.Chain(), "blocks", rd.Blocks(), "dir", adir, "segments", rd.Segments())
 		fmt.Fprint(out, core.Figures(kit.State()))
 	}
 	return nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"flag"
+	"log/slog"
 	"strings"
 	"testing"
 
@@ -29,12 +30,15 @@ func TestReplayArchivesRangeMiss(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	var out bytes.Buffer
-	if err := replayArchives(context.Background(), loc, 1, 100, 200, &out); err != nil {
+	var out, diag bytes.Buffer
+	if err := replayArchives(context.Background(), loc, 1, 100, 200, &out, slog.New(slog.NewTextHandler(&diag, nil))); err != nil {
 		t.Fatalf("ranged replay past the archive failed: %v", err)
 	}
 	if out.Len() != 0 {
 		t.Fatalf("ranged replay past the archive printed figures:\n%s", out.String())
+	}
+	if !strings.Contains(diag.String(), `msg="skipping archive with no blocks to replay" chain=eos dir=`+loc+" from=100 to=200") {
+		t.Errorf("the skipped archive was not logged:\n%s", diag.String())
 	}
 }
 

@@ -9,9 +9,10 @@
 // snapshot swapped in atomically per merge epoch (see internal/serve), and
 // every response carries its epoch and staleness. Once the feeds drain the
 // final epoch's figures are byte-identical to what cmd/report -replay
-// prints for the same blocks — the CI serve job diffs exactly that — and
-// the server keeps answering until SIGINT/SIGTERM, which shuts it down
-// cleanly like cmd/crawl.
+// prints for the same blocks — TestEveryPathPrintsThePaper diffs exactly
+// that — and the server keeps answering until SIGINT/SIGTERM, which shuts
+// it down cleanly like cmd/crawl. It prints nothing on stdout: its progress,
+// from the serving record's url on, is log/slog text records on stderr.
 //
 // Usage:
 //
@@ -32,7 +33,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -73,16 +74,17 @@ func main() {
 	flag.DurationVar(&o.epoch, "epoch", 200*time.Millisecond, "snapshot publish interval")
 	flag.IntVar(&o.workers, "workers", 4, "concurrent fetchers per live feed (xrp uses 1)")
 	flag.Parse()
+	log := slog.New(slog.NewTextHandler(os.Stderr, nil))
 	if err := o.validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "serve:", err)
+		log.Error("bad flags", "err", err)
 		os.Exit(2)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if err := run(ctx, o, os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "serve:", err)
+	if err := run(ctx, o, log); err != nil {
+		log.Error("serve failed", "err", err)
 		os.Exit(1)
 	}
 }
@@ -104,11 +106,10 @@ func (o *serveOpts) validate() error {
 }
 
 // run is the whole command behind flag parsing and signal wiring, testable
-// with a cancellable context and an output buffer. Lifecycle: listen →
-// start the publish loop → run every feed to drain → final epoch → keep
-// serving the drained figures until ctx is cancelled → graceful shutdown.
-func run(ctx context.Context, o serveOpts, rawOut io.Writer) error {
-	out := cli.SyncWriter(rawOut) // concurrent feeds report progress on it
+// with a cancellable context and a logger. Lifecycle: listen → start the
+// publish loop → run every feed to drain → final epoch → keep serving the
+// drained figures until ctx is cancelled → graceful shutdown.
+func run(ctx context.Context, o serveOpts, log *slog.Logger) error {
 	pub := serve.NewPublisher()
 
 	ln, err := net.Listen("tcp", o.addr)
@@ -119,7 +120,7 @@ func run(ctx context.Context, o serveOpts, rawOut io.Writer) error {
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- srv.Serve(ln) }()
 	baseURL := "http://" + ln.Addr().String()
-	fmt.Fprintf(out, "serving:     %s\n", baseURL)
+	log.Info("serving", "url", baseURL)
 	if o.ready != nil {
 		o.ready(baseURL)
 	}
@@ -134,7 +135,7 @@ func run(ctx context.Context, o serveOpts, rawOut io.Writer) error {
 		close(tickDone)
 	}()
 
-	feedErr := runFeeds(ctx, pub, o, out)
+	feedErr := runFeeds(ctx, pub, o, log)
 
 	tickStop()
 	<-tickDone
@@ -142,8 +143,7 @@ func run(ctx context.Context, o serveOpts, rawOut io.Writer) error {
 	snap := pub.Current()
 	for _, name := range snap.Names() {
 		st := snap.Chains[name]
-		fmt.Fprintf(out, "drained:     %s — %d blocks, %d txs/ops (epoch %d)\n",
-			name, st.Summary.Blocks, st.Summary.Transactions, snap.Epoch)
+		log.Info("drained", "chain", name, "blocks", st.Summary.Blocks, "txs", st.Summary.Transactions, "epoch", snap.Epoch)
 	}
 
 	interrupted := errors.Is(feedErr, context.Canceled)
@@ -152,7 +152,7 @@ func run(ctx context.Context, o serveOpts, rawOut io.Writer) error {
 		return feedErr
 	}
 	if interrupted {
-		fmt.Fprintln(out, "interrupted mid-ingest — serving partial figures until shutdown")
+		log.Warn("interrupted mid-ingest; serving partial figures until shutdown")
 	}
 
 	// Feeds are done; keep answering queries over the final snapshot until
@@ -166,16 +166,16 @@ func run(ctx context.Context, o serveOpts, rawOut io.Writer) error {
 	if err := <-serveDone; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		return err
 	}
-	fmt.Fprintln(out, "shutdown:    clean")
+	log.Info("shutdown")
 	return nil
 }
 
 // runFeeds drives every configured ingest feed to completion and returns
 // their joined errors. Exactly one feed mode applies per invocation.
-func runFeeds(ctx context.Context, pub *serve.Publisher, o serveOpts, out io.Writer) error {
+func runFeeds(ctx context.Context, pub *serve.Publisher, o serveOpts, log *slog.Logger) error {
 	switch {
 	case o.Replaying():
-		return replayFeeds(ctx, pub, o, out)
+		return replayFeeds(ctx, pub, o, log)
 	case o.live():
 		type feed struct{ chain, endpoint string }
 		var feeds []feed
@@ -190,7 +190,7 @@ func runFeeds(ctx context.Context, pub *serve.Publisher, o serveOpts, out io.Wri
 			wg.Add(1)
 			go func(i int, f feed) {
 				defer wg.Done()
-				errs[i] = liveFeed(ctx, pub, o, f.chain, f.endpoint, out)
+				errs[i] = liveFeed(ctx, pub, o, f.chain, f.endpoint, log)
 			}(i, f)
 		}
 		wg.Wait()
@@ -204,7 +204,7 @@ func runFeeds(ctx context.Context, pub *serve.Publisher, o serveOpts, out io.Wri
 // into its own registered feed, all concurrently. Every archive is opened
 // (and so verified) before the first feed starts, so a corrupt one fails
 // the command while nothing is folding into the publisher yet.
-func replayFeeds(ctx context.Context, pub *serve.Publisher, o serveOpts, out io.Writer) error {
+func replayFeeds(ctx context.Context, pub *serve.Publisher, o serveOpts, log *slog.Logger) error {
 	dirs, err := archive.Discover(o.Replay)
 	if err != nil {
 		return err
@@ -220,7 +220,7 @@ func replayFeeds(ctx context.Context, pub *serve.Publisher, o serveOpts, out io.
 			return err
 		}
 		if rd.Blocks() == 0 {
-			fmt.Fprintf(out, "skipping:    %s (empty archive)\n", dir)
+			log.Info("skipping empty archive", "dir", dir)
 			continue
 		}
 		feeds = append(feeds, feed{dir, rd})
@@ -237,7 +237,7 @@ func replayFeeds(ctx context.Context, pub *serve.Publisher, o serveOpts, out io.
 				errs[i] = fmt.Errorf("replaying %s: %w", f.dir, err)
 				return
 			}
-			fmt.Fprintf(out, "replayed:    %s — %d blocks from %s\n", f.rd.Chain(), n, f.dir)
+			log.Info("replayed", "chain", f.rd.Chain(), "blocks", n, "dir", f.dir)
 		}()
 	}
 	wg.Wait()
@@ -247,7 +247,7 @@ func replayFeeds(ctx context.Context, pub *serve.Publisher, o serveOpts, out io.
 // liveFeed crawls one chain endpoint into the publisher, optionally through
 // an archive: raw blocks are teed into it for later offline replay, and
 // blocks an interrupted feed already left there are served from it.
-func liveFeed(ctx context.Context, pub *serve.Publisher, o serveOpts, chainName, endpoint string, out io.Writer) error {
+func liveFeed(ctx context.Context, pub *serve.Publisher, o serveOpts, chainName, endpoint string, log *slog.Logger) error {
 	fetcher, closeFetcher, maxWorkers, err := collect.Dial(chainName, endpoint)
 	if err != nil {
 		return err
@@ -277,7 +277,6 @@ func liveFeed(ctx context.Context, pub *serve.Publisher, o serveOpts, chainName,
 			err = errors.Join(err, fmt.Errorf("finalizing %s archive: %w", chainName, cerr))
 		}
 	}
-	fmt.Fprintf(out, "ingested:    %s — %d blocks (failed %d, retries %d)\n",
-		chainName, res.Blocks, res.Failed, res.Retries)
+	log.Info("ingested", "chain", chainName, "blocks", res.Blocks, "failed", res.Failed, "retries", res.Retries)
 	return err
 }

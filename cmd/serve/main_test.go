@@ -6,7 +6,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
+	"log/slog"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -51,7 +51,6 @@ func newEOSSim(t *testing.T, nBlocks int) *httptest.Server {
 // server must drain what it has, report the interruption, and exit cleanly.
 func TestServeInterruptMidIngest(t *testing.T) {
 	sim := newEOSSim(t, 200)
-	var out bytes.Buffer
 	o := serveOpts{
 		ArchiveFlags: cli.ArchiveFlags{From: 1},
 		eos:          sim.URL,
@@ -62,13 +61,13 @@ func TestServeInterruptMidIngest(t *testing.T) {
 	defer cancel()
 	o.addr = "127.0.0.1:0"
 	o.ready = func(string) { cancel() } // interrupt the moment it listens — likely mid-crawl
-	if err := run(ctx, o, &out); err != nil {
+	if err := run(ctx, o, slog.New(slog.DiscardHandler)); err != nil {
 		t.Fatalf("interrupted run returned error: %v", err)
 	}
 }
 
 func TestServeNothingConfigured(t *testing.T) {
-	err := run(context.Background(), serveOpts{addr: "127.0.0.1:0"}, io.Discard)
+	err := run(context.Background(), serveOpts{addr: "127.0.0.1:0"}, slog.New(slog.DiscardHandler))
 	if err == nil || !strings.Contains(err.Error(), "nothing to serve") {
 		t.Fatalf("err = %v", err)
 	}
@@ -104,18 +103,18 @@ func TestServeReplayCorruptArchive(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var out bytes.Buffer
+	var diag bytes.Buffer
 	err = run(context.Background(), serveOpts{
 		addr:         "127.0.0.1:0",
 		ArchiveFlags: cli.ArchiveFlags{Replay: root},
 		epoch:        time.Millisecond,
-	}, &out)
+	}, slog.New(slog.NewTextHandler(&diag, nil)))
 	if !errors.Is(err, archive.ErrCorrupt) {
 		t.Fatalf("err = %v, want the second archive's corruption", err)
 	}
-	for _, line := range []string{"replayed:", "drained:"} {
-		if strings.Contains(out.String(), line) {
-			t.Fatalf("a feed ran although an archive was corrupt:\n%s", out.String())
+	for _, rec := range []string{"msg=replayed ", "msg=drained "} {
+		if strings.Contains(diag.String(), rec) {
+			t.Fatalf("a feed ran although an archive was corrupt:\n%s", diag.String())
 		}
 	}
 }

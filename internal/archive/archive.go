@@ -8,7 +8,7 @@
 // limits.
 //
 // Storage is a blobstore.Store resolved from a URL — file://PATH (or a
-// bare path), mem://NAME, s3://BUCKET/PREFIX, null:// — so the same
+// bare path), mem://NAME, s3://BUCKET/PREFIX — so the same
 // archive rides a local disk, an in-process test store, or an
 // S3-compatible service without the format knowing the difference.
 // Layout (one store root, or one key prefix, per archived chain):

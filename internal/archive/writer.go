@@ -16,8 +16,8 @@ import (
 
 // WriterConfig parameterizes an archive writer.
 type WriterConfig struct {
-	// Dir is the archive location: a blob-store URL (file://, mem://,
-	// s3://, null://) or a bare directory path. A location holding an
+	// Dir is the archive location: a blob-store URL (file://, mem:// or
+	// s3://) or a bare directory path. A location holding an
 	// existing manifest is appended to (the chain must match), so a
 	// resumed crawl extends its archive instead of clobbering it (see
 	// Crawl, which also keeps it from appending a block twice).

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"sort"
 	"sync"
 	"time"
@@ -67,8 +68,9 @@ type Config struct {
 	// task's shard blob is then present and decodable — Run's nil error
 	// alone is not believed.
 	Run func(ctx context.Context, t Task) error
-	// Log, when set, receives progress lines.
-	Log io.Writer
+	// Log receives the run's records, each carrying chain, owner and epoch;
+	// a task's also carry task and fence. Nil discards them.
+	Log *slog.Logger
 
 	// PinHead, when set, resolves the chain head lazily: it is consulted
 	// only when To is zero AND no run plan exists — a takeover adopts the
@@ -205,7 +207,9 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = 2 * time.Minute
 	}
-	logf := logger(cfg.Log)
+	if cfg.LeaseTTL/3 <= 0 {
+		return nil, fmt.Errorf("coord: lease TTL %v: leases renew at a third of it, which must be positive", cfg.LeaseTTL)
+	}
 	leases := NewLeases(cfg.Store, cfg.Owner, cfg.LeaseTTL)
 
 	// Election: exactly one active coordinator per chain. The election
@@ -222,7 +226,8 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	epoch := runRec.Attempt
-	logf("coordinator %s elected active for %s (epoch %d)", cfg.Owner, cfg.Chain, epoch)
+	log := orDiscard(cfg.Log).With("chain", cfg.Chain, "owner", cfg.Owner, "epoch", epoch)
+	log.Info("elected active")
 
 	// Keep the run lease renewed. Losing it means a standby decided we
 	// were dead and took over: every in-flight worker must stop, and we
@@ -231,12 +236,12 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	// released, or deleted once the run retired.
 	rctx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
-	runRenewDone := keepRenewed(rctx, leases, &runRec, cfg.LeaseTTL, cancel, RunLeaseTask(cfg.Chain), logf)
+	runRenewDone := keepRenewed(rctx, log, leases, &runRec, cfg.LeaseTTL, cancel)
 	retired := false
 	defer func() {
 		cancel(nil)
 		<-runRenewDone
-		closeLease(ctx, cfg, leases, runRec, retired, logf)
+		closeLease(ctx, log, cfg, leases, runRec, retired)
 	}()
 
 	// Resume or pin: an interrupted run's plan wins over fresh
@@ -254,8 +259,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 				cfg.Chain, plan.From, plan.To, plan.Shards, cfg.From, cfg.To, cfg.Shards, RunStateKey(cfg.Chain))
 		}
 		cfg.From, cfg.To, cfg.Shards = plan.From, plan.To, plan.Shards
-		logf("resuming interrupted run for %s: [%d, %d] in %d shards (pinned by %s)",
-			cfg.Chain, cfg.From, cfg.To, cfg.Shards, plan.Owner)
+		log.Info("resuming interrupted run", "from", cfg.From, "to", cfg.To, "shards", cfg.Shards, "pinned_by", plan.Owner)
 	} else if cfg.To == 0 {
 		if cfg.PinHead == nil {
 			return nil, fmt.Errorf("coord: To is zero, no run plan to resume and no PinHead resolver configured")
@@ -302,7 +306,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			shard, err := runTask(rctx, cfg, leases, t, tr, resumed, logf)
+			shard, err := runTask(rctx, log, cfg, leases, t, tr, resumed)
 			tr.update(t, func(r *TaskProgress) {
 				r.State, r.Error = TaskDone, ""
 				if err != nil {
@@ -311,10 +315,8 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			})
 			mu.Lock()
 			if err != nil {
-				logf("slice %d/%d [%d, %d]: FAILED: %v", t.Index, t.N, t.From, t.To, err)
 				res.Failed = append(res.Failed, TaskFailure{Task: t, Err: err})
 			} else {
-				logf("slice %d/%d [%d, %d]: shard validated", t.Index, t.N, t.From, t.To)
 				res.Completed = append(res.Completed, t)
 				validated[shard.key] = shard
 			}
@@ -423,13 +425,13 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 // cancelled run too. Exhausted retries are logged, not returned: the run's
 // outcome is already decided, a live lease left behind expires within the
 // TTL, and an expired one costs the next run nothing but a higher fence.
-func closeLease(ctx context.Context, cfg Config, leases *Leases, rec LeaseRecord, retire bool, logf func(string, ...any)) {
+func closeLease(ctx context.Context, log *slog.Logger, cfg Config, leases *Leases, rec LeaseRecord, retire bool) {
 	op := func(ctx context.Context) error { return leases.Release(ctx, rec) }
 	if retire {
 		op = func(ctx context.Context) error { return cfg.Store.Delete(ctx, leaseKey(rec.Task)) }
 	}
 	if err := cfg.Retry.Do(context.WithoutCancel(ctx), "close lease "+rec.Task, op); err != nil {
-		logf("lease %s: closing failed, it expires within %v: %v", rec.Task, cfg.LeaseTTL, err)
+		log.Warn("closing lease failed; it expires within the TTL", "lease", rec.Task, "ttl", cfg.LeaseTTL, "err", err)
 	}
 }
 
@@ -454,7 +456,7 @@ func claimRetrying(ctx context.Context, policy retry.Policy, leases *Leases, tas
 // loss as cause — the holder must abandon the work; transient renew
 // failures are logged (a store brown-out during a long run must be
 // visible) and absorbed by the TTL, which survives a few missed renewals.
-func keepRenewed(ctx context.Context, leases *Leases, rec *LeaseRecord, ttl time.Duration, cancel context.CancelCauseFunc, name string, logf func(string, ...any)) <-chan struct{} {
+func keepRenewed(ctx context.Context, log *slog.Logger, leases *Leases, rec *LeaseRecord, ttl time.Duration, cancel context.CancelCauseFunc) <-chan struct{} {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -470,7 +472,7 @@ func keepRenewed(ctx context.Context, leases *Leases, rec *LeaseRecord, ttl time
 						cancel(err)
 						return
 					}
-					logf("lease %s: renew failed (transient): %v", name, err)
+					log.Warn("lease renew failed (transient)", "lease", rec.Task, "err", err)
 				}
 			}
 		}
@@ -537,7 +539,8 @@ func (tr *runTracker) floors() map[string]uint64 {
 // Otherwise runTask claims the task's lease, keeps it renewed, and drives
 // worker attempts under the retry policy until the shard validates or the
 // budget runs out.
-func runTask(ctx context.Context, cfg Config, leases *Leases, t Task, tr *runTracker, resumed bool, logf func(string, ...any)) (shardBlob, error) {
+func runTask(ctx context.Context, log *slog.Logger, cfg Config, leases *Leases, t Task, tr *runTracker, resumed bool) (shardBlob, error) {
+	log = log.With("task", t.Name())
 	if resumed {
 		// A read that fails only means claiming, which reads the record
 		// again under the retry policy.
@@ -546,13 +549,14 @@ func runTask(ctx context.Context, cfg Config, leases *Leases, t Task, tr *runTra
 			tr.update(t, func(r *TaskProgress) { r.Fence = t.Fence })
 			shard, err := validateShard(ctx, cfg.Store, t)
 			if err == nil {
-				logf("slice %d/%d [%d, %d]: validated by a previous coordinator (fence %d), skipping", t.Index, t.N, t.From, t.To, t.Fence)
+				log.Info("validated by a previous coordinator; skipping", "fence", t.Fence)
 				return shard, nil
 			}
 			if retry.IsPermanent(err) {
+				log.Error("task failed", "fence", t.Fence, "err", err)
 				return shardBlob{}, err
 			}
-			logf("slice %d/%d [%d, %d]: not done at fence %d (%v); claiming", t.Index, t.N, t.From, t.To, t.Fence, err)
+			log.Info("not done; claiming", "fence", t.Fence, "err", err)
 		}
 	}
 
@@ -560,6 +564,7 @@ func runTask(ctx context.Context, cfg Config, leases *Leases, t Task, tr *runTra
 	// coordinator should not fail the slice outright.
 	rec, err := claimRetrying(ctx, cfg.Retry, leases, t.Name())
 	if err != nil {
+		log.Error("task failed", "fence", t.Fence, "err", err)
 		return shardBlob{}, err
 	}
 	// The claim's attempt count is the task's fence token: it grows on
@@ -568,22 +573,23 @@ func runTask(ctx context.Context, cfg Config, leases *Leases, t Task, tr *runTra
 	// — of this run or an abandoned one — may still write.
 	t.Fence = uint64(rec.Attempt)
 	tr.update(t, func(r *TaskProgress) { r.State, r.Fence = TaskRunning, t.Fence })
-	logf("slice %d/%d [%d, %d]: lease claimed (attempt %d, fence %d)", t.Index, t.N, t.From, t.To, rec.Attempt, t.Fence)
+	log = log.With("fence", t.Fence)
+	log.Info("lease claimed")
 
 	// Renew the lease at TTL/3 while attempts run. Losing the lease
 	// cancels the worker: a reclaimer owns the slice now.
 	rctx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
-	renewDone := keepRenewed(rctx, leases, &rec, cfg.LeaseTTL, cancel, t.Name(), logf)
+	renewDone := keepRenewed(rctx, log, leases, &rec, cfg.LeaseTTL, cancel)
 	defer func() {
 		cancel(nil)
 		<-renewDone
-		closeLease(ctx, cfg, leases, rec, false, logf)
+		closeLease(ctx, log, cfg, leases, rec, false)
 	}()
 
 	policy := cfg.Retry
 	policy.OnRetry = func(attempt int, err error, delay time.Duration) {
-		logf("slice %d/%d [%d, %d]: attempt %d failed (%v), relaunching in %v", t.Index, t.N, t.From, t.To, attempt, err, delay)
+		log.Warn("attempt failed; relaunching", "attempt", attempt, "err", err, "delay", delay)
 	}
 	if policy.Retryable == nil {
 		// Worker attempts retry on everything but an explicit Permanent
@@ -606,6 +612,11 @@ func runTask(ctx context.Context, cfg Config, leases *Leases, t Task, tr *runTra
 		shard, verr = validateShard(ctx, cfg.Store, t)
 		return verr
 	})
+	if err != nil {
+		log.Error("task failed", "err", err)
+	} else {
+		log.Info("shard validated")
+	}
 	return shard, err
 }
 

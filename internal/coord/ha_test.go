@@ -8,15 +8,16 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/blobstore"
-	"repro/internal/cli"
 	"repro/internal/collect"
 	"repro/internal/core"
 	"repro/internal/retry"
@@ -282,6 +283,30 @@ func TestValidateShardFence(t *testing.T) {
 	}
 }
 
+// TestStaleFenceRefusedOnEveryChain: on every chain, a shard fenced below
+// its task's lease is refused both by slice validation and by the fold's
+// fence floors.
+func TestStaleFenceRefusedOnEveryChain(t *testing.T) {
+	ctx := context.Background()
+	for _, c := range []string{"eos", "tezos", "xrp"} {
+		t.Run(c, func(t *testing.T) {
+			store := blobstore.NewMemory()
+			putShard(t, store, shardOf(t, c, 1, 10), 1)
+			task := Task{Index: 1, N: 1, Chain: c, From: 1, To: 10, Fence: 2}
+			if _, err := validateShard(ctx, store, task); err == nil || !strings.Contains(err.Error(), "stale emission") {
+				t.Errorf("validating a fence-1 shard under fence 2: %v, want a stale-emission refusal", err)
+			}
+			blobs, err := loadShards(ctx, store, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := mergeShards(blobs, false, map[string]uint64{task.Name(): 2}); err == nil || !strings.Contains(err.Error(), "stale emission") {
+				t.Errorf("folding a fence-1 shard over floor 2: %v, want a stale-emission refusal", err)
+			}
+		})
+	}
+}
+
 // TestCoordinatorZombieFenceRefused is the end-to-end zombie story: a
 // partial run leaves its plan and its lease records (the fence floors)
 // behind; a zombie worker then overwrites a validated shard with an
@@ -510,9 +535,9 @@ func TestCoordinatorAbandonedPlanFencesClimb(t *testing.T) {
 		mu      sync.Mutex
 		fences  = make(map[string]uint64)
 		zombied bool
-		log     strings.Builder
+		log     = newRecorder()
 	)
-	cfg.Log = cli.SyncWriter(&log)
+	cfg.Log = slog.New(log)
 	cfg.Run = func(ctx context.Context, task Task) error {
 		mu.Lock()
 		fences[task.Name()] = task.Fence
@@ -526,7 +551,7 @@ func TestCoordinatorAbandonedPlanFencesClimb(t *testing.T) {
 	}
 	res2, err := Run(ctx, cfg)
 	if err != nil {
-		t.Fatalf("rerun after abandoning the plan: %v\n%s", err, log.String())
+		t.Fatalf("rerun after abandoning the plan: %v\n%v", err, log.records())
 	}
 	if res2.Resumed {
 		t.Fatal("rerun resumed a plan that was deleted")
@@ -536,8 +561,11 @@ func TestCoordinatorAbandonedPlanFencesClimb(t *testing.T) {
 			t.Errorf("%s: rerun fence %d, want above the abandoned run's record %d", task.Name(), got, floor)
 		}
 	}
-	if !strings.Contains(log.String(), "stale emission") {
-		t.Errorf("the abandoned run's shard was not refused at validation:\n%s", log.String())
+	if !slices.ContainsFunc(log.records(), func(rec record) bool {
+		err, _ := rec.get("err")
+		return rec.msg == "attempt failed; relaunching" && strings.Contains(err, "stale emission")
+	}) {
+		t.Errorf("the abandoned run's shard was not refused at validation:\n%v", log.records())
 	}
 	if got, want := res2.Merged.Summary().Render(), fx.oracle(t, head); got != want {
 		t.Errorf("figures after the rerun differ from oracle:\n--- got ---\n%s--- want ---\n%s", got, want)

@@ -19,7 +19,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"io"
+	"log/slog"
 	"sort"
 	"strings"
 
@@ -178,9 +178,9 @@ func mergeShards(blobs []shardBlob, allowGaps bool, floors map[string]uint64) (c
 // sub-range and store — into one merged state per chain, in chain-name
 // order: it pools their shards, unions their fence floors and merges each
 // chain strictly, a gap refused like an overlap because a join has no gap
-// report to carry it. Progress lines go to log when it is set.
-func Join(ctx context.Context, stores []blobstore.Store, log io.Writer) ([]core.ShardState, error) {
-	logf := logger(log)
+// report to carry it. Its records go to log; nil discards them.
+func Join(ctx context.Context, stores []blobstore.Store, log *slog.Logger) ([]core.ShardState, error) {
+	log = orDiscard(log)
 	byChain := make(map[string][]shardBlob)
 	floors := make(map[string]uint64)
 	for _, store := range stores {
@@ -189,8 +189,8 @@ func Join(ctx context.Context, stores []blobstore.Store, log io.Writer) ([]core.
 			return nil, err
 		}
 		for _, b := range blobs {
-			logf("loaded %s shard %s (window %s, fence %d) from %s",
-				b.state.Chain(), b.state.Covered(), b.state.Window(), b.fence, b.ref())
+			log.Info("loaded shard", "chain", b.state.Chain(), "shard", b.ref(),
+				"covered", b.state.Covered(), "window", b.state.Window(), "fence", b.fence)
 			byChain[b.state.Chain()] = append(byChain[b.state.Chain()], b)
 		}
 		if err := fenceIndex(ctx, store, floors); err != nil {
@@ -198,7 +198,7 @@ func Join(ctx context.Context, stores []blobstore.Store, log io.Writer) ([]core.
 		}
 	}
 	if len(floors) > 0 {
-		logf("fence floors recorded for %d task(s)", len(floors))
+		log.Info("fence floors recorded", "tasks", len(floors))
 	}
 	chains := make([]string, 0, len(byChain))
 	for c := range byChain {
@@ -211,18 +211,17 @@ func Join(ctx context.Context, stores []blobstore.Store, log io.Writer) ([]core.
 		if err != nil {
 			return nil, err
 		}
-		logf("%s: %d shard(s) covering %s", c, len(byChain[c]), st.Covered())
+		log.Info("merged", "chain", c, "shards", len(byChain[c]), "covered", st.Covered())
 		merged = append(merged, st)
 	}
 	return merged, nil
 }
 
-// logger returns a printf onto w that ends every line, or does nothing when
-// w is nil.
-func logger(w io.Writer) func(format string, args ...any) {
-	return func(format string, args ...any) {
-		if w != nil {
-			fmt.Fprintf(w, format+"\n", args...)
-		}
+// orDiscard returns log, or a logger that discards every record when log is
+// nil.
+func orDiscard(log *slog.Logger) *slog.Logger {
+	if log == nil {
+		return slog.New(slog.DiscardHandler)
 	}
+	return log
 }

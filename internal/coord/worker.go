@@ -5,8 +5,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
+	"log/slog"
 	"time"
 
 	"repro/internal/blobstore"
@@ -47,8 +47,9 @@ type CrawlerConfig struct {
 	// MaxRetries and Backoff configure per-block fetch retries.
 	MaxRetries int
 	Backoff    time.Duration
-	// Log, when set, receives progress lines.
-	Log io.Writer
+	// Log receives the worker's records, each carrying chain, task and
+	// fence. Nil discards them.
+	Log *slog.Logger
 	// AfterCheckpoint, when set, runs after each successful checkpoint Put
 	// with the range the checkpoint covers — on the checkpointing
 	// goroutine, in checkpoint order, never concurrently with itself.
@@ -108,7 +109,8 @@ func RunShardCrawl(ctx context.Context, cfg CrawlerConfig) (CrawlOutcome, error)
 	if cfg.From < 1 || cfg.To < cfg.From {
 		return CrawlOutcome{}, fmt.Errorf("coord: [%d, %d] is not a crawlable slice", cfg.From, cfg.To)
 	}
-	logf := logger(cfg.Log)
+	task := taskName(cfg.Kit.Chain, cfg.From, cfg.To)
+	log := orDiscard(cfg.Log).With("chain", cfg.Kit.Chain, "task", task, "fence", cfg.Fence)
 	st := cfg.Kit.State()
 	ckptKey := CheckpointKey(cfg.Kit.Chain, cfg.From, cfg.To)
 	var out CrawlOutcome
@@ -131,7 +133,7 @@ func RunShardCrawl(ctx context.Context, cfg CrawlerConfig) (CrawlOutcome, error)
 		}
 		out.Resumed = cov
 		hi = cov.From - 1
-		logf("resuming:    checkpoint covers %s, continuing below %d", cov, cov.From)
+		log.Info("resuming", "covered", cov)
 	} else if !errors.Is(err, fs.ErrNotExist) {
 		return CrawlOutcome{}, fmt.Errorf("coord: reading checkpoint %s: %w", ckptKey, err)
 	}
@@ -156,7 +158,7 @@ func RunShardCrawl(ctx context.Context, cfg CrawlerConfig) (CrawlOutcome, error)
 			if err := cfg.Store.Put(context.WithoutCancel(ctx), ckptKey, buf.Bytes()); err != nil {
 				return fmt.Errorf("coord: writing checkpoint %s: %w", ckptKey, err)
 			}
-			logf("checkpoint:  %s (covers [%d, %d])", ckptKey, lo, cfg.To)
+			log.Info("checkpoint", "key", ckptKey, "covered", core.BlockRange{From: lo, To: cfg.To})
 			if cfg.AfterCheckpoint != nil {
 				cfg.AfterCheckpoint(core.BlockRange{From: lo, To: cfg.To})
 			}
@@ -177,7 +179,7 @@ func RunShardCrawl(ctx context.Context, cfg CrawlerConfig) (CrawlOutcome, error)
 	}
 
 	st.SetCovered(core.BlockRange{From: cfg.From, To: cfg.To})
-	key := shardKey(taskName(cfg.Kit.Chain, cfg.From, cfg.To))
+	key := shardKey(task)
 	blob, err := core.EncodeShard(st, cfg.Fence)
 	if err != nil {
 		return out, err
@@ -189,6 +191,6 @@ func RunShardCrawl(ctx context.Context, cfg CrawlerConfig) (CrawlOutcome, error)
 	// The shard blob supersedes the checkpoint; losing this Delete only
 	// leaves a stale-but-consistent object behind.
 	_ = cfg.Store.Delete(ctx, ckptKey)
-	logf("emitted:     %s @ %s", key, cfg.Store.URL())
+	log.Info("emitted", "key", key, "store", cfg.Store.URL())
 	return out, nil
 }

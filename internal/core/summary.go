@@ -13,7 +13,8 @@ import (
 // ChainSummary is one chain's deterministic aggregate footprint: every
 // number in it derives from order-independent aggregates, so a live crawl
 // and an archive replay over the same blocks render byte-identical text —
-// the property the CI archive job diffs to prove replay determinism.
+// the property TestEveryPathPrintsThePaper diffs to prove replay
+// determinism.
 type ChainSummary struct {
 	Chain        string
 	Blocks       int64

@@ -1,8 +1,10 @@
 package repro
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -22,6 +24,13 @@ import (
 // package: a stream moves bytes and never deflates them — whoever keeps or
 // sizes a payload does that. It reads only the import clauses of each
 // package's non-test files, so it needs nothing beyond the source tree.
+//
+// It also pins one diagnostic channel, log/slog: no non-test file under
+// internal/ or the five measurement commands mentions os.Stderr except as
+// the writer of slog.NewTextHandler (and cmd/coordinate's handing it to
+// run, which builds its logger over it and shares it with the worker
+// subprocesses), and none declares a field or parameter named log or Log
+// of type io.Writer.
 func TestLayering(t *testing.T) {
 	measurement := []string{
 		"internal/wire", "internal/collect", "internal/archive", "internal/blobstore",
@@ -65,4 +74,61 @@ func TestLayering(t *testing.T) {
 			}
 		}
 	}
+
+	spine := []string{"internal", "cmd/crawl", "cmd/coordinate", "cmd/merge", "cmd/serve", "cmd/report"}
+	for _, root := range spine {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			checkOneLogger(t, path)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// checkOneLogger fails the test where the file at path writes diagnostics
+// around the logger: os.Stderr anywhere but as the writer of
+// slog.NewTextHandler (or of cmd/coordinate's run), or a log/Log field or
+// parameter typed io.Writer.
+func checkOneLogger(t *testing.T, path string) {
+	fset := token.NewFileSet()
+	file, err := parser.ParseFile(fset, path, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	is := func(e ast.Expr, pkg, name string) bool {
+		sel, ok := e.(*ast.SelectorExpr)
+		if !ok || sel.Sel.Name != name {
+			return false
+		}
+		id, ok := sel.X.(*ast.Ident)
+		return ok && id.Name == pkg
+	}
+	allowed := make(map[ast.Expr]bool)
+	ast.Inspect(file, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CallExpr:
+			fn, ok := n.Fun.(*ast.Ident)
+			if is(n.Fun, "slog", "NewTextHandler") || ok && fn.Name == "run" && filepath.Dir(path) == filepath.Join("cmd", "coordinate") {
+				for _, arg := range n.Args {
+					allowed[arg] = true
+				}
+			}
+		case *ast.SelectorExpr:
+			if is(n, "os", "Stderr") && !allowed[n] {
+				t.Errorf("%s: os.Stderr outside slog.NewTextHandler: diagnostics go through the logger", fset.Position(n.Pos()))
+			}
+		case *ast.Field:
+			for _, name := range n.Names {
+				if (name.Name == "log" || name.Name == "Log") && is(n.Type, "io", "Writer") {
+					t.Errorf("%s: %s io.Writer: a logger is a *slog.Logger", fset.Position(name.Pos()), name.Name)
+				}
+			}
+		}
+		return true
+	})
 }

@@ -15,6 +15,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -273,8 +274,8 @@ func fleetPath(t *testing.T, c *chainRun) {
 	closeEndpoint()
 	out, diag := runCmd(t, "merge", stores...)
 	same(t, "merge of both halves", out, c.want)
-	if line := fmt.Sprintf("%s: 4 shard(s) covering [1, %d]", c.name, c.head); !strings.Contains(diag, line) {
-		t.Errorf("merge did not log %q:\n%s", line, diag)
+	if want := (record{"msg": "merged", "chain": c.name, "shards": "4", "covered": fmt.Sprintf("[1, %d]", c.head)}); !logged(diag, want) {
+		t.Errorf("merge did not log %v:\n%s", want, diag)
 	}
 	again, _ := runCmd(t, "merge", stores[0])
 	same(t, "merge of the first half", again, outs[0])
@@ -292,10 +293,11 @@ func chaosPath(t *testing.T, c *chainRun) {
 		"-checkpoint-every", "5", "-chaos-kill", "2", "-attempts", "8", "-backoff", "50ms",
 		"-gap-report", gaps)
 	same(t, "coordinate under chaos", out, c.want)
-	for _, line := range []string{"signal: killed", "resuming:"} {
-		if !strings.Contains(diag, line) {
-			t.Errorf("coordinate under chaos never logged %q:\n%s", line, diag)
-		}
+	if !logged(diag, record{"msg": "resuming", "chain": c.name}) {
+		t.Errorf("no worker of the run under chaos resumed from its checkpoint:\n%s", diag)
+	}
+	if !slices.ContainsFunc(records(diag), func(r record) bool { return strings.HasSuffix(r["err"], "signal: killed") }) {
+		t.Errorf("no record of the run under chaos has a SIGKILLed worker in its err:\n%s", diag)
 	}
 	complete(t, c, gaps)
 }
@@ -321,13 +323,13 @@ func takeoverPath(t *testing.T, c *chainRun) {
 	var activeDiag bytes.Buffer
 	active.Stderr = &activeDiag
 	if err := active.Run(); err == nil || !strings.Contains(err.Error(), "signal: killed") ||
-		!strings.Contains(activeDiag.String(), "chaos: SIGKILLing active coordinator") {
+		!logged(activeDiag.String(), record{"msg": "chaos: SIGKILLing active coordinator and its workers", "chain": c.name}) {
 		t.Fatalf("active coordinator exit: %v, want its own SIGKILL\n%s", err, activeDiag.String())
 	}
 	if err := standby.Wait(); err != nil {
 		t.Fatalf("standby: %v\n%s", err, diag.String())
 	}
-	if !strings.Contains(diag.String(), "taking over "+c.name) {
+	if !logged(diag.String(), record{"msg": "taking over", "chain": c.name, "owner": "standby"}) {
 		t.Fatalf("standby never took over:\n%s", diag.String())
 	}
 	same(t, "standby after takeover", out.String(), c.want)
@@ -472,35 +474,40 @@ func (c throttledConn) Write(p []byte) (int, error) {
 type served struct {
 	url  string
 	cmd  *exec.Cmd
-	out  bytes.Buffer // stdout after the serving: line, once read returns
+	out  bytes.Buffer // stdout, once the command has exited
+	log  bytes.Buffer // stderr after the serving record, once read is closed
 	read chan struct{}
 }
 
 // startServe runs serve on an ephemeral loopback port and returns once it
-// has printed the URL it listens on.
+// has logged the URL it listens on.
 func startServe(t *testing.T, args ...string) *served {
 	t.Helper()
 	s := &served{cmd: command(t, "serve", append([]string{"-addr", "127.0.0.1:0", "-epoch", "20ms"}, args...)...), read: make(chan struct{})}
-	stdout, err := s.cmd.StdoutPipe()
+	stderr, err := s.cmd.StderrPipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var diag bytes.Buffer
-	s.cmd.Stderr = &diag
+	s.cmd.Stdout = &s.out
 	if err := s.cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	lines := bufio.NewReader(stdout)
-	first, err := lines.ReadString('\n')
-	u, ok := strings.CutPrefix(strings.TrimSpace(first), "serving:")
-	if err != nil || !ok {
-		s.cmd.Process.Kill()
-		s.cmd.Wait()
-		t.Fatalf("serve %s: first line %q (%v)\n%s", strings.Join(args, " "), first, err, diag.String())
+	lines := bufio.NewReader(stderr)
+	var head strings.Builder
+	for s.url == "" {
+		line, err := lines.ReadString('\n')
+		head.WriteString(line)
+		if err != nil {
+			s.cmd.Process.Kill()
+			s.cmd.Wait()
+			t.Fatalf("serve %s never logged its url (%v):\n%s", strings.Join(args, " "), err, head.String())
+		}
+		if recs := records(line); len(recs) == 1 && recs[0]["msg"] == "serving" {
+			s.url = recs[0]["url"]
+		}
 	}
-	s.url = strings.TrimSpace(u)
 	go func() {
-		io.Copy(&s.out, lines)
+		io.Copy(&s.log, lines)
 		close(s.read)
 	}()
 	return s
@@ -520,13 +527,14 @@ func (s *served) waitDrained(t *testing.T) {
 	t.Fatal("serve never drained")
 }
 
-// stop sends SIGTERM and requires a clean shutdown.
+// stop sends SIGTERM and requires a clean shutdown, with nothing printed on
+// stdout.
 func (s *served) stop(t *testing.T) {
 	t.Helper()
 	s.cmd.Process.Signal(syscall.SIGTERM)
 	<-s.read
-	if err := s.cmd.Wait(); err != nil || !strings.Contains(s.out.String(), "shutdown:    clean") {
-		t.Errorf("serve after SIGTERM: %v\n%s", err, s.out.String())
+	if err := s.cmd.Wait(); err != nil || !logged(s.log.String(), record{"msg": "shutdown"}) || s.out.Len() != 0 {
+		t.Errorf("serve after SIGTERM: %v\nstdout:\n%s\nstderr:\n%s", err, s.out.String(), s.log.String())
 	}
 }
 
@@ -547,4 +555,47 @@ func get(t *testing.T, url string) response {
 		t.Fatal(err)
 	}
 	return response{resp, body}
+}
+
+// record is one log/slog text record: its attributes by key, msg among them.
+type record map[string]string
+
+// records parses the log/slog text records in log, one a line.
+func records(log string) []record {
+	var recs []record
+	for _, line := range strings.Split(log, "\n") {
+		rec := make(record)
+		for line != "" {
+			key, rest, ok := strings.Cut(line, "=")
+			if !ok {
+				break
+			}
+			var val string
+			if q, err := strconv.QuotedPrefix(rest); err == nil && rest[0] == '"' {
+				val, _ = strconv.Unquote(q)
+				rest = rest[len(q):]
+			} else {
+				val, rest, _ = strings.Cut(rest, " ")
+			}
+			rec[key] = val
+			line = strings.TrimPrefix(rest, " ")
+		}
+		if len(rec) > 0 {
+			recs = append(recs, rec)
+		}
+	}
+	return recs
+}
+
+// logged reports whether some record in log carries every attribute of
+// want.
+func logged(log string, want record) bool {
+	return slices.ContainsFunc(records(log), func(rec record) bool {
+		for k, v := range want {
+			if rec[k] != v {
+				return false
+			}
+		}
+		return true
+	})
 }
