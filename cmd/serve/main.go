@@ -8,9 +8,10 @@
 // Reads never wait on ingestion: every query answers from an immutable
 // snapshot swapped in atomically per merge epoch (see internal/serve), and
 // every response carries its epoch and staleness. Once the feeds drain the
-// final epoch's figures are byte-identical to what cmd/report -replay
-// prints for the same blocks — TestEveryPathPrintsThePaper diffs exactly
-// that — and the server keeps answering until SIGINT/SIGTERM, which shuts
+// final epoch's /v1/figures is byte-identical to the per-chain summary
+// blocks cmd/report -replay prints for the same blocks (not the paper's
+// sections after them) — TestEveryPathPrintsThePaper diffs exactly that
+// — and the server keeps answering until SIGINT/SIGTERM, which shuts
 // it down cleanly like cmd/crawl. It prints nothing on stdout: its progress,
 // from the serving record's url on, is log/slog text records on stderr.
 //

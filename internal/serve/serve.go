@@ -1,12 +1,13 @@
 // Package serve is the online stats serving layer: it keeps every chain's
 // deterministic figures queryable over HTTP while ingestion is still
-// running. Readers never take a lock — they load an immutable Snapshot
-// through an atomic pointer — and writers publish by building a fresh
-// snapshot per merge epoch and swapping the pointer. The copy-on-write
-// boundary is core.StatsKit's Summarize: it holds the kit's lock just long
-// enough to deep-copy the figures state, so ingest workers and the publish
-// loop contend only on that one short critical section and queries contend
-// on nothing at all.
+// running. Readers never wait on a writer — they load an immutable
+// Snapshot through an atomic pointer — and writers publish by building a
+// fresh snapshot per merge epoch and swapping the pointer. The
+// copy-on-write boundary is core.StatsKit's Summarize: it holds the kit's
+// lock just long enough to deep-copy the figures state, so ingest workers
+// and the publish loop contend only on that one short critical section.
+// Queries contend only on an epoch's first read of each response body,
+// which one of them builds under that body's sync.Once.
 //
 // Ownership rules (see DESIGN.md "Serving layer & snapshot epochs"):
 //
@@ -58,6 +59,10 @@ type Snapshot struct {
 	// registered chain's feed has drained: the figures are final.
 	Drained bool
 	Chains  map[string]ChainStatus
+
+	// replies are the response bytes the HTTP handlers build from this
+	// snapshot, each on its first read (see NewHandler).
+	replies replies
 }
 
 // Names returns the registered chain names in sorted order.
