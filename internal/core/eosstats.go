@@ -1,26 +1,16 @@
 package core
 
 import (
+	"math"
 	"sort"
 	"strings"
 	"time"
 	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/stats"
 	"repro/internal/wire"
 )
-
-// EOS action names the paper's Figure 1 groups under "Account actions" and
-// "Other actions" (everything defined by system contracts).
-var eosAccountActions = map[string]bool{
-	"bidname": true, "deposit": true, "newaccount": true,
-	"updateauth": true, "linkauth": true,
-}
-
-var eosOtherSystemActions = map[string]bool{
-	"delegatebw": true, "buyrambytes": true, "undelegatebw": true,
-	"rentcpu": true, "voteproducer": true, "buyram": true, "sellram": true,
-}
 
 // EOSCategory buckets the Figure 1 rows.
 type EOSCategory string
@@ -33,6 +23,82 @@ const (
 	EOSCatOthers   EOSCategory = "Others"
 )
 
+// eosCategory indexes eosCategories: the fold counts a block's actions per
+// group in an array and adds the array to ActionsByCategory once.
+type eosCategory uint8
+
+const (
+	eosCatTransfer eosCategory = iota
+	eosCatAccount
+	eosCatOther
+	eosCatOthers
+)
+
+var eosCategories = [...]EOSCategory{
+	eosCatTransfer: EOSCatTransfer, eosCatAccount: EOSCatAccount,
+	eosCatOther: EOSCatOther, eosCatOthers: EOSCatOthers,
+}
+
+// eosCategoryOf maps a system- or token-contract action name to its Figure
+// 1 group, "Account actions" or "Other actions" (the resource and voting
+// actions system contracts define); ok is false for a name in neither.
+func eosCategoryOf(name string) (c eosCategory, ok bool) {
+	switch name {
+	case "bidname", "deposit", "newaccount", "updateauth", "linkauth",
+		"open", "close", "issue", "create", "retire":
+		return eosCatAccount, true
+	case "delegatebw", "buyrambytes", "undelegatebw", "rentcpu", "voteproducer", "buyram", "sellram":
+		return eosCatOther, true
+	}
+	return 0, false
+}
+
+// Figure 3a's app categories. A contract's class holds one as an index
+// into eosLabels, and the fold counts a block's actions per label before
+// adding the counts to the series.
+const (
+	labelOthers = iota // the zero class: a contract eosContracts lacks
+	labelTokens
+	labelBetting
+	labelExchange
+	labelPornography
+	labelGames
+)
+
+var eosLabels = [...]string{
+	labelOthers: "Others", labelTokens: "Tokens", labelBetting: "Betting",
+	labelExchange: "Exchange", labelPornography: "Pornography", labelGames: "Games",
+}
+
+// eosContractClass is what the fold knows of a contract: whether it
+// implements the standard token interface (its "transfer" actions count as
+// P2P transactions) and its Figure 3a label.
+type eosContractClass struct {
+	token bool
+	label uint8
+}
+
+// eosContracts classifies the contracts the fold knows; any other is an
+// "Others" non-token contract. The paper labeled the top 100 contracts
+// manually; these match the simulated workload's. The table is
+// configuration, read-only and never part of serialized shard state.
+var eosContracts = map[string]eosContractClass{
+	"eosio.token":  {token: true, label: labelTokens},
+	"eidosonecoin": {token: true, label: labelTokens},
+	"lynxtoken123": {token: true, label: labelTokens},
+	"betdicetasks": {label: labelBetting}, "betdicegroup": {label: labelBetting},
+	"betdiceadmin": {label: labelBetting}, "betdicebacca": {label: labelBetting},
+	"betdicesicbo": {label: labelBetting}, "bluebetproxy": {label: labelBetting},
+	"bluebettexas": {label: labelBetting}, "bluebetjacks": {label: labelBetting},
+	"bluebetbcrat": {label: labelBetting},
+	"whaleextrust": {label: labelExchange},
+	"pornhashbaby": {label: labelPornography},
+	"eossanguoone": {label: labelGames},
+}
+
+// eidosContract is the boomerang case-study contract.
+const eidosContract = "eidosonecoin"
+
 // EOSShard is the mutable aggregate state for a partition of EOS blocks.
 // A shard is owned by exactly one goroutine (no internal locking); shards
 // over disjoint block sets merge with Merge, and because every statistic a
@@ -43,17 +109,6 @@ const (
 // §4.1 case studies); the figure queries read it under the same single-owner
 // contract as Summary.
 type EOSShard struct {
-	// TokenContracts are accounts implementing the standard token
-	// interface; their "transfer" actions count as P2P transactions.
-	// Shards spawned from one StatsKit share these read-only tables.
-	TokenContracts map[string]bool
-	// ContractLabels maps the top contracts to app categories (Betting,
-	// Games, Tokens, Exchange, Pornography, Others) for Figure 3a. The
-	// paper labeled the top 100 contracts manually.
-	ContractLabels map[string]string
-	// EIDOSContract is the boomerang case-study contract.
-	EIDOSContract string
-
 	Blocks       int64
 	Transactions int64
 	Actions      int64
@@ -108,41 +163,14 @@ type DEXTrade struct {
 	Amount        float64
 }
 
-// applyDefaultTables installs the repo's default classification tables —
-// the paper labeled the top 100 contracts manually; these match the
-// simulated workload's contracts. The tables are configuration, shared
-// read-only by every shard spawned from one StatsKit, and never part of
-// serialized shard state: a decoded shard gets the decoder's own tables.
-func (s *EOSShard) applyDefaultTables() {
-	s.TokenContracts = map[string]bool{
-		"eosio.token": true, "eidosonecoin": true, "lynxtoken123": true,
-	}
-	s.ContractLabels = map[string]string{
-		"eosio.token":  "Tokens",
-		"eidosonecoin": "Tokens",
-		"lynxtoken123": "Tokens",
-		"betdicetasks": "Betting", "betdicegroup": "Betting",
-		"betdiceadmin": "Betting", "betdicebacca": "Betting",
-		"betdicesicbo": "Betting", "bluebetproxy": "Betting",
-		"bluebettexas": "Betting", "bluebetjacks": "Betting",
-		"bluebetbcrat": "Betting",
-		"whaleextrust": "Exchange",
-		"pornhashbaby": "Pornography",
-		"eossanguoone": "Games",
-	}
-	s.EIDOSContract = "eidosonecoin"
-}
-
-// blank returns an empty shard with s's window, sharing s's read-only
-// classification tables.
+// blank returns an empty shard with s's window.
 func (s *EOSShard) blank() EOSShard {
-	n := EOSShard{TokenContracts: s.TokenContracts, ContractLabels: s.ContractLabels, EIDOSContract: s.EIDOSContract}
+	var n EOSShard
 	n.init(s.Series.Origin(), s.Series.Width())
 	return n
 }
 
-// init allocates a shard's mutable containers, leaving the shared
-// classification tables to the caller.
+// init allocates a shard's mutable containers.
 func (s *EOSShard) init(origin time.Time, bucket time.Duration) {
 	s.ActionsByName = make(map[string]int64)
 	s.ActionsByCategory = make(map[EOSCategory]int64)
@@ -250,7 +278,9 @@ func (s *EOSShard) IngestBatch(batch []any) error {
 	return nil
 }
 
-// ingest folds one block into the shard; the caller owns the shard.
+// ingest folds one block into the shard; the caller owns the shard. Every
+// action of a block shares its time bucket, so the Figure 1 groups and the
+// Figure 3a labels count into arrays that reach the maps once per block.
 func (a *EOSShard) ingest(b *wire.EOSBlock, ts time.Time) {
 	a.Blocks++
 	if a.FirstBlockTime.IsZero() || ts.Before(a.FirstBlockTime) {
@@ -260,51 +290,61 @@ func (a *EOSShard) ingest(b *wire.EOSBlock, ts time.Time) {
 		a.LastBlockTime = ts
 	}
 
+	var byCategory [len(eosCategories)]int64
+	var byLabel [len(eosLabels)]int64
+	// Runs of actions share a contract or a sender (a token's transfers,
+	// an airdrop's legs): their class and inner count maps are looked up
+	// once per run.
+	var contract struct {
+		name  string
+		class eosContractClass
+		recv  map[string]int64
+	}
+	var sender struct {
+		name  string
+		pairs map[string]int64
+	}
 	for ti := range b.Transactions {
 		trx := &b.Transactions[ti]
 		a.Transactions++
 		transfersSeen := a.legScratch[:0]
 		for ai := range trx.Actions {
 			act := &trx.Actions[ai]
-			token := a.TokenContracts[act.Account]
-			a.Actions++
-			a.ActionsByName[figure1Name(act, token)]++
-			a.ActionsByCategory[classify(act, token)]++
-			a.Series.Add(ts, a.label(act.Account), 1)
-
-			recv := a.ReceivedByContract[act.Account]
-			if recv == nil {
-				recv = make(map[string]int64)
-				a.ReceivedByContract[act.Account] = recv
+			if contract.recv == nil || act.Account != contract.name {
+				contract.name, contract.class = act.Account, eosContracts[act.Account]
+				contract.recv = inner(a.ReceivedByContract, act.Account)
 			}
-			recv[act.Name]++
+			a.Actions++
+			a.ActionsByName[figure1Name(act, contract.class.token)]++
+			byCategory[classify(act, contract.class.token)]++
+			byLabel[contract.class.label]++
+			contract.recv[act.Name]++
 
 			if act.Actor != "" {
-				pairs := a.SentPairs[act.Actor]
-				if pairs == nil {
-					pairs = make(map[string]int64)
-					a.SentPairs[act.Actor] = pairs
+				if sender.pairs == nil || act.Actor != sender.name {
+					sender.name, sender.pairs = act.Actor, inner(a.SentPairs, act.Actor)
 				}
-				pairs[act.Account]++
+				sender.pairs[act.Account]++
 			}
 
 			switch act.Name {
 			case "verifytrade2":
 				digits, sym, _ := splitQuantity(act.Quantity)
+				amount, _ := amountOf(digits)
 				a.Trades = append(a.Trades, DEXTrade{
 					Buyer: act.Buyer, Seller: act.Seller,
-					Currency: sym, Amount: amountOf(digits),
+					Currency: sym, Amount: amount,
 				})
 			case "transfer":
 				transfersSeen = append(transfersSeen, transferLeg{
 					From: act.From, To: act.To, Quantity: act.Quantity,
 				})
-				eidosLeg := act.From == a.EIDOSContract || act.To == a.EIDOSContract
-				if eidosLeg || act.Account == a.EIDOSContract {
+				eidosLeg := act.From == eidosContract || act.To == eidosContract
+				if eidosLeg || act.Account == eidosContract {
 					a.eidosActions++
 				}
-				if digits, sym, ok := splitQuantity(act.Quantity); ok {
-					amount := amountOf(digits)
+				digits, sym, ok := splitQuantity(act.Quantity)
+				if amount, num := amountOf(digits); ok && num {
 					a.VolumeBySymbol[sym] += amount
 					if sym == "EOS" && eidosLeg {
 						a.BoomerangVolume += amount
@@ -317,6 +357,26 @@ func (a *EOSShard) ingest(b *wire.EOSBlock, ts time.Time) {
 		}
 		a.legScratch = transfersSeen
 	}
+	for c, n := range byCategory {
+		if n != 0 {
+			a.ActionsByCategory[eosCategories[c]] += n
+		}
+	}
+	for l, n := range byLabel {
+		if n != 0 {
+			a.Series.Add(ts, eosLabels[l], n)
+		}
+	}
+}
+
+// inner returns outer's count map for key, creating it on first use.
+func inner(outer map[string]map[string]int64, key string) map[string]int64 {
+	m := outer[key]
+	if m == nil {
+		m = make(map[string]int64)
+		outer[key] = m
+	}
+	return m
 }
 
 type transferLeg struct{ From, To, Quantity string }
@@ -336,7 +396,7 @@ func isBoomerang(legs []transferLeg) bool {
 
 // figure1Name maps an action to its Figure 1 row: system-contract and
 // token-contract actions keep their name, everything else is "others".
-// token says the action's account is one of the shard's TokenContracts.
+// token says the action's account is a token contract.
 func figure1Name(act *wire.EOSAction, token bool) string {
 	if act.Account == "eosio" || token {
 		return act.Name
@@ -344,39 +404,66 @@ func figure1Name(act *wire.EOSAction, token bool) string {
 	return "others"
 }
 
-func classify(act *wire.EOSAction, token bool) EOSCategory {
+func classify(act *wire.EOSAction, token bool) eosCategory {
 	if token && act.Name == "transfer" {
-		return EOSCatTransfer
+		return eosCatTransfer
 	}
 	if act.Account == "eosio" || token {
-		if eosAccountActions[act.Name] {
-			return EOSCatAccount
-		}
-		if eosOtherSystemActions[act.Name] {
-			return EOSCatOther
-		}
-		if act.Name == "open" || act.Name == "close" || act.Name == "issue" ||
-			act.Name == "create" || act.Name == "retire" {
-			return EOSCatAccount
+		if c, ok := eosCategoryOf(act.Name); ok {
+			return c
 		}
 	}
-	return EOSCatOthers
+	return eosCatOthers
 }
 
-// label resolves the contract's app category for the Figure 3a series.
-func (a *EOSShard) label(contract string) string {
-	if l, ok := a.ContractLabels[contract]; ok {
-		return l
-	}
-	return "Others"
+// contractLabel resolves the contract's app category for Figures 3a and 4.
+func contractLabel(contract string) string {
+	return eosLabels[eosContracts[contract].label]
 }
 
 // splitQuantity cuts an EOS asset string ("1.0000 EOS") into its amount and
 // its symbol without allocating. ok only when the string is exactly two
 // fields as strings.Fields counts them — runs of Unicode white space
 // separate, leading and trailing space is dropped — and both are "" when it
-// is not.
+// is not. An ASCII string is cut in one pass over its bytes; the first
+// byte past ASCII hands the whole string to the Unicode path.
 func splitQuantity(quantity string) (amount, symbol string, ok bool) {
+	var fields [2]string
+	n, start := 0, -1
+	for i := 0; i < len(quantity); i++ {
+		c := quantity[i]
+		switch {
+		case c >= utf8.RuneSelf:
+			return splitQuantityUnicode(quantity)
+		case asciiSpace[c]:
+			if start >= 0 {
+				fields[n] = quantity[start:i]
+				n, start = n+1, -1
+			}
+		case start < 0:
+			if n == 2 {
+				// A third field, whatever the rest holds.
+				return "", "", false
+			}
+			start = i
+		}
+	}
+	if start >= 0 {
+		fields[n] = quantity[start:]
+		n++
+	}
+	if n != 2 {
+		return "", "", false
+	}
+	return fields[0], fields[1], true
+}
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace reports.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// splitQuantityUnicode is splitQuantity for a string with a byte past
+// ASCII, where white space is any rune unicode.IsSpace reports.
+func splitQuantityUnicode(quantity string) (amount, symbol string, ok bool) {
 	amount, rest := nextField(quantity)
 	symbol, rest = nextField(rest)
 	if extra, _ := nextField(rest); symbol == "" || extra != "" {
@@ -396,32 +483,38 @@ func nextField(s string) (field, rest string) {
 }
 
 // amountOf reads the decimal in a quantity's amount field, ignoring every
-// rune that is neither a digit nor the point.
-func amountOf(digits string) float64 {
-	var v float64
-	var intPart, fracPart int64
-	var fracDigits int
-	seenDot := false
-	for _, c := range digits {
-		switch {
-		case c == '.':
-			seenDot = true
-		case c >= '0' && c <= '9':
-			if seenDot {
-				fracPart = fracPart*10 + int64(c-'0')
-				fracDigits++
-			} else {
-				intPart = intPart*10 + int64(c-'0')
-			}
+// byte that is neither a digit nor the point. ok is false when either side
+// of the point overflows an int64: such an amount is not a number.
+func amountOf(digits string) (v float64, ok bool) {
+	var intPart, n int64
+	fracDigits, seenDot := 0, false
+	for i := 0; i < len(digits); i++ {
+		c := digits[i]
+		if c == '.' && !seenDot {
+			intPart, n, seenDot = n, 0, true
 		}
+		if c < '0' || c > '9' {
+			continue
+		}
+		d := int64(c - '0')
+		if n > (math.MaxInt64-9)/10 && n > (math.MaxInt64-d)/10 {
+			return 0, false
+		}
+		n = n*10 + d
+		if seenDot {
+			fracDigits++
+		}
+	}
+	if !seenDot {
+		intPart, n = n, 0
 	}
 	v = float64(intPart)
 	scale := 1.0
 	for i := 0; i < fracDigits; i++ {
 		scale *= 10
 	}
-	v += float64(fracPart) / scale
-	return v
+	v += float64(n) / scale
+	return v, true
 }
 
 // EIDOSShare returns the fraction of actions touching the EIDOS contract.
@@ -443,7 +536,7 @@ func (a *EOSShard) BoomerangTransactions() int64 {
 func (a *EOSShard) TopReceivers(k int) []ContractProfile {
 	out := make([]ContractProfile, 0, len(a.ReceivedByContract))
 	for contract, actions := range a.ReceivedByContract {
-		p := ContractProfile{Contract: contract, Label: a.label(contract)}
+		p := ContractProfile{Contract: contract, Label: contractLabel(contract)}
 		for name, n := range actions {
 			p.Total += n
 			p.Actions = append(p.Actions, ActionCount{Name: name, Count: n})

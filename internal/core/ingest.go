@@ -61,8 +61,7 @@ type BatchReleaser interface {
 type kitState struct {
 	mu    sync.Mutex
 	state ShardState
-	// blank returns an empty state with state's window (and, for EOS, its
-	// classification tables); the caller holds mu.
+	// blank returns an empty state with state's window; the caller holds mu.
 	blank func() ShardState
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -22,8 +23,9 @@ func fieldsQuantity(quantity string) (amount, symbol string, ok bool) {
 
 // TestSplitQuantityMatchesFields: exactly two fields by strings.Fields'
 // rules or nothing, over hand-picked edges and a random walk through an
-// alphabet of digits, symbols, ASCII and Unicode white space and bytes that
-// are not UTF-8.
+// alphabet of digits, symbols, ASCII and Unicode white space (every byte
+// the ASCII fast path treats as space, and the Latin-1 spaces next to it),
+// control bytes that are not space and bytes that are not UTF-8.
 func TestSplitQuantityMatchesFields(t *testing.T) {
 	check := func(q string) {
 		t.Helper()
@@ -45,7 +47,8 @@ func TestSplitQuantityMatchesFields(t *testing.T) {
 	} {
 		check(q)
 	}
-	alphabet := []string{"0", "1", "9", ".", "E", "OS", " ", "  ", "\t", "\n", "\u00a0", "\u2003", "\u3000", "\u200b", "\xff", "\xc2", "é"}
+	alphabet := []string{"0", "1", "9", ".", "E", "OS", " ", "  ", "\t", "\n", "\v", "\f", "\r", "\x00", "\x7f",
+		"\u0085", "\u00a0", "\u2003", "\u3000", "\u200b", "\xff", "\xc2", "é"}
 	rng := rand.New(rand.NewSource(21))
 	for i := 0; i < 20000; i++ {
 		var b strings.Builder
@@ -84,5 +87,112 @@ func TestEOSIngestSteadyStateZeroAllocs(t *testing.T) {
 	}
 	if shard.boomerangs == 0 || shard.VolumeBySymbol["EIDOS"] == 0 {
 		t.Fatalf("the block did not exercise the transfer path: %d boomerangs, volumes %v", shard.boomerangs, shard.VolumeBySymbol)
+	}
+}
+
+// TestEOSAmountOverflowIsNotANumber: an amount with more digits on either
+// side of the point than an int64 holds is not a number. Its transfer adds
+// nothing to the volume and its trade settles at 0, exactly as for a
+// quantity splitQuantity refuses, instead of wrapping to a negative sum.
+func TestEOSAmountOverflowIsNotANumber(t *testing.T) {
+	ts := chain.ObservationStart.Add(time.Hour)
+	for _, qty := range []string{
+		"10000000000000000000.0000 EOS",  // 20 integer digits
+		"9223372036854775808 EOS",        // MaxInt64 + 1
+		"1.99999999999999999999999 EOS",  // 23 fraction digits
+		"99999999999999999999999999 EOS", // far past it
+	} {
+		shard := newShard[*EOSShard]()
+		err := shard.IngestBatch([]any{eosBlock(1, ts,
+			[]wire.EOSActionJSON{transfer("eosio.token", "alice", "bob", "2.5000 EOS")},
+			[]wire.EOSActionJSON{transfer("eosio.token", "alice", "bob", qty)},
+			[]wire.EOSActionJSON{eosAction("whaleextrust", "verifytrade2", "whale1", map[string]string{
+				"buyer": "whale1", "seller": "whale2", "quantity": qty,
+			})},
+		)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := shard.VolumeBySymbol["EOS"]; got != 2.5 {
+			t.Errorf("%q: EOS volume %v, want the other transfer's 2.5 alone", qty, got)
+		}
+		if len(shard.Trades) != 1 || shard.Trades[0].Amount != 0 {
+			t.Errorf("%q: trades %+v, want one at amount 0", qty, shard.Trades)
+		}
+	}
+	// The largest amounts that fit still count.
+	for qty, want := range map[string]float64{
+		"9223372036854775807 EOS":     9223372036854775807,
+		"1.9223372036854775807 EOS":   1.9223372036854775807,
+		"000000000000000000000.5 EOS": 0.5, // leading zeros are no overflow
+	} {
+		shard := newShard[*EOSShard]()
+		if err := shard.IngestBatch([]any{eosBlock(1, ts,
+			[]wire.EOSActionJSON{transfer("eosio.token", "alice", "bob", qty)})}); err != nil {
+			t.Fatal(err)
+		}
+		if got := shard.VolumeBySymbol["EOS"]; got != want {
+			t.Errorf("%q: EOS volume %v, want %v", qty, got, want)
+		}
+	}
+}
+
+// TestTezosIngestSteadyStateZeroAllocs: once a shard has seen a block's
+// kinds, senders and receivers, folding another block of endorsements and
+// transactions — nearly all Tezos traffic — allocates nothing.
+func TestTezosIngestSteadyStateZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed by the race detector")
+	}
+	ts := chain.ObservationStart.Add(time.Hour)
+	var ops []wire.TezosOperationJSON
+	for i := 0; i < 16; i++ {
+		ops = append(ops,
+			wire.TezosOperationJSON{Kind: "endorsement", Source: "tz1endorser", Level: 7, SlotCount: 2},
+			wire.TezosOperationJSON{Kind: "transaction", Source: "tz1alice", Destination: "tz1bob", Amount: 100},
+			wire.TezosOperationJSON{Kind: "reveal", Source: "tz1carol"})
+	}
+	block := tezosBlock(8, ts, ops...)
+	shard := newShard[*TezosShard]()
+	shard.ingest(block, ts)
+	if allocs := testing.AllocsPerRun(100, func() { shard.ingest(block, ts) }); allocs != 0 {
+		t.Fatalf("TezosShard.ingest: %.1f allocs/block in steady state, want 0", allocs)
+	}
+	if shard.sentTo["tz1alice"]["tz1bob"] == 0 || shard.OpsByKind["endorsement"] == 0 {
+		t.Fatalf("the block did not exercise the transaction path: %v", shard.OpsByKind)
+	}
+}
+
+// TestXRPIngestSteadyStateZeroAllocs: once a shard has seen a ledger's
+// types, results, accounts and offers, folding another ledger of payments
+// and offers allocates nothing beyond the payment list's growth, which the
+// test reserves up front: every per-transaction map key already exists.
+func TestXRPIngestSteadyStateZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed by the race detector")
+	}
+	ts := chain.ObservationStart.Add(time.Hour)
+	var txs []wire.XRPTxJSON
+	for i := 0; i < 8; i++ {
+		tagged := payment("rHuobi", "rBob", xrpAmt("XRP", "", 5), "tesSUCCESS")
+		tagged.DestinationTag = 104398
+		txs = append(txs,
+			payment("rAlice", "rBob", xrpAmt("XRP", "", 1), "tesSUCCESS"),
+			payment("rAlice", "rBob", xrpAmt("BTC", "rGateway", 1), "tecPATH_DRY"),
+			tagged,
+			wire.XRPTxJSON{TransactionType: "OfferCreate", Account: "rMill", Sequence: 9,
+				Result: "tesSUCCESS", Executed: true, RestingSequence: 9},
+			wire.XRPTxJSON{TransactionType: "TrustSet", Account: "rAlice", Result: "tesSUCCESS"})
+	}
+	ledger := xrpLedger(1, ts, txs...)
+	const runs = 100
+	shard := newShard[*XRPShard]()
+	shard.ingest(ledger, ts)
+	shard.payments = slices.Grow(shard.payments, (runs+1)*3*8)
+	if allocs := testing.AllocsPerRun(runs, func() { shard.ingest(ledger, ts) }); allocs != 0 {
+		t.Fatalf("XRPShard.ingest: %.1f allocs/ledger in steady state, want 0", allocs)
+	}
+	if shard.offersCreated == 0 || shard.byAccount["rHuobi"].DestTags[104398] == 0 {
+		t.Fatal("the ledger did not exercise the offer and destination-tag paths")
 	}
 }

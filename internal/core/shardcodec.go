@@ -10,9 +10,8 @@
 // byte-identical figures to an in-process merge of the same blocks.
 //
 // Deliberately not serialized:
-//   - EOS classification tables (TokenContracts, ContractLabels,
-//     EIDOSContract): configuration, not aggregate state — the decoder's
-//     own tables apply.
+//   - The EOS contract-class table (eosContracts): configuration, not
+//     aggregate state.
 //   - XRP explorer exchange records a shard never received: AddExchanges
 //     runs on a drained aggregate after the crawl, never on a worker
 //     shard, so a distributed crawl's shards carry none and whoever merges
@@ -234,8 +233,7 @@ func (s *EOSShard) EncodeTo(w io.Writer, fence uint64) error {
 }
 
 // DecodeFrom replaces the shard with a blob's contents (ShardState
-// contract). The classification tables are preserved — they are the
-// decoder's configuration, never transferred.
+// contract).
 func (s *EOSShard) DecodeFrom(r io.Reader) error {
 	d, err := openFrom(r, "eos")
 	if err != nil {
@@ -245,12 +243,7 @@ func (s *EOSShard) DecodeFrom(r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	tables := EOSShard{
-		TokenContracts: s.TokenContracts,
-		ContractLabels: s.ContractLabels,
-		EIDOSContract:  s.EIDOSContract,
-	}
-	*s = tables
+	*s = EOSShard{}
 	s.init(w.Origin, w.Bucket)
 	s.covered = cov
 	s.FirstBlockTime, s.LastBlockTime = first, last

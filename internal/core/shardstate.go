@@ -109,14 +109,10 @@ type ShardState interface {
 
 // NewShardState builds an empty standalone shard for a chain name — the
 // merge coordinator's entry point, and the state behind every StatsKit.
-// EOS states carry the default classification tables, which are
-// configuration, not aggregate state: they are never serialized, so an
-// emitted shard decodes against the coordinator's own tables.
 func NewShardState(chainName string, origin time.Time, bucket time.Duration) (ShardState, error) {
 	switch chainName {
 	case "eos":
 		s := &EOSShard{}
-		s.applyDefaultTables()
 		s.init(origin, bucket)
 		return s, nil
 	case "tezos":

@@ -17,8 +17,12 @@ type TimeSeries struct {
 	width  time.Duration
 	// buckets maps bucket index -> label -> count, so one series can carry
 	// several stacked categories (e.g. Payment / OfferCreate / Others).
+	// The labels a series has seen are the keys of these maps.
 	buckets map[int]map[string]int64
-	labels  map[string]struct{}
+	// last and lastIdx remember the bucket Add wrote last: blocks arrive
+	// in time order, so most Adds land in it.
+	last    map[string]int64
+	lastIdx int
 }
 
 // NewTimeSeries creates a series with buckets of the given width starting at
@@ -31,21 +35,27 @@ func NewTimeSeries(origin time.Time, width time.Duration) *TimeSeries {
 		origin:  origin,
 		width:   width,
 		buckets: make(map[int]map[string]int64),
-		labels:  make(map[string]struct{}),
 	}
 }
 
 // Add increments label's counter in the bucket containing ts by n.
 // Timestamps before the origin land in bucket 0.
 func (s *TimeSeries) Add(ts time.Time, label string, n int64) {
-	i := s.BucketIndex(ts)
+	s.AddBucket(s.BucketIndex(ts), label, n)
+}
+
+// bucket returns bucket i's counters, creating them on first use.
+func (s *TimeSeries) bucket(i int) map[string]int64 {
+	if s.last != nil && s.lastIdx == i {
+		return s.last
+	}
 	b := s.buckets[i]
 	if b == nil {
 		b = make(map[string]int64)
 		s.buckets[i] = b
 	}
-	b[label] += n
-	s.labels[label] = struct{}{}
+	s.last, s.lastIdx = b, i
+	return b
 }
 
 // Origin returns the series anchor time.
@@ -69,17 +79,10 @@ func (s *TimeSeries) Merge(other *TimeSeries) {
 			s.origin, other.origin, s.width, other.width))
 	}
 	for i, ob := range other.buckets {
-		b := s.buckets[i]
-		if b == nil {
-			b = make(map[string]int64, len(ob))
-			s.buckets[i] = b
-		}
+		b := s.bucket(i)
 		for label, n := range ob {
 			b[label] += n
 		}
-	}
-	for l := range other.labels {
-		s.labels[l] = struct{}{}
 	}
 }
 
@@ -99,8 +102,14 @@ func (s *TimeSeries) BucketStart(i int) time.Time {
 
 // Labels returns the sorted set of labels seen by the series.
 func (s *TimeSeries) Labels() []string {
-	out := make([]string, 0, len(s.labels))
-	for l := range s.labels {
+	seen := make(map[string]struct{})
+	for _, b := range s.buckets {
+		for l := range b {
+			seen[l] = struct{}{}
+		}
+	}
+	out := make([]string, 0, len(seen))
+	for l := range seen {
 		out = append(out, l)
 	}
 	sort.Strings(out)
@@ -148,16 +157,7 @@ func (s *TimeSeries) TotalAll() int64 {
 // series, where the bucket index itself was transferred. Negative indexes
 // clamp to 0 like pre-origin timestamps in Add.
 func (s *TimeSeries) AddBucket(i int, label string, n int64) {
-	if i < 0 {
-		i = 0
-	}
-	b := s.buckets[i]
-	if b == nil {
-		b = make(map[string]int64)
-		s.buckets[i] = b
-	}
-	b[label] += n
-	s.labels[label] = struct{}{}
+	s.bucket(max(i, 0))[label] += n
 }
 
 // Entry is one populated (bucket, label) cell of a series.
@@ -201,10 +201,11 @@ func (s *TimeSeries) Rows() []Row {
 	if max < 0 {
 		return nil
 	}
+	labels := s.Labels()
 	rows := make([]Row, max+1)
 	for i := 0; i <= max; i++ {
-		counts := make(map[string]int64, len(s.labels))
-		for l := range s.labels {
+		counts := make(map[string]int64, len(labels))
+		for _, l := range labels {
 			counts[l] = s.buckets[i][l]
 		}
 		rows[i] = Row{Start: s.BucketStart(i), Counts: counts}

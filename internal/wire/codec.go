@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"sync"
 )
 
@@ -13,13 +14,21 @@ import (
 // string it has not seen allocates instead of growing it.
 const maxInternEntries = 1 << 16
 
+// frontBits sizes a codec's front cache: 1<<frontBits direct-mapped slots
+// in front of the intern table, 16 KiB of string headers per codec.
+const frontBits = 10
+
 // Codec holds the reusable state for one encode/decode stream: the JSON
 // lexer with its unescape scratch, an intern table that makes repeated
 // strings allocation-free to decode, and the sorted-key scratch the
 // encoders need to render maps exactly as encoding/json does. A Codec is
 // not safe for concurrent use; recycle through GetCodec/PutCodec.
 type Codec struct {
-	lex    lexer
+	lex lexer
+	// front holds the last string str returned per slot of frontSlot,
+	// so the names a block repeats — contracts, action names, hot
+	// accounts — cost a compare instead of a map lookup.
+	front  [1 << frontBits]string
 	intern map[string]string
 	keys   []string
 }
@@ -43,19 +52,41 @@ func PutCodec(c *Codec) {
 }
 
 // str copies b into an owned string, interning it so the next occurrence
-// costs a map hit instead of an allocation.
+// costs a front-cache compare or a map hit instead of an allocation.
 func (c *Codec) str(b []byte) string {
 	if len(b) == 0 {
 		return ""
 	}
-	if s, ok := c.intern[string(b)]; ok {
-		return s
+	slot := &c.front[frontSlot(b)]
+	if *slot == string(b) {
+		return *slot
 	}
-	s := string(b)
-	if len(c.intern) < maxInternEntries {
-		c.intern[s] = s
+	s, ok := c.intern[string(b)]
+	if !ok {
+		s = string(b)
+		if len(c.intern) < maxInternEntries {
+			c.intern[s] = s
+		}
 	}
+	*slot = s
 	return s
+}
+
+// frontSlot hashes b's length and its first and last eight bytes (all of
+// b when shorter) into a front-cache slot. Names longer than sixteen
+// bytes that differ only in the middle share a slot and take turns in it.
+func frontSlot(b []byte) uint {
+	h := uint64(len(b))
+	if len(b) >= 8 {
+		// The tail word is scrambled so a name whose head and tail are the
+		// same word does not hash to its length alone.
+		h ^= binary.LittleEndian.Uint64(b) ^ binary.LittleEndian.Uint64(b[len(b)-8:])*0xbf58476d1ce4e5b9
+	} else {
+		for _, c := range b {
+			h = h<<8 | uint64(c)
+		}
+	}
+	return uint((h * 0x9e3779b97f4a7c15) >> (64 - frontBits))
 }
 
 // Struct arenas: one pool per block shape — the three projections the

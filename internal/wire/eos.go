@@ -136,15 +136,71 @@ func grow[T any](s []T) ([]T, *T) {
 	return s, &s[len(s)-1]
 }
 
-// Canonical field-name sets, used to detect non-canonically cased keys
-// (which must take the stdlib fallback for encoding/json's
-// case-insensitive matching).
+// Member keys of each EOS object, in the order AppendEOSBlock writes them:
+// the predictions lexer.object tries first. For the struct shapes they are
+// also the canonical names a differently-cased key is checked against (it
+// must take the stdlib fallback for encoding/json's case-insensitive
+// matching). authorization and data are maps, which encoding/json matches
+// exactly and renders sorted; their sets name the keys the repo's actions
+// carry.
+const (
+	eosBlockNum = iota
+	eosBlockID
+	eosBlockPrevious
+	eosBlockTimestamp
+	eosBlockProducer
+	eosBlockTransactions
+)
+
+const (
+	eosTrxStatus = iota
+	eosTrxTrx
+)
+
+const (
+	eosInnerID = iota
+	eosInnerTransaction
+)
+
+const (
+	eosActionAccount = iota
+	eosActionName
+	eosActionAuthorization
+	eosActionData
+	eosActionInline
+)
+
+const (
+	eosAuthActor = iota
+	eosAuthPermission
+)
+
+const (
+	eosDataBuyer = iota
+	eosDataFrom
+	eosDataMemo
+	eosDataQuantity
+	eosDataSeller
+	eosDataTo
+)
+
 var (
-	eosBlockFields  = []string{"block_num", "id", "previous", "timestamp", "producer", "transactions"}
-	eosTrxFields    = []string{"status", "trx"}
-	eosInnerFields  = []string{"id", "transaction"}
-	eosTxnFields    = []string{"actions"}
-	eosActionFields = []string{"account", "name", "inline", "authorization", "data"}
+	eosBlockKeys = newKeySet([]string{
+		eosBlockNum: "block_num", eosBlockID: "id", eosBlockPrevious: "previous",
+		eosBlockTimestamp: "timestamp", eosBlockProducer: "producer", eosBlockTransactions: "transactions",
+	})
+	eosTrxKeys    = newKeySet([]string{eosTrxStatus: "status", eosTrxTrx: "trx"})
+	eosInnerKeys  = newKeySet([]string{eosInnerID: "id", eosInnerTransaction: "transaction"})
+	eosTxnKeys    = newKeySet([]string{"actions"})
+	eosActionKeys = newKeySet([]string{
+		eosActionAccount: "account", eosActionName: "name", eosActionAuthorization: "authorization",
+		eosActionData: "data", eosActionInline: "inline",
+	})
+	eosAuthKeys = newKeySet([]string{eosAuthActor: "actor", eosAuthPermission: "permission"})
+	eosDataKeys = newKeySet([]string{
+		eosDataBuyer: "buyer", eosDataFrom: "from", eosDataMemo: "memo",
+		eosDataQuantity: "quantity", eosDataSeller: "seller", eosDataTo: "to",
+	})
 )
 
 func (c *Codec) decodeEOSBlock(raw []byte, into *EOSBlock) error {
@@ -153,15 +209,15 @@ func (c *Codec) decodeEOSBlock(raw []byte, into *EOSBlock) error {
 	into.Timestamp = ""
 	into.Transactions = into.Transactions[:0]
 	var seen uint8
-	err := l.object(func(key []byte) error {
-		switch string(key) {
-		case "block_num":
+	err := l.object(eosBlockKeys, func(i int, key []byte) error {
+		switch i {
+		case eosBlockNum:
 			return l.decodeUint32(nil)
-		case "id", "previous", "producer":
+		case eosBlockID, eosBlockPrevious, eosBlockProducer:
 			return c.decodeStr(nil)
-		case "timestamp":
+		case eosBlockTimestamp:
 			return c.decodeStr(&into.Timestamp)
-		case "transactions":
+		case eosBlockTransactions:
 			if read, err := l.first(&seen, 1); !read {
 				return err
 			}
@@ -172,7 +228,7 @@ func (c *Codec) decodeEOSBlock(raw []byte, into *EOSBlock) error {
 				return c.decodeEOSTrx(t)
 			})
 		}
-		return l.skipUnknown(key, eosBlockFields)
+		return l.skipUnknown(key, eosBlockKeys.names)
 	})
 	if err != nil {
 		return err
@@ -187,43 +243,43 @@ func (c *Codec) decodeEOSBlock(raw []byte, into *EOSBlock) error {
 func (c *Codec) decodeEOSTrx(t *EOSTrx) error {
 	l := &c.lex
 	var seen uint8
-	return l.object(func(key []byte) error {
-		switch string(key) {
-		case "status":
+	return l.object(eosTrxKeys, func(i int, key []byte) error {
+		switch i {
+		case eosTrxStatus:
 			return c.decodeStr(nil)
-		case "trx":
+		case eosTrxTrx:
 			if read, err := l.first(&seen, 1); !read {
 				return err
 			}
 			return c.decodeEOSTrxInner(t)
 		}
-		return l.skipUnknown(key, eosTrxFields)
+		return l.skipUnknown(key, eosTrxKeys.names)
 	})
 }
 
 func (c *Codec) decodeEOSTrxInner(t *EOSTrx) error {
 	l := &c.lex
 	var seen uint8
-	return l.object(func(key []byte) error {
-		switch string(key) {
-		case "id":
+	return l.object(eosInnerKeys, func(i int, key []byte) error {
+		switch i {
+		case eosInnerID:
 			return c.decodeStr(nil)
-		case "transaction":
+		case eosInnerTransaction:
 			if read, err := l.first(&seen, 1); !read {
 				return err
 			}
 			return c.decodeEOSActions(t)
 		}
-		return l.skipUnknown(key, eosInnerFields)
+		return l.skipUnknown(key, eosInnerKeys.names)
 	})
 }
 
 func (c *Codec) decodeEOSActions(t *EOSTrx) error {
 	l := &c.lex
 	var seen uint8
-	return l.object(func(key []byte) error {
-		if string(key) != "actions" {
-			return l.skipUnknown(key, eosTxnFields)
+	return l.object(eosTxnKeys, func(i int, key []byte) error {
+		if i != 0 {
+			return l.skipUnknown(key, eosTxnKeys.names)
 		}
 		if read, err := l.first(&seen, 1); !read {
 			return err
@@ -248,23 +304,23 @@ func (c *Codec) decodeEOSAction(a *EOSAction) error {
 		sawData
 	)
 	var seen uint8
-	return l.object(func(key []byte) error {
-		switch string(key) {
-		case "account":
+	return l.object(eosActionKeys, func(i int, key []byte) error {
+		switch i {
+		case eosActionAccount:
 			return c.decodeStr(&a.Account)
-		case "name":
+		case eosActionName:
 			return c.decodeStr(&a.Name)
-		case "inline":
+		case eosActionInline:
 			return l.decodeBool(nil)
-		case "authorization":
+		case eosActionAuthorization:
 			if read, err := l.first(&seen, sawAuthorization); !read {
 				return err
 			}
 			// Only the first authorization's actor is read.
 			actor := &a.Actor
 			return l.array(func() error {
-				err := l.object(func(key []byte) error {
-					if string(key) == "actor" {
+				err := l.object(eosAuthKeys, func(i int, _ []byte) error {
+					if i == eosAuthActor {
 						return c.decodeMapValue(actor)
 					}
 					return c.decodeMapValue(nil)
@@ -272,27 +328,27 @@ func (c *Codec) decodeEOSAction(a *EOSAction) error {
 				actor = nil
 				return err
 			})
-		case "data":
+		case eosActionData:
 			if read, err := l.first(&seen, sawData); !read {
 				return err
 			}
-			return l.object(func(key []byte) error {
-				switch string(key) {
-				case "from":
+			return l.object(eosDataKeys, func(i int, _ []byte) error {
+				switch i {
+				case eosDataFrom:
 					return c.decodeMapValue(&a.From)
-				case "to":
+				case eosDataTo:
 					return c.decodeMapValue(&a.To)
-				case "quantity":
+				case eosDataQuantity:
 					return c.decodeMapValue(&a.Quantity)
-				case "buyer":
+				case eosDataBuyer:
 					return c.decodeMapValue(&a.Buyer)
-				case "seller":
+				case eosDataSeller:
 					return c.decodeMapValue(&a.Seller)
 				}
 				return c.decodeMapValue(nil)
 			})
 		}
-		return l.skipUnknown(key, eosActionFields)
+		return l.skipUnknown(key, eosActionKeys.names)
 	})
 }
 

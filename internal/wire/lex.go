@@ -21,6 +21,9 @@ type lexer struct {
 	data    []byte
 	pos     int
 	scratch []byte
+	// misses counts the keys no keySet predicted: each one was read with
+	// readString and looked up instead. Only tests read it.
+	misses int
 }
 
 func (l *lexer) reset(data []byte) {
@@ -392,7 +395,7 @@ func (l *lexer) skipValue(depth int) error {
 	case '"':
 		return l.skipString()
 	case '{':
-		return l.object(func([]byte) error { return l.skipValue(depth + 1) })
+		return l.object(nil, func(int, []byte) error { return l.skipValue(depth + 1) })
 	case '[':
 		return l.array(func() error { return l.skipValue(depth + 1) })
 	case 't':
@@ -511,31 +514,111 @@ func (l *lexer) skipUnknown(key []byte, names []string) error {
 	return l.skipValue(0)
 }
 
-// object reads an object, handing each member's key to member once the
-// colon is consumed; member reads the value. The key is a readString view:
-// switch on it before reading anything else.
-func (l *lexer) object(member func(key []byte) error) error {
+// keySet is one object shape's member names in the order the repo's
+// encoders write them, each with the `"name":` literal object predicts.
+type keySet struct {
+	names []string
+	lits  []keyLit
+}
+
+// keyLit is one predicted `"name":` literal. head and mask hold its first
+// eight bytes as a little-endian word, so most compares are one load, one
+// and and one compare.
+type keyLit struct {
+	lit        string
+	head, mask uint64
+}
+
+// newKeySet builds a keySet; the caller indexes names by its own member
+// constants, so a member's constant is its position here.
+func newKeySet(names []string) *keySet {
+	ks := &keySet{names: names, lits: make([]keyLit, len(names))}
+	for i, n := range names {
+		k := keyLit{lit: `"` + n + `":`}
+		for j := 0; j < len(k.lit) && j < 8; j++ {
+			k.head |= uint64(k.lit[j]) << (8 * j)
+			k.mask |= 0xff << (8 * j)
+		}
+		ks.lits[i] = k
+	}
+	return ks
+}
+
+// at reports whether rest starts with the literal; w is rest's first
+// eight bytes.
+func (k *keyLit) at(rest []byte, w uint64) bool {
+	return w&k.mask == k.head && (len(k.lit) <= 8 || len(rest) >= len(k.lit) && string(rest[8:len(k.lit)]) == k.lit[8:])
+}
+
+// index returns key's position in ks, or -1 when ks does not name it.
+func (ks *keySet) index(key []byte) int {
+	if ks != nil {
+		for i, n := range ks.names {
+			if string(key) == n {
+				return i
+			}
+		}
+	}
+	return -1
+}
+
+// object reads an object, handing member each key's position in ks (-1
+// for a key ks does not name, or for every key when ks is nil) once the
+// colon is consumed; member reads the value. A predicted key comes with a
+// nil key slice; an unnamed one with a readString view: dispatch on it
+// before reading anything else.
+func (l *lexer) object(ks *keySet, member func(i int, key []byte) error) error {
 	if err := l.expect('{'); err != nil {
 		return err
 	}
 	if l.tryConsume('}') {
 		return nil
 	}
+	next := 0
 	for {
-		key, err := l.readString()
+		i, key, err := l.key(ks, next)
 		if err != nil {
 			return err
 		}
-		if err := l.expect(':'); err != nil {
-			return err
+		if i >= 0 {
+			next = i + 1
 		}
-		if err := member(key); err != nil {
+		if err := member(i, key); err != nil {
 			return err
 		}
 		if !l.tryConsume(',') {
 			return l.expect('}')
 		}
 	}
+}
+
+// key consumes one member's key and its colon. It first tries ks's
+// literals from next on, so a payload in encoder order costs one compare
+// per key and every absent optional key one missed compare; a key that
+// none of them matches — escaped, spaced, repeated, out of order or
+// unknown — is read with readString and looked up, and the caller
+// re-syncs next to its position.
+func (l *lexer) key(ks *keySet, next int) (int, []byte, error) {
+	// The compare loads eight bytes at a time, so a key in the last seven
+	// bytes of a payload takes the lookup.
+	if rest := l.data[l.pos:]; ks != nil && len(rest) >= 8 {
+		w := binary.LittleEndian.Uint64(rest)
+		for i := next; i < len(ks.lits); i++ {
+			if k := &ks.lits[i]; k.at(rest, w) {
+				l.pos += len(k.lit)
+				return i, nil, nil
+			}
+		}
+	}
+	l.misses++
+	key, err := l.readString()
+	if err != nil {
+		return -1, nil, err
+	}
+	if err := l.expect(':'); err != nil {
+		return -1, nil, err
+	}
+	return ks.index(key), key, nil
 }
 
 // array reads an array, calling elem with the lexer at the start of each

@@ -108,10 +108,41 @@ func ProjectTezosBlock(full *TezosBlockJSON, into *TezosBlock) {
 	}
 }
 
-// Canonical field-name sets; see the EOS decoder for the fold contract.
+// Member keys of each Tezos object, in the order AppendTezosBlock writes
+// them; see the EOS decoder for how they are used.
+const (
+	tezosBlockLevel = iota
+	tezosBlockHash
+	tezosBlockPredecessor
+	tezosBlockTimestamp
+	tezosBlockBaker
+	tezosBlockOperations
+)
+
+const (
+	tezosOpKind = iota
+	tezosOpSource
+	tezosOpDestination
+	tezosOpAmount
+	tezosOpFee
+	tezosOpLevel
+	tezosOpSlotCount
+	tezosOpProposal
+	tezosOpBallot
+	tezosOpRolls
+	tezosOpDelegate
+)
+
 var (
-	tezosBlockFields = []string{"level", "hash", "predecessor", "timestamp", "baker", "operations"}
-	tezosOpFields    = []string{"kind", "source", "destination", "amount", "fee", "level", "slot_count", "proposal", "ballot", "rolls", "delegate"}
+	tezosBlockKeys = newKeySet([]string{
+		tezosBlockLevel: "level", tezosBlockHash: "hash", tezosBlockPredecessor: "predecessor",
+		tezosBlockTimestamp: "timestamp", tezosBlockBaker: "baker", tezosBlockOperations: "operations",
+	})
+	tezosOpKeys = newKeySet([]string{
+		tezosOpKind: "kind", tezosOpSource: "source", tezosOpDestination: "destination",
+		tezosOpAmount: "amount", tezosOpFee: "fee", tezosOpLevel: "level", tezosOpSlotCount: "slot_count",
+		tezosOpProposal: "proposal", tezosOpBallot: "ballot", tezosOpRolls: "rolls", tezosOpDelegate: "delegate",
+	})
 )
 
 func (c *Codec) decodeTezosBlock(raw []byte, into *TezosBlock) error {
@@ -120,15 +151,15 @@ func (c *Codec) decodeTezosBlock(raw []byte, into *TezosBlock) error {
 	into.Level, into.Timestamp = 0, ""
 	into.Operations = into.Operations[:0]
 	var seen uint8
-	err := l.object(func(key []byte) error {
-		switch string(key) {
-		case "level":
+	err := l.object(tezosBlockKeys, func(i int, key []byte) error {
+		switch i {
+		case tezosBlockLevel:
 			return l.decodeInt64(&into.Level)
-		case "hash", "predecessor", "baker":
+		case tezosBlockHash, tezosBlockPredecessor, tezosBlockBaker:
 			return c.decodeStr(nil)
-		case "timestamp":
+		case tezosBlockTimestamp:
 			return c.decodeStr(&into.Timestamp)
-		case "operations":
+		case tezosBlockOperations:
 			if read, err := l.first(&seen, 1); !read {
 				return err
 			}
@@ -139,7 +170,7 @@ func (c *Codec) decodeTezosBlock(raw []byte, into *TezosBlock) error {
 				return c.decodeTezosOperation(op)
 			})
 		}
-		return l.skipUnknown(key, tezosBlockFields)
+		return l.skipUnknown(key, tezosBlockKeys.names)
 	})
 	if err != nil {
 		return err
@@ -149,27 +180,27 @@ func (c *Codec) decodeTezosBlock(raw []byte, into *TezosBlock) error {
 
 func (c *Codec) decodeTezosOperation(op *TezosOperation) error {
 	l := &c.lex
-	return l.object(func(key []byte) error {
-		switch string(key) {
-		case "kind":
+	return l.object(tezosOpKeys, func(i int, key []byte) error {
+		switch i {
+		case tezosOpKind:
 			return c.decodeStr(&op.Kind)
-		case "source":
+		case tezosOpSource:
 			return c.decodeStr(&op.Source)
-		case "destination":
+		case tezosOpDestination:
 			return c.decodeStr(&op.Destination)
-		case "amount", "fee", "level":
+		case tezosOpAmount, tezosOpFee, tezosOpLevel:
 			return l.decodeInt64(nil)
-		case "slot_count":
+		case tezosOpSlotCount:
 			return l.skipInt()
-		case "proposal":
+		case tezosOpProposal:
 			return c.decodeStr(&op.Proposal)
-		case "ballot":
+		case tezosOpBallot:
 			return c.decodeStr(&op.Ballot)
-		case "rolls":
+		case tezosOpRolls:
 			return l.decodeInt64(&op.Rolls)
-		case "delegate":
+		case tezosOpDelegate:
 			return c.decodeStr(nil)
 		}
-		return l.skipUnknown(key, tezosOpFields)
+		return l.skipUnknown(key, tezosOpKeys.names)
 	})
 }

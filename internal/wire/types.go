@@ -15,13 +15,22 @@
 // internal/core reads. Every other value of a payload is held to the same
 // grammar and type as before — a string-or-null where the full shape has a
 // string, an in-range integer where it has one, an amount object where it
-// has an amount — and stepped over: not copied, not interned, not kept. A
-// payload the fast scanner refuses is unmarshalled into the full shape by
-// encoding/json, whose verdict is final, and projected by the chain's
-// Project function, which is also the reference the differential tests
-// and fuzz targets hold the fast scanner to. A figure that needs a field
-// the projection lacks adds it to the projected type, its decoder case
-// and its Project function; nothing else moves.
+// has an amount — and stepped over: not copied, not interned, not kept.
+//
+// A member key is dispatched in three steps. First the scanner predicts
+// it: each object shape lists its keys in the order the repo's encoders
+// write them, and the object loop compares the next listed `"key":`
+// literals against the payload, so a block in encoder order resolves
+// every key with one compare and an absent optional key costs one missed
+// compare. A key no literal matches (escaped, spaced, repeated, out of
+// order or unknown) is read as a string and looked up, exactly matched,
+// and the prediction resumes after it. A payload the fast scanner refuses
+// is unmarshalled into the full shape by encoding/json, whose verdict is
+// final, and projected by the chain's Project function, which is also the
+// reference the differential tests and fuzz targets hold the fast scanner
+// to. A figure that needs a field the projection lacks adds it to the
+// projected type, its decoder case and its Project function; nothing else
+// moves.
 //
 // Ownership rules (the "allocation budget" contract, see DESIGN.md):
 //
@@ -35,9 +44,11 @@
 //     stored into a decoded struct is an owned copy, interned, and valid
 //     UTF-8 (invalid bytes become U+FFFD, as encoding/json decodes them).
 //     Only strings that are read are interned, so the table holds account
-//     names, action names and kinds, never ids, hashes or memos. The one
-//     view handed out is XRPEnvelope.Result, and it is a span of the
-//     caller's own frame, not of anything the codec holds.
+//     names, action names and kinds, never ids, hashes or memos. A small
+//     direct-mapped front cache per codec answers the names a block
+//     repeats before the table is consulted. The one view handed out is
+//     XRPEnvelope.Result, and it is a span of the caller's own frame, not
+//     of anything the codec holds.
 //   - Raw payload buffers recycle through GetRaw/PutRaw; a buffer handed
 //     to PutRaw must have no other holders.
 package wire

@@ -132,13 +132,80 @@ func projectXRPAmount(a *XRPAmountJSON) XRPAmount {
 	return XRPAmount{Set: true, Currency: a.Currency, Issuer: a.Issuer, Value: a.Value}
 }
 
-// Canonical field-name sets; see the EOS decoder for the fold contract.
+// Member keys of each XRP object, in the order AppendXRPLedgerResponse
+// writes them; see the EOS decoder for how they are used. The result
+// object's ledger_index and validated are in no struct: they are named
+// only to be predicted, and stepped over.
+const (
+	xrpResultLedger = iota
+	xrpResultLedgerIndex
+	xrpResultValidated
+)
+
+const (
+	xrpLedgerIndex = iota
+	xrpLedgerHash
+	xrpLedgerParentHash
+	xrpLedgerCloseTime
+	xrpLedgerTxCount
+	xrpLedgerTransactions
+)
+
+const (
+	xrpTxHash = iota
+	xrpTxType
+	xrpTxAccount
+	xrpTxDestination
+	xrpTxDestinationTag
+	xrpTxFee
+	xrpTxSequence
+	xrpTxAmount
+	xrpTxTakerGets
+	xrpTxTakerPays
+	xrpTxLimitAmount
+	xrpTxDelivered
+	xrpTxOfferSequence
+	xrpTxResult
+	xrpTxExecuted
+	xrpTxRestingSequence
+)
+
+const (
+	xrpAmountCurrency = iota
+	xrpAmountIssuer
+	xrpAmountValue
+)
+
+const (
+	xrpEnvelopeID = iota
+	xrpEnvelopeStatus
+	xrpEnvelopeError
+	xrpEnvelopeResult
+)
+
 var (
-	xrpResponseFields = []string{"id", "status", "error", "result"}
-	xrpResultFields   = []string{"ledger"}
-	xrpLedgerFields   = []string{"ledger_index", "ledger_hash", "parent_hash", "close_time_human", "transaction_count", "transactions"}
-	xrpTxFields       = []string{"hash", "TransactionType", "Account", "Destination", "DestinationTag", "Fee", "Sequence", "Amount", "TakerGets", "TakerPays", "LimitAmount", "delivered_amount", "OfferSequence", "meta_TransactionResult", "executed", "resting_sequence"}
-	xrpAmountFields   = []string{"currency", "issuer", "value"}
+	xrpResultKeys = newKeySet([]string{
+		xrpResultLedger: "ledger", xrpResultLedgerIndex: "ledger_index", xrpResultValidated: "validated",
+	})
+	xrpLedgerKeys = newKeySet([]string{
+		xrpLedgerIndex: "ledger_index", xrpLedgerHash: "ledger_hash", xrpLedgerParentHash: "parent_hash",
+		xrpLedgerCloseTime: "close_time_human", xrpLedgerTxCount: "transaction_count",
+		xrpLedgerTransactions: "transactions",
+	})
+	xrpTxKeys = newKeySet([]string{
+		xrpTxHash: "hash", xrpTxType: "TransactionType", xrpTxAccount: "Account",
+		xrpTxDestination: "Destination", xrpTxDestinationTag: "DestinationTag", xrpTxFee: "Fee",
+		xrpTxSequence: "Sequence", xrpTxAmount: "Amount", xrpTxTakerGets: "TakerGets",
+		xrpTxTakerPays: "TakerPays", xrpTxLimitAmount: "LimitAmount", xrpTxDelivered: "delivered_amount",
+		xrpTxOfferSequence: "OfferSequence", xrpTxResult: "meta_TransactionResult",
+		xrpTxExecuted: "executed", xrpTxRestingSequence: "resting_sequence",
+	})
+	xrpAmountKeys = newKeySet([]string{
+		xrpAmountCurrency: "currency", xrpAmountIssuer: "issuer", xrpAmountValue: "value",
+	})
+	xrpEnvelopeKeys = newKeySet([]string{
+		xrpEnvelopeID: "id", xrpEnvelopeStatus: "status", xrpEnvelopeError: "error", xrpEnvelopeResult: "result",
+	})
 )
 
 func (c *Codec) decodeXRPLedgerResult(raw []byte, into *XRPLedger) error {
@@ -147,14 +214,17 @@ func (c *Codec) decodeXRPLedgerResult(raw []byte, into *XRPLedger) error {
 	into.CloseTime = ""
 	into.Transactions = into.Transactions[:0]
 	var seen uint8
-	err := l.object(func(key []byte) error {
-		if string(key) != "ledger" {
-			return l.skipUnknown(key, xrpResultFields)
+	err := l.object(xrpResultKeys, func(i int, key []byte) error {
+		switch i {
+		case xrpResultLedger:
+			if read, err := l.first(&seen, 1); !read {
+				return err
+			}
+			return c.decodeXRPLedger(into)
+		case xrpResultLedgerIndex, xrpResultValidated:
+			return l.skipValue(0)
 		}
-		if read, err := l.first(&seen, 1); !read {
-			return err
-		}
-		return c.decodeXRPLedger(into)
+		return l.skipUnknown(key, xrpResultKeys.names)
 	})
 	if err != nil {
 		return err
@@ -165,17 +235,17 @@ func (c *Codec) decodeXRPLedgerResult(raw []byte, into *XRPLedger) error {
 func (c *Codec) decodeXRPLedger(into *XRPLedger) error {
 	l := &c.lex
 	var seen uint8
-	return l.object(func(key []byte) error {
-		switch string(key) {
-		case "ledger_index":
+	return l.object(xrpLedgerKeys, func(i int, key []byte) error {
+		switch i {
+		case xrpLedgerIndex:
 			return l.decodeInt64(nil)
-		case "ledger_hash", "parent_hash":
+		case xrpLedgerHash, xrpLedgerParentHash:
 			return c.decodeStr(nil)
-		case "close_time_human":
+		case xrpLedgerCloseTime:
 			return c.decodeStr(&into.CloseTime)
-		case "transaction_count":
+		case xrpLedgerTxCount:
 			return l.skipInt()
-		case "transactions":
+		case xrpLedgerTransactions:
 			if read, err := l.first(&seen, 1); !read {
 				return err
 			}
@@ -186,7 +256,7 @@ func (c *Codec) decodeXRPLedger(into *XRPLedger) error {
 				return c.decodeXRPTx(tx)
 			})
 		}
-		return l.skipUnknown(key, xrpLedgerFields)
+		return l.skipUnknown(key, xrpLedgerKeys.names)
 	})
 }
 
@@ -201,42 +271,42 @@ func (c *Codec) decodeXRPTx(tx *XRPTx) error {
 		sawDelivered
 	)
 	var seen uint8
-	return l.object(func(key []byte) error {
-		switch string(key) {
-		case "hash":
+	return l.object(xrpTxKeys, func(i int, key []byte) error {
+		switch i {
+		case xrpTxHash:
 			return c.decodeStr(nil)
-		case "TransactionType":
+		case xrpTxType:
 			return c.decodeStr(&tx.TransactionType)
-		case "Account":
+		case xrpTxAccount:
 			return c.decodeStr(&tx.Account)
-		case "Destination":
+		case xrpTxDestination:
 			return c.decodeStr(&tx.Destination)
-		case "DestinationTag":
+		case xrpTxDestinationTag:
 			return l.decodeUint32(&tx.DestinationTag)
-		case "Fee":
+		case xrpTxFee:
 			return l.decodeInt64(nil)
-		case "Sequence":
+		case xrpTxSequence:
 			return l.decodeUint32(&tx.Sequence)
-		case "Amount":
+		case xrpTxAmount:
 			return c.decodeXRPAmount(&seen, sawAmount, &tx.Amount)
-		case "TakerGets":
+		case xrpTxTakerGets:
 			return c.decodeXRPAmount(&seen, sawTakerGets, nil)
-		case "TakerPays":
+		case xrpTxTakerPays:
 			return c.decodeXRPAmount(&seen, sawTakerPays, nil)
-		case "LimitAmount":
+		case xrpTxLimitAmount:
 			return c.decodeXRPAmount(&seen, sawLimitAmount, nil)
-		case "delivered_amount":
+		case xrpTxDelivered:
 			return c.decodeXRPAmount(&seen, sawDelivered, &tx.DeliveredAmount)
-		case "OfferSequence":
+		case xrpTxOfferSequence:
 			return l.decodeUint32(nil)
-		case "meta_TransactionResult":
+		case xrpTxResult:
 			return c.decodeStr(&tx.Result)
-		case "executed":
+		case xrpTxExecuted:
 			return l.decodeBool(&tx.Executed)
-		case "resting_sequence":
+		case xrpTxRestingSequence:
 			return l.decodeUint32(&tx.RestingSequence)
 		}
-		return l.skipUnknown(key, xrpTxFields)
+		return l.skipUnknown(key, xrpTxKeys.names)
 	})
 }
 
@@ -254,16 +324,16 @@ func (c *Codec) decodeXRPAmount(seen *uint8, bit uint8, a *XRPAmount) error {
 		a.Set = true
 		currency, issuer, value = &a.Currency, &a.Issuer, &a.Value
 	}
-	return l.object(func(key []byte) error {
-		switch string(key) {
-		case "currency":
+	return l.object(xrpAmountKeys, func(i int, key []byte) error {
+		switch i {
+		case xrpAmountCurrency:
 			return c.decodeStr(currency)
-		case "issuer":
+		case xrpAmountIssuer:
 			return c.decodeStr(issuer)
-		case "value":
+		case xrpAmountValue:
 			return l.decodeInt64(value)
 		}
-		return l.skipUnknown(key, xrpAmountFields)
+		return l.skipUnknown(key, xrpAmountKeys.names)
 	})
 }
 
@@ -296,15 +366,15 @@ func (c *Codec) splitXRPEnvelope(frame []byte, env *XRPEnvelope) error {
 	l := &c.lex
 	l.reset(frame)
 	*env = XRPEnvelope{}
-	err := l.object(func(key []byte) error {
-		switch string(key) {
-		case "id":
+	err := l.object(xrpEnvelopeKeys, func(i int, key []byte) error {
+		switch i {
+		case xrpEnvelopeID:
 			return l.decodeInt64(&env.ID)
-		case "status":
+		case xrpEnvelopeStatus:
 			return c.decodeStr(&env.Status)
-		case "error":
+		case xrpEnvelopeError:
 			return c.decodeStr(&env.Error)
-		case "result":
+		case xrpEnvelopeResult:
 			// A repeated scalar or raw member is overwritten, as
 			// encoding/json overwrites it; a null result is the bytes "null".
 			l.skipWS()
@@ -315,7 +385,7 @@ func (c *Codec) splitXRPEnvelope(frame []byte, env *XRPEnvelope) error {
 			env.Result = frame[start:l.pos]
 			return nil
 		}
-		return l.skipUnknown(key, xrpResponseFields)
+		return l.skipUnknown(key, xrpEnvelopeKeys.names)
 	})
 	if err != nil {
 		return err
