@@ -92,7 +92,6 @@ func emitTezosShard(t *testing.T, location string, from, to int64) {
 	batch := make([]any, 0, to-from+1)
 	for num := from; num <= to; num++ {
 		batch = append(batch, &wire.TezosBlock{
-			Level:      num,
 			Timestamp:  tezosTime(num),
 			Operations: []wire.TezosOperation{{Kind: "endorsement", Source: "tz1alice"}},
 		})

@@ -12,47 +12,6 @@ import (
 	"repro/internal/wire"
 )
 
-// EOSCategory buckets the Figure 1 rows.
-type EOSCategory string
-
-// Figure 1 categories for EOS.
-const (
-	EOSCatTransfer EOSCategory = "P2P transaction"
-	EOSCatAccount  EOSCategory = "Account actions"
-	EOSCatOther    EOSCategory = "Other actions"
-	EOSCatOthers   EOSCategory = "Others"
-)
-
-// eosCategory indexes eosCategories: the fold counts a block's actions per
-// group in an array and adds the array to ActionsByCategory once.
-type eosCategory uint8
-
-const (
-	eosCatTransfer eosCategory = iota
-	eosCatAccount
-	eosCatOther
-	eosCatOthers
-)
-
-var eosCategories = [...]EOSCategory{
-	eosCatTransfer: EOSCatTransfer, eosCatAccount: EOSCatAccount,
-	eosCatOther: EOSCatOther, eosCatOthers: EOSCatOthers,
-}
-
-// eosCategoryOf maps a system- or token-contract action name to its Figure
-// 1 group, "Account actions" or "Other actions" (the resource and voting
-// actions system contracts define); ok is false for a name in neither.
-func eosCategoryOf(name string) (c eosCategory, ok bool) {
-	switch name {
-	case "bidname", "deposit", "newaccount", "updateauth", "linkauth",
-		"open", "close", "issue", "create", "retire":
-		return eosCatAccount, true
-	case "delegatebw", "buyrambytes", "undelegatebw", "rentcpu", "voteproducer", "buyram", "sellram":
-		return eosCatOther, true
-	}
-	return 0, false
-}
-
 // Figure 3a's app categories. A contract's class holds one as an index
 // into eosLabels, and the fold counts a block's actions per label before
 // adding the counts to the series.
@@ -113,9 +72,8 @@ type EOSShard struct {
 	Transactions int64
 	Actions      int64
 
-	ActionsByName     map[string]int64      // Figure 1 rows
-	ActionsByCategory map[EOSCategory]int64 // Figure 1 groups
-	Series            *stats.TimeSeries     // Figure 3a (label = app category)
+	ActionsByName map[string]int64  // Figure 1 rows
+	Series        *stats.TimeSeries // Figure 3a (label = app category)
 
 	// ReceivedByContract counts actions addressed to each contract, with a
 	// per-action breakdown (Figure 4).
@@ -126,22 +84,20 @@ type EOSShard struct {
 	// Wash-trade inputs: every verifytrade2-style DEX settlement. The
 	// slice order depends on ingestion interleaving, but every consumer
 	// reduces it order-independently: AnalyzeWashTrades counts, and the
-	// §4.1 balance changes fold in canonical trade order.
+	// §4.1 balance changes sum integers.
 	Trades []DEXTrade
 	// Boomerang inputs: transfer legs per transaction for §4.1.
 	boomerangs int64
 	// EIDOS bookkeeping.
 	eidosActions int64
 
-	// VolumeBySymbol sums transferred token amounts per symbol — the
-	// paper's "financial volume" dimension of throughput. Boomerang
-	// volume (EOS merely bounced off the EIDOS contract) is tracked
-	// separately to show how much of the apparent volume is circular.
-	// Float sums round with accumulation order, so the one line that
-	// prints them — the simulator report's EOS financial volume — sits
-	// outside the byte-identical contract.
-	VolumeBySymbol  map[string]float64
-	BoomerangVolume float64
+	// volume sums the quantities of every EOS transfer (the system
+	// token's symbol, 4,EOS) in 10⁻⁴ EOS — the paper's "financial volume"
+	// dimension of throughput. boomerangVolume is the part that merely
+	// bounced off the EIDOS contract, to show how much of it is circular.
+	// Both are exact integer sums, the same in any fold order; a sum that
+	// would pass int64 is not wrapped but becomes volumeOverflow.
+	volume, boomerangVolume int64
 
 	FirstBlockTime, LastBlockTime time.Time
 
@@ -156,11 +112,32 @@ type EOSShard struct {
 	legScratch []transferLeg
 }
 
-// DEXTrade is one settled on-chain trade (WhaleEx verifytrade2).
+// DEXTrade is one settled on-chain trade (WhaleEx verifytrade2). Amount is
+// the quantity's digits read as one integer, in units of 10^-Precision
+// Currency: a symbol is its code and its precision, as EOSIO defines it.
 type DEXTrade struct {
 	Buyer, Seller string
 	Currency      string
-	Amount        float64
+	Precision     int
+	Amount        int64
+}
+
+// eosPrecision is the system token's precision: 4,EOS.
+const eosPrecision = 4
+
+// volumeOverflow stands in for an EOS volume sum that would pass int64.
+// Every amount is non-negative, so any negative sum means the same, and
+// §4.1 prints the refusal instead of a number.
+const volumeOverflow = -1
+
+// addVolume adds units to a volume sum, which becomes volumeOverflow — and
+// stays it — instead of wrapping past int64.
+func addVolume(sum *int64, units int64) {
+	if *sum < 0 || units < 0 || units > math.MaxInt64-*sum {
+		*sum = volumeOverflow
+		return
+	}
+	*sum += units
 }
 
 // blank returns an empty shard with s's window.
@@ -173,11 +150,9 @@ func (s *EOSShard) blank() EOSShard {
 // init allocates a shard's mutable containers.
 func (s *EOSShard) init(origin time.Time, bucket time.Duration) {
 	s.ActionsByName = make(map[string]int64)
-	s.ActionsByCategory = make(map[EOSCategory]int64)
 	s.Series = stats.NewTimeSeries(origin, bucket)
 	s.ReceivedByContract = make(map[string]map[string]int64)
 	s.SentPairs = make(map[string]map[string]int64)
-	s.VolumeBySymbol = make(map[string]float64)
 }
 
 // mergeCounts adds src's counters into dst.
@@ -245,17 +220,14 @@ func (s *EOSShard) merge(src *EOSShard) {
 	s.Transactions += src.Transactions
 	s.Actions += src.Actions
 	mergeCounts(s.ActionsByName, src.ActionsByName)
-	mergeCounts(s.ActionsByCategory, src.ActionsByCategory)
 	s.Series.Merge(src.Series)
 	mergeNested(s.ReceivedByContract, src.ReceivedByContract)
 	mergeNested(s.SentPairs, src.SentPairs)
 	s.Trades = append(s.Trades, src.Trades...)
 	s.boomerangs += src.boomerangs
 	s.eidosActions += src.eidosActions
-	for sym, v := range src.VolumeBySymbol {
-		s.VolumeBySymbol[sym] += v
-	}
-	s.BoomerangVolume += src.BoomerangVolume
+	addVolume(&s.volume, src.volume)
+	addVolume(&s.boomerangVolume, src.boomerangVolume)
 	mergeWindow(&s.FirstBlockTime, &s.LastBlockTime, src.FirstBlockTime, src.LastBlockTime)
 	*src = src.blank()
 }
@@ -279,8 +251,8 @@ func (s *EOSShard) IngestBatch(batch []any) error {
 }
 
 // ingest folds one block into the shard; the caller owns the shard. Every
-// action of a block shares its time bucket, so the Figure 1 groups and the
-// Figure 3a labels count into arrays that reach the maps once per block.
+// action of a block shares its time bucket, so the Figure 3a labels count
+// into an array that reaches the series once per block.
 func (a *EOSShard) ingest(b *wire.EOSBlock, ts time.Time) {
 	a.Blocks++
 	if a.FirstBlockTime.IsZero() || ts.Before(a.FirstBlockTime) {
@@ -290,7 +262,6 @@ func (a *EOSShard) ingest(b *wire.EOSBlock, ts time.Time) {
 		a.LastBlockTime = ts
 	}
 
-	var byCategory [len(eosCategories)]int64
 	var byLabel [len(eosLabels)]int64
 	// Runs of actions share a contract or a sender (a token's transfers,
 	// an airdrop's legs): their class and inner count maps are looked up
@@ -316,7 +287,6 @@ func (a *EOSShard) ingest(b *wire.EOSBlock, ts time.Time) {
 			}
 			a.Actions++
 			a.ActionsByName[figure1Name(act, contract.class.token)]++
-			byCategory[classify(act, contract.class.token)]++
 			byLabel[contract.class.label]++
 			contract.recv[act.Name]++
 
@@ -330,10 +300,10 @@ func (a *EOSShard) ingest(b *wire.EOSBlock, ts time.Time) {
 			switch act.Name {
 			case "verifytrade2":
 				digits, sym, _ := splitQuantity(act.Quantity)
-				amount, _ := amountOf(digits)
+				amount, precision, _ := amountOf(digits)
 				a.Trades = append(a.Trades, DEXTrade{
 					Buyer: act.Buyer, Seller: act.Seller,
-					Currency: sym, Amount: amount,
+					Currency: sym, Precision: precision, Amount: amount,
 				})
 			case "transfer":
 				transfersSeen = append(transfersSeen, transferLeg{
@@ -343,11 +313,12 @@ func (a *EOSShard) ingest(b *wire.EOSBlock, ts time.Time) {
 				if eidosLeg || act.Account == eidosContract {
 					a.eidosActions++
 				}
-				digits, sym, ok := splitQuantity(act.Quantity)
-				if amount, num := amountOf(digits); ok && num {
-					a.VolumeBySymbol[sym] += amount
-					if sym == "EOS" && eidosLeg {
-						a.BoomerangVolume += amount
+				if digits, sym, _ := splitQuantity(act.Quantity); sym == "EOS" {
+					if amount, precision, num := amountOf(digits); num && precision == eosPrecision {
+						addVolume(&a.volume, amount)
+						if eidosLeg {
+							addVolume(&a.boomerangVolume, amount)
+						}
 					}
 				}
 			}
@@ -356,11 +327,6 @@ func (a *EOSShard) ingest(b *wire.EOSBlock, ts time.Time) {
 			a.boomerangs++
 		}
 		a.legScratch = transfersSeen
-	}
-	for c, n := range byCategory {
-		if n != 0 {
-			a.ActionsByCategory[eosCategories[c]] += n
-		}
 	}
 	for l, n := range byLabel {
 		if n != 0 {
@@ -402,18 +368,6 @@ func figure1Name(act *wire.EOSAction, token bool) string {
 		return act.Name
 	}
 	return "others"
-}
-
-func classify(act *wire.EOSAction, token bool) eosCategory {
-	if token && act.Name == "transfer" {
-		return eosCatTransfer
-	}
-	if act.Account == "eosio" || token {
-		if c, ok := eosCategoryOf(act.Name); ok {
-			return c
-		}
-	}
-	return eosCatOthers
 }
 
 // contractLabel resolves the contract's app category for Figures 3a and 4.
@@ -482,39 +436,32 @@ func nextField(s string) (field, rest string) {
 	return s, ""
 }
 
-// amountOf reads the decimal in a quantity's amount field, ignoring every
-// byte that is neither a digit nor the point. ok is false when either side
-// of the point overflows an int64: such an amount is not a number.
-func amountOf(digits string) (v float64, ok bool) {
-	var intPart, n int64
-	fracDigits, seenDot := 0, false
+// amountOf reads a quantity's amount field as one integer — its digits
+// with the point dropped, in units of 10^-precision — ignoring every byte
+// that is neither a digit nor the first point; precision counts the digits
+// after it. ok is false when the digits overflow an int64: such an amount
+// is not a number.
+func amountOf(digits string) (amount int64, precision int, ok bool) {
+	seenDot := false
 	for i := 0; i < len(digits); i++ {
 		c := digits[i]
 		if c == '.' && !seenDot {
-			intPart, n, seenDot = n, 0, true
+			seenDot = true
+			continue
 		}
 		if c < '0' || c > '9' {
 			continue
 		}
 		d := int64(c - '0')
-		if n > (math.MaxInt64-9)/10 && n > (math.MaxInt64-d)/10 {
-			return 0, false
+		if amount > (math.MaxInt64-d)/10 {
+			return 0, 0, false
 		}
-		n = n*10 + d
+		amount = amount*10 + d
 		if seenDot {
-			fracDigits++
+			precision++
 		}
 	}
-	if !seenDot {
-		intPart, n = n, 0
-	}
-	v = float64(intPart)
-	scale := 1.0
-	for i := 0; i < fracDigits; i++ {
-		scale *= 10
-	}
-	v += float64(n) / scale
-	return v, true
+	return amount, precision, true
 }
 
 // EIDOSShare returns the fraction of actions touching the EIDOS contract.

@@ -376,7 +376,8 @@ func (p Paper) HeadlineTPS() string {
 }
 
 // CaseStudies renders the §4.1 findings the EOS state holds: the WhaleEx
-// wash trading, the EIDOS boomerangs and the airdrop's share of actions.
+// wash trading, the EIDOS boomerangs, the airdrop's share of actions and
+// the financial volume the boomerangs inflate.
 func (p Paper) CaseStudies() string {
 	s := p.EOS
 	if s == nil {
@@ -396,6 +397,13 @@ func (p Paper) CaseStudies() string {
 	fmt.Fprintf(&sb, "§4.1 — EIDOS boomerang and congestion\n  boomerang transactions: %d (%.1f%% of txs)\n",
 		s.boomerangs, pct(s.boomerangs, s.Transactions))
 	fmt.Fprintf(&sb, "  EIDOS-touching actions: %.1f%% of all actions (paper: %s)\n", 100*s.EIDOSShare(), paper["4.1 eidos"])
+	switch {
+	case s.volume < 0 || s.boomerangVolume < 0:
+		sb.WriteString("  EOS financial volume: refused, the sum of transfers passes int64 in 10⁻⁴ EOS\n")
+	case s.volume > 0:
+		fmt.Fprintf(&sb, "  EOS financial volume: %.0f EOS moved, %.1f%% of it boomerang legs with no net transfer\n",
+			float64(s.volume)/1e4, pct(s.boomerangVolume, s.volume))
+	}
 	return sb.String()
 }
 

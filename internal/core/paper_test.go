@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/chain"
+	"repro/internal/wire"
 )
 
 // prefixDirectory is a stand-in explorer: every account was activated by
@@ -88,8 +89,8 @@ func TestPaperRendersEmptyAndOneBlockStates(t *testing.T) {
 	tez.sentTo["tz1b"] = map[string]int64{"tz1c": 0, "tz1d": 0}
 	xr := newShard[*XRPShard]()
 	xr.TxByType["Payment"] = 2
-	xr.payments = []xrpPayment{{From: "rA", To: "rB", Currency: "XRP", Success: true, Native: true}}
-	xr.byAccount["rA"] = &xrpAccountAgg{ByType: map[string]int64{}, DestTags: map[uint32]int64{}}
+	xr.payments = []xrpPayment{{From: "rA", To: "rB", Currency: "XRP"}}
+	xr.byAccount["rA"] = &xrpAccountAgg{DestTags: map[uint32]int64{}}
 	for _, st := range []ShardState{eos, tez, xr} {
 		check(st.Chain()+" inconsistent", Figures(st))
 		check(st.Chain()+" inconsistent with directory", paperWithDirectory(st).render())
@@ -136,7 +137,7 @@ func TestXRPFiguresIndependentOfMergeOrder(t *testing.T) {
 	btc := XRPAssetKey{Currency: "BTC", Issuer: "rGW"}
 	fill := func(i int, xrpPerTenBTC int64) XRPExchange {
 		return XRPExchange{
-			Time: chain.ObservationStart.Add(time.Duration(i) * time.Hour), LedgerIndex: int64(i),
+			Time: chain.ObservationStart.Add(time.Duration(i) * time.Hour),
 			Base: btc, Counter: xrpNative,
 			BaseValue: 10 * xrpDropsPerXRP, CounterValue: xrpPerTenBTC * xrpDropsPerXRP,
 			Maker: "rMaker", MakerSequence: uint32(i),
@@ -189,5 +190,93 @@ func TestXRPFiguresIndependentOfMergeOrder(t *testing.T) {
 	}
 	if got, want := Figures(ba), Figures(ab); got != want {
 		t.Errorf("figures by merge order:\n--- A∘B ---\n%s\n--- B∘A ---\n%s", want, got)
+	}
+}
+
+// foldEOS folds each block, in order, into a fresh EOS state.
+func foldEOS(t *testing.T, blocks ...*wire.EOSBlock) *EOSShard {
+	t.Helper()
+	s := newShard[*EOSShard]()
+	for _, b := range blocks {
+		if err := s.IngestBatch([]any{b}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s
+}
+
+// mergeEOS folds x and y into states of their own and merges y's into x's.
+func mergeEOS(t *testing.T, x, y *wire.EOSBlock) *EOSShard {
+	t.Helper()
+	m := foldEOS(t, x)
+	if err := m.Merge(foldEOS(t, y)); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestEOSVolumeLineIndependentOfFoldOrder: the §4.1 volume line prints an
+// integer sum, so the same transfers folded as A∘B or B∘A — in one state,
+// or in two merged either way — print the same section. A moves 900
+// trillion EOS and B forty legs of 0.1 EOS: summed as floats, A∘B rounds
+// every leg to the 0.125 EOS a float holds at that size and prints
+// 900000000000005 EOS, while B∘A prints the exact 900000000000004.
+func TestEOSVolumeLineIndependentOfFoldOrder(t *testing.T) {
+	ts := chain.ObservationStart
+	a := eosBlock(1, ts, []wire.EOSActionJSON{transfer("eosio.token", "whale", "bob", "900000000000000.0000 EOS")})
+	var legs [][]wire.EOSActionJSON
+	for i := 0; i < 40; i++ {
+		legs = append(legs, []wire.EOSActionJSON{transfer("eosio.token", "alice", "eidosonecoin", "0.1000 EOS")})
+	}
+	b := eosBlock(2, ts.Add(time.Hour), legs...)
+
+	section := func(s *EOSShard) string { return Paper{EOS: s}.CaseStudies() }
+	want := section(foldEOS(t, a, b))
+	if !strings.Contains(want, "  EOS financial volume: 900000000000004 EOS moved, 0.0% of it boomerang legs") {
+		t.Fatalf("A∘B section lacks the exact volume line:\n%s", want)
+	}
+	for name, s := range map[string]*EOSShard{
+		"B∘A": foldEOS(t, b, a), "A merges B": mergeEOS(t, a, b), "B merges A": mergeEOS(t, b, a),
+	} {
+		if got := section(s); got != want {
+			t.Errorf("%s:\n%s\nwant\n%s", name, got, want)
+		}
+	}
+}
+
+// TestEOSVolumeOverflowRefused: an EOS volume that would pass int64 is not
+// wrapped. Folded in one state, merged from two in either order, or carried
+// through a shard blob, §4.1 names the refusal instead of a number; a volume
+// of exactly MaxInt64 units still prints.
+func TestEOSVolumeOverflowRefused(t *testing.T) {
+	ts := chain.ObservationStart
+	most := eosBlock(1, ts, []wire.EOSActionJSON{transfer("eosio.token", "whale", "bob", "922337203685477.5807 EOS")})
+	one := eosBlock(2, ts.Add(time.Hour), []wire.EOSActionJSON{transfer("eosio.token", "alice", "bob", "0.0001 EOS")})
+
+	if got := (Paper{EOS: foldEOS(t, most)}).CaseStudies(); !strings.Contains(got, "EOS financial volume: 922337203685478 EOS moved") {
+		t.Fatalf("a volume of MaxInt64 units does not print:\n%s", got)
+	}
+	const refusal = "  EOS financial volume: refused, the sum of transfers passes int64 in 10⁻⁴ EOS\n"
+	over := foldEOS(t, most, one)
+	dec, err := DecodeShard(encodeState(t, over))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range map[string]*EOSShard{
+		"folded": over, "most merges one": mergeEOS(t, most, one), "one merges most": mergeEOS(t, one, most),
+		"decoded": dec.(*EOSShard),
+	} {
+		if got := (Paper{EOS: s}).CaseStudies(); !strings.HasSuffix(got, refusal) {
+			t.Errorf("%s: volume %d, section\n%s\nwant it to end in the refusal", name, s.volume, got)
+		}
+	}
+	// A refused volume stays refused through any later merge.
+	more := mergeEOS(t, most, one)
+	if err := more.Merge(foldEOS(t, eosBlock(3, ts.Add(2*time.Hour),
+		[]wire.EOSActionJSON{transfer("eosio.token", "alice", "bob", "1.0000 EOS")}))); err != nil {
+		t.Fatal(err)
+	}
+	if more.volume != volumeOverflow {
+		t.Errorf("a merge after the refusal left volume %d", more.volume)
 	}
 }

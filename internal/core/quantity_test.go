@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -85,15 +86,15 @@ func TestEOSIngestSteadyStateZeroAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { shard.ingest(block, ts) }); allocs != 0 {
 		t.Fatalf("EOSShard.ingest over a transfer block: %.1f allocs/block in steady state, want 0", allocs)
 	}
-	if shard.boomerangs == 0 || shard.VolumeBySymbol["EIDOS"] == 0 {
-		t.Fatalf("the block did not exercise the transfer path: %d boomerangs, volumes %v", shard.boomerangs, shard.VolumeBySymbol)
+	if shard.boomerangs == 0 || shard.volume == 0 {
+		t.Fatalf("the block did not exercise the transfer path: %d boomerangs, EOS volume %d", shard.boomerangs, shard.volume)
 	}
 }
 
-// TestEOSAmountOverflowIsNotANumber: an amount with more digits on either
-// side of the point than an int64 holds is not a number. Its transfer adds
-// nothing to the volume and its trade settles at 0, exactly as for a
-// quantity splitQuantity refuses, instead of wrapping to a negative sum.
+// TestEOSAmountOverflowIsNotANumber: an amount whose digits, read as one
+// integer, overflow an int64 is not a number. Its transfer adds nothing to
+// the volume and its trade settles at 0, exactly as for a quantity
+// splitQuantity refuses, instead of wrapping to a negative sum.
 func TestEOSAmountOverflowIsNotANumber(t *testing.T) {
 	ts := chain.ObservationStart.Add(time.Hour)
 	for _, qty := range []string{
@@ -101,6 +102,7 @@ func TestEOSAmountOverflowIsNotANumber(t *testing.T) {
 		"9223372036854775808 EOS",        // MaxInt64 + 1
 		"1.99999999999999999999999 EOS",  // 23 fraction digits
 		"99999999999999999999999999 EOS", // far past it
+		"1.9223372036854775807 EOS",      // each side fits, the 20 digits do not
 	} {
 		shard := newShard[*EOSShard]()
 		err := shard.IngestBatch([]any{eosBlock(1, ts,
@@ -113,27 +115,41 @@ func TestEOSAmountOverflowIsNotANumber(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := shard.VolumeBySymbol["EOS"]; got != 2.5 {
-			t.Errorf("%q: EOS volume %v, want the other transfer's 2.5 alone", qty, got)
+		if got := shard.volume; got != 25_000 {
+			t.Errorf("%q: EOS volume %d, want the other transfer's 25000 (2.5 EOS) alone", qty, got)
 		}
 		if len(shard.Trades) != 1 || shard.Trades[0].Amount != 0 {
 			t.Errorf("%q: trades %+v, want one at amount 0", qty, shard.Trades)
 		}
 	}
-	// The largest amounts that fit still count.
-	for qty, want := range map[string]float64{
-		"9223372036854775807 EOS":     9223372036854775807,
-		"1.9223372036854775807 EOS":   1.9223372036854775807,
-		"000000000000000000000.5 EOS": 0.5, // leading zeros are no overflow
+	// The largest amounts that fit still count, in units of their precision.
+	type units struct {
+		amount    int64
+		precision int
+	}
+	for digits, want := range map[string]units{
+		"9223372036854775807":     {math.MaxInt64, 0},
+		"922337203685477.5807":    {math.MaxInt64, 4},
+		"000000000000000000000.5": {5, 1}, // leading zeros are no overflow
+		"1.0000":                  {10_000, 4},
+		"1..2":                    {12, 1}, // only the first point counts
+		"-1.5":                    {15, 1}, // nor does a sign
 	} {
-		shard := newShard[*EOSShard]()
-		if err := shard.IngestBatch([]any{eosBlock(1, ts,
-			[]wire.EOSActionJSON{transfer("eosio.token", "alice", "bob", qty)})}); err != nil {
-			t.Fatal(err)
+		amount, precision, ok := amountOf(digits)
+		if got := (units{amount, precision}); !ok || got != want {
+			t.Errorf("amountOf(%q) = %d, %d, %v; want %d, %d, true", digits, amount, precision, ok, want.amount, want.precision)
 		}
-		if got := shard.VolumeBySymbol["EOS"]; got != want {
-			t.Errorf("%q: EOS volume %v, want %v", qty, got, want)
-		}
+	}
+	shard := newShard[*EOSShard]()
+	if err := shard.IngestBatch([]any{eosBlock(1, ts,
+		[]wire.EOSActionJSON{transfer("eosio.token", "alice", "bob", "922337203685477.5807 EOS")},
+		// Another precision is another symbol, not the system token.
+		[]wire.EOSActionJSON{transfer("eosio.token", "alice", "bob", "9223372036854775807 EOS")},
+	)}); err != nil {
+		t.Fatal(err)
+	}
+	if shard.volume != math.MaxInt64 {
+		t.Errorf("EOS volume %d, want MaxInt64 from the one 4,EOS transfer", shard.volume)
 	}
 }
 

@@ -145,7 +145,9 @@ func asBatch[B any](bs []B) []any {
 
 // genEOSBlocks fabricates EOS blocks exercising every aggregate: token and
 // non-token transfers, EIDOS boomerangs, DEX trades, account and system
-// actions, several contracts, senders and time buckets.
+// actions, several contracts, senders and time buckets. The first block
+// also moves 100 trillion EOS, a size at which a float sum of the smaller
+// transfers' fractions would round differently in every fold order.
 func genEOSBlockJSONs(n int) []*wire.EOSBlockJSON {
 	rng := rand.New(rand.NewSource(7))
 	contracts := []string{"eosio.token", "eidosonecoin", "betdicetasks", "whaleextrust", "randomapp111"}
@@ -202,6 +204,15 @@ func genEOSBlockJSONs(n int) []*wire.EOSBlockJSON {
 					Data:          map[string]string{"from": from, "to": to, "quantity": qty}}}
 			}
 			b.Transactions = append(b.Transactions, trx)
+		}
+		if i == 0 {
+			var whale wire.EOSTrxJSON
+			whale.Status = "executed"
+			whale.Trx.Transaction.Actions = []wire.EOSActionJSON{{
+				Account: "eosio.token", Name: "transfer",
+				Authorization: []map[string]string{{"actor": "whale1"}},
+				Data:          map[string]string{"from": "whale1", "to": "whale2", "quantity": "100000000000000.0000 EOS"}}}
+			b.Transactions = append(b.Transactions, whale)
 		}
 		blocks[i] = b
 	}

@@ -4,8 +4,8 @@
 // checksummed envelope (wire.SealShard). See DESIGN.md "distributed crawl
 // & shard wire format" for the layout and compatibility rules.
 //
-// Encoding is deterministic: map keys sort before writing, floats transfer
-// as IEEE 754 bits, times carry an explicit zero flag. A shard encoded on
+// Encoding is deterministic: map keys sort before writing, every number is
+// an integer varint, times carry an explicit zero flag. A shard encoded on
 // one machine therefore decodes on another into state whose Merge renders
 // byte-identical figures to an in-process merge of the same blocks.
 //
@@ -30,49 +30,30 @@ import (
 	"repro/internal/wire"
 )
 
-// stringish admits the string-keyed count maps the shards keep, including
-// named string types like EOSCategory.
-type stringish interface{ ~string }
-
 // encCountMap writes a count map with sorted keys.
-func encCountMap[K stringish](e *wire.ShardEnc, m map[K]int64) {
+func encCountMap(e *wire.ShardEnc, m map[string]int64) {
 	keys := make([]string, 0, len(m))
 	for k := range m {
-		keys = append(keys, string(k))
+		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	e.Uvarint(uint64(len(keys)))
 	for _, k := range keys {
 		e.String(k)
-		e.Varint(m[K(k)])
+		e.Varint(m[k])
 	}
 }
 
 // decCountMap reads a count map written by encCountMap into m.
-func decCountMap[K stringish](d *wire.ShardDec, m map[K]int64) {
+func decCountMap(d *wire.ShardDec, m map[string]int64) {
 	n := d.Count()
 	for i := 0; i < n && d.Err() == nil; i++ {
 		k := d.String()
 		v := d.Varint()
 		if d.Err() == nil {
-			m[K(k)] += v
+			m[k] += v
 		}
 	}
-}
-
-// decNewCountMap reads a count map written by encCountMap into a map sized
-// for it.
-func decNewCountMap[K stringish](d *wire.ShardDec) map[K]int64 {
-	n := d.Count()
-	m := make(map[K]int64, capHint(d, n, 2))
-	for i := 0; i < n && d.Err() == nil; i++ {
-		k := d.String()
-		v := d.Varint()
-		if d.Err() == nil {
-			m[K(k)] += v
-		}
-	}
-	return m
 }
 
 // encNested writes a nested count map, both levels key-sorted.
@@ -205,7 +186,6 @@ func (s *EOSShard) EncodeTo(w io.Writer, fence uint64) error {
 	e.Varint(s.Transactions)
 	e.Varint(s.Actions)
 	encCountMap(&e, s.ActionsByName)
-	encCountMap(&e, s.ActionsByCategory)
 	encSeries(&e, s.Series)
 	encNested(&e, s.ReceivedByContract)
 	encNested(&e, s.SentPairs)
@@ -214,21 +194,13 @@ func (s *EOSShard) EncodeTo(w io.Writer, fence uint64) error {
 		e.String(t.Buyer)
 		e.String(t.Seller)
 		e.String(t.Currency)
-		e.Float(t.Amount)
+		e.Uvarint(uint64(t.Precision))
+		e.Varint(t.Amount)
 	}
 	e.Varint(s.boomerangs)
 	e.Varint(s.eidosActions)
-	symbols := make([]string, 0, len(s.VolumeBySymbol))
-	for sym := range s.VolumeBySymbol {
-		symbols = append(symbols, sym)
-	}
-	sort.Strings(symbols)
-	e.Uvarint(uint64(len(symbols)))
-	for _, sym := range symbols {
-		e.String(sym)
-		e.Float(s.VolumeBySymbol[sym])
-	}
-	e.Float(s.BoomerangVolume)
+	e.Varint(s.volume)
+	e.Varint(s.boomerangVolume)
 	return sealTo(w, "eos", fence, e.Bytes())
 }
 
@@ -251,17 +223,17 @@ func (s *EOSShard) DecodeFrom(r io.Reader) error {
 	s.Transactions = d.Varint()
 	s.Actions = d.Varint()
 	decCountMap(d, s.ActionsByName)
-	decCountMap(d, s.ActionsByCategory)
 	decSeries(d, s.Series)
 	decNested(d, s.ReceivedByContract)
 	decNested(d, s.SentPairs)
 	n := d.Count()
 	for i := 0; i < n && d.Err() == nil; i++ {
 		t := DEXTrade{
-			Buyer:    d.String(),
-			Seller:   d.String(),
-			Currency: d.String(),
-			Amount:   d.Float(),
+			Buyer:     d.String(),
+			Seller:    d.String(),
+			Currency:  d.String(),
+			Precision: int(d.Uvarint()),
+			Amount:    d.Varint(),
 		}
 		if d.Err() == nil {
 			s.Trades = append(s.Trades, t)
@@ -269,15 +241,8 @@ func (s *EOSShard) DecodeFrom(r io.Reader) error {
 	}
 	s.boomerangs = d.Varint()
 	s.eidosActions = d.Varint()
-	n = d.Count()
-	for i := 0; i < n && d.Err() == nil; i++ {
-		sym := d.String()
-		v := d.Float()
-		if d.Err() == nil {
-			s.VolumeBySymbol[sym] += v
-		}
-	}
-	s.BoomerangVolume = d.Float()
+	s.volume = d.Varint()
+	s.boomerangVolume = d.Varint()
 	return finishDecode("eos", d)
 }
 
@@ -293,12 +258,10 @@ func (s *TezosShard) EncodeTo(w io.Writer, fence uint64) error {
 	e.Uvarint(uint64(len(s.Votes)))
 	for _, v := range s.Votes {
 		e.Time(v.Time)
-		e.Varint(v.Level)
 		e.String(v.Kind)
 		e.String(v.Proposal)
 		e.String(v.Ballot)
 		e.Varint(v.Rolls)
-		e.String(v.Source)
 	}
 	return sealTo(w, "tezos", fence, e.Bytes())
 }
@@ -327,12 +290,10 @@ func (s *TezosShard) DecodeFrom(r io.Reader) error {
 	for i := 0; i < n && d.Err() == nil; i++ {
 		v := GovernanceVote{
 			Time:     d.Time(),
-			Level:    d.Varint(),
 			Kind:     d.String(),
 			Proposal: d.String(),
 			Ballot:   d.String(),
 			Rolls:    d.Varint(),
-			Source:   d.String(),
 		}
 		if d.Err() == nil {
 			s.Votes = append(s.Votes, v)
@@ -349,7 +310,6 @@ func (s *XRPShard) EncodeTo(w io.Writer, fence uint64) error {
 	e.Varint(s.Transactions)
 	e.Varint(s.Failed)
 	encCountMap(&e, s.TxByType)
-	encCountMap(&e, s.TxByResult)
 	encSeries(&e, s.Series)
 	accounts := make([]string, 0, len(s.byAccount))
 	for addr := range s.byAccount {
@@ -361,7 +321,7 @@ func (s *XRPShard) EncodeTo(w io.Writer, fence uint64) error {
 		agg := s.byAccount[addr]
 		e.String(addr)
 		e.Varint(agg.Total)
-		encCountMap(&e, agg.ByType)
+		e.Varint(agg.Offers)
 		tags := make([]uint32, 0, len(agg.DestTags))
 		for tag := range agg.DestTags {
 			tags = append(tags, tag)
@@ -375,23 +335,17 @@ func (s *XRPShard) EncodeTo(w io.Writer, fence uint64) error {
 	}
 	e.Uvarint(uint64(len(s.payments)))
 	for _, p := range s.payments {
-		e.Time(p.Time)
 		e.String(p.From)
 		e.String(p.To)
-		e.Uvarint(uint64(p.DestTag))
 		e.String(p.Currency)
 		e.String(p.Issuer)
 		e.Varint(p.Value)
-		e.Bool(p.Success)
-		e.Bool(p.Native)
 	}
 	e.Varint(s.offersCreated)
 	encOfferSet(&e, s.offersExecuted)
-	encOfferSet(&e, s.restingOffers)
 	e.Uvarint(uint64(len(s.exchanges)))
 	for _, ex := range s.exchanges {
 		e.Time(ex.Time)
-		e.Varint(ex.LedgerIndex)
 		e.String(ex.Base.Currency)
 		e.String(ex.Base.Issuer)
 		e.String(ex.Counter.Currency)
@@ -399,7 +353,6 @@ func (s *XRPShard) EncodeTo(w io.Writer, fence uint64) error {
 		e.Varint(ex.BaseValue)
 		e.Varint(ex.CounterValue)
 		e.String(ex.Maker)
-		e.String(ex.Taker)
 		e.Uvarint(uint64(ex.MakerSequence))
 	}
 	return sealTo(w, "xrp", fence, e.Bytes())
@@ -424,7 +377,6 @@ func (s *XRPShard) DecodeFrom(r io.Reader) error {
 	s.Transactions = d.Varint()
 	s.Failed = d.Varint()
 	decCountMap(d, s.TxByType)
-	decCountMap(d, s.TxByResult)
 	decSeries(d, s.Series)
 	// Every collection below is sized once from the count just read —
 	// capHint bounds it by what the rest of the blob could hold — instead
@@ -433,8 +385,7 @@ func (s *XRPShard) DecodeFrom(r io.Reader) error {
 	s.byAccount = make(map[string]*xrpAccountAgg, capHint(d, n, 4))
 	for i := 0; i < n && d.Err() == nil; i++ {
 		addr := d.String()
-		agg := &xrpAccountAgg{Total: d.Varint()}
-		agg.ByType = decNewCountMap[string](d)
+		agg := &xrpAccountAgg{Total: d.Varint(), Offers: d.Varint()}
 		tn := d.Count()
 		agg.DestTags = make(map[uint32]int64, capHint(d, tn, 2))
 		for j := 0; j < tn && d.Err() == nil; j++ {
@@ -449,18 +400,14 @@ func (s *XRPShard) DecodeFrom(r io.Reader) error {
 		}
 	}
 	n = d.Count()
-	s.payments = make([]xrpPayment, 0, capHint(d, n, 9))
+	s.payments = make([]xrpPayment, 0, capHint(d, n, 5))
 	for i := 0; i < n && d.Err() == nil; i++ {
 		p := xrpPayment{
-			Time:     d.Time(),
 			From:     d.String(),
 			To:       d.String(),
-			DestTag:  uint32(d.Uvarint()),
 			Currency: d.String(),
 			Issuer:   d.String(),
 			Value:    d.Varint(),
-			Success:  d.Bool(),
-			Native:   d.Bool(),
 		}
 		if d.Err() == nil {
 			s.payments = append(s.payments, p)
@@ -468,19 +415,16 @@ func (s *XRPShard) DecodeFrom(r io.Reader) error {
 	}
 	s.offersCreated = d.Varint()
 	s.offersExecuted = decOfferSet(d)
-	s.restingOffers = decOfferSet(d)
 	n = d.Count()
-	s.exchanges = make([]XRPExchange, 0, capHint(d, n, 11))
+	s.exchanges = make([]XRPExchange, 0, capHint(d, n, 9))
 	for i := 0; i < n && d.Err() == nil; i++ {
 		ex := XRPExchange{
 			Time:          d.Time(),
-			LedgerIndex:   d.Varint(),
 			Base:          XRPAssetKey{Currency: d.String(), Issuer: d.String()},
 			Counter:       XRPAssetKey{Currency: d.String(), Issuer: d.String()},
 			BaseValue:     d.Varint(),
 			CounterValue:  d.Varint(),
 			Maker:         d.String(),
-			Taker:         d.String(),
 			MakerSequence: uint32(d.Uvarint()),
 		}
 		if d.Err() == nil {

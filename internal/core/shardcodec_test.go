@@ -196,6 +196,19 @@ func TestShardDecodeRejectsDamage(t *testing.T) {
 			t.Fatalf("version-1 blob error = %v, want a version error", err)
 		}
 	})
+	t.Run("retired version 2", func(t *testing.T) {
+		// A real blob of the format before this one — fenced, but carrying
+		// state no figure reads and float sums — is refused by version, not
+		// half-read.
+		blob, err := os.ReadFile(filepath.Join("testdata", "shards", "eos-v2.shard"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = DecodeShard(blob)
+		if err == nil || !strings.Contains(err.Error(), "version 2 not supported") {
+			t.Fatalf("version-2 blob error = %v, want a version error", err)
+		}
+	})
 	t.Run("chain mismatch", func(t *testing.T) {
 		other := &TezosShard{}
 		other.init(chain.ObservationStart, 6*time.Hour)
@@ -211,10 +224,10 @@ func TestShardDecodeRejectsDamage(t *testing.T) {
 	})
 }
 
-// goldenShards reads the committed blobs under testdata/shards: one shard
-// per chain as the codec wrote it before core owned the XRP value types
-// (PR 23's tree) — the EOS and Tezos fuzz seeds, and an XRP shard carrying
-// payments and explorer exchanges, sealed at fence 3.
+// goldenShards reads the committed blobs under testdata/shards: one
+// version-3 shard per chain — the EOS and Tezos fuzz seeds (four generated
+// blocks each, unfenced), and an XRP shard of sixteen generated ledgers
+// carrying payments and eight explorer exchanges, sealed at fence 3.
 func goldenShards(t testing.TB) map[string][]byte {
 	t.Helper()
 	blobs := make(map[string][]byte)
@@ -344,13 +357,11 @@ func genExchanges(n int) []XRPExchange {
 	for i := range out {
 		out[i] = XRPExchange{
 			Time:          chain.ObservationStart.Add(time.Duration(i) * time.Hour),
-			LedgerIndex:   int64(i + 1),
 			Base:          XRPAssetKey{Currency: "BTC", Issuer: "rGateway"},
 			Counter:       XRPAssetKey{Currency: "XRP"},
 			BaseValue:     int64(1_000_000 + i),
 			CounterValue:  int64(9_000_000 * (i + 1)),
 			Maker:         fmt.Sprintf("rMaker%d", i%3),
-			Taker:         fmt.Sprintf("rTaker%d", i%2),
 			MakerSequence: uint32(100 + i),
 		}
 	}

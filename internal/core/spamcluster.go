@@ -110,11 +110,10 @@ func detectSpamClusters(activations map[string]activation, payments []paymentVie
 // paymentViews projects the shard's successful payments for the spam
 // detector, valuing tokens through rates.
 func (a *XRPShard) paymentViews(rates rateTable) []paymentView {
-	out := make([]paymentView, 0, len(a.payments))
+	out := make([]paymentView, len(a.payments))
 	for i := range a.payments {
-		if p := &a.payments[i]; p.Success {
-			out = append(out, paymentView{From: p.From, To: p.To, HasValue: p.Native || rates.of(p.asset()) > 0})
-		}
+		p := &a.payments[i]
+		out[i] = paymentView{From: p.From, To: p.To, HasValue: rates.of(p.asset()) > 0}
 	}
 	return out
 }

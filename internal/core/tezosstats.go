@@ -41,12 +41,10 @@ type TezosShard struct {
 // GovernanceVote is one proposals/ballot operation as observed on chain.
 type GovernanceVote struct {
 	Time     time.Time
-	Level    int64
 	Kind     string // "proposals" or "ballot"
 	Proposal string
 	Ballot   string // yay/nay/pass for ballots
 	Rolls    int64
-	Source   string
 }
 
 // blank returns an empty shard with s's window.
@@ -142,9 +140,7 @@ func (a *TezosShard) ingest(b *wire.TezosBlock, ts time.Time) {
 			m[op.Destination]++
 		case "proposals", "ballot":
 			a.Votes = append(a.Votes, GovernanceVote{
-				Time: ts, Level: b.Level, Kind: op.Kind,
-				Proposal: op.Proposal, Ballot: op.Ballot,
-				Rolls: op.Rolls, Source: op.Source,
+				Time: ts, Kind: op.Kind, Proposal: op.Proposal, Ballot: op.Ballot, Rolls: op.Rolls,
 			})
 		}
 	}

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"cmp"
-	"math"
-	"slices"
+	"math/big"
 	"sort"
 
 	"repro/internal/stats"
@@ -109,42 +107,69 @@ type balanceChange struct {
 	currencies, unchanged int
 }
 
-// balanceChanges folds the top accounts' trades into per-(account, currency)
-// net flows — bought adds, sold subtracts — and turnover. The amounts are
-// floats, so the trades fold in canonical order (sorted by every field):
-// the counts depend only on the set of trades.
+// balanceChanges folds the top accounts' trades into what each bought and
+// sold per symbol (currency and precision). The sums are big integers, so
+// no run of int64 amounts can wrap them, and integer sums do not depend on
+// the order the trades fold in.
 func balanceChanges(trades []DEXTrade, top []WashTrader) []balanceChange {
-	type flows struct{ net, turnover float64 }
-	byAcct := make(map[string]map[string]*flows, len(top))
+	type symbol struct {
+		currency  string
+		precision int
+	}
+	type flows struct{ bought, sold big.Int }
+	byAcct := make(map[string]map[symbol]*flows, len(top))
 	for _, w := range top {
-		byAcct[w.Account] = make(map[string]*flows)
+		byAcct[w.Account] = make(map[symbol]*flows)
 	}
-	track := func(acct, cur string, delta, volume float64) {
-		if m := byAcct[acct]; m != nil {
-			if m[cur] == nil {
-				m[cur] = &flows{}
-			}
-			m[cur].net += delta
-			m[cur].turnover += volume
+	flowsOf := func(acct string, sym symbol) *flows {
+		m := byAcct[acct]
+		if m == nil {
+			return nil
 		}
+		if m[sym] == nil {
+			m[sym] = new(flows)
+		}
+		return m[sym]
 	}
-	for _, t := range slices.SortedFunc(slices.Values(trades), func(x, y DEXTrade) int {
-		return cmp.Or(cmp.Compare(x.Buyer, y.Buyer), cmp.Compare(x.Seller, y.Seller),
-			cmp.Compare(x.Currency, y.Currency), cmp.Compare(x.Amount, y.Amount))
-	}) {
-		track(t.Buyer, t.Currency, t.Amount, t.Amount)
-		track(t.Seller, t.Currency, -t.Amount, t.Amount)
+	var amount big.Int
+	for _, t := range trades {
+		sym := symbol{t.Currency, t.Precision}
+		amount.SetInt64(t.Amount)
+		if f := flowsOf(t.Buyer, sym); f != nil {
+			f.bought.Add(&f.bought, &amount)
+		}
+		if f := flowsOf(t.Seller, sym); f != nil {
+			f.sold.Add(&f.sold, &amount)
+		}
 	}
 	out := make([]balanceChange, len(top))
 	for i, w := range top {
 		out[i] = balanceChange{account: w.Account, currencies: len(byAcct[w.Account])}
 		for _, f := range byAcct[w.Account] {
-			if f.turnover != 0 && math.Abs(f.net)/f.turnover <= 0.007 {
+			if nearZeroNet(&f.bought, &f.sold) {
 				out[i].unchanged++
 			}
 		}
 	}
 	return out
+}
+
+// nearZeroNet reports whether the net change bought − sold is within 0.7 %
+// of the turnover bought + sold, a turnover of zero never: with more the
+// larger side and less the smaller, |net| ≤ 7/1000 · turnover is exactly
+// 993 · more ≤ 1007 · less.
+func nearZeroNet(bought, sold *big.Int) bool {
+	more, less := bought, sold
+	if more.Cmp(less) < 0 {
+		more, less = less, more
+	}
+	if more.Sign() <= 0 {
+		return false
+	}
+	var lhs, rhs big.Int
+	lhs.Mul(more, big.NewInt(993))
+	rhs.Mul(less, big.NewInt(1007))
+	return lhs.Cmp(&rhs) <= 0
 }
 
 // concentrationStats summarizes how concentrated traffic is across accounts.

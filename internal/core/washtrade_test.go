@@ -94,17 +94,17 @@ func TestAnalyzeWashTradesBalanceChanges(t *testing.T) {
 	}
 }
 
-// TestBalanceChangesIndependentOfTradeOrder: the net flows are float sums,
-// and a merge appends trades in shard order, so they fold in canonical
-// order. bot's net is 1.007 − 0.993 of a 2.0 turnover — exactly the 0.7 %
-// threshold — and whether the float sum lands on it or just past depends on
-// the order the legs are added in.
+// TestBalanceChangesIndependentOfTradeOrder: a merge appends trades in
+// shard order, and the flows are integer sums, so any order counts the
+// same. bot's net is 1.007 − 0.993 of a 2.000 turnover — exactly the 0.7 %
+// threshold, where a float sum landed on it or just past depending on the
+// order the legs were added in.
 func TestBalanceChangesIndependentOfTradeOrder(t *testing.T) {
 	trades := []DEXTrade{
-		{Buyer: "bot", Seller: "x", Currency: "EOS", Amount: 0.4},
-		{Buyer: "bot", Seller: "y", Currency: "EOS", Amount: 0.6},
-		{Buyer: "bot", Seller: "z", Currency: "EOS", Amount: 0.007},
-		{Buyer: "w", Seller: "bot", Currency: "EOS", Amount: 0.993},
+		{Buyer: "bot", Seller: "x", Currency: "EOS", Precision: 3, Amount: 400},
+		{Buyer: "bot", Seller: "y", Currency: "EOS", Precision: 3, Amount: 600},
+		{Buyer: "bot", Seller: "z", Currency: "EOS", Precision: 3, Amount: 7},
+		{Buyer: "w", Seller: "bot", Currency: "EOS", Precision: 3, Amount: 993},
 	}
 	top := AnalyzeWashTrades(trades, 1).TopAccounts
 	want := balanceChanges(trades, top)
@@ -115,6 +115,49 @@ func TestBalanceChangesIndependentOfTradeOrder(t *testing.T) {
 		if got := balanceChanges(perm, top); !slices.Equal(got, want) {
 			t.Fatalf("order %v: %+v, want %+v", perm, got, want)
 		}
+	}
+}
+
+// TestBalanceChangeExactAtSevenPerMille: "unchanged" is |net| ≤ 7/1000 of
+// turnover in exact integers. A net of exactly 7/1000 counts and 8/1000
+// does not — at amounts of one unit and at amounts of MaxInt64, whose sums
+// pass int64 after two trades.
+func TestBalanceChangeExactAtSevenPerMille(t *testing.T) {
+	for _, unit := range []int64{1, math.MaxInt64} {
+		for _, c := range []struct {
+			bought, sold int
+			unchanged    int
+		}{
+			{1007, 993, 1}, // net 14 of 2000: exactly 7/1000
+			{993, 1007, 1}, // the same, sold side larger
+			{1008, 992, 0}, // net 16 of 2000: 8/1000
+			{0, 0, 0},      // no turnover is no "unchanged" balance
+		} {
+			var trades []DEXTrade
+			for i := 0; i < c.bought; i++ {
+				trades = append(trades, DEXTrade{Buyer: "bot", Seller: "x", Currency: "EOS", Precision: 4, Amount: unit})
+			}
+			for i := 0; i < c.sold; i++ {
+				trades = append(trades, DEXTrade{Buyer: "y", Seller: "bot", Currency: "EOS", Precision: 4, Amount: unit})
+			}
+			if c.bought+c.sold == 0 {
+				trades = []DEXTrade{{Buyer: "bot", Seller: "x", Currency: "EOS", Precision: 4, Amount: 0}}
+			}
+			got := balanceChanges(trades, []WashTrader{{Account: "bot"}})
+			if got[0].currencies != 1 || got[0].unchanged != c.unchanged {
+				t.Errorf("unit %d, bought %d, sold %d: %+v, want 1 currency, %d unchanged",
+					unit, c.bought, c.sold, got[0], c.unchanged)
+			}
+		}
+	}
+	// A symbol is its code and its precision: 1.000 EOS bought and 1.0000
+	// EOS sold are two currencies, each moved one way.
+	got := balanceChanges([]DEXTrade{
+		{Buyer: "bot", Seller: "x", Currency: "EOS", Precision: 3, Amount: 1000},
+		{Buyer: "y", Seller: "bot", Currency: "EOS", Precision: 4, Amount: 10000},
+	}, []WashTrader{{Account: "bot"}})
+	if got[0].currencies != 2 || got[0].unchanged != 0 {
+		t.Errorf("two precisions of one code: %+v, want 2 currencies, none unchanged", got[0])
 	}
 }
 

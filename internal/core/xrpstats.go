@@ -26,14 +26,13 @@ type XRPAssetKey struct {
 
 // XRPExchange is one DEX fill as the explorer's Data API reports it. Base
 // is the asset the resting (maker) offer sold, Counter what it received,
-// both in 6-decimal fixed point; MakerSequence identifies the maker's
-// offer so later fills attribute to the OfferCreate that placed it.
+// both in 6-decimal fixed point; Maker and MakerSequence identify the
+// maker's offer so later fills attribute to the OfferCreate that placed it.
 type XRPExchange struct {
 	Time                    time.Time
-	LedgerIndex             int64
 	Base, Counter           XRPAssetKey
 	BaseValue, CounterValue int64
-	Maker, Taker            string
+	Maker                   string
 	MakerSequence           uint32
 }
 
@@ -50,21 +49,19 @@ type XRPShard struct {
 	Transactions int64
 	Failed       int64
 
-	TxByType   map[string]int64 // Figure 1 rows (successful + failed)
-	TxByResult map[string]int64
-	Series     *stats.TimeSeries // Figure 3c
+	TxByType map[string]int64  // Figure 1 rows (successful + failed)
+	Series   *stats.TimeSeries // Figure 3c
 
 	// Per-account activity for Figure 8.
 	byAccount map[string]*xrpAccountAgg
 
-	// Payment records for value analysis. Slice order follows ingestion
-	// interleaving; every consumer reduces it order-independently.
+	// Successful payments, for value analysis. Slice order follows
+	// ingestion interleaving; every consumer reduces it order-independently.
 	payments []xrpPayment
 
 	// Offer bookkeeping for the 0.2 % fulfillment statistic.
 	offersCreated  int64
-	offersExecuted map[offerRef]bool // executed at placement
-	restingOffers  map[offerRef]bool
+	offersExecuted map[offerRef]bool // executed at placement or filled later
 
 	exchanges []XRPExchange
 
@@ -82,21 +79,17 @@ type offerRef struct {
 
 type xrpAccountAgg struct {
 	Total  int64
-	ByType map[string]int64
+	Offers int64 // OfferCreates, successful or not
 	// DestTags counts destination tags used in outgoing payments (the
 	// paper's Huobi fingerprint: tag 104398 on every payment).
 	DestTags map[uint32]int64
 }
 
 type xrpPayment struct {
-	Time     time.Time
 	From, To string
-	DestTag  uint32
 	Currency string
 	Issuer   string
 	Value    int64
-	Success  bool
-	Native   bool
 }
 
 func (p *xrpPayment) asset() XRPAssetKey {
@@ -113,11 +106,9 @@ func (s *XRPShard) blank() XRPShard {
 // init allocates a shard's mutable containers.
 func (s *XRPShard) init(origin time.Time, bucket time.Duration) {
 	s.TxByType = make(map[string]int64)
-	s.TxByResult = make(map[string]int64)
 	s.Series = stats.NewTimeSeries(origin, bucket)
 	s.byAccount = make(map[string]*xrpAccountAgg)
 	s.offersExecuted = make(map[offerRef]bool)
-	s.restingOffers = make(map[offerRef]bool)
 }
 
 // Chain names the shard's chain for the ShardState contract.
@@ -152,7 +143,6 @@ func (s *XRPShard) merge(src *XRPShard) {
 	s.Transactions += src.Transactions
 	s.Failed += src.Failed
 	mergeCounts(s.TxByType, src.TxByType)
-	mergeCounts(s.TxByResult, src.TxByResult)
 	s.Series.Merge(src.Series)
 	for addr, agg := range src.byAccount {
 		d := s.byAccount[addr]
@@ -161,16 +151,13 @@ func (s *XRPShard) merge(src *XRPShard) {
 			continue
 		}
 		d.Total += agg.Total
-		mergeCounts(d.ByType, agg.ByType)
+		d.Offers += agg.Offers
 		mergeCounts(d.DestTags, agg.DestTags)
 	}
 	s.payments = append(s.payments, src.payments...)
 	s.offersCreated += src.offersCreated
 	for ref := range src.offersExecuted {
 		s.offersExecuted[ref] = true
-	}
-	for ref := range src.restingOffers {
-		s.restingOffers[ref] = true
 	}
 	s.exchanges = append(s.exchanges, src.exchanges...)
 	mergeWindow(&s.FirstLedgerTime, &s.LastLedgerTime, src.FirstLedgerTime, src.LastLedgerTime)
@@ -207,7 +194,6 @@ func (a *XRPShard) ingest(l *wire.XRPLedger, ts time.Time) {
 		tx := &l.Transactions[i]
 		a.Transactions++
 		a.TxByType[tx.TransactionType]++
-		a.TxByResult[tx.Result]++
 		success := tx.Result == "tesSUCCESS"
 		if !success {
 			a.Failed++
@@ -218,37 +204,32 @@ func (a *XRPShard) ingest(l *wire.XRPLedger, ts time.Time) {
 
 		acct := a.byAccount[tx.Account]
 		if acct == nil {
-			acct = &xrpAccountAgg{ByType: make(map[string]int64), DestTags: make(map[uint32]int64)}
+			acct = &xrpAccountAgg{DestTags: make(map[uint32]int64)}
 			a.byAccount[tx.Account] = acct
 		}
 		acct.Total++
-		acct.ByType[tx.TransactionType]++
 
 		switch tx.TransactionType {
 		case "Payment":
-			amt := tx.Amount
-			if tx.DeliveredAmount.Set {
-				amt = tx.DeliveredAmount
+			if success {
+				amt := tx.Amount
+				if tx.DeliveredAmount.Set {
+					amt = tx.DeliveredAmount
+				}
+				a.payments = append(a.payments, xrpPayment{
+					From: tx.Account, To: tx.Destination,
+					Currency: amt.Currency, Issuer: amt.Issuer, Value: amt.Value,
+				})
 			}
-			a.payments = append(a.payments, xrpPayment{
-				Time: ts, From: tx.Account, To: tx.Destination,
-				DestTag:  tx.DestinationTag,
-				Currency: amt.Currency, Issuer: amt.Issuer,
-				Value: amt.Value, Success: success,
-				Native: amt.Currency == "XRP" && amt.Issuer == "",
-			})
 			if tx.DestinationTag != 0 {
 				acct.DestTags[tx.DestinationTag]++
 			}
 		case "OfferCreate":
+			acct.Offers++
 			if success {
 				a.offersCreated++
-				ref := offerRef{tx.Account, tx.Sequence}
 				if tx.Executed {
-					a.offersExecuted[ref] = true
-				}
-				if tx.RestingSequence != 0 {
-					a.restingOffers[offerRef{tx.Account, tx.RestingSequence}] = true
+					a.offersExecuted[offerRef{tx.Account, tx.Sequence}] = true
 				}
 			}
 		}
@@ -372,13 +353,10 @@ func (a *XRPShard) Decompose() ValueDecomposition {
 	d.SuccessfulShare = 1 - d.FailedShare
 
 	rates := a.rates()
-	var payOK, payValue int64
+	payOK := int64(len(a.payments))
+	var payValue int64
 	for _, p := range a.payments {
-		if !p.Success {
-			continue
-		}
-		payOK++
-		if p.Native || rates.of(p.asset()) > 0 {
+		if rates.of(p.asset()) > 0 {
 			payValue++
 		}
 	}
@@ -422,7 +400,7 @@ func (a *XRPShard) TopAccounts(k int) []XRPAccountProfile {
 	for addr, agg := range a.byAccount {
 		p := XRPAccountProfile{Account: addr, Total: agg.Total}
 		if p.Total > 0 {
-			p.OfferShare = float64(agg.ByType["OfferCreate"]) / float64(p.Total)
+			p.OfferShare = float64(agg.Offers) / float64(p.Total)
 		}
 		var bestN int64
 		for tag, n := range agg.DestTags {
@@ -520,7 +498,7 @@ func (a *XRPShard) ValueFlow(dir Directory, topK int) ValueFlow {
 	senders, receivers, currencies := make(map[flowKey]int64), make(map[flowKey]int64), make(map[flowKey]int64)
 	for i := range a.payments {
 		p := &a.payments[i]
-		if asset := p.asset(); p.Success && rates.of(asset) > 0 {
+		if asset := p.asset(); rates.of(asset) > 0 {
 			senders[flowKey{clusterName(dir, p.From), asset}] += p.Value
 			receivers[flowKey{clusterName(dir, p.To), asset}] += p.Value
 			currencies[flowKey{strings.ToUpper(p.Currency), asset}] += p.Value

@@ -212,12 +212,11 @@ func (j ExchangeJSON) ToExchange() (core.XRPExchange, error) {
 		return core.XRPExchange{}, err
 	}
 	return core.XRPExchange{
-		Time: ts, LedgerIndex: j.LedgerIndex,
+		Time:      ts,
 		Base:      core.XRPAssetKey{Currency: base.Currency, Issuer: string(base.Issuer)},
 		Counter:   core.XRPAssetKey{Currency: counter.Currency, Issuer: string(counter.Issuer)},
 		BaseValue: j.BaseValue, CounterValue: j.CounterValue,
-		Maker: j.Maker, Taker: j.Taker,
-		MakerSequence: j.MakerSequence,
+		Maker: j.Maker, MakerSequence: j.MakerSequence,
 	}, nil
 }
 

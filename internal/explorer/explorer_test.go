@@ -187,12 +187,11 @@ func TestExchangeJSONRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := core.XRPExchange{
-		Time: orig.Time, LedgerIndex: orig.LedgerIndex,
+		Time:      orig.Time,
 		Base:      core.XRPAssetKey{Currency: "BTC", Issuer: string(orig.Base.Issuer)},
 		Counter:   core.XRPAssetKey{Currency: "XRP"},
 		BaseValue: orig.BaseValue, CounterValue: orig.CounterValue,
-		Maker: string(orig.Maker), Taker: string(orig.Taker),
-		MakerSequence: orig.MakerSequence,
+		Maker: string(orig.Maker), MakerSequence: orig.MakerSequence,
 	}
 	if back != want {
 		t.Fatalf("round trip mismatch:\n%+v\n%+v", back, want)

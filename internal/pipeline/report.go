@@ -91,21 +91,15 @@ func Figure11b(r *Result) string {
 	return sb.String()
 }
 
-// CaseNotes renders the two §4.1 lines core's section cannot: the EOS
-// financial volume, whose float sums round with accumulation order, and the
+// CaseNotes renders the one §4.1 line core's section cannot: the
 // congestion the simulated chain's resource model recorded.
 func CaseNotes(r *Result) string {
-	var sb strings.Builder
-	if eosVol := r.EOS.VolumeBySymbol["EOS"]; eosVol > 0 {
-		fmt.Fprintf(&sb, "  EOS financial volume: %.0f EOS moved, %.1f%% of it boomerang legs with no net transfer\n",
-			eosVol, 100*r.EOS.BoomerangVolume/eosVol)
+	if r.EOSScenario == nil {
+		return ""
 	}
-	if r.EOSScenario != nil {
-		c := r.EOSScenario.Chain
-		fmt.Fprintf(&sb, "  network congested: %v (utilization %.2f), CPU-rejected txs: %d, rent index %.0f× (paper: 10,000%% spike)\n",
-			c.Resources().Congested(), c.Resources().Utilization(), c.RejectedCPU, c.Resources().RentPriceIndex())
-	}
-	return sb.String()
+	c := r.EOSScenario.Chain
+	return fmt.Sprintf("  network congested: %v (utilization %.2f), CPU-rejected txs: %d, rent index %.0f× (paper: 10,000%% spike)\n",
+		c.Resources().Congested(), c.Resources().Utilization(), c.RejectedCPU, c.Resources().RentPriceIndex())
 }
 
 // EndpointReport renders the §3.1 endpoint short-listing.

@@ -36,7 +36,7 @@ var tezosCase = chainCase[TezosBlockJSON, TezosBlock]{
 	unmarshal: func(raw []byte, full *TezosBlockJSON) error { return json.Unmarshal(raw, full) },
 	project:   ProjectTezosBlock,
 	equal: func(a, b *TezosBlock) bool {
-		return a.Level == b.Level && a.Timestamp == b.Timestamp && slices.Equal(a.Operations, b.Operations)
+		return a.Timestamp == b.Timestamp && slices.Equal(a.Operations, b.Operations)
 	},
 }
 

@@ -19,9 +19,10 @@
 // versioned implicitly through the envelope version: any field change
 // bumps it. The fence token is the one a coordinated worker stamps from
 // its lease lineage, so a zombie worker's stale shard is detectable before
-// merge (see internal/coord); worker checkpoints write fence 0. Version 1, the same body without
-// the fence field, is no longer read: a blob an older build left behind is
-// refused by version.
+// merge (see internal/coord); worker checkpoints write fence 0. Older
+// versions are no longer read: version 1 (no fence field) and version 2
+// (state no figure reads, and float sums) are refused by version, so a blob
+// an older build left behind is never half-understood.
 package wire
 
 import (
@@ -29,7 +30,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"time"
 )
 
@@ -39,7 +39,7 @@ const ShardMagic = "SHRD"
 // ShardVersion is the one shard envelope version this build reads and
 // writes. Decoders refuse any other: a shard produced by a newer build may
 // carry fields this build would silently drop from the merge.
-const ShardVersion = 2
+const ShardVersion = 3
 
 // ErrShardCorrupt marks blobs that fail structural validation (bad magic,
 // truncation, checksum mismatch, trailing junk). Use errors.Is to detect.
@@ -73,12 +73,6 @@ func (e *ShardEnc) Bool(b bool) {
 	} else {
 		e.buf = append(e.buf, 0)
 	}
-}
-
-// Float appends a float64 as its IEEE 754 bits, fixed 8 bytes little-endian
-// — bit-exact round-trips, no formatting loss.
-func (e *ShardEnc) Float(f float64) {
-	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(f))
 }
 
 // Time appends a timestamp as a zero flag plus unix seconds and
@@ -180,20 +174,6 @@ func (d *ShardDec) Bool() bool {
 		return false
 	}
 	return b == 1
-}
-
-// Float reads a fixed 8-byte float64.
-func (d *ShardDec) Float() float64 {
-	if d.err != nil {
-		return 0
-	}
-	if d.Remaining() < 8 {
-		d.fail("truncated float at offset %d", d.off)
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.data[d.off:]))
-	d.off += 8
-	return v
 }
 
 // Time reads a timestamp written by ShardEnc.Time. Non-zero times decode

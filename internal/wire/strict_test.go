@@ -16,10 +16,10 @@ func TestNonCanonicalKeyCasingMatchesStdlib(t *testing.T) {
 	c := NewCodec()
 
 	var tz TezosBlock
-	raw := []byte(`{"Level":7,"hash":"H","operations":[{"Kind":"endorsement","SOURCE":"tz1x"}]}`)
+	raw := []byte(`{"Level":7,"TimeStamp":"T7","hash":"H","operations":[{"Kind":"endorsement","SOURCE":"tz1x"}]}`)
 	tezosCase.agree(t, c, raw, &tz)
-	if tz.Level != 7 {
-		t.Fatalf("folded Level lost: got %d", tz.Level)
+	if tz.Timestamp != "T7" {
+		t.Fatalf("folded Timestamp lost: got %q", tz.Timestamp)
 	}
 	if len(tz.Operations) != 1 || tz.Operations[0].Source != "tz1x" {
 		t.Fatalf("folded operation fields lost: %+v", tz.Operations)
@@ -55,13 +55,13 @@ func TestNonCanonicalKeyCasingMatchesStdlib(t *testing.T) {
 	}
 
 	// Genuinely unknown keys still skip without tripping the fold check.
-	unknown := []byte(`{"level":5,"chain_id":"main","metadata":{"a":[1,2]}}`)
+	unknown := []byte(`{"level":5,"timestamp":"T5","chain_id":"main","metadata":{"a":[1,2]}}`)
 	if !tezosCase.accepts(c, unknown) {
 		t.Fatal("unknown fields must skip on the fast path")
 	}
 	tezosCase.agree(t, c, unknown, &tz)
-	if tz.Level != 5 {
-		t.Fatalf("level lost next to unknown fields: %+v", tz)
+	if tz.Timestamp != "T5" {
+		t.Fatalf("timestamp lost next to unknown fields: %+v", tz)
 	}
 }
 

@@ -95,7 +95,7 @@ func (c *Codec) DecodeTezosBlock(raw []byte, into *TezosBlock) error {
 // ProjectTezosBlock fills into with what the aggregators read of full; see
 // ProjectEOSBlock.
 func ProjectTezosBlock(full *TezosBlockJSON, into *TezosBlock) {
-	into.Level, into.Timestamp = full.Level, full.Timestamp
+	into.Timestamp = full.Timestamp
 	into.Operations = into.Operations[:0]
 	for i := range full.Operations {
 		src := &full.Operations[i]
@@ -148,13 +148,13 @@ var (
 func (c *Codec) decodeTezosBlock(raw []byte, into *TezosBlock) error {
 	l := &c.lex
 	l.reset(raw)
-	into.Level, into.Timestamp = 0, ""
+	into.Timestamp = ""
 	into.Operations = into.Operations[:0]
 	var seen uint8
 	err := l.object(tezosBlockKeys, func(i int, key []byte) error {
 		switch i {
 		case tezosBlockLevel:
-			return l.decodeInt64(&into.Level)
+			return l.decodeInt64(nil)
 		case tezosBlockHash, tezosBlockPredecessor, tezosBlockBaker:
 			return c.decodeStr(nil)
 		case tezosBlockTimestamp:

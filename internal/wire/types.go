@@ -171,7 +171,6 @@ type EOSAction struct {
 
 // TezosBlock is the decode-side projection of a TezosBlockJSON.
 type TezosBlock struct {
-	Level      int64
 	Timestamp  string
 	Operations []TezosOperation
 }
@@ -191,7 +190,7 @@ type XRPLedger struct {
 // XRPTx is one transaction of an XRPLedger.
 type XRPTx struct {
 	TransactionType, Account, Destination, Result string
-	DestinationTag, Sequence, RestingSequence     uint32
+	DestinationTag, Sequence                      uint32
 	Executed                                      bool
 	Amount, DeliveredAmount                       XRPAmount
 }

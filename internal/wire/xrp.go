@@ -118,8 +118,7 @@ func ProjectXRPLedger(full *XRPLedgerJSON, into *XRPLedger) {
 		*tx = XRPTx{
 			TransactionType: src.TransactionType, Account: src.Account,
 			Destination: src.Destination, Result: src.Result,
-			DestinationTag: src.DestinationTag, Sequence: src.Sequence,
-			RestingSequence: src.RestingSequence, Executed: src.Executed,
+			DestinationTag: src.DestinationTag, Sequence: src.Sequence, Executed: src.Executed,
 			Amount: projectXRPAmount(src.Amount), DeliveredAmount: projectXRPAmount(src.DeliveredAmount),
 		}
 	}
@@ -297,14 +296,12 @@ func (c *Codec) decodeXRPTx(tx *XRPTx) error {
 			return c.decodeXRPAmount(&seen, sawLimitAmount, nil)
 		case xrpTxDelivered:
 			return c.decodeXRPAmount(&seen, sawDelivered, &tx.DeliveredAmount)
-		case xrpTxOfferSequence:
+		case xrpTxOfferSequence, xrpTxRestingSequence:
 			return l.decodeUint32(nil)
 		case xrpTxResult:
 			return c.decodeStr(&tx.Result)
 		case xrpTxExecuted:
 			return l.decodeBool(&tx.Executed)
-		case xrpTxRestingSequence:
-			return l.decodeUint32(&tx.RestingSequence)
 		}
 		return l.skipUnknown(key, xrpTxKeys.names)
 	})
