@@ -14,13 +14,22 @@
 // Layout (one store root, or one key prefix, per archived chain):
 //
 //	manifest.json      index of finalized segments + integrity metadata
-//	segment-000001.gz  gzip stream: magic, then length-prefixed records
+//	segment-000001.gz  gzip members: magic, then length-prefixed records
 //	segment-000002.gz  …
 //
 // Each segment's uncompressed stream starts with the 8-byte magic
 // "RBARCH1\n" followed by records of the form
 //
 //	[8-byte big-endian block number][4-byte big-endian payload length][payload]
+//
+// The stream is stored as a run of gzip members (RFC 1952 §2.2), each
+// holding about memberBytes of it and cut after a record. Every
+// member's header carries an FEXTRA subfield, ID "RB", whose four bytes
+// state the member's total length, so a reader finds the members without
+// inflating anything and inflates them in parallel, each into its place in
+// one buffer sized from its trailer's ISIZE; gunzip still reads a segment
+// as one file. A segment whose first member states no length — every
+// segment written before members existed — is read as one stream.
 //
 // The manifest records, per segment, the block count, the [min, max]
 // block-number range, the raw payload byte total, the compressed object

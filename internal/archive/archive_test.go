@@ -516,6 +516,57 @@ func TestCorruptionFailsLoudly(t *testing.T) {
 				m.Segments[0].CompBytes = int64(len(trunc))
 			})
 		}},
+		// The member cases reframe the first segment as gzip members of 40
+		// bytes of stream each and re-stamp the manifest's size and
+		// checksum, so only the member parser and the inflate behind it can
+		// object.
+		{"member length past the object", "segment-000001.gz: gzip member at byte", func(t *testing.T, dir string) {
+			reframeFirstSegment(t, dir, 40, func(obj []byte, at []int) []byte {
+				addUint32(obj[at[len(at)-1]+memberLenAt:], 1)
+				return obj
+			})
+		}},
+		{"member length into the next member", "segment-000001.gz: gzip member at byte 0", func(t *testing.T, dir string) {
+			reframeFirstSegment(t, dir, 40, func(obj []byte, at []int) []byte {
+				addUint32(obj[memberLenAt:], 10)
+				return obj
+			})
+		}},
+		{"member with bytes past its trailer inside its stated length", "segment-000001.gz: gzip member at byte", func(t *testing.T, dir string) {
+			// The last member's trailer repeated and its length stretched
+			// over the copy: its stated ISIZE still reads true, and only
+			// the check that a member ends where its length says catches it.
+			reframeFirstSegment(t, dir, 40, func(obj []byte, at []int) []byte {
+				addUint32(obj[at[len(at)-1]+memberLenAt:], 8)
+				return append(obj, obj[len(obj)-8:]...)
+			})
+		}},
+		{"false member ISIZE", "segment-000001.gz: stream inflates past", func(t *testing.T, dir string) {
+			reframeFirstSegment(t, dir, 40, func(obj []byte, at []int) []byte {
+				addUint32(obj[at[1]-4:], 1)
+				return obj
+			})
+		}},
+		{"false member ISIZEs that still sum to the manifest", "segment-000001.gz: gzip member at byte 0: decompressing: gzip: invalid checksum", func(t *testing.T, dir string) {
+			reframeFirstSegment(t, dir, 40, func(obj []byte, at []int) []byte {
+				addUint32(obj[at[1]-4:], 1)
+				addUint32(obj[at[2]-4:], -1)
+				return obj
+			})
+		}},
+		{"member CRC mismatch with recomputed checksum", "segment-000001.gz: gzip member at byte", func(t *testing.T, dir string) {
+			reframeFirstSegment(t, dir, 40, func(obj []byte, at []int) []byte {
+				obj[at[2]-8] ^= 0x01
+				return obj
+			})
+		}},
+		{"member without a length after members with one", "states no length", func(t *testing.T, dir string) {
+			reframeFirstSegment(t, dir, 40, func(obj []byte, at []int) []byte {
+				// The last member re-deflated without the subfield.
+				stream := gunzip(t, obj[at[len(at)-1]:])
+				return append(obj[:at[len(at)-1]], gzipAt(t, segmentLevel, stream)...)
+			})
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -51,30 +51,50 @@ func honestEntry(stream []byte) (blocks, raw, min, max int64) {
 	return
 }
 
+// openAllocPerStoredByte is k in the bound FuzzOpenArchive holds OpenWith
+// to: opening allocates at most k bytes per stored object byte, plus 1 MiB
+// of fixed gzip, flate, hashing and JSON state. The stream buffer is at
+// most maxInflateRatio bytes per object byte (each member's ISIZE is capped
+// by its own length, a segment without members by the whole object's), and
+// per 12-byte record header in it the record list and the index hold a few
+// words more; a member task is about 100 bytes per member of at least 28.
+// 16 leaves room over that.
+const openAllocPerStoredByte = 16 * maxInflateRatio
+
 // FuzzOpenArchive drives hostile segment bytes and manifest numbers through
 // the whole read path. The fuzzer owns two segments' uncompressed streams
 // (the harness gzips them and keeps the manifest's size and checksum
-// honest, so mutations reach the inflate, the magic check and the record
-// walk instead of dying at the digest), how far the first segment's
-// manifest entry lies about its block count and raw bytes — the two
-// numbers the inflate buffer is sized from — how many bytes are cut off
-// the first compressed object, and the open's range. Whatever comes in,
-// OpenWith must not panic, must fail only with ErrCorrupt, and must not
-// allocate more than a constant times the bytes stored; when it accepts,
-// a two-worker Replay and a FetchBlock walk must deliver the same set.
+// honest, so mutations reach the member parser, the inflate, the magic
+// check and the record walk instead of dying at the digest), how the first
+// segment is framed — cut = 0 is one gzip stream, as segments were written
+// before members existed; any other cut frames it the way the writer does,
+// as members of cut stream bytes with the length subfield, and then adds
+// dLen to member `which`'s stated length and dSize to its ISIZE — how far
+// its manifest entry lies about its block count and raw bytes (the numbers
+// the inflate buffer is checked against), how many bytes are cut off its
+// compressed object, and the open's range. Whatever comes in, OpenWith must
+// not panic, must fail only with ErrCorrupt, and must not allocate more
+// than openAllocPerStoredByte times the bytes stored; when it accepts, a
+// two-worker Replay and a FetchBlock walk must deliver the same set.
 //
 // The corpus under testdata/fuzz/FuzzOpenArchive is a two-segment archive
 // of simulator-built blocks — workload.BuildTezos at scale 6400, seed 22,
 // levels 1–8 through rpcserve's block converter and Codec.AppendTezosBlock, four
 // per segment — as written, with level 7 re-archived in the second
 // segment and opened over [3, 7], with overstated and understated manifest
-// numbers, and with a truncated object.
+// numbers, and with a truncated object, each framed as one gzip stream;
+// and as written, framed as 1 KiB members, plain and with the third
+// member's ISIZE understated by 5.
 func FuzzOpenArchive(f *testing.F) {
-	f.Add(fuzzStream([]int64{4, 3}, payload), fuzzStream([]int64{2, 1}, payload), int64(0), int64(0), uint8(0), int64(0), int64(0))
-	f.Add(fuzzStream([]int64{4, 3}, payload), fuzzStream([]int64{3, 1}, payload), int64(0), int64(0), uint8(0), int64(2), int64(3))
-	f.Add(fuzzStream([]int64{4, 3}, payload), fuzzStream([]int64{2, 1}, payload), int64(1)<<60, int64(1)<<40, uint8(0), int64(0), int64(0))
-	f.Add(fuzzStream([]int64{4, 3}, payload), fuzzStream(nil, payload), int64(0), int64(-1), uint8(5), int64(0), int64(0))
-	f.Fuzz(func(t *testing.T, stream1, stream2 []byte, dBlocks, dRaw int64, trunc uint8, from, to int64) {
+	f.Add(fuzzStream([]int64{4, 3}, payload), fuzzStream([]int64{2, 1}, payload), int64(0), int64(0), uint8(0), int64(0), int64(0), uint16(0), uint8(0), int32(0), int32(0))
+	f.Add(fuzzStream([]int64{4, 3}, payload), fuzzStream([]int64{3, 1}, payload), int64(0), int64(0), uint8(0), int64(2), int64(3), uint16(0), uint8(0), int32(0), int32(0))
+	f.Add(fuzzStream([]int64{4, 3}, payload), fuzzStream([]int64{2, 1}, payload), int64(1)<<60, int64(1)<<40, uint8(0), int64(0), int64(0), uint16(0), uint8(0), int32(0), int32(0))
+	f.Add(fuzzStream([]int64{4, 3}, payload), fuzzStream(nil, payload), int64(0), int64(-1), uint8(5), int64(0), int64(0), uint16(0), uint8(0), int32(0), int32(0))
+	f.Add(fuzzStream([]int64{4, 3}, payload), fuzzStream([]int64{2, 1}, payload), int64(0), int64(0), uint8(0), int64(0), int64(0), uint16(30), uint8(0), int32(0), int32(0))
+	f.Add(fuzzStream([]int64{4, 3}, payload), fuzzStream([]int64{2, 1}, payload), int64(0), int64(0), uint8(0), int64(0), int64(0), uint16(30), uint8(1), int32(7), int32(0))
+	f.Add(fuzzStream([]int64{4, 3}, payload), fuzzStream([]int64{2, 1}, payload), int64(0), int64(0), uint8(0), int64(0), int64(0), uint16(30), uint8(2), int32(0), int32(-3))
+	f.Add(fuzzStream([]int64{4, 3}, payload), fuzzStream([]int64{2, 1}, payload), int64(0), int64(0), uint8(4), int64(0), int64(0), uint16(1), uint8(0), int32(0), int32(1<<30))
+	f.Fuzz(func(t *testing.T, stream1, stream2 []byte, dBlocks, dRaw int64, trunc uint8, from, to int64, cut uint16, which uint8, dLen, dSize int32) {
 		ctx := context.Background()
 		st := blobstore.NewMemory()
 		man := Manifest{Version: manifestVersion, Chain: "tezos"}
@@ -84,6 +104,15 @@ func FuzzOpenArchive(f *testing.F) {
 			seg := SegmentInfo{File: segmentName(i + 1)}
 			seg.Blocks, seg.RawBytes, seg.Min, seg.Max = honestEntry(stream)
 			if i == 0 {
+				if cut > 0 && len(stream) > 0 {
+					var at []int
+					object, at = memberObject(stream, int(cut))
+					m := at[int(which)%len(at)]
+					addUint32(object[m+memberLenAt:], dLen)
+					if end, ok := memberLen(object[m:]); ok && end >= 4 && end <= len(object)-m {
+						addUint32(object[m+end-4:], dSize)
+					}
+				}
 				seg.Blocks, seg.RawBytes = seg.Blocks+dBlocks, seg.RawBytes+dRaw
 				object = object[:len(object)-min(int(trunc), len(object)-1)]
 			}
@@ -105,10 +134,7 @@ func FuzzOpenArchive(f *testing.F) {
 		runtime.ReadMemStats(&before)
 		r, err := OpenWith("", OpenOptions{Store: st, From: from, To: to})
 		runtime.ReadMemStats(&after)
-		// The inflate buffer is at most maxInflateRatio × the object, and
-		// the record list and index are a few words per 12-byte header of
-		// it; the rest is fixed gzip, hashing and JSON state.
-		if got, bound := int64(after.TotalAlloc-before.TotalAlloc), 16*maxInflateRatio*stored+1<<20; got > bound {
+		if got, bound := int64(after.TotalAlloc-before.TotalAlloc), openAllocPerStoredByte*stored+1<<20; got > bound {
 			t.Fatalf("opening %d stored bytes allocated %d (bound %d)", stored, got, bound)
 		}
 		if err != nil {

@@ -1,13 +1,10 @@
 package archive
 
 import (
-	"bytes"
-	"compress/gzip"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"runtime"
 	"sync"
@@ -27,11 +24,12 @@ type recordRef struct {
 
 // OpenOptions parameterizes OpenWith.
 type OpenOptions struct {
-	// Workers bounds Open's verification fan-out, which is per segment:
-	// each worker fetches, hashes, inflates and walks one covering segment
-	// at a time (0 or less = one per CPU, never more than there are
-	// covering segments). Replay takes its own worker count and is not
-	// bound by the segment count.
+	// Workers bounds Open's verification fan-out, which is per gzip
+	// member: a worker fetches and hashes a covering segment, inflates
+	// one of its members — any fetched segment's — or walks a segment
+	// whose members have all inflated (0 or less = one per CPU, never more
+	// than the manifest suggests there are members). Replay takes its own
+	// worker count.
 	Workers int
 	// From and To restrict the open to blocks in [From, To]. Both zero
 	// means the whole archive. A ranged open verifies, fetches and indexes
@@ -77,8 +75,9 @@ type Reader struct {
 // verifies every segment the open covers: compressed size, checksum, magic,
 // record walk, and agreement with the manifest's block count, bounds and
 // byte totals. Any mismatch fails with an error wrapping ErrCorrupt. A
-// location without a manifest fails with fs.ErrNotExist. Segments verify
-// concurrently, and the result is identical to a serial open — per-segment
+// location without a manifest fails with fs.ErrNotExist. Segments and
+// their gzip members verify concurrently (see loadSegments), and the
+// result is identical to a serial open — per-segment
 // verdicts merge in manifest order, so duplicate resolution ("first
 // occurrence wins") and error selection do not depend on worker
 // scheduling. Each verified payload is kept in the reader's segment cache,
@@ -120,44 +119,38 @@ func OpenWith(location string, opts OpenOptions) (*Reader, error) {
 		}
 		r.covering = append(r.covering, i)
 	}
-	workers := opts.Workers
+	workers, members := opts.Workers, 0
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(r.covering) {
-		workers = len(r.covering)
+	for _, i := range r.covering {
+		members += memberEstimate(man.Segments[i])
 	}
+	workers = min(workers, members)
 	type verdict struct {
 		records []segRecord
 		payload []byte
 		err     error
 	}
 	verdicts := make([]verdict, len(r.covering))
-	next := int64(0)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				k := int(atomic.AddInt64(&next, 1)) - 1
-				if k >= len(r.covering) {
-					return
-				}
-				i := r.covering[k]
-				records, payload, err := r.verifySegment(man.Segments[i])
-				// Only the newest maxCache payloads are kept for the
-				// cache below; dropping the rest here keeps Open's peak
-				// memory at O(workers + maxCache) segments instead of
-				// the whole uncompressed archive.
-				if k < len(r.covering)-r.maxCache {
-					payload = nil
-				}
-				verdicts[k] = verdict{records, payload, err}
-			}
-		}()
-	}
-	wg.Wait()
+	r.loadSegments(r.covering, workers, func(k int, payload []byte, err error) {
+		seg := man.Segments[r.covering[k]]
+		if errors.Is(err, fs.ErrNotExist) {
+			err = fmt.Errorf("archive: manifest references missing segment %s: %w", seg.File, ErrCorrupt)
+		}
+		var records []segRecord
+		if err == nil {
+			records, err = walkRecords(seg, payload)
+		}
+		// Only the newest maxCache payloads are kept for the cache below;
+		// dropping the rest here keeps Open's peak memory at
+		// O(workers + maxCache) segments instead of the whole
+		// uncompressed archive.
+		if k < len(r.covering)-r.maxCache {
+			payload = nil
+		}
+		verdicts[k] = verdict{records, payload, err}
+	})
 	// Merge in manifest order: the first error by segment position wins,
 	// and a duplicate block number resolves to its earliest-written record
 	// exactly as the old serial walk resolved it.
@@ -213,31 +206,10 @@ type segRecord struct {
 	n   int32
 }
 
-// verifySegment checks one segment against its manifest entry, returning
-// the records it holds (in write order) and the decompressed payload for
-// the reader's cache. It touches no shared Reader state, so segments
-// verify concurrently. A store failure that is not absence propagates
-// as-is — a flaky backend is not corruption.
-func (r *Reader) verifySegment(seg SegmentInfo) ([]segRecord, []byte, error) {
-	compressed, err := r.store.Get(context.Background(), seg.File)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil, nil, fmt.Errorf("archive: manifest references missing segment %s: %w", seg.File, ErrCorrupt)
-		}
-		return nil, nil, err
-	}
-	if int64(len(compressed)) != seg.CompBytes {
-		return nil, nil, fmt.Errorf("archive: segment %s is %d bytes, manifest says %d (truncated or modified): %w",
-			seg.File, len(compressed), seg.CompBytes, ErrCorrupt)
-	}
-	if got := sha256Hex(compressed); got != seg.SHA256 {
-		return nil, nil, fmt.Errorf("archive: segment %s checksum mismatch (manifest %s, object %s — truncated or modified): %w",
-			seg.File, short(seg.SHA256), short(got), ErrCorrupt)
-	}
-	payload, err := decompressSegment(compressed, seg)
-	if err != nil {
-		return nil, nil, fmt.Errorf("archive: segment %s: %v: %w", seg.File, err, ErrCorrupt)
-	}
+// walkRecords walks a segment's verified stream, returning the records it
+// holds in write order, and checks them against the segment's manifest
+// entry.
+func walkRecords(seg SegmentInfo, payload []byte) ([]segRecord, error) {
 	// Sized from the manifest's count, which the payload bounds: a record
 	// is at least its 12-byte header.
 	records := make([]segRecord, 0, min(seg.Blocks, int64(len(payload))/12))
@@ -247,13 +219,13 @@ func (r *Reader) verifySegment(seg SegmentInfo) ([]segRecord, []byte, error) {
 	)
 	for off := int64(0); off < int64(len(payload)); {
 		if int64(len(payload))-off < 12 {
-			return nil, nil, fmt.Errorf("archive: segment %s ends mid-record header: %w", seg.File, ErrCorrupt)
+			return nil, fmt.Errorf("archive: segment %s ends mid-record header: %w", seg.File, ErrCorrupt)
 		}
 		num := int64(binary.BigEndian.Uint64(payload[off : off+8]))
 		n := int64(binary.BigEndian.Uint32(payload[off+8 : off+12]))
 		off += 12
 		if num <= 0 || n > maxRecordBytes || off+n > int64(len(payload)) {
-			return nil, nil, fmt.Errorf("archive: segment %s has a malformed record for block %d: %w", seg.File, num, ErrCorrupt)
+			return nil, fmt.Errorf("archive: segment %s has a malformed record for block %d: %w", seg.File, num, ErrCorrupt)
 		}
 		records = append(records, segRecord{num: num, off: off, n: int32(n)})
 		rawBytes += n
@@ -266,67 +238,10 @@ func (r *Reader) verifySegment(seg SegmentInfo) ([]segRecord, []byte, error) {
 		off += n
 	}
 	if int64(len(records)) != seg.Blocks || rawBytes != seg.RawBytes || min != seg.Min || max != seg.Max {
-		return nil, nil, fmt.Errorf("archive: segment %s disagrees with manifest (blocks %d/%d, bytes %d/%d, range [%d,%d]/[%d,%d]): %w",
+		return nil, fmt.Errorf("archive: segment %s disagrees with manifest (blocks %d/%d, bytes %d/%d, range [%d,%d]/[%d,%d]): %w",
 			seg.File, len(records), seg.Blocks, rawBytes, seg.RawBytes, min, max, seg.Min, seg.Max, ErrCorrupt)
 	}
-	return records, payload, nil
-}
-
-// gzReaderPool recycles gzip decompressors across segment reads: Open
-// verifies every segment and replay re-reads them on cache misses, so one
-// crawl inflates the same few hundred kilobytes of inflate state many
-// times without the pool.
-var gzReaderPool = sync.Pool{New: func() any { return new(gzip.Reader) }}
-
-// maxInflateRatio bounds how far deflate can expand its input (RFC 1951: a
-// stored length/distance pair of a few bits copies up to 258 bytes).
-const maxInflateRatio = 1032
-
-// decompressSegment gunzips a segment in one pass into a buffer sized from
-// its manifest entry, and strips the magic. The manifest states the exact
-// uncompressed size — magic, a 12-byte header per record, the payload
-// bytes — so the buffer never regrows. The size is capped by what the
-// compressed object could possibly inflate to, so a manifest cannot buy a
-// large allocation with a small blob; a stream longer than the manifest
-// says is refused without inflating the rest (a shorter one is caught by
-// the caller's record walk).
-func decompressSegment(compressed []byte, seg SegmentInfo) ([]byte, error) {
-	size := maxInflateRatio * int64(len(compressed))
-	if seg.Blocks >= 0 && seg.RawBytes >= 0 && seg.Blocks <= size/12 && seg.RawBytes <= size {
-		size = min(size, int64(len(segmentMagic))+12*seg.Blocks+seg.RawBytes)
-	}
-	gz := gzReaderPool.Get().(*gzip.Reader)
-	defer gzReaderPool.Put(gz)
-	if err := gz.Reset(bytes.NewReader(compressed)); err != nil {
-		return nil, fmt.Errorf("opening gzip stream: %v", err)
-	}
-	// One spare byte: the Read that finds the stream's end (and checks the
-	// gzip CRC and length) needs room to be asked for something.
-	buf := make([]byte, size+1)
-	var (
-		n   int
-		err error
-	)
-	for err == nil && n < len(buf) {
-		var m int
-		m, err = gz.Read(buf[n:])
-		n += m
-	}
-	// Every gzip error is kept: a truncated stream is io.ErrUnexpectedEOF,
-	// not a short payload.
-	if err != nil && err != io.EOF {
-		return nil, fmt.Errorf("decompressing: %v", err)
-	}
-	if int64(n) > size {
-		return nil, fmt.Errorf("stream inflates past the %d bytes its manifest entry accounts for", size)
-	}
-	if err := gz.Close(); err != nil {
-		return nil, fmt.Errorf("closing gzip stream: %v", err)
-	}
-	if n < len(segmentMagic) || string(buf[:len(segmentMagic)]) != segmentMagic {
-		return nil, fmt.Errorf("bad segment magic")
-	}
-	return buf[len(segmentMagic):n], nil
+	return records, nil
 }
 
 // short abbreviates a hex digest for error messages.
@@ -415,28 +330,17 @@ func (r *Reader) FetchBlock(ctx context.Context, num int64) ([]byte, error) {
 // collect.RawRecycler contract).
 func (r *Reader) OwnsRaw() bool { return true }
 
-// loadSegment re-fetches and re-verifies segment i from the store. Open
-// already verified the bytes; an object that fails the checksum here was
-// modified after Open.
+// loadSegment re-fetches and re-verifies segment i from the store, its
+// members inflating in parallel. Open already verified the bytes; an
+// object that fails the checksum here was modified after Open.
 func (r *Reader) loadSegment(i int) ([]byte, error) {
-	seg := r.man.Segments[i]
-	compressed, err := r.store.Get(context.Background(), seg.File)
-	if err != nil {
-		return nil, err
-	}
-	if int64(len(compressed)) != seg.CompBytes {
-		return nil, fmt.Errorf("archive: segment %s is %d bytes after open, manifest says %d: %w",
-			seg.File, len(compressed), seg.CompBytes, ErrCorrupt)
-	}
-	if got := sha256Hex(compressed); got != seg.SHA256 {
-		return nil, fmt.Errorf("archive: segment %s changed after open (checksum %s, expected %s): %w",
-			seg.File, short(got), short(seg.SHA256), ErrCorrupt)
-	}
-	payload, err := decompressSegment(compressed, seg)
-	if err != nil {
-		return nil, fmt.Errorf("archive: segment %s: %v: %w", seg.File, err, ErrCorrupt)
-	}
-	return payload, nil
+	var (
+		payload []byte
+		err     error
+	)
+	workers := min(runtime.GOMAXPROCS(0), memberEstimate(r.man.Segments[i]))
+	r.loadSegments([]int{i}, workers, func(_ int, p []byte, e error) { payload, err = p, e })
+	return payload, err
 }
 
 // segmentPayload returns a segment's uncompressed stream, from cache or by
@@ -627,11 +531,13 @@ func (o *onceReplayError) get() error {
 	return o.err
 }
 
-// touchLocked moves segment i to the back of the eviction order.
+// touchLocked moves segment i to the back of the eviction order in place,
+// so a cache hit allocates nothing.
 func (r *Reader) touchLocked(i int) {
 	for k, v := range r.order {
 		if v == i {
-			r.order = append(append(r.order[:k:k], r.order[k+1:]...), i)
+			copy(r.order[k:], r.order[k+1:])
+			r.order[len(r.order)-1] = i
 			return
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -108,56 +109,75 @@ func TestRangedOpenFetchesOnlyCoveringSegments(t *testing.T) {
 }
 
 // TestCrossBackendIdenticalSegments: the same append sequence archived to
-// file, memory and the S3 stub must produce byte-identical segment
-// objects (same SHA-256 chain in the manifest) and replay the same
-// payloads — the archive format is backend-invariant.
+// file, memory and the S3 stub, with its members deflating on 1, 2 or 4
+// CPUs, must produce byte-identical segment objects (same SHA-256 chain in
+// the manifest) and replay the same payloads — the archive format is
+// backend-invariant, and a member's bytes depend on its records alone, not
+// on which goroutine deflated it or when.
 func TestCrossBackendIdenticalSegments(t *testing.T) {
 	stub := s3stub.New()
 	defer stub.Close()
-	locations := map[string]string{
-		"file": t.TempDir(),
-		"mem":  "mem://cross-backend",
-		"s3":   stub.URL("bkt", "cross"),
-	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	manifests := make(map[string]Manifest)
 	replays := make(map[string]map[int64]string)
-	for name, loc := range locations {
-		ascendingArchive(t, loc, nil, 30, 7)
-		st, err := blobstore.Resolve(loc)
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		s3, err := blobstore.Resolve(stub.URL("bkt", fmt.Sprintf("cross-%d", procs)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := loadManifest(context.Background(), st)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+		stores := map[string]blobstore.Store{
+			"file": blobstore.NewFile(t.TempDir()),
+			"mem":  blobstore.NewMemory(),
+			"s3":   s3,
 		}
-		manifests[name] = m
+		for backend, st := range stores {
+			name := fmt.Sprintf("%s, GOMAXPROCS=%d", backend, procs)
+			w, err := NewWriter(WriterConfig{Store: st, Chain: "eos", SegmentBlocks: 7})
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.memberBytes = 100 // two records of payload() a member
+			for num := int64(1); num <= 30; num++ {
+				if err := w.Append(num, payload(num)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			m, err := loadManifest(context.Background(), st)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			manifests[name] = m
 
-		r, err := OpenWith(loc, OpenOptions{})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			r, err := OpenWith("", OpenOptions{Store: st})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			var mu sync.Mutex
+			got := make(map[int64]string)
+			err = r.Replay(context.Background(), 3, func(worker int, num int64, raw []byte) error {
+				mu.Lock()
+				got[num] = string(raw)
+				mu.Unlock()
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("%s replay: %v", name, err)
+			}
+			replays[name] = got
 		}
-		var mu sync.Mutex
-		got := make(map[int64]string)
-		err = r.Replay(context.Background(), 3, func(worker int, num int64, raw []byte) error {
-			mu.Lock()
-			got[num] = string(raw)
-			mu.Unlock()
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("%s replay: %v", name, err)
-		}
-		replays[name] = got
 	}
-	ref := manifests["file"]
+	ref := manifests["file, GOMAXPROCS=1"]
 	for name, m := range manifests {
 		if len(m.Segments) != len(ref.Segments) {
-			t.Fatalf("%s: %d segments, file has %d", name, len(m.Segments), len(ref.Segments))
+			t.Fatalf("%s: %d segments, file, GOMAXPROCS=1 has %d", name, len(m.Segments), len(ref.Segments))
 		}
 		for i := range m.Segments {
 			if m.Segments[i].SHA256 != ref.Segments[i].SHA256 || m.Segments[i].CompBytes != ref.Segments[i].CompBytes {
-				t.Errorf("%s segment %d differs from file backend: %+v vs %+v", name, i, m.Segments[i], ref.Segments[i])
+				t.Errorf("%s: segment %d differs from file, GOMAXPROCS=1: %+v vs %+v", name, i, m.Segments[i], ref.Segments[i])
 			}
 		}
 	}
@@ -165,7 +185,7 @@ func TestCrossBackendIdenticalSegments(t *testing.T) {
 		if len(got) != 30 {
 			t.Fatalf("%s replayed %d blocks", name, len(got))
 		}
-		for num, raw := range replays["file"] {
+		for num, raw := range replays["file, GOMAXPROCS=1"] {
 			if got[num] != raw {
 				t.Errorf("%s block %d replayed different bytes", name, num)
 			}
