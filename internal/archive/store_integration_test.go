@@ -36,9 +36,11 @@ func ascendingArchive(t *testing.T, location string, st blobstore.Store, n int64
 // manifest plus exactly the segments whose [min, max] covers the range —
 // never the rest of the archive.
 func TestRangedOpenFetchesOnlyCoveringSegments(t *testing.T) {
-	const url = "mem://range-counter"
+	// A store of its own, so every run (go test -count N) counts only its
+	// own gets.
+	mem := blobstore.NewMemory()
+	url := mem.URL()
 	ascendingArchive(t, url, nil, 64, 8) // 8 segments: [1,8], [9,16], …, [57,64]
-	mem := blobstore.OpenMemory("range-counter")
 
 	// [17, 24] sits inside exactly one segment.
 	mem.ResetOps()

@@ -58,8 +58,13 @@ func HashOf(parts ...any) Hash {
 	return out
 }
 
-// String returns the lowercase hex encoding of the hash.
-func (h Hash) String() string { return hex.EncodeToString(h[:]) }
+// String returns the lowercase hex encoding of the hash, built on the stack
+// so that the returned string is the only allocation.
+func (h Hash) String() string {
+	var b [2 * len(h)]byte
+	hex.Encode(b[:], h[:])
+	return string(b[:])
+}
 
 // Short returns the first 12 hex characters, enough for log readability.
 func (h Hash) Short() string { return hex.EncodeToString(h[:6]) }

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"sync"
 	"time"
 
@@ -82,17 +83,20 @@ func NewEOSClient(baseURL string) *EOSClient {
 	return &EOSClient{BaseURL: baseURL, HTTP: &http.Client{Timeout: 30 * time.Second}}
 }
 
-func (c *EOSClient) post(ctx context.Context, path string, body any) ([]byte, error) {
-	payload, err := json.Marshal(body)
-	if err != nil {
-		return nil, fmt.Errorf("collect: marshaling request: %w", err)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+path, bytes.NewReader(payload))
+func (c *EOSClient) post(ctx context.Context, path string, body []byte) ([]byte, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+path, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.HTTP.Do(req)
+	return do(c.HTTP, req)
+}
+
+// do sends req and reads the reply's body into a wire.GetRaw buffer the
+// caller owns. A reply other than 200 is an error, and a 429 one the
+// crawler backs off from.
+func do(hc *http.Client, req *http.Request) ([]byte, error) {
+	resp, err := hc.Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -108,9 +112,8 @@ func (c *EOSClient) post(ctx context.Context, path string, body any) ([]byte, er
 		wire.PutRaw(raw)
 		return nil, rateLimitError{retryAfter: time.Second}
 	default:
-		err := fmt.Errorf("collect: %s%s returned %s", c.BaseURL, path, resp.Status)
 		wire.PutRaw(raw)
-		return nil, err
+		return nil, fmt.Errorf("collect: %s returned %s", req.URL, resp.Status)
 	}
 }
 
@@ -120,7 +123,7 @@ func (c *EOSClient) OwnsRaw() bool { return true }
 
 // Head returns the endpoint's current head block number.
 func (c *EOSClient) Head(ctx context.Context) (int64, error) {
-	raw, err := c.post(ctx, "/v1/chain/get_info", map[string]any{})
+	raw, err := c.post(ctx, "/v1/chain/get_info", []byte("{}"))
 	if err != nil {
 		return 0, err
 	}
@@ -136,7 +139,8 @@ func (c *EOSClient) Head(ctx context.Context) (int64, error) {
 
 // FetchBlock retrieves one block as raw JSON.
 func (c *EOSClient) FetchBlock(ctx context.Context, num int64) ([]byte, error) {
-	return c.post(ctx, "/v1/chain/get_block", map[string]any{"block_num_or_id": num})
+	body := strconv.AppendInt([]byte(`{"block_num_or_id":`), num, 10)
+	return c.post(ctx, "/v1/chain/get_block", append(body, '}'))
 }
 
 // TezosClient talks to an octez-style endpoint.
@@ -150,31 +154,12 @@ func NewTezosClient(baseURL string) *TezosClient {
 	return &TezosClient{BaseURL: baseURL, HTTP: &http.Client{Timeout: 30 * time.Second}}
 }
 
-func (c *TezosClient) get(ctx context.Context, path string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
+func (c *TezosClient) get(ctx context.Context, url string) ([]byte, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.HTTP.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	raw, err := readAllRecycled(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	switch resp.StatusCode {
-	case http.StatusOK:
-		return raw, nil
-	case http.StatusTooManyRequests:
-		wire.PutRaw(raw)
-		return nil, rateLimitError{retryAfter: time.Second}
-	default:
-		err := fmt.Errorf("collect: %s%s returned %s", c.BaseURL, path, resp.Status)
-		wire.PutRaw(raw)
-		return nil, err
-	}
+	return do(c.HTTP, req)
 }
 
 // OwnsRaw marks FetchBlock results as exclusively caller-owned.
@@ -182,7 +167,7 @@ func (c *TezosClient) OwnsRaw() bool { return true }
 
 // Head returns the current head level.
 func (c *TezosClient) Head(ctx context.Context) (int64, error) {
-	raw, err := c.get(ctx, "/chains/main/blocks/head")
+	raw, err := c.get(ctx, c.BaseURL+"/chains/main/blocks/head")
 	if err != nil {
 		return 0, err
 	}
@@ -198,7 +183,9 @@ func (c *TezosClient) Head(ctx context.Context) (int64, error) {
 
 // FetchBlock retrieves one block as raw JSON.
 func (c *TezosClient) FetchBlock(ctx context.Context, level int64) ([]byte, error) {
-	return c.get(ctx, fmt.Sprintf("/chains/main/blocks/%d", level))
+	var b [128]byte
+	url := append(append(b[:0], c.BaseURL...), "/chains/main/blocks/"...)
+	return c.get(ctx, string(strconv.AppendInt(url, level, 10)))
 }
 
 // XRPClient speaks the rippled WebSocket protocol over a pooled connection.
@@ -209,6 +196,7 @@ type XRPClient struct {
 	conn  *wsrpc.Conn
 	next  int64
 	codec *wire.Codec // splits response envelopes; guarded by mu
+	req   []byte      // the command being sent; guarded by mu
 }
 
 // NewXRPClient wraps a ws:// endpoint.
@@ -217,8 +205,8 @@ func NewXRPClient(url string) *XRPClient {
 }
 
 // OwnsRaw marks FetchBlock results as exclusively caller-owned: each call
-// returns the result member copied into a wire.GetRaw buffer no one else
-// references.
+// returns a wire.GetRaw buffer, holding the reply's result member, that no
+// one else references.
 func (c *XRPClient) OwnsRaw() bool { return true }
 
 func (c *XRPClient) ensure() (*wsrpc.Conn, error) {
@@ -245,12 +233,13 @@ func (c *XRPClient) Close() error {
 	return err
 }
 
-// call performs one command round trip and returns the response's result
-// member in a wire.GetRaw buffer the caller owns. The WebSocket protocol is
-// sequential per connection, so calls are serialized. A peer that stops
-// answering would park the read forever, so cancelling ctx closes the
-// connection under it; the next call redials.
-func (c *XRPClient) call(ctx context.Context, req map[string]any) ([]byte, error) {
+// call performs one command round trip — server_info, or ledger with
+// expanded transactions — and returns the response's result member in a
+// wire.GetRaw buffer the caller owns. The WebSocket protocol is sequential
+// per connection, so calls are serialized. A peer that stops answering
+// would park the read forever, so cancelling ctx closes the connection
+// under it; the next call redials.
+func (c *XRPClient) call(ctx context.Context, command string, ledger int64) ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := ctx.Err(); err != nil {
@@ -261,7 +250,7 @@ func (c *XRPClient) call(ctx context.Context, req map[string]any) ([]byte, error
 		return nil, err
 	}
 	stop := context.AfterFunc(ctx, func() { conn.Close() })
-	result, err := c.roundTrip(conn, req)
+	result, err := c.roundTrip(conn, command, ledger)
 	if !stop() {
 		// ctx ended mid-call: the connection is closing, whatever the
 		// round trip managed to read.
@@ -280,43 +269,64 @@ func (c *XRPClient) drop(conn *wsrpc.Conn) {
 	conn.Close()
 }
 
-// roundTrip writes one command and reads its response. The frame's envelope
-// is split in place (wire.Codec.SplitXRPEnvelope) and only the result member
-// is copied out, once, into a recycled buffer; the frame buffer stays
-// wsrpc's. A transport error, a frame that is not an envelope or a reply to
-// some other request drops the connection. Called with c.mu held.
-func (c *XRPClient) roundTrip(conn *wsrpc.Conn, req map[string]any) ([]byte, error) {
+// appendCommand appends one request with the given id, its keys in the
+// order encoding/json gives a map's: the ledger command asks for expanded
+// transactions; any other command carries no parameters.
+func appendCommand(dst []byte, id int64, command string, ledger int64) []byte {
+	dst = append(append(append(dst, `{"command":"`...), command...), '"')
+	if command == "ledger" {
+		dst = append(dst, `,"expand":true`...)
+	}
+	dst = strconv.AppendInt(append(dst, `,"id":`...), id, 10)
+	if command == "ledger" {
+		dst = strconv.AppendInt(append(dst, `,"ledger_index":`...), ledger, 10)
+		dst = append(dst, `,"transactions":true`...)
+	}
+	return append(dst, '}')
+}
+
+// roundTrip writes one command and reads its response into a wire.GetRaw
+// buffer. The frame's envelope is split in place
+// (wire.Codec.SplitXRPEnvelope) and the result member moved to the front
+// of that same buffer, which is what the caller gets. A transport error, a
+// frame that is not an envelope or a reply to some other request drops the
+// connection. Called with c.mu held.
+func (c *XRPClient) roundTrip(conn *wsrpc.Conn, command string, ledger int64) ([]byte, error) {
 	c.next++
-	req["id"] = c.next
-	if err := conn.WriteJSON(req); err != nil {
+	c.req = appendCommand(c.req[:0], c.next, command, ledger)
+	if err := conn.WriteMessage(wsrpc.OpText, c.req); err != nil {
 		c.drop(conn)
 		return nil, err
 	}
-	_, frame, err := conn.ReadMessage()
+	_, frame, err := conn.ReadMessageInto(wire.GetRaw())
 	if err != nil {
+		wire.PutRaw(frame)
 		c.drop(conn)
 		return nil, err
 	}
 	var resp wire.XRPEnvelope
 	if err := c.codec.SplitXRPEnvelope(frame, &resp); err != nil {
+		wire.PutRaw(frame)
 		c.drop(conn)
 		return nil, fmt.Errorf("collect: decoding xrp response: %w", err)
 	}
 	if resp.ID != c.next {
 		// One reply per request, in order: another id means the connection
 		// is a reply out of step, and every later read on it would be too.
+		wire.PutRaw(frame)
 		c.drop(conn)
 		return nil, fmt.Errorf("collect: xrp reply carries id %d while request %d is outstanding: connection desynchronised", resp.ID, c.next)
 	}
 	if resp.Status != "success" {
+		wire.PutRaw(frame)
 		return nil, fmt.Errorf("collect: xrp command failed: %s", resp.Error)
 	}
-	return append(wire.GetRaw(), resp.Result...), nil
+	return frame[:copy(frame, resp.Result)], nil
 }
 
 // Head returns the latest validated ledger index.
 func (c *XRPClient) Head(ctx context.Context) (int64, error) {
-	raw, err := c.call(ctx, map[string]any{"command": "server_info"})
+	raw, err := c.call(ctx, "server_info", 0)
 	if err != nil {
 		return 0, err
 	}
@@ -336,10 +346,5 @@ func (c *XRPClient) Head(ctx context.Context) (int64, error) {
 
 // FetchBlock retrieves one ledger (with expanded transactions) as raw JSON.
 func (c *XRPClient) FetchBlock(ctx context.Context, index int64) ([]byte, error) {
-	return c.call(ctx, map[string]any{
-		"command":      "ledger",
-		"ledger_index": index,
-		"transactions": true,
-		"expand":       true,
-	})
+	return c.call(ctx, "ledger", index)
 }

@@ -2,6 +2,7 @@ package collect
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -584,5 +585,28 @@ func TestXRPClientRefusesStaleReply(t *testing.T) {
 	again, err := client.FetchBlock(ctx, 6)
 	if err != nil || string(again) != `{"ledger":{"ledger_index":6}}` {
 		t.Fatalf("ledger 6 served as %q, %v", again, err)
+	}
+}
+
+// TestXRPCommandBytes: the XRP client appends its commands by hand; they
+// must be the bytes encoding/json gives the same request as a map.
+func TestXRPCommandBytes(t *testing.T) {
+	for _, id := range []int64{1, 42, 1 << 40} {
+		for _, ledger := range []int64{1, 52_431_069} {
+			want, err := json.Marshal(map[string]any{"command": "ledger", "id": id, "ledger_index": ledger, "transactions": true, "expand": true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := appendCommand(nil, id, "ledger", ledger); string(got) != string(want) {
+				t.Errorf("ledger command = %s, want %s", got, want)
+			}
+		}
+		want, err := json.Marshal(map[string]any{"command": "server_info", "id": id})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendCommand(nil, id, "server_info", 0); string(got) != string(want) {
+			t.Errorf("server_info command = %s, want %s", got, want)
+		}
 	}
 }

@@ -8,7 +8,6 @@ package eos
 
 import (
 	"fmt"
-	"strings"
 )
 
 // Name is EOS's base32-packed account and action identifier: up to 12
@@ -64,23 +63,23 @@ func MustName(s string) Name {
 }
 
 // String unpacks the name back into its textual form, trimming the trailing
-// dots that padding introduces.
+// dots that padding introduces. It builds the name on the stack and
+// allocates only the string it returns.
 func (n Name) String() string {
 	if n == 0 {
 		return ""
 	}
-	var sb strings.Builder
+	var b [13]byte
 	v := uint64(n)
-	for i := 0; i < 13; i++ {
-		var idx uint64
-		if i < 12 {
-			idx = (v >> uint(64-5*(i+1))) & 0x1f
-		} else {
-			idx = v & 0x0f
-		}
-		sb.WriteByte(nameAlphabet[idx])
+	for i := 0; i < 12; i++ {
+		b[i] = nameAlphabet[(v>>uint(64-5*(i+1)))&0x1f]
 	}
-	return strings.TrimRight(sb.String(), ".")
+	b[12] = nameAlphabet[v&0x0f]
+	end := len(b)
+	for end > 0 && b[end-1] == '.' {
+		end--
+	}
+	return string(b[:end])
 }
 
 // Valid reports whether the packed representation round-trips, i.e. the name

@@ -1,19 +1,22 @@
 package rpcserve
 
 import (
+	"encoding/hex"
 	"sync"
 	"time"
 
+	"repro/internal/chain"
 	"repro/internal/eos"
 	"repro/internal/tezos"
 	"repro/internal/wire"
 	"repro/internal/xrp"
 )
 
-// The converters fill the wire package's full …JSON shapes from simulator
+// A converter fills the wire package's full …JSON shapes from simulator
 // blocks, reusing whatever capacity the (typically arena-pooled) struct
 // kept from earlier uses, so the block handlers' steady state allocates
-// only the strings a block renders.
+// only what is unique to a block: its id, its parent's id, its timestamp
+// and one string holding every transaction id.
 
 // grow extends s by one element, within its capacity when it can, and
 // returns the element as an earlier use left it: the caller resets it,
@@ -28,34 +31,46 @@ func grow[T any](s []T) ([]T, *T) {
 	return s, &s[len(s)-1]
 }
 
-// eosWireBlock fills out with b's wire shape, reusing out's transaction,
-// action and map capacity: the nodeos-style rendering get_block serves.
+// eosWireBlock fills out with b's wire shape through a pooled converter.
 func eosWireBlock(b *eos.Block, out *wire.EOSBlockJSON) {
+	c := converters.Get().(*converter)
+	c.eosBlock(b, out)
+	converters.Put(c)
+}
+
+// eosBlock fills out with b's wire shape, reusing out's transaction, action
+// and map capacity: the nodeos-style rendering get_block serves.
+func (c *converter) eosBlock(b *eos.Block, out *wire.EOSBlockJSON) {
 	out.BlockNum = b.Num
 	out.ID = b.ID.String()
 	out.Previous = b.Previous.String()
 	out.Timestamp = b.Timestamp.UTC().Format(wire.EOSTimestampLayout)
-	out.Producer = b.Producer.String()
+	out.Producer = c.name(b.Producer)
 	if len(b.Transactions) == 0 {
 		// Keep the nil → "transactions":null rendering of the original
 		// reflect path for empty blocks.
 		out.Transactions = nil
 		return
 	}
+	c.ids = c.ids[:0]
+	for i := range b.Transactions {
+		c.ids = hex.AppendEncode(c.ids, b.Transactions[i].ID[:])
+	}
+	ids := string(c.ids)
 	out.Transactions = out.Transactions[:0]
 	for i := range b.Transactions {
 		tx := &b.Transactions[i]
 		var tj *wire.EOSTrxJSON
 		out.Transactions, tj = grow(out.Transactions)
 		tj.Status = "executed"
-		tj.Trx.ID = tx.ID.String()
+		tj.Trx.ID = nthID(ids, i)
 		tj.Trx.Transaction.Actions = tj.Trx.Transaction.Actions[:0]
 		for j := range tx.Actions {
 			act := &tx.Actions[j]
 			var aj *wire.EOSActionJSON
 			tj.Trx.Transaction.Actions, aj = grow(tj.Trx.Transaction.Actions)
-			aj.Account = act.Account.String()
-			aj.Name = act.ActionName.String()
+			aj.Account = c.name(act.Account)
+			aj.Name = c.name(act.ActionName)
 			aj.Inline = act.Inline
 			aj.Authorization = aj.Authorization[:0]
 			// Own the data map: the pooled struct outlives this request and
@@ -94,7 +109,7 @@ func eosWireBlock(b *eos.Block, out *wire.EOSBlockJSON) {
 				} else {
 					clear(m)
 				}
-				m["actor"] = auth.Actor.String()
+				m["actor"] = c.name(auth.Actor)
 				m["permission"] = auth.Permission
 			}
 		}
@@ -135,40 +150,73 @@ func tezosWireBlock(b *tezos.Block, out *wire.TezosBlockJSON) {
 	}
 }
 
-// xrpConverter fills ledger shapes, holding a free list of amount structs
-// recycled between the transactions of successive conversions. Not safe
-// for concurrent use; recycle through xrpConverters.
-type xrpConverter struct {
+// converter holds what conversions recycle: a memo of EOS names, the
+// buffer transaction ids are hex-encoded into, and a free list of XRP
+// amount structs recycled between the transactions of successive ledgers.
+// Not safe for concurrent use; recycle through converters.
+type converter struct {
+	names   map[eos.Name]string
+	ids     []byte
 	amounts []*wire.XRPAmountJSON
 }
 
-var xrpConverters = sync.Pool{New: func() any { return new(xrpConverter) }}
+var converters = sync.Pool{New: func() any { return new(converter) }}
+
+// maxNames bounds a converter's name memo. The paper's EOS traffic is one
+// airdrop's transfers, so a block names the same few accounts and actions
+// over and over; a memo that fills up starts again rather than growing.
+const maxNames = 4096
+
+// name returns n's text, rendering it only on a memo miss.
+func (c *converter) name(n eos.Name) string {
+	s, ok := c.names[n]
+	if !ok {
+		if c.names == nil || len(c.names) >= maxNames {
+			c.names = make(map[eos.Name]string)
+		}
+		s = n.String()
+		c.names[n] = s
+	}
+	return s
+}
+
+// idLen is the length of a hex-encoded transaction id.
+const idLen = 2 * len(chain.Hash{})
+
+// nthID returns the i-th id of a string of hex-encoded ids joined end to
+// end: one allocation holds every id of a block.
+func nthID(ids string, i int) string { return ids[i*idLen : (i+1)*idLen] }
 
 // xrpWireLedger fills out with l's wire shape through a pooled converter.
 func xrpWireLedger(l *xrp.Ledger, expand bool, out *wire.XRPLedgerJSON) {
-	c := xrpConverters.Get().(*xrpConverter)
+	c := converters.Get().(*converter)
 	c.wireLedger(l, expand, out)
-	xrpConverters.Put(c)
+	converters.Put(c)
 }
 
 // wireLedger fills out with l's wire shape (transactions included when
 // expand is set), reusing out's transaction and amount capacity: the
 // rippled-style rendering the ledger command serves.
-func (c *xrpConverter) wireLedger(l *xrp.Ledger, expand bool, out *wire.XRPLedgerJSON) {
+func (c *converter) wireLedger(l *xrp.Ledger, expand bool, out *wire.XRPLedgerJSON) {
 	out.Transactions = out.Transactions[:0]
 	out.LedgerIndex = l.Index
 	out.LedgerHash = l.Hash.String()
 	out.ParentHash = l.ParentHash.String()
 	out.CloseTime = l.CloseTime.UTC().Format(time.RFC3339)
 	out.TxCount = len(l.Transactions)
-	if !expand {
+	if !expand || len(l.Transactions) == 0 {
 		return
 	}
+	c.ids = c.ids[:0]
+	for i := range l.Transactions {
+		c.ids = hex.AppendEncode(c.ids, l.Transactions[i].ID[:])
+	}
+	ids := string(c.ids)
 	for i := range l.Transactions {
 		tx := &l.Transactions[i]
 		var tj *wire.XRPTxJSON
 		out.Transactions, tj = c.growTx(out.Transactions)
-		tj.Hash = tx.ID.String()
+		tj.Hash = nthID(ids, i)
 		tj.TransactionType = string(tx.Type)
 		tj.Account = string(tx.Account)
 		tj.Destination = string(tx.Destination)
@@ -189,7 +237,7 @@ func (c *xrpConverter) wireLedger(l *xrp.Ledger, expand bool, out *wire.XRPLedge
 
 // growTx extends s by one element, recycling the revived element's amount
 // structs into the free list.
-func (c *xrpConverter) growTx(s []wire.XRPTxJSON) ([]wire.XRPTxJSON, *wire.XRPTxJSON) {
+func (c *converter) growTx(s []wire.XRPTxJSON) ([]wire.XRPTxJSON, *wire.XRPTxJSON) {
 	s, tx := grow(s)
 	c.freeAmount(tx.Amount)
 	c.freeAmount(tx.TakerGets)
@@ -202,13 +250,13 @@ func (c *xrpConverter) growTx(s []wire.XRPTxJSON) ([]wire.XRPTxJSON, *wire.XRPTx
 
 const maxFreeAmounts = 4096
 
-func (c *xrpConverter) freeAmount(a *wire.XRPAmountJSON) {
+func (c *converter) freeAmount(a *wire.XRPAmountJSON) {
 	if a != nil && len(c.amounts) < maxFreeAmounts {
 		c.amounts = append(c.amounts, a)
 	}
 }
 
-func (c *xrpConverter) getAmount() *wire.XRPAmountJSON {
+func (c *converter) getAmount() *wire.XRPAmountJSON {
 	if n := len(c.amounts); n > 0 {
 		a := c.amounts[n-1]
 		c.amounts = c.amounts[:n-1]
@@ -219,7 +267,7 @@ func (c *xrpConverter) getAmount() *wire.XRPAmountJSON {
 
 // setAmount mirrors amountJSON's nil-for-zero convention, recycling amount
 // structs through the free list.
-func (c *xrpConverter) setAmount(dst **wire.XRPAmountJSON, a xrp.Amount) {
+func (c *converter) setAmount(dst **wire.XRPAmountJSON, a xrp.Amount) {
 	if a.Value == 0 && a.Currency == "" {
 		c.freeAmount(*dst)
 		*dst = nil

@@ -131,8 +131,11 @@ func (s *EOSServer) getBlock(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, fmt.Sprintf("block %d not found", num))
 		return
 	}
-	// The get_block hot path: convert into an arena block and hand-encode
-	// from pooled buffers — no reflection, no per-request garbage.
+	// The get_block hot path: convert into an arena block through a pooled
+	// converter and hand-encode from pooled buffers, with no reflection.
+	// Past decoding the request, it allocates only what the block renders
+	// uniquely: its id, its previous id, its timestamp and one string of
+	// its transaction ids (TestEOSWireBlockSteadyStateAllocs).
 	jb := wire.GetEOSBlockJSON()
 	eosWireBlock(blk, jb)
 	c := wire.GetCodec()

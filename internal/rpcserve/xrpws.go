@@ -68,9 +68,14 @@ func (s *XRPServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer conn.Close()
+	var msg []byte
 	for {
+		var err error
+		if _, msg, err = conn.ReadMessageInto(msg[:0]); err != nil {
+			return
+		}
 		var req xrpRequest
-		if err := conn.ReadJSON(&req); err != nil {
+		if err := json.Unmarshal(msg, &req); err != nil {
 			return
 		}
 		// The ledger command is the crawl hot path: render it through the
@@ -91,10 +96,12 @@ func (s *XRPServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// writeLedger answers one ledger command allocation-free: arena ledger
-// struct, pooled converter and codec, pooled buffer, single frame write. It
-// reports handled=false (and no error) when the request needs the reflect
-// path — error envelopes or an id shape the fast encoder does not render.
+// writeLedger answers one ledger command from an arena ledger struct, a
+// pooled converter and codec, a pooled buffer and a single frame write,
+// allocating only the ledger's hashes, close time and one string of its
+// transaction hashes (TestXRPWireLedgerSteadyStateAllocs). It reports
+// handled=false (and no error) when the request needs the reflect path —
+// error envelopes or an id shape the fast encoder does not render.
 func (s *XRPServer) writeLedger(conn *wsrpc.Conn, req xrpRequest) (handled bool, err error) {
 	index, ok := s.resolveLedgerIndex(req.LedgerIndex)
 	if !ok {

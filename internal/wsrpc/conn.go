@@ -23,10 +23,17 @@ type Conn struct {
 	br      *bufio.Reader
 	client  bool // client connections mask outgoing frames
 
-	// readMu is held across ReadMessage so Close can tell that a reader is
-	// parked on the socket and leave the buffered reader to it.
-	readMu  sync.Mutex
+	// readMu is held across ReadMessageInto so Close can tell that a reader
+	// is parked on the socket and leave the buffered reader to it. It guards
+	// rh and ctl, the reader's frame header and control payload.
+	readMu sync.Mutex
+	rh     frameHeader
+	ctl    [maxControlPayload]byte
+
+	// writeMu guards wbuf, into which each frame is serialized whole, and
+	// maskRNG.
 	writeMu sync.Mutex
+	wbuf    []byte
 	maskRNG uint64
 
 	closeOnce sync.Once
@@ -57,11 +64,34 @@ func (c *Conn) writeFrame(f Frame) error {
 	if c.closed && f.Opcode != OpClose {
 		return ErrClosed
 	}
+	return c.writeLocked(f)
+}
+
+// maxKeptWriteBuffer bounds the write buffer a connection keeps between
+// frames; a larger frame's buffer is dropped once sent.
+const maxKeptWriteBuffer = 1 << 20
+
+// writeLocked serializes f, masked on a client, into the connection's write
+// buffer and sends header and payload in one Write. Called with writeMu
+// held.
+func (c *Conn) writeLocked(f Frame) error {
 	if c.client {
 		f.Masked = true
 		f.MaskKey = c.nextMask()
 	}
-	return WriteFrame(c.netConn, f)
+	b, err := appendFrame(c.wbuf[:0], f)
+	if err != nil {
+		return err
+	}
+	_, err = c.netConn.Write(b)
+	c.wbuf = nil
+	if cap(b) <= maxKeptWriteBuffer {
+		c.wbuf = b
+	}
+	if err != nil {
+		return fmt.Errorf("wsrpc: writing frame: %w", err)
+	}
+	return nil
 }
 
 // WriteMessage sends a complete text or binary message.
@@ -101,11 +131,7 @@ func (c *Conn) WriteFragmented(op Opcode, data []byte, chunk int) error {
 		} else {
 			frame.Payload = data[:chunk]
 		}
-		if c.client {
-			frame.Masked = true
-			frame.MaskKey = c.nextMask()
-		}
-		if err := WriteFrame(c.netConn, frame); err != nil {
+		if err := c.writeLocked(frame); err != nil {
 			return err
 		}
 		if frame.FIN {
@@ -130,74 +156,92 @@ func (c *Conn) Ping(data []byte) error {
 	return c.writeFrame(Frame{FIN: true, Opcode: OpPing, Payload: data})
 }
 
-// ReadMessage returns the next complete data message, transparently
-// reassembling fragments, answering pings and completing the close
-// handshake (after which ErrClosed is returned).
-func (c *Conn) ReadMessage() (Opcode, []byte, error) {
+// ReadMessage returns the next complete data message in a slice of its
+// own; see ReadMessageInto.
+func (c *Conn) ReadMessage() (Opcode, []byte, error) { return c.ReadMessageInto(nil) }
+
+// ReadMessageInto appends the next complete data message to dst and returns
+// the extended slice, transparently reassembling fragments, answering pings
+// and completing the close handshake (after which ErrClosed is returned).
+// dst grows only as payload bytes arrive, so a caller that passes a warm
+// buffer reads without allocating. On error it returns dst truncated to its
+// original length, perhaps with new capacity, for the caller to recycle.
+func (c *Conn) ReadMessageInto(dst []byte) (Opcode, []byte, error) {
 	c.readMu.Lock()
 	defer c.readMu.Unlock()
+	start := len(dst)
+	op, dst, err := c.readMessageLocked(dst)
+	if err != nil {
+		return 0, dst[:start], err
+	}
+	return op, dst, nil
+}
+
+// readMessageLocked is ReadMessageInto's loop. Called with readMu held.
+func (c *Conn) readMessageLocked(dst []byte) (Opcode, []byte, error) {
+	start := len(dst)
+	h := &c.rh
 	var msgOp Opcode
-	var buf []byte
 	assembling := false
 	for {
-		f, err := ReadFrame(c.br)
-		if err != nil {
-			return 0, nil, err
+		if err := h.read(c.br); err != nil {
+			return 0, dst, err
 		}
 		// Masking direction check: clients must mask, servers must not.
-		if c.client == f.Masked {
-			return 0, nil, fmt.Errorf("wsrpc: wrong masking direction (client=%v masked=%v)", c.client, f.Masked)
+		if c.client == h.masked {
+			return 0, dst, fmt.Errorf("wsrpc: wrong masking direction (client=%v masked=%v)", c.client, h.masked)
 		}
-		switch f.Opcode {
-		case OpPing:
-			if err := c.writeFrame(Frame{FIN: true, Opcode: OpPong, Payload: f.Payload}); err != nil {
-				return 0, nil, err
+		if h.op.IsControl() {
+			ctl, err := h.readPayload(c.br, c.ctl[:0])
+			if err != nil {
+				return 0, dst, err
 			}
-		case OpPong:
-			// Unsolicited pongs are permitted and ignored.
-		case OpClose:
-			c.writeMu.Lock()
-			alreadyClosed := c.closed
-			c.closed = true
-			c.writeMu.Unlock()
-			if !alreadyClosed {
-				_ = WriteFrame(c.netConn, c.maybeMask(Frame{FIN: true, Opcode: OpClose, Payload: f.Payload}))
+			switch h.op {
+			case OpPing:
+				if err := c.writeFrame(Frame{FIN: true, Opcode: OpPong, Payload: ctl}); err != nil {
+					return 0, dst, err
+				}
+			case OpPong:
+				// Unsolicited pongs are permitted and ignored.
+			case OpClose:
+				c.writeMu.Lock()
+				if !c.closed {
+					c.closed = true
+					_ = c.writeLocked(Frame{FIN: true, Opcode: OpClose, Payload: ctl})
+				}
+				c.writeMu.Unlock()
+				c.netConn.Close()
+				return 0, dst, ErrClosed
+			default:
+				return 0, dst, fmt.Errorf("wsrpc: unknown opcode %d", h.op)
 			}
-			c.netConn.Close()
-			return 0, nil, ErrClosed
+			continue
+		}
+		switch h.op {
 		case OpText, OpBinary:
 			if assembling {
-				return 0, nil, fmt.Errorf("wsrpc: new data frame while assembling fragments")
+				return 0, dst, fmt.Errorf("wsrpc: new data frame while assembling fragments")
 			}
-			if f.FIN {
-				return f.Opcode, f.Payload, nil
-			}
-			msgOp = f.Opcode
-			buf = append(buf, f.Payload...)
+			msgOp = h.op
 			assembling = true
 		case OpContinuation:
 			if !assembling {
-				return 0, nil, fmt.Errorf("wsrpc: continuation without initial frame")
+				return 0, dst, fmt.Errorf("wsrpc: continuation without initial frame")
 			}
-			buf = append(buf, f.Payload...)
-			if len(buf) > MaxFramePayload {
-				return 0, nil, ErrFrameTooLarge
-			}
-			if f.FIN {
-				return msgOp, buf, nil
+			if uint64(len(dst)-start)+h.length > MaxFramePayload {
+				return 0, dst, ErrFrameTooLarge
 			}
 		default:
-			return 0, nil, fmt.Errorf("wsrpc: unknown opcode %d", f.Opcode)
+			return 0, dst, fmt.Errorf("wsrpc: unknown opcode %d", h.op)
+		}
+		var err error
+		if dst, err = h.readPayload(c.br, dst); err != nil {
+			return 0, dst, err
+		}
+		if h.fin {
+			return msgOp, dst, nil
 		}
 	}
-}
-
-func (c *Conn) maybeMask(f Frame) Frame {
-	if c.client {
-		f.Masked = true
-		f.MaskKey = c.nextMask()
-	}
-	return f
 }
 
 // ReadJSON reads the next message and unmarshals it into v.
@@ -223,7 +267,7 @@ func (c *Conn) Close() error {
 		alreadyClosed := c.closed
 		c.closed = true
 		if !alreadyClosed {
-			err = WriteFrame(c.netConn, c.maybeMask(Frame{FIN: true, Opcode: OpClose}))
+			err = c.writeLocked(Frame{FIN: true, Opcode: OpClose})
 		}
 		c.writeMu.Unlock()
 		// Best effort: read the close echo so the peer sees a clean
@@ -231,8 +275,10 @@ func (c *Conn) Close() error {
 		// closing the socket under it is what wakes it.
 		if c.readMu.TryLock() {
 			for i := 0; i < 8; i++ {
-				f, rerr := ReadFrame(c.br)
-				if rerr != nil || f.Opcode == OpClose {
+				if c.rh.read(c.br) != nil || c.rh.op == OpClose {
+					break
+				}
+				if _, rerr := c.br.Discard(int(c.rh.length)); rerr != nil {
 					break
 				}
 			}

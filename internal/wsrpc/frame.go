@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Opcode identifies a WebSocket frame type.
@@ -55,105 +56,160 @@ var (
 	ErrBadLengthEncoding = errors.New("wsrpc: non-minimal length encoding")
 )
 
-// WriteFrame serializes a frame to w. The payload is masked in place when
-// f.Masked is set (clients mask, servers must not).
+// WriteFrame serializes a frame to w in a single Write. A masked frame's
+// payload is masked into the serialized copy; f.Payload is left as it was.
 func WriteFrame(w io.Writer, f Frame) error {
-	if f.Opcode.IsControl() && (len(f.Payload) > maxControlPayload || !f.FIN) {
-		return ErrBadControlFrame
+	b, err := appendFrame(nil, f)
+	if err != nil {
+		return err
 	}
-	var header [14]byte
-	n := 2
-	header[0] = byte(f.Opcode)
-	if f.FIN {
-		header[0] |= 0x80
-	}
-	length := len(f.Payload)
-	switch {
-	case length <= 125:
-		header[1] = byte(length)
-	case length <= 0xFFFF:
-		header[1] = 126
-		binary.BigEndian.PutUint16(header[2:4], uint16(length))
-		n = 4
-	default:
-		header[1] = 127
-		binary.BigEndian.PutUint64(header[2:10], uint64(length))
-		n = 10
-	}
-	payload := f.Payload
-	if f.Masked {
-		header[1] |= 0x80
-		copy(header[n:n+4], f.MaskKey[:])
-		n += 4
-		payload = make([]byte, length)
-		for i, b := range f.Payload {
-			payload[i] = b ^ f.MaskKey[i%4]
-		}
-	}
-	if _, err := w.Write(header[:n]); err != nil {
-		return fmt.Errorf("wsrpc: writing frame header: %w", err)
-	}
-	if len(payload) > 0 {
-		if _, err := w.Write(payload); err != nil {
-			return fmt.Errorf("wsrpc: writing frame payload: %w", err)
-		}
+	if _, err := w.Write(b); err != nil {
+		return fmt.Errorf("wsrpc: writing frame: %w", err)
 	}
 	return nil
 }
 
-// ReadFrame parses one frame from r, unmasking the payload if needed.
-func ReadFrame(r io.Reader) (Frame, error) {
-	var f Frame
-	var head [2]byte
-	if _, err := io.ReadFull(r, head[:]); err != nil {
-		return f, err
+// appendFrame appends f's header and payload to dst, masking the payload as
+// it copies when f.Masked is set (clients mask, servers must not).
+func appendFrame(dst []byte, f Frame) ([]byte, error) {
+	if f.Opcode.IsControl() && (len(f.Payload) > maxControlPayload || !f.FIN) {
+		return dst, ErrBadControlFrame
 	}
-	f.FIN = head[0]&0x80 != 0
-	if head[0]&0x70 != 0 {
-		return f, ErrReservedBits
+	b0 := byte(f.Opcode)
+	if f.FIN {
+		b0 |= 0x80
 	}
-	f.Opcode = Opcode(head[0] & 0x0F)
-	f.Masked = head[1]&0x80 != 0
-	length := uint64(head[1] & 0x7F)
-	switch length {
+	var b1 byte
+	if f.Masked {
+		b1 = 0x80
+	}
+	length := len(f.Payload)
+	switch {
+	case length <= 125:
+		dst = append(dst, b0, b1|byte(length))
+	case length <= 0xFFFF:
+		dst = append(dst, b0, b1|126)
+		dst = binary.BigEndian.AppendUint16(dst, uint16(length))
+	default:
+		dst = append(dst, b0, b1|127)
+		dst = binary.BigEndian.AppendUint64(dst, uint64(length))
+	}
+	if !f.Masked {
+		return append(dst, f.Payload...), nil
+	}
+	dst = append(dst, f.MaskKey[:]...)
+	start := len(dst)
+	dst = append(dst, f.Payload...)
+	mask(dst[start:], f.MaskKey)
+	return dst, nil
+}
+
+// mask XORs b with the repeated key, as RFC 6455 §5.3 masks (and unmasks)
+// a payload that starts at b[0].
+func mask(b []byte, key [4]byte) {
+	for i := range b {
+		b[i] ^= key[i&3]
+	}
+}
+
+// frameHeader is one parsed frame header: everything before the payload.
+type frameHeader struct {
+	fin    bool
+	op     Opcode
+	masked bool
+	key    [4]byte
+	length uint64
+	// scratch receives the header bytes. Embedded, a header held by a Conn
+	// reads through an io.Reader without a per-frame allocation.
+	scratch [8]byte
+}
+
+// read parses the next frame header from r.
+func (h *frameHeader) read(r io.Reader) error {
+	b := h.scratch[:2]
+	if _, err := io.ReadFull(r, b); err != nil {
+		return err
+	}
+	h.fin = b[0]&0x80 != 0
+	if b[0]&0x70 != 0 {
+		return ErrReservedBits
+	}
+	h.op = Opcode(b[0] & 0x0F)
+	h.masked = b[1]&0x80 != 0
+	h.length = uint64(b[1] & 0x7F)
+	switch h.length {
 	case 126:
-		var ext [2]byte
-		if _, err := io.ReadFull(r, ext[:]); err != nil {
-			return f, err
+		ext := h.scratch[:2]
+		if _, err := io.ReadFull(r, ext); err != nil {
+			return err
 		}
-		length = uint64(binary.BigEndian.Uint16(ext[:]))
-		if length <= 125 {
-			return f, ErrBadLengthEncoding
+		h.length = uint64(binary.BigEndian.Uint16(ext))
+		if h.length <= 125 {
+			return ErrBadLengthEncoding
 		}
 	case 127:
-		var ext [8]byte
-		if _, err := io.ReadFull(r, ext[:]); err != nil {
-			return f, err
+		ext := h.scratch[:8]
+		if _, err := io.ReadFull(r, ext); err != nil {
+			return err
 		}
-		length = binary.BigEndian.Uint64(ext[:])
-		if length <= 0xFFFF {
-			return f, ErrBadLengthEncoding
-		}
-	}
-	if f.Opcode.IsControl() && (length > maxControlPayload || !f.FIN) {
-		return f, ErrBadControlFrame
-	}
-	if length > MaxFramePayload {
-		return f, ErrFrameTooLarge
-	}
-	if f.Masked {
-		if _, err := io.ReadFull(r, f.MaskKey[:]); err != nil {
-			return f, err
+		h.length = binary.BigEndian.Uint64(ext)
+		if h.length <= 0xFFFF {
+			return ErrBadLengthEncoding
 		}
 	}
-	f.Payload = make([]byte, length)
-	if _, err := io.ReadFull(r, f.Payload); err != nil {
-		return f, err
+	if h.op.IsControl() && (h.length > maxControlPayload || !h.fin) {
+		return ErrBadControlFrame
 	}
-	if f.Masked {
-		for i := range f.Payload {
-			f.Payload[i] ^= f.MaskKey[i%4]
+	if h.length > MaxFramePayload {
+		return ErrFrameTooLarge
+	}
+	if h.masked {
+		if _, err := io.ReadFull(r, h.scratch[:4]); err != nil {
+			return err
+		}
+		h.key = [4]byte(h.scratch[:4])
+	}
+	return nil
+}
+
+// minPayloadGrowth is the least readPayload grows a full destination by.
+const minPayloadGrowth = 512
+
+// readPayload appends the frame's payload from r to dst, unmasked. dst
+// grows only as payload bytes arrive, at most doubling what already
+// arrived, so a header that claims more than the peer sends costs what
+// the peer sent, not what it claimed. On error the bytes read so far stay
+// appended.
+func (h *frameHeader) readPayload(r io.Reader, dst []byte) ([]byte, error) {
+	start := len(dst)
+	for left := int(h.length); left > 0; {
+		if len(dst) == cap(dst) {
+			dst = slices.Grow(dst, min(left, max(len(dst)-start, minPayloadGrowth)))
+		}
+		n, err := io.ReadFull(r, dst[len(dst):min(cap(dst), len(dst)+left)])
+		dst = dst[:len(dst)+n]
+		left -= n
+		if err != nil {
+			if err == io.EOF && len(dst) > start {
+				err = io.ErrUnexpectedEOF
+			}
+			return dst, err
 		}
 	}
-	return f, nil
+	if h.masked {
+		mask(dst[start:], h.key)
+	}
+	return dst, nil
+}
+
+// ReadFrame parses one frame from r, unmasking the payload if needed.
+func ReadFrame(r io.Reader) (Frame, error) {
+	var h frameHeader
+	if err := h.read(r); err != nil {
+		return Frame{FIN: h.fin, Opcode: h.op, Masked: h.masked}, err
+	}
+	f := Frame{FIN: h.fin, Opcode: h.op, Masked: h.masked, MaskKey: h.key}
+	var err error
+	f.Payload, err = h.readPayload(r, nil)
+	return f, err
 }
