@@ -275,11 +275,7 @@ func TestRunShardCrawlForeignCheckpoint(t *testing.T) {
 	kit := fx.kit(t)
 	st := kit.State()
 	st.SetCovered(core.BlockRange{From: head + 5, To: head + 20})
-	var buf bytes.Buffer
-	if err := st.EncodeTo(&buf, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Put(context.Background(), CheckpointKey("eos", 1, head), buf.Bytes()); err != nil {
+	if err := store.Put(context.Background(), CheckpointKey("eos", 1, head), st.EncodeTo(nil, 0)); err != nil {
 		t.Fatal(err)
 	}
 	_, err := RunShardCrawl(context.Background(), CrawlerConfig{

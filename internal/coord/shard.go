@@ -68,11 +68,12 @@ func readShard(ctx context.Context, store blobstore.Store, key string, known sha
 	if known.raw != nil && bytes.Equal(known.raw, raw) {
 		return known, nil
 	}
-	fence, err := wire.ShardFence(raw)
-	if err != nil {
-		return shardBlob{}, fmt.Errorf("coord: corrupt shard %s at %s: %w", key, store.URL(), err)
+	// One open: the envelope's fence, then its body decoded in place.
+	chainName, fence, body, err := wire.OpenShard(raw)
+	var st core.ShardState
+	if err == nil {
+		st, err = core.DecodeShardBody(chainName, body)
 	}
-	st, err := core.DecodeShard(raw)
 	if err != nil {
 		return shardBlob{}, fmt.Errorf("coord: corrupt shard %s at %s: %w", key, store.URL(), err)
 	}

@@ -1,7 +1,6 @@
 package coord
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -122,7 +121,7 @@ func RunShardCrawl(ctx context.Context, cfg CrawlerConfig) (CrawlOutcome, error)
 	// or a later checkpoint of this very state.
 	hi := cfg.To
 	if raw, err := cfg.Store.Get(ctx, ckptKey); err == nil {
-		if derr := st.DecodeFrom(bytes.NewReader(raw)); derr != nil {
+		if derr := st.DecodeFrom(raw); derr != nil {
 			return CrawlOutcome{}, fmt.Errorf("coord: checkpoint %s at %s is corrupt: %w (delete it to restart the slice from scratch)",
 				ckptKey, cfg.Store.URL(), derr)
 		}
@@ -142,20 +141,17 @@ func RunShardCrawl(ctx context.Context, cfg CrawlerConfig) (CrawlOutcome, error)
 		// One stream and one ingest pool for what is left of the slice; the
 		// checkpoints are cut from the running ingest. buf belongs to the
 		// cutting goroutine, which reuses it from one checkpoint to the next.
-		var buf bytes.Buffer
+		var buf []byte
 		cut := func(lo int64) error {
 			// Every block of [lo, To] is in the aggregate and none below lo.
 			st.SetCovered(core.BlockRange{From: lo, To: cfg.To})
 			if lo == cfg.From {
 				return nil // the last chunk: the shard emit supersedes its checkpoint
 			}
-			buf.Reset()
-			if err := st.EncodeTo(&buf, 0); err != nil {
-				return fmt.Errorf("coord: encoding checkpoint covering [%d, %d]: %w", lo, cfg.To, err)
-			}
+			buf = st.EncodeTo(buf[:0], 0)
 			// Not under ctx: an interrupted worker still writes the chunks
 			// it holds complete, so the rerun starts from the latest one.
-			if err := cfg.Store.Put(context.WithoutCancel(ctx), ckptKey, buf.Bytes()); err != nil {
+			if err := cfg.Store.Put(context.WithoutCancel(ctx), ckptKey, buf); err != nil {
 				return fmt.Errorf("coord: writing checkpoint %s: %w", ckptKey, err)
 			}
 			log.Info("checkpoint", "key", ckptKey, "covered", core.BlockRange{From: lo, To: cfg.To})
@@ -180,11 +176,7 @@ func RunShardCrawl(ctx context.Context, cfg CrawlerConfig) (CrawlOutcome, error)
 
 	st.SetCovered(core.BlockRange{From: cfg.From, To: cfg.To})
 	key := shardKey(task)
-	blob, err := core.EncodeShard(st, cfg.Fence)
-	if err != nil {
-		return out, err
-	}
-	if err := cfg.Store.Put(ctx, key, blob); err != nil {
+	if err := cfg.Store.Put(ctx, key, st.EncodeTo(nil, cfg.Fence)); err != nil {
 		return out, fmt.Errorf("coord: storing shard %s at %s: %w", key, cfg.Store.URL(), err)
 	}
 	out.ShardKey = key

@@ -20,33 +20,73 @@
 package core
 
 import (
-	"bytes"
+	"cmp"
 	"fmt"
-	"io"
-	"sort"
+	"math"
+	"slices"
+	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/stats"
 	"repro/internal/wire"
 )
 
-// encCountMap writes a count map with sorted keys.
-func encCountMap(e *wire.ShardEnc, m map[string]int64) {
-	keys := make([]string, 0, len(m))
+// shardEncoder is what one encode borrows from encoders: the body buffer
+// and sort scratch, inner for count maps and keys for the maps around them.
+type shardEncoder struct {
+	wire.ShardEnc
+	keys    []string
+	inner   []string
+	tags    []uint32
+	refs    []offerRef
+	entries []stats.Entry
+}
+
+var encoders = sync.Pool{New: func() any { return new(shardEncoder) }}
+
+// borrowEncoder takes an encoder with an empty body from the pool; seal
+// gives it back.
+func borrowEncoder() *shardEncoder {
+	x := encoders.Get().(*shardEncoder)
+	x.Reset()
+	return x
+}
+
+// seal appends the sealed body to dst and returns x to the pool.
+func (x *shardEncoder) seal(dst []byte, chain string, fence uint64) []byte {
+	dst = wire.SealShard(dst, chain, fence, x.Bytes())
+	encoders.Put(x)
+	return dst
+}
+
+// sortedKeys returns m's keys, sorted, in dst's storage.
+func sortedKeys[V any](dst []string, m map[string]V) []string {
+	dst = dst[:0]
 	for k := range m {
-		keys = append(keys, k)
+		dst = append(dst, k)
 	}
-	sort.Strings(keys)
-	e.Uvarint(uint64(len(keys)))
-	for _, k := range keys {
-		e.String(k)
-		e.Varint(m[k])
+	slices.Sort(dst)
+	return dst
+}
+
+// countMap writes a count map with sorted keys.
+func (x *shardEncoder) countMap(m map[string]int64) {
+	x.inner = sortedKeys(x.inner, m)
+	x.Uvarint(uint64(len(x.inner)))
+	for _, k := range x.inner {
+		x.String(k)
+		x.Varint(m[k])
 	}
 }
 
-// decCountMap reads a count map written by encCountMap into m.
-func decCountMap(d *wire.ShardDec, m map[string]int64) {
+// decCountMap reads a count map written by countMap, adding into m — or,
+// when m is nil, into a map sized for it — and returns the map.
+func decCountMap(d *wire.ShardDec, m map[string]int64) map[string]int64 {
 	n := d.Count()
+	if m == nil {
+		m = make(map[string]int64, capHint(d, n, 2))
+	}
 	for i := 0; i < n && d.Err() == nil; i++ {
 		k := d.String()
 		v := d.Varint()
@@ -54,51 +94,44 @@ func decCountMap(d *wire.ShardDec, m map[string]int64) {
 			m[k] += v
 		}
 	}
+	return m
 }
 
-// encNested writes a nested count map, both levels key-sorted.
-func encNested(e *wire.ShardEnc, m map[string]map[string]int64) {
-	outer := make([]string, 0, len(m))
-	for k := range m {
-		outer = append(outer, k)
-	}
-	sort.Strings(outer)
-	e.Uvarint(uint64(len(outer)))
-	for _, k := range outer {
-		e.String(k)
-		encCountMap(e, m[k])
+// nested writes a nested count map, both levels key-sorted.
+func (x *shardEncoder) nested(m map[string]map[string]int64) {
+	x.keys = sortedKeys(x.keys, m)
+	x.Uvarint(uint64(len(x.keys)))
+	for _, k := range x.keys {
+		x.String(k)
+		x.countMap(m[k])
 	}
 }
 
-// decNested reads a nested count map written by encNested into m.
+// decNested reads a nested count map written by nested into m.
 func decNested(d *wire.ShardDec, m map[string]map[string]int64) {
 	n := d.Count()
 	for i := 0; i < n && d.Err() == nil; i++ {
 		k := d.String()
-		inner := m[k]
-		if inner == nil {
-			inner = make(map[string]int64)
-			if d.Err() == nil {
-				m[k] = inner
-			}
+		inner := decCountMap(d, m[k])
+		if d.Err() == nil {
+			m[k] = inner
 		}
-		decCountMap(d, inner)
 	}
 }
 
-// encSeries writes a time series as its sorted populated cells; geometry
+// series writes a time series as its sorted populated cells; geometry
 // (origin, width) travels in the common shard prefix, not here.
-func encSeries(e *wire.ShardEnc, s *stats.TimeSeries) {
-	entries := s.Entries()
-	e.Uvarint(uint64(len(entries)))
-	for _, en := range entries {
-		e.Uvarint(uint64(en.Bucket))
-		e.String(en.Label)
-		e.Varint(en.Count)
+func (x *shardEncoder) series(s *stats.TimeSeries) {
+	x.entries = s.AppendEntries(x.entries[:0])
+	x.Uvarint(uint64(len(x.entries)))
+	for _, en := range x.entries {
+		x.Uvarint(uint64(en.Bucket))
+		x.String(en.Label)
+		x.Varint(en.Count)
 	}
 }
 
-// decSeries reads cells written by encSeries into s.
+// decSeries reads cells written by series into s.
 func decSeries(d *wire.ShardDec, s *stats.TimeSeries) {
 	n := d.Count()
 	for i := 0; i < n && d.Err() == nil; i++ {
@@ -111,15 +144,15 @@ func decSeries(d *wire.ShardDec, s *stats.TimeSeries) {
 	}
 }
 
-// encPrefix writes the common shard prefix every chain shares: window
+// prefix writes the common shard prefix every chain shares: window
 // geometry, covered block range and observed time bounds.
-func encPrefix(e *wire.ShardEnc, w Window, cov BlockRange, first, last time.Time) {
-	e.Time(w.Origin)
-	e.Varint(int64(w.Bucket))
-	e.Varint(cov.From)
-	e.Varint(cov.To)
-	e.Time(first)
-	e.Time(last)
+func (x *shardEncoder) prefix(w Window, cov BlockRange, first, last time.Time) {
+	x.Time(w.Origin)
+	x.Varint(int64(w.Bucket))
+	x.Varint(cov.From)
+	x.Varint(cov.To)
+	x.Time(first)
+	x.Time(last)
 }
 
 // decPrefix reads the common prefix, validating the bucket width before
@@ -141,28 +174,24 @@ func decPrefix(d *wire.ShardDec) (w Window, cov BlockRange, first, last time.Tim
 	return
 }
 
-// sealTo seals a chain's encoded body under the fence token and writes the
-// blob.
-func sealTo(w io.Writer, chain string, fence uint64, body []byte) error {
-	_, err := w.Write(wire.SealShard(chain, fence, body))
-	return err
+// bodyDecoder is a chain's state, which decodeBody replaces with the fields
+// of an opened body.
+type bodyDecoder interface {
+	Chain() string
+	decodeBody(d *wire.ShardDec) error
 }
 
-// openFrom reads a sealed blob, validates the envelope and the chain name,
-// and returns a decoder over the body.
-func openFrom(r io.Reader, wantChain string) (*wire.ShardDec, error) {
-	blob, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("core: reading shard blob: %w", err)
-	}
+// decodeFrom opens a blob, checks that it holds st's chain and decodes its
+// body into st in place.
+func decodeFrom(st bodyDecoder, blob []byte) error {
 	chain, _, body, err := wire.OpenShard(blob)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if chain != wantChain {
-		return nil, fmt.Errorf("core: decoding %q shard into %s state", chain, wantChain)
+	if chain != st.Chain() {
+		return fmt.Errorf("core: decoding %q shard into %s state", chain, st.Chain())
 	}
-	return wire.NewShardDec(body), nil
+	return st.decodeBody(wire.NewShardDec(body))
 }
 
 // finishDecode is every chain's decode epilogue: surface the sticky error
@@ -178,39 +207,38 @@ func finishDecode(chain string, d *wire.ShardDec) error {
 	return nil
 }
 
-// EncodeTo writes the shard as a sealed blob (ShardState contract).
-func (s *EOSShard) EncodeTo(w io.Writer, fence uint64) error {
-	var e wire.ShardEnc
-	encPrefix(&e, s.Window(), s.covered, s.FirstBlockTime, s.LastBlockTime)
-	e.Varint(s.Blocks)
-	e.Varint(s.Transactions)
-	e.Varint(s.Actions)
-	encCountMap(&e, s.ActionsByName)
-	encSeries(&e, s.Series)
-	encNested(&e, s.ReceivedByContract)
-	encNested(&e, s.SentPairs)
-	e.Uvarint(uint64(len(s.Trades)))
+// EncodeTo appends the shard's sealed blob to dst (ShardState contract).
+func (s *EOSShard) EncodeTo(dst []byte, fence uint64) []byte {
+	x := borrowEncoder()
+	x.prefix(s.Window(), s.covered, s.FirstBlockTime, s.LastBlockTime)
+	x.Varint(s.Blocks)
+	x.Varint(s.Transactions)
+	x.Varint(s.Actions)
+	x.countMap(s.ActionsByName)
+	x.series(s.Series)
+	x.nested(s.ReceivedByContract)
+	x.nested(s.SentPairs)
+	x.Uvarint(uint64(len(s.Trades)))
 	for _, t := range s.Trades {
-		e.String(t.Buyer)
-		e.String(t.Seller)
-		e.String(t.Currency)
-		e.Uvarint(uint64(t.Precision))
-		e.Varint(t.Amount)
+		x.String(t.Buyer)
+		x.String(t.Seller)
+		x.String(t.Currency)
+		x.Uvarint(uint64(t.Precision))
+		x.Varint(t.Amount)
 	}
-	e.Varint(s.boomerangs)
-	e.Varint(s.eidosActions)
-	e.Varint(s.volume)
-	e.Varint(s.boomerangVolume)
-	return sealTo(w, "eos", fence, e.Bytes())
+	x.Varint(s.boomerangs)
+	x.Varint(s.eidosActions)
+	x.Varint(s.volume)
+	x.Varint(s.boomerangVolume)
+	return x.seal(dst, "eos", fence)
 }
 
 // DecodeFrom replaces the shard with a blob's contents (ShardState
 // contract).
-func (s *EOSShard) DecodeFrom(r io.Reader) error {
-	d, err := openFrom(r, "eos")
-	if err != nil {
-		return err
-	}
+func (s *EOSShard) DecodeFrom(blob []byte) error { return decodeFrom(s, blob) }
+
+// decodeBody replaces the shard with the fields of an opened EOS body.
+func (s *EOSShard) decodeBody(d *wire.ShardDec) error {
 	w, cov, first, last, err := decPrefix(d)
 	if err != nil {
 		return err
@@ -227,12 +255,13 @@ func (s *EOSShard) DecodeFrom(r io.Reader) error {
 	decNested(d, s.ReceivedByContract)
 	decNested(d, s.SentPairs)
 	n := d.Count()
+	s.Trades = make([]DEXTrade, 0, capHint(d, n, 5))
 	for i := 0; i < n && d.Err() == nil; i++ {
 		t := DEXTrade{
 			Buyer:     d.String(),
 			Seller:    d.String(),
 			Currency:  d.String(),
-			Precision: int(d.Uvarint()),
+			Precision: int(d.UvarintMax(math.MaxInt32)),
 			Amount:    d.Varint(),
 		}
 		if d.Err() == nil {
@@ -246,33 +275,32 @@ func (s *EOSShard) DecodeFrom(r io.Reader) error {
 	return finishDecode("eos", d)
 }
 
-// EncodeTo writes the shard as a sealed blob (ShardState contract).
-func (s *TezosShard) EncodeTo(w io.Writer, fence uint64) error {
-	var e wire.ShardEnc
-	encPrefix(&e, s.Window(), s.covered, s.FirstBlockTime, s.LastBlockTime)
-	e.Varint(s.Blocks)
-	e.Varint(s.Operations)
-	encCountMap(&e, s.OpsByKind)
-	encSeries(&e, s.Series)
-	encNested(&e, s.sentTo)
-	e.Uvarint(uint64(len(s.Votes)))
+// EncodeTo appends the shard's sealed blob to dst (ShardState contract).
+func (s *TezosShard) EncodeTo(dst []byte, fence uint64) []byte {
+	x := borrowEncoder()
+	x.prefix(s.Window(), s.covered, s.FirstBlockTime, s.LastBlockTime)
+	x.Varint(s.Blocks)
+	x.Varint(s.Operations)
+	x.countMap(s.OpsByKind)
+	x.series(s.Series)
+	x.nested(s.sentTo)
+	x.Uvarint(uint64(len(s.Votes)))
 	for _, v := range s.Votes {
-		e.Time(v.Time)
-		e.String(v.Kind)
-		e.String(v.Proposal)
-		e.String(v.Ballot)
-		e.Varint(v.Rolls)
+		x.Time(v.Time)
+		x.String(v.Kind)
+		x.String(v.Proposal)
+		x.String(v.Ballot)
+		x.Varint(v.Rolls)
 	}
-	return sealTo(w, "tezos", fence, e.Bytes())
+	return x.seal(dst, "tezos", fence)
 }
 
 // DecodeFrom replaces the shard with a blob's contents (ShardState
 // contract).
-func (s *TezosShard) DecodeFrom(r io.Reader) error {
-	d, err := openFrom(r, "tezos")
-	if err != nil {
-		return err
-	}
+func (s *TezosShard) DecodeFrom(blob []byte) error { return decodeFrom(s, blob) }
+
+// decodeBody replaces the shard with the fields of an opened Tezos body.
+func (s *TezosShard) decodeBody(d *wire.ShardDec) error {
 	w, cov, first, last, err := decPrefix(d)
 	if err != nil {
 		return err
@@ -287,6 +315,7 @@ func (s *TezosShard) DecodeFrom(r io.Reader) error {
 	decSeries(d, s.Series)
 	decNested(d, s.sentTo)
 	n := d.Count()
+	s.Votes = make([]GovernanceVote, 0, capHint(d, n, 5))
 	for i := 0; i < n && d.Err() == nil; i++ {
 		v := GovernanceVote{
 			Time:     d.Time(),
@@ -302,69 +331,64 @@ func (s *TezosShard) DecodeFrom(r io.Reader) error {
 	return finishDecode("tezos", d)
 }
 
-// EncodeTo writes the shard as a sealed blob (ShardState contract).
-func (s *XRPShard) EncodeTo(w io.Writer, fence uint64) error {
-	var e wire.ShardEnc
-	encPrefix(&e, s.Window(), s.covered, s.FirstLedgerTime, s.LastLedgerTime)
-	e.Varint(s.Ledgers)
-	e.Varint(s.Transactions)
-	e.Varint(s.Failed)
-	encCountMap(&e, s.TxByType)
-	encSeries(&e, s.Series)
-	accounts := make([]string, 0, len(s.byAccount))
-	for addr := range s.byAccount {
-		accounts = append(accounts, addr)
-	}
-	sort.Strings(accounts)
-	e.Uvarint(uint64(len(accounts)))
-	for _, addr := range accounts {
+// EncodeTo appends the shard's sealed blob to dst (ShardState contract).
+func (s *XRPShard) EncodeTo(dst []byte, fence uint64) []byte {
+	x := borrowEncoder()
+	x.prefix(s.Window(), s.covered, s.FirstLedgerTime, s.LastLedgerTime)
+	x.Varint(s.Ledgers)
+	x.Varint(s.Transactions)
+	x.Varint(s.Failed)
+	x.countMap(s.TxByType)
+	x.series(s.Series)
+	x.keys = sortedKeys(x.keys, s.byAccount)
+	x.Uvarint(uint64(len(x.keys)))
+	for _, addr := range x.keys {
 		agg := s.byAccount[addr]
-		e.String(addr)
-		e.Varint(agg.Total)
-		e.Varint(agg.Offers)
-		tags := make([]uint32, 0, len(agg.DestTags))
+		x.String(addr)
+		x.Varint(agg.Total)
+		x.Varint(agg.Offers)
+		x.tags = x.tags[:0]
 		for tag := range agg.DestTags {
-			tags = append(tags, tag)
+			x.tags = append(x.tags, tag)
 		}
-		sort.Slice(tags, func(i, j int) bool { return tags[i] < tags[j] })
-		e.Uvarint(uint64(len(tags)))
-		for _, tag := range tags {
-			e.Uvarint(uint64(tag))
-			e.Varint(agg.DestTags[tag])
+		slices.Sort(x.tags)
+		x.Uvarint(uint64(len(x.tags)))
+		for _, tag := range x.tags {
+			x.Uvarint(uint64(tag))
+			x.Varint(agg.DestTags[tag])
 		}
 	}
-	e.Uvarint(uint64(len(s.payments)))
+	x.Uvarint(uint64(len(s.payments)))
 	for _, p := range s.payments {
-		e.String(p.From)
-		e.String(p.To)
-		e.String(p.Currency)
-		e.String(p.Issuer)
-		e.Varint(p.Value)
+		x.String(p.From)
+		x.String(p.To)
+		x.String(p.Currency)
+		x.String(p.Issuer)
+		x.Varint(p.Value)
 	}
-	e.Varint(s.offersCreated)
-	encOfferSet(&e, s.offersExecuted)
-	e.Uvarint(uint64(len(s.exchanges)))
+	x.Varint(s.offersCreated)
+	x.offerSet(s.offersExecuted)
+	x.Uvarint(uint64(len(s.exchanges)))
 	for _, ex := range s.exchanges {
-		e.Time(ex.Time)
-		e.String(ex.Base.Currency)
-		e.String(ex.Base.Issuer)
-		e.String(ex.Counter.Currency)
-		e.String(ex.Counter.Issuer)
-		e.Varint(ex.BaseValue)
-		e.Varint(ex.CounterValue)
-		e.String(ex.Maker)
-		e.Uvarint(uint64(ex.MakerSequence))
+		x.Time(ex.Time)
+		x.String(ex.Base.Currency)
+		x.String(ex.Base.Issuer)
+		x.String(ex.Counter.Currency)
+		x.String(ex.Counter.Issuer)
+		x.Varint(ex.BaseValue)
+		x.Varint(ex.CounterValue)
+		x.String(ex.Maker)
+		x.Uvarint(uint64(ex.MakerSequence))
 	}
-	return sealTo(w, "xrp", fence, e.Bytes())
+	return x.seal(dst, "xrp", fence)
 }
 
 // DecodeFrom replaces the shard with a blob's contents (ShardState
 // contract).
-func (s *XRPShard) DecodeFrom(r io.Reader) error {
-	d, err := openFrom(r, "xrp")
-	if err != nil {
-		return err
-	}
+func (s *XRPShard) DecodeFrom(blob []byte) error { return decodeFrom(s, blob) }
+
+// decodeBody replaces the shard with the fields of an opened XRP body.
+func (s *XRPShard) decodeBody(d *wire.ShardDec) error {
 	w, cov, first, last, err := decPrefix(d)
 	if err != nil {
 		return err
@@ -389,10 +413,10 @@ func (s *XRPShard) DecodeFrom(r io.Reader) error {
 		tn := d.Count()
 		agg.DestTags = make(map[uint32]int64, capHint(d, tn, 2))
 		for j := 0; j < tn && d.Err() == nil; j++ {
-			tag := d.Uvarint()
+			tag := uint32(d.UvarintMax(math.MaxUint32))
 			count := d.Varint()
 			if d.Err() == nil {
-				agg.DestTags[uint32(tag)] += count
+				agg.DestTags[tag] += count
 			}
 		}
 		if d.Err() == nil {
@@ -425,7 +449,7 @@ func (s *XRPShard) DecodeFrom(r io.Reader) error {
 			BaseValue:     d.Varint(),
 			CounterValue:  d.Varint(),
 			Maker:         d.String(),
-			MakerSequence: uint32(d.Uvarint()),
+			MakerSequence: uint32(d.UvarintMax(math.MaxUint32)),
 		}
 		if d.Err() == nil {
 			s.exchanges = append(s.exchanges, ex)
@@ -434,23 +458,19 @@ func (s *XRPShard) DecodeFrom(r io.Reader) error {
 	return finishDecode("xrp", d)
 }
 
-// encOfferSet writes an offer-reference set sorted by account then
-// sequence.
-func encOfferSet(e *wire.ShardEnc, set map[offerRef]bool) {
-	refs := make([]offerRef, 0, len(set))
+// offerSet writes an offer-reference set sorted by account then sequence.
+func (x *shardEncoder) offerSet(set map[offerRef]bool) {
+	x.refs = x.refs[:0]
 	for ref := range set {
-		refs = append(refs, ref)
+		x.refs = append(x.refs, ref)
 	}
-	sort.Slice(refs, func(i, j int) bool {
-		if refs[i].Account != refs[j].Account {
-			return refs[i].Account < refs[j].Account
-		}
-		return refs[i].Sequence < refs[j].Sequence
+	slices.SortFunc(x.refs, func(a, b offerRef) int {
+		return cmp.Or(strings.Compare(a.Account, b.Account), cmp.Compare(a.Sequence, b.Sequence))
 	})
-	e.Uvarint(uint64(len(refs)))
-	for _, ref := range refs {
-		e.String(ref.Account)
-		e.Uvarint(uint64(ref.Sequence))
+	x.Uvarint(uint64(len(x.refs)))
+	for _, ref := range x.refs {
+		x.String(ref.Account)
+		x.Uvarint(uint64(ref.Sequence))
 	}
 }
 
@@ -465,45 +485,47 @@ func capHint(d *wire.ShardDec, n, minBytes int) int {
 	return n
 }
 
-// decOfferSet reads a set written by encOfferSet.
+// decOfferSet reads a set written by offerSet.
 func decOfferSet(d *wire.ShardDec) map[offerRef]bool {
 	n := d.Count()
 	set := make(map[offerRef]bool, capHint(d, n, 2))
 	for i := 0; i < n && d.Err() == nil; i++ {
 		account := d.String()
-		seq := d.Uvarint()
+		seq := uint32(d.UvarintMax(math.MaxUint32))
 		if d.Err() == nil {
-			set[offerRef{Account: account, Sequence: uint32(seq)}] = true
+			set[offerRef{Account: account, Sequence: seq}] = true
 		}
 	}
 	return set
 }
 
 // EncodeShard serializes a shard state to its sealed blob, stamping the
-// given fence token (0 = unfenced).
+// given fence token (0 = unfenced). The blob is its one allocation, and
+// the error is always nil.
 func EncodeShard(st ShardState, fence uint64) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := st.EncodeTo(&buf, fence); err != nil {
-		return nil, fmt.Errorf("core: encoding %s shard: %w", st.Chain(), err)
-	}
-	return buf.Bytes(), nil
+	return st.EncodeTo(nil, fence), nil
 }
 
-// DecodeShard opens one sealed shard blob: it peeks the envelope's chain
-// name, builds that chain's empty state and decodes into it — the merge
-// coordinator's entry point for blobs of unknown chain.
+// DecodeShard opens one sealed shard blob and decodes its body, in place,
+// into a fresh state of the chain the envelope names — the entry point for
+// blobs of unknown chain.
 func DecodeShard(blob []byte) (ShardState, error) {
-	chainName, _, _, err := wire.OpenShard(blob)
+	chainName, _, body, err := wire.OpenShard(blob)
 	if err != nil {
 		return nil, err
 	}
-	// The placeholder geometry is immediately replaced by the blob's own
-	// window during DecodeFrom.
+	return DecodeShardBody(chainName, body)
+}
+
+// DecodeShardBody decodes a body wire.OpenShard returned into a fresh
+// state of chainName, for a reader that needs the envelope's fence too.
+func DecodeShardBody(chainName string, body []byte) (ShardState, error) {
+	// The placeholder geometry gives way to the body's own window.
 	st, err := NewShardState(chainName, time.Unix(0, 0).UTC(), time.Second)
 	if err != nil {
 		return nil, err
 	}
-	if err := st.DecodeFrom(bytes.NewReader(blob)); err != nil {
+	if err := st.(bodyDecoder).decodeBody(wire.NewShardDec(body)); err != nil {
 		return nil, err
 	}
 	return st, nil

@@ -3,11 +3,14 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -15,14 +18,10 @@ import (
 	"repro/internal/wire"
 )
 
-// encodeState is a test helper: one shard state to a sealed blob.
+// encodeState is a test helper: one shard state to an unfenced sealed blob.
 func encodeState(t testing.TB, st ShardState) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := st.EncodeTo(&buf, 0); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return st.EncodeTo(nil, 0)
 }
 
 // testShardCodecRoundTrip is the tentpole property at unit scale: split a
@@ -212,16 +211,164 @@ func TestShardDecodeRejectsDamage(t *testing.T) {
 	t.Run("chain mismatch", func(t *testing.T) {
 		other := &TezosShard{}
 		other.init(chain.ObservationStart, 6*time.Hour)
-		if err := other.DecodeFrom(bytes.NewReader(blob)); err == nil {
+		if err := other.DecodeFrom(blob); err == nil {
 			t.Fatal("decoding an eos blob into a tezos shard succeeded")
 		}
 	})
 	t.Run("unknown chain", func(t *testing.T) {
-		alien := wire.SealShard("doge", 0, []byte{1, 2, 3})
+		alien := wire.SealShard(nil, "doge", 0, []byte{1, 2, 3})
 		if _, err := DecodeShard(alien); err == nil {
 			t.Fatal("unknown-chain blob decoded without error")
 		}
 	})
+}
+
+// TestShardDecodeRefusesOutOfRangeValues: a field the state keeps in a
+// narrower integer than the wire's uvarint — an XRP destination tag, an
+// executed offer's sequence, an exchange's maker sequence, an EOS trade's
+// precision — is corrupt when the blob carries a value past that type, and
+// is never wrapped into it. Each case takes a valid blob, swaps the field's
+// encoded value for one past its type and re-seals the body with a valid
+// checksum.
+func TestShardDecodeRefusesOutOfRangeValues(t *testing.T) {
+	const (
+		tag      = 0x0FEDCBA9
+		offerSeq = 0x0EDCBA98
+		makerSeq = 0x0DCBA987
+		prec     = 0x0CBA9876
+	)
+	xrp := newShard[*XRPShard]()
+	xrp.byAccount["rTagger"] = &xrpAccountAgg{Total: 1, DestTags: map[uint32]int64{tag: 1}}
+	xrp.offersExecuted[offerRef{Account: "rMaker", Sequence: offerSeq}] = true
+	xrp.exchanges = []XRPExchange{{Time: chain.ObservationStart, Maker: "rMaker", MakerSequence: makerSeq}}
+	xrp.SetCovered(BlockRange{From: 1, To: 1})
+	eos := newShard[*EOSShard]()
+	eos.Trades = []DEXTrade{{Buyer: "alice", Seller: "bob", Currency: "DICE", Precision: prec, Amount: 1}}
+	eos.SetCovered(BlockRange{From: 1, To: 1})
+
+	for _, c := range []struct {
+		name string
+		st   ShardState
+		val  uint64
+		past uint64 // past the field's type: uint32 wraps it to val; precision is past int32
+	}{
+		{"xrp dest tag", xrp, tag, 1<<32 | tag},
+		{"xrp offer sequence", xrp, offerSeq, 1<<32 | offerSeq},
+		{"xrp maker sequence", xrp, makerSeq, 1<<32 | makerSeq},
+		{"eos trade precision", eos, prec, 1<<40 | prec},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			blob := encodeState(t, c.st)
+			chainName, _, body, err := wire.OpenShard(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			old, past := binary.AppendUvarint(nil, c.val), binary.AppendUvarint(nil, c.past)
+			if n := bytes.Count(body, old); n != 1 {
+				t.Fatalf("the value's encoding occurs %d times in the body, want 1", n)
+			}
+			resealed := wire.SealShard(nil, chainName, 0, bytes.Replace(body, old, past, 1))
+			if _, err := DecodeShard(resealed); !errors.Is(err, wire.ErrShardCorrupt) {
+				t.Fatalf("value %#x decoded with err = %v, want ErrShardCorrupt", c.past, err)
+			}
+		})
+	}
+}
+
+// TestShardCodecAllocs pins what the codec allocates: an encode into a
+// warm, reused buffer nothing, EncodeShard the blob it returns and nothing
+// else, and a decode of the golden XRP shard — 16 ledgers, payments and
+// eight exchanges over a few dozen distinct strings — at most the count
+// measured when strings began to be interned: 64, against 201 when every
+// string read allocated afresh.
+func TestShardCodecAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed by the race detector")
+	}
+	for _, st := range codecStates(64) {
+		buf := st.EncodeTo(nil, 0)
+		if allocs := testing.AllocsPerRun(100, func() { buf = st.EncodeTo(buf[:0], 0) }); allocs != 0 {
+			t.Errorf("%s: EncodeTo into a reused buffer: %.0f allocs, want 0", st.Chain(), allocs)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { _, _ = EncodeShard(st, 7) }); allocs != 1 {
+			t.Errorf("%s: EncodeShard: %.0f allocs, want 1", st.Chain(), allocs)
+		}
+	}
+	blob := goldenShards(t)["xrp"]
+	const most = 64
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = DecodeShard(blob) }); allocs > most {
+		t.Errorf("DecodeShard of the golden xrp shard: %.0f allocs, want at most %d", allocs, most)
+	}
+}
+
+// codecStates builds one state per chain from n generated blocks, the XRP
+// one with explorer exchanges too, each covering [1, n].
+func codecStates(n int) []ShardState {
+	eos := newShard[*EOSShard]()
+	tez := newShard[*TezosShard]()
+	xrp := newShard[*XRPShard]()
+	for _, err := range []error{
+		eos.IngestBatch(asBatch(genEOSBlocks(n))),
+		tez.IngestBatch(asBatch(genTezosBlocks(n))),
+		xrp.IngestBatch(asBatch(genXRPLedgers(n))),
+	} {
+		if err != nil {
+			panic(err)
+		}
+	}
+	xrp.AddExchanges(genExchanges(n / 4))
+	states := []ShardState{eos, tez, xrp}
+	for _, st := range states {
+		st.SetCovered(BlockRange{From: 1, To: int64(n)})
+	}
+	return states
+}
+
+// TestConcurrentEncodeShard: encoders come from one pool, so eight
+// goroutines encoding distinct states of every chain at once must each get
+// exactly the blob a serial encode of their state gives — no scratch slice
+// or body buffer shared between two encodes in flight.
+func TestConcurrentEncodeShard(t *testing.T) {
+	const goroutines = 8
+	states := make([][]ShardState, goroutines)
+	want := make([][][]byte, goroutines)
+	for g := range states {
+		states[g] = codecStates(8 + 4*g)
+		for _, st := range states[g] {
+			blob, err := EncodeShard(st, uint64(g))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[g] = append(want[g], blob)
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, goroutines)
+	for g := range states {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var buf []byte
+			for round := 0; round < 20; round++ {
+				for i, st := range states[g] {
+					if round%2 == 0 {
+						buf, _ = EncodeShard(st, uint64(g))
+					} else {
+						buf = st.EncodeTo(buf[:0], uint64(g))
+					}
+					if !bytes.Equal(buf, want[g][i]) {
+						errs <- fmt.Errorf("goroutine %d, %s, round %d: blob differs from its serial encode", g, st.Chain(), round)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
 }
 
 // goldenShards reads the committed blobs under testdata/shards: one
@@ -256,7 +403,7 @@ func TestShardGoldenBlobs(t *testing.T) {
 		if xs, ok := st.(*XRPShard); ok && len(xs.exchanges) != 8 {
 			t.Fatalf("golden xrp shard decoded %d exchanges, want 8", len(xs.exchanges))
 		}
-		fence, err := wire.ShardFence(blob)
+		_, fence, _, err := wire.OpenShard(blob)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -270,13 +417,32 @@ func TestShardGoldenBlobs(t *testing.T) {
 	}
 }
 
+// The bytes one DecodeShard call may allocate: decodeAllocPerByte for each
+// byte of the blob, plus decodeAllocFixed. Every collection the decoder
+// sizes from a count is capped by the bytes left to fill it (Count,
+// capHint), and everything else it allocates is paid for by input it
+// consumed: the intern table holds at most one entry per non-empty
+// length-prefixed string, and each string, map entry and series cell costs
+// at least two or three encoded bytes. The dearest input per byte is a
+// 3-byte element that opens a fresh container — a nested count map's
+// outer key with an empty inner map (a new map, an outer slot and an intern
+// slot) or a series cell in a new bucket — about 105 bytes allocated per
+// blob byte at worst over 1 to 256 such elements; 128 leaves a quarter
+// above that. The fixed part is the empty state's containers and, on a
+// refusal, the error (under 600 bytes measured).
+const (
+	decodeAllocPerByte = 128
+	decodeAllocFixed   = 4 << 10
+)
+
 // FuzzShardDecode drives arbitrary bytes through the whole decode path:
-// any input may error but must never panic, and anything that decodes must
-// re-encode cleanly (no partially-initialized state escapes), answer every
-// figure query, and merge — into a state of its own window, where Merge
-// may accept or refuse it, and into a differently windowed one, where the
-// window check must refuse it before stats.TimeSeries.Merge could panic on
-// misaligned buckets.
+// any input may error but must never panic or allocate past
+// decodeAllocPerByte × len(blob) + decodeAllocFixed bytes, and anything
+// that decodes must re-encode cleanly (no partially-initialized state
+// escapes), answer every figure query, and merge — into a state of its own
+// window, where Merge may accept or refuse it, and into a differently
+// windowed one, where the window check must refuse it before
+// stats.TimeSeries.Merge could panic on misaligned buckets.
 func FuzzShardDecode(f *testing.F) {
 	for _, seed := range [][]byte{
 		{}, []byte("SHRD"), []byte("not a shard at all"),
@@ -293,24 +459,27 @@ func FuzzShardDecode(f *testing.F) {
 	_ = xr.IngestBatch(asBatch(genXRPLedgers(4)))
 	xr.SetCovered(BlockRange{From: 1, To: 4})
 	for _, st := range []ShardState{eos, tez, xr} {
-		var buf bytes.Buffer
-		if err := st.EncodeTo(&buf, 0); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
+		f.Add(st.EncodeTo(nil, 0))
 	}
 	for _, blob := range goldenShards(f) {
 		f.Add(blob)
 	}
 	f.Fuzz(func(t *testing.T, blob []byte) {
-		st, err := DecodeShard(blob)
+		st, got, err := decodeCounted(blob)
+		most := uint64(decodeAllocPerByte*len(blob) + decodeAllocFixed)
+		if got > most {
+			// MemStats counts the whole process, and the fuzzing engine's
+			// own goroutines allocate now and then: a decode is over the
+			// bound only when a second reading is too.
+			_, got, _ = decodeCounted(blob)
+		}
+		if got > most {
+			t.Fatalf("decoding %d bytes allocated %d bytes, over the bound of %d", len(blob), got, most)
+		}
 		if err != nil {
 			return
 		}
-		var buf bytes.Buffer
-		if err := st.EncodeTo(&buf, 0); err != nil {
-			t.Fatalf("decoded state failed to re-encode: %v", err)
-		}
+		st.EncodeTo(nil, 0)
 		queryFigures(st)
 
 		w := st.Window()
@@ -333,6 +502,16 @@ func FuzzShardDecode(f *testing.F) {
 			queryFigures(same)
 		}
 	})
+}
+
+// decodeCounted decodes blob and reports the bytes the process allocated
+// meanwhile.
+func decodeCounted(blob []byte) (ShardState, uint64, error) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	st, err := DecodeShard(blob)
+	runtime.ReadMemStats(&after)
+	return st, after.TotalAlloc - before.TotalAlloc, err
 }
 
 // queryFigures renders every section the fleet prints from a chain's

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 	"time"
 )
 
@@ -97,14 +96,15 @@ type ShardState interface {
 	// Summary captures the deterministic figures footprint. Nothing in the
 	// returned summary aliases live state.
 	Summary() ChainSummary
-	// EncodeTo writes the state as a sealed, versioned, checksummed shard
-	// blob stamped with the lease fence token, 0 for unfenced (see
-	// internal/wire shard codec).
-	EncodeTo(w io.Writer, fence uint64) error
-	// DecodeFrom replaces the state with a blob's contents. Any structural
-	// damage — truncation, bit flips, another version, another chain's
-	// blob — is an error, never a panic or a silent partial decode.
-	DecodeFrom(r io.Reader) error
+	// EncodeTo appends the state, as a sealed, versioned, checksummed
+	// shard blob stamped with the lease fence token (0 for unfenced; see
+	// internal/wire shard codec), to dst and returns the extended slice.
+	EncodeTo(dst []byte, fence uint64) []byte
+	// DecodeFrom replaces the state with a blob's contents, keeping no
+	// reference to blob. Any structural damage — truncation, bit flips,
+	// another version, another chain's blob — is an error, never a panic or
+	// a silent partial decode.
+	DecodeFrom(blob []byte) error
 }
 
 // NewShardState builds an empty standalone shard for a chain name — the

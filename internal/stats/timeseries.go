@@ -4,8 +4,10 @@
 package stats
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 )
 
@@ -112,7 +114,7 @@ func (s *TimeSeries) Labels() []string {
 	for l := range seen {
 		out = append(out, l)
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -167,25 +169,26 @@ type Entry struct {
 	Count  int64
 }
 
-// Entries materializes the populated cells sorted by bucket then label —
-// the deterministic flat form the shard codec serializes. Zero-count cells
-// are skipped; they are indistinguishable from absent ones after a merge.
-func (s *TimeSeries) Entries() []Entry {
-	var out []Entry
+// AppendEntries appends the populated cells to dst sorted by bucket then
+// label — the deterministic flat form the shard codec serializes — and
+// returns the extended slice. Zero-count cells are skipped; they are
+// indistinguishable from absent ones after a merge.
+func (s *TimeSeries) AppendEntries(dst []Entry) []Entry {
+	n := len(dst)
 	for i, b := range s.buckets {
-		for label, n := range b {
-			if n != 0 {
-				out = append(out, Entry{Bucket: i, Label: label, Count: n})
+		for label, c := range b {
+			if c != 0 {
+				dst = append(dst, Entry{Bucket: i, Label: label, Count: c})
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Bucket != out[j].Bucket {
-			return out[i].Bucket < out[j].Bucket
+	slices.SortFunc(dst[n:], func(a, b Entry) int {
+		if a.Bucket != b.Bucket {
+			return cmp.Compare(a.Bucket, b.Bucket)
 		}
-		return out[i].Label < out[j].Label
+		return strings.Compare(a.Label, b.Label)
 	})
-	return out
+	return dst
 }
 
 // Row is one rendered bucket of a time series.

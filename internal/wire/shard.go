@@ -30,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"time"
 )
 
@@ -53,6 +54,9 @@ type ShardEnc struct {
 
 // Bytes returns the encoded body. The slice aliases the encoder's buffer.
 func (e *ShardEnc) Bytes() []byte { return e.buf }
+
+// Reset empties the body, keeping the buffer for the next one.
+func (e *ShardEnc) Reset() { e.buf = e.buf[:0] }
 
 // Uvarint appends an unsigned varint.
 func (e *ShardEnc) Uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
@@ -92,11 +96,14 @@ func (e *ShardEnc) Time(t time.Time) {
 // ShardDec reads a shard body sealed by ShardEnc. It is sticky-error and
 // bounds-checked: after the first malformed read every method returns the
 // zero value, and no input — truncated, bit-flipped, hostile — can make it
-// panic or allocate beyond the blob it was given.
+// panic or allocate beyond a constant multiple of the blob it was given.
 type ShardDec struct {
 	data []byte
 	off  int
 	err  error
+	// strs interns the strings of one decode, at most one entry per
+	// non-empty string read: a shard repeats a few names many times.
+	strs map[string]string
 }
 
 // NewShardDec wraps a shard body for decoding.
@@ -142,19 +149,39 @@ func (d *ShardDec) Varint() int64 {
 	return v
 }
 
+// UvarintMax reads an unsigned varint; one above limit is corrupt, never
+// wrapped into the narrower type the caller converts it to.
+func (d *ShardDec) UvarintMax(limit uint64) uint64 {
+	v := d.Uvarint()
+	if v > limit {
+		d.fail("value %d exceeds %d at offset %d", v, limit, d.off)
+		return 0
+	}
+	return v
+}
+
 // String reads a length-prefixed string. The length is bounds-checked
-// against the remaining input before anything is copied.
+// against the remaining input before anything is copied, and a string this
+// decoder has read before comes back without a copy.
 func (d *ShardDec) String() string {
 	n := d.Uvarint()
-	if d.err != nil {
+	if d.err != nil || n == 0 {
 		return ""
 	}
 	if n > uint64(d.Remaining()) {
 		d.fail("string length %d exceeds %d remaining bytes", n, d.Remaining())
 		return ""
 	}
-	s := string(d.data[d.off : d.off+int(n)])
+	b := d.data[d.off : d.off+int(n)]
 	d.off += int(n)
+	s, ok := d.strs[string(b)]
+	if !ok {
+		if d.strs == nil {
+			d.strs = make(map[string]string)
+		}
+		s = string(b)
+		d.strs[s] = s
+	}
 	return s
 }
 
@@ -205,18 +232,20 @@ func (d *ShardDec) Count() int {
 	return int(n)
 }
 
-// SealShard wraps an encoded body in the versioned, checksummed envelope,
-// stamping the lease fence token (0 = unfenced).
-func SealShard(chain string, fence uint64, body []byte) []byte {
-	blob := make([]byte, 0, len(ShardMagic)+len(chain)+len(body)+32)
-	blob = append(blob, ShardMagic...)
+// SealShard appends a body, wrapped in the versioned, checksummed envelope
+// and stamped with the lease fence token (0 = unfenced), to dst. dst grows
+// at most once, so a buffer reused from seal to seal stops allocating.
+func SealShard(dst []byte, chain string, fence uint64, body []byte) []byte {
+	dst = slices.Grow(dst, len(ShardMagic)+len(chain)+len(body)+32)
+	start := len(dst)
+	blob := append(dst, ShardMagic...)
 	blob = binary.AppendUvarint(blob, ShardVersion)
 	blob = binary.AppendUvarint(blob, fence)
 	blob = binary.AppendUvarint(blob, uint64(len(chain)))
 	blob = append(blob, chain...)
 	blob = binary.AppendUvarint(blob, uint64(len(body)))
 	blob = append(blob, body...)
-	return binary.LittleEndian.AppendUint32(blob, crc32.ChecksumIEEE(blob))
+	return binary.LittleEndian.AppendUint32(blob, crc32.ChecksumIEEE(blob[start:]))
 }
 
 // OpenShard validates a sealed blob's magic, version, lengths and checksum
@@ -251,12 +280,4 @@ func OpenShard(blob []byte) (chain string, fence uint64, body []byte, err error)
 		return "", 0, nil, fmt.Errorf("%w: %d trailing bytes after body", ErrShardCorrupt, d.Remaining())
 	}
 	return chain, fence, body, nil
-}
-
-// ShardFence reads just the fence token of a sealed blob (0 = unfenced).
-// The whole envelope is validated first: a fence read off a corrupt blob
-// would be evidence of nothing.
-func ShardFence(blob []byte) (uint64, error) {
-	_, fence, _, err := OpenShard(blob)
-	return fence, err
 }
