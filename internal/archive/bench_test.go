@@ -138,3 +138,34 @@ func payloadN(num int64, n int) []byte {
 	body[n-2], body[n-1] = '"', '}'
 	return body
 }
+
+// BenchmarkInflateMember times one 512 KiB member of each chain's stream,
+// deflated at segmentLevel from the wire package's testdata payloads the
+// way the writer cuts and deflates a member, inflated by the archive's own
+// decoder (own) and by the pooled compress/gzip path it falls back to
+// (gzip). MB/s are of inflated stream.
+func BenchmarkInflateMember(b *testing.B) {
+	for _, chain := range []string{"eos", "tezos", "xrp"} {
+		task, _ := memberTask(chainPayloads(b)[chain], memberBytes, 1)
+		b.Run(chain+"/own", func(b *testing.B) {
+			var d flateDecoder
+			b.SetBytes(int64(len(task.dst)))
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, ok := d.gunzip(task.src, task.dst, true); !ok {
+					b.Fatal("the decoder refuses a writer member")
+				}
+			}
+		})
+		b.Run(chain+"/gzip", func(b *testing.B) {
+			z := new(inflater)
+			b.SetBytes(int64(len(task.dst)))
+			b.ReportAllocs()
+			for b.Loop() {
+				if task.runGzip(z); task.err != nil {
+					b.Fatal(task.err)
+				}
+			}
+		})
+	}
+}

@@ -1,0 +1,519 @@
+package archive
+
+import (
+	"bytes"
+	"compress/flate"
+	"compress/gzip"
+	"context"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
+	"io"
+	"math/rand/v2"
+	"os"
+	"path/filepath"
+	"sync"
+	"testing"
+
+	"repro/internal/blobstore"
+)
+
+// memberLevels are the flate levels the decoder is held to stdlib at:
+// Huffman-only, stored, and the fast, the archive's, the default and the
+// best compressor.
+var memberLevels = []int{gzip.HuffmanOnly, gzip.NoCompression, gzip.BestSpeed, segmentLevel, gzip.DefaultCompression, gzip.BestCompression}
+
+// chainPayloads reads one simulator-built block payload per chain from the
+// wire package's testdata.
+func chainPayloads(tb testing.TB) map[string][]byte {
+	tb.Helper()
+	files := map[string]string{"eos": "eos_block.json", "tezos": "tezos_block.json", "xrp": "xrp_ledger_result.json"}
+	out := make(map[string][]byte, len(files))
+	for chain, name := range files {
+		raw, err := os.ReadFile(filepath.Join("..", "wire", "testdata", name))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out[chain] = raw
+	}
+	return out
+}
+
+// chainStream builds size bytes of a segment's stream from records of
+// payload, each with its decimal digits redrawn from a generator seeded by
+// seed, so that no record repeats the one before it: the member deflates
+// about as a crawl's would rather than to one long match.
+func chainStream(payload []byte, size int, seed uint64) []byte {
+	rng := rand.New(rand.NewPCG(seed, 1))
+	stream := []byte(segmentMagic)
+	for num := int64(1); len(stream) < size; num++ {
+		var hdr [12]byte
+		binary.BigEndian.PutUint64(hdr[:8], uint64(num))
+		binary.BigEndian.PutUint32(hdr[8:], uint32(len(payload)))
+		stream = append(stream, hdr[:]...)
+		for _, c := range payload {
+			if c >= '0' && c <= '9' {
+				c = '0' + byte(rng.IntN(10))
+			}
+			stream = append(stream, c)
+		}
+	}
+	return stream[:size]
+}
+
+// levelMember deflates raw at level into one gzip member with hdr's
+// fields and, after any Extra of hdr's, the archive's length subfield,
+// stamped the way deflateMember stamps it.
+func levelMember(tb testing.TB, level int, raw []byte, hdr gzip.Header) []byte {
+	tb.Helper()
+	var out bytes.Buffer
+	zw, err := gzip.NewWriterLevel(&out, level)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	zw.Header = hdr
+	zw.Header.Extra = append(append([]byte(nil), memberExtra...), hdr.Extra...)
+	if _, err := zw.Write(raw); err != nil {
+		tb.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	b := out.Bytes()
+	binary.LittleEndian.PutUint32(b[memberLenAt:], uint32(len(b)))
+	return b
+}
+
+// stdGunzip reads member the way the stdlib path does, one member and no
+// further, and reports any bytes left after it as an error.
+func stdGunzip(member []byte, multistream bool) ([]byte, error) {
+	br := bytes.NewReader(member)
+	zr, err := gzip.NewReader(br)
+	if err != nil {
+		return nil, err
+	}
+	zr.Multistream(multistream)
+	out, err := io.ReadAll(zr)
+	if err == nil && br.Len() > 0 {
+		err = fmt.Errorf("%d bytes left after the member", br.Len())
+	}
+	return out, err
+}
+
+// memberISIZE is the ISIZE member's trailer states, capped as
+// splitMembers caps it.
+func memberISIZE(member []byte) int {
+	if len(member) < 4 {
+		return 0
+	}
+	return min(int(binary.LittleEndian.Uint32(member[len(member)-4:])), maxInflateRatio*len(member))
+}
+
+// TestInflateAcceptsEveryLevel: the decoder takes every member
+// compress/gzip writes of the three chains' payloads, at every level from
+// Huffman-only to best, with a header and a payload of any size, and
+// inflates it to stdlib's bytes — so the fallback is for hostile input,
+// never for the archive's own members.
+func TestInflateAcceptsEveryLevel(t *testing.T) {
+	var d flateDecoder
+	for chain, raw := range chainPayloads(t) {
+		for _, size := range []int{0, 1, 300, len(raw), 200 << 10} {
+			stream := chainStream(raw, size, uint64(size))
+			for _, level := range memberLevels {
+				member := levelMember(t, level, stream, gzip.Header{})
+				want, err := stdGunzip(member, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dst := make([]byte, memberISIZE(member))
+				n, ok := d.gunzip(member, dst, true)
+				if !ok || !bytes.Equal(dst[:n], want) {
+					t.Fatalf("%s, %d bytes at level %d: accepted %v, %d bytes, equal to stdlib's %v",
+						chain, size, level, ok, n, bytes.Equal(dst[:n], want))
+				}
+			}
+		}
+	}
+}
+
+// TestBuildTableCodes: buildTable builds a complete code and a single
+// one-bit code, as compress/flate does, and refuses an oversubscribed, an
+// incomplete and an empty one. A single one-bit code built over a table a
+// complete code filled leaves its other bit invalid, not the old entry.
+func TestBuildTableCodes(t *testing.T) {
+	var sorted [288]uint16
+	table := make([]uint32, distTableSize)
+	lens := func(l ...uint8) []uint8 { return append(l, make([]uint8, 32-len(l))...) }
+	full := make([]uint8, 32)
+	for s := range full {
+		full[s] = 5
+	}
+	for _, tc := range []struct {
+		name string
+		lens []uint8
+		ok   bool
+	}{
+		{"complete", full, true},
+		{"complete, two lengths", lens(1, 2, 2), true},
+		{"oversubscribed", lens(1, 1, 1), false},
+		{"incomplete", lens(1, 2), false},
+		{"empty", lens(), false},
+		{"single one-bit code", lens(0, 0, 1), true},
+		{"single two-bit code", lens(2), false},
+	} {
+		if ok := buildTable(table, distRoot, tc.lens, distPayload[:], &sorted); ok != tc.ok {
+			t.Fatalf("%s: built %v, want %v", tc.name, ok, tc.ok)
+		}
+	}
+	// The last build is the single one-bit code for symbol 2, over the
+	// complete code before it.
+	for j := range 1 << distRoot {
+		want := uint32(0)
+		if j&1 == 0 {
+			want = distPayload[2] | 1
+		}
+		if table[j] != want {
+			t.Fatalf("entry %#b is %#x after a single one-bit code, want %#x", j, table[j], want)
+		}
+	}
+}
+
+// fuzzFlate is the decoder FuzzInflateMember reuses across inputs, so a
+// table left behind by one input is under the next.
+var fuzzFlate flateDecoder
+
+// FuzzInflateMember holds the archive's DEFLATE decoder to compress/gzip on
+// arbitrary bytes taken as one member: whenever the decoder accepts a
+// member, a gzip reader with Multistream(false) accepts it too, inflates
+// it to the same bytes and leaves none of it unread; and whenever the
+// decoder accepts it as a whole object, a multistream gzip reader does the
+// same. The destination is sized by the trailer's ISIZE, capped as
+// splitMembers caps it.
+//
+// Seeds: the three chains' wire testdata payloads as members deflated at
+// levels -2, 0, 1, 2, 6 and 9, each one also cut short by its trailer's
+// last byte and by half; one member with an FNAME header; and the two
+// refused-by-design members of TestRefusedMembersFallBack.
+func FuzzInflateMember(f *testing.F) {
+	for _, raw := range chainPayloads(f) {
+		for _, level := range memberLevels {
+			member := levelMember(f, level, raw, gzip.Header{})
+			f.Add(member)
+			f.Add(member[:len(member)-1])
+			f.Add(member[:len(member)/2])
+		}
+	}
+	f.Add(levelMember(f, segmentLevel, []byte("named member"), gzip.Header{Name: "segment"}))
+	f.Add(headerCRCMember(f, []byte("header crc member")))
+	f.Add(literalOnlyMember([]byte("no distance code")))
+	f.Fuzz(func(t *testing.T, member []byte) {
+		size := memberISIZE(member)
+		dst := make([]byte, size)
+		if n, ok := fuzzFlate.gunzip(member, dst, true); ok {
+			want, err := stdGunzip(member, false)
+			if err != nil {
+				t.Fatalf("the decoder accepts a member compress/gzip refuses (%v)", err)
+			}
+			if n != size || !bytes.Equal(dst, want) {
+				t.Fatalf("the decoder inflates %d bytes, compress/gzip %d; equal: %v", n, len(want), bytes.Equal(dst[:n], want))
+			}
+		}
+		// A whole object may stop short of its buffer.
+		dst = make([]byte, size+64)
+		if n, ok := fuzzFlate.gunzip(member, dst, false); ok {
+			want, err := stdGunzip(member, true)
+			if err != nil {
+				t.Fatalf("the decoder accepts an object compress/gzip refuses (%v)", err)
+			}
+			if !bytes.Equal(dst[:n], want) {
+				t.Fatalf("the decoder inflates %d bytes of an object, compress/gzip %d", n, len(want))
+			}
+		}
+		// The deflate stream alone, held to compress/flate with no CRC to
+		// turn a mutated stream into a refusal before it is compared.
+		at := deflateStart(member)
+		if n, end, ok := fuzzFlate.inflate(member, at, fuzzOut[:]); ok {
+			want, err := io.ReadAll(flate.NewReader(bytes.NewReader(member[at:end])))
+			if err != nil {
+				t.Fatalf("the decoder accepts a deflate stream compress/flate refuses (%v)", err)
+			}
+			if !bytes.Equal(fuzzOut[:n], want) {
+				t.Fatalf("the decoder inflates a deflate stream to %d bytes, compress/flate to %d", n, len(want))
+			}
+		}
+	})
+}
+
+// fuzzOut is where FuzzInflateMember inflates bare deflate streams.
+var fuzzOut [1 << 20]byte
+
+// deflateStart is where member's deflate stream starts if it opens with a
+// gzip header the decoder reads, and 0 otherwise, so that a mutated header
+// leaves a bare deflate stream to compare.
+func deflateStart(member []byte) int {
+	if len(member) < 12 || member[0] != 0x1f || member[1] != 0x8b {
+		return 0
+	}
+	switch member[3] {
+	case 0:
+		return 10
+	case 1 << 2:
+		return min(12+int(binary.LittleEndian.Uint16(member[10:12])), len(member))
+	}
+	return 0
+}
+
+// memberTask builds the task for a member of the chain's stream, cut at
+// size bytes and deflated at segmentLevel the way the writer cuts and
+// deflates one.
+func memberTask(payload []byte, size int, seed uint64) (inflateTask, []byte) {
+	stream := chainStream(payload, size, seed)
+	var out bytes.Buffer
+	deflateMember(&out, stream)
+	member := out.Bytes()
+	return inflateTask{src: member, member: true, size: len(stream), dst: make([]byte, len(stream))}, stream
+}
+
+// TestInflateMemberAllocs: a warm inflate of a 512 KiB member, through the
+// pooled state inflateTask.run borrows, allocates nothing. The stdlib path
+// allocates each member's extra field, so this also pins writer members to
+// the archive's own decoder.
+func TestInflateMemberAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are perturbed by the race detector")
+	}
+	task, stream := memberTask(chainPayloads(t)["eos"], memberBytes, 1)
+	task.run()
+	if task.err != nil || !bytes.Equal(task.dst[:task.n], stream) {
+		t.Fatalf("inflating a writer member: %v, equal: %v", task.err, bytes.Equal(task.dst[:task.n], stream))
+	}
+	if got := testing.AllocsPerRun(20, task.run); got != 0 {
+		t.Fatalf("a warm 512 KiB member inflate allocates %v times, want 0", got)
+	}
+}
+
+// TestConcurrentMemberInflate: eight goroutines inflate eight distinct
+// members through the pooled decoders at once, each several times, and
+// every result equals that member's serial inflate: no table, bit buffer
+// or output of one task leaks into another's.
+func TestConcurrentMemberInflate(t *testing.T) {
+	payloads := chainPayloads(t)
+	chains := []string{"eos", "tezos", "xrp"}
+	var tasks []inflateTask
+	var want [][]byte
+	for i := range 8 {
+		task, _ := memberTask(payloads[chains[i%3]], 32<<10+i*4096, uint64(i))
+		task.run()
+		if task.err != nil {
+			t.Fatal(task.err)
+		}
+		tasks = append(tasks, task)
+		want = append(want, bytes.Clone(task.dst[:task.n]))
+	}
+	var wg sync.WaitGroup
+	for i := range tasks {
+		wg.Add(1)
+		go func(task inflateTask) {
+			defer wg.Done()
+			task.dst = make([]byte, len(task.dst))
+			for range 5 {
+				clear(task.dst)
+				task.run()
+				if task.err != nil || !bytes.Equal(task.dst[:task.n], want[i]) {
+					t.Errorf("member %d inflates concurrently to other bytes than serially (%v)", i, task.err)
+					return
+				}
+			}
+		}(tasks[i])
+	}
+	wg.Wait()
+}
+
+// headerCRCMember is raw as one gzip member, deflated at segmentLevel,
+// whose header carries the archive's length subfield and an FHCRC: a
+// header compress/gzip checks and the archive's decoder refuses.
+func headerCRCMember(tb testing.TB, raw []byte) []byte {
+	tb.Helper()
+	const flagExtra, flagHdrCrc = 1 << 2, 1 << 1
+	var body bytes.Buffer
+	fw, err := flate.NewWriter(&body, segmentLevel)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	fw.Write(raw)
+	fw.Close()
+	member := []byte{0x1f, 0x8b, 8, flagExtra | flagHdrCrc, 0, 0, 0, 0, 0, 255, byte(len(memberExtra)), 0}
+	member = append(member, memberExtra...)
+	binary.LittleEndian.PutUint32(member[memberLenAt:], uint32(len(member)+2+body.Len()+8))
+	member = binary.LittleEndian.AppendUint16(member, uint16(crc32.ChecksumIEEE(member)))
+	return gzipTrailer(append(member, body.Bytes()...), raw)
+}
+
+// literalOnlyMember is raw as one gzip member whose one dynamic block
+// declares no distance code at all (HDIST 0, its one length 0) and codes
+// every byte as a literal — a block compress/flate takes, and a code the
+// archive's decoder does not build. Literals 0-254 get 8 bits, 255 and the
+// end of block 9.
+func literalOnlyMember(raw []byte) []byte {
+	var w lsbWriter
+	w.bits(1, 1) // final
+	w.bits(2, 2) // dynamic
+	w.bits(0, 5) // HLIT: 257 codes
+	w.bits(0, 5) // HDIST: 1 code
+	w.bits(3, 4) // HCLEN: the lengths of 16, 17, 18, 0, 8, 7 and 9
+	// The code-length code: 8 in one bit, 0 and 9 in two.
+	for _, l := range []uint{0, 0, 0, 2, 1, 0, 2} {
+		w.bits(l, 3)
+	}
+	clen := canonicalCodes([]uint8{0: 2, 8: 1, 9: 2})
+	lens := make([]uint8, 258)
+	for s := range 257 {
+		lens[s] = 8
+		if s >= 255 {
+			lens[s] = 9
+		}
+	}
+	for _, l := range lens {
+		w.code(clen[l], map[uint8]uint{0: 2, 8: 1, 9: 2}[l])
+	}
+	lit := canonicalCodes(lens[:257])
+	for _, c := range raw {
+		w.code(lit[c], uint(lens[c]))
+	}
+	w.code(lit[256], 9)
+	member := []byte{0x1f, 0x8b, 8, 1 << 2, 0, 0, 0, 0, 0, 255, byte(len(memberExtra)), 0}
+	member = append(member, memberExtra...)
+	body := w.flush()
+	binary.LittleEndian.PutUint32(member[memberLenAt:], uint32(len(member)+len(body)+8))
+	return gzipTrailer(append(member, body...), raw)
+}
+
+// gzipTrailer appends raw's CRC-32 and length to member.
+func gzipTrailer(member, raw []byte) []byte {
+	member = binary.LittleEndian.AppendUint32(member, crc32.ChecksumIEEE(raw))
+	return binary.LittleEndian.AppendUint32(member, uint32(len(raw)))
+}
+
+// canonicalCodes assigns the canonical Huffman codes of RFC 1951 §3.2.2 to
+// lens, one per symbol.
+func canonicalCodes(lens []uint8) []uint {
+	var count, next [16]uint
+	for _, l := range lens {
+		count[l]++
+	}
+	count[0] = 0
+	for l := 1; l < 16; l++ {
+		next[l] = (next[l-1] + count[l-1]) << 1
+	}
+	codes := make([]uint, len(lens))
+	for s, l := range lens {
+		if l != 0 {
+			codes[s] = next[l]
+			next[l]++
+		}
+	}
+	return codes
+}
+
+// lsbWriter packs a deflate stream least significant bit first.
+type lsbWriter struct {
+	out []byte
+	acc uint64
+	n   uint
+}
+
+// bits writes v's low n bits, low bit first, as deflate writes numbers.
+func (w *lsbWriter) bits(v, n uint) {
+	w.acc |= uint64(v) << w.n
+	for w.n += n; w.n >= 8; w.n -= 8 {
+		w.out = append(w.out, byte(w.acc))
+		w.acc >>= 8
+	}
+}
+
+// code writes an n-bit Huffman code, high bit first, as deflate writes
+// codes.
+func (w *lsbWriter) code(c, n uint) {
+	for i := int(n) - 1; i >= 0; i-- {
+		w.bits(c>>i&1, 1)
+	}
+}
+
+// flush pads the last byte with zeros and returns the stream.
+func (w *lsbWriter) flush() []byte {
+	if w.n > 0 {
+		w.out = append(w.out, byte(w.acc))
+	}
+	return w.out
+}
+
+// TestRefusedMembersFallBack: members the archive's decoder refuses by
+// design — a header with FNAME or FHCRC, a block whose distance code is
+// empty — are read by compress/gzip instead, so a segment made of them,
+// between members the decoder takes, opens, replays and fetches
+// byte-identically.
+func TestRefusedMembersFallBack(t *testing.T) {
+	nums := []int64{6, 2, 5, 1, 4, 3}
+	stream := fuzzStream(nums, payload)
+	cut := len(stream) / 5
+	parts := [][]byte{stream[:cut], stream[cut : 2*cut], stream[2*cut : 3*cut], stream[3*cut : 4*cut], stream[4*cut:]}
+	members := [][]byte{
+		levelMember(t, segmentLevel, parts[0], gzip.Header{}),
+		levelMember(t, segmentLevel, parts[1], gzip.Header{Name: "segment", Comment: "named"}),
+		headerCRCMember(t, parts[2]),
+		literalOnlyMember(parts[3]),
+		levelMember(t, segmentLevel, parts[4], gzip.Header{}),
+	}
+	var d flateDecoder
+	for i, m := range members {
+		if n, ok := memberLen(m); !ok || n != len(m) {
+			t.Fatalf("member %d states length %d (%v), is %d bytes", i, n, ok, len(m))
+		}
+		if got, err := stdGunzip(m, false); err != nil || !bytes.Equal(got, parts[i]) {
+			t.Fatalf("compress/gzip reads member %d as %d bytes: %v", i, len(got), err)
+		}
+		_, ok := d.gunzip(m, make([]byte, len(parts[i])), true)
+		if refused := i >= 1 && i <= 3; ok == refused {
+			t.Fatalf("the decoder accepts member %d: %v, want %v", i, ok, !refused)
+		}
+	}
+	obj := bytes.Join(members, nil)
+
+	ctx := context.Background()
+	st := blobstore.NewMemory()
+	seg := SegmentInfo{File: segmentName(1), CompBytes: int64(len(obj)), SHA256: sha256Hex(obj)}
+	seg.Blocks, seg.RawBytes, seg.Min, seg.Max = honestEntry(stream)
+	if err := st.Put(ctx, seg.File, obj); err != nil {
+		t.Fatal(err)
+	}
+	if err := saveManifest(ctx, st, Manifest{Version: manifestVersion, Chain: "eos", Segments: []SegmentInfo{seg}}); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenWith("", OpenOptions{Store: st, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	seen := 0
+	err = r.Replay(ctx, 2, func(_ int, num int64, raw []byte) error {
+		mu.Lock()
+		defer mu.Unlock()
+		if !bytes.Equal(raw, payload(num)) {
+			t.Errorf("block %d replays as %q", num, raw)
+		}
+		seen++
+		return nil
+	})
+	if err != nil || seen != len(nums) {
+		t.Fatalf("replayed %d of %d blocks: %v", seen, len(nums), err)
+	}
+	r.mu.Lock()
+	r.cache = make(map[int][]byte) // FetchBlock re-inflates through loadSegment
+	r.order = nil
+	r.mu.Unlock()
+	for _, num := range nums {
+		if raw, err := r.FetchBlock(ctx, num); err != nil || !bytes.Equal(raw, payload(num)) {
+			t.Fatalf("fetch %d: %q, %v", num, raw, err)
+		}
+	}
+}

@@ -147,9 +147,12 @@ func (l *segmentLoad) plan(obj []byte) error {
 	return nil
 }
 
-// inflater is a pooled gzip reader with the byte reader it reads from: one
-// per running task, so inflating allocates nothing past the first use.
+// inflater is one running task's pooled state: the archive's own DEFLATE
+// decoder, and the gzip reader with the byte reader it reads from for the
+// members that decoder refuses. Pooled, inflating allocates nothing past
+// the first use.
 type inflater struct {
+	flate flateDecoder
 	src   bytes.Reader
 	gz    gzip.Reader
 	probe [1]byte
@@ -161,9 +164,23 @@ var inflaterPool = sync.Pool{New: func() any { return new(inflater) }}
 // there with its CRC and ISIZE checked, and end exactly where its stated
 // length does; a whole-object task may stop short of dst. Either may not
 // run past it.
+//
+// The archive's own decoder tries every task first: a member, or a
+// whole object that is one member. Whatever it refuses is read again by
+// compress/gzip, whose verdict and error text are final, so the input
+// alone chooses the path.
 func (t *inflateTask) run() {
 	z := inflaterPool.Get().(*inflater)
 	defer inflaterPool.Put(z)
+	if n, ok := z.flate.gunzip(t.src, t.dst, t.member); ok {
+		t.n, t.err = n, nil
+		return
+	}
+	t.runGzip(z)
+}
+
+// runGzip inflates the task with z's compress/gzip reader.
+func (t *inflateTask) runGzip(z *inflater) {
 	t.n, t.err = 0, nil
 	z.src.Reset(t.src)
 	if err := z.gz.Reset(&z.src); err != nil {
