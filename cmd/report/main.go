@@ -196,12 +196,8 @@ func replayArchives(ctx context.Context, dir string, workers int, from, to int64
 			log.Info("skipping archive with no blocks to replay", "chain", rd.Chain(), "dir", adir, "from", from, "to", to)
 			continue
 		}
-		// Fail fast on gaps: an interrupted crawl that was never resumed
-		// left holes, and silently replaying around them would skew every
-		// figure.
-		if !rd.Covers(rd.From(), rd.To()) {
-			return fmt.Errorf("archive %s is incomplete: %d blocks in [%d, %d] — rerun the crawl with the same -archive to fetch the rest",
-				adir, rd.Blocks(), rd.From(), rd.To())
+		if err := rd.CheckComplete(); err != nil {
+			return err
 		}
 		kit, err := core.NewStatsKit(rd.Chain(), chain.ObservationStart, 6*time.Hour)
 		if err != nil {

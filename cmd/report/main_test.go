@@ -2,9 +2,17 @@ package main
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"errors"
 	"flag"
+	"io"
 	"log/slog"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -39,6 +47,108 @@ func TestReplayArchivesRangeMiss(t *testing.T) {
 	}
 	if !strings.Contains(diag.String(), `msg="skipping archive with no blocks to replay" chain=eos dir=`+loc+" from=100 to=200") {
 		t.Errorf("the skipped archive was not logged:\n%s", diag.String())
+	}
+}
+
+// TestReplayRefusesBrokenArchives: report -replay refuses an archive with
+// holes (an interrupted crawl that was never resumed) and one whose segment
+// was written before segments were cut into gzip members, naming how to
+// fix each, before it prints a figure.
+func TestReplayRefusesBrokenArchives(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		build   func(t *testing.T, dir string)
+		want    []string
+		corrupt bool
+	}{
+		{"with holes", func(t *testing.T, dir string) {
+			writeArchive(t, dir, 1, 2, 3, 4, 7, 8)
+		}, []string{"is incomplete: 6 blocks in [1, 8] — rerun the crawl with the same -archive"}, false},
+		{"written before members", func(t *testing.T, dir string) {
+			writeArchive(t, dir, 1, 2, 3, 4)
+			wholeObjectSegment(t, dir)
+		}, []string{"segment-000001.gz: its first gzip member states no length", "re-archive"}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			tc.build(t, dir)
+			var out bytes.Buffer
+			err := replayArchives(context.Background(), dir, 1, 0, 0, &out, slog.New(slog.DiscardHandler))
+			if errors.Is(err, archive.ErrCorrupt) != tc.corrupt {
+				t.Fatalf("err = %v, corrupt: %v, want %v", err, errors.Is(err, archive.ErrCorrupt), tc.corrupt)
+			}
+			for _, want := range tc.want {
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("err = %v, want it to say %q", err, want)
+				}
+			}
+			if out.Len() != 0 {
+				t.Fatalf("printed figures for a broken archive:\n%s", out.String())
+			}
+		})
+	}
+}
+
+// writeArchive archives one opaque EOS payload per block number at dir.
+func writeArchive(t *testing.T, dir string, nums ...int64) {
+	t.Helper()
+	w, err := archive.NewWriter(archive.WriterConfig{Dir: dir, Chain: "eos"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, num := range nums {
+		if err := w.Append(num, []byte(`{"opaque":true}`)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// wholeObjectSegment rewrites dir's first segment as one gzip object without
+// the length subfield, as segments were written before they were cut into
+// members, and re-stamps its size and checksum in the manifest.
+func wholeObjectSegment(t *testing.T, dir string) {
+	t.Helper()
+	seg := filepath.Join(dir, "segment-000001.gz")
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zr, err := gzip.NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var obj bytes.Buffer
+	zw := gzip.NewWriter(&obj)
+	zw.Write(stream)
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(seg, obj.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	manPath := filepath.Join(dir, "manifest.json")
+	raw, err := os.ReadFile(manPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man archive.Manifest
+	if err := json.Unmarshal(raw, &man); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(obj.Bytes())
+	man.Segments[0].SHA256, man.Segments[0].CompBytes = hex.EncodeToString(sum[:]), int64(obj.Len())
+	if raw, err = json.Marshal(man); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(manPath, raw, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -203,8 +203,9 @@ func runFeeds(ctx context.Context, pub *serve.Publisher, o serveOpts, log *slog.
 
 // replayFeeds serves archived crawls: every archive under o.Replay replays
 // into its own registered feed, all concurrently. Every archive is opened
-// (and so verified) before the first feed starts, so a corrupt one fails
-// the command while nothing is folding into the publisher yet.
+// (and so verified) and checked for holes before the first feed starts, so
+// a corrupt or incomplete one fails the command while nothing is folding
+// into the publisher yet.
 func replayFeeds(ctx context.Context, pub *serve.Publisher, o serveOpts, log *slog.Logger) error {
 	dirs, err := archive.Discover(o.Replay)
 	if err != nil {
@@ -223,6 +224,9 @@ func replayFeeds(ctx context.Context, pub *serve.Publisher, o serveOpts, log *sl
 		if rd.Blocks() == 0 {
 			log.Info("skipping empty archive", "dir", dir)
 			continue
+		}
+		if err := rd.CheckComplete(); err != nil {
+			return err
 		}
 		feeds = append(feeds, feed{dir, rd})
 	}

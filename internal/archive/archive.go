@@ -27,9 +27,10 @@
 // member's header carries an FEXTRA subfield, ID "RB", whose four bytes
 // state the member's total length, so a reader finds the members without
 // inflating anything and inflates them in parallel, each into its place in
-// one buffer sized from its trailer's ISIZE; gunzip still reads a segment
-// as one file. A segment whose first member states no length — every
-// segment written before members existed — is read as one stream.
+// one buffer sized from its trailer's ISIZE, through the package's own
+// DEFLATE decoder; gunzip still reads a segment as one file. A segment
+// whose first member states no length is one gzip stream, not members,
+// and is refused with ErrCorrupt.
 //
 // The manifest records, per segment, the block count, the [min, max]
 // block-number range, the raw payload byte total, the compressed object

@@ -2,12 +2,10 @@ package archive
 
 import (
 	"bytes"
-	"compress/gzip"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -451,8 +449,14 @@ func TestCorruptionFailsLoudly(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"manifest block count mismatch", "disagrees with manifest", func(t *testing.T, dir string) {
-			editManifest(t, dir, func(m *Manifest) { m.Segments[0].Blocks++ })
+		{"manifest block count mismatch", "disagrees with manifest (blocks 6/7", func(t *testing.T, dir string) {
+			// One block more and one record header's bytes less: the entry
+			// still accounts for the stream the members state, so only the
+			// record walk's count can object.
+			editManifest(t, dir, func(m *Manifest) {
+				m.Segments[0].Blocks++
+				m.Segments[0].RawBytes -= 12
+			})
 		}},
 		{"manifest height range mismatch", "disagrees with manifest", func(t *testing.T, dir string) {
 			editManifest(t, dir, func(m *Manifest) { m.Segments[0].Max++ })
@@ -486,11 +490,31 @@ func TestCorruptionFailsLoudly(t *testing.T) {
 			})
 		}},
 		{"stream ending mid-record with recomputed checksum", "ends mid-record header", func(t *testing.T, dir string) {
-			// Short by the tail of the last payload plus most of a header
-			// the manifest still expects: the record walk runs out.
+			// The last record cut to 5 bytes of its header, and the entry's
+			// raw bytes lowered so it accounts for exactly the stream the
+			// members state: only the record walk runs out.
+			last := len(payload(20))
 			rewriteFirstSegment(t, dir, func(stream []byte) []byte {
-				last := len(payload(20))
 				return append(stream[:len(stream)-last-12], make([]byte, 5)...)
+			})
+			editManifest(t, dir, func(m *Manifest) { m.Segments[0].RawBytes -= int64(last + 12 - 5) })
+		}},
+		{"segment written before members", "segment-000001.gz: its first gzip member states no length", func(t *testing.T, dir string) {
+			// The same stream as one gzip object without the length
+			// subfield, as segments were written before they were cut into
+			// members: refused by name, with the way to re-archive it.
+			seg := firstSegment(t, dir)
+			data, err := os.ReadFile(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			object := gzipAt(t, segmentLevel, gunzip(t, data))
+			if err := os.WriteFile(seg, object, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			editManifest(t, dir, func(m *Manifest) {
+				m.Segments[0].SHA256 = sha256Hex(object)
+				m.Segments[0].CompBytes = int64(len(object))
 			})
 		}},
 		{"manifest without compressed size", "inconsistent metadata", func(t *testing.T, dir string) {
@@ -532,7 +556,7 @@ func TestCorruptionFailsLoudly(t *testing.T) {
 				return obj
 			})
 		}},
-		{"member with bytes past its trailer inside its stated length", "segment-000001.gz: gzip member at byte", func(t *testing.T, dir string) {
+		{"member with bytes past its trailer inside its stated length", "deflate stream ends 8 bytes before the trailer", func(t *testing.T, dir string) {
 			// The last member's trailer repeated and its length stretched
 			// over the copy: its stated ISIZE still reads true, and only
 			// the check that a member ends where its length says catches it.
@@ -547,14 +571,14 @@ func TestCorruptionFailsLoudly(t *testing.T) {
 				return obj
 			})
 		}},
-		{"false member ISIZEs that still sum to the manifest", "segment-000001.gz: gzip member at byte 0: decompressing: gzip: invalid checksum", func(t *testing.T, dir string) {
+		{"false member ISIZEs that still sum to the manifest", "segment-000001.gz: gzip member at byte 0: inflates to 40 bytes, its ISIZE states 41", func(t *testing.T, dir string) {
 			reframeFirstSegment(t, dir, 40, func(obj []byte, at []int) []byte {
 				addUint32(obj[at[1]-4:], 1)
 				addUint32(obj[at[2]-4:], -1)
 				return obj
 			})
 		}},
-		{"member CRC mismatch with recomputed checksum", "segment-000001.gz: gzip member at byte", func(t *testing.T, dir string) {
+		{"member CRC mismatch with recomputed checksum", "CRC-32 of its 40 bytes is", func(t *testing.T, dir string) {
 			reframeFirstSegment(t, dir, 40, func(obj []byte, at []int) []byte {
 				obj[at[2]-8] ^= 0x01
 				return obj
@@ -608,9 +632,10 @@ func TestCorruptionFailsLoudly(t *testing.T) {
 }
 
 // rewriteFirstSegment replaces the first segment's uncompressed stream
-// (magic included) with edit's result and makes the manifest's compressed
-// size and checksum agree with the new object, so only checks behind the
-// checksum can catch the edit.
+// (magic included) with edit's result, framed as members the way the
+// writer frames it, and makes the manifest's compressed size and checksum
+// agree with the new object, so only checks behind the checksum can catch
+// the edit.
 func rewriteFirstSegment(t *testing.T, dir string, edit func(stream []byte) []byte) {
 	t.Helper()
 	seg := firstSegment(t, dir)
@@ -618,15 +643,7 @@ func rewriteFirstSegment(t *testing.T, dir string, edit func(stream []byte) []by
 	if err != nil {
 		t.Fatal(err)
 	}
-	gz, err := gzip.NewReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream, err := io.ReadAll(gz)
-	if err != nil {
-		t.Fatal(err)
-	}
-	object := gzipAt(t, segmentLevel, edit(stream))
+	object, _ := memberObject(edit(gunzip(t, data)), memberBytes)
 	if err := os.WriteFile(seg, object, 0o644); err != nil {
 		t.Fatal(err)
 	}

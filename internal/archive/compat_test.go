@@ -4,14 +4,18 @@ import (
 	"bytes"
 	"compress/gzip"
 	"context"
+	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/blobstore"
 )
 
-// gzipAt deflates stream as one gzip object at a flate level.
+// gzipAt deflates stream as one gzip object at a flate level, without the
+// length subfield: a segment as it was written before segments were cut
+// into members.
 func gzipAt(t testing.TB, level int, stream []byte) []byte {
 	t.Helper()
 	var obj bytes.Buffer
@@ -44,13 +48,11 @@ func variedPayload(num int64) []byte {
 	return b.Bytes()
 }
 
-// TestDefaultLevelSegmentsOpenAndResume: segments were deflated at
-// gzip.DefaultCompression until segmentLevel existed, and the level is
-// nowhere in the format. An archive of such segments (built here with
-// compress/gzip, as the old writer built them) must open with a full verify
-// and replay byte-identically, and so must the same location once this
-// writer has resumed it: default-level segments followed by segmentLevel
-// ones under one manifest.
+// TestDefaultLevelSegmentsOpenAndResume: the flate level is nowhere in the
+// format. An archive of members deflated at gzip.DefaultCompression must
+// open with a full verify and replay byte-identically, and so must the
+// same location once this writer has resumed it: default-level segments
+// followed by segmentLevel ones under one manifest.
 func TestDefaultLevelSegmentsOpenAndResume(t *testing.T) {
 	ctx := context.Background()
 	st := blobstore.NewMemory()
@@ -59,7 +61,7 @@ func TestDefaultLevelSegmentsOpenAndResume(t *testing.T) {
 	var order []int64 // manifest order, then write order: what one worker replays
 	for i, nums := range old {
 		stream := fuzzStream(nums, variedPayload)
-		object := gzipAt(t, gzip.DefaultCompression, stream)
+		object := levelMember(t, gzip.DefaultCompression, stream, gzip.Header{})
 		seg := SegmentInfo{File: segmentName(i + 1), CompBytes: int64(len(object)), SHA256: sha256Hex(object)}
 		seg.Blocks, seg.RawBytes, seg.Min, seg.Max = honestEntry(stream)
 		if err := st.Put(ctx, seg.File, object); err != nil {
@@ -131,8 +133,36 @@ func TestDefaultLevelSegmentsOpenAndResume(t *testing.T) {
 	}
 	for i, seg := range man.Segments[2:] {
 		stream := fuzzStream(resumed[4*i:4*i+4], variedPayload)
-		if dense := int64(len(gzipAt(t, gzip.DefaultCompression, stream))); seg.CompBytes <= dense {
+		if dense := int64(len(levelMember(t, gzip.DefaultCompression, stream, gzip.Header{}))); seg.CompBytes <= dense {
 			t.Errorf("%s is %d bytes, no larger than the default level's %d: is the writer back at the default?", seg.File, seg.CompBytes, dense)
 		}
+	}
+}
+
+// TestWholeObjectSegmentRefused: a segment written as one gzip object, its
+// first member stating no length, is refused by name with the way to
+// re-archive it — by OpenWith, and by OpenCrawl, so a crawl cannot resume
+// onto it either.
+func TestWholeObjectSegmentRefused(t *testing.T) {
+	ctx := context.Background()
+	st := blobstore.NewMemory()
+	stream := fuzzStream([]int64{4, 3, 2, 1}, variedPayload)
+	object := gzipAt(t, segmentLevel, stream)
+	seg := SegmentInfo{File: segmentName(1), CompBytes: int64(len(object)), SHA256: sha256Hex(object)}
+	seg.Blocks, seg.RawBytes, seg.Min, seg.Max = honestEntry(stream)
+	if err := st.Put(ctx, seg.File, object); err != nil {
+		t.Fatal(err)
+	}
+	if err := saveManifest(ctx, st, Manifest{Version: manifestVersion, Chain: "eos", Segments: []SegmentInfo{seg}}); err != nil {
+		t.Fatal(err)
+	}
+	const want = "segment segment-000001.gz: its first gzip member states no length"
+	_, err := OpenWith("", OpenOptions{Store: st})
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(fmt.Sprint(err), want) || !strings.Contains(fmt.Sprint(err), "re-archive") {
+		t.Fatalf("open: %v, want ErrCorrupt saying %q and how to re-archive", err, want)
+	}
+	_, err = OpenCrawl(WriterConfig{Store: st, Chain: "eos"}, nil)
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(fmt.Sprint(err), want) {
+		t.Fatalf("crawl open: %v, want ErrCorrupt saying %q", err, want)
 	}
 }

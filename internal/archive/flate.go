@@ -2,22 +2,24 @@ package archive
 
 import (
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"hash/crc32"
 	"math/bits"
 )
 
-// The archive's own DEFLATE (RFC 1951) decoder. It inflates one in-memory
-// gzip member straight into the part of the segment buffer the member's
-// ISIZE sized, where compress/gzip reads every input byte through an
-// io.ByteReader call and copies its output out of a separate 32 KiB window.
-// It is a fast path only: whatever it refuses, inflateTask.run hands to
-// compress/gzip, whose verdict and error text are final. It refuses every
-// member stdlib refuses — the trailer's CRC-32 and ISIZE are checked, the
-// member must end exactly where its input does, no match reaches before
-// the start of the output and nothing is written past its end — and, by
-// design, a few that stdlib would take (see gunzip and buildTable), so it
-// accepts a member only when stdlib would accept it with the same bytes
-// (FuzzInflateMember).
+// The archive's own DEFLATE (RFC 1951) decoder, the one that reads every
+// segment. It inflates one in-memory gzip member straight into the part of
+// the segment buffer the member's ISIZE sized, where compress/gzip reads
+// every input byte through an io.ByteReader call and copies its output out
+// of a separate 32 KiB window. It refuses every member stdlib refuses —
+// the trailer's CRC-32 and ISIZE are checked, the member must end exactly
+// where its input does, no match reaches before the start of the output
+// and nothing is written past its end — and a few that stdlib would take
+// but the writer never writes (see gunzip and buildTable). So it accepts a
+// member only when stdlib would accept it with the same bytes
+// (FuzzInflateMember), and it accepts every member compress/gzip writes, at
+// any level (TestInflateAcceptsEveryLevel).
 //
 // Bits are read least significant first from a 64-bit buffer refilled a
 // word at a time. Codes decode through two-level tables: a primary table
@@ -135,8 +137,9 @@ func fixedTables() (*[litTableSize]uint32, *[distTableSize]uint32) {
 // and the one incomplete code compress/flate also takes: a single symbol
 // of one bit, whose other bit decodes as invalid. It refuses an
 // oversubscribed code, any other incomplete one, and an empty one — which
-// stdlib takes for a distance code a block never uses, and which the
-// decoder leaves to it.
+// stdlib takes for a distance code a block never uses, and which
+// compress/flate never writes: a block without matches still gets one
+// distance code.
 func buildTable(table []uint32, root uint, lens []uint8, payload []uint32, sorted *[288]uint16) bool {
 	var count [maxCodeBits + 1]int
 	for _, l := range lens {
@@ -277,34 +280,42 @@ type flateDecoder struct {
 	sorted [288]uint16
 }
 
-// gunzip inflates the gzip member src into dst and reports how many bytes
-// it wrote, and whether it accepts the member: one whose header sets no
-// flag but FEXTRA, whose deflate stream decodes within dst, whose 8-byte
-// trailer follows the stream and ends src exactly, and whose CRC-32 and
-// ISIZE match what it wrote — and, when fill is set, which fills dst.
-// Anything else it refuses, leaving dst's contents undefined.
-func (d *flateDecoder) gunzip(src, dst []byte, fill bool) (int, bool) {
+// gunzip inflates the gzip member src into dst, which its ISIZE sized, and
+// returns an error naming what it refuses: a header that sets a flag other
+// than FEXTRA, a deflate stream that does not decode into dst (one using a
+// code buildTable does not build included), one that does not end at the
+// 8-byte trailer ending src, or a trailer whose CRC-32 or ISIZE disagrees
+// with what it wrote. A refused member leaves dst's contents undefined.
+func (d *flateDecoder) gunzip(src, dst []byte) error {
 	const flagExtra = 1 << 2
-	if len(src) < 10+8 || src[0] != 0x1f || src[1] != 0x8b || src[2] != 8 || src[3]&^flagExtra != 0 {
-		return 0, false
+	if len(src) < 10+8 || src[0] != 0x1f || src[1] != 0x8b || src[2] != 8 {
+		return errors.New("not a deflate gzip member")
+	}
+	if src[3]&^flagExtra != 0 {
+		return fmt.Errorf("header flags %#02x: a member sets none but FEXTRA", src[3])
 	}
 	at := 10
 	if src[3] == flagExtra {
 		at = 12 + int(binary.LittleEndian.Uint16(src[10:12]))
 	}
 	if at > len(src)-8 {
-		return 0, false
+		return errors.New("header runs into the trailer")
 	}
 	n, end, ok := d.inflate(src[:len(src)-8], at, dst)
-	if !ok || end != len(src)-8 || fill && n != len(dst) {
-		return 0, false
+	if !ok {
+		return fmt.Errorf("deflate stream does not decode into the %d bytes its ISIZE states", len(dst))
+	}
+	if end != len(src)-8 {
+		return fmt.Errorf("deflate stream ends %d bytes before the trailer", len(src)-8-end)
 	}
 	trailer := src[end:]
-	if binary.LittleEndian.Uint32(trailer[4:]) != uint32(n) ||
-		binary.LittleEndian.Uint32(trailer[:4]) != crc32.ChecksumIEEE(dst[:n]) {
-		return 0, false
+	if isize := binary.LittleEndian.Uint32(trailer[4:]); isize != uint32(n) || n != len(dst) {
+		return fmt.Errorf("inflates to %d bytes, its ISIZE states %d", n, isize)
 	}
-	return n, true
+	if crc, want := crc32.ChecksumIEEE(dst), binary.LittleEndian.Uint32(trailer[:4]); crc != want {
+		return fmt.Errorf("CRC-32 of its %d bytes is %08x, its trailer states %08x", n, crc, want)
+	}
+	return nil
 }
 
 // inflate decodes the deflate stream starting at src[at] into dst, and

@@ -6,12 +6,14 @@ import (
 	"compress/gzip"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -84,15 +86,16 @@ func levelMember(tb testing.TB, level int, raw []byte, hdr gzip.Header) []byte {
 	return b
 }
 
-// stdGunzip reads member the way the stdlib path does, one member and no
-// further, and reports any bytes left after it as an error.
-func stdGunzip(member []byte, multistream bool) ([]byte, error) {
+// stdGunzip reads member with compress/gzip, the reference the decoder is
+// held to, one member and no further, and reports any bytes left after it
+// as an error.
+func stdGunzip(member []byte) ([]byte, error) {
 	br := bytes.NewReader(member)
 	zr, err := gzip.NewReader(br)
 	if err != nil {
 		return nil, err
 	}
-	zr.Multistream(multistream)
+	zr.Multistream(false)
 	out, err := io.ReadAll(zr)
 	if err == nil && br.Len() > 0 {
 		err = fmt.Errorf("%d bytes left after the member", br.Len())
@@ -112,8 +115,8 @@ func memberISIZE(member []byte) int {
 // TestInflateAcceptsEveryLevel: the decoder takes every member
 // compress/gzip writes of the three chains' payloads, at every level from
 // Huffman-only to best, with a header and a payload of any size, and
-// inflates it to stdlib's bytes — so the fallback is for hostile input,
-// never for the archive's own members.
+// inflates it to stdlib's bytes: whatever level a member was deflated at,
+// it opens.
 func TestInflateAcceptsEveryLevel(t *testing.T) {
 	var d flateDecoder
 	for chain, raw := range chainPayloads(t) {
@@ -121,15 +124,14 @@ func TestInflateAcceptsEveryLevel(t *testing.T) {
 			stream := chainStream(raw, size, uint64(size))
 			for _, level := range memberLevels {
 				member := levelMember(t, level, stream, gzip.Header{})
-				want, err := stdGunzip(member, false)
+				want, err := stdGunzip(member)
 				if err != nil {
 					t.Fatal(err)
 				}
 				dst := make([]byte, memberISIZE(member))
-				n, ok := d.gunzip(member, dst, true)
-				if !ok || !bytes.Equal(dst[:n], want) {
-					t.Fatalf("%s, %d bytes at level %d: accepted %v, %d bytes, equal to stdlib's %v",
-						chain, size, level, ok, n, bytes.Equal(dst[:n], want))
+				if err := d.gunzip(member, dst); err != nil || !bytes.Equal(dst, want) {
+					t.Fatalf("%s, %d bytes at level %d: %v, equal to stdlib's %v",
+						chain, size, level, err, bytes.Equal(dst, want))
 				}
 			}
 		}
@@ -185,15 +187,15 @@ var fuzzFlate flateDecoder
 // FuzzInflateMember holds the archive's DEFLATE decoder to compress/gzip on
 // arbitrary bytes taken as one member: whenever the decoder accepts a
 // member, a gzip reader with Multistream(false) accepts it too, inflates
-// it to the same bytes and leaves none of it unread; and whenever the
-// decoder accepts it as a whole object, a multistream gzip reader does the
-// same. The destination is sized by the trailer's ISIZE, capped as
-// splitMembers caps it.
+// it to the same bytes and leaves none of it unread. The destination is
+// sized by the trailer's ISIZE, capped as splitMembers caps it. The same
+// bytes taken as a stream and deflated by the writer's deflateMember make
+// a member the decoder accepts, inflating to that stream.
 //
 // Seeds: the three chains' wire testdata payloads as members deflated at
 // levels -2, 0, 1, 2, 6 and 9, each one also cut short by its trailer's
 // last byte and by half; one member with an FNAME header; and the two
-// refused-by-design members of TestRefusedMembersFallBack.
+// other members TestRefusedMembersFailOpen refuses.
 func FuzzInflateMember(f *testing.F) {
 	for _, raw := range chainPayloads(f) {
 		for _, level := range memberLevels {
@@ -207,27 +209,22 @@ func FuzzInflateMember(f *testing.F) {
 	f.Add(headerCRCMember(f, []byte("header crc member")))
 	f.Add(literalOnlyMember([]byte("no distance code")))
 	f.Fuzz(func(t *testing.T, member []byte) {
-		size := memberISIZE(member)
-		dst := make([]byte, size)
-		if n, ok := fuzzFlate.gunzip(member, dst, true); ok {
-			want, err := stdGunzip(member, false)
+		dst := make([]byte, memberISIZE(member))
+		if err := fuzzFlate.gunzip(member, dst); err == nil {
+			want, err := stdGunzip(member)
 			if err != nil {
 				t.Fatalf("the decoder accepts a member compress/gzip refuses (%v)", err)
 			}
-			if n != size || !bytes.Equal(dst, want) {
-				t.Fatalf("the decoder inflates %d bytes, compress/gzip %d; equal: %v", n, len(want), bytes.Equal(dst[:n], want))
+			if !bytes.Equal(dst, want) {
+				t.Fatalf("the decoder inflates %d bytes, compress/gzip %d; equal: %v", len(dst), len(want), bytes.Equal(dst, want))
 			}
 		}
-		// A whole object may stop short of its buffer.
-		dst = make([]byte, size+64)
-		if n, ok := fuzzFlate.gunzip(member, dst, false); ok {
-			want, err := stdGunzip(member, true)
-			if err != nil {
-				t.Fatalf("the decoder accepts an object compress/gzip refuses (%v)", err)
-			}
-			if !bytes.Equal(dst[:n], want) {
-				t.Fatalf("the decoder inflates %d bytes of an object, compress/gzip %d", n, len(want))
-			}
+		// What the writer deflates, the reader takes.
+		var out bytes.Buffer
+		deflateMember(&out, member)
+		dst = make([]byte, len(member))
+		if err := fuzzFlate.gunzip(out.Bytes(), dst); err != nil || !bytes.Equal(dst, member) {
+			t.Fatalf("the decoder reads deflateMember's member of %d bytes as %v, equal: %v", len(member), err, bytes.Equal(dst, member))
 		}
 		// The deflate stream alone, held to compress/flate with no CRC to
 		// turn a mutated stream into a refusal before it is compared.
@@ -271,21 +268,19 @@ func memberTask(payload []byte, size int, seed uint64) (inflateTask, []byte) {
 	var out bytes.Buffer
 	deflateMember(&out, stream)
 	member := out.Bytes()
-	return inflateTask{src: member, member: true, size: len(stream), dst: make([]byte, len(stream))}, stream
+	return inflateTask{src: member, size: len(stream), dst: make([]byte, len(stream))}, stream
 }
 
 // TestInflateMemberAllocs: a warm inflate of a 512 KiB member, through the
-// pooled state inflateTask.run borrows, allocates nothing. The stdlib path
-// allocates each member's extra field, so this also pins writer members to
-// the archive's own decoder.
+// pooled decoder inflateTask.run borrows, allocates nothing.
 func TestInflateMemberAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed by the race detector")
 	}
 	task, stream := memberTask(chainPayloads(t)["eos"], memberBytes, 1)
 	task.run()
-	if task.err != nil || !bytes.Equal(task.dst[:task.n], stream) {
-		t.Fatalf("inflating a writer member: %v, equal: %v", task.err, bytes.Equal(task.dst[:task.n], stream))
+	if task.err != nil || !bytes.Equal(task.dst, stream) {
+		t.Fatalf("inflating a writer member: %v, equal: %v", task.err, bytes.Equal(task.dst, stream))
 	}
 	if got := testing.AllocsPerRun(20, task.run); got != 0 {
 		t.Fatalf("a warm 512 KiB member inflate allocates %v times, want 0", got)
@@ -308,7 +303,7 @@ func TestConcurrentMemberInflate(t *testing.T) {
 			t.Fatal(task.err)
 		}
 		tasks = append(tasks, task)
-		want = append(want, bytes.Clone(task.dst[:task.n]))
+		want = append(want, bytes.Clone(task.dst))
 	}
 	var wg sync.WaitGroup
 	for i := range tasks {
@@ -319,7 +314,7 @@ func TestConcurrentMemberInflate(t *testing.T) {
 			for range 5 {
 				clear(task.dst)
 				task.run()
-				if task.err != nil || !bytes.Equal(task.dst[:task.n], want[i]) {
+				if task.err != nil || !bytes.Equal(task.dst, want[i]) {
 					t.Errorf("member %d inflates concurrently to other bytes than serially (%v)", i, task.err)
 					return
 				}
@@ -331,7 +326,8 @@ func TestConcurrentMemberInflate(t *testing.T) {
 
 // headerCRCMember is raw as one gzip member, deflated at segmentLevel,
 // whose header carries the archive's length subfield and an FHCRC: a
-// header compress/gzip checks and the archive's decoder refuses.
+// header compress/gzip checks and the archive's decoder refuses, since the
+// writer never sets it.
 func headerCRCMember(tb testing.TB, raw []byte) []byte {
 	tb.Helper()
 	const flagExtra, flagHdrCrc = 1 << 2, 1 << 1
@@ -351,8 +347,8 @@ func headerCRCMember(tb testing.TB, raw []byte) []byte {
 
 // literalOnlyMember is raw as one gzip member whose one dynamic block
 // declares no distance code at all (HDIST 0, its one length 0) and codes
-// every byte as a literal — a block compress/flate takes, and a code the
-// archive's decoder does not build. Literals 0-254 get 8 bits, 255 and the
+// every byte as a literal — a block compress/flate takes but never writes,
+// and a code the archive's decoder does not build. Literals 0-254 get 8 bits, 255 and the
 // end of block 9.
 func literalOnlyMember(raw []byte) []byte {
 	var w lsbWriter
@@ -447,73 +443,51 @@ func (w *lsbWriter) flush() []byte {
 	return w.out
 }
 
-// TestRefusedMembersFallBack: members the archive's decoder refuses by
-// design — a header with FNAME or FHCRC, a block whose distance code is
-// empty — are read by compress/gzip instead, so a segment made of them,
-// between members the decoder takes, opens, replays and fetches
-// byte-identically.
-func TestRefusedMembersFallBack(t *testing.T) {
+// TestRefusedMembersFailOpen: a member the writer never writes — a header
+// with FNAME or FHCRC, a block whose distance code is empty — is refused by
+// the archive's decoder, whose verdict is final, even though compress/gzip
+// reads it: a segment holding one between members the writer does write
+// fails to open with ErrCorrupt, naming the member's offset and what was
+// refused.
+func TestRefusedMembersFailOpen(t *testing.T) {
 	nums := []int64{6, 2, 5, 1, 4, 3}
 	stream := fuzzStream(nums, payload)
-	cut := len(stream) / 5
-	parts := [][]byte{stream[:cut], stream[cut : 2*cut], stream[2*cut : 3*cut], stream[3*cut : 4*cut], stream[4*cut:]}
-	members := [][]byte{
-		levelMember(t, segmentLevel, parts[0], gzip.Header{}),
-		levelMember(t, segmentLevel, parts[1], gzip.Header{Name: "segment", Comment: "named"}),
-		headerCRCMember(t, parts[2]),
-		literalOnlyMember(parts[3]),
-		levelMember(t, segmentLevel, parts[4], gzip.Header{}),
-	}
-	var d flateDecoder
-	for i, m := range members {
-		if n, ok := memberLen(m); !ok || n != len(m) {
-			t.Fatalf("member %d states length %d (%v), is %d bytes", i, n, ok, len(m))
-		}
-		if got, err := stdGunzip(m, false); err != nil || !bytes.Equal(got, parts[i]) {
-			t.Fatalf("compress/gzip reads member %d as %d bytes: %v", i, len(got), err)
-		}
-		_, ok := d.gunzip(m, make([]byte, len(parts[i])), true)
-		if refused := i >= 1 && i <= 3; ok == refused {
-			t.Fatalf("the decoder accepts member %d: %v, want %v", i, ok, !refused)
-		}
-	}
-	obj := bytes.Join(members, nil)
-
-	ctx := context.Background()
-	st := blobstore.NewMemory()
-	seg := SegmentInfo{File: segmentName(1), CompBytes: int64(len(obj)), SHA256: sha256Hex(obj)}
-	seg.Blocks, seg.RawBytes, seg.Min, seg.Max = honestEntry(stream)
-	if err := st.Put(ctx, seg.File, obj); err != nil {
-		t.Fatal(err)
-	}
-	if err := saveManifest(ctx, st, Manifest{Version: manifestVersion, Chain: "eos", Segments: []SegmentInfo{seg}}); err != nil {
-		t.Fatal(err)
-	}
-	r, err := OpenWith("", OpenOptions{Store: st, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	seen := 0
-	err = r.Replay(ctx, 2, func(_ int, num int64, raw []byte) error {
-		mu.Lock()
-		defer mu.Unlock()
-		if !bytes.Equal(raw, payload(num)) {
-			t.Errorf("block %d replays as %q", num, raw)
-		}
-		seen++
-		return nil
-	})
-	if err != nil || seen != len(nums) {
-		t.Fatalf("replayed %d of %d blocks: %v", seen, len(nums), err)
-	}
-	r.mu.Lock()
-	r.cache = make(map[int][]byte) // FetchBlock re-inflates through loadSegment
-	r.order = nil
-	r.mu.Unlock()
-	for _, num := range nums {
-		if raw, err := r.FetchBlock(ctx, num); err != nil || !bytes.Equal(raw, payload(num)) {
-			t.Fatalf("fetch %d: %q, %v", num, raw, err)
-		}
+	cut := len(stream) / 3
+	parts := [][]byte{stream[:cut], stream[cut : 2*cut], stream[2*cut:]}
+	first := levelMember(t, segmentLevel, parts[0], gzip.Header{})
+	last := levelMember(t, segmentLevel, parts[2], gzip.Header{})
+	for _, tc := range []struct {
+		name   string
+		member []byte
+		want   string
+	}{
+		{"FNAME", levelMember(t, segmentLevel, parts[1], gzip.Header{Name: "segment", Comment: "named"}), "header flags 0x1c"},
+		{"FHCRC", headerCRCMember(t, parts[1]), "header flags 0x06"},
+		{"no distance code", literalOnlyMember(parts[1]), "deflate stream does not decode"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if n, ok := memberLen(tc.member); !ok || n != len(tc.member) {
+				t.Fatalf("the member states length %d (%v), is %d bytes", n, ok, len(tc.member))
+			}
+			if got, err := stdGunzip(tc.member); err != nil || !bytes.Equal(got, parts[1]) {
+				t.Fatalf("compress/gzip reads the member as %d bytes: %v", len(got), err)
+			}
+			obj := bytes.Join([][]byte{first, tc.member, last}, nil)
+			ctx := context.Background()
+			st := blobstore.NewMemory()
+			seg := SegmentInfo{File: segmentName(1), CompBytes: int64(len(obj)), SHA256: sha256Hex(obj)}
+			seg.Blocks, seg.RawBytes, seg.Min, seg.Max = honestEntry(stream)
+			if err := st.Put(ctx, seg.File, obj); err != nil {
+				t.Fatal(err)
+			}
+			if err := saveManifest(ctx, st, Manifest{Version: manifestVersion, Chain: "eos", Segments: []SegmentInfo{seg}}); err != nil {
+				t.Fatal(err)
+			}
+			_, err := OpenWith("", OpenOptions{Store: st, Workers: 2})
+			want := fmt.Sprintf("segment-000001.gz: gzip member at byte %d: %s", len(first), tc.want)
+			if !errors.Is(err, ErrCorrupt) || !strings.Contains(fmt.Sprint(err), want) {
+				t.Fatalf("open: %v, want ErrCorrupt saying %q", err, want)
+			}
+		})
 	}
 }

@@ -55,7 +55,7 @@ func honestEntry(stream []byte) (blocks, raw, min, max int64) {
 // to: opening allocates at most k bytes per stored object byte, plus 1 MiB
 // of fixed gzip, flate, hashing and JSON state. The stream buffer is at
 // most maxInflateRatio bytes per object byte (each member's ISIZE is capped
-// by its own length, a segment without members by the whole object's), and
+// by its own length), and
 // per 12-byte record header in it the record list and the index hold a few
 // words more; a member task is about 100 bytes per member of at least 28.
 // 16 leaves room over that.
@@ -66,10 +66,10 @@ const openAllocPerStoredByte = 16 * maxInflateRatio
 // (the harness gzips them and keeps the manifest's size and checksum
 // honest, so mutations reach the member parser, the inflate, the magic
 // check and the record walk instead of dying at the digest), how the first
-// segment is framed — cut = 0 is one gzip stream, as segments were written
-// before members existed; any other cut frames it the way the writer does,
-// as members of cut stream bytes with the length subfield, and then adds
-// dLen to member `which`'s stated length and dSize to its ISIZE — how far
+// segment is framed — as members of cut stream bytes with the length
+// subfield, the way the writer frames them, cut = 0 being one member for
+// the whole stream, and then with dLen added to member `which`'s stated
+// length and dSize to its ISIZE; the second is always one member — how far
 // its manifest entry lies about its block count and raw bytes (the numbers
 // the inflate buffer is checked against), how many bytes are cut off its
 // compressed object, and the open's range. Whatever comes in, OpenWith must
@@ -82,9 +82,9 @@ const openAllocPerStoredByte = 16 * maxInflateRatio
 // levels 1–8 through rpcserve's block converter and Codec.AppendTezosBlock, four
 // per segment — as written, with level 7 re-archived in the second
 // segment and opened over [3, 7], with overstated and understated manifest
-// numbers, and with a truncated object, each framed as one gzip stream;
-// and as written, framed as 1 KiB members, plain and with the third
-// member's ISIZE understated by 5.
+// numbers, and with a truncated object, each framed as one member; and as
+// written, framed as 1 KiB members, plain and with the third member's ISIZE
+// understated by 5.
 func FuzzOpenArchive(f *testing.F) {
 	f.Add(fuzzStream([]int64{4, 3}, payload), fuzzStream([]int64{2, 1}, payload), int64(0), int64(0), uint8(0), int64(0), int64(0), uint16(0), uint8(0), int32(0), int32(0))
 	f.Add(fuzzStream([]int64{4, 3}, payload), fuzzStream([]int64{3, 1}, payload), int64(0), int64(0), uint8(0), int64(2), int64(3), uint16(0), uint8(0), int32(0), int32(0))
@@ -100,18 +100,18 @@ func FuzzOpenArchive(f *testing.F) {
 		man := Manifest{Version: manifestVersion, Chain: "tezos"}
 		var stored int64
 		for i, stream := range [][]byte{stream1, stream2} {
-			object := gzipAt(t, segmentLevel, stream)
 			seg := SegmentInfo{File: segmentName(i + 1)}
 			seg.Blocks, seg.RawBytes, seg.Min, seg.Max = honestEntry(stream)
+			n := len(stream)
+			if i == 0 && cut > 0 {
+				n = int(cut)
+			}
+			object, at := memberObject(stream, max(n, 1))
 			if i == 0 {
-				if cut > 0 && len(stream) > 0 {
-					var at []int
-					object, at = memberObject(stream, int(cut))
-					m := at[int(which)%len(at)]
-					addUint32(object[m+memberLenAt:], dLen)
-					if end, ok := memberLen(object[m:]); ok && end >= 4 && end <= len(object)-m {
-						addUint32(object[m+end-4:], dSize)
-					}
+				m := at[int(which)%len(at)]
+				addUint32(object[m+memberLenAt:], dLen)
+				if end, ok := memberLen(object[m:]); ok && end >= 4 && end <= len(object)-m {
+					addUint32(object[m+end-4:], dSize)
 				}
 				seg.Blocks, seg.RawBytes = seg.Blocks+dBlocks, seg.RawBytes+dRaw
 				object = object[:len(object)-min(int(trunc), len(object)-1)]

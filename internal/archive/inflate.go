@@ -1,10 +1,9 @@
 package archive
 
 import (
-	"bytes"
-	"compress/gzip"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -20,17 +19,13 @@ const maxInflateRatio = 1032
 const minMemberBytes = memberLenAt + 4 + 8
 
 // inflateTask is one gzip member of a segment, inflated into its stretch of
-// the segment's stream buffer — or, for a segment whose header states no
-// member length (every segment written before members existed), the whole
-// object, read to its end.
+// the segment's stream buffer.
 type inflateTask struct {
-	src    []byte // the member, or the whole object
-	at     int    // src's offset in the object
-	member bool   // src is one member and must inflate to exactly size bytes
-	size   int    // bytes dst holds: a member's ISIZE, or the whole buffer
-	dst    []byte
-	n      int // bytes inflated into dst
-	err    error
+	src  []byte // the member
+	at   int    // src's offset in the object
+	size int    // the member's ISIZE: the bytes dst holds
+	dst  []byte
+	err  error
 }
 
 // segmentLoad is one fetched segment on its way to a verified stream: the
@@ -66,17 +61,20 @@ func memberLen(b []byte) (int, bool) {
 	return 0, false
 }
 
+// errPreMember refuses a segment whose first member states no length: one
+// written as a single gzip stream, before segments were cut into members.
+var errPreMember = errors.New("its first gzip member states no length (one gzip stream, written before segments were cut into members): " +
+	"re-archive the chain by crawling it again with -archive into a new location")
+
 // splitMembers cuts obj into its gzip members by their length subfields,
-// each task sized by its trailer's ISIZE. It returns no tasks and no error
-// for an object whose first member states no length.
+// each task sized by its trailer's ISIZE.
 func splitMembers(obj []byte) ([]inflateTask, error) {
-	if _, ok := memberLen(obj); !ok {
-		return nil, nil
-	}
 	var tasks []inflateTask
 	for at := 0; at < len(obj); {
 		n, ok := memberLen(obj[at:])
 		switch {
+		case !ok && at == 0:
+			return nil, errPreMember
 		case !ok:
 			return nil, fmt.Errorf("gzip member at byte %d states no length", at)
 		case n < minMemberBytes:
@@ -89,7 +87,7 @@ func splitMembers(obj []byte) ([]inflateTask, error) {
 		if size > maxInflateRatio*n {
 			return nil, fmt.Errorf("gzip member at byte %d claims to inflate %d bytes to %d, past what deflate can", at, n, size)
 		}
-		tasks = append(tasks, inflateTask{src: obj[at : at+n], at: at, member: true, size: size})
+		tasks = append(tasks, inflateTask{src: obj[at : at+n], at: at, size: size})
 		at += n
 	}
 	return tasks, nil
@@ -108,32 +106,21 @@ func streamSize(seg SegmentInfo, limit int64) (int64, bool) {
 
 // plan finds obj's members and allocates the one buffer they inflate into.
 // The members' ISIZEs must add up to exactly the stream seg's entry
-// accounts for before anything is allocated. A segment without member
-// lengths is one task into a buffer sized from its entry and capped by what
-// obj could inflate to: a longer stream is refused without inflating the
-// rest, a shorter one is caught by the record walk.
+// accounts for before anything is allocated.
 func (l *segmentLoad) plan(obj []byte) error {
 	tasks, err := splitMembers(obj)
 	if err != nil {
 		return err
 	}
 	var size int64
-	if tasks == nil {
-		size = maxInflateRatio * int64(len(obj))
-		if want, ok := streamSize(l.seg, size); ok {
-			size = want
-		}
-		tasks = []inflateTask{{src: obj, size: int(size)}}
-	} else {
-		for _, t := range tasks {
-			size += int64(t.size)
-		}
-		switch want, ok := streamSize(l.seg, size); {
-		case !ok:
-			return fmt.Errorf("stream disagrees with manifest: its gzip members inflate to %d bytes, fewer than its entry accounts for", size)
-		case want < size:
-			return fmt.Errorf("stream inflates past the %d bytes its manifest entry accounts for (its gzip members state %d)", want, size)
-		}
+	for _, t := range tasks {
+		size += int64(t.size)
+	}
+	switch want, ok := streamSize(l.seg, size); {
+	case !ok:
+		return fmt.Errorf("stream disagrees with manifest: its gzip members inflate to %d bytes, fewer than its entry accounts for", size)
+	case want < size:
+		return fmt.Errorf("stream inflates past the %d bytes its manifest entry accounts for (its gzip members state %d)", want, size)
 	}
 	l.buf = make([]byte, size)
 	off := 0
@@ -147,101 +134,36 @@ func (l *segmentLoad) plan(obj []byte) error {
 	return nil
 }
 
-// inflater is one running task's pooled state: the archive's own DEFLATE
-// decoder, and the gzip reader with the byte reader it reads from for the
-// members that decoder refuses. Pooled, inflating allocates nothing past
-// the first use.
-type inflater struct {
-	flate flateDecoder
-	src   bytes.Reader
-	gz    gzip.Reader
-	probe [1]byte
-}
+// flatePool holds the DEFLATE decoders member tasks borrow, so inflating
+// allocates nothing past the first use.
+var flatePool = sync.Pool{New: func() any { return new(flateDecoder) }}
 
-var inflaterPool = sync.Pool{New: func() any { return new(inflater) }}
-
-// run inflates the task into dst. A member must fill dst exactly, end
-// there with its CRC and ISIZE checked, and end exactly where its stated
-// length does; a whole-object task may stop short of dst. Either may not
-// run past it.
-//
-// The archive's own decoder tries every task first: a member, or a
-// whole object that is one member. Whatever it refuses is read again by
-// compress/gzip, whose verdict and error text are final, so the input
-// alone chooses the path.
+// run inflates the member into dst through the archive's DEFLATE decoder,
+// whose verdict is final: dst is filled exactly, the CRC-32 and ISIZE
+// checked, and the member ends where its stated length does, or the task
+// fails naming what the decoder refused.
 func (t *inflateTask) run() {
-	z := inflaterPool.Get().(*inflater)
-	defer inflaterPool.Put(z)
-	if n, ok := z.flate.gunzip(t.src, t.dst, t.member); ok {
-		t.n, t.err = n, nil
-		return
+	d := flatePool.Get().(*flateDecoder)
+	defer flatePool.Put(d)
+	t.err = nil
+	if err := d.gunzip(t.src, t.dst); err != nil {
+		t.err = fmt.Errorf("gzip member at byte %d: %v", t.at, err)
 	}
-	t.runGzip(z)
-}
-
-// runGzip inflates the task with z's compress/gzip reader.
-func (t *inflateTask) runGzip(z *inflater) {
-	t.n, t.err = 0, nil
-	z.src.Reset(t.src)
-	if err := z.gz.Reset(&z.src); err != nil {
-		t.fail(fmt.Errorf("opening gzip stream: %v", err))
-		return
-	}
-	z.gz.Multistream(!t.member)
-	var err error
-	for err == nil && t.n < len(t.dst) {
-		var m int
-		m, err = z.gz.Read(t.dst[t.n:])
-		t.n += m
-	}
-	// Asking for more is what makes the gzip reader check the trailer.
-	for err == nil {
-		var m int
-		if m, err = z.gz.Read(z.probe[:]); m > 0 {
-			if t.member {
-				t.fail(fmt.Errorf("inflates past the %d bytes its ISIZE states", len(t.dst)))
-			} else {
-				t.fail(fmt.Errorf("stream inflates past the %d bytes its manifest entry accounts for", len(t.dst)))
-			}
-			return
-		}
-	}
-	// Every gzip error is kept: a truncated stream is io.ErrUnexpectedEOF,
-	// not a short payload.
-	switch {
-	case err != io.EOF:
-		t.fail(fmt.Errorf("decompressing: %v", err))
-	case t.member && t.n < len(t.dst):
-		t.fail(fmt.Errorf("inflates to %d bytes, its ISIZE states %d", t.n, len(t.dst)))
-	case t.member && z.src.Len() > 0:
-		t.fail(fmt.Errorf("ends %d bytes before its stated length", z.src.Len()))
-	}
-}
-
-// fail records a task's error, placing a member's by its offset.
-func (t *inflateTask) fail(err error) {
-	if t.member {
-		err = fmt.Errorf("gzip member at byte %d: %v", t.at, err)
-	}
-	t.err = err
 }
 
 // stream returns the segment's inflated records, the magic stripped, or
 // the first failed task's error in stream order.
 func (l *segmentLoad) stream() ([]byte, error) {
-	n := 0
 	for i := range l.tasks {
 		if err := l.tasks[i].err; err != nil {
 			return nil, err
 		}
-		n += l.tasks[i].n
 	}
-	// Members fill their stretches exactly, so the stream is a prefix.
-	stream := l.buf[:n]
-	if n < len(segmentMagic) || string(stream[:len(segmentMagic)]) != segmentMagic {
+	// Members fill their stretches exactly, so the stream is the buffer.
+	if len(l.buf) < len(segmentMagic) || string(l.buf[:len(segmentMagic)]) != segmentMagic {
 		return nil, fmt.Errorf("bad segment magic")
 	}
-	return stream[len(segmentMagic):], nil
+	return l.buf[len(segmentMagic):], nil
 }
 
 // corrupt wraps a failure found inside seg's object as ErrCorrupt.

@@ -15,12 +15,12 @@ import (
 
 // memberObject frames stream the way the writer does — gzip members with
 // the length subfield — cut every cut bytes, not necessarily at a record
-// boundary: the reader does not rely on the cut. It returns the object and
-// each member's offset in it.
+// boundary: the reader does not rely on the cut. An empty stream is one
+// empty member. It returns the object and each member's offset in it.
 func memberObject(stream []byte, cut int) ([]byte, []int) {
 	var obj, out bytes.Buffer
 	var at []int
-	for lo := 0; lo < len(stream); lo += cut {
+	for lo := 0; lo == 0 || lo < len(stream); lo += cut {
 		out.Reset()
 		deflateMember(&out, stream[lo:min(lo+cut, len(stream))])
 		at = append(at, obj.Len())
@@ -29,7 +29,8 @@ func memberObject(stream []byte, cut int) ([]byte, []int) {
 	return obj.Bytes(), at
 }
 
-// gunzip inflates obj with a plain multistream gzip reader, as gunzip would.
+// gunzip inflates obj with a plain multistream gzip reader, as the gunzip
+// command would.
 func gunzip(t *testing.T, obj []byte) []byte {
 	t.Helper()
 	zr, err := gzip.NewReader(bytes.NewReader(obj))

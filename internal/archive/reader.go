@@ -293,6 +293,17 @@ func (r *Reader) Covers(from, to int64) bool {
 	return true
 }
 
+// CheckComplete refuses an open with holes: one that does not hold every
+// block in [From(), To()], as an interrupted crawl that was never resumed
+// leaves it. Replaying around the holes would skew every figure.
+func (r *Reader) CheckComplete() error {
+	if r.max == 0 || int64(len(r.index)) == r.max-r.min+1 {
+		return nil
+	}
+	return fmt.Errorf("archive %s is incomplete: %d blocks in [%d, %d] — rerun the crawl with the same -archive to fetch the rest",
+		r.url, r.Blocks(), r.min, r.max)
+}
+
 // Head implements collect.BlockFetcher: the archive's newest in-range
 // block stands in for the live chain head.
 func (r *Reader) Head(ctx context.Context) (int64, error) {

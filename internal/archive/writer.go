@@ -108,9 +108,8 @@ type member struct {
 }
 
 // segmentLevel is the flate level segments are deflated at. The level is
-// nowhere in the format: any gzip reader inflates any level, and segments
-// written at gzip.DefaultCompression (all of them, before this constant)
-// read as they did. So it is chosen on the write side alone, where the
+// nowhere in the format: any gzip reader, the archive's own decoder
+// included, inflates any level. So it is chosen on the write side alone, where the
 // deflate on the stream's one tee goroutine was the live crawl's largest
 // cost (archive.append 129 of a 183 ms traced `crawl` round). Measured on
 // the repository's benchmark dataset (seed 1: 6.2 MB EOS, 1.0 MB Tezos,
