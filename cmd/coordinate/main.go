@@ -31,9 +31,10 @@
 // attempt count, which a released lease keeps) stamped into the emitted
 // shard, so a zombie worker whose lease was reclaimed cannot clobber the
 // reclaimer's newer shard — stale fences are refused at validation and
-// merge. While running, the coordinator serves GET /v1/progress
-// (-progress-addr) from memory: the gap-report shape plus per-task state,
-// fence and launches, with the election epoch in X-Coord-Epoch.
+// merge. With -debug-addr the coordinator serves, while running, GET
+// /v1/progress from memory — the gap-report shape plus per-task state,
+// fence and launches, with the election epoch in X-Coord-Epoch — and
+// net/http/pprof at /debug/pprof/, on one listener.
 //
 // SIGINT or SIGTERM interrupts the run gracefully: each worker is sent a
 // SIGTERM, writes the checkpoint of the last chunk it holds complete, and
@@ -46,7 +47,7 @@
 //
 // Usage:
 //
-//	coordinate -chain eos -endpoint URL -to N -shards 4 -store STORE [-checkpoint-every N] [-gap-report FILE] [-standby] [-progress-addr HOST:PORT]
+//	coordinate -chain eos -endpoint URL -to N -shards 4 -store STORE [-checkpoint-every N] [-gap-report FILE] [-standby] [-debug-addr HOST:PORT]
 //
 // Every slice runs at once. A worker fetches with -workers fetchers,
 // retries a block 3 times from a 200 ms backoff, and decodes on 2 ingest
@@ -72,7 +73,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"net"
 	"os"
 	"os/exec"
 	"os/signal"
@@ -129,7 +129,7 @@ type coordOpts struct {
 	chaosKill      int
 	owner          string
 	standby        bool
-	progressAddr   string
+	debugAddr      string
 	chaosKillCoord bool
 }
 
@@ -156,7 +156,7 @@ func main() {
 	flag.IntVar(&o.chaosKill, "chaos-kill", 0, "chaos: SIGKILL slice I's first worker attempt after its first checkpoint (0 = off)")
 	flag.StringVar(&o.owner, "owner", "", "coordinator name in lease records (default coordinator-<pid>; must be unique per process)")
 	flag.BoolVar(&o.standby, "standby", false, "stand by: poll the run-level lease and take over the run when the active coordinator's lease expires")
-	flag.StringVar(&o.progressAddr, "progress-addr", "", "serve GET /v1/progress on this host:port while running (503 until the first snapshot)")
+	flag.StringVar(&o.debugAddr, "debug-addr", "", "serve GET /v1/progress (503 until the first snapshot) and net/http/pprof at /debug/pprof/ on this host:port while running (empty = no listener)")
 	flag.BoolVar(&o.chaosKillCoord, "chaos-kill-coordinator", false, "chaos: SIGKILL this coordinator and its running workers right after its first slice validates (a -standby instance must finish the run)")
 	flag.Parse()
 	if o.chain == "" || o.endpoint == "" || o.store == "" {
@@ -282,16 +282,11 @@ func run(ctx context.Context, o coordOpts, out, diag io.Writer) (err error) {
 	// until the first snapshot publishes — a standby's port answers while
 	// it waits, so pollers can watch the takeover happen.
 	tracker := &coord.ProgressTracker{}
-	if o.progressAddr != "" {
-		ln, lerr := net.Listen("tcp", o.progressAddr)
-		if lerr != nil {
-			return fmt.Errorf("progress listener: %w", lerr)
-		}
-		srv := cli.BoundedServer(coord.NewProgressHandler(tracker))
-		go func() { _ = srv.Serve(ln) }()
-		defer srv.Close()
-		log.Info("serving progress", "url", "http://"+ln.Addr().String()+"/v1/progress")
+	stopDebug, err := cli.ServeDebug(o.debugAddr, coord.NewProgressHandler(tracker), log)
+	if err != nil {
+		return err
 	}
+	defer stopDebug()
 
 	launcher := &workerLauncher{opts: o, exe: exe, diag: diag,
 		attempts: make(map[int]int), running: make(map[*exec.Cmd]bool)}

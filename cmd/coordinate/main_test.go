@@ -197,9 +197,10 @@ func holdProxy(t *testing.T, inner *httptest.Server, hold func()) *httptest.Serv
 }
 
 // TestCoordinateProgressMidRun: while a run is in flight — its workers
-// held at their first block — GET /v1/progress serves the gap-report shape
-// over the pinned range, not complete, with the election epoch in
-// X-Coord-Epoch matching the body's.
+// held at their first block — the -debug-addr listener serves GET
+// /v1/progress in the gap-report shape over the pinned range, not
+// complete, with the election epoch in X-Coord-Epoch matching the body's,
+// and beside it the pprof index and a one-second CPU profile.
 func TestCoordinateProgressMidRun(t *testing.T) {
 	inner := newEOSServer(t, 45)
 	head := eosHead(t, inner.URL)
@@ -209,9 +210,9 @@ func TestCoordinateProgressMidRun(t *testing.T) {
 	t.Cleanup(func() { open.Do(func() { close(gate) }) }) // before the proxy closes
 
 	o := testOpts(srv.URL, "file://"+filepath.Join(t.TempDir(), "store"))
-	o.progressAddr = "127.0.0.1:0"
+	o.debugAddr = "127.0.0.1:0"
 	announced := make(chan struct{})
-	diag := &triggerWriter{needle: "/v1/progress\n", fire: func() { close(announced) }}
+	diag := &triggerWriter{needle: `msg="serving debug"`, fire: func() { close(announced) }}
 	errc := make(chan error, 1)
 	go func() { errc <- run(context.Background(), o, io.Discard, diag) }()
 	select {
@@ -219,8 +220,9 @@ func TestCoordinateProgressMidRun(t *testing.T) {
 	case err := <-errc:
 		t.Fatalf("run ended before serving progress: %v\n%s", err, diag.String())
 	}
-	_, url, _ := strings.Cut(diag.String(), `msg="serving progress" url=`)
-	url, _, _ = strings.Cut(url, "\n")
+	_, base, _ := strings.Cut(diag.String(), `msg="serving debug" url=`)
+	base, _, _ = strings.Cut(base, "\n")
+	url := base + "/v1/progress"
 
 	var progress struct {
 		Report coord.GapReport `json:"report"`
@@ -248,6 +250,17 @@ func TestCoordinateProgressMidRun(t *testing.T) {
 	}
 	if r := progress.Report; r.Chain != "eos" || r.From != 1 || r.To != head || r.Complete {
 		t.Errorf("mid-run progress report: %+v, want an incomplete [1, %d] on eos", r, head)
+	}
+	for path, want := range map[string][]byte{"/debug/pprof/": []byte("<html>"), "/debug/pprof/profile?seconds=1": {0x1f, 0x8b}} {
+		resp, err := http.Get(base + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || !bytes.HasPrefix(body, want) {
+			t.Errorf("GET %s mid-run: %d, body starts % x, want % x", path, resp.StatusCode, body[:min(len(body), 8)], want)
+		}
 	}
 
 	open.Do(func() { close(gate) })

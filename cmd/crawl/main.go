@@ -23,15 +23,21 @@
 // backend, as TestEveryPathPrintsThePaper diffs. Errors are log/slog text
 // records on stderr.
 //
+// A rerun resumes only into an archive whose blocks all lie inside its
+// range: one holding blocks below -from, or above a concrete -to, is
+// refused, since the rerun's figures would then differ from the archive's.
+//
 // A crawl is one process over one range: the oracle that the figures of
 // a distributed crawl (cmd/coordinate, whose stores cmd/merge joins) are
-// diffed against.
+// diffed against. With -debug-addr it serves net/http/pprof at
+// /debug/pprof/ while it runs, at the url of its msg="serving debug"
+// record.
 //
 // Usage:
 //
-//	crawl -chain eos   -endpoint http://127.0.0.1:PORT [-archive STORE]
-//	crawl -chain tezos -endpoint http://127.0.0.1:PORT [-archive STORE]
-//	crawl -chain xrp   -endpoint ws://127.0.0.1:PORT   [-archive STORE]
+//	crawl -chain eos   -endpoint http://127.0.0.1:PORT [-archive STORE] [-debug-addr HOST:PORT]
+//	crawl -chain tezos -endpoint http://127.0.0.1:PORT [-archive STORE] [-debug-addr HOST:PORT]
+//	crawl -chain xrp   -endpoint ws://127.0.0.1:PORT   [-archive STORE] [-debug-addr HOST:PORT]
 package main
 
 import (
@@ -51,14 +57,14 @@ import (
 	"repro/internal/cli"
 	"repro/internal/collect"
 	"repro/internal/core"
-	"repro/internal/prof"
 )
 
 type crawlOpts struct {
 	cli.ArchiveFlags
-	chain    string
-	endpoint string
-	workers  int
+	chain     string
+	endpoint  string
+	workers   int
+	debugAddr string
 }
 
 func main() {
@@ -67,8 +73,7 @@ func main() {
 	flag.StringVar(&o.endpoint, "endpoint", "", "endpoint URL")
 	o.ArchiveFlags.Register(flag.CommandLine, cli.ModeCrawl)
 	flag.IntVar(&o.workers, "workers", 4, "concurrent fetchers (xrp uses 1)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file (pprof evidence for perf work)")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
+	flag.StringVar(&o.debugAddr, "debug-addr", "", "serve net/http/pprof at /debug/pprof/ on this host:port while crawling (empty = no listener)")
 	flag.Parse()
 	if o.chain == "" || o.endpoint == "" {
 		flag.Usage()
@@ -80,21 +85,12 @@ func main() {
 		os.Exit(2)
 	}
 
-	stopProfiles, err := prof.Start(*cpuProfile, *memProfile)
-	if err != nil {
-		log.Error("crawl failed", "err", err)
-		os.Exit(1)
-	}
-
 	// SIGINT/SIGTERM cancels the crawl context; the stream drains, the
 	// archive (if requested) is finalized and the partial summary prints.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	err = run(ctx, o, os.Stdout)
-	// A profile-write failure surfaces even when the crawl itself failed:
-	// the failing run is exactly the one whose profile evidence matters.
-	if err = errors.Join(err, stopProfiles()); err != nil {
+	if err := run(ctx, o, os.Stdout, log); err != nil {
 		log.Error("crawl failed", "err", err)
 		os.Exit(1)
 	}
@@ -102,7 +98,12 @@ func main() {
 
 // run executes one crawl. It is the whole command behind flag parsing and
 // signal wiring so tests can drive interruption and resume deterministically.
-func run(ctx context.Context, o crawlOpts, out io.Writer) error {
+func run(ctx context.Context, o crawlOpts, out io.Writer, log *slog.Logger) error {
+	stopDebug, err := cli.ServeDebug(o.debugAddr, nil, log)
+	if err != nil {
+		return err
+	}
+	defer stopDebug()
 	kit, err := core.NewStatsKit(o.chain, chain.ObservationStart, 6*time.Hour)
 	if err != nil {
 		return fmt.Errorf("unknown chain %q", o.chain)
@@ -119,7 +120,7 @@ func run(ctx context.Context, o crawlOpts, out io.Writer) error {
 	cfg := collect.CrawlConfig{From: o.From, To: o.To, Workers: o.workers}
 	var sink *archive.Crawl
 	if o.Archive != "" {
-		sink, err = archive.OpenCrawl(archive.WriterConfig{Dir: o.Archive, Chain: o.chain}, fetcher)
+		sink, err = archive.OpenCrawl(archive.WriterConfig{Dir: o.Archive, Chain: o.chain}, fetcher, o.From, o.To)
 		if err != nil {
 			return err
 		}

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -36,6 +38,9 @@ type countingEOSServer struct {
 	limit     int
 	interrupt context.CancelFunc
 }
+
+// quiet discards a run's records.
+var quiet = slog.New(slog.DiscardHandler)
 
 // openStore resolves a store URL the test itself chose.
 func openStore(t *testing.T, location string) blobstore.Store {
@@ -157,7 +162,7 @@ func TestCrawlInterruptResume(t *testing.T) {
 		workers: 2,
 	}
 	var oracle bytes.Buffer
-	if err := run(context.Background(), base, &oracle); err != nil {
+	if err := run(context.Background(), base, &oracle, quiet); err != nil {
 		t.Fatalf("uninterrupted crawl: %v\n%s", err, oracle.String())
 	}
 	want := figuresOf(t, oracle.String())
@@ -171,7 +176,7 @@ func TestCrawlInterruptResume(t *testing.T) {
 			s.limit, s.interrupt = k, cancel
 			s.mu.Unlock()
 			var out bytes.Buffer
-			if err := run(ctx, opts, &out); err != nil {
+			if err := run(ctx, opts, &out, quiet); err != nil {
 				t.Fatalf("interrupted run returned error: %v\n%s", err, out.String())
 			}
 			if !strings.Contains(out.String(), "rerun with the same -archive") {
@@ -210,7 +215,7 @@ func TestCrawlInterruptResume(t *testing.T) {
 		}},
 		{"endpoint dead before the range resolved", func(t *testing.T, opts crawlOpts) {
 			opts.endpoint = "http://127.0.0.1:1"
-			if err := run(context.Background(), opts, io.Discard); err == nil {
+			if err := run(context.Background(), opts, io.Discard, quiet); err == nil {
 				t.Fatal("crawl against a dead endpoint succeeded")
 			}
 		}},
@@ -234,7 +239,7 @@ func TestCrawlInterruptResume(t *testing.T) {
 
 			s.reset()
 			var out2 bytes.Buffer
-			if err := run(context.Background(), opts, &out2); err != nil {
+			if err := run(context.Background(), opts, &out2, quiet); err != nil {
 				t.Fatalf("resumed run failed: %v\n%s", err, out2.String())
 			}
 			fetched := s.fetchedNums()
@@ -265,7 +270,7 @@ func TestCrawlInterruptResume(t *testing.T) {
 			// prints the same figures and footprint.
 			s.reset()
 			var out3 bytes.Buffer
-			if err := run(context.Background(), opts, &out3); err != nil {
+			if err := run(context.Background(), opts, &out3, quiet); err != nil {
 				t.Fatalf("third run failed: %v\n%s", err, out3.String())
 			}
 			if nums := s.fetchedNums(); len(nums) != 0 {
@@ -292,7 +297,7 @@ func TestCrawlInterruptWithoutCheckpointFails(t *testing.T) {
 	s.limit, s.interrupt = 10, cancel
 	s.mu.Unlock()
 	var out bytes.Buffer
-	err := run(ctx, crawlOpts{ArchiveFlags: cli.ArchiveFlags{From: 1}, chain: "eos", endpoint: s.srv.URL, workers: 2}, &out)
+	err := run(ctx, crawlOpts{ArchiveFlags: cli.ArchiveFlags{From: 1}, chain: "eos", endpoint: s.srv.URL, workers: 2}, &out, quiet)
 	if err == nil {
 		t.Fatalf("interrupted archive-less run exited clean:\n%s", out.String())
 	}
@@ -320,7 +325,7 @@ func TestCrawlArchiveCrossBackendDeterminism(t *testing.T) {
 		ArchiveFlags: cli.ArchiveFlags{From: 1},
 		chain:        "eos", endpoint: s.srv.URL,
 		workers: 2,
-	}, &plain); err != nil {
+	}, &plain, quiet); err != nil {
 		t.Fatalf("plain crawl failed: %v\n%s", err, plain.String())
 	}
 	if gz, raw := gzipLine(t, plain.String()); gz <= 0 || gz >= raw {
@@ -337,7 +342,7 @@ func TestCrawlArchiveCrossBackendDeterminism(t *testing.T) {
 			ArchiveFlags: cli.ArchiveFlags{Archive: loc, From: 1},
 			chain:        "eos", endpoint: s.srv.URL,
 			workers: 2,
-		}, &out); err != nil {
+		}, &out, quiet); err != nil {
 			t.Fatalf("%s: archived crawl failed: %v\n%s", backend, err, out.String())
 		}
 		if got := figuresOf(t, out.String()); got != want {
@@ -412,7 +417,7 @@ func TestCrawlArchiveInterruptResume(t *testing.T) {
 	s.limit, s.interrupt = 15, cancel
 	s.mu.Unlock()
 	var out1 bytes.Buffer
-	if err := run(ctx, opts, &out1); err != nil {
+	if err := run(ctx, opts, &out1, quiet); err != nil {
 		t.Fatalf("interrupted run: %v\n%s", err, out1.String())
 	}
 
@@ -428,7 +433,7 @@ func TestCrawlArchiveInterruptResume(t *testing.T) {
 
 	s.reset()
 	var out2 bytes.Buffer
-	if err := run(context.Background(), opts, &out2); err != nil {
+	if err := run(context.Background(), opts, &out2, quiet); err != nil {
 		t.Fatalf("resumed run: %v\n%s", err, out2.String())
 	}
 	rd2, err := archive.OpenWith(arch, archive.OpenOptions{})
@@ -443,7 +448,105 @@ func TestCrawlArchiveInterruptResume(t *testing.T) {
 
 // TestCrawlUnknownChain keeps the flag validation honest.
 func TestCrawlUnknownChain(t *testing.T) {
-	if err := run(context.Background(), crawlOpts{chain: "doge", endpoint: "http://x"}, io.Discard); err == nil {
+	if err := run(context.Background(), crawlOpts{chain: "doge", endpoint: "http://x"}, io.Discard, quiet); err == nil {
 		t.Fatal("unknown chain accepted")
 	}
+}
+
+// TestCrawlNarrowerRerunRefused: once an archive holds [1, 40], a rerun
+// over a narrower range into it is refused before it fetches a block — its
+// figures would cover only its own range while a replay of the archive
+// covers [1, 40], breaking the promise that the replay reproduces them. A
+// rerun over the same range still resumes.
+func TestCrawlNarrowerRerunRefused(t *testing.T) {
+	s := newCountingEOSServer(t, 40)
+	wide := crawlOpts{
+		ArchiveFlags: cli.ArchiveFlags{Archive: filepath.Join(t.TempDir(), "a"), From: 1, To: 40},
+		chain:        "eos", endpoint: s.srv.URL,
+		workers: 2,
+	}
+	if err := run(context.Background(), wide, io.Discard, quiet); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range [][2]int64{{20, 40}, {20, 0}, {1, 30}} {
+		s.reset()
+		narrow := wide
+		narrow.From, narrow.To = r[0], r[1]
+		err := run(context.Background(), narrow, io.Discard, quiet)
+		if err == nil || !strings.Contains(err.Error(), "covers [1, 40]") || !strings.Contains(err.Error(), "delete the archive") {
+			t.Fatalf("crawl of [%d, %d] into an archive of [1, 40]: %v, want a refusal naming the archive's range", r[0], r[1], err)
+		}
+		if got := s.fetchedNums(); len(got) != 0 {
+			t.Fatalf("refused crawl of [%d, %d] fetched blocks %v", r[0], r[1], got)
+		}
+	}
+	s.reset()
+	if err := run(context.Background(), wide, io.Discard, quiet); err != nil {
+		t.Fatalf("rerun over the archive's own range: %v", err)
+	}
+}
+
+// TestCrawlDebugListener: with -debug-addr the crawl serves pprof while it
+// runs — the index and a one-second CPU profile — and the listener closes
+// with the run. The endpoint never answers a block, so the crawl is still
+// running when the profile is taken. (It reads each request's body first:
+// only then does the server watch for the client hanging up.)
+func TestCrawlDebugListener(t *testing.T) {
+	stalled := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		<-r.Context().Done()
+	}))
+	t.Cleanup(stalled.Close)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	diag := &lockedBuffer{}
+	o := crawlOpts{ArchiveFlags: cli.ArchiveFlags{From: 1, To: 5}, chain: "eos", endpoint: stalled.URL, workers: 1, debugAddr: "127.0.0.1:0"}
+	errc := make(chan error, 1)
+	go func() { errc <- run(ctx, o, io.Discard, slog.New(slog.NewTextHandler(diag, nil))) }()
+
+	var base string
+	for deadline := time.Now().Add(10 * time.Second); base == ""; time.Sleep(5 * time.Millisecond) {
+		if _, url, ok := strings.Cut(diag.String(), `msg="serving debug" url=`); ok {
+			base, _, _ = strings.Cut(url, "\n")
+		} else if time.Now().After(deadline) {
+			t.Fatalf("no serving record:\n%s", diag.String())
+		}
+	}
+	for path, want := range map[string][]byte{"/debug/pprof/": []byte("<html>"), "/debug/pprof/profile?seconds=1": {0x1f, 0x8b}} {
+		resp, err := http.Get(base + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || !bytes.HasPrefix(body, want) {
+			t.Fatalf("GET %s: %d, body starts % x, want % x", path, resp.StatusCode, body[:min(len(body), 8)], want)
+		}
+	}
+
+	cancel()
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled crawl: %v", err)
+	}
+	if _, err := http.Get(base + "/debug/pprof/"); err == nil {
+		t.Fatal("the debug listener outlived the run")
+	}
+}
+
+// lockedBuffer is a log sink a running command and its test share.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf.String()
 }

@@ -37,7 +37,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -51,7 +50,6 @@ import (
 	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/pipeline"
-	"repro/internal/prof"
 )
 
 func main() {
@@ -67,58 +65,35 @@ func main() {
 	stressScale := flag.Int64("stress-scale", 0, "eidos-stress scale divisor (0 = quarter of the EOS default)")
 	var af cli.ArchiveFlags
 	af.Register(flag.CommandLine, cli.ModeReport)
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file (pprof evidence for perf work)")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
 	log := slog.New(slog.NewTextHandler(os.Stderr, nil))
-	stopProfiles, err := prof.Start(*cpuProfile, *memProfile)
+	// A bad flag or figure name is refused before the reproduction runs.
+	render, err := figureRenderer(*figure)
+	if err == nil {
+		err = af.Validate()
+	}
+	if err != nil {
+		log.Error("report failed", "err", err)
+		os.Exit(2)
+	}
+
+	opts.ArchiveDir = af.Archive
+	if af.Replaying() {
+		err = replayArchives(context.Background(), af.Replay, opts.Workers, af.From, af.To, os.Stdout, log)
+	} else {
+		opts.EOS.Seed, opts.Tezos.Seed, opts.XRP.Seed, opts.Gov.Seed = *seed, *seed, *seed, *seed
+		if *stress {
+			opts.Stress = &pipeline.StageOptions{Scale: *stressScale, Seed: *seed}
+		}
+		var res *pipeline.Result
+		if res, err = pipeline.Run(context.Background(), opts); err == nil {
+			fmt.Println(render(res))
+		}
+	}
 	if err != nil {
 		log.Error("report failed", "err", err)
 		os.Exit(1)
 	}
-	// finish is the single exit point once profiling has started: every
-	// path — success, pipeline error, unknown figure — finalizes the
-	// profiles first (a failing run is exactly the one whose partial CPU
-	// profile the user wants intact), and a profile-write failure turns an
-	// otherwise-clean exit into a failure instead of passing silently.
-	finish := func(code int, err error) {
-		if perr := stopProfiles(); perr != nil {
-			err, code = errors.Join(err, perr), max(code, 1)
-		}
-		if err != nil {
-			log.Error("report failed", "err", err)
-		}
-		if code != 0 {
-			os.Exit(code)
-		}
-	}
-	if err := af.Validate(); err != nil {
-		finish(2, err)
-	}
-	render, err := figureRenderer(*figure)
-	if err != nil {
-		finish(2, err)
-	}
-	opts.ArchiveDir = af.Archive
-	if af.Replaying() {
-		if err := replayArchives(context.Background(), af.Replay, opts.Workers, af.From, af.To, os.Stdout, log); err != nil {
-			finish(1, err)
-		}
-		finish(0, nil)
-		return
-	}
-	opts.EOS.Seed, opts.Tezos.Seed, opts.XRP.Seed, opts.Gov.Seed = *seed, *seed, *seed, *seed
-	if *stress {
-		opts.Stress = &pipeline.StageOptions{Scale: *stressScale, Seed: *seed}
-	}
-
-	res, err := pipeline.Run(context.Background(), opts)
-	if err != nil {
-		finish(1, err)
-	}
-
-	fmt.Println(render(res))
-	finish(0, nil)
 }
 
 // figures maps each -figure name to its renderer, in help-text order: the

@@ -17,8 +17,8 @@
 //
 // Usage:
 //
-//	serve -addr :8080 -replay STORE
-//	serve -addr :8080 -eos URL [-tezos URL] [-xrp URL] [-archive STORE]
+//	serve -addr :8080 -replay STORE [-debug-addr HOST:PORT]
+//	serve -addr :8080 -eos URL [-tezos URL] [-xrp URL] [-archive STORE] [-debug-addr HOST:PORT]
 //
 // STORE is a blob-store location: a plain directory path, file://PATH,
 // mem://NAME, or s3://BUCKET/PREFIX?endpoint=URL.
@@ -26,7 +26,8 @@
 // Endpoints: /healthz (liveness), /readyz (readiness — 503 until the
 // first snapshot epoch publishes), /v1/status, /v1/chains,
 // /v1/summary/{chain}, /v1/figures[/{chain}],
-// /v1/percentiles/{chain}?p=50,90,99.
+// /v1/percentiles/{chain}?p=50,90,99. net/http/pprof is never on -addr:
+// with -debug-addr it answers at /debug/pprof/ on a listener of its own.
 package main
 
 import (
@@ -57,8 +58,9 @@ type serveOpts struct {
 	tezos string
 	xrp   string
 	cli.ArchiveFlags
-	epoch   time.Duration
-	workers int
+	epoch     time.Duration
+	workers   int
+	debugAddr string
 
 	// ready, when set, is called with the base URL once the listener is
 	// accepting — the hook tests use to query mid-ingest.
@@ -74,6 +76,7 @@ func main() {
 	o.ArchiveFlags.Register(flag.CommandLine, cli.ModeServe)
 	flag.DurationVar(&o.epoch, "epoch", 200*time.Millisecond, "snapshot publish interval")
 	flag.IntVar(&o.workers, "workers", 4, "concurrent fetchers per live feed (xrp uses 1)")
+	flag.StringVar(&o.debugAddr, "debug-addr", "", "serve net/http/pprof at /debug/pprof/ on this host:port, apart from -addr (empty = no listener)")
 	flag.Parse()
 	log := slog.New(slog.NewTextHandler(os.Stderr, nil))
 	if err := o.validate(); err != nil {
@@ -111,6 +114,11 @@ func (o *serveOpts) validate() error {
 // publish loop → run every feed to drain → final epoch → keep serving the
 // drained figures until ctx is cancelled → graceful shutdown.
 func run(ctx context.Context, o serveOpts, log *slog.Logger) error {
+	stopDebug, err := cli.ServeDebug(o.debugAddr, nil, log)
+	if err != nil {
+		return err
+	}
+	defer stopDebug()
 	pub := serve.NewPublisher()
 
 	ln, err := net.Listen("tcp", o.addr)
@@ -269,7 +277,7 @@ func liveFeed(ctx context.Context, pub *serve.Publisher, o serveOpts, chainName,
 	if o.Archive != "" {
 		sink, err = archive.OpenCrawl(archive.WriterConfig{
 			Dir: blobstore.Join(o.Archive, chainName), Chain: chainName,
-		}, fetcher)
+		}, fetcher, o.From, o.To)
 		if err != nil {
 			return err
 		}

@@ -12,10 +12,12 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -247,4 +249,79 @@ func TestServeRefusesReplayWithEndpoints(t *testing.T) {
 	if err := o.validate(); err == nil || !strings.Contains(err.Error(), "one or the other") {
 		t.Fatalf("err = %v, want the replay/live mix refused", err)
 	}
+}
+
+// TestServeDebugListener: pprof answers on -debug-addr — the index and a
+// one-second CPU profile — and never on the API listener, which answers
+// /debug/pprof/ with 404.
+func TestServeDebugListener(t *testing.T) {
+	sim := newEOSSim(t, 20)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	api := make(chan string, 1)
+	o := serveOpts{
+		addr: "127.0.0.1:0", debugAddr: "127.0.0.1:0",
+		ArchiveFlags: cli.ArchiveFlags{From: 1},
+		eos:          sim.URL,
+		epoch:        10 * time.Millisecond,
+		workers:      1,
+		ready:        func(base string) { api <- base },
+	}
+	diag := &lockedBuffer{}
+	errc := make(chan error, 1)
+	go func() { errc <- run(ctx, o, slog.New(slog.NewTextHandler(diag, nil))) }()
+	var apiBase string
+	select {
+	case apiBase = <-api:
+	case err := <-errc:
+		t.Fatalf("run ended before listening: %v", err)
+	}
+	// The debug listener opens first, so its record precedes the API's.
+	_, debugBase, ok := strings.Cut(diag.String(), `msg="serving debug" url=`)
+	if !ok {
+		t.Fatalf("no debug serving record:\n%s", diag.String())
+	}
+	debugBase, _, _ = strings.Cut(debugBase, "\n")
+
+	get := func(url string) (int, []byte) {
+		t.Helper()
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, body
+	}
+	if code, _ := get(apiBase + "/debug/pprof/"); code != http.StatusNotFound {
+		t.Errorf("API listener answers /debug/pprof/ with %d, want 404", code)
+	}
+	if code, body := get(debugBase + "/debug/pprof/"); code != http.StatusOK {
+		t.Errorf("debug listener answers /debug/pprof/ with %d: %s", code, body)
+	}
+	if code, body := get(debugBase + "/debug/pprof/profile?seconds=1"); code != http.StatusOK || !bytes.HasPrefix(body, []byte{0x1f, 0x8b}) {
+		t.Errorf("CPU profile: %d, body starts % x, want gzip", code, body[:min(len(body), 8)])
+	}
+	cancel()
+	if err := <-errc; err != nil {
+		t.Fatalf("run: %v", err)
+	}
+}
+
+// lockedBuffer is a log sink a running command and its test share.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf.String()
 }

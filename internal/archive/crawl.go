@@ -34,10 +34,11 @@ type Crawl struct {
 	sink *Writer
 }
 
-// OpenCrawl opens cfg.Dir (or cfg.Store) for a crawl of cfg.Chain from live.
-// A location with no manifest starts a fresh archive; one holding another
-// chain's archive, or a corrupt one, is an error.
-func OpenCrawl(cfg WriterConfig, live Source) (*Crawl, error) {
+// OpenCrawl opens cfg.Dir (or cfg.Store) for a crawl of cfg.Chain from live
+// over [from, to] (to 0 = the head). A location with no manifest starts a
+// fresh archive; one holding another chain's archive, a corrupt one, or
+// one holding blocks outside the range (Reader.CheckWithin) is an error.
+func OpenCrawl(cfg WriterConfig, live Source, from, to int64) (*Crawl, error) {
 	sink, err := NewWriter(cfg) // refuses another chain's archive
 	if err != nil {
 		return nil, err
@@ -46,6 +47,9 @@ func OpenCrawl(cfg WriterConfig, live Source) (*Crawl, error) {
 	if errors.Is(err, fs.ErrNotExist) {
 		held = &Reader{} // a fresh location holds nothing
 	} else if err != nil {
+		return nil, err
+	}
+	if err := held.CheckWithin(from, to); err != nil {
 		return nil, err
 	}
 	return &Crawl{live: live, held: held, sink: sink}, nil

@@ -83,7 +83,7 @@ func TestCrawlStreamTeesOnlyLiveBlocksOnTheStage(t *testing.T) {
 
 	live := &witnessSource{head: total, fetched: map[int64]int{}, workers: map[int64]bool{}}
 	store := &putWitness{Store: base, appenders: map[int64]int{}}
-	c, err := OpenCrawl(WriterConfig{Store: store, Chain: "eos", SegmentBlocks: 1}, live)
+	c, err := OpenCrawl(WriterConfig{Store: store, Chain: "eos", SegmentBlocks: 1}, live, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,11 +169,42 @@ func TestOpenCrawlRefusesForeignOrCorruptArchive(t *testing.T) {
 	dir := t.TempDir()
 	writeArchive(t, dir, "eos", 12, 4)
 	live := &witnessSource{head: 12}
-	if _, err := OpenCrawl(WriterConfig{Dir: dir, Chain: "xrp"}, live); err == nil || !strings.Contains(err.Error(), `chain "eos"`) {
+	if _, err := OpenCrawl(WriterConfig{Dir: dir, Chain: "xrp"}, live, 1, 12); err == nil || !strings.Contains(err.Error(), `chain "eos"`) {
 		t.Fatalf("opening an eos archive for an xrp crawl: %v", err)
 	}
 	editManifest(t, dir, func(m *Manifest) { m.Segments[0].SHA256 = strings.Repeat("0", 64) })
-	if _, err := OpenCrawl(WriterConfig{Dir: dir, Chain: "eos"}, live); !errors.Is(err, ErrCorrupt) {
+	if _, err := OpenCrawl(WriterConfig{Dir: dir, Chain: "eos"}, live, 1, 12); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("opening a damaged archive: %v", err)
+	}
+}
+
+// TestOpenCrawlRefusesBlocksOutsideRange: a crawl resumes only into an
+// archive whose blocks all lie inside its range. An archive of [1, 12]
+// refuses a narrower crawl — its replay would fold blocks the crawl never
+// folds — below from always, and above to only when to is concrete.
+func TestOpenCrawlRefusesBlocksOutsideRange(t *testing.T) {
+	dir := t.TempDir()
+	writeArchive(t, dir, "eos", 12, 4)
+	live := &witnessSource{head: 12}
+	for _, r := range []struct {
+		from, to int64
+		refused  bool
+	}{
+		{1, 12, false}, {1, 0, false}, {1, 20, false},
+		{5, 12, true}, {5, 0, true}, {1, 11, true},
+	} {
+		c, err := OpenCrawl(WriterConfig{Dir: dir, Chain: "eos"}, live, r.from, r.to)
+		if !r.refused {
+			if err != nil {
+				t.Fatalf("crawl of [%d, %d] over an archive of [1, 12]: %v", r.from, r.to, err)
+			}
+			if err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), "covers [1, 12]") || !strings.Contains(err.Error(), "delete the archive") {
+			t.Fatalf("crawl of [%d, %d] over an archive of [1, 12]: %v, want a refusal naming the archive's range", r.from, r.to, err)
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io/fs"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -302,6 +303,23 @@ func (r *Reader) CheckComplete() error {
 	}
 	return fmt.Errorf("archive %s is incomplete: %d blocks in [%d, %d] — rerun the crawl with the same -archive to fetch the rest",
 		r.url, r.Blocks(), r.min, r.max)
+}
+
+// CheckWithin refuses an open holding blocks outside a crawl of [from, to]:
+// any below from, and any above to unless to is 0 (the head, which bounds
+// nothing). Such blocks come from a wider crawl or another scenario, and a
+// crawl resumed into the archive would fold only its own range: its
+// figures would differ from a replay of the archive. An empty open passes.
+func (r *Reader) CheckWithin(from, to int64) error {
+	if r.max == 0 || (r.min >= from && (to == 0 || r.max <= to)) {
+		return nil
+	}
+	upper := "head"
+	if to != 0 {
+		upper = strconv.FormatInt(to, 10)
+	}
+	return fmt.Errorf("archive %s covers [%d, %d] (%d blocks) but the crawl is over [%d, %s] — crawl a range that covers the archive, or delete the archive to recrawl",
+		r.url, r.min, r.max, r.Blocks(), from, upper)
 }
 
 // Head implements collect.BlockFetcher: the archive's newest in-range

@@ -54,11 +54,9 @@ func (o Options) replayReader(stage, chain string, from, to int64) (*archive.Rea
 	}
 	// Blocks OUTSIDE the range can never come from an interrupted run of
 	// this scenario (a changed scale moves the simulated head), so they
-	// always refuse loudly. An empty archive (From and To zero) is a run
-	// killed before its first segment.
-	if rd.Blocks() > 0 && (rd.From() < from || rd.To() > to) {
-		return nil, fmt.Errorf("pipeline: stage %s archive %s covers [%d, %d] (%d blocks) but the stage crawls [%d, %d] — delete the archive directory to recrawl",
-			stage, dir, rd.From(), rd.To(), rd.Blocks(), from, to)
+	// always refuse loudly — here, before any endpoint starts.
+	if err := rd.CheckWithin(from, to); err != nil {
+		return nil, fmt.Errorf("pipeline: stage %s: %w", stage, err)
 	}
 	return nil, nil
 }
@@ -96,7 +94,7 @@ func (o Options) stageCollect(stage, chain string, from, to int64, ccfg *collect
 	if dir == "" {
 		return fetcher, nil, cleanup, nil
 	}
-	sink, err := archive.OpenCrawl(archive.WriterConfig{Dir: dir, Chain: chain}, fetcher)
+	sink, err := archive.OpenCrawl(archive.WriterConfig{Dir: dir, Chain: chain}, fetcher, from, to)
 	if err != nil {
 		return nil, nil, cleanup, fmt.Errorf("pipeline: stage %s archive: %w", stage, err)
 	}

@@ -85,10 +85,6 @@ type Options struct {
 }
 
 const (
-	// streamBuffer is each stage's stream channel capacity: how many
-	// fetched blocks may sit between crawl workers and the decode pool
-	// before the fetch side blocks (backpressure).
-	streamBuffer = 64
 	// seriesBucket is the throughput time-series bucket (paper: 6 hours).
 	seriesBucket = 6 * time.Hour
 	// The EOS stage exposes eosEndpoints endpoints for probing and crawls
@@ -238,7 +234,7 @@ func (r *Result) runStage(ctx context.Context, name string, build func() (stageP
 		return StageStats{}, err
 	}
 	ccfg := plan.ccfg
-	ccfg.Workers, ccfg.Pool, ccfg.Buffer = opts.Workers, pool, streamBuffer
+	ccfg.Workers, ccfg.Pool = opts.Workers, pool
 	fetcher, sink, cleanup, err := opts.stageCollect(name, plan.kit.Chain, ccfg.From, ccfg.To, &ccfg, func() (collect.BlockFetcher, func(), error) {
 		return plan.live(ctx, &ccfg)
 	})

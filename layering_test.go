@@ -35,7 +35,7 @@ func TestLayering(t *testing.T) {
 	measurement := []string{
 		"internal/wire", "internal/collect", "internal/archive", "internal/blobstore",
 		"internal/retry", "internal/stats", "internal/core", "internal/coord",
-		"internal/serve", "internal/cli", "internal/chain", "internal/wsrpc", "internal/prof",
+		"internal/serve", "internal/cli", "internal/chain", "internal/wsrpc",
 		"cmd/crawl", "cmd/coordinate", "cmd/merge", "cmd/serve",
 	}
 
