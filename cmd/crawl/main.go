@@ -120,10 +120,11 @@ func run(ctx context.Context, o crawlOpts, out io.Writer, log *slog.Logger) erro
 	cfg := collect.CrawlConfig{From: o.From, To: o.To, Workers: o.workers}
 	var sink *archive.Crawl
 	if o.Archive != "" {
-		sink, err = archive.OpenCrawl(archive.WriterConfig{Dir: o.Archive, Chain: o.chain}, fetcher, o.From, o.To)
+		sink, err = archive.OpenCrawl(archive.WriterConfig{Dir: o.Archive, Chain: o.chain}, o.From, o.To)
 		if err != nil {
 			return err
 		}
+		sink.Attach(fetcher)
 		fetcher, cfg.Tee = sink, sink.Tee
 	}
 

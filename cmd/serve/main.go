@@ -277,10 +277,11 @@ func liveFeed(ctx context.Context, pub *serve.Publisher, o serveOpts, chainName,
 	if o.Archive != "" {
 		sink, err = archive.OpenCrawl(archive.WriterConfig{
 			Dir: blobstore.Join(o.Archive, chainName), Chain: chainName,
-		}, fetcher, o.From, o.To)
+		}, o.From, o.To)
 		if err != nil {
 			return err
 		}
+		sink.Attach(fetcher)
 		fetcher, ccfg.Tee = sink, sink.Tee
 	}
 

@@ -161,7 +161,7 @@ func TestWholeObjectSegmentRefused(t *testing.T) {
 	if !errors.Is(err, ErrCorrupt) || !strings.Contains(fmt.Sprint(err), want) || !strings.Contains(fmt.Sprint(err), "re-archive") {
 		t.Fatalf("open: %v, want ErrCorrupt saying %q and how to re-archive", err, want)
 	}
-	_, err = OpenCrawl(WriterConfig{Store: st, Chain: "eos"}, nil, 1, 0)
+	_, err = OpenCrawl(WriterConfig{Store: st, Chain: "eos"}, 1, 0)
 	if !errors.Is(err, ErrCorrupt) || !strings.Contains(fmt.Sprint(err), want) {
 		t.Fatalf("crawl open: %v, want ErrCorrupt saying %q", err, want)
 	}

@@ -83,10 +83,11 @@ func TestCrawlStreamTeesOnlyLiveBlocksOnTheStage(t *testing.T) {
 
 	live := &witnessSource{head: total, fetched: map[int64]int{}, workers: map[int64]bool{}}
 	store := &putWitness{Store: base, appenders: map[int64]int{}}
-	c, err := OpenCrawl(WriterConfig{Store: store, Chain: "eos", SegmentBlocks: 1}, live, 1, 0)
+	c, err := OpenCrawl(WriterConfig{Store: store, Chain: "eos", SegmentBlocks: 1}, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.Attach(live)
 	if got := c.Held(); got != total-heldFrom+1 {
 		t.Fatalf("crawl holds %d blocks, want %d", got, total-heldFrom+1)
 	}
@@ -168,12 +169,11 @@ func TestCrawlStreamTeesOnlyLiveBlocksOnTheStage(t *testing.T) {
 func TestOpenCrawlRefusesForeignOrCorruptArchive(t *testing.T) {
 	dir := t.TempDir()
 	writeArchive(t, dir, "eos", 12, 4)
-	live := &witnessSource{head: 12}
-	if _, err := OpenCrawl(WriterConfig{Dir: dir, Chain: "xrp"}, live, 1, 12); err == nil || !strings.Contains(err.Error(), `chain "eos"`) {
+	if _, err := OpenCrawl(WriterConfig{Dir: dir, Chain: "xrp"}, 1, 12); err == nil || !strings.Contains(err.Error(), `chain "eos"`) {
 		t.Fatalf("opening an eos archive for an xrp crawl: %v", err)
 	}
 	editManifest(t, dir, func(m *Manifest) { m.Segments[0].SHA256 = strings.Repeat("0", 64) })
-	if _, err := OpenCrawl(WriterConfig{Dir: dir, Chain: "eos"}, live, 1, 12); !errors.Is(err, ErrCorrupt) {
+	if _, err := OpenCrawl(WriterConfig{Dir: dir, Chain: "eos"}, 1, 12); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("opening a damaged archive: %v", err)
 	}
 }
@@ -185,7 +185,6 @@ func TestOpenCrawlRefusesForeignOrCorruptArchive(t *testing.T) {
 func TestOpenCrawlRefusesBlocksOutsideRange(t *testing.T) {
 	dir := t.TempDir()
 	writeArchive(t, dir, "eos", 12, 4)
-	live := &witnessSource{head: 12}
 	for _, r := range []struct {
 		from, to int64
 		refused  bool
@@ -193,7 +192,7 @@ func TestOpenCrawlRefusesBlocksOutsideRange(t *testing.T) {
 		{1, 12, false}, {1, 0, false}, {1, 20, false},
 		{5, 12, true}, {5, 0, true}, {1, 11, true},
 	} {
-		c, err := OpenCrawl(WriterConfig{Dir: dir, Chain: "eos"}, live, r.from, r.to)
+		c, err := OpenCrawl(WriterConfig{Dir: dir, Chain: "eos"}, r.from, r.to)
 		if !r.refused {
 			if err != nil {
 				t.Fatalf("crawl of [%d, %d] over an archive of [1, 12]: %v", r.from, r.to, err)
@@ -206,5 +205,99 @@ func TestOpenCrawlRefusesBlocksOutsideRange(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "covers [1, 12]") || !strings.Contains(err.Error(), "delete the archive") {
 			t.Fatalf("crawl of [%d, %d] over an archive of [1, 12]: %v, want a refusal naming the archive's range", r.from, r.to, err)
 		}
+	}
+}
+
+// fiveSegments archives blocks [1, 10] as five two-block segments in a
+// fresh memory store, and zeroes its counters.
+func fiveSegments(t *testing.T) *blobstore.Memory {
+	t.Helper()
+	st := blobstore.NewMemory()
+	w, err := NewWriter(WriterConfig{Dir: st.URL(), Chain: "eos", SegmentBlocks: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for num := int64(10); num >= 1; num-- {
+		if err := w.Append(num, payload(num)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st.ResetOps()
+	return st
+}
+
+// TestOpenCrawlReadsTheLocationOnce: a resuming open reads the manifest
+// once and each covering segment once — the Writer that appends extends
+// the manifest the Reader verified, instead of loading it again.
+func TestOpenCrawlReadsTheLocationOnce(t *testing.T) {
+	st := fiveSegments(t)
+	c, err := OpenCrawl(WriterConfig{Dir: st.URL(), Chain: "eos"}, 1, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Held(); got != 10 {
+		t.Fatalf("crawl holds %d blocks, want 10", got)
+	}
+	if got := st.Ops(blobstore.OpGet); got != 6 {
+		t.Fatalf("resuming open made %d store gets, want 6: the manifest and each of 5 segments once", got)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCrawlFullReplayWritesNothing: a Crawl whose location holds its whole
+// range needs no live source; it serves every block from storage in
+// caller-owned buffers, and its Close writes nothing, so a replay runs
+// from a location it may not write to. A fresh location that archived
+// nothing still manifests the empty archive.
+func TestCrawlFullReplayWritesNothing(t *testing.T) {
+	st := fiveSegments(t)
+	c, err := OpenCrawl(WriterConfig{Dir: st.URL(), Chain: "eos"}, 1, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !c.OwnsRaw() {
+		t.Fatal("a full replay stopped handing out caller-owned buffers")
+	}
+	blocks, h := collect.Stream(context.Background(), c, collect.CrawlConfig{From: 1, To: 10, Workers: 2, Tee: c.Tee})
+	delivered := 0
+	for b := range blocks {
+		if want := string(payload(b.Num)); string(b.Raw) != want {
+			t.Fatalf("block %d delivered %q, want %q", b.Num, b.Raw, want)
+		}
+		delivered++
+		b.Release()
+	}
+	if _, err := h.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if delivered != 10 || c.Teed() != 0 {
+		t.Fatalf("replay delivered %d blocks and teed %d, want 10 and 0", delivered, c.Teed())
+	}
+	if got := st.Ops(blobstore.OpPut); got != 0 {
+		t.Fatalf("full replay made %d store puts, want 0", got)
+	}
+
+	fresh := blobstore.NewMemory()
+	c, err = OpenCrawl(WriterConfig{Dir: fresh.URL(), Chain: "eos"}, 1, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rd, err := OpenWith(fresh.URL(), OpenOptions{})
+	if err != nil {
+		t.Fatalf("a fresh location that archived nothing left no archive: %v", err)
+	}
+	if rd.Blocks() != 0 {
+		t.Fatalf("the empty archive holds %d blocks", rd.Blocks())
 	}
 }

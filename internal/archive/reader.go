@@ -102,6 +102,13 @@ func OpenWith(location string, opts OpenOptions) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
+	return openManifest(st, location, man, opts)
+}
+
+// openManifest verifies and indexes the segments of man, the manifest
+// loaded from st, that opts' range covers: OpenWith after the manifest
+// load, which OpenCrawl shares with the Writer it appends through.
+func openManifest(st blobstore.Store, location string, man Manifest, opts OpenOptions) (*Reader, error) {
 	r := &Reader{
 		url:      location,
 		store:    st,
@@ -305,12 +312,12 @@ func (r *Reader) CheckComplete() error {
 		r.url, r.Blocks(), r.min, r.max)
 }
 
-// CheckWithin refuses an open holding blocks outside a crawl of [from, to]:
+// checkWithin refuses an open holding blocks outside a crawl of [from, to]:
 // any below from, and any above to unless to is 0 (the head, which bounds
 // nothing). Such blocks come from a wider crawl or another scenario, and a
 // crawl resumed into the archive would fold only its own range: its
 // figures would differ from a replay of the archive. An empty open passes.
-func (r *Reader) CheckWithin(from, to int64) error {
+func (r *Reader) checkWithin(from, to int64) error {
 	if r.max == 0 || (r.min >= from && (to == 0 || r.max <= to)) {
 		return nil
 	}

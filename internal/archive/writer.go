@@ -83,6 +83,9 @@ type Writer struct {
 	comp   int64 // object bytes of the segments this session committed
 	fail   error // sticky: first store failure, poisons the writer
 	closed bool
+	// saved holds while the store's manifest is man: loaded at open, or
+	// rewritten by the last rotation. Close then has nothing to rewrite.
+	saved bool
 	// memberBytes is the stream size a member is cut at: the package's
 	// memberBytes, which tests lower to put several members in a small
 	// segment.
@@ -205,8 +208,8 @@ func deflateMember(out *bytes.Buffer, raw []byte) {
 }
 
 // NewWriter opens cfg.Dir for archiving. An existing manifest is loaded
-// and extended; on a filesystem store, stray .tmp files from a previous
-// crash are swept.
+// and extended (OpenCrawl opens its Reader from it); on a filesystem store,
+// stray .tmp files from a previous crash are swept.
 func NewWriter(cfg WriterConfig) (*Writer, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Chain == "" {
@@ -237,9 +240,9 @@ func NewWriter(cfg WriterConfig) (*Writer, error) {
 	switch {
 	case err == nil:
 		if man.Chain != cfg.Chain {
-			return nil, fmt.Errorf("archive: %s already archives chain %q, not %q", st.URL(), man.Chain, cfg.Chain)
+			return nil, fmt.Errorf("archive: %s holds chain %q, not %q", st.URL(), man.Chain, cfg.Chain)
 		}
-		w.man = man
+		w.man, w.saved = man, true
 		for _, s := range man.Segments {
 			var n int
 			if _, serr := fmt.Sscanf(s.File, "segment-%06d.gz", &n); serr == nil && n >= w.next {
@@ -365,13 +368,16 @@ func (w *Writer) rotateLocked() error {
 		w.fail = err
 		return err
 	}
+	w.saved = true
 	w.comp += seg.info.CompBytes
 	return nil
 }
 
 // Close finalizes the open segment (if it holds any records) and writes
-// the manifest. A Writer whose crawl archived nothing still manifests the
-// empty archive, so a later Open distinguishes "archived zero blocks"
+// the manifest unless the store already holds it as it stands, so a
+// Writer over an existing archive that appended nothing writes nothing. A
+// Writer on a fresh location whose crawl archived nothing still manifests
+// the empty archive, so a later Open distinguishes "archived zero blocks"
 // from "never archived". A poisoned writer returns its original failure
 // and touches nothing.
 func (w *Writer) Close() error {
@@ -386,6 +392,9 @@ func (w *Writer) Close() error {
 	}
 	if w.cur != nil {
 		return w.rotateLocked()
+	}
+	if w.saved {
+		return nil
 	}
 	return saveManifest(context.Background(), w.store, w.man)
 }

@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"repro/internal/archive"
+	"repro/internal/blobstore"
 	"repro/internal/chain"
 	"repro/internal/cli"
 	"repro/internal/collect"
@@ -68,19 +69,19 @@ type Options struct {
 	// ArchiveDir makes the producer side of every stage durable. It may be
 	// a plain directory path or a blob-store URL (file://, mem://,
 	// s3://bucket/prefix?endpoint=... — see blobstore.Resolve).
-	// When set, each stage keeps its raw block archive under a per-stage
-	// sub-location (ArchiveDir/eos, …): a live crawl tees its stream into
-	// a fresh archive as it fetches, and a rerun whose archive already
-	// covers the stage's block range replays it from storage instead —
-	// no endpoints served, no probing, zero fetcher network calls. A
-	// partial archive whose blocks all lie inside the stage's range — what
-	// a run killed mid-crawl leaves behind — resumes: archived blocks come
-	// from storage, only the missing ones are fetched live and appended,
-	// and the rerun renders the full figures. An archive holding blocks
-	// outside the range (a scale/seed change since it was written) fails
-	// the stage with instructions to delete it, because silently mixing
-	// archived blocks from different scenario parameters would corrupt
-	// the measurement.
+	// When set, each stage opens its raw block archive under a per-stage
+	// sub-location (ArchiveDir/eos, …) through archive.OpenCrawl, as
+	// cmd/crawl and cmd/serve do: blocks the archive holds come from
+	// storage, and the rest are fetched live and appended. A first run
+	// therefore tees its whole crawl; a rerun over a partial archive whose
+	// blocks all lie inside the stage's range (what a run killed mid-crawl
+	// leaves behind) fetches only the missing blocks and renders the full
+	// figures; and a rerun whose archive holds the whole range is a replay
+	// — no endpoints served, no probing, zero fetcher network calls,
+	// nothing written. An archive holding blocks outside the range (a
+	// scale/seed change since it was written) fails the stage with
+	// instructions to delete it, because silently mixing archived blocks
+	// from different scenario parameters would corrupt the measurement.
 	ArchiveDir string
 }
 
@@ -224,9 +225,9 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// runStage drives one row end to end: build the simulated history, resolve
-// the collection source (archive replay, or the live fetcher teed into the
-// stage's archive), and crawl into the row's aggregate.
+// runStage drives one row end to end: build the simulated history, open
+// the stage's archive, start the live source unless that archive already
+// holds the stage's whole range, and crawl into the row's aggregate.
 func (r *Result) runStage(ctx context.Context, name string, build func() (stagePlan, error), pool *collect.Pool) (StageStats, error) {
 	opts := r.Opts
 	plan, err := build()
@@ -235,12 +236,30 @@ func (r *Result) runStage(ctx context.Context, name string, build func() (stageP
 	}
 	ccfg := plan.ccfg
 	ccfg.Workers, ccfg.Pool = opts.Workers, pool
-	fetcher, sink, cleanup, err := opts.stageCollect(name, plan.kit.Chain, ccfg.From, ccfg.To, &ccfg, func() (collect.BlockFetcher, func(), error) {
-		return plan.live(ctx, &ccfg)
-	})
-	defer cleanup()
-	if err != nil {
-		return StageStats{}, err
+	var fetcher collect.BlockFetcher
+	var sink *archive.Crawl
+	if opts.ArchiveDir != "" {
+		dir := blobstore.Join(opts.ArchiveDir, name)
+		if sink, err = archive.OpenCrawl(archive.WriterConfig{Dir: dir, Chain: plan.kit.Chain}, ccfg.From, ccfg.To); err != nil {
+			return StageStats{}, fmt.Errorf("pipeline: stage %s archive: %w", name, err)
+		}
+		fetcher, ccfg.Tee = sink, sink.Tee
+	}
+	if sink == nil || sink.Held() < ccfg.To-ccfg.From+1 {
+		// Nothing is teed before the crawl, so a failure here leaves the
+		// archive nothing to finalize.
+		live, cleanup, err := plan.live(ctx, &ccfg)
+		if cleanup != nil {
+			defer cleanup()
+		}
+		if err != nil {
+			return StageStats{}, err
+		}
+		if sink == nil {
+			fetcher = live
+		} else {
+			sink.Attach(live)
+		}
 	}
 	crawl, err := crawlInto(ctx, fetcher, ccfg, sink, plan.kit.Decoder, core.IngestConfig{Workers: ingestWorkers()})
 	if err != nil {
@@ -260,23 +279,19 @@ func (r *Result) runStage(ctx context.Context, name string, build func() (stageP
 // crawlInto runs one stage's collection→measurement path on the streaming
 // API: collect.Stream fetches raw blocks into a bounded channel and
 // core.IngestCrawl's decode pool folds them into per-worker shards off the
-// crawl workers. It then finalizes the stage's archive (sink, nil when the
-// stage has none or replays it), joining a finalization failure with the
-// crawl's own error so neither is lost. A stage that reads from an archive
-// — the archive.Crawl it tees into, or the archive.Reader it replays — had
-// each payload deflated there, so the result's GzipBytes, Figure 2's
-// footprint column, is the bytes the archive holds, and a replay reports
-// what the run that wrote it did; a stage without one keeps IngestCrawl's
-// own sizing.
+// crawl workers. It then closes the stage's archive (sink, nil when the
+// stage has none), joining a finalization failure with the crawl's own
+// error so neither is lost. An archived stage had each payload deflated in
+// its archive, so the result's GzipBytes, Figure 2's footprint column, is
+// the bytes the archive holds, and a replay reports what the run that
+// wrote it did; a stage without one keeps IngestCrawl's own sizing.
 func crawlInto(ctx context.Context, f collect.BlockFetcher, ccfg collect.CrawlConfig, sink *archive.Crawl, dec core.Decoder, icfg core.IngestConfig) (collect.CrawlResult, error) {
 	res, _, err := core.IngestCrawl(ctx, f, ccfg, dec, icfg)
 	if sink != nil {
 		if cerr := sink.Close(); cerr != nil {
 			err = errors.Join(err, fmt.Errorf("pipeline: finalizing archive: %w", cerr))
 		}
-	}
-	if a, ok := f.(interface{ CompressedBytes() int64 }); ok {
-		res.GzipBytes = a.CompressedBytes()
+		res.GzipBytes = sink.CompressedBytes()
 	}
 	return res, err
 }

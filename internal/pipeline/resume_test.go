@@ -95,28 +95,15 @@ func crawlFigures(t *testing.T, fetcher collect.BlockFetcher, ccfg collect.Crawl
 	return kit.Summarize().Render()
 }
 
-// TestStageCollectResumesPartialArchive: a stage archive holding only a
-// suffix of the range — what a crash mid-crawl leaves, since segments
-// commit to the manifest incrementally — is resumed: archived blocks
-// replay from storage (never refetched), missing blocks crawl live and
-// extend the archive, figures match an all-live crawl, and the NEXT run
-// replays entirely from the now-complete archive.
-func TestStageCollectResumesPartialArchive(t *testing.T) {
-	const total = 20
-	fx := newResumeFixture(t, total)
-	dir := t.TempDir()
-	client := collect.NewEOSClient(fx.srv.URL)
-
-	want := crawlFigures(t, client, collect.CrawlConfig{From: 1, To: total, Workers: 2})
-	fx.resetCounts()
-
-	// Seed the partial archive: blocks [11, 20] only, as if the teeing
-	// crawl died halfway down its reverse-chronological pass.
-	w, err := archive.NewWriter(archive.WriterConfig{Dir: blobstore.Join(dir, "eos"), Chain: "eos"})
+// archiveEOS writes blocks [from, to] of the fixture's chain, fetched
+// through client, into a stage archive at dir in two-block segments.
+func archiveEOS(t *testing.T, client collect.BlockFetcher, dir string, from, to int64) {
+	t.Helper()
+	w, err := archive.NewWriter(archive.WriterConfig{Dir: dir, Chain: "eos", SegmentBlocks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for num := int64(11); num <= total; num++ {
+	for num := from; num <= to; num++ {
 		raw, err := client.FetchBlock(context.Background(), num)
 		if err != nil {
 			t.Fatal(err)
@@ -128,21 +115,48 @@ func TestStageCollectResumesPartialArchive(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// runEOSStage runs blocks [1, to] of the fixture's chain as the pipeline's
+// "eos" stage under opts.ArchiveDir, with live as the stage's live source,
+// and renders the figures it folded.
+func runEOSStage(opts Options, to int64, live func(context.Context, *collect.CrawlConfig) (collect.BlockFetcher, func(), error)) (string, error) {
+	r := &Result{Opts: opts.withDefaults()}
+	kit := stageKit("eos", core.Window{Origin: chain.ObservationStart, Bucket: seriesBucket})
+	build := func() (stagePlan, error) {
+		return stagePlan{kit: kit, ccfg: collect.CrawlConfig{From: 1, To: to}, live: live}, nil
+	}
+	if _, err := r.runStage(context.Background(), "eos", build, collect.NewPool(r.Opts.Workers)); err != nil {
+		return "", err
+	}
+	return kit.Summarize().Render(), nil
+}
+
+// TestStageResumesPartialArchive: a stage archive holding only a suffix of
+// the range — what a crash mid-crawl leaves, since segments commit to the
+// manifest incrementally — is resumed: archived blocks replay from storage
+// (never refetched), missing blocks crawl live and extend the archive,
+// figures match an all-live crawl, and the NEXT run replays entirely from
+// the now-complete archive, building no live source and writing nothing.
+func TestStageResumesPartialArchive(t *testing.T) {
+	const total = 20
+	fx := newResumeFixture(t, total)
+	client := collect.NewEOSClient(fx.srv.URL)
+	store := blobstore.NewMemory()
+
+	want := crawlFigures(t, client, collect.CrawlConfig{From: 1, To: total, Workers: 2})
+	// Seed the partial archive: blocks [11, 20] only, as if the teeing
+	// crawl died halfway down its reverse-chronological pass.
+	archiveEOS(t, client, blobstore.Join(store.URL(), "eos"), 11, total)
 	fx.resetCounts()
 
 	// Resume: archived blocks come from storage, the rest live.
 	opts := DefaultOptions()
-	opts.ArchiveDir = dir
-	ccfg := collect.CrawlConfig{From: 1, To: total, Workers: 2}
-	fetcher, sink, cleanup, err := opts.stageCollect("eos", "eos", 1, total, &ccfg, func() (collect.BlockFetcher, func(), error) {
+	opts.ArchiveDir = store.URL()
+	got, err := runEOSStage(opts, total, func(context.Context, *collect.CrawlConfig) (collect.BlockFetcher, func(), error) {
 		return client, nil, nil
 	})
-	defer cleanup()
 	if err != nil {
-		t.Fatal(err)
-	}
-	got := crawlFigures(t, fetcher, ccfg)
-	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if got != want {
@@ -161,19 +175,15 @@ func TestStageCollectResumesPartialArchive(t *testing.T) {
 
 	// The archive now covers everything: the next run is a pure replay.
 	fx.resetCounts()
-	ccfg = collect.CrawlConfig{From: 1, To: total, Workers: 2}
-	fetcher, sink, cleanup, err = opts.stageCollect("eos", "eos", 1, total, &ccfg, func() (collect.BlockFetcher, func(), error) {
-		t.Fatal("full archive still built a live fetcher")
-		return nil, nil, nil
+	store.ResetOps()
+	got, err = runEOSStage(opts, total, func(context.Context, *collect.CrawlConfig) (collect.BlockFetcher, func(), error) {
+		t.Error("full archive still built a live fetcher")
+		return client, nil, nil
 	})
-	defer cleanup()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sink != nil {
-		t.Fatal("pure replay opened a write-through archive")
-	}
-	if got := crawlFigures(t, fetcher, ccfg); got != want {
+	if got != want {
 		t.Errorf("replay figures differ from all-live crawl\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 	fx.mu.Lock()
@@ -182,40 +192,72 @@ func TestStageCollectResumesPartialArchive(t *testing.T) {
 	if live != 0 {
 		t.Errorf("pure replay still hit the network for %d blocks", live)
 	}
+	if n := store.Ops(blobstore.OpPut); n != 0 {
+		t.Errorf("pure replay wrote to its archive (%d puts)", n)
+	}
 }
 
-// TestReplayReaderRefusesForeignBlocks: an archive whose blocks lie
-// outside the stage's range (scale or seed changed since it was written)
-// refuses loudly instead of resuming — resuming it would measure a
-// different scenario.
-func TestReplayReaderRefusesForeignBlocks(t *testing.T) {
+// firstFetchGets is a live source that notes the store's get count when the
+// stream first asks it for a block.
+type firstFetchGets struct {
+	collect.BlockFetcher
+	store *blobstore.Memory
+	once  sync.Once
+	gets  int64
+}
+
+func (f *firstFetchGets) FetchBlock(ctx context.Context, num int64) ([]byte, error) {
+	f.once.Do(func() { f.gets = f.store.Ops(blobstore.OpGet) })
+	return f.BlockFetcher.FetchBlock(ctx, num)
+}
+
+// TestResumingStageReadsTheArchiveOnce: a stage resuming into an archive
+// of five two-block segments reads the manifest once and each segment once
+// before its crawl starts — one open, shared by the Reader that serves the
+// held blocks and the Writer that appends the rest. The archive holds the
+// bottom of the range, so every crawl worker's first block is live and the
+// count is taken before any held block is served.
+func TestResumingStageReadsTheArchiveOnce(t *testing.T) {
+	const total = 20
+	fx := newResumeFixture(t, total)
+	client := collect.NewEOSClient(fx.srv.URL)
+	store := blobstore.NewMemory()
+	archiveEOS(t, client, blobstore.Join(store.URL(), "eos"), 1, 10)
+	store.ResetOps()
+
+	opts := DefaultOptions()
+	opts.ArchiveDir = store.URL()
+	live := &firstFetchGets{BlockFetcher: client, store: store}
+	if _, err := runEOSStage(opts, total, func(context.Context, *collect.CrawlConfig) (collect.BlockFetcher, func(), error) {
+		return live, nil, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if live.gets != 6 {
+		t.Fatalf("the resuming stage made %d store gets before crawling, want 6: the manifest and each of 5 segments once", live.gets)
+	}
+}
+
+// TestStageRefusesForeignBlocks: an archive whose blocks lie outside the
+// stage's range (scale or seed changed since it was written) refuses
+// loudly, before any endpoint starts, instead of resuming — resuming it
+// would measure a different scenario.
+func TestStageRefusesForeignBlocks(t *testing.T) {
 	const total = 12
 	fx := newResumeFixture(t, total)
 	dir := t.TempDir()
 	client := collect.NewEOSClient(fx.srv.URL)
-
-	w, err := archive.NewWriter(archive.WriterConfig{Dir: blobstore.Join(dir, "eos"), Chain: "eos"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for num := int64(8); num <= total; num++ {
-		raw, err := client.FetchBlock(context.Background(), num)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Append(num, raw); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
+	archiveEOS(t, client, blobstore.Join(dir, "eos"), 8, total)
 
 	opts := DefaultOptions()
 	opts.ArchiveDir = dir
 	// The stage now wants [1, 10]: archived blocks 11 and 12 are from a
 	// bigger scenario.
-	if _, err := opts.replayReader("eos", "eos", 1, 10); err == nil || !strings.Contains(err.Error(), "delete the archive") {
+	_, err := runEOSStage(opts, 10, func(context.Context, *collect.CrawlConfig) (collect.BlockFetcher, func(), error) {
+		t.Error("a refused archive still built a live fetcher")
+		return client, nil, nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "delete the archive") {
 		t.Fatalf("archive with out-of-range blocks resumed: %v", err)
 	}
 }

@@ -2,8 +2,11 @@ package pipeline
 
 import (
 	"context"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/archive"
 )
 
 // stressMetric returns the eidos-stress row of a run's stage metrics.
@@ -55,11 +58,11 @@ func TestPipelineEIDOSStressRow(t *testing.T) {
 
 	// The live run teed the stress row's blocks into ArchiveDir/eidos-stress;
 	// a rerun finds the archive covering its range and replays it.
-	rd, err := res.Opts.replayReader("eidos-stress", "eos", 1, stress.Blocks)
+	rd, err := archive.OpenWith(filepath.Join(opts.ArchiveDir, "eidos-stress"), archive.OpenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rd == nil || rd.Blocks() != stress.Blocks {
+	if !rd.Covers(1, stress.Blocks) || rd.Blocks() != stress.Blocks {
 		t.Fatalf("stress archive does not cover the %d blocks the stage crawled", stress.Blocks)
 	}
 	rerun, err := Run(context.Background(), opts)
