@@ -301,3 +301,70 @@ func TestCrawlFullReplayWritesNothing(t *testing.T) {
 		t.Fatalf("the empty archive holds %d blocks", rd.Blocks())
 	}
 }
+
+// TestCrawlWalkLoadsOnlyTheUncachedSegment: Open keeps the payloads of the
+// segments holding the highest blocks, where a crawl's walk starts, in
+// whichever order the archive lists them, and the stride workers that miss
+// the one segment left out load it together, once. Blocks [1, 100] sit in
+// five 20-block segments; with 4 workers and a 1-block buffer the stream
+// fetches no block more than 10 below the newest undelivered one, so a
+// fetch in the lowest segment comes after every block of the three highest
+// was delivered, and the segment it evicts is one of those. Replay, which
+// IngestArchive drives, loads that same one segment.
+func TestCrawlWalkLoadsOnlyTheUncachedSegment(t *testing.T) {
+	for _, descending := range []bool{true, false} {
+		st := blobstore.NewMemory()
+		w, err := NewWriter(WriterConfig{Dir: st.URL(), Chain: "eos", SegmentBlocks: 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := int64(0); k < 100; k++ {
+			num := k + 1
+			if descending {
+				num = 100 - k
+			}
+			if err := w.Append(num, payload(num)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		c, err := OpenCrawl(WriterConfig{Dir: st.URL(), Chain: "eos"}, 1, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.ResetOps()
+		blocks, h := collect.Stream(context.Background(), c, collect.CrawlConfig{From: 1, To: 100, Workers: 4, Buffer: 1, Tee: c.Tee})
+		delivered := 0
+		for b := range blocks {
+			delivered++
+			b.Release()
+		}
+		if _, err := h.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if delivered != 100 {
+			t.Fatalf("descending=%v: walk delivered %d blocks, want 100", descending, delivered)
+		}
+		if got := st.Ops(blobstore.OpGet); got != 1 {
+			t.Errorf("descending=%v: the crawl's walk made %d store gets after the open, want 1: the one segment Open did not keep", descending, got)
+		}
+
+		rd, err := OpenWith(st.URL(), OpenOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.ResetOps()
+		if err := rd.Replay(context.Background(), 4, func(int, int64, []byte) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if got := st.Ops(blobstore.OpGet); got != 1 {
+			t.Errorf("descending=%v: Replay made %d store gets after the open, want 1", descending, got)
+		}
+	}
+}

@@ -1,12 +1,14 @@
 package archive
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io/fs"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -70,6 +72,17 @@ type Reader struct {
 	cache    map[int][]byte
 	order    []int // cache keys, least recently used first
 	maxCache int
+	// loading holds the segments a FetchBlock miss is fetching, so the
+	// stride workers that miss one segment together load it once.
+	loading map[int]*segmentFetch
+}
+
+// segmentFetch is one in-flight segment fetch: done closes once payload or
+// err is set.
+type segmentFetch struct {
+	done    chan struct{}
+	payload []byte
+	err     error
 }
 
 // OpenWith loads the manifest at location (a store URL or bare path) and
@@ -116,6 +129,7 @@ func openManifest(st blobstore.Store, location string, man Manifest, opts OpenOp
 		index:    make(map[int64]recordRef),
 		cache:    make(map[int][]byte),
 		maxCache: 4,
+		loading:  make(map[int]*segmentFetch),
 	}
 	// The covering set: every segment for a full open, only the ones whose
 	// [Min, Max] intersects [From, To] for a ranged one. Any in-range
@@ -135,6 +149,20 @@ func openManifest(st blobstore.Store, location string, man Manifest, opts OpenOp
 		members += memberEstimate(man.Segments[i])
 	}
 	workers = min(workers, members)
+	// The payloads kept for the cache: the maxCache covering segments
+	// holding the highest blocks, whatever their manifest position. A crawl
+	// walks from its newest block down, and a crawl-written archive lists
+	// its newest blocks first while one written oldest-first lists them
+	// last. Listed highest first, so the walk's first segment is the
+	// cache's first to evict.
+	kept := make([]int, len(r.covering)) // positions in r.covering
+	for k := range kept {
+		kept[k] = k
+	}
+	slices.SortStableFunc(kept, func(a, b int) int {
+		return cmp.Compare(man.Segments[r.covering[b]].Max, man.Segments[r.covering[a]].Max)
+	})
+	kept = kept[:min(len(kept), r.maxCache)]
 	type verdict struct {
 		records []segRecord
 		payload []byte
@@ -150,11 +178,10 @@ func openManifest(st blobstore.Store, location string, man Manifest, opts OpenOp
 		if err == nil {
 			records, err = walkRecords(seg, payload)
 		}
-		// Only the newest maxCache payloads are kept for the cache below;
-		// dropping the rest here keeps Open's peak memory at
-		// O(workers + maxCache) segments instead of the whole
-		// uncompressed archive.
-		if k < len(r.covering)-r.maxCache {
+		// Only the kept payloads are held for the cache below; dropping
+		// the rest here keeps Open's peak memory at O(workers + maxCache)
+		// segments instead of the whole uncompressed archive.
+		if !slices.Contains(kept, k) {
 			payload = nil
 		}
 		verdicts[k] = verdict{records, payload, err}
@@ -194,13 +221,10 @@ func openManifest(st blobstore.Store, location string, man Manifest, opts OpenOp
 			r.tasks = append(r.tasks, replayTask{k: k, records: owned[lo:min(lo+replayGrain, len(owned))]})
 		}
 	}
-	// Seed the payload cache with the newest verified segments: the
+	// Seed the payload cache with the kept segments: the
 	// reverse-chronological crawl replays them first, and re-reading what
 	// Open just decompressed was the old path's wasted second pass.
-	for k := len(verdicts) - r.maxCache; k < len(verdicts); k++ {
-		if k < 0 {
-			continue
-		}
+	for _, k := range kept {
 		r.cache[r.covering[k]] = verdicts[k].payload
 		r.order = append(r.order, r.covering[k])
 	}
@@ -381,7 +405,9 @@ func (r *Reader) loadSegment(i int) ([]byte, error) {
 
 // segmentPayload returns a segment's uncompressed stream, from cache or by
 // re-fetching the object, keeping the result cached for the stride-sharded
-// FetchBlock walk that revisits segments many times.
+// FetchBlock walk that revisits segments many times. Fetchers that miss
+// one segment together share one load; a failed load is not kept, so the
+// next miss (a stream retry) loads again.
 func (r *Reader) segmentPayload(i int) ([]byte, error) {
 	r.mu.Lock()
 	if payload, ok := r.cache[i]; ok {
@@ -389,28 +415,31 @@ func (r *Reader) segmentPayload(i int) ([]byte, error) {
 		r.mu.Unlock()
 		return payload, nil
 	}
+	if l, ok := r.loading[i]; ok {
+		r.mu.Unlock()
+		<-l.done
+		return l.payload, l.err
+	}
+	l := &segmentFetch{done: make(chan struct{})}
+	r.loading[i] = l
 	r.mu.Unlock()
 
-	payload, err := r.loadSegment(i)
-	if err != nil {
-		return nil, err
-	}
+	l.payload, l.err = r.loadSegment(i)
 
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	if cached, ok := r.cache[i]; ok {
-		// Another fetcher decompressed it concurrently; keep theirs.
-		r.touchLocked(i)
-		return cached, nil
+	delete(r.loading, i)
+	if l.err == nil {
+		r.cache[i] = l.payload
+		r.order = append(r.order, i)
+		for len(r.order) > r.maxCache {
+			evict := r.order[0]
+			r.order = r.order[1:]
+			delete(r.cache, evict)
+		}
 	}
-	r.cache[i] = payload
-	r.order = append(r.order, i)
-	for len(r.order) > r.maxCache {
-		evict := r.order[0]
-		r.order = r.order[1:]
-		delete(r.cache, evict)
-	}
-	return payload, nil
+	r.mu.Unlock()
+	close(l.done)
+	return l.payload, l.err
 }
 
 // replayGrain is how many records one claimed Replay task delivers: small

@@ -472,12 +472,6 @@ func (a *EOSShard) EIDOSShare() float64 {
 	return float64(a.eidosActions) / float64(a.Actions)
 }
 
-// BoomerangTransactions returns how many transactions exhibited the
-// refund-mirror pattern.
-func (a *EOSShard) BoomerangTransactions() int64 {
-	return a.boomerangs
-}
-
 // TopReceivers returns the k contracts with the most received actions
 // together with their per-action breakdown (Figure 4).
 func (a *EOSShard) TopReceivers(k int) []ContractProfile {

@@ -116,7 +116,7 @@ func TestEOSBoomerangDetection(t *testing.T) {
 		// Ordinary transfer: not a boomerang.
 		[]wire.EOSActionJSON{transfer("eosio.token", "alice", "bob", "5.0000 EOS")},
 	)})
-	if got := a.BoomerangTransactions(); got != 1 {
+	if got := a.boomerangs; got != 1 {
 		t.Fatalf("boomerangs = %d", got)
 	}
 	if share := a.EIDOSShare(); share < 0.7 || share > 0.8 {

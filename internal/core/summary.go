@@ -14,7 +14,10 @@ import (
 // number in it derives from order-independent aggregates, so a live crawl
 // and an archive replay over the same blocks render byte-identical text —
 // the property TestEveryPathPrintsThePaper diffs to prove replay
-// determinism.
+// determinism. It carries what serve's /v1/summary returns and nothing a
+// paper section prints besides Figure 1's type table: the §4.1 wash-trade,
+// boomerang and EIDOS results, Tezos' endorsement share and XRP's failed
+// count are printed once, by the sections (see Figures).
 type ChainSummary struct {
 	Chain        string
 	Blocks       int64
@@ -26,10 +29,6 @@ type ChainSummary struct {
 	// BucketTotals are the per-bucket throughput totals behind the
 	// percentile lines.
 	BucketTotals []int64
-	// Wash carries the §4.1 wash-trade analysis (EOS only).
-	Wash *WashTradeReport
-	// Notes are extra chain-specific deterministic lines.
-	Notes []string
 }
 
 // StatsKit bundles one chain's aggregate behind the chain-agnostic
@@ -99,8 +98,7 @@ func cloneCounts(src map[string]int64) map[string]int64 {
 // call the kit's Summarize, which holds its lock). Nothing in the returned
 // summary aliases shard state.
 func (s *EOSShard) Summary() ChainSummary {
-	wash := AnalyzeWashTrades(s.Trades, 5)
-	sum := ChainSummary{
+	return ChainSummary{
 		Chain:        "eos",
 		Blocks:       s.Blocks,
 		Transactions: s.Transactions,
@@ -108,12 +106,7 @@ func (s *EOSShard) Summary() ChainSummary {
 		Last:         s.LastBlockTime,
 		TypeCounts:   cloneCounts(s.ActionsByName),
 		BucketTotals: stats.TotalValues(s.Series),
-		Wash:         &wash,
 	}
-	sum.Notes = append(sum.Notes,
-		fmt.Sprintf("boomerang txs:   %d", s.boomerangs),
-		fmt.Sprintf("eidos share:     %.2f%% of actions", 100*s.EIDOSShare()))
-	return sum
 }
 
 // Summary captures the shard's deterministic footprint; the caller must own
@@ -127,19 +120,12 @@ func (s *TezosShard) Summary() ChainSummary {
 		Last:         s.LastBlockTime,
 		TypeCounts:   cloneCounts(s.OpsByKind),
 		BucketTotals: stats.TotalValues(s.Series),
-		Notes: []string{
-			fmt.Sprintf("endorsements:    %.2f%% of ops", 100*s.EndorsementShare()),
-		},
 	}
 }
 
 // Summary captures the shard's deterministic footprint; the caller must own
 // the shard exclusively (see EOSShard.Summary).
 func (s *XRPShard) Summary() ChainSummary {
-	var failedShare float64
-	if s.Transactions > 0 {
-		failedShare = float64(s.Failed) / float64(s.Transactions)
-	}
 	return ChainSummary{
 		Chain:        "xrp",
 		Blocks:       s.Ledgers,
@@ -148,9 +134,6 @@ func (s *XRPShard) Summary() ChainSummary {
 		Last:         s.LastLedgerTime,
 		TypeCounts:   cloneCounts(s.TxByType),
 		BucketTotals: stats.TotalValues(s.Series),
-		Notes: []string{
-			fmt.Sprintf("failed txs:      %d (%.2f%%)", s.Failed, 100*failedShare),
-		},
 	}
 }
 
@@ -200,17 +183,6 @@ func (s ChainSummary) Render() string {
 			fmt.Fprintf(&sb, "  %-22s %10d  %5.1f%%\n",
 				name, s.TypeCounts[name], 100*float64(s.TypeCounts[name])/float64(total))
 		}
-	}
-	if s.Wash != nil {
-		fmt.Fprintf(&sb, "wash trades:     %d settled, self-trade %.1f%%, top-5 involvement %.1f%%\n",
-			s.Wash.TotalTrades, 100*s.Wash.SelfTradeShare, 100*s.Wash.Top5Share)
-		for _, w := range s.Wash.TopAccounts {
-			fmt.Fprintf(&sb, "  %-22s trades %7d  self %5.1f%%\n", w.Account, w.Trades, 100*w.SelfTradeShare)
-		}
-	}
-	for _, note := range s.Notes {
-		sb.WriteString(note)
-		sb.WriteByte('\n')
 	}
 	return sb.String()
 }

@@ -157,26 +157,6 @@ func tezosSeriesLabel(kind string) string {
 	}
 }
 
-// EndorsementShare returns the fraction of operations that are endorsements
-// (the paper: 81.7 %).
-func (a *TezosShard) EndorsementShare() float64 {
-	if a.Operations == 0 {
-		return 0
-	}
-	return float64(a.OpsByKind["endorsement"]) / float64(a.Operations)
-}
-
-// ConsensusShare returns the fraction of consensus-related operations
-// (endorsements + seed nonces + double-baking evidence).
-func (a *TezosShard) ConsensusShare() float64 {
-	if a.Operations == 0 {
-		return 0
-	}
-	n := a.OpsByKind["endorsement"] + a.OpsByKind["seed_nonce_revelation"] +
-		a.OpsByKind["double_baking_evidence"]
-	return float64(n) / float64(a.Operations)
-}
-
 // TezosSenderProfile is one Figure 6 row: fan-out statistics of a sender.
 type TezosSenderProfile struct {
 	Sender           string

@@ -44,11 +44,11 @@ func TestTezosAggregatorShares(t *testing.T) {
 	if a.Operations != 28 {
 		t.Fatalf("ops = %d", a.Operations)
 	}
-	if share := a.EndorsementShare(); share < 0.82 || share > 0.83 {
-		t.Fatalf("endorsement share = %f (23/28)", share)
+	if got := a.OpsByKind["endorsement"]; got != 23 {
+		t.Fatalf("endorsements = %d of 28 ops", got)
 	}
-	if cs := a.ConsensusShare(); cs <= a.EndorsementShare() {
-		t.Fatalf("consensus share = %f", cs)
+	if got := a.OpsByKind["seed_nonce_revelation"]; got != 1 {
+		t.Fatalf("seed nonce revelations = %d", got)
 	}
 	if got := a.Series.Total("Endorsement"); got != 23 {
 		t.Fatalf("series endorsements = %d", got)

@@ -60,7 +60,7 @@ func TestPipelineEndToEndShares(t *testing.T) {
 		t.Errorf("EOS transfer share = %.3f, want ~0.92", share)
 	}
 	// Tezos endorsements 81.7 %.
-	if share := r.Tezos.EndorsementShare(); share < 0.70 || share > 0.90 {
+	if share := float64(r.Tezos.OpsByKind["endorsement"]) / float64(r.Tezos.Operations); share < 0.70 || share > 0.90 {
 		t.Errorf("Tezos endorsement share = %.3f, want ~0.82", share)
 	}
 	// XRP: OfferCreate ~50.4 %, Payment ~46.2 %.
@@ -100,7 +100,7 @@ func TestPipelineXRPValueDecomposition(t *testing.T) {
 
 func TestPipelineEOSCaseStudies(t *testing.T) {
 	r := testResult(t)
-	if r.EOS.BoomerangTransactions() == 0 {
+	if cases := (core.Paper{EOS: r.EOS}).CaseStudies(); !strings.Contains(cases, "boomerang transactions: ") || strings.Contains(cases, "boomerang transactions: 0 ") {
 		t.Error("no EIDOS boomerang transactions detected from crawled data")
 	}
 	rep := r.EOS

@@ -100,7 +100,7 @@ func referenceReply(t *testing.T, snap *Snapshot, now time.Time, path string) (c
 	case "summary":
 		resp := summaryResponse{
 			epochJSON: meta, Chain: st.Summary.Chain, Blocks: st.Summary.Blocks, Transactions: st.Summary.Transactions,
-			TypeCounts: st.Summary.TypeCounts, Buckets: len(st.Summary.BucketTotals), Notes: st.Summary.Notes, Drained: st.Drained,
+			TypeCounts: st.Summary.TypeCounts, Buckets: len(st.Summary.BucketTotals), Drained: st.Drained,
 		}
 		if !st.Summary.First.IsZero() {
 			first, last := st.Summary.First.UTC(), st.Summary.Last.UTC()
@@ -108,7 +108,7 @@ func referenceReply(t *testing.T, snap *Snapshot, now time.Time, path string) (c
 		}
 		return encode(http.StatusOK, resp)
 	case "figures":
-		return text(http.StatusOK, st.Figures)
+		return text(http.StatusOK, st.Summary.Render())
 	case "percentiles":
 		q := u.Query().Get("p")
 		if q == "" {

@@ -95,7 +95,6 @@ func NewHandler(p *Publisher) http.Handler {
 				Transactions: st.Summary.Transactions,
 				TypeCounts:   st.Summary.TypeCounts,
 				Buckets:      len(st.Summary.BucketTotals),
-				Notes:        st.Summary.Notes,
 				Drained:      st.Drained,
 			}
 			if !st.Summary.First.IsZero() {
@@ -109,7 +108,7 @@ func NewHandler(p *Publisher) http.Handler {
 	mux.HandleFunc("GET /v1/figures", func(w http.ResponseWriter, r *http.Request) {
 		snap, _ := stamp(w, p)
 		w.Header()["Content-Type"] = textType
-		w.Write(snap.replies.figures.get(func() []byte { return []byte(snap.RenderFigures()) }))
+		w.Write(snap.figures())
 	})
 
 	mux.HandleFunc("GET /v1/figures/{chain}", func(w http.ResponseWriter, r *http.Request) {
@@ -120,7 +119,7 @@ func NewHandler(p *Publisher) http.Handler {
 			return
 		}
 		w.Header()["Content-Type"] = textType
-		w.Write(c.figures.get(func() []byte { return []byte(c.status.Figures) }))
+		w.Write(c.figuresText())
 	})
 
 	mux.HandleFunc("GET /v1/percentiles/{chain}", func(w http.ResponseWriter, r *http.Request) {
@@ -244,6 +243,25 @@ func (s *Snapshot) chain(name string) (*chainReplies, bool) {
 	return c, ok
 }
 
+// figures returns every chain's figures section joined in sorted chain
+// order, each chain's rendered through its own cache.
+func (s *Snapshot) figures() []byte {
+	return s.replies.figures.get(func() []byte {
+		var b []byte
+		for _, name := range s.Names() {
+			c, _ := s.chain(name)
+			b = append(b, c.figuresText()...)
+		}
+		return b
+	})
+}
+
+// figuresText returns the chain's figures section, rendered from the
+// snapshot's summary on first read.
+func (c *chainReplies) figuresText() []byte {
+	return c.figures.get(func() []byte { return []byte(c.status.Summary.Render()) })
+}
+
 // selector returns the chain's bucket totals loaded into a selector.
 func (c *chainReplies) selector() *stats.Selector {
 	c.selOnce.Do(func() {
@@ -325,7 +343,6 @@ type summaryResponse struct {
 	Last         *time.Time       `json:"last,omitempty"`
 	TypeCounts   map[string]int64 `json:"type_counts,omitempty"`
 	Buckets      int              `json:"buckets"`
-	Notes        []string         `json:"notes,omitempty"`
 	Drained      bool             `json:"drained"`
 }
 

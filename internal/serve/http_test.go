@@ -131,7 +131,7 @@ func TestHandlerEndpoints(t *testing.T) {
 			t.Fatalf("figures mismatch:\n%s\nvs\n%s", w.Body.String(), snap.RenderFigures())
 		}
 		wc := get(t, h, "/v1/figures/eos")
-		if wc.Body.String() != snap.Chains["eos"].Figures {
+		if wc.Body.String() != snap.Chains["eos"].Summary.Render() {
 			t.Fatal("per-chain figures mismatch")
 		}
 		if !strings.HasPrefix(wc.Body.String(), "--- eos figures ---") {

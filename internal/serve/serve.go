@@ -24,7 +24,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,12 +32,11 @@ import (
 )
 
 // ChainStatus is one chain's state inside a snapshot: the deep-copied
-// summary, its pre-rendered figures section (rendered once at publish so N
-// readers don't re-render N times), and whether the chain's feed has
-// drained — i.e. the figures are final, not mid-crawl.
+// summary and whether the chain's feed has drained — i.e. the figures are
+// final, not mid-crawl. Publishing renders nothing: the summary's figures
+// text is rendered by the first read that asks for it (see RenderFigures).
 type ChainStatus struct {
 	Summary core.ChainSummary
-	Figures string
 	Drained bool
 	// Window is the aggregation anchor (series origin + bucket size) the
 	// feed registered with — the same contract shard blobs carry, so a
@@ -78,14 +76,10 @@ func (s *Snapshot) Names() []string {
 // RenderFigures concatenates every chain's figures section in sorted chain
 // order — the same order cmd/report -replay prints per-chain archives
 // discovered under one directory, so a drained snapshot's figures diff
-// cleanly against a replay of the same blocks.
-func (s *Snapshot) RenderFigures() string {
-	var sb strings.Builder
-	for _, name := range s.Names() {
-		sb.WriteString(s.Chains[name].Figures)
-	}
-	return sb.String()
-}
+// cleanly against a replay of the same blocks. It reads the bytes
+// /v1/figures serves: each chain's section renders at most once per
+// snapshot, on whichever read needs it first.
+func (s *Snapshot) RenderFigures() string { return string(s.figures()) }
 
 // Age reports how stale the snapshot is at the given instant.
 func (s *Snapshot) Age(now time.Time) time.Duration { return now.Sub(s.PublishedAt) }
@@ -161,9 +155,8 @@ func (p *Publisher) Publish() *Snapshot {
 	chains := make(map[string]ChainStatus, len(p.sources))
 	drained := len(p.sources) > 0
 	for name, src := range p.sources {
-		sum := src.summarize()
 		d := src.drained.Load()
-		chains[name] = ChainStatus{Summary: sum, Figures: sum.Render(), Drained: d, Window: src.window}
+		chains[name] = ChainStatus{Summary: src.summarize(), Drained: d, Window: src.window}
 		drained = drained && d
 	}
 	snap := &Snapshot{

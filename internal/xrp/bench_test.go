@@ -1,11 +1,6 @@
 package xrp
 
-import (
-	"fmt"
-	"testing"
-
-	"repro/internal/chain"
-)
+import "testing"
 
 // benchState funds two accounts and a gateway outside the timer.
 func benchState(b *testing.B) (*State, Address, Address, Address) {
@@ -112,36 +107,4 @@ func BenchmarkBookInsert(b *testing.B) {
 		}
 	}
 	s.CloseLedger()
-}
-
-// BenchmarkConsensusRound measures one UNL agreement round with 20
-// validators sharing a UNL.
-func BenchmarkConsensusRound(b *testing.B) {
-	vs := make([]*Validator, 20)
-	ids := make([]string, 20)
-	for i := range vs {
-		ids[i] = fmt.Sprintf("v%02d", i)
-	}
-	for i := range vs {
-		vs[i] = &Validator{ID: ids[i], UNL: ids}
-	}
-	net := NewConsensusNetwork(vs...)
-	minority := chain.HashBytes([]byte("minority"))
-	majority := chain.HashBytes([]byte("majority"))
-	proposals := make(map[string]chain.Hash, len(ids))
-	for j, id := range ids {
-		if j == 0 {
-			proposals[id] = minority
-		} else {
-			proposals[id] = majority
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := net.RunRound(proposals)
-		if err != nil || !res.Converged {
-			b.Fatalf("round: %+v %v", res, err)
-		}
-	}
 }

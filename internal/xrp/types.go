@@ -1,9 +1,8 @@
 // Package xrp simulates the XRP Ledger at the fidelity the paper's
 // measurements require: XRP and issuer-specific IOU amounts, trust lines,
 // the on-ledger decentralized exchange with offer crossing, escrows,
-// payments with failure codes (PATH_DRY, tecUNFUNDED_OFFER, …), account
-// activation with parent tracking (the basis for the paper's clustering),
-// and a UNL-based consensus round.
+// payments with failure codes (PATH_DRY, tecUNFUNDED_OFFER, …) and account
+// activation with parent tracking (the basis for the paper's clustering).
 package xrp
 
 import (
