@@ -356,20 +356,60 @@ func (c *Codec) decodeEOSAction(a *EOSAction) error {
 // — a null stores "", as it does in the map — or steps over it when dst is
 // nil.
 func (c *Codec) decodeMapValue(dst *string) error {
+	if c.plainStr(dst) {
+		return nil
+	}
 	if dst != nil && c.lex.peek() == 'n' {
 		*dst = ""
 	}
-	return c.decodeStr(dst)
+	return c.generalStr(dst)
 }
 
 // decodeStr reads a string (or null, a no-op) into dst, interned. A nil
 // dst holds the value to the same grammar and steps over it: nothing is
 // copied, unescaped or interned.
 func (c *Codec) decodeStr(dst *string) error {
+	if c.plainStr(dst) {
+		return nil
+	}
+	return c.generalStr(dst)
+}
+
+// plainStr is the straight path of decodeStr and decodeMapValue: a string
+// whose opening quote is the byte at pos and that scanPlain carries to its
+// closing quote — no escape, no control byte, and no high byte when it is
+// read (a stepped-over one may hold them: nothing checks its encoding) —
+// is consumed and interned into dst, or stepped over when dst is nil. That
+// is what readString and skipString do with such a string, minus their
+// decisions. Anything else leaves pos where it was and reports false, and
+// generalStr takes the value.
+func (c *Codec) plainStr(dst *string) bool {
+	l := &c.lex
+	start := l.pos
+	if start >= len(l.data) || l.data[start] != '"' {
+		return false
+	}
+	l.pos++
+	if high := l.scanPlain(); l.pos >= len(l.data) || l.data[l.pos] != '"' || high && dst != nil {
+		l.pos = start
+		return false
+	}
+	if dst != nil {
+		*dst = c.str(l.data[start+1 : l.pos])
+	}
+	l.pos++
+	return true
+}
+
+// generalStr is decodeStr for a value plainStr refuses: a null, a string
+// after white space, one with an escape, a read one with a high byte, or
+// no string at all.
+func (c *Codec) generalStr(dst *string) error {
 	l := &c.lex
 	if l.tryNull() {
 		return nil
 	}
+	l.detours++
 	if dst == nil {
 		return l.skipString()
 	}

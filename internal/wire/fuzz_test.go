@@ -16,10 +16,20 @@ import (
 // ones before it left behind. Each decode must also allocate no more than
 // its payload's length can account for (decodeAllocPerByte).
 //
-// Seeds: the alloc_test fixtures, the strict-input table, and one payload
-// per chain the simulator built and rpcserve rendered (testdata/*.json; at
-// most two transactions per distinct shape are kept of the busiest block).
-// What a run finds is committed under testdata/fuzz/<target>/.
+// Seeds: the alloc_test fixtures, the strict-input table, one payload per
+// chain the simulator built and rpcserve rendered (testdata/*.json; at most
+// two transactions per distinct shape are kept of the busiest block), and
+// for the block decoders fuzzScanEdges, where plainStr's straight path
+// gives way to the general one. What a run finds is committed under testdata/fuzz/<target>/.
+
+// fuzzScanEdges is scanEdges at the strings that fill seven, eight, fifteen
+// and sixteen bytes besides the probe: the payloads around the eight-byte
+// scan's step that seed the block decoders' fuzz targets.
+func fuzzScanEdges(edge func(eos, tezos, xrp []byte)) {
+	for _, n := range []int{7, 8, 15, 16} {
+		scanEdges(n, edge)
+	}
+}
 
 // simulated reads a simulator-built payload from testdata.
 func simulated(f *testing.F, name string) []byte {
@@ -89,14 +99,17 @@ func (cc chainCase[F, P]) decodeAlloc(c *Codec, raw []byte, got *P) uint64 {
 }
 
 func FuzzDecodeEOSBlock(f *testing.F) {
+	fuzzScanEdges(func(eos, _, _ []byte) { f.Add(eos) })
 	fuzzDecoder(f, eosCase, eosFixture(), simulated(f, "eos_block.json"))
 }
 
 func FuzzDecodeTezosBlock(f *testing.F) {
+	fuzzScanEdges(func(_, tezos, _ []byte) { f.Add(tezos) })
 	fuzzDecoder(f, tezosCase, tezosFixture(), simulated(f, "tezos_block.json"))
 }
 
 func FuzzDecodeXRPLedgerResult(f *testing.F) {
+	fuzzScanEdges(func(_, _, xrp []byte) { f.Add(xrp) })
 	fuzzDecoder(f, xrpCase, xrpFixture(true), simulated(f, "xrp_ledger_result.json"))
 }
 

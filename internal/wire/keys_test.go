@@ -13,8 +13,10 @@ import (
 // TestPredictedKeysResolveEveryKey: every key of the committed simulator
 // payloads, and of the same blocks re-rendered by this package's encoders,
 // is one the decoders predicted, so none takes the readString-and-lookup
-// path. A key an encoder renames or reorders fails here instead of quietly
-// costing every block a lookup per member.
+// path, and every string value takes plainStr's straight path. A key an
+// encoder renames or reorders, or a value it starts escaping or spacing,
+// fails here instead of quietly costing every block a lookup per member or
+// a detour per string.
 func TestPredictedKeysResolveEveryKey(t *testing.T) {
 	read := func(name string) []byte {
 		t.Helper()
@@ -32,6 +34,9 @@ func TestPredictedKeysResolveEveryKey(t *testing.T) {
 		}
 		if c.lex.misses != 0 {
 			t.Errorf("%s: %d keys were not predicted", what, c.lex.misses)
+		}
+		if c.lex.detours != 0 {
+			t.Errorf("%s: %d string values left the straight path", what, c.lex.detours)
 		}
 	}
 	eosFast := func(c *Codec, raw []byte) error { return c.decodeEOSBlock(raw, new(EOSBlock)) }
@@ -70,15 +75,25 @@ func TestPredictedKeysResolveEveryKey(t *testing.T) {
 	}
 	check("AppendXRPLedgerResponse's result", env.Result, xrpFast)
 
-	// The count is live: a key spaced from its colon, one out of encoder
-	// order and an unknown one each take the lookup, and still decode.
+	// The counts are live: a key spaced from its colon, one out of encoder
+	// order and an unknown one each take the lookup, and still decode; a
+	// value after a space, an escaped one and a non-ASCII one that is read
+	// each take the general path, and a null does not count.
 	c = NewCodec()
 	var b EOSBlock
 	if err := c.decodeEOSBlock([]byte(`{"timestamp" :"t","id":"x","extra":1}`), &b); err != nil || b.Timestamp != "t" {
 		t.Fatalf("unpredicted keys: %v, %+v", err, b)
 	}
-	if c.lex.misses != 3 {
-		t.Fatalf("%d misses counted, want 3", c.lex.misses)
+	if c.lex.misses != 3 || c.lex.detours != 0 {
+		t.Fatalf("%d misses and %d detours counted, want 3 and 0", c.lex.misses, c.lex.detours)
+	}
+	c = NewCodec()
+	raw := "{\"id\": \"x\",\"previous\":\"\\u0078\",\"timestamp\":\"caf\u00e9\",\"producer\":null}"
+	if err := c.decodeEOSBlock([]byte(raw), &b); err != nil || b.Timestamp != "caf\u00e9" {
+		t.Fatalf("detoured values: %v, %+v", err, b)
+	}
+	if c.lex.misses != 0 || c.lex.detours != 3 {
+		t.Fatalf("%d misses and %d detours counted, want 0 and 3", c.lex.misses, c.lex.detours)
 	}
 }
 

@@ -22,8 +22,10 @@ type lexer struct {
 	pos     int
 	scratch []byte
 	// misses counts the keys no keySet predicted: each one was read with
-	// readString and looked up instead. Only tests read it.
-	misses int
+	// readString and looked up instead. detours counts the string values
+	// that left Codec.plainStr's straight path for the general one (a null
+	// is not counted). Only tests read them.
+	misses, detours int
 }
 
 func (l *lexer) reset(data []byte) {
@@ -359,13 +361,16 @@ func (l *lexer) readInt64() (int64, error) {
 }
 
 // readUint32 parses an integer and range-checks it like encoding/json does
-// for uint32 fields.
+// for uint32 fields. That is strconv.ParseUint, which refuses any sign: -0
+// too.
 func (l *lexer) readUint32() (uint32, error) {
+	l.skipWS()
+	neg := l.pos < len(l.data) && l.data[l.pos] == '-'
 	n, err := l.readInt64()
 	if err != nil {
 		return 0, err
 	}
-	if n < 0 || n > math.MaxUint32 {
+	if neg || n > math.MaxUint32 {
 		return 0, l.errf("number out of uint32 range")
 	}
 	return uint32(n), nil
@@ -521,12 +526,14 @@ type keySet struct {
 	lits  []keyLit
 }
 
-// keyLit is one predicted `"name":` literal. head and mask hold its first
-// eight bytes as a little-endian word, so most compares are one load, one
-// and and one compare.
+// keyLit is one predicted `"name":` literal. word and mask hold its first
+// sixteen bytes as two little-endian words, so a literal of up to sixteen
+// bytes costs one or two loads, ands and compares; only a longer one, or
+// one within sixteen bytes of the end of the payload, compares its bytes
+// after the eighth as a string.
 type keyLit struct {
 	lit        string
-	head, mask uint64
+	word, mask [2]uint64
 }
 
 // newKeySet builds a keySet; the caller indexes names by its own member
@@ -535,9 +542,9 @@ func newKeySet(names []string) *keySet {
 	ks := &keySet{names: names, lits: make([]keyLit, len(names))}
 	for i, n := range names {
 		k := keyLit{lit: `"` + n + `":`}
-		for j := 0; j < len(k.lit) && j < 8; j++ {
-			k.head |= uint64(k.lit[j]) << (8 * j)
-			k.mask |= 0xff << (8 * j)
+		for j := 0; j < len(k.lit) && j < 16; j++ {
+			k.word[j/8] |= uint64(k.lit[j]) << (8 * (j % 8))
+			k.mask[j/8] |= 0xff << (8 * (j % 8))
 		}
 		ks.lits[i] = k
 	}
@@ -547,7 +554,15 @@ func newKeySet(names []string) *keySet {
 // at reports whether rest starts with the literal; w is rest's first
 // eight bytes.
 func (k *keyLit) at(rest []byte, w uint64) bool {
-	return w&k.mask == k.head && (len(k.lit) <= 8 || len(rest) >= len(k.lit) && string(rest[8:len(k.lit)]) == k.lit[8:])
+	switch {
+	case w&k.mask[0] != k.word[0]:
+		return false
+	case len(k.lit) <= 8:
+		return true
+	case len(k.lit) <= 16 && len(rest) >= 16:
+		return binary.LittleEndian.Uint64(rest[8:])&k.mask[1] == k.word[1]
+	}
+	return len(rest) >= len(k.lit) && string(rest[8:len(k.lit)]) == k.lit[8:]
 }
 
 // index returns key's position in ks, or -1 when ks does not name it.

@@ -117,6 +117,26 @@ var strictCases = []string{
 	`{"ledger":{"transactions":[{"Amount":{"currency":"USD"},"Amount":null}]}}`,
 	`{"ledger":{"transactions":[{"delivered_amount":null}]}}`, `{"ledger":{"transactions":[{"delivered_amount":{}}]}}`,
 	`{"ledger":{"transactions":[{"delivered_amount":{"value":2,"value":null,"currency":"X","currency":"Y"}}]}}`,
+	// Predicted keys whose `"key":` literal is nine to sixteen bytes long,
+	// compared as two words: keys that differ from one only after its
+	// eighth byte (a folded one takes the fallback), and keys that end
+	// within the payload's last fifteen bytes, where the second word cannot
+	// be loaded.
+	`{"timestamps":"a","timestamp":"b"}`, `{"timestamP":"a"}`, `{"timestamp" :"a"}`, `{"transactionz":[{}]}`,
+	`{"transactions" :[{}]}`, `{"transactions":[{"trx":{"transactioN":{"actions":[{"account":"a"}]}}}]}`,
+	`{"transactions":[{"trx":{"transaction":{"actions":[{"authorizatioN":[{"actor":"a"}]}]}}}]}`,
+	`{"transactions":[{"trx":{"transaction":{"actions":[{"authorization" :[{"actor":"a"}]}]}}}]}`,
+	`{"transactions":[{"trx":{"transaction":{"actions":[{"data":{"quantitY":"1 X","quantity":"2 Y"}}]}}}]}`,
+	`{"operations":[{"destinatioN":"tz1","destination":"tz2","slot_counT":1}]}`,
+	`{"ledger":{"ledger_indeX":3,"ledger_index":4}}`, `{"ledger":{"transactions":[{"Sequencf":1,"Destinatioo":"r"}]}}`,
+	`{"ledger":{"transactions":[{"TakerGetS":{"currency":"X","issueR":"r"}}]}}`,
+	`{"timestamp":""}`, `{"timestamp":"a"}`, `{"timestamp":1}`, `{"timestamp":}`, `{"timestamX":""}`,
+	`{"timestamp":null}`, `{"x":1,"timestamp":""}`, `{"transactions":[{"status":""}]}`,
+	`{"transactions":[{"statuS":1}]}`, `{"operations":[{"proposal":""}]}`, `{"ledger":{"validated":true}}`,
+	`{"ledger":{"transactions":[{"Account":""}]}}`, `{"ledger":{"transactions":[{"Account":1}]}}`,
+	// A negative zero: an int64 field takes it, a uint32 field does not.
+	`{"level":-0}`, `{"block_num":-0}`, `{"ledger":{"transactions":[{"Sequence":-0,"DestinationTag":0}]}}`,
+	`{"ledger":{"transactions":[{"DestinationTag":-0}]}}`, `{"ledger":{"transactions":[{"resting_sequence":-0}]}}`,
 	// Shapes around the edges of the grammar.
 	``, ` `, `null`, `{}`, ` { } `, `{} x`, "{}\x00", "{} \x00x", "{\x00}", `{"timestamp":"a"}{"timestamp":"b"}`, `[]`, `{"timestamp"}`, `{"timestamp":}`,
 	`{"timestamp":"a",}`, `{,}`, `{"transactions":[}`, `{"transactions":[{},]}`, `{"transactions":[,{}]}`,
@@ -336,27 +356,56 @@ func TestInvalidUTF8MatchesStdlib(t *testing.T) {
 
 // TestStringScanMatchesStdlibAtEveryOffset walks each byte the eight-wide
 // scan has to tell apart through every position of strings shorter than,
-// equal to and longer than its step, read and stepped over.
+// equal to and longer than its step, on every chain, read and stepped over,
+// with the opening quote at the value's first byte (plainStr's straight
+// path) and after a space (the general path).
 func TestStringScanMatchesStdlibAtEveryOffset(t *testing.T) {
 	c := NewCodec()
+	var eb EOSBlock
 	var tz TezosBlock
+	var led XRPLedger
+	for n := 0; n <= 20; n++ {
+		scanEdges(n, func(eos, tezos, xrp []byte) {
+			eosCase.agreeValid(t, c, eos, &eb)
+			tezosCase.agreeValid(t, c, tezos, &tz)
+			xrpCase.agreeValid(t, c, xrp, &led)
+		})
+	}
+}
+
+// scanEdges calls edge with each byte the eight-wide scan has to tell
+// apart at every position of a string of n other bytes, set in one payload
+// per chain, both where the chain reads a string and where it steps over
+// one: Tezos' timestamp and hash, an EOS action's data.from (read by
+// decodeMapValue) and data.memo, an XRP transaction's Account and hash.
+// Each string comes once with its opening quote right after the colon and
+// once after a space.
+func scanEdges(n int, edge func(eos, tezos, xrp []byte)) {
 	probes := []string{
 		`\"`, `\\`, `"`, "\x00", "\x1f", "\x20", "\x21", "\x23", "\x5b", "\x5d", "\x7f",
 		"\x80", "\xa2", "\xdc", "\x9f", "\xff", "\xc3\xa9", `\u0041`, `\`,
 	}
 	for _, probe := range probes {
-		for n := 0; n <= 20; n++ {
-			for at := 0; at <= n; at++ {
-				body := strings.Repeat("a", at) + probe + strings.Repeat("b", n-at)
-				raw := []byte(`{"timestamp":"` + body + `","hash":"` + body + `"}`)
-				tezosCase.agree(t, c, raw, &tz)
-				// encoding/json takes every one of these or none; the
-				// scanner has no reason to send any of them to it.
-				if json.Valid(raw) != tezosCase.accepts(c, raw) {
-					t.Fatalf("scanner accepts=%v, json.Valid=%v: %q", !json.Valid(raw), json.Valid(raw), raw)
-				}
+		for at := 0; at <= n; at++ {
+			body := strings.Repeat("a", at) + probe + strings.Repeat("b", n-at)
+			for _, pad := range []string{"", " "} {
+				q := pad + `"` + body + `"`
+				edge([]byte(`{"transactions":[{"trx":{"transaction":{"actions":[{"data":{"from":`+q+`,"memo":`+q+`}}]}}}]}`),
+					[]byte(`{"timestamp":`+q+`,"hash":`+q+`}`),
+					[]byte(`{"ledger":{"transactions":[{"Account":`+q+`,"hash":`+q+`}]}}`))
 			}
 		}
+	}
+}
+
+// agreeValid is agree on a payload the scanner has no reason to refuse:
+// encoding/json takes it or rejects it, and the scanner alone does the
+// same.
+func (cc chainCase[F, P]) agreeValid(t *testing.T, c *Codec, raw []byte, got *P) {
+	t.Helper()
+	cc.agree(t, c, raw, got)
+	if valid := json.Valid(raw); cc.accepts(c, raw) != valid {
+		t.Fatalf("scanner accepts=%v, json.Valid=%v: %q", !valid, valid, raw)
 	}
 }
 
