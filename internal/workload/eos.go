@@ -2,6 +2,8 @@ package workload
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"time"
 
 	"repro/internal/chain"
@@ -270,7 +272,7 @@ func (s *EOSScenario) Run() int {
 
 type eosEmitters struct {
 	transfers, porn, betdice, whaleex, sanguo, mykey, bluebet Emitter
-	system                                                    map[string]*Emitter
+	system                                                    []systemEmitter
 	mining                                                    Emitter
 	casual                                                    Emitter
 }
@@ -287,12 +289,19 @@ func (s *EOSScenario) emitters() *eosEmitters {
 		bluebet:   Emitter{Rate: PerBlock(eosDailyRates.bluebet, bpd)},
 		mining:    Emitter{Rate: PerBlock(eosDailyRates.miningTxs, bpd)},
 		casual:    Emitter{Rate: PerBlock(20_000, bpd)},
-		system:    make(map[string]*Emitter),
 	}
-	for name, daily := range eosDailyRates.system {
-		em.system[name] = &Emitter{Rate: PerBlock(daily, bpd)}
+	// Name order, not map order: each system action draws from the RNG, so
+	// the order they are emitted in fixes every later block.
+	for _, name := range slices.Sorted(maps.Keys(eosDailyRates.system)) {
+		em.system = append(em.system, systemEmitter{name, Emitter{Rate: PerBlock(eosDailyRates.system[name], bpd)}})
 	}
 	return em
+}
+
+// systemEmitter paces one system action at its Figure 1 daily rate.
+type systemEmitter struct {
+	name string
+	Emitter
 }
 
 // injectBlockTraffic queues one block's worth of transactions.
@@ -452,9 +461,10 @@ func (s *EOSScenario) injectBlockTraffic(rng *chain.RNG, em *eosEmitters) {
 	}
 
 	// System actions at their Figure 1 daily rates.
-	for name, em := range em.system {
-		for i, n := 0, em.Next(); i < n; i++ {
-			s.pushSystemAction(rng, name)
+	for i := range em.system {
+		se := &em.system[i]
+		for j, n := 0, se.Next(); j < n; j++ {
+			s.pushSystemAction(rng, se.name)
 		}
 	}
 

@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -24,8 +26,10 @@ import (
 	"time"
 
 	"repro/internal/coord"
+	"repro/internal/explorer"
 	"repro/internal/rpcserve"
 	"repro/internal/workload"
+	"repro/internal/wsrpc"
 )
 
 // bin holds the commands TestMain builds: every path below runs the real
@@ -115,6 +119,113 @@ var chains = []struct {
 		s.Run()
 		return rpcserve.NewXRPServer(s.State), s.State.HeadIndex(), nil
 	}},
+}
+
+// TestServedHistoryDigest pins every byte the simulator serves a crawler at
+// cmd/chainsim's default scales: one SHA-256 per chain over every EOS
+// get_block body, every Tezos block body, every expanded XRP ledger response
+// read over the WebSocket, and the explorer's /v2/exchanges body. A change
+// to the simulator that moves one RNG draw moves every later block, and
+// fails here before any figure has been compared.
+func TestServedHistoryDigest(t *testing.T) {
+	want := map[int64]map[string]string{
+		1: {
+			"eos":      "618b2c66211ea4a5438e3bad15e201c74028649a25800af73fd116465bf247cb",
+			"tezos":    "ada183708c9a9d4c75423ac60d744f16c6af2b9a326addbb3e65cf9cd81b2295",
+			"xrp":      "a3093edde2c8490ebe49684ee0ea6c8720393a8ac2273bbbacd2b40f86603aba",
+			"explorer": "eac71a49545e06b7259fd61e8eb7a7ee2dc59f6073c4bb2a98f0957ed18584dd",
+		},
+		2: {
+			"eos":      "d4b9048f1dbd35caa1a7a2fac3a4c572b0a4c02f8fcca5822bfd01ab9785a3d3",
+			"tezos":    "f9c7c0ec89b2ac10010c99bccf8458fe9ad202c11f5af4a667164921e4bffa42",
+			"xrp":      "fa9409b2bca5676efc54b80c6daab33179572144db757e6a27592e9e18891d76",
+			"explorer": "71e0677d938fa133fce3d4f99667d442720b32206bbf8bf354eee6c20c95bcf0",
+		},
+	}
+	for _, seed := range []int64{1, 2} {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			t.Parallel()
+			got := servedDigests(t, seed)
+			for _, name := range []string{"eos", "tezos", "xrp", "explorer"} {
+				if got[name] != want[seed][name] {
+					t.Errorf("%s at seed %d served %s, want %s", name, seed, got[name], want[seed][name])
+				}
+			}
+		})
+	}
+}
+
+// servedDigests builds the three histories at seed and hashes what their
+// handlers answer to the requests the crawlers send.
+func servedDigests(t *testing.T, seed int64) map[string]string {
+	get := func(h http.Handler, method, path, body string) []byte {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s %s %s: status %d", method, path, body, rec.Code)
+		}
+		return rec.Body.Bytes()
+	}
+	out := map[string]string{}
+
+	e, err := workload.BuildEOS(workload.EOSOptions{Scale: 50_000, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Run()
+	eosSrv, sum := rpcserve.NewEOSServer(e.Chain), sha256.New()
+	for n := uint32(1); n <= e.Chain.HeadNum(); n++ {
+		sum.Write(get(eosSrv, "POST", "/v1/chain/get_block", fmt.Sprintf(`{"block_num_or_id":%d}`, n)))
+	}
+	out["eos"] = hex.EncodeToString(sum.Sum(nil))
+
+	z, err := workload.BuildTezos(workload.TezosOptions{Scale: 800, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := z.Run(); err != nil {
+		t.Fatal(err)
+	}
+	tezosSrv, sum := rpcserve.NewTezosServer(z.Chain), sha256.New()
+	for level := int64(1); level <= z.Chain.HeadLevel(); level++ {
+		sum.Write(get(tezosSrv, "GET", fmt.Sprintf("/chains/main/blocks/%d", level), ""))
+	}
+	out["tezos"] = hex.EncodeToString(sum.Sum(nil))
+
+	x, err := workload.BuildXRP(workload.XRPOptions{Scale: 20_000, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x.Run()
+	srv := httptest.NewServer(rpcserve.NewXRPServer(x.State))
+	defer srv.Close()
+	conn, err := wsrpc.Dial("ws" + strings.TrimPrefix(srv.URL, "http"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	sum = sha256.New()
+	for index := int64(1); index <= x.State.HeadIndex(); index++ {
+		req := fmt.Sprintf(`{"command":"ledger","expand":true,"id":%d,"ledger_index":%d,"transactions":true}`, index, index)
+		if err := conn.WriteMessage(wsrpc.OpText, []byte(req)); err != nil {
+			t.Fatal(err)
+		}
+		_, msg, err := conn.ReadMessageInto(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum.Write(msg)
+	}
+	out["xrp"] = hex.EncodeToString(sum.Sum(nil))
+
+	dir := explorer.NewDirectory(x.State)
+	for a, username := range x.Usernames {
+		dir.Register(a, username)
+	}
+	body := get(explorer.NewServer(dir, explorer.NewRateOracle(x.State)), "GET", "/v2/exchanges", "")
+	digest := sha256.Sum256(body)
+	out["explorer"] = hex.EncodeToString(digest[:])
+	return out
 }
 
 // TestEveryPathPrintsThePaper is the byte-identity contract of every path
