@@ -4,7 +4,7 @@
 //   - EOS:   HTTP JSON RPC (POST /v1/chain/get_info, /v1/chain/get_block)
 //   - Tezos: REST RPC (GET /chains/main/blocks/{level})
 //   - XRP:   rippled-style WebSocket (ledger, server_info) plus an
-//     explorer with account metadata and exchange rates
+//     explorer serving the DEX's exchange records
 //
 // It prints the listening endpoints and blocks until interrupted, so
 // cmd/crawl (or any HTTP/WebSocket client) can collect from it. It serves
@@ -93,7 +93,6 @@ func main() {
 	for a, username := range xrpScenario.Usernames {
 		dir.Register(a, username)
 	}
-	oracle := explorer.NewRateOracle(xrpScenario.State)
 
 	serve := func(name string, h http.Handler) string {
 		ln, err := net.Listen("tcp", *addr+":0")
@@ -111,7 +110,7 @@ func main() {
 	eosAddr := serve("eos", rpcserve.NewEOSServer(eosScenario.Chain))
 	tezosAddr := serve("tezos", rpcserve.NewTezosServer(tezosScenario.Chain))
 	xrpAddr := serve("xrp", rpcserve.NewXRPServer(xrpScenario.State))
-	explorerAddr := serve("explorer", explorer.NewServer(dir, oracle))
+	explorerAddr := serve("explorer", explorer.NewServer(dir))
 
 	fmt.Printf("EOS RPC:       http://%s (head block %d)\n", eosAddr, eosScenario.Chain.HeadNum())
 	fmt.Printf("Tezos RPC:     http://%s (head level %d)\n", tezosAddr, tezosScenario.Chain.HeadLevel())

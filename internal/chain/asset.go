@@ -32,46 +32,12 @@ func pow10(p uint8) int64 {
 // EOSAsset returns an EOS-denominated asset with the canonical 4 decimals.
 func EOSAsset(raw int64) Asset { return Asset{Amount: raw, Precision: 4, Symbol: "EOS"} }
 
-// XTZAsset returns a Tezos asset denominated in mutez (6 decimals).
-func XTZAsset(mutez int64) Asset { return Asset{Amount: mutez, Precision: 6, Symbol: "XTZ"} }
-
-// XRPAsset returns an XRP asset denominated in drops (6 decimals).
-func XRPAsset(drops int64) Asset { return Asset{Amount: drops, Precision: 6, Symbol: "XRP"} }
-
 // Add returns a + b. It panics if symbols or precisions differ: adding
 // unrelated tokens is always a programming error in the simulators.
 func (a Asset) Add(b Asset) Asset {
 	a.mustMatch(b)
 	a.Amount += b.Amount
 	return a
-}
-
-// Sub returns a - b, with the same compatibility rules as Add.
-func (a Asset) Sub(b Asset) Asset {
-	a.mustMatch(b)
-	a.Amount -= b.Amount
-	return a
-}
-
-// Neg returns the negation of a.
-func (a Asset) Neg() Asset { a.Amount = -a.Amount; return a }
-
-// IsNegative reports whether the amount is below zero.
-func (a Asset) IsNegative() bool { return a.Amount < 0 }
-
-// IsZero reports whether the amount is exactly zero.
-func (a Asset) IsZero() bool { return a.Amount == 0 }
-
-// Cmp returns -1, 0 or +1 comparing a to b (which must be compatible).
-func (a Asset) Cmp(b Asset) int {
-	a.mustMatch(b)
-	switch {
-	case a.Amount < b.Amount:
-		return -1
-	case a.Amount > b.Amount:
-		return 1
-	}
-	return 0
 }
 
 // MulRat scales the amount by num/den using integer arithmetic, truncating
@@ -82,11 +48,6 @@ func (a Asset) MulRat(num, den int64) Asset {
 	}
 	a.Amount = a.Amount * num / den
 	return a
-}
-
-// Float returns the amount in whole display units (e.g. 1.5 EOS).
-func (a Asset) Float() float64 {
-	return float64(a.Amount) / float64(pow10(a.Precision))
 }
 
 func (a Asset) mustMatch(b Asset) {

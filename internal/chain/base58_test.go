@@ -2,6 +2,9 @@ package chain
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"math/big"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -102,4 +105,76 @@ func TestXRPBase58RoundTripProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// The simulators only encode addresses; these decoders exist to check the
+// encoder round-trips.
+
+var (
+	errChecksum = errors.New("chain: base58check checksum mismatch")
+	errAlphabet = errors.New("chain: invalid base58 character")
+)
+
+func b58Decode(s string, alphabet string) ([]byte, error) {
+	idx := make(map[byte]int64, 58)
+	for i := 0; i < len(alphabet); i++ {
+		idx[alphabet[i]] = int64(i)
+	}
+	x := new(big.Int)
+	base := big.NewInt(58)
+	for i := 0; i < len(s); i++ {
+		v, ok := idx[s[i]]
+		if !ok {
+			return nil, fmt.Errorf("%w: %q", errAlphabet, s[i])
+		}
+		x.Mul(x, base)
+		x.Add(x, big.NewInt(v))
+	}
+	out := x.Bytes()
+	// Restore leading zeros.
+	for i := 0; i < len(s) && s[i] == alphabet[0]; i++ {
+		out = append([]byte{0}, out...)
+	}
+	return out, nil
+}
+
+// DecodeBase58Check reverses Base58Check, returning the payload after
+// stripping prefix and validating the checksum.
+func DecodeBase58Check(s string, prefix []byte) ([]byte, error) {
+	raw, err := b58Decode(s, btcAlphabet)
+	if err != nil {
+		return nil, err
+	}
+	if len(raw) < len(prefix)+4 {
+		return nil, fmt.Errorf("chain: base58check payload too short (%d bytes)", len(raw))
+	}
+	body, sum := raw[:len(raw)-4], raw[len(raw)-4:]
+	if string(checksum(body)) != string(sum) {
+		return nil, errChecksum
+	}
+	for i := range prefix {
+		if body[i] != prefix[i] {
+			return nil, fmt.Errorf("chain: base58check prefix mismatch")
+		}
+	}
+	return body[len(prefix):], nil
+}
+
+// DecodeXRPBase58Check reverses XRPBase58Check.
+func DecodeXRPBase58Check(s string) ([]byte, error) {
+	raw, err := b58Decode(s, xrpAlphabet)
+	if err != nil {
+		return nil, err
+	}
+	if len(raw) < 5 {
+		return nil, fmt.Errorf("chain: xrp address too short")
+	}
+	body, sum := raw[:len(raw)-4], raw[len(raw)-4:]
+	if string(checksum(body)) != string(sum) {
+		return nil, errChecksum
+	}
+	if body[0] != 0 {
+		return nil, fmt.Errorf("chain: xrp address version %d != 0", body[0])
+	}
+	return body[1:], nil
 }

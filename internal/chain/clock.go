@@ -33,9 +33,6 @@ func NewClock(start time.Time, step time.Duration) *Clock {
 // Now returns the current simulated time.
 func (c *Clock) Now() time.Time { return c.now }
 
-// Step returns the clock's block interval.
-func (c *Clock) Step() time.Duration { return c.step }
-
 // Tick advances the clock by one block interval and returns the new time.
 func (c *Clock) Tick() time.Time {
 	c.now = c.now.Add(c.step)

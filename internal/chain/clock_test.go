@@ -1,6 +1,7 @@
 package chain
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -49,7 +50,7 @@ func TestObservationWindowMatchesPaper(t *testing.T) {
 func TestRNGDeterminism(t *testing.T) {
 	a, b := NewRNG(7), NewRNG(7)
 	for i := 0; i < 100; i++ {
-		if a.Int63() != b.Int63() {
+		if a.Int63n(math.MaxInt64) != b.Int63n(math.MaxInt64) {
 			t.Fatal("same-seed RNGs diverged")
 		}
 	}
@@ -61,7 +62,7 @@ func TestRNGForkIndependence(t *testing.T) {
 	f2 := g.Fork("bob")
 	same := 0
 	for i := 0; i < 50; i++ {
-		if f1.Int63() == f2.Int63() {
+		if f1.Int63n(math.MaxInt64) == f2.Int63n(math.MaxInt64) {
 			same++
 		}
 	}

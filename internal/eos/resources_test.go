@@ -87,14 +87,14 @@ func TestRentIncreasesWeight(t *testing.T) {
 func TestRAMMarketMonotonicPriceProperty(t *testing.T) {
 	f := func(buys []uint16) bool {
 		m := NewRAMMarket()
-		prev := m.PricePerKB()
+		prev := pricePerKB(m)
 		for _, b := range buys {
 			bytes := int64(b)%65536 + 1
 			cost := m.BuyBytes(bytes)
 			if cost < 0 {
 				return false
 			}
-			p := m.PricePerKB()
+			p := pricePerKB(m)
 			if p < prev { // buying RAM can only raise the price
 				return false
 			}
@@ -144,4 +144,9 @@ func TestProducerScheduleFairnessProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// pricePerKB is the RAM market's marginal price in raw EOS per KiB.
+func pricePerKB(m *RAMMarket) float64 {
+	return float64(m.QuoteFunds) / float64(m.BaseBytes) * 1024
 }

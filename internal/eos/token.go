@@ -160,20 +160,3 @@ func (t *TokenState) Balance(contract, holder Name, symbol string) chain.Asset {
 		Symbol:    symbol,
 	}
 }
-
-// Supply returns the circulating supply of symbol under contract.
-func (t *TokenState) Supply(contract Name, symbol string) int64 {
-	return t.supply[supplyKey{contract, symbol}]
-}
-
-// TotalHeld sums all balances of symbol under contract; used by conservation
-// tests (supply is conserved by transfers).
-func (t *TokenState) TotalHeld(contract Name, symbol string) int64 {
-	var total int64
-	for k, v := range t.balances {
-		if k.Contract == contract && k.Symbol == symbol {
-			total += v
-		}
-	}
-	return total
-}

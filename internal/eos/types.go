@@ -66,16 +66,6 @@ type Block struct {
 	Transactions []Transaction `json:"transactions"`
 }
 
-// ActionCount returns the number of actions (user plus inline) in the block;
-// the paper's Figure 1 tabulates actions, not transactions.
-func (b *Block) ActionCount() int {
-	n := 0
-	for _, tx := range b.Transactions {
-		n += len(tx.Actions)
-	}
-	return n
-}
-
 // Account is the on-chain account record.
 type Account struct {
 	Name       Name
@@ -89,11 +79,6 @@ type Account struct {
 // Common action names, parsed once.
 var (
 	ActTransfer     = MustName("transfer")
-	ActOpen         = MustName("open")
-	ActClose        = MustName("close")
-	ActIssue        = MustName("issue")
-	ActCreate       = MustName("create")
-	ActRetire       = MustName("retire")
 	ActNewAccount   = MustName("newaccount")
 	ActBidName      = MustName("bidname")
 	ActDeposit      = MustName("deposit")

@@ -1,15 +1,15 @@
 // Package explorer reproduces the two auxiliary data services the paper
 // leaned on for XRP: the XRP Scan ledger explorer (account usernames and
 // parent accounts, used to cluster exchange-controlled addresses) and the
-// Ripple Data API's exchange_rates endpoint (used to decide whether an IOU
-// token carries any value, Figure 11).
+// Ripple Data API's exchange records (used to decide whether an IOU token
+// carries any value, Figure 11).
 package explorer
 
 import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -19,11 +19,11 @@ import (
 
 // AccountInfo is the metadata XRP Scan exposes per account.
 type AccountInfo struct {
-	Address  xrp.Address `json:"account"`
-	Username string      `json:"username,omitempty"`
-	Parent   xrp.Address `json:"parent,omitempty"`
+	Address  xrp.Address
+	Username string
+	Parent   xrp.Address
 	// ParentUsername is resolved at query time for convenience.
-	ParentUsername string `json:"parent_username,omitempty"`
+	ParentUsername string
 }
 
 // Directory maps addresses to registered usernames (Binance, Huobi, Ripple…)
@@ -87,83 +87,16 @@ func (d *Directory) Activation(addr string) (parent string, at time.Time) {
 	return "", time.Time{}
 }
 
-// RatePoint is one observed trade price.
-type RatePoint struct {
-	Time time.Time
-	Rate float64 // counter units per base unit
-}
-
-// RateOracle aggregates DEX fills into per-pair rate series — the simulated
-// equivalent of https://data.ripple.com/v2/exchange_rates.
-type RateOracle struct {
-	state *xrp.State
-}
-
-// NewRateOracle builds an oracle over ledger state.
-func NewRateOracle(state *xrp.State) *RateOracle { return &RateOracle{state: state} }
-
-// Series returns the chronological rate points for base sold against
-// counter.
-func (o *RateOracle) Series(base, counter xrp.AssetKey) []RatePoint {
-	var pts []RatePoint
-	for _, e := range o.state.Exchanges() {
-		switch {
-		case e.Base == base && e.Counter == counter:
-			pts = append(pts, RatePoint{Time: e.Time, Rate: e.Rate()})
-		case e.Base == counter && e.Counter == base && e.CounterValue != 0:
-			pts = append(pts, RatePoint{Time: e.Time, Rate: float64(e.BaseValue) / float64(e.CounterValue)})
-		}
-	}
-	sort.Slice(pts, func(i, j int) bool { return pts[i].Time.Before(pts[j].Time) })
-	return pts
-}
-
-// AverageRate returns the mean traded rate of base against counter within
-// [from, to). The paper valued every IOU by exactly this lookup: tokens with
-// no positive XRP rate are classified as valueless.
-func (o *RateOracle) AverageRate(base, counter xrp.AssetKey, from, to time.Time) float64 {
-	var sum float64
-	var n int
-	for _, p := range o.Series(base, counter) {
-		if p.Time.Before(from) || !p.Time.Before(to) {
-			continue
-		}
-		sum += p.Rate
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
-// HasPositiveRate reports whether base ever traded against counter at a
-// positive rate within the window.
-func (o *RateOracle) HasPositiveRate(base, counter xrp.AssetKey, from, to time.Time) bool {
-	for _, p := range o.Series(base, counter) {
-		if p.Time.Before(from) || !p.Time.Before(to) {
-			continue
-		}
-		if p.Rate > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// Server exposes the directory and oracle over HTTP, mimicking the endpoint
-// shapes of XRP Scan and the Ripple Data API.
+// Server serves the ledger's DEX fills in the Ripple Data API's shape, the
+// one endpoint the measurement side reads from an explorer.
 type Server struct {
-	Dir    *Directory
-	Oracle *RateOracle
-	mux    *http.ServeMux
+	state *xrp.State
+	mux   *http.ServeMux
 }
 
-// NewServer builds the HTTP facade.
-func NewServer(dir *Directory, oracle *RateOracle) *Server {
-	s := &Server{Dir: dir, Oracle: oracle, mux: http.NewServeMux()}
-	s.mux.HandleFunc("GET /v2/accounts/{address}", s.account)
-	s.mux.HandleFunc("GET /v2/exchange_rates/{base}/{counter}", s.rate)
+// NewServer builds the HTTP facade over the directory's ledger.
+func NewServer(dir *Directory) *Server {
+	s := &Server{state: dir.state, mux: http.NewServeMux()}
 	s.mux.HandleFunc("GET /v2/exchanges", s.exchanges)
 	return s
 }
@@ -203,21 +136,33 @@ func (j ExchangeJSON) ToExchange() (core.XRPExchange, error) {
 	if err != nil {
 		return core.XRPExchange{}, fmt.Errorf("explorer: bad exchange time %q: %w", j.Time, err)
 	}
-	base, err := parseAssetKey(j.Base)
+	base, err := assetKey(j.Base)
 	if err != nil {
 		return core.XRPExchange{}, err
 	}
-	counter, err := parseAssetKey(j.Counter)
+	counter, err := assetKey(j.Counter)
 	if err != nil {
 		return core.XRPExchange{}, err
 	}
 	return core.XRPExchange{
 		Time:      ts,
-		Base:      core.XRPAssetKey{Currency: base.Currency, Issuer: string(base.Issuer)},
-		Counter:   core.XRPAssetKey{Currency: counter.Currency, Issuer: string(counter.Issuer)},
+		Base:      base,
+		Counter:   counter,
 		BaseValue: j.BaseValue, CounterValue: j.CounterValue,
 		Maker: j.Maker, MakerSequence: j.MakerSequence,
 	}, nil
+}
+
+// assetKey parses "XRP" or "CUR+ISSUER", the shape assetToString writes.
+func assetKey(s string) (core.XRPAssetKey, error) {
+	if s == "XRP" {
+		return core.XRPAssetKey{Currency: "XRP"}, nil
+	}
+	cur, issuer, ok := strings.Cut(s, "+")
+	if !ok {
+		return core.XRPAssetKey{}, fmt.Errorf("explorer: asset %q must be XRP or CUR+ISSUER", s)
+	}
+	return core.XRPAssetKey{Currency: cur, Issuer: issuer}, nil
 }
 
 func assetToString(k xrp.AssetKey) string {
@@ -228,7 +173,7 @@ func assetToString(k xrp.AssetKey) string {
 }
 
 func (s *Server) exchanges(w http.ResponseWriter, r *http.Request) {
-	all := s.Oracle.state.Exchanges()
+	all := s.state.Exchanges()
 	out := make([]ExchangeJSON, 0, len(all))
 	for _, e := range all {
 		out = append(out, ExchangeToJSON(e))
@@ -264,53 +209,6 @@ func FetchExchanges(baseURL string) ([]core.XRPExchange, error) {
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
-
-func (s *Server) account(w http.ResponseWriter, r *http.Request) {
-	addr := xrp.Address(r.PathValue("address"))
-	writeJSON(w, s.Dir.Lookup(addr))
-}
-
-// rate handles /v2/exchange_rates/{base}/{counter}?period=30day&date=…
-// Base and counter are "CUR+ISSUER" pairs, or "XRP".
-func (s *Server) rate(w http.ResponseWriter, r *http.Request) {
-	base, err := parseAssetKey(r.PathValue("base"))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	counter, err := parseAssetKey(r.PathValue("counter"))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	to := time.Now().UTC()
-	if d := r.URL.Query().Get("date"); d != "" {
-		parsed, err := time.Parse(time.RFC3339, d)
-		if err != nil {
-			http.Error(w, "bad date", http.StatusBadRequest)
-			return
-		}
-		to = parsed
-	}
-	window := 30 * 24 * time.Hour
-	if p := r.URL.Query().Get("period"); p == "day" {
-		window = 24 * time.Hour
-	}
-	rate := s.Oracle.AverageRate(base, counter, to.Add(-window), to)
-	writeJSON(w, map[string]any{"rate": rate, "base": base.String(), "counter": counter.String()})
-}
-
-func parseAssetKey(s string) (xrp.AssetKey, error) {
-	if s == "XRP" {
-		return xrp.AssetKey{Currency: "XRP"}, nil
-	}
-	for i := 0; i < len(s); i++ {
-		if s[i] == '+' {
-			return xrp.AssetKey{Currency: s[:i], Issuer: xrp.Address(s[i+1:])}, nil
-		}
-	}
-	return xrp.AssetKey{}, fmt.Errorf("explorer: asset %q must be XRP or CUR+ISSUER", s)
-}
 
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")

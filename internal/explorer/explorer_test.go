@@ -1,8 +1,6 @@
 package explorer
 
 import (
-	"encoding/json"
-	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -13,7 +11,7 @@ import (
 
 // fixture builds a ledger with a registered exchange, a descendant, and a
 // few BTC/XRP trades at known rates.
-func fixture(t *testing.T) (*xrp.State, *Directory, *RateOracle, xrp.Address, xrp.Address) {
+func fixture(t *testing.T) (*xrp.State, *Directory, xrp.Address, xrp.Address) {
 	t.Helper()
 	st := xrp.New(xrp.DefaultConfig(1000))
 	exchange := xrp.NewAddress("big-exchange")
@@ -42,11 +40,11 @@ func fixture(t *testing.T) (*xrp.State, *Directory, *RateOracle, xrp.Address, xr
 
 	dir := NewDirectory(st)
 	dir.Register(exchange, "BigExchange")
-	return st, dir, NewRateOracle(st), exchange, child
+	return st, dir, exchange, child
 }
 
 func TestDirectoryClustering(t *testing.T) {
-	st, dir, _, exchange, child := fixture(t)
+	st, dir, exchange, child := fixture(t)
 	var _ core.Directory = dir
 	if got := dir.ClusterName(string(exchange)); got != "BigExchange" {
 		t.Fatalf("exchange cluster = %q", got)
@@ -69,7 +67,7 @@ func TestDirectoryClustering(t *testing.T) {
 }
 
 func TestDirectoryLookup(t *testing.T) {
-	_, dir, _, exchange, child := fixture(t)
+	_, dir, exchange, child := fixture(t)
 	info := dir.Lookup(child)
 	if info.Parent != exchange || info.ParentUsername != "BigExchange" {
 		t.Fatalf("lookup: %+v", info)
@@ -79,76 +77,10 @@ func TestDirectoryLookup(t *testing.T) {
 	}
 }
 
-func TestRateOracle(t *testing.T) {
-	st, _, oracle, _, _ := fixture(t)
-	btc := xrp.AssetKey{Currency: "BTC", Issuer: xrp.NewAddress("btc-gateway")}
-	xrpKey := xrp.AssetKey{Currency: "XRP"}
-	pts := oracle.Series(btc, xrpKey)
-	if len(pts) != 1 {
-		t.Fatalf("series: %d points", len(pts))
-	}
-	if pts[0].Rate < 29_999 || pts[0].Rate > 30_001 {
-		t.Fatalf("rate = %f", pts[0].Rate)
-	}
-	from := st.Now().Add(-24 * time.Hour)
-	to := st.Now().Add(24 * time.Hour)
-	if avg := oracle.AverageRate(btc, xrpKey, from, to); avg < 29_999 || avg > 30_001 {
-		t.Fatalf("avg = %f", avg)
-	}
-	if !oracle.HasPositiveRate(btc, xrpKey, from, to) {
-		t.Fatal("positive rate not detected")
-	}
-	// An untraded asset has no rate.
-	junk := xrp.AssetKey{Currency: "JNK", Issuer: xrp.NewAddress("nobody")}
-	if oracle.AverageRate(junk, xrpKey, from, to) != 0 {
-		t.Fatal("junk asset has a rate")
-	}
-	if oracle.HasPositiveRate(junk, xrpKey, from, to) {
-		t.Fatal("junk asset claims positive rate")
-	}
-}
-
 func TestServerEndpoints(t *testing.T) {
-	_, dir, oracle, exchange, child := fixture(t)
-	srv := httptest.NewServer(NewServer(dir, oracle))
+	_, dir, _, _ := fixture(t)
+	srv := httptest.NewServer(NewServer(dir))
 	defer srv.Close()
-
-	// Account metadata.
-	resp, err := http.Get(srv.URL + "/v2/accounts/" + string(child))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var info AccountInfo
-	json.NewDecoder(resp.Body).Decode(&info)
-	resp.Body.Close()
-	if info.Parent != exchange || info.ParentUsername != "BigExchange" {
-		t.Fatalf("account info: %+v", info)
-	}
-
-	// Exchange rate, Data-API style.
-	gw := xrp.NewAddress("btc-gateway")
-	// The fixture trade executes around October 1; query a window that
-	// covers it, the way the paper queried date=2020-01-01 for December.
-	url := srv.URL + "/v2/exchange_rates/BTC+" + string(gw) + "/XRP?date=2019-10-05T00:00:00Z&period=30day"
-	resp, err = http.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rate struct {
-		Rate float64 `json:"rate"`
-	}
-	json.NewDecoder(resp.Body).Decode(&rate)
-	resp.Body.Close()
-	if rate.Rate < 29_999 || rate.Rate > 30_001 {
-		t.Fatalf("rate endpoint: %f", rate.Rate)
-	}
-
-	// Bad asset spec.
-	resp, _ = http.Get(srv.URL + "/v2/exchange_rates/NOPLUS/XRP")
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad asset -> %d", resp.StatusCode)
-	}
 
 	// Exchange records round-trip through the wire format.
 	exchanges, err := FetchExchanges(srv.URL)
@@ -167,6 +99,12 @@ func TestServerEndpoints(t *testing.T) {
 	}
 	if e.MakerSequence == 0 {
 		t.Fatal("maker sequence lost in transit")
+	}
+
+	// An asset that is neither XRP nor CUR+ISSUER is refused.
+	bad := ExchangeToJSON(xrp.Exchange{Base: xrp.AssetKey{Currency: "NOPLUS"}, Counter: xrp.AssetKey{Currency: "XRP"}})
+	if _, err := bad.ToExchange(); err == nil {
+		t.Fatal("bad asset accepted")
 	}
 }
 

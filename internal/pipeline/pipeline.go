@@ -492,7 +492,7 @@ func (r *Result) buildXRP() (stagePlan, error) {
 		// into the drained aggregate. The explorer serves even on replay:
 		// exchange records come from it, not from the crawled ledger stream.
 		post: func() error {
-			exURL, stopEx, err := serve(explorer.NewServer(r.Dir, explorer.NewRateOracle(scenario.State)))
+			exURL, stopEx, err := serve(explorer.NewServer(r.Dir))
 			if err != nil {
 				return err
 			}

@@ -17,74 +17,12 @@ type EOSServer struct {
 	mux   *http.ServeMux
 }
 
-// NewEOSServer builds the handler for a chain. get_account and
-// get_currency_balance mirror the nodeos endpoints the paper's RPC guide
-// references for account-level lookups.
+// NewEOSServer builds the handler for a chain.
 func NewEOSServer(c *eos.Chain) *EOSServer {
 	s := &EOSServer{Chain: c, mux: http.NewServeMux()}
 	s.mux.HandleFunc("POST /v1/chain/get_info", s.getInfo)
 	s.mux.HandleFunc("POST /v1/chain/get_block", s.getBlock)
-	s.mux.HandleFunc("POST /v1/chain/get_account", s.getAccount)
-	s.mux.HandleFunc("POST /v1/chain/get_currency_balance", s.getCurrencyBalance)
 	return s
-}
-
-type eosGetAccountRequest struct {
-	AccountName string `json:"account_name"`
-}
-
-func (s *EOSServer) getAccount(w http.ResponseWriter, r *http.Request) {
-	var req eosGetAccountRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body")
-		return
-	}
-	name, err := eos.ParseName(req.AccountName)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	acct := s.Chain.GetAccount(name)
-	if acct == nil {
-		httpError(w, http.StatusNotFound, "unknown account")
-		return
-	}
-	writeJSON(w, map[string]any{
-		"account_name": acct.Name.String(),
-		"created":      acct.Created.UTC().Format(time.RFC3339),
-		"privileged":   acct.Privileged,
-		"creator":      acct.Creator.String(),
-		"cpu_weight":   acct.Resources.CPUStaked,
-		"net_weight":   acct.Resources.NETStaked,
-		"ram_quota":    acct.Resources.RAMBytes,
-		"ram_usage":    acct.Resources.RAMUsed,
-	})
-}
-
-type eosGetBalanceRequest struct {
-	Code    string `json:"code"`
-	Account string `json:"account"`
-	Symbol  string `json:"symbol"`
-}
-
-func (s *EOSServer) getCurrencyBalance(w http.ResponseWriter, r *http.Request) {
-	var req eosGetBalanceRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body")
-		return
-	}
-	code, err := eos.ParseName(req.Code)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad code")
-		return
-	}
-	holder, err := eos.ParseName(req.Account)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad account")
-		return
-	}
-	bal := s.Chain.Tokens().Balance(code, holder, req.Symbol)
-	writeJSON(w, []string{bal.String()})
 }
 
 // ServeHTTP implements http.Handler.

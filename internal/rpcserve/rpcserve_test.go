@@ -3,14 +3,12 @@ package rpcserve
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/chain"
 	"repro/internal/eos"
 	"repro/internal/tezos"
 	"repro/internal/wire"
@@ -204,139 +202,16 @@ func TestEOSWireBlockShapes(t *testing.T) {
 	}
 }
 
-func TestEOSAccountEndpoints(t *testing.T) {
-	c := eos.New(eos.DefaultConfig(1000))
-	if err := c.CreateAccount(eos.MustName("carol"), eos.SystemAccount); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Tokens().Transfer(eos.TokenAccount, eos.SystemAccount, eos.MustName("carol"),
-		mustAsset(t, "12.5000 EOS")); err != nil {
-		t.Fatal(err)
-	}
-	c.Resources().Stake(&c.GetAccount(eos.MustName("carol")).Resources, 42, 7)
-	srv := httptest.NewServer(NewEOSServer(c))
-	defer srv.Close()
-
-	resp, err := http.Post(srv.URL+"/v1/chain/get_account", "application/json",
-		strings.NewReader(`{"account_name":"carol"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var acct struct {
-		AccountName string `json:"account_name"`
-		CPUWeight   int64  `json:"cpu_weight"`
-		Creator     string `json:"creator"`
-	}
-	json.NewDecoder(resp.Body).Decode(&acct)
-	resp.Body.Close()
-	if acct.AccountName != "carol" || acct.CPUWeight != 42 || acct.Creator != "eosio" {
-		t.Fatalf("account: %+v", acct)
-	}
-
-	resp, _ = http.Post(srv.URL+"/v1/chain/get_account", "application/json",
-		strings.NewReader(`{"account_name":"ghost"}`))
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("ghost account -> %d", resp.StatusCode)
-	}
-
-	resp, err = http.Post(srv.URL+"/v1/chain/get_currency_balance", "application/json",
-		strings.NewReader(`{"code":"eosio.token","account":"carol","symbol":"EOS"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var balances []string
-	json.NewDecoder(resp.Body).Decode(&balances)
-	resp.Body.Close()
-	if len(balances) != 1 || balances[0] != "12.5000 EOS" {
-		t.Fatalf("balances: %v", balances)
-	}
-}
-
-func mustAsset(t *testing.T, s string) chain.Asset {
-	t.Helper()
-	a, err := chain.ParseAsset(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return a
-}
-
-func TestTezosVotesEndpoints(t *testing.T) {
-	cfg := tezos.DefaultConfig(1000)
-	cfg.Governance.BlocksPerPeriod = 4
-	c := tezos.New(cfg)
-	for i := 0; i < 5; i++ {
-		addr := tezos.NewImplicitAddress(fmt.Sprintf("vb-%d", i))
-		if err := c.RegisterBaker(addr, 50_000*1_000_000); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, b := range c.Bakers() {
-		c.Inject(tezos.Operation{Kind: tezos.KindProposals, Source: b.Address, Proposal: "PsTest"})
-	}
-	for i := 0; i < 5; i++ {
-		if _, err := c.ProduceBlock(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	srv := httptest.NewServer(NewTezosServer(c))
-	defer srv.Close()
-
-	var kind string
-	getJSON(t, srv.URL+"/chains/main/blocks/head/votes/current_period_kind", &kind)
-	if kind != "exploration" {
-		t.Fatalf("period kind = %q", kind)
-	}
-	var proposal string
-	getJSON(t, srv.URL+"/chains/main/blocks/head/votes/current_proposal", &proposal)
-	if proposal != "PsTest" {
-		t.Fatalf("proposal = %q", proposal)
-	}
-	// Cast one ballot, then read the tallies.
-	c.Inject(tezos.Operation{Kind: tezos.KindBallot, Source: c.Bakers()[0].Address,
-		Proposal: "PsTest", Ballot: tezos.VoteYay})
-	c.ProduceBlock()
-	var tallies map[string]int64
-	getJSON(t, srv.URL+"/chains/main/blocks/head/votes/ballots", &tallies)
-	if tallies["yay"] <= 0 {
-		t.Fatalf("tallies: %v", tallies)
-	}
-	var periods []map[string]any
-	getJSON(t, srv.URL+"/chains/main/blocks/head/votes/periods", &periods)
-	if len(periods) == 0 || periods[0]["outcome"] != "advanced" {
-		t.Fatalf("periods: %v", periods)
-	}
-}
-
-func getJSON(t *testing.T, url string, v any) {
-	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET %s -> %d", url, resp.StatusCode)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestXRPAccountAndBookCommands(t *testing.T) {
+// TestXRPLedgerRefusedID: a ledger request whose id the encoder does not
+// render (here 1.5) is answered with an invalidParams envelope carrying
+// that id, and the connection goes on serving ledgers.
+func TestXRPLedgerRefusedID(t *testing.T) {
 	s := xrp.New(xrp.DefaultConfig(1000))
-	gw := xrp.NewAddress("cmd-gw")
-	maker := xrp.NewAddress("cmd-maker")
-	s.Fund(gw, 100_000*xrp.DropsPerXRP)
-	s.Fund(maker, 100_000*xrp.DropsPerXRP)
-	s.Submit(xrp.Transaction{Type: xrp.TxTrustSet, Account: maker, LimitAmount: xrp.IOU("USD", gw, 1000)})
+	a, b := xrp.NewAddress("a"), xrp.NewAddress("b")
+	s.Fund(a, 1000*xrp.DropsPerXRP)
+	s.Fund(b, 1000*xrp.DropsPerXRP)
+	s.Submit(xrp.Transaction{Type: xrp.TxPayment, Account: a, Destination: b, Amount: xrp.XRP(1)})
 	s.CloseLedger()
-	s.Submit(xrp.Transaction{Type: xrp.TxPayment, Account: gw, Destination: maker, Amount: xrp.IOU("USD", gw, 500)})
-	s.Submit(xrp.Transaction{Type: xrp.TxOfferCreate, Account: maker,
-		TakerGets: xrp.IOU("USD", gw, 100), TakerPays: xrp.XRP(490)})
-	s.CloseLedger()
-
 	srv := httptest.NewServer(NewXRPServer(s))
 	defer srv.Close()
 	conn, err := wsrpc.Dial("ws" + strings.TrimPrefix(srv.URL, "http"))
@@ -345,72 +220,32 @@ func TestXRPAccountAndBookCommands(t *testing.T) {
 	}
 	defer conn.Close()
 
-	// account_info.
-	conn.WriteJSON(map[string]any{"id": 1, "command": "account_info", "account": string(maker)})
-	var infoResp struct {
-		Result struct {
-			AccountData struct {
-				Balance    int64 `json:"Balance"`
-				OwnerCount int   `json:"OwnerCount"`
-			} `json:"account_data"`
-		} `json:"result"`
-	}
-	if err := conn.ReadJSON(&infoResp); err != nil {
+	if err := conn.WriteMessage(wsrpc.OpText, []byte(`{"command":"ledger","id":1.5,"ledger_index":1}`)); err != nil {
 		t.Fatal(err)
 	}
-	if infoResp.Result.AccountData.OwnerCount != 2 { // line + offer
-		t.Fatalf("owner count = %d", infoResp.Result.AccountData.OwnerCount)
-	}
-
-	// account_lines.
-	conn.WriteJSON(map[string]any{"id": 2, "command": "account_lines", "account": string(maker)})
-	var linesResp struct {
-		Result struct {
-			Lines []struct {
-				Currency string `json:"currency"`
-				Balance  int64  `json:"balance"`
-			} `json:"lines"`
-		} `json:"result"`
-	}
-	if err := conn.ReadJSON(&linesResp); err != nil {
+	_, msg, err := conn.ReadMessage()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(linesResp.Result.Lines) != 1 || linesResp.Result.Lines[0].Currency != "USD" {
-		t.Fatalf("lines: %+v", linesResp.Result)
-	}
-	if linesResp.Result.Lines[0].Balance != 500*xrp.DropsPerXRP {
-		t.Fatalf("line balance: %d", linesResp.Result.Lines[0].Balance)
+	if want := `{"id":1.5,"status":"error","type":"response","error":"invalidParams"}`; string(msg) != want {
+		t.Fatalf("id 1.5 answered %s, want %s", msg, want)
 	}
 
-	// book_offers.
-	conn.WriteJSON(map[string]any{
-		"id": 3, "command": "book_offers",
-		"taker_gets": "USD+" + string(gw), "taker_pays": "XRP",
-	})
-	var bookResp struct {
-		Result struct {
-			Offers []struct {
-				Account string  `json:"Account"`
-				Quality float64 `json:"quality"`
-			} `json:"offers"`
-		} `json:"result"`
-	}
-	if err := conn.ReadJSON(&bookResp); err != nil {
+	if err := conn.WriteMessage(wsrpc.OpText, []byte(`{"command":"ledger","expand":true,"id":2,"ledger_index":1,"transactions":true}`)); err != nil {
 		t.Fatal(err)
 	}
-	if len(bookResp.Result.Offers) != 1 || bookResp.Result.Offers[0].Account != string(maker) {
-		t.Fatalf("book: %+v", bookResp.Result)
+	var full struct {
+		ID     int    `json:"id"`
+		Status string `json:"status"`
+		Result struct {
+			Ledger wire.XRPLedgerJSON `json:"ledger"`
+		} `json:"result"`
 	}
-	if q := bookResp.Result.Offers[0].Quality; q < 4.89 || q > 4.91 {
-		t.Fatalf("quality = %f", q)
+	if err := conn.ReadJSON(&full); err != nil {
+		t.Fatal(err)
 	}
-
-	// Unknown account.
-	conn.WriteJSON(map[string]any{"id": 4, "command": "account_info", "account": "rGhost"})
-	var errResp map[string]any
-	conn.ReadJSON(&errResp)
-	if errResp["error"] != "actNotFound" {
-		t.Fatalf("ghost: %v", errResp)
+	if full.ID != 2 || full.Status != "success" || full.Result.Ledger.LedgerIndex != 1 || len(full.Result.Ledger.Transactions) != 1 {
+		t.Fatalf("ledger after a refused id: %+v", full)
 	}
 }
 

@@ -17,52 +17,12 @@ type TezosServer struct {
 	mux   *http.ServeMux
 }
 
-// NewTezosServer builds the handler for a chain. Beyond block fetching it
-// exposes the octez voting endpoints the paper's §4.2 analysis used:
-// current_period_kind, current_proposal and ballots.
+// NewTezosServer builds the handler for a chain.
 func NewTezosServer(c *tezos.Chain) *TezosServer {
 	s := &TezosServer{Chain: c, mux: http.NewServeMux()}
 	s.mux.HandleFunc("GET /chains/main/blocks/head", s.head)
 	s.mux.HandleFunc("GET /chains/main/blocks/{level}", s.block)
-	s.mux.HandleFunc("GET /chains/main/blocks/head/votes/current_period_kind", s.periodKind)
-	s.mux.HandleFunc("GET /chains/main/blocks/head/votes/current_proposal", s.currentProposal)
-	s.mux.HandleFunc("GET /chains/main/blocks/head/votes/ballots", s.ballots)
-	s.mux.HandleFunc("GET /chains/main/blocks/head/votes/periods", s.periods)
 	return s
-}
-
-func (s *TezosServer) periodKind(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, string(s.Chain.Governance().Period()))
-}
-
-func (s *TezosServer) currentProposal(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, s.Chain.Governance().CurrentProposal())
-}
-
-func (s *TezosServer) ballots(w http.ResponseWriter, r *http.Request) {
-	yay, nay, pass := s.Chain.Governance().Tallies()
-	writeJSON(w, map[string]int64{"yay": yay, "nay": nay, "pass": pass})
-}
-
-// periods returns the completed period records (a simulator convenience the
-// paper assembled from historical snapshots).
-func (s *TezosServer) periods(w http.ResponseWriter, r *http.Request) {
-	recs := s.Chain.Governance().Periods()
-	out := make([]map[string]any, 0, len(recs))
-	for _, rec := range recs {
-		out = append(out, map[string]any{
-			"kind":          string(rec.Kind),
-			"start_level":   rec.StartLevel,
-			"end_level":     rec.EndLevel,
-			"proposal":      rec.Proposal,
-			"yay":           rec.Yay,
-			"nay":           rec.Nay,
-			"pass":          rec.Pass,
-			"participation": rec.Participation,
-			"outcome":       rec.Outcome,
-		})
-	}
-	writeJSON(w, out)
 }
 
 // ServeHTTP implements http.Handler.

@@ -2,8 +2,8 @@ package rpcserve
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
+	"strconv"
 
 	"repro/internal/wire"
 	"repro/internal/wsrpc"
@@ -28,13 +28,6 @@ type xrpRequest struct {
 	LedgerIndex  any    `json:"ledger_index,omitempty"`
 	Transactions bool   `json:"transactions,omitempty"`
 	Expand       bool   `json:"expand,omitempty"`
-	// Account is used by account_info and account_lines.
-	Account string `json:"account,omitempty"`
-	// TakerGets/TakerPays identify a book for book_offers, as
-	// "CUR" or "CUR+ISSUER" strings.
-	TakerGets string `json:"taker_gets,omitempty"`
-	TakerPays string `json:"taker_pays,omitempty"`
-	Limit     int    `json:"limit,omitempty"`
 }
 
 // xrpResponse is the envelope rippled wraps results in.
@@ -44,13 +37,6 @@ type xrpResponse struct {
 	Type   string `json:"type"`
 	Result any    `json:"result,omitempty"`
 	Error  string `json:"error,omitempty"`
-}
-
-func amountJSON(a xrp.Amount) *wire.XRPAmountJSON {
-	if a.Value == 0 && a.Currency == "" {
-		return nil
-	}
-	return &wire.XRPAmountJSON{Currency: a.Currency, Issuer: string(a.Issuer), Value: a.Value}
 }
 
 // XRPLedgerToJSON converts a ledger (with transactions when expand is set).
@@ -78,38 +64,32 @@ func (s *XRPServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		if err := json.Unmarshal(msg, &req); err != nil {
 			return
 		}
-		// The ledger command is the crawl hot path: render it through the
-		// pooled wire codec instead of reflect-marshalling the envelope.
 		if req.Command == "ledger" {
-			handled, err := s.writeLedger(conn, req)
-			if err != nil {
-				return
-			}
-			if handled {
-				continue
-			}
+			err = s.writeLedger(conn, req)
+		} else {
+			err = conn.WriteJSON(s.handle(req))
 		}
-		resp := s.handle(req)
-		if err := conn.WriteJSON(resp); err != nil {
+		if err != nil {
 			return
 		}
 	}
 }
 
-// writeLedger answers one ledger command from an arena ledger struct, a
-// pooled converter and codec, a pooled buffer and a single frame write,
-// allocating only the ledger's hashes, close time and one string of its
-// transaction hashes (TestXRPWireLedgerSteadyStateAllocs). It reports
-// handled=false (and no error) when the request needs the reflect path —
-// error envelopes or an id shape the fast encoder does not render.
-func (s *XRPServer) writeLedger(conn *wsrpc.Conn, req xrpRequest) (handled bool, err error) {
+// writeLedger answers one ledger command — the crawl hot path — from an
+// arena ledger struct, a pooled converter and codec, a pooled buffer and a
+// single frame write, allocating only the ledger's hashes, close time and
+// one string of its transaction hashes (TestXRPWireLedgerSteadyStateAllocs).
+// A ledger index it cannot resolve, or a request id the encoder does not
+// render (a non-integral number, a bool, an object), gets invalidParams; a
+// ledger it does not hold gets lgrNotFound.
+func (s *XRPServer) writeLedger(conn *wsrpc.Conn, req xrpRequest) error {
 	index, ok := s.resolveLedgerIndex(req.LedgerIndex)
 	if !ok {
-		return false, nil
+		return conn.WriteJSON(s.fail(req, "invalidParams"))
 	}
 	led := s.State.GetLedger(index)
 	if led == nil {
-		return false, nil
+		return conn.WriteJSON(s.fail(req, "lgrNotFound"))
 	}
 	lj := wire.GetXRPLedgerJSON()
 	c := wire.GetCodec()
@@ -117,149 +97,45 @@ func (s *XRPServer) writeLedger(conn *wsrpc.Conn, req xrpRequest) (handled bool,
 	xrpWireLedger(led, req.Transactions && req.Expand, lj)
 	out, ok := c.AppendXRPLedgerResponse(buf.B, req.ID, lj, led.Index)
 	buf.B = out
+	var err error
 	if ok {
-		handled = true
 		err = conn.WriteMessage(wsrpc.OpText, buf.B)
+	} else {
+		err = conn.WriteJSON(s.fail(req, "invalidParams"))
 	}
 	wire.PutBuffer(buf)
 	wire.PutCodec(c)
 	wire.PutXRPLedgerJSON(lj)
-	return handled, err
+	return err
 }
 
+// handle answers every command but ledger.
 func (s *XRPServer) handle(req xrpRequest) xrpResponse {
-	resp := xrpResponse{ID: req.ID, Type: "response", Status: "success"}
-	switch req.Command {
-	case "ledger":
-		index, ok := s.resolveLedgerIndex(req.LedgerIndex)
-		if !ok {
-			return s.fail(req, "invalidParams")
-		}
-		led := s.State.GetLedger(index)
-		if led == nil {
-			return s.fail(req, "lgrNotFound")
-		}
-		resp.Result = map[string]any{
-			"ledger":       XRPLedgerToJSON(led, req.Transactions && req.Expand),
-			"ledger_index": led.Index,
-			"validated":    true,
-		}
-	case "server_info":
-		resp.Result = map[string]any{
-			"info": map[string]any{
-				"build_version":    "repro-rippled-1.4",
-				"complete_ledgers": completeRange(s.State.HeadIndex()),
-				"validated_ledger": map[string]any{"seq": s.State.HeadIndex()},
-				"server_state":     "full",
-			},
-		}
-	case "account_info":
-		acct := s.State.GetAccount(xrp.Address(req.Account))
-		if acct == nil {
-			return s.fail(req, "actNotFound")
-		}
-		resp.Result = map[string]any{
-			"account_data": map[string]any{
-				"Account":     string(acct.Address),
-				"Balance":     acct.Balance,
-				"Sequence":    acct.Sequence,
-				"OwnerCount":  acct.OwnerCount,
-				"Parent":      string(acct.Parent),
-				"RequireDest": acct.RequireDestTag,
-			},
-			"ledger_index": s.State.HeadIndex(),
-			"validated":    true,
-		}
-	case "account_lines":
-		acct := s.State.GetAccount(xrp.Address(req.Account))
-		if acct == nil {
-			return s.fail(req, "actNotFound")
-		}
-		lines := s.State.LinesOf(xrp.Address(req.Account))
-		rows := make([]map[string]any, 0, len(lines))
-		for _, l := range lines {
-			rows = append(rows, map[string]any{
-				"account":  string(l.Issuer),
-				"currency": l.Currency,
-				"balance":  l.Balance,
-				"limit":    l.Limit,
-			})
-		}
-		resp.Result = map[string]any{"account": req.Account, "lines": rows}
-	case "book_offers":
-		gets, err := parseBookAsset(req.TakerGets)
-		if err != nil {
-			return s.fail(req, "invalidParams")
-		}
-		pays, err := parseBookAsset(req.TakerPays)
-		if err != nil {
-			return s.fail(req, "invalidParams")
-		}
-		offers := s.State.BookOffers(gets, pays)
-		limit := req.Limit
-		if limit <= 0 || limit > len(offers) {
-			limit = len(offers)
-		}
-		rows := make([]map[string]any, 0, limit)
-		for _, o := range offers[:limit] {
-			rows = append(rows, map[string]any{
-				"Account":    string(o.Owner),
-				"Sequence":   o.Sequence,
-				"TakerGets":  amountJSON(o.TakerGets),
-				"TakerPays":  amountJSON(o.TakerPays),
-				"quality":    o.Quality,
-				"filled_any": o.Filled,
-			})
-		}
-		resp.Result = map[string]any{"offers": rows}
-	default:
+	if req.Command != "server_info" {
 		return s.fail(req, "unknownCmd")
 	}
-	return resp
-}
-
-// parseBookAsset parses "XRP" or "CUR+ISSUER".
-func parseBookAsset(sv string) (xrp.AssetKey, error) {
-	if sv == "" {
-		return xrp.AssetKey{}, fmt.Errorf("rpcserve: empty asset")
+	head := s.State.HeadIndex()
+	complete := "empty"
+	if head > 0 {
+		complete = "1-" + strconv.FormatInt(head, 10)
 	}
-	if sv == "XRP" {
-		return xrp.AssetKey{Currency: "XRP"}, nil
-	}
-	for i := 0; i < len(sv); i++ {
-		if sv[i] == '+' {
-			return xrp.AssetKey{Currency: sv[:i], Issuer: xrp.Address(sv[i+1:])}, nil
-		}
-	}
-	return xrp.AssetKey{}, fmt.Errorf("rpcserve: asset %q must be XRP or CUR+ISSUER", sv)
-}
-
-func completeRange(head int64) string {
-	if head == 0 {
-		return "empty"
-	}
-	return "1-" + json.Number(itoa(head)).String()
-}
-
-func itoa(n int64) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
+	return xrpResponse{ID: req.ID, Type: "response", Status: "success", Result: map[string]any{
+		"info": map[string]any{
+			"build_version":    "repro-rippled-1.4",
+			"complete_ledgers": complete,
+			"validated_ledger": map[string]any{"seq": head},
+			"server_state":     "full",
+		},
+	}}
 }
 
 func (s *XRPServer) fail(req xrpRequest, code string) xrpResponse {
 	return xrpResponse{ID: req.ID, Type: "response", Status: "error", Error: code}
 }
 
-// resolveLedgerIndex accepts a number or the string "validated".
+// resolveLedgerIndex accepts a number or one of the strings "validated",
+// "closed" and "current". Numbers arrive as float64: the request is
+// unmarshalled into any.
 func (s *XRPServer) resolveLedgerIndex(v any) (int64, bool) {
 	switch x := v.(type) {
 	case nil:
@@ -271,9 +147,6 @@ func (s *XRPServer) resolveLedgerIndex(v any) (int64, bool) {
 		return 0, false
 	case float64:
 		return int64(x), true
-	case json.Number:
-		n, err := x.Int64()
-		return n, err == nil
 	default:
 		return 0, false
 	}

@@ -1,7 +1,6 @@
 package tezos
 
 import (
-	"fmt"
 	"strings"
 
 	"repro/internal/chain"
@@ -37,20 +36,6 @@ func (a Address) IsImplicit() bool { return strings.HasPrefix(string(a), "tz1") 
 
 // IsOriginated reports whether the address is a KT1 contract.
 func (a Address) IsOriginated() bool { return strings.HasPrefix(string(a), "KT1") }
-
-// Validate checks the base58check structure.
-func (a Address) Validate() error {
-	switch {
-	case a.IsImplicit():
-		_, err := chain.DecodeBase58Check(string(a), tz1Prefix)
-		return err
-	case a.IsOriginated():
-		_, err := chain.DecodeBase58Check(string(a), kt1Prefix)
-		return err
-	default:
-		return fmt.Errorf("tezos: address %q has unknown prefix", a)
-	}
-}
 
 // Account is the ledger record behind an address.
 type Account struct {

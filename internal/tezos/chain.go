@@ -82,18 +82,9 @@ type Chain struct {
 	Rejected int64
 }
 
-// New creates a chain with the given config; RegisterBaker must be called
-// before blocks can be produced.
+// New creates a chain with the given config, which starts from
+// DefaultConfig; RegisterBaker must be called before blocks can be produced.
 func New(cfg Config) *Chain {
-	if cfg.BlockInterval <= 0 {
-		cfg.BlockInterval = time.Minute
-	}
-	if cfg.Start.IsZero() {
-		cfg.Start = chain.ObservationStart
-	}
-	if cfg.EndorsementParticipation <= 0 || cfg.EndorsementParticipation > 1 {
-		cfg.EndorsementParticipation = 0.72
-	}
 	c := &Chain{
 		cfg:      cfg,
 		clock:    chain.NewClock(cfg.Start, cfg.BlockInterval),
@@ -148,9 +139,6 @@ func (c *Chain) GetBlock(level int64) *Block {
 	return c.blocks[level-1]
 }
 
-// GetAccount returns the account record, or nil.
-func (c *Chain) GetAccount(addr Address) *Account { return c.accounts[addr] }
-
 // FundAccount credits mutez to an account, creating it if needed (the
 // simulator's stand-in for genesis balances).
 func (c *Chain) FundAccount(addr Address, mutez int64) *Account {
@@ -170,9 +158,6 @@ func (c *Chain) ensureAccount(addr Address) *Account {
 
 // Inject queues a manager or governance operation for the next block.
 func (c *Chain) Inject(op Operation) { c.pending = append(c.pending, op) }
-
-// PendingCount returns the number of queued operations.
-func (c *Chain) PendingCount() int { return len(c.pending) }
 
 // selectBaker draws the block baker weighted by stake, deterministic in the
 // chain's RNG. Priority-0 baking only; missed priorities are not simulated.

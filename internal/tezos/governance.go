@@ -27,16 +27,16 @@ type GovernanceConfig struct {
 	// InitialQuorum is the starting participation quorum (fraction of total
 	// rolls); main net launched at 80 % and adjusts it dynamically.
 	InitialQuorum float64
-	// Supermajority is the yay/(yay+nay) fraction required to pass (80 %).
-	Supermajority float64
 }
+
+// supermajority is the yay/(yay+nay) fraction required to pass.
+const supermajority = 0.80
 
 // DefaultGovernanceConfig returns main-net parameters sized for scaled runs.
 func DefaultGovernanceConfig() GovernanceConfig {
 	return GovernanceConfig{
 		BlocksPerPeriod: 33, // 32,768 at TimeScale 1000, rounded
 		InitialQuorum:   0.75,
-		Supermajority:   0.80,
 	}
 }
 
@@ -88,15 +88,6 @@ type Governance struct {
 
 // NewGovernance builds the state machine starting in a proposal period.
 func NewGovernance(cfg GovernanceConfig) *Governance {
-	if cfg.BlocksPerPeriod <= 0 {
-		cfg.BlocksPerPeriod = 33
-	}
-	if cfg.InitialQuorum <= 0 || cfg.InitialQuorum > 1 {
-		cfg.InitialQuorum = 0.75
-	}
-	if cfg.Supermajority <= 0 || cfg.Supermajority > 1 {
-		cfg.Supermajority = 0.80
-	}
 	return &Governance{
 		cfg:      cfg,
 		period:   PeriodProposal,
@@ -110,12 +101,6 @@ func NewGovernance(cfg GovernanceConfig) *Governance {
 // Period returns the active period kind.
 func (g *Governance) Period() PeriodKind { return g.period }
 
-// CurrentProposal returns the proposal under vote (or being tested).
-func (g *Governance) CurrentProposal() string { return g.current }
-
-// Quorum returns the current participation quorum.
-func (g *Governance) Quorum() float64 { return g.quorum }
-
 // History returns every recorded vote event in order.
 func (g *Governance) History() []VoteEvent { return g.history }
 
@@ -124,9 +109,6 @@ func (g *Governance) Periods() []PeriodRecord { return g.periods }
 
 // Promoted returns the protocols activated so far.
 func (g *Governance) Promoted() []string { return g.promoted }
-
-// Tallies returns current ballot tallies in rolls.
-func (g *Governance) Tallies() (yay, nay, pass int64) { return g.yay, g.nay, g.pass }
 
 // ApplyProposals processes a proposals operation: a baker upvoting one or
 // more proposals (the simulator carries one per operation). Votes can be
@@ -300,7 +282,7 @@ func (g *Governance) closeBallotPeriod(c *Chain, blk *Block, totalRolls int64, k
 	// toward observed participation) from exceeding participation through
 	// float rounding alone.
 	if participation >= g.quorum-1e-9 {
-		if g.yay+g.nay > 0 && float64(g.yay)/float64(g.yay+g.nay) >= g.cfg.Supermajority {
+		if g.yay+g.nay > 0 && float64(g.yay)/float64(g.yay+g.nay) >= supermajority {
 			passed = true
 		}
 	}

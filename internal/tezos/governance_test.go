@@ -38,7 +38,7 @@ func TestProposalPeriodAdvancesWithVotes(t *testing.T) {
 	if got := c.Governance().Period(); got != PeriodExploration {
 		t.Fatalf("period = %s, want exploration", got)
 	}
-	if got := c.Governance().CurrentProposal(); got != "PsBabyM1" {
+	if got := c.Governance().current; got != "PsBabyM1" {
 		t.Fatalf("current proposal = %q", got)
 	}
 }
@@ -67,7 +67,7 @@ func TestMultipleProposalsHighestWins(t *testing.T) {
 		c.Inject(Operation{Kind: KindProposals, Source: b.Address, Proposal: "PsBabyM2"})
 	}
 	produce(t, c, 7)
-	if got := c.Governance().CurrentProposal(); got != "PsBabyM2" {
+	if got := c.Governance().current; got != "PsBabyM2" {
 		t.Fatalf("winner = %q, want PsBabyM2", got)
 	}
 }
@@ -181,7 +181,7 @@ func TestQuorumFailureRejects(t *testing.T) {
 		t.Fatalf("quorum failure should reset, got %s", got)
 	}
 	// Dynamic quorum must have dropped toward observed participation.
-	if q := c.Governance().Quorum(); q >= 0.75 {
+	if q := c.Governance().quorum; q >= 0.75 {
 		t.Fatalf("quorum did not adjust: %f", q)
 	}
 }

@@ -29,17 +29,6 @@ const (
 	KindDelegation   OperationKind = "delegation"
 )
 
-// IsConsensus reports whether the kind maintains consensus (the 82 % slice
-// of Tezos throughput in the paper).
-func (k OperationKind) IsConsensus() bool {
-	return k == KindEndorsement || k == KindSeedNonce || k == KindDoubleBaking
-}
-
-// IsGovernance reports whether the kind belongs to the amendment process.
-func (k OperationKind) IsGovernance() bool {
-	return k == KindProposals || k == KindBallot
-}
-
 // BallotVote is a governance ballot choice.
 type BallotVote string
 
@@ -84,27 +73,4 @@ type Block struct {
 	Baker       Address     `json:"baker"`
 	Priority    int         `json:"priority"`
 	Operations  []Operation `json:"operations"`
-}
-
-// EndorsementOps returns the block's endorsement operations.
-func (b *Block) EndorsementOps() []Operation {
-	var out []Operation
-	for _, op := range b.Operations {
-		if op.Kind == KindEndorsement {
-			out = append(out, op)
-		}
-	}
-	return out
-}
-
-// EndorsedSlots sums the slots covered by the block's endorsements. A block
-// needs at least MinEndorsements slots endorsed to be valid.
-func (b *Block) EndorsedSlots() int {
-	n := 0
-	for _, op := range b.Operations {
-		if op.Kind == KindEndorsement {
-			n += len(op.Slots)
-		}
-	}
-	return n
 }

@@ -394,8 +394,8 @@ func (c *Codec) splitXRPEnvelope(frame []byte, env *XRPEnvelope) error {
 // a successful ledger command — {"id":…,"status":"success","type":
 // "response","result":{"ledger":…,"ledger_index":…,"validated":true}} —
 // matching what encoding/json produced for the equivalent response struct.
-// The reported ok is false when the request id has a shape the fast path
-// does not render (caller falls back to reflection).
+// The reported ok is false when the request id has a shape it does not
+// render: a non-integral or out-of-range number, a bool or an object.
 func (c *Codec) AppendXRPLedgerResponse(dst []byte, id any, l *XRPLedgerJSON, index int64) ([]byte, bool) {
 	dst = append(dst, `{"id":`...)
 	switch v := id.(type) {
@@ -411,7 +411,7 @@ func (c *Codec) AppendXRPLedgerResponse(dst []byte, id any, l *XRPLedgerJSON, in
 		dst = append(dst, v.String()...)
 	case float64:
 		// Request ids arrive as float64 via encoding/json; integral values
-		// render like stdlib. Non-integral ids take the fallback.
+		// render like stdlib. Non-integral ids are refused.
 		if v != math.Trunc(v) || math.Abs(v) > 1<<53 {
 			return dst, false
 		}

@@ -19,13 +19,16 @@ type EOSOptions struct {
 	// Start and End bound the simulated window (defaults: the paper's
 	// observation window).
 	Start, End time.Time
-	// Miners is the number of distinct EIDOS mining accounts.
-	Miners int
-	// GamersWithoutStake is the number of casual accounts that keep playing
-	// without staking CPU — the users §4.1 describes being locked out once
-	// the network congests.
-	GamersWithoutStake int
 }
+
+const (
+	// eosMiners is the number of distinct EIDOS mining accounts.
+	eosMiners = 40
+	// eosGamersWithoutStake is the number of casual accounts that keep
+	// playing without staking CPU — the users §4.1 describes being locked
+	// out once the network congests.
+	eosGamersWithoutStake = 10
+)
 
 // EOSScenario is the built scenario with handles the benchmarks need.
 type EOSScenario struct {
@@ -94,15 +97,8 @@ func BuildEOS(opts EOSOptions) (*EOSScenario, error) {
 	if opts.End.IsZero() {
 		opts.End = chain.ObservationEnd
 	}
-	if opts.Miners <= 0 {
-		opts.Miners = 40
-	}
-	if opts.GamersWithoutStake <= 0 {
-		opts.GamersWithoutStake = 10
-	}
 
 	cfg := eos.DefaultConfig(opts.Scale)
-	cfg.Seed = opts.Seed
 	cfg.Start = opts.Start
 	// Real transfers cost ~1 ms of CPU; with ~220 actions per block during
 	// the EIDOS flood that exceeds the 200 ms block budget and flips the
@@ -223,13 +219,13 @@ func BuildEOS(opts EOSOptions) (*EOSScenario, error) {
 	}
 	// EIDOS miners: heavily staked (they rented and staked CPU — the
 	// paper's price-spike mechanism).
-	for i := 0; i < opts.Miners; i++ {
+	for i := 0; i < eosMiners; i++ {
 		if _, err := fund(userName("mine", i), 10_000_0000, heavyStake); err != nil {
 			return nil, err
 		}
 	}
 	// Unstaked casual gamers, to be locked out during congestion.
-	for i := 0; i < opts.GamersWithoutStake; i++ {
+	for i := 0; i < eosGamersWithoutStake; i++ {
 		if _, err := fund(userName("csl", i), 1_000_0000, 0); err != nil {
 			return nil, err
 		}
@@ -472,7 +468,7 @@ func (s *EOSScenario) injectBlockTraffic(rng *chain.RNG, em *eosEmitters) {
 	// tiny transfers, each boomeranged back with an EIDOS payout.
 	if mining {
 		for i, n := 0, em.mining.Next(); i < n; i++ {
-			miner := userName("mine", rng.Intn(s.Opts.Miners))
+			miner := userName("mine", rng.Intn(eosMiners))
 			actions := make([]eos.Action, 0, minesPerTx)
 			for j := 0; j < minesPerTx; j++ {
 				actions = append(actions, eos.NewAction(eos.TokenAccount, eos.ActTransfer, eos.MustName(miner), map[string]string{
@@ -487,7 +483,7 @@ func (s *EOSScenario) injectBlockTraffic(rng *chain.RNG, em *eosEmitters) {
 	// Casual unstaked gamers keep trying to play; once the network
 	// congests these are the transactions that start failing.
 	for i, n := 0, em.casual.Next(); i < n; i++ {
-		gamer := userName("csl", rng.Intn(s.Opts.GamersWithoutStake))
+		gamer := userName("csl", rng.Intn(eosGamersWithoutStake))
 		c.PushTransaction(eos.NewAction(eos.BetDiceBacca, eos.MustName("bet"), eos.MustName(gamer), nil))
 	}
 }

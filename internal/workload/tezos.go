@@ -12,12 +12,15 @@ import (
 type TezosOptions struct {
 	// Scale is the time-dilation divisor S (default 100 — about 1,325
 	// blocks and ~33k operations for the full window).
-	Scale      int64
-	Seed       int64
-	Start, End time.Time
-	// Bakers is the size of the baker set.
-	Bakers int
+	Scale int64
+	Seed  int64
 }
+
+// tezosBakers is the size of the baker set. Main net had ~450 bakers in
+// late 2019; 150 is enough for the 32 endorsement slots to land on ~23
+// distinct bakers per block, the paper's observed endorsement-operation
+// rate.
+const tezosBakers = 150
 
 // TezosScenario is the built scenario.
 type TezosScenario struct {
@@ -78,21 +81,8 @@ func BuildTezos(opts TezosOptions) (*TezosScenario, error) {
 	if opts.Seed == 0 {
 		opts.Seed = 22
 	}
-	if opts.Start.IsZero() {
-		opts.Start = chain.ObservationStart
-	}
-	if opts.End.IsZero() {
-		opts.End = chain.ObservationEnd
-	}
-	if opts.Bakers <= 0 {
-		// Main net had ~450 bakers in late 2019; 150 is enough for the 32
-		// endorsement slots to land on ~23 distinct bakers per block, the
-		// paper's observed endorsement-operation rate.
-		opts.Bakers = 150
-	}
 	cfg := tezos.DefaultConfig(opts.Scale)
 	cfg.Seed = opts.Seed
-	cfg.Start = opts.Start
 	cfg.EndorsementParticipation = 0.75
 	cfg.Governance.BlocksPerPeriod = 32_768 / opts.Scale
 	if cfg.Governance.BlocksPerPeriod < 4 {
@@ -101,7 +91,7 @@ func BuildTezos(opts TezosOptions) (*TezosScenario, error) {
 	c := tezos.New(cfg)
 
 	rng := chain.NewRNG(opts.Seed)
-	for i := 0; i < opts.Bakers; i++ {
+	for i := 0; i < tezosBakers; i++ {
 		stake := (10_000 + rng.Int63n(90_000)) * mutezPerXTZ
 		if err := c.RegisterBaker(tezos.NewImplicitAddress(fmt.Sprintf("baker-%03d", i)), stake); err != nil {
 			return nil, err
@@ -146,7 +136,7 @@ func (s *TezosScenario) Run() (int, error) {
 
 	// Fan-out senders keep their Figure 6 per-receiver averages at any
 	// scale by shrinking their receiver pools with their totals.
-	totalBlocks := float64(s.Opts.End.Sub(s.Opts.Start)) / float64(60*time.Second) / float64(s.Opts.Scale)
+	totalBlocks := float64(chain.ObservationEnd.Sub(chain.ObservationStart)) / float64(60*time.Second) / float64(s.Opts.Scale)
 	type fanState struct {
 		em     Emitter
 		sender tezos.Address
@@ -189,7 +179,7 @@ func (s *TezosScenario) Run() (int, error) {
 
 	freshCounter := 0
 	blocks := 0
-	for c.Now().Before(s.Opts.End) {
+	for c.Now().Before(chain.ObservationEnd) {
 		// Background peer-to-peer transactions.
 		for i, n := 0, em.background.Next(); i < n; i++ {
 			from := chain.Pick(rng, s.users)
@@ -280,10 +270,13 @@ func (s *TezosScenario) senderFor(label string) tezos.Address {
 
 // GovernanceOptions parameterizes the Babylon 2.0 replay (§4.2, Figure 9).
 type GovernanceOptions struct {
-	Scale  int64 // default 100
-	Seed   int64
-	Bakers int // default 100
+	Scale int64 // default 100
+	Seed  int64
 }
+
+// governanceBakers is the size of the replay's baker set: the foundation
+// plus a Pareto tail.
+const governanceBakers = 100
 
 // GovernanceScenario replays the amendment timeline: proposal period from
 // July 17, 2019 with Babylon upvotes slowly accumulating and Babylon 2.0
@@ -310,9 +303,6 @@ func BuildTezosGovernance(opts GovernanceOptions) (*GovernanceScenario, error) {
 	if opts.Seed == 0 {
 		opts.Seed = 33
 	}
-	if opts.Bakers <= 0 {
-		opts.Bakers = 100
-	}
 	cfg := tezos.DefaultConfig(opts.Scale)
 	cfg.Seed = opts.Seed
 	cfg.Start = time.Date(2019, time.July, 17, 0, 0, 0, 0, time.UTC)
@@ -331,7 +321,7 @@ func BuildTezosGovernance(opts GovernanceOptions) (*GovernanceScenario, error) {
 	if err := c.RegisterBaker(tezos.NewImplicitAddress("foundation"), 8_000*10_000*mutezPerXTZ); err != nil {
 		return nil, err
 	}
-	for i := 1; i < opts.Bakers; i++ {
+	for i := 1; i < governanceBakers; i++ {
 		rolls := int64(rng.Pareto(30, 1.3))
 		if rolls > 2000 {
 			rolls = 2000

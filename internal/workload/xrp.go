@@ -12,12 +12,8 @@ import (
 type XRPOptions struct {
 	// Scale is the time-dilation divisor S (default 2,000 — about 1,019
 	// ledgers and ~75k transactions for the full window).
-	Scale      int64
-	Seed       int64
-	Start, End time.Time
-	// SpamAccounts is the size of the payment-spam cluster (the real one
-	// had 5,020 accounts; scaled runs shrink it).
-	SpamAccounts int
+	Scale int64
+	Seed  int64
 }
 
 // XRPScenario is the built scenario with handles for the explorer and the
@@ -95,25 +91,11 @@ func BuildXRP(opts XRPOptions) (*XRPScenario, error) {
 	if opts.Seed == 0 {
 		opts.Seed = 44
 	}
-	if opts.Start.IsZero() {
-		opts.Start = chain.ObservationStart
-	}
-	if opts.End.IsZero() {
-		opts.End = chain.ObservationEnd
-	}
-	if opts.SpamAccounts <= 0 {
-		opts.SpamAccounts = int(5020 / opts.Scale)
-		// Keep the cluster wide even at coarse scales so no single drone
-		// outranks the Huobi offer bots in the Figure 8 top list — on main
-		// net the wave volume was spread over 5,020 accounts.
-		if opts.SpamAccounts < 40 {
-			opts.SpamAccounts = 40
-		}
-	}
-	cfg := xrp.DefaultConfig(opts.Scale)
-	cfg.Seed = opts.Seed
-	cfg.Start = opts.Start
-	st := xrp.New(cfg)
+	// The real spam cluster had 5,020 accounts; scaled runs shrink it, but
+	// keep it wide even at coarse scales so no single drone outranks the
+	// Huobi offer bots in the Figure 8 top list.
+	spamAccounts := max(int(5020/opts.Scale), 40)
+	st := xrp.New(xrp.DefaultConfig(opts.Scale))
 
 	s := &XRPScenario{
 		State:         st,
@@ -173,7 +155,7 @@ func BuildXRP(opts XRPOptions) (*XRPScenario, error) {
 
 	// Payment-spam cluster: the hub plus its activated drones.
 	s.SpamHub = named("spam-hub", "", 2_000_000*xrp.DropsPerXRP)
-	for i := 0; i < opts.SpamAccounts; i++ {
+	for i := 0; i < spamAccounts; i++ {
 		drone := xrp.NewAddress(fmt.Sprintf("spam-drone-%04d", i))
 		st.Fund(drone, 200*xrp.DropsPerXRP)
 		st.GetAccount(drone).Parent = s.SpamHub
@@ -345,7 +327,7 @@ func (s *XRPScenario) Run() int {
 	// The Figure 11a rate-setting trades are discrete December events
 	// (~40 across the month at any scale): pace them against the number of
 	// ledgers this run will actually close.
-	totalLedgers := s.Opts.End.Sub(s.Opts.Start).Hours() / 24 * s.LedgersPerDay
+	totalLedgers := chain.ObservationEnd.Sub(chain.ObservationStart).Hours() / 24 * s.LedgersPerDay
 	if totalLedgers < 1 {
 		totalLedgers = 1
 	}
@@ -353,7 +335,7 @@ func (s *XRPScenario) Run() int {
 
 	ledgers := 0
 	amendmentDone := false
-	for st.Now().Before(s.Opts.End) {
+	for st.Now().Before(chain.ObservationEnd) {
 		now := st.Now()
 		s.processEscrowReleases(now)
 		s.injectOfferSpam(rng, em.hugeBots.Next(), em.midBots.Next())

@@ -1,10 +1,6 @@
 package xrp
 
-import (
-	"fmt"
-
-	"repro/internal/chain"
-)
+import "repro/internal/chain"
 
 // Address is an XRP Ledger classic address (r…). The paper's clustering
 // leans on account metadata (usernames, parent accounts) layered on top of
@@ -16,15 +12,6 @@ type Address string
 func NewAddress(label string) Address {
 	h := chain.HashOf("xrp-addr", label)
 	return Address(chain.XRPBase58Check(h[:20]))
-}
-
-// Validate checks the base58check structure.
-func (a Address) Validate() error {
-	if len(a) == 0 || a[0] != 'r' {
-		return fmt.Errorf("xrp: address %q must start with r", a)
-	}
-	_, err := chain.DecodeXRPBase58Check(string(a))
-	return err
 }
 
 // SpecialAddresses are the handful of addresses not derived from key pairs;
@@ -66,16 +53,8 @@ func IOU(currency string, issuer Address, units int64) Amount {
 	return Amount{Currency: currency, Issuer: issuer, Value: units * DropsPerXRP}
 }
 
-// IOURaw returns an issuer-specific amount from 6-decimal fixed point.
-func IOURaw(currency string, issuer Address, raw int64) Amount {
-	return Amount{Currency: currency, Issuer: issuer, Value: raw}
-}
-
 // IsNative reports whether the amount is XRP.
 func (a Amount) IsNative() bool { return a.Currency == XRPCurrency && a.Issuer == "" }
-
-// IsZero reports whether the value is zero.
-func (a Amount) IsZero() bool { return a.Value == 0 }
 
 // SameAsset reports whether two amounts denominate the same asset
 // (currency and issuer both match).
@@ -83,49 +62,8 @@ func (a Amount) SameAsset(b Amount) bool {
 	return a.Currency == b.Currency && a.Issuer == b.Issuer
 }
 
-// Units returns the amount in display units.
-func (a Amount) Units() float64 { return float64(a.Value) / DropsPerXRP }
-
 // WithValue returns a copy carrying the given raw value.
 func (a Amount) WithValue(v int64) Amount { a.Value = v; return a }
-
-// Add returns a+b; the assets must match.
-func (a Amount) Add(b Amount) Amount {
-	a.mustMatch(b)
-	a.Value += b.Value
-	return a
-}
-
-// Sub returns a-b; the assets must match.
-func (a Amount) Sub(b Amount) Amount {
-	a.mustMatch(b)
-	a.Value -= b.Value
-	return a
-}
-
-func (a Amount) mustMatch(b Amount) {
-	if !a.SameAsset(b) {
-		panic(fmt.Sprintf("xrp: mixing assets %s and %s", a, b))
-	}
-}
-
-// String renders "12.500000 USD/rIssuer…" or "3.000000 XRP".
-func (a Amount) String() string {
-	whole := a.Value / DropsPerXRP
-	frac := a.Value % DropsPerXRP
-	if frac < 0 {
-		frac = -frac
-	}
-	s := fmt.Sprintf("%d.%06d %s", whole, frac, a.Currency)
-	if a.Issuer != "" {
-		short := string(a.Issuer)
-		if len(short) > 9 {
-			short = short[:9] + "…"
-		}
-		s += "/" + short
-	}
-	return s
-}
 
 // AssetKey identifies an asset (currency+issuer) for map keys.
 type AssetKey struct {
@@ -135,11 +73,3 @@ type AssetKey struct {
 
 // Key returns the amount's asset key.
 func (a Amount) Key() AssetKey { return AssetKey{Currency: a.Currency, Issuer: a.Issuer} }
-
-// String renders "USD.rIssuer" or "XRP".
-func (k AssetKey) String() string {
-	if k.Issuer == "" {
-		return k.Currency
-	}
-	return k.Currency + "." + string(k.Issuer)
-}

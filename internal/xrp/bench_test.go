@@ -49,7 +49,7 @@ func BenchmarkIOUPayment(b *testing.B) {
 		if i%2 == 1 {
 			from, to = to, from
 		}
-		s.Submit(Transaction{Type: TxPayment, Account: from, Destination: to, Amount: IOURaw("USD", gw, 1000)})
+		s.Submit(Transaction{Type: TxPayment, Account: from, Destination: to, Amount: iouRaw("USD", gw, 1000)})
 		if i%50 == 49 {
 			s.CloseLedger()
 		}
@@ -64,10 +64,10 @@ func BenchmarkOfferCrossing(b *testing.B) {
 	s, maker, taker, gw := benchState(b)
 	s.Fund(maker, 1<<55)
 	s.Fund(taker, 1<<55)
-	s.Submit(Transaction{Type: TxTrustSet, Account: maker, LimitAmount: IOURaw("USD", gw, 1<<60)})
-	s.Submit(Transaction{Type: TxTrustSet, Account: taker, LimitAmount: IOURaw("USD", gw, 1<<60)})
+	s.Submit(Transaction{Type: TxTrustSet, Account: maker, LimitAmount: iouRaw("USD", gw, 1<<60)})
+	s.Submit(Transaction{Type: TxTrustSet, Account: taker, LimitAmount: iouRaw("USD", gw, 1<<60)})
 	s.CloseLedger()
-	s.Submit(Transaction{Type: TxPayment, Account: gw, Destination: maker, Amount: IOURaw("USD", gw, 1<<58)})
+	s.Submit(Transaction{Type: TxPayment, Account: gw, Destination: maker, Amount: iouRaw("USD", gw, 1<<58)})
 	s.CloseLedger()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -94,13 +94,13 @@ func BenchmarkBookInsert(b *testing.B) {
 	s, maker, _, gw := benchState(b)
 	s.Submit(Transaction{Type: TxTrustSet, Account: maker, LimitAmount: IOU("CNY", gw, 1<<40)})
 	s.CloseLedger()
-	s.Submit(Transaction{Type: TxPayment, Account: gw, Destination: maker, Amount: IOURaw("CNY", gw, 1<<50)})
+	s.Submit(Transaction{Type: TxPayment, Account: gw, Destination: maker, Amount: iouRaw("CNY", gw, 1<<50)})
 	s.CloseLedger()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Submit(Transaction{Type: TxOfferCreate, Account: maker,
-			TakerGets: IOURaw("CNY", gw, int64(i%997)+1),
+			TakerGets: iouRaw("CNY", gw, int64(i%997)+1),
 			TakerPays: XRP(int64(i%89_000) + 1_000)}) // off-market asks
 		if i%100 == 99 {
 			s.CloseLedger()

@@ -59,8 +59,8 @@ func (b *orderBook) remove(o *Offer) {
 	}
 }
 
-// Exchange records one executed DEX fill. The explorer's exchange_rates API
-// (used by the paper to value IOUs, Figure 11) aggregates these.
+// Exchange records one executed DEX fill. The explorer serves these as the
+// Ripple Data API's exchange records, which value IOUs (Figure 11).
 type Exchange struct {
 	Time        time.Time
 	LedgerIndex int64
@@ -74,14 +74,6 @@ type Exchange struct {
 	MakerSequence uint32
 }
 
-// Rate returns counter units per base unit.
-func (e Exchange) Rate() float64 {
-	if e.BaseValue == 0 {
-		return 0
-	}
-	return float64(e.CounterValue) / float64(e.BaseValue)
-}
-
 // book returns (creating if needed) the book selling gets for pays.
 func (s *State) book(gets, pays AssetKey) *orderBook {
 	k := AssetPair{Gets: gets, Pays: pays}
@@ -91,11 +83,6 @@ func (s *State) book(gets, pays AssetKey) *orderBook {
 		s.books[k] = b
 	}
 	return b
-}
-
-// BookOffers returns the resting offers selling gets for pays, best first.
-func (s *State) BookOffers(gets, pays AssetKey) []*Offer {
-	return s.book(gets, pays).offers
 }
 
 // FindOffer locates a resting offer by owner and sequence.

@@ -34,7 +34,7 @@ func TestOfferRestsOnBook(t *testing.T) {
 	if code := led.Transactions[0].Result; !code.Success() {
 		t.Fatalf("offer failed: %s", code)
 	}
-	offers := s.BookOffers(AssetKey{"BTC", gw}, AssetKey{Currency: "XRP"})
+	offers := bookOffers(s, AssetKey{"BTC", gw}, AssetKey{Currency: "XRP"})
 	if len(offers) != 1 {
 		t.Fatalf("book has %d offers", len(offers))
 	}
@@ -73,7 +73,7 @@ func TestOfferCrossingExecutesTrade(t *testing.T) {
 		t.Fatalf("%d exchanges recorded", len(ex))
 	}
 	// The rate: 30,000 XRP per BTC (maker's price).
-	if r := ex[0].Rate(); r < 29_999 || r > 30_001 {
+	if r := rate(ex[0]); r < 29_999 || r > 30_001 {
 		t.Fatalf("exchange rate = %f", r)
 	}
 	if ex[0].Maker != maker || ex[0].Taker != taker {
@@ -97,7 +97,7 @@ func TestOfferPartialFill(t *testing.T) {
 		Type: TxOfferCreate, Account: taker,
 		TakerGets: XRP(120_000), TakerPays: IOU("BTC", gw, 4),
 	})
-	offers := s.BookOffers(AssetKey{"BTC", gw}, AssetKey{Currency: "XRP"})
+	offers := bookOffers(s, AssetKey{"BTC", gw}, AssetKey{Currency: "XRP"})
 	if len(offers) != 1 {
 		t.Fatalf("book has %d offers", len(offers))
 	}
@@ -127,10 +127,10 @@ func TestOfferPriceRespected(t *testing.T) {
 	if len(s.Exchanges()) != 0 {
 		t.Fatal("trade executed through the spread")
 	}
-	if len(s.BookOffers(AssetKey{"BTC", gw}, AssetKey{Currency: "XRP"})) != 1 {
+	if len(bookOffers(s, AssetKey{"BTC", gw}, AssetKey{Currency: "XRP"})) != 1 {
 		t.Fatal("maker offer vanished")
 	}
-	if len(s.BookOffers(AssetKey{Currency: "XRP"}, AssetKey{"BTC", gw})) != 1 {
+	if len(bookOffers(s, AssetKey{Currency: "XRP"}, AssetKey{"BTC", gw})) != 1 {
 		t.Fatal("taker offer did not rest")
 	}
 }
@@ -191,7 +191,7 @@ func TestOfferCancel(t *testing.T) {
 	if !led.Transactions[0].Result.Success() {
 		t.Fatal("cancel failed")
 	}
-	if len(s.BookOffers(AssetKey{"BTC", gw}, AssetKey{Currency: "XRP"})) != 0 {
+	if len(bookOffers(s, AssetKey{"BTC", gw}, AssetKey{Currency: "XRP"})) != 0 {
 		t.Fatal("offer still on book")
 	}
 	// Cancelling a ghost offer still succeeds (main-net behaviour).
@@ -254,7 +254,7 @@ func TestSelfTradeSameAccountAllowed(t *testing.T) {
 	if len(ex) != 1 {
 		t.Fatalf("%d exchanges", len(ex))
 	}
-	if r := ex[0].Rate(); r < 30_000 || r > 31_000 {
+	if r := rate(ex[0]); r < 30_000 || r > 31_000 {
 		t.Fatalf("manipulated rate = %f, want ~30,500", r)
 	}
 }

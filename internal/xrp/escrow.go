@@ -11,17 +11,11 @@ type Escrow struct {
 	Destination Address
 	Amount      int64 // drops
 	FinishAfter time.Time
-	CancelAfter time.Time
 }
 
 type escrowKey struct {
 	Owner    Address
 	Sequence uint32
-}
-
-// EscrowEntry returns a pending escrow, or nil.
-func (s *State) EscrowEntry(owner Address, seq uint32) *Escrow {
-	return s.escrows[escrowKey{owner, seq}]
 }
 
 func (s *State) applyEscrowCreate(tx *Transaction, acct *Account) ResultCode {
@@ -42,7 +36,6 @@ func (s *State) applyEscrowCreate(tx *Transaction, acct *Account) ResultCode {
 		Destination: tx.Destination,
 		Amount:      tx.Amount.Value,
 		FinishAfter: tx.FinishAfter,
-		CancelAfter: tx.CancelAfter,
 	}
 	return TesSUCCESS
 }
@@ -63,23 +56,6 @@ func (s *State) applyEscrowFinish(tx *Transaction, now time.Time) ResultCode {
 		s.accounts[e.Destination] = dest
 	}
 	dest.Balance += e.Amount
-	s.decOwner(e.Owner)
-	delete(s.escrows, k)
-	return TesSUCCESS
-}
-
-func (s *State) applyEscrowCancel(tx *Transaction, now time.Time) ResultCode {
-	k := escrowKey{tx.Owner, tx.OfferSequence}
-	e := s.escrows[k]
-	if e == nil {
-		return TecNO_ENTRY
-	}
-	if e.CancelAfter.IsZero() || now.Before(e.CancelAfter) {
-		return TecNO_PERMISSION
-	}
-	if owner := s.accounts[e.Owner]; owner != nil {
-		owner.Balance += e.Amount
-	}
 	s.decOwner(e.Owner)
 	delete(s.escrows, k)
 	return TesSUCCESS

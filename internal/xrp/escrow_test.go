@@ -36,29 +36,8 @@ func TestEscrowLifecycle(t *testing.T) {
 		t.Fatalf("market balance = %d", got)
 	}
 	// The entry is gone.
-	if s.EscrowEntry(a["ripple"], tx.Sequence) != nil {
+	if s.escrows[escrowKey{a["ripple"], tx.Sequence}] != nil {
 		t.Fatal("escrow entry persisted")
-	}
-}
-
-func TestEscrowCancelReturnsFunds(t *testing.T) {
-	s, a := fixture(t, "ripple", "market")
-	cfg := DefaultConfig(1000)
-	cancel := s.Now().Add(1 * cfg.CloseInterval)
-	led := submitAndClose(s, Transaction{
-		Type: TxEscrowCreate, Account: a["ripple"], Destination: a["market"],
-		Amount: XRP(500), CancelAfter: cancel,
-	})
-	seq := led.Transactions[0].Sequence
-	s.CloseLedger()
-	led = submitAndClose(s, Transaction{
-		Type: TxEscrowCancel, Account: a["ripple"], Owner: a["ripple"], OfferSequence: seq,
-	})
-	if code := led.Transactions[0].Result; !code.Success() {
-		t.Fatalf("cancel: %s", code)
-	}
-	if got := s.GetAccount(a["ripple"]).Balance; got != 10_000*DropsPerXRP-2*10 {
-		t.Fatalf("funds not returned: %d", got)
 	}
 }
 

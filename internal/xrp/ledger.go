@@ -9,16 +9,18 @@ import (
 // Config parameterizes the simulated XRP Ledger. TimeScale dilates the
 // ~3.9-second close interval like the other chain simulators.
 type Config struct {
-	Seed          int64
 	Start         time.Time
 	CloseInterval time.Duration
-	// BaseFee is the reference transaction cost in drops.
-	BaseFee int64
-	// BaseReserve and OwnerReserve are the account reserves in drops
-	// (20 XRP and 5 XRP at the paper's observation time).
-	BaseReserve  int64
-	OwnerReserve int64
 }
+
+// baseFee is the reference transaction cost in drops. baseReserve and
+// ownerReserve are the account reserves in drops (20 XRP and 5 XRP at the
+// paper's observation time).
+const (
+	baseFee      = 10
+	baseReserve  = 20 * DropsPerXRP
+	ownerReserve = 5 * DropsPerXRP
+)
 
 // DefaultConfig returns main-net-shaped parameters at the given time scale.
 func DefaultConfig(timeScale int64) Config {
@@ -26,12 +28,8 @@ func DefaultConfig(timeScale int64) Config {
 		timeScale = 1
 	}
 	return Config{
-		Seed:          3,
 		Start:         chain.ObservationStart,
 		CloseInterval: time.Duration(timeScale) * 3900 * time.Millisecond,
-		BaseFee:       10,
-		BaseReserve:   20 * DropsPerXRP,
-		OwnerReserve:  5 * DropsPerXRP,
 	}
 }
 
@@ -47,13 +45,10 @@ type Account struct {
 	OwnerCount int
 	// RequireDestTag mirrors the asfRequireDest flag large exchanges set.
 	RequireDestTag bool
-	RegularKey     Address
-	SignerQuorum   int
 }
 
 // State is the mutable XRP Ledger, accumulating closed ledger versions.
 type State struct {
-	cfg      Config
 	clock    *chain.Clock
 	accounts map[Address]*Account
 	lines    map[lineKey]*TrustLine
@@ -70,25 +65,10 @@ type State struct {
 	NotIncluded int64
 }
 
-// New creates an empty ledger chain; Genesis accounts are created with Fund.
+// New creates an empty ledger chain from a DefaultConfig; Genesis accounts
+// are created with Fund.
 func New(cfg Config) *State {
-	if cfg.CloseInterval <= 0 {
-		cfg.CloseInterval = 3900 * time.Millisecond
-	}
-	if cfg.Start.IsZero() {
-		cfg.Start = chain.ObservationStart
-	}
-	if cfg.BaseFee <= 0 {
-		cfg.BaseFee = 10
-	}
-	if cfg.BaseReserve <= 0 {
-		cfg.BaseReserve = 20 * DropsPerXRP
-	}
-	if cfg.OwnerReserve <= 0 {
-		cfg.OwnerReserve = 5 * DropsPerXRP
-	}
 	return &State{
-		cfg:      cfg,
 		clock:    chain.NewClock(cfg.Start, cfg.CloseInterval),
 		accounts: make(map[Address]*Account),
 		lines:    make(map[lineKey]*TrustLine),
@@ -132,7 +112,7 @@ func (s *State) Exchanges() []Exchange { return s.exchanges }
 
 // reserve returns the drops an account cannot spend.
 func (s *State) reserve(a *Account) int64 {
-	return s.cfg.BaseReserve + int64(a.OwnerCount)*s.cfg.OwnerReserve
+	return baseReserve + int64(a.OwnerCount)*ownerReserve
 }
 
 // Spendable returns the drops available above the reserve.
@@ -149,9 +129,6 @@ func (s *State) Spendable(a *Account) int64 {
 func (s *State) Submit(tx Transaction) {
 	s.pending = append(s.pending, &tx)
 }
-
-// PendingCount returns the queue length.
-func (s *State) PendingCount() int { return len(s.pending) }
 
 // CloseLedger applies every pending transaction, closes a ledger version and
 // advances the clock. Transactions with tec-class failures are recorded in
@@ -188,7 +165,7 @@ func (s *State) apply(tx *Transaction, now time.Time) ResultCode {
 		return TerNO_ACCOUNT
 	}
 	if tx.Fee <= 0 {
-		tx.Fee = s.cfg.BaseFee
+		tx.Fee = baseFee
 	}
 	// The fee is burned no matter what happens next.
 	fee := tx.Fee
@@ -221,18 +198,13 @@ func (s *State) apply(tx *Transaction, now time.Time) ResultCode {
 			acct.RequireDestTag = false
 		}
 		return TesSUCCESS
-	case TxSetRegularKey:
-		acct.RegularKey = tx.Destination
-		return TesSUCCESS
-	case TxSignerListSet:
-		acct.SignerQuorum = int(tx.DestinationTag)
+	case TxSetRegularKey, TxSignerListSet:
+		// Key and signer-list bookkeeping: no measurement reads it.
 		return TesSUCCESS
 	case TxEscrowCreate:
 		return s.applyEscrowCreate(tx, acct)
 	case TxEscrowFinish:
 		return s.applyEscrowFinish(tx, now)
-	case TxEscrowCancel:
-		return s.applyEscrowCancel(tx, now)
 	case TxPaymentChannelCreate, TxPaymentChannelClaim:
 		// Channels appear a handful of times in the dataset; accept them
 		// without modelling channel state.
@@ -261,7 +233,7 @@ func (s *State) applyPayment(tx *Transaction, sender *Account, now time.Time) Re
 	if tx.Amount.IsNative() {
 		if dest == nil {
 			// Activating payment: must fund at least the base reserve.
-			if tx.Amount.Value < s.cfg.BaseReserve {
+			if tx.Amount.Value < baseReserve {
 				return TecNO_DST
 			}
 			if s.Spendable(sender) < tx.Amount.Value {

@@ -49,7 +49,7 @@ func TestCrossCurrencyPaymentDelivers(t *testing.T) {
 		t.Fatalf("sender XRP = %d, want %d", got, wantBalance)
 	}
 	// The maker's offer shrank and an exchange was recorded.
-	offers := s.BookOffers(AssetKey{"USD", gw}, AssetKey{Currency: "XRP"})
+	offers := bookOffers(s, AssetKey{"USD", gw}, AssetKey{Currency: "XRP"})
 	if len(offers) != 1 || offers[0].TakerGets.Value != 60*DropsPerXRP {
 		t.Fatalf("residual offer: %+v", offers)
 	}

@@ -41,7 +41,7 @@ func TestOrderBookInvariantsProperty(t *testing.T) {
 				s.Submit(Transaction{Type: TxOfferCancel, Account: trader, OfferSequence: op % 50})
 			default: // IOU payment
 				s.Submit(Transaction{Type: TxPayment, Account: trader,
-					Destination: traders[(op+1)%3], Amount: IOURaw("USD", gw, amount)})
+					Destination: traders[(op+1)%3], Amount: iouRaw("USD", gw, amount)})
 			}
 			if op%7 == 0 {
 				s.CloseLedger()

@@ -1,7 +1,5 @@
 package xrp
 
-import "sort"
-
 // TrustLine records that holder trusts issuer for up to Limit of Currency,
 // and how much of the issuer's IOU the holder currently has. The paper's
 // §2.4 explains the IOU mechanism: paying "10 BTC" on the XRP ledger merely
@@ -25,35 +23,12 @@ func (s *State) line(holder, issuer Address, currency string) *TrustLine {
 	return s.lines[lineKey{holder, issuer, currency}]
 }
 
-// Line exposes trust-line lookup for analysis and tests.
-func (s *State) Line(holder, issuer Address, currency string) *TrustLine {
-	return s.line(holder, issuer, currency)
-}
-
 // IOUBalance returns how much of issuer's currency the holder has.
 func (s *State) IOUBalance(holder, issuer Address, currency string) int64 {
 	if l := s.line(holder, issuer, currency); l != nil {
 		return l.Balance
 	}
 	return 0
-}
-
-// LinesOf returns every trust line held by holder, sorted for stable API
-// output (issuer, then currency).
-func (s *State) LinesOf(holder Address) []*TrustLine {
-	var out []*TrustLine
-	for k, l := range s.lines {
-		if k.Holder == holder {
-			out = append(out, l)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Issuer != out[j].Issuer {
-			return out[i].Issuer < out[j].Issuer
-		}
-		return out[i].Currency < out[j].Currency
-	})
-	return out
 }
 
 // applyTrustSet creates or updates a trust line from the sender to the
@@ -73,7 +48,7 @@ func (s *State) applyTrustSet(tx *Transaction, acct *Account) ResultCode {
 		if s.Spendable(acct) < 0 { // Spendable already clamps; check raw
 			return TecUNFUNDED_PAYMENT
 		}
-		if acct.Balance < s.reserve(acct)+s.cfg.OwnerReserve {
+		if acct.Balance < s.reserve(acct)+ownerReserve {
 			return TecUNFUNDED_PAYMENT
 		}
 		l = &TrustLine{Holder: tx.Account, Issuer: la.Issuer, Currency: la.Currency}

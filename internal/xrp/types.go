@@ -26,7 +26,6 @@ const (
 	TxSetRegularKey        TxType = "SetRegularKey"
 	TxEscrowCreate         TxType = "EscrowCreate"
 	TxEscrowFinish         TxType = "EscrowFinish"
-	TxEscrowCancel         TxType = "EscrowCancel"
 	TxPaymentChannelCreate TxType = "PaymentChannelCreate"
 	TxPaymentChannelClaim  TxType = "PaymentChannelClaim"
 	TxEnableAmendment      TxType = "EnableAmendment"
@@ -96,7 +95,6 @@ type Transaction struct {
 
 	// Escrow fields.
 	FinishAfter time.Time `json:"FinishAfter,omitempty"`
-	CancelAfter time.Time `json:"CancelAfter,omitempty"`
 	Owner       Address   `json:"Owner,omitempty"`
 
 	// Result is assigned when the transaction is applied.
