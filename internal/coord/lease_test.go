@@ -149,6 +149,73 @@ func TestLeaseLostRace(t *testing.T) {
 	}
 }
 
+// rivalStore runs a rival's write between one of our Puts and the read-back
+// that follows it: on a store without compare-and-swap, only the nonce
+// read-back can tell that the rival's write, not ours, survived.
+type rivalStore struct {
+	blobstore.Store
+	rival func() // run once, right after the next Put
+}
+
+func (s *rivalStore) Put(ctx context.Context, key string, data []byte) error {
+	if err := s.Store.Put(ctx, key, data); err != nil {
+		return err
+	}
+	if r := s.rival; r != nil {
+		s.rival = nil
+		r()
+	}
+	return nil
+}
+
+// TestLeaseReadBackSeesARivalWrite: two claimants that both read an expired
+// lease both write, and the one whose write lands second owns it. The
+// first must learn that from its read-back — Claim with *ErrHeld, Renew
+// with *ErrLost — and never go on as the holder.
+func TestLeaseReadBackSeesARivalWrite(t *testing.T) {
+	ctx := context.Background()
+	base := blobstore.NewMemory()
+	store := &rivalStore{Store: base}
+	clk := &fakeClock{t: time.Unix(1000, 0)}
+	alpha := newTestLeases(store, "alpha", clk)
+	beta := newTestLeases(base, "beta", clk)
+	gamma := newTestLeases(base, "gamma", clk)
+	rivalWrite := func(task string, attempt int) func() {
+		return func() {
+			rec := LeaseRecord{Version: leaseVersion, Task: task, Owner: "beta", Nonce: "beta-rival",
+				Attempt: attempt, Deadline: clk.t.Add(time.Minute)}
+			if err := beta.write(ctx, task, rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	// Claim: gamma's lease has expired; alpha and beta both reclaim it at
+	// attempt 2, and beta's write lands last.
+	if _, err := gamma.Claim(ctx, "claim"); err != nil {
+		t.Fatal(err)
+	}
+	clk.t = clk.t.Add(2 * time.Minute)
+	store.rival = rivalWrite("claim", 2)
+	var held *ErrHeld
+	if rec, err := alpha.Claim(ctx, "claim"); !errors.As(err, &held) || held.Owner != "beta" {
+		t.Fatalf("claim overwritten by a rival: got %+v, %v; want *ErrHeld naming beta", rec, err)
+	}
+
+	// Renew: alpha renews after its own deadline passed, and beta's reclaim
+	// lands between alpha's write and its read-back.
+	rec, err := alpha.Claim(ctx, "renew")
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk.t = clk.t.Add(2 * time.Minute)
+	store.rival = rivalWrite("renew", rec.Attempt+1)
+	var lost *ErrLost
+	if err := alpha.Renew(ctx, &rec); !errors.As(err, &lost) || lost.Owner != "beta" {
+		t.Fatalf("renew overwritten by a rival: %v, want *ErrLost naming beta", err)
+	}
+}
+
 // FuzzLeaseRecord: whatever a store hands back under a lease key, Holder and
 // Claim never panic. A record that does not decode, or whose version is newer
 // than this binary's, is refused loudly by key and left as it was — never
