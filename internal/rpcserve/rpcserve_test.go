@@ -163,6 +163,15 @@ func TestXRPServerCommands(t *testing.T) {
 		t.Fatalf("missing ledger: %+v", resp)
 	}
 
+	// An id the ledger encoder does not render gets invalidParams, with the
+	// id echoed.
+	if err := conn.WriteMessage(wsrpc.OpText, []byte(`{"command":"ledger","id":1.5,"ledger_index":1}`)); err != nil {
+		t.Fatal(err)
+	}
+	if _, msg, err := conn.ReadMessage(); err != nil || string(msg) != `{"id":1.5,"status":"error","type":"response","error":"invalidParams"}` {
+		t.Fatalf("id 1.5: %s, %v", msg, err)
+	}
+
 	// "validated" resolves to the head; expanded transactions decode.
 	conn.WriteJSON(map[string]any{
 		"id": 3, "command": "ledger", "ledger_index": "validated",
@@ -199,53 +208,6 @@ func TestEOSWireBlockShapes(t *testing.T) {
 	}
 	if _, err := time.Parse("2006-01-02T15:04:05.000", j.Timestamp); err != nil {
 		t.Fatalf("timestamp format: %v", err)
-	}
-}
-
-// TestXRPLedgerRefusedID: a ledger request whose id the encoder does not
-// render (here 1.5) is answered with an invalidParams envelope carrying
-// that id, and the connection goes on serving ledgers.
-func TestXRPLedgerRefusedID(t *testing.T) {
-	s := xrp.New(xrp.DefaultConfig(1000))
-	a, b := xrp.NewAddress("a"), xrp.NewAddress("b")
-	s.Fund(a, 1000*xrp.DropsPerXRP)
-	s.Fund(b, 1000*xrp.DropsPerXRP)
-	s.Submit(xrp.Transaction{Type: xrp.TxPayment, Account: a, Destination: b, Amount: xrp.XRP(1)})
-	s.CloseLedger()
-	srv := httptest.NewServer(NewXRPServer(s))
-	defer srv.Close()
-	conn, err := wsrpc.Dial("ws" + strings.TrimPrefix(srv.URL, "http"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-
-	if err := conn.WriteMessage(wsrpc.OpText, []byte(`{"command":"ledger","id":1.5,"ledger_index":1}`)); err != nil {
-		t.Fatal(err)
-	}
-	_, msg, err := conn.ReadMessage()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := `{"id":1.5,"status":"error","type":"response","error":"invalidParams"}`; string(msg) != want {
-		t.Fatalf("id 1.5 answered %s, want %s", msg, want)
-	}
-
-	if err := conn.WriteMessage(wsrpc.OpText, []byte(`{"command":"ledger","expand":true,"id":2,"ledger_index":1,"transactions":true}`)); err != nil {
-		t.Fatal(err)
-	}
-	var full struct {
-		ID     int    `json:"id"`
-		Status string `json:"status"`
-		Result struct {
-			Ledger wire.XRPLedgerJSON `json:"ledger"`
-		} `json:"result"`
-	}
-	if err := conn.ReadJSON(&full); err != nil {
-		t.Fatal(err)
-	}
-	if full.ID != 2 || full.Status != "success" || full.Result.Ledger.LedgerIndex != 1 || len(full.Result.Ledger.Transactions) != 1 {
-		t.Fatalf("ledger after a refused id: %+v", full)
 	}
 }
 
