@@ -178,9 +178,8 @@ func (p Paper) Figure3() string {
 	sb.WriteString("Figure 3 — Throughput across time (one char per bucket, height ∝ count)\n")
 	panel := func(title string, ts *stats.TimeSeries, width int) {
 		sb.WriteString(title)
-		rows := ts.Rows()
 		for _, label := range ts.Labels() {
-			fmt.Fprintf(&sb, "  %-*s |%s| total %d\n", width, label, stats.Sparkline(rows, label), ts.Total(label))
+			fmt.Fprintf(&sb, "  %-*s |%s| total %d\n", width, label, ts.Sparkline(label), ts.Total(label))
 		}
 	}
 	if p.EOS != nil {

@@ -3,11 +3,13 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/chain"
+	"repro/internal/stats"
 	"repro/internal/wire"
 )
 
@@ -156,15 +158,17 @@ func TestTezosVoteSeries(t *testing.T) {
 	if got := ballots.Total("pass"); got != 100 {
 		t.Fatalf("pass rolls = %d", got)
 	}
-	if got := ballots.Value(3, "yay"); got != 800 {
-		t.Fatalf("day-3 yay = %d", got)
+	if got := ballots.AppendEntries(nil); !slices.Equal(got, []stats.Entry{
+		{Bucket: 0, Label: "pass", Count: 100}, {Bucket: 0, Label: "yay", Count: 500}, {Bucket: 3, Label: "yay", Count: 800},
+	}) {
+		t.Fatalf("ballot cells by day = %+v", got)
 	}
 	proposals := a.VoteSeries("proposals", day)
 	if got := proposals.Total("PsCarthage"); got != 700 {
 		t.Fatalf("proposal rolls = %d", got)
 	}
 	// Unknown kind yields an empty series.
-	if empty := a.VoteSeries("nonsense", day); empty.TotalAll() != 0 {
+	if empty := a.VoteSeries("nonsense", day); empty.MaxBucket() != -1 {
 		t.Fatal("nonsense series not empty")
 	}
 }

@@ -457,20 +457,27 @@ func (a *XRPShard) IssuerRates(currency string) []IssuerRate {
 	return out
 }
 
+// RatePoint is one fill in an asset's rate series: when it happened and
+// the rate against XRP in thousandths of an XRP.
+type RatePoint struct {
+	Time       time.Time
+	RateMillis int64
+}
+
 // RateSeries returns the chronological rates of one asset against XRP
 // (Figure 11b: the Myrone BTC IOU collapsing from 30,500 to 0.1), fills at
 // one instant ordered by rate.
-func (a *XRPShard) RateSeries(key XRPAssetKey) []stats.Row {
-	var rows []stats.Row
+func (a *XRPShard) RateSeries(key XRPAssetKey) []RatePoint {
+	var pts []RatePoint
 	for _, e := range a.exchanges {
 		if asset, rate, ok := e.xrpRate(); ok && asset == key {
-			rows = append(rows, stats.Row{Start: e.Time, Counts: map[string]int64{"rate_millis": int64(rate * 1000)}})
+			pts = append(pts, RatePoint{Time: e.Time, RateMillis: int64(rate * 1000)})
 		}
 	}
-	slices.SortFunc(rows, func(x, y stats.Row) int {
-		return cmp.Or(x.Start.Compare(y.Start), cmp.Compare(x.Counts["rate_millis"], y.Counts["rate_millis"]))
+	slices.SortFunc(pts, func(x, y RatePoint) int {
+		return cmp.Or(x.Time.Compare(y.Time), cmp.Compare(x.RateMillis, y.RateMillis))
 	})
-	return rows
+	return pts
 }
 
 // FlowEdge is one aggregated Figure 12 flow, denominated in XRP.

@@ -216,18 +216,18 @@ func TestXRPRateSeriesChronological(t *testing.T) {
 		{Time: jan, Base: key, Counter: xrpKey, BaseValue: 10 * xrpDropsPerXRP, CounterValue: 1 * xrpDropsPerXRP},
 		{Time: dec, Base: key, Counter: xrpKey, BaseValue: 1 * xrpDropsPerXRP, CounterValue: 30_500 * xrpDropsPerXRP},
 	})
-	rows := a.RateSeries(key)
-	if len(rows) != 2 {
-		t.Fatalf("rows: %d", len(rows))
+	pts := a.RateSeries(key)
+	if len(pts) != 2 {
+		t.Fatalf("points: %d", len(pts))
 	}
-	if !rows[0].Start.Equal(dec) {
+	if !pts[0].Time.Equal(dec) {
 		t.Fatal("series not chronological")
 	}
-	if rows[0].Counts["rate_millis"] != 30_500_000 {
-		t.Fatalf("first rate: %d", rows[0].Counts["rate_millis"])
+	if pts[0].RateMillis != 30_500_000 {
+		t.Fatalf("first rate: %d", pts[0].RateMillis)
 	}
-	if rows[1].Counts["rate_millis"] != 100 { // 0.1 XRP
-		t.Fatalf("collapsed rate: %d", rows[1].Counts["rate_millis"])
+	if pts[1].RateMillis != 100 { // 0.1 XRP
+		t.Fatalf("collapsed rate: %d", pts[1].RateMillis)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/stats"
 )
 
 // Paper is what core's shard-derived sections render from: the run's three
@@ -68,9 +67,8 @@ func Figure9(r *Result) string {
 	} {
 		sb.WriteString(panel.title)
 		votes := r.Gov.VoteSeries(panel.kind, day)
-		rows := votes.Rows()
 		for _, label := range votes.Labels() {
-			fmt.Fprintf(&sb, "  %-10s |%s| total %d rolls\n", label, stats.Sparkline(rows, label), votes.Total(label))
+			fmt.Fprintf(&sb, "  %-10s |%s| total %d rolls\n", label, votes.Sparkline(label), votes.Total(label))
 		}
 	}
 	return sb.String()
@@ -83,8 +81,8 @@ func Figure11b(r *Result) string {
 	sb.WriteString("Figure 11b — Same-issuer BTC IOU rate over time (Myrone):\n")
 	if r.XRPScenario != nil {
 		key := core.XRPAssetKey{Currency: "BTC", Issuer: string(r.XRPScenario.MyroneIssuer)}
-		for _, row := range r.XRP.RateSeries(key) {
-			fmt.Fprintf(&sb, "  %s  %10.1f XRP\n", row.Start.Format("2006-01-02"), float64(row.Counts["rate_millis"])/1000)
+		for _, pt := range r.XRP.RateSeries(key) {
+			fmt.Fprintf(&sb, "  %s  %10.1f XRP\n", pt.Time.Format("2006-01-02"), float64(pt.RateMillis)/1000)
 		}
 	}
 	sb.WriteString("  (paper: 30,500 XRP on 2019-12-14 collapsing to 0.1 within a month)\n")

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -156,6 +157,90 @@ func TestPublishDoesNoPerTradeWork(t *testing.T) {
 	few, many := allocs(10), allocs(1000)
 	if few != many {
 		t.Fatalf("Publish allocates %.1f times over 10 trades and %.1f over 1,000: it does per-trade work", few, many)
+	}
+}
+
+// TestPublishDoesNoPerBucketWork: a summary's bucket totals are summed in
+// place into one slice, so a publish costs the same however many 6 h
+// buckets the chain's blocks span. Two EOS kits holding the same 800
+// blocks, one inside a single bucket and one a bucket apart each, publish
+// with equal allocations.
+func TestPublishDoesNoPerBucketWork(t *testing.T) {
+	allocs := func(step time.Duration) float64 {
+		p, kit, _ := newEOSPublisher(t)
+		blocks := eosBlocks(800, 1)
+		base := time.Date(2019, time.October, 2, 0, 0, 0, 0, time.UTC)
+		for i, b := range blocks {
+			b.(*wire.EOSBlock).Timestamp = base.Add(time.Duration(i) * step).Format(wire.EOSTimestampLayout)
+		}
+		if err := kit.Decoder.IngestBatch(blocks); err != nil {
+			t.Fatal(err)
+		}
+		p.Publish()
+		return testing.AllocsPerRun(50, func() { p.Publish() })
+	}
+	one, many := allocs(time.Second), allocs(6*time.Hour)
+	if one != many {
+		t.Fatalf("Publish allocates %.1f times over 1 bucket and %.1f over 800: it does per-bucket work", one, many)
+	}
+}
+
+// TestPublishCarriesDrainedChainForward: once a snapshot shows a chain
+// drained, later publishes reuse its ChainStatus instead of calling its
+// summarize hook again, and serve the same bytes for it; a chain still
+// ingesting beside it is summarized on every publish.
+func TestPublishCarriesDrainedChainForward(t *testing.T) {
+	p := NewPublisher()
+	w := core.Window{Origin: chain.ObservationStart, Bucket: 6 * time.Hour}
+	calls := map[string]int{} // written only under the publisher's mutex
+	register := func(name string) (core.StatsKit, func()) {
+		kit, err := core.NewStatsKit(name, w.Origin, w.Bucket)
+		if err != nil {
+			t.Fatal(err)
+		}
+		release, err := p.Register(name, w, func() core.ChainSummary {
+			calls[name]++
+			return kit.Summarize()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return kit, release
+	}
+	eos, releaseEOS := register("eos")
+	_, releaseLive := register("tezos")
+	defer releaseLive()
+	if err := eos.Decoder.IngestBatch(eosBlocks(20, 1)); err != nil {
+		t.Fatal(err)
+	}
+	p.Publish()
+	releaseEOS() // marks eos drained and publishes
+	drained := p.Current()
+	if st := drained.Chains["eos"]; !st.Drained || st.Summary.Blocks != 20 {
+		t.Fatalf("released chain: drained %v, %d blocks", st.Drained, st.Summary.Blocks)
+	}
+	h := NewHandler(p)
+	figures := get(t, h, "/v1/figures").Body.String()
+	eosCalls, liveCalls := calls["eos"], calls["tezos"]
+	const later = 5
+	for range later {
+		p.Publish()
+	}
+	snap := p.Current()
+	if snap.Epoch != drained.Epoch+later {
+		t.Fatalf("epoch %d after %d publishes past %d", snap.Epoch, later, drained.Epoch)
+	}
+	if got := calls["eos"]; got != eosCalls {
+		t.Errorf("drained chain summarized %d more times", got-eosCalls)
+	}
+	if got := calls["tezos"]; got != liveCalls+later {
+		t.Errorf("live chain summarized %d times over %d publishes", got-liveCalls, later)
+	}
+	if !reflect.DeepEqual(snap.Chains["eos"], drained.Chains["eos"]) {
+		t.Errorf("drained chain's status changed:\n%+v\nthen\n%+v", drained.Chains["eos"], snap.Chains["eos"])
+	}
+	if got := get(t, h, "/v1/figures").Body.String(); got != figures {
+		t.Errorf("/v1/figures changed after the chain drained:\n%s\nthen\n%s", figures, got)
 	}
 }
 

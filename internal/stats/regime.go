@@ -54,16 +54,17 @@ func DetectRegimeShift(values []int64, minSegment int) (RegimeShift, bool) {
 	return best, true
 }
 
-// TotalValues extracts per-bucket totals across all labels.
+// TotalValues returns each bucket's total across all labels, buckets 0
+// through ts.MaxBucket() in order, with zeros for the gap buckets between
+// populated ones (an empty series gives an empty slice). It sums the
+// buckets in place into the one slice it returns, so a summary costs one
+// allocation here however many buckets the series spans.
 func TotalValues(ts *TimeSeries) []int64 {
-	rows := ts.Rows()
-	out := make([]int64, len(rows))
-	for i, row := range rows {
-		var t int64
-		for _, v := range row.Counts {
-			t += v
+	out := make([]int64, ts.MaxBucket()+1)
+	for i, b := range ts.buckets {
+		for _, v := range b {
+			out[i] += v
 		}
-		out[i] = t
 	}
 	return out
 }

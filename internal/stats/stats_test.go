@@ -2,7 +2,10 @@ package stats
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"math/rand/v2"
+	"slices"
 	"testing"
 	"time"
 )
@@ -16,36 +19,91 @@ func TestTimeSeriesBucketing(t *testing.T) {
 	s.Add(origin.Add(6*time.Hour), "tx", 1)
 	s.Add(origin.Add(30*time.Hour), "endorsement", 4)
 
-	if got := s.Value(0, "tx"); got != 2 {
-		t.Fatalf("bucket 0 tx = %d, want 2", got)
-	}
-	if got := s.Value(1, "tx"); got != 1 {
-		t.Fatalf("bucket 1 tx = %d, want 1", got)
-	}
-	if got := s.Value(5, "endorsement"); got != 4 {
-		t.Fatalf("bucket 5 endorsement = %d, want 4", got)
+	want := []Entry{{Bucket: 0, Label: "tx", Count: 2}, {Bucket: 1, Label: "tx", Count: 1}, {Bucket: 5, Label: "endorsement", Count: 4}}
+	if got := s.AppendEntries(nil); !slices.Equal(got, want) {
+		t.Fatalf("cells = %+v, want %+v", got, want)
 	}
 	if got := s.Total("tx"); got != 3 {
 		t.Fatalf("total tx = %d", got)
 	}
-	if got := s.TotalAll(); got != 7 {
-		t.Fatalf("total all = %d", got)
+	if got := TotalValues(s); !slices.Equal(got, []int64{2, 1, 0, 0, 0, 4}) {
+		t.Fatalf("bucket totals = %v", got)
 	}
 }
 
-func TestTimeSeriesRowsContinuous(t *testing.T) {
+// TestSparklineContinuousAxis: a sparkline draws one mark per bucket from 0
+// to the last populated one, gaps and buckets the label never reached as
+// the lowest mark, its peak as the highest.
+func TestSparklineContinuousAxis(t *testing.T) {
 	s := NewTimeSeries(origin, time.Hour)
+	if got := s.Sparkline("a"); got != "(empty)" {
+		t.Fatalf("empty series drew %q", got)
+	}
 	s.Add(origin, "a", 1)
-	s.Add(origin.Add(4*time.Hour), "a", 1)
-	rows := s.Rows()
-	if len(rows) != 5 {
-		t.Fatalf("rows = %d, want 5 (continuous axis)", len(rows))
+	s.Add(origin.Add(4*time.Hour), "a", 9)
+	s.Add(origin.Add(2*time.Hour), "b", 3)
+	s.Add(origin.Add(3*time.Hour), "b", -3)
+	for label, want := range map[string]string{
+		"a":    ".   @",
+		"b":    "  @  ", // a negative count clamps to the lowest mark
+		"none": "     ",
+	} {
+		if got := s.Sparkline(label); got != want {
+			t.Errorf("Sparkline(%q) = %q, want %q", label, got, want)
+		}
 	}
-	if rows[2].Counts["a"] != 0 {
-		t.Fatal("gap bucket should be zero")
+	if !s.BucketStart(4).Equal(origin.Add(4 * time.Hour)) {
+		t.Fatalf("bucket 4 starts %v", s.BucketStart(4))
 	}
-	if !rows[4].Start.Equal(origin.Add(4 * time.Hour)) {
-		t.Fatalf("row 4 start %v", rows[4].Start)
+}
+
+// TestTotalValuesMatchesDenseSum: over random series — empty, bucket 0
+// only, gapped, and with pre-origin adds that clamp to bucket 0 — the
+// totals equal a dense walk over every add, and computing them takes one
+// allocation however many buckets the series spans.
+func TestTotalValuesMatchesDenseSum(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	for trial := range 200 {
+		s := NewTimeSeries(origin, time.Hour)
+		sums := map[int]int64{}
+		last := -1
+		var adds, spread, below int
+		switch trial % 4 {
+		case 0: // empty
+		case 1: // bucket 0 only
+			adds, spread = 1+rng.IntN(20), 1
+		case 2: // gapped
+			adds, spread = 1+rng.IntN(20), 1+rng.IntN(100)
+		case 3: // pre-origin adds clamp to bucket 0
+			adds, spread, below = 1+rng.IntN(20), 1+rng.IntN(20), 3
+		}
+		for range adds {
+			b := rng.IntN(spread+below) - below
+			n := rng.Int64N(1000) - 100
+			s.Add(origin.Add(time.Duration(b)*time.Hour+time.Duration(rng.Int64N(int64(time.Hour)))), fmt.Sprint("l", rng.IntN(3)), n)
+			sums[max(b, 0)] += n
+			last = max(last, b, 0)
+		}
+		want := make([]int64, last+1)
+		for i := range want {
+			want[i] = sums[i]
+		}
+		if got := TotalValues(s); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: TotalValues = %v, want %v", trial, got, want)
+		}
+	}
+	if raceEnabled {
+		return // the race detector's instrumentation allocates
+	}
+	for _, buckets := range []int{1, 1_000} {
+		s := NewTimeSeries(origin, time.Hour)
+		for i := range buckets {
+			s.Add(origin.Add(time.Duration(i)*time.Hour), "a", 1)
+			s.Add(origin.Add(time.Duration(i)*time.Hour), "b", 2)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { TotalValues(s) }); allocs != 1 {
+			t.Errorf("TotalValues over %d buckets: %.1f allocs, want 1", buckets, allocs)
+		}
 	}
 }
 
@@ -189,14 +247,9 @@ func TestTimeSeriesMerge(t *testing.T) {
 	b.Add(origin.Add(time.Hour), "other", 5)
 
 	a.Merge(b)
-	if got := a.Value(0, "tx"); got != 5 {
-		t.Fatalf("bucket 0 tx = %d, want 5", got)
-	}
-	if got := a.Value(1, "other"); got != 5 {
-		t.Fatalf("bucket 1 other = %d, want 5", got)
-	}
-	if got := a.Value(2, "tx"); got != 1 {
-		t.Fatalf("bucket 2 tx = %d, want 1", got)
+	want := []Entry{{Bucket: 0, Label: "tx", Count: 5}, {Bucket: 1, Label: "other", Count: 5}, {Bucket: 2, Label: "tx", Count: 1}}
+	if got := a.AppendEntries(nil); !slices.Equal(got, want) {
+		t.Fatalf("merged cells = %+v, want %+v", got, want)
 	}
 	if labels := a.Labels(); len(labels) != 2 || labels[0] != "other" || labels[1] != "tx" {
 		t.Fatalf("merged labels: %v", labels)
@@ -209,9 +262,8 @@ func TestTimeSeriesMerge(t *testing.T) {
 	d.Add(origin, "tx", 3)
 	d.Add(origin.Add(2*time.Hour), "tx", 1)
 	c.Merge(d)
-	if c.TotalAll() != a.TotalAll() || c.Total("tx") != a.Total("tx") {
-		t.Fatalf("merge order changed totals: %d/%d vs %d/%d",
-			c.TotalAll(), c.Total("tx"), a.TotalAll(), a.Total("tx"))
+	if got := c.AppendEntries(nil); !slices.Equal(got, want) {
+		t.Fatalf("merge order changed the cells: %+v vs %+v", got, want)
 	}
 }
 

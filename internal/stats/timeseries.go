@@ -129,27 +129,11 @@ func (s *TimeSeries) MaxBucket() int {
 	return max
 }
 
-// Value returns label's count in bucket i.
-func (s *TimeSeries) Value(i int, label string) int64 {
-	return s.buckets[i][label]
-}
-
 // Total returns the sum of label across all buckets.
 func (s *TimeSeries) Total(label string) int64 {
 	var t int64
 	for _, b := range s.buckets {
 		t += b[label]
-	}
-	return t
-}
-
-// TotalAll returns the sum of every label across all buckets.
-func (s *TimeSeries) TotalAll() int64 {
-	var t int64
-	for _, b := range s.buckets {
-		for _, v := range b {
-			t += v
-		}
 	}
 	return t
 }
@@ -191,47 +175,25 @@ func (s *TimeSeries) AppendEntries(dst []Entry) []Entry {
 	return dst
 }
 
-// Row is one rendered bucket of a time series.
-type Row struct {
-	Start  time.Time
-	Counts map[string]int64
-}
-
-// Rows materializes the series in chronological order, including empty
-// buckets between populated ones so plots have a continuous x-axis.
-func (s *TimeSeries) Rows() []Row {
-	max := s.MaxBucket()
-	if max < 0 {
-		return nil
-	}
-	labels := s.Labels()
-	rows := make([]Row, max+1)
-	for i := 0; i <= max; i++ {
-		counts := make(map[string]int64, len(labels))
-		for _, l := range labels {
-			counts[l] = s.buckets[i][l]
-		}
-		rows[i] = Row{Start: s.BucketStart(i), Counts: counts}
-	}
-	return rows
-}
-
-// Sparkline renders label's count in each of rows as one character, its
-// height proportional to the count ("(empty)" for no rows).
-func Sparkline(rows []Row, label string) string {
-	if len(rows) == 0 {
+// Sparkline renders label's count in each bucket 0..MaxBucket() as one
+// character, its height proportional to the count, so a gap bucket draws
+// as the lowest mark ("(empty)" for an empty series). It reads the buckets
+// in place: one pass for the peak, one to draw.
+func (s *TimeSeries) Sparkline(label string) string {
+	n := s.MaxBucket() + 1
+	if n == 0 {
 		return "(empty)"
 	}
 	var peak int64 = 1
-	for _, row := range rows {
-		peak = max(peak, row.Counts[label])
+	for i := range n {
+		peak = max(peak, s.buckets[i][label])
 	}
 	marks := []rune(" .:-=+*#%@")
-	line := make([]rune, len(rows))
-	for i, row := range rows {
+	line := make([]rune, n)
+	for i := range line {
 		// A negative count, or one whose scaling overflows, clamps to an end
 		// of the scale instead of indexing outside it.
-		line[i] = marks[min(max(row.Counts[label]*int64(len(marks)-1)/peak, 0), int64(len(marks)-1))]
+		line[i] = marks[min(max(s.buckets[i][label]*int64(len(marks)-1)/peak, 0), int64(len(marks)-1))]
 	}
 	return string(line)
 }
