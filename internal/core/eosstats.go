@@ -162,16 +162,16 @@ func mergeCounts[K comparable](dst, src map[K]int64) {
 	}
 }
 
-// mergeNested adds src's nested counters into dst.
+// mergeNested adds src's nested counters into dst, handing over each inner
+// map dst lacks instead of copying it: dst owns it afterwards, so src must
+// not be folded into again. Every shard merge ends by resetting its source
+// (*src = src.blank()), which is what makes the hand-over safe.
 func mergeNested(dst, src map[string]map[string]int64) {
 	for outer, m := range src {
-		d := dst[outer]
-		if d == nil {
-			d = make(map[string]int64, len(m))
-			dst[outer] = d
-		}
-		for inner, v := range m {
-			d[inner] += v
+		if d := dst[outer]; d != nil {
+			mergeCounts(d, m)
+		} else {
+			dst[outer] = m
 		}
 	}
 }
@@ -213,8 +213,10 @@ func (s *EOSShard) Merge(src ShardState) error {
 }
 
 // merge folds src into s. src must cover blocks disjoint from s's (each
-// block ingested into exactly one shard); afterwards src is reset so a
-// stale alias cannot double-merge it.
+// block ingested into exactly one shard). The inner count maps s lacks are
+// handed over, not copied (mergeNested), so src ends reset to a blank shard:
+// nothing it holds afterwards is shared with s, and a stale alias cannot
+// double-merge it.
 func (s *EOSShard) merge(src *EOSShard) {
 	s.Blocks += src.Blocks
 	s.Transactions += src.Transactions
@@ -240,14 +242,7 @@ func eosBlockTime(b *wire.EOSBlock) (time.Time, error) {
 // IngestBatch folds a batch of decoded blocks into a privately-owned shard
 // — no locking; the shard's owner is the only writer.
 func (s *EOSShard) IngestBatch(batch []any) error {
-	blocks, times, err := parseBatch(batch, "eos", eosBlockTime)
-	if err != nil {
-		return err
-	}
-	for i, b := range blocks {
-		s.ingest(b, times[i])
-	}
-	return nil
+	return ingestBatch(batch, "eos", eosBlockTime, s.ingest)
 }
 
 // ingest folds one block into the shard; the caller owns the shard. Every
@@ -328,9 +323,16 @@ func (a *EOSShard) ingest(b *wire.EOSBlock, ts time.Time) {
 		}
 		a.legScratch = transfersSeen
 	}
-	for l, n := range byLabel {
+	addLabels(a.Series, ts, eosLabels[:], byLabel[:])
+}
+
+// addLabels adds one block's per-label counts to a series at the block's
+// time: counts[i] is labels[i]'s, and a label the block did not reach adds
+// no cell.
+func addLabels(s *stats.TimeSeries, ts time.Time, labels []string, counts []int64) {
+	for i, n := range counts {
 		if n != 0 {
-			a.Series.Add(ts, eosLabels[l], n)
+			s.Add(ts, labels[i], n)
 		}
 	}
 }

@@ -86,6 +86,7 @@ func TestEOSIngestSteadyStateZeroAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { shard.ingest(block, ts) }); allocs != 0 {
 		t.Fatalf("EOSShard.ingest over a transfer block: %.1f allocs/block in steady state, want 0", allocs)
 	}
+	pinBatchZeroAllocs(t, shard, block)
 	if shard.boomerangs == 0 || shard.volume == 0 {
 		t.Fatalf("the block did not exercise the transfer path: %d boomerangs, EOS volume %d", shard.boomerangs, shard.volume)
 	}
@@ -174,6 +175,7 @@ func TestTezosIngestSteadyStateZeroAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { shard.ingest(block, ts) }); allocs != 0 {
 		t.Fatalf("TezosShard.ingest: %.1f allocs/block in steady state, want 0", allocs)
 	}
+	pinBatchZeroAllocs(t, shard, block)
 	if shard.sentTo["tz1alice"]["tz1bob"] == 0 || shard.OpsByKind["endorsement"] == 0 {
 		t.Fatalf("the block did not exercise the transaction path: %v", shard.OpsByKind)
 	}
@@ -204,11 +206,37 @@ func TestXRPIngestSteadyStateZeroAllocs(t *testing.T) {
 	const runs = 100
 	shard := newShard[*XRPShard]()
 	shard.ingest(ledger, ts)
-	shard.payments = slices.Grow(shard.payments, (runs+1)*3*8)
+	shard.payments = slices.Grow(shard.payments, (runs+1)*(1+batchBlocks)*3*8)
 	if allocs := testing.AllocsPerRun(runs, func() { shard.ingest(ledger, ts) }); allocs != 0 {
 		t.Fatalf("XRPShard.ingest: %.1f allocs/ledger in steady state, want 0", allocs)
 	}
+	pinBatchZeroAllocs(t, shard, ledger)
 	if shard.offersCreated == 0 || shard.byAccount["rHuobi"].DestTags[104398] == 0 {
 		t.Fatal("the ledger did not exercise the offer and destination-tag paths")
+	}
+	if tags := shard.byAccount["rAlice"].DestTags; tags != nil {
+		t.Fatalf("an account that never sent a tagged payment holds a tag map: %v", tags)
+	}
+}
+
+// batchBlocks is the batch pinBatchZeroAllocs folds: the ingest pool's
+// default.
+const batchBlocks = 16
+
+// pinBatchZeroAllocs pins IngestBatch of batchBlocks copies of a block
+// whose keys the shard holds at zero allocations: the batch's block times
+// parse onto the stack, and each block folds as ingest does.
+func pinBatchZeroAllocs(t *testing.T, shard ShardState, block any) {
+	t.Helper()
+	batch := make([]any, batchBlocks)
+	for i := range batch {
+		batch[i] = block
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := shard.IngestBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("%s IngestBatch of %d known blocks: %.1f allocs in steady state, want 0", shard.Chain(), batchBlocks, allocs)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -231,6 +232,48 @@ func projectAll[F, P any](full []*F, project func(*F, *P)) []*P {
 
 func genEOSBlocks(n int) []*wire.EOSBlock {
 	return projectAll(genEOSBlockJSONs(n), wire.ProjectEOSBlock)
+}
+
+// TestMergeHandsOverWithoutSharing: a merge hands the destination the
+// inner count maps and account aggregates it lacks instead of copying
+// them, which is safe only because it resets the source. Folding the same
+// blocks into the source again afterwards, over every key it handed over,
+// changes nothing the destination holds.
+func TestMergeHandsOverWithoutSharing(t *testing.T) {
+	for name, blocks := range map[string][]any{
+		"eos":   asBatch(genEOSBlocks(16)),
+		"tezos": asBatch(genTezosBlocks(16)),
+		"xrp":   asBatch(genXRPLedgers(16)),
+	} {
+		t.Run(name, func(t *testing.T) {
+			var states [2]ShardState
+			for i := range states {
+				st, err := NewShardState(name, chain.ObservationStart, 6*time.Hour)
+				if err != nil {
+					t.Fatal(err)
+				}
+				states[i] = st
+			}
+			dst, src := states[0], states[1]
+			// One block leaves dst lacking most of the keys src holds.
+			if err := dst.IngestBatch(blocks[:1]); err != nil {
+				t.Fatal(err)
+			}
+			if err := src.IngestBatch(blocks[1:]); err != nil {
+				t.Fatal(err)
+			}
+			if err := dst.Merge(src); err != nil {
+				t.Fatal(err)
+			}
+			want := dst.EncodeTo(nil, 0)
+			if err := src.IngestBatch(blocks[1:]); err != nil {
+				t.Fatal(err)
+			}
+			if got := dst.EncodeTo(nil, 0); !bytes.Equal(got, want) {
+				t.Fatal("folding into the merged source changed the destination")
+			}
+		})
+	}
 }
 
 func TestShardedEOSRenderByteIdentical(t *testing.T) {

@@ -131,11 +131,25 @@ func (x *shardEncoder) series(s *stats.TimeSeries) {
 	}
 }
 
-// decSeries reads cells written by series into s.
-func decSeries(d *wire.ShardDec, s *stats.TimeSeries) {
+// maxSeriesBuckets bounds the bucket span a decoded series may claim, so
+// the dense slices a summary and a sparkline make from it (8 and 4 bytes a
+// bucket) stay a few MiB whatever window the blob states: under a 1 ns
+// window the bucket of an ordinary last observed time is in the 10^17s.
+// A 6-hour series spans at most 427,007 buckets, where time.Duration
+// saturates at 292 years, so every series the fold can make at the
+// pipeline's 6- and 24-hour windows still decodes; the paper's seven months
+// are about 850.
+const maxSeriesBuckets = 1 << 19
+
+// decSeries reads cells written by series into s. The fold counts a block
+// into the bucket of the block's time, so no cell lies past the bucket of
+// the shard's last observed time (last), nor past maxSeriesBuckets: a blob
+// claiming one is corrupt, not a series to allocate for.
+func decSeries(d *wire.ShardDec, s *stats.TimeSeries, last time.Time) {
+	top := uint64(min(s.BucketIndex(last), maxSeriesBuckets-1))
 	n := d.Count()
 	for i := 0; i < n && d.Err() == nil; i++ {
-		bucket := d.Uvarint()
+		bucket := d.UvarintMax(top)
 		label := d.String()
 		count := d.Varint()
 		if d.Err() == nil {
@@ -251,7 +265,7 @@ func (s *EOSShard) decodeBody(d *wire.ShardDec) error {
 	s.Transactions = d.Varint()
 	s.Actions = d.Varint()
 	decCountMap(d, s.ActionsByName)
-	decSeries(d, s.Series)
+	decSeries(d, s.Series, last)
 	decNested(d, s.ReceivedByContract)
 	decNested(d, s.SentPairs)
 	n := d.Count()
@@ -312,7 +326,7 @@ func (s *TezosShard) decodeBody(d *wire.ShardDec) error {
 	s.Blocks = d.Varint()
 	s.Operations = d.Varint()
 	decCountMap(d, s.OpsByKind)
-	decSeries(d, s.Series)
+	decSeries(d, s.Series, last)
 	decNested(d, s.sentTo)
 	n := d.Count()
 	s.Votes = make([]GovernanceVote, 0, capHint(d, n, 5))
@@ -401,7 +415,7 @@ func (s *XRPShard) decodeBody(d *wire.ShardDec) error {
 	s.Transactions = d.Varint()
 	s.Failed = d.Varint()
 	decCountMap(d, s.TxByType)
-	decSeries(d, s.Series)
+	decSeries(d, s.Series, last)
 	// Every collection below is sized once from the count just read —
 	// capHint bounds it by what the rest of the blob could hold — instead
 	// of growing from empty as elements arrive.
@@ -411,7 +425,9 @@ func (s *XRPShard) decodeBody(d *wire.ShardDec) error {
 		addr := d.String()
 		agg := &xrpAccountAgg{Total: d.Varint(), Offers: d.Varint()}
 		tn := d.Count()
-		agg.DestTags = make(map[uint32]int64, capHint(d, tn, 2))
+		if tn > 0 {
+			agg.DestTags = make(map[uint32]int64, capHint(d, tn, 2))
+		}
 		for j := 0; j < tn && d.Err() == nil; j++ {
 			tag := uint32(d.UvarintMax(math.MaxUint32))
 			count := d.Varint()

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -227,15 +228,19 @@ func TestShardDecodeRejectsDamage(t *testing.T) {
 // narrower integer than the wire's uvarint — an XRP destination tag, an
 // executed offer's sequence, an exchange's maker sequence, an EOS trade's
 // precision — is corrupt when the blob carries a value past that type, and
-// is never wrapped into it. Each case takes a valid blob, swaps the field's
-// encoded value for one past its type and re-seals the body with a valid
-// checksum.
+// is never wrapped into it. So is a series cell the fold cannot have made:
+// one past the bucket of the shard's last observed time, or one past
+// maxSeriesBuckets however narrow the window (a summary of a cell at
+// bucket 1<<40 would ask for 8 TiB). Each case takes a valid blob, swaps
+// the field's encoded value for one past its bound and re-seals the body
+// with a valid checksum.
 func TestShardDecodeRefusesOutOfRangeValues(t *testing.T) {
 	const (
 		tag      = 0x0FEDCBA9
 		offerSeq = 0x0EDCBA98
 		makerSeq = 0x0DCBA987
 		prec     = 0x0CBA9876
+		cell     = 0x3A987 // a bucket under maxSeriesBuckets
 	)
 	xrp := newShard[*XRPShard]()
 	xrp.byAccount["rTagger"] = &xrpAccountAgg{Total: 1, DestTags: map[uint32]int64{tag: 1}}
@@ -245,6 +250,20 @@ func TestShardDecodeRefusesOutOfRangeValues(t *testing.T) {
 	eos := newShard[*EOSShard]()
 	eos.Trades = []DEXTrade{{Buyer: "alice", Seller: "bob", Currency: "DICE", Precision: prec, Amount: 1}}
 	eos.SetCovered(BlockRange{From: 1, To: 1})
+	// series returns an EOS shard of one cell at bucket cell under a window
+	// of width w, whose last block falls in bucket lastBucket.
+	series := func(w time.Duration, lastBucket int64) ShardState {
+		st, err := NewShardState("eos", chain.ObservationStart, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := st.(*EOSShard)
+		s.Series.AddBucket(cell, "Tokens", 1)
+		s.FirstBlockTime = chain.ObservationStart
+		s.LastBlockTime = chain.ObservationStart.Add(time.Duration(lastBucket) * w)
+		s.SetCovered(BlockRange{From: 1, To: 1})
+		return s
+	}
 
 	for _, c := range []struct {
 		name string
@@ -256,9 +275,14 @@ func TestShardDecodeRefusesOutOfRangeValues(t *testing.T) {
 		{"xrp offer sequence", xrp, offerSeq, 1<<32 | offerSeq},
 		{"xrp maker sequence", xrp, makerSeq, 1<<32 | makerSeq},
 		{"eos trade precision", eos, prec, 1<<40 | prec},
+		{"series bucket past the last block's", series(6*time.Hour, cell), cell, 1<<40 | cell},
+		{"series bucket past the span bound", series(time.Nanosecond, 1<<41), cell, 1<<40 | cell},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			blob := encodeState(t, c.st)
+			if _, err := DecodeShard(blob); err != nil {
+				t.Fatalf("the blob before the swap: %v", err)
+			}
 			chainName, _, body, err := wire.OpenShard(blob)
 			if err != nil {
 				t.Fatal(err)
@@ -464,44 +488,69 @@ func FuzzShardDecode(f *testing.F) {
 	for _, blob := range goldenShards(f) {
 		f.Add(blob)
 	}
-	f.Fuzz(func(t *testing.T, blob []byte) {
-		st, got, err := decodeCounted(blob)
-		most := uint64(decodeAllocPerByte*len(blob) + decodeAllocFixed)
-		if got > most {
-			// MemStats counts the whole process, and the fuzzing engine's
-			// own goroutines allocate now and then: a decode is over the
-			// bound only when a second reading is too.
-			_, got, _ = decodeCounted(blob)
-		}
-		if got > most {
-			t.Fatalf("decoding %d bytes allocated %d bytes, over the bound of %d", len(blob), got, most)
-		}
-		if err != nil {
-			return
-		}
-		st.EncodeTo(nil, 0)
-		queryFigures(st)
+	f.Fuzz(checkShardBlob)
+}
 
-		w := st.Window()
-		otherBucket := 7 * time.Hour
-		if w.Bucket == otherBucket {
-			otherBucket = 5 * time.Hour
-		}
-		other, err := NewShardState(st.Chain(), chain.ObservationStart, otherBucket)
+// FuzzShardBody is FuzzShardDecode behind the envelope: nearly every
+// mutation of a whole blob fails its CRC-32 in wire.OpenShard before one
+// body byte is read, so this target seals each fuzzed body, for the chain
+// its first argument picks, and runs the same checks on the blob. It is
+// seeded with the golden bodies.
+func FuzzShardBody(f *testing.F) {
+	chains := []string{"eos", "tezos", "xrp"}
+	for name, blob := range goldenShards(f) {
+		_, _, body, err := wire.OpenShard(blob)
 		if err != nil {
-			t.Fatal(err)
+			f.Fatal(err)
 		}
-		if err := other.Merge(st); err == nil {
-			t.Fatalf("merged a %s shard into a %s one", w, other.Window())
-		}
-		same, err := NewShardState(st.Chain(), w.Origin, w.Bucket)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if same.Merge(st) == nil {
-			queryFigures(same)
-		}
+		f.Add(uint8(slices.Index(chains, name)), body)
+	}
+	f.Fuzz(func(t *testing.T, pick uint8, body []byte) {
+		checkShardBlob(t, wire.SealShard(nil, chains[int(pick)%len(chains)], 0, body))
 	})
+}
+
+// checkShardBlob is what both fuzz targets ask of one blob: decoding it
+// may fail but must not panic or allocate past the bound, and a state it
+// decodes to must re-encode, summarize, answer every figure query and
+// merge (see FuzzShardDecode).
+func checkShardBlob(t *testing.T, blob []byte) {
+	st, got, err := decodeCounted(blob)
+	most := uint64(decodeAllocPerByte*len(blob) + decodeAllocFixed)
+	if got > most {
+		// MemStats counts the whole process, and the fuzzing engine's
+		// own goroutines allocate now and then: a decode is over the
+		// bound only when a second reading is too.
+		_, got, _ = decodeCounted(blob)
+	}
+	if got > most {
+		t.Fatalf("decoding %d bytes allocated %d bytes, over the bound of %d", len(blob), got, most)
+	}
+	if err != nil {
+		return
+	}
+	st.EncodeTo(nil, 0)
+	queryFigures(st)
+
+	w := st.Window()
+	otherBucket := 7 * time.Hour
+	if w.Bucket == otherBucket {
+		otherBucket = 5 * time.Hour
+	}
+	other, err := NewShardState(st.Chain(), chain.ObservationStart, otherBucket)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := other.Merge(st); err == nil {
+		t.Fatalf("merged a %s shard into a %s one", w, other.Window())
+	}
+	same, err := NewShardState(st.Chain(), w.Origin, w.Bucket)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if same.Merge(st) == nil {
+		queryFigures(same)
+	}
 }
 
 // decodeCounted decodes blob and reports the bytes the process allocated
@@ -514,11 +563,13 @@ func decodeCounted(blob []byte) (ShardState, uint64, error) {
 	return st, after.TotalAlloc - before.TotalAlloc, err
 }
 
-// queryFigures renders every section the fleet prints from a chain's
-// state, and the ones a directory and a scale add, then runs the queries
-// the simulator report's own sections read (Figures 9 and 11b), discarding
-// the answers: FuzzShardDecode only asks that none panics on decoded state.
+// queryFigures takes the state's summary, renders every section the fleet
+// prints from it and the ones a directory and a scale add, then runs the
+// queries the simulator report's own sections read (Figures 9 and 11b),
+// discarding the answers: the fuzz targets only ask that none panics, or
+// runs out of memory, on decoded state.
 func queryFigures(st ShardState) {
+	_ = st.Summary()
 	_ = Figures(st)
 	_ = paperWithDirectory(st).render()
 	switch s := st.(type) {

@@ -147,23 +147,30 @@ func mergeAsShard[S ShardState](dst ShardState, src ShardState) (S, BlockRange, 
 	return typed, dst.Covered().Union(src.Covered()), nil
 }
 
-// parseBatch is the shared front half of every chain's IngestBatch: every
-// element must be the chain's Decode output type *B, and block times parse
-// before any state is touched, so a malformed block fails the whole batch
-// without ingesting any of it.
-func parseBatch[B any](batch []any, chainName string, blockTime func(*B) (time.Time, error)) ([]*B, []time.Time, error) {
-	blocks := make([]*B, len(batch))
-	times := make([]time.Time, len(batch))
+// ingestBatch is every chain's IngestBatch: every element must be the
+// chain's Decode output type *B, and block times parse before any state is
+// touched, so a malformed block fails the whole batch without ingesting any
+// of it. Then ingest folds each block at its time. A batch of up to 64
+// blocks (the ingest pool's default is 16) keeps its times on the stack.
+func ingestBatch[B any](batch []any, chainName string, blockTime func(*B) (time.Time, error), ingest func(*B, time.Time)) error {
+	var buf [64]time.Time
+	times := buf[:0]
+	if len(batch) > len(buf) {
+		times = make([]time.Time, 0, len(batch))
+	}
 	for i, v := range batch {
 		b, ok := v.(*B)
 		if !ok {
-			return nil, nil, fmt.Errorf("core: %s batch element %d is %T, not %T", chainName, i, v, b)
+			return fmt.Errorf("core: %s batch element %d is %T, not %T", chainName, i, v, b)
 		}
 		ts, err := blockTime(b)
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
-		blocks[i], times[i] = b, ts
+		times = append(times, ts)
 	}
-	return blocks, times, nil
+	for i, v := range batch {
+		ingest(v.(*B), times[i])
+	}
+	return nil
 }

@@ -87,7 +87,8 @@ func (s *TezosShard) Merge(src ShardState) error {
 	return nil
 }
 
-// merge folds src (covering disjoint blocks) into s and resets src.
+// merge folds src (covering disjoint blocks) into s and resets src, which
+// the hand-over of src's sender maps relies on (mergeNested).
 func (s *TezosShard) merge(src *TezosShard) {
 	s.Blocks += src.Blocks
 	s.Operations += src.Operations
@@ -106,17 +107,12 @@ func tezosBlockTime(b *wire.TezosBlock) (time.Time, error) {
 // IngestBatch folds a batch of decoded blocks into a privately-owned shard
 // — no locking; the shard's owner is the only writer.
 func (s *TezosShard) IngestBatch(batch []any) error {
-	blocks, times, err := parseBatch(batch, "tezos", tezosBlockTime)
-	if err != nil {
-		return err
-	}
-	for i, b := range blocks {
-		s.ingest(b, times[i])
-	}
-	return nil
+	return ingestBatch(batch, "tezos", tezosBlockTime, s.ingest)
 }
 
-// ingest folds one block into the shard; the caller owns the shard.
+// ingest folds one block into the shard; the caller owns the shard. Every
+// operation of a block shares its time bucket, so the Figure 3b groups
+// count into an array that reaches the series once per block.
 func (a *TezosShard) ingest(b *wire.TezosBlock, ts time.Time) {
 	a.Blocks++
 	if a.FirstBlockTime.IsZero() || ts.Before(a.FirstBlockTime) {
@@ -125,11 +121,12 @@ func (a *TezosShard) ingest(b *wire.TezosBlock, ts time.Time) {
 	if ts.After(a.LastBlockTime) {
 		a.LastBlockTime = ts
 	}
+	var byLabel [len(tezosLabels)]int64
 	for i := range b.Operations {
 		op := &b.Operations[i]
 		a.Operations++
 		a.OpsByKind[op.Kind]++
-		a.Series.Add(ts, tezosSeriesLabel(op.Kind), 1)
+		byLabel[tezosSeriesLabel(op.Kind)]++
 		switch op.Kind {
 		case "transaction":
 			m := a.sentTo[op.Source]
@@ -144,16 +141,22 @@ func (a *TezosShard) ingest(b *wire.TezosBlock, ts time.Time) {
 			})
 		}
 	}
+	addLabels(a.Series, ts, tezosLabels[:], byLabel[:])
 }
 
-func tezosSeriesLabel(kind string) string {
+// tezosLabels are Figure 3b's operation groups, indexed by
+// tezosSeriesLabel.
+var tezosLabels = [...]string{"Endorsement", "Transaction", "Others"}
+
+// tezosSeriesLabel returns an operation kind's index into tezosLabels.
+func tezosSeriesLabel(kind string) int {
 	switch kind {
 	case "endorsement":
-		return "Endorsement"
+		return 0
 	case "transaction":
-		return "Transaction"
+		return 1
 	default:
-		return "Others"
+		return 2
 	}
 }
 

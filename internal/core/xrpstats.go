@@ -81,7 +81,8 @@ type xrpAccountAgg struct {
 	Total  int64
 	Offers int64 // OfferCreates, successful or not
 	// DestTags counts destination tags used in outgoing payments (the
-	// paper's Huobi fingerprint: tag 104398 on every payment).
+	// paper's Huobi fingerprint: tag 104398 on every payment); nil until
+	// the account's first tagged payment.
 	DestTags map[uint32]int64
 }
 
@@ -137,7 +138,8 @@ func (s *XRPShard) Merge(src ShardState) error {
 	return nil
 }
 
-// merge folds src (covering disjoint ledgers) into s and resets src.
+// merge folds src (covering disjoint ledgers) into s and resets src, which
+// the hand-over of the account aggregates and tag maps s lacks relies on.
 func (s *XRPShard) merge(src *XRPShard) {
 	s.Ledgers += src.Ledgers
 	s.Transactions += src.Transactions
@@ -152,7 +154,11 @@ func (s *XRPShard) merge(src *XRPShard) {
 		}
 		d.Total += agg.Total
 		d.Offers += agg.Offers
-		mergeCounts(d.DestTags, agg.DestTags)
+		if d.DestTags == nil {
+			d.DestTags = agg.DestTags
+		} else {
+			mergeCounts(d.DestTags, agg.DestTags)
+		}
 	}
 	s.payments = append(s.payments, src.payments...)
 	s.offersCreated += src.offersCreated
@@ -171,17 +177,12 @@ func xrpCloseTime(l *wire.XRPLedger) (time.Time, error) {
 // IngestBatch folds a batch of decoded ledgers into a privately-owned
 // shard — no locking; the shard's owner is the only writer.
 func (s *XRPShard) IngestBatch(batch []any) error {
-	ledgers, times, err := parseBatch(batch, "xrp", xrpCloseTime)
-	if err != nil {
-		return err
-	}
-	for i, l := range ledgers {
-		s.ingest(l, times[i])
-	}
-	return nil
+	return ingestBatch(batch, "xrp", xrpCloseTime, s.ingest)
 }
 
-// ingest folds one ledger into the shard; the caller owns the shard.
+// ingest folds one ledger into the shard; the caller owns the shard. The
+// Figure 3c outcomes count into an array that reaches the series once per
+// ledger, as EOSShard.ingest's labels do.
 func (a *XRPShard) ingest(l *wire.XRPLedger, ts time.Time) {
 	a.Ledgers++
 	if a.FirstLedgerTime.IsZero() || ts.Before(a.FirstLedgerTime) {
@@ -190,6 +191,7 @@ func (a *XRPShard) ingest(l *wire.XRPLedger, ts time.Time) {
 	if ts.After(a.LastLedgerTime) {
 		a.LastLedgerTime = ts
 	}
+	var byLabel [len(xrpLabels)]int64
 	for i := range l.Transactions {
 		tx := &l.Transactions[i]
 		a.Transactions++
@@ -197,14 +199,14 @@ func (a *XRPShard) ingest(l *wire.XRPLedger, ts time.Time) {
 		success := tx.Result == "tesSUCCESS"
 		if !success {
 			a.Failed++
-			a.Series.Add(ts, "Unsuccessful Tx", 1)
+			byLabel[xrpUnsuccessful]++
 		} else {
-			a.Series.Add(ts, xrpSeriesLabel(tx.TransactionType), 1)
+			byLabel[xrpSeriesLabel(tx.TransactionType)]++
 		}
 
 		acct := a.byAccount[tx.Account]
 		if acct == nil {
-			acct = &xrpAccountAgg{DestTags: make(map[uint32]int64)}
+			acct = &xrpAccountAgg{}
 			a.byAccount[tx.Account] = acct
 		}
 		acct.Total++
@@ -222,6 +224,9 @@ func (a *XRPShard) ingest(l *wire.XRPLedger, ts time.Time) {
 				})
 			}
 			if tx.DestinationTag != 0 {
+				if acct.DestTags == nil {
+					acct.DestTags = make(map[uint32]int64)
+				}
 				acct.DestTags[tx.DestinationTag]++
 			}
 		case "OfferCreate":
@@ -234,14 +239,27 @@ func (a *XRPShard) ingest(l *wire.XRPLedger, ts time.Time) {
 			}
 		}
 	}
+	addLabels(a.Series, ts, xrpLabels[:], byLabel[:])
 }
 
-func xrpSeriesLabel(txType string) string {
+// xrpLabels are Figure 3c's transaction outcomes, indexed by
+// xrpSeriesLabel and xrpUnsuccessful.
+var xrpLabels = [...]string{"Payment", "OfferCreate", "Others", "Unsuccessful Tx"}
+
+// xrpUnsuccessful is the index of the label every failed transaction
+// counts under, whatever its type.
+const xrpUnsuccessful = 3
+
+// xrpSeriesLabel returns a successful transaction type's index into
+// xrpLabels.
+func xrpSeriesLabel(txType string) int {
 	switch txType {
-	case "Payment", "OfferCreate":
-		return txType
+	case "Payment":
+		return 0
+	case "OfferCreate":
+		return 1
 	default:
-		return "Others"
+		return 2
 	}
 }
 

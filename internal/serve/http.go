@@ -187,11 +187,15 @@ type replies struct {
 
 	status, chains, figures lazyBytes
 
-	chainsOnce sync.Once
-	perChain   map[string]*chainReplies
+	// perChain holds each chain's replies. Publish makes them, carrying a
+	// drained chain's forward from the snapshot before, so its bytes are
+	// built once however many epochs later read them.
+	perChain map[string]*chainReplies
 }
 
-// chainReplies are one chain's bytes within a snapshot.
+// chainReplies are one chain's bytes, shared by every snapshot that
+// carries the same ChainStatus for it. None of them holds the epoch: a JSON
+// body is kept from after its age digits on (see replies).
 type chainReplies struct {
 	status           ChainStatus
 	summary, figures lazyBytes
@@ -232,14 +236,7 @@ func (s *Snapshot) meta() *replies {
 // chain returns one chain's replies, or false when the snapshot has no
 // such chain.
 func (s *Snapshot) chain(name string) (*chainReplies, bool) {
-	r := &s.replies
-	r.chainsOnce.Do(func() {
-		r.perChain = make(map[string]*chainReplies, len(s.Chains))
-		for n, st := range s.Chains {
-			r.perChain[n] = &chainReplies{status: st}
-		}
-	})
-	c, ok := r.perChain[name]
+	c, ok := s.replies.perChain[name]
 	return c, ok
 }
 

@@ -149,24 +149,27 @@ func (p *Publisher) Register(chain string, w core.Window, summarize func() core.
 // swaps it in. It returns the published snapshot. Concurrent publishers
 // serialize on the mutex; each still produces a distinct, monotonically
 // numbered epoch. A chain the current snapshot already shows drained
-// carries its ChainStatus forward unchanged: its feed folds nothing more
-// and Register refuses a second feed of its name, so only chains still
-// ingesting, or draining in this publish, call their summarize hook.
+// carries its ChainStatus forward unchanged, with the response bytes
+// already built from it: its feed folds nothing more and Register refuses
+// a second feed of its name, so only chains still ingesting, or draining
+// in this publish, call their summarize hook.
 func (p *Publisher) Publish() *Snapshot {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	prev := p.cur.Load()
 	chains := make(map[string]ChainStatus, len(p.sources))
+	perChain := make(map[string]*chainReplies, len(p.sources))
 	drained := len(p.sources) > 0
 	for name, src := range p.sources {
 		if st, ok := prev.Chains[name]; ok && st.Drained {
-			chains[name] = st
+			chains[name], perChain[name] = st, prev.replies.perChain[name]
 			continue
 		}
 		// Read the flag before summarizing: a feed drains only after its
 		// last fold, so a summary taken after seeing it set is final.
 		d := src.drained.Load()
-		chains[name] = ChainStatus{Summary: src.summarize(), Drained: d, Window: src.window}
+		st := ChainStatus{Summary: src.summarize(), Drained: d, Window: src.window}
+		chains[name], perChain[name] = st, &chainReplies{status: st}
 		drained = drained && d
 	}
 	snap := &Snapshot{
@@ -174,6 +177,7 @@ func (p *Publisher) Publish() *Snapshot {
 		PublishedAt: p.now(),
 		Drained:     drained,
 		Chains:      chains,
+		replies:     replies{perChain: perChain},
 	}
 	p.cur.Store(snap)
 	return snap

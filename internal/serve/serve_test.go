@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"sync"
@@ -241,6 +243,53 @@ func TestPublishCarriesDrainedChainForward(t *testing.T) {
 	}
 	if got := get(t, h, "/v1/figures").Body.String(); got != figures {
 		t.Errorf("/v1/figures changed after the chain drained:\n%s\nthen\n%s", figures, got)
+	}
+}
+
+// TestPublishCarriesDrainedRepliesForward: a drained chain's response
+// bytes are built once, not once per epoch. Every later epoch serves the
+// very figures text the first read built, and off the race detector (whose
+// sync.Pool drops items at random) a publish followed by GET
+// /v1/figures/eos costs what a publish followed by GET /healthz does — the
+// new epoch's stamp, which every route pays — plus what the figures route
+// costs over /healthz on a held epoch. (When every epoch re-rendered the
+// chain's figures the first pair took 35 allocations against 12 for the
+// second.)
+func TestPublishCarriesDrainedRepliesForward(t *testing.T) {
+	p, kit, release := newEOSPublisher(t)
+	if err := kit.Decoder.IngestBatch(eosBlocks(200, 1)); err != nil {
+		t.Fatal(err)
+	}
+	release()
+	h := NewHandler(p)
+	w := &discardWriter{h: http.Header{}}
+	figures := httptest.NewRequest("GET", "/v1/figures/eos", nil)
+	healthz := httptest.NewRequest("GET", "/healthz", nil)
+	built := func() []byte {
+		t.Helper()
+		c, ok := p.Current().chain("eos")
+		if !ok {
+			t.Fatal("snapshot has no eos chain")
+		}
+		return c.figuresText()
+	}
+	first := built()
+	for range 3 {
+		p.Publish()
+		if again := built(); &again[0] != &first[0] {
+			t.Fatalf("epoch %d built the drained chain's figures again", p.Current().Epoch)
+		}
+	}
+	if raceEnabled {
+		return
+	}
+	held := testing.AllocsPerRun(50, func() { h.ServeHTTP(w, figures) }) -
+		testing.AllocsPerRun(50, func() { h.ServeHTTP(w, healthz) })
+	stamp := testing.AllocsPerRun(50, func() { p.Publish(); h.ServeHTTP(w, healthz) })
+	fresh := testing.AllocsPerRun(50, func() { p.Publish(); h.ServeHTTP(w, figures) })
+	if fresh > stamp+held {
+		t.Fatalf("Publish + GET /v1/figures/eos: %.1f allocs, want at most %.1f (Publish + GET /healthz) + %.1f (the route on a held epoch): the drained chain's figures were built again",
+			fresh, stamp, held)
 	}
 }
 

@@ -56,15 +56,13 @@ func DetectRegimeShift(values []int64, minSegment int) (RegimeShift, bool) {
 
 // TotalValues returns each bucket's total across all labels, buckets 0
 // through ts.MaxBucket() in order, with zeros for the gap buckets between
-// populated ones (an empty series gives an empty slice). It sums the
-// buckets in place into the one slice it returns, so a summary costs one
+// populated ones (an empty series gives an empty slice). It sums the cells
+// in place into the one slice it returns, so a summary costs one
 // allocation here however many buckets the series spans.
 func TotalValues(ts *TimeSeries) []int64 {
 	out := make([]int64, ts.MaxBucket()+1)
-	for i, b := range ts.buckets {
-		for _, v := range b {
-			out[i] += v
-		}
+	for c, n := range ts.cells {
+		out[c.bucket] += n
 	}
 	return out
 }

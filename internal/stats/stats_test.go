@@ -2,10 +2,13 @@ package stats
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand/v2"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 )
@@ -104,6 +107,142 @@ func TestTotalValuesMatchesDenseSum(t *testing.T) {
 		if allocs := testing.AllocsPerRun(20, func() { TotalValues(s) }); allocs != 1 {
 			t.Errorf("TotalValues over %d buckets: %.1f allocs, want 1", buckets, allocs)
 		}
+	}
+}
+
+// seriesModel is the reference a TimeSeries must agree with: bucket ->
+// label -> count, each add landing in its clamped bucket.
+type seriesModel map[int]map[string]int64
+
+func (m seriesModel) add(i int, label string, n int64) {
+	i = max(i, 0)
+	if m[i] == nil {
+		m[i] = map[string]int64{}
+	}
+	m[i][label] += n
+}
+
+func (m seriesModel) maxBucket() int {
+	top := -1
+	for i := range m {
+		top = max(top, i)
+	}
+	return top
+}
+
+// check compares every read of s against the model.
+func (m seriesModel) check(t *testing.T, s *TimeSeries) {
+	t.Helper()
+	var entries []Entry
+	labels := map[string]bool{}
+	for i, b := range m {
+		for l, n := range b {
+			labels[l] = true
+			if n != 0 {
+				entries = append(entries, Entry{Bucket: i, Label: l, Count: n})
+			}
+		}
+	}
+	slices.SortFunc(entries, func(a, b Entry) int {
+		return cmp.Or(cmp.Compare(a.Bucket, b.Bucket), strings.Compare(a.Label, b.Label))
+	})
+	if got := s.AppendEntries([]Entry{{Label: "kept"}}); !slices.Equal(got[1:], entries) || got[0].Label != "kept" {
+		t.Fatalf("AppendEntries = %v, want %v after the kept entry", got, entries)
+	}
+	top := m.maxBucket()
+	if got := s.MaxBucket(); got != top {
+		t.Fatalf("MaxBucket = %d, want %d", got, top)
+	}
+	totals := make([]int64, top+1)
+	for i, b := range m {
+		for _, n := range b {
+			totals[i] += n
+		}
+	}
+	if got := TotalValues(s); !slices.Equal(got, totals) {
+		t.Fatalf("TotalValues = %v, want %v", got, totals)
+	}
+	want := slices.Sorted(maps.Keys(labels))
+	if got := s.Labels(); !slices.Equal(got, want) {
+		t.Fatalf("Labels = %q, want %q", got, want)
+	}
+	for _, l := range append(want, "absent") {
+		var total int64
+		marks := []rune(" .:-=+*#%@")
+		var peak int64 = 1
+		for i := 0; i <= top; i++ {
+			total += m[i][l]
+			peak = max(peak, m[i][l])
+		}
+		line := "(empty)"
+		if top >= 0 {
+			var sb strings.Builder
+			for i := 0; i <= top; i++ {
+				level := m[i][l] * 9 / peak
+				sb.WriteRune(marks[min(max(level, 0), 9)])
+			}
+			line = sb.String()
+		}
+		if got := s.Total(l); got != total {
+			t.Fatalf("Total(%q) = %d, want %d", l, got, total)
+		}
+		if got := s.Sparkline(l); got != line {
+			t.Fatalf("Sparkline(%q) = %q, want %q", l, got, line)
+		}
+	}
+}
+
+// TestTimeSeriesMatchesModel drives random Add, AddBucket and Merge
+// sequences — gapped buckets, pre-origin times and negative indexes that
+// clamp to bucket 0, zero counts, 1 to 40 labels first seen in an order
+// other than their sorted one — through a series and a map-of-maps model,
+// and compares every read after each trial.
+func TestTimeSeriesMatchesModel(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 4))
+	const width = time.Hour
+	// grow applies n random adds to s and m over the given labels.
+	grow := func(s *TimeSeries, m seriesModel, labels []string, n, spread int) {
+		for range n {
+			i := rng.IntN(spread+3) - 3
+			l := labels[rng.IntN(len(labels))]
+			var c int64
+			if rng.IntN(4) != 0 {
+				c = rng.Int64N(1000) - 50
+			}
+			if rng.IntN(2) == 0 {
+				s.AddBucket(i, l, c)
+			} else {
+				s.Add(origin.Add(time.Duration(i)*width+time.Duration(rng.Int64N(int64(width)))), l, c)
+			}
+			m.add(i, l, c)
+		}
+	}
+	for trial := range 300 {
+		labels := make([]string, 1+rng.IntN(40))
+		for i := range labels {
+			labels[i] = fmt.Sprintf("%c%d", 'a'+rng.IntN(26), i)
+		}
+		s, m := NewTimeSeries(origin, width), seriesModel{}
+		m.check(t, s)
+		spread := 1 + rng.IntN(60)
+		for range rng.IntN(4) {
+			grow(s, m, labels, rng.IntN(40), spread)
+			other, om := NewTimeSeries(origin, width), seriesModel{}
+			// The other series sees some labels s has and some it lacks.
+			lo := rng.IntN(len(labels))
+			grow(other, om, labels[lo:], rng.IntN(60), 1+rng.IntN(80))
+			before := other.AppendEntries(nil)
+			s.Merge(other)
+			for i, b := range om {
+				for l, n := range b {
+					m.add(i, l, n)
+				}
+			}
+			if after := other.AppendEntries(nil); !slices.Equal(before, after) {
+				t.Fatalf("trial %d: Merge changed its source", trial)
+			}
+		}
+		m.check(t, s)
 	}
 }
 

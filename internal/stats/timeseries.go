@@ -17,15 +17,27 @@ import (
 type TimeSeries struct {
 	origin time.Time
 	width  time.Duration
-	// buckets maps bucket index -> label -> count, so one series can carry
+	// labels is the series' label table, in first-seen order; a cell names
+	// its label by index into it, and index finds a label's entry. A label
+	// is in the table only once some cell holds it, so one series can carry
 	// several stacked categories (e.g. Payment / OfferCreate / Others).
-	// The labels a series has seen are the keys of these maps.
-	buckets map[int]map[string]int64
-	// last and lastIdx remember the bucket Add wrote last: blocks arrive
-	// in time order, so most Adds land in it.
-	last    map[string]int64
-	lastIdx int
+	labels []string
+	index  map[string]int
+	// cells maps (bucket, label) to its count: adding into a cell that
+	// exists allocates nothing, and a series grows by cells, not by
+	// buckets.
+	cells map[cell]int64
+	// maxBucket is the highest bucket any cell has, -1 while there is none.
+	maxBucket int
 }
+
+// cell is one (bucket, label index) counter of a series.
+type cell struct{ bucket, label int }
+
+// smallLabels is how many labels the methods that map label indexes
+// (Merge, AppendEntries) handle in arrays on their stack; a series with more
+// allocates one table per call.
+const smallLabels = 16
 
 // NewTimeSeries creates a series with buckets of the given width starting at
 // origin. Width must be positive.
@@ -34,9 +46,11 @@ func NewTimeSeries(origin time.Time, width time.Duration) *TimeSeries {
 		panic(fmt.Sprintf("stats: non-positive bucket width %v", width))
 	}
 	return &TimeSeries{
-		origin:  origin,
-		width:   width,
-		buckets: make(map[int]map[string]int64),
+		origin:    origin,
+		width:     width,
+		index:     make(map[string]int),
+		cells:     make(map[cell]int64),
+		maxBucket: -1,
 	}
 }
 
@@ -46,18 +60,21 @@ func (s *TimeSeries) Add(ts time.Time, label string, n int64) {
 	s.AddBucket(s.BucketIndex(ts), label, n)
 }
 
-// bucket returns bucket i's counters, creating them on first use.
-func (s *TimeSeries) bucket(i int) map[string]int64 {
-	if s.last != nil && s.lastIdx == i {
-		return s.last
+// label returns name's index in the label table, adding it on first use.
+func (s *TimeSeries) label(name string) int {
+	l, ok := s.index[name]
+	if !ok {
+		l = len(s.labels)
+		s.labels = append(s.labels, name)
+		s.index[name] = l
 	}
-	b := s.buckets[i]
-	if b == nil {
-		b = make(map[string]int64)
-		s.buckets[i] = b
-	}
-	s.last, s.lastIdx = b, i
-	return b
+	return l
+}
+
+// add increments cell (i, l), i already clamped.
+func (s *TimeSeries) add(i, l int, n int64) {
+	s.cells[cell{i, l}] += n
+	s.maxBucket = max(s.maxBucket, i)
 }
 
 // Origin returns the series anchor time.
@@ -66,7 +83,7 @@ func (s *TimeSeries) Origin() time.Time { return s.origin }
 // Width returns the bucket width.
 func (s *TimeSeries) Width() time.Duration { return s.width }
 
-// Merge folds other's buckets into s. Both series must share the same
+// Merge folds other's cells into s. Both series must share the same
 // origin and bucket width — bucket indexes are only comparable relative to
 // a common anchor — and Merge panics otherwise, like NewTimeSeries panics
 // on a non-positive width: a mismatch is a programming error, not a data
@@ -80,11 +97,17 @@ func (s *TimeSeries) Merge(other *TimeSeries) {
 		panic(fmt.Sprintf("stats: merging misaligned series (origin %v/%v, width %v/%v)",
 			s.origin, other.origin, s.width, other.width))
 	}
-	for i, ob := range other.buckets {
-		b := s.bucket(i)
-		for label, n := range ob {
-			b[label] += n
-		}
+	// Translate other's label indexes into s's once, then add cell by cell.
+	var buf [smallLabels]int
+	to := buf[:0]
+	if len(other.labels) > len(buf) {
+		to = make([]int, 0, len(other.labels))
+	}
+	for _, label := range other.labels {
+		to = append(to, s.label(label))
+	}
+	for c, n := range other.cells {
+		s.add(c.bucket, to[c.label], n)
 	}
 }
 
@@ -104,36 +127,23 @@ func (s *TimeSeries) BucketStart(i int) time.Time {
 
 // Labels returns the sorted set of labels seen by the series.
 func (s *TimeSeries) Labels() []string {
-	seen := make(map[string]struct{})
-	for _, b := range s.buckets {
-		for l := range b {
-			seen[l] = struct{}{}
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for l := range seen {
-		out = append(out, l)
-	}
-	slices.Sort(out)
-	return out
+	return slices.Sorted(slices.Values(s.labels))
 }
 
 // MaxBucket returns the highest populated bucket index, or -1 when empty.
-func (s *TimeSeries) MaxBucket() int {
-	max := -1
-	for i := range s.buckets {
-		if i > max {
-			max = i
-		}
-	}
-	return max
-}
+func (s *TimeSeries) MaxBucket() int { return s.maxBucket }
 
 // Total returns the sum of label across all buckets.
 func (s *TimeSeries) Total(label string) int64 {
+	l, ok := s.index[label]
+	if !ok {
+		return 0
+	}
 	var t int64
-	for _, b := range s.buckets {
-		t += b[label]
+	for c, n := range s.cells {
+		if c.label == l {
+			t += n
+		}
 	}
 	return t
 }
@@ -143,7 +153,7 @@ func (s *TimeSeries) Total(label string) int64 {
 // series, where the bucket index itself was transferred. Negative indexes
 // clamp to 0 like pre-origin timestamps in Add.
 func (s *TimeSeries) AddBucket(i int, label string, n int64) {
-	s.bucket(max(i, 0))[label] += n
+	s.add(max(i, 0), s.label(label), n)
 }
 
 // Entry is one populated (bucket, label) cell of a series.
@@ -158,42 +168,72 @@ type Entry struct {
 // returns the extended slice. Zero-count cells are skipped; they are
 // indistinguishable from absent ones after a merge.
 func (s *TimeSeries) AppendEntries(dst []Entry) []Entry {
+	var buf [2 * smallLabels]int
+	order, rank := s.ranks(buf[:])
 	n := len(dst)
-	for i, b := range s.buckets {
-		for label, c := range b {
-			if c != 0 {
-				dst = append(dst, Entry{Bucket: i, Label: label, Count: c})
-			}
+	for c, v := range s.cells {
+		if v != 0 {
+			// Count holds the cell's label rank until the sort is done.
+			dst = append(dst, Entry{Bucket: c.bucket, Count: int64(rank[c.label])})
 		}
 	}
-	slices.SortFunc(dst[n:], func(a, b Entry) int {
-		if a.Bucket != b.Bucket {
-			return cmp.Compare(a.Bucket, b.Bucket)
-		}
-		return strings.Compare(a.Label, b.Label)
+	cells := dst[n:]
+	slices.SortFunc(cells, func(a, b Entry) int {
+		return cmp.Or(cmp.Compare(a.Bucket, b.Bucket), cmp.Compare(a.Count, b.Count))
 	})
+	for i := range cells {
+		l := order[cells[i].Count]
+		cells[i].Label, cells[i].Count = s.labels[l], s.cells[cell{cells[i].Bucket, l}]
+	}
 	return dst
+}
+
+// ranks returns the label indexes in label order, and each index's rank in
+// that order, in buf's storage when the table fits in it.
+func (s *TimeSeries) ranks(buf []int) (order, rank []int) {
+	n := len(s.labels)
+	if 2*n > len(buf) {
+		buf = make([]int, 2*n)
+	}
+	order, rank = buf[:n], buf[n:2*n]
+	for l := range order {
+		order[l] = l
+	}
+	slices.SortFunc(order, func(a, b int) int { return strings.Compare(s.labels[a], s.labels[b]) })
+	for r, l := range order {
+		rank[l] = r
+	}
+	return order, rank
 }
 
 // Sparkline renders label's count in each bucket 0..MaxBucket() as one
 // character, its height proportional to the count, so a gap bucket draws
-// as the lowest mark ("(empty)" for an empty series). It reads the buckets
-// in place: one pass for the peak, one to draw.
+// as the lowest mark ("(empty)" for an empty series). It spreads the
+// label's cells over one dense slice, then makes one pass for the peak and
+// one to draw.
 func (s *TimeSeries) Sparkline(label string) string {
-	n := s.MaxBucket() + 1
+	n := s.maxBucket + 1
 	if n == 0 {
 		return "(empty)"
 	}
+	counts := make([]int64, n)
+	if l, ok := s.index[label]; ok {
+		for c, v := range s.cells {
+			if c.label == l {
+				counts[c.bucket] = v
+			}
+		}
+	}
 	var peak int64 = 1
-	for i := range n {
-		peak = max(peak, s.buckets[i][label])
+	for _, v := range counts {
+		peak = max(peak, v)
 	}
 	marks := []rune(" .:-=+*#%@")
 	line := make([]rune, n)
-	for i := range line {
+	for i, v := range counts {
 		// A negative count, or one whose scaling overflows, clamps to an end
 		// of the scale instead of indexing outside it.
-		line[i] = marks[min(max(s.buckets[i][label]*int64(len(marks)-1)/peak, 0), int64(len(marks)-1))]
+		line[i] = marks[min(max(v*int64(len(marks)-1)/peak, 0), int64(len(marks)-1))]
 	}
 	return string(line)
 }
