@@ -37,7 +37,7 @@
 // net/http/pprof at /debug/pprof/, on one listener.
 //
 // SIGINT or SIGTERM interrupts the run gracefully: each worker is sent a
-// SIGTERM, writes the checkpoint of the last chunk it holds complete, and
+// SIGTERM, writes one checkpoint of every chunk it holds complete, and
 // a rerun of the same command adopts the plan and resumes those
 // checkpoints.
 //
@@ -147,7 +147,7 @@ func main() {
 	flag.Int64Var(&o.to, "to", 0, "last block (0 = resolve head once, before cutting slices)")
 	flag.IntVar(&o.shards, "shards", 2, "slices to cut the range into (one worker subprocess each)")
 	flag.StringVar(&o.store, "store", "", "shared blob store for leases, checkpoints and shards (supports the faulty+ chaos scheme)")
-	flag.Int64Var(&o.every, "checkpoint-every", 0, "blocks per crash-recoverable worker checkpoint (0 = none: a killed worker restarts its slice)")
+	flag.Int64Var(&o.every, "checkpoint-every", 0, "checkpoint chunk size in blocks: how far, at most, a worker's crash-recoverable checkpoint trails its crawl when the store keeps up (0 = none: a killed worker restarts its slice)")
 	flag.DurationVar(&o.leaseTTL, "lease-ttl", 2*time.Minute, "lease time-to-live; a slice whose coordinator misses renewals this long is reclaimable")
 	flag.IntVar(&o.attempts, "attempts", 4, "worker launches per slice before giving up")
 	flag.DurationVar(&o.backoff, "backoff", 500*time.Millisecond, "base relaunch backoff (exponential, full jitter)")

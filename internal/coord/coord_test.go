@@ -140,7 +140,8 @@ func cancelAfterCheckpoint(k int, cancel context.CancelFunc, covered *core.Block
 // TestRunShardCrawlKillResume: a worker killed mid-crawl (fresh process =
 // fresh kit) resumes from its blob-store checkpoint, refetches only the
 // interrupted chunk, and the finished shard is byte-identical to an
-// uninterrupted worker's.
+// uninterrupted worker's. The killed worker's fetches are gated chunk by
+// chunk, so its second checkpoint exists however fast the crawl runs.
 func TestRunShardCrawlKillResume(t *testing.T) {
 	const blocks = 60
 	fx := newEOSFixture(t, blocks)
@@ -160,8 +161,10 @@ func TestRunShardCrawlKillResume(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	killed := mkCfg(fx.kit(t))
+	gate := newChunkGate(head, killed.CheckpointEvery)
+	killed.Fetcher = gate.fetcher(killed.Fetcher)
 	var second core.BlockRange
-	killed.AfterCheckpoint = cancelAfterCheckpoint(2, cancel, &second)
+	killed.AfterCheckpoint = gate.after(cancelAfterCheckpoint(2, cancel, &second))
 	if _, err := RunShardCrawl(ctx, killed); err == nil {
 		t.Fatal("interrupted run reported success")
 	}
@@ -225,14 +228,16 @@ func TestRunShardCrawlTornCheckpoint(t *testing.T) {
 	head := fx.head(t)
 	store := blobstore.NewMemory()
 
-	// Produce a real checkpoint by interrupting a chunked run.
+	// Produce a real checkpoint by interrupting a chunked run, gated so
+	// the first chunk's checkpoint is written before the rest complete.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	gate := newChunkGate(head, 8)
 	cfg := CrawlerConfig{
-		Kit: fx.kit(t), Fetcher: fx.fetcher(),
+		Kit: fx.kit(t), Fetcher: gate.fetcher(fx.fetcher()),
 		From: 1, To: head, Store: store,
 		CheckpointEvery: 8, Workers: 2,
-		AfterCheckpoint: cancelAfterCheckpoint(1, cancel, nil),
+		AfterCheckpoint: gate.after(cancelAfterCheckpoint(1, cancel, nil)),
 	}
 	if _, err := RunShardCrawl(ctx, cfg); err == nil {
 		t.Fatal("interrupted run reported success")

@@ -103,8 +103,10 @@ func TestWorkerExitsLeaveNoGoroutines(t *testing.T) {
 		"cancel": func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			c := cfg(blobstore.NewMemory(), nil)
-			c.AfterCheckpoint = cancelAfterCheckpoint(3, cancel, nil)
+			// Gated, so a third checkpoint exists to cancel after.
+			gate := newChunkGate(to, 8)
+			c := cfg(blobstore.NewMemory(), gate.before)
+			c.AfterCheckpoint = gate.after(cancelAfterCheckpoint(3, cancel, nil))
 			if _, err := RunShardCrawl(ctx, c); !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want context.Canceled", err)
 			}

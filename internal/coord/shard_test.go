@@ -130,21 +130,24 @@ func (s *putRecorder) Put(ctx context.Context, key string, data []byte) error {
 
 // TestStoreLayout pins, spelled out, every key a one-task run writes and the
 // one it leaves behind: stores already on disk and bench/'s per-class store
-// counters read these names.
+// counters read these names. Each chunk is held back until the checkpoint
+// above it lands, so the run writes one.
 func TestStoreLayout(t *testing.T) {
 	ctx := context.Background()
-	const from, to = 1, 20
+	const from, to, every = 1, 20, 8
 	fx := newChainFixture("xrp", from, to)
 	store := &putRecorder{Store: blobstore.NewMemory(), keys: make(map[string]bool)}
+	gate := newChunkGate(to, every)
 	_, err := Run(ctx, Config{
 		Chain: "xrp", From: from, To: to, Shards: 1,
 		Store: store,
 		Retry: retry.Policy{Attempts: 1, Base: time.Millisecond},
 		Run: func(ctx context.Context, task Task) error {
 			_, err := RunShardCrawl(ctx, CrawlerConfig{
-				Kit: fx.kit(t), Fetcher: fx.fetcher(nil),
+				Kit: fx.kit(t), Fetcher: fx.fetcher(gate.before),
 				From: task.From, To: task.To, Store: store,
-				CheckpointEvery: 8, Fence: task.Fence,
+				CheckpointEvery: every, Fence: task.Fence,
+				AfterCheckpoint: gate.after(nil),
 			})
 			return err
 		},

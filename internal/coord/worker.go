@@ -33,12 +33,15 @@ type CrawlerConfig struct {
 	From, To int64
 	// Store receives the checkpoint blobs and the final shard blob.
 	Store blobstore.Store
-	// CheckpointEvery is the chunk size in blocks: each time the crawl —
-	// newest block first — has folded another CheckpointEvery blocks below
-	// the last checkpoint, the whole aggregate state as of that boundary
-	// is encoded and atomically Put at CheckpointKey, while the crawl
-	// carries on below it. 0 disables checkpointing (the slice is one
-	// chunk).
+	// CheckpointEvery is the chunk size in blocks, and so how far, at
+	// most, a checkpointer that keeps up trails the crawl: once the crawl
+	// — newest block first — has folded a whole chunk below the last
+	// checkpoint, the whole aggregate state as of the lowest complete
+	// chunk boundary is encoded and atomically Put at CheckpointKey, while
+	// the crawl carries on below it. Chunks that complete while one
+	// checkpoint is written share the next, so it is not a promise of one
+	// checkpoint per CheckpointEvery blocks. 0 disables checkpointing (the
+	// slice is one chunk).
 	CheckpointEvery int64
 	// Workers, Ingest and Buffer size the fetch pool, the ingest pool and
 	// the stream buffer (0 = the stream's defaults).
@@ -54,8 +57,8 @@ type CrawlerConfig struct {
 	// goroutine, in checkpoint order, never concurrently with itself.
 	// Chaos harnesses use it to kill the worker at a known-recoverable
 	// instant; it is never called for the final shard emit. A worker
-	// cancelled from inside it may still write (and announce here) the
-	// checkpoints of chunks it already held complete.
+	// cancelled from inside it may still write (and announce here) one
+	// more checkpoint, of the chunks it already held complete.
 	AfterCheckpoint func(covered core.BlockRange)
 	// Fence, when non-zero, is the lease fence token (the claim Attempt
 	// the coordinator crawls this slice under) stamped into the emitted
@@ -79,31 +82,37 @@ type CrawlOutcome struct {
 	Blocks, Retries int64
 }
 
-// RunShardCrawl crawls one slice with per-chunk crash-recoverable
+// RunShardCrawl crawls one slice with chunked crash-recoverable
 // checkpoints, then emits the finished shard blob. The slice is one
 // reverse-chronological stream through one ingest pool
-// (core.IngestChunks); every CheckpointEvery blocks the full aggregate
-// (not just a frontier) as of that boundary — every block of [lo, To],
-// none below lo — is encoded with its covered sub-range and atomically
-// Put to the store, by a checkpointing goroutine that runs beside the
-// crawl instead of stopping it. A worker killed at ANY point resumes by
-// decoding the last checkpoint and continuing below it — blocks fetched
-// past the last checkpoint are refetched, blocks a checkpoint covers are
-// never refetched and never double-ingested (the covered ranges tile
-// exactly). This is what lets a resumed run emit a shard: the decoded
+// (core.IngestChunks), cut into chunks of CheckpointEvery blocks. Whenever
+// the oldest unsaved chunk is complete, the full aggregate (not just a
+// frontier) as of the lowest chunk boundary complete by then — every block
+// of [lo, To], none below lo — is encoded with its covered sub-range and
+// atomically Put to the store, by a checkpointing goroutine that runs
+// beside the crawl instead of stopping it. A worker killed at ANY point
+// resumes by decoding the last checkpoint and continuing below it — blocks
+// fetched past the last checkpoint are refetched, blocks a checkpoint
+// covers are never refetched and never double-ingested (the covered ranges
+// tile exactly). This is what lets a resumed run emit a shard: the decoded
 // checkpoint IS this run's aggregate, nothing was skipped past it.
 //
-// Checkpoints land in order, one per chunk but the last (the shard
-// supersedes it), and none after the shard. A block that exhausts its
-// retries or a payload that will not decode stops the worker within one
-// in-flight window, with no checkpoint reaching down to it. A cancelled
-// worker returns only after the checkpoint of the last chunk it held
-// complete is written — that Put does not run under ctx — so an
-// interrupted run loses only the chunk it was in the middle of.
+// Checkpoints land in order, on chunk boundaries, each reaching lower than
+// the last, and none after the shard. Chunks that complete while a
+// checkpoint is written share the next one, and the checkpoint that would
+// reach From is never written (the shard supersedes it): a slice whose
+// chunks all complete before its first checkpoint writes none. A block
+// that exhausts its retries or a payload that will not decode stops the
+// worker within one in-flight window, with no checkpoint reaching down to
+// it. A cancelled worker returns only after one checkpoint of every chunk
+// it held complete is written — that Put does not run under ctx — so an
+// interrupted run loses only the chunks it was in the middle of.
 //
-// On success the checkpoint blob is deleted best-effort; a leftover one
-// is harmless (its covered range matches the emitted shard and the next
-// fresh run of the same slice overwrites it).
+// On success the checkpoint blob is deleted best-effort if this run
+// resumed from it or wrote it — a run that found none and wrote none
+// spends no Delete on it. A leftover one is harmless (its covered range
+// matches the emitted shard and the next fresh run of the same slice
+// overwrites it).
 func RunShardCrawl(ctx context.Context, cfg CrawlerConfig) (CrawlOutcome, error) {
 	if cfg.From < 1 || cfg.To < cfg.From {
 		return CrawlOutcome{}, fmt.Errorf("coord: [%d, %d] is not a crawlable slice", cfg.From, cfg.To)
@@ -120,6 +129,8 @@ func RunShardCrawl(ctx context.Context, cfg CrawlerConfig) (CrawlOutcome, error)
 	// checkpoint covered once the refetched chunks merge with an archive
 	// or a later checkpoint of this very state.
 	hi := cfg.To
+	// ckpt: a checkpoint is in the store, resumed from or written.
+	ckpt := false
 	if raw, err := cfg.Store.Get(ctx, ckptKey); err == nil {
 		if derr := st.DecodeFrom(raw); derr != nil {
 			return CrawlOutcome{}, fmt.Errorf("coord: checkpoint %s at %s is corrupt: %w (delete it to restart the slice from scratch)",
@@ -130,7 +141,7 @@ func RunShardCrawl(ctx context.Context, cfg CrawlerConfig) (CrawlOutcome, error)
 			return CrawlOutcome{}, fmt.Errorf("coord: checkpoint %s at %s covers %s, outside this worker's slice [%d, %d] (delete it to restart the slice from scratch)",
 				ckptKey, cfg.Store.URL(), cov, cfg.From, cfg.To)
 		}
-		out.Resumed = cov
+		out.Resumed, ckpt = cov, true
 		hi = cov.From - 1
 		log.Info("resuming", "covered", cov)
 	} else if !errors.Is(err, fs.ErrNotExist) {
@@ -140,7 +151,9 @@ func RunShardCrawl(ctx context.Context, cfg CrawlerConfig) (CrawlOutcome, error)
 	if hi >= cfg.From {
 		// One stream and one ingest pool for what is left of the slice; the
 		// checkpoints are cut from the running ingest. buf belongs to the
-		// cutting goroutine, which reuses it from one checkpoint to the next.
+		// cutting goroutine, which reuses it from one checkpoint to the next;
+		// IngestChunks returns only after that goroutine, so ckpt is read
+		// back below without a race.
 		var buf []byte
 		cut := func(lo int64) error {
 			// Every block of [lo, To] is in the aggregate and none below lo.
@@ -154,6 +167,7 @@ func RunShardCrawl(ctx context.Context, cfg CrawlerConfig) (CrawlOutcome, error)
 			if err := cfg.Store.Put(context.WithoutCancel(ctx), ckptKey, buf); err != nil {
 				return fmt.Errorf("coord: writing checkpoint %s: %w", ckptKey, err)
 			}
+			ckpt = true
 			log.Info("checkpoint", "key", ckptKey, "covered", core.BlockRange{From: lo, To: cfg.To})
 			if cfg.AfterCheckpoint != nil {
 				cfg.AfterCheckpoint(core.BlockRange{From: lo, To: cfg.To})
@@ -182,7 +196,9 @@ func RunShardCrawl(ctx context.Context, cfg CrawlerConfig) (CrawlOutcome, error)
 	out.ShardKey = key
 	// The shard blob supersedes the checkpoint; losing this Delete only
 	// leaves a stale-but-consistent object behind.
-	_ = cfg.Store.Delete(ctx, ckptKey)
+	if ckpt {
+		_ = cfg.Store.Delete(ctx, ckptKey)
+	}
 	log.Info("emitted", "key", key, "store", cfg.Store.URL())
 	return out, nil
 }

@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -202,11 +203,112 @@ func chunkLows(from, to, every int64) []int64 {
 	return lows
 }
 
+// checkCheckpoints checks the checkpoints a worker over [from, to] in chunks
+// of every wrote, in order, against the checkpoint contract: each covers
+// [lo, to] for a chunk boundary lo above from, lower than the one before,
+// and decodes to exactly the aggregate want[lo] renders. It returns the
+// ranges they cover.
+func checkCheckpoints(t *testing.T, ckpts [][]byte, from, to, every int64, want map[int64]string) []core.BlockRange {
+	t.Helper()
+	lows := chunkLows(from, to, every)
+	lows = lows[:len(lows)-1] // the last chunk ends in the shard, not a checkpoint
+	var covs []core.BlockRange
+	i := 0
+	for n, raw := range ckpts {
+		st, err := core.DecodeShard(raw)
+		if err != nil {
+			t.Fatalf("checkpoint %d: %v", n+1, err)
+		}
+		cov := st.Covered()
+		for i < len(lows) && lows[i] > cov.From {
+			i++
+		}
+		if cov.To != to || i == len(lows) || lows[i] != cov.From {
+			t.Fatalf("checkpoint %d covers %s, want [lo, %d] for a chunk boundary lo in %v below the checkpoint before (%v)", n+1, cov, to, lows, covs)
+		}
+		i++
+		if got := st.Summary().Render(); got != want[cov.From] {
+			t.Fatalf("checkpoint %d is not the aggregate of %s:\n--- got ---\n%s--- want ---\n%s", n+1, cov, got, want[cov.From])
+		}
+		covs = append(covs, cov)
+	}
+	return covs
+}
+
+// chunkGate holds each chunk's fetches until a checkpoint reaching down to
+// the chunk above it has landed, so no chunk completes while the one above
+// it is cut: a worker writes exactly one checkpoint per chunk but the last,
+// whatever the crawl's pace against its checkpointer. Tests that stop a
+// worker after its k-th checkpoint need that many to exist.
+type chunkGate struct {
+	to, every int64
+
+	mu     sync.Mutex
+	landed int64         // lowest block a landed checkpoint covers
+	wake   chan struct{} // closed, and replaced, at each landing
+}
+
+func newChunkGate(to, every int64) *chunkGate {
+	return &chunkGate{to: to, every: every, landed: to + 1, wake: make(chan struct{})}
+}
+
+// before is a fetch hook: it holds num until the checkpoint covering the
+// chunk above num's has landed (or ctx ends).
+func (g *chunkGate) before(ctx context.Context, num int64) error {
+	above := g.to - (g.to-num)/g.every*g.every + 1 // lowest block of the chunk above num's
+	for {
+		g.mu.Lock()
+		landed, wake := g.landed, g.wake
+		g.mu.Unlock()
+		if landed <= above {
+			return nil
+		}
+		select {
+		case <-wake:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+}
+
+// fetcher gates f's fetches.
+func (g *chunkGate) fetcher(f collect.BlockFetcher) collect.BlockFetcher {
+	return gatedFetcher{f, g}
+}
+
+type gatedFetcher struct {
+	collect.BlockFetcher
+	gate *chunkGate
+}
+
+func (f gatedFetcher) FetchBlock(ctx context.Context, num int64) ([]byte, error) {
+	if err := f.gate.before(ctx, num); err != nil {
+		return nil, err
+	}
+	return f.BlockFetcher.FetchBlock(ctx, num)
+}
+
+// after is an AfterCheckpoint hook, run before then's (if any).
+func (g *chunkGate) after(then func(core.BlockRange)) func(core.BlockRange) {
+	return func(cov core.BlockRange) {
+		g.mu.Lock()
+		g.landed = min(g.landed, cov.From)
+		close(g.wake)
+		g.wake = make(chan struct{})
+		g.mu.Unlock()
+		if then != nil {
+			then(cov)
+		}
+	}
+}
+
 // TestRunShardCrawlCheckpointContract pins what a worker's store sees, for
-// every chain and every shape of pipeline: one checkpoint per chunk but the
-// last, in order, each a consistent cut — it decodes to exactly the
-// aggregate a serial ingest of [lo, To] builds, no block of a later chunk
-// inside — then the shard, then the checkpoint's removal.
+// every chain and every shape of pipeline: checkpoints in order, on chunk
+// boundaries above From, each reaching lower than the last and each a
+// consistent cut — it decodes to exactly the aggregate a serial ingest of
+// [lo, To] builds, no block of a later chunk inside — then the shard, then
+// the checkpoint's removal if one was written. A slice of one chunk writes
+// no checkpoint and so removes none.
 func TestRunShardCrawlCheckpointContract(t *testing.T) {
 	const from, to = 4, 40
 	n := int64(to - from + 1)
@@ -233,39 +335,35 @@ func TestRunShardCrawlCheckpointContract(t *testing.T) {
 						if out.Blocks != n {
 							t.Fatalf("crawled %d blocks, want %d", out.Blocks, n)
 						}
-						lows := chunkLows(from, to, every)
-						lows = lows[:len(lows)-1] // the last chunk ends in the shard, not a checkpoint
-						if len(store.ops) != len(lows)+2 {
-							t.Fatalf("%d writes, want %d checkpoints, the shard and the checkpoint's removal: %v", len(store.ops), len(lows), opKeys(store.ops))
-						}
-						for i, lo := range lows {
-							op := store.ops[i]
+						var ckpts [][]byte
+						for _, op := range store.ops {
 							if op.op != blobstore.OpPut || op.key != ckptKey {
-								t.Fatalf("write %d is %s %s, want checkpoint %d", i, op.op, op.key, i+1)
+								break
 							}
-							st, err := core.DecodeShard(op.data)
-							if err != nil {
-								t.Fatalf("checkpoint %d: %v", i+1, err)
-							}
-							if cov := st.Covered(); cov.From != lo || cov.To != to {
-								t.Fatalf("checkpoint %d covers %s, want [%d, %d]", i+1, cov, lo, to)
-							}
-							if got := st.Summary().Render(); got != want[lo] {
-								t.Fatalf("checkpoint %d is not the aggregate of [%d, %d]:\n--- got ---\n%s--- want ---\n%s", i+1, lo, to, got, want[lo])
-							}
-							if hooked[i] != (core.BlockRange{From: lo, To: to}) {
-								t.Fatalf("AfterCheckpoint %d saw %s, want [%d, %d]", i+1, hooked[i], lo, to)
-							}
+							ckpts = append(ckpts, op.data)
 						}
-						if len(hooked) != len(lows) {
-							t.Fatalf("AfterCheckpoint ran %d times for %d checkpoints", len(hooked), len(lows))
+						covs := checkCheckpoints(t, ckpts, from, to, every, want)
+						if every >= n && len(covs) > 0 {
+							t.Fatalf("a one-chunk slice wrote checkpoints %v", covs)
 						}
-						shard, removal := store.ops[len(lows)], store.ops[len(lows)+1]
+						if fmt.Sprint(hooked) != fmt.Sprint(covs) {
+							t.Fatalf("AfterCheckpoint saw %v, want the checkpoints' %v", hooked, covs)
+						}
+						wantOps := len(ckpts) + 1
+						if len(ckpts) > 0 {
+							wantOps++
+						}
+						if len(store.ops) != wantOps {
+							t.Fatalf("writes %v, want %d checkpoints, the shard and, after a checkpoint, its removal", opKeys(store.ops), len(ckpts))
+						}
+						shard := store.ops[len(ckpts)]
 						if shard.op != blobstore.OpPut || shard.key != out.ShardKey || !strings.HasSuffix(shard.key, ".shard") {
 							t.Fatalf("after the checkpoints came %s %s, want the shard put", shard.op, shard.key)
 						}
-						if removal.op != blobstore.OpDelete || removal.key != ckptKey {
-							t.Fatalf("last write is %s %s, want the checkpoint's removal", removal.op, removal.key)
+						if len(ckpts) > 0 {
+							if removal := store.ops[len(ckpts)+1]; removal.op != blobstore.OpDelete || removal.key != ckptKey {
+								t.Fatalf("last write is %s %s, want the checkpoint's removal", removal.op, removal.key)
+							}
 						}
 						st, err := core.DecodeShard(shard.data)
 						if err != nil {
@@ -289,10 +387,142 @@ func opKeys(ops []storeOp) []string {
 	return keys
 }
 
+// foldCounter wraps a kit's decoder and counts the blocks its shards fold;
+// hold, when set, runs before each block's decode and may hold it back.
+type foldCounter struct {
+	core.Decoder
+	folded atomic.Int64
+	hold   func(num int64)
+}
+
+func (d *foldCounter) Decode(num int64, raw []byte) (any, error) {
+	if d.hold != nil {
+		d.hold(num)
+	}
+	return d.Decoder.Decode(num, raw)
+}
+
+func (d *foldCounter) NewShard() core.Shard {
+	return countedShard{d.Decoder.(core.ShardedDecoder).NewShard(), &d.folded}
+}
+
+func (d *foldCounter) ReleaseBatch(batch []any) { d.Decoder.(core.BatchReleaser).ReleaseBatch(batch) }
+
+type countedShard struct {
+	core.Shard
+	folded *atomic.Int64
+}
+
+func (s countedShard) IngestBatch(batch []any) error {
+	err := s.Shard.IngestBatch(batch)
+	s.folded.Add(int64(len(batch)))
+	return err
+}
+
+// TestRunShardCrawlDeletesOnlyWhatExists: a finished worker deletes its
+// checkpoint only if it resumed from one or wrote one. A slice whose chunks
+// all completed before its first cut writes none and so sends no Delete;
+// a checkpointed slice and a resumed one send exactly one, last.
+func TestRunShardCrawlDeletesOnlyWhatExists(t *testing.T) {
+	const from, to, every = 1, 12, 4
+	fx := newChainFixture("tezos", from, to)
+	ckptKey := CheckpointKey("tezos", from, to)
+	// Fetch and ingest pools small enough that one stream window (8 + 2·2
+	// + 1 blocks) spans the slice.
+	cfg := func(kit core.StatsKit, store blobstore.Store, before func(context.Context, int64) error) CrawlerConfig {
+		return CrawlerConfig{
+			Kit: kit, Fetcher: fx.fetcher(before), From: from, To: to, Store: store,
+			CheckpointEvery: every, Workers: 2, Ingest: 2, Buffer: 8,
+		}
+	}
+	deletes := func(store *recordingStore) (n int, last bool) {
+		for i, op := range store.ops {
+			if op.op == blobstore.OpDelete {
+				if op.key != ckptKey {
+					t.Fatalf("deleted %s, want only %s", op.key, ckptKey)
+				}
+				n, last = n+1, i == len(store.ops)-1
+			}
+		}
+		return n, last
+	}
+
+	t.Run("all complete before the first cut", func(t *testing.T) {
+		kit := fx.kit(t)
+		counter := &foldCounter{Decoder: kit.Decoder}
+		// The newest block is decoded last: its chunk, the first to cut,
+		// completes only once the other ingest worker has folded all it
+		// can — every block outside that chunk — and has kept still.
+		counter.hold = func(num int64) {
+			if num != to {
+				return
+			}
+			last, stable := int64(-1), 0
+			for deadline := time.Now().Add(10 * time.Second); stable < 5 && time.Now().Before(deadline); {
+				time.Sleep(5 * time.Millisecond)
+				if cur := counter.folded.Load(); cur == last && cur >= to-from+1-every {
+					stable++
+				} else {
+					last, stable = cur, 0
+				}
+			}
+		}
+		kit.Decoder = counter
+		store := &recordingStore{Store: blobstore.NewMemory()}
+		if _, err := RunShardCrawl(context.Background(), cfg(kit, store, nil)); err != nil {
+			t.Fatal(err)
+		}
+		if len(store.ops) != 1 {
+			t.Fatalf("writes %v, want only the shard: no checkpoint, so nothing to delete", opKeys(store.ops))
+		}
+	})
+
+	t.Run("checkpointed", func(t *testing.T) {
+		gate := newChunkGate(to, every)
+		store := &recordingStore{Store: blobstore.NewMemory()}
+		c := cfg(fx.kit(t), store, gate.before)
+		c.AfterCheckpoint = gate.after(nil)
+		if _, err := RunShardCrawl(context.Background(), c); err != nil {
+			t.Fatal(err)
+		}
+		if n, last := deletes(store); n != 1 || !last {
+			t.Fatalf("writes %v, want the checkpoints, the shard, then one Delete", opKeys(store.ops))
+		}
+	})
+
+	t.Run("resumed", func(t *testing.T) {
+		mem := blobstore.NewMemory()
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		gate := newChunkGate(to, every)
+		killed := cfg(fx.kit(t), mem, gate.before)
+		killed.AfterCheckpoint = gate.after(cancelAfterCheckpoint(1, cancel, nil))
+		if _, err := RunShardCrawl(ctx, killed); err == nil {
+			t.Fatal("interrupted worker reported success")
+		}
+		// The rerun's rest of the slice is one chunk: it writes no
+		// checkpoint of its own, only resumes from the one it found.
+		store := &recordingStore{Store: mem}
+		rerun := cfg(fx.kit(t), store, nil)
+		rerun.CheckpointEvery = 0
+		out, err := RunShardCrawl(context.Background(), rerun)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !out.Resumed.Known() {
+			t.Fatal("the rerun did not resume")
+		}
+		if n, last := deletes(store); len(store.ops) != 2 || n != 1 || !last {
+			t.Fatalf("writes %v, want the shard, then one Delete", opKeys(store.ops))
+		}
+	})
+}
+
 // TestRunShardCrawlStalledBlock: one block's fetch hangs while every other
 // returns at once — a fetch worker deep in backoff. The slice must
 // complete (no deadlock: the test's timeout is the witness) with every
-// checkpoint still a consistent cut.
+// checkpoint still a consistent cut, and the chunks complete above the
+// hung block checkpointed while it hangs.
 func TestRunShardCrawlStalledBlock(t *testing.T) {
 	const from, to, every, stalled = 1, 120, 4, 77
 	fx := newChainFixture("tezos", from, to)
@@ -335,22 +565,14 @@ func TestRunShardCrawlStalledBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ckpts := 0
+	var ckpts [][]byte
 	for _, op := range store.ops {
-		if op.op != blobstore.OpPut || !strings.HasPrefix(op.key, "ckpt/") {
-			continue
-		}
-		ckpts++
-		st, err := core.DecodeShard(op.data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := st.Summary().Render(); got != want[st.Covered().From] {
-			t.Fatalf("checkpoint covering %s is not that range's aggregate", st.Covered())
+		if op.op == blobstore.OpPut && strings.HasPrefix(op.key, "ckpt/") {
+			ckpts = append(ckpts, op.data)
 		}
 	}
-	if ckpts != to/every-1 {
-		t.Fatalf("%d checkpoints, want %d", ckpts, to/every-1)
+	if covs := checkCheckpoints(t, ckpts, from, to, every, want); len(covs) == 0 || covs[0].From <= stalled {
+		t.Fatalf("checkpoints %v, want the first above the hung block %d: chunks complete above it wait for it", covs, stalled)
 	}
 }
 
@@ -460,6 +682,8 @@ func TestRunShardCrawlIngestError(t *testing.T) {
 // TestRunShardCrawlResumeAtEveryBoundary: interrupted right after any of
 // its checkpoints, a worker's rerun picks up at or past that checkpoint,
 // refetches nothing it covers, and emits the uninterrupted worker's shard.
+// The killed worker's fetches are gated chunk by chunk, so it writes a
+// checkpoint at every chunk boundary to be interrupted after.
 func TestRunShardCrawlResumeAtEveryBoundary(t *testing.T) {
 	const from, to, every = 3, 63, 8
 	fx := newChainFixture("xrp", from, to)
@@ -475,10 +699,15 @@ func TestRunShardCrawlResumeAtEveryBoundary(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			killed := cfg
-			killed.Kit, killed.Fetcher = fx.kit(t), fx.fetcher(nil)
-			killed.AfterCheckpoint = cancelAfterCheckpoint(k, cancel, nil)
+			gate := newChunkGate(to, every)
+			killed.Kit, killed.Fetcher = fx.kit(t), fx.fetcher(gate.before)
+			var covered core.BlockRange
+			killed.AfterCheckpoint = gate.after(cancelAfterCheckpoint(k, cancel, &covered))
 			if _, err := RunShardCrawl(ctx, killed); err == nil {
 				t.Fatal("interrupted worker reported success")
+			}
+			if covered != (core.BlockRange{From: lows[k-1], To: to}) {
+				t.Fatalf("checkpoint %d covers %s, want [%d, %d]", k, covered, lows[k-1], to)
 			}
 
 			rerun := cfg

@@ -423,24 +423,38 @@ const maxOpenChunks = 8
 
 // IngestChunks is IngestCrawl for a consumer that checkpoints: one gapless
 // stream and one ingest pool over [ccfg.From, ccfg.To] (both concrete),
-// with the aggregate behind d brought forward one chunk of `every` blocks
-// at a time, newest chunk first (every <= 0: the range is one chunk). Each
-// ingest worker folds a block into a private shard of the block's chunk
-// (and never sleeps on an empty stream with blocks still unfolded); a
-// chunk is complete once its last block is folded, and one goroutine — the
-// aggregate's only writer for the duration of the call — merges complete
-// chunks strictly in order, calling cut(lo) after each. Inside cut the
-// aggregate holds exactly the blocks of [lo, ccfg.To] (plus whatever it
-// held before the call) while the stream and the ingest workers are
-// already chunks ahead; cut is never called past a block the stream failed
-// to deliver, and a cut error stops the crawl and is returned.
+// with the aggregate behind d brought forward in chunks of `every` blocks,
+// newest chunk first (every <= 0: the range is one chunk). Each ingest
+// worker folds a block into a private shard of the block's chunk (and never
+// sleeps on an empty stream with blocks still unfolded); a chunk is
+// complete once its last block is folded. One goroutine — the aggregate's
+// only writer for the duration of the call — merges complete chunks
+// strictly in order and cuts the aggregate between them:
+//
+//   - once the oldest open chunk is complete it takes that chunk and every
+//     chunk after it already complete, merges them in order and calls
+//     cut(lo) once, lo being the lowest block of the last one;
+//   - cuts fall on chunk boundaries and strictly descend, and inside cut the
+//     aggregate holds exactly the blocks of [lo, ccfg.To] (plus whatever it
+//     held before the call) while the stream and the ingest workers run on;
+//   - only one cut runs at a time, and every chunk complete when it returns
+//     is in the next one;
+//   - on success the last call is cut(ccfg.From): a run that reaches the
+//     range's last chunk is cut there only, which a consumer whose final
+//     emit replaces the checkpoint can skip.
+//
+// every is therefore how far, at most, the aggregate of a cut that keeps up
+// with the crawl trails its folds — not a promise of one cut per chunk. cut
+// is never called past a block the stream failed to deliver, and a cut
+// error stops the crawl and is returned.
 //
 // When ctx is cancelled, a block exhausts its retries or ingestion fails,
-// IngestChunks still cuts every chunk it already holds complete — cut must
-// not depend on ctx being live — and drops the partial chunks beyond, so
-// the aggregate stays what the last cut saw. Ingestion errors come back
-// wrapped in ErrIngest. Unlike IngestCrawl it sizes nothing (GzipBytes stays
-// zero): no chunked consumer reports a footprint, so the deflate is skipped.
+// IngestChunks still cuts every chunk it already holds complete — as one
+// cut, and cut must not depend on ctx being live — and drops the partial
+// chunks beyond, so the aggregate stays what the last cut saw. Ingestion
+// errors come back wrapped in ErrIngest. Unlike IngestCrawl it sizes
+// nothing (GzipBytes stays zero): no chunked consumer reports a footprint,
+// so the deflate is skipped.
 //
 // d's shards must fold into the aggregate only when merged (a PeriodicMerge
 // decoder does not qualify). Chunk states are bounded by the stream's
@@ -469,13 +483,7 @@ func IngestChunks(ctx context.Context, f collect.BlockFetcher, ccfg collect.Craw
 	if err != nil {
 		return collect.CrawlResult{}, err
 	}
-	c := &chunkCutter{
-		from: ccfg.From, to: ccfg.To, every: every,
-		chunks:  (blocks + every - 1) / every,
-		workers: workers, sharded: pool.d,
-		open: make(map[int64]*openChunk),
-	}
-	c.wake = sync.NewCond(&c.mu)
+	c := newChunkCutter(ccfg.From, ccfg.To, every, workers, pool.d)
 	// Workers take their shard per chunk, so the pool's own seed the free
 	// list.
 	for w := range pool.workers {
@@ -607,6 +615,19 @@ type chunkCutter struct {
 	stopped bool    // the cutting goroutine has exited
 }
 
+// newChunkCutter cuts [from, to] into chunks of every blocks, newest first,
+// for workers ingest workers that draw their shards from sharded.
+func newChunkCutter(from, to, every int64, workers int, sharded ShardedDecoder) *chunkCutter {
+	c := &chunkCutter{
+		from: from, to: to, every: every,
+		chunks:  (to - from + every) / every,
+		workers: workers, sharded: sharded,
+		open: make(map[int64]*openChunk),
+	}
+	c.wake = sync.NewCond(&c.mu)
+	return c
+}
+
 type openChunk struct {
 	shards  []Shard // one per ingest worker, nil until its first block of the chunk
 	missing int64   // blocks not folded yet
@@ -640,11 +661,15 @@ func (c *chunkCutter) shard(w int, k int64) Shard {
 	return ch.shards[w]
 }
 
-// ripe reports whether the oldest open chunk is complete. Caller holds mu.
-func (c *chunkCutter) ripe() bool {
-	ch := c.open[c.next]
+// complete reports whether chunk k is open with every block folded. Caller
+// holds mu.
+func (c *chunkCutter) complete(k int64) bool {
+	ch := c.open[k]
 	return ch != nil && ch.missing == 0
 }
+
+// ripe reports whether the oldest open chunk is complete. Caller holds mu.
+func (c *chunkCutter) ripe() bool { return c.complete(c.next) }
 
 // folded records that n more blocks of chunk k are in their shards. The
 // caller then waits while the cutter is behind by more than maxOpenChunks —
@@ -671,9 +696,11 @@ func (c *chunkCutter) seal() {
 	c.mu.Unlock()
 }
 
-// run merges chunks into the aggregate in order as they complete, calling
-// cut after each, until the range is done, cut fails, or the workers are
-// gone and the oldest chunk is still short.
+// run merges chunks into the aggregate in order as they complete, until
+// the range is done, cut fails, or the workers are gone and the oldest
+// chunk is still short. Each time the oldest open chunk is ripe it takes
+// that chunk and every chunk after it already complete — a run — merges
+// their shards in order and calls cut once, at the run's lowest block.
 func (c *chunkCutter) run(cut func(lo int64) error) (err error) {
 	defer func() {
 		c.mu.Lock()
@@ -687,29 +714,38 @@ func (c *chunkCutter) run(cut func(lo int64) error) (err error) {
 		for !c.ripe() && !c.sealed {
 			c.wake.Wait()
 		}
-		ripe := c.ripe()
-		ch := c.open[c.next]
+		end := c.next
+		for end < c.chunks && c.complete(end) {
+			end++
+		}
 		c.mu.Unlock()
-		if !ripe {
+		if end == c.next {
 			return nil
 		}
-		// No worker touches a complete chunk's shards again, and the chunk
-		// stays in open, ripe, while it is cut: that is what lets workers
-		// wait on a slow cut.
-		for _, s := range ch.shards {
-			if s != nil {
-				s.Merge()
+		// No worker touches a complete chunk's shards again, and the run
+		// stays in open, complete, while it is cut: that is what lets
+		// workers wait on a slow cut. Workers open later chunks meanwhile,
+		// so each lookup takes the lock.
+		for k := c.next; k < end; k++ {
+			c.mu.Lock()
+			ch := c.open[k]
+			c.mu.Unlock()
+			for _, s := range ch.shards {
+				if s != nil {
+					s.Merge()
+				}
 			}
 		}
-		err = cut(c.lo(c.next))
+		err = cut(c.lo(end - 1))
 		c.mu.Lock()
-		for _, s := range ch.shards {
-			if s != nil {
-				c.free = append(c.free, s)
+		for ; c.next < end; c.next++ {
+			for _, s := range c.open[c.next].shards {
+				if s != nil {
+					c.free = append(c.free, s)
+				}
 			}
+			delete(c.open, c.next)
 		}
-		delete(c.open, c.next)
-		c.next++
 		c.wake.Broadcast()
 		c.mu.Unlock()
 		if err != nil {

@@ -16,11 +16,13 @@ import (
 // setAgg is the cheapest possible sharded "chain": a block decodes to its
 // number and the aggregate is the multiset of numbers folded in, so a test
 // can say exactly which blocks a cut saw. live counts the shards holding
-// blocks not merged yet: the chunk states open right now.
+// blocks not merged yet: the chunk states open right now; folded counts the
+// blocks ingest workers have folded into shards.
 type setAgg struct {
-	mu   sync.Mutex
-	nums map[int64]int
-	live atomic.Int64
+	mu     sync.Mutex
+	nums   map[int64]int
+	live   atomic.Int64
+	folded atomic.Int64
 }
 
 func newSetAgg() *setAgg { return &setAgg{nums: make(map[int64]int)} }
@@ -71,6 +73,7 @@ func (s *setShard) IngestBatch(batch []any) error {
 	for _, v := range batch {
 		s.nums = append(s.nums, v.(int64))
 	}
+	s.agg.folded.Add(int64(len(batch)))
 	return nil
 }
 
@@ -151,9 +154,9 @@ func parkBelow(floor int64, leaked *atomic.Bool, payload func(num int64) []byte)
 	}
 }
 
-// wantCuts lists the lo each cut of [from, to] in chunks of every must be
-// called with, in order.
-func wantCuts(from, to, every int64) []int64 {
+// chunkLows lists the lowest block of each chunk of [from, to] in chunks
+// of every, newest chunk first: the only places a cut may fall.
+func chunkLows(from, to, every int64) []int64 {
 	if every <= 0 {
 		every = to - from + 1
 	}
@@ -168,10 +171,31 @@ func wantCuts(from, to, every int64) []int64 {
 	return los
 }
 
+// checkCuts reports whether cuts obey the cut contract over [from, to] in
+// chunks of every: each on a chunk boundary, strictly descending, and —
+// when the ingest finished — the last at from.
+func checkCuts(cuts []int64, from, to, every int64, finished bool) error {
+	lows := chunkLows(from, to, every)
+	i := 0
+	for _, lo := range cuts {
+		for i < len(lows) && lows[i] > lo {
+			i++
+		}
+		if i == len(lows) || lows[i] != lo {
+			return fmt.Errorf("cut at %v: %d is not a chunk boundary below the cut before it (boundaries %v)", cuts, lo, lows)
+		}
+		i++
+	}
+	if finished && (len(cuts) == 0 || cuts[len(cuts)-1] != from) {
+		return fmt.Errorf("cut at %v, want the last cut at %d", cuts, from)
+	}
+	return nil
+}
+
 // TestIngestChunksConsistentCut: whatever the fetch, ingest and chunk
-// geometry, cut runs once per chunk, newest first, and each time the
-// aggregate is exactly [lo, To] — every block of the chunks cut so far, no
-// block of a chunk still open.
+// geometry, cuts fall on chunk boundaries, strictly descending, the last at
+// From, and each time the aggregate is exactly [lo, To] — every block of
+// the chunks cut so far, no block of a chunk still open.
 func TestIngestChunksConsistentCut(t *testing.T) {
 	const from, to = 4, 100 // 97 blocks: no chunk size below divides it
 	n := int64(to - from + 1)
@@ -194,8 +218,8 @@ func TestIngestChunksConsistentCut(t *testing.T) {
 					if res.Blocks != n {
 						t.Fatalf("crawled %d blocks, want %d", res.Blocks, n)
 					}
-					if want := wantCuts(from, to, every); fmt.Sprint(cuts) != fmt.Sprint(want) {
-						t.Fatalf("cut at %v, want %v", cuts, want)
+					if err := checkCuts(cuts, from, to, every, true); err != nil {
+						t.Fatal(err)
 					}
 				})
 			}
@@ -208,7 +232,8 @@ func TestIngestChunksConsistentCut(t *testing.T) {
 // witness) nor open chunk states for everything the other fetch workers
 // could have reached: the stream's window holds them, so with the crawl at
 // rest behind the hung block the open states are what one window spans,
-// however long the range is.
+// however long the range is. Every cut stays consistent, and the cutter
+// does not wait on the hung block to cut what is complete above it.
 func TestIngestChunksStalledBlock(t *testing.T) {
 	const (
 		to, every, stalled      = 4000, 4, 2500
@@ -217,7 +242,12 @@ func TestIngestChunksStalledBlock(t *testing.T) {
 	)
 	agg := newSetAgg()
 	release := make(chan struct{})
-	var others, liveAtRest atomic.Int64
+	var (
+		others, liveAtRest atomic.Int64
+		mu                 sync.Mutex
+		cuts               []int64
+		cutAtRest          int64
+	)
 	f := newFuncFetcher(to, func(ctx context.Context, num int64) ([]byte, error) {
 		if num == stalled {
 			// Hold this block until nothing else moves: every block the
@@ -226,6 +256,11 @@ func TestIngestChunksStalledBlock(t *testing.T) {
 			go func() {
 				waitStable(func() int64 { return others.Load()<<16 + agg.live.Load() })
 				liveAtRest.Store(agg.live.Load())
+				mu.Lock()
+				if len(cuts) > 0 {
+					cutAtRest = cuts[len(cuts)-1]
+				}
+				mu.Unlock()
 				close(release)
 			}()
 			select {
@@ -239,19 +274,25 @@ func TestIngestChunksStalledBlock(t *testing.T) {
 		return []byte("ok"), nil
 	})
 
-	var cuts int
 	_, err := IngestChunks(context.Background(), f,
 		collect.CrawlConfig{From: 1, To: to, Workers: workers, Buffer: buffer},
 		agg, IngestConfig{Workers: ingest}, every,
 		func(lo int64) error {
-			cuts++
+			mu.Lock()
+			cuts = append(cuts, lo)
+			mu.Unlock()
 			return agg.holdsExactly(lo, to)
 		})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cuts != to/every {
-		t.Fatalf("%d cuts, want %d", cuts, to/every)
+	if err := checkCuts(cuts, 1, to, every, true); err != nil {
+		t.Fatal(err)
+	}
+	// At rest every chunk above the hung block's is complete, so the
+	// cutter has cut down to that chunk's upper neighbour.
+	if above := int64(to - (to-stalled)/every*every + 1); cutAtRest != above {
+		t.Fatalf("with the crawl at rest behind block %d the lowest cut was %d, want %d: the cutter waited on the hung block", stalled, cutAtRest, above)
 	}
 	// Everything above the hung block's chunk is cut by then, and nothing
 	// further than one window below it was fetched: ⌈W/every⌉+1 chunks.
@@ -369,8 +410,8 @@ func TestIngestChunksIngestError(t *testing.T) {
 }
 
 // TestIngestChunksInterrupted: cancelled mid-crawl, IngestChunks still cuts
-// every chunk it holds complete — in order, each a consistent cut — before
-// it returns, and reports the cancellation.
+// what it holds complete — on chunk boundaries, descending, each a
+// consistent cut — before it returns, and reports the cancellation.
 func TestIngestChunksInterrupted(t *testing.T) {
 	const to, every = 4000, 16
 	ctx, cancel := context.WithCancel(context.Background())
@@ -390,14 +431,167 @@ func TestIngestChunksInterrupted(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if len(cuts) < 3 || len(cuts) == to/every {
-		t.Fatalf("%d cuts: want the three before the cancel, any already complete after it, and not the whole range", len(cuts))
+	if len(cuts) < 3 || cuts[len(cuts)-1] == 1 {
+		t.Fatalf("cut at %v: want the three before the cancel, what was already complete after it, and not the whole range", cuts)
 	}
-	if want := wantCuts(1, to, every)[:len(cuts)]; fmt.Sprint(cuts) != fmt.Sprint(want) {
-		t.Fatalf("cut at %v, want the prefix %v", cuts, want)
+	if err := checkCuts(cuts, 1, to, every, false); err != nil {
+		t.Fatal(err)
 	}
 	if err := agg.holdsExactly(cuts[len(cuts)-1], to); err != nil {
 		t.Fatalf("after the interrupt: %v", err)
+	}
+}
+
+// holdUntil returns a fetch hook that holds block held back until gate
+// closes (or the crawl's context ends) and serves every block as "ok".
+func holdUntil(held int64, gate <-chan struct{}) func(context.Context, int64) ([]byte, error) {
+	return func(ctx context.Context, num int64) ([]byte, error) {
+		if num == held {
+			select {
+			case <-gate:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		}
+		return []byte("ok"), nil
+	}
+}
+
+// waitFolded returns once the ingest workers have folded n blocks into
+// their shards and then kept still, so the cutter has heard of every one.
+func waitFolded(agg *setAgg, n int64) {
+	for agg.folded.Load() < n {
+		time.Sleep(time.Millisecond)
+	}
+	waitStable(agg.folded.Load)
+}
+
+// TestIngestChunksCoalescesCompleteChunks: chunks that complete while a cut
+// runs share the next cut. The first cut (the newest chunk: the top of the
+// next one is held back until it starts) waits until the stream has
+// delivered and folded everything, so the next call, and the last, is the
+// single cut(From) — no cut per chunk trailing the crawl, and none above
+// From that the consumer's final emit would replace.
+func TestIngestChunksCoalescesCompleteChunks(t *testing.T) {
+	// 8 chunks: no more open than maxOpenChunks, so the workers never wait
+	// on the cut that waits on them.
+	const from, to, every = 3, 40, 5
+	agg := newSetAgg()
+	first := make(chan struct{})
+	var cuts []int64
+	_, err := IngestChunks(context.Background(), newFuncFetcher(to, holdUntil(to-every, first)),
+		collect.CrawlConfig{From: from, To: to, Workers: 2, Buffer: 8},
+		agg, IngestConfig{Workers: 2, Batch: 3}, every,
+		func(lo int64) error {
+			if cuts = append(cuts, lo); len(cuts) == 1 {
+				close(first)
+				waitFolded(agg, to-from+1)
+			}
+			return agg.holdsExactly(lo, to)
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int64{to - every + 1, from}; fmt.Sprint(cuts) != fmt.Sprint(want) {
+		t.Fatalf("cut at %v, want %v: the newest chunk, then everything that completed behind it at once", cuts, want)
+	}
+}
+
+// TestIngestChunksInterruptedCutsNewestComplete: cancelled while every
+// block above a parked one is folded, IngestChunks cuts all the chunks
+// complete by then as one cut, at the lowest complete chunk boundary,
+// drops the partial chunk, and reports the cancellation.
+func TestIngestChunksInterruptedCutsNewestComplete(t *testing.T) {
+	const from, to, every, floor = 1, 40, 5, 18
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	agg := newSetAgg()
+	first := make(chan struct{})
+	var leaked atomic.Bool
+	held := holdUntil(to-every, first)
+	parked := parkBelow(floor, &leaked, func(int64) []byte { return []byte("ok") })
+	var cuts []int64
+	_, err := IngestChunks(ctx, newFuncFetcher(to, func(ctx context.Context, num int64) ([]byte, error) {
+		if num < floor {
+			return parked(ctx, num)
+		}
+		return held(ctx, num)
+	}),
+		collect.CrawlConfig{From: from, To: to, Workers: 2, Buffer: 8},
+		agg, IngestConfig{Workers: 2, Batch: 3}, every,
+		func(lo int64) error {
+			if cuts = append(cuts, lo); len(cuts) == 1 {
+				close(first)
+				waitFolded(agg, to-floor+1)
+				cancel()
+			}
+			return agg.holdsExactly(lo, to)
+		})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if leaked.Load() {
+		t.Fatal("the parked fetches outlived the cancel")
+	}
+	// [18, 20] is folded, [16, 17] is not: chunk [16, 20] is dropped.
+	if want := []int64{to - every + 1, 21}; fmt.Sprint(cuts) != fmt.Sprint(want) {
+		t.Fatalf("cut at %v, want %v: the newest chunk, then every chunk complete at the cancel as one cut", cuts, want)
+	}
+	if err := agg.holdsExactly(21, to); err != nil {
+		t.Fatalf("after the interrupt: %v", err)
+	}
+}
+
+// TestIngestChunksCutAllocatesNothing: the cutter merges and cuts runs of
+// complete chunks without allocating — no per-cut list of the chunks it
+// takes. Each cut completes the chunks the next run takes.
+func TestIngestChunksCutAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	const from, to, every, workers = 1, 40, 5, 2
+	agg := newSetAgg()
+	c := newChunkCutter(from, to, every, workers, agg)
+	chunks := make([]*openChunk, c.chunks)
+	for k := range chunks {
+		chunks[k] = &openChunk{shards: []Shard{agg.NewShard(), agg.NewShard()}}
+	}
+	c.free = make([]Shard, 0, len(chunks)*workers)
+	// Runs [0, 2], [3, 4] and [5, 7]: cuts at 26, 16 and from.
+	completes := [][]int64{{3, 4}, {5, 6, 7}, nil}
+	want := [3]int64{26, 16, from}
+	var got [3]int64
+	n := 0
+	cut := func(lo int64) error {
+		if n == len(got) {
+			return fmt.Errorf("cut at %v, then at %d", got, lo)
+		}
+		got[n] = lo
+		for _, k := range completes[n] {
+			c.folded(k, 1)
+		}
+		n++
+		return nil
+	}
+	run := func() {
+		c.next, c.sealed, c.stopped, c.free, n = 0, true, false, c.free[:0], 0
+		for k, ch := range chunks {
+			ch.missing = 0
+			if k > 2 {
+				ch.missing = 1
+			}
+			c.open[int64(k)] = ch
+		}
+		if err := c.run(cut); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	if got != want || n != len(want) {
+		t.Fatalf("cut at %v (%d cuts), want %v", got, n, want)
+	}
+	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+		t.Fatalf("a run of cuts allocates %.1f times, want 0", allocs)
 	}
 }
 
