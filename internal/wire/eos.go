@@ -196,8 +196,15 @@ var (
 		eosActionAccount: "account", eosActionName: "name", eosActionAuthorization: "authorization",
 		eosActionData: "data", eosActionInline: "inline",
 	})
-	eosAuthKeys = newKeySet([]string{eosAuthActor: "actor", eosAuthPermission: "permission"})
-	eosDataKeys = newKeySet([]string{
+	// Literals of appendEOSTrx and appendEOSAction that run from one
+	// member's value into a nested object's first member.
+	eosTrxIDLit   = newKeyLit(`,"trx":{"id":`)
+	eosActionsLit = newKeyLit(`,"transaction":{"actions":[`)
+	eosActorLit   = newKeyLit(`,"authorization":[{"actor":`)
+	eosDataLit    = newKeyLit(`}],"data":{`)
+	eosInlineLit  = newKeyLit(`,"inline":true`)
+	eosAuthKeys   = newKeySet([]string{eosAuthActor: "actor", eosAuthPermission: "permission"})
+	eosDataKeys   = newKeySet([]string{
 		eosDataBuyer: "buyer", eosDataFrom: "from", eosDataMemo: "memo",
 		eosDataQuantity: "quantity", eosDataSeller: "seller", eosDataTo: "to",
 	})
@@ -225,6 +232,13 @@ func (c *Codec) decodeEOSBlock(raw []byte, into *EOSBlock) error {
 				var t *EOSTrx
 				into.Transactions, t = grow(into.Transactions)
 				t.Actions = t.Actions[:0]
+				if start := l.pos; !l.offLayout {
+					if c.straightEOSTrx(t) {
+						return nil
+					}
+					l.stray(start)
+					t.Actions = t.Actions[:0]
+				}
 				return c.decodeEOSTrx(t)
 			})
 		}
@@ -234,6 +248,60 @@ func (c *Codec) decodeEOSBlock(raw []byte, into *EOSBlock) error {
 		return err
 	}
 	return l.trailing()
+}
+
+// straightEOSTrx is decodeEOSTrx's straight path (see lexer.open): the
+// receipt as appendEOSTrx writes it, with an empty actions array or actions
+// as straightEOSAction reads them.
+func (c *Codec) straightEOSTrx(t *EOSTrx) bool {
+	l := &c.lex
+	if !l.open(eosTrxKeys) || !c.plainStr(nil) ||
+		!l.tryLit(&eosTrxIDLit) || !c.plainStr(nil) || !l.tryLit(&eosActionsLit) {
+		return false
+	}
+	for n := 0; !l.tryBytes("]"); n++ {
+		if n > 0 && !l.tryBytes(",") {
+			return false
+		}
+		var a *EOSAction
+		t.Actions, a = grow(t.Actions)
+		*a = EOSAction{}
+		if !c.straightEOSAction(a) {
+			return false
+		}
+	}
+	return l.tryBytes("}}}")
+}
+
+// straightEOSAction reads one action as appendEOSAction writes it, with
+// one authorization and a data map whose keys eosDataKeys names, in the
+// sorted order appendStringMap writes them.
+func (c *Codec) straightEOSAction(a *EOSAction) bool {
+	l := &c.lex
+	if !l.open(eosActionKeys) || !c.plainStr(&a.Account) ||
+		!l.member(eosActionKeys, eosActionName) || !c.plainStr(&a.Name) ||
+		!l.tryLit(&eosActorLit) || !c.plainStr(&a.Actor) ||
+		!l.member(eosAuthKeys, eosAuthPermission) || !c.plainStr(nil) || !l.tryLit(&eosDataLit) {
+		return false
+	}
+	lits := eosDataKeys.lits
+	for i, dst := range [...]*string{
+		eosDataBuyer: &a.Buyer, eosDataFrom: &a.From, eosDataMemo: nil,
+		eosDataQuantity: &a.Quantity, eosDataSeller: &a.Seller, eosDataTo: &a.To,
+	} {
+		if !l.tryLit(&lits[i]) {
+			continue
+		}
+		if !c.plainStr(dst) {
+			return false
+		}
+		lits = eosDataKeys.next
+	}
+	if !l.tryBytes("}") {
+		return false
+	}
+	l.tryLit(&eosInlineLit)
+	return l.tryBytes("}")
 }
 
 // decodeEOSTrx reads one receipt, {"status":…,"trx":{"id":…,

@@ -1,23 +1,35 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sync"
 	"testing"
 )
 
-// TestPredictedKeysResolveEveryKey: every key of the committed simulator
-// payloads, and of the same blocks re-rendered by this package's encoders,
-// is one the decoders predicted, so none takes the readString-and-lookup
-// path, and every string value takes plainStr's straight path. A key an
-// encoder renames or reorders, or a value it starts escaping or spacing,
-// fails here instead of quietly costing every block a lookup per member or
-// a detour per string.
-func TestPredictedKeysResolveEveryKey(t *testing.T) {
+// canonicalPayload is one payload in the repo's own layout, with the
+// scanner of its chain.
+type canonicalPayload struct {
+	name string
+	raw  []byte
+	fast func(*Codec, []byte) error
+}
+
+var (
+	eosFast   = func(c *Codec, raw []byte) error { return c.decodeEOSBlock(raw, new(EOSBlock)) }
+	tezosFast = func(c *Codec, raw []byte) error { return c.decodeTezosBlock(raw, new(TezosBlock)) }
+	xrpFast   = func(c *Codec, raw []byte) error { return c.decodeXRPLedgerResult(raw, new(XRPLedger)) }
+)
+
+// canonicalPayloads returns the committed simulator payloads and the same
+// blocks re-rendered by this package's encoders.
+func canonicalPayloads(t *testing.T) []canonicalPayload {
+	t.Helper()
 	read := func(name string) []byte {
 		t.Helper()
 		raw, err := os.ReadFile(filepath.Join("testdata", name))
@@ -26,39 +38,16 @@ func TestPredictedKeysResolveEveryKey(t *testing.T) {
 		}
 		return raw
 	}
-	check := func(what string, raw []byte, fast func(*Codec, []byte) error) {
-		t.Helper()
-		c := NewCodec()
-		if err := fast(c, raw); err != nil {
-			t.Fatalf("%s: the scanner refuses it: %v", what, err)
-		}
-		if c.lex.misses != 0 {
-			t.Errorf("%s: %d keys were not predicted", what, c.lex.misses)
-		}
-		if c.lex.detours != 0 {
-			t.Errorf("%s: %d string values left the straight path", what, c.lex.detours)
-		}
-	}
-	eosFast := func(c *Codec, raw []byte) error { return c.decodeEOSBlock(raw, new(EOSBlock)) }
-	tezosFast := func(c *Codec, raw []byte) error { return c.decodeTezosBlock(raw, new(TezosBlock)) }
-	xrpFast := func(c *Codec, raw []byte) error { return c.decodeXRPLedgerResult(raw, new(XRPLedger)) }
-
 	eosRaw, tezosRaw, xrpRaw := read("eos_block.json"), read("tezos_block.json"), read("xrp_ledger_result.json")
-	check("eos_block.json", eosRaw, eosFast)
-	check("tezos_block.json", tezosRaw, tezosFast)
-	check("xrp_ledger_result.json", xrpRaw, xrpFast)
-
 	c := NewCodec()
 	var eos EOSBlockJSON
 	if err := json.Unmarshal(eosRaw, &eos); err != nil {
 		t.Fatal(err)
 	}
-	check("AppendEOSBlock", c.AppendEOSBlock(nil, &eos), eosFast)
 	var tezos TezosBlockJSON
 	if err := json.Unmarshal(tezosRaw, &tezos); err != nil {
 		t.Fatal(err)
 	}
-	check("AppendTezosBlock", c.AppendTezosBlock(nil, &tezos), tezosFast)
 	var res struct {
 		Ledger XRPLedgerJSON `json:"ledger"`
 	}
@@ -73,13 +62,42 @@ func TestPredictedKeysResolveEveryKey(t *testing.T) {
 	if err := c.splitXRPEnvelope(frame, &env); err != nil {
 		t.Fatal(err)
 	}
-	check("AppendXRPLedgerResponse's result", env.Result, xrpFast)
+	return []canonicalPayload{
+		{"eos_block.json", eosRaw, eosFast},
+		{"tezos_block.json", tezosRaw, tezosFast},
+		{"xrp_ledger_result.json", xrpRaw, xrpFast},
+		{"AppendEOSBlock", c.AppendEOSBlock(nil, &eos), eosFast},
+		{"AppendTezosBlock", c.AppendTezosBlock(nil, &tezos), tezosFast},
+		{"AppendXRPLedgerResponse's result", env.Result, xrpFast},
+	}
+}
+
+// TestPredictedKeysResolveEveryKey: every key of the committed simulator
+// payloads, and of the same blocks re-rendered by this package's encoders,
+// is one the decoders predicted, so none takes the readString-and-lookup
+// path, and every string value takes plainStr's straight path. A key an
+// encoder renames or reorders, or a value it starts escaping or spacing,
+// fails here instead of quietly costing every block a lookup per member or
+// a detour per string.
+func TestPredictedKeysResolveEveryKey(t *testing.T) {
+	for _, p := range canonicalPayloads(t) {
+		c := NewCodec()
+		if err := p.fast(c, p.raw); err != nil {
+			t.Fatalf("%s: the scanner refuses it: %v", p.name, err)
+		}
+		if c.lex.misses != 0 {
+			t.Errorf("%s: %d keys were not predicted", p.name, c.lex.misses)
+		}
+		if c.lex.detours != 0 {
+			t.Errorf("%s: %d string values left the straight path", p.name, c.lex.detours)
+		}
+	}
 
 	// The counts are live: a key spaced from its colon, one out of encoder
 	// order and an unknown one each take the lookup, and still decode; a
 	// value after a space, an escaped one and a non-ASCII one that is read
 	// each take the general path, and a null does not count.
-	c = NewCodec()
+	c := NewCodec()
 	var b EOSBlock
 	if err := c.decodeEOSBlock([]byte(`{"timestamp" :"t","id":"x","extra":1}`), &b); err != nil || b.Timestamp != "t" {
 		t.Fatalf("unpredicted keys: %v, %+v", err, b)
@@ -95,6 +113,48 @@ func TestPredictedKeysResolveEveryKey(t *testing.T) {
 	if c.lex.misses != 0 || c.lex.detours != 3 {
 		t.Fatalf("%d misses and %d detours counted, want 0 and 3", c.lex.misses, c.lex.detours)
 	}
+}
+
+// TestRecordsTakeTheStraightPath: every record of the canonical payloads
+// that has a straight path — EOS transaction receipts, XRP transactions;
+// Tezos operations have none — is read by it, so an encoder that renames,
+// reorders or spaces a member fails here instead of quietly sending every
+// record through the keyed path. A payload as a real node renders it, with a
+// hex_data member after every action's data, leaves the straight path
+// once, at its first record, and still decodes as encoding/json does.
+func TestRecordsTakeTheStraightPath(t *testing.T) {
+	for _, p := range canonicalPayloads(t) {
+		c := NewCodec()
+		if err := p.fast(c, p.raw); err != nil {
+			t.Fatalf("%s: the scanner refuses it: %v", p.name, err)
+		}
+		if c.lex.strays != 0 {
+			t.Errorf("%s: %d records left the straight path", p.name, c.lex.strays)
+		}
+	}
+
+	raw, err := os.ReadFile(filepath.Join("testdata", "eos_block.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := regexp.MustCompile(`"data":\{[^{}]*\}`)
+	hexed := data.ReplaceAll(raw, []byte(`$0,"hex_data":"a09867fa2a0f3d55"`))
+	actions := len(data.FindAll(raw, -1))
+	if actions < 2 || bytes.Count(hexed, []byte(`"hex_data"`)) != actions {
+		t.Fatalf("premise: %d actions", actions)
+	}
+	c := NewCodec()
+	var b EOSBlock
+	if err := c.decodeEOSBlock(hexed, &b); err != nil {
+		t.Fatalf("the scanner refuses hex_data: %v", err)
+	}
+	if c.lex.strays != 1 {
+		t.Errorf("%d records left the straight path, want 1", c.lex.strays)
+	}
+	if c.lex.misses != actions {
+		t.Errorf("%d keys were not predicted, want one per action (%d)", c.lex.misses, actions)
+	}
+	eosCase.agree(t, c, hexed, &b)
 }
 
 // TestPooledCodecsDecodeConcurrently: goroutines share the codec pool, each

@@ -24,13 +24,20 @@ type lexer struct {
 	// misses counts the keys no keySet predicted: each one was read with
 	// readString and looked up instead. detours counts the string values
 	// that left Codec.plainStr's straight path for the general one (a null
-	// is not counted). Only tests read them.
-	misses, detours int
+	// is not counted). strays counts the records that left their straight
+	// path for the keyed one. Only tests read them.
+	misses, detours, strays int
+	// offLayout is set once a record of the payload has left its straight
+	// path: the payload's later records go to the keyed path directly, so
+	// a payload a real node renders (nodeos adds hex_data to every action)
+	// pays for one failed attempt, not one per record.
+	offLayout bool
 }
 
 func (l *lexer) reset(data []byte) {
 	l.data = data
 	l.pos = 0
+	l.offLayout = false
 }
 
 func (l *lexer) errf(format string, args ...any) error {
@@ -326,8 +333,11 @@ func (l *lexer) readInt64() (int64, error) {
 		if c < '0' || c > '9' {
 			break
 		}
+		// n*10 - d cannot pass MinInt64 while n is above MinInt64/10;
+		// at MinInt64/10 only a 9 takes it past. The bounds are
+		// constants, so the check costs no multiply per digit.
 		d := int64(c - '0')
-		if n < (math.MinInt64+d)/10 {
+		if n <= math.MinInt64/10 && (n < math.MinInt64/10 || d > 8) {
 			return 0, l.errf("integer overflow")
 		}
 		n = n*10 - d
@@ -520,17 +530,19 @@ func (l *lexer) skipUnknown(key []byte, names []string) error {
 }
 
 // keySet is one object shape's member names in the order the repo's
-// encoders write them, each with the `"name":` literal object predicts.
+// encoders write them, each with the `"name":` literal object predicts and
+// the `,"name":` literal a record's straight path walks.
 type keySet struct {
-	names []string
-	lits  []keyLit
+	names      []string
+	lits, next []keyLit
 }
 
-// keyLit is one predicted `"name":` literal. word and mask hold its first
-// sixteen bytes as two little-endian words, so a literal of up to sixteen
-// bytes costs one or two loads, ands and compares; only a longer one, or
-// one within sixteen bytes of the end of the payload, compares its bytes
-// after the eighth as a string.
+// keyLit is one predicted literal: a `"name":` key, or a straight path's
+// run of an encoder's keys and structural bytes. word and mask hold its
+// first sixteen bytes as two little-endian words, so a literal of up to
+// sixteen bytes costs one or two loads, ands and compares; only a longer
+// one, or one within sixteen bytes of the end of the payload, compares its
+// bytes after the eighth as a string.
 type keyLit struct {
 	lit        string
 	word, mask [2]uint64
@@ -539,16 +551,22 @@ type keyLit struct {
 // newKeySet builds a keySet; the caller indexes names by its own member
 // constants, so a member's constant is its position here.
 func newKeySet(names []string) *keySet {
-	ks := &keySet{names: names, lits: make([]keyLit, len(names))}
+	ks := &keySet{names: names, lits: make([]keyLit, len(names)), next: make([]keyLit, len(names))}
 	for i, n := range names {
-		k := keyLit{lit: `"` + n + `":`}
-		for j := 0; j < len(k.lit) && j < 16; j++ {
-			k.word[j/8] |= uint64(k.lit[j]) << (8 * (j % 8))
-			k.mask[j/8] |= 0xff << (8 * (j % 8))
-		}
-		ks.lits[i] = k
+		ks.lits[i] = newKeyLit(`"` + n + `":`)
+		ks.next[i] = newKeyLit(`,"` + n + `":`)
 	}
 	return ks
+}
+
+// newKeyLit precomputes lit's leading words for keyLit.at.
+func newKeyLit(lit string) keyLit {
+	k := keyLit{lit: lit}
+	for j := 0; j < len(lit) && j < 16; j++ {
+		k.word[j/8] |= uint64(lit[j]) << (8 * (j % 8))
+		k.mask[j/8] |= 0xff << (8 * (j % 8))
+	}
+	return k
 }
 
 // at reports whether rest starts with the literal; w is rest's first
@@ -634,6 +652,63 @@ func (l *lexer) key(ks *keySet, next int) (int, []byte, error) {
 		return -1, nil, err
 	}
 	return ks.index(key), key, nil
+}
+
+// A record's straight path — straightEOSTrx for an EOS transaction receipt
+// with its actions, straightXRPTx for an XRP transaction with its amounts —
+// reads the record in exactly the layout its encoder writes: the members in
+// encoder order, each after its `,"name":` literal (or a longer literal of
+// the encoder's that runs into a nested object), no white space, strings
+// that plainStr takes. Integers go through the keyed path's own readers.
+// It is a chain of the helpers below, each consuming one expected piece or
+// reporting false; an optional member costs one tried compare. What it
+// accepts, the keyed path reads to the same value, so a record that leaves
+// it anywhere is read again by the keyed path from its start (stray).
+
+// open consumes `{` and ks's first member literal.
+func (l *lexer) open(ks *keySet) bool {
+	if l.pos >= len(l.data) || l.data[l.pos] != '{' {
+		return false
+	}
+	l.pos++
+	return l.tryLit(&ks.lits[0])
+}
+
+// member consumes the `,"name":` literal of ks's member i when it is next.
+func (l *lexer) member(ks *keySet, i int) bool { return l.tryLit(&ks.next[i]) }
+
+// tryLit consumes k when the payload holds it at pos. It loads a word, so
+// within eight bytes of the payload's end it refuses.
+func (l *lexer) tryLit(k *keyLit) bool {
+	rest := l.data[l.pos:]
+	if len(rest) < 8 || !k.at(rest, binary.LittleEndian.Uint64(rest)) {
+		return false
+	}
+	l.pos += len(k.lit)
+	return true
+}
+
+// tryBytes consumes s, a few structural bytes, when the payload holds it
+// at pos. It compares byte by byte: a string compare would call memequal.
+func (l *lexer) tryBytes(s string) bool {
+	if len(l.data)-l.pos < len(s) {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if l.data[l.pos+i] != s[i] {
+			return false
+		}
+	}
+	l.pos += len(s)
+	return true
+}
+
+// stray sends the record that starts at start back to the keyed path, and
+// the payload's later records with it.
+func (l *lexer) stray(start int) {
+	l.pos = start
+	l.offLayout = true
+	l.strays++
 }
 
 // array reads an array, calling elem with the lexer at the start of each

@@ -69,7 +69,7 @@ func TestNonCanonicalKeyCasingMatchesStdlib(t *testing.T) {
 // held to encoding/json's verdict and value by TestStrictCasesMatchStdlib
 // and seeds the fuzz targets. A payload is tried against all three chains —
 // a key that means nothing to a chain is simply an unknown field there.
-var strictCases = []string{
+var strictCases = append([]string{
 	// Unread values are still held to their field's type.
 	`{"id":5}`, `{"id":null,"previous":"p","producer":{}}`, `{"block_num":-1}`, `{"block_num":4294967296}`,
 	`{"block_num":1.0}`, `{"block_num":"1"}`, `{"transactions":[{"status":7}]}`,
@@ -144,6 +144,94 @@ var strictCases = []string{
 	`{"x":nul}`, `{"x":nulll}`, `{"x":tru}`, `{"x":"\q"}`, `{"x":"\u12"}`, `{"x":"\u12g4"}`, `{"x":"a` + "\x01" + `b"}`,
 	`{"x":"unterminated`, `{"x":"ends in a backslash\`, `{"\ud800":1,"\u0000":2,"":3}`, `{"timestamp":"\ud83d\ude00 \"q\" \\ \/ \b\f\n\r\t"}`,
 	`{"x":` + strings.Repeat("[", 300) + strings.Repeat("]", 300) + `}`,
+}, straightEdges()...)
+
+// straightEdges are the places a record's straight path stops, for each of
+// the three record shapes: a canonical record, with every optional member
+// present, followed by the same record with one edit, so the edited one
+// leaves the straight path after a record that took it. Then the canonical
+// record followed by a copy cut off within each of its member literals.
+func straightEdges() []string {
+	var cases []string
+	for _, shape := range []struct {
+		head, record, tail string
+		edits              [][2]string
+	}{
+		{`{"transactions":[`, `{"status":"executed","trx":{"id":"ab","transaction":{"actions":[` +
+			`{"account":"eosio.token","name":"transfer","authorization":[{"actor":"alice","permission":"active"}],` +
+			`"data":{"buyer":"b","from":"alice","memo":"m","quantity":"1.0000 EOS","seller":"s","to":"bob"},"inline":true},` +
+			`{"account":"eosio.token","name":"retire","authorization":[{"actor":"bob","permission":"active"}],"data":{}}]}}}`, `]}`,
+			[][2]string{
+				{`"name":"transfer"`, `"name": "transfer"`}, {`"actor":"alice"`, `"actor": "alice"`},
+				{`"status":"executed"`, `"status":null`}, {`"actor":"alice"`, `"actor":null`},
+				{`"to":"bob"`, `"to":null`}, {`"data":{}`, `"data":null`}, {`"actions":[{`, `"actions":null,"x":[{`},
+				{`"account":"eosio.token"`, `"account":"eosio\u002etoken"`}, {`"from":"alice"`, `"from":"al\u0069ce"`},
+				{`"account":"eosio.token"`, "\"account\":\"eosio.t\xc3\xb6ken\""}, {`"quantity":"1.0000 EOS"`, "\"quantity\":\"1 \xe2\x82\xac\""},
+				{`"memo":"m"`, "\"memo\":\"\xff\""}, {`"id":"ab"`, `"id":"a\u0062"`},
+				{`"name":"transfer"`, `"Name":"transfer"`}, {`"status"`, `"Status"`}, {`"quantity"`, `"Quantity"`},
+				{`"name":"transfer"`, `"name":"transfer","name":"x"`}, {`"to":"bob"`, `"to":"bob","to":"carol"`},
+				{`"account":"eosio.token","name":"transfer"`, `"name":"transfer","account":"eosio.token"`},
+				{`"from":"alice","memo":"m"`, `"memo":"m","from":"alice"`},
+				{`"actor":"alice","permission":"active"`, `"permission":"active","actor":"alice"`},
+				{`"data":{"buyer"`, `"hex":"00","data":{"buyer"`}, {`"to":"bob"}`, `"to":"bob"},"hex_data":"00"`},
+				{`"to":"bob"`, `"to":"bob","zz":"x"`}, {`"actor":"alice"`, `"actor":"alice","x":"y"`},
+				{`"inline":true`, `"inline":false`}, {`"inline":true`, `"inline":null`},
+				{`[{"actor":"alice","permission":"active"}]`, `[]`},
+				{`[{"actor":"alice","permission":"active"}]`, `[{"actor":"alice","permission":"active"},{"actor":"bob","permission":"owner"}]`},
+				{`"authorization":[{"actor":"bob","permission":"active"}]`, `"authorization":[{"actor":"bob"}]`},
+				{`"actions":[{"account"`, `"actions":[],"z":[{"account"`},
+			}},
+		{`{"ledger":{"transactions":[`, `{"hash":"ab","TransactionType":"Payment","Account":"rA","Destination":"rB",` +
+			`"DestinationTag":7,"Fee":10,"Sequence":42,"Amount":{"currency":"USD","issuer":"rI","value":5},` +
+			`"TakerGets":{"currency":"XRP","value":1},"TakerPays":{"currency":"XRP","value":2},` +
+			`"LimitAmount":{"currency":"XRP","value":3},"delivered_amount":{"currency":"USD","issuer":"rI","value":5},` +
+			`"OfferSequence":3,"meta_TransactionResult":"tesSUCCESS","executed":true,"resting_sequence":9}`, `]}}`,
+			[][2]string{
+				{`"Account":"rA"`, `"Account": "rA"`}, {`"Fee":10`, `"Fee": 10`}, {`"value":5}`, `"value":5 }`},
+				{`"Account":"rA"`, `"Account":null`}, {`"hash":"ab"`, `"hash":null`}, {`"Amount":{"currency":"USD","issuer":"rI","value":5}`, `"Amount":null`},
+				{`"LimitAmount":{"currency":"XRP","value":3}`, `"LimitAmount":null`}, {`"currency":"XRP","value":1`, `"currency":null,"value":1`},
+				{`"Sequence":42`, `"Sequence":null`},
+				{`"Account":"rA"`, `"Account":"r\u0041"`}, {`"Account":"rA"`, "\"Account\":\"r\xc3\x85\""},
+				{`"meta_TransactionResult":"tesSUCCESS"`, "\"meta_TransactionResult\":\"tes\xffSUCCESS\""},
+				{`"Account":`, `"account":`}, {`"meta_TransactionResult"`, `"meta_transactionResult"`}, {`"issuer":"rI"`, `"Issuer":"rI"`},
+				{`"Sequence":42`, `"Sequence":42,"Sequence":43`}, {`"Amount":{"currency":"USD"`, `"Amount":{"currency":"EUR","currency":"USD"`},
+				{`"Fee":10,"Sequence":42`, `"Sequence":42,"Fee":10`}, {`"currency":"USD","issuer":"rI"`, `"issuer":"rI","currency":"USD"`},
+				{`"TakerGets":{"currency":"XRP","value":1},"TakerPays":{"currency":"XRP","value":2}`, `"TakerPays":{"currency":"XRP","value":2},"TakerGets":{"currency":"XRP","value":1}`},
+				{`,"meta_TransactionResult"`, `,"Flags":2147483648,"meta_TransactionResult"`}, {`"value":3}`, `"value":3,"x":1}`},
+				{`"executed":true`, `"executed":false`},
+				{`"Fee":10`, `"Fee":010`}, {`"value":2}`, `"value":02}`}, {`"Sequence":42`, `"Sequence":42.0`}, {`"value":1}`, `"value":1.5}`},
+				{`"Fee":10`, `"Fee":1e1`}, {`"Sequence":42`, `"Sequence":-0`}, {`"DestinationTag":7`, `"DestinationTag":-0`},
+				{`"value":5}`, `"value":-0}`}, {`"Fee":10`, `"Fee":-0`}, {`"resting_sequence":9`, `"resting_sequence":-0`},
+				{`"Sequence":42`, `"Sequence":4294967296`}, {`"DestinationTag":7`, `"DestinationTag":07`},
+			}},
+		{`{"operations":[`, `{"kind":"transaction","source":"tz1a","destination":"tz1b","amount":5,"fee":1420,"level":7,` +
+			`"slot_count":2,"proposal":"P","ballot":"yay","rolls":3,"delegate":"tz1d"}`, `]}`,
+			[][2]string{
+				{`"kind":"transaction"`, `"kind": "transaction"`}, {`"rolls":3`, `"rolls": 3`},
+				{`"source":"tz1a"`, `"source":null`}, {`"delegate":"tz1d"`, `"delegate":null`},
+				{`"kind":"transaction"`, `"kind":"tr\u0061nsaction"`}, {`"source":"tz1a"`, "\"source\":\"tz\xc3\xa9\""},
+				{`"ballot":"yay"`, "\"ballot\":\"y\xe4y\""}, {`"delegate":"tz1d"`, `"delegate":"tz\u0031d"`},
+				{`"source":`, `"Source":`}, {`"slot_count"`, `"Slot_count"`}, {`"rolls":3`, `"rolls":3,"rolls":4`},
+				{`"amount":5,"fee":1420`, `"fee":1420,"amount":5`}, {`"delegate":"tz1d"}`, `"delegate":"tz1d","counter":"1"}`},
+				{`"kind":"transaction",`, `"kind":"transaction","storage_limit":"0",`},
+				{`"rolls":3`, `"rolls":03`}, {`"amount":5`, `"amount":05`}, {`"fee":1420`, `"fee":1420.0`},
+				{`"rolls":3`, `"rolls":3.5`}, {`"level":7`, `"level":7e0`}, {`"rolls":3`, `"rolls":-0`},
+				{`"slot_count":2`, `"slot_count":-0`}, {`"amount":5`, `"amount":-0`},
+			}},
+	} {
+		for _, e := range shape.edits {
+			if !strings.Contains(shape.record, e[0]) {
+				panic("straightEdges: no " + e[0] + " in " + shape.record)
+			}
+			cases = append(cases, shape.head+shape.record+","+strings.Replace(shape.record, e[0], e[1], 1)+shape.tail)
+		}
+		for at := 0; at < len(shape.record); at++ {
+			if strings.HasPrefix(shape.record[at:], `":`) {
+				cases = append(cases, shape.head+shape.record+","+shape.record[:at-1])
+			}
+		}
+	}
+	return cases
 }
 
 // TestSplitXRPEnvelope: a canonical frame splits on the fast path into a

@@ -24,11 +24,15 @@
 // every key with one compare and an absent optional key costs one missed
 // compare. A key no literal matches (escaped, spaced, repeated, out of
 // order or unknown) is read as a string and looked up, exactly matched,
-// and the prediction resumes after it. A payload the fast scanner refuses
-// is unmarshalled into the full shape by encoding/json, whose verdict is
-// final, and projected by the chain's Project function, which is also the
-// reference the differential tests and fuzz targets hold the fast scanner
-// to. A figure that needs a field the projection lacks adds it to the
+// and the prediction resumes after it. Ahead of that keyed path, the
+// record a chain repeats — an EOS transaction receipt, an XRP transaction
+// — is first read along its encoder's exact layout, one literal after
+// another (see lexer.open); a record off that layout is read again by the
+// keyed path, and so is every later record of its payload. A payload the
+// fast scanner refuses is unmarshalled into the full shape by
+// encoding/json, whose verdict is final, and projected by the chain's
+// Project function, which is also the reference the differential tests
+// and fuzz targets hold the fast scanner to. A figure that needs a field the projection lacks adds it to the
 // projected type, its decoder case and its Project function; nothing else
 // moves.
 //

@@ -202,6 +202,7 @@ var (
 	xrpAmountKeys = newKeySet([]string{
 		xrpAmountCurrency: "currency", xrpAmountIssuer: "issuer", xrpAmountValue: "value",
 	})
+	xrpExecutedLit  = newKeyLit(`,"executed":true`)
 	xrpEnvelopeKeys = newKeySet([]string{
 		xrpEnvelopeID: "id", xrpEnvelopeStatus: "status", xrpEnvelopeError: "error", xrpEnvelopeResult: "result",
 	})
@@ -252,11 +253,60 @@ func (c *Codec) decodeXRPLedger(into *XRPLedger) error {
 				var tx *XRPTx
 				into.Transactions, tx = grow(into.Transactions)
 				*tx = XRPTx{}
+				if start := l.pos; !l.offLayout {
+					if c.straightXRPTx(tx) {
+						return nil
+					}
+					l.stray(start)
+					*tx = XRPTx{}
+				}
 				return c.decodeXRPTx(tx)
 			})
 		}
 		return l.skipUnknown(key, xrpLedgerKeys.names)
 	})
+}
+
+// straightXRPTx is decodeXRPTx's straight path (see lexer.open): the
+// transaction as appendXRPTx writes it.
+func (c *Codec) straightXRPTx(tx *XRPTx) bool {
+	l, ks := &c.lex, xrpTxKeys
+	if !(l.open(ks) && c.plainStr(nil) &&
+		l.member(ks, xrpTxType) && c.plainStr(&tx.TransactionType) &&
+		l.member(ks, xrpTxAccount) && c.plainStr(&tx.Account) &&
+		(!l.member(ks, xrpTxDestination) || c.plainStr(&tx.Destination)) &&
+		(!l.member(ks, xrpTxDestinationTag) || l.decodeUint32(&tx.DestinationTag) == nil) &&
+		l.member(ks, xrpTxFee) && l.decodeInt64(nil) == nil &&
+		l.member(ks, xrpTxSequence) && l.decodeUint32(&tx.Sequence) == nil &&
+		c.straightXRPAmount(xrpTxAmount, &tx.Amount) &&
+		c.straightXRPAmount(xrpTxTakerGets, nil) &&
+		c.straightXRPAmount(xrpTxTakerPays, nil) &&
+		c.straightXRPAmount(xrpTxLimitAmount, nil) &&
+		c.straightXRPAmount(xrpTxDelivered, &tx.DeliveredAmount) &&
+		(!l.member(ks, xrpTxOfferSequence) || l.decodeUint32(nil) == nil) &&
+		l.member(ks, xrpTxResult) && c.plainStr(&tx.Result)) {
+		return false
+	}
+	tx.Executed = l.tryLit(&xrpExecutedLit)
+	return (!l.member(ks, xrpTxRestingSequence) || l.decodeUint32(nil) == nil) && l.tryBytes("}")
+}
+
+// straightXRPAmount reads amount member i, when it is next, as
+// appendXRPAmountField writes it: into a, or stepped over when a is nil.
+func (c *Codec) straightXRPAmount(i int, a *XRPAmount) bool {
+	l, ks := &c.lex, xrpAmountKeys
+	if !l.member(xrpTxKeys, i) {
+		return true
+	}
+	var currency, issuer *string
+	var value *int64
+	if a != nil {
+		a.Set = true
+		currency, issuer, value = &a.Currency, &a.Issuer, &a.Value
+	}
+	return l.open(ks) && c.plainStr(currency) &&
+		(!l.member(ks, xrpAmountIssuer) || c.plainStr(issuer)) &&
+		l.member(ks, xrpAmountValue) && l.decodeInt64(value) == nil && l.tryBytes("}")
 }
 
 func (c *Codec) decodeXRPTx(tx *XRPTx) error {
