@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"repro/internal/blobstore"
+	"repro/internal/testkit"
 )
 
 // payload fabricates a deterministic raw block body.
@@ -48,40 +49,42 @@ func writeArchive(t *testing.T, dir string, chain string, n int64, segBlocks int
 }
 
 func TestWriterReaderRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	writeArchive(t, dir, "eos", 50, 7) // several rotations
-	r, err := OpenWith(dir, OpenOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Chain() != "eos" {
-		t.Fatalf("chain = %q", r.Chain())
-	}
-	if r.Blocks() != 50 || r.From() != 1 || r.To() != 50 {
-		t.Fatalf("blocks=%d from=%d to=%d", r.Blocks(), r.From(), r.To())
-	}
-	if !r.Covers(1, 50) {
-		t.Fatal("archive should cover [1,50]")
-	}
-	if r.Covers(1, 51) || r.Covers(0, 50) {
-		t.Fatal("Covers accepted an uncovered range")
-	}
-	head, err := r.Head(context.Background())
-	if err != nil || head != 50 {
-		t.Fatalf("head = %d, %v", head, err)
-	}
-	for num := int64(1); num <= 50; num++ {
-		raw, err := r.FetchBlock(context.Background(), num)
+	testkit.Repeat(t, 20, func(t *testing.T) {
+		dir := t.TempDir()
+		writeArchive(t, dir, "eos", 50, 7) // several rotations
+		r, err := OpenWith(dir, OpenOptions{})
 		if err != nil {
-			t.Fatalf("fetch %d: %v", num, err)
+			t.Fatal(err)
 		}
-		if !bytes.Equal(raw, payload(num)) {
-			t.Fatalf("block %d replayed wrong bytes: %s", num, raw)
+		if r.Chain() != "eos" {
+			t.Fatalf("chain = %q", r.Chain())
 		}
-	}
-	if _, err := r.FetchBlock(context.Background(), 51); err == nil {
-		t.Fatal("fetching an unarchived block succeeded")
-	}
+		if r.Blocks() != 50 || r.From() != 1 || r.To() != 50 {
+			t.Fatalf("blocks=%d from=%d to=%d", r.Blocks(), r.From(), r.To())
+		}
+		if !r.Covers(1, 50) {
+			t.Fatal("archive should cover [1,50]")
+		}
+		if r.Covers(1, 51) || r.Covers(0, 50) {
+			t.Fatal("Covers accepted an uncovered range")
+		}
+		head, err := r.Head(context.Background())
+		if err != nil || head != 50 {
+			t.Fatalf("head = %d, %v", head, err)
+		}
+		for num := int64(1); num <= 50; num++ {
+			raw, err := r.FetchBlock(context.Background(), num)
+			if err != nil {
+				t.Fatalf("fetch %d: %v", num, err)
+			}
+			if !bytes.Equal(raw, payload(num)) {
+				t.Fatalf("block %d replayed wrong bytes: %s", num, raw)
+			}
+		}
+		if _, err := r.FetchBlock(context.Background(), 51); err == nil {
+			t.Fatal("fetching an unarchived block succeeded")
+		}
+	})
 }
 
 // TestFetchBlockConcurrent exercises the segment cache under the same
@@ -122,44 +125,46 @@ func TestFetchBlockConcurrent(t *testing.T) {
 // TestWriterAppendsAcrossSessions: a resumed crawl reopens the archive and
 // extends it; the union replays, and the chains must match.
 func TestWriterAppendsAcrossSessions(t *testing.T) {
-	dir := t.TempDir()
-	w1, err := NewWriter(WriterConfig{Dir: dir, Chain: "tezos", SegmentBlocks: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for num := int64(10); num > 5; num-- {
-		if err := w1.Append(num, payload(num)); err != nil {
+	testkit.Repeat(t, 20, func(t *testing.T) {
+		dir := t.TempDir()
+		w1, err := NewWriter(WriterConfig{Dir: dir, Chain: "tezos", SegmentBlocks: 4})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := w1.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	w2, err := NewWriter(WriterConfig{Dir: dir, Chain: "tezos", SegmentBlocks: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for num := int64(5); num >= 1; num-- {
-		if err := w2.Append(num, payload(num)); err != nil {
+		for num := int64(10); num > 5; num-- {
+			if err := w1.Append(num, payload(num)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w1.Close(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := w2.Close(); err != nil {
-		t.Fatal(err)
-	}
 
-	r, err := OpenWith(dir, OpenOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Covers(1, 10) {
-		t.Fatalf("union archive covers [%d,%d], blocks %d", r.From(), r.To(), r.Blocks())
-	}
+		w2, err := NewWriter(WriterConfig{Dir: dir, Chain: "tezos", SegmentBlocks: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for num := int64(5); num >= 1; num-- {
+			if err := w2.Append(num, payload(num)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w2.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-	if _, err := NewWriter(WriterConfig{Dir: dir, Chain: "xrp"}); err == nil {
-		t.Fatal("writer accepted a chain mismatch against an existing manifest")
-	}
+		r, err := OpenWith(dir, OpenOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !r.Covers(1, 10) {
+			t.Fatalf("union archive covers [%d,%d], blocks %d", r.From(), r.To(), r.Blocks())
+		}
+
+		if _, err := NewWriter(WriterConfig{Dir: dir, Chain: "xrp"}); err == nil {
+			t.Fatal("writer accepted a chain mismatch against an existing manifest")
+		}
+	})
 }
 
 // TestWriterCompressedBytes: the footprint a teed crawl reports in place of
@@ -168,79 +173,81 @@ func TestWriterAppendsAcrossSessions(t *testing.T) {
 // not counting an earlier session's segments (like Blocks) or a segment a
 // failed publish threw away.
 func TestWriterCompressedBytes(t *testing.T) {
-	ctx := context.Background()
-	base := blobstore.NewMemory()
-	// stored sums manifest comp_bytes and object sizes over segments[from:].
-	stored := func(from int) (manifest, objects int64) {
-		t.Helper()
-		m, err := loadManifest(ctx, base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, seg := range m.Segments[from:] {
-			size, err := base.Stat(ctx, seg.File)
+	testkit.Repeat(t, 20, func(t *testing.T) {
+		ctx := context.Background()
+		base := blobstore.NewMemory()
+		// stored sums manifest comp_bytes and object sizes over segments[from:].
+		stored := func(from int) (manifest, objects int64) {
+			t.Helper()
+			m, err := loadManifest(ctx, base)
 			if err != nil {
 				t.Fatal(err)
 			}
-			manifest += seg.CompBytes
-			objects += size
+			for _, seg := range m.Segments[from:] {
+				size, err := base.Stat(ctx, seg.File)
+				if err != nil {
+					t.Fatal(err)
+				}
+				manifest += seg.CompBytes
+				objects += size
+			}
+			return manifest, objects
 		}
-		return manifest, objects
-	}
 
-	w1, err := NewWriter(WriterConfig{Store: base, Chain: "eos", SegmentBlocks: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for num := int64(20); num > 10; num-- {
-		if err := w1.Append(num, payload(num)); err != nil {
+		w1, err := NewWriter(WriterConfig{Store: base, Chain: "eos", SegmentBlocks: 4})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	// Two segments committed, two records still open: only Close counts them.
-	open1 := w1.CompressedBytes()
-	if man, _ := stored(0); open1 != man || open1 == 0 {
-		t.Fatalf("mid-session footprint %d, manifest holds %d", open1, man)
-	}
-	if err := w1.Close(); err != nil {
-		t.Fatal(err)
-	}
-	man1, obj1 := stored(0)
-	if got := w1.CompressedBytes(); got != man1 || got != obj1 || got <= open1 {
-		t.Fatalf("session 1 footprint %d, manifest %d, objects %d, before close %d", got, man1, obj1, open1)
-	}
-
-	// Session 2 inherits three segments and must not count them; its third
-	// segment's publish fails and must not be counted either.
-	faulty := blobstore.NewFaulty(base)
-	w2, err := NewWriter(WriterConfig{Store: faulty, Chain: "eos", SegmentBlocks: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := w2.CompressedBytes(); got != 0 {
-		t.Fatalf("fresh session already reports %d bytes", got)
-	}
-	boom := errors.New("endpoint on fire")
-	faulty.BreakAfter(blobstore.OpPut, 4, -1, boom) // two segments + two manifests land
-	for num := int64(10); num > 2; num-- {
-		if err := w2.Append(num, payload(num)); err != nil {
+		for num := int64(20); num > 10; num-- {
+			if err := w1.Append(num, payload(num)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Two segments committed, two records still open: only Close counts them.
+		open1 := w1.CompressedBytes()
+		if man, _ := stored(0); open1 != man || open1 == 0 {
+			t.Fatalf("mid-session footprint %d, manifest holds %d", open1, man)
+		}
+		if err := w1.Close(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	clean := w2.CompressedBytes()
-	for num := int64(104); num > 100; num-- { // the fourth completes segment 3
-		err = w2.Append(num, payload(num))
-	}
-	if !errors.Is(err, boom) {
-		t.Fatalf("rotating append did not surface the put failure: %v", err)
-	}
-	if err := w2.Close(); !errors.Is(err, boom) {
-		t.Fatalf("closing a poisoned writer: %v", err)
-	}
-	man2, obj2 := stored(3)
-	if got := w2.CompressedBytes(); got != clean || got != man2 || got != obj2 {
-		t.Fatalf("session 2 footprint %d, before the failed publish %d, manifest %d, objects %d", got, clean, man2, obj2)
-	}
+		man1, obj1 := stored(0)
+		if got := w1.CompressedBytes(); got != man1 || got != obj1 || got <= open1 {
+			t.Fatalf("session 1 footprint %d, manifest %d, objects %d, before close %d", got, man1, obj1, open1)
+		}
+
+		// Session 2 inherits three segments and must not count them; its third
+		// segment's publish fails and must not be counted either.
+		faulty := blobstore.NewFaulty(base)
+		w2, err := NewWriter(WriterConfig{Store: faulty, Chain: "eos", SegmentBlocks: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := w2.CompressedBytes(); got != 0 {
+			t.Fatalf("fresh session already reports %d bytes", got)
+		}
+		boom := errors.New("endpoint on fire")
+		faulty.BreakAfter(blobstore.OpPut, 4, -1, boom) // two segments + two manifests land
+		for num := int64(10); num > 2; num-- {
+			if err := w2.Append(num, payload(num)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		clean := w2.CompressedBytes()
+		for num := int64(104); num > 100; num-- { // the fourth completes segment 3
+			err = w2.Append(num, payload(num))
+		}
+		if !errors.Is(err, boom) {
+			t.Fatalf("rotating append did not surface the put failure: %v", err)
+		}
+		if err := w2.Close(); !errors.Is(err, boom) {
+			t.Fatalf("closing a poisoned writer: %v", err)
+		}
+		man2, obj2 := stored(3)
+		if got := w2.CompressedBytes(); got != clean || got != man2 || got != obj2 {
+			t.Fatalf("session 2 footprint %d, before the failed publish %d, manifest %d, objects %d", got, clean, man2, obj2)
+		}
+	})
 }
 
 // TestDuplicateRecordsDedupe: an archive may hold a block twice (a plain
@@ -418,217 +425,219 @@ func TestFailedPutPoisonsWriter(t *testing.T) {
 // refuse it with ErrCorrupt, in a message containing want, without
 // allocating more than the objects it read could account for.
 func TestCorruptionFailsLoudly(t *testing.T) {
-	cases := []struct {
-		name    string
-		want    string
-		corrupt func(t *testing.T, dir string)
-	}{
-		{"truncated segment", "truncated or modified", func(t *testing.T, dir string) {
-			seg := firstSegment(t, dir)
-			data, err := os.ReadFile(seg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(seg, data[:len(data)/2], 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"flipped byte", "checksum mismatch", func(t *testing.T, dir string) {
-			seg := firstSegment(t, dir)
-			data, err := os.ReadFile(seg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			data[len(data)/2] ^= 0xff
-			if err := os.WriteFile(seg, data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"missing segment", "missing segment", func(t *testing.T, dir string) {
-			if err := os.Remove(firstSegment(t, dir)); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"manifest block count mismatch", "disagrees with manifest (blocks 6/7", func(t *testing.T, dir string) {
-			// One block more and one record header's bytes less: the entry
-			// still accounts for the stream the members state, so only the
-			// record walk's count can object.
-			editManifest(t, dir, func(m *Manifest) {
-				m.Segments[0].Blocks++
-				m.Segments[0].RawBytes -= 12
-			})
-		}},
-		{"manifest height range mismatch", "disagrees with manifest", func(t *testing.T, dir string) {
-			editManifest(t, dir, func(m *Manifest) { m.Segments[0].Max++ })
-		}},
-		{"manifest raw byte mismatch", "segment-000001.gz: stream inflates past", func(t *testing.T, dir string) {
-			editManifest(t, dir, func(m *Manifest) { m.Segments[0].RawBytes-- })
-		}},
-		{"manifest overstates raw bytes by 2^40", "disagrees with manifest", func(t *testing.T, dir string) {
-			editManifest(t, dir, func(m *Manifest) { m.Segments[0].RawBytes += 1 << 40 })
-		}},
-		{"manifest overstates blocks by 2^60", "disagrees with manifest", func(t *testing.T, dir string) {
-			editManifest(t, dir, func(m *Manifest) { m.Segments[0].Blocks += 1 << 60 })
-		}},
-		{"manifest with negative raw bytes", "disagrees with manifest", func(t *testing.T, dir string) {
-			editManifest(t, dir, func(m *Manifest) { m.Segments[0].RawBytes = -1 << 40 })
-		}},
-		{"stream longer than the manifest accounts for", "segment-000001.gz: stream inflates past", func(t *testing.T, dir string) {
-			// A whole extra record, checksum and size recomputed: only the
-			// sized inflate (or the record walk behind it) can object.
-			rewriteFirstSegment(t, dir, func(stream []byte) []byte {
-				rec := make([]byte, 12, 12+64)
-				binary.BigEndian.PutUint64(rec, 21)
-				binary.BigEndian.PutUint32(rec[8:], 64)
-				return append(stream, append(rec, make([]byte, 64)...)...)
-			})
-		}},
-		{"bad magic with recomputed checksum", "bad segment magic", func(t *testing.T, dir string) {
-			rewriteFirstSegment(t, dir, func(stream []byte) []byte {
-				stream[0] ^= 0x20
-				return stream
-			})
-		}},
-		{"stream ending mid-record with recomputed checksum", "ends mid-record header", func(t *testing.T, dir string) {
-			// The last record cut to 5 bytes of its header, and the entry's
-			// raw bytes lowered so it accounts for exactly the stream the
-			// members state: only the record walk runs out.
-			last := len(payload(20))
-			rewriteFirstSegment(t, dir, func(stream []byte) []byte {
-				return append(stream[:len(stream)-last-12], make([]byte, 5)...)
-			})
-			editManifest(t, dir, func(m *Manifest) { m.Segments[0].RawBytes -= int64(last + 12 - 5) })
-		}},
-		{"segment written before members", "segment-000001.gz: its first gzip member states no length", func(t *testing.T, dir string) {
-			// The same stream as one gzip object without the length
-			// subfield, as segments were written before they were cut into
-			// members: refused by name, with the way to re-archive it.
-			seg := firstSegment(t, dir)
-			data, err := os.ReadFile(seg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			object := gzipAt(t, segmentLevel, gunzip(t, data))
-			if err := os.WriteFile(seg, object, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			editManifest(t, dir, func(m *Manifest) {
-				m.Segments[0].SHA256 = sha256Hex(object)
-				m.Segments[0].CompBytes = int64(len(object))
-			})
-		}},
-		{"manifest without compressed size", "inconsistent metadata", func(t *testing.T, dir string) {
-			editManifest(t, dir, func(m *Manifest) { m.Segments[0].CompBytes = 0 })
-		}},
-		{"manifest of another version", "unsupported version", func(t *testing.T, dir string) {
-			editManifest(t, dir, func(m *Manifest) { m.Version = manifestVersion - 1 })
-		}},
-		{"truncated gzip stream with recomputed checksum", "unexpected EOF", func(t *testing.T, dir string) {
-			// Defeats the checksum so the record walk itself must catch it.
-			seg := firstSegment(t, dir)
-			data, err := os.ReadFile(seg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			trunc := data[:len(data)-4]
-			if err := os.WriteFile(seg, trunc, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			// Also fix up the size so the record walk itself is what trips.
-			editManifest(t, dir, func(m *Manifest) {
-				m.Segments[0].SHA256 = sha256Hex(trunc)
-				m.Segments[0].CompBytes = int64(len(trunc))
-			})
-		}},
-		// The member cases reframe the first segment as gzip members of 40
-		// bytes of stream each and re-stamp the manifest's size and
-		// checksum, so only the member parser and the inflate behind it can
-		// object.
-		{"member length past the object", "segment-000001.gz: gzip member at byte", func(t *testing.T, dir string) {
-			reframeFirstSegment(t, dir, 40, func(obj []byte, at []int) []byte {
-				addUint32(obj[at[len(at)-1]+memberLenAt:], 1)
-				return obj
-			})
-		}},
-		{"member length into the next member", "segment-000001.gz: gzip member at byte 0", func(t *testing.T, dir string) {
-			reframeFirstSegment(t, dir, 40, func(obj []byte, at []int) []byte {
-				addUint32(obj[memberLenAt:], 10)
-				return obj
-			})
-		}},
-		{"member with bytes past its trailer inside its stated length", "deflate stream ends 8 bytes before the trailer", func(t *testing.T, dir string) {
-			// The last member's trailer repeated and its length stretched
-			// over the copy: its stated ISIZE still reads true, and only
-			// the check that a member ends where its length says catches it.
-			reframeFirstSegment(t, dir, 40, func(obj []byte, at []int) []byte {
-				addUint32(obj[at[len(at)-1]+memberLenAt:], 8)
-				return append(obj, obj[len(obj)-8:]...)
-			})
-		}},
-		{"false member ISIZE", "segment-000001.gz: stream inflates past", func(t *testing.T, dir string) {
-			reframeFirstSegment(t, dir, 40, func(obj []byte, at []int) []byte {
-				addUint32(obj[at[1]-4:], 1)
-				return obj
-			})
-		}},
-		{"false member ISIZEs that still sum to the manifest", "segment-000001.gz: gzip member at byte 0: inflates to 40 bytes, its ISIZE states 41", func(t *testing.T, dir string) {
-			reframeFirstSegment(t, dir, 40, func(obj []byte, at []int) []byte {
-				addUint32(obj[at[1]-4:], 1)
-				addUint32(obj[at[2]-4:], -1)
-				return obj
-			})
-		}},
-		{"member CRC mismatch with recomputed checksum", "CRC-32 of its 40 bytes is", func(t *testing.T, dir string) {
-			reframeFirstSegment(t, dir, 40, func(obj []byte, at []int) []byte {
-				obj[at[2]-8] ^= 0x01
-				return obj
-			})
-		}},
-		{"member without a length after members with one", "states no length", func(t *testing.T, dir string) {
-			reframeFirstSegment(t, dir, 40, func(obj []byte, at []int) []byte {
-				// The last member re-deflated without the subfield.
-				stream := gunzip(t, obj[at[len(at)-1]:])
-				return append(obj[:at[len(at)-1]], gzipAt(t, segmentLevel, stream)...)
-			})
-		}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			writeArchive(t, dir, "eos", 20, 6)
-			tc.corrupt(t, dir)
-			// What Open may read: the manifest and every segment object.
-			var stored int64
-			entries, err := os.ReadDir(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, e := range entries {
-				if info, err := e.Info(); err == nil {
-					stored += info.Size()
+	testkit.Repeat(t, 20, func(t *testing.T) {
+		cases := []struct {
+			name    string
+			want    string
+			corrupt func(t *testing.T, dir string)
+		}{
+			{"truncated segment", "truncated or modified", func(t *testing.T, dir string) {
+				seg := firstSegment(t, dir)
+				data, err := os.ReadFile(seg)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			_, err = OpenWith(dir, OpenOptions{})
-			runtime.ReadMemStats(&after)
-			if err == nil {
-				t.Fatal("corrupted archive opened cleanly")
-			}
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("corruption not reported as ErrCorrupt: %v", err)
-			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("error %q does not say %q", err, tc.want)
-			}
-			// Proportional to the bytes stored, never to what a manifest
-			// claims: the inflate buffer is capped at maxInflateRatio × the
-			// compressed object, plus fixed gzip and hashing state.
-			if got, bound := int64(after.TotalAlloc-before.TotalAlloc), 2*maxInflateRatio*stored+1<<20; got > bound {
-				t.Fatalf("refusing a %d-byte archive allocated %d bytes (bound %d)", stored, got, bound)
-			}
-		})
-	}
+				if err := os.WriteFile(seg, data[:len(data)/2], 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}},
+			{"flipped byte", "checksum mismatch", func(t *testing.T, dir string) {
+				seg := firstSegment(t, dir)
+				data, err := os.ReadFile(seg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				data[len(data)/2] ^= 0xff
+				if err := os.WriteFile(seg, data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}},
+			{"missing segment", "missing segment", func(t *testing.T, dir string) {
+				if err := os.Remove(firstSegment(t, dir)); err != nil {
+					t.Fatal(err)
+				}
+			}},
+			{"manifest block count mismatch", "disagrees with manifest (blocks 6/7", func(t *testing.T, dir string) {
+				// One block more and one record header's bytes less: the entry
+				// still accounts for the stream the members state, so only the
+				// record walk's count can object.
+				editManifest(t, dir, func(m *Manifest) {
+					m.Segments[0].Blocks++
+					m.Segments[0].RawBytes -= 12
+				})
+			}},
+			{"manifest height range mismatch", "disagrees with manifest", func(t *testing.T, dir string) {
+				editManifest(t, dir, func(m *Manifest) { m.Segments[0].Max++ })
+			}},
+			{"manifest raw byte mismatch", "segment-000001.gz: stream inflates past", func(t *testing.T, dir string) {
+				editManifest(t, dir, func(m *Manifest) { m.Segments[0].RawBytes-- })
+			}},
+			{"manifest overstates raw bytes by 2^40", "disagrees with manifest", func(t *testing.T, dir string) {
+				editManifest(t, dir, func(m *Manifest) { m.Segments[0].RawBytes += 1 << 40 })
+			}},
+			{"manifest overstates blocks by 2^60", "disagrees with manifest", func(t *testing.T, dir string) {
+				editManifest(t, dir, func(m *Manifest) { m.Segments[0].Blocks += 1 << 60 })
+			}},
+			{"manifest with negative raw bytes", "disagrees with manifest", func(t *testing.T, dir string) {
+				editManifest(t, dir, func(m *Manifest) { m.Segments[0].RawBytes = -1 << 40 })
+			}},
+			{"stream longer than the manifest accounts for", "segment-000001.gz: stream inflates past", func(t *testing.T, dir string) {
+				// A whole extra record, checksum and size recomputed: only the
+				// sized inflate (or the record walk behind it) can object.
+				rewriteFirstSegment(t, dir, func(stream []byte) []byte {
+					rec := make([]byte, 12, 12+64)
+					binary.BigEndian.PutUint64(rec, 21)
+					binary.BigEndian.PutUint32(rec[8:], 64)
+					return append(stream, append(rec, make([]byte, 64)...)...)
+				})
+			}},
+			{"bad magic with recomputed checksum", "bad segment magic", func(t *testing.T, dir string) {
+				rewriteFirstSegment(t, dir, func(stream []byte) []byte {
+					stream[0] ^= 0x20
+					return stream
+				})
+			}},
+			{"stream ending mid-record with recomputed checksum", "ends mid-record header", func(t *testing.T, dir string) {
+				// The last record cut to 5 bytes of its header, and the entry's
+				// raw bytes lowered so it accounts for exactly the stream the
+				// members state: only the record walk runs out.
+				last := len(payload(20))
+				rewriteFirstSegment(t, dir, func(stream []byte) []byte {
+					return append(stream[:len(stream)-last-12], make([]byte, 5)...)
+				})
+				editManifest(t, dir, func(m *Manifest) { m.Segments[0].RawBytes -= int64(last + 12 - 5) })
+			}},
+			{"segment written before members", "segment-000001.gz: its first gzip member states no length", func(t *testing.T, dir string) {
+				// The same stream as one gzip object without the length
+				// subfield, as segments were written before they were cut into
+				// members: refused by name, with the way to re-archive it.
+				seg := firstSegment(t, dir)
+				data, err := os.ReadFile(seg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				object := gzipAt(t, segmentLevel, gunzip(t, data))
+				if err := os.WriteFile(seg, object, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				editManifest(t, dir, func(m *Manifest) {
+					m.Segments[0].SHA256 = sha256Hex(object)
+					m.Segments[0].CompBytes = int64(len(object))
+				})
+			}},
+			{"manifest without compressed size", "inconsistent metadata", func(t *testing.T, dir string) {
+				editManifest(t, dir, func(m *Manifest) { m.Segments[0].CompBytes = 0 })
+			}},
+			{"manifest of another version", "unsupported version", func(t *testing.T, dir string) {
+				editManifest(t, dir, func(m *Manifest) { m.Version = manifestVersion - 1 })
+			}},
+			{"truncated gzip stream with recomputed checksum", "unexpected EOF", func(t *testing.T, dir string) {
+				// Defeats the checksum so the record walk itself must catch it.
+				seg := firstSegment(t, dir)
+				data, err := os.ReadFile(seg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				trunc := data[:len(data)-4]
+				if err := os.WriteFile(seg, trunc, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				// Also fix up the size so the record walk itself is what trips.
+				editManifest(t, dir, func(m *Manifest) {
+					m.Segments[0].SHA256 = sha256Hex(trunc)
+					m.Segments[0].CompBytes = int64(len(trunc))
+				})
+			}},
+			// The member cases reframe the first segment as gzip members of 40
+			// bytes of stream each and re-stamp the manifest's size and
+			// checksum, so only the member parser and the inflate behind it can
+			// object.
+			{"member length past the object", "segment-000001.gz: gzip member at byte", func(t *testing.T, dir string) {
+				reframeFirstSegment(t, dir, 40, func(obj []byte, at []int) []byte {
+					addUint32(obj[at[len(at)-1]+memberLenAt:], 1)
+					return obj
+				})
+			}},
+			{"member length into the next member", "segment-000001.gz: gzip member at byte 0", func(t *testing.T, dir string) {
+				reframeFirstSegment(t, dir, 40, func(obj []byte, at []int) []byte {
+					addUint32(obj[memberLenAt:], 10)
+					return obj
+				})
+			}},
+			{"member with bytes past its trailer inside its stated length", "deflate stream ends 8 bytes before the trailer", func(t *testing.T, dir string) {
+				// The last member's trailer repeated and its length stretched
+				// over the copy: its stated ISIZE still reads true, and only
+				// the check that a member ends where its length says catches it.
+				reframeFirstSegment(t, dir, 40, func(obj []byte, at []int) []byte {
+					addUint32(obj[at[len(at)-1]+memberLenAt:], 8)
+					return append(obj, obj[len(obj)-8:]...)
+				})
+			}},
+			{"false member ISIZE", "segment-000001.gz: stream inflates past", func(t *testing.T, dir string) {
+				reframeFirstSegment(t, dir, 40, func(obj []byte, at []int) []byte {
+					addUint32(obj[at[1]-4:], 1)
+					return obj
+				})
+			}},
+			{"false member ISIZEs that still sum to the manifest", "segment-000001.gz: gzip member at byte 0: inflates to 40 bytes, its ISIZE states 41", func(t *testing.T, dir string) {
+				reframeFirstSegment(t, dir, 40, func(obj []byte, at []int) []byte {
+					addUint32(obj[at[1]-4:], 1)
+					addUint32(obj[at[2]-4:], -1)
+					return obj
+				})
+			}},
+			{"member CRC mismatch with recomputed checksum", "CRC-32 of its 40 bytes is", func(t *testing.T, dir string) {
+				reframeFirstSegment(t, dir, 40, func(obj []byte, at []int) []byte {
+					obj[at[2]-8] ^= 0x01
+					return obj
+				})
+			}},
+			{"member without a length after members with one", "states no length", func(t *testing.T, dir string) {
+				reframeFirstSegment(t, dir, 40, func(obj []byte, at []int) []byte {
+					// The last member re-deflated without the subfield.
+					stream := gunzip(t, obj[at[len(at)-1]:])
+					return append(obj[:at[len(at)-1]], gzipAt(t, segmentLevel, stream)...)
+				})
+			}},
+		}
+		for _, tc := range cases {
+			t.Run(tc.name, func(t *testing.T) {
+				dir := t.TempDir()
+				writeArchive(t, dir, "eos", 20, 6)
+				tc.corrupt(t, dir)
+				// What Open may read: the manifest and every segment object.
+				var stored int64
+				entries, err := os.ReadDir(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, e := range entries {
+					if info, err := e.Info(); err == nil {
+						stored += info.Size()
+					}
+				}
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				_, err = OpenWith(dir, OpenOptions{})
+				runtime.ReadMemStats(&after)
+				if err == nil {
+					t.Fatal("corrupted archive opened cleanly")
+				}
+				if !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("corruption not reported as ErrCorrupt: %v", err)
+				}
+				if !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("error %q does not say %q", err, tc.want)
+				}
+				// Proportional to the bytes stored, never to what a manifest
+				// claims: the inflate buffer is capped at maxInflateRatio × the
+				// compressed object, plus fixed gzip and hashing state.
+				if got, bound := int64(after.TotalAlloc-before.TotalAlloc), 2*maxInflateRatio*stored+1<<20; got > bound {
+					t.Fatalf("refusing a %d-byte archive allocated %d bytes (bound %d)", stored, got, bound)
+				}
+			})
+		}
+	})
 }
 
 // rewriteFirstSegment replaces the first segment's uncompressed stream
@@ -708,126 +717,134 @@ func TestSegmentRotationBySize(t *testing.T) {
 // distinct block exactly once with the same bytes FetchBlock serves,
 // duplicates (re-archived blocks) included, at every worker count.
 func TestReplayDeliversEachBlockOnce(t *testing.T) {
-	dir := t.TempDir()
-	w, err := NewWriter(WriterConfig{Dir: dir, Chain: "eos", SegmentBlocks: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for num := int64(40); num >= 1; num-- {
-		if err := w.Append(num, payload(num)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Re-archive a few blocks, as a resumed crawl does; the duplicates
-	// land in later segments and must not be delivered.
-	for _, num := range []int64{40, 17, 3} {
-		if err := w.Append(num, append(payload(num), []byte("-stale")...)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	r, err := OpenWith(dir, OpenOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 5, 16} {
-		var mu sync.Mutex
-		seen := make(map[int64]int)
-		err := r.Replay(context.Background(), workers, func(worker int, num int64, raw []byte) error {
-			if worker < 0 || worker >= workers {
-				return fmt.Errorf("worker index %d out of range", worker)
-			}
-			if !bytes.Equal(raw, payload(num)) {
-				return fmt.Errorf("block %d: replay delivered wrong bytes %q", num, raw)
-			}
-			mu.Lock()
-			seen[num]++
-			mu.Unlock()
-			return nil
-		})
+	testkit.Repeat(t, 20, func(t *testing.T) {
+		dir := t.TempDir()
+		w, err := NewWriter(WriterConfig{Dir: dir, Chain: "eos", SegmentBlocks: 5})
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatal(err)
 		}
-		if int64(len(seen)) != r.Blocks() {
-			t.Fatalf("workers=%d: visited %d blocks, want %d", workers, len(seen), r.Blocks())
-		}
-		for num, n := range seen {
-			if n != 1 {
-				t.Fatalf("workers=%d: block %d visited %d times", workers, num, n)
+		for num := int64(40); num >= 1; num-- {
+			if err := w.Append(num, payload(num)); err != nil {
+				t.Fatal(err)
 			}
 		}
-	}
+		// Re-archive a few blocks, as a resumed crawl does; the duplicates
+		// land in later segments and must not be delivered.
+		for _, num := range []int64{40, 17, 3} {
+			if err := w.Append(num, append(payload(num), []byte("-stale")...)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		r, err := OpenWith(dir, OpenOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2, 5, 16} {
+			var mu sync.Mutex
+			seen := make(map[int64]int)
+			err := r.Replay(context.Background(), workers, func(worker int, num int64, raw []byte) error {
+				if worker < 0 || worker >= workers {
+					return fmt.Errorf("worker index %d out of range", worker)
+				}
+				if !bytes.Equal(raw, payload(num)) {
+					return fmt.Errorf("block %d: replay delivered wrong bytes %q", num, raw)
+				}
+				mu.Lock()
+				seen[num]++
+				mu.Unlock()
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("workers=%d: %v", workers, err)
+			}
+			if int64(len(seen)) != r.Blocks() {
+				t.Fatalf("workers=%d: visited %d blocks, want %d", workers, len(seen), r.Blocks())
+			}
+			for num, n := range seen {
+				if n != 1 {
+					t.Fatalf("workers=%d: block %d visited %d times", workers, num, n)
+				}
+			}
+		}
+	})
 }
 
 // TestReplayStopsOnVisitError: the first visit error surfaces and stops
 // the fan-out promptly.
 func TestReplayStopsOnVisitError(t *testing.T) {
-	dir := t.TempDir()
-	writeArchive(t, dir, "eos", 30, 4)
-	r, err := OpenWith(dir, OpenOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	boom := errors.New("boom")
-	err = r.Replay(context.Background(), 3, func(worker int, num int64, raw []byte) error {
-		if num == 13 {
-			return boom
+	testkit.Repeat(t, 20, func(t *testing.T) {
+		dir := t.TempDir()
+		writeArchive(t, dir, "eos", 30, 4)
+		r, err := OpenWith(dir, OpenOptions{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return nil
+		boom := errors.New("boom")
+		err = r.Replay(context.Background(), 3, func(worker int, num int64, raw []byte) error {
+			if num == 13 {
+				return boom
+			}
+			return nil
+		})
+		if !errors.Is(err, boom) {
+			t.Fatalf("visit error not surfaced: %v", err)
+		}
 	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("visit error not surfaced: %v", err)
-	}
 }
 
 // TestReplayCancelled: a cancelled context surfaces as its error.
 func TestReplayCancelled(t *testing.T) {
-	dir := t.TempDir()
-	writeArchive(t, dir, "eos", 30, 4)
-	r, err := OpenWith(dir, OpenOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	err = r.Replay(ctx, 2, func(worker int, num int64, raw []byte) error { return nil })
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled replay returned %v", err)
-	}
+	testkit.Repeat(t, 20, func(t *testing.T) {
+		dir := t.TempDir()
+		writeArchive(t, dir, "eos", 30, 4)
+		r, err := OpenWith(dir, OpenOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		err = r.Replay(ctx, 2, func(worker int, num int64, raw []byte) error { return nil })
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled replay returned %v", err)
+		}
+	})
 }
 
 // TestReplayDetectsPostOpenTamper: a segment modified after Open fails the
 // replay walk's re-verification on a cache miss instead of feeding stale
 // or corrupt bytes to visitors.
 func TestReplayDetectsPostOpenTamper(t *testing.T) {
-	dir := t.TempDir()
-	writeArchive(t, dir, "eos", 60, 4) // 15 segments, far beyond the cache
-	r, err := OpenWith(dir, OpenOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Drop the Open-seeded cache so every segment takes the miss path.
-	r.mu.Lock()
-	r.cache = make(map[int][]byte)
-	r.order = nil
-	r.mu.Unlock()
+	testkit.Repeat(t, 20, func(t *testing.T) {
+		dir := t.TempDir()
+		writeArchive(t, dir, "eos", 60, 4) // 15 segments, far beyond the cache
+		r, err := OpenWith(dir, OpenOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Drop the Open-seeded cache so every segment takes the miss path.
+		r.mu.Lock()
+		r.cache = make(map[int][]byte)
+		r.order = nil
+		r.mu.Unlock()
 
-	seg := firstSegment(t, dir)
-	data, err := os.ReadFile(seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0x40
-	if err := os.WriteFile(seg, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	err = r.Replay(context.Background(), 2, func(worker int, num int64, raw []byte) error { return nil })
-	if !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("tampered segment replayed without ErrCorrupt: %v", err)
-	}
+		seg := firstSegment(t, dir)
+		data, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[len(data)/2] ^= 0x40
+		if err := os.WriteFile(seg, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		err = r.Replay(context.Background(), 2, func(worker int, num int64, raw []byte) error { return nil })
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("tampered segment replayed without ErrCorrupt: %v", err)
+		}
+	})
 }
 
 // TestOpenWorkersMatchSerial: any verification fan-out produces the

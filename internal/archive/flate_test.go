@@ -18,6 +18,7 @@ import (
 	"testing"
 
 	"repro/internal/blobstore"
+	"repro/internal/testkit"
 )
 
 // memberLevels are the flate levels the decoder is held to stdlib at:
@@ -209,35 +210,37 @@ func FuzzInflateMember(f *testing.F) {
 	f.Add(headerCRCMember(f, []byte("header crc member")))
 	f.Add(literalOnlyMember([]byte("no distance code")))
 	f.Fuzz(func(t *testing.T, member []byte) {
-		dst := make([]byte, memberISIZE(member))
-		if err := fuzzFlate.gunzip(member, dst); err == nil {
-			want, err := stdGunzip(member)
-			if err != nil {
-				t.Fatalf("the decoder accepts a member compress/gzip refuses (%v)", err)
+		testkit.Repeat(t, 20, func(t *testing.T) {
+			dst := make([]byte, memberISIZE(member))
+			if err := fuzzFlate.gunzip(member, dst); err == nil {
+				want, err := stdGunzip(member)
+				if err != nil {
+					t.Fatalf("the decoder accepts a member compress/gzip refuses (%v)", err)
+				}
+				if !bytes.Equal(dst, want) {
+					t.Fatalf("the decoder inflates %d bytes, compress/gzip %d; equal: %v", len(dst), len(want), bytes.Equal(dst, want))
+				}
 			}
-			if !bytes.Equal(dst, want) {
-				t.Fatalf("the decoder inflates %d bytes, compress/gzip %d; equal: %v", len(dst), len(want), bytes.Equal(dst, want))
+			// What the writer deflates, the reader takes.
+			var out bytes.Buffer
+			deflateMember(&out, member)
+			dst = make([]byte, len(member))
+			if err := fuzzFlate.gunzip(out.Bytes(), dst); err != nil || !bytes.Equal(dst, member) {
+				t.Fatalf("the decoder reads deflateMember's member of %d bytes as %v, equal: %v", len(member), err, bytes.Equal(dst, member))
 			}
-		}
-		// What the writer deflates, the reader takes.
-		var out bytes.Buffer
-		deflateMember(&out, member)
-		dst = make([]byte, len(member))
-		if err := fuzzFlate.gunzip(out.Bytes(), dst); err != nil || !bytes.Equal(dst, member) {
-			t.Fatalf("the decoder reads deflateMember's member of %d bytes as %v, equal: %v", len(member), err, bytes.Equal(dst, member))
-		}
-		// The deflate stream alone, held to compress/flate with no CRC to
-		// turn a mutated stream into a refusal before it is compared.
-		at := deflateStart(member)
-		if n, end, ok := fuzzFlate.inflate(member, at, fuzzOut[:]); ok {
-			want, err := io.ReadAll(flate.NewReader(bytes.NewReader(member[at:end])))
-			if err != nil {
-				t.Fatalf("the decoder accepts a deflate stream compress/flate refuses (%v)", err)
+			// The deflate stream alone, held to compress/flate with no CRC to
+			// turn a mutated stream into a refusal before it is compared.
+			at := deflateStart(member)
+			if n, end, ok := fuzzFlate.inflate(member, at, fuzzOut[:]); ok {
+				want, err := io.ReadAll(flate.NewReader(bytes.NewReader(member[at:end])))
+				if err != nil {
+					t.Fatalf("the decoder accepts a deflate stream compress/flate refuses (%v)", err)
+				}
+				if !bytes.Equal(fuzzOut[:n], want) {
+					t.Fatalf("the decoder inflates a deflate stream to %d bytes, compress/flate to %d", n, len(want))
+				}
 			}
-			if !bytes.Equal(fuzzOut[:n], want) {
-				t.Fatalf("the decoder inflates a deflate stream to %d bytes, compress/flate to %d", n, len(want))
-			}
-		}
+		})
 	})
 }
 
@@ -274,7 +277,7 @@ func memberTask(payload []byte, size int, seed uint64) (inflateTask, []byte) {
 // TestInflateMemberAllocs: a warm inflate of a 512 KiB member, through the
 // pooled decoder inflateTask.run borrows, allocates nothing.
 func TestInflateMemberAllocs(t *testing.T) {
-	if raceEnabled {
+	if testkit.Race {
 		t.Skip("allocation counts are perturbed by the race detector")
 	}
 	task, stream := memberTask(chainPayloads(t)["eos"], memberBytes, 1)
@@ -292,36 +295,38 @@ func TestInflateMemberAllocs(t *testing.T) {
 // every result equals that member's serial inflate: no table, bit buffer
 // or output of one task leaks into another's.
 func TestConcurrentMemberInflate(t *testing.T) {
-	payloads := chainPayloads(t)
-	chains := []string{"eos", "tezos", "xrp"}
-	var tasks []inflateTask
-	var want [][]byte
-	for i := range 8 {
-		task, _ := memberTask(payloads[chains[i%3]], 32<<10+i*4096, uint64(i))
-		task.run()
-		if task.err != nil {
-			t.Fatal(task.err)
-		}
-		tasks = append(tasks, task)
-		want = append(want, bytes.Clone(task.dst))
-	}
-	var wg sync.WaitGroup
-	for i := range tasks {
-		wg.Add(1)
-		go func(task inflateTask) {
-			defer wg.Done()
-			task.dst = make([]byte, len(task.dst))
-			for range 5 {
-				clear(task.dst)
-				task.run()
-				if task.err != nil || !bytes.Equal(task.dst, want[i]) {
-					t.Errorf("member %d inflates concurrently to other bytes than serially (%v)", i, task.err)
-					return
-				}
+	testkit.Repeat(t, 20, func(t *testing.T) {
+		payloads := chainPayloads(t)
+		chains := []string{"eos", "tezos", "xrp"}
+		var tasks []inflateTask
+		var want [][]byte
+		for i := range 8 {
+			task, _ := memberTask(payloads[chains[i%3]], 32<<10+i*4096, uint64(i))
+			task.run()
+			if task.err != nil {
+				t.Fatal(task.err)
 			}
-		}(tasks[i])
-	}
-	wg.Wait()
+			tasks = append(tasks, task)
+			want = append(want, bytes.Clone(task.dst))
+		}
+		var wg sync.WaitGroup
+		for i := range tasks {
+			wg.Add(1)
+			go func(task inflateTask) {
+				defer wg.Done()
+				task.dst = make([]byte, len(task.dst))
+				for range 5 {
+					clear(task.dst)
+					task.run()
+					if task.err != nil || !bytes.Equal(task.dst, want[i]) {
+						t.Errorf("member %d inflates concurrently to other bytes than serially (%v)", i, task.err)
+						return
+					}
+				}
+			}(tasks[i])
+		}
+		wg.Wait()
+	})
 }
 
 // headerCRCMember is raw as one gzip member, deflated at segmentLevel,
@@ -450,44 +455,46 @@ func (w *lsbWriter) flush() []byte {
 // fails to open with ErrCorrupt, naming the member's offset and what was
 // refused.
 func TestRefusedMembersFailOpen(t *testing.T) {
-	nums := []int64{6, 2, 5, 1, 4, 3}
-	stream := fuzzStream(nums, payload)
-	cut := len(stream) / 3
-	parts := [][]byte{stream[:cut], stream[cut : 2*cut], stream[2*cut:]}
-	first := levelMember(t, segmentLevel, parts[0], gzip.Header{})
-	last := levelMember(t, segmentLevel, parts[2], gzip.Header{})
-	for _, tc := range []struct {
-		name   string
-		member []byte
-		want   string
-	}{
-		{"FNAME", levelMember(t, segmentLevel, parts[1], gzip.Header{Name: "segment", Comment: "named"}), "header flags 0x1c"},
-		{"FHCRC", headerCRCMember(t, parts[1]), "header flags 0x06"},
-		{"no distance code", literalOnlyMember(parts[1]), "deflate stream does not decode"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			if n, ok := memberLen(tc.member); !ok || n != len(tc.member) {
-				t.Fatalf("the member states length %d (%v), is %d bytes", n, ok, len(tc.member))
-			}
-			if got, err := stdGunzip(tc.member); err != nil || !bytes.Equal(got, parts[1]) {
-				t.Fatalf("compress/gzip reads the member as %d bytes: %v", len(got), err)
-			}
-			obj := bytes.Join([][]byte{first, tc.member, last}, nil)
-			ctx := context.Background()
-			st := blobstore.NewMemory()
-			seg := SegmentInfo{File: segmentName(1), CompBytes: int64(len(obj)), SHA256: sha256Hex(obj)}
-			seg.Blocks, seg.RawBytes, seg.Min, seg.Max = honestEntry(stream)
-			if err := st.Put(ctx, seg.File, obj); err != nil {
-				t.Fatal(err)
-			}
-			if err := saveManifest(ctx, st, Manifest{Version: manifestVersion, Chain: "eos", Segments: []SegmentInfo{seg}}); err != nil {
-				t.Fatal(err)
-			}
-			_, err := OpenWith("", OpenOptions{Store: st, Workers: 2})
-			want := fmt.Sprintf("segment-000001.gz: gzip member at byte %d: %s", len(first), tc.want)
-			if !errors.Is(err, ErrCorrupt) || !strings.Contains(fmt.Sprint(err), want) {
-				t.Fatalf("open: %v, want ErrCorrupt saying %q", err, want)
-			}
-		})
-	}
+	testkit.Repeat(t, 20, func(t *testing.T) {
+		nums := []int64{6, 2, 5, 1, 4, 3}
+		stream := fuzzStream(nums, payload)
+		cut := len(stream) / 3
+		parts := [][]byte{stream[:cut], stream[cut : 2*cut], stream[2*cut:]}
+		first := levelMember(t, segmentLevel, parts[0], gzip.Header{})
+		last := levelMember(t, segmentLevel, parts[2], gzip.Header{})
+		for _, tc := range []struct {
+			name   string
+			member []byte
+			want   string
+		}{
+			{"FNAME", levelMember(t, segmentLevel, parts[1], gzip.Header{Name: "segment", Comment: "named"}), "header flags 0x1c"},
+			{"FHCRC", headerCRCMember(t, parts[1]), "header flags 0x06"},
+			{"no distance code", literalOnlyMember(parts[1]), "deflate stream does not decode"},
+		} {
+			t.Run(tc.name, func(t *testing.T) {
+				if n, ok := memberLen(tc.member); !ok || n != len(tc.member) {
+					t.Fatalf("the member states length %d (%v), is %d bytes", n, ok, len(tc.member))
+				}
+				if got, err := stdGunzip(tc.member); err != nil || !bytes.Equal(got, parts[1]) {
+					t.Fatalf("compress/gzip reads the member as %d bytes: %v", len(got), err)
+				}
+				obj := bytes.Join([][]byte{first, tc.member, last}, nil)
+				ctx := context.Background()
+				st := blobstore.NewMemory()
+				seg := SegmentInfo{File: segmentName(1), CompBytes: int64(len(obj)), SHA256: sha256Hex(obj)}
+				seg.Blocks, seg.RawBytes, seg.Min, seg.Max = honestEntry(stream)
+				if err := st.Put(ctx, seg.File, obj); err != nil {
+					t.Fatal(err)
+				}
+				if err := saveManifest(ctx, st, Manifest{Version: manifestVersion, Chain: "eos", Segments: []SegmentInfo{seg}}); err != nil {
+					t.Fatal(err)
+				}
+				_, err := OpenWith("", OpenOptions{Store: st, Workers: 2})
+				want := fmt.Sprintf("segment-000001.gz: gzip member at byte %d: %s", len(first), tc.want)
+				if !errors.Is(err, ErrCorrupt) || !strings.Contains(fmt.Sprint(err), want) {
+					t.Fatalf("open: %v, want ErrCorrupt saying %q", err, want)
+				}
+			})
+		}
+	})
 }

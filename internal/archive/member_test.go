@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/blobstore"
+	"repro/internal/testkit"
 	"repro/internal/wire"
 )
 
@@ -49,70 +50,72 @@ func gunzip(t *testing.T, obj []byte) []byte {
 // the object to the segment's stream (so gunzip still reads a segment);
 // and the archive replays and fetches byte-identically.
 func TestWriterCutsMembers(t *testing.T) {
-	ctx := context.Background()
-	st := blobstore.NewMemory()
-	w, err := NewWriter(WriterConfig{Store: st, Chain: "eos", SegmentBlocks: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.memberBytes = 150 // three records of payload()
-	nums := []int64{16, 14, 12, 10, 8, 6, 4, 2, 15, 13, 11, 9, 7, 5, 3, 1}
-	for _, num := range nums {
-		if err := w.Append(num, payload(num)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	man, err := loadManifest(ctx, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(man.Segments) != 2 {
-		t.Fatalf("%d segments, want 2", len(man.Segments))
-	}
-	for i, seg := range man.Segments {
-		obj, err := st.Get(ctx, seg.File)
+	testkit.Repeat(t, 20, func(t *testing.T) {
+		ctx := context.Background()
+		st := blobstore.NewMemory()
+		w, err := NewWriter(WriterConfig{Store: st, Chain: "eos", SegmentBlocks: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
-		members := 0
-		for at := 0; at < len(obj); members++ {
-			n, ok := memberLen(obj[at:])
-			if !ok || n < minMemberBytes || n > len(obj)-at {
-				t.Fatalf("%s: member at byte %d states length %d (subfield found: %v) in a %d-byte object", seg.File, at, n, ok, len(obj))
+		w.memberBytes = 150 // three records of payload()
+		nums := []int64{16, 14, 12, 10, 8, 6, 4, 2, 15, 13, 11, 9, 7, 5, 3, 1}
+		for _, num := range nums {
+			if err := w.Append(num, payload(num)); err != nil {
+				t.Fatal(err)
 			}
-			at += n
 		}
-		if members < 2 {
-			t.Errorf("%s is %d member(s); 8 records cut every 150 bytes make more", seg.File, members)
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
 		}
-		if want := fuzzStream(nums[8*i:8*i+8], payload); !bytes.Equal(gunzip(t, obj), want) {
-			t.Errorf("%s does not gunzip to the segment's stream", seg.File)
+		man, err := loadManifest(ctx, st)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		if len(man.Segments) != 2 {
+			t.Fatalf("%d segments, want 2", len(man.Segments))
+		}
+		for i, seg := range man.Segments {
+			obj, err := st.Get(ctx, seg.File)
+			if err != nil {
+				t.Fatal(err)
+			}
+			members := 0
+			for at := 0; at < len(obj); members++ {
+				n, ok := memberLen(obj[at:])
+				if !ok || n < minMemberBytes || n > len(obj)-at {
+					t.Fatalf("%s: member at byte %d states length %d (subfield found: %v) in a %d-byte object", seg.File, at, n, ok, len(obj))
+				}
+				at += n
+			}
+			if members < 2 {
+				t.Errorf("%s is %d member(s); 8 records cut every 150 bytes make more", seg.File, members)
+			}
+			if want := fuzzStream(nums[8*i:8*i+8], payload); !bytes.Equal(gunzip(t, obj), want) {
+				t.Errorf("%s does not gunzip to the segment's stream", seg.File)
+			}
+		}
 
-	r, err := OpenWith("", OpenOptions{Store: st, Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := 0
-	err = r.Replay(ctx, 1, func(_ int, num int64, raw []byte) error {
-		if !bytes.Equal(raw, payload(num)) {
-			t.Errorf("block %d replays as %q", num, raw)
+		r, err := OpenWith("", OpenOptions{Store: st, Workers: 3})
+		if err != nil {
+			t.Fatal(err)
 		}
-		seen++
-		return nil
+		seen := 0
+		err = r.Replay(ctx, 1, func(_ int, num int64, raw []byte) error {
+			if !bytes.Equal(raw, payload(num)) {
+				t.Errorf("block %d replays as %q", num, raw)
+			}
+			seen++
+			return nil
+		})
+		if err != nil || seen != len(nums) {
+			t.Fatalf("replayed %d of %d blocks: %v", seen, len(nums), err)
+		}
+		for _, num := range nums {
+			if raw, err := r.FetchBlock(ctx, num); err != nil || !bytes.Equal(raw, payload(num)) {
+				t.Fatalf("fetch %d: %q, %v", num, raw, err)
+			}
+		}
 	})
-	if err != nil || seen != len(nums) {
-		t.Fatalf("replayed %d of %d blocks: %v", seen, len(nums), err)
-	}
-	for _, num := range nums {
-		if raw, err := r.FetchBlock(ctx, num); err != nil || !bytes.Equal(raw, payload(num)) {
-			t.Fatalf("fetch %d: %q, %v", num, raw, err)
-		}
-	}
 }
 
 // TestMembersAtAnyCutOpen: the reader finds members by their stated
@@ -121,34 +124,36 @@ func TestWriterCutsMembers(t *testing.T) {
 // delivered from the right offset of the one buffer the members inflate
 // into.
 func TestMembersAtAnyCutOpen(t *testing.T) {
-	ctx := context.Background()
-	nums := []int64{5, 3, 1, 4, 2}
-	stream := fuzzStream(nums, payload)
-	for _, cut := range []int{3, 7, 12, 100, len(stream)} {
-		st := blobstore.NewMemory()
-		obj, _ := memberObject(stream, cut)
-		seg := SegmentInfo{File: segmentName(1), CompBytes: int64(len(obj)), SHA256: sha256Hex(obj)}
-		seg.Blocks, seg.RawBytes, seg.Min, seg.Max = honestEntry(stream)
-		if err := st.Put(ctx, seg.File, obj); err != nil {
-			t.Fatal(err)
-		}
-		if err := saveManifest(ctx, st, Manifest{Version: manifestVersion, Chain: "eos", Segments: []SegmentInfo{seg}}); err != nil {
-			t.Fatal(err)
-		}
-		r, err := OpenWith("", OpenOptions{Store: st, Workers: 2})
-		if err != nil {
-			t.Fatalf("cut %d: %v", cut, err)
-		}
-		r.mu.Lock()
-		r.cache = make(map[int][]byte) // FetchBlock re-inflates through loadSegment
-		r.order = nil
-		r.mu.Unlock()
-		for _, num := range nums {
-			if raw, err := r.FetchBlock(ctx, num); err != nil || !bytes.Equal(raw, payload(num)) {
-				t.Fatalf("cut %d: fetch %d: %q, %v", cut, num, raw, err)
+	testkit.Repeat(t, 20, func(t *testing.T) {
+		ctx := context.Background()
+		nums := []int64{5, 3, 1, 4, 2}
+		stream := fuzzStream(nums, payload)
+		for _, cut := range []int{3, 7, 12, 100, len(stream)} {
+			st := blobstore.NewMemory()
+			obj, _ := memberObject(stream, cut)
+			seg := SegmentInfo{File: segmentName(1), CompBytes: int64(len(obj)), SHA256: sha256Hex(obj)}
+			seg.Blocks, seg.RawBytes, seg.Min, seg.Max = honestEntry(stream)
+			if err := st.Put(ctx, seg.File, obj); err != nil {
+				t.Fatal(err)
+			}
+			if err := saveManifest(ctx, st, Manifest{Version: manifestVersion, Chain: "eos", Segments: []SegmentInfo{seg}}); err != nil {
+				t.Fatal(err)
+			}
+			r, err := OpenWith("", OpenOptions{Store: st, Workers: 2})
+			if err != nil {
+				t.Fatalf("cut %d: %v", cut, err)
+			}
+			r.mu.Lock()
+			r.cache = make(map[int][]byte) // FetchBlock re-inflates through loadSegment
+			r.order = nil
+			r.mu.Unlock()
+			for _, num := range nums {
+				if raw, err := r.FetchBlock(ctx, num); err != nil || !bytes.Equal(raw, payload(num)) {
+					t.Fatalf("cut %d: fetch %d: %q, %v", cut, num, raw, err)
+				}
 			}
 		}
-	}
+	})
 }
 
 // TestCachedFetchBlockAllocatesOnce: a FetchBlock served from the segment
@@ -156,7 +161,7 @@ func TestMembersAtAnyCutOpen(t *testing.T) {
 // documents (the boxed slice header) — the cache's recency bookkeeping
 // rotates in place.
 func TestCachedFetchBlockAllocatesOnce(t *testing.T) {
-	if raceEnabled {
+	if testkit.Race {
 		t.Skip("allocation counts are perturbed by the race detector")
 	}
 	dir := t.TempDir()

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/blobstore"
 	"repro/internal/blobstore/s3stub"
+	"repro/internal/testkit"
 )
 
 // ascendingArchive archives blocks [1, n] in height order so segment
@@ -117,82 +118,84 @@ func TestRangedOpenFetchesOnlyCoveringSegments(t *testing.T) {
 // backend-invariant, and a member's bytes depend on its records alone, not
 // on which goroutine deflated it or when.
 func TestCrossBackendIdenticalSegments(t *testing.T) {
-	stub := s3stub.New()
-	defer stub.Close()
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	manifests := make(map[string]Manifest)
-	replays := make(map[string]map[int64]string)
-	for _, procs := range []int{1, 2, 4} {
-		runtime.GOMAXPROCS(procs)
-		s3, err := blobstore.Resolve(stub.URL("bkt", fmt.Sprintf("cross-%d", procs)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		stores := map[string]blobstore.Store{
-			"file": blobstore.NewFile(t.TempDir()),
-			"mem":  blobstore.NewMemory(),
-			"s3":   s3,
-		}
-		for backend, st := range stores {
-			name := fmt.Sprintf("%s, GOMAXPROCS=%d", backend, procs)
-			w, err := NewWriter(WriterConfig{Store: st, Chain: "eos", SegmentBlocks: 7})
+	testkit.Repeat(t, 20, func(t *testing.T) {
+		stub := s3stub.New()
+		defer stub.Close()
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+		manifests := make(map[string]Manifest)
+		replays := make(map[string]map[int64]string)
+		for _, procs := range []int{1, 2, 4} {
+			runtime.GOMAXPROCS(procs)
+			s3, err := blobstore.Resolve(stub.URL("bkt", fmt.Sprintf("cross-%d", procs)))
 			if err != nil {
 				t.Fatal(err)
 			}
-			w.memberBytes = 100 // two records of payload() a member
-			for num := int64(1); num <= 30; num++ {
-				if err := w.Append(num, payload(num)); err != nil {
+			stores := map[string]blobstore.Store{
+				"file": blobstore.NewFile(t.TempDir()),
+				"mem":  blobstore.NewMemory(),
+				"s3":   s3,
+			}
+			for backend, st := range stores {
+				name := fmt.Sprintf("%s, GOMAXPROCS=%d", backend, procs)
+				w, err := NewWriter(WriterConfig{Store: st, Chain: "eos", SegmentBlocks: 7})
+				if err != nil {
 					t.Fatal(err)
 				}
-			}
-			if err := w.Close(); err != nil {
-				t.Fatal(err)
-			}
-			m, err := loadManifest(context.Background(), st)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			manifests[name] = m
+				w.memberBytes = 100 // two records of payload() a member
+				for num := int64(1); num <= 30; num++ {
+					if err := w.Append(num, payload(num)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := w.Close(); err != nil {
+					t.Fatal(err)
+				}
+				m, err := loadManifest(context.Background(), st)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				manifests[name] = m
 
-			r, err := OpenWith("", OpenOptions{Store: st})
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			var mu sync.Mutex
-			got := make(map[int64]string)
-			err = r.Replay(context.Background(), 3, func(worker int, num int64, raw []byte) error {
-				mu.Lock()
-				got[num] = string(raw)
-				mu.Unlock()
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("%s replay: %v", name, err)
-			}
-			replays[name] = got
-		}
-	}
-	ref := manifests["file, GOMAXPROCS=1"]
-	for name, m := range manifests {
-		if len(m.Segments) != len(ref.Segments) {
-			t.Fatalf("%s: %d segments, file, GOMAXPROCS=1 has %d", name, len(m.Segments), len(ref.Segments))
-		}
-		for i := range m.Segments {
-			if m.Segments[i].SHA256 != ref.Segments[i].SHA256 || m.Segments[i].CompBytes != ref.Segments[i].CompBytes {
-				t.Errorf("%s: segment %d differs from file, GOMAXPROCS=1: %+v vs %+v", name, i, m.Segments[i], ref.Segments[i])
+				r, err := OpenWith("", OpenOptions{Store: st})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				var mu sync.Mutex
+				got := make(map[int64]string)
+				err = r.Replay(context.Background(), 3, func(worker int, num int64, raw []byte) error {
+					mu.Lock()
+					got[num] = string(raw)
+					mu.Unlock()
+					return nil
+				})
+				if err != nil {
+					t.Fatalf("%s replay: %v", name, err)
+				}
+				replays[name] = got
 			}
 		}
-	}
-	for name, got := range replays {
-		if len(got) != 30 {
-			t.Fatalf("%s replayed %d blocks", name, len(got))
-		}
-		for num, raw := range replays["file, GOMAXPROCS=1"] {
-			if got[num] != raw {
-				t.Errorf("%s block %d replayed different bytes", name, num)
+		ref := manifests["file, GOMAXPROCS=1"]
+		for name, m := range manifests {
+			if len(m.Segments) != len(ref.Segments) {
+				t.Fatalf("%s: %d segments, file, GOMAXPROCS=1 has %d", name, len(m.Segments), len(ref.Segments))
+			}
+			for i := range m.Segments {
+				if m.Segments[i].SHA256 != ref.Segments[i].SHA256 || m.Segments[i].CompBytes != ref.Segments[i].CompBytes {
+					t.Errorf("%s: segment %d differs from file, GOMAXPROCS=1: %+v vs %+v", name, i, m.Segments[i], ref.Segments[i])
+				}
 			}
 		}
-	}
+		for name, got := range replays {
+			if len(got) != 30 {
+				t.Fatalf("%s replayed %d blocks", name, len(got))
+			}
+			for num, raw := range replays["file, GOMAXPROCS=1"] {
+				if got[num] != raw {
+					t.Errorf("%s block %d replayed different bytes", name, num)
+				}
+			}
+		}
+	})
 }
 
 // TestReaderFaultsPerBackend: under injected faults on any backend, a

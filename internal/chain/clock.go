@@ -38,12 +38,3 @@ func (c *Clock) Tick() time.Time {
 	c.now = c.now.Add(c.step)
 	return c.now
 }
-
-// Advance moves the clock forward by d (which must not be negative).
-func (c *Clock) Advance(d time.Duration) time.Time {
-	if d < 0 {
-		panic("chain: cannot advance clock backwards")
-	}
-	c.now = c.now.Add(d)
-	return c.now
-}

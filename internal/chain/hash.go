@@ -14,11 +14,6 @@ import (
 // on all three simulated chains.
 type Hash [32]byte
 
-// HashBytes returns the SHA-256 digest of data.
-func HashBytes(data []byte) Hash {
-	return Hash(sha256.Sum256(data))
-}
-
 // HashOf hashes the concatenation of the string representations of parts.
 // It is a convenience for deriving deterministic identifiers from structured
 // fields without defining a serialization for every type.
@@ -57,9 +52,3 @@ func (h Hash) String() string {
 	hex.Encode(b[:], h[:])
 	return string(b[:])
 }
-
-// Short returns the first 12 hex characters, enough for log readability.
-func (h Hash) Short() string { return hex.EncodeToString(h[:6]) }
-
-// IsZero reports whether the hash is all zero bytes.
-func (h Hash) IsZero() bool { return h == Hash{} }

@@ -2,22 +2,9 @@ package chain
 
 import (
 	"encoding/hex"
-	"strings"
 	"testing"
 	"testing/quick"
 )
-
-func TestHashBytesDeterministic(t *testing.T) {
-	a := HashBytes([]byte("hello"))
-	b := HashBytes([]byte("hello"))
-	if a != b {
-		t.Fatalf("same input hashed differently: %s vs %s", a, b)
-	}
-	c := HashBytes([]byte("hello!"))
-	if a == c {
-		t.Fatalf("different inputs collided: %s", a)
-	}
-}
 
 func TestHashOfFieldSeparation(t *testing.T) {
 	// The field separator must make ("ab","c") differ from ("a","bc").
@@ -41,7 +28,7 @@ func TestHashOfMixedTypes(t *testing.T) {
 }
 
 func TestHashStringRoundTrip(t *testing.T) {
-	h := HashBytes([]byte("round trip"))
+	h := HashOf("round trip")
 	parsed, err := hex.DecodeString(h.String())
 	if err != nil {
 		t.Fatalf("%q is not hex: %v", h.String(), err)
@@ -51,26 +38,9 @@ func TestHashStringRoundTrip(t *testing.T) {
 	}
 }
 
-func TestHashShortAndZero(t *testing.T) {
-	var z Hash
-	if !z.IsZero() {
-		t.Fatal("zero hash not reported as zero")
-	}
-	h := HashBytes([]byte("x"))
-	if h.IsZero() {
-		t.Fatal("non-zero hash reported zero")
-	}
-	if len(h.Short()) != 12 {
-		t.Fatalf("Short() length = %d, want 12", len(h.Short()))
-	}
-	if !strings.HasPrefix(h.String(), h.Short()) {
-		t.Fatal("Short() is not a prefix of String()")
-	}
-}
-
 func TestHashRoundTripProperty(t *testing.T) {
 	f := func(data []byte) bool {
-		h := HashBytes(data)
+		h := HashOf(string(data))
 		parsed, err := hex.DecodeString(h.String())
 		return err == nil && len(parsed) == len(h) && Hash(parsed) == h
 	}

@@ -17,16 +17,6 @@ func NewRNG(seed int64) *RNG {
 	return &RNG{r: rand.New(rand.NewSource(seed))}
 }
 
-// Fork derives an independent child generator labeled by name. Forked
-// generators let concurrent actors draw randomness without sharing state
-// while preserving determinism of the whole run.
-func (g *RNG) Fork(name string) *RNG {
-	h := HashOf("rng-fork", name, g.r.Int63())
-	seed := int64(h[0])<<56 | int64(h[1])<<48 | int64(h[2])<<40 | int64(h[3])<<32 |
-		int64(h[4])<<24 | int64(h[5])<<16 | int64(h[6])<<8 | int64(h[7])
-	return NewRNG(seed)
-}
-
 // Intn returns a uniform int in [0, n). n must be positive.
 func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
 

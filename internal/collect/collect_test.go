@@ -17,6 +17,7 @@ import (
 	"repro/internal/chain"
 	"repro/internal/eos"
 	"repro/internal/rpcserve"
+	"repro/internal/testkit"
 	"repro/internal/tezos"
 	"repro/internal/wire"
 	"repro/internal/wsrpc"
@@ -215,41 +216,43 @@ func TestCrawlTezos(t *testing.T) {
 }
 
 func TestCrawlXRPOverWebSocket(t *testing.T) {
-	s := xrp.New(xrp.DefaultConfig(1000))
-	a1, a2 := xrp.NewAddress("w1"), xrp.NewAddress("w2")
-	s.Fund(a1, 10_000*xrp.DropsPerXRP)
-	s.Fund(a2, 10_000*xrp.DropsPerXRP)
-	for i := 0; i < 8; i++ {
-		s.Submit(xrp.Transaction{Type: xrp.TxPayment, Account: a1, Destination: a2, Amount: xrp.XRP(1)})
-		s.CloseLedger()
-	}
-	srv := httptest.NewServer(rpcserve.NewXRPServer(s))
-	defer srv.Close()
-
-	client := NewXRPClient("ws" + strings.TrimPrefix(srv.URL, "http"))
-	defer client.Close()
-	head, err := client.Head(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if head != 8 {
-		t.Fatalf("head = %d", head)
-	}
-	var txs int64
-	res, err := crawl(context.Background(), client, CrawlConfig{Workers: 1}, func(num int64, raw []byte) error {
-		led, err := decodeRaw(raw, (*wire.Codec).DecodeXRPLedgerResult)
-		if err != nil {
-			return err
+	testkit.Repeat(t, 20, func(t *testing.T) {
+		s := xrp.New(xrp.DefaultConfig(1000))
+		a1, a2 := xrp.NewAddress("w1"), xrp.NewAddress("w2")
+		s.Fund(a1, 10_000*xrp.DropsPerXRP)
+		s.Fund(a2, 10_000*xrp.DropsPerXRP)
+		for i := 0; i < 8; i++ {
+			s.Submit(xrp.Transaction{Type: xrp.TxPayment, Account: a1, Destination: a2, Amount: xrp.XRP(1)})
+			s.CloseLedger()
 		}
-		atomic.AddInt64(&txs, int64(len(led.Transactions)))
-		return nil
+		srv := httptest.NewServer(rpcserve.NewXRPServer(s))
+		defer srv.Close()
+
+		client := NewXRPClient("ws" + strings.TrimPrefix(srv.URL, "http"))
+		defer client.Close()
+		head, err := client.Head(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if head != 8 {
+			t.Fatalf("head = %d", head)
+		}
+		var txs int64
+		res, err := crawl(context.Background(), client, CrawlConfig{Workers: 1}, func(num int64, raw []byte) error {
+			led, err := decodeRaw(raw, (*wire.Codec).DecodeXRPLedgerResult)
+			if err != nil {
+				return err
+			}
+			atomic.AddInt64(&txs, int64(len(led.Transactions)))
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Blocks != 8 || txs != 8 {
+			t.Fatalf("blocks=%d txs=%d", res.Blocks, txs)
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Blocks != 8 || txs != 8 {
-		t.Fatalf("blocks=%d txs=%d", res.Blocks, txs)
-	}
 }
 
 func TestProbeAndShortlist(t *testing.T) {
@@ -379,73 +382,75 @@ func BenchmarkCrawlThroughput(b *testing.B) {
 // TestXRPClientReconnects: the client must survive a server that drops the
 // connection mid-crawl by redialing on the next call.
 func TestXRPClientReconnects(t *testing.T) {
-	s := xrp.New(xrp.DefaultConfig(1000))
-	a1, a2 := xrp.NewAddress("rc1"), xrp.NewAddress("rc2")
-	s.Fund(a1, 10_000*xrp.DropsPerXRP)
-	s.Fund(a2, 10_000*xrp.DropsPerXRP)
-	for i := 0; i < 6; i++ {
-		s.Submit(xrp.Transaction{Type: xrp.TxPayment, Account: a1, Destination: a2, Amount: xrp.XRP(1)})
-		s.CloseLedger()
-	}
-	inner := rpcserve.NewXRPServer(s)
-	// A wrapper that kills every connection after 2 requests.
-	var served int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		conn, err := wsrpc.Upgrade(w, r)
-		if err != nil {
-			return
+	testkit.Repeat(t, 20, func(t *testing.T) {
+		s := xrp.New(xrp.DefaultConfig(1000))
+		a1, a2 := xrp.NewAddress("rc1"), xrp.NewAddress("rc2")
+		s.Fund(a1, 10_000*xrp.DropsPerXRP)
+		s.Fund(a2, 10_000*xrp.DropsPerXRP)
+		for i := 0; i < 6; i++ {
+			s.Submit(xrp.Transaction{Type: xrp.TxPayment, Account: a1, Destination: a2, Amount: xrp.XRP(1)})
+			s.CloseLedger()
 		}
-		defer conn.Close()
-		for i := 0; i < 2; i++ {
-			var req map[string]any
-			if err := conn.ReadJSON(&req); err != nil {
+		inner := rpcserve.NewXRPServer(s)
+		// A wrapper that kills every connection after 2 requests.
+		var served int64
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			conn, err := wsrpc.Upgrade(w, r)
+			if err != nil {
 				return
 			}
-			atomic.AddInt64(&served, 1)
-			// Proxy through a real handler by re-marshaling: simplest is
-			// to answer ledger/server_info from state directly via the
-			// inner server's logic — reuse by dialing it is overkill, so
-			// answer server_info inline and ledger via the state.
-			id := req["id"]
-			switch req["command"] {
-			case "server_info":
-				conn.WriteJSON(map[string]any{"id": id, "status": "success", "type": "response",
-					"result": map[string]any{"info": map[string]any{
-						"validated_ledger": map[string]any{"seq": s.HeadIndex()},
-					}}})
-			case "ledger":
-				idx := int64(req["ledger_index"].(float64))
-				led := s.GetLedger(idx)
-				if led == nil {
-					conn.WriteJSON(map[string]any{"id": id, "status": "error", "error": "lgrNotFound"})
-					continue
+			defer conn.Close()
+			for i := 0; i < 2; i++ {
+				var req map[string]any
+				if err := conn.ReadJSON(&req); err != nil {
+					return
 				}
-				conn.WriteJSON(map[string]any{"id": id, "status": "success", "type": "response",
-					"result": map[string]any{"ledger": rpcserve.XRPLedgerToJSON(led, true)}})
+				atomic.AddInt64(&served, 1)
+				// Proxy through a real handler by re-marshaling: simplest is
+				// to answer ledger/server_info from state directly via the
+				// inner server's logic — reuse by dialing it is overkill, so
+				// answer server_info inline and ledger via the state.
+				id := req["id"]
+				switch req["command"] {
+				case "server_info":
+					conn.WriteJSON(map[string]any{"id": id, "status": "success", "type": "response",
+						"result": map[string]any{"info": map[string]any{
+							"validated_ledger": map[string]any{"seq": s.HeadIndex()},
+						}}})
+				case "ledger":
+					idx := int64(req["ledger_index"].(float64))
+					led := s.GetLedger(idx)
+					if led == nil {
+						conn.WriteJSON(map[string]any{"id": id, "status": "error", "error": "lgrNotFound"})
+						continue
+					}
+					conn.WriteJSON(map[string]any{"id": id, "status": "success", "type": "response",
+						"result": map[string]any{"ledger": rpcserve.XRPLedgerToJSON(led, true)}})
+				}
 			}
-		}
-		// Connection drops here; the client must redial.
-	}))
-	defer srv.Close()
-	_ = inner
+			// Connection drops here; the client must redial.
+		}))
+		defer srv.Close()
+		_ = inner
 
-	client := NewXRPClient("ws" + strings.TrimPrefix(srv.URL, "http"))
-	defer client.Close()
-	res, err := crawl(context.Background(), client, CrawlConfig{
-		Workers: 1, MaxRetries: 6, Backoff: time.Millisecond,
-	}, func(num int64, raw []byte) error {
-		_, err := decodeRaw(raw, (*wire.Codec).DecodeXRPLedgerResult)
-		return err
+		client := NewXRPClient("ws" + strings.TrimPrefix(srv.URL, "http"))
+		defer client.Close()
+		res, err := crawl(context.Background(), client, CrawlConfig{
+			Workers: 1, MaxRetries: 6, Backoff: time.Millisecond,
+		}, func(num int64, raw []byte) error {
+			_, err := decodeRaw(raw, (*wire.Codec).DecodeXRPLedgerResult)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Blocks != 6 {
+			t.Fatalf("blocks = %d (failed %d, retries %d)", res.Blocks, res.Failed, res.Retries)
+		}
+		if res.Retries == 0 {
+			t.Fatal("disconnections never triggered retries")
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Blocks != 6 {
-		t.Fatalf("blocks = %d (failed %d, retries %d)", res.Blocks, res.Failed, res.Retries)
-	}
-	if res.Retries == 0 {
-		t.Fatal("disconnections never triggered retries")
-	}
 }
 
 // TestXRPClientCancelWakesSilentPeer: a peer that accepts a command and never
@@ -454,61 +459,63 @@ func TestXRPClientReconnects(t *testing.T) {
 // from ever returning. The cancelled call drops the connection; the next one
 // redials.
 func TestXRPClientCancelWakesSilentPeer(t *testing.T) {
-	var conns atomic.Int64
-	got := make(chan struct{}, 1)
-	release := make(chan struct{})
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		conn, err := wsrpc.Upgrade(w, r)
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		first := conns.Add(1) == 1
-		var req map[string]any
-		if err := conn.ReadJSON(&req); err != nil {
-			return
-		}
-		if first {
-			got <- struct{}{}
-			<-release // the command arrived; say nothing
-			return
-		}
-		conn.WriteJSON(map[string]any{"id": req["id"], "status": "success", "type": "response",
-			"result": map[string]any{"info": map[string]any{"validated_ledger": map[string]any{"seq": 7}}}})
-	}))
-	defer srv.Close()
-	defer close(release)
+	testkit.Repeat(t, 20, func(t *testing.T) {
+		var conns atomic.Int64
+		got := make(chan struct{}, 1)
+		release := make(chan struct{})
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			conn, err := wsrpc.Upgrade(w, r)
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+			first := conns.Add(1) == 1
+			var req map[string]any
+			if err := conn.ReadJSON(&req); err != nil {
+				return
+			}
+			if first {
+				got <- struct{}{}
+				<-release // the command arrived; say nothing
+				return
+			}
+			conn.WriteJSON(map[string]any{"id": req["id"], "status": "success", "type": "response",
+				"result": map[string]any{"info": map[string]any{"validated_ledger": map[string]any{"seq": 7}}}})
+		}))
+		defer srv.Close()
+		defer close(release)
 
-	client := NewXRPClient("ws" + strings.TrimPrefix(srv.URL, "http"))
-	defer client.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	blocks, h := Stream(ctx, client, CrawlConfig{From: 1, To: 5, Workers: 1})
-	<-got
-	cancel()
-	waited := make(chan error, 1)
-	go func() {
-		for range blocks {
+		client := NewXRPClient("ws" + strings.TrimPrefix(srv.URL, "http"))
+		defer client.Close()
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		blocks, h := Stream(ctx, client, CrawlConfig{From: 1, To: 5, Workers: 1})
+		<-got
+		cancel()
+		waited := make(chan error, 1)
+		go func() {
+			for range blocks {
+			}
+			_, err := h.Wait()
+			waited <- err
+		}()
+		select {
+		case err := <-waited:
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled crawl returned %v, want context.Canceled", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("Wait never returned: the fetch worker is parked on a peer that stopped answering")
 		}
-		_, err := h.Wait()
-		waited <- err
-	}()
-	select {
-	case err := <-waited:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("cancelled crawl returned %v, want context.Canceled", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Wait never returned: the fetch worker is parked on a peer that stopped answering")
-	}
 
-	head, err := client.Head(context.Background())
-	if err != nil || head != 7 {
-		t.Fatalf("call after a cancelled one: head=%d err=%v, want a redial to answer 7", head, err)
-	}
-	if n := conns.Load(); n != 2 {
-		t.Fatalf("server saw %d connections, want 2 (the cancelled one dropped, one redial)", n)
-	}
+		head, err := client.Head(context.Background())
+		if err != nil || head != 7 {
+			t.Fatalf("call after a cancelled one: head=%d err=%v, want a redial to answer 7", head, err)
+		}
+		if n := conns.Load(); n != 2 {
+			t.Fatalf("server saw %d connections, want 2 (the cancelled one dropped, one redial)", n)
+		}
+	})
 }
 
 // TestXRPClientRefusesStaleReply: a connection that is one reply behind
@@ -518,95 +525,99 @@ func TestXRPClientCancelWakesSilentPeer(t *testing.T) {
 // own reply on a fresh one — the result member byte for byte, whatever white
 // space the peer put around it, in a buffer the caller owns.
 func TestXRPClientRefusesStaleReply(t *testing.T) {
-	var conns atomic.Int64
-	firstClosed := make(chan struct{})
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		conn, err := wsrpc.Upgrade(w, r)
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		first := conns.Add(1) == 1
-		if first {
-			defer close(firstClosed)
-		}
-		for {
-			var req struct {
-				ID    int64 `json:"id"`
-				Index int64 `json:"ledger_index"`
-			}
-			if err := conn.ReadJSON(&req); err != nil {
+	testkit.Repeat(t, 20, func(t *testing.T) {
+		var conns atomic.Int64
+		firstClosed := make(chan struct{})
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			conn, err := wsrpc.Upgrade(w, r)
+			if err != nil {
 				return
 			}
-			id, index := req.ID, req.Index
+			defer conn.Close()
+			first := conns.Add(1) == 1
 			if first {
-				id, index = id-1, index+1000 // the reply to the request before
+				defer close(firstClosed)
 			}
-			frame := fmt.Sprintf(`{"id":%d,"status":"success","type":"response","result": {"ledger":{"ledger_index":%d}} }`, id, index)
-			if err := conn.WriteMessage(wsrpc.OpText, []byte(frame)); err != nil {
-				return
+			for {
+				var req struct {
+					ID    int64 `json:"id"`
+					Index int64 `json:"ledger_index"`
+				}
+				if err := conn.ReadJSON(&req); err != nil {
+					return
+				}
+				id, index := req.ID, req.Index
+				if first {
+					id, index = id-1, index+1000 // the reply to the request before
+				}
+				frame := fmt.Sprintf(`{"id":%d,"status":"success","type":"response","result": {"ledger":{"ledger_index":%d}} }`, id, index)
+				if err := conn.WriteMessage(wsrpc.OpText, []byte(frame)); err != nil {
+					return
+				}
 			}
+		}))
+		defer srv.Close()
+
+		client := NewXRPClient("ws" + strings.TrimPrefix(srv.URL, "http"))
+		defer client.Close()
+		ctx := context.Background()
+		raw, err := client.FetchBlock(ctx, 5)
+		if err == nil {
+			t.Fatalf("the reply to another request was served as ledger 5: %s", raw)
 		}
-	}))
-	defer srv.Close()
+		if !strings.Contains(err.Error(), "desynchronised") {
+			t.Fatalf("stale reply refused with %v, want the desynchronisation named", err)
+		}
+		select {
+		case <-firstClosed:
+		case <-time.After(5 * time.Second):
+			t.Fatal("the desynchronised connection was forgotten, not closed")
+		}
 
-	client := NewXRPClient("ws" + strings.TrimPrefix(srv.URL, "http"))
-	defer client.Close()
-	ctx := context.Background()
-	raw, err := client.FetchBlock(ctx, 5)
-	if err == nil {
-		t.Fatalf("the reply to another request was served as ledger 5: %s", raw)
-	}
-	if !strings.Contains(err.Error(), "desynchronised") {
-		t.Fatalf("stale reply refused with %v, want the desynchronisation named", err)
-	}
-	select {
-	case <-firstClosed:
-	case <-time.After(5 * time.Second):
-		t.Fatal("the desynchronised connection was forgotten, not closed")
-	}
-
-	raw, err = client.FetchBlock(ctx, 5)
-	if err != nil {
-		t.Fatalf("fetch after the dropped connection: %v", err)
-	}
-	if want := `{"ledger":{"ledger_index":5}}`; string(raw) != want {
-		t.Fatalf("ledger 5 served as %q, want %q", raw, want)
-	}
-	if n := conns.Load(); n != 2 {
-		t.Fatalf("server saw %d connections, want 2", n)
-	}
-	// The buffer is the caller's: scribbling over it and handing it back
-	// must not reach the next fetch.
-	for i := range raw {
-		raw[i] = 'x'
-	}
-	wire.PutRaw(raw)
-	again, err := client.FetchBlock(ctx, 6)
-	if err != nil || string(again) != `{"ledger":{"ledger_index":6}}` {
-		t.Fatalf("ledger 6 served as %q, %v", again, err)
-	}
+		raw, err = client.FetchBlock(ctx, 5)
+		if err != nil {
+			t.Fatalf("fetch after the dropped connection: %v", err)
+		}
+		if want := `{"ledger":{"ledger_index":5}}`; string(raw) != want {
+			t.Fatalf("ledger 5 served as %q, want %q", raw, want)
+		}
+		if n := conns.Load(); n != 2 {
+			t.Fatalf("server saw %d connections, want 2", n)
+		}
+		// The buffer is the caller's: scribbling over it and handing it back
+		// must not reach the next fetch.
+		for i := range raw {
+			raw[i] = 'x'
+		}
+		wire.PutRaw(raw)
+		again, err := client.FetchBlock(ctx, 6)
+		if err != nil || string(again) != `{"ledger":{"ledger_index":6}}` {
+			t.Fatalf("ledger 6 served as %q, %v", again, err)
+		}
+	})
 }
 
 // TestXRPCommandBytes: the XRP client appends its commands by hand; they
 // must be the bytes encoding/json gives the same request as a map.
 func TestXRPCommandBytes(t *testing.T) {
-	for _, id := range []int64{1, 42, 1 << 40} {
-		for _, ledger := range []int64{1, 52_431_069} {
-			want, err := json.Marshal(map[string]any{"command": "ledger", "id": id, "ledger_index": ledger, "transactions": true, "expand": true})
+	testkit.Repeat(t, 20, func(t *testing.T) {
+		for _, id := range []int64{1, 42, 1 << 40} {
+			for _, ledger := range []int64{1, 52_431_069} {
+				want, err := json.Marshal(map[string]any{"command": "ledger", "id": id, "ledger_index": ledger, "transactions": true, "expand": true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := appendCommand(nil, id, "ledger", ledger); string(got) != string(want) {
+					t.Errorf("ledger command = %s, want %s", got, want)
+				}
+			}
+			want, err := json.Marshal(map[string]any{"command": "server_info", "id": id})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := appendCommand(nil, id, "ledger", ledger); string(got) != string(want) {
-				t.Errorf("ledger command = %s, want %s", got, want)
+			if got := appendCommand(nil, id, "server_info", 0); string(got) != string(want) {
+				t.Errorf("server_info command = %s, want %s", got, want)
 			}
 		}
-		want, err := json.Marshal(map[string]any{"command": "server_info", "id": id})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := appendCommand(nil, id, "server_info", 0); string(got) != string(want) {
-			t.Errorf("server_info command = %s, want %s", got, want)
-		}
-	}
+	})
 }

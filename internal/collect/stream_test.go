@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/testkit"
 )
 
 // memFetcher serves synthetic blocks from memory and records every fetch so
@@ -114,75 +116,79 @@ func (f *memFetcher) fetchedNums() []int64 {
 // at most Buffer buffered blocks, one in-hand block per worker, one parked
 // block per worker in the hand-off, and the one the tee stage holds.
 func TestStreamBackpressure(t *testing.T) {
-	const workers, buffer, total = 4, 8, 100
-	f := newMemFetcher(total, 0)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	blocks, h := Stream(ctx, f, CrawlConfig{Workers: workers, Buffer: buffer})
-	if cap(blocks) != buffer {
-		t.Fatalf("stream buffer = %d, want %d", cap(blocks), buffer)
-	}
-
-	// Consume nothing; wait for the fetch count to go quiescent.
-	last := f.waitQuiescent(t)
-	if bound := int64(buffer + 2*workers + 1); last > bound {
-		t.Fatalf("stalled consumer let %d fetches through, want <= %d (buffer %d + 2 x workers %d + 1)",
-			last, bound, buffer, workers)
-	}
-	if last < buffer {
-		t.Fatalf("only %d fetches before stall, want at least the buffer (%d)", last, buffer)
-	}
-
-	// Unstall: the crawl must finish and deliver everything exactly once.
-	seen := make(map[int64]bool)
-	for blk := range blocks {
-		if seen[blk.Num] {
-			t.Fatalf("block %d delivered twice", blk.Num)
+	testkit.Repeat(t, 20, func(t *testing.T) {
+		const workers, buffer, total = 4, 8, 100
+		f := newMemFetcher(total, 0)
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		blocks, h := Stream(ctx, f, CrawlConfig{Workers: workers, Buffer: buffer})
+		if cap(blocks) != buffer {
+			t.Fatalf("stream buffer = %d, want %d", cap(blocks), buffer)
 		}
-		seen[blk.Num] = true
-	}
-	res, err := h.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Blocks != total || len(seen) != total {
-		t.Fatalf("blocks = %d, delivered %d, want %d", res.Blocks, len(seen), total)
-	}
+
+		// Consume nothing; wait for the fetch count to go quiescent.
+		last := f.waitQuiescent(t)
+		if bound := int64(buffer + 2*workers + 1); last > bound {
+			t.Fatalf("stalled consumer let %d fetches through, want <= %d (buffer %d + 2 x workers %d + 1)",
+				last, bound, buffer, workers)
+		}
+		if last < buffer {
+			t.Fatalf("only %d fetches before stall, want at least the buffer (%d)", last, buffer)
+		}
+
+		// Unstall: the crawl must finish and deliver everything exactly once.
+		seen := make(map[int64]bool)
+		for blk := range blocks {
+			if seen[blk.Num] {
+				t.Fatalf("block %d delivered twice", blk.Num)
+			}
+			seen[blk.Num] = true
+		}
+		res, err := h.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Blocks != total || len(seen) != total {
+			t.Fatalf("blocks = %d, delivered %d, want %d", res.Blocks, len(seen), total)
+		}
+	})
 }
 
 // TestStreamCancellationDrains: cancelling mid-stream must close the
 // channel, surface ctx's error from Wait, and leak no goroutines.
 func TestStreamCancellationDrains(t *testing.T) {
-	before := runtime.NumGoroutine()
+	testkit.Repeat(t, 20, func(t *testing.T) {
+		before := runtime.NumGoroutine()
 
-	f := newMemFetcher(500, time.Millisecond)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	blocks, h := Stream(ctx, f, CrawlConfig{Workers: 4, Buffer: 4})
-	received := 0
-	for range blocks {
-		received++
-		if received == 20 {
-			cancel()
+		f := newMemFetcher(500, time.Millisecond)
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		blocks, h := Stream(ctx, f, CrawlConfig{Workers: 4, Buffer: 4})
+		received := 0
+		for range blocks {
+			received++
+			if received == 20 {
+				cancel()
+			}
 		}
-	}
-	res, err := h.Wait()
-	if err == nil {
-		t.Fatal("cancelled stream reported success")
-	}
-	if res.Blocks < 20 {
-		t.Fatalf("res.Blocks = %d, want >= 20 delivered before cancel", res.Blocks)
-	}
+		res, err := h.Wait()
+		if err == nil {
+			t.Fatal("cancelled stream reported success")
+		}
+		if res.Blocks < 20 {
+			t.Fatalf("res.Blocks = %d, want >= 20 delivered before cancel", res.Blocks)
+		}
 
-	// All crawl goroutines must unwind.
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before {
-			return
+		// All crawl goroutines must unwind.
+		deadline := time.Now().Add(2 * time.Second)
+		for time.Now().Before(deadline) {
+			if runtime.NumGoroutine() <= before {
+				return
+			}
+			time.Sleep(10 * time.Millisecond)
 		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatalf("goroutines leaked: %d before stream, %d after drain", before, runtime.NumGoroutine())
+		t.Fatalf("goroutines leaked: %d before stream, %d after drain", before, runtime.NumGoroutine())
+	})
 }
 
 // TestStreamTeeSeesEveryDeliveredBlock: the tee must observe exactly the
@@ -190,146 +196,152 @@ func TestStreamCancellationDrains(t *testing.T) {
 // block once and before the consumer can have it. A stream never sizes what
 // it moves, teed or not: CrawlResult.GzipBytes is core.IngestCrawl's to set.
 func TestStreamTeeSeesEveryDeliveredBlock(t *testing.T) {
-	const total = 60
-	f := newMemFetcher(total, 0)
-	var mu sync.Mutex
-	teed := make(map[int64]int)
-	blocks, h := Stream(context.Background(), f, CrawlConfig{
-		Workers: 4, Buffer: 8,
-		Tee: func(num int64, raw []byte) error {
+	testkit.Repeat(t, 20, func(t *testing.T) {
+		const total = 60
+		f := newMemFetcher(total, 0)
+		var mu sync.Mutex
+		teed := make(map[int64]int)
+		blocks, h := Stream(context.Background(), f, CrawlConfig{
+			Workers: 4, Buffer: 8,
+			Tee: func(num int64, raw []byte) error {
+				mu.Lock()
+				teed[num]++
+				mu.Unlock()
+				if want := fmt.Sprintf(`{"num":%d}`, num); string(raw) != want {
+					return fmt.Errorf("tee got %s for block %d", raw, num)
+				}
+				return nil
+			},
+		})
+		delivered := 0
+		for b := range blocks {
+			delivered++
 			mu.Lock()
-			teed[num]++
+			n := teed[b.Num]
 			mu.Unlock()
-			if want := fmt.Sprintf(`{"num":%d}`, num); string(raw) != want {
-				return fmt.Errorf("tee got %s for block %d", raw, num)
+			if n != 1 {
+				t.Fatalf("block %d delivered after %d tee calls, want exactly 1 before delivery", b.Num, n)
 			}
-			return nil
-		},
-	})
-	delivered := 0
-	for b := range blocks {
-		delivered++
-		mu.Lock()
-		n := teed[b.Num]
-		mu.Unlock()
-		if n != 1 {
-			t.Fatalf("block %d delivered after %d tee calls, want exactly 1 before delivery", b.Num, n)
 		}
-	}
-	res, err := h.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if delivered != total || len(teed) != total {
-		t.Fatalf("delivered %d, teed %d distinct, want %d", delivered, len(teed), total)
-	}
-	for num, n := range teed {
-		if n != 1 {
-			t.Fatalf("block %d teed %d times in an uninterrupted crawl", num, n)
+		res, err := h.Wait()
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if res.GzipBytes != 0 || res.RawBytes == 0 {
-		t.Fatalf("teed crawl: gzip=%d raw=%d, want no footprint and raw counted", res.GzipBytes, res.RawBytes)
-	}
+		if delivered != total || len(teed) != total {
+			t.Fatalf("delivered %d, teed %d distinct, want %d", delivered, len(teed), total)
+		}
+		for num, n := range teed {
+			if n != 1 {
+				t.Fatalf("block %d teed %d times in an uninterrupted crawl", num, n)
+			}
+		}
+		if res.GzipBytes != 0 || res.RawBytes == 0 {
+			t.Fatalf("teed crawl: gzip=%d raw=%d, want no footprint and raw counted", res.GzipBytes, res.RawBytes)
+		}
 
-	// Without a tee nothing runs on the stage but delivery: same crawl, same
-	// bytes moved, still no footprint.
-	plain, err := crawl(context.Background(), newMemFetcher(total, 0), CrawlConfig{Workers: 4},
-		func(int64, []byte) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.RawBytes != res.RawBytes || plain.GzipBytes != 0 {
-		t.Fatalf("tee-less crawl: gzip=%d raw=%d, want no footprint and raw=%d", plain.GzipBytes, plain.RawBytes, res.RawBytes)
-	}
+		// Without a tee nothing runs on the stage but delivery: same crawl, same
+		// bytes moved, still no footprint.
+		plain, err := crawl(context.Background(), newMemFetcher(total, 0), CrawlConfig{Workers: 4},
+			func(int64, []byte) error { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plain.RawBytes != res.RawBytes || plain.GzipBytes != 0 {
+			t.Fatalf("tee-less crawl: gzip=%d raw=%d, want no footprint and raw=%d", plain.GzipBytes, plain.RawBytes, res.RawBytes)
+		}
+	})
 }
 
 // TestStreamTeeErrorAbortsCrawl: a failing tee (disk full, torn archive)
 // must stop the whole crawl with its error, and the failing block must not
 // be delivered — the archive never kept it, so a rerun has to refetch it.
 func TestStreamTeeErrorAbortsCrawl(t *testing.T) {
-	const total = 200
-	f := newMemFetcher(total, 0)
-	var calls, failed int64
-	blocks, h := Stream(context.Background(), f, CrawlConfig{
-		Workers: 4, Buffer: 8,
-		Tee: func(num int64, raw []byte) error {
-			if atomic.AddInt64(&calls, 1) == 10 {
-				atomic.StoreInt64(&failed, num)
-				return fmt.Errorf("disk full")
-			}
-			return nil
-		},
+	testkit.Repeat(t, 20, func(t *testing.T) {
+		const total = 200
+		f := newMemFetcher(total, 0)
+		var calls, failed int64
+		blocks, h := Stream(context.Background(), f, CrawlConfig{
+			Workers: 4, Buffer: 8,
+			Tee: func(num int64, raw []byte) error {
+				if atomic.AddInt64(&calls, 1) == 10 {
+					atomic.StoreInt64(&failed, num)
+					return fmt.Errorf("disk full")
+				}
+				return nil
+			},
+		})
+		delivered := make(map[int64]bool)
+		for b := range blocks {
+			delivered[b.Num] = true
+		}
+		res, err := h.Wait()
+		if err == nil {
+			t.Fatal("crawl with a failing tee reported success")
+		}
+		if !errors.Is(err, ErrTee) {
+			t.Fatalf("tee failure not marked ErrTee: %v", err)
+		}
+		if !strings.Contains(err.Error(), "disk full") {
+			t.Fatalf("tee failure cause not surfaced: %v", err)
+		}
+		if got := atomic.LoadInt64(&calls); got > total/2 {
+			t.Fatalf("crawl kept fetching long after the tee failed (%d tee calls)", got)
+		}
+		if len(delivered) == total {
+			t.Fatal("every block was delivered although the tee aborted the crawl")
+		}
+		if num := atomic.LoadInt64(&failed); delivered[num] {
+			t.Fatalf("block %d failed its tee but was delivered", num)
+		}
+		if res.Blocks != int64(len(delivered)) {
+			t.Fatalf("result counts %d blocks, consumer saw %d", res.Blocks, len(delivered))
+		}
 	})
-	delivered := make(map[int64]bool)
-	for b := range blocks {
-		delivered[b.Num] = true
-	}
-	res, err := h.Wait()
-	if err == nil {
-		t.Fatal("crawl with a failing tee reported success")
-	}
-	if !errors.Is(err, ErrTee) {
-		t.Fatalf("tee failure not marked ErrTee: %v", err)
-	}
-	if !strings.Contains(err.Error(), "disk full") {
-		t.Fatalf("tee failure cause not surfaced: %v", err)
-	}
-	if got := atomic.LoadInt64(&calls); got > total/2 {
-		t.Fatalf("crawl kept fetching long after the tee failed (%d tee calls)", got)
-	}
-	if len(delivered) == total {
-		t.Fatal("every block was delivered although the tee aborted the crawl")
-	}
-	if num := atomic.LoadInt64(&failed); delivered[num] {
-		t.Fatalf("block %d failed its tee but was delivered", num)
-	}
-	if res.Blocks != int64(len(delivered)) {
-		t.Fatalf("result counts %d blocks, consumer saw %d", res.Blocks, len(delivered))
-	}
 }
 
 // TestStreamTeeIsSerial: one stage per stream calls the tee, so however many
 // workers fetch, no two tee calls overlap — and the tee still sees every
 // delivered block exactly once, before the consumer does.
 func TestStreamTeeIsSerial(t *testing.T) {
-	const total = 300
-	var inTee, overlaps atomic.Int64
-	var mu sync.Mutex
-	teed := make(map[int64]int)
-	blocks, h := Stream(context.Background(), newMemFetcher(total, 0), CrawlConfig{
-		Workers: 8, Buffer: 4,
-		Tee: func(num int64, raw []byte) error {
-			if inTee.Add(1) > 1 {
-				overlaps.Add(1)
-			}
+	testkit.Repeat(t, 20, func(t *testing.T) {
+		const total = 300
+		var inTee, overlaps atomic.Int64
+		var mu sync.Mutex
+		teed := make(map[int64]int)
+		blocks, h := Stream(context.Background(), newMemFetcher(total, 0), CrawlConfig{
+			Workers: 8, Buffer: 4,
+			Tee: func(num int64, raw []byte) error {
+				if inTee.Add(1) > 1 {
+					overlaps.Add(1)
+				}
+				mu.Lock()
+				teed[num]++
+				mu.Unlock()
+				runtime.Gosched() // give a second caller every chance to show up
+				inTee.Add(-1)
+				return nil
+			},
+		})
+		delivered := 0
+		for b := range blocks {
+			delivered++
 			mu.Lock()
-			teed[num]++
+			n := teed[b.Num]
 			mu.Unlock()
-			runtime.Gosched() // give a second caller every chance to show up
-			inTee.Add(-1)
-			return nil
-		},
-	})
-	delivered := 0
-	for b := range blocks {
-		delivered++
-		mu.Lock()
-		n := teed[b.Num]
-		mu.Unlock()
-		if n != 1 {
-			t.Fatalf("block %d delivered after %d tee calls, want exactly 1", b.Num, n)
+			if n != 1 {
+				t.Fatalf("block %d delivered after %d tee calls, want exactly 1", b.Num, n)
+			}
 		}
-	}
-	if _, err := h.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if n := overlaps.Load(); n != 0 {
-		t.Fatalf("%d tee calls began while another was running", n)
-	}
-	if delivered != total || len(teed) != total {
-		t.Fatalf("delivered %d, teed %d distinct, want %d", delivered, len(teed), total)
-	}
+		if _, err := h.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		if n := overlaps.Load(); n != 0 {
+			t.Fatalf("%d tee calls began while another was running", n)
+		}
+		if delivered != total || len(teed) != total {
+			t.Fatalf("delivered %d, teed %d distinct, want %d", delivered, len(teed), total)
+		}
+	})
 }
 
 // TestStreamCancelWithStalledConsumer: with the consumer reading nothing and
@@ -339,90 +351,94 @@ func TestStreamTeeIsSerial(t *testing.T) {
 // hand-off and the stage alike — while delivered payloads stay the
 // consumer's.
 func TestStreamCancelWithStalledConsumer(t *testing.T) {
-	const workers, buffer = 4, 2
-	var mu sync.Mutex
-	recycled := make(map[*byte]int)
-	orig := putRaw
-	putRaw = func(raw []byte) {
+	testkit.Repeat(t, 20, func(t *testing.T) {
+		const workers, buffer = 4, 2
+		var mu sync.Mutex
+		recycled := make(map[*byte]int)
+		orig := putRaw
+		putRaw = func(raw []byte) {
+			mu.Lock()
+			recycled[&raw[0]]++
+			mu.Unlock()
+		}
+		defer func() { putRaw = orig }()
+
+		f := &owningFetcher{memFetcher: newMemFetcher(100, 0), handed: make(map[*byte]int64)}
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		blocks, h := Stream(ctx, f, CrawlConfig{Workers: workers, Buffer: buffer})
+		fetched := f.waitQuiescent(t)
+		cancel()
+
+		type waited struct {
+			res CrawlResult
+			err error
+		}
+		done := make(chan waited, 1)
+		go func() {
+			res, err := h.Wait()
+			done <- waited{res, err}
+		}()
+		var w waited
+		select {
+		case w = <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatal("Wait never returned after cancel with a stalled consumer")
+		}
+		if !errors.Is(w.err, context.Canceled) {
+			t.Fatalf("Wait returned %v, want context.Canceled", w.err)
+		}
+
+		// What the stream buffered before the cancel still belongs to the
+		// consumer; everything else the fetcher handed out must have come back.
+		delivered := make(map[*byte]bool)
+		for b := range blocks {
+			delivered[&b.Raw[0]] = true
+		}
+		if int64(len(delivered)) != w.res.Blocks {
+			t.Fatalf("result counts %d blocks, channel held %d", w.res.Blocks, len(delivered))
+		}
+		if int64(len(f.handed)) != fetched || len(delivered) == len(f.handed) {
+			t.Fatalf("fetched %d, handed %d, delivered %d: nothing was in flight to drop", fetched, len(f.handed), len(delivered))
+		}
 		mu.Lock()
-		recycled[&raw[0]]++
-		mu.Unlock()
-	}
-	defer func() { putRaw = orig }()
-
-	f := &owningFetcher{memFetcher: newMemFetcher(100, 0), handed: make(map[*byte]int64)}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	blocks, h := Stream(ctx, f, CrawlConfig{Workers: workers, Buffer: buffer})
-	fetched := f.waitQuiescent(t)
-	cancel()
-
-	type waited struct {
-		res CrawlResult
-		err error
-	}
-	done := make(chan waited, 1)
-	go func() {
-		res, err := h.Wait()
-		done <- waited{res, err}
-	}()
-	var w waited
-	select {
-	case w = <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Wait never returned after cancel with a stalled consumer")
-	}
-	if !errors.Is(w.err, context.Canceled) {
-		t.Fatalf("Wait returned %v, want context.Canceled", w.err)
-	}
-
-	// What the stream buffered before the cancel still belongs to the
-	// consumer; everything else the fetcher handed out must have come back.
-	delivered := make(map[*byte]bool)
-	for b := range blocks {
-		delivered[&b.Raw[0]] = true
-	}
-	if int64(len(delivered)) != w.res.Blocks {
-		t.Fatalf("result counts %d blocks, channel held %d", w.res.Blocks, len(delivered))
-	}
-	if int64(len(f.handed)) != fetched || len(delivered) == len(f.handed) {
-		t.Fatalf("fetched %d, handed %d, delivered %d: nothing was in flight to drop", fetched, len(f.handed), len(delivered))
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	for buf, num := range f.handed {
-		want := 1
-		if delivered[buf] {
-			want = 0
+		defer mu.Unlock()
+		for buf, num := range f.handed {
+			want := 1
+			if delivered[buf] {
+				want = 0
+			}
+			if recycled[buf] != want {
+				t.Errorf("block %d (delivered=%v) recycled %d times, want %d", num, delivered[buf], recycled[buf], want)
+			}
 		}
-		if recycled[buf] != want {
-			t.Errorf("block %d (delivered=%v) recycled %d times, want %d", num, delivered[buf], recycled[buf], want)
-		}
-	}
+	})
 }
 
 // TestStreamTeeErrorAfterFetchError: a fetch error and a tee error racing
 // to report must coexist — the error capture has to accept error values of
 // different concrete types without panicking (atomic.Value would not).
 func TestStreamTeeErrorAfterFetchError(t *testing.T) {
-	const total = 100
-	f := newMemFetcher(total, 0)
-	f.fail = map[int64]bool{total: true} // newest block fails first
-	var calls int64
-	blocks, h := Stream(context.Background(), f, CrawlConfig{
-		Workers: 2, Buffer: 4, MaxRetries: 1, Backoff: time.Microsecond,
-		Tee: func(num int64, raw []byte) error {
-			if atomic.AddInt64(&calls, 1) >= 20 {
-				return fmt.Errorf("disk full")
-			}
-			return nil
-		},
+	testkit.Repeat(t, 20, func(t *testing.T) {
+		const total = 100
+		f := newMemFetcher(total, 0)
+		f.fail = map[int64]bool{total: true} // newest block fails first
+		var calls int64
+		blocks, h := Stream(context.Background(), f, CrawlConfig{
+			Workers: 2, Buffer: 4, MaxRetries: 1, Backoff: time.Microsecond,
+			Tee: func(num int64, raw []byte) error {
+				if atomic.AddInt64(&calls, 1) >= 20 {
+					return fmt.Errorf("disk full")
+				}
+				return nil
+			},
+		})
+		for range blocks {
+		}
+		if _, err := h.Wait(); err == nil {
+			t.Fatal("crawl with fetch and tee failures reported success")
+		}
 	})
-	for range blocks {
-	}
-	if _, err := h.Wait(); err == nil {
-		t.Fatal("crawl with fetch and tee failures reported success")
-	}
 }
 
 // TestCrawlAdapterMatchesStream: the tests' callback drain must report the
@@ -500,29 +516,31 @@ func (f *stallFetcher) FetchBlock(ctx context.Context, num int64) ([]byte, error
 // ahead of it — not through the whole range, as bare stride sharding would
 // let them — and the crawl still completes once the straggler lands.
 func TestStreamWindowHoldsRunaways(t *testing.T) {
-	const workers, buffer, total = 4, 8, 400
-	window := buffer + 2*workers + 1
-	for _, stalled := range []int64{total, total - 3, 200, 5} {
-		t.Run(fmt.Sprint("block", stalled), func(t *testing.T) {
-			f := newStallFetcher(total, stalled, workers, window)
-			blocks, h := Stream(context.Background(), f, CrawlConfig{Workers: workers, Buffer: buffer})
-			var delivered int64
-			for blk := range blocks {
-				delivered++
-				blk.Release()
-			}
-			res, err := h.Wait()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Blocks != total || delivered != total {
-				t.Fatalf("blocks = %d, delivered %d, want %d", res.Blocks, delivered, total)
-			}
-			if num := f.overshot.Load(); num != 0 {
-				t.Fatalf("block %d fetched while block %d was still undelivered: more than the window (%d) below it", num, stalled, window)
-			}
-		})
-	}
+	testkit.Repeat(t, 20, func(t *testing.T) {
+		const workers, buffer, total = 4, 8, 400
+		window := buffer + 2*workers + 1
+		for _, stalled := range []int64{total, total - 3, 200, 5} {
+			t.Run(fmt.Sprint("block", stalled), func(t *testing.T) {
+				f := newStallFetcher(total, stalled, workers, window)
+				blocks, h := Stream(context.Background(), f, CrawlConfig{Workers: workers, Buffer: buffer})
+				var delivered int64
+				for blk := range blocks {
+					delivered++
+					blk.Release()
+				}
+				res, err := h.Wait()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Blocks != total || delivered != total {
+					t.Fatalf("blocks = %d, delivered %d, want %d", res.Blocks, delivered, total)
+				}
+				if num := f.overshot.Load(); num != 0 {
+					t.Fatalf("block %d fetched while block %d was still undelivered: more than the window (%d) below it", num, stalled, window)
+				}
+			})
+		}
+	})
 }
 
 // TestStreamGaplessStopsAtHole: a block that exhausts its retries ends a
@@ -530,42 +548,44 @@ func TestStreamWindowHoldsRunaways(t *testing.T) {
 // fetched, the channel closes, Wait names the block — where a plain stream
 // counts it and delivers the rest.
 func TestStreamGaplessStopsAtHole(t *testing.T) {
-	const workers, buffer, total, hole = 4, 8, 400, 300
-	window := int64(buffer + 2*workers + 1)
-	cfg := CrawlConfig{Workers: workers, Buffer: buffer, MaxRetries: 1, Backoff: time.Microsecond}
+	testkit.Repeat(t, 20, func(t *testing.T) {
+		const workers, buffer, total, hole = 4, 8, 400, 300
+		window := int64(buffer + 2*workers + 1)
+		cfg := CrawlConfig{Workers: workers, Buffer: buffer, MaxRetries: 1, Backoff: time.Microsecond}
 
-	f := newMemFetcher(total, 0)
-	f.fail = map[int64]bool{hole: true}
-	blocks, h := StreamGapless(context.Background(), f, cfg)
-	for blk := range blocks {
-		if blk.Num == hole {
-			t.Errorf("the failed block %d was delivered", hole)
+		f := newMemFetcher(total, 0)
+		f.fail = map[int64]bool{hole: true}
+		blocks, h := StreamGapless(context.Background(), f, cfg)
+		for blk := range blocks {
+			if blk.Num == hole {
+				t.Errorf("the failed block %d was delivered", hole)
+			}
+			blk.Release()
 		}
-		blk.Release()
-	}
-	res, err := h.Wait()
-	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("block %d failed", hole)) {
-		t.Fatalf("Wait = %v, want the failed block's error", err)
-	}
-	if res.Failed < 1 {
-		t.Fatalf("Failed = %d, want the hole counted", res.Failed)
-	}
-	f.mu.Lock()
-	for num := range f.fetched {
-		if num <= hole-window {
-			t.Errorf("block %d fetched, more than one window (%d) below the hole at %d", num, window, hole)
+		res, err := h.Wait()
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("block %d failed", hole)) {
+			t.Fatalf("Wait = %v, want the failed block's error", err)
 		}
-	}
-	f.mu.Unlock()
+		if res.Failed < 1 {
+			t.Fatalf("Failed = %d, want the hole counted", res.Failed)
+		}
+		f.mu.Lock()
+		for num := range f.fetched {
+			if num <= hole-window {
+				t.Errorf("block %d fetched, more than one window (%d) below the hole at %d", num, window, hole)
+			}
+		}
+		f.mu.Unlock()
 
-	f = newMemFetcher(total, 0)
-	f.fail = map[int64]bool{hole: true}
-	blocks, h = Stream(context.Background(), f, cfg)
-	for blk := range blocks {
-		blk.Release()
-	}
-	res, err = h.Wait()
-	if err == nil || res.Failed != 1 || res.Blocks != total-1 {
-		t.Fatalf("plain stream: %d blocks, %d failed, err %v; want %d, 1 and the hole's error", res.Blocks, res.Failed, err, total-1)
-	}
+		f = newMemFetcher(total, 0)
+		f.fail = map[int64]bool{hole: true}
+		blocks, h = Stream(context.Background(), f, cfg)
+		for blk := range blocks {
+			blk.Release()
+		}
+		res, err = h.Wait()
+		if err == nil || res.Failed != 1 || res.Blocks != total-1 {
+			t.Fatalf("plain stream: %d blocks, %d failed, err %v; want %d, 1 and the hole's error", res.Blocks, res.Failed, err, total-1)
+		}
+	})
 }

@@ -22,6 +22,7 @@ import (
 	"repro/internal/eos"
 	"repro/internal/retry"
 	"repro/internal/rpcserve"
+	"repro/internal/testkit"
 )
 
 // eosFixture serves a deterministic EOS chainsim over HTTP and counts
@@ -143,79 +144,81 @@ func cancelAfterCheckpoint(k int, cancel context.CancelFunc, covered *core.Block
 // uninterrupted worker's. The killed worker's fetches are gated chunk by
 // chunk, so its second checkpoint exists however fast the crawl runs.
 func TestRunShardCrawlKillResume(t *testing.T) {
-	const blocks = 60
-	fx := newEOSFixture(t, blocks)
-	head := fx.head(t)
-	store := blobstore.NewMemory()
+	testkit.Repeat(t, 20, func(t *testing.T) {
+		const blocks = 60
+		fx := newEOSFixture(t, blocks)
+		head := fx.head(t)
+		store := blobstore.NewMemory()
 
-	mkCfg := func(kit core.StatsKit) CrawlerConfig {
-		return CrawlerConfig{
-			Kit: kit, Fetcher: fx.fetcher(),
-			From: 1, To: head, Store: store,
-			CheckpointEvery: 10, Workers: 2,
+		mkCfg := func(kit core.StatsKit) CrawlerConfig {
+			return CrawlerConfig{
+				Kit: kit, Fetcher: fx.fetcher(),
+				From: 1, To: head, Store: store,
+				CheckpointEvery: 10, Workers: 2,
+			}
 		}
-	}
 
-	// First run: killed right after its second checkpoint landed — the
-	// recoverable instant AfterCheckpoint exposes. The kit dies with the run.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	killed := mkCfg(fx.kit(t))
-	gate := newChunkGate(head, killed.CheckpointEvery)
-	killed.Fetcher = gate.fetcher(killed.Fetcher)
-	var second core.BlockRange
-	killed.AfterCheckpoint = gate.after(cancelAfterCheckpoint(2, cancel, &second))
-	if _, err := RunShardCrawl(ctx, killed); err == nil {
-		t.Fatal("interrupted run reported success")
-	}
-	if _, err := store.Get(context.Background(), CheckpointKey("eos", 1, head)); err != nil {
-		t.Fatalf("no checkpoint survived the kill: %v", err)
-	}
-
-	// Second run: fresh kit (the crash lost all memory), same store.
-	fx.armInterrupt(0, nil)
-	fx.mu.Lock()
-	fx.fetched = make(map[int64]int)
-	fx.mu.Unlock()
-	out, err := RunShardCrawl(context.Background(), mkCfg(fx.kit(t)))
-	if err != nil {
-		t.Fatalf("resumed run: %v", err)
-	}
-	if !out.Resumed.Known() {
-		t.Fatal("second run did not resume from the checkpoint")
-	}
-	// An interrupted worker leaves the longest complete prefix it held:
-	// never less than the checkpoint it was killed after.
-	if out.Resumed.To != head || out.Resumed.From > second.From {
-		t.Fatalf("resumed from %s, want at least the checkpoint the kill followed, %s", out.Resumed, second)
-	}
-
-	// Zero double-ingest: the resumed run must not have refetched any
-	// block of a checkpointed chunk.
-	fx.mu.Lock()
-	for num := out.Resumed.From; num <= out.Resumed.To; num++ {
-		if fx.fetched[num] > 0 {
-			fx.mu.Unlock()
-			t.Fatalf("resume refetched block %d, inside the checkpointed range %s", num, out.Resumed)
+		// First run: killed right after its second checkpoint landed — the
+		// recoverable instant AfterCheckpoint exposes. The kit dies with the run.
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		killed := mkCfg(fx.kit(t))
+		gate := newChunkGate(head, killed.CheckpointEvery)
+		killed.Fetcher = gate.fetcher(killed.Fetcher)
+		var second core.BlockRange
+		killed.AfterCheckpoint = gate.after(cancelAfterCheckpoint(2, cancel, &second))
+		if _, err := RunShardCrawl(ctx, killed); err == nil {
+			t.Fatal("interrupted run reported success")
 		}
-	}
-	fx.mu.Unlock()
+		if _, err := store.Get(context.Background(), CheckpointKey("eos", 1, head)); err != nil {
+			t.Fatalf("no checkpoint survived the kill: %v", err)
+		}
 
-	// The checkpoint is gone and the shard matches an uninterrupted run.
-	if _, err := store.Get(context.Background(), CheckpointKey("eos", 1, head)); !errors.Is(err, fs.ErrNotExist) {
-		t.Fatalf("finished run left its checkpoint behind (err %v)", err)
-	}
-	raw, err := store.Get(context.Background(), out.ShardKey)
-	if err != nil {
-		t.Fatalf("emitted shard missing: %v", err)
-	}
-	st, err := core.DecodeShard(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := st.Summary().Render(), fx.oracle(t, head); got != want {
-		t.Errorf("resumed shard figures differ from oracle:\n--- got ---\n%s--- want ---\n%s", got, want)
-	}
+		// Second run: fresh kit (the crash lost all memory), same store.
+		fx.armInterrupt(0, nil)
+		fx.mu.Lock()
+		fx.fetched = make(map[int64]int)
+		fx.mu.Unlock()
+		out, err := RunShardCrawl(context.Background(), mkCfg(fx.kit(t)))
+		if err != nil {
+			t.Fatalf("resumed run: %v", err)
+		}
+		if !out.Resumed.Known() {
+			t.Fatal("second run did not resume from the checkpoint")
+		}
+		// An interrupted worker leaves the longest complete prefix it held:
+		// never less than the checkpoint it was killed after.
+		if out.Resumed.To != head || out.Resumed.From > second.From {
+			t.Fatalf("resumed from %s, want at least the checkpoint the kill followed, %s", out.Resumed, second)
+		}
+
+		// Zero double-ingest: the resumed run must not have refetched any
+		// block of a checkpointed chunk.
+		fx.mu.Lock()
+		for num := out.Resumed.From; num <= out.Resumed.To; num++ {
+			if fx.fetched[num] > 0 {
+				fx.mu.Unlock()
+				t.Fatalf("resume refetched block %d, inside the checkpointed range %s", num, out.Resumed)
+			}
+		}
+		fx.mu.Unlock()
+
+		// The checkpoint is gone and the shard matches an uninterrupted run.
+		if _, err := store.Get(context.Background(), CheckpointKey("eos", 1, head)); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("finished run left its checkpoint behind (err %v)", err)
+		}
+		raw, err := store.Get(context.Background(), out.ShardKey)
+		if err != nil {
+			t.Fatalf("emitted shard missing: %v", err)
+		}
+		st, err := core.DecodeShard(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := st.Summary().Render(), fx.oracle(t, head); got != want {
+			t.Errorf("resumed shard figures differ from oracle:\n--- got ---\n%s--- want ---\n%s", got, want)
+		}
+	})
 }
 
 // TestRunShardCrawlTornCheckpoint is the crash-window property test: a
@@ -223,72 +226,76 @@ func TestRunShardCrawlKillResume(t *testing.T) {
 // or (at full length) loads intact. No truncation may silently start the
 // slice over — that is how blocks get double-counted.
 func TestRunShardCrawlTornCheckpoint(t *testing.T) {
-	const blocks = 30
-	fx := newEOSFixture(t, blocks)
-	head := fx.head(t)
-	store := blobstore.NewMemory()
+	testkit.Repeat(t, 20, func(t *testing.T) {
+		const blocks = 30
+		fx := newEOSFixture(t, blocks)
+		head := fx.head(t)
+		store := blobstore.NewMemory()
 
-	// Produce a real checkpoint by interrupting a chunked run, gated so
-	// the first chunk's checkpoint is written before the rest complete.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	gate := newChunkGate(head, 8)
-	cfg := CrawlerConfig{
-		Kit: fx.kit(t), Fetcher: gate.fetcher(fx.fetcher()),
-		From: 1, To: head, Store: store,
-		CheckpointEvery: 8, Workers: 2,
-		AfterCheckpoint: gate.after(cancelAfterCheckpoint(1, cancel, nil)),
-	}
-	if _, err := RunShardCrawl(ctx, cfg); err == nil {
-		t.Fatal("interrupted run reported success")
-	}
-	key := CheckpointKey("eos", 1, head)
-	intact, err := store.Get(context.Background(), key)
-	if err != nil {
-		t.Fatalf("no checkpoint to tear: %v", err)
-	}
-
-	for cut := 0; cut < len(intact); cut++ {
-		if err := store.Put(context.Background(), key, intact[:cut]); err != nil {
-			t.Fatal(err)
-		}
-		// The fetcher is never reached: the torn checkpoint must stop the
-		// worker before any crawling.
-		_, err := RunShardCrawl(context.Background(), CrawlerConfig{
-			Kit: fx.kit(t), Fetcher: nil,
+		// Produce a real checkpoint by interrupting a chunked run, gated so
+		// the first chunk's checkpoint is written before the rest complete.
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		gate := newChunkGate(head, 8)
+		cfg := CrawlerConfig{
+			Kit: fx.kit(t), Fetcher: gate.fetcher(fx.fetcher()),
 			From: 1, To: head, Store: store,
-			CheckpointEvery: 8,
-		})
-		if err == nil {
-			t.Fatalf("checkpoint torn at byte %d/%d loaded silently", cut, len(intact))
+			CheckpointEvery: 8, Workers: 2,
+			AfterCheckpoint: gate.after(cancelAfterCheckpoint(1, cancel, nil)),
 		}
-		if !strings.Contains(err.Error(), "corrupt") {
-			t.Fatalf("checkpoint torn at byte %d: error %v does not refuse loudly", cut, err)
+		if _, err := RunShardCrawl(ctx, cfg); err == nil {
+			t.Fatal("interrupted run reported success")
 		}
-	}
+		key := CheckpointKey("eos", 1, head)
+		intact, err := store.Get(context.Background(), key)
+		if err != nil {
+			t.Fatalf("no checkpoint to tear: %v", err)
+		}
+
+		for cut := 0; cut < len(intact); cut++ {
+			if err := store.Put(context.Background(), key, intact[:cut]); err != nil {
+				t.Fatal(err)
+			}
+			// The fetcher is never reached: the torn checkpoint must stop the
+			// worker before any crawling.
+			_, err := RunShardCrawl(context.Background(), CrawlerConfig{
+				Kit: fx.kit(t), Fetcher: nil,
+				From: 1, To: head, Store: store,
+				CheckpointEvery: 8,
+			})
+			if err == nil {
+				t.Fatalf("checkpoint torn at byte %d/%d loaded silently", cut, len(intact))
+			}
+			if !strings.Contains(err.Error(), "corrupt") {
+				t.Fatalf("checkpoint torn at byte %d: error %v does not refuse loudly", cut, err)
+			}
+		}
+	})
 }
 
 // TestRunShardCrawlForeignCheckpointRefused: a checkpoint covering a
 // range outside the worker's slice (operator error: two slices sharing a
 // key) is refused, not merged.
 func TestRunShardCrawlForeignCheckpoint(t *testing.T) {
-	fx := newEOSFixture(t, 10)
-	head := fx.head(t)
-	store := blobstore.NewMemory()
+	testkit.Repeat(t, 20, func(t *testing.T) {
+		fx := newEOSFixture(t, 10)
+		head := fx.head(t)
+		store := blobstore.NewMemory()
 
-	// Encode a state claiming a DIFFERENT slice under this slice's key.
-	kit := fx.kit(t)
-	st := kit.State()
-	st.SetCovered(core.BlockRange{From: head + 5, To: head + 20})
-	if err := store.Put(context.Background(), CheckpointKey("eos", 1, head), st.EncodeTo(nil, 0)); err != nil {
-		t.Fatal(err)
-	}
-	_, err := RunShardCrawl(context.Background(), CrawlerConfig{
-		Kit: fx.kit(t), Fetcher: nil, From: 1, To: head, Store: store,
+		// Encode a state claiming a DIFFERENT slice under this slice's key.
+		kit := fx.kit(t)
+		st := kit.State()
+		st.SetCovered(core.BlockRange{From: head + 5, To: head + 20})
+		if err := store.Put(context.Background(), CheckpointKey("eos", 1, head), st.EncodeTo(nil, 0)); err != nil {
+			t.Fatal(err)
+		}
+		_, err := RunShardCrawl(context.Background(), CrawlerConfig{
+			Kit: fx.kit(t), Fetcher: nil, From: 1, To: head, Store: store,
+		})
+		if err == nil || !strings.Contains(err.Error(), "outside this worker's slice") {
+			t.Fatalf("foreign checkpoint accepted: %v", err)
+		}
 	})
-	if err == nil || !strings.Contains(err.Error(), "outside this worker's slice") {
-		t.Fatalf("foreign checkpoint accepted: %v", err)
-	}
 }
 
 // inProcessWorker adapts RunShardCrawl to the coordinator's Run hook.
@@ -313,63 +320,65 @@ func inProcessWorker(fx *eosFixture, store blobstore.Store, every int64) func(co
 // attempt. The coordinator must retry/resume until every slice lands and
 // the merged figures must be byte-identical to the single-process oracle.
 func TestCoordinatorChaos(t *testing.T) {
-	const blocks = 60
-	fx := newEOSFixture(t, blocks)
-	head := fx.head(t)
+	testkit.Repeat(t, 100, func(t *testing.T) {
+		const blocks = 60
+		fx := newEOSFixture(t, blocks)
+		head := fx.head(t)
 
-	faulty := blobstore.NewFaulty(blobstore.NewMemory())
-	faulty.Chaos(7, 0.03)
+		faulty := blobstore.NewFaulty(blobstore.NewMemory())
+		faulty.Chaos(7, 0.03)
 
-	// Slice 2's first attempt dies mid-crawl: its context is cut after a
-	// handful of blocks, losing its in-memory aggregate. Later attempts
-	// run clean and must resume from the checkpoint.
-	var killOnce sync.Once
-	run := inProcessWorker(fx, faulty, 5)
-	chaosRun := func(ctx context.Context, task Task) error {
-		if task.Index == 2 {
-			var killed bool
-			killOnce.Do(func() {
-				killed = true
-				kctx, cancel := context.WithCancel(ctx)
-				defer cancel()
-				fx.armInterrupt(5, cancel)
-				if err := run(kctx, task); err == nil {
-					t.Error("killed worker attempt reported success")
+		// Slice 2's first attempt dies mid-crawl: its context is cut after a
+		// handful of blocks, losing its in-memory aggregate. Later attempts
+		// run clean and must resume from the checkpoint.
+		var killOnce sync.Once
+		run := inProcessWorker(fx, faulty, 5)
+		chaosRun := func(ctx context.Context, task Task) error {
+			if task.Index == 2 {
+				var killed bool
+				killOnce.Do(func() {
+					killed = true
+					kctx, cancel := context.WithCancel(ctx)
+					defer cancel()
+					fx.armInterrupt(5, cancel)
+					if err := run(kctx, task); err == nil {
+						t.Error("killed worker attempt reported success")
+					}
+					fx.armInterrupt(0, nil)
+				})
+				if killed {
+					return fmt.Errorf("worker killed (simulated SIGKILL)")
 				}
-				fx.armInterrupt(0, nil)
-			})
-			if killed {
-				return fmt.Errorf("worker killed (simulated SIGKILL)")
 			}
+			return run(ctx, task)
 		}
-		return run(ctx, task)
-	}
 
-	res, err := Run(context.Background(), Config{
-		Chain: "eos", From: 1, To: head, Shards: 3,
-		Store:    faulty,
-		Owner:    "chaos-test",
-		LeaseTTL: time.Minute,
-		Retry:    retry.Policy{Attempts: 8, Base: time.Millisecond},
-		Run:      chaosRun,
+		res, err := Run(context.Background(), Config{
+			Chain: "eos", From: 1, To: head, Shards: 3,
+			Store:    faulty,
+			Owner:    "chaos-test",
+			LeaseTTL: time.Minute,
+			Retry:    retry.Policy{Attempts: 8, Base: time.Millisecond},
+			Run:      chaosRun,
+		})
+		if err != nil {
+			t.Fatalf("coordinator under chaos: %v", err)
+		}
+		if len(res.Completed) != 3 || len(res.Failed) != 0 {
+			t.Fatalf("completed %d, failed %d, want 3/0", len(res.Completed), len(res.Failed))
+		}
+		if !res.Report.Complete || len(res.Report.Missing) != 0 {
+			t.Fatalf("complete run's gap report: %+v", res.Report)
+		}
+		if got, want := res.Merged.Summary().Render(), fx.oracle(t, head); got != want {
+			t.Errorf("chaos-merged figures differ from oracle:\n--- got ---\n%s--- want ---\n%s", got, want)
+		}
+		// The finished run retired every lease record (tolerate one injected
+		// fault on this List).
+		if keys, lerr := faulty.List(context.Background(), leasePrefix); lerr == nil && len(keys) != 0 {
+			t.Errorf("leases left behind: %v", keys)
+		}
 	})
-	if err != nil {
-		t.Fatalf("coordinator under chaos: %v", err)
-	}
-	if len(res.Completed) != 3 || len(res.Failed) != 0 {
-		t.Fatalf("completed %d, failed %d, want 3/0", len(res.Completed), len(res.Failed))
-	}
-	if !res.Report.Complete || len(res.Report.Missing) != 0 {
-		t.Fatalf("complete run's gap report: %+v", res.Report)
-	}
-	if got, want := res.Merged.Summary().Render(), fx.oracle(t, head); got != want {
-		t.Errorf("chaos-merged figures differ from oracle:\n--- got ---\n%s--- want ---\n%s", got, want)
-	}
-	// The finished run retired every lease record (tolerate one injected
-	// fault on this List).
-	if keys, lerr := faulty.List(context.Background(), leasePrefix); lerr == nil && len(keys) != 0 {
-		t.Errorf("leases left behind: %v", keys)
-	}
 }
 
 // leaseDeleteFault fails the first Delete of every lease key once — the

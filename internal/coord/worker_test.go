@@ -15,6 +15,7 @@ import (
 	"repro/internal/chain"
 	"repro/internal/collect"
 	"repro/internal/core"
+	"repro/internal/testkit"
 	"repro/internal/wire"
 )
 
@@ -310,73 +311,75 @@ func (g *chunkGate) after(then func(core.BlockRange)) func(core.BlockRange) {
 // the checkpoint's removal if one was written. A slice of one chunk writes
 // no checkpoint and so removes none.
 func TestRunShardCrawlCheckpointContract(t *testing.T) {
-	const from, to = 4, 40
-	n := int64(to - from + 1)
-	for _, chainName := range []string{"eos", "tezos", "xrp"} {
-		fx := newChainFixture(chainName, from, to)
-		want := fx.suffixRenders(t, from, to)
-		ckptKey := CheckpointKey(chainName, from, to)
-		for _, workers := range []int{1, 2, 4} {
-			for _, ingest := range []int{1, 2, 4} {
-				for _, every := range []int64{1, 5, 16, n, n + 1} {
-					t.Run(fmt.Sprintf("%s-w%d-i%d-every%d", chainName, workers, ingest, every), func(t *testing.T) {
-						store := &recordingStore{Store: blobstore.NewMemory()}
-						var hooked []core.BlockRange
-						out, err := RunShardCrawl(context.Background(), CrawlerConfig{
-							Kit: fx.kit(t), Fetcher: fx.fetcher(nil),
-							From: from, To: to, Store: store,
-							CheckpointEvery: every,
-							Workers:         workers, Ingest: ingest, Buffer: 4,
-							AfterCheckpoint: func(cov core.BlockRange) { hooked = append(hooked, cov) },
+	testkit.Repeat(t, 20, func(t *testing.T) {
+		const from, to = 4, 40
+		n := int64(to - from + 1)
+		for _, chainName := range []string{"eos", "tezos", "xrp"} {
+			fx := newChainFixture(chainName, from, to)
+			want := fx.suffixRenders(t, from, to)
+			ckptKey := CheckpointKey(chainName, from, to)
+			for _, workers := range []int{1, 2, 4} {
+				for _, ingest := range []int{1, 2, 4} {
+					for _, every := range []int64{1, 5, 16, n, n + 1} {
+						t.Run(fmt.Sprintf("%s-w%d-i%d-every%d", chainName, workers, ingest, every), func(t *testing.T) {
+							store := &recordingStore{Store: blobstore.NewMemory()}
+							var hooked []core.BlockRange
+							out, err := RunShardCrawl(context.Background(), CrawlerConfig{
+								Kit: fx.kit(t), Fetcher: fx.fetcher(nil),
+								From: from, To: to, Store: store,
+								CheckpointEvery: every,
+								Workers:         workers, Ingest: ingest, Buffer: 4,
+								AfterCheckpoint: func(cov core.BlockRange) { hooked = append(hooked, cov) },
+							})
+							if err != nil {
+								t.Fatal(err)
+							}
+							if out.Blocks != n {
+								t.Fatalf("crawled %d blocks, want %d", out.Blocks, n)
+							}
+							var ckpts [][]byte
+							for _, op := range store.ops {
+								if op.op != blobstore.OpPut || op.key != ckptKey {
+									break
+								}
+								ckpts = append(ckpts, op.data)
+							}
+							covs := checkCheckpoints(t, ckpts, from, to, every, want)
+							if every >= n && len(covs) > 0 {
+								t.Fatalf("a one-chunk slice wrote checkpoints %v", covs)
+							}
+							if fmt.Sprint(hooked) != fmt.Sprint(covs) {
+								t.Fatalf("AfterCheckpoint saw %v, want the checkpoints' %v", hooked, covs)
+							}
+							wantOps := len(ckpts) + 1
+							if len(ckpts) > 0 {
+								wantOps++
+							}
+							if len(store.ops) != wantOps {
+								t.Fatalf("writes %v, want %d checkpoints, the shard and, after a checkpoint, its removal", opKeys(store.ops), len(ckpts))
+							}
+							shard := store.ops[len(ckpts)]
+							if shard.op != blobstore.OpPut || shard.key != out.ShardKey || !strings.HasSuffix(shard.key, ".shard") {
+								t.Fatalf("after the checkpoints came %s %s, want the shard put", shard.op, shard.key)
+							}
+							if len(ckpts) > 0 {
+								if removal := store.ops[len(ckpts)+1]; removal.op != blobstore.OpDelete || removal.key != ckptKey {
+									t.Fatalf("last write is %s %s, want the checkpoint's removal", removal.op, removal.key)
+								}
+							}
+							st, err := core.DecodeShard(shard.data)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if got := st.Summary().Render(); got != want[from] {
+								t.Fatalf("shard differs from a serial ingest of the slice:\n--- got ---\n%s--- want ---\n%s", got, want[from])
+							}
 						})
-						if err != nil {
-							t.Fatal(err)
-						}
-						if out.Blocks != n {
-							t.Fatalf("crawled %d blocks, want %d", out.Blocks, n)
-						}
-						var ckpts [][]byte
-						for _, op := range store.ops {
-							if op.op != blobstore.OpPut || op.key != ckptKey {
-								break
-							}
-							ckpts = append(ckpts, op.data)
-						}
-						covs := checkCheckpoints(t, ckpts, from, to, every, want)
-						if every >= n && len(covs) > 0 {
-							t.Fatalf("a one-chunk slice wrote checkpoints %v", covs)
-						}
-						if fmt.Sprint(hooked) != fmt.Sprint(covs) {
-							t.Fatalf("AfterCheckpoint saw %v, want the checkpoints' %v", hooked, covs)
-						}
-						wantOps := len(ckpts) + 1
-						if len(ckpts) > 0 {
-							wantOps++
-						}
-						if len(store.ops) != wantOps {
-							t.Fatalf("writes %v, want %d checkpoints, the shard and, after a checkpoint, its removal", opKeys(store.ops), len(ckpts))
-						}
-						shard := store.ops[len(ckpts)]
-						if shard.op != blobstore.OpPut || shard.key != out.ShardKey || !strings.HasSuffix(shard.key, ".shard") {
-							t.Fatalf("after the checkpoints came %s %s, want the shard put", shard.op, shard.key)
-						}
-						if len(ckpts) > 0 {
-							if removal := store.ops[len(ckpts)+1]; removal.op != blobstore.OpDelete || removal.key != ckptKey {
-								t.Fatalf("last write is %s %s, want the checkpoint's removal", removal.op, removal.key)
-							}
-						}
-						st, err := core.DecodeShard(shard.data)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if got := st.Summary().Render(); got != want[from] {
-							t.Fatalf("shard differs from a serial ingest of the slice:\n--- got ---\n%s--- want ---\n%s", got, want[from])
-						}
-					})
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 func opKeys(ops []storeOp) []string {
@@ -424,97 +427,99 @@ func (s countedShard) IngestBatch(batch []any) error {
 // all completed before its first cut writes none and so sends no Delete;
 // a checkpointed slice and a resumed one send exactly one, last.
 func TestRunShardCrawlDeletesOnlyWhatExists(t *testing.T) {
-	const from, to, every = 1, 12, 4
-	fx := newChainFixture("tezos", from, to)
-	ckptKey := CheckpointKey("tezos", from, to)
-	// Fetch and ingest pools small enough that one stream window (8 + 2·2
-	// + 1 blocks) spans the slice.
-	cfg := func(kit core.StatsKit, store blobstore.Store, before func(context.Context, int64) error) CrawlerConfig {
-		return CrawlerConfig{
-			Kit: kit, Fetcher: fx.fetcher(before), From: from, To: to, Store: store,
-			CheckpointEvery: every, Workers: 2, Ingest: 2, Buffer: 8,
-		}
-	}
-	deletes := func(store *recordingStore) (n int, last bool) {
-		for i, op := range store.ops {
-			if op.op == blobstore.OpDelete {
-				if op.key != ckptKey {
-					t.Fatalf("deleted %s, want only %s", op.key, ckptKey)
-				}
-				n, last = n+1, i == len(store.ops)-1
+	testkit.Repeat(t, 20, func(t *testing.T) {
+		const from, to, every = 1, 12, 4
+		fx := newChainFixture("tezos", from, to)
+		ckptKey := CheckpointKey("tezos", from, to)
+		// Fetch and ingest pools small enough that one stream window (8 + 2·2
+		// + 1 blocks) spans the slice.
+		cfg := func(kit core.StatsKit, store blobstore.Store, before func(context.Context, int64) error) CrawlerConfig {
+			return CrawlerConfig{
+				Kit: kit, Fetcher: fx.fetcher(before), From: from, To: to, Store: store,
+				CheckpointEvery: every, Workers: 2, Ingest: 2, Buffer: 8,
 			}
 		}
-		return n, last
-	}
-
-	t.Run("all complete before the first cut", func(t *testing.T) {
-		kit := fx.kit(t)
-		counter := &foldCounter{Decoder: kit.Decoder}
-		// The newest block is decoded last: its chunk, the first to cut,
-		// completes only once the other ingest worker has folded all it
-		// can — every block outside that chunk — and has kept still.
-		counter.hold = func(num int64) {
-			if num != to {
-				return
-			}
-			last, stable := int64(-1), 0
-			for deadline := time.Now().Add(10 * time.Second); stable < 5 && time.Now().Before(deadline); {
-				time.Sleep(5 * time.Millisecond)
-				if cur := counter.folded.Load(); cur == last && cur >= to-from+1-every {
-					stable++
-				} else {
-					last, stable = cur, 0
+		deletes := func(store *recordingStore) (n int, last bool) {
+			for i, op := range store.ops {
+				if op.op == blobstore.OpDelete {
+					if op.key != ckptKey {
+						t.Fatalf("deleted %s, want only %s", op.key, ckptKey)
+					}
+					n, last = n+1, i == len(store.ops)-1
 				}
 			}
+			return n, last
 		}
-		kit.Decoder = counter
-		store := &recordingStore{Store: blobstore.NewMemory()}
-		if _, err := RunShardCrawl(context.Background(), cfg(kit, store, nil)); err != nil {
-			t.Fatal(err)
-		}
-		if len(store.ops) != 1 {
-			t.Fatalf("writes %v, want only the shard: no checkpoint, so nothing to delete", opKeys(store.ops))
-		}
-	})
 
-	t.Run("checkpointed", func(t *testing.T) {
-		gate := newChunkGate(to, every)
-		store := &recordingStore{Store: blobstore.NewMemory()}
-		c := cfg(fx.kit(t), store, gate.before)
-		c.AfterCheckpoint = gate.after(nil)
-		if _, err := RunShardCrawl(context.Background(), c); err != nil {
-			t.Fatal(err)
-		}
-		if n, last := deletes(store); n != 1 || !last {
-			t.Fatalf("writes %v, want the checkpoints, the shard, then one Delete", opKeys(store.ops))
-		}
-	})
+		t.Run("all complete before the first cut", func(t *testing.T) {
+			kit := fx.kit(t)
+			counter := &foldCounter{Decoder: kit.Decoder}
+			// The newest block is decoded last: its chunk, the first to cut,
+			// completes only once the other ingest worker has folded all it
+			// can — every block outside that chunk — and has kept still.
+			counter.hold = func(num int64) {
+				if num != to {
+					return
+				}
+				last, stable := int64(-1), 0
+				for deadline := time.Now().Add(10 * time.Second); stable < 5 && time.Now().Before(deadline); {
+					time.Sleep(5 * time.Millisecond)
+					if cur := counter.folded.Load(); cur == last && cur >= to-from+1-every {
+						stable++
+					} else {
+						last, stable = cur, 0
+					}
+				}
+			}
+			kit.Decoder = counter
+			store := &recordingStore{Store: blobstore.NewMemory()}
+			if _, err := RunShardCrawl(context.Background(), cfg(kit, store, nil)); err != nil {
+				t.Fatal(err)
+			}
+			if len(store.ops) != 1 {
+				t.Fatalf("writes %v, want only the shard: no checkpoint, so nothing to delete", opKeys(store.ops))
+			}
+		})
 
-	t.Run("resumed", func(t *testing.T) {
-		mem := blobstore.NewMemory()
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		gate := newChunkGate(to, every)
-		killed := cfg(fx.kit(t), mem, gate.before)
-		killed.AfterCheckpoint = gate.after(cancelAfterCheckpoint(1, cancel, nil))
-		if _, err := RunShardCrawl(ctx, killed); err == nil {
-			t.Fatal("interrupted worker reported success")
-		}
-		// The rerun's rest of the slice is one chunk: it writes no
-		// checkpoint of its own, only resumes from the one it found.
-		store := &recordingStore{Store: mem}
-		rerun := cfg(fx.kit(t), store, nil)
-		rerun.CheckpointEvery = 0
-		out, err := RunShardCrawl(context.Background(), rerun)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !out.Resumed.Known() {
-			t.Fatal("the rerun did not resume")
-		}
-		if n, last := deletes(store); len(store.ops) != 2 || n != 1 || !last {
-			t.Fatalf("writes %v, want the shard, then one Delete", opKeys(store.ops))
-		}
+		t.Run("checkpointed", func(t *testing.T) {
+			gate := newChunkGate(to, every)
+			store := &recordingStore{Store: blobstore.NewMemory()}
+			c := cfg(fx.kit(t), store, gate.before)
+			c.AfterCheckpoint = gate.after(nil)
+			if _, err := RunShardCrawl(context.Background(), c); err != nil {
+				t.Fatal(err)
+			}
+			if n, last := deletes(store); n != 1 || !last {
+				t.Fatalf("writes %v, want the checkpoints, the shard, then one Delete", opKeys(store.ops))
+			}
+		})
+
+		t.Run("resumed", func(t *testing.T) {
+			mem := blobstore.NewMemory()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			gate := newChunkGate(to, every)
+			killed := cfg(fx.kit(t), mem, gate.before)
+			killed.AfterCheckpoint = gate.after(cancelAfterCheckpoint(1, cancel, nil))
+			if _, err := RunShardCrawl(ctx, killed); err == nil {
+				t.Fatal("interrupted worker reported success")
+			}
+			// The rerun's rest of the slice is one chunk: it writes no
+			// checkpoint of its own, only resumes from the one it found.
+			store := &recordingStore{Store: mem}
+			rerun := cfg(fx.kit(t), store, nil)
+			rerun.CheckpointEvery = 0
+			out, err := RunShardCrawl(context.Background(), rerun)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !out.Resumed.Known() {
+				t.Fatal("the rerun did not resume")
+			}
+			if n, last := deletes(store); len(store.ops) != 2 || n != 1 || !last {
+				t.Fatalf("writes %v, want the shard, then one Delete", opKeys(store.ops))
+			}
+		})
 	})
 }
 
@@ -524,56 +529,58 @@ func TestRunShardCrawlDeletesOnlyWhatExists(t *testing.T) {
 // checkpoint still a consistent cut, and the chunks complete above the
 // hung block checkpointed while it hangs.
 func TestRunShardCrawlStalledBlock(t *testing.T) {
-	const from, to, every, stalled = 1, 120, 4, 77
-	fx := newChainFixture("tezos", from, to)
-	want := fx.suffixRenders(t, from, to)
+	testkit.Repeat(t, 20, func(t *testing.T) {
+		const from, to, every, stalled = 1, 120, 4, 77
+		fx := newChainFixture("tezos", from, to)
+		want := fx.suffixRenders(t, from, to)
 
-	release := make(chan struct{})
-	var f *hookFetcher
-	f = fx.fetcher(func(ctx context.Context, num int64) error {
-		if num != stalled {
-			return nil
-		}
-		// Hold the block until nothing else is being fetched.
-		go func() {
-			last, stable := -1, 0
-			for stable < 5 {
-				time.Sleep(5 * time.Millisecond)
-				f.mu.Lock()
-				cur := len(f.fetched)
-				f.mu.Unlock()
-				if cur == last {
-					stable++
-				} else {
-					last, stable = cur, 0
-				}
+		release := make(chan struct{})
+		var f *hookFetcher
+		f = fx.fetcher(func(ctx context.Context, num int64) error {
+			if num != stalled {
+				return nil
 			}
-			close(release)
-		}()
-		select {
-		case <-release:
-			return nil
-		case <-ctx.Done():
-			return ctx.Err()
+			// Hold the block until nothing else is being fetched.
+			go func() {
+				last, stable := -1, 0
+				for stable < 5 {
+					time.Sleep(5 * time.Millisecond)
+					f.mu.Lock()
+					cur := len(f.fetched)
+					f.mu.Unlock()
+					if cur == last {
+						stable++
+					} else {
+						last, stable = cur, 0
+					}
+				}
+				close(release)
+			}()
+			select {
+			case <-release:
+				return nil
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+		})
+		store := &recordingStore{Store: blobstore.NewMemory()}
+		_, err := RunShardCrawl(context.Background(), CrawlerConfig{
+			Kit: fx.kit(t), Fetcher: f, From: from, To: to, Store: store,
+			CheckpointEvery: every, Workers: 2, Ingest: 2, Buffer: 8,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ckpts [][]byte
+		for _, op := range store.ops {
+			if op.op == blobstore.OpPut && strings.HasPrefix(op.key, "ckpt/") {
+				ckpts = append(ckpts, op.data)
+			}
+		}
+		if covs := checkCheckpoints(t, ckpts, from, to, every, want); len(covs) == 0 || covs[0].From <= stalled {
+			t.Fatalf("checkpoints %v, want the first above the hung block %d: chunks complete above it wait for it", covs, stalled)
 		}
 	})
-	store := &recordingStore{Store: blobstore.NewMemory()}
-	_, err := RunShardCrawl(context.Background(), CrawlerConfig{
-		Kit: fx.kit(t), Fetcher: f, From: from, To: to, Store: store,
-		CheckpointEvery: every, Workers: 2, Ingest: 2, Buffer: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ckpts [][]byte
-	for _, op := range store.ops {
-		if op.op == blobstore.OpPut && strings.HasPrefix(op.key, "ckpt/") {
-			ckpts = append(ckpts, op.data)
-		}
-	}
-	if covs := checkCheckpoints(t, ckpts, from, to, every, want); len(covs) == 0 || covs[0].From <= stalled {
-		t.Fatalf("checkpoints %v, want the first above the hung block %d: chunks complete above it wait for it", covs, stalled)
-	}
 }
 
 // TestRunShardCrawlFailedBlock: a block that exhausts its retries fails the
@@ -581,102 +588,106 @@ func TestRunShardCrawlStalledBlock(t *testing.T) {
 // the hole, and a rerun against a healed endpoint resumes from what was
 // left and matches the oracle.
 func TestRunShardCrawlFailedBlock(t *testing.T) {
-	const from, to, every, hole = 1, 200, 8, 120
-	const workers, buffer = 2, 8
-	window := int64(buffer + 2*workers + 1)
-	fx := newChainFixture("eos", from, to)
-	want := fx.suffixRenders(t, from, to)
-	store := blobstore.NewMemory()
-	cfg := func(f collect.BlockFetcher) CrawlerConfig {
-		return CrawlerConfig{
-			Kit: fx.kit(t), Fetcher: f, From: from, To: to, Store: store,
-			CheckpointEvery: every, Workers: workers, Ingest: 2, Buffer: buffer,
-			MaxRetries: 1, Backoff: time.Microsecond,
+	testkit.Repeat(t, 20, func(t *testing.T) {
+		const from, to, every, hole = 1, 200, 8, 120
+		const workers, buffer = 2, 8
+		window := int64(buffer + 2*workers + 1)
+		fx := newChainFixture("eos", from, to)
+		want := fx.suffixRenders(t, from, to)
+		store := blobstore.NewMemory()
+		cfg := func(f collect.BlockFetcher) CrawlerConfig {
+			return CrawlerConfig{
+				Kit: fx.kit(t), Fetcher: f, From: from, To: to, Store: store,
+				CheckpointEvery: every, Workers: workers, Ingest: 2, Buffer: buffer,
+				MaxRetries: 1, Backoff: time.Microsecond,
+			}
 		}
-	}
 
-	broken := fx.fetcher(func(_ context.Context, num int64) error {
-		if num == hole {
-			return errors.New("pruned")
+		broken := fx.fetcher(func(_ context.Context, num int64) error {
+			if num == hole {
+				return errors.New("pruned")
+			}
+			return nil
+		})
+		_, err := RunShardCrawl(context.Background(), cfg(broken))
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("block %d failed", hole)) {
+			t.Fatalf("err = %v, want block %d's failure", err, hole)
 		}
-		return nil
+		if low := broken.lowest(); low <= hole-window {
+			t.Fatalf("block %d fetched, more than one window (%d) below the hole at %d", low, window, hole)
+		}
+		raw, err := store.Get(context.Background(), CheckpointKey("eos", from, to))
+		if err != nil {
+			t.Fatalf("the chunks above the hole left no checkpoint: %v", err)
+		}
+		ckpt, err := core.DecodeShard(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cov := ckpt.Covered()
+		if cov.To != to || cov.From <= hole {
+			t.Fatalf("surviving checkpoint covers %s, want a suffix of [%d, %d] strictly above the hole at %d", cov, from, to, hole)
+		}
+		if got := ckpt.Summary().Render(); got != want[cov.From] {
+			t.Fatalf("surviving checkpoint is not the aggregate of %s", cov)
+		}
+
+		healed := fx.fetcher(nil)
+		out, err := RunShardCrawl(context.Background(), cfg(healed))
+		if err != nil {
+			t.Fatalf("rerun: %v", err)
+		}
+		if out.Resumed != cov {
+			t.Fatalf("rerun resumed from %s, want the surviving checkpoint's %s", out.Resumed, cov)
+		}
+		for num := range healed.fetched {
+			if num >= cov.From {
+				t.Fatalf("rerun refetched block %d, inside the checkpoint's %s", num, cov)
+			}
+		}
+		raw, err = store.Get(context.Background(), out.ShardKey)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := core.DecodeShard(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := st.Summary().Render(); got != want[from] {
+			t.Errorf("shard after the rerun differs from the oracle:\n--- got ---\n%s--- want ---\n%s", got, want[from])
+		}
 	})
-	_, err := RunShardCrawl(context.Background(), cfg(broken))
-	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("block %d failed", hole)) {
-		t.Fatalf("err = %v, want block %d's failure", err, hole)
-	}
-	if low := broken.lowest(); low <= hole-window {
-		t.Fatalf("block %d fetched, more than one window (%d) below the hole at %d", low, window, hole)
-	}
-	raw, err := store.Get(context.Background(), CheckpointKey("eos", from, to))
-	if err != nil {
-		t.Fatalf("the chunks above the hole left no checkpoint: %v", err)
-	}
-	ckpt, err := core.DecodeShard(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cov := ckpt.Covered()
-	if cov.To != to || cov.From <= hole {
-		t.Fatalf("surviving checkpoint covers %s, want a suffix of [%d, %d] strictly above the hole at %d", cov, from, to, hole)
-	}
-	if got := ckpt.Summary().Render(); got != want[cov.From] {
-		t.Fatalf("surviving checkpoint is not the aggregate of %s", cov)
-	}
-
-	healed := fx.fetcher(nil)
-	out, err := RunShardCrawl(context.Background(), cfg(healed))
-	if err != nil {
-		t.Fatalf("rerun: %v", err)
-	}
-	if out.Resumed != cov {
-		t.Fatalf("rerun resumed from %s, want the surviving checkpoint's %s", out.Resumed, cov)
-	}
-	for num := range healed.fetched {
-		if num >= cov.From {
-			t.Fatalf("rerun refetched block %d, inside the checkpoint's %s", num, cov)
-		}
-	}
-	raw, err = store.Get(context.Background(), out.ShardKey)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := core.DecodeShard(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := st.Summary().Render(); got != want[from] {
-		t.Errorf("shard after the rerun differs from the oracle:\n--- got ---\n%s--- want ---\n%s", got, want[from])
-	}
 }
 
 // TestRunShardCrawlIngestError: a payload the decoder refuses stops the
 // worker with core.ErrIngest, and no checkpoint covers the refused block.
 func TestRunShardCrawlIngestError(t *testing.T) {
-	const from, to, bad = 1, 200, 150
-	fx := newChainFixture("eos", from, to)
-	fx.raws[bad] = []byte(`{"block_num": "not a block"`)
-	store := blobstore.NewMemory()
-	f := fx.fetcher(nil)
-	_, err := RunShardCrawl(context.Background(), CrawlerConfig{
-		Kit: fx.kit(t), Fetcher: f, From: from, To: to, Store: store,
-		CheckpointEvery: 8, Workers: 2, Ingest: 2, Buffer: 8,
+	testkit.Repeat(t, 20, func(t *testing.T) {
+		const from, to, bad = 1, 200, 150
+		fx := newChainFixture("eos", from, to)
+		fx.raws[bad] = []byte(`{"block_num": "not a block"`)
+		store := blobstore.NewMemory()
+		f := fx.fetcher(nil)
+		_, err := RunShardCrawl(context.Background(), CrawlerConfig{
+			Kit: fx.kit(t), Fetcher: f, From: from, To: to, Store: store,
+			CheckpointEvery: 8, Workers: 2, Ingest: 2, Buffer: 8,
+		})
+		if !errors.Is(err, core.ErrIngest) {
+			t.Fatalf("err = %v, want core.ErrIngest", err)
+		}
+		if raw, err := store.Get(context.Background(), CheckpointKey("eos", from, to)); err == nil {
+			ckpt, err := core.DecodeShard(raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cov := ckpt.Covered(); cov.From <= bad {
+				t.Fatalf("checkpoint covers %s, down past the undecodable block %d", cov, bad)
+			}
+		}
+		if f.lowest() == from {
+			t.Fatal("the stream ran to the end of the slice after ingestion failed")
+		}
 	})
-	if !errors.Is(err, core.ErrIngest) {
-		t.Fatalf("err = %v, want core.ErrIngest", err)
-	}
-	if raw, err := store.Get(context.Background(), CheckpointKey("eos", from, to)); err == nil {
-		ckpt, err := core.DecodeShard(raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cov := ckpt.Covered(); cov.From <= bad {
-			t.Fatalf("checkpoint covers %s, down past the undecodable block %d", cov, bad)
-		}
-	}
-	if f.lowest() == from {
-		t.Fatal("the stream ran to the end of the slice after ingestion failed")
-	}
 }
 
 // TestRunShardCrawlResumeAtEveryBoundary: interrupted right after any of
@@ -685,60 +696,62 @@ func TestRunShardCrawlIngestError(t *testing.T) {
 // The killed worker's fetches are gated chunk by chunk, so it writes a
 // checkpoint at every chunk boundary to be interrupted after.
 func TestRunShardCrawlResumeAtEveryBoundary(t *testing.T) {
-	const from, to, every = 3, 63, 8
-	fx := newChainFixture("xrp", from, to)
-	want := fx.suffixRenders(t, from, to)[from]
-	lows := chunkLows(from, to, every)
-	for k := 1; k < len(lows); k++ {
-		t.Run(fmt.Sprint("after checkpoint ", k), func(t *testing.T) {
-			store := blobstore.NewMemory()
-			cfg := CrawlerConfig{
-				From: from, To: to, Store: store,
-				CheckpointEvery: every, Workers: 2, Ingest: 2, Buffer: 4,
-			}
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			killed := cfg
-			gate := newChunkGate(to, every)
-			killed.Kit, killed.Fetcher = fx.kit(t), fx.fetcher(gate.before)
-			var covered core.BlockRange
-			killed.AfterCheckpoint = gate.after(cancelAfterCheckpoint(k, cancel, &covered))
-			if _, err := RunShardCrawl(ctx, killed); err == nil {
-				t.Fatal("interrupted worker reported success")
-			}
-			if covered != (core.BlockRange{From: lows[k-1], To: to}) {
-				t.Fatalf("checkpoint %d covers %s, want [%d, %d]", k, covered, lows[k-1], to)
-			}
-
-			rerun := cfg
-			f := fx.fetcher(nil)
-			rerun.Kit, rerun.Fetcher = fx.kit(t), f
-			out, err := RunShardCrawl(context.Background(), rerun)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if out.Resumed.To != to || out.Resumed.From > lows[k-1] {
-				t.Fatalf("resumed from %s, want checkpoint %d's [%d, %d] or a later one", out.Resumed, k, lows[k-1], to)
-			}
-			for num := range f.fetched {
-				if num >= out.Resumed.From {
-					t.Fatalf("rerun refetched block %d, inside the checkpoint's %s", num, out.Resumed)
+	testkit.Repeat(t, 20, func(t *testing.T) {
+		const from, to, every = 3, 63, 8
+		fx := newChainFixture("xrp", from, to)
+		want := fx.suffixRenders(t, from, to)[from]
+		lows := chunkLows(from, to, every)
+		for k := 1; k < len(lows); k++ {
+			t.Run(fmt.Sprint("after checkpoint ", k), func(t *testing.T) {
+				store := blobstore.NewMemory()
+				cfg := CrawlerConfig{
+					From: from, To: to, Store: store,
+					CheckpointEvery: every, Workers: 2, Ingest: 2, Buffer: 4,
 				}
-			}
-			raw, err := store.Get(context.Background(), out.ShardKey)
-			if err != nil {
-				t.Fatal(err)
-			}
-			st, err := core.DecodeShard(raw)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := st.Summary().Render(); got != want {
-				t.Errorf("resumed shard differs from an uninterrupted worker's:\n--- got ---\n%s--- want ---\n%s", got, want)
-			}
-			if _, err := store.Get(context.Background(), CheckpointKey("xrp", from, to)); !errors.Is(err, fs.ErrNotExist) {
-				t.Fatalf("finished worker left its checkpoint behind (err %v)", err)
-			}
-		})
-	}
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				killed := cfg
+				gate := newChunkGate(to, every)
+				killed.Kit, killed.Fetcher = fx.kit(t), fx.fetcher(gate.before)
+				var covered core.BlockRange
+				killed.AfterCheckpoint = gate.after(cancelAfterCheckpoint(k, cancel, &covered))
+				if _, err := RunShardCrawl(ctx, killed); err == nil {
+					t.Fatal("interrupted worker reported success")
+				}
+				if covered != (core.BlockRange{From: lows[k-1], To: to}) {
+					t.Fatalf("checkpoint %d covers %s, want [%d, %d]", k, covered, lows[k-1], to)
+				}
+
+				rerun := cfg
+				f := fx.fetcher(nil)
+				rerun.Kit, rerun.Fetcher = fx.kit(t), f
+				out, err := RunShardCrawl(context.Background(), rerun)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if out.Resumed.To != to || out.Resumed.From > lows[k-1] {
+					t.Fatalf("resumed from %s, want checkpoint %d's [%d, %d] or a later one", out.Resumed, k, lows[k-1], to)
+				}
+				for num := range f.fetched {
+					if num >= out.Resumed.From {
+						t.Fatalf("rerun refetched block %d, inside the checkpoint's %s", num, out.Resumed)
+					}
+				}
+				raw, err := store.Get(context.Background(), out.ShardKey)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st, err := core.DecodeShard(raw)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := st.Summary().Render(); got != want {
+					t.Errorf("resumed shard differs from an uninterrupted worker's:\n--- got ---\n%s--- want ---\n%s", got, want)
+				}
+				if _, err := store.Get(context.Background(), CheckpointKey("xrp", from, to)); !errors.Is(err, fs.ErrNotExist) {
+					t.Fatalf("finished worker left its checkpoint behind (err %v)", err)
+				}
+			})
+		}
+	})
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/collect"
+	"repro/internal/testkit"
 )
 
 // setAgg is the cheapest possible sharded "chain": a block decodes to its
@@ -197,34 +198,36 @@ func checkCuts(cuts []int64, from, to, every int64, finished bool) error {
 // From, and each time the aggregate is exactly [lo, To] — every block of
 // the chunks cut so far, no block of a chunk still open.
 func TestIngestChunksConsistentCut(t *testing.T) {
-	const from, to = 4, 100 // 97 blocks: no chunk size below divides it
-	n := int64(to - from + 1)
-	for _, workers := range []int{1, 2, 4} {
-		for _, ingest := range []int{1, 2, 4} {
-			for _, every := range []int64{0, 1, 5, 16, n, n + 1} {
-				t.Run(fmt.Sprintf("w%d-i%d-every%d", workers, ingest, every), func(t *testing.T) {
-					agg := newSetAgg()
-					var cuts []int64
-					res, err := IngestChunks(context.Background(), newFuncFetcher(to, nil),
-						collect.CrawlConfig{From: from, To: to, Workers: workers, Buffer: 4},
-						agg, IngestConfig{Workers: ingest, Batch: 3}, every,
-						func(lo int64) error {
-							cuts = append(cuts, lo)
-							return agg.holdsExactly(lo, to)
-						})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if res.Blocks != n {
-						t.Fatalf("crawled %d blocks, want %d", res.Blocks, n)
-					}
-					if err := checkCuts(cuts, from, to, every, true); err != nil {
-						t.Fatal(err)
-					}
-				})
+	testkit.Repeat(t, 20, func(t *testing.T) {
+		const from, to = 4, 100 // 97 blocks: no chunk size below divides it
+		n := int64(to - from + 1)
+		for _, workers := range []int{1, 2, 4} {
+			for _, ingest := range []int{1, 2, 4} {
+				for _, every := range []int64{0, 1, 5, 16, n, n + 1} {
+					t.Run(fmt.Sprintf("w%d-i%d-every%d", workers, ingest, every), func(t *testing.T) {
+						agg := newSetAgg()
+						var cuts []int64
+						res, err := IngestChunks(context.Background(), newFuncFetcher(to, nil),
+							collect.CrawlConfig{From: from, To: to, Workers: workers, Buffer: 4},
+							agg, IngestConfig{Workers: ingest, Batch: 3}, every,
+							func(lo int64) error {
+								cuts = append(cuts, lo)
+								return agg.holdsExactly(lo, to)
+							})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if res.Blocks != n {
+							t.Fatalf("crawled %d blocks, want %d", res.Blocks, n)
+						}
+						if err := checkCuts(cuts, from, to, every, true); err != nil {
+							t.Fatal(err)
+						}
+					})
+				}
 			}
 		}
-	}
+	})
 }
 
 // TestIngestChunksStalledBlock: one fetch hangs while every other returns
@@ -235,211 +238,221 @@ func TestIngestChunksConsistentCut(t *testing.T) {
 // however long the range is. Every cut stays consistent, and the cutter
 // does not wait on the hung block to cut what is complete above it.
 func TestIngestChunksStalledBlock(t *testing.T) {
-	const (
-		to, every, stalled      = 4000, 4, 2500
-		workers, buffer, ingest = 2, 8, 2
-		window                  = buffer + 2*workers + 1
-	)
-	agg := newSetAgg()
-	release := make(chan struct{})
-	var (
-		others, liveAtRest atomic.Int64
-		mu                 sync.Mutex
-		cuts               []int64
-		cutAtRest          int64
-	)
-	f := newFuncFetcher(to, func(ctx context.Context, num int64) ([]byte, error) {
-		if num == stalled {
-			// Hold this block until nothing else moves: every block the
-			// window admits has been asked for, folded and, if its chunk
-			// was complete, cut.
-			go func() {
-				waitStable(func() int64 { return others.Load()<<16 + agg.live.Load() })
-				liveAtRest.Store(agg.live.Load())
-				mu.Lock()
-				if len(cuts) > 0 {
-					cutAtRest = cuts[len(cuts)-1]
+	testkit.Repeat(t, 20, func(t *testing.T) {
+		const (
+			to, every, stalled      = 4000, 4, 2500
+			workers, buffer, ingest = 2, 8, 2
+			window                  = buffer + 2*workers + 1
+		)
+		agg := newSetAgg()
+		release := make(chan struct{})
+		var (
+			others, liveAtRest atomic.Int64
+			mu                 sync.Mutex
+			cuts               []int64
+			cutAtRest          int64
+		)
+		f := newFuncFetcher(to, func(ctx context.Context, num int64) ([]byte, error) {
+			if num == stalled {
+				// Hold this block until nothing else moves: every block the
+				// window admits has been asked for, folded and, if its chunk
+				// was complete, cut.
+				go func() {
+					waitStable(func() int64 { return others.Load()<<16 + agg.live.Load() })
+					liveAtRest.Store(agg.live.Load())
+					mu.Lock()
+					if len(cuts) > 0 {
+						cutAtRest = cuts[len(cuts)-1]
+					}
+					mu.Unlock()
+					close(release)
+				}()
+				select {
+				case <-release:
+				case <-ctx.Done():
+					return nil, ctx.Err()
 				}
-				mu.Unlock()
-				close(release)
-			}()
-			select {
-			case <-release:
-			case <-ctx.Done():
-				return nil, ctx.Err()
+			} else {
+				others.Add(1)
 			}
-		} else {
-			others.Add(1)
-		}
-		return []byte("ok"), nil
-	})
-
-	_, err := IngestChunks(context.Background(), f,
-		collect.CrawlConfig{From: 1, To: to, Workers: workers, Buffer: buffer},
-		agg, IngestConfig{Workers: ingest}, every,
-		func(lo int64) error {
-			mu.Lock()
-			cuts = append(cuts, lo)
-			mu.Unlock()
-			return agg.holdsExactly(lo, to)
+			return []byte("ok"), nil
 		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := checkCuts(cuts, 1, to, every, true); err != nil {
-		t.Fatal(err)
-	}
-	// At rest every chunk above the hung block's is complete, so the
-	// cutter has cut down to that chunk's upper neighbour.
-	if above := int64(to - (to-stalled)/every*every + 1); cutAtRest != above {
-		t.Fatalf("with the crawl at rest behind block %d the lowest cut was %d, want %d: the cutter waited on the hung block", stalled, cutAtRest, above)
-	}
-	// Everything above the hung block's chunk is cut by then, and nothing
-	// further than one window below it was fetched: ⌈W/every⌉+1 chunks.
-	bound := int64(ingest * ((window+every-1)/every + 1))
-	if got := liveAtRest.Load(); got > bound {
-		t.Fatalf("%d shards open behind the hung block, want at most %d: chunk states grow with the range (%d chunks), not with the window", got, bound, to/every)
-	}
+
+		_, err := IngestChunks(context.Background(), f,
+			collect.CrawlConfig{From: 1, To: to, Workers: workers, Buffer: buffer},
+			agg, IngestConfig{Workers: ingest}, every,
+			func(lo int64) error {
+				mu.Lock()
+				cuts = append(cuts, lo)
+				mu.Unlock()
+				return agg.holdsExactly(lo, to)
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := checkCuts(cuts, 1, to, every, true); err != nil {
+			t.Fatal(err)
+		}
+		// At rest every chunk above the hung block's is complete, so the
+		// cutter has cut down to that chunk's upper neighbour.
+		if above := int64(to - (to-stalled)/every*every + 1); cutAtRest != above {
+			t.Fatalf("with the crawl at rest behind block %d the lowest cut was %d, want %d: the cutter waited on the hung block", stalled, cutAtRest, above)
+		}
+		// Everything above the hung block's chunk is cut by then, and nothing
+		// further than one window below it was fetched: ⌈W/every⌉+1 chunks.
+		bound := int64(ingest * ((window+every-1)/every + 1))
+		if got := liveAtRest.Load(); got > bound {
+			t.Fatalf("%d shards open behind the hung block, want at most %d: chunk states grow with the range (%d chunks), not with the window", got, bound, to/every)
+		}
+	})
 }
 
 // TestIngestChunksSlowCut: a cut slower than the crawl (a remote store)
 // makes the ingest wait for it instead of piling up complete chunks.
 func TestIngestChunksSlowCut(t *testing.T) {
-	const (
-		to, every               = 4000, 4
-		workers, buffer, ingest = 2, 8, 2
-	)
-	f := newFuncFetcher(to, nil)
-	agg := newSetAgg()
-	first := true
-	_, err := IngestChunks(context.Background(), f,
-		collect.CrawlConfig{From: 1, To: to, Workers: workers, Buffer: buffer},
-		agg, IngestConfig{Workers: ingest}, every,
-		func(lo int64) error {
-			if !first {
+	testkit.Repeat(t, 20, func(t *testing.T) {
+		const (
+			to, every               = 4000, 4
+			workers, buffer, ingest = 2, 8, 2
+		)
+		f := newFuncFetcher(to, nil)
+		agg := newSetAgg()
+		first := true
+		_, err := IngestChunks(context.Background(), f,
+			collect.CrawlConfig{From: 1, To: to, Workers: workers, Buffer: buffer},
+			agg, IngestConfig{Workers: ingest}, every,
+			func(lo int64) error {
+				if !first {
+					return nil
+				}
+				first = false
+				// Hold the first cut until the crawl has stopped moving.
+				before := f.fetches.Load()
+				last := waitStable(f.fetches.Load)
+				// Open chunks, then whatever is in flight between the stream's
+				// window and the ingest workers' batches.
+				if most := int64((maxOpenChunks+ingest+1)*every + 2*(buffer+2*workers+1) + 16*ingest); last-before > most {
+					return fmt.Errorf("%d blocks fetched behind a stalled cut, want at most %d", last-before, most)
+				}
 				return nil
-			}
-			first = false
-			// Hold the first cut until the crawl has stopped moving.
-			before := f.fetches.Load()
-			last := waitStable(f.fetches.Load)
-			// Open chunks, then whatever is in flight between the stream's
-			// window and the ingest workers' batches.
-			if most := int64((maxOpenChunks+ingest+1)*every + 2*(buffer+2*workers+1) + 16*ingest); last-before > most {
-				return fmt.Errorf("%d blocks fetched behind a stalled cut, want at most %d", last-before, most)
-			}
-			return nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := agg.holdsExactly(1, to); err != nil {
-		t.Fatal(err)
-	}
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := agg.holdsExactly(1, to); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestIngestChunksHole: a block that exhausts its retries stops the crawl
 // within one in-flight window, no cut reaches down to it, and the
 // aggregate is left as the last cut saw it.
 func TestIngestChunksHole(t *testing.T) {
-	const (
-		to, every, hole         = 4000, 16, 3000
-		workers, buffer, ingest = 4, 8, 2
-		window                  = buffer + 2*workers + 1
-	)
-	f := newFuncFetcher(to, func(_ context.Context, num int64) ([]byte, error) {
-		if num == hole {
-			return nil, errors.New("gone")
-		}
-		return []byte("ok"), nil
-	})
-	agg := newSetAgg()
-	lowestCut := int64(to + 1)
-	_, err := IngestChunks(context.Background(), f,
-		collect.CrawlConfig{From: 1, To: to, Workers: workers, Buffer: buffer, MaxRetries: 1, Backoff: time.Microsecond},
-		agg, IngestConfig{Workers: ingest}, every,
-		func(lo int64) error {
-			lowestCut = lo
-			return agg.holdsExactly(lo, to)
+	testkit.Repeat(t, 20, func(t *testing.T) {
+		const (
+			to, every, hole         = 4000, 16, 3000
+			workers, buffer, ingest = 4, 8, 2
+			window                  = buffer + 2*workers + 1
+		)
+		f := newFuncFetcher(to, func(_ context.Context, num int64) ([]byte, error) {
+			if num == hole {
+				return nil, errors.New("gone")
+			}
+			return []byte("ok"), nil
 		})
-	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("block %d failed", hole)) {
-		t.Fatalf("err = %v, want the failed block's", err)
-	}
-	if errors.Is(err, ErrIngest) {
-		t.Fatalf("a fetch failure came back as an ingest failure: %v", err)
-	}
-	if lowestCut <= hole {
-		t.Fatalf("cut down to %d, at or below the hole at %d", lowestCut, hole)
-	}
-	if low := f.lowest.Load(); low <= hole-window {
-		t.Fatalf("block %d fetched, more than one window (%d) below the hole at %d", low, window, hole)
-	}
-	if err := agg.holdsExactly(lowestCut, to); err != nil {
-		t.Fatalf("after the failure: %v", err)
-	}
+		agg := newSetAgg()
+		lowestCut := int64(to + 1)
+		_, err := IngestChunks(context.Background(), f,
+			collect.CrawlConfig{From: 1, To: to, Workers: workers, Buffer: buffer, MaxRetries: 1, Backoff: time.Microsecond},
+			agg, IngestConfig{Workers: ingest}, every,
+			func(lo int64) error {
+				lowestCut = lo
+				return agg.holdsExactly(lo, to)
+			})
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("block %d failed", hole)) {
+			t.Fatalf("err = %v, want the failed block's", err)
+		}
+		if errors.Is(err, ErrIngest) {
+			t.Fatalf("a fetch failure came back as an ingest failure: %v", err)
+		}
+		if lowestCut <= hole {
+			t.Fatalf("cut down to %d, at or below the hole at %d", lowestCut, hole)
+		}
+		if low := f.lowest.Load(); low <= hole-window {
+			t.Fatalf("block %d fetched, more than one window (%d) below the hole at %d", low, window, hole)
+		}
+		if err := agg.holdsExactly(lowestCut, to); err != nil {
+			t.Fatalf("after the failure: %v", err)
+		}
+	})
 }
 
 // TestIngestChunksIngestError: an undecodable payload cancels the stream
 // and comes back wrapped in ErrIngest.
 func TestIngestChunksIngestError(t *testing.T) {
-	const to, bad = 4000, 3900
-	// The range below the bad block only ends if something cancels it.
-	var leaked atomic.Bool
-	f := newFuncFetcher(to, parkBelow(bad-500, &leaked, func(num int64) []byte {
-		if num == bad {
-			return []byte("bad")
-		}
-		return []byte("ok")
-	}))
-	agg := newSetAgg()
-	_, err := IngestChunks(context.Background(), f,
-		collect.CrawlConfig{From: 1, To: to, Workers: 2, Buffer: 8},
-		agg, IngestConfig{Workers: 2}, 16,
-		func(lo int64) error {
-			if lo <= bad {
-				return fmt.Errorf("cut down to %d, past the undecodable block %d", lo, bad)
+	testkit.Repeat(t, 20, func(t *testing.T) {
+		const to, bad = 4000, 3900
+		// The range below the bad block only ends if something cancels it.
+		var leaked atomic.Bool
+		f := newFuncFetcher(to, parkBelow(bad-500, &leaked, func(num int64) []byte {
+			if num == bad {
+				return []byte("bad")
 			}
-			return nil
-		})
-	if !errors.Is(err, ErrIngest) {
-		t.Fatalf("err = %v, want ErrIngest", err)
-	}
-	if leaked.Load() {
-		t.Fatal("the stream was not cancelled when ingestion failed")
-	}
+			return []byte("ok")
+		}))
+		agg := newSetAgg()
+		_, err := IngestChunks(context.Background(), f,
+			collect.CrawlConfig{From: 1, To: to, Workers: 2, Buffer: 8},
+			agg, IngestConfig{Workers: 2}, 16,
+			func(lo int64) error {
+				if lo <= bad {
+					return fmt.Errorf("cut down to %d, past the undecodable block %d", lo, bad)
+				}
+				return nil
+			})
+		if !errors.Is(err, ErrIngest) {
+			t.Fatalf("err = %v, want ErrIngest", err)
+		}
+		if leaked.Load() {
+			t.Fatal("the stream was not cancelled when ingestion failed")
+		}
+	})
 }
 
 // TestIngestChunksInterrupted: cancelled mid-crawl, IngestChunks still cuts
 // what it holds complete — on chunk boundaries, descending, each a
 // consistent cut — before it returns, and reports the cancellation.
 func TestIngestChunksInterrupted(t *testing.T) {
-	const to, every = 4000, 16
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	agg := newSetAgg()
-	var cuts []int64
-	_, err := IngestChunks(ctx, newFuncFetcher(to, nil),
-		collect.CrawlConfig{From: 1, To: to, Workers: 2, Buffer: 8},
-		agg, IngestConfig{Workers: 2}, every,
-		func(lo int64) error {
-			cuts = append(cuts, lo)
-			if len(cuts) == 3 {
-				cancel()
-			}
-			return agg.holdsExactly(lo, to)
-		})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if len(cuts) < 3 || cuts[len(cuts)-1] == 1 {
-		t.Fatalf("cut at %v: want the three before the cancel, what was already complete after it, and not the whole range", cuts)
-	}
-	if err := checkCuts(cuts, 1, to, every, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := agg.holdsExactly(cuts[len(cuts)-1], to); err != nil {
-		t.Fatalf("after the interrupt: %v", err)
-	}
+	testkit.Repeat(t, 20, func(t *testing.T) {
+		const to, every = 4000, 16
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		agg := newSetAgg()
+		var cuts []int64
+		_, err := IngestChunks(ctx, newFuncFetcher(to, nil),
+			collect.CrawlConfig{From: 1, To: to, Workers: 2, Buffer: 8},
+			agg, IngestConfig{Workers: 2}, every,
+			func(lo int64) error {
+				cuts = append(cuts, lo)
+				if len(cuts) == 3 {
+					cancel()
+				}
+				return agg.holdsExactly(lo, to)
+			})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+		if len(cuts) < 3 || cuts[len(cuts)-1] == 1 {
+			t.Fatalf("cut at %v: want the three before the cancel, what was already complete after it, and not the whole range", cuts)
+		}
+		if err := checkCuts(cuts, 1, to, every, false); err != nil {
+			t.Fatal(err)
+		}
+		if err := agg.holdsExactly(cuts[len(cuts)-1], to); err != nil {
+			t.Fatalf("after the interrupt: %v", err)
+		}
+	})
 }
 
 // holdUntil returns a fetch hook that holds block held back until gate
@@ -473,28 +486,30 @@ func waitFolded(agg *setAgg, n int64) {
 // single cut(From) — no cut per chunk trailing the crawl, and none above
 // From that the consumer's final emit would replace.
 func TestIngestChunksCoalescesCompleteChunks(t *testing.T) {
-	// 8 chunks: no more open than maxOpenChunks, so the workers never wait
-	// on the cut that waits on them.
-	const from, to, every = 3, 40, 5
-	agg := newSetAgg()
-	first := make(chan struct{})
-	var cuts []int64
-	_, err := IngestChunks(context.Background(), newFuncFetcher(to, holdUntil(to-every, first)),
-		collect.CrawlConfig{From: from, To: to, Workers: 2, Buffer: 8},
-		agg, IngestConfig{Workers: 2, Batch: 3}, every,
-		func(lo int64) error {
-			if cuts = append(cuts, lo); len(cuts) == 1 {
-				close(first)
-				waitFolded(agg, to-from+1)
-			}
-			return agg.holdsExactly(lo, to)
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := []int64{to - every + 1, from}; fmt.Sprint(cuts) != fmt.Sprint(want) {
-		t.Fatalf("cut at %v, want %v: the newest chunk, then everything that completed behind it at once", cuts, want)
-	}
+	testkit.Repeat(t, 20, func(t *testing.T) {
+		// 8 chunks: no more open than maxOpenChunks, so the workers never wait
+		// on the cut that waits on them.
+		const from, to, every = 3, 40, 5
+		agg := newSetAgg()
+		first := make(chan struct{})
+		var cuts []int64
+		_, err := IngestChunks(context.Background(), newFuncFetcher(to, holdUntil(to-every, first)),
+			collect.CrawlConfig{From: from, To: to, Workers: 2, Buffer: 8},
+			agg, IngestConfig{Workers: 2, Batch: 3}, every,
+			func(lo int64) error {
+				if cuts = append(cuts, lo); len(cuts) == 1 {
+					close(first)
+					waitFolded(agg, to-from+1)
+				}
+				return agg.holdsExactly(lo, to)
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := []int64{to - every + 1, from}; fmt.Sprint(cuts) != fmt.Sprint(want) {
+			t.Fatalf("cut at %v, want %v: the newest chunk, then everything that completed behind it at once", cuts, want)
+		}
+	})
 }
 
 // TestIngestChunksInterruptedCutsNewestComplete: cancelled while every
@@ -502,51 +517,53 @@ func TestIngestChunksCoalescesCompleteChunks(t *testing.T) {
 // complete by then as one cut, at the lowest complete chunk boundary,
 // drops the partial chunk, and reports the cancellation.
 func TestIngestChunksInterruptedCutsNewestComplete(t *testing.T) {
-	const from, to, every, floor = 1, 40, 5, 18
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	agg := newSetAgg()
-	first := make(chan struct{})
-	var leaked atomic.Bool
-	held := holdUntil(to-every, first)
-	parked := parkBelow(floor, &leaked, func(int64) []byte { return []byte("ok") })
-	var cuts []int64
-	_, err := IngestChunks(ctx, newFuncFetcher(to, func(ctx context.Context, num int64) ([]byte, error) {
-		if num < floor {
-			return parked(ctx, num)
-		}
-		return held(ctx, num)
-	}),
-		collect.CrawlConfig{From: from, To: to, Workers: 2, Buffer: 8},
-		agg, IngestConfig{Workers: 2, Batch: 3}, every,
-		func(lo int64) error {
-			if cuts = append(cuts, lo); len(cuts) == 1 {
-				close(first)
-				waitFolded(agg, to-floor+1)
-				cancel()
+	testkit.Repeat(t, 20, func(t *testing.T) {
+		const from, to, every, floor = 1, 40, 5, 18
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		agg := newSetAgg()
+		first := make(chan struct{})
+		var leaked atomic.Bool
+		held := holdUntil(to-every, first)
+		parked := parkBelow(floor, &leaked, func(int64) []byte { return []byte("ok") })
+		var cuts []int64
+		_, err := IngestChunks(ctx, newFuncFetcher(to, func(ctx context.Context, num int64) ([]byte, error) {
+			if num < floor {
+				return parked(ctx, num)
 			}
-			return agg.holdsExactly(lo, to)
-		})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if leaked.Load() {
-		t.Fatal("the parked fetches outlived the cancel")
-	}
-	// [18, 20] is folded, [16, 17] is not: chunk [16, 20] is dropped.
-	if want := []int64{to - every + 1, 21}; fmt.Sprint(cuts) != fmt.Sprint(want) {
-		t.Fatalf("cut at %v, want %v: the newest chunk, then every chunk complete at the cancel as one cut", cuts, want)
-	}
-	if err := agg.holdsExactly(21, to); err != nil {
-		t.Fatalf("after the interrupt: %v", err)
-	}
+			return held(ctx, num)
+		}),
+			collect.CrawlConfig{From: from, To: to, Workers: 2, Buffer: 8},
+			agg, IngestConfig{Workers: 2, Batch: 3}, every,
+			func(lo int64) error {
+				if cuts = append(cuts, lo); len(cuts) == 1 {
+					close(first)
+					waitFolded(agg, to-floor+1)
+					cancel()
+				}
+				return agg.holdsExactly(lo, to)
+			})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+		if leaked.Load() {
+			t.Fatal("the parked fetches outlived the cancel")
+		}
+		// [18, 20] is folded, [16, 17] is not: chunk [16, 20] is dropped.
+		if want := []int64{to - every + 1, 21}; fmt.Sprint(cuts) != fmt.Sprint(want) {
+			t.Fatalf("cut at %v, want %v: the newest chunk, then every chunk complete at the cancel as one cut", cuts, want)
+		}
+		if err := agg.holdsExactly(21, to); err != nil {
+			t.Fatalf("after the interrupt: %v", err)
+		}
+	})
 }
 
 // TestIngestChunksCutAllocatesNothing: the cutter merges and cuts runs of
 // complete chunks without allocating — no per-cut list of the chunks it
 // takes. Each cut completes the chunks the next run takes.
 func TestIngestChunksCutAllocatesNothing(t *testing.T) {
-	if raceEnabled {
+	if testkit.Race {
 		t.Skip("the race detector allocates")
 	}
 	const from, to, every, workers = 1, 40, 5, 2
@@ -598,62 +615,86 @@ func TestIngestChunksCutAllocatesNothing(t *testing.T) {
 // TestIngestChunksCutError: a failed cut (the store refused the
 // checkpoint) stops the crawl and is what IngestChunks returns.
 func TestIngestChunksCutError(t *testing.T) {
-	const to = 4000
-	refused := errors.New("store refused")
-	// The range below the failed cut only ends if something cancels it.
-	var leaked atomic.Bool
-	f := newFuncFetcher(to, parkBelow(to-500, &leaked, func(int64) []byte { return []byte("ok") }))
-	cuts := 0
-	_, err := IngestChunks(context.Background(), f,
-		collect.CrawlConfig{From: 1, To: to, Workers: 2, Buffer: 8},
-		newSetAgg(), IngestConfig{Workers: 2}, 16,
-		func(int64) error {
-			if cuts++; cuts == 2 {
-				return refused
+	testkit.Repeat(t, 20, func(t *testing.T) {
+		const to, every = 4000, 16
+		refused := errors.New("store refused")
+		// The range below the failed cut only ends if something cancels it.
+		var leaked atomic.Bool
+		park := parkBelow(to-500, &leaked, func(int64) []byte { return []byte("ok") })
+		// Nothing past the first two chunks is fetched before the first cut
+		// returns. A first cut that folds every complete chunk, as one
+		// descheduled until the crawl reaches the parked range would, then
+		// still leaves the second cut a chunk above that range.
+		firstCut := make(chan struct{})
+		f := newFuncFetcher(to, func(ctx context.Context, num int64) ([]byte, error) {
+			if num <= to-2*every {
+				select {
+				case <-firstCut:
+				case <-ctx.Done():
+					return nil, ctx.Err()
+				}
 			}
-			return nil
+			return park(ctx, num)
 		})
-	if !errors.Is(err, refused) {
-		t.Fatalf("err = %v, want the cut's", err)
-	}
-	if cuts != 2 {
-		t.Fatalf("%d cuts, want none after the one that failed", cuts)
-	}
-	if leaked.Load() {
-		t.Fatal("the stream was not cancelled when the cut failed")
-	}
+		cuts := 0
+		_, err := IngestChunks(context.Background(), f,
+			collect.CrawlConfig{From: 1, To: to, Workers: 2, Buffer: 8},
+			newSetAgg(), IngestConfig{Workers: 2}, every,
+			func(int64) error {
+				switch cuts++; cuts {
+				case 1:
+					close(firstCut)
+				case 2:
+					return refused
+				}
+				return nil
+			})
+		if !errors.Is(err, refused) {
+			t.Fatalf("err = %v, want the cut's", err)
+		}
+		if cuts != 2 {
+			t.Fatalf("%d cuts, want none after the one that failed", cuts)
+		}
+		if leaked.Load() {
+			t.Fatal("the stream was not cancelled when the cut failed")
+		}
+	})
 }
 
 // TestIngestChunksRefusesBadInput: the decoder must shard and the range
 // must be concrete before anything is fetched.
 func TestIngestChunksRefusesBadInput(t *testing.T) {
-	f := newFuncFetcher(10, nil)
-	unsharded := lockedDecoder{newKit(t, "eos").Decoder}
-	if _, err := IngestChunks(context.Background(), f, collect.CrawlConfig{From: 1, To: 10}, unsharded, IngestConfig{}, 4, nil); err == nil {
-		t.Error("a decoder without shards was accepted")
-	}
-	for _, r := range [][2]int64{{1, 0}, {0, 10}, {7, 3}} {
-		if _, err := IngestChunks(context.Background(), f, collect.CrawlConfig{From: r[0], To: r[1]}, newSetAgg(), IngestConfig{}, 4, nil); err == nil {
-			t.Errorf("range [%d, %d] was accepted", r[0], r[1])
+	testkit.Repeat(t, 20, func(t *testing.T) {
+		f := newFuncFetcher(10, nil)
+		unsharded := lockedDecoder{newKit(t, "eos").Decoder}
+		if _, err := IngestChunks(context.Background(), f, collect.CrawlConfig{From: 1, To: 10}, unsharded, IngestConfig{}, 4, nil); err == nil {
+			t.Error("a decoder without shards was accepted")
 		}
-	}
-	if n := f.fetches.Load(); n != 0 {
-		t.Errorf("%d blocks fetched for refused input", n)
-	}
+		for _, r := range [][2]int64{{1, 0}, {0, 10}, {7, 3}} {
+			if _, err := IngestChunks(context.Background(), f, collect.CrawlConfig{From: r[0], To: r[1]}, newSetAgg(), IngestConfig{}, 4, nil); err == nil {
+				t.Errorf("range [%d, %d] was accepted", r[0], r[1])
+			}
+		}
+		if n := f.fetches.Load(); n != 0 {
+			t.Errorf("%d blocks fetched for refused input", n)
+		}
+	})
 }
 
 // TestIngestChunksSizesNothing: a chunked ingest — the shard worker's path —
 // deflates no payload to size it, because no chunked consumer reports a
 // footprint.
 func TestIngestChunksSizesNothing(t *testing.T) {
-	const to = 64
-	res, err := IngestChunks(context.Background(), newFuncFetcher(to, nil),
-		collect.CrawlConfig{From: 1, To: to, Workers: 2}, newSetAgg(), IngestConfig{}, 16,
-		func(int64) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Blocks != to || res.RawBytes == 0 || res.GzipBytes != 0 {
-		t.Fatalf("chunked ingest: blocks=%d raw=%d gzip=%d, want %d blocks, raw counted, no footprint", res.Blocks, res.RawBytes, res.GzipBytes, to)
-	}
+	testkit.Repeat(t, 20, func(t *testing.T) {
+		const to = 64
+		res, err := IngestChunks(context.Background(), newFuncFetcher(to, nil),
+			collect.CrawlConfig{From: 1, To: to, Workers: 2}, newSetAgg(), IngestConfig{}, 16,
+			func(int64) error { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Blocks != to || res.RawBytes == 0 || res.GzipBytes != 0 {
+			t.Fatalf("chunked ingest: blocks=%d raw=%d gzip=%d, want %d blocks, raw counted, no footprint", res.Blocks, res.RawBytes, res.GzipBytes, to)
+		}
+	})
 }

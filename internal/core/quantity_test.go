@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/chain"
+	"repro/internal/testkit"
 	"repro/internal/wire"
 )
 
@@ -65,7 +66,7 @@ func TestSplitQuantityMatchesFields(t *testing.T) {
 // shape that is 96 % of EOS traffic — allocates nothing: the quantity is
 // split in place and every map key already exists.
 func TestEOSIngestSteadyStateZeroAllocs(t *testing.T) {
-	if raceEnabled {
+	if testkit.Race {
 		t.Skip("allocation counts are perturbed by the race detector")
 	}
 	ts := chain.ObservationStart.Add(time.Hour)
@@ -158,7 +159,7 @@ func TestEOSAmountOverflowIsNotANumber(t *testing.T) {
 // kinds, senders and receivers, folding another block of endorsements and
 // transactions — nearly all Tezos traffic — allocates nothing.
 func TestTezosIngestSteadyStateZeroAllocs(t *testing.T) {
-	if raceEnabled {
+	if testkit.Race {
 		t.Skip("allocation counts are perturbed by the race detector")
 	}
 	ts := chain.ObservationStart.Add(time.Hour)
@@ -186,7 +187,7 @@ func TestTezosIngestSteadyStateZeroAllocs(t *testing.T) {
 // and offers allocates nothing beyond the payment list's growth, which the
 // test reserves up front: every per-transaction map key already exists.
 func TestXRPIngestSteadyStateZeroAllocs(t *testing.T) {
-	if raceEnabled {
+	if testkit.Race {
 		t.Skip("allocation counts are perturbed by the race detector")
 	}
 	ts := chain.ObservationStart.Add(time.Hour)

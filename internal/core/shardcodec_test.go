@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/chain"
+	"repro/internal/testkit"
 	"repro/internal/wire"
 )
 
@@ -306,7 +307,7 @@ func TestShardDecodeRefusesOutOfRangeValues(t *testing.T) {
 // measured when strings began to be interned: 64, against 201 when every
 // string read allocated afresh.
 func TestShardCodecAllocs(t *testing.T) {
-	if raceEnabled {
+	if testkit.Race {
 		t.Skip("allocation counts are perturbed by the race detector")
 	}
 	for _, st := range codecStates(64) {
@@ -353,46 +354,48 @@ func codecStates(n int) []ShardState {
 // exactly the blob a serial encode of their state gives — no scratch slice
 // or body buffer shared between two encodes in flight.
 func TestConcurrentEncodeShard(t *testing.T) {
-	const goroutines = 8
-	states := make([][]ShardState, goroutines)
-	want := make([][][]byte, goroutines)
-	for g := range states {
-		states[g] = codecStates(8 + 4*g)
-		for _, st := range states[g] {
-			blob, err := EncodeShard(st, uint64(g))
-			if err != nil {
-				t.Fatal(err)
+	testkit.Repeat(t, 20, func(t *testing.T) {
+		const goroutines = 8
+		states := make([][]ShardState, goroutines)
+		want := make([][][]byte, goroutines)
+		for g := range states {
+			states[g] = codecStates(8 + 4*g)
+			for _, st := range states[g] {
+				blob, err := EncodeShard(st, uint64(g))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[g] = append(want[g], blob)
 			}
-			want[g] = append(want[g], blob)
 		}
-	}
-	var wg sync.WaitGroup
-	errs := make(chan error, goroutines)
-	for g := range states {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var buf []byte
-			for round := 0; round < 20; round++ {
-				for i, st := range states[g] {
-					if round%2 == 0 {
-						buf, _ = EncodeShard(st, uint64(g))
-					} else {
-						buf = st.EncodeTo(buf[:0], uint64(g))
-					}
-					if !bytes.Equal(buf, want[g][i]) {
-						errs <- fmt.Errorf("goroutine %d, %s, round %d: blob differs from its serial encode", g, st.Chain(), round)
-						return
+		var wg sync.WaitGroup
+		errs := make(chan error, goroutines)
+		for g := range states {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var buf []byte
+				for round := 0; round < 20; round++ {
+					for i, st := range states[g] {
+						if round%2 == 0 {
+							buf, _ = EncodeShard(st, uint64(g))
+						} else {
+							buf = st.EncodeTo(buf[:0], uint64(g))
+						}
+						if !bytes.Equal(buf, want[g][i]) {
+							errs <- fmt.Errorf("goroutine %d, %s, round %d: blob differs from its serial encode", g, st.Chain(), round)
+							return
+						}
 					}
 				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Error(err)
+		}
+	})
 }
 
 // goldenShards reads the committed blobs under testdata/shards: one
@@ -416,29 +419,31 @@ func goldenShards(t testing.TB) map[string][]byte {
 // re-encodes to the same bytes — the shard format did not move with the
 // types behind it, so stores written before this build still merge.
 func TestShardGoldenBlobs(t *testing.T) {
-	for name, blob := range goldenShards(t) {
-		st, err := DecodeShard(blob)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+	testkit.Repeat(t, 20, func(t *testing.T) {
+		for name, blob := range goldenShards(t) {
+			st, err := DecodeShard(blob)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if st.Chain() != name {
+				t.Fatalf("%s: decoded chain %q", name, st.Chain())
+			}
+			if xs, ok := st.(*XRPShard); ok && len(xs.exchanges) != 8 {
+				t.Fatalf("golden xrp shard decoded %d exchanges, want 8", len(xs.exchanges))
+			}
+			_, fence, _, err := wire.OpenShard(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			again, err := EncodeShard(st, fence)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(again, blob) {
+				t.Fatalf("%s: decode→re-encode moved the bytes (%d vs %d)", name, len(again), len(blob))
+			}
 		}
-		if st.Chain() != name {
-			t.Fatalf("%s: decoded chain %q", name, st.Chain())
-		}
-		if xs, ok := st.(*XRPShard); ok && len(xs.exchanges) != 8 {
-			t.Fatalf("golden xrp shard decoded %d exchanges, want 8", len(xs.exchanges))
-		}
-		_, fence, _, err := wire.OpenShard(blob)
-		if err != nil {
-			t.Fatal(err)
-		}
-		again, err := EncodeShard(st, fence)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(again, blob) {
-			t.Fatalf("%s: decode→re-encode moved the bytes (%d vs %d)", name, len(again), len(blob))
-		}
-	}
+	})
 }
 
 // The bytes one DecodeShard call may allocate: decodeAllocPerByte for each

@@ -39,7 +39,7 @@ func TestProduceBlockExecutesTransfer(t *testing.T) {
 	if len(blk.Transactions) != 1 {
 		t.Fatalf("block has %d txs", len(blk.Transactions))
 	}
-	if blk.Transactions[0].ID.IsZero() {
+	if blk.Transactions[0].ID == (chain.Hash{}) {
 		t.Fatal("transaction not assigned an ID")
 	}
 	if got := c.Tokens().Balance(TokenAccount, MustName("bob"), "EOS").Amount; got != 10_005_0000 {

@@ -3,6 +3,8 @@ package retry
 import (
 	"context"
 	"testing"
+
+	"repro/internal/testkit"
 )
 
 // TestDoFirstAttemptSucceedsZeroAllocs: every retried blob-store and fetch
@@ -10,7 +12,7 @@ import (
 // try — that path (no per-attempt deadline, no timer, no error to wrap) must
 // cost no allocation.
 func TestDoFirstAttemptSucceedsZeroAllocs(t *testing.T) {
-	if raceEnabled {
+	if testkit.Race {
 		t.Skip("allocation counts are perturbed by the race detector")
 	}
 	p := Policy{Attempts: 4}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/eos"
+	"repro/internal/testkit"
 	"repro/internal/tezos"
 	"repro/internal/wire"
 	"repro/internal/workload"
@@ -54,7 +55,7 @@ func actions(b *eos.Block) (n int) {
 // id. Account and action names come from the converter's memo; data and
 // authorization maps are cleared and refilled.
 func TestEOSWireBlockSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
+	if testkit.Race {
 		t.Skip("allocation counts are perturbed by the race detector")
 	}
 	_, first, second := busiestEOSBlocks(t)
@@ -76,7 +77,7 @@ func TestEOSWireBlockSteadyStateAllocs(t *testing.T) {
 // its block struct is warm: the block hash, the predecessor's hash and the
 // timestamp. Operations carry no id of their own.
 func TestTezosWireBlockSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
+	if testkit.Race {
 		t.Skip("allocation counts are perturbed by the race detector")
 	}
 	s, err := workload.BuildTezos(workload.TezosOptions{Scale: 4_000, Seed: 1})
@@ -105,42 +106,44 @@ func TestTezosWireBlockSteadyStateAllocs(t *testing.T) {
 // body must equal the one a lone request got, and every name and id in it
 // must be the simulator's own rendering.
 func TestConcurrentGetBlock(t *testing.T) {
-	c, _, _ := busiestEOSBlocks(t)
-	srv := NewEOSServer(c)
-	get := func(n uint32) []byte {
-		req := httptest.NewRequest(http.MethodPost, "/v1/chain/get_block",
-			bytes.NewReader([]byte(`{"block_num_or_id":`+strconv.FormatUint(uint64(n), 10)+`}`)))
-		rec := httptest.NewRecorder()
-		srv.ServeHTTP(rec, req)
-		if rec.Code != http.StatusOK {
-			t.Errorf("block %d: status %d", n, rec.Code)
+	testkit.Repeat(t, 20, func(t *testing.T) {
+		c, _, _ := busiestEOSBlocks(t)
+		srv := NewEOSServer(c)
+		get := func(n uint32) []byte {
+			req := httptest.NewRequest(http.MethodPost, "/v1/chain/get_block",
+				bytes.NewReader([]byte(`{"block_num_or_id":`+strconv.FormatUint(uint64(n), 10)+`}`)))
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, req)
+			if rec.Code != http.StatusOK {
+				t.Errorf("block %d: status %d", n, rec.Code)
+			}
+			return rec.Body.Bytes()
 		}
-		return rec.Body.Bytes()
-	}
-	head := c.HeadNum()
-	want := make([][]byte, head+1)
-	for n := uint32(1); n <= head; n++ {
-		want[n] = get(n)
-		checkEOSBody(t, c.GetBlock(n), want[n])
-	}
-	const workers, rounds = 8, 3
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				for i := uint32(0); i < head; i++ {
-					n := 1 + (i*7+uint32(w)*13+uint32(r))%head
-					if got := get(n); !bytes.Equal(got, want[n]) {
-						t.Errorf("block %d: a concurrent request got a different body", n)
-						return
+		head := c.HeadNum()
+		want := make([][]byte, head+1)
+		for n := uint32(1); n <= head; n++ {
+			want[n] = get(n)
+			checkEOSBody(t, c.GetBlock(n), want[n])
+		}
+		const workers, rounds = 8, 3
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for r := 0; r < rounds; r++ {
+					for i := uint32(0); i < head; i++ {
+						n := 1 + (i*7+uint32(w)*13+uint32(r))%head
+						if got := get(n); !bytes.Equal(got, want[n]) {
+							t.Errorf("block %d: a concurrent request got a different body", n)
+							return
+						}
 					}
 				}
-			}
-		}()
-	}
-	wg.Wait()
+			}()
+		}
+		wg.Wait()
+	})
 }
 
 // checkEOSBody decodes a get_block body and holds every name and id in it

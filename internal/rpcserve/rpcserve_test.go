@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/eos"
+	"repro/internal/testkit"
 	"repro/internal/tezos"
 	"repro/internal/wire"
 	"repro/internal/wsrpc"
@@ -235,7 +236,7 @@ func TestXRPWireLedgerSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("fixture ledgers hold %d and %d transactions, want 3 and 3", len(first.Transactions), len(second.Transactions))
 	}
 
-	if raceEnabled {
+	if testkit.Race {
 		t.Skip("allocation counts are perturbed by the race detector")
 	}
 	var cv converter

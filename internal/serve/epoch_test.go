@@ -17,6 +17,7 @@ import (
 	"repro/internal/chain"
 	"repro/internal/core"
 	"repro/internal/stats"
+	"repro/internal/testkit"
 )
 
 // drainedPublisher serves a drained three-chain snapshot: EOS with blocks
@@ -154,41 +155,43 @@ func servedPaths(snap *Snapshot) []string {
 // digit counts differ, every route answers the status, Content-Type,
 // staleness headers and body that encoding its reply on the spot gives.
 func TestEpochBodiesMatchPerRequestEncoding(t *testing.T) {
-	publishers := map[string]*Publisher{"placeholder": NewPublisher(), "drained": drainedPublisher(t)}
-	for name, p := range publishers {
-		t.Run(name, func(t *testing.T) {
-			h := NewHandler(p)
-			snap := p.Current()
-			for _, age := range []time.Duration{0, 9 * time.Millisecond, 10 * time.Millisecond, 12345678901 * time.Millisecond} {
-				now := servedAt(p, age)
-				for _, path := range servedPaths(snap) {
-					code, contentType, body := referenceReply(t, snap, now, path)
-					got := get(t, h, path).Result()
-					gotBody := new(bytes.Buffer)
-					if _, err := gotBody.ReadFrom(got.Body); err != nil {
-						t.Fatal(err)
-					}
-					want := map[string]string{
-						"Content-Type":      contentType,
-						"X-Serve-Epoch":     strconv.FormatUint(snap.Epoch, 10),
-						"X-Serve-Published": snap.PublishedAt.UTC().Format(time.RFC3339Nano),
-						"X-Serve-Age-Ms":    strconv.FormatInt(age.Milliseconds(), 10),
-					}
-					if got.StatusCode != code {
-						t.Errorf("age %v %s: status %d, want %d", age, path, got.StatusCode, code)
-					}
-					for k, v := range want {
-						if g := got.Header.Values(k); len(g) != 1 || g[0] != v {
-							t.Errorf("age %v %s: %s = %q, want [%q]", age, path, k, g, v)
+	testkit.Repeat(t, 20, func(t *testing.T) {
+		publishers := map[string]*Publisher{"placeholder": NewPublisher(), "drained": drainedPublisher(t)}
+		for name, p := range publishers {
+			t.Run(name, func(t *testing.T) {
+				h := NewHandler(p)
+				snap := p.Current()
+				for _, age := range []time.Duration{0, 9 * time.Millisecond, 10 * time.Millisecond, 12345678901 * time.Millisecond} {
+					now := servedAt(p, age)
+					for _, path := range servedPaths(snap) {
+						code, contentType, body := referenceReply(t, snap, now, path)
+						got := get(t, h, path).Result()
+						gotBody := new(bytes.Buffer)
+						if _, err := gotBody.ReadFrom(got.Body); err != nil {
+							t.Fatal(err)
+						}
+						want := map[string]string{
+							"Content-Type":      contentType,
+							"X-Serve-Epoch":     strconv.FormatUint(snap.Epoch, 10),
+							"X-Serve-Published": snap.PublishedAt.UTC().Format(time.RFC3339Nano),
+							"X-Serve-Age-Ms":    strconv.FormatInt(age.Milliseconds(), 10),
+						}
+						if got.StatusCode != code {
+							t.Errorf("age %v %s: status %d, want %d", age, path, got.StatusCode, code)
+						}
+						for k, v := range want {
+							if g := got.Header.Values(k); len(g) != 1 || g[0] != v {
+								t.Errorf("age %v %s: %s = %q, want [%q]", age, path, k, g, v)
+							}
+						}
+						if gotBody.String() != body {
+							t.Errorf("age %v %s: body\n%s\nwant\n%s", age, path, gotBody, body)
 						}
 					}
-					if gotBody.String() != body {
-						t.Errorf("age %v %s: body\n%s\nwant\n%s", age, path, gotBody, body)
-					}
 				}
-			}
-		})
-	}
+			})
+		}
+	})
 }
 
 // discardWriter is the least a handler can write into: a header map kept
@@ -211,7 +214,7 @@ func (w *discardWriter) WriteHeader(int) {}
 // snapshot's, so none of them is rebuilt per request. (Before the bodies
 // were cached these four routes allocated 16, 15, 9 and 7 times.)
 func TestCachedRepliesAllocationBound(t *testing.T) {
-	if raceEnabled {
+	if testkit.Race {
 		t.Skip("allocation counts are perturbed by the race detector")
 	}
 	// k: the one-element slice behind X-Serve-Age-Ms. An age under 100 ms
@@ -239,99 +242,101 @@ func TestCachedRepliesAllocationBound(t *testing.T) {
 // readers race the first read, stay the epoch's own while later epochs
 // land, and never take up what a caller appends to a header it was given.
 func TestSnapshotBytesConcurrentAndHeld(t *testing.T) {
-	paths := []string{"/v1/status", "/v1/chains", "/v1/summary/eos", "/v1/figures", "/v1/figures/eos", "/v1/percentiles/eos"}
-	read := func(h http.Handler) string {
-		var sb strings.Builder
-		for _, path := range paths {
-			w := httptest.NewRecorder()
-			h.ServeHTTP(w, httptest.NewRequest("GET", path, nil))
-			fmt.Fprintf(&sb, "%s %d %v\n%s", path, w.Code, w.Result().Header, w.Body)
-		}
-		return sb.String()
-	}
-
-	t.Run("first read races", func(t *testing.T) {
-		p := drainedPublisher(t)
-		servedAt(p, 7*time.Millisecond)
-		h := NewHandler(p)
-		const readers = 8
-		got := make([]string, readers)
-		start := make(chan struct{})
-		var wg sync.WaitGroup
-		for i := range got {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				<-start
-				got[i] = read(h)
-			}()
-		}
-		close(start)
-		wg.Wait()
-		for i := 1; i < readers; i++ {
-			if got[i] != got[0] {
-				t.Fatalf("reader %d read other bytes than reader 0:\n%s\nvs\n%s", i, got[i], got[0])
-			}
-		}
-	})
-
-	t.Run("held across publishes", func(t *testing.T) {
-		p, kit, release := newEOSPublisher(t)
-		defer release()
-		if err := kit.Decoder.IngestBatch(eosBlocks(10, 1)); err != nil {
-			t.Fatal(err)
-		}
-		held := p.Publish()
-		servedAt(p, 3*time.Millisecond)
-		// A publisher whose current epoch stays the held one serves its
-		// bytes while p moves on.
-		frozen := &Publisher{now: p.now, sources: map[string]*source{}}
-		frozen.cur.Store(held)
-		heldHandler := NewHandler(frozen)
-		before := read(heldHandler)
-		for i := 0; i < 50; i++ {
-			if err := kit.Decoder.IngestBatch(eosBlocks(2, int64(11+2*i))); err != nil {
-				t.Fatal(err)
-			}
-			p.Publish()
-			read(NewHandler(p))
-		}
-		if after := read(heldHandler); after != before {
-			t.Fatalf("epoch %d's bytes changed after 50 publishes:\n%s\nwas\n%s", held.Epoch, after, before)
-		}
-		if latest := read(NewHandler(p)); latest == before {
-			t.Fatal("50 publishes later the current epoch still serves the held epoch's bytes")
-		}
-	})
-
-	t.Run("header appends stay private", func(t *testing.T) {
-		p := drainedPublisher(t)
-		h := NewHandler(p)
-		// Each response gets its own appended value; a header slice with
-		// room to spare would let the next response's append overwrite it.
-		var recs []*httptest.ResponseRecorder
-		for i := 0; i < 3; i++ {
+	testkit.Repeat(t, 20, func(t *testing.T) {
+		paths := []string{"/v1/status", "/v1/chains", "/v1/summary/eos", "/v1/figures", "/v1/figures/eos", "/v1/percentiles/eos"}
+		read := func(h http.Handler) string {
+			var sb strings.Builder
 			for _, path := range paths {
 				w := httptest.NewRecorder()
 				h.ServeHTTP(w, httptest.NewRequest("GET", path, nil))
-				mark := fmt.Sprintf("x%d", len(recs))
-				for _, k := range []string{"X-Serve-Epoch", "X-Serve-Published", "Content-Type"} {
-					w.Header().Add(k, mark)
-				}
-				recs = append(recs, w)
+				fmt.Fprintf(&sb, "%s %d %v\n%s", path, w.Code, w.Result().Header, w.Body)
 			}
+			return sb.String()
 		}
-		epoch := strconv.FormatUint(p.Current().Epoch, 10)
-		for i, w := range recs {
-			mark := fmt.Sprintf("x%d", i)
-			if got := w.Header().Values("X-Serve-Epoch"); len(got) != 2 || got[0] != epoch || got[1] != mark {
-				t.Fatalf("response %d: X-Serve-Epoch = %q, want [%q %q]", i, got, epoch, mark)
+
+		t.Run("first read races", func(t *testing.T) {
+			p := drainedPublisher(t)
+			servedAt(p, 7*time.Millisecond)
+			h := NewHandler(p)
+			const readers = 8
+			got := make([]string, readers)
+			start := make(chan struct{})
+			var wg sync.WaitGroup
+			for i := range got {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					<-start
+					got[i] = read(h)
+				}()
 			}
-			for _, k := range []string{"X-Serve-Published", "Content-Type"} {
-				if got := w.Header().Values(k); len(got) != 2 || got[1] != mark {
-					t.Fatalf("response %d: %s = %q, want its value then %q", i, k, got, mark)
+			close(start)
+			wg.Wait()
+			for i := 1; i < readers; i++ {
+				if got[i] != got[0] {
+					t.Fatalf("reader %d read other bytes than reader 0:\n%s\nvs\n%s", i, got[i], got[0])
 				}
 			}
-		}
+		})
+
+		t.Run("held across publishes", func(t *testing.T) {
+			p, kit, release := newEOSPublisher(t)
+			defer release()
+			if err := kit.Decoder.IngestBatch(eosBlocks(10, 1)); err != nil {
+				t.Fatal(err)
+			}
+			held := p.Publish()
+			servedAt(p, 3*time.Millisecond)
+			// A publisher whose current epoch stays the held one serves its
+			// bytes while p moves on.
+			frozen := &Publisher{now: p.now, sources: map[string]*source{}}
+			frozen.cur.Store(held)
+			heldHandler := NewHandler(frozen)
+			before := read(heldHandler)
+			for i := 0; i < 50; i++ {
+				if err := kit.Decoder.IngestBatch(eosBlocks(2, int64(11+2*i))); err != nil {
+					t.Fatal(err)
+				}
+				p.Publish()
+				read(NewHandler(p))
+			}
+			if after := read(heldHandler); after != before {
+				t.Fatalf("epoch %d's bytes changed after 50 publishes:\n%s\nwas\n%s", held.Epoch, after, before)
+			}
+			if latest := read(NewHandler(p)); latest == before {
+				t.Fatal("50 publishes later the current epoch still serves the held epoch's bytes")
+			}
+		})
+
+		t.Run("header appends stay private", func(t *testing.T) {
+			p := drainedPublisher(t)
+			h := NewHandler(p)
+			// Each response gets its own appended value; a header slice with
+			// room to spare would let the next response's append overwrite it.
+			var recs []*httptest.ResponseRecorder
+			for i := 0; i < 3; i++ {
+				for _, path := range paths {
+					w := httptest.NewRecorder()
+					h.ServeHTTP(w, httptest.NewRequest("GET", path, nil))
+					mark := fmt.Sprintf("x%d", len(recs))
+					for _, k := range []string{"X-Serve-Epoch", "X-Serve-Published", "Content-Type"} {
+						w.Header().Add(k, mark)
+					}
+					recs = append(recs, w)
+				}
+			}
+			epoch := strconv.FormatUint(p.Current().Epoch, 10)
+			for i, w := range recs {
+				mark := fmt.Sprintf("x%d", i)
+				if got := w.Header().Values("X-Serve-Epoch"); len(got) != 2 || got[0] != epoch || got[1] != mark {
+					t.Fatalf("response %d: X-Serve-Epoch = %q, want [%q %q]", i, got, epoch, mark)
+				}
+				for _, k := range []string{"X-Serve-Published", "Content-Type"} {
+					if got := w.Header().Values(k); len(got) != 2 || got[1] != mark {
+						t.Fatalf("response %d: %s = %q, want its value then %q", i, k, got, mark)
+					}
+				}
+			}
+		})
 	})
 }

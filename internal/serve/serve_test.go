@@ -15,6 +15,7 @@ import (
 	"repro/internal/chain"
 	"repro/internal/collect"
 	"repro/internal/core"
+	"repro/internal/testkit"
 	"repro/internal/wire"
 )
 
@@ -136,30 +137,32 @@ func TestReleaseMarksDrainedAndPublishes(t *testing.T) {
 // between distinct accounts publishes with exactly the allocations of one
 // holding 10.
 func TestPublishDoesNoPerTradeWork(t *testing.T) {
-	allocs := func(trades int) float64 {
-		p, kit, _ := newEOSPublisher(t)
-		txs := make([]wire.EOSTrx, trades)
-		for i := range txs {
-			buyer, seller := fmt.Sprintf("buyer%d", i), fmt.Sprintf("seller%d", i)
-			txs[i].Actions = []wire.EOSAction{{
-				Account: "whaleextrust", Name: "verifytrade2", Actor: buyer,
-				Buyer: buyer, Seller: seller, Quantity: "1.0000 EOS",
-			}}
+	testkit.Repeat(t, 20, func(t *testing.T) {
+		allocs := func(trades int) float64 {
+			p, kit, _ := newEOSPublisher(t)
+			txs := make([]wire.EOSTrx, trades)
+			for i := range txs {
+				buyer, seller := fmt.Sprintf("buyer%d", i), fmt.Sprintf("seller%d", i)
+				txs[i].Actions = []wire.EOSAction{{
+					Account: "whaleextrust", Name: "verifytrade2", Actor: buyer,
+					Buyer: buyer, Seller: seller, Quantity: "1.0000 EOS",
+				}}
+			}
+			block := &wire.EOSBlock{Timestamp: "2019-10-02T00:00:00.000", Transactions: txs}
+			if err := kit.Decoder.IngestBatch([]any{block}); err != nil {
+				t.Fatal(err)
+			}
+			if got := len(kit.State().(*core.EOSShard).Trades); got != trades {
+				t.Fatalf("kit holds %d trades, want %d", got, trades)
+			}
+			p.Publish()
+			return testing.AllocsPerRun(50, func() { p.Publish() })
 		}
-		block := &wire.EOSBlock{Timestamp: "2019-10-02T00:00:00.000", Transactions: txs}
-		if err := kit.Decoder.IngestBatch([]any{block}); err != nil {
-			t.Fatal(err)
+		few, many := allocs(10), allocs(1000)
+		if few != many {
+			t.Fatalf("Publish allocates %.1f times over 10 trades and %.1f over 1,000: it does per-trade work", few, many)
 		}
-		if got := len(kit.State().(*core.EOSShard).Trades); got != trades {
-			t.Fatalf("kit holds %d trades, want %d", got, trades)
-		}
-		p.Publish()
-		return testing.AllocsPerRun(50, func() { p.Publish() })
-	}
-	few, many := allocs(10), allocs(1000)
-	if few != many {
-		t.Fatalf("Publish allocates %.1f times over 10 trades and %.1f over 1,000: it does per-trade work", few, many)
-	}
+	})
 }
 
 // TestPublishDoesNoPerBucketWork: a summary's bucket totals are summed in
@@ -168,23 +171,25 @@ func TestPublishDoesNoPerTradeWork(t *testing.T) {
 // blocks, one inside a single bucket and one a bucket apart each, publish
 // with equal allocations.
 func TestPublishDoesNoPerBucketWork(t *testing.T) {
-	allocs := func(step time.Duration) float64 {
-		p, kit, _ := newEOSPublisher(t)
-		blocks := eosBlocks(800, 1)
-		base := time.Date(2019, time.October, 2, 0, 0, 0, 0, time.UTC)
-		for i, b := range blocks {
-			b.(*wire.EOSBlock).Timestamp = base.Add(time.Duration(i) * step).Format(wire.EOSTimestampLayout)
+	testkit.Repeat(t, 20, func(t *testing.T) {
+		allocs := func(step time.Duration) float64 {
+			p, kit, _ := newEOSPublisher(t)
+			blocks := eosBlocks(800, 1)
+			base := time.Date(2019, time.October, 2, 0, 0, 0, 0, time.UTC)
+			for i, b := range blocks {
+				b.(*wire.EOSBlock).Timestamp = base.Add(time.Duration(i) * step).Format(wire.EOSTimestampLayout)
+			}
+			if err := kit.Decoder.IngestBatch(blocks); err != nil {
+				t.Fatal(err)
+			}
+			p.Publish()
+			return testing.AllocsPerRun(50, func() { p.Publish() })
 		}
-		if err := kit.Decoder.IngestBatch(blocks); err != nil {
-			t.Fatal(err)
+		one, many := allocs(time.Second), allocs(6*time.Hour)
+		if one != many {
+			t.Fatalf("Publish allocates %.1f times over 1 bucket and %.1f over 800: it does per-bucket work", one, many)
 		}
-		p.Publish()
-		return testing.AllocsPerRun(50, func() { p.Publish() })
-	}
-	one, many := allocs(time.Second), allocs(6*time.Hour)
-	if one != many {
-		t.Fatalf("Publish allocates %.1f times over 1 bucket and %.1f over 800: it does per-bucket work", one, many)
-	}
+	})
 }
 
 // TestPublishCarriesDrainedChainForward: once a snapshot shows a chain
@@ -192,58 +197,60 @@ func TestPublishDoesNoPerBucketWork(t *testing.T) {
 // summarize hook again, and serve the same bytes for it; a chain still
 // ingesting beside it is summarized on every publish.
 func TestPublishCarriesDrainedChainForward(t *testing.T) {
-	p := NewPublisher()
-	w := core.Window{Origin: chain.ObservationStart, Bucket: 6 * time.Hour}
-	calls := map[string]int{} // written only under the publisher's mutex
-	register := func(name string) (core.StatsKit, func()) {
-		kit, err := core.NewStatsKit(name, w.Origin, w.Bucket)
-		if err != nil {
+	testkit.Repeat(t, 20, func(t *testing.T) {
+		p := NewPublisher()
+		w := core.Window{Origin: chain.ObservationStart, Bucket: 6 * time.Hour}
+		calls := map[string]int{} // written only under the publisher's mutex
+		register := func(name string) (core.StatsKit, func()) {
+			kit, err := core.NewStatsKit(name, w.Origin, w.Bucket)
+			if err != nil {
+				t.Fatal(err)
+			}
+			release, err := p.Register(name, w, func() core.ChainSummary {
+				calls[name]++
+				return kit.Summarize()
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return kit, release
+		}
+		eos, releaseEOS := register("eos")
+		_, releaseLive := register("tezos")
+		defer releaseLive()
+		if err := eos.Decoder.IngestBatch(eosBlocks(20, 1)); err != nil {
 			t.Fatal(err)
 		}
-		release, err := p.Register(name, w, func() core.ChainSummary {
-			calls[name]++
-			return kit.Summarize()
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return kit, release
-	}
-	eos, releaseEOS := register("eos")
-	_, releaseLive := register("tezos")
-	defer releaseLive()
-	if err := eos.Decoder.IngestBatch(eosBlocks(20, 1)); err != nil {
-		t.Fatal(err)
-	}
-	p.Publish()
-	releaseEOS() // marks eos drained and publishes
-	drained := p.Current()
-	if st := drained.Chains["eos"]; !st.Drained || st.Summary.Blocks != 20 {
-		t.Fatalf("released chain: drained %v, %d blocks", st.Drained, st.Summary.Blocks)
-	}
-	h := NewHandler(p)
-	figures := get(t, h, "/v1/figures").Body.String()
-	eosCalls, liveCalls := calls["eos"], calls["tezos"]
-	const later = 5
-	for range later {
 		p.Publish()
-	}
-	snap := p.Current()
-	if snap.Epoch != drained.Epoch+later {
-		t.Fatalf("epoch %d after %d publishes past %d", snap.Epoch, later, drained.Epoch)
-	}
-	if got := calls["eos"]; got != eosCalls {
-		t.Errorf("drained chain summarized %d more times", got-eosCalls)
-	}
-	if got := calls["tezos"]; got != liveCalls+later {
-		t.Errorf("live chain summarized %d times over %d publishes", got-liveCalls, later)
-	}
-	if !reflect.DeepEqual(snap.Chains["eos"], drained.Chains["eos"]) {
-		t.Errorf("drained chain's status changed:\n%+v\nthen\n%+v", drained.Chains["eos"], snap.Chains["eos"])
-	}
-	if got := get(t, h, "/v1/figures").Body.String(); got != figures {
-		t.Errorf("/v1/figures changed after the chain drained:\n%s\nthen\n%s", figures, got)
-	}
+		releaseEOS() // marks eos drained and publishes
+		drained := p.Current()
+		if st := drained.Chains["eos"]; !st.Drained || st.Summary.Blocks != 20 {
+			t.Fatalf("released chain: drained %v, %d blocks", st.Drained, st.Summary.Blocks)
+		}
+		h := NewHandler(p)
+		figures := get(t, h, "/v1/figures").Body.String()
+		eosCalls, liveCalls := calls["eos"], calls["tezos"]
+		const later = 5
+		for range later {
+			p.Publish()
+		}
+		snap := p.Current()
+		if snap.Epoch != drained.Epoch+later {
+			t.Fatalf("epoch %d after %d publishes past %d", snap.Epoch, later, drained.Epoch)
+		}
+		if got := calls["eos"]; got != eosCalls {
+			t.Errorf("drained chain summarized %d more times", got-eosCalls)
+		}
+		if got := calls["tezos"]; got != liveCalls+later {
+			t.Errorf("live chain summarized %d times over %d publishes", got-liveCalls, later)
+		}
+		if !reflect.DeepEqual(snap.Chains["eos"], drained.Chains["eos"]) {
+			t.Errorf("drained chain's status changed:\n%+v\nthen\n%+v", drained.Chains["eos"], snap.Chains["eos"])
+		}
+		if got := get(t, h, "/v1/figures").Body.String(); got != figures {
+			t.Errorf("/v1/figures changed after the chain drained:\n%s\nthen\n%s", figures, got)
+		}
+	})
 }
 
 // TestPublishCarriesDrainedRepliesForward: a drained chain's response
@@ -256,41 +263,43 @@ func TestPublishCarriesDrainedChainForward(t *testing.T) {
 // chain's figures the first pair took 35 allocations against 12 for the
 // second.)
 func TestPublishCarriesDrainedRepliesForward(t *testing.T) {
-	p, kit, release := newEOSPublisher(t)
-	if err := kit.Decoder.IngestBatch(eosBlocks(200, 1)); err != nil {
-		t.Fatal(err)
-	}
-	release()
-	h := NewHandler(p)
-	w := &discardWriter{h: http.Header{}}
-	figures := httptest.NewRequest("GET", "/v1/figures/eos", nil)
-	healthz := httptest.NewRequest("GET", "/healthz", nil)
-	built := func() []byte {
-		t.Helper()
-		c, ok := p.Current().chain("eos")
-		if !ok {
-			t.Fatal("snapshot has no eos chain")
+	testkit.Repeat(t, 20, func(t *testing.T) {
+		p, kit, release := newEOSPublisher(t)
+		if err := kit.Decoder.IngestBatch(eosBlocks(200, 1)); err != nil {
+			t.Fatal(err)
 		}
-		return c.figuresText()
-	}
-	first := built()
-	for range 3 {
-		p.Publish()
-		if again := built(); &again[0] != &first[0] {
-			t.Fatalf("epoch %d built the drained chain's figures again", p.Current().Epoch)
+		release()
+		h := NewHandler(p)
+		w := &discardWriter{h: http.Header{}}
+		figures := httptest.NewRequest("GET", "/v1/figures/eos", nil)
+		healthz := httptest.NewRequest("GET", "/healthz", nil)
+		built := func() []byte {
+			t.Helper()
+			c, ok := p.Current().chain("eos")
+			if !ok {
+				t.Fatal("snapshot has no eos chain")
+			}
+			return c.figuresText()
 		}
-	}
-	if raceEnabled {
-		return
-	}
-	held := testing.AllocsPerRun(50, func() { h.ServeHTTP(w, figures) }) -
-		testing.AllocsPerRun(50, func() { h.ServeHTTP(w, healthz) })
-	stamp := testing.AllocsPerRun(50, func() { p.Publish(); h.ServeHTTP(w, healthz) })
-	fresh := testing.AllocsPerRun(50, func() { p.Publish(); h.ServeHTTP(w, figures) })
-	if fresh > stamp+held {
-		t.Fatalf("Publish + GET /v1/figures/eos: %.1f allocs, want at most %.1f (Publish + GET /healthz) + %.1f (the route on a held epoch): the drained chain's figures were built again",
-			fresh, stamp, held)
-	}
+		first := built()
+		for range 3 {
+			p.Publish()
+			if again := built(); &again[0] != &first[0] {
+				t.Fatalf("epoch %d built the drained chain's figures again", p.Current().Epoch)
+			}
+		}
+		if testkit.Race {
+			return
+		}
+		held := testing.AllocsPerRun(50, func() { h.ServeHTTP(w, figures) }) -
+			testing.AllocsPerRun(50, func() { h.ServeHTTP(w, healthz) })
+		stamp := testing.AllocsPerRun(50, func() { p.Publish(); h.ServeHTTP(w, healthz) })
+		fresh := testing.AllocsPerRun(50, func() { p.Publish(); h.ServeHTTP(w, figures) })
+		if fresh > stamp+held {
+			t.Fatalf("Publish + GET /v1/figures/eos: %.1f allocs, want at most %.1f (Publish + GET /healthz) + %.1f (the route on a held epoch): the drained chain's figures were built again",
+				fresh, stamp, held)
+		}
+	})
 }
 
 func TestRunPublishesFinalEpochOnCancel(t *testing.T) {

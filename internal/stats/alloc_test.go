@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"repro/internal/testkit"
 )
 
 // The per-transaction accumulators run once per decoded transaction on every
@@ -56,7 +58,7 @@ func TestTimeSeriesMergeExistingCellsZeroAllocs(t *testing.T) {
 // per run.
 func pinAllocs(t *testing.T, name string, want float64, run func()) {
 	t.Helper()
-	if raceEnabled {
+	if testkit.Race {
 		t.Skip("allocation counts are perturbed by the race detector")
 	}
 	run()

@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/testkit"
 )
 
 var origin = time.Date(2019, time.October, 1, 0, 0, 0, 0, time.UTC)
@@ -95,7 +97,7 @@ func TestTotalValuesMatchesDenseSum(t *testing.T) {
 			t.Fatalf("trial %d: TotalValues = %v, want %v", trial, got, want)
 		}
 	}
-	if raceEnabled {
+	if testkit.Race {
 		return // the race detector's instrumentation allocates
 	}
 	for _, buckets := range []int{1, 1_000} {

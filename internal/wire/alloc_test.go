@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"testing"
+
+	"repro/internal/testkit"
 )
 
 // The acceptance bar for the hot path: once a codec's intern table has seen
@@ -93,7 +95,7 @@ func xrpFixture(envelope bool) []byte {
 // allocations per run.
 func pinZeroAllocs(t *testing.T, name string, warm func()) {
 	t.Helper()
-	if raceEnabled {
+	if testkit.Race {
 		t.Skip("allocation counts are perturbed by the race detector")
 	}
 	warm()
@@ -151,7 +153,7 @@ func TestDecodeSteadyStateZeroAllocs(t *testing.T) {
 // and a window of blocks the codec has never seen still decodes at zero
 // allocations.
 func TestDecodeUniqueIDStreamStaysFlat(t *testing.T) {
-	if raceEnabled {
+	if testkit.Race {
 		t.Skip("allocation counts are perturbed by the race detector")
 	}
 	const warm, window = 1000, 1000

@@ -10,6 +10,8 @@ import (
 	"regexp"
 	"sync"
 	"testing"
+
+	"repro/internal/testkit"
 )
 
 // canonicalPayload is one payload in the repo's own layout, with the
@@ -80,39 +82,41 @@ func canonicalPayloads(t *testing.T) []canonicalPayload {
 // fails here instead of quietly costing every block a lookup per member or
 // a detour per string.
 func TestPredictedKeysResolveEveryKey(t *testing.T) {
-	for _, p := range canonicalPayloads(t) {
-		c := NewCodec()
-		if err := p.fast(c, p.raw); err != nil {
-			t.Fatalf("%s: the scanner refuses it: %v", p.name, err)
+	testkit.Repeat(t, 20, func(t *testing.T) {
+		for _, p := range canonicalPayloads(t) {
+			c := NewCodec()
+			if err := p.fast(c, p.raw); err != nil {
+				t.Fatalf("%s: the scanner refuses it: %v", p.name, err)
+			}
+			if c.lex.misses != 0 {
+				t.Errorf("%s: %d keys were not predicted", p.name, c.lex.misses)
+			}
+			if c.lex.detours != 0 {
+				t.Errorf("%s: %d string values left the straight path", p.name, c.lex.detours)
+			}
 		}
-		if c.lex.misses != 0 {
-			t.Errorf("%s: %d keys were not predicted", p.name, c.lex.misses)
-		}
-		if c.lex.detours != 0 {
-			t.Errorf("%s: %d string values left the straight path", p.name, c.lex.detours)
-		}
-	}
 
-	// The counts are live: a key spaced from its colon, one out of encoder
-	// order and an unknown one each take the lookup, and still decode; a
-	// value after a space, an escaped one and a non-ASCII one that is read
-	// each take the general path, and a null does not count.
-	c := NewCodec()
-	var b EOSBlock
-	if err := c.decodeEOSBlock([]byte(`{"timestamp" :"t","id":"x","extra":1}`), &b); err != nil || b.Timestamp != "t" {
-		t.Fatalf("unpredicted keys: %v, %+v", err, b)
-	}
-	if c.lex.misses != 3 || c.lex.detours != 0 {
-		t.Fatalf("%d misses and %d detours counted, want 3 and 0", c.lex.misses, c.lex.detours)
-	}
-	c = NewCodec()
-	raw := "{\"id\": \"x\",\"previous\":\"\\u0078\",\"timestamp\":\"caf\u00e9\",\"producer\":null}"
-	if err := c.decodeEOSBlock([]byte(raw), &b); err != nil || b.Timestamp != "caf\u00e9" {
-		t.Fatalf("detoured values: %v, %+v", err, b)
-	}
-	if c.lex.misses != 0 || c.lex.detours != 3 {
-		t.Fatalf("%d misses and %d detours counted, want 0 and 3", c.lex.misses, c.lex.detours)
-	}
+		// The counts are live: a key spaced from its colon, one out of encoder
+		// order and an unknown one each take the lookup, and still decode; a
+		// value after a space, an escaped one and a non-ASCII one that is read
+		// each take the general path, and a null does not count.
+		c := NewCodec()
+		var b EOSBlock
+		if err := c.decodeEOSBlock([]byte(`{"timestamp" :"t","id":"x","extra":1}`), &b); err != nil || b.Timestamp != "t" {
+			t.Fatalf("unpredicted keys: %v, %+v", err, b)
+		}
+		if c.lex.misses != 3 || c.lex.detours != 0 {
+			t.Fatalf("%d misses and %d detours counted, want 3 and 0", c.lex.misses, c.lex.detours)
+		}
+		c = NewCodec()
+		raw := "{\"id\": \"x\",\"previous\":\"\\u0078\",\"timestamp\":\"caf\u00e9\",\"producer\":null}"
+		if err := c.decodeEOSBlock([]byte(raw), &b); err != nil || b.Timestamp != "caf\u00e9" {
+			t.Fatalf("detoured values: %v, %+v", err, b)
+		}
+		if c.lex.misses != 0 || c.lex.detours != 3 {
+			t.Fatalf("%d misses and %d detours counted, want 0 and 3", c.lex.misses, c.lex.detours)
+		}
+	})
 }
 
 // TestRecordsTakeTheStraightPath: every record of the canonical payloads
@@ -123,38 +127,40 @@ func TestPredictedKeysResolveEveryKey(t *testing.T) {
 // hex_data member after every action's data, leaves the straight path
 // once, at its first record, and still decodes as encoding/json does.
 func TestRecordsTakeTheStraightPath(t *testing.T) {
-	for _, p := range canonicalPayloads(t) {
-		c := NewCodec()
-		if err := p.fast(c, p.raw); err != nil {
-			t.Fatalf("%s: the scanner refuses it: %v", p.name, err)
+	testkit.Repeat(t, 20, func(t *testing.T) {
+		for _, p := range canonicalPayloads(t) {
+			c := NewCodec()
+			if err := p.fast(c, p.raw); err != nil {
+				t.Fatalf("%s: the scanner refuses it: %v", p.name, err)
+			}
+			if c.lex.strays != 0 {
+				t.Errorf("%s: %d records left the straight path", p.name, c.lex.strays)
+			}
 		}
-		if c.lex.strays != 0 {
-			t.Errorf("%s: %d records left the straight path", p.name, c.lex.strays)
-		}
-	}
 
-	raw, err := os.ReadFile(filepath.Join("testdata", "eos_block.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := regexp.MustCompile(`"data":\{[^{}]*\}`)
-	hexed := data.ReplaceAll(raw, []byte(`$0,"hex_data":"a09867fa2a0f3d55"`))
-	actions := len(data.FindAll(raw, -1))
-	if actions < 2 || bytes.Count(hexed, []byte(`"hex_data"`)) != actions {
-		t.Fatalf("premise: %d actions", actions)
-	}
-	c := NewCodec()
-	var b EOSBlock
-	if err := c.decodeEOSBlock(hexed, &b); err != nil {
-		t.Fatalf("the scanner refuses hex_data: %v", err)
-	}
-	if c.lex.strays != 1 {
-		t.Errorf("%d records left the straight path, want 1", c.lex.strays)
-	}
-	if c.lex.misses != actions {
-		t.Errorf("%d keys were not predicted, want one per action (%d)", c.lex.misses, actions)
-	}
-	eosCase.agree(t, c, hexed, &b)
+		raw, err := os.ReadFile(filepath.Join("testdata", "eos_block.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := regexp.MustCompile(`"data":\{[^{}]*\}`)
+		hexed := data.ReplaceAll(raw, []byte(`$0,"hex_data":"a09867fa2a0f3d55"`))
+		actions := len(data.FindAll(raw, -1))
+		if actions < 2 || bytes.Count(hexed, []byte(`"hex_data"`)) != actions {
+			t.Fatalf("premise: %d actions", actions)
+		}
+		c := NewCodec()
+		var b EOSBlock
+		if err := c.decodeEOSBlock(hexed, &b); err != nil {
+			t.Fatalf("the scanner refuses hex_data: %v", err)
+		}
+		if c.lex.strays != 1 {
+			t.Errorf("%d records left the straight path, want 1", c.lex.strays)
+		}
+		if c.lex.misses != actions {
+			t.Errorf("%d keys were not predicted, want one per action (%d)", c.lex.misses, actions)
+		}
+		eosCase.agree(t, c, hexed, &b)
+	})
 }
 
 // TestPooledCodecsDecodeConcurrently: goroutines share the codec pool, each
@@ -165,41 +171,43 @@ func TestRecordsTakeTheStraightPath(t *testing.T) {
 // a goroutine a name its payloads never held, and under -race a shared one
 // is a reported race.
 func TestPooledCodecsDecodeConcurrently(t *testing.T) {
-	const goroutines, blocks = 4, 200
-	var wg sync.WaitGroup
-	for g := range goroutines {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(g)))
-			name := func() string { return fmt.Sprintf("aaaaaaaa%02d%03dzzzzzzzz", g, rng.Intn(50)) }
-			enc := NewCodec()
-			for range blocks {
-				full := EOSBlockJSON{Timestamp: name()}
-				for range 1 + rng.Intn(4) {
-					var trx EOSTrxJSON
-					trx.Trx.Transaction.Actions = []EOSActionJSON{{
-						Account: name(), Name: name(),
-						Authorization: []map[string]string{{"actor": name()}},
-						Data:          map[string]string{"from": name(), "to": name(), "quantity": name()},
-					}}
-					full.Transactions = append(full.Transactions, trx)
-				}
-				raw := enc.AppendEOSBlock(nil, &full)
-				var want EOSBlock
-				ProjectEOSBlock(&full, &want)
-				got := GetEOSBlock()
-				c := GetCodec()
-				err := c.decodeEOSBlock(raw, got)
-				PutCodec(c)
-				if err != nil || !eosCase.equal(got, &want) {
-					t.Errorf("goroutine %d: decode %v\n got:  %+v\n want: %+v", g, err, *got, want)
+	testkit.Repeat(t, 20, func(t *testing.T) {
+		const goroutines, blocks = 4, 200
+		var wg sync.WaitGroup
+		for g := range goroutines {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(g)))
+				name := func() string { return fmt.Sprintf("aaaaaaaa%02d%03dzzzzzzzz", g, rng.Intn(50)) }
+				enc := NewCodec()
+				for range blocks {
+					full := EOSBlockJSON{Timestamp: name()}
+					for range 1 + rng.Intn(4) {
+						var trx EOSTrxJSON
+						trx.Trx.Transaction.Actions = []EOSActionJSON{{
+							Account: name(), Name: name(),
+							Authorization: []map[string]string{{"actor": name()}},
+							Data:          map[string]string{"from": name(), "to": name(), "quantity": name()},
+						}}
+						full.Transactions = append(full.Transactions, trx)
+					}
+					raw := enc.AppendEOSBlock(nil, &full)
+					var want EOSBlock
+					ProjectEOSBlock(&full, &want)
+					got := GetEOSBlock()
+					c := GetCodec()
+					err := c.decodeEOSBlock(raw, got)
+					PutCodec(c)
+					if err != nil || !eosCase.equal(got, &want) {
+						t.Errorf("goroutine %d: decode %v\n got:  %+v\n want: %+v", g, err, *got, want)
+						PutEOSBlock(got)
+						return
+					}
 					PutEOSBlock(got)
-					return
 				}
-				PutEOSBlock(got)
-			}
-		}()
-	}
-	wg.Wait()
+			}()
+		}
+		wg.Wait()
+	})
 }

@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/testkit"
 )
 
 // The codec's contract is equivalence with encoding/json in both
@@ -44,33 +46,37 @@ func mustScan[F, P any](t *testing.T, cc chainCase[F, P], c *Codec, raw []byte) 
 }
 
 func TestEOSBlockRoundTripMatchesStdlib(t *testing.T) {
-	c := NewCodec()
-	f := func(b EOSBlockJSON) bool {
-		raw, ok := checkRoundTrip(t, &b, func() []byte { return c.AppendEOSBlock(nil, &b) })
-		if ok {
-			mustScan(t, eosCase, c, raw)
-			eosCase.agree(t, c, raw, new(EOSBlock))
+	testkit.Repeat(t, 20, func(t *testing.T) {
+		c := NewCodec()
+		f := func(b EOSBlockJSON) bool {
+			raw, ok := checkRoundTrip(t, &b, func() []byte { return c.AppendEOSBlock(nil, &b) })
+			if ok {
+				mustScan(t, eosCase, c, raw)
+				eosCase.agree(t, c, raw, new(EOSBlock))
+			}
+			return ok
 		}
-		return ok
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
+		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestTezosBlockRoundTripMatchesStdlib(t *testing.T) {
-	c := NewCodec()
-	f := func(b TezosBlockJSON) bool {
-		raw, ok := checkRoundTrip(t, &b, func() []byte { return c.AppendTezosBlock(nil, &b) })
-		if ok {
-			mustScan(t, tezosCase, c, raw)
-			tezosCase.agree(t, c, raw, new(TezosBlock))
+	testkit.Repeat(t, 20, func(t *testing.T) {
+		c := NewCodec()
+		f := func(b TezosBlockJSON) bool {
+			raw, ok := checkRoundTrip(t, &b, func() []byte { return c.AppendTezosBlock(nil, &b) })
+			if ok {
+				mustScan(t, tezosCase, c, raw)
+				tezosCase.agree(t, c, raw, new(TezosBlock))
+			}
+			return ok
 		}
-		return ok
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
+		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // xrpEnvelope wraps a marshaled ledger the way a rippled ledger response
@@ -88,41 +94,45 @@ func xrpEnvelope(ledger []byte, index int64) []byte {
 }
 
 func TestXRPLedgerRoundTripMatchesStdlib(t *testing.T) {
-	c := NewCodec()
-	f := func(l XRPLedgerJSON) bool {
-		raw, ok := checkRoundTrip(t, &l, func() []byte { return c.AppendXRPLedger(nil, &l) })
-		if ok {
-			raw = xrpEnvelope(raw, l.LedgerIndex)
-			mustScan(t, xrpCase, c, raw)
-			xrpCase.agree(t, c, raw, new(XRPLedger))
+	testkit.Repeat(t, 20, func(t *testing.T) {
+		c := NewCodec()
+		f := func(l XRPLedgerJSON) bool {
+			raw, ok := checkRoundTrip(t, &l, func() []byte { return c.AppendXRPLedger(nil, &l) })
+			if ok {
+				raw = xrpEnvelope(raw, l.LedgerIndex)
+				mustScan(t, xrpCase, c, raw)
+				xrpCase.agree(t, c, raw, new(XRPLedger))
+			}
+			return ok
 		}
-		return ok
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
+		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestXRPLedgerResultEnvelope checks the collector-side envelope decode
 // against the stdlib equivalent, envelope members in encoding/json's order.
 func TestXRPLedgerResultEnvelope(t *testing.T) {
-	c := NewCodec()
-	f := func(l XRPLedgerJSON, index int64) bool {
-		env := struct {
-			Ledger      XRPLedgerJSON `json:"ledger"`
-			LedgerIndex int64         `json:"ledger_index"`
-			Validated   bool          `json:"validated"`
-		}{l, index, true}
-		raw, err := json.Marshal(env)
-		if err != nil {
+	testkit.Repeat(t, 20, func(t *testing.T) {
+		c := NewCodec()
+		f := func(l XRPLedgerJSON, index int64) bool {
+			env := struct {
+				Ledger      XRPLedgerJSON `json:"ledger"`
+				LedgerIndex int64         `json:"ledger_index"`
+				Validated   bool          `json:"validated"`
+			}{l, index, true}
+			raw, err := json.Marshal(env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			xrpCase.agree(t, c, raw, new(XRPLedger))
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 			t.Fatal(err)
 		}
-		xrpCase.agree(t, c, raw, new(XRPLedger))
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
+	})
 }
 
 // TestDecodeReusedStructs drives many random payloads through one pooled
@@ -130,34 +140,36 @@ func TestXRPLedgerResultEnvelope(t *testing.T) {
 // indistinguishably from a fresh one (no stale transactions, actions,
 // members or amounts leak between payloads).
 func TestDecodeReusedStructs(t *testing.T) {
-	c := NewCodec()
-	rng := rand.New(rand.NewSource(7))
-	reusedEOS := GetEOSBlock()
-	defer PutEOSBlock(reusedEOS)
-	reusedTezos := GetTezosBlock()
-	defer PutTezosBlock(reusedTezos)
-	reusedXRP := GetXRPLedger()
-	defer PutXRPLedger(reusedXRP)
+	testkit.Repeat(t, 20, func(t *testing.T) {
+		c := NewCodec()
+		rng := rand.New(rand.NewSource(7))
+		reusedEOS := GetEOSBlock()
+		defer PutEOSBlock(reusedEOS)
+		reusedTezos := GetTezosBlock()
+		defer PutTezosBlock(reusedTezos)
+		reusedXRP := GetXRPLedger()
+		defer PutXRPLedger(reusedXRP)
 
-	random := func(v any) []byte {
-		val, ok := quick.Value(reflect.TypeOf(v), rng)
-		if !ok {
-			t.Fatal("quick.Value failed")
+		random := func(v any) []byte {
+			val, ok := quick.Value(reflect.TypeOf(v), rng)
+			if !ok {
+				t.Fatal("quick.Value failed")
+			}
+			raw, err := json.Marshal(val.Interface())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return raw
 		}
-		raw, err := json.Marshal(val.Interface())
-		if err != nil {
-			t.Fatal(err)
+		for i := 0; i < 300; i++ {
+			switch i % 3 {
+			case 0:
+				eosCase.agree(t, c, random(EOSBlockJSON{}), reusedEOS)
+			case 1:
+				tezosCase.agree(t, c, random(TezosBlockJSON{}), reusedTezos)
+			default:
+				xrpCase.agree(t, c, xrpEnvelope(random(XRPLedgerJSON{}), int64(i)), reusedXRP)
+			}
 		}
-		return raw
-	}
-	for i := 0; i < 300; i++ {
-		switch i % 3 {
-		case 0:
-			eosCase.agree(t, c, random(EOSBlockJSON{}), reusedEOS)
-		case 1:
-			tezosCase.agree(t, c, random(TezosBlockJSON{}), reusedTezos)
-		default:
-			xrpCase.agree(t, c, xrpEnvelope(random(XRPLedgerJSON{}), int64(i)), reusedXRP)
-		}
-	}
+	})
 }

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"unicode/utf8"
+
+	"repro/internal/testkit"
 )
 
 // TestNonCanonicalKeyCasingMatchesStdlib: encoding/json matches field
@@ -280,17 +282,19 @@ func TestSplitXRPEnvelope(t *testing.T) {
 // each chain and on the XRP response envelope, through one codec and one
 // reused struct apiece.
 func TestStrictCasesMatchStdlib(t *testing.T) {
-	c := NewCodec()
-	var eb EOSBlock
-	var tz TezosBlock
-	var led XRPLedger
-	var env XRPEnvelope
-	for _, raw := range strictCases {
-		eosCase.agree(t, c, []byte(raw), &eb)
-		tezosCase.agree(t, c, []byte(raw), &tz)
-		xrpCase.agree(t, c, []byte(raw), &led)
-		envelopeCase.agree(t, c, []byte(raw), &env)
-	}
+	testkit.Repeat(t, 20, func(t *testing.T) {
+		c := NewCodec()
+		var eb EOSBlock
+		var tz TezosBlock
+		var led XRPLedger
+		var env XRPEnvelope
+		for _, raw := range strictCases {
+			eosCase.agree(t, c, []byte(raw), &eb)
+			tezosCase.agree(t, c, []byte(raw), &tz)
+			xrpCase.agree(t, c, []byte(raw), &led)
+			envelopeCase.agree(t, c, []byte(raw), &env)
+		}
+	})
 }
 
 // TestStrictNumbersMatchStdlib: malformed numbers that encoding/json
@@ -339,7 +343,7 @@ func TestStrictNumbersMatchStdlib(t *testing.T) {
 // fields must not pay for the fold check — the envelope decode stays
 // allocation-free (the fold comparison itself allocates nothing).
 func TestFoldedKeysStayOffHotPath(t *testing.T) {
-	if raceEnabled {
+	if testkit.Race {
 		t.Skip("allocation counts are perturbed by the race detector")
 	}
 	c := NewCodec()
@@ -448,17 +452,19 @@ func TestInvalidUTF8MatchesStdlib(t *testing.T) {
 // with the opening quote at the value's first byte (plainStr's straight
 // path) and after a space (the general path).
 func TestStringScanMatchesStdlibAtEveryOffset(t *testing.T) {
-	c := NewCodec()
-	var eb EOSBlock
-	var tz TezosBlock
-	var led XRPLedger
-	for n := 0; n <= 20; n++ {
-		scanEdges(n, func(eos, tezos, xrp []byte) {
-			eosCase.agreeValid(t, c, eos, &eb)
-			tezosCase.agreeValid(t, c, tezos, &tz)
-			xrpCase.agreeValid(t, c, xrp, &led)
-		})
-	}
+	testkit.Repeat(t, 20, func(t *testing.T) {
+		c := NewCodec()
+		var eb EOSBlock
+		var tz TezosBlock
+		var led XRPLedger
+		for n := 0; n <= 20; n++ {
+			scanEdges(n, func(eos, tezos, xrp []byte) {
+				eosCase.agreeValid(t, c, eos, &eb)
+				tezosCase.agreeValid(t, c, tezos, &tz)
+				xrpCase.agreeValid(t, c, xrp, &led)
+			})
+		}
+	})
 }
 
 // scanEdges calls edge with each byte the eight-wide scan has to tell

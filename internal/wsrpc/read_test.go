@@ -9,6 +9,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"repro/internal/testkit"
 )
 
 // streamConn is a net.Conn that reads one fixed byte stream and discards
@@ -51,25 +53,27 @@ func hostileHeader() []byte {
 // payload bytes arrive, so a peer that claims 64 MiB and hangs up costs
 // what it sent, not what it claimed.
 func TestHostileLengthAllocatesWhatArrives(t *testing.T) {
-	const bound = 1 << 20
-	stream := hostileHeader()
-	if len(stream) != 14 {
-		t.Fatalf("header is %d bytes, want 14", len(stream))
-	}
-	var frameErr, msgErr error
-	if got := allocatedBytes(func() { _, frameErr = ReadFrame(bytes.NewReader(stream)) }); got >= bound {
-		t.Errorf("ReadFrame allocated %d bytes for a 14-byte stream, want < %d", got, bound)
-	}
-	if frameErr == nil {
-		t.Error("ReadFrame of a truncated frame succeeded")
-	}
-	conn := connReading(stream, false)
-	if got := allocatedBytes(func() { _, _, msgErr = conn.ReadMessage() }); got >= bound {
-		t.Errorf("ReadMessage allocated %d bytes for a 14-byte stream, want < %d", got, bound)
-	}
-	if msgErr == nil {
-		t.Error("ReadMessage of a truncated frame succeeded")
-	}
+	testkit.Repeat(t, 20, func(t *testing.T) {
+		const bound = 1 << 20
+		stream := hostileHeader()
+		if len(stream) != 14 {
+			t.Fatalf("header is %d bytes, want 14", len(stream))
+		}
+		var frameErr, msgErr error
+		if got := allocatedBytes(func() { _, frameErr = ReadFrame(bytes.NewReader(stream)) }); got >= bound {
+			t.Errorf("ReadFrame allocated %d bytes for a 14-byte stream, want < %d", got, bound)
+		}
+		if frameErr == nil {
+			t.Error("ReadFrame of a truncated frame succeeded")
+		}
+		conn := connReading(stream, false)
+		if got := allocatedBytes(func() { _, _, msgErr = conn.ReadMessage() }); got >= bound {
+			t.Errorf("ReadMessage allocated %d bytes for a 14-byte stream, want < %d", got, bound)
+		}
+		if msgErr == nil {
+			t.Error("ReadMessage of a truncated frame succeeded")
+		}
+	})
 }
 
 // readAll reads messages until the first error, either each into a slice
@@ -156,20 +160,22 @@ func FuzzReadMessage(f *testing.F) {
 	f.Add([]byte{0x01, 0x03, 'a', 'b', 'c', 0x01, 0x01, 'x'}, true, uint16(1))
 	f.Add([]byte{0x80, 0x01, 'x'}, true, uint16(0))
 	f.Fuzz(func(t *testing.T, stream []byte, client bool, spare uint16) {
-		var nilPath []readResult
-		allocated := allocatedBytes(func() { nilPath = readAll(t, stream, client, false, 0) })
-		intoPath := readAll(t, stream, client, true, int(spare%4096))
-		if len(nilPath) != len(intoPath) {
-			t.Fatalf("ReadMessage read %d results, ReadMessageInto %d", len(nilPath), len(intoPath))
-		}
-		for i := range nilPath {
-			if nilPath[i] != intoPath[i] {
-				t.Fatalf("result %d: ReadMessage %+v, ReadMessageInto %+v", i, nilPath[i], intoPath[i])
+		testkit.Repeat(t, 20, func(t *testing.T) {
+			var nilPath []readResult
+			allocated := allocatedBytes(func() { nilPath = readAll(t, stream, client, false, 0) })
+			intoPath := readAll(t, stream, client, true, int(spare%4096))
+			if len(nilPath) != len(intoPath) {
+				t.Fatalf("ReadMessage read %d results, ReadMessageInto %d", len(nilPath), len(intoPath))
 			}
-		}
-		if limit := uint64(allocFactor*len(stream) + allocSlack); allocated > limit {
-			t.Fatalf("reading a %d-byte stream allocated %d bytes, want <= %d", len(stream), allocated, limit)
-		}
+			for i := range nilPath {
+				if nilPath[i] != intoPath[i] {
+					t.Fatalf("result %d: ReadMessage %+v, ReadMessageInto %+v", i, nilPath[i], intoPath[i])
+				}
+			}
+			if limit := uint64(allocFactor*len(stream) + allocSlack); allocated > limit {
+				t.Fatalf("reading a %d-byte stream allocated %d bytes, want <= %d", len(stream), allocated, limit)
+			}
+		})
 	})
 }
 
@@ -177,7 +183,7 @@ func FuzzReadMessage(f *testing.F) {
 // round trip — a masked write, then a read into the caller's buffer —
 // allocates nothing on either end of the socket.
 func TestWarmClientRoundTripZeroAllocs(t *testing.T) {
-	if raceEnabled {
+	if testkit.Race {
 		t.Skip("allocation counts are perturbed by the race detector")
 	}
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

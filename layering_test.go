@@ -30,7 +30,11 @@ import (
 // the writer of slog.NewTextHandler (and cmd/coordinate's handing it to
 // run, which builds its logger over it and shares it with the worker
 // subprocesses), and none declares a field or parameter named log or Log
-// of type io.Writer.
+// of type io.Writer. internal/testkit is exempt: its Main reports leaked
+// goroutines from TestMain, where there is no logger.
+//
+// And it pins internal/testkit as test-only: no non-test file of the module
+// imports it, and it imports nothing from the module.
 func TestLayering(t *testing.T) {
 	measurement := []string{
 		"internal/wire", "internal/collect", "internal/archive", "internal/blobstore",
@@ -75,18 +79,52 @@ func TestLayering(t *testing.T) {
 		}
 	}
 
+	const testkit = "internal/testkit"
 	spine := []string{"internal", "cmd/crawl", "cmd/coordinate", "cmd/merge", "cmd/serve", "cmd/report"}
 	for _, root := range spine {
 		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 				return err
 			}
-			checkOneLogger(t, path)
+			if filepath.Dir(path) != testkit {
+				checkOneLogger(t, path)
+			}
 			return nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+	}
+
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")):
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go"):
+			return nil
+		}
+		parsed, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, imp := range parsed.Imports {
+			target, err := strconv.Unquote(imp.Path.Value)
+			if err != nil {
+				return err
+			}
+			if target == "repro/"+testkit {
+				t.Errorf("%s imports %s: only _test.go files may", path, target)
+			}
+			if filepath.Dir(path) == testkit && strings.HasPrefix(target, "repro/") {
+				t.Errorf("%s imports %s: testkit imports nothing from the module", path, target)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

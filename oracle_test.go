@@ -28,6 +28,7 @@ import (
 	"repro/internal/coord"
 	"repro/internal/explorer"
 	"repro/internal/rpcserve"
+	"repro/internal/testkit"
 	"repro/internal/workload"
 	"repro/internal/wsrpc"
 )
@@ -64,7 +65,7 @@ func TestMain(m *testing.M) {
 
 func buildCommands(dir string) error {
 	args := []string{"build", "-o", dir + string(filepath.Separator)}
-	if raceEnabled {
+	if testkit.Race {
 		args = append(args, "-race")
 	}
 	args = append(append(args, fleet...), "./cmd/report")
