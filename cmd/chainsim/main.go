@@ -9,7 +9,8 @@
 // It prints the listening endpoints and blocks until interrupted, so
 // cmd/crawl (or any HTTP/WebSocket client) can collect from it. It serves
 // and does not crawl itself: the crawlers pointed at it are the end-to-end
-// check, as CI's crawl, coordinate and serve jobs do.
+// check, as in CI's smoke job: one coordinate run against it, then a merge
+// of that run's store.
 package main
 
 import (

@@ -195,9 +195,10 @@ func TestCrawlInterruptResume(t *testing.T) {
 		{"cancel after 15 blocks", cancelAfter(15)},
 		{"cancel after 35 blocks", cancelAfter(35)},
 		{"hard kill with a segment open", func(t *testing.T, opts crawlOpts) {
-			// What SIGKILL leaves: the segments that rotated are in the
+			// What SIGKILL leaves: the segments published are in the
 			// manifest, the open one — here blocks 32 and 31 — is gone, and
-			// nothing was finalized. The writer is dropped without Close.
+			// so is the sealed one before it unless an Append published it.
+			// The writer is dropped without Close.
 			w, err := archive.NewWriter(archive.WriterConfig{Dir: opts.Archive, Chain: "eos", SegmentBlocks: 4})
 			if err != nil {
 				t.Fatal(err)

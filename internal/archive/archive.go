@@ -42,11 +42,12 @@
 // replay with an error wrapping ErrCorrupt instead of silently
 // short-counting blocks.
 //
-// Durability: a segment is buffered in memory until complete, published
-// with the store's atomic Put (tmp + fsync + rename on a filesystem), and
-// only then committed to the manifest, which itself rewrites atomically
-// after every rotation. A crash therefore loses at most the open segment;
-// everything the manifest references is intact.
+// Durability: a segment is buffered in memory until complete, sealed by
+// the rotation, published with the store's atomic Put (tmp + fsync +
+// rename on a filesystem) once its members have deflated, and only then
+// committed to the manifest, which itself rewrites atomically after every
+// publish. A crash therefore loses at most the open and the sealed
+// segment; everything the manifest references is intact.
 //
 // The manifest carries a format version (manifestVersion); any other
 // version refuses to open with ErrCorrupt.

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/blobstore"
 	"repro/internal/testkit"
@@ -45,6 +46,30 @@ func writeArchive(t *testing.T, dir string, chain string, n int64, segBlocks int
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// settle waits until every member of w's sealed segment, if it has one,
+// has deflated, so the next Append publishes it.
+func settle(w *Writer) {
+	w.mu.Lock()
+	seg := w.sealed
+	w.mu.Unlock()
+	if seg != nil {
+		seg.deflated.Wait()
+	}
+}
+
+// holdTokens takes every deflate token of w, so no member deflates until
+// the returned release hands them back.
+func holdTokens(w *Writer) (release func()) {
+	for range cap(w.deflating) {
+		w.deflating <- struct{}{}
+	}
+	return func() {
+		for range cap(w.deflating) {
+			<-w.deflating
+		}
 	}
 }
 
@@ -198,7 +223,20 @@ func TestWriterCompressedBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for num := int64(20); num > 10; num-- {
+		// The rotation at 13 publishes segment 1 at the latest and seals
+		// segment 2; once its members have deflated, 12 publishes it.
+		for num := int64(20); num > 12; num-- {
+			if err := w1.Append(num, payload(num)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Segment 2 is sealed, not published: it counts as a segment but
+		// not in the footprint.
+		if man, _ := stored(0); w1.CompressedBytes() != man || w1.Segments() != 2 {
+			t.Fatalf("with segment 2 sealed: footprint %d, manifest holds %d, %d segments", w1.CompressedBytes(), man, w1.Segments())
+		}
+		settle(w1)
+		for num := int64(12); num > 10; num-- {
 			if err := w1.Append(num, payload(num)); err != nil {
 				t.Fatal(err)
 			}
@@ -207,6 +245,9 @@ func TestWriterCompressedBytes(t *testing.T) {
 		open1 := w1.CompressedBytes()
 		if man, _ := stored(0); open1 != man || open1 == 0 {
 			t.Fatalf("mid-session footprint %d, manifest holds %d", open1, man)
+		}
+		if got := w1.Segments(); got != 3 {
+			t.Fatalf("writer counts %d segments, want 2 committed and 1 open", got)
 		}
 		if err := w1.Close(); err != nil {
 			t.Fatal(err)
@@ -233,12 +274,19 @@ func TestWriterCompressedBytes(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		clean := w2.CompressedBytes()
-		for num := int64(104); num > 100; num-- { // the fourth completes segment 3
-			err = w2.Append(num, payload(num))
+		settle(w2)
+		if err := w2.Append(104, payload(104)); err != nil { // publishes segment 2
+			t.Fatal(err)
 		}
-		if !errors.Is(err, boom) {
-			t.Fatalf("rotating append did not surface the put failure: %v", err)
+		clean := w2.CompressedBytes()
+		for num := int64(103); num > 100; num-- { // the third completes segment 3, sealed
+			if err := w2.Append(num, payload(num)); err != nil {
+				t.Fatalf("sealing append %d: %v", num, err)
+			}
+		}
+		settle(w2)
+		if err := w2.Append(100, payload(100)); !errors.Is(err, boom) {
+			t.Fatalf("publishing append did not surface the put failure: %v", err)
 		}
 		if err := w2.Close(); !errors.Is(err, boom) {
 			t.Fatalf("closing a poisoned writer: %v", err)
@@ -316,16 +364,25 @@ func TestEmptyArchiveManifests(t *testing.T) {
 
 // TestCrashMidSegmentLeavesNoTorn: abandoning a writer without Close (a
 // crash, or SIGKILL racing a rotation) must leave the manifest pointing
-// only at fully finalized segments — the open segment buffers in memory
-// and simply evaporates, publishing nothing partial.
+// only at fully published segments — the sealed segment and the open one
+// buffer in memory and simply evaporate, publishing nothing partial.
 func TestCrashMidSegmentLeavesNoTorn(t *testing.T) {
 	dir := t.TempDir()
 	w, err := NewWriter(WriterConfig{Dir: dir, Chain: "eos", SegmentBlocks: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 4 appends finalize segment 1 (atomic publish + manifest commit);
-	// 2 more sit in the open segment's buffer when the "crash" lands.
+	// 10..7 seal segment 1; once its member has deflated, 6 publishes it
+	// (atomic publish + manifest commit). With every deflate token held, 3
+	// seals segment 2 behind its undeflated member, and 2 and 1 sit in the
+	// open segment's buffer when the "crash" lands: the most a crash loses.
+	for num := int64(10); num >= 7; num-- {
+		if err := w.Append(num, payload(num)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	settle(w)
+	release := holdTokens(w)
 	for num := int64(6); num >= 1; num-- {
 		if err := w.Append(num, payload(num)); err != nil {
 			t.Fatal(err)
@@ -337,19 +394,20 @@ func TestCrashMidSegmentLeavesNoTorn(t *testing.T) {
 	if err != nil {
 		t.Fatalf("archive after crash failed to open: %v", err)
 	}
-	if r.Blocks() != 4 {
-		t.Fatalf("crashed archive replays %d blocks, want the 4 finalized ones", r.Blocks())
+	if r.Segments() != 1 || r.Blocks() != 4 {
+		t.Fatalf("crashed archive replays %d blocks in %d segments, want segment 1's 4", r.Blocks(), r.Segments())
 	}
-	if !r.Covers(3, 6) || r.Covers(1, 6) {
+	if !r.Covers(7, 10) || r.Covers(6, 10) {
 		t.Fatalf("crashed archive coverage wrong: [%d,%d]", r.From(), r.To())
 	}
+	release() // the abandoned member deflates into memory nobody reads
 
 	// The next session re-archives what was lost.
 	w2, err := NewWriter(WriterConfig{Dir: dir, Chain: "eos", SegmentBlocks: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for num := int64(2); num >= 1; num-- {
+	for num := int64(6); num >= 1; num-- {
 		if err := w2.Append(num, payload(num)); err != nil {
 			t.Fatal(err)
 		}
@@ -361,16 +419,17 @@ func TestCrashMidSegmentLeavesNoTorn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r2.Covers(1, 6) {
+	if !r2.Covers(1, 10) {
 		t.Fatalf("recovered archive covers [%d,%d] with %d blocks", r2.From(), r2.To(), r2.Blocks())
 	}
 }
 
 // TestFailedPutPoisonsWriter: when publishing a segment fails (disk full,
-// endpoint outage), the writer must report the failure on that Append,
-// refuse everything after it, and never manifest the lost segment — while
-// the segments finalized before the failure stay replayable. (The lost
-// blocks are in no manifest, so a rerun of the crawl fetches them again.)
+// endpoint outage), the writer must report the failure on the Append that
+// published it, refuse everything after it, and never manifest the lost
+// segment or any block after it — while the segments published before the
+// failure stay replayable. (The lost blocks are in no manifest, so a rerun
+// of the crawl fetches them again.)
 func TestFailedPutPoisonsWriter(t *testing.T) {
 	for _, backend := range []string{"file", "mem"} {
 		t.Run(backend, func(t *testing.T) {
@@ -389,18 +448,21 @@ func TestFailedPutPoisonsWriter(t *testing.T) {
 			// manifest put. The next segment's put fails.
 			boom := errors.New("endpoint on fire")
 			faulty.BreakAfter(blobstore.OpPut, 2, -1, boom)
-			for num := int64(6); num >= 2; num-- {
+			// The rotation at 1 publishes segment 1 at the latest and seals
+			// segment 2 ({3,2,1}) without publishing it.
+			for num := int64(6); num >= 1; num-- {
 				if err := w.Append(num, payload(num)); err != nil {
 					t.Fatal(err)
 				}
 			}
-			// This append completes segment 2 ({3,2,1}) and triggers the
-			// failing publish.
-			if err := w.Append(1, payload(1)); !errors.Is(err, boom) {
-				t.Fatalf("rotating append did not surface the put failure: %v", err)
+			// Once segment 2's member has deflated, the next Append publishes
+			// it and surfaces the failure.
+			settle(w)
+			if err := w.Append(7, payload(7)); !errors.Is(err, boom) {
+				t.Fatalf("publishing append did not surface the put failure: %v", err)
 			}
-			if err := w.Append(7, payload(7)); err == nil {
-				t.Fatal("append after a failed publish succeeded on a poisoned writer")
+			if err := w.Append(8, payload(8)); !errors.Is(err, boom) {
+				t.Fatalf("append after a failed publish: %v (want the original failure)", err)
 			}
 			if err := w.Close(); !errors.Is(err, boom) {
 				t.Fatalf("closing a poisoned writer: %v (want the original failure)", err)
@@ -414,11 +476,82 @@ func TestFailedPutPoisonsWriter(t *testing.T) {
 			if !r.Covers(4, 6) {
 				t.Fatalf("finalized pre-failure segment lost: covers [%d, %d]", r.From(), r.To())
 			}
-			if r.Covers(3, 3) || r.Covers(2, 2) || r.Covers(1, 1) {
-				t.Fatal("poisoned segment's blocks leaked into the manifest")
+			for _, num := range []int64{3, 2, 1, 7, 8} {
+				if r.Covers(num, num) {
+					t.Fatalf("block %d, from the poisoned segment on, leaked into the manifest", num)
+				}
 			}
 		})
 	}
+}
+
+// TestRotationSealsWithoutWaiting: with every deflate token held, an
+// Append that rotates seals its segment and returns, and so do the Appends
+// after it; the second rotation finds segment 1 still pending and blocks
+// until its members deflate, then publishes it.
+func TestRotationSealsWithoutWaiting(t *testing.T) {
+	testkit.Repeat(t, 20, func(t *testing.T) {
+		ctx := context.Background()
+		st := blobstore.NewMemory()
+		w, err := NewWriter(WriterConfig{Store: st, Chain: "eos", SegmentBlocks: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.memberBytes = 100 // two records of payload() a member
+		release := holdTokens(w)
+		sealed := make(chan error, 1)
+		go func() {
+			for num := int64(1); num <= 7; num++ {
+				if err := w.Append(num, payload(num)); err != nil {
+					sealed <- err
+					return
+				}
+			}
+			sealed <- nil
+		}()
+		select {
+		case err := <-sealed:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("the first rotation waited for its segment's members to deflate")
+		}
+		if got := w.Segments(); got != 2 {
+			t.Fatalf("writer counts %d segments, want the sealed and the open one", got)
+		}
+		if _, err := loadManifest(ctx, st); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("a segment was published before its members deflated: %v", err)
+		}
+		rotated := make(chan error, 1)
+		go func() { rotated <- w.Append(8, payload(8)) }()
+		select {
+		case err := <-rotated:
+			t.Fatalf("second rotation returned (%v) before segment 1's members deflated", err)
+		case <-time.After(20 * time.Millisecond):
+		}
+		release()
+		if err := <-rotated; err != nil {
+			t.Fatal(err)
+		}
+		man, err := loadManifest(ctx, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(man.Segments) != 1 || man.Segments[0].Min != 1 || man.Segments[0].Max != 4 {
+			t.Fatalf("second rotation published %+v, want segment 1 of blocks [1, 4]", man.Segments)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		r, err := OpenWith("", OpenOptions{Store: st})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Segments() != 2 || !r.Covers(1, 8) {
+			t.Fatalf("closed archive: %d segments covering [%d, %d]", r.Segments(), r.From(), r.To())
+		}
+	})
 }
 
 // TestCorruptionFailsLoudly: each case mutates a valid archive; Open must

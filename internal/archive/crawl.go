@@ -108,8 +108,8 @@ func (c *Crawl) Tee(num int64, raw []byte) error {
 	return c.sink.Append(num, raw)
 }
 
-// Close finalizes the archive: the open segment is published and the
-// manifest rewritten; a crawl that teed nothing into an existing archive
+// Close finalizes the archive: the sealed and the open segment are
+// published and the manifest rewritten; a crawl that teed nothing into an existing archive
 // writes nothing. Call it after the stream has drained, on success,
 // failure and cancellation alike — whatever was teed stays intact and the
 // next run resumes from it.
@@ -127,7 +127,7 @@ func (c *Crawl) Segments() int { return c.sink.Segments() }
 // CompressedBytes is the archive's on-disk footprint — the summed object
 // sizes of every segment, inherited ones included — and so the gzip size
 // of the dataset the crawl was over (the paper's Figure 2 column). This
-// run's open segment joins the total when Close publishes it.
+// run's segments join the total as they are published, the last at Close.
 func (c *Crawl) CompressedBytes() int64 {
 	return c.sink.CompressedBytes() + c.held.CompressedBytes()
 }

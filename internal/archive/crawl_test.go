@@ -42,7 +42,8 @@ func (s *witnessSource) FetchBlock(_ context.Context, num int64) ([]byte, error)
 }
 
 // putWitness records which goroutine published each segment. With
-// SegmentBlocks 1 every Append publishes one, so it sees who appended.
+// SegmentBlocks 1 every Append after the first publishes the segment the
+// one before it sealed, so it sees who appended.
 type putWitness struct {
 	blobstore.Store
 	mu        sync.Mutex
@@ -62,7 +63,8 @@ func (p *putWitness) Put(ctx context.Context, key string, data []byte) error {
 // archive through collect.Stream, the way every archived crawl is wired: the
 // blocks the location held never reach the live endpoint or the writer, the
 // live ones are appended exactly once — by the stream's one tee stage, never
-// by a fetch worker — and the stream reports no footprint of its own.
+// by a fetch worker, which publishes every segment but the one Close does —
+// and the stream reports no footprint of its own.
 func TestCrawlStreamTeesOnlyLiveBlocksOnTheStage(t *testing.T) {
 	const total, heldFrom = 40, 25
 	ctx := context.Background()
@@ -104,9 +106,10 @@ func TestCrawlStreamTeesOnlyLiveBlocksOnTheStage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Close(); err != nil {
+	if err := c.Close(); err != nil { // publishes the last block's segment here
 		t.Fatal(err)
 	}
+	closer := goid()
 
 	for num := int64(1); num <= total; num++ {
 		if delivered[num] != 1 {
@@ -122,12 +125,15 @@ func TestCrawlStreamTeesOnlyLiveBlocksOnTheStage(t *testing.T) {
 	if got := c.Teed(); got != heldFrom-1 {
 		t.Fatalf("crawl appended %d blocks, want the %d live ones", got, heldFrom-1)
 	}
-	if len(store.appenders) != 1 {
-		t.Fatalf("appends ran on %d goroutines, want the one tee stage: %v", len(store.appenders), store.appenders)
+	if len(store.appenders) != 2 || store.appenders[closer] != 1 {
+		t.Fatalf("segments published on %v, want the one tee stage and one by Close on goroutine %d", store.appenders, closer)
 	}
 	for id, n := range store.appenders {
-		if n != heldFrom-1 {
-			t.Fatalf("tee stage published %d segments, want %d", n, heldFrom-1)
+		if id == closer {
+			continue
+		}
+		if n != heldFrom-2 {
+			t.Fatalf("tee stage published %d segments, want %d", n, heldFrom-2)
 		}
 		if live.workers[id] {
 			t.Fatalf("goroutine %d both fetched and appended: the deflate ran on a fetch worker", id)

@@ -116,7 +116,9 @@ func TestRangedOpenFetchesOnlyCoveringSegments(t *testing.T) {
 // CPUs, must produce byte-identical segment objects (same SHA-256 chain in
 // the manifest) and replay the same payloads — the archive format is
 // backend-invariant, and a member's bytes depend on its records alone, not
-// on which goroutine deflated it or when.
+// on which goroutine deflated it or when. The last segment's final fill,
+// block 31, is over a quarter of the member size, so Close splits it in two
+// members, and the split is held to the same identity.
 func TestCrossBackendIdenticalSegments(t *testing.T) {
 	testkit.Repeat(t, 20, func(t *testing.T) {
 		stub := s3stub.New()
@@ -142,7 +144,7 @@ func TestCrossBackendIdenticalSegments(t *testing.T) {
 					t.Fatal(err)
 				}
 				w.memberBytes = 100 // two records of payload() a member
-				for num := int64(1); num <= 30; num++ {
+				for num := int64(1); num <= 31; num++ {
 					if err := w.Append(num, payload(num)); err != nil {
 						t.Fatal(err)
 					}
@@ -155,6 +157,13 @@ func TestCrossBackendIdenticalSegments(t *testing.T) {
 					t.Fatalf("%s: %v", name, err)
 				}
 				manifests[name] = m
+				last, err := st.Get(context.Background(), m.Segments[len(m.Segments)-1].File)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if got := countMembers(t, last); got != 3 {
+					t.Fatalf("%s: last segment (blocks 29–31) is %d members, want 29–30's and block 31's two halves", name, got)
+				}
 
 				r, err := OpenWith("", OpenOptions{Store: st})
 				if err != nil {
@@ -186,7 +195,7 @@ func TestCrossBackendIdenticalSegments(t *testing.T) {
 			}
 		}
 		for name, got := range replays {
-			if len(got) != 30 {
+			if len(got) != 31 {
 				t.Fatalf("%s replayed %d blocks", name, len(got))
 			}
 			for num, raw := range replays["file, GOMAXPROCS=1"] {

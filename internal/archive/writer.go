@@ -11,6 +11,7 @@ import (
 	"io/fs"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/blobstore"
 )
@@ -60,31 +61,40 @@ func (c WriterConfig) withDefaults() WriterConfig {
 // deflating at once. The deflate therefore runs beside the stream instead
 // of on its tee stage, and a member's bytes depend only on the records in
 // it, so segments are byte-identical whatever the CPU count.
-// A segment buffers in memory (bounded by SegmentBytes) until complete,
-// then waits for its members, concatenates them in order, publishes
-// through the store's atomic Put and commits to the manifest; an interrupt
-// racing a rotation can tear nothing because nothing partial is ever
-// visible.
+// A segment buffers in memory until complete; the rotation then seals it
+// and returns without waiting for its members. The first Append that finds
+// the sealed segment's members deflated (one atomic load) publishes it:
+// concatenate the members in order, hash, the store's atomic Put, manifest
+// commit. A rotation that finds the sealed segment still pending publishes
+// it first, waiting for its members, so the Writer holds at most the open
+// and the sealed segment (2 × SegmentBytes). An interrupt can tear nothing
+// because nothing partial is ever visible; a hard kill loses at most those
+// two segments, which a resumed crawl fetches again.
 //
 // A failed publish poisons the writer: the failing segment is discarded
-// (the manifest never lists its blocks, so a rerun of the crawl fetches
-// them again) and every later Append and Close
-// returns the original failure — the archive never silently drops a
-// segment from its middle. No member goroutine outlives the rotation that
-// waits for it, so a poisoned or closed writer leaves none behind.
+// (the manifest never lists its blocks, or any after them, so a rerun of
+// the crawl fetches them again), the call that published it returns the
+// failure (an Append that found it deflated, the next rotation at the
+// latest, or Close), and every later Append and Close returns the original
+// failure: the archive never silently drops a segment from its middle. No
+// member goroutine outlives Close, so a poisoned or closed writer leaves
+// none behind.
 type Writer struct {
-	mu     sync.Mutex
-	cfg    WriterConfig
-	store  blobstore.Store
-	man    Manifest
-	next   int // next segment file number
-	cur    *openSegment
-	blocks int64 // records across finalized + open segments this session
+	mu    sync.Mutex
+	cfg   WriterConfig
+	store blobstore.Store
+	man   Manifest
+	next  int // next segment file number
+	cur   *openSegment
+	// sealed is the rotated segment not yet published, its members
+	// perhaps still deflating.
+	sealed *openSegment
+	blocks int64 // records across published, sealed and open segments this session
 	comp   int64 // object bytes of the segments this session committed
 	fail   error // sticky: first store failure, poisons the writer
 	closed bool
 	// saved holds while the store's manifest is man: loaded at open, or
-	// rewritten by the last rotation. Close then has nothing to rewrite.
+	// rewritten by the last publish. Close then has nothing to rewrite.
 	saved bool
 	// memberBytes is the stream size a member is cut at: the package's
 	// memberBytes, which tests lower to put several members in a small
@@ -95,19 +105,17 @@ type Writer struct {
 	deflating chan struct{}
 }
 
-// openSegment is the in-progress segment: the records of the member being
-// filled, and the members already cut, in stream order.
+// openSegment is an open or sealed segment: the records of the member
+// being filled, and the members already cut, in stream order, each
+// deflated into its buffer by its own goroutine.
 type openSegment struct {
 	info    SegmentInfo
 	fill    *[]byte // magic (first member only) and records not yet cut
-	members []*member
-}
-
-// member is one cut gzip member: deflated into out by its own goroutine,
-// done once out holds the complete member.
-type member struct {
-	out  bytes.Buffer
-	done sync.WaitGroup
+	members []*bytes.Buffer
+	// deflated waits for the members' goroutines; left counts those not
+	// yet done, so an Append can poll a sealed segment with one load.
+	deflated sync.WaitGroup
+	left     atomic.Int32
 }
 
 // segmentLevel is the flate level segments are deflated at. The level is
@@ -190,8 +198,8 @@ var gzWriterPool = sync.Pool{New: func() any {
 // of records.
 var fillPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// memberPool recycles members with their output buffers.
-var memberPool = sync.Pool{New: func() any { return new(member) }}
+// memberPool recycles members' output buffers.
+var memberPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // deflateMember deflates raw at segmentLevel into out as one complete gzip
 // member whose header states the member's length.
@@ -273,6 +281,11 @@ func (w *Writer) Append(num int64, raw []byte) error {
 	if w.fail != nil {
 		return fmt.Errorf("archive: writer poisoned by earlier failure: %w", w.fail)
 	}
+	if w.sealed != nil && w.sealed.left.Load() == 0 {
+		if err := w.publishLocked(); err != nil {
+			return err
+		}
+	}
 	if w.cur == nil {
 		w.cur = &openSegment{info: SegmentInfo{File: segmentName(w.next)}}
 		w.next++
@@ -311,46 +324,81 @@ func (w *Writer) Append(num int64, raw []byte) error {
 
 // cutLocked hands the open segment's fill buffer to a goroutine that
 // deflates it as the segment's next member once a deflate token is free.
-// Append does not wait for the token: the members a segment has waiting
-// hold at most its SegmentBytes of records, and the rotation waits for all
-// of them.
+// Append does not wait for the token: a segment's members hold at most its
+// SegmentBytes of records, and its publish waits for all of them.
 func (w *Writer) cutLocked() {
 	seg := w.cur
 	fill := seg.fill
 	seg.fill = nil
-	m := memberPool.Get().(*member)
-	m.out.Reset()
-	m.done.Add(1)
-	seg.members = append(seg.members, m)
+	out := memberPool.Get().(*bytes.Buffer)
+	out.Reset()
+	seg.members = append(seg.members, out)
+	seg.deflated.Add(1)
+	seg.left.Add(1)
 	go func() {
 		w.deflating <- struct{}{}
-		deflateMember(&m.out, *fill)
+		deflateMember(out, *fill)
 		<-w.deflating
 		*fill = (*fill)[:0]
 		fillPool.Put(fill)
-		m.done.Done()
+		seg.left.Add(-1)
+		seg.deflated.Done()
 	}()
 }
 
-// rotateLocked finalizes the open segment — deflate its last member, wait
-// for all of them, concatenate, hash, publish atomically — and commits it
-// to the manifest. Only after the manifest rewrite does replay see the
-// segment, so a failure at any point leaves the archive exactly as it was
-// before the segment opened (and poisons the writer: see Writer).
+// splitLocked cuts the open segment's fill in two members at its middle
+// byte when it holds at least a quarter of memberBytes (128 KiB), so two
+// deflate tokens share the last member Close waits for. The cut depends
+// on the records alone, never on the CPU count.
+func (w *Writer) splitLocked() {
+	seg := w.cur
+	if seg.fill == nil || len(*seg.fill) < w.memberBytes/4 {
+		return
+	}
+	head := *seg.fill
+	mid := len(head) / 2
+	tail := fillPool.Get().(*[]byte)
+	*tail = append((*tail)[:0], head[mid:]...)
+	*seg.fill = head[:mid]
+	w.cutLocked()
+	seg.fill = tail
+}
+
+// rotateLocked seals the open segment: it cuts the last member and keeps
+// the segment as the Writer's sealed one, for the first Append that finds
+// its members deflated to publish. A sealed segment still pending is
+// published first, waiting for its members if it has to. The newly sealed
+// segment is kept even then, so Close waits for its members.
 func (w *Writer) rotateLocked() error {
 	seg := w.cur
 	if seg.fill != nil {
 		w.cutLocked()
 	}
 	w.cur = nil
+	err := w.publishLocked()
+	w.sealed = seg
+	return err
+}
+
+// publishLocked publishes the sealed segment, if any — wait for its
+// members, concatenate them, hash, publish atomically — and commits it to
+// the manifest. Only after the manifest rewrite does replay see the
+// segment, so a failure at any point leaves the archive exactly as it was
+// before the segment opened (and poisons the writer: see Writer).
+func (w *Writer) publishLocked() error {
+	seg := w.sealed
+	if seg == nil {
+		return nil
+	}
+	w.sealed = nil
+	seg.deflated.Wait()
 	size := 0
 	for _, m := range seg.members {
-		m.done.Wait()
-		size += m.out.Len()
+		size += m.Len()
 	}
 	data := make([]byte, 0, size)
 	for _, m := range seg.members {
-		data = append(data, m.out.Bytes()...)
+		data = append(data, m.Bytes()...)
 		memberPool.Put(m)
 	}
 	seg.info.SHA256 = sha256Hex(data)
@@ -373,13 +421,14 @@ func (w *Writer) rotateLocked() error {
 	return nil
 }
 
-// Close finalizes the open segment (if it holds any records) and writes
-// the manifest unless the store already holds it as it stands, so a
+// Close publishes the sealed segment and then the open one (if it holds
+// any records), its last fill split in two members (splitLocked), and
+// writes the manifest unless the store already holds it as it stands, so a
 // Writer over an existing archive that appended nothing writes nothing. A
 // Writer on a fresh location whose crawl archived nothing still manifests
 // the empty archive, so a later Open distinguishes "archived zero blocks"
 // from "never archived". A poisoned writer returns its original failure
-// and touches nothing.
+// and touches nothing. Close returns once every member goroutine has.
 func (w *Writer) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -387,11 +436,23 @@ func (w *Writer) Close() error {
 		return nil
 	}
 	w.closed = true
+	var err error
 	if w.fail != nil {
-		return fmt.Errorf("archive: writer poisoned by earlier failure: %w", w.fail)
+		err = fmt.Errorf("archive: writer poisoned by earlier failure: %w", w.fail)
+	} else if w.cur != nil {
+		w.splitLocked()
+		err = w.rotateLocked()
 	}
-	if w.cur != nil {
-		return w.rotateLocked()
+	if err == nil {
+		err = w.publishLocked()
+	}
+	if err != nil {
+		for _, seg := range []*openSegment{w.sealed, w.cur} {
+			if seg != nil {
+				seg.deflated.Wait()
+			}
+		}
+		return err
 	}
 	if w.saved {
 		return nil
@@ -410,8 +471,9 @@ func (w *Writer) Blocks() int64 {
 // CompressedBytes reports the on-disk footprint of what this writer
 // archived: the summed object sizes (manifest comp_bytes) of the segments
 // it committed, not counting segments inherited from an earlier session or
-// a segment a failed publish discarded. The open segment joins the total
-// when it is finalized, so read it after Close. This is the gzip size the
+// a segment a failed publish discarded. A sealed segment joins the total
+// when it is published, the open one when Close publishes it, so read it
+// after Close. This is the gzip size the
 // paper's Figure 2 reports for a dataset, and what a teed crawl prints in
 // place of collect.CrawlResult.GzipBytes.
 func (w *Writer) CompressedBytes() int64 {
@@ -420,13 +482,17 @@ func (w *Writer) CompressedBytes() int64 {
 	return w.comp
 }
 
-// Segments reports how many finalized segments the manifest holds.
+// Segments reports how many segments the manifest holds, counting the
+// sealed and the open segment, which Close publishes.
 func (w *Writer) Segments() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	n := len(w.man.Segments)
+	if w.sealed != nil {
+		n++
+	}
 	if w.cur != nil {
-		n++ // the open segment will be finalized by Close
+		n++
 	}
 	return n
 }

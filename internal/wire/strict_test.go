@@ -452,19 +452,17 @@ func TestInvalidUTF8MatchesStdlib(t *testing.T) {
 // with the opening quote at the value's first byte (plainStr's straight
 // path) and after a space (the general path).
 func TestStringScanMatchesStdlibAtEveryOffset(t *testing.T) {
-	testkit.Repeat(t, 20, func(t *testing.T) {
-		c := NewCodec()
-		var eb EOSBlock
-		var tz TezosBlock
-		var led XRPLedger
-		for n := 0; n <= 20; n++ {
-			scanEdges(n, func(eos, tezos, xrp []byte) {
-				eosCase.agreeValid(t, c, eos, &eb)
-				tezosCase.agreeValid(t, c, tezos, &tz)
-				xrpCase.agreeValid(t, c, xrp, &led)
-			})
-		}
-	})
+	c := NewCodec()
+	var eb EOSBlock
+	var tz TezosBlock
+	var led XRPLedger
+	for n := 0; n <= 20; n++ {
+		scanEdges(n, func(eos, tezos, xrp []byte) {
+			eosCase.agreeValid(t, c, eos, &eb)
+			tezosCase.agreeValid(t, c, tezos, &tz)
+			xrpCase.agreeValid(t, c, xrp, &led)
+		})
+	}
 }
 
 // scanEdges calls edge with each byte the eight-wide scan has to tell
