@@ -168,10 +168,10 @@ func BenchmarkSpamClusters(b *testing.B) {
 // at coarse scales, so a single iteration stays around a second.
 func BenchmarkPipelineEndToEnd(b *testing.B) {
 	opts := pipeline.DefaultOptions()
-	opts.EOS.Scale = 200_000
-	opts.Tezos.Scale = 3_200
-	opts.XRP.Scale = 80_000
-	opts.Gov.Scale = 1_600
+	opts.EOSScale = 200_000
+	opts.TezosScale = 3_200
+	opts.XRPScale = 80_000
+	opts.GovScale = 1_600
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := pipeline.Run(context.Background(), opts); err != nil {

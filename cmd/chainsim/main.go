@@ -26,7 +26,6 @@ import (
 
 	"repro/internal/cli"
 	"repro/internal/explorer"
-	"repro/internal/pipeline"
 	"repro/internal/rpcserve"
 	"repro/internal/workload"
 )
@@ -44,51 +43,50 @@ func main() {
 		os.Exit(1)
 	}
 
-	// The three histories are independent, so build them side by side with
-	// the stage runner the measurement pipeline uses.
+	// Each history is built, timed and reported in turn.
+	history := func(name string, build func() (blocks int64, err error)) {
+		start := time.Now()
+		blocks, err := build()
+		if err != nil {
+			fail(fmt.Errorf("%s history: %w", name, err))
+		}
+		fmt.Printf("chainsim: %s history ready in %s (%d blocks)\n", name, time.Since(start).Round(time.Millisecond), blocks)
+	}
 	var (
 		eosScenario   *workload.EOSScenario
 		tezosScenario *workload.TezosScenario
 		xrpScenario   *workload.XRPScenario
 	)
 	fmt.Println("chainsim: generating EOS, Tezos and XRP histories…")
-	metrics, err := pipeline.RunStages(context.Background(), []pipeline.Stage{
-		{Name: "eos", Run: func(context.Context) (pipeline.StageStats, error) {
-			s, err := workload.BuildEOS(workload.EOSOptions{Scale: *eosScale, Seed: *seed})
-			if err != nil {
-				return pipeline.StageStats{}, err
-			}
-			s.Run()
-			eosScenario = s
-			return pipeline.StageStats{Blocks: int64(s.Chain.HeadNum())}, nil
-		}},
-		{Name: "tezos", Run: func(context.Context) (pipeline.StageStats, error) {
-			s, err := workload.BuildTezos(workload.TezosOptions{Scale: *tezosScale, Seed: *seed})
-			if err != nil {
-				return pipeline.StageStats{}, err
-			}
-			if _, err := s.Run(); err != nil {
-				return pipeline.StageStats{}, err
-			}
-			tezosScenario = s
-			return pipeline.StageStats{Blocks: s.Chain.HeadLevel()}, nil
-		}},
-		{Name: "xrp", Run: func(context.Context) (pipeline.StageStats, error) {
-			s, err := workload.BuildXRP(workload.XRPOptions{Scale: *xrpScale, Seed: *seed})
-			if err != nil {
-				return pipeline.StageStats{}, err
-			}
-			s.Run()
-			xrpScenario = s
-			return pipeline.StageStats{Blocks: s.State.HeadIndex()}, nil
-		}},
+	history("eos", func() (int64, error) {
+		s, err := workload.BuildEOS(workload.EOSOptions{Scale: *eosScale, Seed: *seed})
+		if err != nil {
+			return 0, err
+		}
+		s.Run()
+		eosScenario = s
+		return int64(s.Chain.HeadNum()), nil
 	})
-	if err != nil {
-		fail(err)
-	}
-	for _, m := range metrics {
-		fmt.Printf("chainsim: %s history ready in %s (%d blocks)\n", m.Name, m.Elapsed.Round(time.Millisecond), m.Blocks)
-	}
+	history("tezos", func() (int64, error) {
+		s, err := workload.BuildTezos(workload.TezosOptions{Scale: *tezosScale, Seed: *seed})
+		if err != nil {
+			return 0, err
+		}
+		if _, err := s.Run(); err != nil {
+			return 0, err
+		}
+		tezosScenario = s
+		return s.Chain.HeadLevel(), nil
+	})
+	history("xrp", func() (int64, error) {
+		s, err := workload.BuildXRP(workload.XRPOptions{Scale: *xrpScale, Seed: *seed})
+		if err != nil {
+			return 0, err
+		}
+		s.Run()
+		xrpScenario = s
+		return s.State.HeadIndex(), nil
+	})
 
 	dir := explorer.NewDirectory(xrpScenario.State)
 	for a, username := range xrpScenario.Usernames {

@@ -5,11 +5,13 @@
 // Usage:
 //
 //	report [-eos-scale N] [-tezos-scale N] [-xrp-scale N] [-gov-scale N]
-//	       [-seed N] [-workers N] [-figure name] [-archive STORE]
+//	       [-stress [-stress-scale N]] [-seed N] [-workers N] [-figure name]
+//	       [-archive STORE]
 //	report -replay STORE [-workers N] [-from N -to N]
 //
 // Smaller scales simulate more traffic and converge closer to the paper's
-// percentages; the defaults finish in a few seconds.
+// percentages; the defaults finish in a few seconds. The one -seed drives
+// every stage's workload, as the paper measured each chain once.
 //
 // STORE is a blob-store location: a plain directory path, file://PATH,
 // mem://NAME, or s3://BUCKET/PREFIX?endpoint=URL.
@@ -54,15 +56,15 @@ import (
 
 func main() {
 	opts := pipeline.DefaultOptions()
-	flag.Int64Var(&opts.EOS.Scale, "eos-scale", opts.EOS.Scale, "EOS scale divisor (smaller = more traffic)")
-	flag.Int64Var(&opts.Tezos.Scale, "tezos-scale", opts.Tezos.Scale, "Tezos scale divisor")
-	flag.Int64Var(&opts.XRP.Scale, "xrp-scale", opts.XRP.Scale, "XRP scale divisor")
-	flag.Int64Var(&opts.Gov.Scale, "gov-scale", opts.Gov.Scale, "governance replay scale divisor")
-	seed := flag.Int64("seed", 1, "deterministic scenario seed (applied to every stage)")
+	flag.Int64Var(&opts.EOSScale, "eos-scale", opts.EOSScale, "EOS scale divisor (smaller = more traffic)")
+	flag.Int64Var(&opts.TezosScale, "tezos-scale", opts.TezosScale, "Tezos scale divisor")
+	flag.Int64Var(&opts.XRPScale, "xrp-scale", opts.XRPScale, "XRP scale divisor")
+	flag.Int64Var(&opts.GovScale, "gov-scale", opts.GovScale, "governance replay scale divisor")
+	flag.Int64Var(&opts.Seed, "seed", opts.Seed, "deterministic scenario seed (applied to every stage)")
 	flag.IntVar(&opts.Workers, "workers", opts.Workers, "shared crawl worker pool size; with -replay: ingest workers per archive (0 = one per CPU)")
 	figure := flag.String("figure", "all", "figure to print: "+strings.Join(figureNames(), ", "))
-	stress := flag.Bool("stress", false, "add the eidos-stress stage: the EOS workload at a hotter arrival rate, reported in the stage timings")
-	stressScale := flag.Int64("stress-scale", 0, "eidos-stress scale divisor (0 = quarter of the EOS default)")
+	flag.BoolVar(&opts.Stress, "stress", false, "add the eidos-stress stage: the EOS workload at a hotter arrival rate, reported in the stage timings")
+	flag.Int64Var(&opts.StressScale, "stress-scale", 0, "eidos-stress scale divisor (0 = quarter of the EOS default)")
 	var af cli.ArchiveFlags
 	af.Register(flag.CommandLine, cli.ModeReport)
 	flag.Parse()
@@ -81,10 +83,6 @@ func main() {
 	if af.Replaying() {
 		err = replayArchives(context.Background(), af.Replay, opts.Workers, af.From, af.To, os.Stdout, log)
 	} else {
-		opts.EOS.Seed, opts.Tezos.Seed, opts.XRP.Seed, opts.Gov.Seed = *seed, *seed, *seed, *seed
-		if *stress {
-			opts.Stress = &pipeline.StageOptions{Scale: *stressScale, Seed: *seed}
-		}
 		var res *pipeline.Result
 		if res, err = pipeline.Run(context.Background(), opts); err == nil {
 			fmt.Println(render(res))

@@ -496,6 +496,3 @@ func (w *Writer) Segments() int {
 	}
 	return n
 }
-
-// Chain returns the archived chain name.
-func (w *Writer) Chain() string { return w.cfg.Chain }

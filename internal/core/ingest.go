@@ -161,10 +161,12 @@ type IngestConfig struct {
 	// ingestion; it runs off the crawl workers so fetch concurrency and
 	// decode concurrency scale independently.
 	Workers int
-	// Batch is how many decoded blocks each worker accumulates before one
-	// shard IngestBatch call, so arena structs recycle in bulk (default 16).
-	Batch int
 }
+
+// ingestBatchSize is how many decoded blocks each ingest worker
+// accumulates before one shard IngestBatch call, so arena structs recycle
+// in bulk.
+const ingestBatchSize = 16
 
 // ingestPool is the per-worker batch, flush and merge state ingestStream,
 // IngestArchive and IngestChunks share. Worker w's slot is touched only by
@@ -173,7 +175,6 @@ type IngestConfig struct {
 type ingestPool struct {
 	d        ShardedDecoder
 	releaser BatchReleaser // nil when decoded values are not arena-backed
-	batchCap int
 	workers  []ingestWorker
 }
 
@@ -185,19 +186,16 @@ type ingestWorker struct {
 
 // newIngestPool gives each of workers its own shard of d, refusing a
 // decoder that cannot hand one out.
-func newIngestPool(d Decoder, workers, batchCap int) (*ingestPool, error) {
+func newIngestPool(d Decoder, workers int) (*ingestPool, error) {
 	sharded, ok := d.(ShardedDecoder)
 	if !ok {
 		return nil, fmt.Errorf("core: ingest needs a sharded decoder, got %T", d)
 	}
-	if batchCap <= 0 {
-		batchCap = 16
-	}
-	p := &ingestPool{d: sharded, batchCap: batchCap, workers: make([]ingestWorker, workers)}
+	p := &ingestPool{d: sharded, workers: make([]ingestWorker, workers)}
 	p.releaser, _ = d.(BatchReleaser)
 	for w := range p.workers {
 		p.workers[w].shard = sharded.NewShard()
-		p.workers[w].batch = make([]any, 0, batchCap)
+		p.workers[w].batch = make([]any, 0, ingestBatchSize)
 	}
 	return p, nil
 }
@@ -211,7 +209,7 @@ func (p *ingestPool) add(w int, num int64, raw []byte) error {
 	}
 	wk := &p.workers[w]
 	wk.batch = append(wk.batch, dec)
-	if len(wk.batch) >= p.batchCap {
+	if len(wk.batch) >= ingestBatchSize {
 		return p.flush(w)
 	}
 	return nil
@@ -275,7 +273,7 @@ func ingestStream(ctx context.Context, blocks <-chan collect.Block, d Decoder, c
 	if workers <= 0 {
 		workers = 2
 	}
-	pool, err := newIngestPool(d, workers, cfg.Batch)
+	pool, err := newIngestPool(d, workers)
 	if err != nil {
 		return 0, err
 	}
@@ -479,7 +477,7 @@ func IngestChunks(ctx context.Context, f collect.BlockFetcher, ccfg collect.Craw
 	if workers <= 0 {
 		workers = 2
 	}
-	pool, err := newIngestPool(d, workers, icfg.Batch)
+	pool, err := newIngestPool(d, workers)
 	if err != nil {
 		return collect.CrawlResult{}, err
 	}

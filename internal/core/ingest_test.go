@@ -83,7 +83,7 @@ func ingestRaw(d Decoder, num int64, raw []byte) error {
 // produce exactly the same aggregate as driving the Decoder one block at a
 // time.
 func TestIngestStreamMatchesPerBlockIngest(t *testing.T) {
-	raws := makeEOSRawBlocks(t, 64, 3)
+	raws := makeEOSRawBlocks(t, 70, 3)
 
 	oneKit := newKit(t, "eos")
 	for i, raw := range raws {
@@ -94,7 +94,7 @@ func TestIngestStreamMatchesPerBlockIngest(t *testing.T) {
 
 	batchedKit := newKit(t, "eos")
 	blocks, handle := collect.Stream(context.Background(), &memFetcher{raws}, collect.CrawlConfig{Workers: 4, Buffer: 8})
-	n, err := ingestStream(context.Background(), blocks, batchedKit.Decoder, IngestConfig{Workers: 3, Batch: 5})
+	n, err := ingestStream(context.Background(), blocks, batchedKit.Decoder, IngestConfig{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,42 +137,33 @@ func (s *countingShard) IngestBatch(batch []any) error {
 	return s.Shard.IngestBatch(batch)
 }
 
-// TestIngestStreamBatches: shard folds must be batched — far fewer
-// IngestBatch calls than blocks, and no batch above the configured cap.
+// TestIngestStreamBatches: shard folds must be batched — one worker folds
+// 100 blocks as six full batches and the stream's remainder of four.
 func TestIngestStreamBatches(t *testing.T) {
-	raws := makeEOSRawBlocks(t, 96, 1)
+	raws := makeEOSRawBlocks(t, 100, 1)
 	dec := &countingDecoder{ShardedDecoder: newKit(t, "eos").Decoder.(ShardedDecoder)}
 	blocks, handle := collect.Stream(context.Background(), &memFetcher{raws}, collect.CrawlConfig{Workers: 2, Buffer: 32})
-	if _, err := ingestStream(context.Background(), blocks, dec, IngestConfig{Workers: 1, Batch: 16}); err != nil {
+	if _, err := ingestStream(context.Background(), blocks, dec, IngestConfig{Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := handle.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	total := 0
-	for _, b := range dec.batches {
-		if b > 16 {
-			t.Fatalf("batch of %d exceeds configured cap 16", b)
-		}
-		total += b
-	}
-	if total != 96 {
-		t.Fatalf("batches cover %d blocks, want 96", total)
-	}
-	if len(dec.batches) > 96/8 {
-		t.Fatalf("%d shard folds for 96 blocks — batching is not amortizing", len(dec.batches))
+	if want := fmt.Sprint([]int{16, 16, 16, 16, 16, 16, 4}); fmt.Sprint(dec.batches) != want {
+		t.Fatalf("batches %v, want %s", dec.batches, want)
 	}
 }
 
 // TestIngestStreamDecodeErrorStops: a corrupt payload must surface as the
-// ingest error without wedging the pool.
+// ingest error without wedging the pool. The 35 blocks above it fill two
+// batches before it arrives, and the error's drain folds the other three.
 func TestIngestStreamDecodeErrorStops(t *testing.T) {
-	raws := makeEOSRawBlocks(t, 10, 1)
+	raws := makeEOSRawBlocks(t, 40, 1)
 	raws[4] = []byte("{corrupt")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	blocks, handle := collect.Stream(ctx, &memFetcher{raws}, collect.CrawlConfig{Workers: 1, Buffer: 2})
-	_, err := ingestStream(ctx, blocks, newKit(t, "eos").Decoder, IngestConfig{Workers: 1, Batch: 4})
+	_, err := ingestStream(ctx, blocks, newKit(t, "eos").Decoder, IngestConfig{Workers: 1})
 	if err == nil {
 		t.Fatal("corrupt block ingested without error")
 	}
@@ -225,7 +216,7 @@ type lockedDecoder struct{ Decoder }
 // into its own shard, must aggregate exactly like one state folded
 // serially on one goroutine — the same fold code, without a lock.
 func TestIngestStreamShardedMatchesSerial(t *testing.T) {
-	raws := makeEOSRawBlocks(t, 96, 3)
+	raws := makeEOSRawBlocks(t, 100, 3)
 	ctx := context.Background()
 	serial := newShard[*EOSShard]()
 	dec := newKit(t, "eos").Decoder
@@ -241,7 +232,7 @@ func TestIngestStreamShardedMatchesSerial(t *testing.T) {
 
 	kit := newKit(t, "eos")
 	blocks, handle := collect.Stream(ctx, &memFetcher{raws}, collect.CrawlConfig{Workers: 4, Buffer: 16})
-	n, err := ingestStream(ctx, blocks, kit.Decoder, IngestConfig{Workers: 3, Batch: 7})
+	n, err := ingestStream(ctx, blocks, kit.Decoder, IngestConfig{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

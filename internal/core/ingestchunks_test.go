@@ -18,17 +18,22 @@ import (
 // number and the aggregate is the multiset of numbers folded in, so a test
 // can say exactly which blocks a cut saw. live counts the shards holding
 // blocks not merged yet: the chunk states open right now; folded counts the
-// blocks ingest workers have folded into shards.
+// blocks ingest workers have folded into shards. hold, when set, stalls
+// every Decode until it is closed (see backlog).
 type setAgg struct {
 	mu     sync.Mutex
 	nums   map[int64]int
 	live   atomic.Int64
 	folded atomic.Int64
+	hold   chan struct{}
 }
 
 func newSetAgg() *setAgg { return &setAgg{nums: make(map[int64]int)} }
 
 func (a *setAgg) Decode(num int64, raw []byte) (any, error) {
+	if a.hold != nil {
+		<-a.hold
+	}
 	if string(raw) == "bad" {
 		return nil, fmt.Errorf("block %d is not a block", num)
 	}
@@ -121,6 +126,25 @@ func (f *funcFetcher) FetchBlock(ctx context.Context, num int64) ([]byte, error)
 	return []byte("ok"), nil
 }
 
+// backlog parks agg's ingest workers in Decode until f's crawl has come to
+// rest against the stream's full buffer, then lets them go. An ingest
+// worker folds its pending batch whenever the stream runs dry, which a
+// stream of instant fetches does after nearly every block; only behind a
+// backlog do its batches fill to ingestBatchSize.
+func backlog(agg *setAgg, f *funcFetcher) {
+	agg.hold = make(chan struct{})
+	go func() {
+		for n, still := int64(-1), 0; still < 3; time.Sleep(time.Millisecond) {
+			if cur := f.fetches.Load(); cur == n {
+				still++
+			} else {
+				n, still = cur, 0
+			}
+		}
+		close(agg.hold)
+	}()
+}
+
 // waitStable polls read until it has returned the same value five times
 // running, 5 ms apart — the crawl behind it has come to rest — and returns
 // that value.
@@ -196,7 +220,9 @@ func checkCuts(cuts []int64, from, to, every int64, finished bool) error {
 // TestIngestChunksConsistentCut: whatever the fetch, ingest and chunk
 // geometry, cuts fall on chunk boundaries, strictly descending, the last at
 // From, and each time the aggregate is exactly [lo, To] — every block of
-// the chunks cut so far, no block of a chunk still open.
+// the chunks cut so far, no block of a chunk still open. Where the range is
+// one chunk and four ingest workers fold it, they start behind a backlog of
+// 64 blocks, so at least one of them folds a full batch.
 func TestIngestChunksConsistentCut(t *testing.T) {
 	testkit.Repeat(t, 20, func(t *testing.T) {
 		const from, to = 4, 100 // 97 blocks: no chunk size below divides it
@@ -206,10 +232,15 @@ func TestIngestChunksConsistentCut(t *testing.T) {
 				for _, every := range []int64{0, 1, 5, 16, n, n + 1} {
 					t.Run(fmt.Sprintf("w%d-i%d-every%d", workers, ingest, every), func(t *testing.T) {
 						agg := newSetAgg()
+						f, buffer := newFuncFetcher(to, nil), 4
+						if every == n && ingest == 4 {
+							buffer = 64
+							backlog(agg, f)
+						}
 						var cuts []int64
-						res, err := IngestChunks(context.Background(), newFuncFetcher(to, nil),
-							collect.CrawlConfig{From: from, To: to, Workers: workers, Buffer: 4},
-							agg, IngestConfig{Workers: ingest, Batch: 3}, every,
+						res, err := IngestChunks(context.Background(), f,
+							collect.CrawlConfig{From: from, To: to, Workers: workers, Buffer: buffer},
+							agg, IngestConfig{Workers: ingest}, every,
 							func(lo int64) error {
 								cuts = append(cuts, lo)
 								return agg.holdsExactly(lo, to)
@@ -484,18 +515,21 @@ func waitFolded(agg *setAgg, n int64) {
 // next one is held back until it starts) waits until the stream has
 // delivered and folded everything, so the next call, and the last, is the
 // single cut(From) — no cut per chunk trailing the crawl, and none above
-// From that the consumer's final emit would replace.
+// From that the consumer's final emit would replace. The newest chunk is
+// folded from a backlog, so one of the two ingest workers fills a batch.
 func TestIngestChunksCoalescesCompleteChunks(t *testing.T) {
 	testkit.Repeat(t, 20, func(t *testing.T) {
 		// 8 chunks: no more open than maxOpenChunks, so the workers never wait
 		// on the cut that waits on them.
-		const from, to, every = 3, 40, 5
+		const from, to, every = 3, 322, 40
 		agg := newSetAgg()
 		first := make(chan struct{})
+		f := newFuncFetcher(to, holdUntil(to-every, first))
+		backlog(agg, f)
 		var cuts []int64
-		_, err := IngestChunks(context.Background(), newFuncFetcher(to, holdUntil(to-every, first)),
-			collect.CrawlConfig{From: from, To: to, Workers: 2, Buffer: 8},
-			agg, IngestConfig{Workers: 2, Batch: 3}, every,
+		_, err := IngestChunks(context.Background(), f,
+			collect.CrawlConfig{From: from, To: to, Workers: 2, Buffer: 48},
+			agg, IngestConfig{Workers: 2}, every,
 			func(lo int64) error {
 				if cuts = append(cuts, lo); len(cuts) == 1 {
 					close(first)
@@ -515,10 +549,11 @@ func TestIngestChunksCoalescesCompleteChunks(t *testing.T) {
 // TestIngestChunksInterruptedCutsNewestComplete: cancelled while every
 // block above a parked one is folded, IngestChunks cuts all the chunks
 // complete by then as one cut, at the lowest complete chunk boundary,
-// drops the partial chunk, and reports the cancellation.
+// drops the partial chunk, and reports the cancellation. The newest chunk
+// is folded from a backlog, so one of the two ingest workers fills a batch.
 func TestIngestChunksInterruptedCutsNewestComplete(t *testing.T) {
 	testkit.Repeat(t, 20, func(t *testing.T) {
-		const from, to, every, floor = 1, 40, 5, 18
+		const from, to, every, floor = 1, 320, 40, 58
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		agg := newSetAgg()
@@ -526,15 +561,17 @@ func TestIngestChunksInterruptedCutsNewestComplete(t *testing.T) {
 		var leaked atomic.Bool
 		held := holdUntil(to-every, first)
 		parked := parkBelow(floor, &leaked, func(int64) []byte { return []byte("ok") })
-		var cuts []int64
-		_, err := IngestChunks(ctx, newFuncFetcher(to, func(ctx context.Context, num int64) ([]byte, error) {
+		f := newFuncFetcher(to, func(ctx context.Context, num int64) ([]byte, error) {
 			if num < floor {
 				return parked(ctx, num)
 			}
 			return held(ctx, num)
-		}),
-			collect.CrawlConfig{From: from, To: to, Workers: 2, Buffer: 8},
-			agg, IngestConfig{Workers: 2, Batch: 3}, every,
+		})
+		backlog(agg, f)
+		var cuts []int64
+		_, err := IngestChunks(ctx, f,
+			collect.CrawlConfig{From: from, To: to, Workers: 2, Buffer: 48},
+			agg, IngestConfig{Workers: 2}, every,
 			func(lo int64) error {
 				if cuts = append(cuts, lo); len(cuts) == 1 {
 					close(first)
@@ -549,11 +586,11 @@ func TestIngestChunksInterruptedCutsNewestComplete(t *testing.T) {
 		if leaked.Load() {
 			t.Fatal("the parked fetches outlived the cancel")
 		}
-		// [18, 20] is folded, [16, 17] is not: chunk [16, 20] is dropped.
-		if want := []int64{to - every + 1, 21}; fmt.Sprint(cuts) != fmt.Sprint(want) {
+		// [58, 80] is folded, [41, 57] is not: chunk [41, 80] is dropped.
+		if want := []int64{to - every + 1, 81}; fmt.Sprint(cuts) != fmt.Sprint(want) {
 			t.Fatalf("cut at %v, want %v: the newest chunk, then every chunk complete at the cancel as one cut", cuts, want)
 		}
-		if err := agg.holdsExactly(21, to); err != nil {
+		if err := agg.holdsExactly(81, to); err != nil {
 			t.Fatalf("after the interrupt: %v", err)
 		}
 	})

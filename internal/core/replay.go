@@ -34,7 +34,7 @@ func IngestArchive(ctx context.Context, rd *archive.Reader, d Decoder, cfg Inges
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	pool, err := newIngestPool(d, workers, cfg.Batch)
+	pool, err := newIngestPool(d, workers)
 	if err != nil {
 		return 0, err
 	}

@@ -39,13 +39,13 @@ func writeRawArchive(t testing.TB, dir string, chainName string, raws [][]byte) 
 // crawl), at every worker count.
 func TestIngestArchiveMatchesStreamIngest(t *testing.T) {
 	testkit.Repeat(t, 20, func(t *testing.T) {
-		raws := makeEOSRawBlocks(t, 96, 4)
+		raws := makeEOSRawBlocks(t, 100, 4)
 		rd := writeRawArchive(t, t.TempDir(), "eos", raws)
 
 		streamKit := newKit(t, "eos")
 		res, _, err := IngestCrawl(context.Background(), rd, collect.CrawlConfig{
 			From: rd.From(), To: rd.To(), Workers: 3,
-		}, streamKit.Decoder, IngestConfig{Workers: 2, Batch: 8})
+		}, streamKit.Decoder, IngestConfig{Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +56,7 @@ func TestIngestArchiveMatchesStreamIngest(t *testing.T) {
 
 		for _, workers := range []int{1, 2, 4, 7} {
 			kit := newKit(t, "eos")
-			n, err := IngestArchive(context.Background(), rd, kit.Decoder, IngestConfig{Workers: workers, Batch: 8})
+			n, err := IngestArchive(context.Background(), rd, kit.Decoder, IngestConfig{Workers: workers})
 			if err != nil {
 				t.Fatalf("workers=%d: %v", workers, err)
 			}
@@ -112,7 +112,7 @@ func TestIngestArchiveOneSegmentAnyWorkers(t *testing.T) {
 			var want string
 			for _, workers := range []int{1, 2, 4, 8} {
 				kit := newKit(t, name)
-				n, err := IngestArchive(context.Background(), rd, kit.Decoder, IngestConfig{Workers: workers, Batch: 4})
+				n, err := IngestArchive(context.Background(), rd, kit.Decoder, IngestConfig{Workers: workers})
 				if err != nil || n != int64(len(raws)) {
 					t.Fatalf("%s workers=%d: ingested %d of %d blocks, err %v", name, workers, n, len(raws), err)
 				}

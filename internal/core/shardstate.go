@@ -151,7 +151,8 @@ func mergeAsShard[S ShardState](dst ShardState, src ShardState) (S, BlockRange, 
 // chain's Decode output type *B, and block times parse before any state is
 // touched, so a malformed block fails the whole batch without ingesting any
 // of it. Then ingest folds each block at its time. A batch of up to 64
-// blocks (the ingest pool's default is 16) keeps its times on the stack.
+// blocks (the ingest pool's batches are ingestBatchSize, 16) keeps its
+// times on the stack.
 func ingestBatch[B any](batch []any, chainName string, blockTime func(*B) (time.Time, error), ingest func(*B, time.Time)) error {
 	var buf [64]time.Time
 	times := buf[:0]

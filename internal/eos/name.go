@@ -93,30 +93,28 @@ func (n Name) Valid() bool {
 // The application accounts are the top-traffic contracts from the paper's
 // Figures 4 and 5.
 var (
-	SystemAccount   = MustName("eosio")
-	TokenAccount    = MustName("eosio.token")
-	MsigAccount     = MustName("eosio.msig")
-	WrapAccount     = MustName("eosio.wrap")
-	RexAccount      = MustName("eosio.rex")
-	RAMAccount      = MustName("eosio.ram")
-	StakeAccount    = MustName("eosio.stake")
-	NamesAccount    = MustName("eosio.names")
-	EIDOSContract   = MustName("eidosonecoin")
-	PornSite        = MustName("pornhashbaby")
-	BetDiceGroup    = MustName("betdicegroup")
-	BetDiceTasks    = MustName("betdicetasks")
-	BetDiceAdmin    = MustName("betdiceadmin")
-	BetDiceBacca    = MustName("betdicebacca")
-	BetDiceSicbo    = MustName("betdicesicbo")
-	WhaleExTrust    = MustName("whaleextrust")
-	SanguoGame      = MustName("eossanguoone")
-	MyKeyPostman    = MustName("mykeypostman")
-	MyKeyLogic      = MustName("mykeylogica1")
-	BlueBetProxy    = MustName("bluebetproxy")
-	BlueBetTexas    = MustName("bluebettexas")
-	BlueBetJacks    = MustName("bluebetjacks")
-	BlueBetBcrat    = MustName("bluebetbcrat")
-	BlueBetUser     = MustName("bluebet2user")
-	LynxToken       = MustName("lynxtoken123")
-	ClearSettlement = MustName("clearsettres")
+	SystemAccount = MustName("eosio")
+	TokenAccount  = MustName("eosio.token")
+	MsigAccount   = MustName("eosio.msig")
+	WrapAccount   = MustName("eosio.wrap")
+	RexAccount    = MustName("eosio.rex")
+	RAMAccount    = MustName("eosio.ram")
+	StakeAccount  = MustName("eosio.stake")
+	NamesAccount  = MustName("eosio.names")
+	EIDOSContract = MustName("eidosonecoin")
+	PornSite      = MustName("pornhashbaby")
+	BetDiceGroup  = MustName("betdicegroup")
+	BetDiceTasks  = MustName("betdicetasks")
+	BetDiceAdmin  = MustName("betdiceadmin")
+	BetDiceBacca  = MustName("betdicebacca")
+	BetDiceSicbo  = MustName("betdicesicbo")
+	WhaleExTrust  = MustName("whaleextrust")
+	SanguoGame    = MustName("eossanguoone")
+	MyKeyPostman  = MustName("mykeypostman")
+	MyKeyLogic    = MustName("mykeylogica1")
+	BlueBetProxy  = MustName("bluebetproxy")
+	BlueBetTexas  = MustName("bluebettexas")
+	BlueBetJacks  = MustName("bluebetjacks")
+	BlueBetBcrat  = MustName("bluebetbcrat")
+	LynxToken     = MustName("lynxtoken123")
 )

@@ -88,7 +88,6 @@ var (
 	ActUndelegateBW = MustName("undelegatebw")
 	ActBuyRAM       = MustName("buyram")
 	ActBuyRAMBytes  = MustName("buyrambytes")
-	ActSellRAM      = MustName("sellram")
 	ActRentCPU      = MustName("rentcpu")
 	ActVoteProducer = MustName("voteproducer")
 )

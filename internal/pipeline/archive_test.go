@@ -13,10 +13,10 @@ import (
 // archiveTestOptions keeps the live-then-replay double run quick.
 func archiveTestOptions(dir string) Options {
 	opts := DefaultOptions()
-	opts.EOS.Scale = 400_000
-	opts.Tezos.Scale = 6_400
-	opts.XRP.Scale = 80_000
-	opts.Gov.Scale = 3_200
+	opts.EOSScale = 400_000
+	opts.TezosScale = 6_400
+	opts.XRPScale = 80_000
+	opts.GovScale = 3_200
 	opts.ArchiveDir = dir
 	return opts
 }

@@ -9,6 +9,5 @@ import (
 // TestMain fails the package when a goroutine started by a test is still
 // running after every test has returned: a stage owns its chain server,
 // its crawl stream (live or replayed from an archive) and its ingest pool,
-// RunStages its stage goroutines, and each must be gone once Run has
-// returned.
+// Run its stage goroutines, and each must be gone once Run has returned.
 func TestMain(m *testing.M) { testkit.Main(m) }

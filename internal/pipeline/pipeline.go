@@ -7,8 +7,9 @@
 // measurement aggregators.
 //
 // The stages are independent chain reproductions, so Run launches them all
-// at once (see RunStages): each is one row of a table, and one runStage
-// drives every row through collection, crawl and measurement. Per-stage
+// at once: each is one row of a table, one runStage drives every row
+// through collection, crawl and measurement, and one Seed drives every
+// row's workload, as the paper measured each chain once. Per-stage
 // wall-clocks surface in Result.StageMetrics.
 package pipeline
 
@@ -35,29 +36,23 @@ import (
 	"repro/internal/workload"
 )
 
-// StageOptions are the per-stage scenario knobs. Every chain reproduction
-// carries its own scale divisor and seed so scenarios can be re-run or
-// extended independently.
-type StageOptions struct {
-	// Scale is the scale divisor (the paper's shares and rankings are
-	// scale-invariant; see DESIGN.md). Zero selects a fast default
-	// suitable for tests.
-	Scale int64
-	// Seed makes the stage's workload deterministic. Zero selects the
+// Options selects the per-stage scales, the scenario seed and crawl
+// parallelism.
+type Options struct {
+	// EOSScale, TezosScale, XRPScale and GovScale are the built-in stages'
+	// scale divisors (the paper's shares and rankings are scale-invariant;
+	// see DESIGN.md). Zero selects the default.
+	EOSScale, TezosScale, XRPScale, GovScale int64
+	// Seed makes every stage's workload deterministic. Zero selects the
 	// default seed.
 	Seed int64
-}
-
-// Options selects the per-stage scales and crawl parallelism.
-type Options struct {
-	// EOS, Tezos, XRP and Gov configure the built-in stages.
-	EOS, Tezos, XRP, Gov StageOptions
-	// Stress, when set, adds the eidos-stress stage: the EOS workload over
-	// the EIDOS airdrop week at a hotter arrival rate (a zero Scale selects
-	// a quarter of the EOS default, roughly 4x the per-block traffic). Its
-	// wall-clock and pipeline TPS land in Result.StageMetrics next to the
-	// other stages.
-	Stress *StageOptions
+	// Stress adds the eidos-stress stage: the EOS workload over the EIDOS
+	// airdrop week at a hotter arrival rate, scaled by StressScale (zero
+	// selects a quarter of the EOS default, roughly 4x the per-block
+	// traffic). Its wall-clock and pipeline TPS land in
+	// Result.StageMetrics next to the other stages.
+	Stress      bool
+	StressScale int64
 
 	// Workers sizes the crawl worker pool shared by every stage: it bounds
 	// in-flight block fetches across all concurrent crawls.
@@ -104,33 +99,23 @@ func ingestWorkers() int {
 
 // DefaultOptions returns bench-friendly scales.
 func DefaultOptions() Options {
-	return Options{
-		EOS:     StageOptions{Scale: 50_000, Seed: 1},
-		Tezos:   StageOptions{Scale: 800, Seed: 1},
-		XRP:     StageOptions{Scale: 20_000, Seed: 1},
-		Gov:     StageOptions{Scale: 400, Seed: 1},
-		Workers: 4,
-	}
+	return Options{EOSScale: 50_000, TezosScale: 800, XRPScale: 20_000, GovScale: 400, Seed: 1, Workers: 4}
 }
 
 func (o Options) withDefaults() Options {
 	def := DefaultOptions()
-	norm := func(s, d StageOptions) StageOptions {
-		if s.Scale <= 0 {
-			s.Scale = d.Scale
+	norm := func(v *int64, d int64) {
+		if *v <= 0 {
+			*v = d
 		}
-		if s.Seed == 0 {
-			s.Seed = d.Seed
-		}
-		return s
 	}
-	o.EOS = norm(o.EOS, def.EOS)
-	o.Tezos = norm(o.Tezos, def.Tezos)
-	o.XRP = norm(o.XRP, def.XRP)
-	o.Gov = norm(o.Gov, def.Gov)
-	if o.Stress != nil {
-		stress := norm(*o.Stress, StageOptions{Scale: def.EOS.Scale / 4, Seed: def.EOS.Seed})
-		o.Stress = &stress
+	norm(&o.EOSScale, def.EOSScale)
+	norm(&o.TezosScale, def.TezosScale)
+	norm(&o.XRPScale, def.XRPScale)
+	norm(&o.GovScale, def.GovScale)
+	norm(&o.StressScale, def.EOSScale/4)
+	if o.Seed == 0 {
+		o.Seed = def.Seed
 	}
 	if o.Workers <= 0 {
 		o.Workers = def.Workers
@@ -195,18 +180,18 @@ type stagePlan struct {
 // stages is the stage table, in StageMetrics order. Its rows fill r and
 // crawl through one shared fetch pool, which bounds in-flight fetches
 // across all of them.
-func (r *Result) stages() []Stage {
+func (r *Result) stages() []stage {
 	pool := collect.NewPool(r.Opts.Workers)
-	row := func(name string, build func() (stagePlan, error)) Stage {
-		return Stage{Name: name, Run: func(ctx context.Context) (StageStats, error) {
+	row := func(name string, build func() (stagePlan, error)) stage {
+		return stage{name: name, run: func(ctx context.Context) (int64, int64, error) {
 			return r.runStage(ctx, name, build, pool)
 		}}
 	}
-	stages := []Stage{row("eos", r.buildEOS), row("tezos", r.buildTezos), row("xrp", r.buildXRP)}
+	stages := []stage{row("eos", r.buildEOS), row("tezos", r.buildTezos), row("xrp", r.buildXRP)}
 	if !r.Opts.SkipGovernance {
 		stages = append(stages, row("governance", r.buildGovernance))
 	}
-	if r.Opts.Stress != nil {
+	if r.Opts.Stress {
 		stages = append(stages, row("eidos-stress", r.buildStress))
 	}
 	return stages
@@ -217,7 +202,7 @@ func (r *Result) stages() []Stage {
 // cancels the others and is returned.
 func Run(ctx context.Context, opts Options) (*Result, error) {
 	res := &Result{Opts: opts.withDefaults()}
-	metrics, err := RunStages(ctx, res.stages())
+	metrics, err := runStages(ctx, res.stages())
 	res.StageMetrics = metrics
 	if err != nil {
 		return nil, err
@@ -227,12 +212,13 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 
 // runStage drives one row end to end: build the simulated history, open
 // the stage's archive, start the live source unless that archive already
-// holds the stage's whole range, and crawl into the row's aggregate.
-func (r *Result) runStage(ctx context.Context, name string, build func() (stagePlan, error), pool *collect.Pool) (StageStats, error) {
+// holds the stage's whole range, and crawl into the row's aggregate. It
+// returns the blocks crawled and the transactions aggregated.
+func (r *Result) runStage(ctx context.Context, name string, build func() (stagePlan, error), pool *collect.Pool) (blocks, txs int64, err error) {
 	opts := r.Opts
 	plan, err := build()
 	if err != nil {
-		return StageStats{}, err
+		return 0, 0, err
 	}
 	ccfg := plan.ccfg
 	ccfg.Workers, ccfg.Pool = opts.Workers, pool
@@ -241,7 +227,7 @@ func (r *Result) runStage(ctx context.Context, name string, build func() (stageP
 	if opts.ArchiveDir != "" {
 		dir := blobstore.Join(opts.ArchiveDir, name)
 		if sink, err = archive.OpenCrawl(archive.WriterConfig{Dir: dir, Chain: plan.kit.Chain}, ccfg.From, ccfg.To); err != nil {
-			return StageStats{}, fmt.Errorf("pipeline: stage %s archive: %w", name, err)
+			return 0, 0, fmt.Errorf("pipeline: stage %s archive: %w", name, err)
 		}
 		fetcher, ccfg.Tee = sink, sink.Tee
 	}
@@ -253,7 +239,7 @@ func (r *Result) runStage(ctx context.Context, name string, build func() (stageP
 			defer cleanup()
 		}
 		if err != nil {
-			return StageStats{}, err
+			return 0, 0, err
 		}
 		if sink == nil {
 			fetcher = live
@@ -263,17 +249,17 @@ func (r *Result) runStage(ctx context.Context, name string, build func() (stageP
 	}
 	crawl, err := crawlInto(ctx, fetcher, ccfg, sink, plan.kit.Decoder, core.IngestConfig{Workers: ingestWorkers()})
 	if err != nil {
-		return StageStats{}, err
+		return 0, 0, err
 	}
 	if plan.crawl != nil {
 		*plan.crawl = crawl
 	}
 	if plan.post != nil {
 		if err := plan.post(); err != nil {
-			return StageStats{}, err
+			return 0, 0, err
 		}
 	}
-	return StageStats{Blocks: crawl.Blocks, Transactions: plan.kit.Txs()}, nil
+	return crawl.Blocks, plan.kit.Txs(), nil
 }
 
 // crawlInto runs one stage's collection→measurement path on the streaming
@@ -350,7 +336,7 @@ func eosPlan(c *eos.Chain, w core.Window) (stagePlan, *core.EOSShard) {
 }
 
 func (r *Result) buildEOS() (stagePlan, error) {
-	scenario, err := workload.BuildEOS(workload.EOSOptions{Scale: r.Opts.EOS.Scale, Seed: r.Opts.EOS.Seed})
+	scenario, err := workload.BuildEOS(workload.EOSOptions{Scale: r.Opts.EOSScale, Seed: r.Opts.Seed})
 	if err != nil {
 		return stagePlan{}, err
 	}
@@ -409,7 +395,7 @@ func (r *Result) shortlistEOS(ctx context.Context, c *eos.Chain) (collect.BlockF
 // throughput — served from one endpoint, no probing.
 func (r *Result) buildStress() (stagePlan, error) {
 	scenario, err := workload.BuildEOS(workload.EOSOptions{
-		Scale: r.Opts.Stress.Scale, Seed: r.Opts.Stress.Seed,
+		Scale: r.Opts.StressScale, Seed: r.Opts.Seed,
 		Start: chain.EIDOSLaunch, End: chain.EIDOSLaunch.AddDate(0, 0, 7),
 	})
 	if err != nil {
@@ -439,7 +425,7 @@ func tezosPlan(c *tezos.Chain, w core.Window) (stagePlan, *core.TezosShard) {
 }
 
 func (r *Result) buildTezos() (stagePlan, error) {
-	scenario, err := workload.BuildTezos(workload.TezosOptions{Scale: r.Opts.Tezos.Scale, Seed: r.Opts.Tezos.Seed})
+	scenario, err := workload.BuildTezos(workload.TezosOptions{Scale: r.Opts.TezosScale, Seed: r.Opts.Seed})
 	if err != nil {
 		return stagePlan{}, err
 	}
@@ -452,7 +438,7 @@ func (r *Result) buildTezos() (stagePlan, error) {
 }
 
 func (r *Result) buildGovernance() (stagePlan, error) {
-	g, err := workload.BuildTezosGovernance(workload.GovernanceOptions{Scale: r.Opts.Gov.Scale, Seed: r.Opts.Gov.Seed})
+	g, err := workload.BuildTezosGovernance(workload.GovernanceOptions{Scale: r.Opts.GovScale, Seed: r.Opts.Seed})
 	if err != nil {
 		return stagePlan{}, err
 	}
@@ -466,7 +452,7 @@ func (r *Result) buildGovernance() (stagePlan, error) {
 }
 
 func (r *Result) buildXRP() (stagePlan, error) {
-	scenario, err := workload.BuildXRP(workload.XRPOptions{Scale: r.Opts.XRP.Scale, Seed: r.Opts.XRP.Seed})
+	scenario, err := workload.BuildXRP(workload.XRPOptions{Scale: r.Opts.XRPScale, Seed: r.Opts.Seed})
 	if err != nil {
 		return stagePlan{}, err
 	}

@@ -30,19 +30,19 @@ func testResult(t *testing.T) *Result {
 	resultOnce.Do(func() {
 		opts := DefaultOptions()
 		// Keep integration runs quick: coarser scales than the defaults.
-		opts.EOS.Scale = 100_000
-		opts.Tezos.Scale = 1_600
-		opts.XRP.Scale = 40_000
-		opts.Gov.Scale = 800
+		opts.EOSScale = 100_000
+		opts.TezosScale = 1_600
+		opts.XRPScale = 40_000
+		opts.GovScale = 800
 		if testing.Short() {
 			// The quick edit loop trades convergence for speed: the
 			// paper's shares are scale-invariant, so the shape assertions
 			// below still hold at coarser scales. XRP keeps its scale —
 			// its stage is cheap and the offer-fulfillment assertion
 			// needs the traffic.
-			opts.EOS.Scale = 200_000
-			opts.Tezos.Scale = 3_200
-			opts.Gov.Scale = 1_600
+			opts.EOSScale = 200_000
+			opts.TezosScale = 3_200
+			opts.GovScale = 1_600
 		}
 		sharedRes, sharedErr = Run(context.Background(), opts)
 	})
@@ -336,7 +336,7 @@ func TestFullReportDeterministic(t *testing.T) {
 	if a != b {
 		t.Fatalf("masked reports differ between two runs:\n--- first ---\n%s\n--- second ---\n%s", a, b)
 	}
-	for _, want := range []string{"Figure 1", fmt.Sprintf("EOS %d ", first.Opts.EOS.Scale), "Figure 12"} {
+	for _, want := range []string{"Figure 1", fmt.Sprintf("EOS %d ", first.Opts.EOSScale), "Figure 12"} {
 		if !strings.Contains(a, want) {
 			t.Errorf("mask removed too much: %q missing from\n%s", want, a)
 		}

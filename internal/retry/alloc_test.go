@@ -9,8 +9,7 @@ import (
 
 // TestDoFirstAttemptSucceedsZeroAllocs: every retried blob-store and fetch
 // call in the tree goes through Do, and nearly all of them succeed first
-// try — that path (no per-attempt deadline, no timer, no error to wrap) must
-// cost no allocation.
+// try — that path (no timer, no error to wrap) must cost no allocation.
 func TestDoFirstAttemptSucceedsZeroAllocs(t *testing.T) {
 	if testkit.Race {
 		t.Skip("allocation counts are perturbed by the race detector")

@@ -1,7 +1,7 @@
 // Package retry is the one spelling of "try again" in the repo: a
-// context-aware retry policy with exponential backoff, full jitter, an
-// optional per-attempt timeout and bounded attempts, plus the
-// transient-vs-permanent error classification the callers share.
+// context-aware retry policy with exponential backoff, full jitter and
+// bounded attempts, plus the transient-vs-permanent error classification
+// the callers share.
 //
 // Before this package existed the S3 blob-store client, the crawler's
 // per-block fetch loop and its head resolution each hand-rolled the same
@@ -33,8 +33,8 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"math/rand"
-	"sync"
+	"math"
+	"math/rand/v2"
 	"time"
 )
 
@@ -47,16 +47,9 @@ type Policy struct {
 	// (default 4; values < 1 mean the default).
 	Attempts int
 	// Base is the backoff before the second attempt (default 50 ms). The
-	// un-jittered backoff doubles each further attempt.
+	// un-jittered backoff doubles each further attempt until one more
+	// doubling would overflow the jittered delay, and stays there.
 	Base time.Duration
-	// Cap, when > 0, bounds the un-jittered backoff however many
-	// attempts have failed.
-	Cap time.Duration
-	// PerAttempt, when > 0, wraps each attempt's context with its own
-	// deadline, so one hung call cannot eat the whole retry budget. The
-	// expiry of a per-attempt deadline is classified transient (the next
-	// attempt gets a fresh one) unless the parent context expired too.
-	PerAttempt time.Duration
 	// Retryable classifies errors: return false to fail immediately
 	// (permanent), true to keep trying. Nil means DefaultRetryable.
 	// Errors wrapped by Permanent are final regardless of Retryable.
@@ -65,9 +58,6 @@ type Policy struct {
 	// just failed (1-based), the error, and the delay before the next
 	// attempt. Callers use it for retry counters and diagnostics.
 	OnRetry func(attempt int, err error, delay time.Duration)
-	// Rand supplies jitter; nil uses the package-level locked source.
-	// Tests inject a seeded *rand.Rand for deterministic schedules.
-	Rand *rand.Rand
 }
 
 const (
@@ -122,14 +112,6 @@ func DefaultRetryable(err error) bool {
 	return true
 }
 
-// ErrAttemptTimeout marks an attempt that hit the policy's PerAttempt
-// deadline while the caller's own context was still live. It is a plain
-// transient error — deliberately NOT unwrapping to
-// context.DeadlineExceeded, which the default classification would read
-// as the caller being gone — so the next attempt runs under a fresh
-// deadline.
-var ErrAttemptTimeout = errors.New("retry: attempt timed out")
-
 // ExhaustedError reports that every attempt failed with a retryable
 // error. It unwraps to the last attempt's error, so errors.Is/As reach
 // through it.
@@ -151,42 +133,23 @@ func (e *ExhaustedError) Error() string {
 
 func (e *ExhaustedError) Unwrap() error { return e.Err }
 
-// jitterMu guards the package-level jitter source; policies without
-// their own Rand share it.
-var (
-	jitterMu  sync.Mutex
-	jitterSrc = rand.New(rand.NewSource(time.Now().UnixNano()))
-)
-
 // Delay computes the backoff before attempt+1 (attempt is 1-based: pass
-// 1 after the first failure): the doubled, capped base with full jitter,
-// landing anywhere in [base/2, 3·base/2). Exposed so callers that cannot
-// run under Do (e.g. loops owning their own select) still pace
-// identically.
+// 1 after the first failure): the doubled base with full jitter, landing
+// anywhere in [base/2, 3·base/2). The doubling saturates once one more
+// would let 3·base/2 overflow a time.Duration (past 34 attempts at a
+// 500 ms base), so every attempt count yields a positive delay. Jitter
+// comes from math/rand/v2's top-level source, which is safe for
+// concurrent use. Exposed so callers that cannot run under Do (e.g.
+// loops owning their own select) still pace identically.
 func (p Policy) Delay(attempt int) time.Duration {
 	base := p.Base
 	if base <= 0 {
 		base = defaultBase
 	}
-	for i := 1; i < attempt; i++ {
+	for i := 1; i < attempt && base <= math.MaxInt64/3; i++ {
 		base *= 2
-		if p.Cap > 0 && base >= p.Cap {
-			base = p.Cap
-			break
-		}
 	}
-	if p.Cap > 0 && base > p.Cap {
-		base = p.Cap
-	}
-	var j int64
-	if p.Rand != nil {
-		j = p.Rand.Int63n(int64(base))
-	} else {
-		jitterMu.Lock()
-		j = jitterSrc.Int63n(int64(base))
-		jitterMu.Unlock()
-	}
-	return time.Duration(j) + base/2
+	return rand.N(base) + base/2
 }
 
 // Do runs fn under the policy: up to Attempts tries, backoff with full
@@ -215,13 +178,11 @@ func (p Policy) Do(ctx context.Context, op string, fn func(ctx context.Context) 
 		if err := ctx.Err(); err != nil {
 			return ctxError(op, err, lastErr)
 		}
-		lastErr = p.attempt(ctx, fn)
+		lastErr = fn(ctx)
 		if lastErr == nil {
 			return nil
 		}
-		// The parent context ending is terminal whatever the classifier
-		// says; a per-attempt deadline alone is not (the next attempt
-		// gets a fresh one).
+		// The context ending is terminal whatever the classifier says.
 		if ctx.Err() != nil {
 			return ctxError(op, ctx.Err(), lastErr)
 		}
@@ -249,22 +210,6 @@ func (p Policy) Do(ctx context.Context, op string, fn func(ctx context.Context) 
 		case <-t.C:
 		}
 	}
-}
-
-// attempt runs fn once under the per-attempt deadline, if any. An error
-// attributable to that deadline (it fired; the parent is still live) is
-// relabelled ErrAttemptTimeout so classification keeps it transient.
-func (p Policy) attempt(ctx context.Context, fn func(ctx context.Context) error) error {
-	if p.PerAttempt <= 0 {
-		return fn(ctx)
-	}
-	actx, cancel := context.WithTimeout(ctx, p.PerAttempt)
-	defer cancel()
-	err := fn(actx)
-	if err != nil && actx.Err() != nil && ctx.Err() == nil {
-		return fmt.Errorf("%w after %v: %v", ErrAttemptTimeout, p.PerAttempt, err)
-	}
-	return err
 }
 
 // ctxError formats a context-terminated retry: errors.Is finds ctxErr,

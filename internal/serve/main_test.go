@@ -27,7 +27,7 @@ func TestMain(m *testing.M) { testkit.Main(m) }
 // archive is one segment fed by four workers, so the workers under test
 // are the ones that share a segment.
 func TestFeedArchiveExitsLeaveNoGoroutines(t *testing.T) {
-	const blocks = 64
+	const blocks = 100
 	open := func(t *testing.T, breakAt int64) *archive.Reader {
 		t.Helper()
 		st := blobstore.NewMemory()
@@ -56,7 +56,7 @@ func TestFeedArchiveExitsLeaveNoGoroutines(t *testing.T) {
 		}
 		return rd
 	}
-	cfg := FeedConfig{Ingest: core.IngestConfig{Workers: 4, Batch: 4}}
+	cfg := FeedConfig{Ingest: core.IngestConfig{Workers: 4}}
 	exits := map[string]func(t *testing.T){
 		"drained": func(t *testing.T) {
 			n, err := NewPublisher().FeedArchive(context.Background(), open(t, 0), cfg)

@@ -102,46 +102,6 @@ func (c *Conn) WriteMessage(op Opcode, data []byte) error {
 	return c.writeFrame(Frame{FIN: true, Opcode: op, Payload: data})
 }
 
-// WriteFragmented sends a message split into frames of at most chunk bytes,
-// exercising RFC 6455 §5.4 fragmentation. Peers reassemble transparently in
-// ReadMessage. The write lock is held across all fragments so concurrent
-// writers cannot interleave data frames (control frames from the peer may
-// still arrive between fragments, which is legal).
-func (c *Conn) WriteFragmented(op Opcode, data []byte, chunk int) error {
-	if op != OpText && op != OpBinary {
-		return fmt.Errorf("wsrpc: WriteFragmented with opcode %d", op)
-	}
-	if chunk <= 0 {
-		return fmt.Errorf("wsrpc: non-positive chunk size %d", chunk)
-	}
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	if c.closed {
-		return ErrClosed
-	}
-	first := true
-	for {
-		frame := Frame{Opcode: OpContinuation}
-		if first {
-			frame.Opcode = op
-		}
-		if len(data) <= chunk {
-			frame.FIN = true
-			frame.Payload = data
-		} else {
-			frame.Payload = data[:chunk]
-		}
-		if err := c.writeLocked(frame); err != nil {
-			return err
-		}
-		if frame.FIN {
-			return nil
-		}
-		data = data[chunk:]
-		first = false
-	}
-}
-
 // WriteJSON marshals v and sends it as a text message.
 func (c *Conn) WriteJSON(v any) error {
 	data, err := json.Marshal(v)
@@ -149,11 +109,6 @@ func (c *Conn) WriteJSON(v any) error {
 		return fmt.Errorf("wsrpc: marshaling message: %w", err)
 	}
 	return c.WriteMessage(OpText, data)
-}
-
-// Ping sends a ping control frame.
-func (c *Conn) Ping(data []byte) error {
-	return c.writeFrame(Frame{FIN: true, Opcode: OpPing, Payload: data})
 }
 
 // ReadMessage returns the next complete data message in a slice of its

@@ -8,7 +8,6 @@ package wsrpc
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 	"slices"
 )
@@ -55,19 +54,6 @@ var (
 	ErrReservedBits      = errors.New("wsrpc: reserved bits set (no extensions negotiated)")
 	ErrBadLengthEncoding = errors.New("wsrpc: non-minimal length encoding")
 )
-
-// WriteFrame serializes a frame to w in a single Write. A masked frame's
-// payload is masked into the serialized copy; f.Payload is left as it was.
-func WriteFrame(w io.Writer, f Frame) error {
-	b, err := appendFrame(nil, f)
-	if err != nil {
-		return err
-	}
-	if _, err := w.Write(b); err != nil {
-		return fmt.Errorf("wsrpc: writing frame: %w", err)
-	}
-	return nil
-}
 
 // appendFrame appends f's header and payload to dst, masking the payload as
 // it copies when f.Masked is set (clients mask, servers must not).
@@ -200,16 +186,4 @@ func (h *frameHeader) readPayload(r io.Reader, dst []byte) ([]byte, error) {
 		mask(dst[start:], h.key)
 	}
 	return dst, nil
-}
-
-// ReadFrame parses one frame from r, unmasking the payload if needed.
-func ReadFrame(r io.Reader) (Frame, error) {
-	var h frameHeader
-	if err := h.read(r); err != nil {
-		return Frame{FIN: h.fin, Opcode: h.op, Masked: h.masked}, err
-	}
-	f := Frame{FIN: h.fin, Opcode: h.op, Masked: h.masked, MaskKey: h.key}
-	var err error
-	f.Payload, err = h.readPayload(r, nil)
-	return f, err
 }

@@ -60,11 +60,11 @@ func TestHostileLengthAllocatesWhatArrives(t *testing.T) {
 			t.Fatalf("header is %d bytes, want 14", len(stream))
 		}
 		var frameErr, msgErr error
-		if got := allocatedBytes(func() { _, frameErr = ReadFrame(bytes.NewReader(stream)) }); got >= bound {
-			t.Errorf("ReadFrame allocated %d bytes for a 14-byte stream, want < %d", got, bound)
+		if got := allocatedBytes(func() { _, frameErr = readFrame(bytes.NewReader(stream)) }); got >= bound {
+			t.Errorf("readFrame allocated %d bytes for a 14-byte stream, want < %d", got, bound)
 		}
 		if frameErr == nil {
-			t.Error("ReadFrame of a truncated frame succeeded")
+			t.Error("readFrame of a truncated frame succeeded")
 		}
 		conn := connReading(stream, false)
 		if got := allocatedBytes(func() { _, _, msgErr = conn.ReadMessage() }); got >= bound {

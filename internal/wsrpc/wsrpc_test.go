@@ -3,6 +3,8 @@ package wsrpc
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -26,12 +28,12 @@ func TestFrameRoundTrip(t *testing.T) {
 		}
 		for _, f := range cases {
 			var buf bytes.Buffer
-			if err := WriteFrame(&buf, f); err != nil {
-				t.Fatalf("WriteFrame(%+v): %v", f.Opcode, err)
+			if err := writeFrameTo(&buf, f); err != nil {
+				t.Fatalf("writeFrameTo(%+v): %v", f.Opcode, err)
 			}
-			got, err := ReadFrame(&buf)
+			got, err := readFrame(&buf)
 			if err != nil {
-				t.Fatalf("ReadFrame(%+v): %v", f.Opcode, err)
+				t.Fatalf("readFrame(%+v): %v", f.Opcode, err)
 			}
 			if got.FIN != f.FIN || got.Opcode != f.Opcode || !bytes.Equal(got.Payload, f.Payload) {
 				t.Fatalf("round trip mismatch: sent %+v got %+v", f, got)
@@ -51,10 +53,10 @@ func TestFrameRoundTripProperty(t *testing.T) {
 				fr.MaskKey = [4]byte{byte(keySeed), byte(keySeed >> 8), byte(keySeed >> 16), byte(keySeed >> 24)}
 			}
 			var buf bytes.Buffer
-			if err := WriteFrame(&buf, fr); err != nil {
+			if err := writeFrameTo(&buf, fr); err != nil {
 				return false
 			}
-			got, err := ReadFrame(&buf)
+			got, err := readFrame(&buf)
 			return err == nil && bytes.Equal(got.Payload, payload)
 		}
 		if err := quick.Check(f, nil); err != nil {
@@ -66,11 +68,11 @@ func TestFrameRoundTripProperty(t *testing.T) {
 func TestControlFrameLimits(t *testing.T) {
 	testkit.Repeat(t, 20, func(t *testing.T) {
 		var buf bytes.Buffer
-		err := WriteFrame(&buf, Frame{FIN: true, Opcode: OpPing, Payload: bytes.Repeat([]byte{0}, 126)})
+		err := writeFrameTo(&buf, Frame{FIN: true, Opcode: OpPing, Payload: bytes.Repeat([]byte{0}, 126)})
 		if !errors.Is(err, ErrBadControlFrame) {
 			t.Fatalf("oversized ping: %v", err)
 		}
-		err = WriteFrame(&buf, Frame{FIN: false, Opcode: OpClose})
+		err = writeFrameTo(&buf, Frame{FIN: false, Opcode: OpClose})
 		if !errors.Is(err, ErrBadControlFrame) {
 			t.Fatalf("fragmented close: %v", err)
 		}
@@ -80,7 +82,7 @@ func TestControlFrameLimits(t *testing.T) {
 func TestReadFrameRejectsReservedBits(t *testing.T) {
 	testkit.Repeat(t, 20, func(t *testing.T) {
 		raw := []byte{0xC1, 0x00} // FIN + RSV1, opcode text, empty
-		_, err := ReadFrame(bytes.NewReader(raw))
+		_, err := readFrame(bytes.NewReader(raw))
 		if !errors.Is(err, ErrReservedBits) {
 			t.Fatalf("reserved bits: %v", err)
 		}
@@ -91,7 +93,7 @@ func TestReadFrameRejectsNonMinimalLength(t *testing.T) {
 	testkit.Repeat(t, 20, func(t *testing.T) {
 		// 16-bit extended length used for a 5-byte payload.
 		raw := []byte{0x82, 126, 0x00, 0x05, 1, 2, 3, 4, 5}
-		if _, err := ReadFrame(bytes.NewReader(raw)); !errors.Is(err, ErrBadLengthEncoding) {
+		if _, err := readFrame(bytes.NewReader(raw)); !errors.Is(err, ErrBadLengthEncoding) {
 			t.Fatalf("non-minimal 16-bit length: %v", err)
 		}
 	})
@@ -191,7 +193,7 @@ func TestPingPongTransparent(t *testing.T) {
 			}
 			defer conn.Close()
 			// Server pings, then sends the real message.
-			if err := conn.Ping([]byte("are you there")); err != nil {
+			if err := conn.ping([]byte("are you there")); err != nil {
 				return
 			}
 			_ = conn.WriteMessage(OpText, []byte("after-ping"))
@@ -374,7 +376,7 @@ func TestFragmentedMessageReassembly(t *testing.T) {
 		}
 		defer conn.Close()
 		msg := bytes.Repeat([]byte("fragmented-payload-"), 1000)
-		if err := conn.WriteFragmented(OpBinary, msg, 256); err != nil {
+		if err := conn.writeFragmented(OpBinary, msg, 256); err != nil {
 			t.Fatal(err)
 		}
 		op, data, err := conn.ReadMessage()
@@ -397,14 +399,14 @@ func TestFragmentedEmptyAndTiny(t *testing.T) {
 		}
 		defer conn.Close()
 		// A message smaller than the chunk degenerates to a single frame.
-		if err := conn.WriteFragmented(OpText, []byte("x"), 256); err != nil {
+		if err := conn.writeFragmented(OpText, []byte("x"), 256); err != nil {
 			t.Fatal(err)
 		}
 		_, data, err := conn.ReadMessage()
 		if err != nil || string(data) != "x" {
 			t.Fatalf("tiny fragmented message: %q %v", data, err)
 		}
-		if err := conn.WriteFragmented(OpText, nil, 1); err != nil {
+		if err := conn.writeFragmented(OpText, nil, 1); err != nil {
 			t.Fatal(err)
 		}
 		_, data, err = conn.ReadMessage()
@@ -423,10 +425,10 @@ func TestWriteFragmentedValidation(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer conn.Close()
-		if err := conn.WriteFragmented(OpPing, []byte("x"), 1); err == nil {
+		if err := conn.writeFragmented(OpPing, []byte("x"), 1); err == nil {
 			t.Fatal("control frames cannot be fragmented")
 		}
-		if err := conn.WriteFragmented(OpText, []byte("x"), 0); err == nil {
+		if err := conn.writeFragmented(OpText, []byte("x"), 0); err == nil {
 			t.Fatal("zero chunk accepted")
 		}
 	})
@@ -438,10 +440,10 @@ func BenchmarkFrameEncodeDecode(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		buf.Reset()
-		if err := WriteFrame(&buf, Frame{FIN: true, Opcode: OpText, Payload: payload}); err != nil {
+		if err := writeFrameTo(&buf, Frame{FIN: true, Opcode: OpText, Payload: payload}); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := ReadFrame(&buf); err != nil {
+		if _, err := readFrame(&buf); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -455,10 +457,10 @@ func BenchmarkMaskedFrameRoundTrip(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		buf.Reset()
 		f := Frame{FIN: true, Opcode: OpBinary, Masked: true, MaskKey: [4]byte{1, 2, 3, 4}, Payload: payload}
-		if err := WriteFrame(&buf, f); err != nil {
+		if err := writeFrameTo(&buf, f); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := ReadFrame(&buf); err != nil {
+		if _, err := readFrame(&buf); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -552,4 +554,74 @@ func TestInterleavedDataFramesRejected(t *testing.T) {
 			t.Fatal("interleaved data frames accepted")
 		}
 	})
+}
+
+// writeFrameTo serializes a frame to w in a single Write. A masked frame's
+// payload is masked into the serialized copy; f.Payload is left as it was.
+func writeFrameTo(w io.Writer, f Frame) error {
+	b, err := appendFrame(nil, f)
+	if err != nil {
+		return err
+	}
+	if _, err := w.Write(b); err != nil {
+		return fmt.Errorf("wsrpc: writing frame: %w", err)
+	}
+	return nil
+}
+
+// readFrame parses one frame from r, unmasking the payload if needed.
+func readFrame(r io.Reader) (Frame, error) {
+	var h frameHeader
+	if err := h.read(r); err != nil {
+		return Frame{FIN: h.fin, Opcode: h.op, Masked: h.masked}, err
+	}
+	f := Frame{FIN: h.fin, Opcode: h.op, Masked: h.masked, MaskKey: h.key}
+	var err error
+	f.Payload, err = h.readPayload(r, nil)
+	return f, err
+}
+
+// writeFragmented sends a message split into frames of at most chunk bytes,
+// exercising RFC 6455 §5.4 fragmentation. Peers reassemble transparently in
+// ReadMessage. The write lock is held across all fragments so concurrent
+// writers cannot interleave data frames (control frames from the peer may
+// still arrive between fragments, which is legal).
+func (c *Conn) writeFragmented(op Opcode, data []byte, chunk int) error {
+	if op != OpText && op != OpBinary {
+		return fmt.Errorf("wsrpc: writeFragmented with opcode %d", op)
+	}
+	if chunk <= 0 {
+		return fmt.Errorf("wsrpc: non-positive chunk size %d", chunk)
+	}
+	c.writeMu.Lock()
+	defer c.writeMu.Unlock()
+	if c.closed {
+		return ErrClosed
+	}
+	first := true
+	for {
+		frame := Frame{Opcode: OpContinuation}
+		if first {
+			frame.Opcode = op
+		}
+		if len(data) <= chunk {
+			frame.FIN = true
+			frame.Payload = data
+		} else {
+			frame.Payload = data[:chunk]
+		}
+		if err := c.writeLocked(frame); err != nil {
+			return err
+		}
+		if frame.FIN {
+			return nil
+		}
+		data = data[chunk:]
+		first = false
+	}
+}
+
+// ping sends a ping control frame.
+func (c *Conn) ping(data []byte) error {
+	return c.writeFrame(Frame{FIN: true, Opcode: OpPing, Payload: data})
 }

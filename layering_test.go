@@ -34,7 +34,9 @@ import (
 // goroutines from TestMain, where there is no logger.
 //
 // And it pins internal/testkit as test-only: no non-test file of the module
-// imports it, and it imports nothing from the module.
+// imports it, and it imports nothing from the module. cmd/chainsim serves
+// the simulated histories and never imports internal/pipeline, the
+// reproduction that crawls them.
 func TestLayering(t *testing.T) {
 	measurement := []string{
 		"internal/wire", "internal/collect", "internal/archive", "internal/blobstore",
@@ -116,6 +118,9 @@ func TestLayering(t *testing.T) {
 			}
 			if target == "repro/"+testkit {
 				t.Errorf("%s imports %s: only _test.go files may", path, target)
+			}
+			if filepath.Dir(path) == filepath.Join("cmd", "chainsim") && target == "repro/internal/pipeline" {
+				t.Errorf("%s imports %s: the simulator's server does not link the reproduction", path, target)
 			}
 			if filepath.Dir(path) == testkit && strings.HasPrefix(target, "repro/") {
 				t.Errorf("%s imports %s: testkit imports nothing from the module", path, target)
